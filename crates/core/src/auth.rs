@@ -36,11 +36,12 @@
 
 use std::collections::HashMap;
 
-use psoram_crypto::{Aes128, Cmac};
+use psoram_crypto::{Aes128, Cmac, CmacStream};
 
 use crate::block::Block;
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
+use crate::unit_table::UnitTable;
 
 /// CMAC domain byte for tree-slot records.
 const DOMAIN_SLOT: u8 = 0x51;
@@ -51,47 +52,86 @@ const DOMAIN_CTR: u8 = 0xC7;
 /// CMAC domain byte for the counter-tree root.
 const DOMAIN_ROOT: u8 = 0x52;
 
-/// Canonical byte serialization of a tree slot's content.
+/// Slot-tag content marker: a dummy slot (nothing follows).
+const MARK_DUMMY: u8 = 0xD5;
+/// Slot-tag content marker: a real block (header, length, payload follow).
+const MARK_REAL: u8 = 0xB1;
+/// Counter-digest unit kind: a tree slot.
+const KIND_SLOT: u8 = 0x01;
+/// Counter-digest unit kind: a persisted PosMap entry.
+const KIND_POSMAP: u8 = 0x02;
+
+/// A fixed-width MAC input under construction: little-endian fields
+/// appended back to back, no length words. Every message built this way
+/// starts with its domain byte and has a layout fully determined by the
+/// bytes before each field, which is what makes the encodings injective
+/// (DESIGN.md §10 and §11 walk each layout).
+struct Frame<const N: usize> {
+    buf: [u8; N],
+    len: usize,
+}
+
+impl<const N: usize> Frame<N> {
+    fn new(domain: u8) -> Self {
+        let mut f = Frame {
+            buf: [0u8; N],
+            len: 0,
+        };
+        f.byte(domain);
+        f
+    }
+
+    fn byte(&mut self, b: u8) {
+        self.buf[self.len] = b;
+        self.len += 1;
+    }
+
+    fn word(&mut self, w: u64) {
+        self.buf[self.len..self.len + 8].copy_from_slice(&w.to_le_bytes());
+        self.len += 8;
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+/// Widest slot-tag frame: everything of a real slot but the payload.
+const SLOT_FRAME_BYTES: usize = 75;
+
+/// Feeds `sink` the MAC input of a tree-slot record:
 ///
-/// Dummy slots get a distinct single-byte encoding so "slot emptied" and
-/// "slot never tagged" stay distinguishable from any real block bytes.
-fn slot_bytes(content: Option<&Block>) -> Vec<u8> {
+/// ```text
+/// dummy: 0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xD5                        (26 B)
+/// real:  0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xB1 ‖ addr ‖ leaf ‖ iv1 ‖ iv2
+///             ‖ seq ‖ is_backup ‖ payload_len ‖ payload           (75 B + payload)
+/// ```
+///
+/// The dummy marker keeps "slot emptied" distinct from any real block,
+/// and the length word keeps a payload from sliding into a longer one.
+fn encode_slot(src: (u64, u64), ctr: u64, content: Option<&Block>, mut sink: impl FnMut(&[u8])) {
+    let mut f = Frame::<SLOT_FRAME_BYTES>::new(DOMAIN_SLOT);
+    f.word(src.0);
+    f.word(src.1);
+    f.word(ctr);
     match content {
-        None => vec![0xD5],
+        None => {
+            f.byte(MARK_DUMMY);
+            sink(f.bytes());
+        }
         Some(b) => {
-            let mut out = Vec::with_capacity(42 + b.payload.len());
-            out.push(0xB1);
-            out.extend_from_slice(&b.header.addr.0.to_le_bytes());
-            out.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-            out.extend_from_slice(&b.header.iv1.to_le_bytes());
-            out.extend_from_slice(&b.header.iv2.to_le_bytes());
-            out.extend_from_slice(&b.header.seq.to_le_bytes());
-            out.push(b.is_backup as u8);
-            out.extend_from_slice(&(b.payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(&b.payload);
-            out
+            f.byte(MARK_REAL);
+            f.word(b.header.addr.0);
+            f.word(b.header.leaf.0);
+            f.word(b.header.iv1);
+            f.word(b.header.iv2);
+            f.word(b.header.seq);
+            f.byte(b.is_backup as u8);
+            f.word(b.payload.len() as u64);
+            sink(f.bytes());
+            sink(&b.payload);
         }
     }
-}
-
-/// Canonical byte serialization of a sorted temp-PosMap entry list.
-fn temp_bytes(entries: &[(u64, u64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + entries.len() * 16);
-    out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for (a, l) in entries {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&l.to_le_bytes());
-    }
-    out
-}
-
-/// Constant-shape 16-byte tag comparison.
-fn tags_equal(a: &[u8; 16], b: &[u8; 16]) -> bool {
-    let mut diff = 0u8;
-    for (x, y) in a.iter().zip(b) {
-        diff |= x ^ y;
-    }
-    diff == 0
 }
 
 /// A stale snapshot the adversary re-serves on the fetch wire: the
@@ -206,8 +246,11 @@ impl FreshnessStats {
 #[derive(Debug, Clone)]
 pub struct CounterTree {
     cmac: Cmac,
-    slots: HashMap<(u64, usize), u64>,
-    posmap: HashMap<u64, u64>,
+    /// Per tree slot: the counter and the digest currently folded into
+    /// its level aggregate, so a bump XORs it out without recomputing it.
+    slots: UnitTable<(u64, u128)>,
+    /// Per PosMap address: same pair, folded into `posmap_agg`.
+    posmap: HashMap<u64, (u64, u128)>,
     levels: Vec<u128>,
     posmap_agg: u128,
     epoch: u64,
@@ -218,7 +261,7 @@ impl CounterTree {
     pub fn new(key: &[u8; 16]) -> Self {
         CounterTree {
             cmac: Cmac::new(Aes128::new(key)),
-            slots: HashMap::new(),
+            slots: UnitTable::default(),
             posmap: HashMap::new(),
             levels: Vec::new(),
             posmap_agg: 0,
@@ -231,23 +274,23 @@ impl CounterTree {
         (bucket + 1).ilog2() as usize
     }
 
-    fn slot_digest(&self, bucket: u64, slot: usize, ctr: u64) -> u128 {
-        u128::from_le_bytes(self.cmac.tag_parts(
-            DOMAIN_CTR,
-            &[
-                b"slot",
-                &bucket.to_le_bytes(),
-                &(slot as u64).to_le_bytes(),
-                &ctr.to_le_bytes(),
-            ],
-        ))
+    /// `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr` (26 B).
+    fn slot_digest(cmac: &Cmac, bucket: u64, slot: usize, ctr: u64) -> u128 {
+        let mut f = Frame::<26>::new(DOMAIN_CTR);
+        f.byte(KIND_SLOT);
+        f.word(bucket);
+        f.word(slot as u64);
+        f.word(ctr);
+        u128::from_le_bytes(cmac.tag(f.bytes()))
     }
 
-    fn posmap_digest(&self, addr: u64, ctr: u64) -> u128 {
-        u128::from_le_bytes(self.cmac.tag_parts(
-            DOMAIN_CTR,
-            &[b"posmap", &addr.to_le_bytes(), &ctr.to_le_bytes()],
-        ))
+    /// `0xC7 ‖ 0x02 ‖ addr ‖ ctr` (18 B).
+    fn posmap_digest(cmac: &Cmac, addr: u64, ctr: u64) -> u128 {
+        let mut f = Frame::<18>::new(DOMAIN_CTR);
+        f.byte(KIND_POSMAP);
+        f.word(addr);
+        f.word(ctr);
+        u128::from_le_bytes(cmac.tag(f.bytes()))
     }
 
     /// Bumps the counter of tree slot `(bucket, slot)` and returns the
@@ -257,48 +300,40 @@ impl CounterTree {
         if self.levels.len() <= level {
             self.levels.resize(level + 1, 0);
         }
-        let prev = self.slots.get(&(bucket, slot)).copied();
-        if let Some(c) = prev {
-            let out = self.slot_digest(bucket, slot, c);
-            self.levels[level] ^= out;
-        }
-        let next = prev.unwrap_or(0) + 1;
-        let digest = self.slot_digest(bucket, slot, next);
-        self.levels[level] ^= digest;
-        self.slots.insert((bucket, slot), next);
+        let unit = self.slots.cell_mut(bucket, slot);
+        let (prev, out) = unit.unwrap_or((0, 0));
+        let next = prev + 1;
+        let digest = Self::slot_digest(&self.cmac, bucket, slot, next);
+        self.levels[level] ^= out ^ digest;
+        *unit = Some((next, digest));
         next
     }
 
     /// Bumps the counter of PosMap address `addr` and returns the new
     /// value.
     pub fn bump_posmap(&mut self, addr: u64) -> u64 {
-        let prev = self.posmap.get(&addr).copied();
-        if let Some(c) = prev {
-            let out = self.posmap_digest(addr, c);
-            self.posmap_agg ^= out;
-        }
-        let next = prev.unwrap_or(0) + 1;
-        let digest = self.posmap_digest(addr, next);
-        self.posmap_agg ^= digest;
-        self.posmap.insert(addr, next);
+        let unit = self.posmap.entry(addr).or_insert((0, 0));
+        let (prev, out) = *unit;
+        let next = prev + 1;
+        let digest = Self::posmap_digest(&self.cmac, addr, next);
+        self.posmap_agg ^= out ^ digest;
+        *unit = (next, digest);
         next
     }
 
     /// The trusted counter of a tree slot, if the slot was ever written.
     pub fn slot_ctr(&self, bucket: u64, slot: usize) -> Option<u64> {
-        self.slots.get(&(bucket, slot)).copied()
+        self.slots.get(bucket, slot).map(|&(ctr, _)| ctr)
     }
 
     /// The trusted counter of a PosMap address, if it was ever persisted.
     pub fn posmap_ctr(&self, addr: u64) -> Option<u64> {
-        self.posmap.get(&addr).copied()
+        self.posmap.get(&addr).map(|&(ctr, _)| ctr)
     }
 
     /// All tracked slots in deterministic (sorted) order.
     pub fn tracked_slots_sorted(&self) -> Vec<(u64, usize)> {
-        let mut v: Vec<(u64, usize)> = self.slots.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.slots.units_sorted()
     }
 
     /// All tracked PosMap addresses in deterministic (sorted) order.
@@ -318,20 +353,19 @@ impl CounterTree {
         self.epoch += 1;
     }
 
-    /// The root digest: CMAC over the epoch, every tree-level aggregate,
-    /// and the PosMap aggregate. Depends only on the final counter map
+    /// The root digest: CMAC over
+    /// `0x52 ‖ epoch ‖ level aggregates (16 B each, root level first) ‖
+    /// PosMap aggregate (16 B)`. Depends only on the final counter map
     /// and the epoch.
     pub fn root(&self) -> [u8; 16] {
-        let epoch = self.epoch.to_le_bytes();
-        let level_bytes: Vec<[u8; 16]> = self.levels.iter().map(|l| l.to_le_bytes()).collect();
-        let pos = self.posmap_agg.to_le_bytes();
-        let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + level_bytes.len());
-        parts.push(&epoch);
-        for lb in &level_bytes {
-            parts.push(lb);
+        let mut s = self.cmac.stream();
+        s.update(&[DOMAIN_ROOT]);
+        s.update(&self.epoch.to_le_bytes());
+        for level in &self.levels {
+            s.update(&level.to_le_bytes());
         }
-        parts.push(&pos);
-        self.cmac.tag_parts(DOMAIN_ROOT, &parts)
+        s.update(&self.posmap_agg.to_le_bytes());
+        s.finalize()
     }
 }
 
@@ -342,10 +376,11 @@ impl CounterTree {
 /// controller overwrites units, then re-serves them at crash time or on
 /// the read path. This is adversary state, not defense state: it is
 /// installed alongside the fault plan on hardened *and* baseline
-/// designs, so both face the same attack.
+/// designs, so both face the same attack — and only when that plan can
+/// replay at all (`FaultConfig::replays_stale_units`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnitHistory {
-    slots: HashMap<(BucketIndex, usize), (Option<Block>, Option<UnitMeta>)>,
+    slots: UnitTable<(Option<Block>, Option<UnitMeta>)>,
     posmap: HashMap<u64, (Leaf, Option<UnitMeta>)>,
 }
 
@@ -358,7 +393,7 @@ impl UnitHistory {
         prev_content: Option<Block>,
         prev_meta: Option<UnitMeta>,
     ) {
-        self.slots.insert((bucket, slot), (prev_content, prev_meta));
+        *self.slots.cell_mut(bucket, slot) = Some((prev_content, prev_meta));
     }
 
     /// The recorded prior version of a tree slot, if any.
@@ -367,7 +402,7 @@ impl UnitHistory {
         bucket: BucketIndex,
         slot: usize,
     ) -> Option<&(Option<Block>, Option<UnitMeta>)> {
-        self.slots.get(&(bucket, slot))
+        self.slots.get(bucket, slot)
     }
 
     /// Records the pre-write state of a persisted PosMap entry.
@@ -387,7 +422,7 @@ impl UnitHistory {
 pub(crate) struct AuthTags {
     cmac: Cmac,
     ctrs: CounterTree,
-    slots: HashMap<(BucketIndex, usize), UnitMeta>,
+    slots: UnitTable<UnitMeta>,
     posmap: HashMap<u64, UnitMeta>,
     temp_seal: Option<[u8; 16]>,
 }
@@ -398,34 +433,30 @@ impl AuthTags {
         AuthTags {
             cmac: Cmac::new(Aes128::new(key)),
             ctrs: CounterTree::new(key),
-            slots: HashMap::new(),
+            slots: UnitTable::default(),
             posmap: HashMap::new(),
             temp_seal: None,
         }
     }
 
-    fn slot_tag(&self, src: (u64, u64), ctr: u64, content: Option<&Block>) -> [u8; 16] {
-        self.cmac.tag_parts(
-            DOMAIN_SLOT,
-            &[
-                &src.0.to_le_bytes(),
-                &src.1.to_le_bytes(),
-                &ctr.to_le_bytes(),
-                &slot_bytes(content),
-            ],
-        )
+    /// The MAC over a slot record, ready to `finalize` into a fresh tag
+    /// or `verify` against a stored one.
+    fn slot_mac(&self, src: (u64, u64), ctr: u64, content: Option<&Block>) -> CmacStream<'_> {
+        let mut s = self.cmac.stream();
+        encode_slot(src, ctr, content, |bytes| s.update(bytes));
+        s
     }
 
-    fn posmap_tag(&self, src: (u64, u64), ctr: u64, leaf: u64) -> [u8; 16] {
-        self.cmac.tag_parts(
-            DOMAIN_POSMAP,
-            &[
-                &src.0.to_le_bytes(),
-                &src.1.to_le_bytes(),
-                &ctr.to_le_bytes(),
-                &leaf.to_le_bytes(),
-            ],
-        )
+    /// Same for a PosMap record: `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
+    fn posmap_mac(&self, src: (u64, u64), ctr: u64, leaf: u64) -> CmacStream<'_> {
+        let mut f = Frame::<33>::new(DOMAIN_POSMAP);
+        f.word(src.0);
+        f.word(src.1);
+        f.word(ctr);
+        f.word(leaf);
+        let mut s = self.cmac.stream();
+        s.update(f.bytes());
+        s
     }
 
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
@@ -433,9 +464,8 @@ impl AuthTags {
     pub fn record_slot(&mut self, bucket: BucketIndex, slot: usize, content: Option<&Block>) {
         let ctr = self.ctrs.bump_slot(bucket, slot);
         let src = (bucket, slot as u64);
-        let tag = self.slot_tag(src, ctr, content);
-        self.slots
-            .insert((bucket, slot), UnitMeta { ctr, src, tag });
+        let tag = self.slot_mac(src, ctr, content).finalize();
+        *self.slots.cell_mut(bucket, slot) = Some(UnitMeta { ctr, src, tag });
     }
 
     /// Classifies `(bucket, slot)` against `content`, worst evidence
@@ -447,7 +477,7 @@ impl AuthTags {
         slot: usize,
         content: Option<&Block>,
     ) -> FreshnessVerdict {
-        self.classify_served_slot(bucket, slot, content, self.slots.get(&(bucket, slot)))
+        self.classify_served_slot(bucket, slot, content, self.slots.get(bucket, slot))
     }
 
     /// Classifies an arbitrary served `(content, record)` pair claiming
@@ -470,8 +500,7 @@ impl AuthTags {
                 }
             }
             Some(m) => {
-                let expected = self.slot_tag(m.src, m.ctr, content);
-                if !tags_equal(&expected, &m.tag) {
+                if !self.slot_mac(m.src, m.ctr, content).verify(&m.tag) {
                     FreshnessVerdict::Tampered
                 } else if m.src != (bucket, slot as u64) {
                     FreshnessVerdict::Spliced
@@ -500,7 +529,7 @@ impl AuthTags {
     pub fn record_posmap(&mut self, addr: u64, leaf: u64) {
         let ctr = self.ctrs.bump_posmap(addr);
         let src = (addr, 0);
-        let tag = self.posmap_tag(src, ctr, leaf);
+        let tag = self.posmap_mac(src, ctr, leaf).finalize();
         self.posmap.insert(addr, UnitMeta { ctr, src, tag });
     }
 
@@ -515,8 +544,7 @@ impl AuthTags {
                 }
             }
             Some(m) => {
-                let expected = self.posmap_tag(m.src, m.ctr, leaf);
-                if !tags_equal(&expected, &m.tag) {
+                if !self.posmap_mac(m.src, m.ctr, leaf).verify(&m.tag) {
                     FreshnessVerdict::Tampered
                 } else if m.src != (addr, 0) {
                     FreshnessVerdict::Spliced
@@ -542,20 +570,13 @@ impl AuthTags {
 
     /// The off-chip record of a tree slot (adversary hook).
     pub fn slot_record(&self, bucket: BucketIndex, slot: usize) -> Option<UnitMeta> {
-        self.slots.get(&(bucket, slot)).copied()
+        self.slots.get(bucket, slot).copied()
     }
 
     /// Overwrites (or deletes) the off-chip record of a tree slot
     /// *without* touching the trusted counter (adversary hook).
     pub fn set_slot_record(&mut self, bucket: BucketIndex, slot: usize, rec: Option<UnitMeta>) {
-        match rec {
-            Some(m) => {
-                self.slots.insert((bucket, slot), m);
-            }
-            None => {
-                self.slots.remove(&(bucket, slot));
-            }
-        }
+        *self.slots.cell_mut(bucket, slot) = rec;
     }
 
     /// The off-chip record of a persisted PosMap entry (adversary hook).
@@ -586,15 +607,27 @@ impl AuthTags {
         self.ctrs.advance_epoch();
     }
 
+    /// Streams the canonical image of a sorted temp-PosMap entry list,
+    /// `count ‖ (addr ‖ leaf)*`, into the seal's MAC.
+    fn temp_mac(&self, entries: &[(u64, u64)]) -> CmacStream<'_> {
+        let mut s = self.cmac.stream();
+        s.update(&(entries.len() as u64).to_le_bytes());
+        for (a, l) in entries {
+            s.update(&a.to_le_bytes());
+            s.update(&l.to_le_bytes());
+        }
+        s
+    }
+
     /// Reseals the temporary PosMap over its sorted entry list.
     pub fn seal_temp(&mut self, entries: &[(u64, u64)]) {
-        self.temp_seal = Some(self.cmac.tag(&temp_bytes(entries)));
+        self.temp_seal = Some(self.temp_mac(entries).finalize());
     }
 
     /// Verifies the temporary PosMap seal. No seal → clean.
     pub fn verify_temp(&self, entries: &[(u64, u64)]) -> bool {
         match &self.temp_seal {
-            Some(tag) => self.cmac.verify(&temp_bytes(entries), tag),
+            Some(tag) => self.temp_mac(entries).verify(tag),
             None => true,
         }
     }
@@ -825,6 +858,73 @@ mod tests {
         assert_eq!(h.posmap(4).map(|(l, _)| *l), Some(Leaf(6)));
     }
 
+    /// The MAC input bytes of a slot record, collected instead of MACed.
+    fn encoded(src: (u64, u64), ctr: u64, content: Option<&Block>) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_slot(src, ctr, content, |bytes| out.extend_from_slice(bytes));
+        out
+    }
+
+    #[test]
+    fn slot_encoding_is_fixed_width_and_keeps_near_misses_apart() {
+        let real = blk(5, 1); // 8-byte payload
+        assert_eq!(encoded((9, 2), 1, None).len(), 26, "dummy: two AES blocks");
+        assert_eq!(
+            encoded((9, 2), 1, Some(&real)).len(),
+            83,
+            "real: six AES blocks"
+        );
+        assert_eq!(encoded((9, 2), 1, None)[0], DOMAIN_SLOT);
+
+        let with_payload = |p: &[u8]| Block::new(BlockAddr(5), Leaf(3), p.to_vec());
+        let messages = [
+            // Dummy vs. empty payload vs. a payload spelling the marker.
+            encoded((9, 2), 1, None),
+            encoded((9, 2), 1, Some(&with_payload(&[]))),
+            encoded((9, 2), 1, Some(&with_payload(&[MARK_DUMMY]))),
+            // A payload byte sliding across the length boundary.
+            encoded((9, 2), 1, Some(&with_payload(&[1, 0]))),
+            encoded((9, 2), 1, Some(&with_payload(&[1]))),
+            // The same one sliding between the identity fields.
+            encoded((1, 0), 0, None),
+            encoded((0, 1), 0, None),
+            encoded((0, 0), 1, None),
+            encoded((1 << 56, 0), 0, None),
+            encoded((0, 1 << 56), 0, None),
+        ];
+        for (i, a) in messages.iter().enumerate() {
+            for b in &messages[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    /// A tree holding `tree`'s final counters whose digests and
+    /// aggregates are recomputed from scratch — none carried over.
+    fn rebuilt_from_counters(tree: &CounterTree) -> CounterTree {
+        let mut fresh = CounterTree {
+            cmac: tree.cmac.clone(),
+            slots: UnitTable::default(),
+            posmap: HashMap::new(),
+            levels: vec![0; tree.levels.len()],
+            posmap_agg: 0,
+            epoch: tree.epoch,
+        };
+        for (bucket, slot) in tree.tracked_slots_sorted() {
+            let ctr = tree.slot_ctr(bucket, slot).unwrap_or(0);
+            let digest = CounterTree::slot_digest(&fresh.cmac, bucket, slot, ctr);
+            fresh.levels[CounterTree::level_of(bucket)] ^= digest;
+            *fresh.slots.cell_mut(bucket, slot) = Some((ctr, digest));
+        }
+        for addr in tree.tracked_posmap_sorted() {
+            let ctr = tree.posmap_ctr(addr).unwrap_or(0);
+            let digest = CounterTree::posmap_digest(&fresh.cmac, addr, ctr);
+            fresh.posmap_agg ^= digest;
+            fresh.posmap.insert(addr, (ctr, digest));
+        }
+        fresh
+    }
+
     mod props {
         use super::*;
         use proptest::prelude::*;
@@ -923,6 +1023,95 @@ mod tests {
                     let verdict = t.verdict_slot(to.0, to.1, Some(&b));
                     prop_assert_eq!(verdict, FreshnessVerdict::Spliced);
                 }
+            }
+        }
+
+        /// One slot-record triple drawn from a deliberately tiny, spiky
+        /// domain (marker bytes, field-boundary powers of two) so equal
+        /// and one-field-apart pairs both come up often.
+        type Triple = ((u64, u64), u64, Option<Block>);
+
+        fn spiky_word() -> impl Strategy<Value = u64> {
+            prop::sample::select(vec![0, 1, 0xB1, 0xD5, 1 << 8, 1 << 56, u64::MAX])
+        }
+
+        fn triple() -> impl Strategy<Value = Triple> {
+            (
+                (spiky_word(), spiky_word(), spiky_word()),
+                (spiky_word(), spiky_word(), spiky_word()),
+                (spiky_word(), spiky_word()),
+                (any::<bool>(), any::<bool>()),
+                proptest::collection::vec(prop::sample::select(vec![0u8, 1, 0xB1, 0xD5]), 0..3),
+            )
+                .prop_map(|(id, h1, h2, (real, backup), payload)| {
+                    let content = real.then_some(Block {
+                        header: crate::block::BlockHeader {
+                            addr: BlockAddr(h1.0),
+                            leaf: Leaf(h1.1),
+                            iv1: h1.2,
+                            iv2: h2.0,
+                            seq: h2.1,
+                        },
+                        payload,
+                        is_backup: backup,
+                    });
+                    ((id.0, id.1), id.2, content)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The slot encoding is injective: two triples produce the
+            /// same MAC input bytes exactly when they are the same triple.
+            #[test]
+            fn slot_encoding_is_injective(a in triple(), b in triple(), graft in 0usize..4) {
+                // Pull `b` to within a field or two of `a`.
+                let mut b = b;
+                if graft & 1 == 1 {
+                    b.0 = a.0;
+                    b.1 = a.1;
+                }
+                if graft & 2 == 2 {
+                    match (&a.2, &mut b.2) {
+                        (Some(x), Some(y)) => y.header = x.header,
+                        (x, y) => *y = x.clone(),
+                    }
+                }
+                let same_bytes =
+                    encoded(a.0, a.1, a.2.as_ref()) == encoded(b.0, b.1, b.2.as_ref());
+                prop_assert_eq!(same_bytes, a == b, "{:?} vs {:?}", a, b);
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The digests cached beside the counters never drift: after
+            /// any bump schedule the incrementally folded root equals the
+            /// root of a tree rebuilt from the final counter map alone.
+            #[test]
+            fn cached_digests_reproduce_the_rebuilt_root(ops in schedule(), epochs in 0u64..3) {
+                let (slots, addrs) = ops;
+                let mut tree = CounterTree::new(&[6u8; 16]);
+                // Interleave the two kinds of bump.
+                let mut addrs = addrs.iter();
+                for &(b, s) in &slots {
+                    tree.bump_slot(b, s);
+                    if let Some(&p) = addrs.next() {
+                        tree.bump_posmap(p);
+                    }
+                }
+                for &p in addrs {
+                    tree.bump_posmap(p);
+                }
+                for _ in 0..epochs {
+                    tree.advance_epoch();
+                }
+                let fresh = rebuilt_from_counters(&tree);
+                prop_assert_eq!(tree.root(), fresh.root());
+                prop_assert_eq!(&tree.levels, &fresh.levels);
+                prop_assert_eq!(tree.posmap_agg, fresh.posmap_agg);
             }
         }
     }

@@ -152,8 +152,8 @@ impl RingBucket {
     /// All real blocks physically present — valid *or* consumed; consumed
     /// slots still hold the bytes until the next rewrite, which is exactly
     /// what crash recovery exploits.
-    pub(crate) fn real_blocks(&self) -> Vec<Block> {
-        self.slots.iter().flatten().cloned().collect()
+    pub(crate) fn real_blocks(&self) -> impl Iterator<Item = &Block> {
+        self.slots.iter().flatten()
     }
 }
 

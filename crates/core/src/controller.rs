@@ -110,8 +110,9 @@ pub struct PathOram {
     /// device faults are enabled on a hardened (WPQ) design.
     auth: Option<AuthTags>,
     /// The freshness adversary's snapshot store: the previous version of
-    /// every persist unit, recorded on overwrite. Present in device-fault
-    /// mode on *every* design (it is adversary state, not defense state).
+    /// every persist unit, recorded on overwrite. Present on *every*
+    /// design (it is adversary state, not defense state) whose installed
+    /// fault plan can replay.
     history: Option<UnitHistory>,
     /// Fetch-path freshness counters: stale serves injected on the read
     /// wire and how many the hardened verifier caught.
@@ -397,8 +398,9 @@ impl PathOram {
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
         self.engine.install_fault_plan(seed, cfg);
         // The replay adversary's snapshot store goes on every design —
-        // baselines are replayed too, they just cannot tell.
-        self.history = Some(UnitHistory::default());
+        // baselines are replayed too, they just cannot tell — but only
+        // under a plan that can ever re-serve what it snapshots.
+        self.history = cfg.replays_stale_units().then(UnitHistory::default);
         if !self.variant.uses_wpq() {
             return;
         }
@@ -410,9 +412,9 @@ impl PathOram {
         // Retro-tag whatever already sits on media: everything written
         // before hardening is trusted as-is and covered from here on.
         for idx in self.tree.materialized_indices() {
-            let bucket = self.tree.bucket(idx);
-            for slot in 0..bucket.num_slots() {
-                auth.record_slot(idx, slot, bucket.slot(slot));
+            let bucket = self.tree.bucket_ref(idx);
+            for slot in 0..self.config.bucket_slots {
+                auth.record_slot(idx, slot, bucket.and_then(|b| b.slot(slot)));
             }
         }
         for (a, l) in self.posmap.persisted_sorted() {
@@ -474,10 +476,9 @@ impl PathOram {
     pub fn state_digest(&self) -> u128 {
         let mut bytes = Vec::new();
         for idx in self.tree.materialized_indices() {
-            let bucket = self.tree.bucket(idx);
             bytes.extend_from_slice(&idx.to_le_bytes());
-            for slot in 0..bucket.num_slots() {
-                match bucket.slot(slot) {
+            for slot in 0..self.config.bucket_slots {
+                match self.tree.slot_ref(idx, slot) {
                     None => bytes.push(0),
                     Some(b) => {
                         bytes.push(1);
@@ -766,14 +767,7 @@ impl PathOram {
             }
             ProtocolVariant::RcrBaseline => {
                 t = self.recursive_posmap_walk(addr, t)?;
-                if self.history.is_some() {
-                    // Snapshot the entry the persist below overwrites: the
-                    // replay adversary's raw material.
-                    let prev = self.posmap.persisted_get(addr);
-                    if let Some(h) = self.history.as_mut() {
-                        h.note_posmap(addr.0, prev, None);
-                    }
-                }
+                self.snapshot_posmap_entry(addr);
                 // Written back to untrusted NVM on every access: durable now.
                 self.posmap.persist(addr, new_leaf);
                 self.stats.posmap_entry_writes += 1;
@@ -973,8 +967,8 @@ impl PathOram {
         if let Some(auth) = &self.auth {
             let mut wire_verdict = FreshnessVerdict::Clean;
             for &bucket in &path {
-                let b = self.tree.bucket(bucket);
-                for slot in 0..b.num_slots() {
+                let stored = self.tree.bucket_ref(bucket);
+                for slot in 0..self.config.bucket_slots {
                     let served = serve_stale
                         .as_ref()
                         .filter(|((sb, ss), _, _)| (*sb, *ss) == (bucket, slot));
@@ -982,7 +976,7 @@ impl PathOram {
                         Some((_, content, meta)) => {
                             auth.classify_served_slot(bucket, slot, content.as_ref(), meta.as_ref())
                         }
-                        None => auth.verdict_slot(bucket, slot, b.slot(slot)),
+                        None => auth.verdict_slot(bucket, slot, stored.and_then(|b| b.slot(slot))),
                     };
                     if verdict == FreshnessVerdict::Clean {
                         continue;
@@ -1021,13 +1015,13 @@ impl PathOram {
         let mut fetched = std::mem::take(&mut self.scratch.fetched);
         fetched.clear();
         for &bucket in &path {
-            let b = self.tree.bucket(bucket);
-            for slot in 0..b.num_slots() {
+            let on_media = self.tree.bucket_ref(bucket);
+            for slot in 0..self.config.bucket_slots {
                 let stored = match &serve_stale {
                     Some(((sb, ss), content, _)) if (*sb, *ss) == (bucket, slot) => {
                         content.as_ref()
                     }
-                    _ => b.slot(slot),
+                    _ => on_media.and_then(|b| b.slot(slot)),
                 };
                 if let Some(block) = stored {
                     let mut block = block.clone();
@@ -1246,12 +1240,7 @@ impl PathOram {
                 self.encrypt_for_tree(b);
             }
             if device && stored.is_some() {
-                // Snapshot the version this write destroys: the replay
-                // adversary's raw material (no records on direct designs).
-                let prev = self.tree.bucket(w.bucket).slot(w.slot).cloned();
-                if let Some(h) = self.history.as_mut() {
-                    h.note_slot(w.bucket, w.slot, prev, None);
-                }
+                self.snapshot_slot(w.bucket, w.slot);
                 self.last_round_slots.push((w.bucket, w.slot));
             }
             self.tree.write_slot(w.bucket, w.slot, stored);
@@ -1401,16 +1390,7 @@ impl PathOram {
             // commit: they carry no recoverable data and only overwrite
             // copies whose addresses committed in this or earlier batches.
             for w in batch.iter().filter(|w| w.block.is_none()) {
-                if self.history.is_some() {
-                    let prev_content = self.tree.bucket(w.bucket).slot(w.slot).cloned();
-                    let prev_meta = self
-                        .auth
-                        .as_ref()
-                        .and_then(|a| a.slot_record(w.bucket, w.slot));
-                    if let Some(h) = self.history.as_mut() {
-                        h.note_slot(w.bucket, w.slot, prev_content, prev_meta);
-                    }
-                }
+                self.snapshot_slot(w.bucket, w.slot);
                 if let Some(auth) = &mut self.auth {
                     auth.record_slot(w.bucket, w.slot, None);
                 }
@@ -1477,18 +1457,7 @@ impl PathOram {
                 touched_addrs.push(b.addr());
                 self.encrypt_for_tree(b);
             }
-            if self.history.is_some() {
-                // Snapshot the (content, record) pair this round replaces:
-                // the coherent stale unit a replay adversary re-serves.
-                let prev_content = self.tree.bucket(w.bucket).slot(w.slot).cloned();
-                let prev_meta = self
-                    .auth
-                    .as_ref()
-                    .and_then(|a| a.slot_record(w.bucket, w.slot));
-                if let Some(h) = self.history.as_mut() {
-                    h.note_slot(w.bucket, w.slot, prev_content, prev_meta);
-                }
-            }
+            self.snapshot_slot(w.bucket, w.slot);
             if let Some(auth) = &mut self.auth {
                 auth.record_slot(w.bucket, w.slot, stored.as_ref());
             }
@@ -1500,13 +1469,7 @@ impl PathOram {
         }
         for e in posmap {
             let (a, l) = e.value;
-            if self.history.is_some() {
-                let prev_leaf = self.posmap.persisted_get(a);
-                let prev_meta = self.auth.as_ref().and_then(|x| x.posmap_record(a.0));
-                if let Some(h) = self.history.as_mut() {
-                    h.note_posmap(a.0, prev_leaf, prev_meta);
-                }
-            }
+            self.snapshot_posmap_entry(a);
             self.posmap.persist(a, l);
             self.temp.remove(a);
             if let Some(auth) = &mut self.auth {
@@ -1619,6 +1582,28 @@ impl PathOram {
         report
     }
 
+    /// Snapshots the `(content, record)` pair a write to `(bucket, slot)`
+    /// is about to replace: the coherent stale unit a replay adversary
+    /// re-serves (direct-write designs carry no records). A no-op unless
+    /// the installed fault plan can replay.
+    fn snapshot_slot(&mut self, bucket: u64, slot: usize) {
+        if let Some(h) = self.history.as_mut() {
+            let prev_content = self.tree.slot_ref(bucket, slot).cloned();
+            let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
+            h.note_slot(bucket, slot, prev_content, prev_meta);
+        }
+    }
+
+    /// Snapshots the persisted PosMap entry (and record) a persist of
+    /// `addr` is about to replace; see [`Self::snapshot_slot`].
+    fn snapshot_posmap_entry(&mut self, addr: BlockAddr) {
+        if let Some(h) = self.history.as_mut() {
+            let prev_leaf = self.posmap.persisted_get(addr);
+            let prev_meta = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
+            h.note_posmap(addr.0, prev_leaf, prev_meta);
+        }
+    }
+
     /// Applies drawn device damage to the NVM image: flips a payload (or
     /// header) bit of each damaged tree slot and corrupts each damaged
     /// persisted PosMap entry. Tags are deliberately *not* refreshed —
@@ -1626,7 +1611,7 @@ impl PathOram {
     fn apply_device_damage(&mut self, damage: &RoundDamage) {
         for &i in &damage.data_units {
             let (bucket, slot) = self.last_round_slots[i];
-            if let Some(mut blk) = self.tree.bucket(bucket).slot(slot).cloned() {
+            if let Some(mut blk) = self.tree.slot_ref(bucket, slot).cloned() {
                 let e = self.engine.device_entropy();
                 if blk.payload.is_empty() {
                     blk.header.iv1 ^= 1 | e;
@@ -1656,9 +1641,6 @@ impl PathOram {
     /// was already destroyed by bit rot, is a no-op the engine never
     /// counts (the confirm calls are the ground truth).
     fn apply_freshness_damage(&mut self, damage: &RoundDamage) {
-        if self.history.is_none() {
-            return;
-        }
         let restored_slot = if let Some(i) = damage.replayed_data {
             let (bucket, slot) = self.last_round_slots[i];
             let prev = self
@@ -1710,8 +1692,8 @@ impl PathOram {
                         .any(|&k| self.last_round_slots[k] == c)
             };
             if (b1, s1) != (b2, s2) && !rotted((b1, s1)) && !rotted((b2, s2)) {
-                let c1 = self.tree.bucket(b1).slot(s1).cloned();
-                let c2 = self.tree.bucket(b2).slot(s2).cloned();
+                let c1 = self.tree.slot_ref(b1, s1).cloned();
+                let c2 = self.tree.slot_ref(b2, s2).cloned();
                 self.tree.write_slot(b1, s1, c2);
                 self.tree.write_slot(b2, s2, c1);
                 if let Some(auth) = self.auth.as_mut() {
@@ -1800,8 +1782,7 @@ impl PathOram {
             // convicted slot is wiped; any committed value it held is
             // restored from an authenticated redundant copy in phase 3.
             for (bucket, slot) in auth.tagged_slots_sorted() {
-                let content = self.tree.bucket(bucket).slot(slot).cloned();
-                match auth.verdict_slot(bucket, slot, content.as_ref()) {
+                match auth.verdict_slot(bucket, slot, self.tree.slot_ref(bucket, slot)) {
                     FreshnessVerdict::Clean => {}
                     verdict => {
                         match verdict {
@@ -1914,21 +1895,24 @@ impl PathOram {
             |a| {
                 let addr = BlockAddr(a);
                 let leaf = self.posmap.persisted_get(addr);
-                let mut best: Option<Block> = None;
+                let mut best: Option<&Block> = None;
                 for idx in self.tree.path_indices(leaf) {
-                    let bucket = self.tree.bucket(idx);
-                    for s in 0..bucket.num_slots() {
-                        if let Some(b) = bucket.slot(s) {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b.clone());
-                            }
+                    for b in self
+                        .tree
+                        .bucket_ref(idx)
+                        .into_iter()
+                        .flat_map(Bucket::blocks)
+                    {
+                        if b.addr() == addr
+                            && b.leaf() == leaf
+                            && best.is_none_or(|x| b.header.seq > x.header.seq)
+                        {
+                            best = Some(b);
                         }
                     }
                 }
-                let found = best.map(|mut copy| {
+                let found = best.map(|b| {
+                    let mut copy = b.clone();
                     self.decrypt_from_tree(&mut copy);
                     copy.payload
                 });
@@ -1947,21 +1931,20 @@ impl PathOram {
     /// anywhere on media that passes slot authentication. Deterministic:
     /// buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<Block> {
-        let mut best: Option<Block> = None;
+        let mut best: Option<&Block> = None;
         for idx in self.tree.materialized_indices() {
-            let bucket = self.tree.bucket(idx);
-            for s in 0..bucket.num_slots() {
-                if let Some(b) = bucket.slot(s) {
+            for s in 0..self.config.bucket_slots {
+                if let Some(b) = self.tree.slot_ref(idx, s) {
                     if b.addr() == addr
                         && auth.verify_slot(idx, s, Some(b))
-                        && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
+                        && best.is_none_or(|x| b.header.seq > x.header.seq)
                     {
-                        best = Some(b.clone());
+                        best = Some(b);
                     }
                 }
             }
         }
-        best
+        best.cloned()
     }
 
     /// The report of the most recent [`PathOram::recover`] call.
@@ -1986,21 +1969,24 @@ impl PathOram {
                 // Recovery picks, among copies on the persisted path whose
                 // header matches the persisted leaf, the newest one (highest
                 // freshness counter / IV).
-                let mut best: Option<Block> = None;
+                let mut best: Option<&Block> = None;
                 for idx in self.tree.path_indices(leaf) {
-                    let bucket = self.tree.bucket(idx);
-                    for s in 0..bucket.num_slots() {
-                        if let Some(b) = bucket.slot(s) {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.as_ref().is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b.clone());
-                            }
+                    for b in self
+                        .tree
+                        .bucket_ref(idx)
+                        .into_iter()
+                        .flat_map(Bucket::blocks)
+                    {
+                        if b.addr() == addr
+                            && b.leaf() == leaf
+                            && best.is_none_or(|x| b.header.seq > x.header.seq)
+                        {
+                            best = Some(b);
                         }
                     }
                 }
-                let found = best.map(|mut copy| {
+                let found = best.map(|b| {
+                    let mut copy = b.clone();
                     self.decrypt_from_tree(&mut copy);
                     copy.payload
                 });
@@ -2072,5 +2058,31 @@ impl PathOram {
     /// The functional ORAM tree (inspection in tests and tools).
     pub fn tree(&self) -> &OramTree {
         &self.tree
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn snapshot_store_exists_only_under_plans_that_replay() {
+        let splice_only = FaultConfig {
+            cross_splice: 1.0,
+            ..FaultConfig::disabled()
+        };
+        for (mix, snapshots) in [
+            (FaultConfig::disabled(), false),
+            (FaultConfig::campaign_default(), false),
+            (splice_only, false),
+            (FaultConfig::replay_mix(), true),
+        ] {
+            for variant in ProtocolVariant::all() {
+                let mut oram = PathOram::new(OramConfig::small_test(), variant, 9);
+                oram.enable_device_faults(9, mix);
+                assert_eq!(oram.history.is_some(), snapshots, "{variant:?} {mix:?}");
+                assert_eq!(oram.auth.is_some(), variant.uses_wpq());
+            }
+        }
     }
 }

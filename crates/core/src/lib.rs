@@ -62,6 +62,7 @@ mod stash;
 mod stats;
 mod tree;
 mod types;
+mod unit_table;
 
 pub use auth::{CounterTree, FreshnessStats, FreshnessVerdict, UnitMeta};
 pub use block::{Block, BlockHeader};

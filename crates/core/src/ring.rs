@@ -241,8 +241,9 @@ pub struct RingOram {
     /// only).
     auth: Option<AuthTags>,
     /// The freshness adversary's snapshot store: the previous version of
-    /// every persist unit, recorded on overwrite. Present in device-fault
-    /// mode on *every* variant (adversary state, not defense state).
+    /// every persist unit, recorded on overwrite. Present on *every*
+    /// variant (adversary state, not defense state) whose installed fault
+    /// plan can replay.
     history: Option<UnitHistory>,
     /// Fetch-path freshness counters: stale serves injected on the read
     /// wire and how many the hardened verifier caught.
@@ -375,8 +376,9 @@ impl RingOram {
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
         self.engine.install_fault_plan(seed, cfg);
         // The replay adversary's snapshot store goes on every variant —
-        // the Baseline is replayed too, it just cannot tell.
-        self.history = Some(UnitHistory::default());
+        // the Baseline is replayed too, it just cannot tell — but only
+        // under a plan that can ever re-serve what it snapshots.
+        self.history = cfg.replays_stale_units().then(UnitHistory::default);
         if self.variant != RingVariant::PsRing {
             return;
         }
@@ -921,34 +923,40 @@ impl RingOram {
         None
     }
 
+    /// Owned copies of the real blocks physically in bucket `bidx` (none
+    /// when it was never materialized): what a rewrite reads off media.
+    fn present_blocks(&self, bidx: u64) -> Vec<Block> {
+        self.buckets
+            .get(&bidx)
+            .map(|b| b.real_blocks().cloned().collect())
+            .unwrap_or_default()
+    }
+
     /// Rewrites one bucket in place (early reshuffle).
     fn reshuffle_bucket(&mut self, bidx: u64, t: u64) -> Result<u64, OramError> {
         let physical = self.config.bucket_physical_slots();
-        let old = self
-            .buckets
-            .get(&bidx)
-            .cloned()
-            .unwrap_or_else(|| RingBucket::new(physical));
         // Read the real blocks still present (the permutation metadata
         // tells the controller which slots those are), rebuild, write the
         // whole bucket back.
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
         read_addrs.clear();
-        read_addrs.extend(
-            old.slots
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| s.is_some())
-                .map(|(s, _)| self.slot_nvm_addr(bidx, s)),
-        );
+        if let Some(old) = self.buckets.get(&bidx) {
+            read_addrs.extend(
+                old.slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.is_some())
+                    .map(|(s, _)| self.slot_nvm_addr(bidx, s)),
+            );
+        }
         let done = self
             .nvm
             .access_batch(read_addrs.iter().copied(), AccessKind::Read, to_mem(t));
         self.scratch.read_addrs = read_addrs;
         let t = to_core(done);
 
-        let keep: Vec<Block> = old
-            .real_blocks()
+        let keep: Vec<Block> = self
+            .present_blocks(bidx)
             .into_iter()
             .filter_map(|b| self.classify_for_rewrite(b))
             .collect();
@@ -994,12 +1002,7 @@ impl RingOram {
         let mut pinned: HashMap<u64, Vec<Block>> = HashMap::new();
         let mut pulled_src: HashMap<u64, usize> = HashMap::new();
         for (pos, &bidx) in path.iter().enumerate() {
-            let old = self
-                .buckets
-                .get(&bidx)
-                .cloned()
-                .unwrap_or_else(|| RingBucket::new(physical));
-            for block in old.real_blocks() {
+            for block in self.present_blocks(bidx) {
                 match self.classify_for_rewrite(block) {
                     Some(b) if b.is_backup => pinned.entry(bidx).or_default().push(b),
                     Some(b) => {
@@ -1243,13 +1246,7 @@ impl RingOram {
         let mut flushed = false;
         for e in posmap {
             let (a, l) = e.value;
-            if self.history.is_some() {
-                let prev_leaf = self.posmap.persisted_get(a);
-                let prev_meta = self.auth.as_ref().and_then(|x| x.posmap_record(a.0));
-                if let Some(h) = self.history.as_mut() {
-                    h.note_posmap(a.0, prev_leaf, prev_meta);
-                }
-            }
+            self.snapshot_posmap_entry(a);
             self.posmap.persist(a, l);
             self.temp.remove(a);
             if let Some(auth) = &mut self.auth {
@@ -1284,18 +1281,14 @@ impl RingOram {
                     .commit_if_fresh(a.0, b.header.seq, b.payload.clone());
             }
         }
-        if self.history.is_some() {
+        if let Some(h) = self.history.as_mut() {
             // Snapshot every slot this rewrite replaces: the coherent
             // stale units a replay adversary re-serves.
+            let old = self.buckets.get(&bidx);
             for s in 0..bucket.slots.len() {
-                let prev_content = self
-                    .buckets
-                    .get(&bidx)
-                    .and_then(|old| old.slots.get(s).cloned().flatten());
+                let prev_content = old.and_then(|old| old.slots.get(s).cloned().flatten());
                 let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bidx, s));
-                if let Some(h) = self.history.as_mut() {
-                    h.note_slot(bidx, s, prev_content, prev_meta);
-                }
+                h.note_slot(bidx, s, prev_content, prev_meta);
             }
         }
         if let Some(auth) = &mut self.auth {
@@ -1304,6 +1297,17 @@ impl RingOram {
             }
         }
         self.buckets.insert(bidx, bucket);
+    }
+
+    /// Snapshots the persisted PosMap entry (and record) a persist of
+    /// `addr` is about to replace: the replay adversary's raw material. A
+    /// no-op unless the installed fault plan can replay.
+    fn snapshot_posmap_entry(&mut self, addr: BlockAddr) {
+        if let Some(h) = self.history.as_mut() {
+            let prev_leaf = self.posmap.persisted_get(addr);
+            let prev_meta = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
+            h.note_posmap(addr.0, prev_leaf, prev_meta);
+        }
     }
 
     /// After posmap flushes commit, re-evaluate the flushed addresses: the
@@ -1358,13 +1362,7 @@ impl RingOram {
         }
         let flushes: Vec<(BlockAddr, Leaf)> = posmap.iter().map(|e| e.value).collect();
         for &(a, l) in &flushes {
-            if self.history.is_some() {
-                let prev_leaf = self.posmap.persisted_get(a);
-                let prev_meta = self.auth.as_ref().and_then(|x| x.posmap_record(a.0));
-                if let Some(h) = self.history.as_mut() {
-                    h.note_posmap(a.0, prev_leaf, prev_meta);
-                }
-            }
+            self.snapshot_posmap_entry(a);
             self.posmap.persist(a, l);
             if let Some(auth) = &mut self.auth {
                 auth.record_posmap(a.0, l.0);
@@ -1438,9 +1436,6 @@ impl RingOram {
     /// was already destroyed by bit rot, is a no-op the engine never
     /// counts (the confirm calls are the ground truth).
     fn apply_freshness_damage(&mut self, damage: &RoundDamage) {
-        if self.history.is_none() {
-            return;
-        }
         let restored_slot = if let Some(i) = damage.replayed_data {
             let (bidx, slot) = self.last_round_slots[i];
             let prev = self
@@ -1586,8 +1581,8 @@ impl RingOram {
             // convicted slot is wiped; any committed value it held is
             // restored from an authenticated redundant copy in phase 3.
             for (bidx, slot) in auth.tagged_slots_sorted() {
-                let content = self.buckets.get(&bidx).and_then(|b| b.slots[slot].clone());
-                match auth.verdict_slot(bidx, slot, content.as_ref()) {
+                let content = self.buckets.get(&bidx).and_then(|b| b.slots[slot].as_ref());
+                match auth.verdict_slot(bidx, slot, content) {
                     FreshnessVerdict::Clean => {}
                     verdict => {
                         match verdict {
@@ -1793,7 +1788,7 @@ impl RingOram {
     /// media that passes slot authentication, with its location.
     /// Deterministic: buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<(u64, usize, Block)> {
-        let mut best: Option<(u64, usize, Block)> = None;
+        let mut best: Option<(u64, usize, &Block)> = None;
         let mut indices: Vec<u64> = self.buckets.keys().copied().collect();
         indices.sort_unstable();
         for bidx in indices {
@@ -1802,16 +1797,14 @@ impl RingOram {
                 if let Some(b) = slot {
                     if b.addr() == addr
                         && auth.verify_slot(bidx, s, Some(b))
-                        && best
-                            .as_ref()
-                            .is_none_or(|(_, _, x)| b.header.seq > x.header.seq)
+                        && best.is_none_or(|(_, _, x)| b.header.seq > x.header.seq)
                     {
-                        best = Some((bidx, s, b.clone()));
+                        best = Some((bidx, s, b));
                     }
                 }
             }
         }
-        best
+        best.map(|(bidx, s, b)| (bidx, s, b.clone()))
     }
 
     /// The report of the most recent [`RingOram::recover`] call.
@@ -1892,5 +1885,26 @@ mod tests {
         assert_eq!(bit_reverse(0b001, 3), 0b100);
         assert_eq!(bit_reverse(0b110, 3), 0b011);
         assert_eq!(bit_reverse(0, 6), 0);
+    }
+
+    #[test]
+    fn snapshot_store_exists_only_under_plans_that_replay() {
+        let splice_only = FaultConfig {
+            cross_splice: 1.0,
+            ..FaultConfig::disabled()
+        };
+        for (mix, snapshots) in [
+            (FaultConfig::disabled(), false),
+            (FaultConfig::campaign_default(), false),
+            (splice_only, false),
+            (FaultConfig::replay_mix(), true),
+        ] {
+            for variant in [RingVariant::Baseline, RingVariant::PsRing] {
+                let mut oram = RingOram::new(RingConfig::small_test(), variant, 9);
+                oram.enable_device_faults(9, mix);
+                assert_eq!(oram.history.is_some(), snapshots, "{variant:?} {mix:?}");
+                assert_eq!(oram.auth.is_some(), variant == RingVariant::PsRing);
+            }
+        }
     }
 }

@@ -143,6 +143,21 @@ impl OramTree {
             .unwrap_or_else(|| Bucket::new(self.bucket_slots))
     }
 
+    /// Borrowed view of a materialized bucket; `None` reads as all-dummy.
+    pub fn bucket_ref(&self, idx: BucketIndex) -> Option<&Bucket> {
+        debug_assert!(idx < self.num_buckets());
+        self.buckets.get(&idx)
+    }
+
+    /// Borrowed view of one slot; dummy and unmaterialized slots are `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range on a materialized bucket.
+    pub fn slot_ref(&self, idx: BucketIndex, slot: usize) -> Option<&Block> {
+        self.bucket_ref(idx).and_then(|b| b.slot(slot))
+    }
+
     /// Mutable bucket access, materializing on demand.
     pub fn bucket_mut(&mut self, idx: BucketIndex) -> &mut Bucket {
         debug_assert!(idx < self.num_buckets());
@@ -185,12 +200,13 @@ impl OramTree {
     /// was corrupted.
     pub(crate) fn corrupt_first_real_block(&mut self, leaf: Leaf) -> bool {
         for idx in self.path_indices(leaf) {
-            let bucket = self.bucket(idx);
+            let Some(bucket) = self.buckets.get_mut(&idx) else {
+                continue;
+            };
             for slot in 0..bucket.num_slots() {
-                if let Some(b) = bucket.slot(slot) {
-                    let mut evil = b.clone();
+                if let Some(mut evil) = bucket.set_slot(slot, None) {
                     evil.payload[0] ^= 0xFF;
-                    self.write_slot(idx, slot, Some(evil));
+                    bucket.set_slot(slot, Some(evil));
                     return true;
                 }
             }

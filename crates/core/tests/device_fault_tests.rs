@@ -215,3 +215,50 @@ fn transient_read_faults_surface_in_fault_stats() {
         "aggressive plan served {served} accesses without a read fault"
     );
 }
+
+#[test]
+fn replay_and_splice_adversaries_still_land_and_are_always_detected() {
+    // The adversary's snapshot store is kept only under plans that can
+    // re-serve a previous version. That must cost the adversary nothing:
+    // the replay mix still lands crash-time replays, wire replays and
+    // splices, a splice-only plan (no snapshots at all) still lands its
+    // splices, and the hardened designs — Path and Ring — convict every
+    // one of them.
+    let splice_only = FaultConfig {
+        cross_splice: 1.0,
+        ..FaultConfig::disabled()
+    };
+    for (mix, replays) in [(FaultConfig::replay_mix(), true), (splice_only, false)] {
+        assert_eq!(mix.replays_stale_units(), replays);
+        let mut landed = psoram_nvm::FaultStats::default();
+        for seed in [3u64, 17, 92, 311] {
+            for mut oram in hardened_designs(seed) {
+                assert!(drive(oram.as_mut(), seed, 30), "clean warmup poisoned");
+                oram.enable_device_faults(seed.wrapping_mul(0x9E37), mix);
+                let mut convicted = 0;
+                for round in 0..10u64 {
+                    if !drive(oram.as_mut(), seed + round * 101, 12) {
+                        break;
+                    }
+                    oram.crash_now();
+                    let report = oram.recover();
+                    convicted += report.replays_detected + report.splices_detected;
+                }
+                let injected = oram.device_fault_stats().expect("plan installed");
+                assert!(
+                    convicted >= injected.stale_replays + injected.cross_splices,
+                    "seed {seed}: {convicted} convictions for {injected:?}"
+                );
+                let wire = oram.freshness_stats();
+                assert_eq!(wire.stale_serves, injected.read_replays);
+                assert!(wire.all_detected(), "seed {seed}: {wire:?}");
+                landed.stale_replays += injected.stale_replays;
+                landed.cross_splices += injected.cross_splices;
+                landed.read_replays += injected.read_replays;
+            }
+        }
+        assert!(landed.cross_splices > 0, "no splice landed: {landed:?}");
+        assert_eq!(landed.stale_replays > 0, replays, "{landed:?}");
+        assert_eq!(landed.read_replays > 0, replays, "{landed:?}");
+    }
+}

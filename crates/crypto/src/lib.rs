@@ -54,7 +54,7 @@ mod latency;
 mod reference;
 
 pub use aes::Aes128;
-pub use cmac::Cmac;
+pub use cmac::{Cmac, CmacStream};
 pub use ctr::CtrCipher;
 pub use hash::{Digest, Hash128, DIGEST_BYTES};
 pub use latency::CryptoLatencyModel;

@@ -76,6 +76,27 @@ proptest! {
         prop_assert_eq!(mac.tag(&msg), oracle_cmac(&key, &msg));
     }
 
+    /// Chunking is invisible: any split of any message into `update`
+    /// calls (empty chunks included) yields the one-shot tag.
+    #[test]
+    fn any_chunking_matches_the_one_shot_tag(
+        key in key_strategy(),
+        msg in prop::collection::vec(any::<u8>(), 0..120),
+        cuts in prop::collection::vec(any::<u16>(), 0..8),
+    ) {
+        let mac = Cmac::new(Aes128::new(&key));
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c as usize % (msg.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut s = mac.stream();
+        let mut from = 0;
+        for cut in cuts {
+            s.update(&msg[from..cut]);
+            from = cut;
+        }
+        s.update(&msg[from..]);
+        prop_assert_eq!(s.finalize(), mac.tag(&msg));
+    }
+
     /// A tag always verifies against the message it was computed over.
     #[test]
     fn tag_verifies_round_trip(

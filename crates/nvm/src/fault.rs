@@ -226,6 +226,14 @@ impl FaultConfig {
             && self.read_replay == 0.0
             && self.wear_media_fault == 0.0
     }
+
+    /// `true` when the plan can ever re-serve a *previous* version of a
+    /// unit (at a crash or on the read wire). Only then does the
+    /// adversary need a snapshot of what each write overwrites; splices
+    /// swap current units and need none.
+    pub fn replays_stale_units(&self) -> bool {
+        self.stale_replay > 0.0 || self.read_replay > 0.0
+    }
 }
 
 /// Counters of faults a plan has injected (ground truth, for differential

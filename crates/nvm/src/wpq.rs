@@ -10,7 +10,7 @@
 //! discards the whole round from both queues, so data and metadata can never
 //! persist half-updated.
 
-use psoram_crypto::Cmac;
+use psoram_crypto::{Cmac, CmacStream};
 use psoram_obsv::{Event, QueueKind, Tap};
 use serde::{Deserialize, Serialize};
 
@@ -81,20 +81,22 @@ pub struct BatchFrame {
 }
 
 impl BatchFrame {
-    fn bytes(len: usize, addrs: &[u64]) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(8 + addrs.len() * 8);
-        msg.extend_from_slice(&(len as u64).to_le_bytes());
+    /// Streams the sealed image `len ‖ addrs` (little-endian words) into
+    /// `sealer`'s MAC.
+    fn mac<'a>(sealer: &'a Cmac, len: usize, addrs: &[u64]) -> CmacStream<'a> {
+        let mut s = sealer.stream();
+        s.update(&(len as u64).to_le_bytes());
         for a in addrs {
-            msg.extend_from_slice(&a.to_le_bytes());
+            s.update(&a.to_le_bytes());
         }
-        msg
+        s
     }
 
     /// Recomputes and checks this frame's tag. Untagged frames verify
     /// clean (no sealer was installed when they were committed).
     pub fn verify(&self, sealer: &Cmac) -> bool {
         match &self.tag {
-            Some(tag) => sealer.verify(&Self::bytes(self.len, &self.addrs), tag),
+            Some(tag) => Self::mac(sealer, self.len, &self.addrs).verify(tag),
             None => true,
         }
     }
@@ -315,7 +317,7 @@ impl<T> Wpq<T> {
         let tag = self
             .sealer
             .as_ref()
-            .map(|s| s.tag(&BatchFrame::bytes(addrs.len(), &addrs)));
+            .map(|s| BatchFrame::mac(s, addrs.len(), &addrs).finalize());
         self.frames.push(BatchFrame {
             len: addrs.len(),
             addrs,

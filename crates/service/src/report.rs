@@ -20,7 +20,7 @@ pub fn percentile(sorted: &[u64], pct: u64) -> u64 {
     if n == 0 {
         return 0;
     }
-    let rank = ((pct * n + 99) / 100).max(1);
+    let rank = (pct * n).div_ceil(100).max(1);
     sorted[(rank - 1) as usize]
 }
 

@@ -79,7 +79,7 @@ fn bench_tree(c: &mut Criterion) {
             black_box(tree.path_indices(Leaf(l)))
         });
     });
-    c.bench_function("tree_read_write_path_L18", |b| {
+    c.bench_function("tree_write_take_path_L18", |b| {
         let cfg = OramConfig::paper_default().with_levels(18);
         let mut tree = OramTree::new(&cfg);
         let mut l = 0u64;
@@ -88,7 +88,7 @@ fn bench_tree(c: &mut Criterion) {
             let leaf = Leaf(l);
             let idx = tree.bucket_at(leaf, 18);
             tree.write_slot(idx, 0, Some(Block::new(BlockAddr(l), leaf, vec![0; 8])));
-            black_box(tree.read_path(leaf).len())
+            black_box(tree.take_path(leaf).len())
         });
     });
 }

@@ -20,8 +20,12 @@ use crate::crash::{CrashPoint, CrashReport, RecoveryError, RecoveryReport};
 use crate::engine::{
     to_core, to_mem, AccessScratch, CommitLedger, PersistEngine, RoundDamage, WearReadOutcome,
 };
-use crate::eviction::{order_for_small_wpq, plan_eviction, SlotWrite};
+use crate::eviction::{
+    order_for_small_wpq, place_greedy, plan_eviction, plan_eviction_in_place, EvictionPlan,
+    SlotTarget, SlotWrite,
+};
 use crate::integrity::{bucket_digest, IntegrityTree};
+use crate::paged::PagedTable;
 use crate::posmap::{PosMap, TempPosMap};
 use crate::recursive::RecursivePosMap;
 use crate::security::AccessRecorder;
@@ -35,6 +39,21 @@ pub use crate::types::{AccessOutcome, Op};
 
 /// A posmap entry queued in the PosMap WPQ.
 type PosMapFlush = (BlockAddr, Leaf);
+
+/// The write-back order of a round through a `capacity`-entry data WPQ:
+/// `None` when its real blocks fit one atomic batch, else
+/// [`order_for_small_wpq`]'s batches (or its oversize-cycle error).
+fn small_wpq_batches(
+    targets: &[SlotTarget],
+    live_old: &HashMap<(u64, usize), BlockAddr>,
+    capacity: usize,
+) -> Result<Option<Vec<Vec<usize>>>, usize> {
+    if targets.iter().filter(|t| t.addr.is_some()).count() <= capacity {
+        Ok(None)
+    } else {
+        order_for_small_wpq(targets, live_old, capacity).map(Some)
+    }
+}
 
 /// A crash-consistent (or deliberately not) Path ORAM controller over a
 /// simulated NVM.
@@ -97,7 +116,8 @@ pub struct PathOram {
     stats: OramStats,
     /// Written-vs-committed value ledgers (the recoverability oracle).
     ledger: CommitLedger,
-    touched: HashSet<u64>,
+    /// Addresses accessed since construction ([`PathOram::verify_contents`]).
+    touched: PagedTable<()>,
     recorder: Option<AccessRecorder>,
     /// Observability tap (distinct from the security `recorder` above):
     /// phase/round/WPQ/NVM events, shared with the engine and the NVM.
@@ -199,7 +219,7 @@ impl PathOram {
             clock: 0,
             stats: OramStats::default(),
             ledger: CommitLedger::new(),
-            touched: HashSet::new(),
+            touched: PagedTable::default(),
             recorder: None,
             obsv: Tap::detached(),
             encrypt_payloads: true,
@@ -331,9 +351,11 @@ impl PathOram {
         let default = bucket_digest(&Bucket::new(self.config.bucket_slots));
         let mut tree = IntegrityTree::new(self.config.levels, default);
         // Fold in whatever already exists (enabling mid-run is allowed).
-        let updates: Vec<(u64, psoram_crypto::Digest)> = (0..self.tree.num_buckets())
-            .filter(|&i| !self.tree.bucket(i).is_empty())
-            .map(|i| (i, bucket_digest(&self.tree.bucket(i))))
+        let updates: Vec<(u64, psoram_crypto::Digest)> = self
+            .tree
+            .materialized()
+            .filter(|(_, bucket)| !bucket.is_empty())
+            .map(|(idx, bucket)| (idx, bucket_digest(bucket)))
             .collect();
         tree.update_buckets(&updates);
         self.integrity = Some(tree);
@@ -350,15 +372,23 @@ impl PathOram {
         if self.integrity.is_none() {
             return;
         }
-        let updates: Vec<(u64, psoram_crypto::Digest)> = self
-            .tree
-            .path_indices(leaf)
-            .into_iter()
-            .map(|idx| (idx, bucket_digest(&self.tree.bucket(idx))))
-            .collect();
+        let updates = self.media_digests(&self.tree.path_indices(leaf));
         if let Some(integrity) = self.integrity.as_mut() {
             integrity.update_buckets(&updates);
         }
+    }
+
+    /// Digests of `buckets` as they sit on media; a bucket nothing was
+    /// ever written to digests as all-dummy.
+    fn media_digests(&self, buckets: &[u64]) -> Vec<(u64, psoram_crypto::Digest)> {
+        let dummy = Bucket::new(self.config.bucket_slots);
+        buckets
+            .iter()
+            .map(|&idx| {
+                let bucket = self.tree.bucket_ref(idx).unwrap_or(&dummy);
+                (idx, bucket_digest(bucket))
+            })
+            .collect()
     }
 
     /// Test/attack hook: corrupts one byte of the first real block found on
@@ -411,10 +441,9 @@ impl PathOram {
         let mut auth = AuthTags::new(&key);
         // Retro-tag whatever already sits on media: everything written
         // before hardening is trusted as-is and covered from here on.
-        for idx in self.tree.materialized_indices() {
-            let bucket = self.tree.bucket_ref(idx);
+        for (idx, bucket) in self.tree.materialized() {
             for slot in 0..self.config.bucket_slots {
-                auth.record_slot(idx, slot, bucket.and_then(|b| b.slot(slot)));
+                auth.record_slot(idx, slot, bucket.slot(slot));
             }
         }
         for (a, l) in self.posmap.persisted_sorted() {
@@ -475,10 +504,10 @@ impl PathOram {
     /// equal — the double-recover idempotency regression tests rely on it.
     pub fn state_digest(&self) -> u128 {
         let mut bytes = Vec::new();
-        for idx in self.tree.materialized_indices() {
+        for (idx, bucket) in self.tree.materialized() {
             bytes.extend_from_slice(&idx.to_le_bytes());
             for slot in 0..self.config.bucket_slots {
-                match self.tree.slot_ref(idx, slot) {
+                match bucket.slot(slot) {
                     None => bytes.push(0),
                     Some(b) => {
                         bytes.push(1);
@@ -611,7 +640,7 @@ impl PathOram {
             Op::Read => self.stats.reads += 1,
             Op::Write => self.stats.writes += 1,
         }
-        self.touched.insert(addr.0);
+        self.touched.insert(addr.0, ());
 
         let access_index = self.stats.accesses - 1;
         self.obsv.set_now(arrival);
@@ -730,7 +759,7 @@ impl PathOram {
             // access is durable (atomicity within an access is the gap the
             // crash tests expose).
             self.ledger
-                .commit_if_fresh(addr.0, self.seq_counter, value.clone());
+                .commit_if_fresh(addr.0, self.seq_counter, &value);
         }
         self.stats.total_access_cycles += value_ready - arrival;
 
@@ -890,11 +919,7 @@ impl PathOram {
         // digests of the bytes coming off the bus must chain to the
         // persisted root.
         if let Some(int) = &self.integrity {
-            let observed: Vec<(u64, psoram_crypto::Digest)> = path
-                .iter()
-                .map(|&idx| (idx, bucket_digest(&self.tree.bucket(idx))))
-                .collect();
-            int.verify_path(leaf, &observed)
+            int.verify_path(leaf, &self.media_digests(&path))
                 .map_err(|v| OramError::IntegrityViolation { leaf: v.leaf })?;
         }
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
@@ -1145,27 +1170,38 @@ impl PathOram {
         // atomically and can place greedily.
         let small_wpq =
             self.variant.uses_wpq() && self.config.data_wpq_capacity < self.config.path_slots();
-        let (plan, leftovers) = if small_wpq {
+        // `batches` is the write-back order of a round too large for one
+        // atomic batch, worked out once, here, while choosing the plan.
+        let (plan, leftovers, batches) = if small_wpq {
             // Prefer greedy placement (better stash behaviour) when its
             // write-back admits a dependency-safe ordering; fall back to
             // identity placement only for plans with an oversize cycle.
-            let (p, l) = plan_eviction(must.clone(), opportunistic.clone(), &self.tree, leaf);
-            let orderable = p.real_blocks() <= self.config.data_wpq_capacity
-                || order_for_small_wpq(&p.writes, live_old, self.config.data_wpq_capacity).is_ok();
-            if orderable {
-                (p, l)
-            } else {
-                self.stats.in_place_fallbacks += 1;
-                crate::eviction::plan_eviction_in_place(
-                    must,
-                    opportunistic,
-                    &self.tree,
-                    leaf,
-                    live_old,
-                )
+            // The candidates stay put until that is settled.
+            let capacity = self.config.data_wpq_capacity;
+            let greedy = place_greedy(&must, &opportunistic, &self.tree, leaf);
+            let targets = greedy.targets(&must, &opportunistic);
+            match small_wpq_batches(&targets, live_old, capacity) {
+                Ok(batches) => {
+                    let (p, l) = greedy.into_plan(must, opportunistic);
+                    (p, l, batches)
+                }
+                Err(_) => {
+                    self.stats.in_place_fallbacks += 1;
+                    let (p, l) =
+                        plan_eviction_in_place(must, opportunistic, &self.tree, leaf, live_old);
+                    let targets: Vec<SlotTarget> = p.writes.iter().map(Into::into).collect();
+                    let batches =
+                        small_wpq_batches(&targets, live_old, capacity).map_err(|_| {
+                            OramError::Invariant {
+                                context: "identity placement has no ordering constraints",
+                            }
+                        })?;
+                    (p, l, batches)
+                }
             }
         } else {
-            plan_eviction(must, opportunistic, &self.tree, leaf)
+            let (p, l) = plan_eviction(must, opportunistic, &self.tree, leaf);
+            (p, l, None)
         };
         self.stats.eviction_leftovers += leftovers.len() as u64;
         for b in leftovers {
@@ -1184,7 +1220,7 @@ impl PathOram {
         t += self.crypto_lat.encrypt_cycles();
 
         let mut t_end = if self.variant.uses_wpq() {
-            self.evict_through_wpq(plan, live_old, t)?
+            self.evict_through_wpq(plan, batches, t)?
         } else {
             self.evict_direct(plan, t)?
         };
@@ -1214,11 +1250,7 @@ impl PathOram {
     // The loop counters below are crash cursors (compared against the
     // injected crash plan), not element indices.
     #[allow(clippy::explicit_counter_loop)]
-    fn evict_direct(
-        &mut self,
-        plan: crate::eviction::EvictionPlan,
-        t: u64,
-    ) -> Result<u64, OramError> {
+    fn evict_direct(&mut self, plan: EvictionPlan, t: u64) -> Result<u64, OramError> {
         let crash_after = self.engine.armed_eviction_crash();
         let device = self.engine.device_mode();
         if device {
@@ -1256,11 +1288,15 @@ impl PathOram {
     }
 
     /// WPQ-based atomic eviction (steps 5-A/5-B/5-C) for the PS-ORAM family.
+    ///
+    /// `order` splits a round that exceeds the data WPQ into
+    /// dependency-ordered atomic batches (positions in `plan.writes`);
+    /// `None` commits the whole path as one batch.
     #[allow(clippy::explicit_counter_loop)] // committed_batches is a crash cursor
     fn evict_through_wpq(
         &mut self,
-        plan: crate::eviction::EvictionPlan,
-        live_old: &HashMap<(u64, usize), BlockAddr>,
+        plan: EvictionPlan,
+        order: Option<Vec<Vec<usize>>>,
         mut t: u64,
     ) -> Result<u64, OramError> {
         self.stats.eviction_rounds += 1;
@@ -1282,20 +1318,25 @@ impl PathOram {
         // entries (Naïve).
         let naive = self.variant == ProtocolVariant::NaivePsOram;
 
-        // Does the whole round fit in one atomic batch?
-        let real_count = plan.real_blocks();
-        let batches: Vec<Vec<SlotWrite>> = if real_count <= self.config.data_wpq_capacity {
-            let (reals, dummies): (Vec<SlotWrite>, Vec<SlotWrite>) =
-                plan.writes.iter().cloned().partition(|w| w.block.is_some());
-            let mut b = vec![reals];
-            b[0].extend(dummies);
-            b
-        } else {
-            order_for_small_wpq(&plan.writes, live_old, self.config.data_wpq_capacity).map_err(
-                |_| OramError::Invariant {
-                    context: "plan selection guarantees an orderable write-back",
-                },
-            )?
+        // The writes move from the plan through the WPQ into the tree.
+        let batches: Vec<Vec<SlotWrite>> = match order {
+            None => {
+                let (mut reals, dummies): (Vec<SlotWrite>, Vec<SlotWrite>) =
+                    plan.writes.into_iter().partition(|w| w.block.is_some());
+                reals.extend(dummies);
+                vec![reals]
+            }
+            Some(order) => {
+                let mut writes: Vec<Option<SlotWrite>> =
+                    plan.writes.into_iter().map(Some).collect();
+                order
+                    .into_iter()
+                    .map(|batch| {
+                        let take = |i: usize| writes[i].take().expect("a write is in one batch");
+                        batch.into_iter().map(take).collect()
+                    })
+                    .collect()
+            }
         };
 
         let crash_after_batches = self.engine.armed_eviction_crash();
@@ -1311,11 +1352,11 @@ impl PathOram {
                 // model entries mid-push by opening a round, pushing the
                 // batch, and crashing before the end signal.
                 let entries = batch
-                    .iter()
+                    .into_iter()
                     .filter(|w| w.block.is_some())
                     .map(|w| WpqEntry {
                         addr: self.tree.slot_nvm_addr(w.bucket, w.slot),
-                        value: w.clone(),
+                        value: w,
                     })
                     .collect();
                 self.engine.stage_abandoned_round(entries);
@@ -1329,7 +1370,9 @@ impl PathOram {
             // 5-B: drainer start signal; push data and matching metadata.
             self.engine.begin_round()?;
             let mut pushed = 0u64;
-            for w in &batch {
+            // Dummy slots of this batch, rewritten after its commit.
+            let mut dummies: Vec<(u64, usize)> = Vec::new();
+            for w in batch {
                 // A block's data and its PosMap entry must land in the same
                 // atomic round. If either queue is out of room, stall: commit
                 // and drain what is already pushed (each sub-round is still
@@ -1339,44 +1382,41 @@ impl PathOram {
                     self.engine.note_stall();
                     self.engine.commit_round()?;
                     let (data, posmap) = self.engine.drain();
-                    self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+                    self.apply_committed(data, posmap, &mut write_addrs, &mut entry_addrs);
                     self.engine.begin_round()?;
                 }
-                let nvm_addr = self.tree.slot_nvm_addr(w.bucket, w.slot);
-                if w.block.is_some() {
-                    self.engine.push_data(WpqEntry {
-                        addr: nvm_addr,
-                        value: w.clone(),
-                    })?;
-                    pushed += 1;
-                }
+                let Some(b) = &w.block else {
+                    dummies.push((w.bucket, w.slot));
+                    continue;
+                };
                 // Metadata for this batch: dirty entries (PS-ORAM) of
                 // evicted primaries; Naïve pushes an entry per slot.
-                if let Some(b) = &w.block {
-                    if !b.is_backup {
-                        let a = b.addr();
-                        if let Some(l) = self.temp.get(a) {
-                            self.engine.push_posmap(WpqEntry {
-                                addr: self.posmap_entry_nvm_addr(a),
-                                value: (a, l),
-                            })?;
-                            pushed += 1;
-                        } else if naive {
-                            self.engine.push_posmap(WpqEntry {
-                                addr: self.posmap_entry_nvm_addr(a),
-                                value: (a, b.leaf()),
-                            })?;
-                            pushed += 1;
-                        }
-                    }
+                let flush = if b.is_backup {
+                    None
+                } else {
+                    let a = b.addr();
+                    let dirty = self.temp.get(a);
+                    dirty.or(naive.then(|| b.leaf())).map(|l| (a, l))
+                };
+                self.engine.push_data(WpqEntry {
+                    addr: self.tree.slot_nvm_addr(w.bucket, w.slot),
+                    value: w,
+                })?;
+                pushed += 1;
+                if let Some((a, l)) = flush {
+                    self.engine.push_posmap(WpqEntry {
+                        addr: self.posmap_entry_nvm_addr(a),
+                        value: (a, l),
+                    })?;
+                    pushed += 1;
                 }
             }
             if naive {
                 // Naïve also flushes a metadata entry per dummy slot, so the
                 // full Z·(L+1) PosMap entries reach the NVM every round.
-                for w in batch.iter().filter(|w| w.block.is_none()) {
+                for &(bucket, slot) in &dummies {
                     self.stats.posmap_entry_writes += 1;
-                    entry_addrs.push(self.naive_slot_entry_addr(w));
+                    entry_addrs.push(self.naive_slot_entry_addr(bucket, slot));
                 }
             }
             t += pushed; // one cycle per WPQ push
@@ -1385,17 +1425,17 @@ impl PathOram {
             // 5-C: end signal — the atomic commit point — then flush.
             self.engine.commit_round()?;
             let (data, posmap) = self.engine.drain();
-            self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+            self.apply_committed(data, posmap, &mut write_addrs, &mut entry_addrs);
             // Dummy slots of this batch are rewritten directly after the
             // commit: they carry no recoverable data and only overwrite
             // copies whose addresses committed in this or earlier batches.
-            for w in batch.iter().filter(|w| w.block.is_none()) {
-                self.snapshot_slot(w.bucket, w.slot);
+            for (bucket, slot) in dummies {
+                self.snapshot_slot(bucket, slot);
                 if let Some(auth) = &mut self.auth {
-                    auth.record_slot(w.bucket, w.slot, None);
+                    auth.record_slot(bucket, slot, None);
                 }
-                self.tree.write_slot(w.bucket, w.slot, None);
-                write_addrs.push(self.tree.slot_nvm_addr(w.bucket, w.slot));
+                self.tree.write_slot(bucket, slot, None);
+                write_addrs.push(self.tree.slot_nvm_addr(bucket, slot));
             }
             committed_batches += 1;
             self.stats.eviction_batches += 1;
@@ -1432,17 +1472,11 @@ impl PathOram {
     /// PosMap, temp-entry retirement, and the committed-value ledger.
     fn apply_committed(
         &mut self,
-        data: &[WpqEntry<SlotWrite>],
-        posmap: &[WpqEntry<PosMapFlush>],
+        data: Vec<WpqEntry<SlotWrite>>,
+        posmap: Vec<WpqEntry<PosMapFlush>>,
         write_addrs: &mut Vec<u64>,
         entry_addrs: &mut Vec<u64>,
     ) {
-        // The full-path rewrite covers dummy slots too: the data entries
-        // carry the real blocks, and the remaining slots of the same
-        // buckets are written as encrypted dummies by the same round. For
-        // traffic/timing, the whole path's slots are pushed by the caller.
-        let mut touched_addrs = std::mem::take(&mut self.scratch.touched_addrs);
-        touched_addrs.clear();
         let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
         if device {
             // This round becomes the one whose media programming a crash
@@ -1450,23 +1484,12 @@ impl PathOram {
             self.last_round_slots.clear();
             self.last_round_posmap.clear();
         }
-        for e in data {
-            let w = &e.value;
-            let mut stored = w.block.clone();
-            if let Some(b) = &mut stored {
-                touched_addrs.push(b.addr());
-                self.encrypt_for_tree(b);
-            }
-            self.snapshot_slot(w.bucket, w.slot);
-            if let Some(auth) = &mut self.auth {
-                auth.record_slot(w.bucket, w.slot, stored.as_ref());
-            }
-            if device {
-                self.last_round_slots.push((w.bucket, w.slot));
-            }
-            self.tree.write_slot(w.bucket, w.slot, stored);
-            write_addrs.push(e.addr);
-        }
+        // The PosMap entries go first: which committed copy of an address
+        // is the recoverable one is decided against the *new* persisted
+        // map, and deciding it while the block is still plaintext spares
+        // a copy of every payload. (Nothing below reads what this loop
+        // writes except that.)
+        let flushed = !posmap.is_empty();
         for e in posmap {
             let (a, l) = e.value;
             self.snapshot_posmap_entry(a);
@@ -1482,10 +1505,44 @@ impl PathOram {
             self.stats.posmap_entry_writes += 1;
             entry_addrs.push(e.addr);
         }
-        if !posmap.is_empty() {
+        if flushed {
             if let Some(auth) = &mut self.auth {
                 auth.seal_temp(&self.temp.entries_sorted());
             }
+        }
+        // The full-path rewrite covers dummy slots too: the data entries
+        // carry the real blocks, and the remaining slots of the same
+        // buckets are written as encrypted dummies by the same round. For
+        // traffic/timing, the whole path's slots are pushed by the caller.
+        for e in data {
+            let SlotWrite {
+                bucket,
+                slot,
+                block: mut stored,
+            } = e.value;
+            if let Some(b) = &mut stored {
+                // Ledger: the recoverable value of an address is the
+                // written copy that matches the persisted PosMap. Several
+                // can commit in one round (a primary that re-drew its old
+                // leaf plus its backup): offered in commit order, the
+                // newest — highest freshness counter, the later on a tie —
+                // is what the ledger keeps and what recovery restores.
+                if b.leaf() == self.posmap.persisted_get(b.addr()) {
+                    self.ledger
+                        .commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
+                }
+                // Encrypted in place, the block moves on into the tree.
+                self.encrypt_for_tree(b);
+            }
+            self.snapshot_slot(bucket, slot);
+            if let Some(auth) = &mut self.auth {
+                auth.record_slot(bucket, slot, stored.as_ref());
+            }
+            if device {
+                self.last_round_slots.push((bucket, slot));
+            }
+            self.tree.write_slot(bucket, slot, stored);
+            write_addrs.push(e.addr);
         }
         if let Some(auth) = &self.auth {
             // The counter-tree root rides the same failure-atomic commit
@@ -1493,32 +1550,14 @@ impl PathOram {
             // now leaves its counter behind the anchored root.
             self.engine.persist_root(auth.root());
         }
-        // Ledger: the recoverable value of each touched address is the
-        // written copy that matches the (new) persisted PosMap.
-        for &a in &touched_addrs {
-            let leaf = self.posmap.persisted_get(a);
-            // Multiple matching copies can commit in one round (a primary
-            // that re-drew its old leaf plus its backup): the newest one —
-            // highest freshness counter — is what recovery restores.
-            let newest = data
-                .iter()
-                .filter_map(|e| e.value.block.as_ref())
-                .filter(|b| b.addr() == a && b.leaf() == leaf)
-                .max_by_key(|b| b.header.seq);
-            if let Some(b) = newest {
-                self.ledger
-                    .commit_if_fresh(a.0, b.header.seq, b.payload.clone());
-            }
-        }
-        self.scratch.touched_addrs = touched_addrs;
     }
 
     /// Metadata-entry address Naïve writes for a dummy slot. Dummy entries
     /// correspond to no particular table row; spread them over the entry
     /// region like real (block-address-indexed) entries so they exercise
     /// banks the same way.
-    fn naive_slot_entry_addr(&self, w: &SlotWrite) -> u64 {
-        let slot_index = w.bucket * self.config.bucket_slots as u64 + w.slot as u64;
+    fn naive_slot_entry_addr(&self, bucket: u64, slot: usize) -> u64 {
+        let slot_index = bucket * self.config.bucket_slots as u64 + slot as u64;
         let spread = slot_index.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
         self.posmap_base + (spread * 8) % (self.config.capacity_blocks() * 8)
     }
@@ -1554,7 +1593,7 @@ impl PathOram {
             wpq_posmap_flushed: posmap.len(),
             stash_durable,
         };
-        self.apply_committed(&data, &posmap, &mut write_addrs, &mut entry_addrs);
+        self.apply_committed(data, posmap, &mut write_addrs, &mut entry_addrs);
         if !stash_durable {
             self.stash.wipe();
             self.temp.wipe();
@@ -1932,9 +1971,9 @@ impl PathOram {
     /// buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<Block> {
         let mut best: Option<&Block> = None;
-        for idx in self.tree.materialized_indices() {
+        for (idx, bucket) in self.tree.materialized() {
             for s in 0..self.config.bucket_slots {
-                if let Some(b) = self.tree.slot_ref(idx, s) {
+                if let Some(b) = bucket.slot(s) {
                     if b.addr() == addr
                         && auth.verify_slot(idx, s, Some(b))
                         && best.is_none_or(|x| b.header.seq > x.header.seq)
@@ -2012,11 +2051,7 @@ impl PathOram {
     ///
     /// Returns a description of the first mismatch.
     pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        let addrs: Vec<u64> = {
-            let mut v: Vec<u64> = self.touched.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
+        let addrs: Vec<u64> = self.touched.iter().map(|(a, ())| a).collect();
         for a in addrs {
             // Snapshot the expectation *before* reading: the read itself
             // updates the ledgers (it is a fresh access).
@@ -2045,9 +2080,7 @@ impl PathOram {
 
     /// Addresses touched since construction.
     pub fn touched_addrs(&self) -> Vec<BlockAddr> {
-        let mut v: Vec<BlockAddr> = self.touched.iter().map(|&a| BlockAddr(a)).collect();
-        v.sort_unstable();
-        v
+        self.touched.iter().map(|(a, ())| BlockAddr(a)).collect()
     }
 
     /// Occupied temporary-PosMap entries.
@@ -2064,6 +2097,35 @@ impl PathOram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_paper_scale_instance_stays_sparse() {
+        // L = 23: 2^24 buckets, 2^25 addresses. 2,000 accesses touch at
+        // most 24 buckets and one address each; the tables under them
+        // must cost pages in proportion to that, not to the geometry.
+        let cfg = OramConfig::paper_default();
+        let capacity = cfg.capacity_blocks();
+        let mut oram = PathOram::new(cfg, ProtocolVariant::PsOram, 5);
+        let mut x = 5u64;
+        for _ in 0..2_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            oram.read(BlockAddr((x >> 20) % capacity)).unwrap();
+        }
+        let buckets = oram.tree.materialized_buckets();
+        let pages = oram.tree.materialized_pages();
+        assert!(buckets <= 2_000 * 24, "{buckets} buckets");
+        // Measured: 26,213 buckets on 18,221 of the tree's 1,048,576
+        // pages. The deep levels pay a page per lone bucket, so the bound
+        // is ten pages an access, 7.3 MiB of pages in all.
+        assert!(pages <= 20_000, "{pages} tree pages");
+        let page_bytes = std::mem::size_of::<[Option<Bucket>; crate::paged::PAGE_ENTRIES]>();
+        assert!(pages * page_bytes <= 7_680_000, "{page_bytes} B a page");
+        // One page per touched address at worst, 64 B (labels) or 16 B.
+        assert!(oram.posmap.materialized_pages() <= 2_000);
+        assert!(oram.touched.pages() <= 2_000);
+    }
 
     #[test]
     fn snapshot_store_exists_only_under_plans_that_replay() {

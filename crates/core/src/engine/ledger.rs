@@ -1,7 +1,7 @@
 //! Written-vs-committed value ledgers shared by the controllers'
 //! recoverability oracles.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use crate::types::{BlockAddr, Leaf};
 
@@ -13,6 +13,11 @@ use crate::types::{BlockAddr, Leaf};
 /// backup from an earlier round after the primary from a later one), so
 /// an update only lands if it is at least as fresh as what the ledger
 /// already holds.
+///
+/// The ledger is a test oracle over the addresses a run happened to touch,
+/// so unlike the controller's position-indexed tables it stays hashed:
+/// dense pages here would be paid by every live instance for addresses it
+/// never commits (DESIGN.md has the measured cost).
 #[derive(Debug, Default)]
 pub struct CommitLedger {
     /// Last value written by the program, per address.
@@ -34,13 +39,23 @@ impl CommitLedger {
 
     /// Records that a copy of `addr` with freshness `seq` committed
     /// durably, unless a strictly fresher commit is already recorded.
-    /// Returns `true` if the entry landed.
-    pub fn commit_if_fresh(&mut self, addr: u64, seq: u64, payload: Vec<u8>) -> bool {
-        let stale = self.committed.get(&addr).is_some_and(|(s, _)| *s > seq);
-        if !stale {
-            self.committed.insert(addr, (seq, payload));
+    /// Returns `true` if the entry landed. The payload is copied into the
+    /// entry's own buffer, so re-committing an address allocates nothing.
+    pub fn commit_if_fresh(&mut self, addr: u64, seq: u64, payload: &[u8]) -> bool {
+        match self.committed.entry(addr) {
+            Entry::Occupied(held) if held.get().0 > seq => false,
+            Entry::Occupied(mut held) => {
+                let (held_seq, held_payload) = held.get_mut();
+                *held_seq = seq;
+                held_payload.clear();
+                held_payload.extend_from_slice(payload);
+                true
+            }
+            Entry::Vacant(slot) => {
+                slot.insert((seq, payload.to_vec()));
+                true
+            }
         }
-        !stale
     }
 
     /// The last durably committed value of `addr`, if any.
@@ -176,15 +191,12 @@ mod tests {
     #[test]
     fn stale_commits_cannot_regress_the_ledger() {
         let mut l = CommitLedger::new();
-        assert!(l.commit_if_fresh(7, 5, vec![5]));
-        assert!(
-            !l.commit_if_fresh(7, 3, vec![3]),
-            "older seq must be rejected"
-        );
+        assert!(l.commit_if_fresh(7, 5, &[5]));
+        assert!(!l.commit_if_fresh(7, 3, &[3]), "older seq must be rejected");
         assert_eq!(l.committed_value(7), Some(&vec![5]));
         // Equal freshness re-commits (idempotent replay of the same copy).
-        assert!(l.commit_if_fresh(7, 5, vec![5]));
-        assert!(l.commit_if_fresh(7, 9, vec![9]));
+        assert!(l.commit_if_fresh(7, 5, &[5]));
+        assert!(l.commit_if_fresh(7, 9, &[9]));
         assert_eq!(l.committed_value(7), Some(&vec![9]));
         assert_eq!(l.committed_len(), 1);
     }
@@ -192,9 +204,9 @@ mod tests {
     #[test]
     fn audit_collect_reports_every_failure_sorted() {
         let mut l = CommitLedger::new();
-        l.commit_if_fresh(5, 0, vec![5]);
-        l.commit_if_fresh(2, 0, vec![2]);
-        l.commit_if_fresh(9, 0, vec![9]);
+        l.commit_if_fresh(5, 0, &[5]);
+        l.commit_if_fresh(2, 0, &[2]);
+        l.commit_if_fresh(9, 0, &[9]);
         let failures = l.audit_committed_collect(
             "copy",
             |a| (Leaf(0), if a == 2 { Some(vec![2]) } else { None }),
@@ -209,7 +221,7 @@ mod tests {
     #[test]
     fn rollback_regresses_or_forgets() {
         let mut l = CommitLedger::new();
-        l.commit_if_fresh(1, 8, vec![8]);
+        l.commit_if_fresh(1, 8, &[8]);
         l.rollback(1, Some((3, vec![3])));
         assert_eq!(l.committed_value(1), Some(&vec![3]));
         l.rollback(1, None);

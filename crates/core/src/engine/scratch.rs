@@ -9,7 +9,6 @@
 //! return simply re-grows on the next access.
 
 use crate::block::Block;
-use crate::types::BlockAddr;
 
 /// Scratch buffers reused across accesses by [`crate::PathOram`] and
 /// [`crate::RingOram`].
@@ -27,6 +26,4 @@ pub(crate) struct AccessScratch {
     pub entry_addrs: Vec<u64>,
     /// Blocks gathered off the fetched path (Path ORAM step ③).
     pub fetched: Vec<Block>,
-    /// Addresses whose committed value must be re-derived after a WPQ round.
-    pub touched_addrs: Vec<BlockAddr>,
 }

@@ -35,6 +35,133 @@ impl EvictionPlan {
     pub fn real_blocks(&self) -> usize {
         self.writes.iter().filter(|w| w.block.is_some()).count()
     }
+
+    /// Appends the write of `block` (a dummy if `None`) to `(bucket, slot)`.
+    fn push(&mut self, bucket: BucketIndex, slot: usize, block: Option<Block>) {
+        if let Some(b) = &block {
+            if b.is_backup {
+                self.evicted_backups.push(b.addr());
+            } else {
+                self.evicted_primaries.push(b.addr());
+            }
+        }
+        self.writes.push(SlotWrite {
+            bucket,
+            slot,
+            block,
+        });
+    }
+}
+
+/// Where greedy placement puts each candidate, by `(class, index)` into
+/// the caller's `[must, opportunistic]` vectors.
+///
+/// Planning on positions leaves the candidates where they are until the
+/// plan is accepted: the small-persistence-domain path tests a placement's
+/// write-back ordering first and only then moves the blocks — into this
+/// plan, or into the in-place fallback.
+#[derive(Debug)]
+pub struct Placement {
+    path: Vec<BucketIndex>,
+    bucket_slots: usize,
+    /// Per path slot, root bucket first: the candidate placed there.
+    slots: Vec<Option<(usize, usize)>>,
+    /// Candidates that found no room, in the order they were turned away.
+    leftovers: Vec<(usize, usize)>,
+}
+
+/// Greedy placement onto the path to `leaf`: from the leaf toward the root,
+/// deepest-eligible block first, every `must` block before any
+/// opportunistic one (see [`plan_eviction`]).
+pub fn place_greedy(
+    must: &[Block],
+    opportunistic: &[Block],
+    tree: &OramTree,
+    leaf: Leaf,
+) -> Placement {
+    let z = tree.bucket_slots();
+    let path = tree.path_indices(leaf);
+    let mut slots = vec![None; path.len() * z];
+    // Slots already taken in each level's bucket.
+    let mut filled = vec![0usize; path.len()];
+    let mut leftovers = Vec::new();
+    for (class, candidates) in [must, opportunistic].into_iter().enumerate() {
+        // Deepest level each candidate may occupy.
+        let mut items: Vec<(u32, usize)> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (tree.common_depth(b.leaf(), leaf), i))
+            .collect();
+        items.sort_by_key(|(d, _)| *d);
+        // Iterate from deepest-eligible to shallowest; place each in the
+        // deepest level that still has room.
+        for (max_depth, i) in items.into_iter().rev() {
+            match (0..=max_depth as usize).rev().find(|&d| filled[d] < z) {
+                Some(d) => {
+                    slots[d * z + filled[d]] = Some((class, i));
+                    filled[d] += 1;
+                }
+                None => {
+                    debug_assert!(
+                        class == 1,
+                        "a must-place block could not be placed on its own path"
+                    );
+                    leftovers.push((class, i));
+                }
+            }
+        }
+    }
+    Placement {
+        path,
+        bucket_slots: z,
+        slots,
+        leftovers,
+    }
+}
+
+impl Placement {
+    /// `(bucket, slot)` of the `n`-th path slot.
+    fn slot_at(&self, n: usize) -> (BucketIndex, usize) {
+        (self.path[n / self.bucket_slots], n % self.bucket_slots)
+    }
+
+    /// Every slot of the path in root-to-leaf order with the address this
+    /// placement writes there — what [`order_for_small_wpq`] orders.
+    pub fn targets(&self, must: &[Block], opportunistic: &[Block]) -> Vec<SlotTarget> {
+        let pools = [must, opportunistic];
+        self.slots
+            .iter()
+            .enumerate()
+            .map(|(n, placed)| {
+                let (bucket, slot) = self.slot_at(n);
+                let addr = placed.map(|(class, i)| pools[class][i].addr());
+                SlotTarget { bucket, slot, addr }
+            })
+            .collect()
+    }
+
+    /// Moves the candidates into the plan; the unplaced ones come back for
+    /// the stash.
+    pub fn into_plan(
+        self,
+        must: Vec<Block>,
+        opportunistic: Vec<Block>,
+    ) -> (EvictionPlan, Vec<Block>) {
+        let mut pools = [must, opportunistic].map(|v| v.into_iter().map(Some).collect::<Vec<_>>());
+        let mut take = |(class, i): (usize, usize)| {
+            pools[class][i]
+                .take()
+                .expect("a candidate is placed or turned away exactly once")
+        };
+        let mut plan = EvictionPlan::default();
+        plan.writes.reserve(self.slots.len());
+        for (n, placed) in self.slots.iter().enumerate() {
+            let (bucket, slot) = self.slot_at(n);
+            plan.push(bucket, slot, placed.map(&mut take));
+        }
+        let leftovers = self.leftovers.iter().copied().map(take).collect();
+        (plan, leftovers)
+    }
 }
 
 /// Plans a Path ORAM eviction onto the path to `leaf`.
@@ -58,60 +185,7 @@ pub fn plan_eviction(
     tree: &OramTree,
     leaf: Leaf,
 ) -> (EvictionPlan, Vec<Block>) {
-    let levels = tree.levels();
-    let z = tree.bucket_slots();
-    let path = tree.path_indices(leaf);
-
-    let mut level_fill: Vec<Vec<Block>> = vec![Vec::new(); levels as usize + 1];
-    let mut leftovers = Vec::new();
-    for (class, candidates) in [(0usize, must), (1, opportunistic)] {
-        // Deepest level each candidate may occupy.
-        let mut items: Vec<(u32, Block)> = candidates
-            .into_iter()
-            .map(|b| (tree.common_depth(b.leaf(), leaf), b))
-            .collect();
-        items.sort_by_key(|(d, _)| *d);
-        // Iterate from deepest-eligible to shallowest; place each in the
-        // deepest level that still has room.
-        for (max_depth, block) in items.into_iter().rev() {
-            let mut placed = false;
-            for d in (0..=max_depth as usize).rev() {
-                if level_fill[d].len() < z {
-                    level_fill[d].push(block.clone());
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                debug_assert!(
-                    class == 1,
-                    "a must-place block could not be placed on its own path"
-                );
-                leftovers.push(block);
-            }
-        }
-    }
-
-    let mut plan = EvictionPlan::default();
-    for (d, bucket) in path.iter().enumerate() {
-        let blocks = std::mem::take(&mut level_fill[d]);
-        for slot in 0..z {
-            let block = blocks.get(slot).cloned();
-            if let Some(b) = &block {
-                if b.is_backup {
-                    plan.evicted_backups.push(b.addr());
-                } else {
-                    plan.evicted_primaries.push(b.addr());
-                }
-            }
-            plan.writes.push(SlotWrite {
-                bucket: *bucket,
-                slot,
-                block,
-            });
-        }
-    }
-    (plan, leftovers)
+    place_greedy(&must, &opportunistic, tree, leaf).into_plan(must, opportunistic)
 }
 
 /// Plans an eviction for **small persistence domains** (paper §4.2.3):
@@ -166,49 +240,53 @@ pub fn plan_eviction_in_place(
         .collect();
     items.sort_by_key(|(d, _)| *d);
     for (max_depth, block) in items.into_iter().rev() {
-        let mut placed = false;
-        'depth: for d in (0..=max_depth as usize).rev() {
-            let bucket = path[d];
-            for slot in 0..z {
-                let key = (bucket, slot);
-                if live_slots.contains_key(&key) || assigned.contains_key(&key) {
-                    continue;
-                }
-                assigned.insert(key, block.clone());
-                placed = true;
-                break 'depth;
+        let free = (0..=max_depth as usize).rev().find_map(|d| {
+            (0..z)
+                .map(|slot| (path[d], slot))
+                .find(|key| !live_slots.contains_key(key) && !assigned.contains_key(key))
+        });
+        match free {
+            Some(key) => {
+                assigned.insert(key, block);
             }
-        }
-        if !placed {
-            leftovers.push(block);
+            None => leftovers.push(block),
         }
     }
 
     let mut plan = EvictionPlan::default();
-    for (d, bucket) in path.iter().enumerate() {
-        let _ = d;
+    for &bucket in &path {
         for slot in 0..z {
-            let block = assigned.remove(&(*bucket, slot));
-            if let Some(b) = &block {
-                if b.is_backup {
-                    plan.evicted_backups.push(b.addr());
-                } else {
-                    plan.evicted_primaries.push(b.addr());
-                }
-            }
-            plan.writes.push(SlotWrite {
-                bucket: *bucket,
-                slot,
-                block,
-            });
+            plan.push(bucket, slot, assigned.remove(&(bucket, slot)));
         }
     }
     (plan, leftovers)
 }
 
+/// What the write-back ordering needs to know of one slot write: where it
+/// lands and whose block it carries (`None` for a dummy).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotTarget {
+    /// Destination bucket.
+    pub bucket: BucketIndex,
+    /// Destination slot within the bucket.
+    pub slot: usize,
+    /// Address of the block written there, or `None` for a dummy.
+    pub addr: Option<BlockAddr>,
+}
+
+impl From<&SlotWrite> for SlotTarget {
+    fn from(w: &SlotWrite) -> Self {
+        SlotTarget {
+            bucket: w.bucket,
+            slot: w.slot,
+            addr: w.block.as_ref().map(Block::addr),
+        }
+    }
+}
+
 /// Splits an eviction's real-block writes into dependency-ordered atomic
 /// batches of at most `capacity` entries, for small persistence domains
-/// (paper §4.2.3, Claim 5).
+/// (paper §4.2.3, Claim 5). A batch lists positions in `writes`.
 ///
 /// `live_old` maps `(bucket, slot)` to the address whose *live* (recoverable)
 /// copy currently occupies that slot in NVM; `new_slot` maps each address
@@ -227,97 +305,86 @@ pub fn plan_eviction_in_place(
 ///
 /// Panics if `capacity` is zero.
 pub fn order_for_small_wpq(
-    writes: &[SlotWrite],
+    writes: &[SlotTarget],
     live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
     capacity: usize,
-) -> Result<Vec<Vec<SlotWrite>>, usize> {
+) -> Result<Vec<Vec<usize>>, usize> {
     assert!(capacity > 0);
     // Destination of each address written this round.
     let new_slot: HashMap<BlockAddr, usize> = writes
         .iter()
         .enumerate()
-        .filter_map(|(i, w)| w.block.as_ref().map(|b| (b.addr(), i)))
+        .filter_map(|(i, w)| w.addr.map(|a| (a, i)))
         .collect();
+    // The write whose durability `v` must wait for, if any.
+    let pred_of = |v: usize| {
+        let w = &writes[v];
+        live_old
+            .get(&(w.bucket, w.slot))
+            .and_then(|victim| new_slot.get(victim))
+            .copied()
+            .filter(|&u| u != v)
+    };
 
     let real: Vec<usize> = (0..writes.len())
-        .filter(|&i| writes[i].block.is_some())
+        .filter(|&i| writes[i].addr.is_some())
         .collect();
     // Edge u -> v means u must be durable no later than v's batch.
-    let mut succs: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut preds: HashMap<usize, usize> = real.iter().map(|&i| (i, 0)).collect();
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); writes.len()];
+    let mut preds: Vec<usize> = vec![0; writes.len()];
     for &v in &real {
-        let w = &writes[v];
-        if let Some(&victim) = live_old.get(&(w.bucket, w.slot)) {
-            if let Some(&u) = new_slot.get(&victim) {
-                if u != v {
-                    succs.entry(u).or_default().push(v);
-                    *preds.get_mut(&v).expect("v is real") += 1;
-                }
-            }
+        if let Some(u) = pred_of(v) {
+            succs[u].push(v);
+            preds[v] += 1;
         }
     }
 
     // Kahn's algorithm, emitting capacity-sized batches; a stall means a
     // dependency cycle, which is emitted as one atomic batch.
-    let mut remaining: Vec<usize> = real.clone();
+    let mut remaining = real;
     let mut batches = Vec::new();
     while !remaining.is_empty() {
         let ready: Vec<usize> = remaining
             .iter()
             .copied()
-            .filter(|i| preds[i] == 0)
+            .filter(|&i| preds[i] == 0)
+            .take(capacity)
             .collect();
-        let chosen: Vec<usize> = if ready.is_empty() {
+        let chosen = if ready.is_empty() {
             // Cycle: find one by walking dependencies; it must commit as a
             // single atomic batch, so it has to fit the WPQ.
-            let cycle = find_cycle(&remaining, writes, live_old, &new_slot);
+            let cycle = find_cycle(remaining[0], pred_of);
             if cycle.len() > capacity {
                 return Err(cycle.len());
             }
             cycle
         } else {
-            ready.into_iter().take(capacity).collect()
+            ready
         };
         for &c in &chosen {
-            for s in succs.get(&c).cloned().unwrap_or_default() {
-                if let Some(p) = preds.get_mut(&s) {
-                    *p = p.saturating_sub(1);
-                }
+            for &s in &succs[c] {
+                preds[s] = preds[s].saturating_sub(1);
             }
         }
         remaining.retain(|i| !chosen.contains(i));
-        batches.push(chosen.iter().map(|&i| writes[i].clone()).collect());
+        batches.push(chosen);
     }
 
     // Dummy writes last, in capacity-sized batches.
-    let dummies: Vec<SlotWrite> = writes
-        .iter()
-        .filter(|w| w.block.is_none())
-        .cloned()
+    let dummies: Vec<usize> = (0..writes.len())
+        .filter(|&i| writes[i].addr.is_none())
         .collect();
-    for chunk in dummies.chunks(capacity) {
-        batches.push(chunk.to_vec());
-    }
+    batches.extend(dummies.chunks(capacity).map(<[usize]>::to_vec));
     Ok(batches)
 }
 
-fn find_cycle(
-    remaining: &[usize],
-    writes: &[SlotWrite],
-    live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
-    new_slot: &HashMap<BlockAddr, usize>,
-) -> Vec<usize> {
-    // Every remaining node has a predecessor; walk backwards until a repeat.
-    let start = remaining[0];
+/// Walks predecessors from `start` (every stalled write has one) until a
+/// write repeats; returns the cycle.
+fn find_cycle(start: usize, pred_of: impl Fn(usize) -> Option<usize>) -> Vec<usize> {
     let mut seen = vec![start];
     let mut cur = start;
     loop {
-        let w = &writes[cur];
-        let pred = live_old
-            .get(&(w.bucket, w.slot))
-            .and_then(|victim| new_slot.get(victim))
-            .copied()
-            .expect("stalled node must have a predecessor");
+        let pred = pred_of(cur).expect("stalled node must have a predecessor");
         if let Some(pos) = seen.iter().position(|&s| s == pred) {
             return seen[pos..].to_vec();
         }
@@ -337,6 +404,20 @@ mod tests {
 
     fn blk(a: u64, leaf: u64) -> Block {
         Block::new(BlockAddr(a), Leaf(leaf), vec![a as u8; 8])
+    }
+
+    /// The ordered batches of `plan`'s writes, as the writes themselves.
+    fn ordered<'a>(
+        plan: &'a EvictionPlan,
+        live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
+        capacity: usize,
+    ) -> Vec<Vec<&'a SlotWrite>> {
+        let targets: Vec<SlotTarget> = plan.writes.iter().map(SlotTarget::from).collect();
+        order_for_small_wpq(&targets, live_old, capacity)
+            .unwrap()
+            .into_iter()
+            .map(|batch| batch.into_iter().map(|i| &plan.writes[i]).collect())
+            .collect()
     }
 
     #[test]
@@ -418,6 +499,28 @@ mod tests {
     }
 
     #[test]
+    fn a_placement_describes_the_plan_it_becomes_and_moves_every_candidate_once() {
+        let t = tree();
+        let leaf = Leaf(21);
+        let must = vec![blk(1, 21).to_backup(Leaf(21)), blk(2, 20)];
+        // Thirty blocks over few leaves: some cannot fit and come back.
+        let opportunistic: Vec<Block> = (10..40).map(|a| blk(a, (a * 5) % 8 + 16)).collect();
+        let placement = place_greedy(&must, &opportunistic, &t, leaf);
+        let targets = placement.targets(&must, &opportunistic);
+        let (plan, leftovers) = placement.into_plan(must.clone(), opportunistic.clone());
+        let described: Vec<SlotTarget> = plan.writes.iter().map(SlotTarget::from).collect();
+        assert_eq!(targets, described);
+        assert!(!leftovers.is_empty(), "the case must exercise leftovers");
+        let by_identity = |b: &Block| (b.addr(), b.is_backup);
+        let mut out: Vec<Block> = plan.writes.into_iter().filter_map(|w| w.block).collect();
+        out.extend(leftovers);
+        out.sort_by_key(by_identity);
+        let mut candidates = [must, opportunistic].concat();
+        candidates.sort_by_key(by_identity);
+        assert_eq!(out, candidates);
+    }
+
+    #[test]
     fn ordering_respects_overwrite_dependencies() {
         let t = tree();
         let leaf = Leaf(5);
@@ -430,7 +533,7 @@ mod tests {
             .unwrap();
         let mut live_old = HashMap::new();
         live_old.insert((w1.bucket, w1.slot), BlockAddr(2));
-        let batches = order_for_small_wpq(&plan.writes, &live_old, 1).unwrap();
+        let batches = ordered(&plan, &live_old, 1);
         // Block 2 must be written in an earlier batch than block 1.
         let pos = |a: u64| {
             batches
@@ -464,7 +567,7 @@ mod tests {
         let mut live_old = HashMap::new();
         live_old.insert((w1.bucket, w1.slot), BlockAddr(2));
         live_old.insert((w2.bucket, w2.slot), BlockAddr(1));
-        let batches = order_for_small_wpq(&plan.writes, &live_old, 4).unwrap();
+        let batches = ordered(&plan, &live_old, 4);
         let cycle_batch = batches
             .iter()
             .find(|b| b.iter().any(|w| w.block.is_some()))
@@ -478,7 +581,7 @@ mod tests {
         let t = tree();
         let cands: Vec<Block> = (0..8).map(|a| blk(a, 5)).collect();
         let (plan, _) = plan_eviction(vec![], cands, &t, Leaf(5));
-        let batches = order_for_small_wpq(&plan.writes, &HashMap::new(), 3).unwrap();
+        let batches = ordered(&plan, &HashMap::new(), 3);
         for b in &batches {
             assert!(b.len() <= 3);
         }
@@ -545,7 +648,7 @@ mod tests {
         let (plan, _) = plan_eviction_in_place(vec![b1, b2], vec![blk(3, 5)], &t, leaf, &live);
         // With identity placement the small-WPQ scheduler finds everything
         // ready immediately: batches never stall on a cycle.
-        let batches = order_for_small_wpq(&plan.writes, &live, 1).unwrap();
+        let batches = ordered(&plan, &live, 1);
         let reals: usize = batches
             .iter()
             .map(|b| b.iter().filter(|w| w.block.is_some()).count())
@@ -560,7 +663,7 @@ mod tests {
     fn dummies_ordered_after_real_blocks() {
         let t = tree();
         let (plan, _) = plan_eviction(vec![], vec![blk(1, 5)], &t, Leaf(5));
-        let batches = order_for_small_wpq(&plan.writes, &HashMap::new(), 4).unwrap();
+        let batches = ordered(&plan, &HashMap::new(), 4);
         let first_dummy_batch = batches
             .iter()
             .position(|b| b.iter().any(|w| w.block.is_none()));

@@ -53,6 +53,7 @@ pub mod engine;
 pub mod eviction;
 pub mod integrity;
 pub mod oblivious;
+mod paged;
 mod posmap;
 mod recursive;
 pub mod ring;

@@ -2,9 +2,11 @@
 //! PosMap.
 
 use std::collections::HashMap;
+use std::num::NonZeroU32;
 
 use serde::{Deserialize, Serialize};
 
+use crate::paged::PagedTable;
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// SplitMix64 — deterministic initial leaf assignment.
@@ -27,7 +29,9 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// The map is stored as overlays over a deterministic pseudo-random initial
 /// mapping, so even the paper-scale 2^25-entry PosMap costs memory only for
-/// touched entries.
+/// the pages of touched entries. The overlays are tables indexed by block
+/// address — the on-chip table of the paper's hardware — holding 4 B
+/// labels like the paper's PosMap blocks do.
 ///
 /// # Examples
 ///
@@ -41,15 +45,35 @@ fn splitmix64(mut x: u64) -> u64 {
 /// pm.crash();                              // power failure
 /// assert_eq!(pm.get(BlockAddr(3)), initial);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PosMap {
     num_leaves: u64,
     seed: u64,
     /// Volatile updates not yet persisted (lost on crash).
-    volatile: HashMap<u64, u64>,
+    volatile: PagedTable<Label>,
     /// Durable updates (survive crashes).
-    persisted: HashMap<u64, u64>,
+    persisted: PagedTable<Label>,
     persist_writes: u64,
+}
+
+/// A stored leaf label, `leaf + 1` so that an empty cell costs no tag:
+/// `Option<Label>` is 4 bytes.
+#[derive(Debug, Clone, Copy)]
+struct Label(NonZeroU32);
+
+impl Label {
+    fn new(leaf: Leaf) -> Self {
+        let stored = leaf
+            .0
+            .checked_add(1)
+            .and_then(|l| u32::try_from(l).ok())
+            .and_then(NonZeroU32::new);
+        Label(stored.expect("PosMap labels are 4 bytes"))
+    }
+
+    fn leaf(self) -> Leaf {
+        Leaf(u64::from(self.0.get()) - 1)
+    }
 }
 
 impl PosMap {
@@ -58,14 +82,18 @@ impl PosMap {
     ///
     /// # Panics
     ///
-    /// Panics if `num_leaves` is zero.
+    /// Panics if `num_leaves` is zero or does not fit a 4 B label.
     pub fn new(num_leaves: u64, seed: u64) -> Self {
         assert!(num_leaves > 0, "PosMap needs at least one leaf");
+        assert!(
+            num_leaves < u64::from(u32::MAX),
+            "PosMap labels are 4 bytes: at most 2^32 - 2 leaves"
+        );
         PosMap {
             num_leaves,
             seed,
-            volatile: HashMap::new(),
-            persisted: HashMap::new(),
+            volatile: PagedTable::default(),
+            persisted: PagedTable::default(),
             persist_writes: 0,
         }
     }
@@ -76,34 +104,30 @@ impl PosMap {
 
     /// Current (volatile-view) leaf for `addr`.
     pub fn get(&self, addr: BlockAddr) -> Leaf {
-        if let Some(&l) = self.volatile.get(&addr.0) {
-            Leaf(l)
-        } else if let Some(&l) = self.persisted.get(&addr.0) {
-            Leaf(l)
-        } else {
-            self.initial(addr)
+        match self.volatile.get(addr.0) {
+            Some(l) => l.leaf(),
+            None => self.persisted_get(addr),
         }
     }
 
     /// The leaf recovery would see after a crash right now.
     pub fn persisted_get(&self, addr: BlockAddr) -> Leaf {
-        if let Some(&l) = self.persisted.get(&addr.0) {
-            Leaf(l)
-        } else {
-            self.initial(addr)
+        match self.persisted.get(addr.0) {
+            Some(l) => l.leaf(),
+            None => self.initial(addr),
         }
     }
 
     /// Volatile (SRAM) update — lost on crash.
     pub fn set(&mut self, addr: BlockAddr, leaf: Leaf) {
-        self.volatile.insert(addr.0, leaf.0);
+        self.volatile.insert(addr.0, Label::new(leaf));
     }
 
     /// Durable (NVM) update — survives crashes and clears any volatile
     /// shadow of the same entry.
     pub fn persist(&mut self, addr: BlockAddr, leaf: Leaf) {
-        self.volatile.remove(&addr.0);
-        self.persisted.insert(addr.0, leaf.0);
+        self.volatile.remove(addr.0);
+        self.persisted.insert(addr.0, Label::new(leaf));
         self.persist_writes += 1;
     }
 
@@ -121,14 +145,22 @@ impl PosMap {
     /// deterministic retro-tagging and state digests. Initial-mapping
     /// entries (pure functions of the seed) are not stored and not listed.
     pub fn persisted_sorted(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.persisted.iter().map(|(&a, &l)| (a, l)).collect();
-        v.sort_unstable();
-        v
+        self.persisted
+            .iter()
+            .map(|(a, l)| (a, l.leaf().0))
+            .collect()
     }
 
     /// Number of leaves in the mapped tree.
     pub fn num_leaves(&self) -> u64 {
         self.num_leaves
+    }
+
+    /// Number of table pages backing the two overlays — the footprint of
+    /// a sparsely touched map.
+    #[cfg(test)]
+    pub(crate) fn materialized_pages(&self) -> usize {
+        self.volatile.pages() + self.persisted.pages()
     }
 
     /// Device-fault hook: corrupts the *persisted* entry of `addr` by
@@ -148,7 +180,7 @@ impl PosMap {
         } else {
             bad
         };
-        self.persisted.insert(addr.0, bad);
+        self.persisted.insert(addr.0, Label::new(Leaf(bad)));
         Leaf(bad)
     }
 
@@ -157,7 +189,7 @@ impl PosMap {
     /// adversary re-serving a stale-but-well-formed entry behind the
     /// controller's back.
     pub fn overwrite_persisted(&mut self, addr: BlockAddr, leaf: Leaf) {
-        self.persisted.insert(addr.0, leaf.0);
+        self.persisted.insert(addr.0, Label::new(leaf));
     }
 }
 

@@ -40,6 +40,7 @@ use crate::engine::{
     to_core, to_mem, AccessScratch, CommitLedger, PersistEngine, RoundDamage, WearReadOutcome,
 };
 use crate::posmap::{PosMap, TempPosMap};
+use crate::tree::TreeStore;
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// Geometry and policy of a Ring ORAM instance.
@@ -217,7 +218,8 @@ pub struct RingOram {
     config: RingConfig,
     variant: RingVariant,
     nvm: NvmController,
-    buckets: HashMap<u64, RingBucket>,
+    /// The same paged bucket store the Path tree sits on.
+    buckets: TreeStore<RingBucket>,
     stash: Vec<Block>,
     posmap: PosMap,
     temp: TempPosMap,
@@ -283,7 +285,7 @@ impl RingOram {
             engine: PersistEngine::new(config.wpq_capacity, config.wpq_capacity),
             rng: StdRng::seed_from_u64(seed),
             nvm: NvmController::new(nvm),
-            buckets: HashMap::new(),
+            buckets: TreeStore::default(),
             stash: Vec::new(),
             clock: 0,
             access_counter: 0,
@@ -392,10 +394,7 @@ impl RingOram {
         // Tags deliberately cover slot *content* only — the valid bits
         // and counts are read-path metadata that mutates outside persist
         // rounds.
-        let mut indices: Vec<u64> = self.buckets.keys().copied().collect();
-        indices.sort_unstable();
-        for bidx in indices {
-            let bucket = &self.buckets[&bidx];
+        for (bidx, bucket) in self.buckets.iter() {
             for (s, slot) in bucket.slots.iter().enumerate() {
                 auth.record_slot(bidx, s, slot.as_ref());
             }
@@ -457,10 +456,7 @@ impl RingOram {
     /// idempotency regression tests rely on it.
     pub fn state_digest(&self) -> u128 {
         let mut bytes = Vec::new();
-        let mut indices: Vec<u64> = self.buckets.keys().copied().collect();
-        indices.sort_unstable();
-        for bidx in indices {
-            let bucket = &self.buckets[&bidx];
+        for (bidx, bucket) in self.buckets.iter() {
             bytes.extend_from_slice(&bidx.to_le_bytes());
             for slot in &bucket.slots {
                 match slot {
@@ -659,7 +655,7 @@ impl RingOram {
         for &bidx in &path {
             let slot = {
                 let rng = &mut self.rng;
-                let bucket = self.buckets.get(&bidx);
+                let bucket = self.buckets.get(bidx);
                 match bucket {
                     Some(b) => {
                         let hit = if in_stash || fetched.is_some() {
@@ -675,8 +671,7 @@ impl RingOram {
             let physical = self.config.bucket_physical_slots();
             let b = self
                 .buckets
-                .entry(bidx)
-                .or_insert_with(|| RingBucket::new(physical));
+                .get_or_insert_with(bidx, || RingBucket::new(physical));
             // Brand-new (all-dummy, all-valid) bucket: read slot 0.
             let slot = slot.unwrap_or_default();
             if b.valid[slot] {
@@ -771,7 +766,7 @@ impl RingOram {
                         auth.classify_served_slot(bidx, slot, content.as_ref(), meta.as_ref())
                     }
                     None => {
-                        let stored = self.buckets.get(&bidx).and_then(|b| b.slots[slot].as_ref());
+                        let stored = self.buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
                         auth.verdict_slot(bidx, slot, stored)
                     }
                 };
@@ -876,7 +871,7 @@ impl RingOram {
             .copied()
             .filter(|b| {
                 self.buckets
-                    .get(b)
+                    .get(*b)
                     .is_some_and(|bk| bk.count >= self.config.dummy_slots)
             })
             .collect();
@@ -927,7 +922,7 @@ impl RingOram {
     /// when it was never materialized): what a rewrite reads off media.
     fn present_blocks(&self, bidx: u64) -> Vec<Block> {
         self.buckets
-            .get(&bidx)
+            .get(bidx)
             .map(|b| b.real_blocks().cloned().collect())
             .unwrap_or_default()
     }
@@ -940,7 +935,7 @@ impl RingOram {
         // whole bucket back.
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
         read_addrs.clear();
-        if let Some(old) = self.buckets.get(&bidx) {
+        if let Some(old) = self.buckets.get(bidx) {
             read_addrs.extend(
                 old.slots
                     .iter()
@@ -981,7 +976,7 @@ impl RingOram {
         let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
         read_addrs.clear();
         for &bidx in &path {
-            if let Some(bucket) = self.buckets.get(&bidx) {
+            if let Some(bucket) = self.buckets.get(bidx) {
                 for (s, slot) in bucket.slots.iter().enumerate() {
                     if slot.is_some() {
                         read_addrs.push(self.slot_nvm_addr(bidx, s));
@@ -999,12 +994,13 @@ impl RingOram {
         // stash for (re-)placement. Primaries pulled off their *persisted*
         // position are remembered: if placement cannot fit them back on the
         // path, the rewrite below would destroy the only recoverable copy.
-        let mut pinned: HashMap<u64, Vec<Block>> = HashMap::new();
+        // `per_level[d]` collects the new content of `path[d]`.
+        let mut per_level: Vec<Vec<Block>> = vec![Vec::new(); path.len()];
         let mut pulled_src: HashMap<u64, usize> = HashMap::new();
         for (pos, &bidx) in path.iter().enumerate() {
             for block in self.present_blocks(bidx) {
                 match self.classify_for_rewrite(block) {
-                    Some(b) if b.is_backup => pinned.entry(bidx).or_default().push(b),
+                    Some(b) if b.is_backup => per_level[pos].push(b),
                     Some(b) => {
                         if self.variant == RingVariant::PsRing
                             && b.leaf() == self.posmap.persisted_get(b.addr())
@@ -1021,24 +1017,14 @@ impl RingOram {
         self.dedup_stash();
 
         // Greedy deepest-first placement of stash blocks into the path.
-        let mut per_bucket: HashMap<u64, Vec<Block>> = pinned;
         let mut remaining: Vec<Block> = std::mem::take(&mut self.stash);
         remaining.sort_by_key(|b| std::cmp::Reverse(self.common_depth(b.leaf(), leaf)));
         let mut leftovers = Vec::new();
         for block in remaining {
             let max_d = self.common_depth(block.leaf(), leaf) as usize;
-            let mut placed = false;
-            for d in (0..=max_d).rev() {
-                let bidx = path[d];
-                let used = per_bucket.get(&bidx).map_or(0, Vec::len);
-                if used < z {
-                    per_bucket.entry(bidx).or_default().push(block.clone());
-                    placed = true;
-                    break;
-                }
-            }
-            if !placed {
-                leftovers.push(block);
+            match (0..=max_d).rev().find(|&d| per_level[d].len() < z) {
+                Some(d) => per_level[d].push(block),
+                None => leftovers.push(block),
             }
         }
         // Live-shadow preservation for unplaceable blocks: a leftover whose
@@ -1058,11 +1044,11 @@ impl RingOram {
                 };
                 let spot = (0..=src_depth)
                     .rev()
-                    .find(|&d| per_bucket.get(&path[d]).map_or(0, Vec::len) < physical);
+                    .find(|&d| per_level[d].len() < physical);
                 if let Some(d) = spot {
                     let mut shadow = b.clone();
                     shadow.is_backup = true;
-                    per_bucket.entry(path[d]).or_default().push(shadow);
+                    per_level[d].push(shadow);
                 }
             }
         }
@@ -1073,8 +1059,7 @@ impl RingOram {
         // this atomic round.
         let mut rewrites = Vec::with_capacity(path.len());
         let mut flushes = Vec::new();
-        for &bidx in &path {
-            let blocks = per_bucket.remove(&bidx).unwrap_or_default();
+        for (&bidx, blocks) in path.iter().zip(per_level) {
             for b in &blocks {
                 if !b.is_backup {
                     if let Some(l) = self.temp.get(b.addr()) {
@@ -1128,17 +1113,18 @@ impl RingOram {
                     // Round assembled but the end signal never arrives, so
                     // the crash discards it.
                     let entries = rewrites
-                        .iter()
+                        .into_iter()
                         .map(|(bidx, bucket)| WpqEntry {
-                            addr: self.slot_nvm_addr(*bidx, 0),
-                            value: (*bidx, bucket.clone()),
+                            addr: self.slot_nvm_addr(bidx, 0),
+                            value: (bidx, bucket),
                         })
                         .collect();
                     self.engine.stage_abandoned_round(entries);
                 } else {
                     // Direct writes: half the buckets land, half do not.
-                    for (bidx, bucket) in rewrites.iter().take(rewrites.len() / 2) {
-                        self.buckets.insert(*bidx, bucket.clone());
+                    let landed = rewrites.len() / 2;
+                    for (bidx, bucket) in rewrites.into_iter().take(landed) {
+                        self.buckets.insert(bidx, bucket);
                     }
                 }
                 self.execute_crash();
@@ -1184,7 +1170,7 @@ impl RingOram {
                     }
                 }
                 self.engine.begin_round()?;
-                for (bidx, bucket) in &rewrites {
+                for (bidx, bucket) in rewrites {
                     // Out of room mid-round: stall — commit and apply what is
                     // already pushed (still atomic), then reopen and retry.
                     if self.engine.data_is_full() {
@@ -1193,8 +1179,8 @@ impl RingOram {
                         self.engine.begin_round()?;
                     }
                     self.engine.push_data(WpqEntry {
-                        addr: self.slot_nvm_addr(*bidx, 0),
-                        value: (*bidx, bucket.clone()),
+                        addr: self.slot_nvm_addr(bidx, 0),
+                        value: (bidx, bucket),
                     })?;
                 }
                 for &(a, l) in &flushes {
@@ -1277,14 +1263,13 @@ impl RingOram {
         for b in bucket.real_blocks() {
             let a = b.addr();
             if b.leaf() == self.posmap.persisted_get(a) {
-                self.ledger
-                    .commit_if_fresh(a.0, b.header.seq, b.payload.clone());
+                self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
         if let Some(h) = self.history.as_mut() {
             // Snapshot every slot this rewrite replaces: the coherent
             // stale units a replay adversary re-serves.
-            let old = self.buckets.get(&bidx);
+            let old = self.buckets.get(bidx);
             for s in 0..bucket.slots.len() {
                 let prev_content = old.and_then(|old| old.slots.get(s).cloned().flatten());
                 let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bidx, s));
@@ -1315,15 +1300,15 @@ impl RingOram {
     fn refresh_ledger_for(&mut self, flushes: &[(BlockAddr, Leaf)]) {
         for &(a, _) in flushes {
             let leaf = self.posmap.persisted_get(a);
-            let mut best: Option<(u64, Vec<u8>)> = None;
+            let mut best: Option<(u64, &[u8])> = None;
             for idx in self.path_indices(leaf) {
-                if let Some(bucket) = self.buckets.get(&idx) {
+                if let Some(bucket) = self.buckets.get(idx) {
                     for b in bucket.real_blocks() {
                         if b.addr() == a
                             && b.leaf() == leaf
                             && best.as_ref().is_none_or(|(s, _)| b.header.seq > *s)
                         {
-                            best = Some((b.header.seq, b.payload.clone()));
+                            best = Some((b.header.seq, b.payload.as_slice()));
                         }
                     }
                 }
@@ -1396,7 +1381,7 @@ impl RingOram {
             let (bidx, slot) = self.last_round_slots[i];
             let has_block = self
                 .buckets
-                .get(&bidx)
+                .get(bidx)
                 .is_some_and(|b| b.slots[slot].is_some());
             if !has_block {
                 // Torn programming of a dummy slot has no observable
@@ -1406,7 +1391,7 @@ impl RingOram {
             let e = self.engine.device_entropy();
             if let Some(blk) = self
                 .buckets
-                .get_mut(&bidx)
+                .get_mut(bidx)
                 .and_then(|b| b.slots[slot].as_mut())
             {
                 if blk.payload.is_empty() {
@@ -1443,7 +1428,7 @@ impl RingOram {
                 .as_ref()
                 .and_then(|h| h.slot(bidx, slot).cloned());
             if let Some((content, meta)) = prev {
-                if let Some(bucket) = self.buckets.get_mut(&bidx) {
+                if let Some(bucket) = self.buckets.get_mut(bidx) {
                     bucket.slots[slot] = content;
                 }
                 if let Some(auth) = self.auth.as_mut() {
@@ -1489,12 +1474,12 @@ impl RingOram {
                         .any(|&k| self.last_round_slots[k] == c)
             };
             if (b1, s1) != (b2, s2) && !rotted((b1, s1)) && !rotted((b2, s2)) {
-                let c1 = self.buckets.get(&b1).and_then(|b| b.slots[s1].clone());
-                let c2 = self.buckets.get(&b2).and_then(|b| b.slots[s2].clone());
-                if let Some(bucket) = self.buckets.get_mut(&b1) {
+                let c1 = self.buckets.get(b1).and_then(|b| b.slots[s1].clone());
+                let c2 = self.buckets.get(b2).and_then(|b| b.slots[s2].clone());
+                if let Some(bucket) = self.buckets.get_mut(b1) {
                     bucket.slots[s1] = c2;
                 }
-                if let Some(bucket) = self.buckets.get_mut(&b2) {
+                if let Some(bucket) = self.buckets.get_mut(b2) {
                     bucket.slots[s2] = c1;
                 }
                 if let Some(auth) = self.auth.as_mut() {
@@ -1581,7 +1566,7 @@ impl RingOram {
             // convicted slot is wiped; any committed value it held is
             // restored from an authenticated redundant copy in phase 3.
             for (bidx, slot) in auth.tagged_slots_sorted() {
-                let content = self.buckets.get(&bidx).and_then(|b| b.slots[slot].as_ref());
+                let content = self.buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
                 match auth.verdict_slot(bidx, slot, content) {
                     FreshnessVerdict::Clean => {}
                     verdict => {
@@ -1592,7 +1577,7 @@ impl RingOram {
                             FreshnessVerdict::Spliced => splices_detected += 1,
                             _ => {}
                         }
-                        if let Some(bucket) = self.buckets.get_mut(&bidx) {
+                        if let Some(bucket) = self.buckets.get_mut(bidx) {
                             bucket.slots[slot] = None;
                         }
                         auth.record_slot(bidx, slot, None);
@@ -1637,14 +1622,12 @@ impl RingOram {
 
         // Pass 1: find, per address, the newest copy matching the persisted
         // PosMap — that is the copy recovery designates as live. Buckets
-        // are scanned in sorted order: the replay adversary can restore
-        // byte-exact stale duplicates whose seq numbers tie, and the
-        // winner of a tie must not depend on hash-map iteration order.
-        let mut sorted_indices: Vec<u64> = self.buckets.keys().copied().collect();
-        sorted_indices.sort_unstable();
+        // are scanned in index order (the store's iteration order): the
+        // replay adversary can restore byte-exact stale duplicates whose
+        // seq numbers tie, and the winner of a tie must be the same on
+        // every run.
         let mut best: HashMap<u64, (u64, u64, usize)> = HashMap::new();
-        for &bidx in &sorted_indices {
-            let bucket = &self.buckets[&bidx];
+        for (bidx, bucket) in self.buckets.iter() {
             for (s, slot) in bucket.slots.iter().enumerate() {
                 if let Some(b) = slot {
                     if b.leaf() == self.posmap.persisted_get(b.addr()) {
@@ -1661,10 +1644,7 @@ impl RingOram {
         // legitimate writes, so their tags are refreshed. (Per-slot
         // outcomes depend only on `best`, but the scan stays sorted so
         // any future side effects inherit determinism.)
-        for &bidx in &sorted_indices {
-            let Some(bucket) = self.buckets.get_mut(&bidx) else {
-                continue;
-            };
+        for (bidx, bucket) in self.buckets.iter_mut() {
             for (s, slot) in bucket.slots.iter_mut().enumerate() {
                 if let Some(b) = slot {
                     let leaf = self.posmap.persisted_get(b.addr());
@@ -1706,7 +1686,7 @@ impl RingOram {
                         let mut promoted = copy;
                         if promoted.is_backup {
                             promoted.is_backup = false;
-                            if let Some(bucket) = self.buckets.get_mut(&bidx) {
+                            if let Some(bucket) = self.buckets.get_mut(bidx) {
                                 bucket.slots[s] = Some(promoted.clone());
                             }
                             auth.record_slot(bidx, s, Some(&promoted));
@@ -1767,7 +1747,7 @@ impl RingOram {
                 let leaf = self.posmap.persisted_get(addr);
                 let mut best: Option<&Block> = None;
                 for idx in self.path_indices(leaf) {
-                    if let Some(bucket) = self.buckets.get(&idx) {
+                    if let Some(bucket) = self.buckets.get(idx) {
                         for b in bucket.slots.iter().flatten() {
                             if b.addr() == addr
                                 && b.leaf() == leaf
@@ -1789,10 +1769,7 @@ impl RingOram {
     /// Deterministic: buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<(u64, usize, Block)> {
         let mut best: Option<(u64, usize, &Block)> = None;
-        let mut indices: Vec<u64> = self.buckets.keys().copied().collect();
-        indices.sort_unstable();
-        for bidx in indices {
-            let bucket = &self.buckets[&bidx];
+        for (bidx, bucket) in self.buckets.iter() {
             for (s, slot) in bucket.slots.iter().enumerate() {
                 if let Some(b) = slot {
                     if b.addr() == addr
@@ -1826,7 +1803,7 @@ impl RingOram {
                 let leaf = self.posmap.persisted_get(addr);
                 let mut best: Option<&Block> = None;
                 for idx in self.path_indices(leaf) {
-                    if let Some(bucket) = self.buckets.get(&idx) {
+                    if let Some(bucket) = self.buckets.get(idx) {
                         for b in bucket.slots.iter().flatten() {
                             if b.addr() == addr
                                 && b.leaf() == leaf

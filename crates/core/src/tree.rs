@@ -1,16 +1,25 @@
 //! The NVM-resident ORAM tree, stored sparsely.
 
-use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
-
 use crate::block::Block;
 use crate::bucket::Bucket;
+use crate::paged::PagedTable;
 use crate::types::{Leaf, OramConfig};
 
 /// Index of a bucket in heap order: the root is `0`, the node at depth `d`,
 /// position `i` is `2^d - 1 + i`.
 pub type BucketIndex = u64;
+
+/// The one bucket store under every tree ORAM in this crate: buckets of
+/// type `B` ([`Bucket`] for Path, `RingBucket` for Ring) in a lazily-paged
+/// table indexed by heap position — the flat NVM region of the paper's
+/// hardware, minus the pages nothing was ever written to.
+///
+/// A bucket that was never written is absent and reads as all-dummy.
+/// "Materialised" is tracked per bucket, not per page: a page holds
+/// sixteen heap neighbours, and state digests, the retro-tag sweep and
+/// recovery's scans must visit exactly the buckets a write created, in
+/// index order (which is the store's iteration order).
+pub(crate) type TreeStore<B> = PagedTable<B>;
 
 /// The external (NVM) ORAM tree.
 ///
@@ -31,7 +40,7 @@ pub type BucketIndex = u64;
 /// assert_eq!(path.len(), cfg.levels as usize + 1);
 /// assert_eq!(path[0], 0); // root first
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OramTree {
     levels: u32,
     bucket_slots: usize,
@@ -39,7 +48,7 @@ pub struct OramTree {
     /// Byte offset of this tree inside the simulated NVM address space
     /// (recursive PosMap trees live above the data tree).
     base_addr: u64,
-    buckets: HashMap<BucketIndex, Bucket>,
+    buckets: TreeStore<Bucket>,
 }
 
 impl OramTree {
@@ -55,7 +64,7 @@ impl OramTree {
             bucket_slots,
             block_bytes,
             base_addr,
-            buckets: HashMap::new(),
+            buckets: TreeStore::default(),
         }
     }
 
@@ -134,19 +143,10 @@ impl OramTree {
         self.base_addr + (bucket * self.bucket_slots as u64 + slot as u64) * self.block_bytes as u64
     }
 
-    /// Immutable bucket view; unmaterialized buckets read as all-dummy.
-    pub fn bucket(&self, idx: BucketIndex) -> Bucket {
-        debug_assert!(idx < self.num_buckets());
-        self.buckets
-            .get(&idx)
-            .cloned()
-            .unwrap_or_else(|| Bucket::new(self.bucket_slots))
-    }
-
     /// Borrowed view of a materialized bucket; `None` reads as all-dummy.
     pub fn bucket_ref(&self, idx: BucketIndex) -> Option<&Bucket> {
         debug_assert!(idx < self.num_buckets());
-        self.buckets.get(&idx)
+        self.buckets.get(idx)
     }
 
     /// Borrowed view of one slot; dummy and unmaterialized slots are `None`.
@@ -162,7 +162,7 @@ impl OramTree {
     pub fn bucket_mut(&mut self, idx: BucketIndex) -> &mut Bucket {
         debug_assert!(idx < self.num_buckets());
         let z = self.bucket_slots;
-        self.buckets.entry(idx).or_insert_with(|| Bucket::new(z))
+        self.buckets.get_or_insert_with(idx, || Bucket::new(z))
     }
 
     /// Removes (returns) every real block on the path to `leaf`, leaving the
@@ -171,20 +171,8 @@ impl OramTree {
     pub fn take_path(&mut self, leaf: Leaf) -> Vec<Block> {
         let mut out = Vec::new();
         for idx in self.path_indices(leaf) {
-            if let Some(bucket) = self.buckets.get_mut(&idx) {
+            if let Some(bucket) = self.buckets.get_mut(idx) {
                 out.extend(bucket.take_blocks());
-            }
-        }
-        out
-    }
-
-    /// Reads (clones) every real block on the path to `leaf` without
-    /// modifying the tree.
-    pub fn read_path(&self, leaf: Leaf) -> Vec<Block> {
-        let mut out = Vec::new();
-        for idx in self.path_indices(leaf) {
-            if let Some(bucket) = self.buckets.get(&idx) {
-                out.extend(bucket.blocks().cloned());
             }
         }
         out
@@ -200,7 +188,7 @@ impl OramTree {
     /// was corrupted.
     pub(crate) fn corrupt_first_real_block(&mut self, leaf: Leaf) -> bool {
         for idx in self.path_indices(leaf) {
-            let Some(bucket) = self.buckets.get_mut(&idx) else {
+            let Some(bucket) = self.buckets.get_mut(idx) else {
                 continue;
             };
             for slot in 0..bucket.num_slots() {
@@ -221,30 +209,19 @@ impl OramTree {
 
     /// Total real blocks currently stored in the tree.
     pub fn real_blocks(&self) -> usize {
-        self.buckets.values().map(Bucket::occupancy).sum()
+        self.buckets.iter().map(|(_, b)| b.occupancy()).sum()
     }
 
-    /// Indices of all materialized buckets, sorted — for deterministic
-    /// whole-tree scans (tag audits, state digests).
-    pub fn materialized_indices(&self) -> Vec<BucketIndex> {
-        let mut v: Vec<BucketIndex> = self.buckets.keys().copied().collect();
-        v.sort_unstable();
-        v
+    /// Every materialized bucket with its index, in ascending index order
+    /// — for deterministic whole-tree scans (tag audits, state digests).
+    pub fn materialized(&self) -> impl Iterator<Item = (BucketIndex, &Bucket)> {
+        self.buckets.iter()
     }
 
-    /// Searches the path to `leaf` for a non-backup block with address
-    /// `addr`, returning a clone.
-    pub fn find_on_path(&self, leaf: Leaf, addr: crate::types::BlockAddr) -> Option<Block> {
-        for idx in self.path_indices(leaf) {
-            if let Some(bucket) = self.buckets.get(&idx) {
-                for b in bucket.blocks() {
-                    if b.addr() == addr {
-                        return Some(b.clone());
-                    }
-                }
-            }
-        }
-        None
+    /// Number of store pages backing the materialized buckets — with
+    /// [`OramTree::materialized_buckets`], the footprint of a sparse tree.
+    pub fn materialized_pages(&self) -> usize {
+        self.buckets.pages()
     }
 }
 
@@ -290,20 +267,38 @@ mod tests {
     #[test]
     fn unmaterialized_buckets_read_all_dummy() {
         let t = tree();
-        assert!(t.bucket(12).is_empty());
+        assert!(t.bucket_ref(12).is_none());
+        assert!(t.slot_ref(12, 3).is_none());
         assert_eq!(t.materialized_buckets(), 0);
+        assert_eq!(t.materialized_pages(), 0);
     }
 
     #[test]
-    fn write_then_read_path_roundtrips() {
+    fn write_then_borrowed_read_roundtrips() {
         let mut t = tree();
         let leaf = Leaf(9);
         let idx = t.bucket_at(leaf, 3);
         t.write_slot(idx, 0, Some(Block::new(BlockAddr(42), leaf, vec![7; 8])));
-        let found = t.read_path(leaf);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].addr(), BlockAddr(42));
+        assert_eq!(t.slot_ref(idx, 0).map(Block::addr), Some(BlockAddr(42)));
+        assert!(t.slot_ref(idx, 1).is_none());
         assert_eq!(t.real_blocks(), 1);
+    }
+
+    #[test]
+    fn materialized_counts_written_buckets_only_and_lists_them_in_order() {
+        let mut t = tree();
+        // A dummy write materializes its bucket; its page neighbours stay
+        // absent even though they now share an allocated page.
+        for idx in [40, 3, 41, 126] {
+            t.write_slot(idx, 1, None);
+        }
+        assert_eq!(t.materialized_buckets(), 4);
+        assert!(t.bucket_ref(42).is_none());
+        let listed: Vec<BucketIndex> = t.materialized().map(|(i, _)| i).collect();
+        assert_eq!(listed, vec![3, 40, 41, 126]);
+        // Emptying a path keeps its buckets materialized (all-dummy).
+        t.take_path(Leaf(63));
+        assert_eq!(t.materialized_buckets(), 4);
     }
 
     #[test]
@@ -340,19 +335,6 @@ mod tests {
     fn region_bytes_matches_geometry() {
         let t = tree();
         assert_eq!(t.region_bytes(), 127 * 4 * 64);
-    }
-
-    #[test]
-    fn find_on_path_sees_blocks_at_any_depth() {
-        let mut t = tree();
-        let leaf = Leaf(20);
-        t.write_slot(
-            t.bucket_at(leaf, 0),
-            2,
-            Some(Block::new(BlockAddr(5), leaf, vec![1; 8])),
-        );
-        assert!(t.find_on_path(leaf, BlockAddr(5)).is_some());
-        assert!(t.find_on_path(leaf, BlockAddr(6)).is_none());
     }
 
     #[test]

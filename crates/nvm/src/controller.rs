@@ -4,6 +4,7 @@ use psoram_obsv::{Event, Tap};
 use serde::{Deserialize, Serialize};
 
 use crate::channel::Channel;
+use crate::lines::LineCounters;
 use crate::request::AccessKind;
 use crate::stats::NvmStats;
 use crate::timing::{MemTech, TimingParams};
@@ -113,9 +114,10 @@ pub struct NvmController {
     stats: NvmStats,
     /// Buffered (acknowledged but not yet drained) writes: `(addr, bytes)`.
     write_buffer: std::collections::VecDeque<(u64, usize)>,
-    /// Per-line (block-granularity) lifetime write counts. Queries sort,
-    /// so the map stays deterministic despite the hash layout.
-    line_writes: std::collections::HashMap<u64, u64>,
+    /// Per-line (block-granularity) lifetime write counts. The counters
+    /// keep no order of their own; every query that lists lines sorts its
+    /// result, which is what makes the reports deterministic.
+    line_writes: LineCounters,
     /// Writes drained from the buffer (observability).
     drained_writes: u64,
     /// Observability tap (bank-level `NvmAccess` events, memory cycles).
@@ -140,7 +142,7 @@ impl NvmController {
             channels,
             stats: NvmStats::default(),
             write_buffer: std::collections::VecDeque::new(),
-            line_writes: std::collections::HashMap::new(),
+            line_writes: LineCounters::default(),
             drained_writes: 0,
             tap: Tap::detached(),
         }
@@ -183,8 +185,8 @@ impl NvmController {
         if kind.is_write() {
             // Line-granularity wear accounting: one cell-programming pulse
             // per accepted write, whether it drains now or via the buffer.
-            let line = addr / self.config.block_bytes as u64;
-            *self.line_writes.entry(line).or_insert(0) += 1;
+            self.line_writes
+                .record(addr / self.config.block_bytes as u64);
         }
         // Read-priority write buffering: acknowledged writes park in the
         // buffer; they drain to the banks when the buffer crosses its high
@@ -303,18 +305,18 @@ impl NvmController {
     }
 
     /// The `n` most-written lines as `(line, writes)`, hottest first
-    /// (ties break toward the lowest line). Deterministic: the backing
-    /// map is sorted on every query.
+    /// (ties break toward the lowest line). Deterministic: the listing is
+    /// sorted on every query.
     pub fn hottest_lines(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.line_writes.iter().map(|(&l, &w)| (l, w)).collect();
-        all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut all: Vec<(u64, u64)> = self.line_writes.iter().collect();
+        all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(n);
         all
     }
 
     /// Distinct lines written at least once.
     pub fn lines_touched(&self) -> u64 {
-        self.line_writes.len() as u64
+        self.line_writes.touched()
     }
 
     /// Snapshot of the controller's wear skew: per-bank counts plus the

@@ -37,6 +37,7 @@ mod bank;
 mod channel;
 mod controller;
 pub mod fault;
+mod lines;
 pub mod onchip;
 mod request;
 mod stats;

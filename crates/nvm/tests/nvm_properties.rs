@@ -39,6 +39,47 @@ proptest! {
         prop_assert!(t4 <= t1, "4ch {t4} slower than 1ch {t1}");
     }
 
+    /// The paged line counters report what the `HashMap<line, writes>`
+    /// they replaced reported, for arbitrary addresses: runs of
+    /// neighbouring lines (shared pages, the last-page memo), lines at
+    /// the top of the address space (line numbers are not bounded), and
+    /// reads in between (which wear nothing).
+    #[test]
+    fn line_wear_matches_a_hash_map_of_counts(
+        accesses in prop::collection::vec(
+            (any::<bool>(), 0u64..4, 0u64..40, any::<u64>(), 0u8..4),
+            1..300,
+        ),
+        hot_n in 0usize..12,
+    ) {
+        let mut nvm = NvmController::new(NvmConfig::paper_pcm(2));
+        let mut model: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        for (is_write, region, near, anywhere, shape) in accesses {
+            let addr = match shape {
+                // Four far-apart neighbourhoods, the last two at and above 2^54.
+                0..=2 => [0, 1 << 30, 1 << 54, u64::MAX - 4095][region as usize] + near * 64 + 7,
+                _ => anywhere,
+            };
+            if is_write {
+                nvm.access(addr, AccessKind::Write, 0);
+                *model.entry(addr / 64).or_insert(0) += 1;
+            } else {
+                nvm.access(addr, AccessKind::Read, 0);
+            }
+        }
+        let mut expected: Vec<(u64, u64)> = model.iter().map(|(&l, &w)| (l, w)).collect();
+        // Hottest first; ties toward the lowest line.
+        expected.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(nvm.lines_touched(), model.len() as u64);
+        prop_assert_eq!(nvm.hottest_lines(usize::MAX), expected.clone());
+        expected.truncate(hot_n);
+        prop_assert_eq!(nvm.hottest_lines(hot_n), expected.clone());
+        let report = nvm.wear_report(hot_n);
+        prop_assert_eq!(report.lines_touched, model.len() as u64);
+        prop_assert_eq!(report.max_line_writes, expected.first().map_or(0, |&(_, w)| w));
+        prop_assert_eq!(report.hottest_lines, expected);
+    }
+
     /// Address mapping is deterministic and in range.
     #[test]
     fn address_mapping_in_range(addr in any::<u64>(), channels in 1usize..5) {

@@ -19,7 +19,7 @@ fn render_tree(oram: &PathOram, path_leaf: Option<Leaf>) {
         let mut row = String::new();
         for i in 0..nodes {
             let idx = nodes - 1 + i;
-            let occ = tree.bucket(idx).occupancy();
+            let occ = tree.bucket_ref(idx).map_or(0, |b| b.occupancy());
             let mark = if on_path.contains(&idx) { '*' } else { ' ' };
             row.push_str(&format!(
                 "{:^width$}",

@@ -10,7 +10,7 @@ use psoram_crypto::{Aes128, CtrCipher, ReferenceAes128};
 
 fn bench_aes_single_block(c: &mut Criterion) {
     let reference = ReferenceAes128::new(&[7u8; 16]);
-    let ttable = Aes128::new(&[7u8; 16]);
+    let ttable = Aes128::portable(&[7u8; 16]);
     let block = [0x5Au8; 16];
     c.bench_function("aes128_block_reference", |b| {
         b.iter(|| black_box(reference.encrypt_block(black_box(&block))));

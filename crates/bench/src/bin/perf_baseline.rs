@@ -208,7 +208,7 @@ fn main() {
 
     eprintln!("[aes: {aes_blocks} blocks, reference vs T-table]");
     let reference = ReferenceAes128::new(&[0x11; 16]);
-    let ttable = Aes128::new(&[0x11; 16]);
+    let ttable = Aes128::portable(&[0x11; 16]);
     let ref_bps = time_blocks(aes_blocks, |b| reference.encrypt_block(b));
     let tt_bps = time_blocks(aes_blocks, |b| ttable.encrypt_block(b));
 

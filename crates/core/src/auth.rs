@@ -22,12 +22,21 @@
 //!   unit's counter in O(1): the unit's old digest is XORed out of its
 //!   tree-level aggregate and the new one XORed in, so the root is a pure
 //!   function of the final counter map — independent of persist order.
-//! * [`AuthTags`] — the verification front end. [`AuthTags::verdict_slot`]
+//! * [`AuthTags`] — the verification front end. [`AuthTags::verdict_slots`]
 //!   classifies what it reads back: `Tampered` (tag mismatch — media
 //!   damage), `Spliced` (authentic record for a *different* address),
 //!   `Stale` (authentic record whose counter lags the trusted one — a
 //!   replay), `Missing` (trusted counter exists but the record is gone —
 //!   rollback to genesis), or `Clean`.
+//!
+//! The slots of a bucket (of a path, of a round) are MACed independently,
+//! so the layer works on many at a time: [`CounterTree::bump_slots`],
+//! [`AuthTags::record_slots`] and [`AuthTags::verdict_slots`] frame up to
+//! [`LANES`] units on the stack and send them through
+//! [`Cmac::tag_lanes`] together. The one-unit calls (`bump_slot`,
+//! `record_slot`, `verdict_slot`, `classify_served_slot`) are the same
+//! code with one lane occupied, and every tag, digest and root is the
+//! RFC 4493 output it always was.
 //!
 //! The temporary PosMap seal is unchanged from PR-5: it models an on-chip
 //! rolling seal and is not replayable in this model.
@@ -36,12 +45,15 @@
 
 use std::collections::HashMap;
 
-use psoram_crypto::{Aes128, Cmac, CmacStream};
+use psoram_crypto::{Aes128, Cmac, CmacStream, Frame};
 
 use crate::block::Block;
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
 use crate::unit_table::UnitTable;
+
+/// Units framed and MACed side by side per pass.
+const LANES: usize = Cmac::LANES;
 
 /// CMAC domain byte for tree-slot records.
 const DOMAIN_SLOT: u8 = 0x51;
@@ -61,45 +73,33 @@ const KIND_SLOT: u8 = 0x01;
 /// Counter-digest unit kind: a persisted PosMap entry.
 const KIND_POSMAP: u8 = 0x02;
 
-/// A fixed-width MAC input under construction: little-endian fields
-/// appended back to back, no length words. Every message built this way
-/// starts with its domain byte and has a layout fully determined by the
-/// bytes before each field, which is what makes the encodings injective
-/// (DESIGN.md §10 and §11 walk each layout).
-struct Frame<const N: usize> {
-    buf: [u8; N],
-    len: usize,
+/// Starts a fixed-width MAC input: little-endian fields appended back to
+/// back, no length words. Every message built this way starts with its
+/// domain byte and has a layout fully determined by the bytes before each
+/// field, which is what makes the encodings injective (DESIGN.md §10 and
+/// §11 walk each layout).
+fn frame<const BLOCKS: usize>(domain: u8) -> Frame<BLOCKS> {
+    let mut f = Frame::new();
+    f.byte(domain);
+    f
 }
 
-impl<const N: usize> Frame<N> {
-    fn new(domain: u8) -> Self {
-        let mut f = Frame {
-            buf: [0u8; N],
-            len: 0,
-        };
-        f.byte(domain);
-        f
-    }
+/// A slot-tag frame: room for everything of a real slot but the payload
+/// (75 B) in whole AES blocks.
+type SlotFrame = Frame<5>;
+/// A counter-digest frame (26 B for a slot, 18 B for a PosMap entry).
+type DigestFrame = Frame<2>;
 
-    fn byte(&mut self, b: u8) {
-        self.buf[self.len] = b;
-        self.len += 1;
-    }
+/// What a slot record claims to cover: the identity and counter it was
+/// written under, and the content found with it.
+type SlotClaim<'a> = ((u64, u64), u64, Option<&'a Block>);
 
-    fn word(&mut self, w: u64) {
-        self.buf[self.len..self.len + 8].copy_from_slice(&w.to_le_bytes());
-        self.len += 8;
-    }
+/// One tree slot and the content read back from, or about to be written
+/// to, it.
+pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<&'a Block>);
 
-    fn bytes(&self) -> &[u8] {
-        &self.buf[..self.len]
-    }
-}
-
-/// Widest slot-tag frame: everything of a real slot but the payload.
-const SLOT_FRAME_BYTES: usize = 75;
-
-/// Feeds `sink` the MAC input of a tree-slot record:
+/// The fixed part of the MAC input of a tree-slot record; a real block's
+/// payload (see [`payload_of`]) follows it:
 ///
 /// ```text
 /// dummy: 0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xD5                        (26 B)
@@ -109,16 +109,13 @@ const SLOT_FRAME_BYTES: usize = 75;
 ///
 /// The dummy marker keeps "slot emptied" distinct from any real block,
 /// and the length word keeps a payload from sliding into a longer one.
-fn encode_slot(src: (u64, u64), ctr: u64, content: Option<&Block>, mut sink: impl FnMut(&[u8])) {
-    let mut f = Frame::<SLOT_FRAME_BYTES>::new(DOMAIN_SLOT);
+fn slot_frame((src, ctr, content): SlotClaim<'_>) -> SlotFrame {
+    let mut f = frame(DOMAIN_SLOT);
     f.word(src.0);
     f.word(src.1);
     f.word(ctr);
     match content {
-        None => {
-            f.byte(MARK_DUMMY);
-            sink(f.bytes());
-        }
+        None => f.byte(MARK_DUMMY),
         Some(b) => {
             f.byte(MARK_REAL);
             f.word(b.header.addr.0);
@@ -128,11 +125,37 @@ fn encode_slot(src: (u64, u64), ctr: u64, content: Option<&Block>, mut sink: imp
             f.word(b.header.seq);
             f.byte(b.is_backup as u8);
             f.word(b.payload.len() as u64);
-            sink(f.bytes());
-            sink(&b.payload);
         }
     }
+    f
 }
+
+/// The borrowed tail of a slot record's MAC input: nothing for a dummy.
+fn payload_of(content: Option<&Block>) -> &[u8] {
+    content.map_or(&[], |b| &b.payload)
+}
+
+/// Hands `each` the items of `units` in runs of up to [`LANES`], gathered
+/// on the stack.
+fn in_lanes<T: Copy + Default>(units: impl IntoIterator<Item = T>, mut each: impl FnMut(&[T])) {
+    let mut run = [T::default(); LANES];
+    let mut n = 0;
+    for unit in units {
+        run[n] = unit;
+        n += 1;
+        if n == LANES {
+            each(&run);
+            n = 0;
+        }
+    }
+    if n > 0 {
+        each(&run[..n]);
+    }
+}
+
+/// A slot as served: its coordinates, the content read, and the record
+/// that came with it (`None`: no record was found).
+type ServedUnit<'a> = (BucketIndex, usize, Option<&'a Block>, Option<&'a UnitMeta>);
 
 /// A stale snapshot the adversary re-serves on the fetch wire: the
 /// unit's coordinates plus the `(content, record)` pair as they stood
@@ -274,19 +297,20 @@ impl CounterTree {
         (bucket + 1).ilog2() as usize
     }
 
-    /// `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr` (26 B).
-    fn slot_digest(cmac: &Cmac, bucket: u64, slot: usize, ctr: u64) -> u128 {
-        let mut f = Frame::<26>::new(DOMAIN_CTR);
+    /// `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr` (26 B): the MAC input of a
+    /// slot's digest.
+    fn slot_digest_frame(bucket: u64, slot: usize, ctr: u64) -> DigestFrame {
+        let mut f = frame(DOMAIN_CTR);
         f.byte(KIND_SLOT);
         f.word(bucket);
         f.word(slot as u64);
         f.word(ctr);
-        u128::from_le_bytes(cmac.tag(f.bytes()))
+        f
     }
 
     /// `0xC7 ‖ 0x02 ‖ addr ‖ ctr` (18 B).
     fn posmap_digest(cmac: &Cmac, addr: u64, ctr: u64) -> u128 {
-        let mut f = Frame::<18>::new(DOMAIN_CTR);
+        let mut f: DigestFrame = frame(DOMAIN_CTR);
         f.byte(KIND_POSMAP);
         f.word(addr);
         f.word(ctr);
@@ -296,17 +320,49 @@ impl CounterTree {
     /// Bumps the counter of tree slot `(bucket, slot)` and returns the
     /// new value. O(1): only the slot's level aggregate changes.
     pub fn bump_slot(&mut self, bucket: u64, slot: usize) -> u64 {
-        let level = Self::level_of(bucket);
-        if self.levels.len() <= level {
-            self.levels.resize(level + 1, 0);
+        let mut ctr = [0];
+        self.bump_slots(&[(bucket, slot)], &mut ctr);
+        ctr[0]
+    }
+
+    /// Bumps the counter of every `(bucket, slot)` of `units`, in order,
+    /// writing the new values to `ctrs`: exactly a [`Self::bump_slot`] per
+    /// unit (a unit listed twice is bumped twice), with the digests
+    /// computed up to [`Cmac::LANES`] at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `units` and `ctrs` differ in length.
+    pub fn bump_slots(&mut self, units: &[(u64, usize)], ctrs: &mut [u64]) {
+        assert_eq!(units.len(), ctrs.len(), "one counter per unit");
+        for (units, ctrs) in units.chunks(LANES).zip(ctrs.chunks_mut(LANES)) {
+            // Counters first, so a repeated unit sees its earlier bump.
+            let mut frames = [DigestFrame::new(); LANES];
+            for ((&(bucket, slot), ctr), frame) in units.iter().zip(&mut *ctrs).zip(&mut frames) {
+                let unit = self.slots.cell_mut(bucket, slot);
+                let (prev, folded) = unit.unwrap_or((0, 0));
+                *ctr = prev + 1;
+                *unit = Some((*ctr, folded));
+                *frame = Self::slot_digest_frame(bucket, slot, *ctr);
+            }
+            let msgs: [(&DigestFrame, &[u8]); LANES] =
+                std::array::from_fn(|i| (&frames[i], &[][..]));
+            let mut digests = [[0u8; 16]; LANES];
+            self.cmac
+                .tag_lanes(&msgs[..units.len()], &mut digests[..units.len()]);
+            // Fold: each unit's previously folded digest out, its new one in.
+            for (&(bucket, slot), digest) in units.iter().zip(digests) {
+                let level = Self::level_of(bucket);
+                if self.levels.len() <= level {
+                    self.levels.resize(level + 1, 0);
+                }
+                if let Some((_, folded)) = self.slots.cell_mut(bucket, slot) {
+                    let digest = u128::from_le_bytes(digest);
+                    self.levels[level] ^= *folded ^ digest;
+                    *folded = digest;
+                }
+            }
         }
-        let unit = self.slots.cell_mut(bucket, slot);
-        let (prev, out) = unit.unwrap_or((0, 0));
-        let next = prev + 1;
-        let digest = Self::slot_digest(&self.cmac, bucket, slot, next);
-        self.levels[level] ^= out ^ digest;
-        *unit = Some((next, digest));
-        next
     }
 
     /// Bumps the counter of PosMap address `addr` and returns the new
@@ -439,17 +495,25 @@ impl AuthTags {
         }
     }
 
-    /// The MAC over a slot record, ready to `finalize` into a fresh tag
-    /// or `verify` against a stored one.
-    fn slot_mac(&self, src: (u64, u64), ctr: u64, content: Option<&Block>) -> CmacStream<'_> {
-        let mut s = self.cmac.stream();
-        encode_slot(src, ctr, content, |bytes| s.update(bytes));
-        s
+    /// The tags of up to [`LANES`] slot claims, MACed side by side: each
+    /// claim framed on the stack, its payload borrowed where it lies.
+    fn slot_tags(&self, claims: &[SlotClaim<'_>], tags: &mut [[u8; 16]]) {
+        let mut frames = [SlotFrame::new(); LANES];
+        for (frame, &claim) in frames.iter_mut().zip(claims) {
+            *frame = slot_frame(claim);
+        }
+        let msgs: [(&SlotFrame, &[u8]); LANES] = std::array::from_fn(|i| {
+            let content = claims.get(i).and_then(|&(_, _, content)| content);
+            (&frames[i], payload_of(content))
+        });
+        self.cmac.tag_lanes(&msgs[..claims.len()], tags);
     }
 
-    /// Same for a PosMap record: `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
+    /// The MAC over a PosMap record, ready to `finalize` into a fresh tag
+    /// or `verify` against a stored one:
+    /// `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
     fn posmap_mac(&self, src: (u64, u64), ctr: u64, leaf: u64) -> CmacStream<'_> {
-        let mut f = Frame::<33>::new(DOMAIN_POSMAP);
+        let mut f: Frame<3> = frame(DOMAIN_POSMAP);
         f.word(src.0);
         f.word(src.1);
         f.word(ctr);
@@ -462,10 +526,47 @@ impl AuthTags {
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
     /// trusted counter and stores a fresh off-chip record.
     pub fn record_slot(&mut self, bucket: BucketIndex, slot: usize, content: Option<&Block>) {
-        let ctr = self.ctrs.bump_slot(bucket, slot);
-        let src = (bucket, slot as u64);
-        let tag = self.slot_mac(src, ctr, content).finalize();
-        *self.slots.cell_mut(bucket, slot) = Some(UnitMeta { ctr, src, tag });
+        self.record_slots([(bucket, slot, content)]);
+    }
+
+    /// Records every unit of `units`, up to [`LANES`] counter digests and
+    /// then as many tags at a time.
+    ///
+    /// The units of one call must be pairwise distinct. The records
+    /// themselves would come out right either way (a repeated unit is
+    /// bumped twice and keeps its later record), but callers snapshot the
+    /// whole batch's previous versions *before* recording any of it, which
+    /// is only the per-unit order when no unit repeats.
+    pub fn record_slots<'a>(&mut self, units: impl IntoIterator<Item = SlotUnit<'a>>) {
+        #[cfg(debug_assertions)]
+        let mut seen: Vec<(BucketIndex, usize)> = Vec::new();
+        in_lanes(units, |units| {
+            #[cfg(debug_assertions)]
+            for &(bucket, slot, _) in units {
+                assert!(
+                    !seen.contains(&(bucket, slot)),
+                    "a batch records each unit once"
+                );
+                seen.push((bucket, slot));
+            }
+            let mut ids = [(0, 0); LANES];
+            for (id, &(bucket, slot, _)) in ids.iter_mut().zip(units) {
+                *id = (bucket, slot);
+            }
+            let mut ctrs = [0; LANES];
+            self.ctrs
+                .bump_slots(&ids[..units.len()], &mut ctrs[..units.len()]);
+            let mut claims: [SlotClaim<'_>; LANES] = [((0, 0), 0, None); LANES];
+            for ((claim, &(bucket, slot, content)), &ctr) in claims.iter_mut().zip(units).zip(&ctrs)
+            {
+                *claim = ((bucket, slot as u64), ctr, content);
+            }
+            let mut tags = [[0u8; 16]; LANES];
+            self.slot_tags(&claims[..units.len()], &mut tags[..units.len()]);
+            for (&(src, ctr, _), tag) in claims[..units.len()].iter().zip(tags) {
+                *self.slots.cell_mut(src.0, src.1 as usize) = Some(UnitMeta { ctr, src, tag });
+            }
+        });
     }
 
     /// Classifies `(bucket, slot)` against `content`, worst evidence
@@ -480,6 +581,50 @@ impl AuthTags {
         self.classify_served_slot(bucket, slot, content, self.slots.get(bucket, slot))
     }
 
+    /// [`Self::verdict_slot`] over every unit of `units` — a bucket's
+    /// slots, a path's, whatever was read together — handing `each` the
+    /// verdicts in order, with the tags recomputed up to [`LANES`] at a
+    /// time.
+    pub fn verdict_slots<'a>(
+        &self,
+        units: impl IntoIterator<Item = SlotUnit<'a>>,
+        mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
+    ) {
+        in_lanes(units, |units| {
+            let mut served: [ServedUnit<'_>; LANES] = [(0, 0, None, None); LANES];
+            for (served, &(bucket, slot, content)) in served.iter_mut().zip(units) {
+                *served = (bucket, slot, content, self.slots.get(bucket, slot));
+            }
+            let mut verdicts = [FreshnessVerdict::Clean; LANES];
+            self.classify_lanes(&served[..units.len()], &mut verdicts);
+            for (&(bucket, slot, _), verdict) in units.iter().zip(verdicts) {
+                each(bucket, slot, verdict);
+            }
+        });
+    }
+
+    /// The fetch-path check over the units read together, `served` being
+    /// what the wire delivered in place of one of them, if anything: that
+    /// unit is judged by the `(content, record)` pair served, every other
+    /// by what is stored. Returns the fault class of the first stored unit
+    /// (in order) that is not `Clean`, and the served unit's verdict.
+    pub fn verdict_fetched<'a>(
+        &self,
+        units: impl IntoIterator<Item = SlotUnit<'a>>,
+        served: Option<&StaleServe>,
+    ) -> (Option<psoram_nvm::FaultClass>, FreshnessVerdict) {
+        let mut convicted = None;
+        let mut wire = FreshnessVerdict::Clean;
+        self.verdict_slots(units, |bucket, slot, verdict| match served {
+            Some((unit, content, meta)) if *unit == (bucket, slot) => {
+                wire = self.classify_served_slot(bucket, slot, content.as_ref(), meta.as_ref());
+            }
+            _ if convicted.is_none() => convicted = verdict.fault_class(),
+            _ => {}
+        });
+        (convicted, wire)
+    }
+
     /// Classifies an arbitrary served `(content, record)` pair claiming
     /// to be `(bucket, slot)` — the fetch-path wire check, where the
     /// record under test is whatever the device *served*, not the
@@ -491,25 +636,45 @@ impl AuthTags {
         content: Option<&Block>,
         rec: Option<&UnitMeta>,
     ) -> FreshnessVerdict {
-        match rec {
-            None => {
-                if self.ctrs.slot_ctr(bucket, slot).is_some() {
-                    FreshnessVerdict::Missing
-                } else {
-                    FreshnessVerdict::Clean
-                }
+        let mut verdict = [FreshnessVerdict::Clean];
+        self.classify_lanes(&[(bucket, slot, content, rec)], &mut verdict);
+        verdict[0]
+    }
+
+    /// The verdict ladder over up to [`LANES`] served units: what each
+    /// record claims to cover is MACed side by side, then every unit is
+    /// judged on its own, worst evidence first.
+    fn classify_lanes(&self, units: &[ServedUnit<'_>], verdicts: &mut [FreshnessVerdict]) {
+        let mut claims: [SlotClaim<'_>; LANES] = [((0, 0), 0, None); LANES];
+        let mut claimed = 0;
+        for &(_, _, content, rec) in units {
+            if let Some(m) = rec {
+                claims[claimed] = (m.src, m.ctr, content);
+                claimed += 1;
             }
-            Some(m) => {
-                if !self.slot_mac(m.src, m.ctr, content).verify(&m.tag) {
-                    FreshnessVerdict::Tampered
-                } else if m.src != (bucket, slot as u64) {
-                    FreshnessVerdict::Spliced
-                } else if Some(m.ctr) != self.ctrs.slot_ctr(bucket, slot) {
-                    FreshnessVerdict::Stale
-                } else {
-                    FreshnessVerdict::Clean
-                }
-            }
+        }
+        let mut tags = [[0u8; 16]; LANES];
+        self.slot_tags(&claims[..claimed], &mut tags[..claimed]);
+        let mut tags = tags[..claimed].iter();
+        for (&(bucket, slot, _, rec), verdict) in units.iter().zip(verdicts) {
+            let trusted = self.ctrs.slot_ctr(bucket, slot);
+            *verdict = match rec {
+                None if trusted.is_some() => FreshnessVerdict::Missing,
+                None => FreshnessVerdict::Clean,
+                // One recomputed tag per record, in unit order.
+                Some(m) => match tags.next() {
+                    Some(tag) if Cmac::tags_match(tag, &m.tag) => {
+                        if m.src != (bucket, slot as u64) {
+                            FreshnessVerdict::Spliced
+                        } else if Some(m.ctr) != trusted {
+                            FreshnessVerdict::Stale
+                        } else {
+                            FreshnessVerdict::Clean
+                        }
+                    }
+                    _ => FreshnessVerdict::Tampered,
+                },
+            };
         }
     }
 
@@ -860,8 +1025,8 @@ mod tests {
 
     /// The MAC input bytes of a slot record, collected instead of MACed.
     fn encoded(src: (u64, u64), ctr: u64, content: Option<&Block>) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_slot(src, ctr, content, |bytes| out.extend_from_slice(bytes));
+        let mut out = slot_frame((src, ctr, content)).bytes().to_vec();
+        out.extend_from_slice(payload_of(content));
         out
     }
 
@@ -912,7 +1077,8 @@ mod tests {
         };
         for (bucket, slot) in tree.tracked_slots_sorted() {
             let ctr = tree.slot_ctr(bucket, slot).unwrap_or(0);
-            let digest = CounterTree::slot_digest(&fresh.cmac, bucket, slot, ctr);
+            let frame = CounterTree::slot_digest_frame(bucket, slot, ctr);
+            let digest = u128::from_le_bytes(fresh.cmac.tag(frame.bytes()));
             fresh.levels[CounterTree::level_of(bucket)] ^= digest;
             *fresh.slots.cell_mut(bucket, slot) = Some((ctr, digest));
         }
@@ -1113,6 +1279,191 @@ mod tests {
                 prop_assert_eq!(&tree.levels, &fresh.levels);
                 prop_assert_eq!(tree.posmap_agg, fresh.posmap_agg);
             }
+        }
+
+        /// What the adversary does to one slot's off-chip record (and the
+        /// content read back with it) between the writes and the check.
+        #[derive(Debug, Clone, Copy)]
+        enum Attack {
+            None,
+            /// The record is deleted: `Missing` on a written slot.
+            Delete,
+            /// Record and content trade places with the next slot's.
+            SwapWithNext,
+            /// The unit is rolled back one version: `Stale` if it had two.
+            Rollback,
+            /// One payload bit flips: `Tampered` on a real block.
+            Flip,
+        }
+
+        /// One slot of a batch: real or dummy on the first write, whether
+        /// it is written at all (a never-written slot stays untracked),
+        /// whether a second write follows, and the attack on it.
+        type SlotPlan = ((bool, bool, bool), Attack);
+
+        fn slot_plan() -> impl Strategy<Value = SlotPlan> {
+            (
+                (any::<bool>(), any::<bool>(), any::<bool>()),
+                prop::sample::select(vec![
+                    Attack::None,
+                    Attack::None,
+                    Attack::Delete,
+                    Attack::SwapWithNext,
+                    Attack::Rollback,
+                    Attack::Flip,
+                ]),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The batched calls are the per-slot calls: on random batches
+            /// (mixed real and dummy, never-written slots, more units than
+            /// one pass holds, spread over a few buckets) `record_slots`
+            /// leaves the records and the counter-tree root that a
+            /// `record_slot` per unit leaves, and after records are
+            /// deleted, swapped between slots or rolled back one version,
+            /// `verdict_slots` returns `verdict_slot`'s verdict for every
+            /// unit.
+            #[test]
+            fn batched_calls_match_the_per_slot_calls(
+                plans in proptest::collection::vec(slot_plan(), 1..20),
+                first_bucket in 0u64..1000,
+            ) {
+                // Four slots to a bucket, consecutive buckets.
+                let unit = |i: usize| (first_bucket + (i / 4) as u64, i % 4);
+                let version = |i: usize, v: u8, real: bool| {
+                    real.then(|| Block::new(BlockAddr(i as u64), Leaf(v as u64), vec![v; 5 + i % 9]))
+                };
+                let mut batched = AuthTags::new(&[8u8; 16]);
+                let mut single = AuthTags::new(&[8u8; 16]);
+
+                // Two rounds of writes: the second flips real and dummy.
+                let mut on_media: Vec<Option<Block>> = vec![None; plans.len()];
+                let mut previous = Vec::new();
+                for round in 0..2u8 {
+                    previous = (0..plans.len())
+                        .map(|i| {
+                            let (bucket, slot) = unit(i);
+                            (on_media[i].clone(), batched.slot_record(bucket, slot))
+                        })
+                        .collect();
+                    let written: Vec<usize> = (0..plans.len())
+                        .filter(|&i| {
+                            let ((_, written, again), _) = plans[i];
+                            written && (round == 0 || again)
+                        })
+                        .collect();
+                    for &i in &written {
+                        let ((real, _, _), _) = plans[i];
+                        on_media[i] = version(i, round + 1, real == (round == 0));
+                    }
+                    batched.record_slots(written.iter().map(|&i| {
+                        let (bucket, slot) = unit(i);
+                        (bucket, slot, on_media[i].as_ref())
+                    }));
+                    for &i in &written {
+                        let (bucket, slot) = unit(i);
+                        single.record_slot(bucket, slot, on_media[i].as_ref());
+                    }
+                    for i in 0..plans.len() {
+                        let (bucket, slot) = unit(i);
+                        prop_assert_eq!(
+                            batched.slot_record(bucket, slot),
+                            single.slot_record(bucket, slot)
+                        );
+                    }
+                    prop_assert_eq!(batched.root(), single.root());
+                }
+
+                // The adversary, identically on both.
+                let mut served = on_media.clone();
+                for (i, &(_, attack)) in plans.iter().enumerate() {
+                    let (bucket, slot) = unit(i);
+                    match attack {
+                        Attack::None => {}
+                        Attack::Delete => {
+                            batched.set_slot_record(bucket, slot, None);
+                            single.set_slot_record(bucket, slot, None);
+                        }
+                        Attack::SwapWithNext => {
+                            let j = (i + 1) % plans.len();
+                            let (b2, s2) = unit(j);
+                            let (ri, rj) = (batched.slot_record(bucket, slot), batched.slot_record(b2, s2));
+                            for tags in [&mut batched, &mut single] {
+                                tags.set_slot_record(bucket, slot, rj);
+                                tags.set_slot_record(b2, s2, ri);
+                            }
+                            served.swap(i, j);
+                        }
+                        Attack::Rollback => {
+                            let (content, record) = previous[i].clone();
+                            batched.set_slot_record(bucket, slot, record);
+                            single.set_slot_record(bucket, slot, record);
+                            served[i] = content;
+                        }
+                        Attack::Flip => {
+                            if let Some(b) = &mut served[i] {
+                                b.payload[0] ^= 0x10;
+                            }
+                        }
+                    }
+                }
+
+                let mut verdicts = Vec::new();
+                batched.verdict_slots(
+                    (0..plans.len()).map(|i| {
+                        let (bucket, slot) = unit(i);
+                        (bucket, slot, served[i].as_ref())
+                    }),
+                    |bucket, slot, verdict| verdicts.push((bucket, slot, verdict)),
+                );
+                let expected: Vec<_> = (0..plans.len())
+                    .map(|i| {
+                        let (bucket, slot) = unit(i);
+                        (bucket, slot, single.verdict_slot(bucket, slot, served[i].as_ref()))
+                    })
+                    .collect();
+                prop_assert_eq!(verdicts, expected);
+                prop_assert_eq!(batched.root(), single.root());
+            }
+        }
+
+        /// The ladder's every rung comes up in the batched check above;
+        /// this pins one batch that shows all five at once, in order.
+        #[test]
+        fn one_batch_can_hold_every_verdict() {
+            let mut t = AuthTags::new(&[8u8; 16]);
+            let blocks: Vec<Block> = (0..5).map(|i| blk(i, i as u8)).collect();
+            t.record_slots((0..5).map(|s| (7, s, Some(&blocks[s]))));
+            let stale = t.slot_record(7, 3);
+            t.record_slot(7, 3, Some(&blocks[0]));
+            t.set_slot_record(7, 3, stale); // rolled back one version
+            t.set_slot_record(7, 4, None); // deleted
+            let moved = t.slot_record(7, 0);
+            t.set_slot_record(7, 2, moved); // spliced from slot 0
+            let mut flipped = blocks[1].clone();
+            flipped.payload[0] ^= 1;
+            let served = [&blocks[0], &flipped, &blocks[0], &blocks[3], &blocks[4]];
+            let mut verdicts = Vec::new();
+            t.verdict_slots((0..5).map(|s| (7, s, Some(served[s]))), |_, _, verdict| {
+                verdicts.push(verdict)
+            });
+            use FreshnessVerdict::*;
+            assert_eq!(verdicts, [Clean, Tampered, Spliced, Stale, Missing]);
+        }
+
+        /// Batching moves every snapshot of a round ahead of every record
+        /// of it, which is only the slot-by-slot order when the round's
+        /// units are distinct: a batch naming a unit twice is refused.
+        #[test]
+        #[cfg(debug_assertions)]
+        #[should_panic(expected = "a batch records each unit once")]
+        fn a_batch_naming_a_unit_twice_is_refused() {
+            let mut t = AuthTags::new(&[8u8; 16]);
+            // Far enough apart to fall into different passes.
+            t.record_slots((0..=LANES).chain([0]).map(|slot| (3, slot, None)));
         }
     }
 }

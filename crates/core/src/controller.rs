@@ -441,10 +441,9 @@ impl PathOram {
         let mut auth = AuthTags::new(&key);
         // Retro-tag whatever already sits on media: everything written
         // before hardening is trusted as-is and covered from here on.
+        let z = self.config.bucket_slots;
         for (idx, bucket) in self.tree.materialized() {
-            for slot in 0..self.config.bucket_slots {
-                auth.record_slot(idx, slot, bucket.slot(slot));
-            }
+            auth.record_slots((0..z).map(|slot| (idx, slot, bucket.slot(slot))));
         }
         for (a, l) in self.posmap.persisted_sorted() {
             auth.record_posmap(a, l);
@@ -990,33 +989,20 @@ impl PathOram {
         // blocks are admitted. The CMAC checks overlap the decrypt
         // pipeline, so only *detections* cost extra cycles.
         if let Some(auth) = &self.auth {
-            let mut wire_verdict = FreshnessVerdict::Clean;
-            for &bucket in &path {
-                let stored = self.tree.bucket_ref(bucket);
-                for slot in 0..self.config.bucket_slots {
-                    let served = serve_stale
-                        .as_ref()
-                        .filter(|((sb, ss), _, _)| (*sb, *ss) == (bucket, slot));
-                    let verdict = match served {
-                        Some((_, content, meta)) => {
-                            auth.classify_served_slot(bucket, slot, content.as_ref(), meta.as_ref())
-                        }
-                        None => auth.verdict_slot(bucket, slot, stored.and_then(|b| b.slot(slot))),
-                    };
-                    if verdict == FreshnessVerdict::Clean {
-                        continue;
-                    }
-                    if served.is_some() {
-                        wire_verdict = verdict;
-                    } else if let Some(class) = verdict.fault_class() {
-                        // Stored state failing freshness outside a recovery
-                        // pass: nothing on this path can be trusted — fail
-                        // safe rather than serve it.
-                        self.freshness.fetch_poisons += 1;
-                        self.engine.poison(class);
-                        return Err(OramError::Poisoned { class });
-                    }
-                }
+            let tree = &self.tree;
+            let z = self.config.bucket_slots;
+            let stored = path.iter().flat_map(|&bucket| {
+                let on_media = tree.bucket_ref(bucket);
+                (0..z).map(move |slot| (bucket, slot, on_media.and_then(|b| b.slot(slot))))
+            });
+            let (convicted, wire_verdict) = auth.verdict_fetched(stored, serve_stale.as_ref());
+            if let Some(class) = convicted {
+                // Stored state failing freshness outside a recovery pass:
+                // nothing on this path can be trusted — fail safe rather
+                // than serve it.
+                self.freshness.fetch_poisons += 1;
+                self.engine.poison(class);
+                return Err(OramError::Poisoned { class });
             }
             if let Some(class) = wire_verdict.fault_class() {
                 // Caught on the wire: charge one re-issue round trip and
@@ -1429,11 +1415,13 @@ impl PathOram {
             // Dummy slots of this batch are rewritten directly after the
             // commit: they carry no recoverable data and only overwrite
             // copies whose addresses committed in this or earlier batches.
-            for (bucket, slot) in dummies {
+            for &(bucket, slot) in &dummies {
                 self.snapshot_slot(bucket, slot);
-                if let Some(auth) = &mut self.auth {
-                    auth.record_slot(bucket, slot, None);
-                }
+            }
+            if let Some(auth) = &mut self.auth {
+                auth.record_slots(dummies.iter().map(|&(bucket, slot)| (bucket, slot, None)));
+            }
+            for (bucket, slot) in dummies {
                 self.tree.write_slot(bucket, slot, None);
                 write_addrs.push(self.tree.slot_nvm_addr(bucket, slot));
             }
@@ -1472,7 +1460,7 @@ impl PathOram {
     /// PosMap, temp-entry retirement, and the committed-value ledger.
     fn apply_committed(
         &mut self,
-        data: Vec<WpqEntry<SlotWrite>>,
+        mut data: Vec<WpqEntry<SlotWrite>>,
         posmap: Vec<WpqEntry<PosMapFlush>>,
         write_addrs: &mut Vec<u64>,
         entry_addrs: &mut Vec<u64>,
@@ -1514,13 +1502,13 @@ impl PathOram {
         // carry the real blocks, and the remaining slots of the same
         // buckets are written as encrypted dummies by the same round. For
         // traffic/timing, the whole path's slots are pushed by the caller.
-        for e in data {
+        for e in &mut data {
             let SlotWrite {
                 bucket,
                 slot,
-                block: mut stored,
-            } = e.value;
-            if let Some(b) = &mut stored {
+                block: stored,
+            } = &mut e.value;
+            if let Some(b) = stored {
                 // Ledger: the recoverable value of an address is the
                 // written copy that matches the persisted PosMap. Several
                 // can commit in one round (a primary that re-drew its old
@@ -1534,14 +1522,23 @@ impl PathOram {
                 // Encrypted in place, the block moves on into the tree.
                 self.encrypt_for_tree(b);
             }
-            self.snapshot_slot(bucket, slot);
-            if let Some(auth) = &mut self.auth {
-                auth.record_slot(bucket, slot, stored.as_ref());
-            }
+            self.snapshot_slot(*bucket, *slot);
             if device {
-                self.last_round_slots.push((bucket, slot));
+                self.last_round_slots.push((*bucket, *slot));
             }
-            self.tree.write_slot(bucket, slot, stored);
+        }
+        // The round's slots are distinct units, so every snapshot above
+        // saw what a slot-by-slot pass would have shown it, and the
+        // records can be made side by side.
+        if let Some(auth) = &mut self.auth {
+            auth.record_slots(data.iter().map(|e| {
+                let w = &e.value;
+                (w.bucket, w.slot, w.block.as_ref())
+            }));
+        }
+        for e in data {
+            let w = e.value;
+            self.tree.write_slot(w.bucket, w.slot, w.block);
             write_addrs.push(e.addr);
         }
         if let Some(auth) = &self.auth {

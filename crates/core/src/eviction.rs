@@ -214,14 +214,17 @@ pub fn plan_eviction_in_place(
     let z = tree.bucket_slots();
     let path = tree.path_indices(leaf);
 
-    // Assign must blocks to their own live slots.
+    // Assign must blocks to their own live slots. An address can have
+    // several (a primary and a shadow on one path): they are handed out in
+    // path order — root-first bucket, then slot — never in the map's
+    // iteration order, which differs from run to run.
     let mut assigned: HashMap<(BucketIndex, usize), Block> = HashMap::new();
     let mut homeless = Vec::new();
     for block in must {
-        let slot = live_slots
+        let slot = path
             .iter()
-            .find(|(k, &a)| a == block.addr() && !assigned.contains_key(*k))
-            .map(|(k, _)| *k);
+            .flat_map(|&bucket| (0..z).map(move |slot| (bucket, slot)))
+            .find(|k| live_slots.get(k) == Some(&block.addr()) && !assigned.contains_key(k));
         match slot {
             Some(k) => {
                 assigned.insert(k, block);

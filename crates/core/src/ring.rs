@@ -395,9 +395,13 @@ impl RingOram {
         // and counts are read-path metadata that mutates outside persist
         // rounds.
         for (bidx, bucket) in self.buckets.iter() {
-            for (s, slot) in bucket.slots.iter().enumerate() {
-                auth.record_slot(bidx, s, slot.as_ref());
-            }
+            auth.record_slots(
+                bucket
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .map(|(s, slot)| (bidx, s, slot.as_ref())),
+            );
         }
         for (a, l) in self.posmap.persisted_sorted() {
             auth.record_posmap(a, l);
@@ -756,32 +760,18 @@ impl RingOram {
         // against the on-chip counters. The CMAC checks overlap the
         // existing read pipeline; only detections cost extra cycles.
         if let Some(auth) = &self.auth {
-            let mut wire_verdict = FreshnessVerdict::Clean;
-            for &(bidx, slot) in &read_units {
-                let served = serve_stale
-                    .as_ref()
-                    .filter(|((sb, ss), _, _)| (*sb, *ss) == (bidx, slot));
-                let verdict = match served {
-                    Some((_, content, meta)) => {
-                        auth.classify_served_slot(bidx, slot, content.as_ref(), meta.as_ref())
-                    }
-                    None => {
-                        let stored = self.buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
-                        auth.verdict_slot(bidx, slot, stored)
-                    }
-                };
-                if verdict == FreshnessVerdict::Clean {
-                    continue;
-                }
-                if served.is_some() {
-                    wire_verdict = verdict;
-                } else if let Some(class) = verdict.fault_class() {
-                    // Stored state failing freshness outside a recovery
-                    // pass: fail safe rather than serve it.
-                    self.freshness.fetch_poisons += 1;
-                    self.engine.poison(class);
-                    return Err(OramError::Poisoned { class });
-                }
+            let buckets = &self.buckets;
+            let stored = read_units.iter().map(|&(bidx, slot)| {
+                let content = buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
+                (bidx, slot, content)
+            });
+            let (convicted, wire_verdict) = auth.verdict_fetched(stored, serve_stale.as_ref());
+            if let Some(class) = convicted {
+                // Stored state failing freshness outside a recovery
+                // pass: fail safe rather than serve it.
+                self.freshness.fetch_poisons += 1;
+                self.engine.poison(class);
+                return Err(OramError::Poisoned { class });
             }
             if let Some(class) = wire_verdict.fault_class() {
                 // Caught on the wire: one re-issue round trip, then the
@@ -1277,9 +1267,13 @@ impl RingOram {
             }
         }
         if let Some(auth) = &mut self.auth {
-            for (s, slot) in bucket.slots.iter().enumerate() {
-                auth.record_slot(bidx, s, slot.as_ref());
-            }
+            auth.record_slots(
+                bucket
+                    .slots
+                    .iter()
+                    .enumerate()
+                    .map(|(s, slot)| (bidx, s, slot.as_ref())),
+            );
         }
         self.buckets.insert(bidx, bucket);
     }

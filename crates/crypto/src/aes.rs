@@ -1,16 +1,26 @@
-//! AES-128 block cipher (FIPS-197), T-table fast path.
+//! AES-128 block cipher (FIPS-197): one type, two round functions.
 //!
-//! The encryption round is implemented with the classic four precomputed
-//! 32-bit lookup tables (`Te0..Te3`), each entry combining SubBytes,
-//! ShiftRows, and MixColumns for one state byte; a round is then sixteen
-//! table loads, sixteen XORs, and the round key. The tables are generated at
-//! compile time from the S-box, and equivalence with the specification is
-//! enforced against the byte-wise [`crate::ReferenceAes128`] cipher by
-//! known-answer vectors plus proptest over random keys and blocks.
+//! [`Aes128::new`] picks its round function once, from what the host
+//! reports: on `x86_64` with the `aes` and `sse2` CPU features detected at
+//! run time, the AES-NI rounds (`crate::aesni`); everywhere else the
+//! portable T-table rounds in this file. Both consume the same
+//! [`expand_key`] schedule, and nothing but the platform enters the choice.
+//! [`Aes128::portable`] pins the T-table on any host, which is how the test
+//! suite holds the two against each other and against the byte-wise
+//! [`crate::ReferenceAes128`].
+//!
+//! The T-table round is the classic four precomputed 32-bit lookup tables
+//! (`Te0..Te3`), each entry combining SubBytes, ShiftRows, and MixColumns
+//! for one state byte; a round is then sixteen table loads, sixteen XORs,
+//! and the round key. The tables are generated at compile time from the
+//! S-box.
 //!
 //! Functional throughput is independent of the *timing* model, which charges
 //! a fixed 32-cycle latency per AES operation regardless of how fast the
 //! simulator computes it (see [`crate::CryptoLatencyModel`]).
+
+#[cfg(target_arch = "x86_64")]
+use crate::aesni::AesNi;
 
 /// The AES S-box (forward substitution table), from FIPS-197 Figure 7.
 pub(crate) const SBOX: [u8; 256] = [
@@ -63,8 +73,9 @@ static TE: [[u32; 256]; 4] = {
 
 /// Expands `key` into the 11 round keys of the FIPS-197 key schedule.
 ///
-/// Shared by the T-table cipher, the byte-wise reference cipher, and the
-/// inverse cipher so all three provably run the same schedule.
+/// Shared by both round functions of [`Aes128`], the byte-wise reference
+/// cipher, and the inverse cipher so all of them provably run the same
+/// schedule.
 pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     let mut w = [[0u8; 4]; 44];
     for (i, chunk) in key.chunks_exact(4).enumerate() {
@@ -92,11 +103,13 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     round_keys
 }
 
-/// An AES-128 block cipher with a pre-expanded key schedule (T-table fast
-/// path).
+/// An AES-128 block cipher with a pre-expanded key schedule.
 ///
 /// The cipher only exposes block *encryption*: ORAM uses AES exclusively in
-/// counter mode, where decryption is the same keystream XOR.
+/// counter mode, where decryption is the same keystream XOR. The round
+/// function is the host's AES instructions where it has them and the
+/// T-table otherwise (see the module docs); the ciphertext is the FIPS-197
+/// one either way.
 ///
 /// # Examples
 ///
@@ -119,26 +132,56 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each (byte form, for the inverse cipher
-    /// and CMAC subkey derivation).
+    /// 11 round keys of 16 bytes each: what the hardware rounds, the
+    /// inverse cipher and CMAC subkey derivation consume.
     round_keys: [[u8; 16]; 11],
-    /// The same schedule as 44 big-endian words, consumed by the T-table
-    /// round loop.
-    ek: [u32; 44],
+    rounds: Rounds,
+}
+
+/// The round function an [`Aes128`] was built with.
+#[derive(Clone)]
+enum Rounds {
+    /// The host's AES instructions, over `round_keys` as they are.
+    #[cfg(target_arch = "x86_64")]
+    Hardware(AesNi),
+    /// The T-table rounds, over the schedule as 44 big-endian words.
+    Portable([u32; 44]),
 }
 
 impl std::fmt::Debug for Aes128 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Never print key material.
+        // Never print key material; do say which rounds ran.
+        let backend = match self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(_) => "aes-ni",
+            Rounds::Portable(_) => "t-table",
+        };
         f.debug_struct("Aes128")
+            .field("backend", &backend)
             .field("round_keys", &"<redacted>")
             .finish()
     }
 }
 
 impl Aes128 {
-    /// Expands `key` into the full round-key schedule and returns the cipher.
+    /// Expands `key` into the full round-key schedule and returns the
+    /// cipher, on the host's AES instructions if it has them.
     pub fn new(key: &[u8; 16]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = AesNi::detect() {
+            return Aes128 {
+                round_keys: expand_key(key),
+                rounds: Rounds::Hardware(hw),
+            };
+        }
+        Self::portable(key)
+    }
+
+    /// Same cipher, pinned to the portable T-table rounds whatever the
+    /// host offers. This is the path every host without AES instructions
+    /// runs; the constructor exists so tests can reach it — and hold it
+    /// against [`Aes128::new`] — on a host that has them.
+    pub fn portable(key: &[u8; 16]) -> Self {
         let round_keys = expand_key(key);
         let mut ek = [0u32; 44];
         for (i, word) in ek.iter_mut().enumerate() {
@@ -146,7 +189,10 @@ impl Aes128 {
             let c = (i % 4) * 4;
             *word = u32::from_be_bytes([rk[c], rk[c + 1], rk[c + 2], rk[c + 3]]);
         }
-        Aes128 { round_keys, ek }
+        Aes128 {
+            round_keys,
+            rounds: Rounds::Portable(ek),
+        }
     }
 
     /// Internal view of the expanded key schedule (for the inverse cipher).
@@ -154,42 +200,70 @@ impl Aes128 {
         &self.round_keys
     }
 
-    /// Encrypts one 16-byte block and returns the ciphertext block.
+    /// Encrypts one 16-byte block and returns the ciphertext block: the
+    /// one-block case of [`Aes128::encrypt_blocks`], by value.
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
-        let ek = &self.ek;
-        let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ ek[0];
-        let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ ek[1];
-        let mut s2 = u32::from_be_bytes([block[8], block[9], block[10], block[11]]) ^ ek[2];
-        let mut s3 = u32::from_be_bytes([block[12], block[13], block[14], block[15]]) ^ ek[3];
-
-        // Rounds 1..=9: SubBytes + ShiftRows + MixColumns folded into the
-        // T-tables; the ShiftRows byte selection is the (s_j, s_{j+1},
-        // s_{j+2}, s_{j+3}) column rotation below.
-        for r in 1..10 {
-            let k = &ek[4 * r..4 * r + 4];
-            let t0 = round_word(s0, s1, s2, s3) ^ k[0];
-            let t1 = round_word(s1, s2, s3, s0) ^ k[1];
-            let t2 = round_word(s2, s3, s0, s1) ^ k[2];
-            let t3 = round_word(s3, s0, s1, s2) ^ k[3];
-            s0 = t0;
-            s1 = t1;
-            s2 = t2;
-            s3 = t3;
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(hw) => hw.encrypt_block(&self.round_keys, block),
+            Rounds::Portable(ek) => ttable_encrypt(ek, block),
         }
-
-        // Final round: SubBytes + ShiftRows only (no MixColumns).
-        let o0 = final_word(s0, s1, s2, s3) ^ ek[40];
-        let o1 = final_word(s1, s2, s3, s0) ^ ek[41];
-        let o2 = final_word(s2, s3, s0, s1) ^ ek[42];
-        let o3 = final_word(s3, s0, s1, s2) ^ ek[43];
-
-        let mut out = [0u8; 16];
-        out[0..4].copy_from_slice(&o0.to_be_bytes());
-        out[4..8].copy_from_slice(&o1.to_be_bytes());
-        out[8..12].copy_from_slice(&o2.to_be_bytes());
-        out[12..16].copy_from_slice(&o3.to_be_bytes());
-        out
     }
+
+    /// Encrypts every block of `blocks` in place, each on its own (ECB).
+    ///
+    /// The blocks are independent, so the hardware rounds take several
+    /// through each round together — one round-key load serves all of
+    /// them, and the AES unit's pipeline stays full — where a chain of
+    /// [`Aes128::encrypt_block`] calls would wait out every round's
+    /// latency. The T-table rounds take them one after another.
+    pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(hw) => hw.encrypt_blocks(&self.round_keys, blocks),
+            Rounds::Portable(ek) => {
+                for block in blocks {
+                    *block = ttable_encrypt(ek, block);
+                }
+            }
+        }
+    }
+}
+
+/// One block through the T-table rounds under the word schedule `ek`.
+fn ttable_encrypt(ek: &[u32; 44], block: &[u8; 16]) -> [u8; 16] {
+    let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ ek[0];
+    let mut s1 = u32::from_be_bytes([block[4], block[5], block[6], block[7]]) ^ ek[1];
+    let mut s2 = u32::from_be_bytes([block[8], block[9], block[10], block[11]]) ^ ek[2];
+    let mut s3 = u32::from_be_bytes([block[12], block[13], block[14], block[15]]) ^ ek[3];
+
+    // Rounds 1..=9: SubBytes + ShiftRows + MixColumns folded into the
+    // T-tables; the ShiftRows byte selection is the (s_j, s_{j+1},
+    // s_{j+2}, s_{j+3}) column rotation below.
+    for r in 1..10 {
+        let k = &ek[4 * r..4 * r + 4];
+        let t0 = round_word(s0, s1, s2, s3) ^ k[0];
+        let t1 = round_word(s1, s2, s3, s0) ^ k[1];
+        let t2 = round_word(s2, s3, s0, s1) ^ k[2];
+        let t3 = round_word(s3, s0, s1, s2) ^ k[3];
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
+    }
+
+    // Final round: SubBytes + ShiftRows only (no MixColumns).
+    let o0 = final_word(s0, s1, s2, s3) ^ ek[40];
+    let o1 = final_word(s1, s2, s3, s0) ^ ek[41];
+    let o2 = final_word(s2, s3, s0, s1) ^ ek[42];
+    let o3 = final_word(s3, s0, s1, s2) ^ ek[43];
+
+    let mut out = [0u8; 16];
+    out[0..4].copy_from_slice(&o0.to_be_bytes());
+    out[4..8].copy_from_slice(&o1.to_be_bytes());
+    out[8..12].copy_from_slice(&o2.to_be_bytes());
+    out[12..16].copy_from_slice(&o3.to_be_bytes());
+    out
 }
 
 /// One output column of a main round, before the round key.
@@ -215,13 +289,20 @@ mod tests {
     use super::*;
     use crate::ReferenceAes128;
 
+    /// The cipher under `key` on the round function the host selects and on
+    /// the T-table (one and the same on a host without AES instructions).
+    fn both(key: &[u8; 16]) -> [Aes128; 2] {
+        [Aes128::new(key), Aes128::portable(key)]
+    }
+
+    const SP800_38A_KEY: [u8; 16] = [
+        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
+        0x3c,
+    ];
+
     /// FIPS-197 Appendix B: full example vector.
     #[test]
     fn fips197_appendix_b() {
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
         let pt = [
             0x32, 0x43, 0xf6, 0xa8, 0x88, 0x5a, 0x30, 0x8d, 0x31, 0x31, 0x98, 0xa2, 0xe0, 0x37,
             0x07, 0x34,
@@ -230,7 +311,9 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        for aes in both(&SP800_38A_KEY) {
+            assert_eq!(aes.encrypt_block(&pt), expected, "{aes:?}");
+        }
     }
 
     /// FIPS-197 Appendix C.1: AES-128 known-answer test.
@@ -242,47 +325,61 @@ mod tests {
             0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4,
             0xc5, 0x5a,
         ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        for aes in both(&key) {
+            assert_eq!(aes.encrypt_block(&pt), expected, "{aes:?}");
+        }
     }
 
-    /// NIST SP 800-38A F.1.1 ECB-AES128 first block.
+    /// NIST SP 800-38A F.1.1 ECB-AES128.Encrypt: the first block alone,
+    /// then all four through `encrypt_blocks`.
     #[test]
     fn sp800_38a_ecb_first_block() {
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
+        const PT: [u128; 4] = [
+            0x6bc1bee2_2e409f96_e93d7e11_7393172a,
+            0xae2d8a57_1e03ac9c_9eb76fac_45af8e51,
+            0x30c81c46_a35ce411_e5fbc119_1a0a52ef,
+            0xf69f2445_df4f9b17_ad2b417b_e66c3710,
         ];
-        let pt = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
+        const CT: [u128; 4] = [
+            0x3ad77bb4_0d7a3660_a89ecaf3_2466ef97,
+            0xf5d3d585_03b9699d_e785895a_96fdbaaf,
+            0x43b1cd7f_598ece23_881b00e3_ed030688,
+            0x7b0c785e_27e8ad3f_82232071_04725dd4,
         ];
-        let expected = [
-            0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
-            0xef, 0x97,
-        ];
-        assert_eq!(Aes128::new(&key).encrypt_block(&pt), expected);
+        for aes in both(&SP800_38A_KEY) {
+            assert_eq!(
+                aes.encrypt_block(&PT[0].to_be_bytes()),
+                CT[0].to_be_bytes(),
+                "{aes:?}"
+            );
+            let mut blocks = PT.map(u128::to_be_bytes);
+            aes.encrypt_blocks(&mut blocks);
+            assert_eq!(blocks, CT.map(u128::to_be_bytes), "{aes:?}");
+        }
     }
 
     #[test]
     fn key_schedule_first_and_last_round_keys() {
         // FIPS-197 Appendix A.1 key expansion example.
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.round_keys[0], key);
         let last = [
             0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
             0x0c, 0xa6,
         ];
-        assert_eq!(aes.round_keys[10], last);
+        for aes in both(&SP800_38A_KEY) {
+            assert_eq!(aes.round_keys[0], SP800_38A_KEY);
+            assert_eq!(aes.round_keys[10], last);
+        }
     }
 
     #[test]
     fn word_schedule_mirrors_byte_schedule() {
-        let aes = Aes128::new(&[0x3Cu8; 16]);
-        for (i, &word) in aes.ek.iter().enumerate() {
+        let aes = Aes128::portable(&[0x3Cu8; 16]);
+        let ek = match &aes.rounds {
+            Rounds::Portable(ek) => ek,
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(_) => panic!("`portable` must build the T-table rounds"),
+        };
+        for (i, &word) in ek.iter().enumerate() {
             let rk = &aes.round_keys[i / 4];
             let c = (i % 4) * 4;
             assert_eq!(word.to_be_bytes(), [rk[c], rk[c + 1], rk[c + 2], rk[c + 3]]);
@@ -294,11 +391,27 @@ mod tests {
         for seed in 0u8..32 {
             let key: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_mul(seed ^ 0x5f));
             let pt: [u8; 16] = core::array::from_fn(|i| (i as u8).wrapping_add(seed));
-            assert_eq!(
-                Aes128::new(&key).encrypt_block(&pt),
-                ReferenceAes128::new(&key).encrypt_block(&pt),
-                "mismatch at seed {seed}"
-            );
+            let reference = ReferenceAes128::new(&key).encrypt_block(&pt);
+            for aes in both(&key) {
+                assert_eq!(aes.encrypt_block(&pt), reference, "seed {seed}, {aes:?}");
+            }
+        }
+    }
+
+    /// Every width the multi-block entry point can split into (whole wide
+    /// groups, every tail length, nothing at all) is block-at-a-time ECB.
+    #[test]
+    fn encrypt_blocks_is_encrypt_block_per_block_at_every_width() {
+        for aes in both(&[0x6D; 16]) {
+            for n in 0..=19usize {
+                let plain: Vec<[u8; 16]> = (0..n)
+                    .map(|i| core::array::from_fn(|j| (i * 31 + j * 7) as u8))
+                    .collect();
+                let mut together = plain.clone();
+                aes.encrypt_blocks(&mut together);
+                let apart: Vec<[u8; 16]> = plain.iter().map(|b| aes.encrypt_block(b)).collect();
+                assert_eq!(together, apart, "{n} blocks, {aes:?}");
+            }
         }
     }
 
@@ -312,10 +425,25 @@ mod tests {
 
     #[test]
     fn debug_redacts_key_material() {
-        let aes = Aes128::new(&[7u8; 16]);
-        let dbg = format!("{aes:?}");
-        assert!(dbg.contains("redacted"));
-        assert!(!dbg.contains("[7"));
+        for aes in both(&[7u8; 16]) {
+            let dbg = format!("{aes:?}");
+            assert!(dbg.contains("redacted"));
+            assert!(!dbg.contains("[7"));
+        }
+    }
+
+    /// A test log or a bug report shows which rounds ran.
+    #[test]
+    fn debug_names_the_selected_backend() {
+        let portable = format!("{:?}", Aes128::portable(&[7u8; 16]));
+        assert!(portable.contains("t-table"), "{portable}");
+        let selected = format!("{:?}", Aes128::new(&[7u8; 16]));
+        #[cfg(target_arch = "x86_64")]
+        let hardware = crate::aesni::AesNi::detect().is_some();
+        #[cfg(not(target_arch = "x86_64"))]
+        let hardware = false;
+        let expected = if hardware { "aes-ni" } else { "t-table" };
+        assert!(selected.contains(expected), "{selected}");
     }
 
     #[test]

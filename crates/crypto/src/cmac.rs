@@ -105,6 +105,224 @@ impl Cmac {
         s.update(msg);
         s.verify(tag)
     }
+
+    /// Compares a computed tag with a stored one in constant shape: every
+    /// byte is looked at whatever the first difference.
+    pub fn tags_match(computed: &[u8; 16], stored: &[u8; 16]) -> bool {
+        let mut diff = 0u8;
+        for (a, b) in computed.iter().zip(stored) {
+            diff |= a ^ b;
+        }
+        diff == 0
+    }
+
+    /// Messages [`Cmac::tag_lanes`] MACs side by side in one pass;
+    /// callers that frame messages on the stack size their arrays with it.
+    pub const LANES: usize = 8;
+
+    /// MACs independent messages in lockstep: `tags[i]` becomes exactly
+    /// [`Cmac::tag`] of `msgs[i]`'s frame followed by its payload.
+    ///
+    /// Each message is borrowed in two parts — the fixed head the caller
+    /// framed on the stack ([`Frame`]), then the payload it covers, where
+    /// it lies — so nothing is assembled anywhere. Up to [`Cmac::LANES`]
+    /// messages advance together, one CBC block per lane per pass through
+    /// [`Aes128::encrypt_blocks`]: every lane is RFC 4493 unchanged — its
+    /// own chaining value, its own padding, its own K1/K2 mask on its own
+    /// last block — and the lanes share nothing but the round keys, which
+    /// is why the tags cannot differ from `tag`'s by a bit. Lengths may be
+    /// ragged; a lane whose message has ended keeps its tag and idles
+    /// while the longer ones finish.
+    ///
+    /// ```
+    /// use psoram_crypto::{Aes128, Cmac, Frame};
+    ///
+    /// let mac = Cmac::new(Aes128::new(&[3u8; 16]));
+    /// let mut head = Frame::<1>::new();
+    /// head.push(b"slot 0 ");
+    /// let mut tags = [[0u8; 16]; 2];
+    /// mac.tag_lanes(&[(&head, &b"payload"[..]), (&Frame::new(), b"")], &mut tags);
+    /// assert_eq!(tags, [mac.tag(b"slot 0 payload"), mac.tag(b"")]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `msgs` and `tags` differ in length.
+    pub fn tag_lanes<const B: usize>(&self, msgs: &[(&Frame<B>, &[u8])], tags: &mut [[u8; 16]]) {
+        assert_eq!(msgs.len(), tags.len(), "one tag per message");
+        for (msgs, tags) in msgs.chunks(Self::LANES).zip(tags.chunks_mut(Self::LANES)) {
+            let mut lanes = [Lane::default(); Self::LANES];
+            for (lane, &(frame, payload)) in lanes.iter_mut().zip(msgs) {
+                *lane = Lane::over(&frame.blocks, frame.len, payload);
+            }
+            self.tag_group(&mut lanes[..msgs.len()], tags);
+        }
+    }
+
+    /// One group of messages round by round, lane `i` for `tags[i]`. (Not
+    /// generic over the frame size: one copy of the loop, compiled here
+    /// with its helpers inlined, serves every caller.)
+    fn tag_group(&self, lanes: &mut [Lane<'_>], tags: &mut [[u8; 16]]) {
+        let rounds = lanes.iter().map(|lane| lane.blocks).max().unwrap_or(0);
+        let mut x = [[0u8; 16]; Self::LANES];
+        let x = &mut x[..lanes.len()];
+        for r in 0..rounds {
+            for (x, lane) in x.iter_mut().zip(lanes.iter_mut()) {
+                if r < lane.blocks {
+                    let (mut block, len) = lane.block(r);
+                    if r + 1 == lane.blocks {
+                        block = self.mask_last(block, len);
+                    }
+                    *x = (u128::from_le_bytes(*x) ^ block).to_le_bytes();
+                }
+            }
+            self.aes.encrypt_blocks(x);
+            for ((tag, x), lane) in tags.iter_mut().zip(x.iter()).zip(lanes.iter()) {
+                if r + 1 == lane.blocks {
+                    *tag = *x;
+                }
+            }
+        }
+    }
+
+    /// Turns the last block of a message — `len` message bytes, then zeros,
+    /// read little-endian — into what RFC 4493 absorbs: a complete block
+    /// XOR K1, or the block padded `10*` XOR K2. (In a register: a byte
+    /// poked into a block in memory would stall the 16-byte load after it.)
+    fn mask_last(&self, block: u128, len: usize) -> u128 {
+        if len == 16 {
+            block ^ u128::from_le_bytes(self.k1)
+        } else {
+            (block | 0x80 << (8 * len)) ^ u128::from_le_bytes(self.k2)
+        }
+    }
+}
+
+/// The fixed head of a message for [`Cmac::tag_lanes`], built in place on
+/// the stack: up to `16 * BLOCKS` bytes appended back to back into
+/// zero-initialised, block-aligned storage, so the lockstep rounds take a
+/// frame's blocks as they lie and the bytes after its end are already the
+/// padding's zeros.
+#[derive(Debug, Clone, Copy)]
+pub struct Frame<const BLOCKS: usize> {
+    blocks: [[u8; 16]; BLOCKS],
+    len: usize,
+}
+
+impl<const BLOCKS: usize> Default for Frame<BLOCKS> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<const BLOCKS: usize> Frame<BLOCKS> {
+    /// An empty frame.
+    pub fn new() -> Self {
+        Frame {
+            blocks: [[0; 16]; BLOCKS],
+            len: 0,
+        }
+    }
+
+    /// Appends `bytes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frame would exceed `16 * BLOCKS` bytes.
+    #[inline]
+    pub fn push(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        self.blocks.as_flattened_mut()[self.len..end].copy_from_slice(bytes);
+        self.len = end;
+    }
+
+    /// Appends one byte (a domain, a marker, a flag).
+    #[inline]
+    pub fn byte(&mut self, b: u8) {
+        self.push(&[b]);
+    }
+
+    /// Appends a 64-bit field, little-endian.
+    #[inline]
+    pub fn word(&mut self, w: u64) {
+        self.push(&w.to_le_bytes());
+    }
+
+    /// The bytes appended so far.
+    pub fn bytes(&self) -> &[u8] {
+        &self.blocks.as_flattened()[..self.len]
+    }
+}
+
+/// One message of a lockstep group.
+#[derive(Clone, Copy, Default)]
+struct Lane<'a> {
+    /// The frame's storage and how much of it is message.
+    head: &'a [[u8; 16]],
+    head_len: usize,
+    /// What is left of the payload.
+    payload: &'a [u8],
+    /// CBC blocks in the whole message; the empty message still has its
+    /// padded one.
+    blocks: usize,
+}
+
+impl<'a> Lane<'a> {
+    #[inline]
+    fn over(head: &'a [[u8; 16]], head_len: usize, payload: &'a [u8]) -> Self {
+        Lane {
+            head,
+            head_len,
+            payload,
+            blocks: (head_len + payload.len()).div_ceil(16).max(1),
+        }
+    }
+
+    /// Block `r` of the message — little-endian, zero past the message's
+    /// end — and how many message bytes it holds. Blocks are asked for in
+    /// order, once each.
+    fn block(&mut self, r: usize) -> (u128, usize) {
+        let start = 16 * r;
+        // The block the frame ends in carries on into the payload.
+        let (head, have) = match self.head.get(r) {
+            Some(block) if start + 16 <= self.head_len => return (u128::from_le_bytes(*block), 16),
+            Some(block) if start < self.head_len => {
+                (u128::from_le_bytes(*block), self.head_len - start)
+            }
+            _ => (0, 0),
+        };
+        if have == 0 {
+            if let Some((whole, rest)) = self.payload.split_first_chunk::<16>() {
+                self.payload = rest;
+                return (u128::from_le_bytes(*whole), 16);
+            }
+        }
+        let (taken, rest) = self.payload.split_at(self.payload.len().min(16 - have));
+        self.payload = rest;
+        (head | load_short(taken) << (8 * have), have + taken.len())
+    }
+}
+
+/// The fewer-than-16 bytes of `bytes` as a little-endian integer: two
+/// fixed-width loads, overlapping where the length is no power of two,
+/// where a variable-length copy would be a call into `memcpy` and a
+/// stalled load after it.
+fn load_short(bytes: &[u8]) -> u128 {
+    /// `bytes` as its first and last `W` bytes, if it has `W..=2W`.
+    fn ends<const W: usize>(bytes: &[u8]) -> Option<([u8; W], [u8; W], usize)> {
+        let gap = 8 * bytes.len().checked_sub(W)?;
+        Some((*bytes.first_chunk()?, *bytes.last_chunk()?, gap))
+    }
+    debug_assert!(bytes.len() < 16);
+    if let Some((lo, hi, gap)) = ends::<8>(bytes) {
+        u128::from(u64::from_le_bytes(lo)) | u128::from(u64::from_le_bytes(hi)) << gap
+    } else if let Some((lo, hi, gap)) = ends::<4>(bytes) {
+        u128::from(u32::from_le_bytes(lo)) | u128::from(u32::from_le_bytes(hi)) << gap
+    } else if let Some((lo, hi, gap)) = ends::<2>(bytes) {
+        u128::from(u16::from_le_bytes(lo)) | u128::from(u16::from_le_bytes(hi)) << gap
+    } else {
+        bytes.first().map_or(0, |&b| u128::from(b))
+    }
 }
 
 /// An in-progress AES-CMAC computation (see [`Cmac::stream`]).
@@ -117,18 +335,17 @@ pub struct CmacStream<'a> {
     mac: &'a Cmac,
     /// CBC chaining value over every absorbed block.
     x: [u8; 16],
-    /// The held-back newest block; `buf[..len]` is message bytes.
+    /// The held-back newest block: `buf[..len]` is message bytes, the
+    /// rest zeros.
     buf: [u8; 16],
     len: usize,
 }
 
 impl CmacStream<'_> {
-    /// XORs the held block into the chain and encrypts.
-    fn absorb(&mut self) {
-        for (x, b) in self.x.iter_mut().zip(&self.buf) {
-            *x ^= b;
-        }
-        self.x = self.mac.aes.encrypt_block(&self.x);
+    /// XORs `block` into the chain and encrypts.
+    fn absorb(&mut self, block: u128) {
+        let chained = u128::from_le_bytes(self.x) ^ block;
+        self.x = self.mac.aes.encrypt_block(&chained.to_le_bytes());
     }
 
     /// Appends `data` to the message.
@@ -136,7 +353,8 @@ impl CmacStream<'_> {
         while !data.is_empty() {
             if self.len == 16 {
                 // More input follows, so the held block is not the last.
-                self.absorb();
+                self.absorb(u128::from_le_bytes(self.buf));
+                self.buf = [0; 16];
                 self.len = 0;
             }
             let n = (16 - self.len).min(data.len());
@@ -148,30 +366,15 @@ impl CmacStream<'_> {
 
     /// Finishes the message and returns its 16-byte tag.
     pub fn finalize(mut self) -> [u8; 16] {
-        // Last block: XOR with K1 (complete) or pad `10*` and XOR with K2.
-        let subkey = if self.len == 16 {
-            self.mac.k1
-        } else {
-            self.buf[self.len] = 0x80;
-            self.buf[self.len + 1..].fill(0);
-            self.mac.k2
-        };
-        for (b, k) in self.buf.iter_mut().zip(&subkey) {
-            *b ^= k;
-        }
-        self.absorb();
+        let last = self.mac.mask_last(u128::from_le_bytes(self.buf), self.len);
+        self.absorb(last);
         self.x
     }
 
     /// Finishes the message and compares its tag to `tag` in constant
     /// shape.
     pub fn verify(self, tag: &[u8; 16]) -> bool {
-        let computed = self.finalize();
-        let mut diff = 0u8;
-        for (a, b) in computed.iter().zip(tag) {
-            diff |= a ^ b;
-        }
-        diff == 0
+        Cmac::tags_match(&self.finalize(), tag)
     }
 }
 
@@ -179,11 +382,13 @@ impl CmacStream<'_> {
 mod tests {
     use super::*;
 
+    const RFC_KEY: [u8; 16] = [
+        0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf, 0x4f,
+        0x3c,
+    ];
+
     fn rfc_key() -> Aes128 {
-        Aes128::new(&[
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ])
+        Aes128::new(&RFC_KEY)
     }
 
     /// RFC 4493 Example 1: empty message.
@@ -228,9 +433,10 @@ mod tests {
         assert_eq!(mac.tag(&msg), expected);
     }
 
-    /// RFC 4493 Examples 1-4 (0, 16, 40 and 64 bytes of one message),
-    /// one-shot and fed through the streaming path byte by byte and in
-    /// block-straddling 7-byte chunks.
+    /// RFC 4493 Examples 1-4 (0, 16, 40 and 64 bytes of one message), on
+    /// the selected AES backend and on the T-table: one-shot, fed through
+    /// the streaming path byte by byte and in block-straddling 7-byte
+    /// chunks, and all four side by side through the lanes.
     #[test]
     fn rfc4493_examples_through_the_streaming_path() {
         const MSG: [u8; 64] = [
@@ -246,22 +452,83 @@ mod tests {
             (40, 0xdfa66747_de9ae630_30ca3261_1497c827),
             (64, 0x51f0bebf_7e3b9d92_fc497417_79363cfe),
         ];
-        let mac = Cmac::new(rfc_key());
-        for (len, tag) in examples {
-            let msg = &MSG[..len];
-            let expected = tag.to_be_bytes();
-            assert_eq!(mac.tag(msg), expected, "one-shot, {len} bytes");
-            for chunk in [1, 7] {
-                let mut s = mac.stream();
-                for piece in msg.chunks(chunk) {
-                    s.update(piece);
+        for aes in [rfc_key(), Aes128::portable(&RFC_KEY)] {
+            let mac = Cmac::new(aes);
+            for (len, tag) in examples {
+                let msg = &MSG[..len];
+                let expected = tag.to_be_bytes();
+                assert_eq!(mac.tag(msg), expected, "one-shot, {len} bytes");
+                for chunk in [1, 7] {
+                    let mut s = mac.stream();
+                    for piece in msg.chunks(chunk) {
+                        s.update(piece);
+                    }
+                    assert_eq!(s.finalize(), expected, "{len} bytes in {chunk}-byte chunks");
                 }
-                assert_eq!(s.finalize(), expected, "{len} bytes in {chunk}-byte chunks");
+                let mut s = mac.stream();
+                s.update(msg);
+                assert!(s.verify(&expected));
             }
-            let mut s = mac.stream();
-            s.update(msg);
-            assert!(s.verify(&expected));
+            // Ragged lanes: 1, 1, 3 and 4 blocks, each framed up to byte 21.
+            let frames = examples.map(|(len, _)| {
+                let mut frame = Frame::<2>::new();
+                frame.push(&MSG[..len.min(21)]);
+                frame
+            });
+            let lanes: [(&Frame<2>, &[u8]); 4] = core::array::from_fn(|i| {
+                (&frames[i], &MSG[frames[i].bytes().len()..examples[i].0])
+            });
+            let mut tags = [[0u8; 16]; 4];
+            mac.tag_lanes(&lanes, &mut tags);
+            assert_eq!(tags, examples.map(|(_, tag)| tag.to_be_bytes()), "{mac:?}");
         }
+    }
+
+    #[test]
+    fn tag_lanes_of_nothing_is_nothing() {
+        let mac = Cmac::new(rfc_key());
+        mac.tag_lanes::<2>(&[], &mut []);
+        mac.tag_lanes::<0>(&[], &mut []);
+    }
+
+    #[test]
+    #[should_panic(expected = "one tag per message")]
+    fn tag_lanes_wants_a_tag_per_message() {
+        let mac = Cmac::new(rfc_key());
+        let frame = Frame::<1>::new();
+        mac.tag_lanes(&[(&frame, &b"a"[..]), (&frame, b"b")], &mut [[0u8; 16]]);
+    }
+
+    #[test]
+    fn load_short_reads_every_length_little_endian() {
+        let bytes: [u8; 15] = core::array::from_fn(|i| 0xA1 + i as u8);
+        for len in 0..=15 {
+            let mut padded = [0u8; 16];
+            padded[..len].copy_from_slice(&bytes[..len]);
+            assert_eq!(
+                load_short(&bytes[..len]),
+                u128::from_le_bytes(padded),
+                "{len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_appends_back_to_back_up_to_its_capacity() {
+        let mut f = Frame::<2>::new();
+        assert_eq!(f.bytes(), b"");
+        f.push(b"abc");
+        f.push(b"");
+        f.push(&[7; 29]);
+        assert_eq!(f.bytes().len(), 32);
+        assert_eq!(&f.bytes()[..4], b"abc\x07");
+    }
+
+    #[test]
+    #[should_panic]
+    fn frame_refuses_to_overflow() {
+        let mut f = Frame::<1>::new();
+        f.push(&[0; 17]);
     }
 
     #[test]

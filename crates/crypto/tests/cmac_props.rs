@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use psoram_crypto::{Aes128, Cmac, ReferenceAes128};
+use psoram_crypto::{Aes128, Cmac, Frame, ReferenceAes128};
 
 /// Keys over the whole 128-bit domain (the vendored proptest has no
 /// byte-array `Arbitrary`, so assemble one from two `u64` draws).
@@ -138,5 +138,60 @@ proptest! {
         let mut tag = mac.tag(&msg);
         tag[(bit / 8) as usize] ^= 1 << (bit % 8);
         prop_assert!(!mac.verify(&msg, &tag));
+    }
+
+    /// Lockstep lanes are invisible: `tag_lanes` over 1..=9 messages of
+    /// ragged length (empty, partial, exact multiples of 16, up to 200
+    /// bytes — more messages than one group holds) gives each message the
+    /// tag `tag` gives it alone, wherever each is split between frame and
+    /// payload, on both AES backends.
+    #[test]
+    fn tag_lanes_matches_per_message_tags(
+        key in key_strategy(),
+        msgs in prop::collection::vec(
+            (
+                prop::collection::vec(any::<u8>(), 0..201),
+                // Round some lengths down to a block boundary.
+                any::<bool>(),
+                // Where the frame ends; sometimes on a block boundary too.
+                (any::<u16>(), any::<bool>()),
+            ),
+            1..10,
+        ),
+    ) {
+        let msgs: Vec<(Vec<u8>, usize)> = msgs
+            .into_iter()
+            .map(|(mut m, whole_blocks, (cut, cut_on_block))| {
+                if whole_blocks {
+                    m.truncate(m.len() / 16 * 16);
+                }
+                let mut cut = cut as usize % (m.len() + 1);
+                if cut_on_block {
+                    cut = cut / 16 * 16;
+                }
+                (m, cut)
+            })
+            .collect();
+        // 13 blocks hold the longest message whole.
+        let frames: Vec<Frame<13>> = msgs
+            .iter()
+            .map(|(m, cut)| {
+                let mut frame = Frame::new();
+                frame.push(&m[..*cut]);
+                frame
+            })
+            .collect();
+        let lanes: Vec<(&Frame<13>, &[u8])> = msgs
+            .iter()
+            .zip(&frames)
+            .map(|((m, cut), frame)| (frame, &m[*cut..]))
+            .collect();
+        for aes in [Aes128::new(&key), Aes128::portable(&key)] {
+            let mac = Cmac::new(aes);
+            let expected: Vec<[u8; 16]> = msgs.iter().map(|(m, _)| mac.tag(m)).collect();
+            let mut tags = vec![[0u8; 16]; msgs.len()];
+            mac.tag_lanes(&lanes, &mut tags);
+            prop_assert_eq!(&tags, &expected);
+        }
     }
 }

@@ -1,5 +1,9 @@
-//! Equivalence of the T-table AES fast path against the byte-wise reference
-//! cipher, over random keys and blocks, plus the CTR layer built on top.
+//! Equivalence of both `Aes128` round functions — the one the host selects
+//! (AES-NI where the CPU has it) and the portable T-table — against each
+//! other and the byte-wise reference cipher, over random keys and blocks,
+//! plus the multi-block entry point and the CTR layer built on top. On a
+//! host without AES instructions the selected path *is* the T-table and the
+//! comparisons hold trivially.
 //!
 //! The known-answer vectors (FIPS-197, NIST SP 800-38A) live next to the
 //! implementations; this suite covers the space *between* the published
@@ -19,7 +23,7 @@ fn bytes16(halves: (u64, u64)) -> [u8; 16] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The fast path and the reference cipher agree on every (key, block).
+    /// The T-table and the reference cipher agree on every (key, block).
     #[test]
     fn ttable_matches_reference(
         k in (any::<u64>(), any::<u64>()),
@@ -28,21 +32,54 @@ proptest! {
         let key = bytes16(k);
         let block = bytes16(b);
         prop_assert_eq!(
-            Aes128::new(&key).encrypt_block(&block),
+            Aes128::portable(&key).encrypt_block(&block),
             ReferenceAes128::new(&key).encrypt_block(&block)
         );
     }
 
-    /// The inverse cipher undoes the T-table forward cipher (both consume
-    /// the same expanded schedule).
+    /// Hardware ≡ T-table ≡ reference: whatever rounds `new` selected on
+    /// this host produce the ciphertext of the other two.
+    #[test]
+    fn selected_backend_matches_ttable_and_reference(
+        k in (any::<u64>(), any::<u64>()),
+        b in (any::<u64>(), any::<u64>()),
+    ) {
+        let key = bytes16(k);
+        let block = bytes16(b);
+        let selected = Aes128::new(&key).encrypt_block(&block);
+        prop_assert_eq!(selected, Aes128::portable(&key).encrypt_block(&block));
+        prop_assert_eq!(selected, ReferenceAes128::new(&key).encrypt_block(&block));
+    }
+
+    /// `encrypt_blocks(v)` is `v.map(encrypt_block)` at every length that
+    /// splits differently into wide groups and tails, on both backends.
+    #[test]
+    fn encrypt_blocks_matches_block_at_a_time(
+        k in (any::<u64>(), any::<u64>()),
+        blocks in prop::collection::vec((any::<u64>(), any::<u64>()), 0..18),
+    ) {
+        let key = bytes16(k);
+        let plain: Vec<[u8; 16]> = blocks.into_iter().map(bytes16).collect();
+        let reference = ReferenceAes128::new(&key);
+        let expected: Vec<[u8; 16]> = plain.iter().map(|b| reference.encrypt_block(b)).collect();
+        for aes in [Aes128::new(&key), Aes128::portable(&key)] {
+            let mut together = plain.clone();
+            aes.encrypt_blocks(&mut together);
+            prop_assert_eq!(&together, &expected, "{:?}", aes);
+        }
+    }
+
+    /// The inverse cipher undoes the forward cipher on either backend (all
+    /// consume the same expanded schedule).
     #[test]
     fn decrypt_inverts_ttable_encrypt(
         k in (any::<u64>(), any::<u64>()),
         b in (any::<u64>(), any::<u64>()),
     ) {
-        let aes = Aes128::new(&bytes16(k));
         let pt = bytes16(b);
-        prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
+        for aes in [Aes128::new(&bytes16(k)), Aes128::portable(&bytes16(k))] {
+            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
+        }
     }
 
     /// CTR keystream over the fast path equals block-at-a-time CTR over the
@@ -58,6 +95,8 @@ proptest! {
 
         let mut fast = vec![0u8; len];
         CtrCipher::new(Aes128::new(&key)).keystream_into(iv, &mut fast);
+        let mut portable = vec![0u8; len];
+        CtrCipher::new(Aes128::portable(&key)).keystream_into(iv, &mut portable);
 
         let reference = ReferenceAes128::new(&key);
         let mut slow = vec![0u8; len];
@@ -67,7 +106,8 @@ proptest! {
             chunk.copy_from_slice(&pad[..chunk.len()]);
         }
 
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(&fast, &slow);
+        prop_assert_eq!(&portable, &slow);
     }
 
     /// apply_keystream is an involution for any (key, iv, data).

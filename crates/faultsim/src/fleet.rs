@@ -304,7 +304,7 @@ fn run_wear_instance(cfg: &WearFleetConfig, instance: u32) -> (FleetLaneReport, 
 
 /// Runs the wear-aware fleet: the `wear_instance` runs on pre-aged
 /// silicon with wear faults live, every sibling runs the ordinary
-/// [`run_instance`] path — so sibling lane reports are byte-identical
+/// `run_instance` path — so sibling lane reports are byte-identical
 /// to a wear-free [`fleet_campaign`] of the same [`FleetConfig`].
 ///
 /// # Panics

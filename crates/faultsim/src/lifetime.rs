@@ -22,16 +22,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use psoram_nvm::{FaultConfig, WearConfig, WearScheme};
+use psoram_nvm::{FaultConfig, WearConfig, WearScheme, CORE_HZ};
 use psoram_trace::{SpecWorkload, TraceGenerator};
 
 use crate::driver::Driver;
 use crate::par::par_map;
 use crate::target::DesignVariant;
-
-/// The modeled core clock (matches `psoram_trace`'s 1-IPC in-order core
-/// and the service layer's `CORE_HZ`).
-pub const CORE_HZ: u64 = 3_200_000_000;
 
 const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 

@@ -50,7 +50,7 @@ pub use fault::{FaultClass, FaultConfig, FaultPlan, FaultStats, ReadFault, Round
 pub use onchip::OnChipNvmModel;
 pub use request::AccessKind;
 pub use stats::NvmStats;
-pub use timing::{MemTech, TimingParams, CORE_CYCLES_PER_MEM_CYCLE};
+pub use timing::{MemTech, TimingParams, CORE_CYCLES_PER_MEM_CYCLE, CORE_HZ};
 pub use wear::{
     Conviction, EnduranceModel, GapMove, RemapTable, StartGap, WearConfig, WearEngine, WearScheme,
     WearStats, SPARE_LINE_BASE, WEAR_LINE_BYTES,

@@ -9,6 +9,11 @@ use serde::{Deserialize, Serialize};
 /// *memory* cycles; multiply by this constant to convert to core cycles.
 pub const CORE_CYCLES_PER_MEM_CYCLE: u64 = 8;
 
+/// The modeled core frequency: the paper's 3.2 GHz in-order core (and
+/// `psoram-trace`'s 1-IPC one). The one constant that converts simulated
+/// core cycles to seconds, for arrival rates, latencies and lifetimes.
+pub const CORE_HZ: u64 = 3_200_000_000;
+
 /// Memory device technology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MemTech {

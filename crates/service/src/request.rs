@@ -6,10 +6,10 @@ use psoram_core::Op;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The modeled core frequency (the paper's 3.2 GHz in-order core); used
-/// to convert the configured arrival rate into inter-arrival cycles and
-/// simulated cycle spans back into seconds.
-pub const CORE_HZ: u64 = 3_200_000_000;
+/// The modeled core frequency, defined once beside the memory clock ratio
+/// in `psoram-nvm`; here it converts the configured arrival rate into
+/// inter-arrival cycles and simulated cycle spans back into seconds.
+pub use psoram_nvm::CORE_HZ;
 
 /// One client access request as submitted to the service front-end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

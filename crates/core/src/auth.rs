@@ -47,7 +47,7 @@ use std::collections::HashMap;
 
 use psoram_crypto::{Aes128, Cmac, CmacStream, Frame};
 
-use crate::block::Block;
+use crate::block::{Block, BlockRef};
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
 use crate::unit_table::UnitTable;
@@ -92,11 +92,11 @@ type DigestFrame = Frame<2>;
 
 /// What a slot record claims to cover: the identity and counter it was
 /// written under, and the content found with it.
-type SlotClaim<'a> = ((u64, u64), u64, Option<&'a Block>);
+type SlotClaim<'a> = ((u64, u64), u64, Option<BlockRef<'a>>);
 
 /// One tree slot and the content read back from, or about to be written
 /// to, it.
-pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<&'a Block>);
+pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<BlockRef<'a>>);
 
 /// The fixed part of the MAC input of a tree-slot record; a real block's
 /// payload (see [`payload_of`]) follows it:
@@ -131,8 +131,8 @@ fn slot_frame((src, ctr, content): SlotClaim<'_>) -> SlotFrame {
 }
 
 /// The borrowed tail of a slot record's MAC input: nothing for a dummy.
-fn payload_of(content: Option<&Block>) -> &[u8] {
-    content.map_or(&[], |b| &b.payload)
+fn payload_of(content: Option<BlockRef<'_>>) -> &[u8] {
+    content.map_or(&[], |b| b.payload)
 }
 
 /// Hands `each` the items of `units` in runs of up to [`LANES`], gathered
@@ -155,7 +155,12 @@ fn in_lanes<T: Copy + Default>(units: impl IntoIterator<Item = T>, mut each: imp
 
 /// A slot as served: its coordinates, the content read, and the record
 /// that came with it (`None`: no record was found).
-type ServedUnit<'a> = (BucketIndex, usize, Option<&'a Block>, Option<&'a UnitMeta>);
+type ServedUnit<'a> = (
+    BucketIndex,
+    usize,
+    Option<BlockRef<'a>>,
+    Option<&'a UnitMeta>,
+);
 
 /// A stale snapshot the adversary re-serves on the fetch wire: the
 /// unit's coordinates plus the `(content, record)` pair as they stood
@@ -452,6 +457,23 @@ impl UnitHistory {
         *self.slots.cell_mut(bucket, slot) = Some((prev_content, prev_meta));
     }
 
+    /// The fetch-wire replay of the adversary's `pick`: among the units
+    /// being read (in read order) that have a recorded prior version, the
+    /// `pick`-th, modulo their number — `None` when none has one.
+    pub fn stale_serve(
+        &self,
+        units: impl Iterator<Item = (BucketIndex, usize)> + Clone,
+        pick: u64,
+    ) -> Option<StaleServe> {
+        let recorded = |&(bucket, slot): &(BucketIndex, usize)| self.slot(bucket, slot).is_some();
+        let candidates = units.clone().filter(recorded).count();
+        let (bucket, slot) = units
+            .filter(recorded)
+            .nth((pick % candidates.max(1) as u64) as usize)?;
+        let (content, meta) = self.slot(bucket, slot)?;
+        Some(((bucket, slot), content.clone(), *meta))
+    }
+
     /// The recorded prior version of a tree slot, if any.
     pub fn slot(
         &self,
@@ -525,7 +547,7 @@ impl AuthTags {
 
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
     /// trusted counter and stores a fresh off-chip record.
-    pub fn record_slot(&mut self, bucket: BucketIndex, slot: usize, content: Option<&Block>) {
+    pub fn record_slot(&mut self, bucket: BucketIndex, slot: usize, content: Option<BlockRef<'_>>) {
         self.record_slots([(bucket, slot, content)]);
     }
 
@@ -576,7 +598,7 @@ impl AuthTags {
         &self,
         bucket: BucketIndex,
         slot: usize,
-        content: Option<&Block>,
+        content: Option<BlockRef<'_>>,
     ) -> FreshnessVerdict {
         self.classify_served_slot(bucket, slot, content, self.slots.get(bucket, slot))
     }
@@ -617,7 +639,12 @@ impl AuthTags {
         let mut wire = FreshnessVerdict::Clean;
         self.verdict_slots(units, |bucket, slot, verdict| match served {
             Some((unit, content, meta)) if *unit == (bucket, slot) => {
-                wire = self.classify_served_slot(bucket, slot, content.as_ref(), meta.as_ref());
+                wire = self.classify_served_slot(
+                    bucket,
+                    slot,
+                    content.as_ref().map(Block::view),
+                    meta.as_ref(),
+                );
             }
             _ if convicted.is_none() => convicted = verdict.fault_class(),
             _ => {}
@@ -633,7 +660,7 @@ impl AuthTags {
         &self,
         bucket: BucketIndex,
         slot: usize,
-        content: Option<&Block>,
+        content: Option<BlockRef<'_>>,
         rec: Option<&UnitMeta>,
     ) -> FreshnessVerdict {
         let mut verdict = [FreshnessVerdict::Clean];
@@ -679,7 +706,12 @@ impl AuthTags {
     }
 
     /// Boolean form of [`AuthTags::verdict_slot`].
-    pub fn verify_slot(&self, bucket: BucketIndex, slot: usize, content: Option<&Block>) -> bool {
+    pub fn verify_slot(
+        &self,
+        bucket: BucketIndex,
+        slot: usize,
+        content: Option<BlockRef<'_>>,
+    ) -> bool {
         self.verdict_slot(bucket, slot, content) == FreshnessVerdict::Clean
     }
 
@@ -820,43 +852,52 @@ mod tests {
     fn slot_tags_detect_any_field_mutation() {
         let mut t = tags();
         let b = blk(5, 1);
-        t.record_slot(9, 2, Some(&b));
-        assert!(t.verify_slot(9, 2, Some(&b)));
+        t.record_slot(9, 2, Some(b.view()));
+        assert!(t.verify_slot(9, 2, Some(b.view())));
 
         let mut evil = b.clone();
         evil.payload[3] ^= 0x40;
         assert_eq!(
-            t.verdict_slot(9, 2, Some(&evil)),
+            t.verdict_slot(9, 2, Some(evil.view())),
             FreshnessVerdict::Tampered,
             "payload flip undetected"
         );
 
         let mut evil = b.clone();
         evil.header.seq += 1;
-        assert!(!t.verify_slot(9, 2, Some(&evil)), "seq bump undetected");
+        assert!(
+            !t.verify_slot(9, 2, Some(evil.view())),
+            "seq bump undetected"
+        );
 
         let mut evil = b.clone();
         evil.header.leaf = Leaf(4);
-        assert!(!t.verify_slot(9, 2, Some(&evil)), "leaf change undetected");
+        assert!(
+            !t.verify_slot(9, 2, Some(evil.view())),
+            "leaf change undetected"
+        );
 
         let mut evil = b;
         evil.is_backup = true;
-        assert!(!t.verify_slot(9, 2, Some(&evil)), "backup flip undetected");
+        assert!(
+            !t.verify_slot(9, 2, Some(evil.view())),
+            "backup flip undetected"
+        );
     }
 
     #[test]
     fn dummy_and_untagged_slots() {
         let mut t = tags();
         // Untracked: anything verifies.
-        assert!(t.verify_slot(1, 0, Some(&blk(1, 1))));
+        assert!(t.verify_slot(1, 0, Some(blk(1, 1).view())));
         assert!(t.verify_slot(1, 0, None));
         assert_eq!(t.verdict_slot(1, 0, None), FreshnessVerdict::Clean);
         // Tagged dummy: a materialized block is damage.
         t.record_slot(1, 0, None);
         assert!(t.verify_slot(1, 0, None));
-        assert!(!t.verify_slot(1, 0, Some(&blk(1, 1))));
+        assert!(!t.verify_slot(1, 0, Some(blk(1, 1).view())));
         // Tagged real block wiped to dummy is damage too.
-        t.record_slot(2, 1, Some(&blk(2, 2)));
+        t.record_slot(2, 1, Some(blk(2, 2).view()));
         assert!(!t.verify_slot(2, 1, None));
     }
 
@@ -896,16 +937,16 @@ mod tests {
         let mut t = tags();
         let v1 = blk(5, 1);
         let v2 = blk(5, 2);
-        t.record_slot(3, 0, Some(&v1));
+        t.record_slot(3, 0, Some(v1.view()));
         let stale = t.slot_record(3, 0);
         assert!(stale.is_some());
-        t.record_slot(3, 0, Some(&v2));
-        assert!(t.verify_slot(3, 0, Some(&v2)));
+        t.record_slot(3, 0, Some(v2.view()));
+        assert!(t.verify_slot(3, 0, Some(v2.view())));
         // Adversary re-serves the authentic v1 (content, record) pair:
         // the tag verifies, the address matches, but the counter lags.
         t.set_slot_record(3, 0, stale);
         assert_eq!(
-            t.verdict_slot(3, 0, Some(&v1)),
+            t.verdict_slot(3, 0, Some(v1.view())),
             FreshnessVerdict::Stale,
             "replayed coherent record must be convicted by the counter"
         );
@@ -916,21 +957,27 @@ mod tests {
         let mut t = tags();
         let a = blk(1, 0xAA);
         let b = blk(2, 0xBB);
-        t.record_slot(7, 0, Some(&a));
-        t.record_slot(8, 1, Some(&b));
+        t.record_slot(7, 0, Some(a.view()));
+        t.record_slot(8, 1, Some(b.view()));
         let ra = t.slot_record(7, 0);
         let rb = t.slot_record(8, 1);
         // Swap records (and contents) across the two slots.
         t.set_slot_record(7, 0, rb);
         t.set_slot_record(8, 1, ra);
-        assert_eq!(t.verdict_slot(7, 0, Some(&b)), FreshnessVerdict::Spliced);
-        assert_eq!(t.verdict_slot(8, 1, Some(&a)), FreshnessVerdict::Spliced);
+        assert_eq!(
+            t.verdict_slot(7, 0, Some(b.view())),
+            FreshnessVerdict::Spliced
+        );
+        assert_eq!(
+            t.verdict_slot(8, 1, Some(a.view())),
+            FreshnessVerdict::Spliced
+        );
     }
 
     #[test]
     fn genesis_rollback_is_missing() {
         let mut t = tags();
-        t.record_slot(4, 2, Some(&blk(9, 3)));
+        t.record_slot(4, 2, Some(blk(9, 3).view()));
         t.set_slot_record(4, 2, None);
         assert_eq!(
             t.verdict_slot(4, 2, None),
@@ -1024,7 +1071,7 @@ mod tests {
     }
 
     /// The MAC input bytes of a slot record, collected instead of MACed.
-    fn encoded(src: (u64, u64), ctr: u64, content: Option<&Block>) -> Vec<u8> {
+    fn encoded(src: (u64, u64), ctr: u64, content: Option<BlockRef<'_>>) -> Vec<u8> {
         let mut out = slot_frame((src, ctr, content)).bytes().to_vec();
         out.extend_from_slice(payload_of(content));
         out
@@ -1035,7 +1082,7 @@ mod tests {
         let real = blk(5, 1); // 8-byte payload
         assert_eq!(encoded((9, 2), 1, None).len(), 26, "dummy: two AES blocks");
         assert_eq!(
-            encoded((9, 2), 1, Some(&real)).len(),
+            encoded((9, 2), 1, Some(real.view())).len(),
             83,
             "real: six AES blocks"
         );
@@ -1045,11 +1092,11 @@ mod tests {
         let messages = [
             // Dummy vs. empty payload vs. a payload spelling the marker.
             encoded((9, 2), 1, None),
-            encoded((9, 2), 1, Some(&with_payload(&[]))),
-            encoded((9, 2), 1, Some(&with_payload(&[MARK_DUMMY]))),
+            encoded((9, 2), 1, Some(with_payload(&[]).view())),
+            encoded((9, 2), 1, Some(with_payload(&[MARK_DUMMY]).view())),
             // A payload byte sliding across the length boundary.
-            encoded((9, 2), 1, Some(&with_payload(&[1, 0]))),
-            encoded((9, 2), 1, Some(&with_payload(&[1]))),
+            encoded((9, 2), 1, Some(with_payload(&[1, 0]).view())),
+            encoded((9, 2), 1, Some(with_payload(&[1]).view())),
             // The same one sliding between the identity fields.
             encoded((1, 0), 0, None),
             encoded((0, 1), 0, None),
@@ -1153,12 +1200,12 @@ mod tests {
                 let mut snapshots = Vec::new();
                 for i in 0..writes {
                     let b = Block::new(BlockAddr(1), Leaf(2), vec![i as u8; 4]);
-                    t.record_slot(bucket, slot, Some(&b));
+                    t.record_slot(bucket, slot, Some(b.view()));
                     snapshots.push((Some(b), t.slot_record(bucket, slot)));
                 }
                 let (content, meta) = snapshots[serve].clone();
                 t.set_slot_record(bucket, slot, meta);
-                let verdict = t.verdict_slot(bucket, slot, content.as_ref());
+                let verdict = t.verdict_slot(bucket, slot, content.as_ref().map(Block::view));
                 prop_assert_eq!(
                     verdict,
                     FreshnessVerdict::Stale,
@@ -1183,10 +1230,10 @@ mod tests {
                 if from != to {
                     let mut t = AuthTags::new(&[5u8; 16]);
                     let b = Block::new(BlockAddr(3), Leaf(1), vec![payload; 4]);
-                    t.record_slot(from.0, from.1, Some(&b));
+                    t.record_slot(from.0, from.1, Some(b.view()));
                     let rec = t.slot_record(from.0, from.1);
                     t.set_slot_record(to.0, to.1, rec);
-                    let verdict = t.verdict_slot(to.0, to.1, Some(&b));
+                    let verdict = t.verdict_slot(to.0, to.1, Some(b.view()));
                     prop_assert_eq!(verdict, FreshnessVerdict::Spliced);
                 }
             }
@@ -1245,7 +1292,8 @@ mod tests {
                     }
                 }
                 let same_bytes =
-                    encoded(a.0, a.1, a.2.as_ref()) == encoded(b.0, b.1, b.2.as_ref());
+                    encoded(a.0, a.1, a.2.as_ref().map(Block::view))
+                        == encoded(b.0, b.1, b.2.as_ref().map(Block::view));
                 prop_assert_eq!(same_bytes, a == b, "{:?} vs {:?}", a, b);
             }
         }
@@ -1361,11 +1409,11 @@ mod tests {
                     }
                     batched.record_slots(written.iter().map(|&i| {
                         let (bucket, slot) = unit(i);
-                        (bucket, slot, on_media[i].as_ref())
+                        (bucket, slot, on_media[i].as_ref().map(Block::view))
                     }));
                     for &i in &written {
                         let (bucket, slot) = unit(i);
-                        single.record_slot(bucket, slot, on_media[i].as_ref());
+                        single.record_slot(bucket, slot, on_media[i].as_ref().map(Block::view));
                     }
                     for i in 0..plans.len() {
                         let (bucket, slot) = unit(i);
@@ -1415,14 +1463,14 @@ mod tests {
                 batched.verdict_slots(
                     (0..plans.len()).map(|i| {
                         let (bucket, slot) = unit(i);
-                        (bucket, slot, served[i].as_ref())
+                        (bucket, slot, served[i].as_ref().map(Block::view))
                     }),
                     |bucket, slot, verdict| verdicts.push((bucket, slot, verdict)),
                 );
                 let expected: Vec<_> = (0..plans.len())
                     .map(|i| {
                         let (bucket, slot) = unit(i);
-                        (bucket, slot, single.verdict_slot(bucket, slot, served[i].as_ref()))
+                        (bucket, slot, single.verdict_slot(bucket, slot, served[i].as_ref().map(Block::view)))
                     })
                     .collect();
                 prop_assert_eq!(verdicts, expected);
@@ -1436,9 +1484,9 @@ mod tests {
         fn one_batch_can_hold_every_verdict() {
             let mut t = AuthTags::new(&[8u8; 16]);
             let blocks: Vec<Block> = (0..5).map(|i| blk(i, i as u8)).collect();
-            t.record_slots((0..5).map(|s| (7, s, Some(&blocks[s]))));
+            t.record_slots((0..5).map(|s| (7, s, Some(blocks[s].view()))));
             let stale = t.slot_record(7, 3);
-            t.record_slot(7, 3, Some(&blocks[0]));
+            t.record_slot(7, 3, Some(blocks[0].view()));
             t.set_slot_record(7, 3, stale); // rolled back one version
             t.set_slot_record(7, 4, None); // deleted
             let moved = t.slot_record(7, 0);
@@ -1447,9 +1495,10 @@ mod tests {
             flipped.payload[0] ^= 1;
             let served = [&blocks[0], &flipped, &blocks[0], &blocks[3], &blocks[4]];
             let mut verdicts = Vec::new();
-            t.verdict_slots((0..5).map(|s| (7, s, Some(served[s]))), |_, _, verdict| {
-                verdicts.push(verdict)
-            });
+            t.verdict_slots(
+                (0..5).map(|s| (7, s, Some(served[s].view()))),
+                |_, _, verdict| verdicts.push(verdict),
+            );
             use FreshnessVerdict::*;
             assert_eq!(verdicts, [Clean, Tampered, Spliced, Stale, Missing]);
         }

@@ -89,6 +89,69 @@ impl Block {
     pub fn leaf(&self) -> Leaf {
         self.header.leaf
     }
+
+    /// This block as the tree store hands blocks out: header and payload
+    /// borrowed.
+    pub fn view(&self) -> BlockRef<'_> {
+        BlockRef {
+            header: &self.header,
+            is_backup: self.is_backup,
+            payload: &self.payload,
+        }
+    }
+}
+
+/// A real block borrowed from where it lies — a slot of the NVM tree (whose
+/// payloads sit in the store's own buffers, not in per-block vectors) or an
+/// on-chip [`Block`].
+///
+/// # Examples
+///
+/// ```
+/// use psoram_core::{Block, BlockAddr, Leaf};
+///
+/// let b = Block::new(BlockAddr(7), Leaf(3), vec![1, 2, 3, 4]);
+/// let v = b.view();
+/// assert_eq!((v.addr(), v.leaf(), v.payload), (BlockAddr(7), Leaf(3), &[1, 2, 3, 4][..]));
+/// assert_eq!(v.to_block(), b);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BlockRef<'a> {
+    /// Header carrying address, path id and IVs.
+    pub header: &'a BlockHeader,
+    /// `true` for a PS-ORAM backup (shadow) copy.
+    pub is_backup: bool,
+    /// The payload bytes, as stored.
+    pub payload: &'a [u8],
+}
+
+impl BlockRef<'_> {
+    /// The block's logical address.
+    pub fn addr(&self) -> BlockAddr {
+        self.header.addr
+    }
+
+    /// The path the block is mapped to.
+    pub fn leaf(&self) -> Leaf {
+        self.header.leaf
+    }
+
+    /// An owned copy with a freshly allocated payload.
+    pub fn to_block(&self) -> Block {
+        self.to_block_in(Vec::new())
+    }
+
+    /// An owned copy whose payload reuses `buffer`'s allocation (its
+    /// contents are replaced).
+    pub fn to_block_in(&self, mut buffer: Vec<u8>) -> Block {
+        buffer.clear();
+        buffer.extend_from_slice(self.payload);
+        Block {
+            header: *self.header,
+            payload: buffer,
+            is_backup: self.is_backup,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -106,6 +169,15 @@ mod tests {
         // The original is untouched.
         assert!(!b.is_backup);
         assert_eq!(b.leaf(), Leaf(9));
+    }
+
+    #[test]
+    fn a_view_round_trips_every_field() {
+        let mut b = Block::new(BlockAddr(1), Leaf(9), vec![5; 8]).to_backup(Leaf(2));
+        b.header.iv2 = 77;
+        b.header.seq = 3;
+        assert_eq!(b.view().to_block(), b);
+        assert!(b.view().is_backup);
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Tree buckets: Path ORAM's `Z`-slot [`Bucket`] and Ring ORAM's
-//! permuted `Z + S`-slot [`RingBucket`].
+//! An owned bucket image: the slots of one tree node while they are on
+//! chip or in flight through the WPQ. On media the slots live in the
+//! tree's slot arena (`OramTree`), which hands buckets out borrowed.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
-use crate::types::BlockAddr;
 
-/// One node of the ORAM tree, holding up to `Z` blocks.
+/// One node of the ORAM tree, holding up to `Z` blocks (Ring ORAM: `Z + S`
+/// physical slots behind a permutation).
 ///
 /// Empty slots model dummy blocks (address `⊥` in the paper). On the real
 /// memory bus every slot — dummy or not — is transferred and re-encrypted,
@@ -78,11 +79,6 @@ impl Bucket {
         std::mem::replace(&mut self.slots[idx], block)
     }
 
-    /// Takes all real blocks out, leaving the bucket all-dummy.
-    pub fn take_blocks(&mut self) -> Vec<Block> {
-        self.slots.iter_mut().filter_map(Option::take).collect()
-    }
-
     /// Immutable view of a slot.
     ///
     /// # Panics
@@ -101,59 +97,19 @@ impl Bucket {
     pub fn is_empty(&self) -> bool {
         self.slots.iter().all(Option::is_none)
     }
-}
 
-/// One Ring ORAM bucket: `Z + S` physical slots behind a permutation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct RingBucket {
-    /// Physical slots; `None` is an (encrypted) dummy.
-    pub(crate) slots: Vec<Option<Block>>,
-    /// Slot not yet consumed by a read since the last rewrite.
-    pub(crate) valid: Vec<bool>,
-    /// Reads since the last rewrite.
-    pub(crate) count: usize,
-}
-
-impl RingBucket {
-    pub(crate) fn new(physical: usize) -> Self {
-        RingBucket {
-            slots: vec![None; physical],
-            valid: vec![true; physical],
-            count: 0,
-        }
+    /// The slots in order, dummies as `None`, taken out of the image.
+    pub(crate) fn into_slots(self) -> Vec<Option<Block>> {
+        self.slots
     }
 
-    /// Builds a freshly permuted bucket from up to `Z` real blocks.
-    pub(crate) fn from_blocks(blocks: Vec<Block>, physical: usize, rng: &mut StdRng) -> Self {
+    /// A freshly permuted `physical`-slot image of up to `physical` real
+    /// blocks — what a Ring ORAM bucket rewrite puts on the bus.
+    pub(crate) fn permuted(blocks: Vec<Block>, physical: usize, rng: &mut StdRng) -> Self {
         let mut slots: Vec<Option<Block>> = blocks.into_iter().map(Some).collect();
         slots.resize(physical, None);
         slots.shuffle(rng);
-        RingBucket {
-            slots,
-            valid: vec![true; physical],
-            count: 0,
-        }
-    }
-
-    pub(crate) fn find_valid(&self, addr: BlockAddr) -> Option<usize> {
-        self.slots.iter().enumerate().find_map(|(i, s)| match s {
-            Some(b) if self.valid[i] && b.addr() == addr && !b.is_backup => Some(i),
-            _ => None,
-        })
-    }
-
-    pub(crate) fn random_valid_dummy(&self, rng: &mut StdRng) -> Option<usize> {
-        let dummies: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.valid[i] && self.slots[i].is_none())
-            .collect();
-        dummies.choose(rng).copied()
-    }
-
-    /// All real blocks physically present — valid *or* consumed; consumed
-    /// slots still hold the bytes until the next rewrite, which is exactly
-    /// what crash recovery exploits.
-    pub(crate) fn real_blocks(&self) -> impl Iterator<Item = &Block> {
-        self.slots.iter().flatten()
+        Bucket { slots }
     }
 }
 
@@ -174,17 +130,6 @@ mod tests {
         let rejected = b.insert(blk(3)).unwrap_err();
         assert_eq!(rejected.addr(), BlockAddr(3));
         assert_eq!(b.occupancy(), 2);
-    }
-
-    #[test]
-    fn take_blocks_empties_bucket() {
-        let mut b = Bucket::new(4);
-        b.insert(blk(1)).unwrap();
-        b.insert(blk(2)).unwrap();
-        let taken = b.take_blocks();
-        assert_eq!(taken.len(), 2);
-        assert!(b.is_empty());
-        assert_eq!(b.free_slots(), 4);
     }
 
     #[test]

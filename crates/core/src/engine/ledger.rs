@@ -32,9 +32,16 @@ impl CommitLedger {
         Self::default()
     }
 
-    /// Records the program-visible write of `value` to `addr`.
-    pub fn note_written(&mut self, addr: u64, value: Vec<u8>) {
-        self.written.insert(addr, value);
+    /// Records the program-visible write of `value` to `addr`. Like
+    /// [`CommitLedger::commit_if_fresh`], the value is copied into the
+    /// entry's own buffer: re-writing an address allocates nothing.
+    pub fn note_written(&mut self, addr: u64, value: &[u8]) {
+        match self.written.entry(addr) {
+            Entry::Occupied(mut held) => overwrite(held.get_mut(), value),
+            Entry::Vacant(slot) => {
+                slot.insert(value.to_vec());
+            }
+        }
     }
 
     /// Records that a copy of `addr` with freshness `seq` committed
@@ -47,8 +54,7 @@ impl CommitLedger {
             Entry::Occupied(mut held) => {
                 let (held_seq, held_payload) = held.get_mut();
                 *held_seq = seq;
-                held_payload.clear();
-                held_payload.extend_from_slice(payload);
+                overwrite(held_payload, payload);
                 true
             }
             Entry::Vacant(slot) => {
@@ -100,16 +106,48 @@ impl CommitLedger {
         v.cloned().unwrap_or_else(|| vec![0u8; payload_bytes])
     }
 
-    /// The shared recoverability audit: every committed address must have
-    /// a physical copy at its persisted PosMap position holding exactly
-    /// the committed value.
+    /// Every inconsistency of the shared recoverability audit, lazily and
+    /// in ascending address order: a committed address must have a
+    /// physical copy at its persisted PosMap position holding exactly the
+    /// committed value.
     ///
-    /// `copy_at` returns the persisted leaf of an address together with
-    /// the newest matching copy's payload found there (protocol-specific
-    /// scan). `durable_override` lets durable-stash designs satisfy an
-    /// address out of the stash instead; non-durable designs pass
-    /// `|_, _| false`. `desc` names the copy in violation messages
+    /// `copy_at` reports the persisted leaf of an address and whether a
+    /// matching copy was found there, writing the newest one's plaintext
+    /// payload into the (empty) buffer it is handed — one buffer serves
+    /// the whole audit. `durable_override` lets durable-stash designs
+    /// satisfy an address out of the stash instead; non-durable designs
+    /// pass `|_, _| false`. `desc` names the copy in violation messages
     /// (e.g. `"recoverable copy"`).
+    fn violations<'a>(
+        &'a self,
+        desc: &'a str,
+        mut copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool) + 'a,
+        mut durable_override: impl FnMut(u64, &Vec<u8>) -> bool + 'a,
+    ) -> impl Iterator<Item = (u64, String)> + 'a {
+        let mut found = Vec::new();
+        self.committed_sorted()
+            .into_iter()
+            .filter_map(move |(a, expected)| {
+                if durable_override(a, expected) {
+                    return None;
+                }
+                found.clear();
+                let (leaf, present) = copy_at(a, &mut found);
+                let addr = BlockAddr(a);
+                if !present {
+                    Some((a, format!("{addr}: no {desc} on persisted path {leaf}")))
+                } else if &found != expected {
+                    let complaint =
+                        format!("{addr}: {desc} at {leaf} holds {found:?}, expected {expected:?}");
+                    Some((a, complaint))
+                } else {
+                    None
+                }
+            })
+    }
+
+    /// The shared recoverability audit (see the parameters of
+    /// `violations` above — they are this function's).
     ///
     /// # Errors
     ///
@@ -117,55 +155,25 @@ impl CommitLedger {
     pub fn audit_committed(
         &self,
         desc: &str,
-        mut copy_at: impl FnMut(u64) -> (Leaf, Option<Vec<u8>>),
-        mut durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
+        copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool),
+        durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
     ) -> Result<(), String> {
-        for (a, expected) in self.committed_sorted() {
-            if durable_override(a, expected) {
-                continue;
-            }
-            let addr = BlockAddr(a);
-            let (leaf, found) = copy_at(a);
-            match found {
-                Some(p) if &p == expected => {}
-                Some(p) => {
-                    return Err(format!(
-                        "{addr}: {desc} at {leaf} holds {p:?}, expected {expected:?}"
-                    ));
-                }
-                None => return Err(format!("{addr}: no {desc} on persisted path {leaf}")),
-            }
+        match self.violations(desc, copy_at, durable_override).next() {
+            Some((_, complaint)) => Err(complaint),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Like [`CommitLedger::audit_committed`], but collects *every*
-    /// failing address instead of stopping at the first, so hardened
-    /// recovery can repair or roll back all of them in one pass.
+    /// failing address (ascending) instead of stopping at the first, so
+    /// hardened recovery can repair or roll back all of them in one pass.
     pub fn audit_committed_collect(
         &self,
         desc: &str,
-        mut copy_at: impl FnMut(u64) -> (Leaf, Option<Vec<u8>>),
-        mut durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
+        copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool),
+        durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
     ) -> Vec<(u64, String)> {
-        let mut failures = Vec::new();
-        for (a, expected) in self.committed_sorted() {
-            if durable_override(a, expected) {
-                continue;
-            }
-            let addr = BlockAddr(a);
-            let (leaf, found) = copy_at(a);
-            match found {
-                Some(p) if &p == expected => {}
-                Some(p) => failures.push((
-                    a,
-                    format!("{addr}: {desc} at {leaf} holds {p:?}, expected {expected:?}"),
-                )),
-                None => failures.push((a, format!("{addr}: no {desc} on persisted path {leaf}"))),
-            }
-        }
-        failures.sort_by_key(|(a, _)| *a);
-        failures
+        self.violations(desc, copy_at, durable_override).collect()
     }
 
     /// Rolls the committed record of `addr` back to `survivor` — the
@@ -182,6 +190,12 @@ impl CommitLedger {
             }
         }
     }
+}
+
+/// Replaces the contents of `held` with `value`, keeping its allocation.
+fn overwrite(held: &mut Vec<u8>, value: &[u8]) {
+    held.clear();
+    held.extend_from_slice(value);
 }
 
 #[cfg(test)]
@@ -207,15 +221,24 @@ mod tests {
         l.commit_if_fresh(5, 0, &[5]);
         l.commit_if_fresh(2, 0, &[2]);
         l.commit_if_fresh(9, 0, &[9]);
-        let failures = l.audit_committed_collect(
-            "copy",
-            |a| (Leaf(0), if a == 2 { Some(vec![2]) } else { None }),
-            |_, _| false,
-        );
+        let copy_at = |a: u64, found: &mut Vec<u8>| {
+            found.push(2);
+            (Leaf(0), a != 5)
+        };
+        let failures = l.audit_committed_collect("copy", copy_at, |_, _| false);
         assert_eq!(
-            failures.iter().map(|(a, _)| *a).collect::<Vec<_>>(),
-            vec![5, 9]
+            failures,
+            vec![
+                (5, "a5: no copy on persisted path l0".to_string()),
+                (9, "a9: copy at l0 holds [2], expected [9]".to_string()),
+            ]
         );
+        // The first-failure form reports the same first complaint.
+        assert_eq!(
+            l.audit_committed("copy", copy_at, |_, _| false),
+            Err(failures[0].1.clone())
+        );
+        assert_eq!(l.audit_committed("copy", copy_at, |a, _| a != 2), Ok(()));
     }
 
     #[test]
@@ -231,7 +254,8 @@ mod tests {
     #[test]
     fn written_and_committed_are_independent() {
         let mut l = CommitLedger::new();
-        l.note_written(1, vec![1]);
+        l.note_written(1, &[1]);
+        l.note_written(1, &[1]);
         assert_eq!(l.written_value(1), Some(&vec![1]));
         assert_eq!(l.committed_value(1), None);
         assert_eq!(l.committed_iter().count(), 0);

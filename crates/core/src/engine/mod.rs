@@ -36,7 +36,7 @@ pub use ledger::CommitLedger;
 pub(crate) use persist::fault_kind;
 pub use persist::{EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
 pub use policy::{CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
-pub(crate) use scratch::AccessScratch;
+pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame};
 
 use psoram_nvm::CORE_CYCLES_PER_MEM_CYCLE;
 

@@ -349,17 +349,18 @@ impl<D, P> PersistEngine<D, P> {
         Ok(())
     }
 
-    /// Drains every committed entry from both queues, in commit order.
-    /// With wear enabled, each drained data unit programs its media line
+    /// Drains every committed entry from both queues, in commit order,
+    /// into (empty) buffers the caller reuses from round to round. With
+    /// wear enabled, each drained data unit programs its media line
     /// through the current (staged) leveling mapping.
-    pub fn drain(&mut self) -> (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>) {
-        let (d, p) = self.domain.drain();
+    pub fn drain_into(&mut self, data: &mut Vec<WpqEntry<D>>, posmap: &mut Vec<WpqEntry<P>>) {
+        debug_assert!(data.is_empty() && posmap.is_empty());
+        self.domain.drain_into(data, posmap);
         if let Some(w) = self.wear.as_mut() {
-            for e in &d {
+            for e in data.iter() {
                 w.record_write(e.addr);
             }
         }
-        (d, p)
     }
 
     /// `true` when the data WPQ has no room for another unit.
@@ -658,7 +659,7 @@ impl<D, P> PersistEngine<D, P> {
     /// with spares left it is retired (staged; durable at the next
     /// commit round) and the content repaired from the redundant copy;
     /// otherwise the device is exhausted and the caller must fail safe.
-    pub fn wear_read_fault(&mut self, addrs: &[u64]) -> WearReadOutcome {
+    pub fn wear_read_fault(&mut self, addrs: impl IntoIterator<Item = u64>) -> WearReadOutcome {
         let (Some(wear), Some(plan)) = (self.wear.as_mut(), self.device.as_mut()) else {
             return WearReadOutcome::None;
         };
@@ -732,7 +733,8 @@ mod tests {
         e.push_data(entry(1)).unwrap();
         e.push_posmap(entry(2)).unwrap();
         e.commit_round().unwrap();
-        let (d, p) = e.drain();
+        let (mut d, mut p) = (Vec::new(), Vec::new());
+        e.drain_into(&mut d, &mut p);
         assert_eq!(d.len(), 1);
         assert_eq!(p.len(), 1);
     }
@@ -881,14 +883,14 @@ mod tests {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
         assert!(!e.wear_mode());
         assert_eq!(e.wear_digest(), None);
-        assert_eq!(e.wear_read_fault(&[0, 64]), WearReadOutcome::None);
+        assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
         e.enable_wear(
             3,
             64,
             psoram_nvm::WearConfig::stress(psoram_nvm::WearScheme::Remap),
         );
         // Wear engine alone (no fault plan): accounting only, no faults.
-        assert_eq!(e.wear_read_fault(&[0, 64]), WearReadOutcome::None);
+        assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
         assert!(e.wear_digest().is_some());
     }
 
@@ -904,7 +906,7 @@ mod tests {
         e.push_data(entry(0)).unwrap();
         e.push_data(entry(64)).unwrap();
         e.commit_round().unwrap();
-        let _ = e.drain();
+        e.drain_into(&mut Vec::new(), &mut Vec::new());
         let stats = e.wear_stats().unwrap();
         assert_eq!(stats.gap_moves, 2);
         assert!(stats.writes_recorded >= 4, "2 drains + 2 gap copies");
@@ -915,7 +917,7 @@ mod tests {
         e.push_data(entry(128)).unwrap();
         e.commit_round().unwrap();
         assert_ne!(e.wear_digest().unwrap(), d0, "commit seals the mapping");
-        let _ = e.drain();
+        e.drain_into(&mut Vec::new(), &mut Vec::new());
     }
 
     #[test]
@@ -928,7 +930,7 @@ mod tests {
         e.begin_round().unwrap();
         e.push_data(entry(0)).unwrap();
         e.commit_round().unwrap();
-        let _ = e.drain(); // stages one gap move
+        e.drain_into(&mut Vec::new(), &mut Vec::new()); // stages one gap move
         let writes_before = e.wear_stats().unwrap().writes_recorded;
         let _ = e.crash();
         assert_eq!(e.wear_digest().unwrap(), d0, "crash rolls the mapping back");
@@ -947,7 +949,7 @@ mod tests {
         let mut retired = 0;
         let mut transients = 0;
         for _ in 0..400 {
-            match e.wear_read_fault(&[0]) {
+            match e.wear_read_fault([0]) {
                 WearReadOutcome::Retired { .. } => retired += 1,
                 WearReadOutcome::Transient { .. } => transients += 1,
                 WearReadOutcome::Exhausted { .. } => break,

@@ -169,6 +169,14 @@ pub trait ProtocolPolicy {
     /// Propagates the controller's [`OramError`] (notably
     /// [`OramError::Crashed`] when an armed crash fires).
     fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError>;
+    /// [`ProtocolPolicy::write`] from borrowed bytes, for callers that
+    /// keep their buffer: the access copies the bytes once, into the
+    /// stash.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProtocolPolicy::write`].
+    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError>;
     /// Reads logical block `addr`.
     ///
     /// # Errors
@@ -309,6 +317,9 @@ impl ProtocolPolicy for PathOram {
     fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
         PathOram::write(self, BlockAddr(addr), data)
     }
+    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
+        PathOram::write_from(self, BlockAddr(addr), data)
+    }
     fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
         PathOram::read(self, BlockAddr(addr))
     }
@@ -415,6 +426,9 @@ impl ProtocolPolicy for RingOram {
     }
     fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
         RingOram::write(self, BlockAddr(addr), data)
+    }
+    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
+        RingOram::write_from(self, BlockAddr(addr), data)
     }
     fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
         RingOram::read(self, BlockAddr(addr))

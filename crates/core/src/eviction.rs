@@ -1,7 +1,10 @@
 //! Eviction planning: greedy path placement and dependency-ordered
 //! write-back for small persistence domains.
-
-use std::collections::HashMap;
+//!
+//! Everything here speaks *path positions*: slot `s` of the bucket at depth
+//! `d` on the eviction path is position `d·Z + s`, root first. The
+//! controller's path frame maps positions to `(bucket, slot, NVM address)`;
+//! the planner itself needs only the tree's geometry.
 
 use crate::block::Block;
 use crate::tree::{BucketIndex, OramTree};
@@ -18,7 +21,7 @@ pub struct SlotWrite {
     pub block: Option<Block>,
 }
 
-/// The outcome of planning one eviction on a path.
+/// The outcome of planning one eviction on a path, as owned slot writes.
 #[derive(Debug, Clone, Default)]
 pub struct EvictionPlan {
     /// Every slot of the path, in root-to-leaf order — the full-path
@@ -53,114 +56,205 @@ impl EvictionPlan {
     }
 }
 
-/// Where greedy placement puts each candidate, by `(class, index)` into
-/// the caller's `[must, opportunistic]` vectors.
-///
-/// Planning on positions leaves the candidates where they are until the
-/// plan is accepted: the small-persistence-domain path tests a placement's
-/// write-back ordering first and only then moves the blocks — into this
-/// plan, or into the in-place fallback.
-#[derive(Debug)]
-pub struct Placement {
-    path: Vec<BucketIndex>,
-    bucket_slots: usize,
-    /// Per path slot, root bucket first: the candidate placed there.
-    slots: Vec<Option<(usize, usize)>>,
-    /// Candidates that found no room, in the order they were turned away.
-    leftovers: Vec<(usize, usize)>,
+/// What the planner needs to know of an eviction candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    /// The block's address.
+    pub addr: BlockAddr,
+    /// The path the block is mapped to.
+    pub leaf: Leaf,
+    /// The block's only live NVM copy is on the path being evicted: it
+    /// has to be placed (see [`plan_eviction`]).
+    pub must: bool,
 }
 
-/// Greedy placement onto the path to `leaf`: from the leaf toward the root,
-/// deepest-eligible block first, every `must` block before any
-/// opportunistic one (see [`plan_eviction`]).
-pub fn place_greedy(
-    must: &[Block],
-    opportunistic: &[Block],
-    tree: &OramTree,
-    leaf: Leaf,
-) -> Placement {
-    let z = tree.bucket_slots();
-    let path = tree.path_indices(leaf);
-    let mut slots = vec![None; path.len() * z];
-    // Slots already taken in each level's bucket.
-    let mut filled = vec![0usize; path.len()];
-    let mut leftovers = Vec::new();
-    for (class, candidates) in [must, opportunistic].into_iter().enumerate() {
-        // Deepest level each candidate may occupy.
-        let mut items: Vec<(u32, usize)> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (tree.common_depth(b.leaf(), leaf), i))
-            .collect();
-        items.sort_by_key(|(d, _)| *d);
-        // Iterate from deepest-eligible to shallowest; place each in the
-        // deepest level that still has room.
-        for (max_depth, i) in items.into_iter().rev() {
-            match (0..=max_depth as usize).rev().find(|&d| filled[d] < z) {
-                Some(d) => {
-                    slots[d * z + filled[d]] = Some((class, i));
-                    filled[d] += 1;
-                }
-                None => {
-                    debug_assert!(
-                        class == 1,
-                        "a must-place block could not be placed on its own path"
-                    );
-                    leftovers.push((class, i));
+impl Candidate {
+    /// `block` as a candidate of class `must`.
+    pub fn of(block: &Block, must: bool) -> Self {
+        Candidate {
+            addr: block.addr(),
+            leaf: block.leaf(),
+            must,
+        }
+    }
+}
+
+/// A candidate waiting for a slot: the deepest level it may occupy, its
+/// rank among the candidates competing with it, and which candidate it is.
+type Waiting = (u32, u32, u32);
+
+/// Where an eviction puts each candidate, by index into the caller's
+/// candidate slice (the stash, as it stands), and the planner's working
+/// tables, reused from one access to the next.
+///
+/// Planning on indices leaves the candidates where they are: the stash is
+/// planned over in place and only the placed blocks leave it, and the
+/// small-persistence-domain path can test a placement's write-back
+/// ordering, and re-plan, before any block moves.
+#[derive(Debug, Default)]
+pub struct Placement {
+    /// Per path position: the candidate placed there.
+    slots: Vec<Option<u32>>,
+    /// Candidates that found no room, in the order they were turned away.
+    leftovers: Vec<u32>,
+    /// Candidates still to place, by class.
+    waiting: [Vec<Waiting>; 2],
+    /// Slots already taken in each level's bucket.
+    filled: Vec<usize>,
+}
+
+impl Placement {
+    /// Per path position (root bucket first, slots ascending): the
+    /// candidate placed there, `None` for a dummy.
+    pub fn slots(&self) -> &[Option<u32>] {
+        &self.slots
+    }
+
+    /// Candidates that found no room, in the order they were turned away
+    /// — the order they keep in the stash.
+    pub fn leftovers(&self) -> &[u32] {
+        &self.leftovers
+    }
+
+    fn reset(&mut self, tree: &OramTree) {
+        let depths = tree.levels() as usize + 1;
+        self.slots.clear();
+        self.slots.resize(depths * tree.bucket_slots(), None);
+        self.filled.clear();
+        self.filled.resize(depths, 0);
+        self.leftovers.clear();
+        self.waiting.iter_mut().for_each(Vec::clear);
+    }
+
+    /// Greedy placement onto the path to `leaf`: from the leaf toward the
+    /// root, deepest-eligible block first, every `must` candidate before
+    /// any other (see [`plan_eviction`]). Candidates are known by their
+    /// position in `candidates`.
+    ///
+    /// Among candidates of one class eligible to the same depth the later
+    /// one goes first; with the leftover order this is what makes the
+    /// stash's content a function of the access sequence alone.
+    pub fn place_greedy(
+        &mut self,
+        candidates: impl IntoIterator<Item = Candidate>,
+        tree: &OramTree,
+        leaf: Leaf,
+    ) {
+        self.reset(tree);
+        let z = tree.bucket_slots();
+        let candidates = candidates.into_iter();
+        // One allocation each for a fresh planner, none for a reused one.
+        let expected = candidates.size_hint().0;
+        self.waiting.iter_mut().for_each(|w| w.reserve(expected));
+        for (i, c) in candidates.enumerate() {
+            let depth = tree.common_depth(c.leaf, leaf);
+            self.waiting[usize::from(!c.must)].push((depth, i as u32, i as u32));
+        }
+        let Placement {
+            slots,
+            leftovers,
+            waiting,
+            filled,
+        } = self;
+        for (class, waiting) in waiting.iter_mut().enumerate() {
+            // Deepest-eligible first, the later candidate first on a tie;
+            // each goes to the deepest level that still has room.
+            waiting.sort_unstable_by(|a, b| b.cmp(a));
+            for &(max_depth, _, i) in waiting.iter() {
+                match (0..=max_depth as usize).rev().find(|&d| filled[d] < z) {
+                    Some(d) => {
+                        slots[d * z + filled[d]] = Some(i);
+                        filled[d] += 1;
+                    }
+                    None => {
+                        debug_assert!(
+                            class == 1,
+                            "a must-place block could not be placed on its own path"
+                        );
+                        leftovers.push(i);
+                    }
                 }
             }
         }
     }
-    Placement {
-        path,
-        bucket_slots: z,
-        slots,
-        leftovers,
-    }
-}
 
-impl Placement {
-    /// `(bucket, slot)` of the `n`-th path slot.
-    fn slot_at(&self, n: usize) -> (BucketIndex, usize) {
-        (self.path[n / self.bucket_slots], n % self.bucket_slots)
-    }
-
-    /// Every slot of the path in root-to-leaf order with the address this
-    /// placement writes there — what [`order_for_small_wpq`] orders.
-    pub fn targets(&self, must: &[Block], opportunistic: &[Block]) -> Vec<SlotTarget> {
-        let pools = [must, opportunistic];
-        self.slots
-            .iter()
-            .enumerate()
-            .map(|(n, placed)| {
-                let (bucket, slot) = self.slot_at(n);
-                let addr = placed.map(|(class, i)| pools[class][i].addr());
-                SlotTarget { bucket, slot, addr }
-            })
-            .collect()
-    }
-
-    /// Moves the candidates into the plan; the unplaced ones come back for
-    /// the stash.
-    pub fn into_plan(
-        self,
-        must: Vec<Block>,
-        opportunistic: Vec<Block>,
-    ) -> (EvictionPlan, Vec<Block>) {
-        let mut pools = [must, opportunistic].map(|v| v.into_iter().map(Some).collect::<Vec<_>>());
-        let mut take = |(class, i): (usize, usize)| {
-            pools[class][i]
-                .take()
-                .expect("a candidate is placed or turned away exactly once")
-        };
-        let mut plan = EvictionPlan::default();
-        plan.writes.reserve(self.slots.len());
-        for (n, placed) in self.slots.iter().enumerate() {
-            let (bucket, slot) = self.slot_at(n);
-            plan.push(bucket, slot, placed.map(&mut take));
+    /// Placement for **small persistence domains** (paper §4.2.3): every
+    /// `must` candidate is written back *at the very slot its live copy
+    /// occupies* (identity placement), so no write ever destroys another
+    /// block's only live copy and the write-back needs no ordering
+    /// constraints at all — arbitrary `capacity`-sized atomic batches are
+    /// safe.
+    ///
+    /// The paper proposes ordering the writes (`e → c → b`, Claim 5);
+    /// ordering alone cannot handle dependency *cycles* longer than the
+    /// WPQ, which do arise under greedy placement (found by our property
+    /// tests). Identity placement is the sound generalization: live copies
+    /// never move within a round, opportunistic blocks only fill slots
+    /// whose old content is dummy or dead, and slots holding superseded
+    /// duplicates are rewritten as dummies strictly after all real batches.
+    ///
+    /// `live[k]` is the address whose live copy sits at path position `k`
+    /// (as found during the path read). An address can have several (a
+    /// primary and a shadow on one path): they are handed out in path
+    /// order.
+    pub fn place_in_place(
+        &mut self,
+        candidates: impl IntoIterator<Item = Candidate>,
+        tree: &OramTree,
+        leaf: Leaf,
+        live: &[Option<BlockAddr>],
+    ) {
+        self.reset(tree);
+        debug_assert_eq!(live.len(), self.slots.len());
+        let z = tree.bucket_slots();
+        let Placement {
+            slots,
+            leftovers,
+            waiting: [homeless, others],
+            ..
+        } = self;
+        // Must blocks go back to their own live slots; one without a live
+        // slot (a fresh write) competes with the opportunistic blocks,
+        // ahead of them.
+        for (i, c) in candidates.into_iter().enumerate() {
+            let depth = tree.common_depth(c.leaf, leaf);
+            if !c.must {
+                others.push((depth, 0, i as u32));
+                continue;
+            }
+            let own = (0..slots.len()).find(|&k| live[k] == Some(c.addr) && slots[k].is_none());
+            match own {
+                Some(k) => slots[k] = Some(i as u32),
+                None => homeless.push((depth, 0, i as u32)),
+            }
         }
-        let leftovers = self.leftovers.iter().copied().map(take).collect();
-        (plan, leftovers)
+        homeless.append(others);
+        for (rank, w) in homeless.iter_mut().enumerate() {
+            w.1 = rank as u32;
+        }
+        // They fill the slots that hold no live copy, deepest-eligible
+        // first, the later one first on a tie.
+        homeless.sort_unstable_by(|a, b| b.cmp(a));
+        for &(max_depth, _, i) in homeless.iter() {
+            let free = (0..=max_depth as usize).rev().find_map(|d| {
+                (d * z..(d + 1) * z).find(|&k| live[k].is_none() && slots[k].is_none())
+            });
+            match free {
+                Some(k) => slots[k] = Some(i),
+                None => leftovers.push(i),
+            }
+        }
+    }
+
+    /// Per path position, the address this placement writes there
+    /// (`None` for a dummy) — what [`order_for_small_wpq`] orders.
+    pub fn targets_into(&self, candidates: &[Block], targets: &mut Vec<Option<BlockAddr>>) {
+        targets.clear();
+        targets.extend(
+            self.slots
+                .iter()
+                .map(|placed| placed.map(|i| candidates[i as usize].addr())),
+        );
     }
 }
 
@@ -179,162 +273,106 @@ impl Placement {
 /// block first, with the `must` class placed before any opportunistic
 /// block. Backups being in the `must` class is exactly the paper's
 /// Claim 2: stash occupancy does not grow because of backups.
+///
+/// This is [`Placement::place_greedy`] — the planner the controller runs
+/// over its stash in place — carried out on owned vectors.
 pub fn plan_eviction(
     must: Vec<Block>,
     opportunistic: Vec<Block>,
     tree: &OramTree,
     leaf: Leaf,
 ) -> (EvictionPlan, Vec<Block>) {
-    place_greedy(&must, &opportunistic, tree, leaf).into_plan(must, opportunistic)
+    let mut placement = Placement::default();
+    placement.place_greedy(candidates_of(&must, &opportunistic), tree, leaf);
+    placement.into_plan(must, opportunistic, tree, leaf)
 }
 
-/// Plans an eviction for **small persistence domains** (paper §4.2.3):
-/// every `must` block is written back *at the very slot its live copy
-/// occupies* (identity placement), so no write ever destroys another
-/// block's only live copy and the write-back needs no ordering constraints
-/// at all — arbitrary `capacity`-sized atomic batches are safe.
-///
-/// The paper proposes ordering the writes (`e → c → b`, Claim 5); ordering
-/// alone cannot handle dependency *cycles* longer than the WPQ, which do
-/// arise under greedy placement (found by our property tests). Identity
-/// placement is the sound generalization: live copies never move within a
-/// round, opportunistic blocks only fill slots whose old content is dummy
-/// or dead, and slots holding superseded duplicates are rewritten as
-/// dummies strictly after all real batches.
-///
-/// `live_slots` maps `(bucket, slot)` to the address whose live copy sits
-/// there (as computed during the path read).
-pub fn plan_eviction_in_place(
-    must: Vec<Block>,
-    opportunistic: Vec<Block>,
-    tree: &OramTree,
-    leaf: Leaf,
-    live_slots: &HashMap<(BucketIndex, usize), BlockAddr>,
-) -> (EvictionPlan, Vec<Block>) {
-    let z = tree.bucket_slots();
-    let path = tree.path_indices(leaf);
+/// `must` then `opportunistic` as one candidate sequence.
+fn candidates_of<'a>(
+    must: &'a [Block],
+    opportunistic: &'a [Block],
+) -> impl Iterator<Item = Candidate> + 'a {
+    let class = |blocks: &'a [Block], must| blocks.iter().map(move |b| Candidate::of(b, must));
+    class(must, true).chain(class(opportunistic, false))
+}
 
-    // Assign must blocks to their own live slots. An address can have
-    // several (a primary and a shadow on one path): they are handed out in
-    // path order — root-first bucket, then slot — never in the map's
-    // iteration order, which differs from run to run.
-    let mut assigned: HashMap<(BucketIndex, usize), Block> = HashMap::new();
-    let mut homeless = Vec::new();
-    for block in must {
-        let slot = path
-            .iter()
-            .flat_map(|&bucket| (0..z).map(move |slot| (bucket, slot)))
-            .find(|k| live_slots.get(k) == Some(&block.addr()) && !assigned.contains_key(k));
-        match slot {
-            Some(k) => {
-                assigned.insert(k, block);
+impl Placement {
+    /// Moves the candidates of a plan made over [`candidates_of`] into
+    /// owned slot writes; the unplaced ones come back for the stash.
+    fn into_plan(
+        self,
+        must: Vec<Block>,
+        opportunistic: Vec<Block>,
+        tree: &OramTree,
+        leaf: Leaf,
+    ) -> (EvictionPlan, Vec<Block>) {
+        let musts = must.len();
+        let mut pools = [must, opportunistic].map(|v| v.into_iter().map(Some).collect::<Vec<_>>());
+        let mut take = |i: u32| {
+            let i = i as usize;
+            let cell = if i < musts {
+                &mut pools[0][i]
+            } else {
+                &mut pools[1][i - musts]
+            };
+            cell.take()
+                .expect("a candidate is placed or turned away exactly once")
+        };
+        let mut plan = EvictionPlan::default();
+        plan.writes.reserve(self.slots.len());
+        let mut placed = self.slots.iter();
+        for bucket in tree.path(leaf) {
+            for (slot, placed) in placed.by_ref().take(tree.bucket_slots()).enumerate() {
+                plan.push(bucket, slot, placed.map(&mut take));
             }
-            None => homeless.push(block),
         }
-    }
-
-    // Opportunistic blocks (plus any must block without a live slot, e.g. a
-    // fresh write) fill non-live slots, deepest-eligible first.
-    let mut leftovers = Vec::new();
-    let mut items: Vec<(u32, Block)> = homeless
-        .into_iter()
-        .chain(opportunistic)
-        .map(|b| (tree.common_depth(b.leaf(), leaf), b))
-        .collect();
-    items.sort_by_key(|(d, _)| *d);
-    for (max_depth, block) in items.into_iter().rev() {
-        let free = (0..=max_depth as usize).rev().find_map(|d| {
-            (0..z)
-                .map(|slot| (path[d], slot))
-                .find(|key| !live_slots.contains_key(key) && !assigned.contains_key(key))
-        });
-        match free {
-            Some(key) => {
-                assigned.insert(key, block);
-            }
-            None => leftovers.push(block),
-        }
-    }
-
-    let mut plan = EvictionPlan::default();
-    for &bucket in &path {
-        for slot in 0..z {
-            plan.push(bucket, slot, assigned.remove(&(bucket, slot)));
-        }
-    }
-    (plan, leftovers)
-}
-
-/// What the write-back ordering needs to know of one slot write: where it
-/// lands and whose block it carries (`None` for a dummy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotTarget {
-    /// Destination bucket.
-    pub bucket: BucketIndex,
-    /// Destination slot within the bucket.
-    pub slot: usize,
-    /// Address of the block written there, or `None` for a dummy.
-    pub addr: Option<BlockAddr>,
-}
-
-impl From<&SlotWrite> for SlotTarget {
-    fn from(w: &SlotWrite) -> Self {
-        SlotTarget {
-            bucket: w.bucket,
-            slot: w.slot,
-            addr: w.block.as_ref().map(Block::addr),
-        }
+        let leftovers = self.leftovers.iter().copied().map(take).collect();
+        (plan, leftovers)
     }
 }
 
-/// Splits an eviction's real-block writes into dependency-ordered atomic
-/// batches of at most `capacity` entries, for small persistence domains
-/// (paper §4.2.3, Claim 5). A batch lists positions in `writes`.
+/// Splits an eviction's writes into dependency-ordered atomic batches of
+/// at most `capacity` entries, for small persistence domains (paper
+/// §4.2.3, Claim 5). A batch lists path positions.
 ///
-/// `live_old` maps `(bucket, slot)` to the address whose *live* (recoverable)
-/// copy currently occupies that slot in NVM; `new_slot` maps each address
-/// written this round to its destination. A write into a slot holding the
-/// live copy of `x` may only be issued after `x`'s own new copy is durable,
-/// or inside the same atomic batch. Dummy writes carry no payload and are
+/// `targets[k]` is the address written to position `k` this round (`None`
+/// for a dummy) and `live[k]` the address whose *live* (recoverable) copy
+/// currently occupies it in NVM. A write into a slot holding the live copy
+/// of `x` may only be issued after `x`'s own new copy is durable, or
+/// inside the same atomic batch. Dummy writes carry no payload and are
 /// ordered last.
 ///
 /// # Errors
 ///
 /// Returns the cycle length when a dependency cycle exceeds `capacity` —
 /// no safe ordering exists for that plan; the caller re-plans with
-/// [`plan_eviction_in_place`], which has no ordering constraints.
+/// [`Placement::place_in_place`], which has no ordering constraints.
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is zero.
 pub fn order_for_small_wpq(
-    writes: &[SlotTarget],
-    live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
+    targets: &[Option<BlockAddr>],
+    live: &[Option<BlockAddr>],
     capacity: usize,
 ) -> Result<Vec<Vec<usize>>, usize> {
     assert!(capacity > 0);
-    // Destination of each address written this round.
-    let new_slot: HashMap<BlockAddr, usize> = writes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, w)| w.addr.map(|a| (a, i)))
-        .collect();
-    // The write whose durability `v` must wait for, if any.
+    debug_assert_eq!(targets.len(), live.len());
+    // The write whose durability `v` must wait for, if any: the one that
+    // carries the new copy of the address whose live copy `v` overwrites
+    // (the last such write, when a primary and its shadow both land).
     let pred_of = |v: usize| {
-        let w = &writes[v];
-        live_old
-            .get(&(w.bucket, w.slot))
-            .and_then(|victim| new_slot.get(victim))
-            .copied()
+        live[v]
+            .and_then(|victim| targets.iter().rposition(|&t| t == Some(victim)))
             .filter(|&u| u != v)
     };
 
-    let real: Vec<usize> = (0..writes.len())
-        .filter(|&i| writes[i].addr.is_some())
+    let real: Vec<usize> = (0..targets.len())
+        .filter(|&i| targets[i].is_some())
         .collect();
     // Edge u -> v means u must be durable no later than v's batch.
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); writes.len()];
-    let mut preds: Vec<usize> = vec![0; writes.len()];
+    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); targets.len()];
+    let mut preds: Vec<usize> = vec![0; targets.len()];
     for &v in &real {
         if let Some(u) = pred_of(v) {
             succs[u].push(v);
@@ -374,8 +412,8 @@ pub fn order_for_small_wpq(
     }
 
     // Dummy writes last, in capacity-sized batches.
-    let dummies: Vec<usize> = (0..writes.len())
-        .filter(|&i| writes[i].addr.is_none())
+    let dummies: Vec<usize> = (0..targets.len())
+        .filter(|&i| targets[i].is_none())
         .collect();
     batches.extend(dummies.chunks(capacity).map(<[usize]>::to_vec));
     Ok(batches)
@@ -398,7 +436,12 @@ fn find_cycle(start: usize, pred_of: impl Fn(usize) -> Option<usize>) -> Vec<usi
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::stash::Stash;
     use crate::types::OramConfig;
 
     fn tree() -> OramTree {
@@ -409,18 +452,53 @@ mod tests {
         Block::new(BlockAddr(a), Leaf(leaf), vec![a as u8; 8])
     }
 
+    /// The live-copy column of a plan's path from `(bucket, slot)` keys.
+    fn live_column(
+        plan: &EvictionPlan,
+        live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
+    ) -> Vec<Option<BlockAddr>> {
+        plan.writes
+            .iter()
+            .map(|w| live_old.get(&(w.bucket, w.slot)).copied())
+            .collect()
+    }
+
+    fn targets_of(plan: &EvictionPlan) -> Vec<Option<BlockAddr>> {
+        plan.writes
+            .iter()
+            .map(|w| w.block.as_ref().map(Block::addr))
+            .collect()
+    }
+
     /// The ordered batches of `plan`'s writes, as the writes themselves.
     fn ordered<'a>(
         plan: &'a EvictionPlan,
         live_old: &HashMap<(BucketIndex, usize), BlockAddr>,
         capacity: usize,
     ) -> Vec<Vec<&'a SlotWrite>> {
-        let targets: Vec<SlotTarget> = plan.writes.iter().map(SlotTarget::from).collect();
-        order_for_small_wpq(&targets, live_old, capacity)
+        order_for_small_wpq(&targets_of(plan), &live_column(plan, live_old), capacity)
             .unwrap()
             .into_iter()
             .map(|batch| batch.into_iter().map(|i| &plan.writes[i]).collect())
             .collect()
+    }
+
+    /// Identity placement carried out on owned vectors.
+    fn plan_eviction_in_place(
+        must: Vec<Block>,
+        opportunistic: Vec<Block>,
+        tree: &OramTree,
+        leaf: Leaf,
+        live_slots: &HashMap<(BucketIndex, usize), BlockAddr>,
+    ) -> (EvictionPlan, Vec<Block>) {
+        let live: Vec<Option<BlockAddr>> = tree
+            .path(leaf)
+            .flat_map(|bucket| (0..tree.bucket_slots()).map(move |slot| (bucket, slot)))
+            .map(|key| live_slots.get(&key).copied())
+            .collect();
+        let mut placement = Placement::default();
+        placement.place_in_place(candidates_of(&must, &opportunistic), tree, leaf, &live);
+        placement.into_plan(must, opportunistic, tree, leaf)
     }
 
     #[test]
@@ -508,11 +586,15 @@ mod tests {
         let must = vec![blk(1, 21).to_backup(Leaf(21)), blk(2, 20)];
         // Thirty blocks over few leaves: some cannot fit and come back.
         let opportunistic: Vec<Block> = (10..40).map(|a| blk(a, (a * 5) % 8 + 16)).collect();
-        let placement = place_greedy(&must, &opportunistic, &t, leaf);
-        let targets = placement.targets(&must, &opportunistic);
-        let (plan, leftovers) = placement.into_plan(must.clone(), opportunistic.clone());
-        let described: Vec<SlotTarget> = plan.writes.iter().map(SlotTarget::from).collect();
-        assert_eq!(targets, described);
+        let mut placement = Placement::default();
+        placement.place_greedy(candidates_of(&must, &opportunistic), &t, leaf);
+        let mut targets = Vec::new();
+        placement.targets_into(
+            &[must.clone(), opportunistic.clone()].concat(),
+            &mut targets,
+        );
+        let (plan, leftovers) = placement.into_plan(must.clone(), opportunistic.clone(), &t, leaf);
+        assert_eq!(targets, targets_of(&plan));
         assert!(!leftovers.is_empty(), "the case must exercise leftovers");
         let by_identity = |b: &Block| (b.addr(), b.is_backup);
         let mut out: Vec<Block> = plan.writes.into_iter().filter_map(|w| w.block).collect();
@@ -675,5 +757,106 @@ mod tests {
             .rposition(|b| b.iter().any(|w| w.block.is_some()))
             .unwrap();
         assert!(first_dummy_batch.unwrap() > last_real_batch);
+    }
+
+    /// The planner this module had before it planned on positions: owned
+    /// `must`/`opportunistic` vectors, `(class, index)` ids, a stable sort
+    /// read backwards. Kept as the oracle the in-place planner answers to.
+    fn reference_plan(
+        must: Vec<Block>,
+        opportunistic: Vec<Block>,
+        tree: &OramTree,
+        leaf: Leaf,
+    ) -> (Vec<SlotWrite>, Vec<Block>) {
+        let z = tree.bucket_slots();
+        let path = tree.path_indices(leaf);
+        let mut slots: Vec<Option<(usize, usize)>> = vec![None; path.len() * z];
+        let mut filled = vec![0usize; path.len()];
+        let mut turned_away = Vec::new();
+        for (class, candidates) in [&must, &opportunistic].into_iter().enumerate() {
+            let mut items: Vec<(u32, usize)> = candidates
+                .iter()
+                .enumerate()
+                .map(|(i, b)| (tree.common_depth(b.leaf(), leaf), i))
+                .collect();
+            items.sort_by_key(|(d, _)| *d);
+            for (max_depth, i) in items.into_iter().rev() {
+                match (0..=max_depth as usize).rev().find(|&d| filled[d] < z) {
+                    Some(d) => {
+                        slots[d * z + filled[d]] = Some((class, i));
+                        filled[d] += 1;
+                    }
+                    None => turned_away.push((class, i)),
+                }
+            }
+        }
+        let mut pools = [must, opportunistic].map(|v| v.into_iter().map(Some).collect::<Vec<_>>());
+        let mut take = |(class, i): (usize, usize)| pools[class][i].take().expect("taken once");
+        let writes = slots
+            .iter()
+            .enumerate()
+            .map(|(n, placed)| SlotWrite {
+                bucket: path[n / z],
+                slot: n % z,
+                block: placed.map(&mut take),
+            })
+            .collect();
+        (writes, turned_away.into_iter().map(take).collect())
+    }
+
+    proptest! {
+        /// Planning over the stash where it stands and moving only the
+        /// placed blocks ends exactly where draining the stash, splitting
+        /// it by class, planning on the two vectors and re-inserting the
+        /// leftovers did: every block in the same slot, the same
+        /// leftovers in the same order — duplicate addresses, backups and
+        /// crowded levels included.
+        #[test]
+        fn planning_in_place_matches_the_drain_and_partition_planner(
+            blocks in prop::collection::vec((0u64..12, 0u64..64, any::<bool>(), any::<bool>()), 0..60),
+            evict_leaf in 0u64..64,
+        ) {
+            let t = tree();
+            let leaf = Leaf(evict_leaf);
+            let mut stash = Stash::new(64);
+            let mut classes = Vec::new();
+            for (i, &(addr, block_leaf, is_backup, must)) in blocks.iter().enumerate() {
+                let mut b = blk(addr, block_leaf);
+                b.header.seq = i as u64; // tells duplicates apart
+                b.is_backup = is_backup;
+                // A must block came off this path: it fits somewhere on it.
+                let must = must && t.common_depth(b.leaf(), leaf) >= 2;
+                stash.insert(b).unwrap();
+                classes.push(must);
+            }
+            // At most Z must-blocks a level, as fetched blocks would be.
+            let mut per_depth = [0usize; 7];
+            for (b, must) in stash.blocks().iter().zip(classes.iter_mut()) {
+                let d = t.common_depth(b.leaf(), leaf) as usize;
+                *must &= per_depth[d] < t.bucket_slots();
+                per_depth[d] += usize::from(*must);
+            }
+
+            let (must, opportunistic): (Vec<_>, Vec<_>) = stash
+                .blocks()
+                .iter()
+                .cloned()
+                .zip(classes.iter().copied())
+                .partition(|&(_, must)| must);
+            let strip = |v: Vec<(Block, bool)>| v.into_iter().map(|(b, _)| b).collect::<Vec<_>>();
+            let (want_writes, want_left) = reference_plan(strip(must), strip(opportunistic), &t, leaf);
+
+            let mut placement = Placement::default();
+            let candidates = stash.blocks().iter().zip(&classes);
+            placement.place_greedy(candidates.map(|(b, &must)| Candidate::of(b, must)), &t, leaf);
+            let mut out = vec![None; want_writes.len()];
+            stash.evict(placement.slots(), placement.leftovers(), &mut out);
+            let want_out: Vec<Option<Block>> = want_writes.into_iter().map(|w| w.block).collect();
+            prop_assert_eq!(out, want_out);
+            prop_assert_eq!(stash.blocks(), &want_left[..]);
+            for b in stash.blocks() {
+                prop_assert_eq!(stash.get(b.addr()).is_some(), stash.blocks().iter().any(|x| !x.is_backup && x.addr() == b.addr()));
+            }
+        }
     }
 }

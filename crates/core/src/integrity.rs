@@ -18,7 +18,7 @@ use std::collections::HashMap;
 
 use psoram_crypto::{Digest, Hash128};
 
-use crate::bucket::Bucket;
+use crate::block::BlockRef;
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
 
@@ -26,17 +26,17 @@ use crate::types::Leaf;
 /// followed by the header fields and payload for real blocks. Every
 /// controller that maintains an [`IntegrityTree`] digests buckets through
 /// this one encoding.
-pub(crate) fn bucket_digest(bucket: &Bucket) -> Digest {
-    let mut bytes = Vec::with_capacity(bucket.num_slots() * 40);
-    for slot in 0..bucket.num_slots() {
-        match bucket.slot(slot) {
+pub(crate) fn bucket_digest<'a>(slots: impl Iterator<Item = Option<BlockRef<'a>>>) -> Digest {
+    let mut bytes = Vec::with_capacity(slots.size_hint().0 * 40);
+    for slot in slots {
+        match slot {
             Some(b) => {
                 bytes.push(1);
                 bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
                 bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
                 bytes.extend_from_slice(&b.header.seq.to_le_bytes());
                 bytes.extend_from_slice(&b.header.iv2.to_le_bytes());
-                bytes.extend_from_slice(&b.payload);
+                bytes.extend_from_slice(b.payload);
             }
             None => bytes.push(0),
         }

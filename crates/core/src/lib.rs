@@ -43,6 +43,7 @@
 // The in-module freshness proptests expand past the default limit.
 #![recursion_limit = "256"]
 
+mod arena;
 mod auth;
 mod block;
 mod bucket;
@@ -65,8 +66,9 @@ mod tree;
 mod types;
 mod unit_table;
 
+pub use arena::BucketRef;
 pub use auth::{CounterTree, FreshnessStats, FreshnessVerdict, UnitMeta};
-pub use block::{Block, BlockHeader};
+pub use block::{Block, BlockHeader, BlockRef};
 pub use bucket::Bucket;
 pub use controller::{AccessOutcome, Op, PathOram, ProtocolVariant};
 pub use crash::{CrashPoint, CrashReport, RecoveryError, RecoveryIncident, RecoveryReport};

@@ -1,9 +1,10 @@
 //! A lazily-paged table indexed by a position the simulator generates.
 //!
-//! The tree's buckets, the PosMap's leaves, the freshness layer's per-bucket
-//! rows and the touched-address set are all keyed by a *position* — a heap
-//! bucket index or a block address — that the controller bounds at entry
-//! (`num_buckets()`, `capacity_blocks()`). A position needs no hashing: the
+//! The PosMap's leaves, the freshness layer's per-bucket rows and the
+//! touched-address set are all keyed by a *position* — a heap bucket index
+//! or a block address — that the controller bounds at entry
+//! (`num_buckets()`, `capacity_blocks()`). (The tree's slots are keyed the
+//! same way but are fixed-width records, and live in the slot arena.) A position needs no hashing: the
 //! table is a directory of fixed-size pages, a page is materialised by the
 //! first write that lands in it, and an absent page reads as "nothing
 //! stored". Iteration walks the directory, so it is in ascending index
@@ -29,15 +30,11 @@ type Page<T> = Box<[Option<T>; PAGE_ENTRIES]>;
 #[derive(Debug, Clone)]
 pub(crate) struct PagedTable<T> {
     pages: Vec<Option<Page<T>>>,
-    len: usize,
 }
 
 impl<T> Default for PagedTable<T> {
     fn default() -> Self {
-        PagedTable {
-            pages: Vec::new(),
-            len: 0,
-        }
+        PagedTable { pages: Vec::new() }
     }
 }
 
@@ -55,36 +52,24 @@ impl<T> PagedTable<T> {
         self.pages.get(page)?.as_ref()?[offset].as_ref()
     }
 
-    /// Mutable access to the value stored at `index`, if any. Never
-    /// materialises a page.
-    pub fn get_mut(&mut self, index: u64) -> Option<&mut T> {
+    /// The cell of `index`, materialising its page on demand.
+    fn cell_mut(&mut self, index: u64) -> &mut Option<T> {
         let (page, offset) = locate(index);
-        self.pages.get_mut(page)?.as_mut()?[offset].as_mut()
-    }
-
-    /// The cell of `index`, materialising its page on demand. Borrows the
-    /// directory alone, so callers can settle `len` beside it.
-    fn cell_mut(pages: &mut Vec<Option<Page<T>>>, index: u64) -> &mut Option<T> {
-        let (page, offset) = locate(index);
-        if pages.len() <= page {
-            pages.resize_with(page + 1, || None);
+        if self.pages.len() <= page {
+            self.pages.resize_with(page + 1, || None);
         }
-        let page = pages[page].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
+        let page = self.pages[page].get_or_insert_with(|| Box::new(std::array::from_fn(|_| None)));
         &mut page[offset]
     }
 
     /// Stores `value` at `index`, returning what it replaced.
     pub fn insert(&mut self, index: u64, value: T) -> Option<T> {
-        let prev = Self::cell_mut(&mut self.pages, index).replace(value);
-        self.len += usize::from(prev.is_none());
-        prev
+        self.cell_mut(index).replace(value)
     }
 
     /// The value at `index`, storing `default()` first if there is none.
     pub fn get_or_insert_with(&mut self, index: u64, default: impl FnOnce() -> T) -> &mut T {
-        let cell = Self::cell_mut(&mut self.pages, index);
-        self.len += usize::from(cell.is_none());
-        cell.get_or_insert_with(default)
+        self.cell_mut(index).get_or_insert_with(default)
     }
 
     /// Removes and returns the value at `index`. Never materialises a
@@ -92,23 +77,16 @@ impl<T> PagedTable<T> {
     /// written again.
     pub fn remove(&mut self, index: u64) -> Option<T> {
         let (page, offset) = locate(index);
-        let prev = self.pages.get_mut(page)?.as_mut()?[offset].take();
-        self.len -= usize::from(prev.is_some());
-        prev
-    }
-
-    /// Number of stored values.
-    pub fn len(&self) -> usize {
-        self.len
+        self.pages.get_mut(page)?.as_mut()?[offset].take()
     }
 
     /// Drops every value and every page.
     pub fn clear(&mut self) {
         self.pages.clear();
-        self.len = 0;
     }
 
     /// Number of materialised pages (a memory-footprint probe).
+    #[cfg(test)]
     pub fn pages(&self) -> usize {
         self.pages.iter().flatten().count()
     }
@@ -126,20 +104,6 @@ impl<T> PagedTable<T> {
                     .filter_map(move |(o, cell)| Some((base + o as u64, cell.as_ref()?)))
             })
     }
-
-    /// [`PagedTable::iter`] with mutable values.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
-        self.pages
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(p, page)| Some((p, page.as_mut()?)))
-            .flat_map(|(p, page)| {
-                let base = (p * PAGE_ENTRIES) as u64;
-                page.iter_mut()
-                    .enumerate()
-                    .filter_map(move |(o, cell)| Some((base + o as u64, cell.as_mut()?)))
-            })
-    }
 }
 
 #[cfg(test)]
@@ -155,9 +119,8 @@ mod tests {
         let mut t: PagedTable<u32> = PagedTable::default();
         assert_eq!(t.get(0), None);
         assert_eq!(t.get(u64::from(u32::MAX)), None);
-        assert_eq!(t.get_mut(7), None);
         assert_eq!(t.remove(7), None);
-        assert_eq!((t.len(), t.pages()), (0, 0));
+        assert_eq!(t.pages(), 0);
         assert_eq!(t.iter().count(), 0);
     }
 
@@ -167,14 +130,22 @@ mod tests {
         assert_eq!(t.insert(5, 50), None);
         assert_eq!(t.insert(5, 51), Some(50), "overwrite returns the old value");
         assert_eq!(t.insert(6, 60), None);
-        assert_eq!((t.len(), t.pages()), (2, 1), "5 and 6 share a page");
+        assert_eq!(
+            (t.iter().count(), t.pages()),
+            (2, 1),
+            "5 and 6 share a page"
+        );
         t.insert(5 + 4 * PAGE_ENTRIES as u64, 9);
-        assert_eq!((t.len(), t.pages()), (3, 2));
+        assert_eq!((t.iter().count(), t.pages()), (3, 2));
         assert_eq!(t.get(5 + PAGE_ENTRIES as u64), None, "absent page between");
-        *t.get_mut(6).unwrap() += 1;
+        *t.get_or_insert_with(6, || unreachable!("stored")) += 1;
         assert_eq!(t.remove(6), Some(61));
         assert_eq!(t.remove(6), None);
-        assert_eq!((t.len(), t.pages()), (2, 2), "pages outlive their values");
+        assert_eq!(
+            (t.iter().count(), t.pages()),
+            (2, 2),
+            "pages outlive their values"
+        );
     }
 
     #[test]
@@ -184,7 +155,7 @@ mod tests {
         t.get_or_insert_with(40, || unreachable!("already stored"))
             .push(2);
         assert_eq!(t.get(40), Some(&vec![1, 2]));
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.iter().count(), 1);
     }
 
     #[test]
@@ -194,25 +165,10 @@ mod tests {
             t.insert(i * 7, i as u8);
         }
         t.clear();
-        assert_eq!((t.len(), t.pages()), (0, 0));
+        assert_eq!((t.iter().count(), t.pages()), (0, 0));
         assert_eq!(t.get(7), None);
         t.insert(7, 1);
         assert_eq!(t.iter().collect::<Vec<_>>(), vec![(7, &1)]);
-    }
-
-    #[test]
-    fn iter_mut_visits_in_index_order() {
-        let mut t: PagedTable<u64> = PagedTable::default();
-        for i in [900, 3, 17, 16] {
-            t.insert(i, 0);
-        }
-        let mut seen = Vec::new();
-        for (i, v) in t.iter_mut() {
-            *v = i * 2;
-            seen.push(i);
-        }
-        assert_eq!(seen, vec![3, 16, 17, 900]);
-        assert_eq!(t.get(900), Some(&1800));
     }
 
     #[derive(Debug, Clone)]
@@ -256,7 +212,7 @@ mod tests {
                         model.clear();
                     }
                 }
-                prop_assert_eq!(table.len(), model.len());
+                prop_assert_eq!(table.iter().count(), model.len());
             }
             for i in 0..5_000 {
                 prop_assert_eq!(table.get(i), model.get(&i));

@@ -24,6 +24,7 @@
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -33,14 +34,16 @@ use psoram_nvm::{
 };
 use psoram_obsv::{Event, Phase, Tap};
 
+use crate::arena::{BucketRef, SlotArena};
 use crate::auth::{AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
-use crate::block::Block;
+use crate::block::{Block, BlockRef};
+use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryError, RecoveryReport};
 use crate::engine::{
-    to_core, to_mem, AccessScratch, CommitLedger, PersistEngine, RoundDamage, WearReadOutcome,
+    to_core, to_mem, AccessScratch, CommitLedger, FrameCell, PersistEngine, RoundDamage,
+    WearReadOutcome,
 };
 use crate::posmap::{PosMap, TempPosMap};
-use crate::tree::TreeStore;
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// Geometry and policy of a Ring ORAM instance.
@@ -152,7 +155,20 @@ impl Default for RingConfig {
 
 pub use crate::engine::RingVariant;
 
-use crate::bucket::RingBucket;
+/// One drained WPQ round: whole-bucket rewrites and PosMap entries.
+type DrainedRound = (
+    Vec<WpqEntry<(u64, Bucket)>>,
+    Vec<WpqEntry<(BlockAddr, Leaf)>>,
+);
+
+/// The slot of `bucket` a read for `addr` takes it from: valid, real, a
+/// primary copy.
+fn find_valid(bucket: BucketRef<'_>, addr: BlockAddr) -> Option<usize> {
+    bucket
+        .headers()
+        .filter(|&(s, h)| h.addr == addr && bucket.is_valid(s))
+        .find_map(|(s, _)| bucket.slot(s).is_some_and(|b| !b.is_backup).then_some(s))
+}
 
 /// Statistics for a Ring ORAM controller.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -218,14 +234,16 @@ pub struct RingOram {
     config: RingConfig,
     variant: RingVariant,
     nvm: NvmController,
-    /// The same paged bucket store the Path tree sits on.
-    buckets: TreeStore<RingBucket>,
+    /// The same slot arena the Path tree sits on, with `Z + S` physical
+    /// slots a bucket; the per-slot *consumed* flag is Ring's `valid`
+    /// bit and, counted, its per-bucket read count.
+    buckets: SlotArena,
     stash: Vec<Block>,
     posmap: PosMap,
     temp: TempPosMap,
     /// The shared persist-round engine: WPQ rounds, crash arming &
     /// scheduling, and the crash/recovery state machine.
-    engine: PersistEngine<(u64, RingBucket), (BlockAddr, Leaf)>,
+    engine: PersistEngine<(u64, Bucket), (BlockAddr, Leaf)>,
     rng: StdRng,
     clock: u64,
     access_counter: u64,
@@ -255,9 +273,11 @@ pub struct RingOram {
     last_round_slots: Vec<(u64, usize)>,
     /// Persisted-PosMap addresses of the last applied round.
     last_round_posmap: Vec<BlockAddr>,
-    /// Reused per-access buffers (path/bucket addresses): the steady-state
-    /// access loop performs no heap allocation for these.
+    /// Reused per-access state: the frame holds the one slot per bucket an
+    /// access reads.
     scratch: AccessScratch,
+    /// The buffers WPQ rounds drain into, kept for their capacity.
+    drained: DrainedRound,
     /// Observability tap (detached by default; see [`RingOram::set_obsv_tap`]).
     obsv: Tap,
 }
@@ -285,7 +305,7 @@ impl RingOram {
             engine: PersistEngine::new(config.wpq_capacity, config.wpq_capacity),
             rng: StdRng::seed_from_u64(seed),
             nvm: NvmController::new(nvm),
-            buckets: TreeStore::default(),
+            buckets: SlotArena::new(config.bucket_physical_slots(), config.payload_bytes),
             stash: Vec::new(),
             clock: 0,
             access_counter: 0,
@@ -301,6 +321,7 @@ impl RingOram {
             last_round_slots: Vec::new(),
             last_round_posmap: Vec::new(),
             scratch: AccessScratch::default(),
+            drained: DrainedRound::default(),
             obsv: Tap::detached(),
             config,
             variant,
@@ -395,13 +416,7 @@ impl RingOram {
         // and counts are read-path metadata that mutates outside persist
         // rounds.
         for (bidx, bucket) in self.buckets.iter() {
-            auth.record_slots(
-                bucket
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .map(|(s, slot)| (bidx, s, slot.as_ref())),
-            );
+            auth.record_slots(bucket.slots().enumerate().map(|(s, slot)| (bidx, s, slot)));
         }
         for (a, l) in self.posmap.persisted_sorted() {
             auth.record_posmap(a, l);
@@ -462,7 +477,7 @@ impl RingOram {
         let mut bytes = Vec::new();
         for (bidx, bucket) in self.buckets.iter() {
             bytes.extend_from_slice(&bidx.to_le_bytes());
-            for slot in &bucket.slots {
+            for slot in bucket.slots() {
                 match slot {
                     None => bytes.push(0),
                     Some(b) => {
@@ -471,14 +486,14 @@ impl RingOram {
                         bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
                         bytes.extend_from_slice(&b.header.seq.to_le_bytes());
                         bytes.push(b.is_backup as u8);
-                        bytes.extend_from_slice(&b.payload);
+                        bytes.extend_from_slice(b.payload);
                     }
                 }
             }
-            for &v in &bucket.valid {
-                bytes.push(v as u8);
+            for s in 0..bucket.num_slots() {
+                bytes.push(bucket.is_valid(s) as u8);
             }
-            bytes.extend_from_slice(&(bucket.count as u64).to_le_bytes());
+            bytes.extend_from_slice(&(bucket.reads() as u64).to_le_bytes());
         }
         for (a, l) in self.posmap.persisted_sorted() {
             bytes.extend_from_slice(&a.to_le_bytes());
@@ -502,10 +517,10 @@ impl RingOram {
 
     // ── geometry helpers ────────────────────────────────────────────────
 
-    fn path_indices(&self, leaf: Leaf) -> Vec<u64> {
-        (0..=self.config.levels)
-            .map(|d| (1u64 << d) - 1 + (leaf.0 >> (self.config.levels - d)))
-            .collect()
+    /// Bucket indices from the root to `leaf`, ascending.
+    fn path(&self, leaf: Leaf) -> impl ExactSizeIterator<Item = u64> + Clone {
+        let levels = self.config.levels;
+        (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
     }
 
     fn common_depth(&self, a: Leaf, b: Leaf) -> u32 {
@@ -518,8 +533,30 @@ impl RingOram {
     }
 
     fn slot_nvm_addr(&self, bucket: u64, slot: usize) -> u64 {
-        (bucket * self.config.bucket_physical_slots() as u64 + slot as u64)
-            * self.config.block_bytes as u64
+        self.slot_addresser()(bucket, slot)
+    }
+
+    /// [`RingOram::slot_nvm_addr`] as a function of the geometry alone, for
+    /// address streams that outlive a borrow of the controller.
+    fn slot_addresser(&self) -> impl Fn(u64, usize) -> u64 + Copy {
+        let physical = self.config.bucket_physical_slots() as u64;
+        let block_bytes = self.config.block_bytes as u64;
+        move |bucket, slot| (bucket * physical + slot as u64) * block_bytes
+    }
+
+    /// NVM addresses of the real blocks physically in `bucket` — what a
+    /// rewrite reads off media (slot positions are known from the
+    /// per-bucket permutation metadata).
+    fn occupied_addrs<'a>(
+        buckets: &'a SlotArena,
+        addr_of: impl Fn(u64, usize) -> u64 + Copy + 'a,
+        bucket: u64,
+    ) -> impl Iterator<Item = u64> + 'a {
+        buckets.bucket(bucket).into_iter().flat_map(move |b| {
+            (0..b.num_slots())
+                .filter(move |&s| b.is_real(s))
+                .map(move |s| addr_of(bucket, s))
+        })
     }
 
     fn lookup(&self, addr: BlockAddr) -> Leaf {
@@ -552,8 +589,18 @@ impl RingOram {
     ///
     /// Propagates any [`OramError`] from the access.
     pub fn write(&mut self, addr: BlockAddr, data: Vec<u8>) -> Result<(), OramError> {
+        self.write_from(addr, &data)
+    }
+
+    /// [`RingOram::write`] from borrowed bytes: the access copies them
+    /// once, into the stash.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any [`OramError`] from the access.
+    pub fn write_from(&mut self, addr: BlockAddr, data: &[u8]) -> Result<(), OramError> {
         let arrival = self.clock;
-        let (_, done) = self.access_at(addr, Some(data), arrival)?;
+        let (_, done) = self.access(addr, Some(data), arrival)?;
         self.clock = done;
         Ok(())
     }
@@ -571,6 +618,22 @@ impl RingOram {
         data: Option<Vec<u8>>,
         arrival: u64,
     ) -> Result<(Vec<u8>, u64), OramError> {
+        let (read, done) = self.access(addr, data.as_deref(), arrival)?;
+        // A write's value is the buffer it came in.
+        let value = data.or(read).ok_or(OramError::Invariant {
+            context: "an access without data returns the value it read",
+        })?;
+        Ok((value, done))
+    }
+
+    /// The access itself, over borrowed write data; the value comes back
+    /// only when no data was given (the one copy a read makes).
+    fn access(
+        &mut self,
+        addr: BlockAddr,
+        data: Option<&[u8]>,
+        arrival: u64,
+    ) -> Result<(Option<Vec<u8>>, u64), OramError> {
         self.engine.begin_attempt()?;
         if addr.0 >= self.config.capacity_blocks() {
             return Err(OramError::AddressOutOfRange {
@@ -578,7 +641,7 @@ impl RingOram {
                 capacity: self.config.capacity_blocks(),
             });
         }
-        if let Some(d) = &data {
+        if let Some(d) = data {
             if d.len() != self.config.payload_bytes {
                 return Err(OramError::PayloadSize {
                     expected: self.config.payload_bytes,
@@ -650,57 +713,54 @@ impl RingOram {
         // actually has recorded history.
         let replay_pick = self.engine.read_replay();
         let in_stash = self.stash_primary(addr).is_some();
-        let path = self.path_indices(old_leaf);
-        let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
-        read_addrs.clear();
+        // The frame lists the slots this access reads: one per bucket.
+        let mut frame = std::mem::take(&mut self.scratch.frame);
+        frame.cells.clear();
+        let mut valid_dummies = std::mem::take(&mut self.scratch.dummies);
         let mut fetched: Option<Block> = None;
         let mut fetched_from: Option<(u64, usize)> = None;
-        let mut read_units: Vec<(u64, usize)> = Vec::new();
-        for &bidx in &path {
-            let slot = {
-                let rng = &mut self.rng;
-                let bucket = self.buckets.get(bidx);
-                match bucket {
-                    Some(b) => {
-                        let hit = if in_stash || fetched.is_some() {
-                            None
-                        } else {
-                            b.find_valid(addr)
-                        };
-                        hit.or_else(|| b.random_valid_dummy(rng))
-                    }
-                    None => None,
-                }
-            };
-            let physical = self.config.bucket_physical_slots();
-            let b = self
-                .buckets
-                .get_or_insert_with(bidx, || RingBucket::new(physical));
+        for bidx in self.path(old_leaf) {
+            let slot = self.buckets.bucket(bidx).and_then(|b| {
+                let hit = if in_stash || fetched.is_some() {
+                    None
+                } else {
+                    find_valid(b, addr)
+                };
+                hit.or_else(|| {
+                    valid_dummies.clear();
+                    valid_dummies
+                        .extend((0..b.num_slots()).filter(|&s| b.is_valid(s) && !b.is_real(s)));
+                    valid_dummies.choose(&mut self.rng).copied()
+                })
+            });
             // Brand-new (all-dummy, all-valid) bucket: read slot 0.
             let slot = slot.unwrap_or_default();
-            if b.valid[slot] {
-                if let Some(block) = &b.slots[slot] {
+            let mut b = self.buckets.bucket_mut(bidx);
+            if b.is_valid(slot) {
+                if let Some(block) = b.slot(slot) {
                     if block.addr() == addr && !block.is_backup {
-                        fetched = Some(block.clone());
+                        fetched = Some(block.to_block());
                         fetched_from = Some((bidx, slot));
                     }
                 }
-                b.valid[slot] = false;
-                b.count += 1;
+                b.consume(slot);
             }
-            read_units.push((bidx, slot));
-            read_addrs.push(self.slot_nvm_addr(bidx, slot));
+            frame.cells.push(FrameCell {
+                bucket: bidx,
+                slot,
+                nvm_addr: self.slot_nvm_addr(bidx, slot),
+            });
         }
+        self.scratch.dummies = valid_dummies;
         let done = self
             .nvm
-            .access_batch(read_addrs.iter().copied(), AccessKind::Read, to_mem(t));
-        self.scratch.read_addrs = read_addrs;
+            .access_batch(frame.nvm_addrs(0), AccessKind::Read, to_mem(t));
         t = to_core(done) + 1;
         // Endurance adversary (wear mode): mirrors the Path controller —
         // drift failures on the hottest read line retry with backoff, a
         // stuck conviction retires onto a spare (repaired from the
         // redundant copy), and a dry spare pool latches fail-safe poison.
-        match self.engine.wear_read_fault(&self.scratch.read_addrs) {
+        match self.engine.wear_read_fault(frame.nvm_addrs(0)) {
             WearReadOutcome::None => {}
             WearReadOutcome::Transient { attempts } => {
                 for k in 0..attempts {
@@ -738,17 +798,8 @@ impl RingOram {
         let mut serve_stale: Option<crate::auth::StaleServe> = None;
         if let Some(pick) = replay_pick {
             if let Some(history) = self.history.as_ref() {
-                let candidates: Vec<(u64, usize)> = read_units
-                    .iter()
-                    .copied()
-                    .filter(|&(b, s)| history.slot(b, s).is_some())
-                    .collect();
-                if !candidates.is_empty() {
-                    let (bidx, slot) = candidates[(pick % candidates.len() as u64) as usize];
-                    if let Some((content, meta)) = history.slot(bidx, slot) {
-                        serve_stale = Some(((bidx, slot), content.clone(), *meta));
-                    }
-                }
+                let read = frame.cells.iter().map(|c| (c.bucket, c.slot));
+                serve_stale = history.stale_serve(read, pick);
             }
             if serve_stale.is_some() {
                 self.engine.confirm_read_replay();
@@ -761,10 +812,10 @@ impl RingOram {
         // existing read pipeline; only detections cost extra cycles.
         if let Some(auth) = &self.auth {
             let buckets = &self.buckets;
-            let stored = read_units.iter().map(|&(bidx, slot)| {
-                let content = buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
-                (bidx, slot, content)
-            });
+            let stored = frame
+                .cells
+                .iter()
+                .map(|c| (c.bucket, c.slot, buckets.slot(c.bucket, c.slot)));
             let (convicted, wire_verdict) = auth.verdict_fetched(stored, serve_stale.as_ref());
             if let Some(class) = convicted {
                 // Stored state failing freshness outside a recovery
@@ -794,13 +845,11 @@ impl RingOram {
                 fetched = content.clone().filter(|b| b.addr() == addr && !b.is_backup);
             }
         }
+        self.scratch.frame = frame;
         // One combined metadata write per access (valid bits + counts).
-        let meta = self.nvm.access_sized(
-            self.slot_nvm_addr(path[0], 0),
-            AccessKind::Write,
-            to_mem(t),
-            8,
-        );
+        let meta = self
+            .nvm
+            .access_sized(self.slot_nvm_addr(0, 0), AccessKind::Write, to_mem(t), 8);
         let _ = meta; // metadata write retires in the background
         self.obsv.set_now(t);
         self.obsv.emit(|| Event::Phase {
@@ -825,17 +874,16 @@ impl RingOram {
             block.is_backup = false;
             self.stash.push(block);
         }
-        if let Some(d) = data {
-            let idx = self.stash_primary(addr).ok_or(OramError::Invariant {
-                context: "stash primary present after update",
-            })?;
-            self.stash[idx].payload = d;
-        }
         let idx = self.stash_primary(addr).ok_or(OramError::Invariant {
             context: "stash primary present after update",
         })?;
-        let value = self.stash[idx].payload.clone();
-        self.ledger.note_written(addr.0, value.clone());
+        let primary = &mut self.stash[idx];
+        if let Some(d) = data {
+            primary.payload.clear();
+            primary.payload.extend_from_slice(d);
+        }
+        self.ledger.note_written(addr.0, &primary.payload);
+        let read = data.is_none().then(|| primary.payload.clone());
         if self.stash.len() > self.config.stash_capacity {
             return Err(OramError::StashOverflow {
                 capacity: self.config.stash_capacity,
@@ -856,13 +904,12 @@ impl RingOram {
         self.maybe_crash(CrashPoint::AfterUpdateStash)?;
 
         // Step ⑤: early reshuffles, then the periodic evict-path.
-        let exhausted: Vec<u64> = path
-            .iter()
-            .copied()
-            .filter(|b| {
+        let exhausted: Vec<u64> = self
+            .path(old_leaf)
+            .filter(|&b| {
                 self.buckets
-                    .get(*b)
-                    .is_some_and(|bk| bk.count >= self.config.dummy_slots)
+                    .bucket(b)
+                    .is_some_and(|bk| bk.reads() >= self.config.dummy_slots)
             })
             .collect();
         let mut t_bg = value_ready;
@@ -883,7 +930,7 @@ impl RingOram {
         self.maybe_crash(CrashPoint::AfterEviction)?;
 
         self.stats.total_access_cycles += value_ready - arrival;
-        Ok((value, value_ready.max(value_ready)))
+        Ok((read, value_ready))
     }
 
     /// Classifies a physically present block during a bucket rewrite.
@@ -912,8 +959,8 @@ impl RingOram {
     /// when it was never materialized): what a rewrite reads off media.
     fn present_blocks(&self, bidx: u64) -> Vec<Block> {
         self.buckets
-            .get(bidx)
-            .map(|b| b.real_blocks().cloned().collect())
+            .bucket(bidx)
+            .map(|b| b.blocks().map(|b| b.to_block()).collect())
             .unwrap_or_default()
     }
 
@@ -923,21 +970,8 @@ impl RingOram {
         // Read the real blocks still present (the permutation metadata
         // tells the controller which slots those are), rebuild, write the
         // whole bucket back.
-        let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
-        read_addrs.clear();
-        if let Some(old) = self.buckets.get(bidx) {
-            read_addrs.extend(
-                old.slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.is_some())
-                    .map(|(s, _)| self.slot_nvm_addr(bidx, s)),
-            );
-        }
-        let done = self
-            .nvm
-            .access_batch(read_addrs.iter().copied(), AccessKind::Read, to_mem(t));
-        self.scratch.read_addrs = read_addrs;
+        let reads = Self::occupied_addrs(&self.buckets, self.slot_addresser(), bidx);
+        let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
         let keep: Vec<Block> = self
@@ -946,7 +980,7 @@ impl RingOram {
             .filter_map(|b| self.classify_for_rewrite(b))
             .collect();
         debug_assert!(keep.len() <= self.config.real_slots);
-        let fresh = RingBucket::from_blocks(keep, physical, &mut self.rng);
+        let fresh = Bucket::permuted(keep, physical, &mut self.rng);
         self.commit_rewrites(vec![(bidx, fresh)], Vec::new(), t)
     }
 
@@ -957,27 +991,17 @@ impl RingOram {
         let leaf =
             Leaf(bit_reverse(self.evict_cursor, self.config.levels) % self.config.num_leaves());
         self.evict_cursor += 1;
-        let path = self.path_indices(leaf);
+        let path = self.path(leaf);
         let physical = self.config.bucket_physical_slots();
         let z = self.config.real_slots;
 
         // Fetch the real blocks present on the path (slot positions are
         // known from the per-bucket permutation metadata).
-        let mut read_addrs = std::mem::take(&mut self.scratch.read_addrs);
-        read_addrs.clear();
-        for &bidx in &path {
-            if let Some(bucket) = self.buckets.get(bidx) {
-                for (s, slot) in bucket.slots.iter().enumerate() {
-                    if slot.is_some() {
-                        read_addrs.push(self.slot_nvm_addr(bidx, s));
-                    }
-                }
-            }
-        }
-        let done = self
-            .nvm
-            .access_batch(read_addrs.iter().copied(), AccessKind::Read, to_mem(t));
-        self.scratch.read_addrs = read_addrs;
+        let (buckets, addr_of) = (&self.buckets, self.slot_addresser());
+        let reads = path
+            .clone()
+            .flat_map(|bidx| Self::occupied_addrs(buckets, addr_of, bidx));
+        let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
         // Pool: shadows stay pinned to their bucket; primaries join the
@@ -987,7 +1011,7 @@ impl RingOram {
         // `per_level[d]` collects the new content of `path[d]`.
         let mut per_level: Vec<Vec<Block>> = vec![Vec::new(); path.len()];
         let mut pulled_src: HashMap<u64, usize> = HashMap::new();
-        for (pos, &bidx) in path.iter().enumerate() {
+        for (pos, bidx) in path.clone().enumerate() {
             for block in self.present_blocks(bidx) {
                 match self.classify_for_rewrite(block) {
                     Some(b) if b.is_backup => per_level[pos].push(b),
@@ -1049,7 +1073,7 @@ impl RingOram {
         // this atomic round.
         let mut rewrites = Vec::with_capacity(path.len());
         let mut flushes = Vec::new();
-        for (&bidx, blocks) in path.iter().zip(per_level) {
+        for (bidx, blocks) in path.zip(per_level) {
             for b in &blocks {
                 if !b.is_backup {
                     if let Some(l) = self.temp.get(b.addr()) {
@@ -1057,10 +1081,7 @@ impl RingOram {
                     }
                 }
             }
-            rewrites.push((
-                bidx,
-                RingBucket::from_blocks(blocks, physical, &mut self.rng),
-            ));
+            rewrites.push((bidx, Bucket::permuted(blocks, physical, &mut self.rng)));
         }
         self.commit_rewrites(rewrites, flushes, t)
     }
@@ -1090,7 +1111,7 @@ impl RingOram {
     /// then issues the NVM writes.
     fn commit_rewrites(
         &mut self,
-        rewrites: Vec<(u64, RingBucket)>,
+        rewrites: Vec<(u64, Bucket)>,
         flushes: Vec<(BlockAddr, Leaf)>,
         t: u64,
     ) -> Result<u64, OramError> {
@@ -1114,7 +1135,7 @@ impl RingOram {
                     // Direct writes: half the buckets land, half do not.
                     let landed = rewrites.len() / 2;
                     for (bidx, bucket) in rewrites.into_iter().take(landed) {
-                        self.buckets.insert(bidx, bucket);
+                        self.install(bidx, bucket);
                     }
                 }
                 self.execute_crash();
@@ -1124,11 +1145,18 @@ impl RingOram {
         self.rewrites_this_access += 1;
         self.obsv.set_now(t);
 
-        let mut write_addrs = std::mem::take(&mut self.scratch.write_addrs);
-        write_addrs.clear();
+        // The frame now lists what this round writes: every physical slot
+        // of the rewritten buckets, which come in ascending order.
+        debug_assert!(rewrites.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut frame = std::mem::take(&mut self.scratch.frame);
+        frame.cells.clear();
         for (bidx, _) in &rewrites {
-            for s in 0..physical {
-                write_addrs.push(self.slot_nvm_addr(*bidx, s));
+            for slot in 0..physical {
+                frame.cells.push(FrameCell {
+                    bucket: *bidx,
+                    slot,
+                    nvm_addr: self.slot_nvm_addr(*bidx, slot),
+                });
             }
         }
 
@@ -1189,11 +1217,10 @@ impl RingOram {
             }
         }
 
-        write_addrs.sort_unstable();
         let done = self
             .nvm
-            .access_batch(write_addrs.iter().copied(), AccessKind::Write, to_mem(t));
-        self.scratch.write_addrs = write_addrs;
+            .access_batch(frame.nvm_addrs(0), AccessKind::Write, to_mem(t));
+        self.scratch.frame = frame;
         Ok(to_core(done))
     }
 
@@ -1201,7 +1228,8 @@ impl RingOram {
     /// bucket store and PosMap.
     fn commit_and_apply_round(&mut self) -> Result<(), OramError> {
         self.engine.commit_round()?;
-        let (data, posmap) = self.engine.drain();
+        let (mut data, mut posmap) = std::mem::take(&mut self.drained);
+        self.engine.drain_into(&mut data, &mut posmap);
         let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
         if device {
             // This round becomes the one whose media programming a crash
@@ -1210,7 +1238,7 @@ impl RingOram {
             self.last_round_posmap.clear();
         }
         let physical = self.config.bucket_physical_slots();
-        for e in data {
+        for e in data.drain(..) {
             let (bidx, bucket) = e.value;
             if device {
                 for s in 0..physical {
@@ -1220,7 +1248,7 @@ impl RingOram {
             self.apply_rewrite(bidx, bucket);
         }
         let mut flushed = false;
-        for e in posmap {
+        for e in posmap.drain(..) {
             let (a, l) = e.value;
             self.snapshot_posmap_entry(a);
             self.posmap.persist(a, l);
@@ -1234,6 +1262,7 @@ impl RingOram {
             self.stats.dirty_entries_flushed += 1;
             flushed = true;
         }
+        self.drained = (data, posmap);
         if flushed {
             if let Some(auth) = &mut self.auth {
                 auth.seal_temp(&self.temp.entries_sorted());
@@ -1247,10 +1276,20 @@ impl RingOram {
         Ok(())
     }
 
-    fn apply_rewrite(&mut self, bidx: u64, bucket: RingBucket) {
+    /// Puts a bucket image on media: every slot overwritten, every slot
+    /// valid again, no reads counted.
+    fn install(&mut self, bidx: u64, image: Bucket) {
+        let mut bucket = self.buckets.bucket_mut(bidx);
+        for (s, slot) in image.into_slots().iter().enumerate() {
+            bucket.set(s, slot.as_ref().map(Block::view));
+        }
+        bucket.revalidate();
+    }
+
+    fn apply_rewrite(&mut self, bidx: u64, bucket: Bucket) {
         // Ledger: every block written at its persisted position is now the
         // recoverable copy (PS variant only cares, but the data is cheap).
-        for b in bucket.real_blocks() {
+        for b in bucket.blocks() {
             let a = b.addr();
             if b.leaf() == self.posmap.persisted_get(a) {
                 self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
@@ -1259,23 +1298,19 @@ impl RingOram {
         if let Some(h) = self.history.as_mut() {
             // Snapshot every slot this rewrite replaces: the coherent
             // stale units a replay adversary re-serves.
-            let old = self.buckets.get(bidx);
-            for s in 0..bucket.slots.len() {
-                let prev_content = old.and_then(|old| old.slots.get(s).cloned().flatten());
+            let old = self.buckets.bucket(bidx);
+            for s in 0..bucket.num_slots() {
+                let prev_content = old.and_then(|old| old.slot(s)).map(|b| b.to_block());
                 let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bidx, s));
                 h.note_slot(bidx, s, prev_content, prev_meta);
             }
         }
         if let Some(auth) = &mut self.auth {
             auth.record_slots(
-                bucket
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .map(|(s, slot)| (bidx, s, slot.as_ref())),
+                (0..bucket.num_slots()).map(|s| (bidx, s, bucket.slot(s).map(Block::view))),
             );
         }
-        self.buckets.insert(bidx, bucket);
+        self.install(bidx, bucket);
     }
 
     /// Snapshots the persisted PosMap entry (and record) a persist of
@@ -1294,21 +1329,8 @@ impl RingOram {
     fn refresh_ledger_for(&mut self, flushes: &[(BlockAddr, Leaf)]) {
         for &(a, _) in flushes {
             let leaf = self.posmap.persisted_get(a);
-            let mut best: Option<(u64, &[u8])> = None;
-            for idx in self.path_indices(leaf) {
-                if let Some(bucket) = self.buckets.get(idx) {
-                    for b in bucket.real_blocks() {
-                        if b.addr() == a
-                            && b.leaf() == leaf
-                            && best.as_ref().is_none_or(|(s, _)| b.header.seq > *s)
-                        {
-                            best = Some((b.header.seq, b.payload.as_slice()));
-                        }
-                    }
-                }
-            }
-            if let Some((seq, payload)) = best {
-                self.ledger.commit_if_fresh(a.0, seq, payload);
+            if let Some(b) = Self::newest_on_path(&self.buckets, self.path(leaf), a, leaf) {
+                self.ledger.commit_if_fresh(a.0, b.header.seq, b.payload);
             }
         }
     }
@@ -1373,27 +1395,17 @@ impl RingOram {
     fn apply_device_damage(&mut self, damage: &RoundDamage) {
         for &i in &damage.data_units {
             let (bidx, slot) = self.last_round_slots[i];
-            let has_block = self
-                .buckets
-                .get(bidx)
-                .is_some_and(|b| b.slots[slot].is_some());
-            if !has_block {
-                // Torn programming of a dummy slot has no observable
-                // content to corrupt.
+            // Torn programming of a dummy slot has no observable content
+            // to corrupt (and draws no entropy).
+            let mut bucket = self.buckets.bucket_mut(bidx);
+            let Some((header, payload)) = bucket.cell_mut(slot) else {
                 continue;
-            }
+            };
             let e = self.engine.device_entropy();
-            if let Some(blk) = self
-                .buckets
-                .get_mut(bidx)
-                .and_then(|b| b.slots[slot].as_mut())
-            {
-                if blk.payload.is_empty() {
-                    blk.header.iv1 ^= 1 | e;
-                } else {
-                    let idx = e as usize % blk.payload.len();
-                    blk.payload[idx] ^= 1 << ((e >> 32) & 7);
-                }
+            if payload.is_empty() {
+                header.iv1 ^= 1 | e;
+            } else {
+                payload[e as usize % payload.len()] ^= 1 << ((e >> 32) & 7);
             }
         }
         for &i in &damage.posmap_units {
@@ -1422,8 +1434,8 @@ impl RingOram {
                 .as_ref()
                 .and_then(|h| h.slot(bidx, slot).cloned());
             if let Some((content, meta)) = prev {
-                if let Some(bucket) = self.buckets.get_mut(bidx) {
-                    bucket.slots[slot] = content;
+                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
+                    bucket.set(slot, content.as_ref().map(Block::view));
                 }
                 if let Some(auth) = self.auth.as_mut() {
                     auth.set_slot_record(bidx, slot, meta);
@@ -1468,13 +1480,13 @@ impl RingOram {
                         .any(|&k| self.last_round_slots[k] == c)
             };
             if (b1, s1) != (b2, s2) && !rotted((b1, s1)) && !rotted((b2, s2)) {
-                let c1 = self.buckets.get(b1).and_then(|b| b.slots[s1].clone());
-                let c2 = self.buckets.get(b2).and_then(|b| b.slots[s2].clone());
-                if let Some(bucket) = self.buckets.get_mut(b1) {
-                    bucket.slots[s1] = c2;
+                let c1 = self.buckets.slot(b1, s1).map(|b| b.to_block());
+                let c2 = self.buckets.slot(b2, s2).map(|b| b.to_block());
+                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(b1) {
+                    bucket.set(s1, c2.as_ref().map(Block::view));
                 }
-                if let Some(bucket) = self.buckets.get_mut(b2) {
-                    bucket.slots[s2] = c1;
+                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(b2) {
+                    bucket.set(s2, c1.as_ref().map(Block::view));
                 }
                 if let Some(auth) = self.auth.as_mut() {
                     let r1 = auth.slot_record(b1, s1);
@@ -1560,8 +1572,7 @@ impl RingOram {
             // convicted slot is wiped; any committed value it held is
             // restored from an authenticated redundant copy in phase 3.
             for (bidx, slot) in auth.tagged_slots_sorted() {
-                let content = self.buckets.get(bidx).and_then(|b| b.slots[slot].as_ref());
-                match auth.verdict_slot(bidx, slot, content) {
+                match auth.verdict_slot(bidx, slot, self.buckets.slot(bidx, slot)) {
                     FreshnessVerdict::Clean => {}
                     verdict => {
                         match verdict {
@@ -1571,8 +1582,8 @@ impl RingOram {
                             FreshnessVerdict::Spliced => splices_detected += 1,
                             _ => {}
                         }
-                        if let Some(bucket) = self.buckets.get_mut(bidx) {
-                            bucket.slots[slot] = None;
+                        if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
+                            bucket.set(slot, None);
                         }
                         auth.record_slot(bidx, slot, None);
                     }
@@ -1622,7 +1633,7 @@ impl RingOram {
         // every run.
         let mut best: HashMap<u64, (u64, u64, usize)> = HashMap::new();
         for (bidx, bucket) in self.buckets.iter() {
-            for (s, slot) in bucket.slots.iter().enumerate() {
+            for (s, slot) in bucket.slots().enumerate() {
                 if let Some(b) = slot {
                     if b.leaf() == self.posmap.persisted_get(b.addr()) {
                         let e = best.entry(b.addr().0).or_insert((b.header.seq, bidx, s));
@@ -1638,34 +1649,35 @@ impl RingOram {
         // legitimate writes, so their tags are refreshed. (Per-slot
         // outcomes depend only on `best`, but the scan stays sorted so
         // any future side effects inherit determinism.)
-        for (bidx, bucket) in self.buckets.iter_mut() {
-            for (s, slot) in bucket.slots.iter_mut().enumerate() {
-                if let Some(b) = slot {
-                    let leaf = self.posmap.persisted_get(b.addr());
-                    if b.leaf() == leaf {
-                        match best.get(&b.addr().0) {
-                            Some(&(_, wb, ws)) if (wb, ws) == (bidx, s) => {
-                                if b.is_backup {
-                                    b.is_backup = false;
-                                    if let Some(auth) = auth.as_mut() {
-                                        auth.record_slot(bidx, s, Some(&*b));
-                                    }
-                                }
+        let materialised: Vec<u64> = self.buckets.indices().collect();
+        for bidx in materialised {
+            let mut bucket = self.buckets.bucket_mut(bidx);
+            for s in 0..bucket.num_slots() {
+                let Some(b) = bucket.slot(s) else {
+                    continue;
+                };
+                let (addr, is_backup) = (b.addr(), b.is_backup);
+                if b.leaf() != self.posmap.persisted_get(addr) {
+                    continue;
+                }
+                match best.get(&addr.0) {
+                    Some(&(_, wb, ws)) if (wb, ws) == (bidx, s) => {
+                        if is_backup {
+                            bucket.set_backup(s, false);
+                            if let Some(auth) = auth.as_mut() {
+                                auth.record_slot(bidx, s, bucket.slot(s));
                             }
-                            _ => {
-                                *slot = None;
-                                if let Some(auth) = auth.as_mut() {
-                                    auth.record_slot(bidx, s, None);
-                                }
-                            }
+                        }
+                    }
+                    _ => {
+                        bucket.set(s, None);
+                        if let Some(auth) = auth.as_mut() {
+                            auth.record_slot(bidx, s, None);
                         }
                     }
                 }
             }
-            for v in &mut bucket.valid {
-                *v = true;
-            }
-            bucket.count = 0;
+            bucket.revalidate();
         }
 
         if let Some(auth) = auth.as_mut() {
@@ -1680,10 +1692,10 @@ impl RingOram {
                         let mut promoted = copy;
                         if promoted.is_backup {
                             promoted.is_backup = false;
-                            if let Some(bucket) = self.buckets.get_mut(bidx) {
-                                bucket.slots[s] = Some(promoted.clone());
+                            if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
+                                bucket.set_backup(s, false);
                             }
-                            auth.record_slot(bidx, s, Some(&promoted));
+                            auth.record_slot(bidx, s, Some(promoted.view()));
                         }
                         let intact = self.ledger.committed_value(a) == Some(&promoted.payload);
                         self.posmap.persist(addr, promoted.leaf());
@@ -1731,29 +1743,44 @@ impl RingOram {
         self.engine.finish_recovery(report)
     }
 
+    /// The newest copy (highest freshness counter, the first on a tie) of
+    /// `addr` on the path to `leaf` whose header names that leaf.
+    fn newest_on_path(
+        buckets: &SlotArena,
+        path: impl Iterator<Item = u64>,
+        addr: BlockAddr,
+        leaf: Leaf,
+    ) -> Option<BlockRef<'_>> {
+        let mut best: Option<(BucketRef<'_>, usize, u64)> = None;
+        for bucket in path.filter_map(|idx| buckets.bucket(idx)) {
+            for (slot, h) in bucket.headers() {
+                if h.addr == addr && h.leaf == leaf && best.is_none_or(|(_, _, seq)| h.seq > seq) {
+                    best = Some((bucket, slot, h.seq));
+                }
+            }
+        }
+        best.and_then(|(bucket, slot, _)| bucket.slot(slot))
+    }
+
+    /// Where recovery would find committed address `a`: its persisted leaf
+    /// and, written into `found`, the payload of the newest matching copy
+    /// on that path. Reports whether there is one.
+    fn recoverable_copy(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
+        let addr = BlockAddr(a);
+        let leaf = self.posmap.persisted_get(addr);
+        let best = Self::newest_on_path(&self.buckets, self.path(leaf), addr, leaf);
+        if let Some(b) = best {
+            found.extend_from_slice(b.payload);
+        }
+        (leaf, best.is_some())
+    }
+
     /// The committed addresses the recoverability audit can no longer
     /// locate, with the audit's verbatim complaint (sorted by address).
     fn audit_failures(&self) -> Vec<(u64, String)> {
         self.ledger.audit_committed_collect(
             "copy",
-            |a| {
-                let addr = BlockAddr(a);
-                let leaf = self.posmap.persisted_get(addr);
-                let mut best: Option<&Block> = None;
-                for idx in self.path_indices(leaf) {
-                    if let Some(bucket) = self.buckets.get(idx) {
-                        for b in bucket.slots.iter().flatten() {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b);
-                            }
-                        }
-                    }
-                }
-                (leaf, best.map(|b| b.payload.clone()))
-            },
+            |a, found| self.recoverable_copy(a, found),
             |_, _| false,
         )
     }
@@ -1762,9 +1789,9 @@ impl RingOram {
     /// media that passes slot authentication, with its location.
     /// Deterministic: buckets are scanned in sorted order.
     fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<(u64, usize, Block)> {
-        let mut best: Option<(u64, usize, &Block)> = None;
+        let mut best: Option<(u64, usize, BlockRef<'_>)> = None;
         for (bidx, bucket) in self.buckets.iter() {
-            for (s, slot) in bucket.slots.iter().enumerate() {
+            for (s, slot) in bucket.slots().enumerate() {
                 if let Some(b) = slot {
                     if b.addr() == addr
                         && auth.verify_slot(bidx, s, Some(b))
@@ -1775,7 +1802,7 @@ impl RingOram {
                 }
             }
         }
-        best.map(|(bidx, s, b)| (bidx, s, b.clone()))
+        best.map(|(bidx, s, b)| (bidx, s, b.to_block()))
     }
 
     /// The report of the most recent [`RingOram::recover`] call.
@@ -1792,24 +1819,7 @@ impl RingOram {
     pub fn check_recoverability(&self) -> Result<(), String> {
         self.ledger.audit_committed(
             "copy",
-            |a| {
-                let addr = BlockAddr(a);
-                let leaf = self.posmap.persisted_get(addr);
-                let mut best: Option<&Block> = None;
-                for idx in self.path_indices(leaf) {
-                    if let Some(bucket) = self.buckets.get(idx) {
-                        for b in bucket.slots.iter().flatten() {
-                            if b.addr() == addr
-                                && b.leaf() == leaf
-                                && best.is_none_or(|x| b.header.seq > x.header.seq)
-                            {
-                                best = Some(b);
-                            }
-                        }
-                    }
-                }
-                (leaf, best.map(|b| b.payload.clone()))
-            },
+            |a, found| self.recoverable_copy(a, found),
             |_, _| false,
         )
     }

@@ -67,9 +67,9 @@ impl std::fmt::Display for ShardRange {
 /// The outcome of one shard access step.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStep {
-    /// The block's value (pre-existing for reads, the new value for
-    /// writes).
-    pub value: Vec<u8>,
+    /// The block's value, for a read (`None` for a write: the caller
+    /// holds what it wrote).
+    pub value: Option<Vec<u8>>,
     /// Core cycles the controller spent serving this access (the
     /// controller-clock delta across the step).
     pub service_cycles: u64,
@@ -94,10 +94,10 @@ pub struct ShardStep {
 /// let oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
 /// let range = ShardRange { lo: 100, hi: 140 };
 /// let mut shard = ShardController::new(Box::new(oram), range);
-/// let w = shard.step(Op::Write, 105, Some(vec![9u8; 8])).unwrap();
+/// let w = shard.step(Op::Write, 105, Some(&[9u8; 8])).unwrap();
 /// assert!(w.service_cycles > 0);
 /// let r = shard.step(Op::Read, 105, None).unwrap();
-/// assert_eq!(r.value, vec![9u8; 8]);
+/// assert_eq!(r.value, Some(vec![9u8; 8]));
 /// ```
 pub struct ShardController {
     policy: Box<dyn ProtocolPolicy>,
@@ -149,19 +149,15 @@ impl ShardController {
 
     /// Executes exactly one access against the shard and reports its
     /// value and service-cycle cost. `addr` is **global**; it must fall
-    /// inside [`ShardController::range`].
+    /// inside [`ShardController::range`]. A write borrows its payload:
+    /// the controller copies it once, into its stash.
     ///
     /// # Errors
     ///
     /// [`OramError::AddressOutOfRange`] when `addr` is not owned by this
     /// shard (a routing bug); otherwise whatever the controller returns
     /// (notably [`OramError::Crashed`] when a crash fires mid-access).
-    pub fn step(
-        &mut self,
-        op: Op,
-        addr: u64,
-        data: Option<Vec<u8>>,
-    ) -> Result<ShardStep, OramError> {
+    pub fn step(&mut self, op: Op, addr: u64, data: Option<&[u8]>) -> Result<ShardStep, OramError> {
         if !self.range.contains(addr) {
             return Err(OramError::AddressOutOfRange {
                 addr: BlockAddr(addr),
@@ -176,10 +172,10 @@ impl ShardController {
                     expected: self.policy.payload_bytes(),
                     got: 0,
                 })?;
-                self.policy.write(local, payload.clone())?;
-                payload
+                self.policy.write_from(local, payload)?;
+                None
             }
-            Op::Read => self.policy.read(local)?,
+            Op::Read => Some(self.policy.read(local)?),
         };
         self.served += 1;
         Ok(ShardStep {
@@ -256,10 +252,11 @@ mod tests {
     #[test]
     fn step_translates_and_charges_cycles() {
         let mut s = shard(200, 240);
-        let w = s.step(Op::Write, 239, Some(vec![3u8; 8])).unwrap();
+        let w = s.step(Op::Write, 239, Some(&[3u8; 8])).unwrap();
         assert!(w.service_cycles > 0);
+        assert_eq!(w.value, None);
         let r = s.step(Op::Read, 239, None).unwrap();
-        assert_eq!(r.value, vec![3u8; 8]);
+        assert_eq!(r.value, Some(vec![3u8; 8]));
         assert_eq!(s.served(), 2);
     }
 
@@ -275,7 +272,7 @@ mod tests {
     fn crash_recover_preserves_committed_writes() {
         let mut s = shard(32, 64);
         for a in 32..40u64 {
-            s.step(Op::Write, a, Some(vec![a as u8; 8])).unwrap();
+            s.step(Op::Write, a, Some(&[a as u8; 8])).unwrap();
         }
         s.crash_now();
         assert!(s.is_crashed());
@@ -285,14 +282,15 @@ mod tests {
         assert_eq!(cycles, s.clock() - clock_before);
         assert!(!s.is_crashed());
         for a in 32..40u64 {
-            assert_eq!(s.step(Op::Read, a, None).unwrap().value, vec![a as u8; 8]);
+            let read = s.step(Op::Read, a, None).unwrap();
+            assert_eq!(read.value, Some(vec![a as u8; 8]));
         }
     }
 
     #[test]
     fn into_policy_hands_the_controller_back() {
         let mut s = shard(0, 32);
-        s.step(Op::Write, 1, Some(vec![1u8; 8])).unwrap();
+        s.step(Op::Write, 1, Some(&[1u8; 8])).unwrap();
         let mut policy = s.into_policy();
         assert_eq!(policy.read(1).unwrap(), vec![1u8; 8]);
     }

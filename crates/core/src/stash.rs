@@ -1,24 +1,23 @@
 //! The ORAM stash: a small on-chip buffer of in-flight blocks.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::block::Block;
-use crate::types::{BlockAddr, OramError};
+use crate::types::{BlockAddr, Leaf, OramError};
 
 /// The on-chip stash (`C = 200` entries in the paper's Table 3).
 ///
 /// Holds blocks between a path read and their eviction. PS-ORAM backup
 /// (shadow) blocks live here too but are invisible to lookups.
 ///
-/// Lookups go through a primary-address index (`addr → slot`) instead of a
-/// linear scan: with every access doing several `get`/`contains` probes over
-/// an up-to-`C`-entry stash, the scans were a measurable slice of the hot
-/// path. The `blocks` vector stays the source of truth — eviction iterates
-/// it in insertion order exactly as before — and the index always points at
-/// the *first* primary copy of an address, matching the old first-match scan
-/// semantics.
+/// Lookups scan a packed column of the blocks' addresses (`keys`, one word
+/// per block, backups masked out) instead of the blocks themselves: with
+/// every access doing some twenty `get`/`contains` probes over a stash of a
+/// few dozen entries, a contiguous scan beats both a walk over the 72-byte
+/// blocks and any keyed index that would have to be rebuilt as the
+/// eviction reorders the stash. The `blocks` vector stays the source of
+/// truth — eviction plans over it in insertion order — and a lookup finds
+/// the *first* primary copy of an address.
 ///
 /// # Examples
 ///
@@ -35,9 +34,29 @@ pub struct Stash {
     capacity: usize,
     blocks: Vec<Block>,
     max_occupancy: usize,
-    /// Primary-block index: logical address → position in `blocks` of the
-    /// first non-backup copy. Backups are never indexed.
-    index: BTreeMap<u64, usize>,
+    /// `keys[i]` is the address of `blocks[i]`, or [`BACKUP_KEY`] for a
+    /// backup (never matched by a lookup).
+    keys: Vec<u64>,
+    /// The block vector of the previous eviction, kept for its capacity.
+    spare: Vec<Block>,
+}
+
+/// The lookup key of backups: no program address reaches it (addresses
+/// are bounded by the tree's capacity).
+const BACKUP_KEY: u64 = u64::MAX;
+
+fn key_of(block: &Block) -> u64 {
+    if block.is_backup {
+        BACKUP_KEY
+    } else {
+        block.addr().0
+    }
+}
+
+/// What a moved-out block leaves behind until the vector is compacted;
+/// an empty payload allocates nothing.
+fn hole() -> Block {
+    Block::new(BlockAddr(0), Leaf(0), Vec::new())
 }
 
 impl Stash {
@@ -52,18 +71,14 @@ impl Stash {
             capacity,
             blocks: Vec::new(),
             max_occupancy: 0,
-            index: BTreeMap::new(),
+            keys: Vec::new(),
+            spare: Vec::new(),
         }
     }
 
-    /// Rebuilds the primary index from `blocks` (first primary copy wins).
-    fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (i, b) in self.blocks.iter().enumerate() {
-            if !b.is_backup {
-                self.index.entry(b.addr().0).or_insert(i);
-            }
-        }
+    /// Position of the first primary copy of `addr`.
+    fn position(&self, addr: BlockAddr) -> Option<usize> {
+        self.keys.iter().position(|&k| k == addr.0)
     }
 
     /// Inserts a block.
@@ -79,13 +94,8 @@ impl Stash {
                 capacity: self.capacity,
             });
         }
-        if !block.is_backup {
-            // An earlier primary copy keeps winning lookups, as it did with
-            // the linear first-match scan.
-            self.index
-                .entry(block.addr().0)
-                .or_insert(self.blocks.len());
-        }
+        debug_assert!(block.addr().0 != BACKUP_KEY);
+        self.keys.push(key_of(&block));
         self.blocks.push(block);
         self.max_occupancy = self.max_occupancy.max(self.blocks.len());
         Ok(())
@@ -93,50 +103,66 @@ impl Stash {
 
     /// Looks up the *primary* (non-backup) block at `addr`.
     pub fn get(&self, addr: BlockAddr) -> Option<&Block> {
-        self.index.get(&addr.0).map(|&i| &self.blocks[i])
+        self.position(addr).map(|i| &self.blocks[i])
     }
 
-    /// Mutable lookup of the primary block at `addr`.
+    /// Mutable lookup of the primary block at `addr`. The caller may
+    /// change the block's leaf, counters and payload; its address and
+    /// backup mark are what lookups go by and must stay as they are.
     pub fn get_mut(&mut self, addr: BlockAddr) -> Option<&mut Block> {
-        match self.index.get(&addr.0) {
-            Some(&i) => Some(&mut self.blocks[i]),
-            None => None,
-        }
+        self.position(addr).map(|i| &mut self.blocks[i])
     }
 
     /// `true` if a primary copy of `addr` is present.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.index.contains_key(&addr.0)
+        self.position(addr).is_some()
     }
 
-    /// Removes and returns blocks matching `pred`.
+    /// Removes and returns blocks matching `pred`; the rest keep their
+    /// order.
     pub fn drain_matching(&mut self, mut pred: impl FnMut(&Block) -> bool) -> Vec<Block> {
-        let mut kept = Vec::with_capacity(self.blocks.len());
         let mut taken = Vec::new();
+        self.keys.clear();
         for b in self.blocks.drain(..) {
             if pred(&b) {
                 taken.push(b);
             } else {
-                kept.push(b);
+                self.keys.push(key_of(&b));
+                self.spare.push(b);
             }
         }
-        self.blocks = kept;
-        self.rebuild_index();
+        std::mem::swap(&mut self.blocks, &mut self.spare);
         taken
     }
 
-    /// Removes the block at position `idx` (used by the eviction planner).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn remove_at(&mut self, idx: usize) -> Block {
-        let b = self.blocks.swap_remove(idx);
-        // swap_remove relocates the former tail into `idx`; cheapest safe
-        // fix for both affected addresses is a rebuild (the stash is small
-        // and eviction removals are batched, not per-lookup).
-        self.rebuild_index();
-        b
+    /// Carries out an eviction planned over [`Stash::blocks`], in place:
+    /// the block at stash position `placed[n]` moves to `out[n]`, and the
+    /// blocks at `leftovers` stay, in that order. The plan must name every
+    /// position exactly once.
+    pub(crate) fn evict(
+        &mut self,
+        placed: &[Option<u32>],
+        leftovers: &[u32],
+        out: &mut [Option<Block>],
+    ) {
+        debug_assert_eq!(
+            placed.iter().flatten().count() + leftovers.len(),
+            self.blocks.len(),
+            "an eviction plan covers the whole stash"
+        );
+        let blocks = &mut self.blocks;
+        let mut take = |i: u32| std::mem::replace(&mut blocks[i as usize], hole());
+        for (cell, from) in out.iter_mut().zip(placed) {
+            *cell = from.map(&mut take);
+        }
+        self.keys.clear();
+        for &i in leftovers {
+            let b = take(i);
+            self.keys.push(key_of(&b));
+            self.spare.push(b);
+        }
+        self.blocks.clear();
+        std::mem::swap(&mut self.blocks, &mut self.spare);
     }
 
     /// All blocks, including backups.
@@ -167,14 +193,13 @@ impl Stash {
     /// Drops every block — models the loss of volatile state at a crash.
     pub fn wipe(&mut self) {
         self.blocks.clear();
-        self.index.clear();
+        self.keys.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Leaf;
 
     fn blk(a: u64) -> Block {
         Block::new(BlockAddr(a), Leaf(0), vec![a as u8; 8])
@@ -256,7 +281,7 @@ mod tests {
     }
 
     /// The indexed stash must match the old linear-scan behavior on a long
-    /// randomized insert/lookup/remove/drain sequence, including duplicate
+    /// randomized insert/lookup/evict/drain sequence, including duplicate
     /// primaries and backups.
     #[test]
     fn index_matches_linear_scan_on_randomized_sequence() {
@@ -297,14 +322,33 @@ mod tests {
                         indexed.insert(b).unwrap();
                     }
                 }
-                // Point removal at a random slot.
+                // An eviction: a random subset leaves for random path
+                // slots, the rest stay in a rotated order.
                 5 => {
-                    if !naive.blocks.is_empty() {
-                        let idx = (next() as usize) % naive.blocks.len();
-                        let a = naive.blocks.swap_remove(idx);
-                        let b = indexed.remove_at(idx);
-                        assert_eq!(a, b, "step {step}");
+                    let n = naive.blocks.len();
+                    let mut placed: Vec<Option<u32>> = vec![None; 12];
+                    let mut leftovers = Vec::new();
+                    for i in 0..n as u32 {
+                        let cell = (next() % 16) as usize;
+                        if cell < placed.len() && placed[cell].is_none() {
+                            placed[cell] = Some(i);
+                        } else {
+                            leftovers.push(i);
+                        }
                     }
+                    let by = (next() as usize) % leftovers.len().max(1);
+                    leftovers.rotate_left(by);
+                    let mut out = vec![None; placed.len()];
+                    indexed.evict(&placed, &leftovers, &mut out);
+                    let want: Vec<Option<Block>> = placed
+                        .iter()
+                        .map(|p| p.map(|i| naive.blocks[i as usize].clone()))
+                        .collect();
+                    assert_eq!(out, want, "step {step}");
+                    naive.blocks = leftovers
+                        .iter()
+                        .map(|&i| naive.blocks[i as usize].clone())
+                        .collect();
                 }
                 // Drain by a random predicate.
                 6 => {
@@ -344,8 +388,15 @@ mod tests {
         s.get_mut(BlockAddr(3)).unwrap().payload = vec![0xAB; 8];
         assert_eq!(s.blocks()[0].payload, vec![0xAB; 8]);
         assert_eq!(s.blocks()[2].payload, vec![3; 8]);
-        // Remove the first copy; the duplicate becomes visible again.
-        s.remove_at(0);
+        // Evict the first copy; the duplicate becomes visible again.
+        let mut out = [None];
+        s.evict(&[Some(0)], &[2, 1], &mut out);
+        assert_eq!(out[0].as_ref().unwrap().payload, vec![0xAB; 8]);
         assert_eq!(s.get(BlockAddr(3)).unwrap().payload, vec![3; 8]);
+        assert_eq!(
+            s.blocks()[1].addr(),
+            BlockAddr(4),
+            "leftovers in plan order"
+        );
     }
 }

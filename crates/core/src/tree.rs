@@ -1,25 +1,12 @@
 //! The NVM-resident ORAM tree, stored sparsely.
 
-use crate::block::Block;
-use crate::bucket::Bucket;
-use crate::paged::PagedTable;
+use crate::arena::{BucketRef, SlotArena};
+use crate::block::{Block, BlockRef};
 use crate::types::{Leaf, OramConfig};
 
 /// Index of a bucket in heap order: the root is `0`, the node at depth `d`,
 /// position `i` is `2^d - 1 + i`.
 pub type BucketIndex = u64;
-
-/// The one bucket store under every tree ORAM in this crate: buckets of
-/// type `B` ([`Bucket`] for Path, `RingBucket` for Ring) in a lazily-paged
-/// table indexed by heap position — the flat NVM region of the paper's
-/// hardware, minus the pages nothing was ever written to.
-///
-/// A bucket that was never written is absent and reads as all-dummy.
-/// "Materialised" is tracked per bucket, not per page: a page holds
-/// sixteen heap neighbours, and state digests, the retro-tag sweep and
-/// recovery's scans must visit exactly the buckets a write created, in
-/// index order (which is the store's iteration order).
-pub(crate) type TreeStore<B> = PagedTable<B>;
 
 /// The external (NVM) ORAM tree.
 ///
@@ -27,7 +14,9 @@ pub(crate) type TreeStore<B> = PagedTable<B>;
 /// block are implicit all-dummy buckets. This is what makes the paper's
 /// 4 GB, `L = 23` geometry simulable — only touched buckets are
 /// materialized, while path/addressing arithmetic (the part that drives all
-/// timing results) is exact.
+/// timing results) is exact. The slots live in the crate's flat slot arena
+/// (headers, flags and payloads in per-page columns), so a slot is read as
+/// a borrowed [`BlockRef`], not as a `&Block`.
 ///
 /// # Examples
 ///
@@ -39,6 +28,7 @@ pub(crate) type TreeStore<B> = PagedTable<B>;
 /// let path = tree.path_indices(Leaf(5));
 /// assert_eq!(path.len(), cfg.levels as usize + 1);
 /// assert_eq!(path[0], 0); // root first
+/// assert!(tree.path(Leaf(5)).eq(path));
 /// ```
 #[derive(Debug, Clone)]
 pub struct OramTree {
@@ -48,23 +38,41 @@ pub struct OramTree {
     /// Byte offset of this tree inside the simulated NVM address space
     /// (recursive PosMap trees live above the data tree).
     base_addr: u64,
-    buckets: TreeStore<Bucket>,
+    slots: SlotArena,
+    /// Payload buffers of blocks handed to [`OramTree::write_slot`], for
+    /// the blocks [`OramTree::take_path`] hands out: a take-and-rewrite
+    /// cycle through the owned-`Block` calls frees and allocates nothing
+    /// either. At most one path's worth is kept.
+    spare_payloads: Vec<Vec<u8>>,
 }
 
 impl OramTree {
     /// Creates an empty (all-dummy) tree for `config` at NVM offset 0.
     pub fn new(config: &OramConfig) -> Self {
-        Self::with_base(config.levels, config.bucket_slots, config.block_bytes, 0)
+        Self::with_base(
+            config.levels,
+            config.bucket_slots,
+            config.block_bytes,
+            config.payload_bytes,
+            0,
+        )
     }
 
     /// Creates an empty tree with explicit geometry and NVM base address.
-    pub fn with_base(levels: u32, bucket_slots: usize, block_bytes: usize, base_addr: u64) -> Self {
+    pub fn with_base(
+        levels: u32,
+        bucket_slots: usize,
+        block_bytes: usize,
+        payload_bytes: usize,
+        base_addr: u64,
+    ) -> Self {
         OramTree {
             levels,
             bucket_slots,
             block_bytes,
             base_addr,
-            buckets: TreeStore::default(),
+            slots: SlotArena::new(bucket_slots, payload_bytes),
+            spare_payloads: Vec::new(),
         }
     }
 
@@ -76,6 +84,11 @@ impl OramTree {
     /// Slots per bucket `Z`.
     pub fn bucket_slots(&self) -> usize {
         self.bucket_slots
+    }
+
+    /// Functional payload bytes stored per slot.
+    pub fn payload_bytes(&self) -> usize {
+        self.slots.payload_bytes()
     }
 
     /// Number of leaves.
@@ -98,16 +111,26 @@ impl OramTree {
         self.base_addr
     }
 
-    /// Bucket indices along the path from the root to `leaf`, root first.
+    /// Bucket indices along the path from the root to `leaf`, root first,
+    /// without allocating. Indices ascend, so path order is NVM address
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `leaf` is out of range.
+    pub fn path(&self, leaf: Leaf) -> impl ExactSizeIterator<Item = BucketIndex> + Clone {
+        assert!(leaf.0 < self.num_leaves(), "leaf {leaf} out of range");
+        let levels = self.levels;
+        (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
+    }
+
+    /// [`OramTree::path`], collected.
     ///
     /// # Panics
     ///
     /// Panics if `leaf` is out of range.
     pub fn path_indices(&self, leaf: Leaf) -> Vec<BucketIndex> {
-        assert!(leaf.0 < self.num_leaves(), "leaf {leaf} out of range");
-        (0..=self.levels)
-            .map(|d| (1u64 << d) - 1 + (leaf.0 >> (self.levels - d)))
-            .collect()
+        self.path(leaf).collect()
     }
 
     /// The bucket index at depth `depth` on the path to `leaf`.
@@ -144,9 +167,9 @@ impl OramTree {
     }
 
     /// Borrowed view of a materialized bucket; `None` reads as all-dummy.
-    pub fn bucket_ref(&self, idx: BucketIndex) -> Option<&Bucket> {
+    pub fn bucket_ref(&self, idx: BucketIndex) -> Option<BucketRef<'_>> {
         debug_assert!(idx < self.num_buckets());
-        self.buckets.get(idx)
+        self.slots.bucket(idx)
     }
 
     /// Borrowed view of one slot; dummy and unmaterialized slots are `None`.
@@ -154,15 +177,8 @@ impl OramTree {
     /// # Panics
     ///
     /// Panics if `slot` is out of range on a materialized bucket.
-    pub fn slot_ref(&self, idx: BucketIndex, slot: usize) -> Option<&Block> {
-        self.bucket_ref(idx).and_then(|b| b.slot(slot))
-    }
-
-    /// Mutable bucket access, materializing on demand.
-    pub fn bucket_mut(&mut self, idx: BucketIndex) -> &mut Bucket {
-        debug_assert!(idx < self.num_buckets());
-        let z = self.bucket_slots;
-        self.buckets.get_or_insert_with(idx, || Bucket::new(z))
+    pub fn slot_ref(&self, idx: BucketIndex, slot: usize) -> Option<BlockRef<'_>> {
+        self.bucket_ref(idx)?.slot(slot)
     }
 
     /// Removes (returns) every real block on the path to `leaf`, leaving the
@@ -170,33 +186,63 @@ impl OramTree {
     /// by the eventual full-path rewrite.
     pub fn take_path(&mut self, leaf: Leaf) -> Vec<Block> {
         let mut out = Vec::new();
-        for idx in self.path_indices(leaf) {
-            if let Some(bucket) = self.buckets.get_mut(idx) {
-                out.extend(bucket.take_blocks());
+        for idx in self.path(leaf) {
+            let Some(mut bucket) = self.slots.bucket_mut_if_present(idx) else {
+                continue;
+            };
+            for slot in 0..self.bucket_slots {
+                if let Some(b) = bucket.slot(slot) {
+                    out.push(b.to_block_in(self.spare_payloads.pop().unwrap_or_default()));
+                    bucket.set(slot, None);
+                }
             }
         }
         out
     }
 
     /// Overwrites slot `slot` of `bucket` with `block` (dummy if `None`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range or the block's payload is not
+    /// [`OramTree::payload_bytes`] long.
     pub fn write_slot(&mut self, bucket: BucketIndex, slot: usize, block: Option<Block>) {
-        self.bucket_mut(bucket).set_slot(slot, block);
+        self.write_slot_from(bucket, slot, block.as_ref().map(Block::view));
+        if let Some(block) = block {
+            if self.spare_payloads.len() < self.bucket_slots * (self.levels as usize + 1) {
+                self.spare_payloads.push(block.payload);
+            }
+        }
+    }
+
+    /// [`OramTree::write_slot`] from a borrowed block: the bytes are copied
+    /// into the slot and the caller keeps its buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`OramTree::write_slot`].
+    pub fn write_slot_from(
+        &mut self,
+        bucket: BucketIndex,
+        slot: usize,
+        block: Option<BlockRef<'_>>,
+    ) {
+        debug_assert!(bucket < self.num_buckets());
+        self.slots.write(bucket, slot, block);
     }
 
     /// Test/attack hook: corrupts one byte of the first real block found on
     /// `leaf`'s path, bypassing the controller. Returns `true` if something
     /// was corrupted.
     pub(crate) fn corrupt_first_real_block(&mut self, leaf: Leaf) -> bool {
-        for idx in self.path_indices(leaf) {
-            let Some(bucket) = self.buckets.get_mut(idx) else {
+        for idx in self.path(leaf) {
+            let Some(mut bucket) = self.slots.bucket_mut_if_present(idx) else {
                 continue;
             };
-            for slot in 0..bucket.num_slots() {
-                if let Some(mut evil) = bucket.set_slot(slot, None) {
-                    evil.payload[0] ^= 0xFF;
-                    bucket.set_slot(slot, Some(evil));
-                    return true;
-                }
+            let occupied = (0..self.bucket_slots).find(|&s| bucket.slot(s).is_some());
+            if let Some((_, payload)) = occupied.and_then(|slot| bucket.cell_mut(slot)) {
+                payload[0] ^= 0xFF;
+                return true;
             }
         }
         false
@@ -204,24 +250,30 @@ impl OramTree {
 
     /// Number of materialized (touched) buckets — a memory-footprint probe.
     pub fn materialized_buckets(&self) -> usize {
-        self.buckets.len()
+        self.slots.materialized_buckets()
     }
 
     /// Total real blocks currently stored in the tree.
     pub fn real_blocks(&self) -> usize {
-        self.buckets.iter().map(|(_, b)| b.occupancy()).sum()
+        self.slots.iter().map(|(_, b)| b.occupancy()).sum()
     }
 
     /// Every materialized bucket with its index, in ascending index order
     /// — for deterministic whole-tree scans (tag audits, state digests).
-    pub fn materialized(&self) -> impl Iterator<Item = (BucketIndex, &Bucket)> {
-        self.buckets.iter()
+    pub fn materialized(&self) -> impl Iterator<Item = (BucketIndex, BucketRef<'_>)> {
+        self.slots.iter()
     }
 
     /// Number of store pages backing the materialized buckets — with
     /// [`OramTree::materialized_buckets`], the footprint of a sparse tree.
     pub fn materialized_pages(&self) -> usize {
-        self.buckets.pages()
+        self.slots.pages()
+    }
+
+    /// Heap bytes of those pages: every header, flag and payload byte the
+    /// tree holds.
+    pub fn materialized_page_bytes(&self) -> usize {
+        self.slots.page_bytes()
     }
 }
 
@@ -262,6 +314,8 @@ mod tests {
         for (d, &idx) in path.iter().enumerate() {
             assert_eq!(t.bucket_at(leaf, d as u32), idx);
         }
+        assert_eq!(t.path(leaf).len(), 7);
+        assert!(path.windows(2).all(|w| w[0] < w[1]), "path order ascends");
     }
 
     #[test]
@@ -279,7 +333,7 @@ mod tests {
         let leaf = Leaf(9);
         let idx = t.bucket_at(leaf, 3);
         t.write_slot(idx, 0, Some(Block::new(BlockAddr(42), leaf, vec![7; 8])));
-        assert_eq!(t.slot_ref(idx, 0).map(Block::addr), Some(BlockAddr(42)));
+        assert_eq!(t.slot_ref(idx, 0).map(|b| b.addr()), Some(BlockAddr(42)));
         assert!(t.slot_ref(idx, 1).is_none());
         assert_eq!(t.real_blocks(), 1);
     }
@@ -345,7 +399,7 @@ mod tests {
 
     #[test]
     fn base_addr_offsets_slot_addresses() {
-        let t = OramTree::with_base(3, 4, 64, 1 << 20);
+        let t = OramTree::with_base(3, 4, 64, 8, 1 << 20);
         assert_eq!(t.slot_nvm_addr(0, 0), 1 << 20);
         assert_eq!(t.base_addr(), 1 << 20);
     }

@@ -1,9 +1,12 @@
 //! The bucket store under the trees changed from hash maps to the paged
-//! table; nothing a controller can observe may have changed with it. These
-//! seed-42 runs pin `state_digest()` — which walks the materialized
-//! buckets in index order, then the persisted PosMap, then the ledger —
-//! and the materialized-bucket count to the values the hash-map build
-//! produced (recorded at the parent commit, 65a1853).
+//! table (PR 13) and from per-bucket heap cells to the flat slot arena
+//! (PR 15, with the eviction planned over the stash in place); nothing a
+//! controller can observe may have changed with either. These seed-42
+//! runs pin `state_digest()` — which walks the materialized buckets in
+//! index order, then the persisted PosMap, then the ledger — and the
+//! materialized-bucket count to the values the hash-map build produced
+//! (recorded at 65a1853), and the WPQ stall/round/batch counts of the
+//! PosMap-queue corner to the PR 14 build's (85db84c).
 
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
 use psoram_core::{BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolVariant};
@@ -175,6 +178,58 @@ fn ring_state_digest_matches_the_hash_map_build() {
     assert_eq!(got, RING_PINS);
 }
 
+/// The data WPQ holds a whole path but the PosMap WPQ is smaller than the
+/// dirty entries of one round, so rounds split on the *PosMap* queue: in
+/// the middle of the real blocks, and — when the last real block's entry
+/// fills it — at the room check that runs ahead of the dummies. Stalls,
+/// rounds and committed batches are pinned to what the build that pushed
+/// `SlotWrite`s through two partitions counted (recorded at 85db84c).
+#[test]
+fn posmap_wpq_smaller_than_a_rounds_reals_stalls_where_it_always_did() {
+    let got: Vec<(u64, u64, u64, u64, u128)> = [
+        (ProtocolVariant::PsOram, 1),
+        (ProtocolVariant::NaivePsOram, 3),
+        (ProtocolVariant::NaivePsOram, 5),
+    ]
+    .into_iter()
+    .map(|(variant, posmap_wpq)| {
+        let mut cfg = OramConfig::small_test();
+        assert!(cfg.data_wpq_capacity >= cfg.path_slots());
+        cfg.posmap_wpq_capacity = posmap_wpq;
+        let oram = std::cell::RefCell::new(PathOram::new(cfg.clone(), variant, SEED));
+        drive(
+            cfg.capacity_blocks(),
+            cfg.payload_bytes,
+            |addr, data| match data {
+                Some(d) => oram.borrow_mut().write(addr, d),
+                None => oram.borrow_mut().read(addr).map(drop),
+            },
+            |point| oram.borrow_mut().inject_crash(point),
+            || {
+                oram.borrow_mut().recover();
+            },
+        );
+        let oram = oram.into_inner();
+        let stats = oram.stats();
+        let (data_wpq, _) = oram.wpq_stats();
+        (
+            stats.wpq_stalls,
+            stats.eviction_rounds,
+            stats.eviction_batches,
+            data_wpq.batches_committed,
+            oram.state_digest(),
+        )
+    })
+    .collect();
+    for (stalls, rounds, ..) in &got {
+        assert!(
+            stalls + 1 >= *rounds,
+            "every full round must split at least once"
+        );
+    }
+    assert_eq!(got, WPQ_CORNER_PINS);
+}
+
 const PATH_PINS: [(u128, usize); 4] = [
     (0x66b9cd1aebd4676a6c6b1dab93efb1c3, 1530),
     (0x80da399ac896f1c7799f6d7aec607b48, 1488),
@@ -185,4 +240,9 @@ const IN_PLACE_PIN: (u128, usize) = (0xae76bb59de5d808c9987d61877582afe, 127);
 const RING_PINS: [u128; 2] = [
     0x2cf77cb73c53c9363d9e2cccd57c543a,
     0x8f1825cc3145707ae2fc166e6858b5da,
+];
+const WPQ_CORNER_PINS: [(u64, u64, u64, u64, u128); 3] = [
+    (896, 897, 896, 1792, 0xff3743145309b856f89e3dea88e42509),
+    (2327, 897, 896, 3223, 0xff3743145309b856f89e3dea88e42509),
+    (1219, 897, 896, 2115, 0xff3743145309b856f89e3dea88e42509),
 ];

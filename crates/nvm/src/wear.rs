@@ -513,10 +513,10 @@ impl WearEngine {
     /// The most-worn physical line among the lines serving `addrs`,
     /// with its wear fraction (ties break toward the lowest line id;
     /// empty input reports line 0 at fraction 0).
-    pub fn hottest(&self, addrs: &[u64]) -> (u64, f64) {
+    pub fn hottest(&self, addrs: impl IntoIterator<Item = u64>) -> (u64, f64) {
         let mut best = (0u64, 0.0f64);
         let mut found = false;
-        for &addr in addrs {
+        for addr in addrs {
             let phys = self.staged.resolve(Self::line_of(addr));
             let frac = self.fraction_of_line(phys);
             if !found || frac > best.1 || (frac == best.1 && phys < best.0) {
@@ -796,7 +796,7 @@ mod tests {
         assert_eq!(w.max_line_writes(), 10);
         assert_eq!(w.lines_touched(), 2);
         assert_eq!(w.hottest_lines(1), vec![(0, 10)]);
-        let (line, frac) = w.hottest(&[0, 64]);
+        let (line, frac) = w.hottest([0, 64]);
         assert_eq!(line, 0);
         assert!(frac > 0.0);
         assert_eq!(w.stats().writes_recorded, 11);

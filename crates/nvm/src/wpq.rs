@@ -159,6 +159,10 @@ pub struct Wpq<T> {
     /// One frame per committed batch still in the queue (cleared when the
     /// batches drain or crash out).
     frames: Vec<BatchFrame>,
+    /// Address buffers of drained frames, kept for the next batches: a
+    /// round commits and drains every access, so its frame's list is
+    /// refilled rather than reallocated.
+    spare_addrs: Vec<Vec<u64>>,
     sealer: Option<Cmac>,
 }
 
@@ -210,6 +214,7 @@ impl<T> Wpq<T> {
             tap: Tap::detached(),
             kind: QueueKind::Data,
             frames: Vec::new(),
+            spare_addrs: Vec::new(),
             sealer: None,
         }
     }
@@ -313,7 +318,8 @@ impl<T> Wpq<T> {
             return Err(WpqError::NoBatchOpen);
         }
         self.in_batch = false;
-        let addrs: Vec<u64> = self.open.iter().map(|e| e.addr).collect();
+        let mut addrs = self.spare_addrs.pop().unwrap_or_default();
+        addrs.extend(self.open.iter().map(|e| e.addr));
         let tag = self
             .sealer
             .as_ref()
@@ -339,14 +345,27 @@ impl<T> Wpq<T> {
     /// Drains all committed entries for writing to the NVM (normal-operation
     /// flush, step 5-C).
     pub fn drain_committed(&mut self) -> Vec<WpqEntry<T>> {
+        let mut out = Vec::new();
+        self.drain_committed_into(&mut out);
+        out
+    }
+
+    /// [`Wpq::drain_committed`] appending to a buffer the caller reuses:
+    /// the queue and the buffer both keep their capacity, so a steady
+    /// commit-drain cycle allocates nothing.
+    pub fn drain_committed_into(&mut self, out: &mut Vec<WpqEntry<T>>) {
         self.stats.entries_drained += self.committed.len() as u64;
         self.tap.emit(|| Event::WpqDrain {
             queue: self.kind,
             drained: self.committed.len() as u64,
             cycle: self.tap.now(),
         });
-        self.frames.clear();
-        std::mem::take(&mut self.committed)
+        for frame in self.frames.drain(..) {
+            let mut addrs = frame.addrs;
+            addrs.clear();
+            self.spare_addrs.push(addrs);
+        }
+        out.append(&mut self.committed);
     }
 
     /// Models a power failure: returns the entries the ADR energy reserve
@@ -546,6 +565,12 @@ impl<D, P> PersistenceDomain<D, P> {
             self.data_wpq.drain_committed(),
             self.posmap_wpq.drain_committed(),
         )
+    }
+
+    /// [`PersistenceDomain::drain`] appending to buffers the caller reuses.
+    pub fn drain_into(&mut self, data: &mut Vec<WpqEntry<D>>, posmap: &mut Vec<WpqEntry<P>>) {
+        self.data_wpq.drain_committed_into(data);
+        self.posmap_wpq.drain_committed_into(posmap);
     }
 
     /// Models a crash: both queues keep exactly their committed rounds.

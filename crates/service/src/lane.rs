@@ -66,6 +66,9 @@ impl std::fmt::Debug for ShardServer {
     }
 }
 
+/// Payload sizes up to this are served a write pattern off the stack.
+const FILL_PATTERN_BYTES: usize = 64;
+
 impl ShardServer {
     /// Builds the server for one shard: its own controller (or full
     /// system) seeded independently of every sibling.
@@ -103,9 +106,10 @@ impl ShardServer {
         }
     }
 
-    /// Serves one access at global address `addr`, returning the
-    /// controller-clock cycles it cost and, for controller lanes, the
-    /// block value (for read-your-writes checking).
+    /// Serves one access at global address `addr` — a write stores `fill`
+    /// in every payload byte — returning the controller-clock cycles it
+    /// cost and, for a read on a controller lane, the block value (for
+    /// read-your-writes checking).
     ///
     /// # Errors
     ///
@@ -120,13 +124,23 @@ impl ShardServer {
     ) -> Result<(u64, Option<Vec<u8>>), OramError> {
         match self {
             ShardServer::Controller(shard) => {
+                // The fill pattern is borrowed from the stack: a payload
+                // is at most one block (64 B everywhere in this repo).
+                let pattern = [fill; FILL_PATTERN_BYTES];
                 let payload_bytes = shard.policy().payload_bytes();
+                let spilled;
                 let data = match op {
-                    Op::Write => Some(vec![fill; payload_bytes]),
+                    Op::Write if payload_bytes <= FILL_PATTERN_BYTES => {
+                        Some(&pattern[..payload_bytes])
+                    }
+                    Op::Write => {
+                        spilled = vec![fill; payload_bytes];
+                        Some(&spilled[..])
+                    }
                     Op::Read => None,
                 };
                 let step = shard.step(op, addr, data)?;
-                Ok((step.service_cycles, Some(step.value)))
+                Ok((step.service_cycles, step.value))
             }
             ShardServer::System {
                 sys,

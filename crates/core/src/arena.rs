@@ -213,6 +213,27 @@ impl SlotArena {
         self.bucket(bucket)?.slot(slot)
     }
 
+    /// The newest copy (highest freshness counter, the first on a tie —
+    /// a later copy must be strictly newer) of `addr` in the buckets of
+    /// `path` whose header names `leaf`: where recovery finds a committed
+    /// address.
+    pub fn newest_on_path(
+        &self,
+        path: impl Iterator<Item = BucketIndex>,
+        addr: BlockAddr,
+        leaf: Leaf,
+    ) -> Option<BlockRef<'_>> {
+        let mut best: Option<(BucketRef<'_>, usize, u64)> = None;
+        for bucket in path.filter_map(|idx| self.bucket(idx)) {
+            for (slot, h) in bucket.headers() {
+                if h.addr == addr && h.leaf == leaf && best.is_none_or(|(_, _, seq)| h.seq > seq) {
+                    best = Some((bucket, slot, h.seq));
+                }
+            }
+        }
+        best.and_then(|(bucket, slot, _)| bucket.slot(slot))
+    }
+
     /// Allocates the page of `bucket` (and the directory up to it) if
     /// need be and gives the bucket its flag bytes.
     fn materialise(&mut self, bucket: BucketIndex) {

@@ -4,19 +4,18 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use psoram_crypto::{Aes128, CryptoLatencyModel, CtrCipher, Hash128};
+use psoram_crypto::{Aes128, CryptoLatencyModel, CtrCipher};
 use psoram_nvm::{
-    AccessKind, FaultClass, FaultConfig, FaultStats, NvmConfig, NvmController, OnChipNvmModel,
-    ReadFault, WpqEntry, CORE_CYCLES_PER_MEM_CYCLE,
+    AccessKind, FaultConfig, NvmConfig, NvmController, OnChipNvmModel, WpqEntry,
+    CORE_CYCLES_PER_MEM_CYCLE,
 };
 use psoram_obsv::{Event, Phase, Tap};
 
-use crate::auth::{AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
 use crate::block::Block;
-use crate::crash::{CrashPoint, CrashReport, RecoveryError, RecoveryReport};
+use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
-    to_core, to_mem, AccessScratch, CommitLedger, FrameCell, PathFrame, PersistEngine, RoundDamage,
-    WearReadOutcome,
+    to_core, to_mem, AccessScratch, CommitLedger, DeviceSide, FrameCell, Ladder, PathFrame,
+    PersistEngine,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::integrity::{bucket_digest, IntegrityTree};
@@ -135,22 +134,9 @@ pub struct PathOram {
     iv: u64,
     /// Monotonic per-block freshness source (see [`BlockHeader::seq`]).
     seq_counter: u64,
-    /// On-chip CMAC tag store over NVM-resident state. Present only when
-    /// device faults are enabled on a hardened (WPQ) design.
-    auth: Option<AuthTags>,
-    /// The freshness adversary's snapshot store: the previous version of
-    /// every persist unit, recorded on overwrite. Present on *every*
-    /// design (it is adversary state, not defense state) whose installed
-    /// fault plan can replay.
-    history: Option<UnitHistory>,
-    /// Fetch-path freshness counters: stale serves injected on the read
-    /// wire and how many the hardened verifier caught.
-    freshness: FreshnessStats,
-    /// Persist units of the most recently applied round — the tree slots
-    /// whose media programming an untimely power failure interrupts.
-    last_round_slots: Vec<(u64, usize)>,
-    /// PosMap entries of the most recently applied round (same role).
-    last_round_posmap: Vec<BlockAddr>,
+    /// The installed fault plan's hands on the media and the integrity
+    /// layer that answers them ([`PathOram::enable_device_faults`]).
+    device: DeviceSide,
     /// Reused per-access state (the path frame, the planner's tables,
     /// the payload free list): the steady-state access loop performs no
     /// heap allocation for these.
@@ -237,11 +223,7 @@ impl PathOram {
             encrypt_payloads: true,
             iv: 0,
             seq_counter: 0,
-            auth: None,
-            history: None,
-            freshness: FreshnessStats::default(),
-            last_round_slots: Vec::new(),
-            last_round_posmap: Vec::new(),
+            device: DeviceSide::default(),
             scratch: AccessScratch::default(),
             drained: DrainedRound::default(),
             nvm: NvmController::new(nvm_config),
@@ -261,33 +243,6 @@ impl PathOram {
         &self.config
     }
 
-    /// Controller statistics. The crash/recovery/stall counters live in
-    /// the shared persist engine and are merged into the snapshot here.
-    pub fn stats(&self) -> OramStats {
-        let mut s = self.stats;
-        let e = self.engine.stats();
-        s.crashes = e.crashes;
-        s.recoveries = e.recoveries;
-        s.recovery_failures = e.recovery_failures;
-        s.wpq_stalls = e.wpq_stalls;
-        s
-    }
-
-    /// Accumulated statistics of the engine's (data, PosMap) WPQs.
-    pub fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
-        self.engine.wpq_stats()
-    }
-
-    /// NVM traffic statistics.
-    pub fn nvm_stats(&self) -> psoram_nvm::NvmStats {
-        *self.nvm.stats()
-    }
-
-    /// The underlying NVM controller (timing state, wear map, ...).
-    pub fn nvm(&self) -> &NvmController {
-        &self.nvm
-    }
-
     /// `true` if a primary copy of `addr` currently sits in the stash.
     pub fn stash_contains(&self, addr: BlockAddr) -> bool {
         self.stash.contains(addr)
@@ -301,28 +256,6 @@ impl PathOram {
     /// High-water mark of stash occupancy.
     pub fn stash_max_occupancy(&self) -> usize {
         self.stash.max_occupancy()
-    }
-
-    /// The controller's core-cycle clock (advanced by `read`/`write`).
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// Wires an observability tap through the whole controller stack:
-    /// access/phase events here, round and WPQ events in the persist
-    /// engine, and bank-level events in the NVM controller. The tap only
-    /// observes — simulated timing and state are unchanged (enforced by
-    /// the paired-run identity tests).
-    pub fn set_obsv_tap(&mut self, tap: Tap) {
-        self.engine.set_tap(tap.clone());
-        self.nvm.set_tap(tap.clone());
-        self.obsv = tap;
-    }
-
-    /// Convenience: builds a [`Tap`] over `recorder` and wires it in via
-    /// [`PathOram::set_obsv_tap`].
-    pub fn attach_obsv_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-        self.set_obsv_tap(Tap::attached(recorder));
     }
 
     /// Enables/disables functional payload encryption (timing is charged
@@ -444,39 +377,10 @@ impl PathOram {
     /// Non-WPQ baselines get the same faults with no defenses, so the
     /// differential campaigns keep their detection power.
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-        self.engine.install_fault_plan(seed, cfg);
-        // The replay adversary's snapshot store goes on every design —
-        // baselines are replayed too, they just cannot tell — but only
-        // under a plan that can ever re-serve what it snapshots.
-        self.history = cfg.replays_stale_units().then(UnitHistory::default);
-        if !self.variant.uses_wpq() {
-            return;
-        }
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&seed.rotate_left(17).to_le_bytes());
-        key[0] ^= 0xA7;
-        let mut auth = AuthTags::new(&key);
-        // Retro-tag whatever already sits on media: everything written
-        // before hardening is trusted as-is and covered from here on.
-        let z = self.config.bucket_slots;
-        for (idx, bucket) in self.tree.materialized() {
-            auth.record_slots((0..z).map(|slot| (idx, slot, bucket.slot(slot))));
-        }
-        for (a, l) in self.posmap.persisted_sorted() {
-            auth.record_posmap(a, l);
-        }
-        auth.seal_temp(&self.temp.entries_sorted());
-        self.engine.seal_frames(&key);
-        // Anchor the counter-tree root in the persistence domain before
-        // the first adversarial round.
-        self.engine.persist_root(auth.root());
-        self.auth = Some(auth);
-    }
-
-    /// Ground-truth injection counters of the installed fault plan, if any.
-    pub fn device_fault_stats(&self) -> Option<FaultStats> {
-        self.engine.fault_stats()
+        let media = (self.tree.arena(), &self.posmap, &self.temp);
+        let hardened = self.variant.uses_wpq();
+        self.device
+            .arm(&mut self.engine, seed, cfg, hardened, media);
     }
 
     /// Arms the endurance adversary over the tree's NVM line region:
@@ -494,68 +398,15 @@ impl PathOram {
         self.engine.enable_wear(seed, lines, cfg);
     }
 
-    /// Wear/leveling counters of the armed endurance adversary, if any.
-    pub fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        self.engine.wear_stats()
-    }
-
-    /// The endurance adversary's engine (mapping, per-line writes), if armed.
-    pub fn wear_engine(&self) -> Option<&psoram_nvm::WearEngine> {
-        self.engine.wear_engine()
-    }
-
-    /// Fetch-path freshness counters: stale units the adversary served on
-    /// the read wire, and how many the hardened verifier detected.
-    pub fn freshness_stats(&self) -> FreshnessStats {
-        self.freshness
-    }
-
-    /// The latched fail-safe class, if the controller is poisoned.
-    pub fn poisoned(&self) -> Option<FaultClass> {
-        self.engine.poisoned()
-    }
-
     /// A deterministic digest over the controller's recoverable state:
     /// the materialized tree, the persisted PosMap, and the committed
-    /// ledger. Two controllers in byte-identical recoverable state hash
-    /// equal — the double-recover idempotency regression tests rely on it.
+    /// ledger (see [`crate::engine`]'s `state_digest`).
     pub fn state_digest(&self) -> u128 {
-        let mut bytes = Vec::new();
-        for (idx, bucket) in self.tree.materialized() {
-            bytes.extend_from_slice(&idx.to_le_bytes());
-            for slot in 0..self.config.bucket_slots {
-                match bucket.slot(slot) {
-                    None => bytes.push(0),
-                    Some(b) => {
-                        bytes.push(1);
-                        bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.seq.to_le_bytes());
-                        bytes.push(b.is_backup as u8);
-                        bytes.extend_from_slice(b.payload);
-                    }
-                }
-            }
-        }
-        for (a, l) in self.posmap.persisted_sorted() {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&l.to_le_bytes());
-        }
-        let mut committed: Vec<(u64, &Vec<u8>)> = self.ledger.committed_iter().collect();
-        committed.sort_unstable_by_key(|&(a, _)| a);
-        for (a, v) in committed {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(v);
-        }
-        // Wear mode folds the durable line mapping in; with wear off the
-        // digest is byte-for-byte what pre-endurance builds computed.
-        if let Some(d) = self.engine.wear_digest() {
-            bytes.extend_from_slice(&d.to_le_bytes());
-        }
-        u128::from_le_bytes(Hash128::new().digest(&bytes))
+        let wear = self.engine.wear_digest();
+        crate::engine::state_digest(self.tree.arena(), false, &self.posmap, &self.ledger, wear)
     }
 
-    crate::engine::impl_crash_controls!();
+    crate::engine::impl_crash_controls!(OramStats);
 
     /// Reads block `addr` at the controller's own clock.
     ///
@@ -830,15 +681,11 @@ impl PathOram {
             }
             ProtocolVariant::RcrBaseline => {
                 t = self.recursive_posmap_walk(addr, t)?;
-                self.snapshot_posmap_entry(addr);
-                // Written back to untrusted NVM on every access: durable now.
-                self.posmap.persist(addr, new_leaf);
+                // Written back to untrusted NVM on every access: durable
+                // now, and the media programming a crash interrupts.
+                self.device.begin_posmap_units();
+                self.device.persist_posmap(&mut self.posmap, addr, new_leaf);
                 self.stats.posmap_entry_writes += 1;
-                if self.engine.device_mode() {
-                    // This entry is the media programming a crash interrupts.
-                    self.last_round_posmap.clear();
-                    self.last_round_posmap.push(addr);
-                }
             }
             ProtocolVariant::RcrPsOram => {
                 t = self.recursive_posmap_walk(addr, t)?;
@@ -847,9 +694,7 @@ impl PathOram {
                 self.temp.insert(addr, new_leaf)?;
             }
         }
-        if let Some(auth) = &mut self.auth {
-            auth.seal_temp(&self.temp.entries_sorted());
-        }
+        self.device.seal_temp(&self.temp);
         Ok(t)
     }
 
@@ -905,48 +750,17 @@ impl PathOram {
         leaf: Leaf,
         t: u64,
     ) -> Result<u64, OramError> {
-        // Transient media read errors (device-fault mode): bounded retry
-        // with exponential backoff re-issues the path load; a stuck line
-        // exhausts the retries and latches the fail-safe poisoned state.
-        let mut t = t;
-        match self.engine.read_fault() {
-            ReadFault::None => {}
-            ReadFault::Transient { attempts } => {
-                for k in 0..attempts {
-                    t += 400 << k;
-                }
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::TransientRead,
-                    units: u64::from(attempts),
-                    cycle: t,
-                });
-            }
-            ReadFault::Stuck => {
-                self.engine.poison(FaultClass::TransientRead);
-                return Err(OramError::Poisoned {
-                    class: FaultClass::TransientRead,
-                });
-            }
-        }
+        // The device side's four guards bracket the fetch (all inert
+        // without a fault plan). First: transient media read errors.
+        let t = DeviceSide::read_fault(&mut self.engine, t)?;
         frame.resolve(&self.tree, leaf);
         let z = self.config.bucket_slots;
-        // Freshness adversary on the read wire (device-fault mode): the
-        // device may serve one path slot from an authentic-but-stale
-        // snapshot it recorded before the last overwrite. The draw always
-        // consumes plan entropy (schedule invariance); it only lands when
-        // a path slot actually has recorded history.
-        let mut serve_stale: Option<crate::auth::StaleServe> = None;
-        if let Some(pick) = self.engine.read_replay() {
-            if let Some(history) = self.history.as_ref() {
-                let read = frame.cells.iter().map(|c| (c.bucket, c.slot));
-                serve_stale = history.stale_serve(read, pick);
-            }
-            if serve_stale.is_some() {
-                self.engine.confirm_read_replay();
-                self.freshness.stale_serves += 1;
-            }
-        }
+        // Second: the freshness adversary may serve one path slot stale.
+        // The draw always consumes plan entropy (schedule invariance).
+        let pick = self.engine.read_replay();
+        let mut serve_stale = self
+            .device
+            .serve_stale(&mut self.engine, pick, &frame.cells);
         // Merkle verification of the fetched path (when enabled): the
         // digests of the bytes coming off the bus must chain to the
         // persisted root.
@@ -960,86 +774,19 @@ impl PathOram {
         let done = self
             .nvm
             .access_batch(frame.nvm_addrs(cached), AccessKind::Read, to_mem(t));
-        let mut t =
-            (to_core(done) + self.crypto_lat.decrypt_overlapped_cycles()).max(frontend_done);
+        let t = (to_core(done) + self.crypto_lat.decrypt_overlapped_cycles()).max(frontend_done);
 
-        // Endurance adversary (wear mode): the hottest line on the fetched
-        // path may fail with probability scaling in its consumed write
-        // budget. Drift failures retry like transient media glitches; a
-        // stuck conviction retires the line onto a spare and repairs it
-        // from the redundant copy, or — spare pool dry — latches the
-        // fail-safe poisoned state rather than serve stuck bits.
-        match self.engine.wear_read_fault(frame.nvm_addrs(cached)) {
-            WearReadOutcome::None => {}
-            WearReadOutcome::Transient { attempts } => {
-                for k in 0..attempts {
-                    t += 400 << k;
-                }
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::WearOut,
-                    units: u64::from(attempts),
-                    cycle: t,
-                });
-            }
-            WearReadOutcome::Retired { line, spare } => {
-                // Repair-from-redundant-copy onto the spare: one read and
-                // one write round trip on top of the detection.
-                t += 800;
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::WearOut,
-                    units: 1,
-                    cycle: t,
-                });
-                self.obsv.emit(|| Event::LineRetired {
-                    line,
-                    spare,
-                    cycle: t,
-                });
-            }
-            WearReadOutcome::Exhausted { .. } => {
-                self.engine.poison(FaultClass::WearOut);
-                return Err(OramError::Poisoned {
-                    class: FaultClass::WearOut,
-                });
-            }
-        }
-
-        // Hardened fetch-path freshness verification: every loaded slot's
-        // (content, record) pair — including whatever the wire served —
-        // must classify Clean against the on-chip counters before its
-        // blocks are admitted. The CMAC checks overlap the decrypt
-        // pipeline, so only *detections* cost extra cycles.
-        if let Some(auth) = &self.auth {
-            let tree = &self.tree;
-            let stored = tree.path(leaf).flat_map(|bucket| {
-                let on_media = tree.bucket_ref(bucket);
-                (0..z).map(move |slot| (bucket, slot, on_media.and_then(|b| b.slot(slot))))
-            });
-            let (convicted, wire_verdict) = auth.verdict_fetched(stored, serve_stale.as_ref());
-            if let Some(class) = convicted {
-                // Stored state failing freshness outside a recovery pass:
-                // nothing on this path can be trusted — fail safe rather
-                // than serve it.
-                self.freshness.fetch_poisons += 1;
-                self.engine.poison(class);
-                return Err(OramError::Poisoned { class });
-            }
-            if let Some(class) = wire_verdict.fault_class() {
-                // Caught on the wire: charge one re-issue round trip and
-                // read the true copy instead of the replayed one.
-                self.freshness.stale_serves_detected += 1;
-                t += 400;
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: crate::engine::fault_kind(class),
-                    units: 1,
-                    cycle: t,
-                });
-                serve_stale = None;
-            }
-        }
+        // Third: the endurance adversary on the hottest fetched line.
+        // Fourth: hardened freshness verification of every loaded slot —
+        // including whatever the wire served — before admission.
+        let t = DeviceSide::wear_read_fault(&mut self.engine, frame.nvm_addrs(cached), t)?;
+        let mut t = self.device.verify_fetched(
+            &mut self.engine,
+            self.tree.arena(),
+            &frame.cells,
+            &mut serve_stale,
+            t,
+        )?;
 
         // Gather the fetched blocks, one bucket at a time, into on-chip
         // copies (their payload buffers come off the free list). An
@@ -1263,11 +1010,8 @@ impl PathOram {
     /// is a frame position.
     fn evict_direct(&mut self, frame: &mut PathFrame, t: u64) -> Result<u64, OramError> {
         let crash_after = self.engine.armed_eviction_crash();
-        let device = self.engine.device_mode();
-        if device {
-            // The path rewrite is the round a power failure interrupts.
-            self.last_round_slots.clear();
-        }
+        // The path rewrite is the round a power failure interrupts.
+        self.device.begin_slot_units();
         for pos in 0..frame.cells.len() {
             if crash_after == Some(pos) {
                 self.engine.disarm_crash();
@@ -1279,9 +1023,10 @@ impl PathOram {
             if let Some(b) = &mut stored {
                 self.encrypt_for_tree(b);
             }
-            if device && stored.is_some() {
-                self.snapshot_slot(bucket, slot);
-                self.last_round_slots.push((bucket, slot));
+            if stored.is_some() {
+                self.device
+                    .note_slots(self.tree.arena(), bucket, slot..slot + 1);
+                self.device.push_slot(bucket, slot);
             }
             self.tree
                 .write_slot_from(bucket, slot, stored.as_ref().map(Block::view));
@@ -1311,17 +1056,8 @@ impl PathOram {
         self.stats.eviction_rounds += 1;
 
         // Hardened designs authenticate the temporary PosMap before
-        // trusting it for dirty-entry selection: a seal mismatch means the
-        // metadata the round is about to persist is corrupt, and
-        // persisting it would silently poison the recovery path.
-        if let Some(auth) = &self.auth {
-            if !auth.verify_temp(&self.temp.entries_sorted()) {
-                self.engine.poison(FaultClass::MediaCorruption);
-                return Err(OramError::Poisoned {
-                    class: FaultClass::MediaCorruption,
-                });
-            }
-        }
+        // trusting it for dirty-entry selection.
+        self.device.check_temp(&mut self.engine, &self.temp)?;
 
         // 5-A: identify the dirty metadata entries (PS-ORAM) or all path
         // entries (Naïve).
@@ -1407,9 +1143,10 @@ impl PathOram {
             // copies whose addresses committed in this or earlier batches.
             let coords = |&pos: &usize| (frame.cells[pos].bucket, frame.cells[pos].slot);
             for (bucket, slot) in dummies.iter().map(coords) {
-                self.snapshot_slot(bucket, slot);
+                self.device
+                    .note_slots(self.tree.arena(), bucket, slot..slot + 1);
             }
-            if let Some(auth) = &mut self.auth {
+            if let Some(auth) = &mut self.device.auth {
                 auth.record_slots(
                     dummies
                         .iter()
@@ -1525,12 +1262,11 @@ impl PathOram {
         posmap: &mut Vec<WpqEntry<PosMapFlush>>,
         entry_addrs: &mut Vec<u64>,
     ) {
-        let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
-        if device {
+        if !(data.is_empty() && posmap.is_empty()) {
             // This round becomes the one whose media programming a crash
             // would interrupt.
-            self.last_round_slots.clear();
-            self.last_round_posmap.clear();
+            self.device.begin_slot_units();
+            self.device.begin_posmap_units();
         }
         // The PosMap entries go first: which committed copy of an address
         // is the recoverable one is decided against the *new* persisted
@@ -1540,23 +1276,14 @@ impl PathOram {
         let flushed = !posmap.is_empty();
         for e in posmap.drain(..) {
             let (a, l) = e.value;
-            self.snapshot_posmap_entry(a);
-            self.posmap.persist(a, l);
+            self.device.persist_posmap(&mut self.posmap, a, l);
             self.temp.remove(a);
-            if let Some(auth) = &mut self.auth {
-                auth.record_posmap(a.0, l.0);
-            }
-            if device {
-                self.last_round_posmap.push(a);
-            }
             self.stats.dirty_entries_flushed += 1;
             self.stats.posmap_entry_writes += 1;
             entry_addrs.push(e.addr);
         }
         if flushed {
-            if let Some(auth) = &mut self.auth {
-                auth.seal_temp(&self.temp.entries_sorted());
-            }
+            self.device.seal_temp(&self.temp);
         }
         // The full-path rewrite covers dummy slots too: the data entries
         // carry the real blocks, and the remaining slots of the same
@@ -1580,15 +1307,14 @@ impl PathOram {
             }
             // Encrypted in place, the block's bytes move on into the tree.
             self.encrypt_for_tree(b);
-            self.snapshot_slot(*bucket, *slot);
-            if device {
-                self.last_round_slots.push((*bucket, *slot));
-            }
+            self.device
+                .note_slots(self.tree.arena(), *bucket, *slot..*slot + 1);
+            self.device.push_slot(*bucket, *slot);
         }
         // The round's slots are distinct units, so every snapshot above
         // saw what a slot-by-slot pass would have shown it, and the
         // records can be made side by side.
-        if let Some(auth) = &mut self.auth {
+        if let Some(auth) = &mut self.device.auth {
             auth.record_slots(data.iter().map(|e| {
                 let w = &e.value;
                 (w.bucket, w.slot, Some(w.block.view()))
@@ -1600,12 +1326,7 @@ impl PathOram {
                 .write_slot_from(w.bucket, w.slot, Some(w.block.view()));
             self.scratch.recycle(w.block);
         }
-        if let Some(auth) = &self.auth {
-            // The counter-tree root rides the same failure-atomic commit
-            // as the round's data: replaying any unit of an earlier round
-            // now leaves its counter behind the anchored root.
-            self.engine.persist_root(auth.root());
-        }
+        self.device.anchor_root(&mut self.engine);
     }
 
     /// Metadata-entry address Naïve writes for a dummy slot. Dummy entries
@@ -1668,162 +1389,9 @@ impl PathOram {
         // of the last applied round (including anything the ADR flush just
         // applied above) — torn flushes, lost signals, and bit rot land on
         // those units now, behind the controller's back.
-        if self.engine.device_mode() {
-            let damage = self
-                .engine
-                .draw_crash_damage(self.last_round_slots.len(), self.last_round_posmap.len());
-            self.apply_device_damage(&damage);
-        }
+        self.device
+            .strike(&mut self.engine, self.tree.arena_mut(), &mut self.posmap);
         report
-    }
-
-    /// Snapshots the `(content, record)` pair a write to `(bucket, slot)`
-    /// is about to replace: the coherent stale unit a replay adversary
-    /// re-serves (direct-write designs carry no records). A no-op unless
-    /// the installed fault plan can replay.
-    fn snapshot_slot(&mut self, bucket: u64, slot: usize) {
-        if let Some(h) = self.history.as_mut() {
-            let prev_content = self.tree.slot_ref(bucket, slot).map(|b| b.to_block());
-            let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
-            h.note_slot(bucket, slot, prev_content, prev_meta);
-        }
-    }
-
-    /// Snapshots the persisted PosMap entry (and record) a persist of
-    /// `addr` is about to replace; see [`Self::snapshot_slot`].
-    fn snapshot_posmap_entry(&mut self, addr: BlockAddr) {
-        if let Some(h) = self.history.as_mut() {
-            let prev_leaf = self.posmap.persisted_get(addr);
-            let prev_meta = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
-            h.note_posmap(addr.0, prev_leaf, prev_meta);
-        }
-    }
-
-    /// Applies drawn device damage to the NVM image: flips a payload (or
-    /// header) bit of each damaged tree slot and corrupts each damaged
-    /// persisted PosMap entry. Tags are deliberately *not* refreshed —
-    /// this is the adversary writing behind the controller's back.
-    fn apply_device_damage(&mut self, damage: &RoundDamage) {
-        for &i in &damage.data_units {
-            let (bucket, slot) = self.last_round_slots[i];
-            if let Some(mut blk) = self.tree.slot_ref(bucket, slot).map(|b| b.to_block()) {
-                let e = self.engine.device_entropy();
-                if blk.payload.is_empty() {
-                    blk.header.iv1 ^= 1 | e;
-                } else {
-                    let idx = e as usize % blk.payload.len();
-                    blk.payload[idx] ^= 1 << ((e >> 32) & 7);
-                }
-                self.tree.write_slot(bucket, slot, Some(blk));
-            }
-        }
-        for &i in &damage.posmap_units {
-            let addr = self.last_round_posmap[i];
-            let e = self.engine.device_entropy();
-            self.posmap.corrupt_persisted(addr, e);
-        }
-        self.apply_freshness_damage(damage);
-    }
-
-    /// Applies the freshness adversary's share of the drawn crash damage:
-    /// replays restore a unit's recorded previous `(content, record)`
-    /// pair wholesale (coherent but stale — only the trusted counter can
-    /// tell), and splices swap two authentic units across addresses.
-    /// Applied after the bit flips, so a replay also overwrites any flip
-    /// that landed on the same unit. A splice is only coherent when both
-    /// ends are distinct units that still carry authentic records — a
-    /// drawn pair that collapses onto one media unit, or whose record
-    /// was already destroyed by bit rot, is a no-op the engine never
-    /// counts (the confirm calls are the ground truth).
-    fn apply_freshness_damage(&mut self, damage: &RoundDamage) {
-        let restored_slot = if let Some(i) = damage.replayed_data {
-            let (bucket, slot) = self.last_round_slots[i];
-            let prev = self
-                .history
-                .as_ref()
-                .and_then(|h| h.slot(bucket, slot).cloned());
-            if let Some((content, meta)) = prev {
-                self.tree.write_slot(bucket, slot, content);
-                if let Some(auth) = self.auth.as_mut() {
-                    auth.set_slot_record(bucket, slot, meta);
-                }
-                self.engine.confirm_stale_replay();
-                Some((bucket, slot))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let restored_addr = if let Some(i) = damage.replayed_posmap {
-            let addr = self.last_round_posmap[i];
-            let prev = self
-                .history
-                .as_ref()
-                .and_then(|h| h.posmap(addr.0).copied());
-            if let Some((leaf, meta)) = prev {
-                self.posmap.overwrite_persisted(addr, leaf);
-                if let Some(auth) = self.auth.as_mut() {
-                    auth.set_posmap_record(addr.0, meta);
-                }
-                self.engine.confirm_stale_replay();
-                Some(addr)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some((i, j)) = damage.spliced_data {
-            let (b1, s1) = self.last_round_slots[i];
-            let (b2, s2) = self.last_round_slots[j];
-            // A bit-rotted end no longer carries an authentic record —
-            // unless the replay above just overwrote the rot wholesale.
-            let rotted = |c: (u64, usize)| {
-                restored_slot != Some(c)
-                    && damage
-                        .data_units
-                        .iter()
-                        .any(|&k| self.last_round_slots[k] == c)
-            };
-            if (b1, s1) != (b2, s2) && !rotted((b1, s1)) && !rotted((b2, s2)) {
-                let c1 = self.tree.slot_ref(b1, s1).map(|b| b.to_block());
-                let c2 = self.tree.slot_ref(b2, s2).map(|b| b.to_block());
-                self.tree.write_slot(b1, s1, c2);
-                self.tree.write_slot(b2, s2, c1);
-                if let Some(auth) = self.auth.as_mut() {
-                    let r1 = auth.slot_record(b1, s1);
-                    let r2 = auth.slot_record(b2, s2);
-                    auth.set_slot_record(b1, s1, r2);
-                    auth.set_slot_record(b2, s2, r1);
-                }
-                self.engine.confirm_cross_splice();
-            }
-        }
-        if let Some((i, j)) = damage.spliced_posmap {
-            let a1 = self.last_round_posmap[i];
-            let a2 = self.last_round_posmap[j];
-            let rotted = |a: BlockAddr| {
-                restored_addr != Some(a)
-                    && damage
-                        .posmap_units
-                        .iter()
-                        .any(|&k| self.last_round_posmap[k] == a)
-            };
-            if a1 != a2 && !rotted(a1) && !rotted(a2) {
-                let l1 = self.posmap.persisted_get(a1);
-                let l2 = self.posmap.persisted_get(a2);
-                self.posmap.overwrite_persisted(a1, l2);
-                self.posmap.overwrite_persisted(a2, l1);
-                if let Some(auth) = self.auth.as_mut() {
-                    let r1 = auth.posmap_record(a1.0);
-                    let r2 = auth.posmap_record(a2.0);
-                    auth.set_posmap_record(a1.0, r2);
-                    auth.set_posmap_record(a2.0, r1);
-                }
-                self.engine.confirm_cross_splice();
-            }
-        }
     }
 
     /// Recovers the controller after a crash, per the paper's §4.3
@@ -1841,151 +1409,37 @@ impl PathOram {
     /// scan wipes slots and PosMap entries that fail authentication, each
     /// damaged committed address is restored from its newest surviving
     /// authenticated copy, and addresses with no surviving copy are rolled
-    /// back with a typed [`RecoveryError`] instead of serving corrupt
-    /// data.
+    /// back with a typed [`RecoveryError`](crate::RecoveryError) instead of
+    /// serving corrupt data. The rungs are [`crate::engine`]'s ladder; what
+    /// is Path's own is the audit and the decryption of a survivor.
     ///
     /// Idempotent: calling `recover` on a controller that is not crashed
     /// repeats the last verdict without touching state or counters.
     pub fn recover(&mut self) -> RecoveryReport {
-        if !self.engine.is_crashed() {
-            return self.last_recovery().cloned().unwrap_or_else(|| {
-                RecoveryReport::from_check(Ok(()), self.ledger.committed_len())
-            });
-        }
-        let incidents = self.engine.take_incidents();
-        let mut errors: Vec<RecoveryError> = Vec::new();
-        let mut repairs = 0u64;
-        let mut rolled_back: Vec<u64> = Vec::new();
-        let mut replays_detected = 0u64;
-        let mut splices_detected = 0u64;
-
-        if let Some(mut auth) = self.auth.take() {
-            // Root sanity: the on-chip counter tree must agree with the
-            // root anchored in the persistence domain. A mismatch means
-            // the trusted anchor itself cannot be believed — fail safe.
-            if self
-                .engine
-                .persisted_root()
-                .is_some_and(|r| r != auth.root())
-            {
-                self.engine.poison(FaultClass::StaleReplay);
-            }
-            // Phase 1 — detect & classify: every tagged tree slot is
-            // classified against the trusted counters, worst evidence
-            // first. A replayed or spliced unit is coherent (its CMAC
-            // verifies) — only the counter comparison convicts it. Every
-            // convicted slot is wiped; any committed value it held is
-            // restored from an authenticated redundant copy in phase 3.
-            for (bucket, slot) in auth.tagged_slots_sorted() {
-                match auth.verdict_slot(bucket, slot, self.tree.slot_ref(bucket, slot)) {
-                    FreshnessVerdict::Clean => {}
-                    verdict => {
-                        match verdict {
-                            FreshnessVerdict::Stale | FreshnessVerdict::Missing => {
-                                replays_detected += 1;
-                            }
-                            FreshnessVerdict::Spliced => splices_detected += 1,
-                            _ => {}
-                        }
-                        self.tree.write_slot(bucket, slot, None);
-                        auth.record_slot(bucket, slot, None);
-                    }
-                }
-            }
-            // Phase 2 — persisted PosMap entries: repair a corrupt,
-            // replayed, or spliced leaf label from the newest
-            // authenticated block copy of the address (the redundant copy
-            // names the true leaf, and its counter proves it fresher).
-            for a in auth.tagged_posmap_sorted() {
-                let addr = BlockAddr(a);
-                let leaf = self.posmap.persisted_get(addr);
-                match auth.verdict_posmap(a, leaf.0) {
-                    FreshnessVerdict::Clean => continue,
-                    FreshnessVerdict::Stale | FreshnessVerdict::Missing => replays_detected += 1,
-                    FreshnessVerdict::Spliced => splices_detected += 1,
-                    FreshnessVerdict::Tampered => {}
-                }
-                match self.newest_valid_copies(&[a], &auth).pop().flatten() {
-                    Some(copy) => {
-                        self.posmap.persist(addr, copy.leaf());
-                        auth.record_posmap(a, copy.leaf().0);
-                        repairs += 1;
-                    }
-                    None => {
-                        // Accept the damaged label (re-tag it so the scan
-                        // converges) and forget the committed value: typed
-                        // data loss, never silent corruption.
-                        auth.record_posmap(a, leaf.0);
-                        self.ledger.rollback(a, None);
-                        rolled_back.push(a);
-                        errors.push(RecoveryError::UnrecoverableAddress {
-                            addr: a,
-                            detail: "posmap entry corrupt; no surviving authenticated copy"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
-            // Phase 3 — repair-from-redundant-copy: every committed
-            // address the audit can no longer find is re-pointed at its
-            // newest surviving authenticated copy; addresses with none
-            // are rolled back with a typed error.
-            // The survivors of all of them are found in one ordered pass
-            // over the tree; nothing the loop below changes (PosMap
-            // entries, their records, the ledger) is read by that pass.
+        let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
+            Ok(ladder) => ladder,
+            Err(last) => return *last,
+        };
+        if let Some(mut auth) = self.device.auth.take() {
+            let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
+            ladder.detect(
+                (engine, arena, &mut self.posmap, &mut self.ledger),
+                &mut auth,
+            );
             let failures = self.audit_failures();
-            let failed: Vec<u64> = failures.iter().map(|&(a, _)| a).collect();
-            let survivors = self.newest_valid_copies(&failed, &auth);
-            for ((a, detail), survivor) in failures.into_iter().zip(survivors) {
-                let addr = BlockAddr(a);
-                match survivor {
-                    Some(mut copy) => {
-                        let leaf = copy.leaf();
-                        self.decrypt_from_tree(&mut copy);
-                        let intact = self.ledger.committed_value(a) == Some(&copy.payload);
-                        self.posmap.persist(addr, leaf);
-                        auth.record_posmap(a, leaf.0);
-                        self.ledger
-                            .rollback(a, Some((copy.header.seq, copy.payload)));
-                        if intact {
-                            repairs += 1;
-                        } else {
-                            // The survivor is an older version: detected
-                            // rollback, reported as typed loss.
-                            rolled_back.push(a);
-                            errors.push(RecoveryError::UnrecoverableAddress { addr: a, detail });
-                        }
-                    }
-                    None => {
-                        self.ledger.rollback(a, None);
-                        rolled_back.push(a);
-                        errors.push(RecoveryError::UnrecoverableAddress { addr: a, detail });
-                    }
+            let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
+            let media = (engine, arena, &mut self.posmap, &mut self.ledger);
+            // A survivor comes off media encrypted: open it.
+            let (cipher, encrypted) = (&self.cipher, self.encrypt_payloads);
+            ladder.repair(media, &mut auth, failures, |_, _, _, copy| {
+                if encrypted {
+                    cipher.apply_keystream(copy.header.iv2 as u128, &mut copy.payload);
                 }
-            }
-            // The temporary PosMap did not survive the power failure.
-            auth.clear_temp_seal();
-            // Close the freshness epoch: repairs bumped counters, so
-            // re-anchor the persisted root for the rounds that follow.
-            auth.advance_epoch();
-            self.engine.persist_root(auth.root());
-            self.auth = Some(auth);
+            });
+            self.device.auth = Some(auth);
         }
-        if let Some(class) = self.engine.poisoned() {
-            errors.push(RecoveryError::Poisoned { class });
-        }
-        let mut report =
-            RecoveryReport::from_check(self.check_recoverability(), self.ledger.committed_len());
-        rolled_back.sort_unstable();
-        rolled_back.dedup();
-        report.repairs = repairs;
-        report.rolled_back = rolled_back;
-        report.incidents = incidents;
-        report.errors = errors;
-        report.replays_detected = replays_detected;
-        report.splices_detected = splices_detected;
-        report.poisoned = self.engine.poisoned().is_some();
-        self.engine.finish_recovery(report)
+        let check = self.check_recoverability();
+        ladder.finish(&mut self.engine, check, self.ledger.committed_len())
     }
 
     /// Where recovery would find committed address `a`: its persisted leaf
@@ -1995,21 +1449,8 @@ impl PathOram {
     fn recoverable_copy(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
         let addr = BlockAddr(a);
         let leaf = self.posmap.persisted_get(addr);
-        let mut best = None;
-        for bucket in self
-            .tree
-            .path(leaf)
-            .filter_map(|idx| self.tree.bucket_ref(idx))
-        {
-            for (slot, h) in bucket.headers() {
-                // The first of the newest: a later copy must be strictly
-                // newer.
-                if h.addr == addr && h.leaf == leaf && best.is_none_or(|(_, _, seq)| h.seq > seq) {
-                    best = Some((bucket, slot, h.seq));
-                }
-            }
-        }
-        let best = best.and_then(|(bucket, slot, _)| bucket.slot(slot));
+        let arena = self.tree.arena();
+        let best = arena.newest_on_path(self.tree.path(leaf), addr, leaf);
         if let Some(b) = best {
             found.extend_from_slice(b.payload);
             if self.encrypt_payloads {
@@ -2039,37 +1480,6 @@ impl PathOram {
         )
     }
 
-    /// For each of `addrs` (ascending), the newest (highest freshness
-    /// counter) block copy anywhere on media that passes slot
-    /// authentication — found in one pass over the tree. Deterministic:
-    /// buckets are scanned in index order and the first of equally new
-    /// copies wins.
-    fn newest_valid_copies(&self, addrs: &[u64], auth: &AuthTags) -> Vec<Option<Block>> {
-        debug_assert!(addrs.windows(2).all(|w| w[0] < w[1]));
-        let mut best: Vec<Option<crate::block::BlockRef<'_>>> = vec![None; addrs.len()];
-        if !addrs.is_empty() {
-            for (idx, bucket) in self.tree.materialized() {
-                for (s, b) in bucket.slots().enumerate() {
-                    let Some(b) = b else { continue };
-                    let Ok(i) = addrs.binary_search(&b.addr().0) else {
-                        continue;
-                    };
-                    if best[i].is_none_or(|x| b.header.seq > x.header.seq)
-                        && auth.verify_slot(idx, s, Some(b))
-                    {
-                        best[i] = Some(b);
-                    }
-                }
-            }
-        }
-        best.into_iter().map(|b| b.map(|b| b.to_block())).collect()
-    }
-
-    /// The report of the most recent [`PathOram::recover`] call.
-    pub fn last_recovery(&self) -> Option<&RecoveryReport> {
-        self.engine.last_recovery()
-    }
-
     /// Verifies the crash-recovery invariant: every address with a durably
     /// committed value has a copy in NVM (or, for durable-stash designs, in
     /// the stash) at its *persisted* PosMap position holding exactly that
@@ -2095,21 +1505,13 @@ impl PathOram {
     ///
     /// Returns a description of the first mismatch.
     pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        let addrs: Vec<u64> = self.touched.iter().map(|(a, ())| a).collect();
-        for a in addrs {
-            // Snapshot the expectation *before* reading: the read itself
-            // updates the ledgers (it is a fresh access).
-            let expected = self
-                .ledger
-                .expected_value(a, after_crash, self.config.payload_bytes);
-            let got = self.read(BlockAddr(a)).map_err(|e| e.to_string())?;
-            if got != expected {
-                return Err(format!(
-                    "a{a}: read {got:?}, expected {expected:?} (after_crash={after_crash})"
-                ));
-            }
-        }
-        Ok(())
+        let touched = self.touched.iter().map(|(a, ())| a).collect();
+        let note = format!(" (after_crash={after_crash})");
+        let bytes = self.config.payload_bytes;
+        crate::engine::verify_contents(touched, &note, |a| {
+            let expected = self.ledger.expected_value(a, after_crash, bytes);
+            (expected, self.read(BlockAddr(a)))
+        })
     }
 
     /// The committed-value oracle (test observability).
@@ -2190,8 +1592,8 @@ mod tests {
             for variant in ProtocolVariant::all() {
                 let mut oram = PathOram::new(OramConfig::small_test(), variant, 9);
                 oram.enable_device_faults(9, mix);
-                assert_eq!(oram.history.is_some(), snapshots, "{variant:?} {mix:?}");
-                assert_eq!(oram.auth.is_some(), variant.uses_wpq());
+                assert_eq!(oram.device.replays(), snapshots, "{variant:?} {mix:?}");
+                assert_eq!(oram.device.auth.is_some(), variant.uses_wpq());
             }
         }
     }

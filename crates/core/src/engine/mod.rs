@@ -21,24 +21,39 @@
 //!   benches) drives designs through this one surface, and
 //!   [`CommitModel`] tells the differential oracle when a design's
 //!   completed writes become durable.
+//! * `DeviceSide` (`device.rs`) — the fault plan's hands on a
+//!   controller's media (snapshots, crash damage, stale serves) and the
+//!   integrity layer that answers them, with the guards a fetch runs.
+//! * `Ladder` (`recover.rs`) — recovery's detect → classify → repair →
+//!   rollback rungs over the shared arena, PosMap and ledger.
 //!
 //! A new ORAM protocol variant implements `ProtocolPolicy` (path
-//! selection, eviction, commit model) and reuses the engine for the
-//! entire crash-consistency protocol — instead of forking a 1,400-line
+//! selection, eviction, commit model), holds a `DeviceSide`, walks the
+//! `Ladder` in its `recover`, and reuses the engine for the entire
+//! crash-consistency protocol — instead of forking a 1,400-line
 //! controller.
 
+mod device;
 mod ledger;
 mod persist;
 mod policy;
+mod recover;
 mod scratch;
 
+pub(crate) use device::DeviceSide;
 pub use ledger::CommitLedger;
 pub(crate) use persist::fault_kind;
 pub use persist::{EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
 pub use policy::{CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
+pub(crate) use recover::{Ladder, Media};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame};
 
+use psoram_crypto::Hash128;
 use psoram_nvm::CORE_CYCLES_PER_MEM_CYCLE;
+
+use crate::arena::SlotArena;
+use crate::posmap::PosMap;
+use crate::types::OramError;
 
 /// Converts a core-cycle timestamp to memory-controller cycles (floor).
 pub(crate) fn to_mem(core: u64) -> u64 {
@@ -50,15 +65,179 @@ pub(crate) fn to_core(mem: u64) -> u64 {
     mem * CORE_CYCLES_PER_MEM_CYCLE
 }
 
-/// Expands to the crash-control surface every controller exposes: thin
-/// public wrappers over its embedded [`PersistEngine`] (a `self.engine`
-/// field) plus the private `maybe_crash` step guard, which turns a fired
-/// crash plan into volatile-state loss via the controller's own
-/// `execute_crash`. Defined once so the surface cannot drift between
-/// controllers — a new protocol variant gets the identical crash API by
-/// invoking this macro inside its `impl` block.
+/// A deterministic digest over a controller's recoverable state: the
+/// materialised buckets in index order (content; with `read_marks`, Ring's
+/// valid bits and read counts too), the persisted PosMap, the committed
+/// ledger and — in wear mode only, so wear-free digests are byte-for-byte
+/// what pre-endurance builds computed — the durable line mapping. Two
+/// controllers in byte-identical recoverable state hash equal; the
+/// double-recover idempotency regression tests rely on it.
+pub(crate) fn state_digest(
+    arena: &SlotArena,
+    read_marks: bool,
+    posmap: &PosMap,
+    ledger: &CommitLedger,
+    wear_mapping: Option<u64>,
+) -> u128 {
+    let mut bytes = Vec::new();
+    for (idx, bucket) in arena.iter() {
+        bytes.extend_from_slice(&idx.to_le_bytes());
+        for slot in bucket.slots() {
+            match slot {
+                None => bytes.push(0),
+                Some(b) => {
+                    bytes.push(1);
+                    bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
+                    bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
+                    bytes.extend_from_slice(&b.header.seq.to_le_bytes());
+                    bytes.push(b.is_backup as u8);
+                    bytes.extend_from_slice(b.payload);
+                }
+            }
+        }
+        if read_marks {
+            bytes.extend((0..bucket.num_slots()).map(|s| bucket.is_valid(s) as u8));
+            bytes.extend_from_slice(&(bucket.reads() as u64).to_le_bytes());
+        }
+    }
+    for (a, l) in posmap.persisted_sorted() {
+        bytes.extend_from_slice(&a.to_le_bytes());
+        bytes.extend_from_slice(&l.to_le_bytes());
+    }
+    let mut committed: Vec<(u64, &Vec<u8>)> = ledger.committed_iter().collect();
+    committed.sort_unstable_by_key(|&(a, _)| a);
+    for (a, v) in committed {
+        bytes.extend_from_slice(&a.to_le_bytes());
+        bytes.extend_from_slice(v);
+    }
+    if let Some(d) = wear_mapping {
+        bytes.extend_from_slice(&d.to_le_bytes());
+    }
+    u128::from_le_bytes(Hash128::new().digest(&bytes))
+}
+
+/// Reads back every `touched` address, ascending, and compares it with
+/// what the ledger expects. `probe` returns the expectation — snapshotted
+/// *before* the read, which is a fresh access and updates the ledgers —
+/// and the read's outcome; `note` closes the mismatch message.
+///
+/// # Errors
+///
+/// Returns a description of the first failed read or mismatch.
+pub(crate) fn verify_contents(
+    touched: Vec<u64>,
+    note: &str,
+    mut probe: impl FnMut(u64) -> (Vec<u8>, Result<Vec<u8>, OramError>),
+) -> Result<(), String> {
+    for a in touched {
+        let (expected, got) = probe(a);
+        let got = got.map_err(|e| e.to_string())?;
+        if got != expected {
+            return Err(format!("a{a}: read {got:?}, expected {expected:?}{note}"));
+        }
+    }
+    Ok(())
+}
+
+/// Expands to the crash, device, recovery and observation surface every
+/// controller exposes: thin public wrappers over its embedded
+/// [`PersistEngine`] (a `self.engine` field), [`DeviceSide`]
+/// (`self.device`) and NVM (`self.nvm`, with the `self.clock` and
+/// `self.obsv` tap beside it), its `stats()` snapshot (a `self.stats` field
+/// of type `$stats`, the engine-owned counters merged in), plus the private
+/// `maybe_crash` step guard, which turns a fired crash plan into
+/// volatile-state loss via the controller's own `execute_crash`. Defined
+/// once so the surface cannot drift between controllers — a new protocol
+/// variant gets the identical API by invoking this macro inside its `impl`
+/// block.
 macro_rules! impl_crash_controls {
-    () => {
+    ($stats:ty) => {
+        /// The controller's core-cycle clock (advanced by `read`/`write`).
+        pub fn clock(&self) -> u64 {
+            self.clock
+        }
+
+        /// NVM traffic statistics.
+        pub fn nvm_stats(&self) -> psoram_nvm::NvmStats {
+            *self.nvm.stats()
+        }
+
+        /// The underlying NVM controller (timing state, wear map, ...).
+        pub fn nvm(&self) -> &psoram_nvm::NvmController {
+            &self.nvm
+        }
+
+        /// Accumulated statistics of the engine's (data, PosMap) WPQs.
+        pub fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
+            self.engine.wpq_stats()
+        }
+
+        /// Wires an observability tap through the whole controller stack:
+        /// access/phase events in the controller, round and WPQ events in
+        /// the persist engine, and bank-level events in the NVM
+        /// controller. The tap only observes — simulated timing and state
+        /// are unchanged (enforced by the paired-run identity tests).
+        pub fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap) {
+            self.engine.set_tap(tap.clone());
+            self.nvm.set_tap(tap.clone());
+            self.obsv = tap;
+        }
+
+        /// Convenience: builds a tap over `recorder` and wires it in via
+        /// `set_obsv_tap`.
+        pub fn attach_obsv_recorder(
+            &mut self,
+            recorder: std::sync::Arc<dyn psoram_obsv::Recorder>,
+        ) {
+            self.set_obsv_tap(psoram_obsv::Tap::attached(recorder));
+        }
+
+        /// Controller statistics. The crash/recovery/stall counters live
+        /// in the shared persist engine and are merged into the snapshot
+        /// here.
+        pub fn stats(&self) -> $stats {
+            let mut s = self.stats;
+            let e = self.engine.stats();
+            s.crashes = e.crashes;
+            s.recoveries = e.recoveries;
+            s.recovery_failures = e.recovery_failures;
+            s.wpq_stalls = e.wpq_stalls;
+            s
+        }
+
+        /// Ground-truth injection counters of the installed fault plan,
+        /// if any.
+        pub fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
+            self.engine.fault_stats()
+        }
+
+        /// Wear/leveling counters of the armed endurance adversary, if any.
+        pub fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
+            self.engine.wear_stats()
+        }
+
+        /// The endurance adversary's engine (mapping, per-line writes), if
+        /// armed.
+        pub fn wear_engine(&self) -> Option<&psoram_nvm::WearEngine> {
+            self.engine.wear_engine()
+        }
+
+        /// Fetch-path freshness counters: stale units the adversary served
+        /// on the read wire, and how many the hardened verifier detected.
+        pub fn freshness_stats(&self) -> crate::FreshnessStats {
+            self.device.freshness_stats()
+        }
+
+        /// The latched fail-safe class, if the controller is poisoned.
+        pub fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
+            self.engine.poisoned()
+        }
+
+        /// The report of the most recent `recover` call.
+        pub fn last_recovery(&self) -> Option<&crate::RecoveryReport> {
+            self.engine.last_recovery()
+        }
+
         /// Arms a crash to fire at `point` during the next access.
         pub fn inject_crash(&mut self, point: crate::CrashPoint) {
             self.engine.inject_crash(point);

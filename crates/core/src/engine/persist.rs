@@ -188,6 +188,12 @@ impl<D, P> PersistEngine<D, P> {
         self.tap = tap;
     }
 
+    /// The tap the engine stamps its events on: a clone of the
+    /// controller's, so the device guards share its clock.
+    pub(crate) fn tap(&self) -> &Tap {
+        &self.tap
+    }
+
     /// Engine-accumulated counters.
     pub fn stats(&self) -> EngineStats {
         self.stats

@@ -280,6 +280,107 @@ pub trait ProtocolPolicy {
     }
 }
 
+/// Expands, inside an `impl ProtocolPolicy for $ctl` block, to every
+/// method that only forwards to the controller's inherent method of the
+/// same name (most of them generated there by `impl_crash_controls!`).
+/// What a protocol writes by hand is what names and characterizes it:
+/// `label`, `capacity_blocks`, `payload_bytes`, `crash_consistent` and
+/// `commit_model`.
+macro_rules! forward_to_controller {
+    ($ctl:ty) => {
+        fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
+            <$ctl>::write(self, BlockAddr(addr), data)
+        }
+        fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
+            <$ctl>::write_from(self, BlockAddr(addr), data)
+        }
+        fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
+            <$ctl>::read(self, BlockAddr(addr))
+        }
+        fn inject_crash(&mut self, point: CrashPoint) {
+            <$ctl>::inject_crash(self, point);
+        }
+        fn disarm_crash(&mut self) {
+            <$ctl>::disarm_crash(self);
+        }
+        fn schedule_crash(&mut self, access_index: u64, point: CrashPoint) {
+            <$ctl>::schedule_crash(self, access_index, point);
+        }
+        fn clear_crash_schedule(&mut self) {
+            <$ctl>::clear_crash_schedule(self);
+        }
+        fn access_attempts(&self) -> u64 {
+            <$ctl>::access_attempts(self)
+        }
+        fn is_crashed(&self) -> bool {
+            <$ctl>::is_crashed(self)
+        }
+        fn crash_now(&mut self) {
+            <$ctl>::crash_now(self);
+        }
+        fn recover(&mut self) -> RecoveryReport {
+            <$ctl>::recover(self)
+        }
+        fn last_recovery(&self) -> Option<&RecoveryReport> {
+            <$ctl>::last_recovery(self)
+        }
+        fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
+            <$ctl>::verify_contents(self, after_crash)
+        }
+        fn clock(&self) -> u64 {
+            <$ctl>::clock(self)
+        }
+        fn nvm_stats(&self) -> psoram_nvm::NvmStats {
+            <$ctl>::nvm_stats(self)
+        }
+        fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
+            <$ctl>::attach_obsv_recorder(self, recorder);
+        }
+        fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
+            use psoram_obsv::{MetricsRegistry as R, MetricsSource};
+            self.stats().publish(&R::key(prefix, "oram"), reg);
+            self.nvm_stats().publish(&R::key(prefix, "nvm"), reg);
+            let (data, posmap) = self.wpq_stats();
+            data.publish(&R::key(prefix, "wpq.data"), reg);
+            posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
+            if let Some(w) = self.wear_engine() {
+                w.publish(&R::key(prefix, "wear"), reg);
+                self.nvm()
+                    .wear_report(8)
+                    .publish(&R::key(prefix, "nvm.wear"), reg);
+            }
+        }
+        fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig) {
+            <$ctl>::enable_device_faults(self, seed, cfg);
+        }
+        fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
+            <$ctl>::enable_wear(self, seed, cfg);
+        }
+        fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
+            <$ctl>::wear_stats(self)
+        }
+        fn wear_line_profile(&self) -> Option<(u64, u64)> {
+            self.wear_engine()
+                .map(|w| (w.max_line_writes(), w.lines_touched()))
+        }
+        fn wear_spares_left(&self) -> Option<u64> {
+            self.wear_engine().map(|w| w.spares_left())
+        }
+        fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
+            <$ctl>::device_fault_stats(self)
+        }
+        fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
+            <$ctl>::poisoned(self)
+        }
+        fn state_digest(&self) -> u128 {
+            <$ctl>::state_digest(self)
+        }
+        fn freshness_stats(&self) -> crate::auth::FreshnessStats {
+            <$ctl>::freshness_stats(self)
+        }
+    };
+}
+
 impl ProtocolPolicy for PathOram {
     fn label(&self) -> String {
         format!("path/{}", self.variant().label())
@@ -314,96 +415,7 @@ impl ProtocolPolicy for PathOram {
             ProtocolVariant::Baseline | ProtocolVariant::RcrBaseline => CommitModel::OnCompletion,
         }
     }
-    fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
-        PathOram::write(self, BlockAddr(addr), data)
-    }
-    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
-        PathOram::write_from(self, BlockAddr(addr), data)
-    }
-    fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
-        PathOram::read(self, BlockAddr(addr))
-    }
-    fn inject_crash(&mut self, point: CrashPoint) {
-        PathOram::inject_crash(self, point);
-    }
-    fn disarm_crash(&mut self) {
-        PathOram::disarm_crash(self);
-    }
-    fn schedule_crash(&mut self, access_index: u64, point: CrashPoint) {
-        PathOram::schedule_crash(self, access_index, point);
-    }
-    fn clear_crash_schedule(&mut self) {
-        PathOram::clear_crash_schedule(self);
-    }
-    fn access_attempts(&self) -> u64 {
-        PathOram::access_attempts(self)
-    }
-    fn is_crashed(&self) -> bool {
-        PathOram::is_crashed(self)
-    }
-    fn crash_now(&mut self) {
-        let _ = PathOram::crash_now(self);
-    }
-    fn recover(&mut self) -> RecoveryReport {
-        PathOram::recover(self)
-    }
-    fn last_recovery(&self) -> Option<&RecoveryReport> {
-        PathOram::last_recovery(self)
-    }
-    fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        PathOram::verify_contents(self, after_crash)
-    }
-    fn clock(&self) -> u64 {
-        PathOram::clock(self)
-    }
-    fn nvm_stats(&self) -> psoram_nvm::NvmStats {
-        PathOram::nvm_stats(self)
-    }
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-        PathOram::attach_obsv_recorder(self, recorder);
-    }
-    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
-        use psoram_obsv::{MetricsRegistry as R, MetricsSource};
-        self.stats().publish(&R::key(prefix, "oram"), reg);
-        self.nvm_stats().publish(&R::key(prefix, "nvm"), reg);
-        let (data, posmap) = self.wpq_stats();
-        data.publish(&R::key(prefix, "wpq.data"), reg);
-        posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
-        if let Some(w) = self.wear_engine() {
-            w.publish(&R::key(prefix, "wear"), reg);
-            self.nvm()
-                .wear_report(8)
-                .publish(&R::key(prefix, "nvm.wear"), reg);
-        }
-    }
-    fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig) {
-        PathOram::enable_device_faults(self, seed, cfg);
-    }
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        PathOram::enable_wear(self, seed, cfg);
-    }
-    fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        PathOram::wear_stats(self)
-    }
-    fn wear_line_profile(&self) -> Option<(u64, u64)> {
-        self.wear_engine()
-            .map(|w| (w.max_line_writes(), w.lines_touched()))
-    }
-    fn wear_spares_left(&self) -> Option<u64> {
-        self.wear_engine().map(|w| w.spares_left())
-    }
-    fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-        PathOram::device_fault_stats(self)
-    }
-    fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
-        PathOram::poisoned(self)
-    }
-    fn state_digest(&self) -> u128 {
-        PathOram::state_digest(self)
-    }
-    fn freshness_stats(&self) -> crate::auth::FreshnessStats {
-        PathOram::freshness_stats(self)
-    }
+    forward_to_controller!(PathOram);
 }
 
 impl ProtocolPolicy for RingOram {
@@ -424,94 +436,5 @@ impl ProtocolPolicy for RingOram {
         // completed write may sit volatile until the next evict-path.
         CommitModel::Deferred
     }
-    fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
-        RingOram::write(self, BlockAddr(addr), data)
-    }
-    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
-        RingOram::write_from(self, BlockAddr(addr), data)
-    }
-    fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
-        RingOram::read(self, BlockAddr(addr))
-    }
-    fn inject_crash(&mut self, point: CrashPoint) {
-        RingOram::inject_crash(self, point);
-    }
-    fn disarm_crash(&mut self) {
-        RingOram::disarm_crash(self);
-    }
-    fn schedule_crash(&mut self, access_index: u64, point: CrashPoint) {
-        RingOram::schedule_crash(self, access_index, point);
-    }
-    fn clear_crash_schedule(&mut self) {
-        RingOram::clear_crash_schedule(self);
-    }
-    fn access_attempts(&self) -> u64 {
-        RingOram::access_attempts(self)
-    }
-    fn is_crashed(&self) -> bool {
-        RingOram::is_crashed(self)
-    }
-    fn crash_now(&mut self) {
-        RingOram::crash_now(self);
-    }
-    fn recover(&mut self) -> RecoveryReport {
-        RingOram::recover(self)
-    }
-    fn last_recovery(&self) -> Option<&RecoveryReport> {
-        RingOram::last_recovery(self)
-    }
-    fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        RingOram::verify_contents(self, after_crash)
-    }
-    fn clock(&self) -> u64 {
-        RingOram::clock(self)
-    }
-    fn nvm_stats(&self) -> psoram_nvm::NvmStats {
-        RingOram::nvm_stats(self)
-    }
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-        RingOram::attach_obsv_recorder(self, recorder);
-    }
-    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
-        use psoram_obsv::{MetricsRegistry as R, MetricsSource};
-        self.stats().publish(&R::key(prefix, "oram"), reg);
-        self.nvm_stats().publish(&R::key(prefix, "nvm"), reg);
-        let (data, posmap) = self.wpq_stats();
-        data.publish(&R::key(prefix, "wpq.data"), reg);
-        posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
-        if let Some(w) = self.wear_engine() {
-            w.publish(&R::key(prefix, "wear"), reg);
-            self.nvm()
-                .wear_report(8)
-                .publish(&R::key(prefix, "nvm.wear"), reg);
-        }
-    }
-    fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig) {
-        RingOram::enable_device_faults(self, seed, cfg);
-    }
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        RingOram::enable_wear(self, seed, cfg);
-    }
-    fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        RingOram::wear_stats(self)
-    }
-    fn wear_line_profile(&self) -> Option<(u64, u64)> {
-        self.wear_engine()
-            .map(|w| (w.max_line_writes(), w.lines_touched()))
-    }
-    fn wear_spares_left(&self) -> Option<u64> {
-        self.wear_engine().map(|w| w.spares_left())
-    }
-    fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-        RingOram::device_fault_stats(self)
-    }
-    fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
-        RingOram::poisoned(self)
-    }
-    fn state_digest(&self) -> u128 {
-        RingOram::state_digest(self)
-    }
-    fn freshness_stats(&self) -> crate::auth::FreshnessStats {
-        RingOram::freshness_stats(self)
-    }
+    forward_to_controller!(RingOram);
 }

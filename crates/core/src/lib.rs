@@ -47,14 +47,13 @@ mod arena;
 mod auth;
 mod block;
 mod bucket;
-pub mod chain;
 pub mod controller;
 mod crash;
 pub mod engine;
 pub mod eviction;
 pub mod integrity;
-pub mod oblivious;
 mod paged;
+pub mod par;
 mod posmap;
 mod recursive;
 pub mod ring;

@@ -28,21 +28,19 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use psoram_crypto::Hash128;
-use psoram_nvm::{
-    AccessKind, FaultClass, FaultConfig, FaultStats, NvmConfig, NvmController, ReadFault, WpqEntry,
-};
+use psoram_nvm::{AccessKind, FaultConfig, NvmConfig, NvmController, WpqEntry};
 use psoram_obsv::{Event, Phase, Tap};
 
 use crate::arena::{BucketRef, SlotArena};
-use crate::auth::{AuthTags, FreshnessStats, FreshnessVerdict, UnitHistory};
-use crate::block::{Block, BlockRef};
+use crate::auth::AuthTags;
+use crate::block::Block;
 use crate::bucket::Bucket;
-use crate::crash::{CrashPoint, RecoveryError, RecoveryReport};
+use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
-    to_core, to_mem, AccessScratch, CommitLedger, FrameCell, PersistEngine, RoundDamage,
-    WearReadOutcome,
+    to_core, to_mem, AccessScratch, CommitLedger, DeviceSide, FrameCell, Ladder, Media,
+    PersistEngine,
 };
+use crate::paged::PagedTable;
 use crate::posmap::{PosMap, TempPosMap};
 use crate::types::{BlockAddr, Leaf, OramError};
 
@@ -256,23 +254,11 @@ pub struct RingOram {
     /// Bucket rewrites begun in the current access ([`CrashPoint::
     /// DuringEviction`] indexes into this cursor).
     rewrites_this_access: usize,
-    touched: Vec<u64>,
-    /// On-chip CMAC tag store ([`RingOram::enable_device_faults`], PS-Ring
-    /// only).
-    auth: Option<AuthTags>,
-    /// The freshness adversary's snapshot store: the previous version of
-    /// every persist unit, recorded on overwrite. Present on *every*
-    /// variant (adversary state, not defense state) whose installed fault
-    /// plan can replay.
-    history: Option<UnitHistory>,
-    /// Fetch-path freshness counters: stale serves injected on the read
-    /// wire and how many the hardened verifier caught.
-    freshness: FreshnessStats,
-    /// `(bucket, slot)` units of the last applied persist round — the
-    /// units device-fault damage lands on at a crash.
-    last_round_slots: Vec<(u64, usize)>,
-    /// Persisted-PosMap addresses of the last applied round.
-    last_round_posmap: Vec<BlockAddr>,
+    /// Addresses accessed since construction ([`RingOram::verify_contents`]).
+    touched: PagedTable<()>,
+    /// The installed fault plan's hands on the media and the integrity
+    /// layer that answers them ([`RingOram::enable_device_faults`]).
+    device: DeviceSide,
     /// Reused per-access state: the frame holds the one slot per bucket an
     /// access reads.
     scratch: AccessScratch,
@@ -314,12 +300,8 @@ impl RingOram {
             ledger: CommitLedger::new(),
             seq_counter: 0,
             rewrites_this_access: 0,
-            touched: Vec::new(),
-            auth: None,
-            history: None,
-            freshness: FreshnessStats::default(),
-            last_round_slots: Vec::new(),
-            last_round_posmap: Vec::new(),
+            touched: PagedTable::default(),
+            device: DeviceSide::default(),
             scratch: AccessScratch::default(),
             drained: DrainedRound::default(),
             obsv: Tap::detached(),
@@ -338,51 +320,6 @@ impl RingOram {
         self.variant
     }
 
-    /// Controller statistics. The crash/recovery/stall counters live in
-    /// the shared persist engine and are merged into the snapshot here.
-    pub fn stats(&self) -> RingStats {
-        let mut s = self.stats;
-        let e = self.engine.stats();
-        s.crashes = e.crashes;
-        s.recoveries = e.recoveries;
-        s.recovery_failures = e.recovery_failures;
-        s.wpq_stalls = e.wpq_stalls;
-        s
-    }
-
-    /// Accumulated statistics of the engine's (data, PosMap) WPQs.
-    pub fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
-        self.engine.wpq_stats()
-    }
-
-    /// The controller's core-cycle clock (advanced by `read`/`write`).
-    pub fn clock(&self) -> u64 {
-        self.clock
-    }
-
-    /// Installs an observability tap and cascades it into the persist
-    /// engine (WPQ rounds) and the NVM controller (bank timing).
-    pub fn set_obsv_tap(&mut self, tap: Tap) {
-        self.engine.set_tap(tap.clone());
-        self.nvm.set_tap(tap.clone());
-        self.obsv = tap;
-    }
-
-    /// Convenience: attaches `recorder` behind a fresh shared tap.
-    pub fn attach_obsv_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-        self.set_obsv_tap(Tap::attached(recorder));
-    }
-
-    /// NVM traffic statistics.
-    pub fn nvm_stats(&self) -> psoram_nvm::NvmStats {
-        *self.nvm.stats()
-    }
-
-    /// The underlying NVM controller (timing state, wear map, ...).
-    pub fn nvm(&self) -> &psoram_nvm::NvmController {
-        &self.nvm
-    }
-
     /// Current stash occupancy.
     pub fn stash_len(&self) -> usize {
         self.stash.len()
@@ -397,41 +334,10 @@ impl RingOram {
     /// PosMap. The Baseline variant gets the same faults with no
     /// defenses, preserving the differential campaigns' detection power.
     pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-        self.engine.install_fault_plan(seed, cfg);
-        // The replay adversary's snapshot store goes on every variant —
-        // the Baseline is replayed too, it just cannot tell — but only
-        // under a plan that can ever re-serve what it snapshots.
-        self.history = cfg.replays_stale_units().then(UnitHistory::default);
-        if self.variant != RingVariant::PsRing {
-            return;
-        }
-        let mut key = [0u8; 16];
-        key[..8].copy_from_slice(&seed.to_le_bytes());
-        key[8..].copy_from_slice(&seed.rotate_left(17).to_le_bytes());
-        key[0] ^= 0xA7;
-        let mut auth = AuthTags::new(&key);
-        // Retro-tag whatever already sits on media: everything written
-        // before hardening is trusted as-is and covered from here on.
-        // Tags deliberately cover slot *content* only — the valid bits
-        // and counts are read-path metadata that mutates outside persist
-        // rounds.
-        for (bidx, bucket) in self.buckets.iter() {
-            auth.record_slots(bucket.slots().enumerate().map(|(s, slot)| (bidx, s, slot)));
-        }
-        for (a, l) in self.posmap.persisted_sorted() {
-            auth.record_posmap(a, l);
-        }
-        auth.seal_temp(&self.temp.entries_sorted());
-        self.engine.seal_frames(&key);
-        // Anchor the counter-tree root in the persistence domain before
-        // the first adversarial round.
-        self.engine.persist_root(auth.root());
-        self.auth = Some(auth);
-    }
-
-    /// Ground-truth injection counters of the installed fault plan, if any.
-    pub fn device_fault_stats(&self) -> Option<FaultStats> {
-        self.engine.fault_stats()
+        let media = (&self.buckets, &self.posmap, &self.temp);
+        let hardened = self.variant == RingVariant::PsRing;
+        self.device
+            .arm(&mut self.engine, seed, cfg, hardened, media);
     }
 
     /// Arms the endurance adversary over the ring's NVM line region.
@@ -448,72 +354,16 @@ impl RingOram {
         self.engine.enable_wear(seed, lines, cfg);
     }
 
-    /// Wear/leveling counters of the armed endurance adversary, if any.
-    pub fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        self.engine.wear_stats()
-    }
-
-    /// The endurance adversary's engine (mapping, per-line writes), if armed.
-    pub fn wear_engine(&self) -> Option<&psoram_nvm::WearEngine> {
-        self.engine.wear_engine()
-    }
-
-    /// Fetch-path freshness counters: stale units the adversary served on
-    /// the read wire, and how many the hardened verifier detected.
-    pub fn freshness_stats(&self) -> FreshnessStats {
-        self.freshness
-    }
-
-    /// The latched fail-safe class, if the controller is poisoned.
-    pub fn poisoned(&self) -> Option<FaultClass> {
-        self.engine.poisoned()
-    }
-
     /// A deterministic digest over the controller's recoverable state:
     /// the materialized buckets (content, valid bits, counts), the
-    /// persisted PosMap, and the committed ledger. The double-recover
-    /// idempotency regression tests rely on it.
+    /// persisted PosMap, and the committed ledger (see [`crate::engine`]'s
+    /// `state_digest`).
     pub fn state_digest(&self) -> u128 {
-        let mut bytes = Vec::new();
-        for (bidx, bucket) in self.buckets.iter() {
-            bytes.extend_from_slice(&bidx.to_le_bytes());
-            for slot in bucket.slots() {
-                match slot {
-                    None => bytes.push(0),
-                    Some(b) => {
-                        bytes.push(1);
-                        bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.seq.to_le_bytes());
-                        bytes.push(b.is_backup as u8);
-                        bytes.extend_from_slice(b.payload);
-                    }
-                }
-            }
-            for s in 0..bucket.num_slots() {
-                bytes.push(bucket.is_valid(s) as u8);
-            }
-            bytes.extend_from_slice(&(bucket.reads() as u64).to_le_bytes());
-        }
-        for (a, l) in self.posmap.persisted_sorted() {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&l.to_le_bytes());
-        }
-        let mut committed: Vec<(u64, &Vec<u8>)> = self.ledger.committed_iter().collect();
-        committed.sort_unstable_by_key(|&(a, _)| a);
-        for (a, v) in committed {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(v);
-        }
-        // Wear mode folds the durable line mapping in; with wear off the
-        // digest is byte-for-byte what pre-endurance builds computed.
-        if let Some(d) = self.engine.wear_digest() {
-            bytes.extend_from_slice(&d.to_le_bytes());
-        }
-        u128::from_le_bytes(Hash128::new().digest(&bytes))
+        let wear = self.engine.wear_digest();
+        crate::engine::state_digest(&self.buckets, true, &self.posmap, &self.ledger, wear)
     }
 
-    crate::engine::impl_crash_controls!();
+    crate::engine::impl_crash_controls!(RingStats);
 
     // ── geometry helpers ────────────────────────────────────────────────
 
@@ -652,7 +502,7 @@ impl RingOram {
         self.stats.accesses += 1;
         self.access_counter += 1;
         self.rewrites_this_access = 0;
-        self.touched.push(addr.0);
+        self.touched.insert(addr.0, ());
         let access_index = self.stats.accesses - 1;
         self.obsv.set_now(arrival);
         self.obsv.emit(|| Event::AccessStart {
@@ -669,9 +519,7 @@ impl RingOram {
             RingVariant::Baseline => self.posmap.set(addr, new_leaf),
             RingVariant::PsRing => self.temp.insert(addr, new_leaf)?,
         }
-        if let Some(auth) = &mut self.auth {
-            auth.seal_temp(&self.temp.entries_sorted());
-        }
+        self.device.seal_temp(&self.temp);
         t += 2;
         self.obsv.set_now(t);
         self.obsv.emit(|| Event::Phase {
@@ -682,35 +530,13 @@ impl RingOram {
         self.maybe_crash(CrashPoint::AfterAccessPosMap)?;
 
         // Step ③: read exactly one slot per bucket along the path.
-        // Transient media read errors (device-fault mode): bounded retry
-        // with exponential backoff re-issues the path read; a stuck line
-        // exhausts the retries and latches the fail-safe poisoned state.
-        match self.engine.read_fault() {
-            ReadFault::None => {}
-            ReadFault::Transient { attempts } => {
-                for k in 0..attempts {
-                    t += 400 << k;
-                }
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::TransientRead,
-                    units: u64::from(attempts),
-                    cycle: t,
-                });
-            }
-            ReadFault::Stuck => {
-                self.engine.poison(FaultClass::TransientRead);
-                return Err(OramError::Poisoned {
-                    class: FaultClass::TransientRead,
-                });
-            }
-        }
+        // The device side's four guards bracket the read (all inert
+        // without a fault plan). First: transient media read errors.
+        t = DeviceSide::read_fault(&mut self.engine, t)?;
         let t_before_path = t;
-        // Freshness adversary on the read wire (device-fault mode): the
-        // device may serve one of this access's read slots from an
-        // authentic-but-stale snapshot. The draw always consumes plan
-        // entropy (schedule invariance); it only lands when a read slot
-        // actually has recorded history.
+        // Second: the freshness adversary may serve one of this access's
+        // read slots stale. The draw always consumes plan entropy
+        // (schedule invariance) and is resolved once the slots are known.
         let replay_pick = self.engine.read_replay();
         let in_stash = self.stash_primary(addr).is_some();
         // The frame lists the slots this access reads: one per bucket.
@@ -756,88 +582,21 @@ impl RingOram {
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Read, to_mem(t));
         t = to_core(done) + 1;
-        // Endurance adversary (wear mode): mirrors the Path controller —
-        // drift failures on the hottest read line retry with backoff, a
-        // stuck conviction retires onto a spare (repaired from the
-        // redundant copy), and a dry spare pool latches fail-safe poison.
-        match self.engine.wear_read_fault(frame.nvm_addrs(0)) {
-            WearReadOutcome::None => {}
-            WearReadOutcome::Transient { attempts } => {
-                for k in 0..attempts {
-                    t += 400 << k;
-                }
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::WearOut,
-                    units: u64::from(attempts),
-                    cycle: t,
-                });
-            }
-            WearReadOutcome::Retired { line, spare } => {
-                t += 800;
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: psoram_obsv::DeviceFaultKind::WearOut,
-                    units: 1,
-                    cycle: t,
-                });
-                self.obsv.emit(|| Event::LineRetired {
-                    line,
-                    spare,
-                    cycle: t,
-                });
-            }
-            WearReadOutcome::Exhausted { .. } => {
-                self.engine.poison(FaultClass::WearOut);
-                return Err(OramError::Poisoned {
-                    class: FaultClass::WearOut,
-                });
-            }
-        }
-        // Resolve the wire-replay draw against what was actually read.
-        let mut serve_stale: Option<crate::auth::StaleServe> = None;
-        if let Some(pick) = replay_pick {
-            if let Some(history) = self.history.as_ref() {
-                let read = frame.cells.iter().map(|c| (c.bucket, c.slot));
-                serve_stale = history.stale_serve(read, pick);
-            }
-            if serve_stale.is_some() {
-                self.engine.confirm_read_replay();
-                self.freshness.stale_serves += 1;
-            }
-        }
-        // Hardened wire verification: every read slot's (content, record)
-        // pair — including whatever the wire served — must classify Clean
-        // against the on-chip counters. The CMAC checks overlap the
-        // existing read pipeline; only detections cost extra cycles.
-        if let Some(auth) = &self.auth {
-            let buckets = &self.buckets;
-            let stored = frame
-                .cells
-                .iter()
-                .map(|c| (c.bucket, c.slot, buckets.slot(c.bucket, c.slot)));
-            let (convicted, wire_verdict) = auth.verdict_fetched(stored, serve_stale.as_ref());
-            if let Some(class) = convicted {
-                // Stored state failing freshness outside a recovery
-                // pass: fail safe rather than serve it.
-                self.freshness.fetch_poisons += 1;
-                self.engine.poison(class);
-                return Err(OramError::Poisoned { class });
-            }
-            if let Some(class) = wire_verdict.fault_class() {
-                // Caught on the wire: one re-issue round trip, then the
-                // true copy is read instead of the replayed one.
-                self.freshness.stale_serves_detected += 1;
-                t += 400;
-                self.obsv.set_now(t);
-                self.obsv.emit(|| Event::FaultDetected {
-                    kind: crate::engine::fault_kind(class),
-                    units: 1,
-                    cycle: t,
-                });
-                serve_stale = None;
-            }
-        }
+        // Third: the endurance adversary on the hottest read line. Then
+        // the wire draw lands on what was actually read, and fourth:
+        // hardened verification of every read slot — including whatever
+        // the wire served — against the on-chip counters.
+        t = DeviceSide::wear_read_fault(&mut self.engine, frame.nvm_addrs(0), t)?;
+        let mut serve_stale = self
+            .device
+            .serve_stale(&mut self.engine, replay_pick, &frame.cells);
+        t = self.device.verify_fetched(
+            &mut self.engine,
+            &self.buckets,
+            &frame.cells,
+            &mut serve_stale,
+            t,
+        )?;
         // An undetected stale serve (Baseline) replaces the fetched bytes:
         // the controller consumes what the wire delivered.
         if let Some(((sb, ss), content, _)) = &serve_stale {
@@ -1162,31 +921,15 @@ impl RingOram {
 
         match self.variant {
             RingVariant::Baseline => {
-                let device = self.engine.device_mode();
-                if device {
-                    self.last_round_slots.clear();
-                }
+                self.device.begin_slot_units();
                 for (bidx, bucket) in rewrites {
-                    if device {
-                        for s in 0..physical {
-                            self.last_round_slots.push((bidx, s));
-                        }
-                    }
                     self.apply_rewrite(bidx, bucket);
                 }
             }
             RingVariant::PsRing => {
-                // The temporary PosMap feeds this round's flushes; a seal
-                // mismatch means its backing store rotted and nothing the
-                // round would persist can be trusted. Fail safe.
-                if let Some(auth) = &self.auth {
-                    if !auth.verify_temp(&self.temp.entries_sorted()) {
-                        self.engine.poison(FaultClass::MediaCorruption);
-                        return Err(OramError::Poisoned {
-                            class: FaultClass::MediaCorruption,
-                        });
-                    }
-                }
+                // The temporary PosMap feeds this round's flushes: it is
+                // authenticated before anything it names is persisted.
+                self.device.check_temp(&mut self.engine, &self.temp)?;
                 self.engine.begin_round()?;
                 for (bidx, bucket) in rewrites {
                     // Out of room mid-round: stall — commit and apply what is
@@ -1230,49 +973,28 @@ impl RingOram {
         self.engine.commit_round()?;
         let (mut data, mut posmap) = std::mem::take(&mut self.drained);
         self.engine.drain_into(&mut data, &mut posmap);
-        let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
-        if device {
+        if !(data.is_empty() && posmap.is_empty()) {
             // This round becomes the one whose media programming a crash
             // would interrupt.
-            self.last_round_slots.clear();
-            self.last_round_posmap.clear();
+            self.device.begin_slot_units();
+            self.device.begin_posmap_units();
         }
-        let physical = self.config.bucket_physical_slots();
         for e in data.drain(..) {
             let (bidx, bucket) = e.value;
-            if device {
-                for s in 0..physical {
-                    self.last_round_slots.push((bidx, s));
-                }
-            }
             self.apply_rewrite(bidx, bucket);
         }
-        let mut flushed = false;
+        let flushed = !posmap.is_empty();
         for e in posmap.drain(..) {
             let (a, l) = e.value;
-            self.snapshot_posmap_entry(a);
-            self.posmap.persist(a, l);
+            self.device.persist_posmap(&mut self.posmap, a, l);
             self.temp.remove(a);
-            if let Some(auth) = &mut self.auth {
-                auth.record_posmap(a.0, l.0);
-            }
-            if device {
-                self.last_round_posmap.push(a);
-            }
             self.stats.dirty_entries_flushed += 1;
-            flushed = true;
         }
         self.drained = (data, posmap);
         if flushed {
-            if let Some(auth) = &mut self.auth {
-                auth.seal_temp(&self.temp.entries_sorted());
-            }
+            self.device.seal_temp(&self.temp);
         }
-        if let Some(auth) = &self.auth {
-            // The counter-tree root rides the same failure-atomic commit
-            // as the round's data.
-            self.engine.persist_root(auth.root());
-        }
+        self.device.anchor_root(&mut self.engine);
         Ok(())
     }
 
@@ -1295,33 +1017,17 @@ impl RingOram {
                 self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
-        if let Some(h) = self.history.as_mut() {
-            // Snapshot every slot this rewrite replaces: the coherent
-            // stale units a replay adversary re-serves.
-            let old = self.buckets.bucket(bidx);
-            for s in 0..bucket.num_slots() {
-                let prev_content = old.and_then(|old| old.slot(s)).map(|b| b.to_block());
-                let prev_meta = self.auth.as_ref().and_then(|a| a.slot_record(bidx, s));
-                h.note_slot(bidx, s, prev_content, prev_meta);
-            }
+        // Every slot of the bucket is a unit of the round being applied,
+        // snapshotted before the rewrite replaces it.
+        let slots = 0..bucket.num_slots();
+        self.device.note_slots(&self.buckets, bidx, slots.clone());
+        for s in slots.clone() {
+            self.device.push_slot(bidx, s);
         }
-        if let Some(auth) = &mut self.auth {
-            auth.record_slots(
-                (0..bucket.num_slots()).map(|s| (bidx, s, bucket.slot(s).map(Block::view))),
-            );
+        if let Some(auth) = &mut self.device.auth {
+            auth.record_slots(slots.map(|s| (bidx, s, bucket.slot(s).map(Block::view))));
         }
         self.install(bidx, bucket);
-    }
-
-    /// Snapshots the persisted PosMap entry (and record) a persist of
-    /// `addr` is about to replace: the replay adversary's raw material. A
-    /// no-op unless the installed fault plan can replay.
-    fn snapshot_posmap_entry(&mut self, addr: BlockAddr) {
-        if let Some(h) = self.history.as_mut() {
-            let prev_leaf = self.posmap.persisted_get(addr);
-            let prev_meta = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
-            h.note_posmap(addr.0, prev_leaf, prev_meta);
-        }
     }
 
     /// After posmap flushes commit, re-evaluate the flushed addresses: the
@@ -1329,7 +1035,7 @@ impl RingOram {
     fn refresh_ledger_for(&mut self, flushes: &[(BlockAddr, Leaf)]) {
         for &(a, _) in flushes {
             let leaf = self.posmap.persisted_get(a);
-            if let Some(b) = Self::newest_on_path(&self.buckets, self.path(leaf), a, leaf) {
+            if let Some(b) = self.buckets.newest_on_path(self.path(leaf), a, leaf) {
                 self.ledger.commit_if_fresh(a.0, b.header.seq, b.payload);
             }
         }
@@ -1346,31 +1052,17 @@ impl RingOram {
         // ADR flushes committed WPQ rounds; open rounds are lost. The
         // engine latches the crashed state and counts the crash.
         let (data, posmap) = self.engine.crash();
-        let device = self.engine.device_mode() && !(data.is_empty() && posmap.is_empty());
-        if device {
-            self.last_round_slots.clear();
-            self.last_round_posmap.clear();
+        if !(data.is_empty() && posmap.is_empty()) {
+            self.device.begin_slot_units();
+            self.device.begin_posmap_units();
         }
-        let physical = self.config.bucket_physical_slots();
         for e in data {
             let (bidx, bucket) = e.value;
-            if device {
-                for s in 0..physical {
-                    self.last_round_slots.push((bidx, s));
-                }
-            }
             self.apply_rewrite(bidx, bucket);
         }
         let flushes: Vec<(BlockAddr, Leaf)> = posmap.iter().map(|e| e.value).collect();
         for &(a, l) in &flushes {
-            self.snapshot_posmap_entry(a);
-            self.posmap.persist(a, l);
-            if let Some(auth) = &mut self.auth {
-                auth.record_posmap(a.0, l.0);
-            }
-            if device {
-                self.last_round_posmap.push(a);
-            }
+            self.device.persist_posmap(&mut self.posmap, a, l);
         }
         self.refresh_ledger_for(&flushes);
         self.stash.clear();
@@ -1378,149 +1070,9 @@ impl RingOram {
         self.posmap.crash();
         // Device faults: the power failure interrupts the media programming
         // of the last applied round (including anything the ADR flush just
-        // applied above) — torn flushes, lost signals, and bit rot land on
-        // those units now, behind the controller's back.
-        if self.engine.device_mode() {
-            let damage = self
-                .engine
-                .draw_crash_damage(self.last_round_slots.len(), self.last_round_posmap.len());
-            self.apply_device_damage(&damage);
-        }
-    }
-
-    /// Applies drawn device damage to the NVM image: flips a payload (or
-    /// header) bit of each damaged bucket slot and corrupts each damaged
-    /// persisted PosMap entry. Tags are deliberately *not* refreshed —
-    /// this is the adversary writing behind the controller's back.
-    fn apply_device_damage(&mut self, damage: &RoundDamage) {
-        for &i in &damage.data_units {
-            let (bidx, slot) = self.last_round_slots[i];
-            // Torn programming of a dummy slot has no observable content
-            // to corrupt (and draws no entropy).
-            let mut bucket = self.buckets.bucket_mut(bidx);
-            let Some((header, payload)) = bucket.cell_mut(slot) else {
-                continue;
-            };
-            let e = self.engine.device_entropy();
-            if payload.is_empty() {
-                header.iv1 ^= 1 | e;
-            } else {
-                payload[e as usize % payload.len()] ^= 1 << ((e >> 32) & 7);
-            }
-        }
-        for &i in &damage.posmap_units {
-            let addr = self.last_round_posmap[i];
-            let e = self.engine.device_entropy();
-            self.posmap.corrupt_persisted(addr, e);
-        }
-        self.apply_freshness_damage(damage);
-    }
-
-    /// Applies the freshness adversary's share of the drawn crash damage:
-    /// replays restore a unit's recorded previous `(content, record)`
-    /// pair wholesale (coherent but stale — only the trusted counter can
-    /// tell), and splices swap two authentic units across addresses.
-    /// Applied after the bit flips, so a replay also overwrites any flip
-    /// that landed on the same unit. A splice is only coherent when both
-    /// ends are distinct units that still carry authentic records — a
-    /// drawn pair that collapses onto one media unit, or whose record
-    /// was already destroyed by bit rot, is a no-op the engine never
-    /// counts (the confirm calls are the ground truth).
-    fn apply_freshness_damage(&mut self, damage: &RoundDamage) {
-        let restored_slot = if let Some(i) = damage.replayed_data {
-            let (bidx, slot) = self.last_round_slots[i];
-            let prev = self
-                .history
-                .as_ref()
-                .and_then(|h| h.slot(bidx, slot).cloned());
-            if let Some((content, meta)) = prev {
-                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
-                    bucket.set(slot, content.as_ref().map(Block::view));
-                }
-                if let Some(auth) = self.auth.as_mut() {
-                    auth.set_slot_record(bidx, slot, meta);
-                }
-                self.engine.confirm_stale_replay();
-                Some((bidx, slot))
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        let restored_addr = if let Some(i) = damage.replayed_posmap {
-            let addr = self.last_round_posmap[i];
-            let prev = self
-                .history
-                .as_ref()
-                .and_then(|h| h.posmap(addr.0).copied());
-            if let Some((leaf, meta)) = prev {
-                self.posmap.overwrite_persisted(addr, leaf);
-                if let Some(auth) = self.auth.as_mut() {
-                    auth.set_posmap_record(addr.0, meta);
-                }
-                self.engine.confirm_stale_replay();
-                Some(addr)
-            } else {
-                None
-            }
-        } else {
-            None
-        };
-        if let Some((i, j)) = damage.spliced_data {
-            let (b1, s1) = self.last_round_slots[i];
-            let (b2, s2) = self.last_round_slots[j];
-            // A bit-rotted end no longer carries an authentic record —
-            // unless the replay above just overwrote the rot wholesale.
-            let rotted = |c: (u64, usize)| {
-                restored_slot != Some(c)
-                    && damage
-                        .data_units
-                        .iter()
-                        .any(|&k| self.last_round_slots[k] == c)
-            };
-            if (b1, s1) != (b2, s2) && !rotted((b1, s1)) && !rotted((b2, s2)) {
-                let c1 = self.buckets.slot(b1, s1).map(|b| b.to_block());
-                let c2 = self.buckets.slot(b2, s2).map(|b| b.to_block());
-                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(b1) {
-                    bucket.set(s1, c2.as_ref().map(Block::view));
-                }
-                if let Some(mut bucket) = self.buckets.bucket_mut_if_present(b2) {
-                    bucket.set(s2, c1.as_ref().map(Block::view));
-                }
-                if let Some(auth) = self.auth.as_mut() {
-                    let r1 = auth.slot_record(b1, s1);
-                    let r2 = auth.slot_record(b2, s2);
-                    auth.set_slot_record(b1, s1, r2);
-                    auth.set_slot_record(b2, s2, r1);
-                }
-                self.engine.confirm_cross_splice();
-            }
-        }
-        if let Some((i, j)) = damage.spliced_posmap {
-            let a1 = self.last_round_posmap[i];
-            let a2 = self.last_round_posmap[j];
-            let rotted = |a: BlockAddr| {
-                restored_addr != Some(a)
-                    && damage
-                        .posmap_units
-                        .iter()
-                        .any(|&k| self.last_round_posmap[k] == a)
-            };
-            if a1 != a2 && !rotted(a1) && !rotted(a2) {
-                let l1 = self.posmap.persisted_get(a1);
-                let l2 = self.posmap.persisted_get(a2);
-                self.posmap.overwrite_persisted(a1, l2);
-                self.posmap.overwrite_persisted(a2, l1);
-                if let Some(auth) = self.auth.as_mut() {
-                    let r1 = auth.posmap_record(a1.0);
-                    let r2 = auth.posmap_record(a2.0);
-                    auth.set_posmap_record(a1.0, r2);
-                    auth.set_posmap_record(a2.0, r1);
-                }
-                self.engine.confirm_cross_splice();
-            }
-        }
+        // applied above).
+        self.device
+            .strike(&mut self.engine, &mut self.buckets, &mut self.posmap);
     }
 
     /// Recovers after a crash: revalidates consumed slots (the paper's
@@ -1535,96 +1087,60 @@ impl RingOram {
     /// wipes slots and PosMap entries that fail authentication, each
     /// damaged committed address is restored from its newest surviving
     /// authenticated copy, and addresses with no surviving copy are
-    /// rolled back with a typed [`RecoveryError`] instead of serving
-    /// corrupt data.
+    /// rolled back with a typed [`RecoveryError`](crate::RecoveryError)
+    /// instead of serving corrupt data. The rungs are [`crate::engine`]'s
+    /// ladder; what is Ring's own is the audit, the Case-2 compaction
+    /// between phases 2 and 3, and the promotion of a surviving shadow.
     ///
     /// Idempotent: calling `recover` on a controller that is not crashed
     /// repeats the last verdict without touching state or counters.
     pub fn recover(&mut self) -> RecoveryReport {
-        if !self.engine.is_crashed() {
-            return self.last_recovery().cloned().unwrap_or_else(|| {
-                RecoveryReport::from_check(Ok(()), self.ledger.committed_len())
-            });
-        }
-        let incidents = self.engine.take_incidents();
-        let mut errors: Vec<RecoveryError> = Vec::new();
-        let mut repairs = 0u64;
-        let mut rolled_back: Vec<u64> = Vec::new();
-        let mut replays_detected = 0u64;
-        let mut splices_detected = 0u64;
-        let mut auth = self.auth.take();
-
+        let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
+            Ok(ladder) => ladder,
+            Err(last) => return *last,
+        };
+        let mut auth = self.device.auth.take();
         if let Some(auth) = auth.as_mut() {
-            // Root sanity: the on-chip counter tree must agree with the
-            // root anchored in the persistence domain. A mismatch means
-            // the trusted anchor itself cannot be believed — fail safe.
-            if self
-                .engine
-                .persisted_root()
-                .is_some_and(|r| r != auth.root())
-            {
-                self.engine.poison(FaultClass::StaleReplay);
-            }
-            // Device phase 1 — detect & classify: every tagged slot is
-            // classified against the trusted counters, worst evidence
-            // first. A replayed or spliced unit is coherent (its CMAC
-            // verifies) — only the counter comparison convicts it. Every
-            // convicted slot is wiped; any committed value it held is
-            // restored from an authenticated redundant copy in phase 3.
-            for (bidx, slot) in auth.tagged_slots_sorted() {
-                match auth.verdict_slot(bidx, slot, self.buckets.slot(bidx, slot)) {
-                    FreshnessVerdict::Clean => {}
-                    verdict => {
-                        match verdict {
-                            FreshnessVerdict::Stale | FreshnessVerdict::Missing => {
-                                replays_detected += 1;
-                            }
-                            FreshnessVerdict::Spliced => splices_detected += 1,
-                            _ => {}
-                        }
-                        if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
-                            bucket.set(slot, None);
-                        }
-                        auth.record_slot(bidx, slot, None);
-                    }
-                }
-            }
-            // Device phase 2 — persisted PosMap entries: repair a corrupt,
-            // replayed, or spliced leaf label from the newest
-            // authenticated copy of the address (the redundant copy names
-            // the true leaf, and its counter proves it fresher).
-            for a in auth.tagged_posmap_sorted() {
-                let addr = BlockAddr(a);
-                let leaf = self.posmap.persisted_get(addr);
-                match auth.verdict_posmap(a, leaf.0) {
-                    FreshnessVerdict::Clean => continue,
-                    FreshnessVerdict::Stale | FreshnessVerdict::Missing => replays_detected += 1,
-                    FreshnessVerdict::Spliced => splices_detected += 1,
-                    FreshnessVerdict::Tampered => {}
-                }
-                match self.newest_valid_copy(addr, auth) {
-                    Some((_, _, copy)) => {
-                        self.posmap.persist(addr, copy.leaf());
-                        auth.record_posmap(a, copy.leaf().0);
-                        repairs += 1;
-                    }
-                    None => {
-                        // Accept the damaged label (re-tag it so the scan
-                        // converges) and forget the committed value: typed
-                        // data loss, never silent corruption.
-                        auth.record_posmap(a, leaf.0);
-                        self.ledger.rollback(a, None);
-                        rolled_back.push(a);
-                        errors.push(RecoveryError::UnrecoverableAddress {
-                            addr: a,
-                            detail: "posmap entry corrupt; no surviving authenticated copy"
-                                .to_string(),
-                        });
-                    }
-                }
-            }
+            ladder.detect(self.media(), auth);
         }
+        self.restore_consumed(auth.as_mut());
+        if let Some(auth) = auth.as_mut() {
+            let failures = self.audit_failures();
+            // A surviving shadow is promoted to primary: a legitimate
+            // controller write, so its slot is recorded afresh.
+            ladder.repair(
+                self.media(),
+                auth,
+                failures,
+                |arena, auth, (bidx, s), copy| {
+                    if copy.is_backup {
+                        copy.is_backup = false;
+                        if let Some(mut bucket) = arena.bucket_mut_if_present(bidx) {
+                            bucket.set_backup(s, false);
+                        }
+                        auth.record_slot(bidx, s, Some(copy.view()));
+                    }
+                },
+            );
+        }
+        self.device.auth = auth;
+        let check = self.check_recoverability();
+        ladder.finish(&mut self.engine, check, self.ledger.committed_len())
+    }
 
+    /// The parts of the controller the recovery ladder works on.
+    fn media(&mut self) -> Media<'_, (u64, Bucket), (BlockAddr, Leaf)> {
+        let (engine, arena) = (&mut self.engine, &mut self.buckets);
+        (engine, arena, &mut self.posmap, &mut self.ledger)
+    }
+
+    /// Ring's own share of recovery, the paper's Case-2 procedure (the
+    /// bytes never left the bucket): promotes the newest
+    /// PosMap-consistent copy of each address back to primary status,
+    /// compacts superseded duplicates and revalidates every consumed
+    /// slot. Controller-initiated slot mutations are legitimate writes, so
+    /// on a hardened design their records are refreshed.
+    fn restore_consumed(&mut self, mut auth: Option<&mut AuthTags>) {
         // Pass 1: find, per address, the newest copy matching the persisted
         // PosMap — that is the copy recovery designates as live. Buckets
         // are scanned in index order (the store's iteration order): the
@@ -1645,10 +1161,9 @@ impl RingOram {
             }
         }
         // Pass 2: promote winners, drop superseded matching duplicates,
-        // revalidate everything. Controller-initiated slot mutations are
-        // legitimate writes, so their tags are refreshed. (Per-slot
-        // outcomes depend only on `best`, but the scan stays sorted so
-        // any future side effects inherit determinism.)
+        // revalidate everything. (Per-slot outcomes depend only on `best`,
+        // but the scan stays sorted so any future side effects inherit
+        // determinism.)
         let materialised: Vec<u64> = self.buckets.indices().collect();
         for bidx in materialised {
             let mut bucket = self.buckets.bucket_mut(bidx);
@@ -1679,87 +1194,6 @@ impl RingOram {
             }
             bucket.revalidate();
         }
-
-        if let Some(auth) = auth.as_mut() {
-            // Device phase 3 — repair-from-redundant-copy: every committed
-            // address the audit can no longer find is re-pointed at its
-            // newest surviving authenticated copy (promoted to primary);
-            // addresses with none are rolled back with a typed error.
-            for (a, detail) in self.audit_failures() {
-                let addr = BlockAddr(a);
-                match self.newest_valid_copy(addr, auth) {
-                    Some((bidx, s, copy)) => {
-                        let mut promoted = copy;
-                        if promoted.is_backup {
-                            promoted.is_backup = false;
-                            if let Some(mut bucket) = self.buckets.bucket_mut_if_present(bidx) {
-                                bucket.set_backup(s, false);
-                            }
-                            auth.record_slot(bidx, s, Some(promoted.view()));
-                        }
-                        let intact = self.ledger.committed_value(a) == Some(&promoted.payload);
-                        self.posmap.persist(addr, promoted.leaf());
-                        auth.record_posmap(a, promoted.leaf().0);
-                        self.ledger
-                            .rollback(a, Some((promoted.header.seq, promoted.payload.clone())));
-                        if intact {
-                            repairs += 1;
-                        } else {
-                            // The survivor is an older version: detected
-                            // rollback, reported as typed loss.
-                            rolled_back.push(a);
-                            errors.push(RecoveryError::UnrecoverableAddress { addr: a, detail });
-                        }
-                    }
-                    None => {
-                        self.ledger.rollback(a, None);
-                        rolled_back.push(a);
-                        errors.push(RecoveryError::UnrecoverableAddress { addr: a, detail });
-                    }
-                }
-            }
-            // The temporary PosMap did not survive the power failure.
-            auth.clear_temp_seal();
-            // Close the freshness epoch: repairs bumped counters, so
-            // re-anchor the persisted root for the rounds that follow.
-            auth.advance_epoch();
-            self.engine.persist_root(auth.root());
-        }
-        self.auth = auth;
-        if let Some(class) = self.engine.poisoned() {
-            errors.push(RecoveryError::Poisoned { class });
-        }
-        let mut report =
-            RecoveryReport::from_check(self.check_recoverability(), self.ledger.committed_len());
-        rolled_back.sort_unstable();
-        rolled_back.dedup();
-        report.repairs = repairs;
-        report.rolled_back = rolled_back;
-        report.incidents = incidents;
-        report.errors = errors;
-        report.replays_detected = replays_detected;
-        report.splices_detected = splices_detected;
-        report.poisoned = self.engine.poisoned().is_some();
-        self.engine.finish_recovery(report)
-    }
-
-    /// The newest copy (highest freshness counter, the first on a tie) of
-    /// `addr` on the path to `leaf` whose header names that leaf.
-    fn newest_on_path(
-        buckets: &SlotArena,
-        path: impl Iterator<Item = u64>,
-        addr: BlockAddr,
-        leaf: Leaf,
-    ) -> Option<BlockRef<'_>> {
-        let mut best: Option<(BucketRef<'_>, usize, u64)> = None;
-        for bucket in path.filter_map(|idx| buckets.bucket(idx)) {
-            for (slot, h) in bucket.headers() {
-                if h.addr == addr && h.leaf == leaf && best.is_none_or(|(_, _, seq)| h.seq > seq) {
-                    best = Some((bucket, slot, h.seq));
-                }
-            }
-        }
-        best.and_then(|(bucket, slot, _)| bucket.slot(slot))
     }
 
     /// Where recovery would find committed address `a`: its persisted leaf
@@ -1768,7 +1202,7 @@ impl RingOram {
     fn recoverable_copy(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
         let addr = BlockAddr(a);
         let leaf = self.posmap.persisted_get(addr);
-        let best = Self::newest_on_path(&self.buckets, self.path(leaf), addr, leaf);
+        let best = self.buckets.newest_on_path(self.path(leaf), addr, leaf);
         if let Some(b) = best {
             found.extend_from_slice(b.payload);
         }
@@ -1783,31 +1217,6 @@ impl RingOram {
             |a, found| self.recoverable_copy(a, found),
             |_, _| false,
         )
-    }
-
-    /// The newest (highest freshness counter) copy of `addr` anywhere on
-    /// media that passes slot authentication, with its location.
-    /// Deterministic: buckets are scanned in sorted order.
-    fn newest_valid_copy(&self, addr: BlockAddr, auth: &AuthTags) -> Option<(u64, usize, Block)> {
-        let mut best: Option<(u64, usize, BlockRef<'_>)> = None;
-        for (bidx, bucket) in self.buckets.iter() {
-            for (s, slot) in bucket.slots().enumerate() {
-                if let Some(b) = slot {
-                    if b.addr() == addr
-                        && auth.verify_slot(bidx, s, Some(b))
-                        && best.is_none_or(|(_, _, x)| b.header.seq > x.header.seq)
-                    {
-                        best = Some((bidx, s, b));
-                    }
-                }
-            }
-        }
-        best.map(|(bidx, s, b)| (bidx, s, b.to_block()))
-    }
-
-    /// The report of the most recent [`RingOram::recover`] call.
-    pub fn last_recovery(&self) -> Option<&RecoveryReport> {
-        self.engine.last_recovery()
     }
 
     /// Verifies that every committed value has a physical copy at its
@@ -1831,19 +1240,12 @@ impl RingOram {
     ///
     /// Returns a description of the first mismatch.
     pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        let mut addrs = self.touched.clone();
-        addrs.sort_unstable();
-        addrs.dedup();
-        for a in addrs {
-            let expected = self
-                .ledger
-                .expected_value(a, after_crash, self.config.payload_bytes);
-            let got = self.read(BlockAddr(a)).map_err(|e| e.to_string())?;
-            if got != expected {
-                return Err(format!("a{a}: read {got:?}, expected {expected:?}"));
-            }
-        }
-        Ok(())
+        let touched = self.touched.iter().map(|(a, ())| a).collect();
+        let bytes = self.config.payload_bytes;
+        crate::engine::verify_contents(touched, "", |a| {
+            let expected = self.ledger.expected_value(a, after_crash, bytes);
+            (expected, self.read(BlockAddr(a)))
+        })
     }
 }
 
@@ -1883,8 +1285,8 @@ mod tests {
             for variant in [RingVariant::Baseline, RingVariant::PsRing] {
                 let mut oram = RingOram::new(RingConfig::small_test(), variant, 9);
                 oram.enable_device_faults(9, mix);
-                assert_eq!(oram.history.is_some(), snapshots, "{variant:?} {mix:?}");
-                assert_eq!(oram.auth.is_some(), variant == RingVariant::PsRing);
+                assert_eq!(oram.device.replays(), snapshots, "{variant:?} {mix:?}");
+                assert_eq!(oram.device.auth.is_some(), variant == RingVariant::PsRing);
             }
         }
     }

@@ -166,6 +166,17 @@ impl OramTree {
         self.base_addr + (bucket * self.bucket_slots as u64 + slot as u64) * self.block_bytes as u64
     }
 
+    /// The slot arena under the tree: what the device side damages and
+    /// the recovery ladder scans.
+    pub(crate) fn arena(&self) -> &SlotArena {
+        &self.slots
+    }
+
+    /// [`OramTree::arena`], mutably.
+    pub(crate) fn arena_mut(&mut self) -> &mut SlotArena {
+        &mut self.slots
+    }
+
     /// Borrowed view of a materialized bucket; `None` reads as all-dummy.
     pub fn bucket_ref(&self, idx: BucketIndex) -> Option<BucketRef<'_>> {
         debug_assert!(idx < self.num_buckets());

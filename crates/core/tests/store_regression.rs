@@ -9,7 +9,11 @@
 //! PosMap-queue corner to the PR 14 build's (85db84c).
 
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-use psoram_core::{BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolVariant};
+use psoram_core::{
+    BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
+    RecoveryReport,
+};
+use psoram_nvm::FaultConfig;
 
 const SEED: u64 = 42;
 const ACCESSES: u64 = 900;
@@ -228,6 +232,80 @@ fn posmap_wpq_smaller_than_a_rounds_reals_stalls_where_it_always_did() {
         );
     }
     assert_eq!(got, WPQ_CORNER_PINS);
+}
+
+/// Three arm → 200 accesses → `crash_now` → `recover` cycles under the
+/// replay mix: every crash-time draw, bit flip, replay, splice and
+/// `confirm_*`, then the whole detect → classify → repair → rollback
+/// ladder, on a hardened design. One golden record: the final
+/// `state_digest()`, the accesses the device failed (retries exhausted,
+/// fail-safe poison) and the three serialized `RecoveryReport`s.
+fn device_cycles(design: &mut dyn ProtocolPolicy) -> String {
+    let (capacity, payload_bytes) = (design.capacity_blocks(), design.payload_bytes());
+    let mut x = SEED;
+    let mut failed = 0u64;
+    let mut reports: Vec<RecoveryReport> = Vec::new();
+    for cycle in 0..3u64 {
+        design.enable_device_faults(SEED + 7 * cycle, FaultConfig::replay_mix());
+        for i in 0..200u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = (x >> 33) % capacity.min(48);
+            let outcome = if i % 3 == 0 {
+                design.read(addr).map(drop)
+            } else {
+                design.write(addr, vec![(x >> 17) as u8; payload_bytes])
+            };
+            failed += u64::from(outcome.is_err());
+        }
+        design.crash_now();
+        reports.push(design.recover());
+        // Idempotent: a second call repeats the verdict and moves nothing.
+        let digest = design.state_digest();
+        assert_eq!(design.recover(), reports[cycle as usize]);
+        assert_eq!(design.state_digest(), digest);
+    }
+    format!(
+        "{{\"design\":\"{}\",\"state_digest\":\"{:#034x}\",\"failed_accesses\":{failed},\"reports\":{}}}",
+        design.label(),
+        design.state_digest(),
+        serde_json::to_string(&reports).expect("reports serialize"),
+    )
+}
+
+const RECOVERY_GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/goldens/recovery_seed42.json"
+);
+
+/// The device side and the recovery ladder, pinned to what the build with
+/// a copy of each in both controllers produced (recorded at b9b0e49): a
+/// change that reorders one entropy draw, one `confirm_*` or one wipe
+/// moves a digest or a report here. Re-bless an *intentional* change with
+/// `PSORAM_BLESS=1 cargo test -p psoram-core --test store_regression`.
+#[test]
+fn device_fault_recovery_cycles_match_golden() {
+    let mut path = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, SEED);
+    let mut ring = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, SEED);
+    let json = format!(
+        "[\n{},\n{}\n]\n",
+        device_cycles(&mut path),
+        device_cycles(&mut ring)
+    );
+
+    if std::env::var_os("PSORAM_BLESS").is_some() {
+        std::fs::write(RECOVERY_GOLDEN_PATH, &json).expect("write golden");
+        return;
+    }
+
+    let golden = std::fs::read_to_string(RECOVERY_GOLDEN_PATH)
+        .expect("golden missing — run with PSORAM_BLESS=1 to create it");
+    assert_eq!(
+        json, golden,
+        "seed-42 recovery cycles diverged from the checked-in golden; \
+         if the change is intentional, re-bless with PSORAM_BLESS=1"
+    );
 }
 
 const PATH_PINS: [(u128, usize); 4] = [

@@ -63,7 +63,6 @@ mod driver;
 mod fleet;
 mod lifetime;
 mod oracle;
-pub mod par;
 mod report;
 mod sweep;
 mod target;
@@ -85,7 +84,7 @@ pub use lifetime::{
     LifetimeCampaignReport, LifetimeRow, WearCampaignConfig, WearCampaignReport, WearRunReport,
 };
 pub use oracle::{CommitModel, PendingWrite, ShadowOracle};
-pub use par::{default_jobs, par_map, resolve_jobs};
+pub use psoram_core::par::{self, default_jobs, par_map, resolve_jobs};
 pub use report::{
     CampaignReport, CrashPointCost, VariantReport, ViolationKind, ViolationRecord,
     MAX_RECORDED_VIOLATIONS,

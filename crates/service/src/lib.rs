@@ -22,7 +22,7 @@
 //!   cycles at 3.2 GHz).
 //! * [`AddressPartition`] maps every address to exactly one shard.
 //! * [`run_service`] executes the per-shard queues on the
-//!   `psoram-faultsim` deterministic worker pool: per-shard seeds,
+//!   `psoram_core::par` deterministic worker pool: per-shard seeds,
 //!   input-order collection — the [`ServiceReport`] is byte-identical at
 //!   any worker count.
 //! * A [`ShardCrashPlan`] can strike one shard mid-load; recovery runs

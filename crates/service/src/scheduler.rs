@@ -6,7 +6,7 @@
 //! 1. **Route.** Every request maps to exactly one shard through the
 //!    [`AddressPartition`]; per-shard queues preserve global arrival
 //!    order, so per-address program order survives routing.
-//! 2. **Execute.** Each shard queue runs on the `psoram-faultsim`
+//! 2. **Execute.** Each shard queue runs on the `psoram_core::par`
 //!    deterministic worker pool ([`par_map`]): per-shard seeds,
 //!    input-order collection. A lane is a *virtual-time* simulation —
 //!    the worker advances a lane clock by batching overhead, controller
@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 
+use psoram_core::par::par_map;
 use psoram_core::{Op, ProtocolVariant};
-use psoram_faultsim::par_map;
 use psoram_nvm::{WearConfig, WearScheme};
 use psoram_obsv::{Event, Recorder, RingBufferRecorder};
 

@@ -394,8 +394,7 @@ impl PathOram {
     /// [`FaultConfig::wear_mix`]); without one this is accounting only.
     pub fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
         let bytes = self.tree.base_addr() + self.tree.region_bytes();
-        let lines = bytes.div_ceil(psoram_nvm::WEAR_LINE_BYTES).max(1);
-        self.engine.enable_wear(seed, lines, cfg);
+        self.arm_wear(seed, bytes, cfg);
     }
 
     /// A deterministic digest over the controller's recoverable state:

@@ -211,6 +211,16 @@ macro_rules! impl_crash_controls {
             self.engine.fault_stats()
         }
 
+        /// The shared tail of `enable_wear`: arms the wear engine over an
+        /// NVM region of `bytes` bytes and, with it, the NVM controller's
+        /// per-line write counts — the table only the armed adversary's
+        /// report (`publish_metrics`) reads.
+        fn arm_wear(&mut self, seed: u64, bytes: u64, cfg: psoram_nvm::WearConfig) {
+            let lines = bytes.div_ceil(psoram_nvm::WEAR_LINE_BYTES).max(1);
+            self.engine.enable_wear(seed, lines, cfg);
+            self.nvm.count_lines();
+        }
+
         /// Wear/leveling counters of the armed endurance adversary, if any.
         pub fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
             self.engine.wear_stats()

@@ -350,8 +350,7 @@ impl RingOram {
         let bytes = self.config.num_buckets()
             * self.config.bucket_physical_slots() as u64
             * self.config.block_bytes as u64;
-        let lines = bytes.div_ceil(psoram_nvm::WEAR_LINE_BYTES).max(1);
-        self.engine.enable_wear(seed, lines, cfg);
+        self.arm_wear(seed, bytes, cfg);
     }
 
     /// A deterministic digest over the controller's recoverable state:

@@ -305,6 +305,12 @@ fn wear_map_publishes_per_bank_and_hot_line_gauges() {
             !clean_json.contains(".wear."),
             "{label}: wear keys leaked into a wear-free snapshot"
         );
+        // Nor anything the per-line table would have published: nobody
+        // armed it, so there is no measurement to report.
+        assert!(
+            !clean_json.contains(".hot.") && !clean_json.contains("lines_touched"),
+            "{label}: per-line gauges published from a controller that counts no lines"
+        );
 
         let (wlabel, mut worn) = designs()
             .into_iter()

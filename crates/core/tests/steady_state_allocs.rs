@@ -46,7 +46,18 @@ fn path(variant: ProtocolVariant, levels: u32, armed: bool) -> f64 {
     if armed {
         oram.enable_device_faults(12, FaultConfig::disabled());
     }
-    allocs_per_access(&mut oram)
+    let allocs = allocs_per_access(&mut oram);
+    assert_counts_no_lines(oram.nvm());
+    allocs
+}
+
+/// Nobody armed the endurance adversary, so the NVM controller kept no
+/// per-line write counts (a page of them used to be an allocation per
+/// first-touched neighbourhood of lines).
+fn assert_counts_no_lines(nvm: &psoram_nvm::NvmController) {
+    assert!(nvm.stats().writes > 0);
+    assert_eq!(nvm.lines_touched(), 0);
+    assert!(nvm.hottest_lines(8).is_empty());
 }
 
 fn ring() -> f64 {
@@ -54,7 +65,10 @@ fn ring() -> f64 {
         levels: 12,
         ..RingConfig::small_test()
     };
-    allocs_per_access(&mut RingOram::new(cfg, RingVariant::PsRing, 11))
+    let mut oram = RingOram::new(cfg, RingVariant::PsRing, 11);
+    let allocs = allocs_per_access(&mut oram);
+    assert_counts_no_lines(oram.nvm());
+    allocs
 }
 
 #[test]

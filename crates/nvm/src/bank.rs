@@ -46,6 +46,7 @@ impl Bank {
     /// arrival, possibly pushed later by channel bus availability handled by
     /// the caller via a second pass). Returns the schedule and updates the
     /// bank state.
+    #[inline]
     pub fn schedule(
         &mut self,
         kind: AccessKind,

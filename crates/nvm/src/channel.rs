@@ -44,6 +44,7 @@ impl Channel {
     /// # Panics
     ///
     /// Panics if `bank_idx` is out of range.
+    #[inline]
     pub fn access(
         &mut self,
         bank_idx: usize,

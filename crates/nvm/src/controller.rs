@@ -1,8 +1,27 @@
 //! The multi-channel NVM memory controller.
+//!
+//! **The burst is the unit.** An ORAM path arrives as `Z·(L+1)` requests
+//! of one kind, one size and one arrival cycle, so
+//! [`NvmController::access_batch_sized`] is the controller's one entry:
+//! what is a property of the burst (bus cycles per request, whether its
+//! writes park in the write buffer, the traffic totals) is worked out
+//! once, and what is a property of a request (its channel and bank, the
+//! channel's FCFS order and bus, the bank's `tWTR`/`tCCD` windows, its
+//! `NvmAccess` event) is stepped per request, in request order. The
+//! scalar entries are the one-request burst, which is what makes them the
+//! burst's oracle (`tests/nvm_properties.rs`).
+//!
+//! **Per-line write counts exist when their reader does.** The only
+//! readers of the per-line table are the wear reports an armed endurance
+//! adversary publishes, so the table is built by
+//! [`NvmController::count_lines`] — which the ORAM controllers call
+//! beside arming their wear engine — and counts from that call on. A
+//! controller nobody armed counts no lines.
 
 use psoram_obsv::{Event, Tap};
 use serde::{Deserialize, Serialize};
 
+use crate::address::AddressMap;
 use crate::channel::Channel;
 use crate::lines::LineCounters;
 use crate::request::AccessKind;
@@ -82,7 +101,63 @@ impl NvmConfig {
     pub fn burst_cycles(&self) -> u64 {
         (self.block_bytes as u64).div_ceil(self.bus_bytes_per_cycle as u64)
     }
+
+    /// Checks the geometry every access divides by.
+    ///
+    /// # Errors
+    ///
+    /// The first zero among `channels`, `banks_per_channel`, `block_bytes`,
+    /// `bus_bytes_per_cycle` and `interleave_blocks`, as its own
+    /// [`NvmConfigError`] variant.
+    pub fn validate(&self) -> Result<(), NvmConfigError> {
+        if self.channels == 0 {
+            return Err(NvmConfigError::ZeroChannels);
+        }
+        if self.banks_per_channel == 0 {
+            return Err(NvmConfigError::ZeroBanksPerChannel);
+        }
+        if self.block_bytes == 0 {
+            return Err(NvmConfigError::ZeroBlockBytes);
+        }
+        if self.bus_bytes_per_cycle == 0 {
+            return Err(NvmConfigError::ZeroBusBytesPerCycle);
+        }
+        if self.interleave_blocks == 0 {
+            return Err(NvmConfigError::ZeroInterleaveBlocks);
+        }
+        Ok(())
+    }
 }
+
+/// A geometry an [`NvmController`] cannot be built over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NvmConfigError {
+    /// `channels` is zero.
+    ZeroChannels,
+    /// `banks_per_channel` is zero.
+    ZeroBanksPerChannel,
+    /// `block_bytes` is zero.
+    ZeroBlockBytes,
+    /// `bus_bytes_per_cycle` is zero.
+    ZeroBusBytesPerCycle,
+    /// `interleave_blocks` is zero.
+    ZeroInterleaveBlocks,
+}
+
+impl std::fmt::Display for NvmConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let field = match self {
+            NvmConfigError::ZeroChannels => "channels",
+            NvmConfigError::ZeroBanksPerChannel => "banks_per_channel",
+            NvmConfigError::ZeroBlockBytes => "block_bytes",
+            NvmConfigError::ZeroBusBytesPerCycle => "bus_bytes_per_cycle",
+            NvmConfigError::ZeroInterleaveBlocks => "interleave_blocks",
+        };
+        write!(f, "invalid NVM configuration: {field} must be at least 1")
+    }
+}
+
+impl std::error::Error for NvmConfigError {}
 
 impl Default for NvmConfig {
     fn default() -> Self {
@@ -110,14 +185,18 @@ impl Default for NvmConfig {
 pub struct NvmController {
     config: NvmConfig,
     timing: TimingParams,
+    /// `config`'s geometry as shifts and masks where it can be.
+    map: AddressMap,
     channels: Vec<Channel>,
     stats: NvmStats,
-    /// Buffered (acknowledged but not yet drained) writes: `(addr, bytes)`.
-    write_buffer: std::collections::VecDeque<(u64, usize)>,
-    /// Per-line (block-granularity) lifetime write counts. The counters
+    /// Buffered (acknowledged but not yet drained) writes:
+    /// `(addr, bus cycles)`.
+    write_buffer: std::collections::VecDeque<(u64, u64)>,
+    /// Per-line (block-granularity) write counts since
+    /// [`NvmController::count_lines`]; `None` until then. The counters
     /// keep no order of their own; every query that lists lines sorts its
     /// result, which is what makes the reports deterministic.
-    line_writes: LineCounters,
+    line_writes: Option<LineCounters>,
     /// Writes drained from the buffer (observability).
     drained_writes: u64,
     /// Observability tap (bank-level `NvmAccess` events, memory cycles).
@@ -129,20 +208,24 @@ impl NvmController {
     ///
     /// # Panics
     ///
-    /// Panics if `config.channels` is zero.
+    /// Panics with the [`NvmConfigError`] if `config` does not
+    /// [`validate`](NvmConfig::validate).
     pub fn new(config: NvmConfig) -> Self {
-        assert!(config.channels > 0, "need at least one channel");
+        if let Err(e) = config.validate() {
+            panic!("{e}");
+        }
         let timing = TimingParams::for_tech(config.tech);
         let channels = (0..config.channels)
             .map(|_| Channel::new(config.banks_per_channel))
             .collect();
         NvmController {
+            map: AddressMap::new(&config),
             config,
             timing,
             channels,
             stats: NvmStats::default(),
             write_buffer: std::collections::VecDeque::new(),
-            line_writes: LineCounters::default(),
+            line_writes: None,
             drained_writes: 0,
             tap: Tap::detached(),
         }
@@ -155,21 +238,20 @@ impl NvmController {
         self.tap = tap;
     }
 
+    /// Starts counting writes per line, for [`Self::hottest_lines`],
+    /// [`Self::lines_touched`] and [`Self::wear_report`]. Writes accepted
+    /// before the first call are not counted; later calls change nothing.
+    pub fn count_lines(&mut self) {
+        self.line_writes.get_or_insert_default();
+    }
+
     /// Maps a byte address to `(channel, bank)`.
     ///
     /// Channels interleave at `interleave_blocks` granularity; banks within
     /// a channel always interleave at block granularity (so single-channel
     /// behaviour is independent of the channel-interleave setting).
     pub fn map_address(&self, addr: u64) -> (usize, usize) {
-        let block = addr / self.config.block_bytes as u64;
-        let group = block / self.config.interleave_blocks;
-        let channel = (group % self.config.channels as u64) as usize;
-        // Within-channel block index: strip the channel bits from the
-        // interleave group, keep the offset inside the group.
-        let local = (group / self.config.channels as u64) * self.config.interleave_blocks
-            + block % self.config.interleave_blocks;
-        let bank = (local % self.config.banks_per_channel as u64) as usize;
-        (channel, bank)
+        self.map.locate(addr)
     }
 
     /// Performs one block access arriving at memory cycle `arrival` and
@@ -180,31 +262,17 @@ impl NvmController {
 
     /// Performs one access of `bytes` bytes (sub-block writes such as
     /// PosMap entries occupy the bus for fewer cycles; cell-programming
-    /// time is unchanged).
+    /// time is unchanged): the one-request burst.
     pub fn access_sized(&mut self, addr: u64, kind: AccessKind, arrival: u64, bytes: usize) -> u64 {
-        if kind.is_write() {
-            // Line-granularity wear accounting: one cell-programming pulse
-            // per accepted write, whether it drains now or via the buffer.
-            self.line_writes
-                .record(addr / self.config.block_bytes as u64);
-        }
-        // Read-priority write buffering: acknowledged writes park in the
-        // buffer; they drain to the banks when the buffer crosses its high
-        // watermark, out of the way of latency-critical reads.
-        if kind.is_write() && self.config.write_buffer_entries > 0 {
-            self.write_buffer.push_back((addr, bytes));
-            self.stats.record(kind, bytes as u64);
-            if self.write_buffer.len() >= self.config.write_buffer_entries {
-                self.drain_write_buffer(arrival, self.config.write_buffer_entries / 2);
-            }
-            return arrival + 1; // accepted immediately
-        }
-        let (ch, bank) = self.map_address(addr);
-        let burst = (bytes as u64)
-            .div_ceil(self.config.bus_bytes_per_cycle as u64)
-            .max(1);
-        let sched = self.channels[ch].access(bank, kind, arrival, &self.timing, burst);
-        self.stats.record(kind, bytes as u64);
+        self.access_batch_sized(std::iter::once(addr), kind, arrival, bytes)
+    }
+
+    /// Schedules one request on its bank, `bus_cycles` long on the data
+    /// bus, and reports it to the tap. Returns its completion cycle.
+    #[inline]
+    fn schedule(&mut self, addr: u64, kind: AccessKind, arrival: u64, bus_cycles: u64) -> u64 {
+        let (ch, bank) = self.map.locate(addr);
+        let sched = self.channels[ch].access(bank, kind, arrival, &self.timing, bus_cycles);
         self.tap.emit(|| Event::NvmAccess {
             kind: obsv_kind(kind),
             channel: ch as u32,
@@ -220,20 +288,10 @@ impl NvmController {
     pub fn drain_write_buffer(&mut self, now: u64, low_watermark: usize) -> u64 {
         let mut done = now;
         while self.write_buffer.len() > low_watermark {
-            let (addr, bytes) = self.write_buffer.pop_front().expect("non-empty");
-            let (ch, bank) = self.map_address(addr);
-            let burst = (bytes as u64)
-                .div_ceil(self.config.bus_bytes_per_cycle as u64)
-                .max(1);
-            let sched = self.channels[ch].access(bank, AccessKind::Write, now, &self.timing, burst);
-            self.tap.emit(|| Event::NvmAccess {
-                kind: psoram_obsv::AccessKind::Write,
-                channel: ch as u32,
-                bank: bank as u32,
-                arrival: now,
-                complete: sched.complete,
-            });
-            done = done.max(sched.complete);
+            let Some((addr, bus_cycles)) = self.write_buffer.pop_front() else {
+                break;
+            };
+            done = done.max(self.schedule(addr, AccessKind::Write, now, bus_cycles));
             self.drained_writes += 1;
         }
         done
@@ -264,7 +322,8 @@ impl NvmController {
         self.access_batch_sized(addrs, kind, arrival, block)
     }
 
-    /// [`NvmController::access_batch`] with an explicit per-access size.
+    /// [`NvmController::access_batch`] with an explicit per-access size:
+    /// one burst of same-kind, same-size requests, scheduled in order.
     pub fn access_batch_sized(
         &mut self,
         addrs: impl IntoIterator<Item = u64>,
@@ -272,10 +331,39 @@ impl NvmController {
         arrival: u64,
         bytes: usize,
     ) -> u64 {
+        let bus_cycles = (bytes as u64)
+            .div_ceil(self.config.bus_bytes_per_cycle as u64)
+            .max(1);
+        // Read-priority write buffering: acknowledged writes park in the
+        // buffer; they drain to the banks when the buffer crosses its high
+        // watermark, out of the way of latency-critical reads.
+        let buffer_entries = match kind {
+            AccessKind::Write => self.config.write_buffer_entries,
+            AccessKind::Read => 0,
+        };
         let mut done = arrival;
+        let mut requests = 0u64;
         for addr in addrs {
-            done = done.max(self.access_sized(addr, kind, arrival, bytes));
+            requests += 1;
+            if kind.is_write() {
+                // Line-granularity wear accounting: one cell-programming
+                // pulse per accepted write, whether it drains now or via
+                // the buffer.
+                if let Some(lines) = &mut self.line_writes {
+                    lines.record(self.map.line(addr));
+                }
+            }
+            if buffer_entries > 0 {
+                self.write_buffer.push_back((addr, bus_cycles));
+                if self.write_buffer.len() >= buffer_entries {
+                    self.drain_write_buffer(arrival, buffer_entries / 2);
+                }
+                done = arrival + 1; // accepted immediately
+            } else {
+                done = done.max(self.schedule(addr, kind, arrival, bus_cycles));
+            }
         }
+        self.stats.record_burst(kind, requests, bytes as u64);
         done
     }
 
@@ -306,26 +394,33 @@ impl NvmController {
 
     /// The `n` most-written lines as `(line, writes)`, hottest first
     /// (ties break toward the lowest line). Deterministic: the listing is
-    /// sorted on every query.
+    /// sorted on every query. Empty unless [`Self::count_lines`] armed
+    /// the counters.
     pub fn hottest_lines(&self, n: usize) -> Vec<(u64, u64)> {
-        let mut all: Vec<(u64, u64)> = self.line_writes.iter().collect();
+        let mut all: Vec<(u64, u64)> = self
+            .line_writes
+            .iter()
+            .flat_map(LineCounters::iter)
+            .collect();
         all.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(n);
         all
     }
 
-    /// Distinct lines written at least once.
+    /// Distinct lines written at least once since [`Self::count_lines`].
     pub fn lines_touched(&self) -> u64 {
-        self.line_writes.touched()
+        self.line_writes.as_ref().map_or(0, LineCounters::touched)
     }
 
-    /// Snapshot of the controller's wear skew: per-bank counts plus the
-    /// `hot_n` hottest lines, publishable into a metrics registry.
+    /// Snapshot of the controller's wear skew: per-bank counts plus, when
+    /// lines are counted, the `hot_n` hottest of them; publishable into a
+    /// metrics registry.
     pub fn wear_report(&self, hot_n: usize) -> NvmWearReport {
         let hottest_lines = self.hottest_lines(hot_n);
         let max_line_writes = hottest_lines.first().map_or(0, |&(_, w)| w);
         NvmWearReport {
             bank_writes: self.wear_map(),
+            lines_counted: self.line_writes.is_some(),
             hottest_lines,
             lines_touched: self.lines_touched(),
             max_line_writes,
@@ -348,13 +443,18 @@ impl NvmController {
 }
 
 /// A deterministic snapshot of NVM wear skew: per-bank lifetime write
-/// counts plus the hottest lines, publishable through the metrics
+/// counts plus (from a controller that counts them) the hottest lines,
+/// publishable through the metrics
 /// registry so `--metrics-out` snapshots show where the wear sits (the
 /// raw [`NvmController::wear_map`] used to be reachable only from code).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NvmWearReport {
     /// Per-channel, per-bank lifetime write counts.
     pub bank_writes: Vec<Vec<u64>>,
+    /// Whether the controller counts lines at all
+    /// ([`NvmController::count_lines`]); the three fields below are
+    /// measurements only when it does, and only then published.
+    pub lines_counted: bool,
     /// The hottest lines as `(line, writes)`, hottest first.
     pub hottest_lines: Vec<(u64, u64)>,
     /// Distinct lines written at least once.
@@ -370,6 +470,9 @@ impl psoram_obsv::MetricsSource for NvmWearReport {
             for (b, &writes) in banks.iter().enumerate() {
                 reg.set_gauge(&R::key(prefix, &format!("bank.c{c}.b{b}")), writes as f64);
             }
+        }
+        if !self.lines_counted {
+            return;
         }
         for (i, &(line, writes)) in self.hottest_lines.iter().enumerate() {
             reg.set_gauge(&R::key(prefix, &format!("hot.{i}.line")), line as f64);
@@ -453,6 +556,7 @@ mod tests {
     #[test]
     fn line_wear_tracks_hot_lines_deterministically() {
         let mut mem = NvmController::new(NvmConfig::paper_pcm(2));
+        mem.count_lines();
         for _ in 0..5 {
             mem.access(0x40, AccessKind::Write, 0);
         }
@@ -471,10 +575,62 @@ mod tests {
     }
 
     #[test]
+    fn an_unarmed_controller_counts_no_lines_and_publishes_no_line_gauges() {
+        let mut mem = NvmController::new(NvmConfig::paper_pcm(2));
+        for i in 0..32u64 {
+            mem.access(i * 64, AccessKind::Write, 0);
+        }
+        assert_eq!(mem.lines_touched(), 0);
+        assert!(mem.hottest_lines(8).is_empty());
+        let report = mem.wear_report(8);
+        assert!(!report.lines_counted);
+        assert_eq!(report.bank_writes.iter().flatten().sum::<u64>(), 32);
+        let mut reg = psoram_obsv::MetricsRegistry::new();
+        reg.publish("nvm.wear", &report);
+        assert_eq!(reg.gauge("nvm.wear.bank.c0.b0"), Some(2.0), "the bank map");
+        assert_eq!(reg.gauge("nvm.wear.lines_touched"), None);
+        assert_eq!(reg.gauge("nvm.wear.max_line_writes"), None);
+        assert_eq!(reg.gauge("nvm.wear.hot.0.writes"), None);
+    }
+
+    #[test]
+    fn lines_count_from_the_arming_call_and_arming_twice_resets_nothing() {
+        let mut mem = NvmController::new(NvmConfig::paper_pcm(1));
+        mem.access(0x40, AccessKind::Write, 0); // before arming: not counted
+        mem.count_lines();
+        assert_eq!(mem.lines_touched(), 0);
+        mem.access(0x40, AccessKind::Write, 0);
+        mem.access(0x80, AccessKind::Write, 0);
+        mem.count_lines();
+        assert_eq!(mem.hottest_lines(8), vec![(1, 1), (2, 1)]);
+        mem.access(0x80, AccessKind::Write, 0);
+        assert_eq!(mem.hottest_lines(8), vec![(2, 2), (1, 1)]);
+        let report = mem.wear_report(1);
+        assert!(report.lines_counted);
+        assert_eq!((report.lines_touched, report.max_line_writes), (2, 2));
+    }
+
+    #[test]
+    fn a_clone_of_an_armed_controller_carries_its_counts() {
+        let mut mem = NvmController::new(NvmConfig::paper_pcm(2));
+        mem.count_lines();
+        mem.access(0x40, AccessKind::Write, 0);
+        let mut copy = mem.clone();
+        copy.access(0x40, AccessKind::Write, 0);
+        assert_eq!(mem.hottest_lines(8), vec![(1, 1)]);
+        assert_eq!(
+            copy.hottest_lines(8),
+            vec![(1, 2)],
+            "armed, and counting on"
+        );
+    }
+
+    #[test]
     fn buffered_writes_wear_lines_at_acceptance() {
         let mut cfg = NvmConfig::paper_pcm(1);
         cfg.write_buffer_entries = 16;
         let mut mem = NvmController::new(cfg);
+        mem.count_lines();
         for _ in 0..3 {
             mem.access(0, AccessKind::Write, 0);
         }
@@ -497,6 +653,89 @@ mod tests {
         // Timing state survives: the same bank is still busy.
         let t2 = mem.access(0, AccessKind::Write, 0);
         assert!(t2 > t1);
+    }
+
+    #[test]
+    fn validate_names_the_zero_field() {
+        let zeroed = |zero: fn(&mut NvmConfig)| {
+            let mut cfg = NvmConfig::paper_pcm(2);
+            zero(&mut cfg);
+            cfg.validate()
+        };
+        assert_eq!(NvmConfig::paper_pcm(2).validate(), Ok(()));
+        assert_eq!(
+            zeroed(|c| c.channels = 0),
+            Err(NvmConfigError::ZeroChannels)
+        );
+        assert_eq!(
+            zeroed(|c| c.banks_per_channel = 0),
+            Err(NvmConfigError::ZeroBanksPerChannel)
+        );
+        assert_eq!(
+            zeroed(|c| c.block_bytes = 0),
+            Err(NvmConfigError::ZeroBlockBytes)
+        );
+        assert_eq!(
+            zeroed(|c| c.bus_bytes_per_cycle = 0),
+            Err(NvmConfigError::ZeroBusBytesPerCycle)
+        );
+        assert_eq!(
+            zeroed(|c| c.interleave_blocks = 0),
+            Err(NvmConfigError::ZeroInterleaveBlocks)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "channels must be at least 1")]
+    fn zero_channels_rejected_at_construction() {
+        let _ = NvmController::new(NvmConfig::paper_pcm(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "banks_per_channel must be at least 1")]
+    fn zero_banks_rejected_at_construction() {
+        let _ = NvmController::new(NvmConfig {
+            banks_per_channel: 0,
+            ..NvmConfig::paper_pcm(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "block_bytes must be at least 1")]
+    fn zero_block_bytes_rejected_at_construction() {
+        let _ = NvmController::new(NvmConfig {
+            block_bytes: 0,
+            ..NvmConfig::paper_pcm(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "bus_bytes_per_cycle must be at least 1")]
+    fn zero_bus_width_rejected_at_construction() {
+        let _ = NvmController::new(NvmConfig {
+            bus_bytes_per_cycle: 0,
+            ..NvmConfig::paper_pcm(1)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "interleave_blocks must be at least 1")]
+    fn zero_interleave_rejected_at_construction() {
+        let _ = NvmController::new(NvmConfig {
+            interleave_blocks: 0,
+            ..NvmConfig::paper_pcm(1)
+        });
+    }
+
+    #[test]
+    fn an_empty_burst_completes_at_arrival_and_counts_nothing() {
+        let mut mem = NvmController::new(NvmConfig::paper_pcm(2));
+        assert_eq!(
+            mem.access_batch(std::iter::empty(), AccessKind::Write, 77),
+            77
+        );
+        assert_eq!(*mem.stats(), NvmStats::default());
+        assert_eq!(mem.last_activity(), 0);
     }
 
     #[test]

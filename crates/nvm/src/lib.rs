@@ -33,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod address;
 mod bank;
 mod channel;
 mod controller;
@@ -45,7 +46,7 @@ mod timing;
 pub mod wear;
 pub mod wpq;
 
-pub use controller::{NvmConfig, NvmController, NvmWearReport};
+pub use controller::{NvmConfig, NvmConfigError, NvmController, NvmWearReport};
 pub use fault::{FaultClass, FaultConfig, FaultPlan, FaultStats, ReadFault, RoundFate};
 pub use onchip::OnChipNvmModel;
 pub use request::AccessKind;

@@ -1,14 +1,29 @@
-//! Per-line lifetime write counters, paged.
+//! Per-line write counters, paged.
 //!
-//! Every accepted NVM write bumps one counter, and an ORAM path write-back
-//! bumps ~70 of them in ascending address order, so the counters sit in
-//! small pages of neighbouring lines: one hash probe finds a page, and a
-//! memo of the page written last serves the rest of the run.
+//! An instrument of the endurance adversary: the only readers of this
+//! table are the wear reports a controller with an armed `WearEngine`
+//! publishes (`nvm.wear.hot.*`, `lines_touched`, `max_line_writes`), so
+//! the table exists from [`crate::NvmController::count_lines`] on — the
+//! ORAM controllers call it beside arming the engine — and a controller
+//! nobody armed counts nothing. What it counts, once armed, is every
+//! write the controller *accepts* (at acceptance, whether it drains now
+//! or through the write buffer), by logical line: dummies and PosMap
+//! entries included. (The `WearEngine` keeps its own map of *physical*
+//! lines for drained real units; the lifetime campaigns read that one.)
+//!
+//! An ORAM path write-back bumps ~70 counters in ascending address
+//! order, so the counters sit in small pages of neighbouring lines: one
+//! hash probe finds a page, and a memo of the page written last serves
+//! the rest of the run.
 //!
 //! The pages hang off a *hash map*, not an indexed directory: line numbers
 //! come from caller-supplied addresses (`System` feeds raw trace addresses
 //! to the DRAM reference), so nothing bounds them and a directory sized by
 //! the highest line seen could be made arbitrarily large from outside.
+//! The table's cost (1.8 µs of a 10.3 µs plain L=16 access when every
+//! controller kept one) is cache misses, not hashing — a multiplicative
+//! hasher moved it 2.55 → 2.50 µs, a dense `Vec<u32>` still cost 1.5 µs
+//! (DESIGN.md §9) — which is why it is armed rather than tuned.
 
 use std::collections::HashMap;
 
@@ -22,7 +37,7 @@ struct Page {
     writes: [u64; LINES_PER_PAGE],
 }
 
-/// Lifetime write counts per line.
+/// Write counts per line, since the table was built.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LineCounters {
     /// Page number → position in `pages`.

@@ -24,14 +24,19 @@ pub struct NvmStats {
 impl NvmStats {
     /// Records one access of `bytes` bytes.
     pub fn record(&mut self, kind: AccessKind, bytes: u64) {
+        self.record_burst(kind, 1, bytes);
+    }
+
+    /// Records `requests` accesses of `bytes` bytes each.
+    pub fn record_burst(&mut self, kind: AccessKind, requests: u64, bytes: u64) {
         match kind {
             AccessKind::Read => {
-                self.reads += 1;
-                self.read_bytes += bytes;
+                self.reads += requests;
+                self.read_bytes += requests * bytes;
             }
             AccessKind::Write => {
-                self.writes += 1;
-                self.write_bytes += bytes;
+                self.writes += requests;
+                self.write_bytes += requests * bytes;
             }
         }
     }

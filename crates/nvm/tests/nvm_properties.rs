@@ -1,9 +1,30 @@
 //! Property-based tests for the NVM timing model, the persistence domain,
 //! and the wear leveler.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
+use psoram_obsv::{RingBufferRecorder, Tap};
 
 use psoram_nvm::{AccessKind, NvmConfig, NvmController, StartGap, Wpq, WpqEntry};
+
+/// The paper's PCM over an arbitrary geometry.
+fn geometry(channels: usize, interleave_blocks: u64, banks: usize, buffer: usize) -> NvmConfig {
+    NvmConfig {
+        banks_per_channel: banks,
+        interleave_blocks,
+        write_buffer_entries: buffer,
+        ..NvmConfig::paper_pcm(channels)
+    }
+}
+
+fn kind_of(is_write: bool) -> AccessKind {
+    if is_write {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -53,6 +74,7 @@ proptest! {
         hot_n in 0usize..12,
     ) {
         let mut nvm = NvmController::new(NvmConfig::paper_pcm(2));
+        nvm.count_lines();
         let mut model: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
         for (is_write, region, near, anywhere, shape) in accesses {
             let addr = match shape {
@@ -89,6 +111,85 @@ proptest! {
         prop_assert_eq!((c1, b1), (c2, b2));
         prop_assert!(c1 < channels);
         prop_assert!(b1 < 8);
+    }
+
+    /// The shift-and-mask address map is the plain `/`-`%` formula, for
+    /// power-of-two and other geometries alike.
+    #[test]
+    fn address_mapping_is_the_division_formula(
+        addr in any::<u64>(),
+        channels in prop::sample::select(vec![1u64, 2, 3, 4]),
+        interleave in prop::sample::select(vec![1u64, 3, 4]),
+        banks in prop::sample::select(vec![1u64, 8]),
+        block_bytes in prop::sample::select(vec![64u64, 96]),
+    ) {
+        let mut cfg = geometry(channels as usize, interleave, banks as usize, 0);
+        cfg.block_bytes = block_bytes as usize;
+        let nvm = NvmController::new(cfg);
+        let block = addr / block_bytes;
+        let group = block / interleave;
+        let local = group / channels * interleave + block % interleave;
+        prop_assert_eq!(
+            nvm.map_address(addr),
+            ((group % channels) as usize, (local % banks) as usize)
+        );
+    }
+
+    /// A burst is its requests one at a time: two clones of one warmed
+    /// controller, one fed bursts through `access_batch_sized`, one fed
+    /// the same requests through `access_sized`, agree on every completion
+    /// cycle, every statistic, the wear they count and the `NvmAccess`
+    /// events they emit, in order — whatever the geometry, with and
+    /// without the write buffer, with repeated and colliding addresses,
+    /// empty bursts, and arrivals on either side of the last activity.
+    #[test]
+    fn burst_matches_the_per_request_oracle(
+        channels in prop::sample::select(vec![1usize, 2, 3, 4]),
+        interleave in prop::sample::select(vec![1u64, 3, 4]),
+        banks in prop::sample::select(vec![1usize, 8]),
+        buffer in prop::sample::select(vec![0usize, 8]),
+        warmup in prop::collection::vec((any::<bool>(), 0u64..48), 0..40),
+        bursts in prop::collection::vec(
+            (
+                any::<bool>(),
+                prop::sample::select(vec![8usize, 64]),
+                0u64..3000,
+                prop::collection::vec((0u64..48, 0u64..64), 0..24),
+            ),
+            1..6,
+        ),
+    ) {
+        let mut warmed = NvmController::new(geometry(channels, interleave, banks, buffer));
+        warmed.count_lines();
+        for (is_write, block) in warmup {
+            warmed.access(block * 64, kind_of(is_write), 0);
+        }
+        let (mut burst, mut oracle) = (warmed.clone(), warmed);
+        let (burst_events, oracle_events) = (
+            Arc::new(RingBufferRecorder::new(4096)),
+            Arc::new(RingBufferRecorder::new(4096)),
+        );
+        burst.set_tap(Tap::attached(burst_events.clone()));
+        oracle.set_tap(Tap::attached(oracle_events.clone()));
+
+        for (is_write, bytes, arrival, requests) in bursts {
+            let kind = kind_of(is_write);
+            let addrs = requests.iter().map(|&(block, offset)| block * 64 + offset);
+            let done = burst.access_batch_sized(addrs.clone(), kind, arrival, bytes);
+            let folded = addrs.fold(arrival, |done, addr| {
+                done.max(oracle.access_sized(addr, kind, arrival, bytes))
+            });
+            prop_assert_eq!(done, folded);
+        }
+        prop_assert_eq!(burst.stats(), oracle.stats());
+        prop_assert_eq!(burst.wear_map(), oracle.wear_map());
+        prop_assert_eq!(burst.total_bus_busy_cycles(), oracle.total_bus_busy_cycles());
+        prop_assert_eq!(burst.last_activity(), oracle.last_activity());
+        prop_assert_eq!(burst.drained_writes(), oracle.drained_writes());
+        prop_assert_eq!(burst.write_buffer_len(), oracle.write_buffer_len());
+        prop_assert_eq!(burst.hottest_lines(usize::MAX), oracle.hottest_lines(usize::MAX));
+        prop_assert_eq!(burst_events.events(), oracle_events.events());
+        prop_assert_eq!(burst_events.dropped(), 0);
     }
 
     /// WPQ crash semantics: exactly the committed prefix survives, in

@@ -30,13 +30,14 @@
 //!   rollback to genesis), or `Clean`.
 //!
 //! The slots of a bucket (of a path, of a round) are MACed independently,
-//! so the layer works on many at a time: [`CounterTree::bump_slots`],
-//! [`AuthTags::record_slots`] and [`AuthTags::verdict_slots`] frame up to
-//! [`LANES`] units on the stack and send them through
-//! [`Cmac::tag_lanes`] together. The one-unit calls (`bump_slot`,
-//! `record_slot`, `verdict_slot`, `classify_served_slot`) are the same
-//! code with one lane occupied, and every tag, digest and root is the
-//! RFC 4493 output it always was.
+//! and the layer reads a path as a path: [`AuthTags::record_slots`] and
+//! [`AuthTags::verdict_slots`] stream the units they are handed — a
+//! bucket's row of counters and records resolved once per run of its
+//! slots, each unit framed on the stack where [`Cmac::tag_lanes`] reads
+//! it, its payload borrowed where it lies — and MAC, judge and store them
+//! [`LANES`] at a time. The one-unit calls (`bump_slot`, `record_slot`,
+//! `verdict_slot`, `classify_served_slot`) are the same code over one
+//! unit, and every tag, digest and root is the RFC 4493 output it always was.
 //!
 //! The temporary PosMap seal is unchanged from PR-5: it models an on-chip
 //! rolling seal and is not replayable in this model.
@@ -135,32 +136,18 @@ fn payload_of(content: Option<BlockRef<'_>>) -> &[u8] {
     content.map_or(&[], |b| b.payload)
 }
 
-/// Hands `each` the items of `units` in runs of up to [`LANES`], gathered
-/// on the stack.
-fn in_lanes<T: Copy + Default>(units: impl IntoIterator<Item = T>, mut each: impl FnMut(&[T])) {
-    let mut run = [T::default(); LANES];
-    let mut n = 0;
-    for unit in units {
-        run[n] = unit;
-        n += 1;
-        if n == LANES {
-            each(&run);
-            n = 0;
-        }
-    }
-    if n > 0 {
-        each(&run[..n]);
-    }
+/// The tags of the first `n` messages — `heads[i]` followed by `tails[i]`
+/// — MACed side by side.
+fn tag_framed<const B: usize>(
+    cmac: &Cmac,
+    (heads, tails): (&[Frame<B>; LANES], &[&[u8]; LANES]),
+    n: usize,
+) -> [[u8; 16]; LANES] {
+    let msgs: [(&Frame<B>, &[u8]); LANES] = std::array::from_fn(|i| (&heads[i], tails[i]));
+    let mut tags = [[0u8; 16]; LANES];
+    cmac.tag_lanes(&msgs[..n], &mut tags[..n]);
+    tags
 }
-
-/// A slot as served: its coordinates, the content read, and the record
-/// that came with it (`None`: no record was found).
-type ServedUnit<'a> = (
-    BucketIndex,
-    usize,
-    Option<BlockRef<'a>>,
-    Option<&'a UnitMeta>,
-);
 
 /// A stale snapshot the adversary re-serves on the fetch wire: the
 /// unit's coordinates plus the `(content, record)` pair as they stood
@@ -260,6 +247,22 @@ impl FreshnessStats {
     }
 }
 
+/// What the freshness layer keeps per tree slot, side by side in one host
+/// row — on both sides of the modelled trust boundary (DESIGN.md §11):
+/// `ctr` and `folded` are the on-chip counter tree's, written by a bump
+/// alone; `rec` is the record stored off chip beside the data, which the
+/// adversary's hooks ([`AuthTags::set_slot_record`]) rewrite at will.
+#[derive(Debug, Clone, Copy, Default)]
+struct SlotRow {
+    /// The trusted version counter; 0 = never written, the unit is not
+    /// tracked (whatever `rec` was planted beside it).
+    ctr: u64,
+    /// The digest of `(unit, ctr)` currently folded into the level
+    /// aggregate, so a bump XORs it out without recomputing it.
+    folded: u128,
+    rec: Option<UnitMeta>,
+}
+
 /// The on-chip trusted freshness anchor: per-unit monotonic version
 /// counters aggregated into one root digest.
 ///
@@ -274,9 +277,9 @@ impl FreshnessStats {
 #[derive(Debug, Clone)]
 pub struct CounterTree {
     cmac: Cmac,
-    /// Per tree slot: the counter and the digest currently folded into
-    /// its level aggregate, so a bump XORs it out without recomputing it.
-    slots: UnitTable<(u64, u128)>,
+    /// Per tree slot: the counter and its folded digest, with the
+    /// off-chip record [`AuthTags`] keeps beside them.
+    slots: UnitTable<SlotRow>,
     /// Per PosMap address: same pair, folded into `posmap_agg`.
     posmap: HashMap<u64, (u64, u128)>,
     levels: Vec<u128>,
@@ -325,46 +328,81 @@ impl CounterTree {
     /// Bumps the counter of tree slot `(bucket, slot)` and returns the
     /// new value. O(1): only the slot's level aggregate changes.
     pub fn bump_slot(&mut self, bucket: u64, slot: usize) -> u64 {
-        let mut ctr = [0];
-        self.bump_slots(&[(bucket, slot)], &mut ctr);
-        ctr[0]
+        self.write_slots([(bucket, slot, None)], false)
     }
 
     /// Bumps the counter of every `(bucket, slot)` of `units`, in order,
-    /// writing the new values to `ctrs`: exactly a [`Self::bump_slot`] per
-    /// unit (a unit listed twice is bumped twice), with the digests
-    /// computed up to [`Cmac::LANES`] at a time.
+    /// writing the new values to `ctrs`: a [`Self::bump_slot`] per unit (a
+    /// unit listed twice is bumped twice).
     ///
     /// # Panics
     ///
     /// Panics if `units` and `ctrs` differ in length.
     pub fn bump_slots(&mut self, units: &[(u64, usize)], ctrs: &mut [u64]) {
         assert_eq!(units.len(), ctrs.len(), "one counter per unit");
-        for (units, ctrs) in units.chunks(LANES).zip(ctrs.chunks_mut(LANES)) {
+        for (&(bucket, slot), ctr) in units.iter().zip(ctrs) {
+            *ctr = self.bump_slot(bucket, slot);
+        }
+    }
+
+    /// The write pass, the only code that moves a slot's counter: every
+    /// unit of `units`, in order, is bumped, its digest folded into its
+    /// level aggregate and — when `record` is set — a fresh record over
+    /// its `content` stored beside the counter. Units stream through
+    /// [`LANES`] at a time (counter and frames as they arrive, digests
+    /// and tags MACed side by side, fold and store), a bucket's row
+    /// resolved once per run of its slots. Returns the last new counter.
+    fn write_slots<'a>(
+        &mut self,
+        units: impl IntoIterator<Item = SlotUnit<'a>>,
+        record: bool,
+    ) -> u64 {
+        let mut units = units.into_iter();
+        let mut last = 0;
+        let mut lanes = [(0, 0, 0); LANES];
+        let mut digests = [DigestFrame::new(); LANES];
+        let mut heads = [SlotFrame::new(); LANES];
+        let mut tails: [&[u8]; LANES] = [&[]; LANES];
+        loop {
             // Counters first, so a repeated unit sees its earlier bump.
-            let mut frames = [DigestFrame::new(); LANES];
-            for ((&(bucket, slot), ctr), frame) in units.iter().zip(&mut *ctrs).zip(&mut frames) {
-                let unit = self.slots.cell_mut(bucket, slot);
-                let (prev, folded) = unit.unwrap_or((0, 0));
-                *ctr = prev + 1;
-                *unit = Some((*ctr, folded));
-                *frame = Self::slot_digest_frame(bucket, slot, *ctr);
+            let mut n = 0;
+            let (mut of, mut row): (_, &mut [SlotRow]) = (None, &mut []);
+            for (bucket, slot, content) in units.by_ref().take(LANES) {
+                if of != Some(bucket) || row.len() <= slot {
+                    (of, row) = (Some(bucket), self.slots.row_mut(bucket, slot + 1));
+                }
+                row[slot].ctr += 1;
+                last = row[slot].ctr;
+                lanes[n] = (bucket, slot, last);
+                digests[n] = Self::slot_digest_frame(bucket, slot, last);
+                if record {
+                    heads[n] = slot_frame(((bucket, slot as u64), last, content));
+                    tails[n] = payload_of(content);
+                }
+                n += 1;
             }
-            let msgs: [(&DigestFrame, &[u8]); LANES] =
-                std::array::from_fn(|i| (&frames[i], &[][..]));
-            let mut digests = [[0u8; 16]; LANES];
-            self.cmac
-                .tag_lanes(&msgs[..units.len()], &mut digests[..units.len()]);
-            // Fold: each unit's previously folded digest out, its new one in.
-            for (&(bucket, slot), digest) in units.iter().zip(digests) {
+            if n == 0 {
+                return last;
+            }
+            let folds = tag_framed(&self.cmac, (&digests, &[&[]; LANES]), n);
+            let tags = tag_framed(&self.cmac, (&heads, &tails), if record { n } else { 0 });
+            // Fold: each unit's previously folded digest out, its new one
+            // in; the record beside it.
+            let (mut of, mut row): (_, &mut [SlotRow]) = (None, &mut []);
+            for ((&(bucket, slot, ctr), fold), tag) in lanes[..n].iter().zip(folds).zip(tags) {
+                if of != Some(bucket) || row.len() <= slot {
+                    (of, row) = (Some(bucket), self.slots.row_mut(bucket, slot + 1));
+                }
                 let level = Self::level_of(bucket);
                 if self.levels.len() <= level {
                     self.levels.resize(level + 1, 0);
                 }
-                if let Some((_, folded)) = self.slots.cell_mut(bucket, slot) {
-                    let digest = u128::from_le_bytes(digest);
-                    self.levels[level] ^= *folded ^ digest;
-                    *folded = digest;
+                let digest = u128::from_le_bytes(fold);
+                self.levels[level] ^= row[slot].folded ^ digest;
+                row[slot].folded = digest;
+                if record {
+                    let src = (bucket, slot as u64);
+                    row[slot].rec = Some(UnitMeta { ctr, src, tag });
                 }
             }
         }
@@ -384,7 +422,8 @@ impl CounterTree {
 
     /// The trusted counter of a tree slot, if the slot was ever written.
     pub fn slot_ctr(&self, bucket: u64, slot: usize) -> Option<u64> {
-        self.slots.get(bucket, slot).map(|&(ctr, _)| ctr)
+        let ctr = self.slots.get(bucket, slot)?.ctr;
+        (ctr != 0).then_some(ctr)
     }
 
     /// The trusted counter of a PosMap address, if it was ever persisted.
@@ -394,7 +433,7 @@ impl CounterTree {
 
     /// All tracked slots in deterministic (sorted) order.
     pub fn tracked_slots_sorted(&self) -> Vec<(u64, usize)> {
-        self.slots.units_sorted()
+        self.slots.units_sorted(|row| row.ctr != 0)
     }
 
     /// All tracked PosMap addresses in deterministic (sorted) order.
@@ -430,6 +469,9 @@ impl CounterTree {
     }
 }
 
+/// A tree slot as it stood before a write: its `(content, record)` pair.
+type Snapshot = (Option<Block>, Option<UnitMeta>);
+
 /// The adversary's snapshot store: for each unit, the `(content, record)`
 /// pair that was current *before* the most recent write.
 ///
@@ -441,20 +483,14 @@ impl CounterTree {
 /// replay at all (`FaultConfig::replays_stale_units`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UnitHistory {
-    slots: UnitTable<(Option<Block>, Option<UnitMeta>)>,
+    slots: UnitTable<Option<Snapshot>>,
     posmap: HashMap<u64, (Leaf, Option<UnitMeta>)>,
 }
 
 impl UnitHistory {
     /// Records the pre-write state of a tree slot.
-    pub fn note_slot(
-        &mut self,
-        bucket: BucketIndex,
-        slot: usize,
-        prev_content: Option<Block>,
-        prev_meta: Option<UnitMeta>,
-    ) {
-        *self.slots.cell_mut(bucket, slot) = Some((prev_content, prev_meta));
+    pub fn note_slot(&mut self, bucket: BucketIndex, slot: usize, previous: Snapshot) {
+        *self.slots.cell_mut(bucket, slot) = Some(previous);
     }
 
     /// The fetch-wire replay of the adversary's `pick`: among the units
@@ -475,12 +511,8 @@ impl UnitHistory {
     }
 
     /// The recorded prior version of a tree slot, if any.
-    pub fn slot(
-        &self,
-        bucket: BucketIndex,
-        slot: usize,
-    ) -> Option<&(Option<Block>, Option<UnitMeta>)> {
-        self.slots.get(bucket, slot)
+    pub fn slot(&self, bucket: BucketIndex, slot: usize) -> Option<&Snapshot> {
+        self.slots.get(bucket, slot)?.as_ref()
     }
 
     /// Records the pre-write state of a persisted PosMap entry.
@@ -494,55 +526,60 @@ impl UnitHistory {
     }
 }
 
-/// The verification front end: off-chip per-unit records plus the
-/// on-chip trusted [`CounterTree`].
+/// The verification front end over the on-chip trusted [`CounterTree`]
+/// and the off-chip per-unit records kept in its rows.
 #[derive(Debug, Clone)]
 pub(crate) struct AuthTags {
-    cmac: Cmac,
     ctrs: CounterTree,
-    slots: UnitTable<UnitMeta>,
     posmap: HashMap<u64, UnitMeta>,
     temp_seal: Option<[u8; 16]>,
+}
+
+/// The verdict ladder, worst evidence first, for the unit of identity
+/// `at` (a slot's `(bucket, slot)`, a PosMap entry's `(addr, 0)`): `rec`
+/// is the record found with it, `tag` the MAC recomputed over what that
+/// record claims to cover, `trusted` the on-chip counter.
+fn judge(
+    at: (u64, u64),
+    rec: Option<&UnitMeta>,
+    trusted: Option<u64>,
+    tag: Option<&[u8; 16]>,
+) -> FreshnessVerdict {
+    match (rec, tag) {
+        (None, _) if trusted.is_some() => FreshnessVerdict::Missing,
+        (None, _) => FreshnessVerdict::Clean,
+        (Some(m), Some(tag)) if Cmac::tags_match(tag, &m.tag) => {
+            if m.src != at {
+                FreshnessVerdict::Spliced
+            } else if Some(m.ctr) != trusted {
+                FreshnessVerdict::Stale
+            } else {
+                FreshnessVerdict::Clean
+            }
+        }
+        _ => FreshnessVerdict::Tampered,
+    }
 }
 
 impl AuthTags {
     /// Creates an empty store keyed with `key`.
     pub fn new(key: &[u8; 16]) -> Self {
         AuthTags {
-            cmac: Cmac::new(Aes128::new(key)),
             ctrs: CounterTree::new(key),
-            slots: UnitTable::default(),
             posmap: HashMap::new(),
             temp_seal: None,
         }
     }
 
-    /// The tags of up to [`LANES`] slot claims, MACed side by side: each
-    /// claim framed on the stack, its payload borrowed where it lies.
-    fn slot_tags(&self, claims: &[SlotClaim<'_>], tags: &mut [[u8; 16]]) {
-        let mut frames = [SlotFrame::new(); LANES];
-        for (frame, &claim) in frames.iter_mut().zip(claims) {
-            *frame = slot_frame(claim);
-        }
-        let msgs: [(&SlotFrame, &[u8]); LANES] = std::array::from_fn(|i| {
-            let content = claims.get(i).and_then(|&(_, _, content)| content);
-            (&frames[i], payload_of(content))
-        });
-        self.cmac.tag_lanes(&msgs[..claims.len()], tags);
-    }
-
-    /// The MAC over a PosMap record, ready to `finalize` into a fresh tag
-    /// or `verify` against a stored one:
-    /// `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
-    fn posmap_mac(&self, src: (u64, u64), ctr: u64, leaf: u64) -> CmacStream<'_> {
+    /// The tag of a PosMap record:
+    /// CMAC over `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
+    fn posmap_tag(&self, src: (u64, u64), ctr: u64, leaf: u64) -> [u8; 16] {
         let mut f: Frame<3> = frame(DOMAIN_POSMAP);
         f.word(src.0);
         f.word(src.1);
         f.word(ctr);
         f.word(leaf);
-        let mut s = self.cmac.stream();
-        s.update(f.bytes());
-        s
+        self.ctrs.cmac.tag(f.bytes())
     }
 
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
@@ -551,8 +588,8 @@ impl AuthTags {
         self.record_slots([(bucket, slot, content)]);
     }
 
-    /// Records every unit of `units`, up to [`LANES`] counter digests and
-    /// then as many tags at a time.
+    /// Records every unit of `units`: one counter bump, one digest and
+    /// one tag per unit, [`LANES`] of each at a time.
     ///
     /// The units of one call must be pairwise distinct. The records
     /// themselves would come out right either way (a repeated unit is
@@ -561,34 +598,17 @@ impl AuthTags {
     /// is only the per-unit order when no unit repeats.
     pub fn record_slots<'a>(&mut self, units: impl IntoIterator<Item = SlotUnit<'a>>) {
         #[cfg(debug_assertions)]
-        let mut seen: Vec<(BucketIndex, usize)> = Vec::new();
-        in_lanes(units, |units| {
-            #[cfg(debug_assertions)]
-            for &(bucket, slot, _) in units {
+        let units = {
+            let mut seen: Vec<(BucketIndex, usize)> = Vec::new();
+            units.into_iter().inspect(move |&(bucket, slot, _)| {
                 assert!(
                     !seen.contains(&(bucket, slot)),
                     "a batch records each unit once"
                 );
                 seen.push((bucket, slot));
-            }
-            let mut ids = [(0, 0); LANES];
-            for (id, &(bucket, slot, _)) in ids.iter_mut().zip(units) {
-                *id = (bucket, slot);
-            }
-            let mut ctrs = [0; LANES];
-            self.ctrs
-                .bump_slots(&ids[..units.len()], &mut ctrs[..units.len()]);
-            let mut claims: [SlotClaim<'_>; LANES] = [((0, 0), 0, None); LANES];
-            for ((claim, &(bucket, slot, content)), &ctr) in claims.iter_mut().zip(units).zip(&ctrs)
-            {
-                *claim = ((bucket, slot as u64), ctr, content);
-            }
-            let mut tags = [[0u8; 16]; LANES];
-            self.slot_tags(&claims[..units.len()], &mut tags[..units.len()]);
-            for (&(src, ctr, _), tag) in claims[..units.len()].iter().zip(tags) {
-                *self.slots.cell_mut(src.0, src.1 as usize) = Some(UnitMeta { ctr, src, tag });
-            }
-        });
+            })
+        };
+        self.ctrs.write_slots(units, true);
     }
 
     /// Classifies `(bucket, slot)` against `content`, worst evidence
@@ -600,29 +620,54 @@ impl AuthTags {
         slot: usize,
         content: Option<BlockRef<'_>>,
     ) -> FreshnessVerdict {
-        self.classify_served_slot(bucket, slot, content, self.slots.get(bucket, slot))
+        let stored = self.slot_record(bucket, slot);
+        self.classify_served_slot(bucket, slot, content, stored.as_ref())
     }
 
     /// [`Self::verdict_slot`] over every unit of `units` — a bucket's
     /// slots, a path's, whatever was read together — handing `each` the
-    /// verdicts in order, with the tags recomputed up to [`LANES`] at a
-    /// time.
+    /// verdicts in order. Units stream through [`LANES`] at a time: row
+    /// look-up (once per run of a bucket's slots) and frame as they arrive,
+    /// the records' claims MACed side by side, every unit judged on its own.
     pub fn verdict_slots<'a>(
         &self,
         units: impl IntoIterator<Item = SlotUnit<'a>>,
         mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
     ) {
-        in_lanes(units, |units| {
-            let mut served: [ServedUnit<'_>; LANES] = [(0, 0, None, None); LANES];
-            for (served, &(bucket, slot, content)) in served.iter_mut().zip(units) {
-                *served = (bucket, slot, content, self.slots.get(bucket, slot));
+        let mut units = units.into_iter();
+        let mut lanes: [(BucketIndex, usize, Option<&SlotRow>); LANES] = [(0, 0, None); LANES];
+        let mut heads = [SlotFrame::new(); LANES];
+        let mut tails: [&[u8]; LANES] = [&[]; LANES];
+        let (mut of, mut row): (_, &[SlotRow]) = (None, &[]);
+        loop {
+            // One frame per record found, in unit order.
+            let (mut n, mut claimed) = (0, 0);
+            for (bucket, slot, content) in units.by_ref().take(LANES) {
+                if of != Some(bucket) {
+                    (of, row) = (Some(bucket), self.ctrs.slots.row(bucket));
+                }
+                let stored = row.get(slot);
+                if let Some(m) = stored.and_then(|r| r.rec.as_ref()) {
+                    heads[claimed] = slot_frame((m.src, m.ctr, content));
+                    tails[claimed] = payload_of(content);
+                    claimed += 1;
+                }
+                lanes[n] = (bucket, slot, stored);
+                n += 1;
             }
-            let mut verdicts = [FreshnessVerdict::Clean; LANES];
-            self.classify_lanes(&served[..units.len()], &mut verdicts);
-            for (&(bucket, slot, _), verdict) in units.iter().zip(verdicts) {
+            if n == 0 {
+                return;
+            }
+            let tags = tag_framed(&self.ctrs.cmac, (&heads, &tails), claimed);
+            let mut tags = tags[..claimed].iter();
+            for &(bucket, slot, stored) in &lanes[..n] {
+                let rec = stored.and_then(|r| r.rec.as_ref());
+                let tag = rec.and_then(|_| tags.next());
+                let trusted = stored.map(|r| r.ctr).filter(|&ctr| ctr != 0);
+                let verdict = judge((bucket, slot as u64), rec, trusted, tag);
                 each(bucket, slot, verdict);
             }
-        });
+        }
     }
 
     /// The fetch-path check over the units read together, `served` being
@@ -663,46 +708,14 @@ impl AuthTags {
         content: Option<BlockRef<'_>>,
         rec: Option<&UnitMeta>,
     ) -> FreshnessVerdict {
-        let mut verdict = [FreshnessVerdict::Clean];
-        self.classify_lanes(&[(bucket, slot, content, rec)], &mut verdict);
-        verdict[0]
-    }
-
-    /// The verdict ladder over up to [`LANES`] served units: what each
-    /// record claims to cover is MACed side by side, then every unit is
-    /// judged on its own, worst evidence first.
-    fn classify_lanes(&self, units: &[ServedUnit<'_>], verdicts: &mut [FreshnessVerdict]) {
-        let mut claims: [SlotClaim<'_>; LANES] = [((0, 0), 0, None); LANES];
-        let mut claimed = 0;
-        for &(_, _, content, rec) in units {
-            if let Some(m) = rec {
-                claims[claimed] = (m.src, m.ctr, content);
-                claimed += 1;
-            }
-        }
-        let mut tags = [[0u8; 16]; LANES];
-        self.slot_tags(&claims[..claimed], &mut tags[..claimed]);
-        let mut tags = tags[..claimed].iter();
-        for (&(bucket, slot, _, rec), verdict) in units.iter().zip(verdicts) {
-            let trusted = self.ctrs.slot_ctr(bucket, slot);
-            *verdict = match rec {
-                None if trusted.is_some() => FreshnessVerdict::Missing,
-                None => FreshnessVerdict::Clean,
-                // One recomputed tag per record, in unit order.
-                Some(m) => match tags.next() {
-                    Some(tag) if Cmac::tags_match(tag, &m.tag) => {
-                        if m.src != (bucket, slot as u64) {
-                            FreshnessVerdict::Spliced
-                        } else if Some(m.ctr) != trusted {
-                            FreshnessVerdict::Stale
-                        } else {
-                            FreshnessVerdict::Clean
-                        }
-                    }
-                    _ => FreshnessVerdict::Tampered,
-                },
-            };
-        }
+        let tag = rec.map(|m| {
+            let mut tag = [[0u8; 16]];
+            let msg = [(&slot_frame((m.src, m.ctr, content)), payload_of(content))];
+            self.ctrs.cmac.tag_lanes(&msg, &mut tag);
+            tag[0]
+        });
+        let trusted = self.ctrs.slot_ctr(bucket, slot);
+        judge((bucket, slot as u64), rec, trusted, tag.as_ref())
     }
 
     /// Boolean form of [`AuthTags::verdict_slot`].
@@ -726,32 +739,15 @@ impl AuthTags {
     pub fn record_posmap(&mut self, addr: u64, leaf: u64) {
         let ctr = self.ctrs.bump_posmap(addr);
         let src = (addr, 0);
-        let tag = self.posmap_mac(src, ctr, leaf).finalize();
+        let tag = self.posmap_tag(src, ctr, leaf);
         self.posmap.insert(addr, UnitMeta { ctr, src, tag });
     }
 
     /// Classifies the persisted PosMap entry of `addr` against `leaf`.
     pub fn verdict_posmap(&self, addr: u64, leaf: u64) -> FreshnessVerdict {
-        match self.posmap.get(&addr) {
-            None => {
-                if self.ctrs.posmap_ctr(addr).is_some() {
-                    FreshnessVerdict::Missing
-                } else {
-                    FreshnessVerdict::Clean
-                }
-            }
-            Some(m) => {
-                if !self.posmap_mac(m.src, m.ctr, leaf).verify(&m.tag) {
-                    FreshnessVerdict::Tampered
-                } else if m.src != (addr, 0) {
-                    FreshnessVerdict::Spliced
-                } else if Some(m.ctr) != self.ctrs.posmap_ctr(addr) {
-                    FreshnessVerdict::Stale
-                } else {
-                    FreshnessVerdict::Clean
-                }
-            }
-        }
+        let rec = self.posmap.get(&addr);
+        let tag = rec.map(|m| self.posmap_tag(m.src, m.ctr, leaf));
+        judge((addr, 0), rec, self.ctrs.posmap_ctr(addr), tag.as_ref())
     }
 
     /// Boolean form of [`AuthTags::verdict_posmap`].
@@ -767,13 +763,17 @@ impl AuthTags {
 
     /// The off-chip record of a tree slot (adversary hook).
     pub fn slot_record(&self, bucket: BucketIndex, slot: usize) -> Option<UnitMeta> {
-        self.slots.get(bucket, slot).copied()
+        self.ctrs.slots.get(bucket, slot)?.rec
     }
 
     /// Overwrites (or deletes) the off-chip record of a tree slot
-    /// *without* touching the trusted counter (adversary hook).
+    /// *without* touching the trusted counter (adversary hook): a record
+    /// planted on a never-written slot does not make the unit tracked,
+    /// and deleting where nothing is stored stores nothing.
     pub fn set_slot_record(&mut self, bucket: BucketIndex, slot: usize, rec: Option<UnitMeta>) {
-        *self.slots.cell_mut(bucket, slot) = rec;
+        if rec.is_some() || self.ctrs.slots.get(bucket, slot).is_some() {
+            self.ctrs.slots.cell_mut(bucket, slot).rec = rec;
+        }
     }
 
     /// The off-chip record of a persisted PosMap entry (adversary hook).
@@ -807,7 +807,7 @@ impl AuthTags {
     /// Streams the canonical image of a sorted temp-PosMap entry list,
     /// `count ‖ (addr ‖ leaf)*`, into the seal's MAC.
     fn temp_mac(&self, entries: &[(u64, u64)]) -> CmacStream<'_> {
-        let mut s = self.cmac.stream();
+        let mut s = self.ctrs.cmac.stream();
         s.update(&(entries.len() as u64).to_le_bytes());
         for (a, l) in entries {
             s.update(&a.to_le_bytes());
@@ -823,10 +823,7 @@ impl AuthTags {
 
     /// Verifies the temporary PosMap seal. No seal → clean.
     pub fn verify_temp(&self, entries: &[(u64, u64)]) -> bool {
-        match &self.temp_seal {
-            Some(tag) => self.temp_mac(entries).verify(tag),
-            None => true,
-        }
+        (self.temp_seal).is_none_or(|tag| self.temp_mac(entries).verify(&tag))
     }
 
     /// Clears the temporary PosMap seal (after a wipe).
@@ -1059,8 +1056,8 @@ mod tests {
     #[test]
     fn unit_history_keeps_the_previous_version() {
         let mut h = UnitHistory::default();
-        h.note_slot(3, 1, None, None);
-        h.note_slot(3, 1, Some(blk(5, 1)), None);
+        h.note_slot(3, 1, (None, None));
+        h.note_slot(3, 1, (Some(blk(5, 1)), None));
         let (content, meta) = h.slot(3, 1).cloned().unwrap_or((None, None));
         assert_eq!(content.map(|b| b.payload[0]), Some(1));
         assert!(meta.is_none());
@@ -1127,7 +1124,11 @@ mod tests {
             let frame = CounterTree::slot_digest_frame(bucket, slot, ctr);
             let digest = u128::from_le_bytes(fresh.cmac.tag(frame.bytes()));
             fresh.levels[CounterTree::level_of(bucket)] ^= digest;
-            *fresh.slots.cell_mut(bucket, slot) = Some((ctr, digest));
+            *fresh.slots.cell_mut(bucket, slot) = SlotRow {
+                ctr,
+                folded: digest,
+                rec: None,
+            };
         }
         for addr in tree.tracked_posmap_sorted() {
             let ctr = tree.posmap_ctr(addr).unwrap_or(0);
@@ -1501,6 +1502,260 @@ mod tests {
             );
             use FreshnessVerdict::*;
             assert_eq!(verdicts, [Clean, Tampered, Spliced, Stale, Missing]);
+        }
+
+        /// The freshness layer as it was before counter and record shared
+        /// a row: one map of trusted counters, one of off-chip records,
+        /// every unit on its own, every tag through [`Cmac::tag`].
+        struct TwoMaps {
+            cmac: Cmac,
+            ctrs: HashMap<(u64, usize), u64>,
+            recs: HashMap<(u64, usize), UnitMeta>,
+        }
+
+        impl TwoMaps {
+            fn record(&mut self, (bucket, slot): (u64, usize), content: Option<BlockRef<'_>>) {
+                let ctr = self.ctrs.entry((bucket, slot)).or_insert(0);
+                *ctr += 1;
+                let src = (bucket, slot as u64);
+                let tag = self.cmac.tag(&encoded(src, *ctr, content));
+                self.recs.insert(
+                    (bucket, slot),
+                    UnitMeta {
+                        ctr: *ctr,
+                        src,
+                        tag,
+                    },
+                );
+            }
+
+            fn plant(&mut self, unit: (u64, usize), rec: Option<UnitMeta>) {
+                match rec {
+                    Some(m) => self.recs.insert(unit, m),
+                    None => self.recs.remove(&unit),
+                };
+            }
+
+            fn verdict(
+                &self,
+                unit: (u64, usize),
+                content: Option<BlockRef<'_>>,
+                rec: Option<&UnitMeta>,
+            ) -> FreshnessVerdict {
+                let trusted = self.ctrs.get(&unit).copied();
+                match rec {
+                    None if trusted.is_some() => FreshnessVerdict::Missing,
+                    None => FreshnessVerdict::Clean,
+                    Some(m) if self.cmac.tag(&encoded(m.src, m.ctr, content)) != m.tag => {
+                        FreshnessVerdict::Tampered
+                    }
+                    Some(m) if m.src != (unit.0, unit.1 as u64) => FreshnessVerdict::Spliced,
+                    Some(m) if Some(m.ctr) != trusted => FreshnessVerdict::Stale,
+                    Some(_) => FreshnessVerdict::Clean,
+                }
+            }
+
+            /// The root over the counter map alone, nothing carried over.
+            fn root(&self) -> [u8; 16] {
+                let mut levels: Vec<u128> = Vec::new();
+                for (&(bucket, slot), &ctr) in &self.ctrs {
+                    let level = CounterTree::level_of(bucket);
+                    if levels.len() <= level {
+                        levels.resize(level + 1, 0);
+                    }
+                    let frame = CounterTree::slot_digest_frame(bucket, slot, ctr);
+                    levels[level] ^= u128::from_le_bytes(self.cmac.tag(frame.bytes()));
+                }
+                let mut msg = vec![DOMAIN_ROOT];
+                msg.extend_from_slice(&0u64.to_le_bytes());
+                for level in levels {
+                    msg.extend_from_slice(&level.to_le_bytes());
+                }
+                msg.extend_from_slice(&0u128.to_le_bytes());
+                self.cmac.tag(&msg)
+            }
+        }
+
+        /// The units the sequences below play on: six slots in each of
+        /// two sibling buckets, one a level down and one deep in a tall
+        /// tree.
+        const MERGED_BUCKETS: [u64; 4] = [1, 2, 5, (1 << 20) + 3];
+        const MERGED_SLOTS: usize = 6;
+
+        fn merged_unit() -> impl Strategy<Value = (u64, usize)> {
+            (
+                prop::sample::select(MERGED_BUCKETS.to_vec()),
+                0..MERGED_SLOTS,
+            )
+        }
+
+        /// A slot's content: a dummy, or one of a few small blocks.
+        fn merged_content() -> impl Strategy<Value = Option<Block>> {
+            (any::<bool>(), 0u64..3, 0u8..3, 0usize..20).prop_map(|(real, addr, fill, len)| {
+                real.then(|| Block::new(BlockAddr(addr), Leaf(addr + 1), vec![fill; len]))
+            })
+        }
+
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// `record_slot`.
+            Record((u64, usize), Option<Block>),
+            /// `record_slots` over a ragged batch; a unit may come up
+            /// twice, which only a release build records.
+            RecordBatch(Vec<((u64, usize), Option<Block>)>),
+            /// `set_slot_record(to, slot_record(from))`: a splice between
+            /// units, a record planted on a never-written slot, or (from
+            /// an empty unit) a deletion.
+            Plant {
+                from: (u64, usize),
+                to: (u64, usize),
+            },
+            /// `set_slot_record(unit, None)`.
+            Delete((u64, usize)),
+            /// `verdict_slots` over a batch, `verdict_slot` over its first
+            /// unit.
+            Verdicts(Vec<((u64, usize), Option<Block>)>),
+            /// `classify_served_slot` with the record stored at `rec_of`.
+            Served {
+                unit: (u64, usize),
+                content: Option<Block>,
+                rec_of: (u64, usize),
+            },
+        }
+
+        fn step() -> impl Strategy<Value = Step> {
+            let batch = || proptest::collection::vec((merged_unit(), merged_content()), 1..21);
+            (
+                0u8..12,
+                (merged_unit(), merged_unit()),
+                merged_content(),
+                batch(),
+            )
+                .prop_map(|(kind, (a, b), content, batch)| match kind {
+                    0 | 1 => Step::Record(a, content),
+                    2..=4 => Step::RecordBatch(batch),
+                    5 | 6 => Step::Plant { from: a, to: b },
+                    7 => Step::Delete(a),
+                    8..=10 => Step::Verdicts(batch),
+                    _ => Step::Served {
+                        unit: a,
+                        content,
+                        rec_of: b,
+                    },
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// One row per slot behaves as the two tables did: over random
+            /// sequences of records (single, ragged batches over several
+            /// buckets, a unit repeated in one batch), planted, spliced and
+            /// deleted records, and checks (batched, single, wire-served),
+            /// every verdict, the root, the tracked list and every unit's
+            /// record and counter equal the two-map model's.
+            #[test]
+            fn one_row_per_slot_matches_the_two_table_model(
+                steps in proptest::collection::vec(step(), 1..24),
+            ) {
+                let key = [9u8; 16];
+                let mut tags = AuthTags::new(&key);
+                let mut model = TwoMaps {
+                    cmac: Cmac::new(Aes128::new(&key)),
+                    ctrs: HashMap::new(),
+                    recs: HashMap::new(),
+                };
+                for step in steps {
+                    match step {
+                        Step::Record((bucket, slot), content) => {
+                            let content = content.as_ref().map(Block::view);
+                            tags.record_slot(bucket, slot, content);
+                            model.record((bucket, slot), content);
+                        }
+                        Step::RecordBatch(mut batch) => {
+                            if cfg!(debug_assertions) {
+                                let mut seen = Vec::new();
+                                batch.retain(|&(unit, _)| {
+                                    let first = !seen.contains(&unit);
+                                    seen.push(unit);
+                                    first
+                                });
+                            }
+                            tags.record_slots(batch.iter().map(|((b, s), content)| {
+                                (*b, *s, content.as_ref().map(Block::view))
+                            }));
+                            for (unit, content) in &batch {
+                                model.record(*unit, content.as_ref().map(Block::view));
+                            }
+                        }
+                        Step::Plant { from, to } => {
+                            let rec = tags.slot_record(from.0, from.1);
+                            tags.set_slot_record(to.0, to.1, rec);
+                            model.plant(to, rec);
+                        }
+                        Step::Delete(unit) => {
+                            tags.set_slot_record(unit.0, unit.1, None);
+                            model.plant(unit, None);
+                        }
+                        Step::Verdicts(batch) => {
+                            let mut got = Vec::new();
+                            tags.verdict_slots(
+                                batch.iter().map(|((b, s), content)| {
+                                    (*b, *s, content.as_ref().map(Block::view))
+                                }),
+                                |bucket, slot, verdict| got.push(((bucket, slot), verdict)),
+                            );
+                            let expected: Vec<_> = batch
+                                .iter()
+                                .map(|(unit, content)| {
+                                    let content = content.as_ref().map(Block::view);
+                                    (*unit, model.verdict(*unit, content, model.recs.get(unit)))
+                                })
+                                .collect();
+                            prop_assert_eq!(&got, &expected);
+                            let ((bucket, slot), content) = &batch[0];
+                            let content = content.as_ref().map(Block::view);
+                            prop_assert_eq!(tags.verdict_slot(*bucket, *slot, content), expected[0].1);
+                        }
+                        Step::Served { unit, content, rec_of } => {
+                            let content = content.as_ref().map(Block::view);
+                            let rec = tags.slot_record(rec_of.0, rec_of.1);
+                            prop_assert_eq!(
+                                tags.classify_served_slot(unit.0, unit.1, content, rec.as_ref()),
+                                model.verdict(unit, content, rec.as_ref())
+                            );
+                        }
+                    }
+                    prop_assert_eq!(tags.root(), model.root());
+                    let mut tracked: Vec<_> = model.ctrs.keys().copied().collect();
+                    tracked.sort_unstable();
+                    prop_assert_eq!(tags.tagged_slots_sorted(), tracked);
+                    for bucket in MERGED_BUCKETS {
+                        for slot in 0..MERGED_SLOTS {
+                            let unit = (bucket, slot);
+                            prop_assert_eq!(tags.slot_record(bucket, slot), model.recs.get(&unit).copied());
+                            prop_assert_eq!(tags.ctrs.slot_ctr(bucket, slot), model.ctrs.get(&unit).copied());
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Deleting a record where nothing was ever stored — no row, or a
+        /// row that stops short of the slot — stores nothing.
+        #[test]
+        fn deleting_a_record_on_an_absent_row_allocates_nothing() {
+            let mut t = AuthTags::new(&[8u8; 16]);
+            t.record_slot(4, 1, None);
+            let info = allocation_counter::measure(|| {
+                t.set_slot_record(9, 0, None);
+                t.set_slot_record(1 << 30, 3, None);
+                t.set_slot_record(4, 5, None);
+            });
+            assert_eq!(info.count_total, 0);
+            assert!(t.ctrs.slots.row(9).is_empty());
+            assert_eq!(t.ctrs.slots.row(4).len(), 2);
+            assert_eq!(t.tagged_slots_sorted(), vec![(4, 1)]);
         }
 
         /// Batching moves every snapshot of a round ahead of every record

@@ -1541,6 +1541,8 @@ impl PathOram {
 
 #[cfg(test)]
 mod tests {
+    use psoram_nvm::FaultClass;
+
     use super::*;
 
     #[test]
@@ -1595,5 +1597,78 @@ mod tests {
                 assert_eq!(oram.device.auth.is_some(), variant.uses_wpq());
             }
         }
+    }
+
+    /// What the test below does to one slot of the path about to be read.
+    #[derive(Debug, Clone, Copy)]
+    enum SlotDamage {
+        /// A payload byte of a real block flips; a dummy slot grows a
+        /// block. Either way the record no longer covers what is read.
+        Content,
+        /// The record (and content) of one overwrite ago: authentic, at
+        /// the right address, one counter behind.
+        AgedRecord,
+    }
+
+    /// An armed L = 6 instance in which every slot of the tree has been
+    /// written (hence is tracked), and an address to access next.
+    fn armed_and_fully_tracked() -> (PathOram, BlockAddr) {
+        let cfg = OramConfig::small_test();
+        let capacity = cfg.capacity_blocks();
+        let mut oram = PathOram::new(cfg, ProtocolVariant::PsOram, 21);
+        oram.enable_device_faults(21, FaultConfig::disabled());
+        for i in 0..400u64 {
+            let addr = BlockAddr(i.wrapping_mul(0x9E37_79B9) % capacity);
+            oram.write(addr, vec![i as u8; 8]).unwrap();
+        }
+        (oram, BlockAddr(5))
+    }
+
+    #[test]
+    fn every_slot_of_a_fetched_path_is_judged_before_admission() {
+        let (probe, target) = armed_and_fully_tracked();
+        let leaf = probe.lookup(target);
+        let z = probe.config.bucket_slots;
+        let cells: Vec<(u64, usize)> = (probe.tree.path(leaf))
+            .flat_map(|bucket| (0..z).map(move |slot| (bucket, slot)))
+            .collect();
+        assert_eq!(cells.len(), probe.config.path_slots());
+        let (mut reals, mut dummies) = (0, 0);
+        for &(bucket, slot) in &cells {
+            for damage in [SlotDamage::Content, SlotDamage::AgedRecord] {
+                let (mut oram, _) = armed_and_fully_tracked();
+                assert_eq!(oram.lookup(target), leaf, "the set-up is deterministic");
+                let stored = oram.tree.arena().slot(bucket, slot).map(|b| b.to_block());
+                let auth = oram.device.auth.as_mut().expect("hardened");
+                assert!(auth.slot_record(bucket, slot).is_some(), "tracked");
+                let class = match damage {
+                    SlotDamage::Content => {
+                        let mut evil = stored.clone().unwrap_or_else(|| {
+                            dummies += 1;
+                            Block::new(BlockAddr(1), leaf, vec![0; 8])
+                        });
+                        reals += usize::from(stored.is_some());
+                        evil.payload[3] ^= 0x20;
+                        (oram.tree.arena_mut()).write(bucket, slot, Some(evil.view()));
+                        FaultClass::MediaCorruption
+                    }
+                    SlotDamage::AgedRecord => {
+                        let aged = auth.slot_record(bucket, slot);
+                        auth.record_slot(bucket, slot, stored.as_ref().map(Block::view));
+                        auth.set_slot_record(bucket, slot, aged);
+                        FaultClass::StaleReplay
+                    }
+                };
+                let before = oram.freshness_stats().fetch_poisons;
+                assert_eq!(
+                    oram.read(target),
+                    Err(OramError::Poisoned { class }),
+                    "{damage:?} at ({bucket}, {slot})"
+                );
+                assert_eq!(oram.freshness_stats().fetch_poisons, before + 1);
+                assert_eq!(oram.poisoned(), Some(class));
+            }
+        }
+        assert!(reals > 0 && dummies > 0, "{reals} real, {dummies} dummy");
     }
 }

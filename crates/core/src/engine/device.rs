@@ -87,7 +87,7 @@ impl DeviceSide {
         for (a, l) in posmap.persisted_sorted() {
             auth.record_posmap(a, l);
         }
-        auth.seal_temp(&temp.entries_sorted());
+        auth.seal_temp(temp.entries());
         engine.seal_frames(&key);
         engine.persist_root(auth.root());
         self.auth = Some(auth);
@@ -121,7 +121,7 @@ impl DeviceSide {
         for slot in slots {
             let content = old.and_then(|old| old.slot(slot)).map(|b| b.to_block());
             let record = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
-            history.note_slot(bucket, slot, content, record);
+            history.note_slot(bucket, slot, (content, record));
         }
     }
 
@@ -165,7 +165,7 @@ impl DeviceSide {
     #[inline]
     pub fn seal_temp(&mut self, temp: &TempPosMap) {
         if let Some(auth) = &mut self.auth {
-            auth.seal_temp(&temp.entries_sorted());
+            auth.seal_temp(temp.entries());
         }
     }
 
@@ -184,7 +184,7 @@ impl DeviceSide {
         temp: &TempPosMap,
     ) -> Result<(), OramError> {
         match &self.auth {
-            Some(auth) if !auth.verify_temp(&temp.entries_sorted()) => {
+            Some(auth) if !auth.verify_temp(temp.entries()) => {
                 Err(poison(engine, FaultClass::MediaCorruption))
             }
             _ => Ok(()),
@@ -412,9 +412,13 @@ impl DeviceSide {
         let Some(auth) = &self.auth else {
             return Ok(t);
         };
-        let stored = cells
-            .iter()
-            .map(|c| (c.bucket, c.slot, arena.slot(c.bucket, c.slot)));
+        // The frame lists a bucket's slots together: its view is taken
+        // once per run.
+        let stored = cells.chunk_by(|a, b| a.bucket == b.bucket).flat_map(|run| {
+            let on_media = arena.bucket(run[0].bucket);
+            run.iter()
+                .map(move |c| (c.bucket, c.slot, on_media.and_then(|b| b.slot(c.slot))))
+        });
         let (convicted, wire) = auth.verdict_fetched(stored, served.as_ref());
         if let Some(class) = convicted {
             self.freshness.fetch_poisons += 1;

@@ -562,4 +562,34 @@ pub(crate) mod tests {
         let all = ["missing", "spliced", "stale", "tampered"];
         assert!(kinds.into_iter().eq(all), "a verdict kind never came up");
     }
+
+    #[test]
+    fn a_record_planted_on_a_never_written_slot_is_stale_and_stays_untracked() {
+        // The record is authentic — made under the same key, for this
+        // very unit — but this controller never wrote the unit: nothing on
+        // chip vouches for it.
+        let key = [3u8; 16];
+        let block = Block::new(BlockAddr(1), Leaf(0), vec![7; 8]);
+        let mut elsewhere = AuthTags::new(&key);
+        elsewhere.record_slot(6, 1, Some(block.view()));
+        let mut auth = AuthTags::new(&key);
+        let mut arena = SlotArena::new(4, 8);
+        auth.record_slot(6, 0, None);
+        auth.set_slot_record(6, 1, elsewhere.slot_record(6, 1));
+        auth.set_slot_record(9, 2, elsewhere.slot_record(6, 1));
+        arena.write(6, 1, Some(block.view()));
+        assert_eq!(
+            auth.verdict_slot(6, 1, Some(block.view())),
+            FreshnessVerdict::Stale
+        );
+        assert_eq!(
+            auth.verdict_slot(9, 2, Some(block.view())),
+            FreshnessVerdict::Spliced
+        );
+        // Tracking follows the trusted counters, not the records: phase 1
+        // visits the one written unit and nothing the adversary planted.
+        assert_eq!(auth.tagged_slots_sorted(), vec![(6, 0)]);
+        assert_eq!(convicted_slots(&auth, &arena), vec![]);
+        assert_eq!(convicted_one_by_one(&auth, &arena), vec![]);
+    }
 }

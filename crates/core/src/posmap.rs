@@ -1,10 +1,7 @@
 //! Position maps: the main (persistable) PosMap and PS-ORAM's temporary
 //! PosMap.
 
-use std::collections::HashMap;
 use std::num::NonZeroU32;
-
-use serde::{Deserialize, Serialize};
 
 use crate::paged::PagedTable;
 use crate::types::{BlockAddr, Leaf, OramError};
@@ -212,10 +209,13 @@ impl PosMap {
 /// assert_eq!(t.remove(BlockAddr(1)), Some(Leaf(5)));
 /// assert!(t.is_empty());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TempPosMap {
     capacity: usize,
-    entries: HashMap<u64, u64>,
+    /// `(addr, leaf)` in ascending address order: the order the seal
+    /// reads them in. At most `capacity` (96 in Table 3) entries, so a
+    /// binary search and a shift beat hashing.
+    entries: Vec<(u64, u64)>,
     max_occupancy: usize,
 }
 
@@ -229,9 +229,14 @@ impl TempPosMap {
         assert!(capacity > 0, "temporary PosMap capacity must be positive");
         TempPosMap {
             capacity,
-            entries: HashMap::new(),
+            entries: Vec::new(),
             max_occupancy: 0,
         }
+    }
+
+    /// Where `addr` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, addr: BlockAddr) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&addr.0, |&(a, _)| a)
     }
 
     /// Records the new (not yet persistent) leaf of `addr`.
@@ -243,25 +248,32 @@ impl TempPosMap {
     ///
     /// Returns [`OramError::TempPosMapOverflow`] when full.
     pub fn insert(&mut self, addr: BlockAddr, leaf: Leaf) -> Result<(), OramError> {
-        if !self.entries.contains_key(&addr.0) && self.entries.len() >= self.capacity {
-            return Err(OramError::TempPosMapOverflow {
-                capacity: self.capacity,
-            });
+        match self.position(addr) {
+            Ok(at) => self.entries[at].1 = leaf.0,
+            Err(_) if self.entries.len() >= self.capacity => {
+                return Err(OramError::TempPosMapOverflow {
+                    capacity: self.capacity,
+                });
+            }
+            Err(at) => {
+                self.entries.insert(at, (addr.0, leaf.0));
+                self.max_occupancy = self.max_occupancy.max(self.entries.len());
+            }
         }
-        self.entries.insert(addr.0, leaf.0);
-        self.max_occupancy = self.max_occupancy.max(self.entries.len());
         Ok(())
     }
 
     /// The pending leaf for `addr`, if one exists.
     pub fn get(&self, addr: BlockAddr) -> Option<Leaf> {
-        self.entries.get(&addr.0).copied().map(Leaf)
+        let at = self.position(addr).ok()?;
+        Some(Leaf(self.entries[at].1))
     }
 
     /// Removes and returns the pending entry for `addr` (done when the
     /// block's eviction round commits).
     pub fn remove(&mut self, addr: BlockAddr) -> Option<Leaf> {
-        self.entries.remove(&addr.0).map(Leaf)
+        let at = self.position(addr).ok()?;
+        Some(Leaf(self.entries.remove(at).1))
     }
 
     /// Current number of pending entries.
@@ -289,13 +301,16 @@ impl TempPosMap {
         self.entries.clear();
     }
 
-    /// The pending entries in deterministic (address-sorted) order —
+    /// The pending `(addr, leaf)` entries in ascending address order —
     /// the canonical byte layout the temp-PosMap authentication seal
     /// covers.
+    pub fn entries(&self) -> &[(u64, u64)] {
+        &self.entries
+    }
+
+    /// [`TempPosMap::entries`] as an owned list.
     pub fn entries_sorted(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.entries.iter().map(|(&a, &l)| (a, l)).collect();
-        v.sort_unstable();
-        v
+        self.entries.clone()
     }
 }
 
@@ -426,5 +441,61 @@ mod tests {
         t.wipe();
         assert!(t.is_empty());
         assert_eq!(t.max_occupancy(), 2);
+    }
+
+    mod props {
+        use std::collections::BTreeMap;
+
+        use proptest::prelude::*;
+
+        use super::*;
+
+        proptest! {
+            /// The sorted vector is a bounded ordered map: against a
+            /// `BTreeMap` under random inserts, overwrites, removals and
+            /// wipes at a small capacity — an overwrite at capacity never
+            /// fails, a fresh insert there overflows and changes nothing,
+            /// `entries()` stays ascending and is what `entries_sorted()`
+            /// copies, and `max_occupancy` is the high-water mark.
+            #[test]
+            fn temp_posmap_behaves_like_a_bounded_btreemap(
+                capacity in 1usize..7,
+                steps in prop::collection::vec((0u8..10, 0u64..9, 0u64..50), 0..120),
+            ) {
+                let mut temp = TempPosMap::new(capacity);
+                let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut high_water = 0;
+                for (kind, addr, leaf) in steps {
+                    match kind {
+                        0..=5 => {
+                            let fits = model.contains_key(&addr) || model.len() < capacity;
+                            let got = temp.insert(BlockAddr(addr), Leaf(leaf));
+                            if fits {
+                                prop_assert_eq!(got, Ok(()));
+                                model.insert(addr, leaf);
+                            } else {
+                                prop_assert_eq!(got, Err(OramError::TempPosMapOverflow { capacity }));
+                            }
+                        }
+                        6..=8 => prop_assert_eq!(
+                            temp.remove(BlockAddr(addr)),
+                            model.remove(&addr).map(Leaf)
+                        ),
+                        _ => {
+                            temp.wipe();
+                            model.clear();
+                        }
+                    }
+                    high_water = high_water.max(model.len());
+                    prop_assert_eq!(temp.get(BlockAddr(addr)), model.get(&addr).copied().map(Leaf));
+                    prop_assert_eq!((temp.len(), temp.is_empty()), (model.len(), model.is_empty()));
+                    prop_assert_eq!(temp.max_occupancy(), high_water);
+                    let listed: Vec<(u64, u64)> = model.iter().map(|(&a, &l)| (a, l)).collect();
+                    prop_assert_eq!(temp.entries(), &listed[..]);
+                    prop_assert_eq!(temp.entries_sorted(), listed);
+                }
+                prop_assert_eq!(temp.capacity(), capacity);
+            }
+        }
     }
 }

@@ -88,15 +88,33 @@ fn a_plain_access_stays_inside_its_allocation_budget() {
 }
 
 #[test]
+fn an_armed_access_allocates_what_a_plain_one_does_plus_its_first_sights() {
+    // The freshness layer frames, MACs and judges a path on the stack, and
+    // the temporary PosMap lends its seal the sorted slice it already is:
+    // the seal's three sorted vectors an access were what separated the
+    // armed design (5.1) from the plain one (2.3) at L = 12. What arming
+    // still adds is first sights of its own — a row of counters and
+    // records for a bucket the young tree had not written yet, which at
+    // L = 16 is most accesses. Measured: 2.72 at L = 12 (plain 2.34),
+    // 10.87 at L = 16 (plain 7.03); each bound is the measurement + 1.
+    // A debug build's `record_slots` also keeps the list its distinctness
+    // assertion checks (8.0 and 8.1 more): the budget is the release
+    // build's, which CI runs as its own step.
+    let debug_list = if cfg!(debug_assertions) { 9.0 } else { 0.0 };
+    for (levels, budget) in [(12, 3.72), (16, 11.87)] {
+        let got = path(ProtocolVariant::PsOram, levels, true);
+        println!("PsOram L={levels}, FaultConfig::disabled() armed: {got:.2}");
+        assert!(got <= budget + debug_list, "armed L={levels}: {got:.2}");
+    }
+}
+
+#[test]
 fn the_other_designs_allocate_no_more_than_before() {
     // Each bound is what the commit before the slot arena measured under
-    // this same loop; measured now: 1.6, 5.1 and 27.5.
+    // this same loop; measured now: 1.6 and 27.5.
     let baseline = path(ProtocolVariant::Baseline, 12, false);
     println!("Baseline L=12: {baseline:.2}");
     assert!(baseline <= 31.2, "Baseline: {baseline:.2}");
-    let armed = path(ProtocolVariant::PsOram, 12, true);
-    println!("PsOram L=12, FaultConfig::disabled() armed: {armed:.2}");
-    assert!(armed <= 63.4, "armed PsOram: {armed:.2}");
     let ring = ring();
     println!("PS-Ring L=12: {ring:.2}");
     assert!(ring <= 65.8, "PS-Ring: {ring:.2}");

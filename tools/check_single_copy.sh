@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# One device side, one recovery ladder — held mechanically.
+# One device side, one recovery ladder, one per-slot freshness table —
+# held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -22,4 +23,19 @@ if [ -n "$stray" ]; then
     grep -nE "$NAMES" $stray >&2
     exit 1
 fi
-echo "single copy: ok (device side and recovery ladder live in engine/ only)"
+
+# One per-slot freshness table: the trusted counter and the off-chip
+# record of a slot share a row (`SlotRow`), so `auth.rs` names the table
+# type twice — those rows and the adversary's `UnitHistory` — and the
+# staging helpers the streamed passes replaced stay gone.
+tables=$(grep -c 'UnitTable<' crates/core/src/auth.rs || true)
+if [ "$tables" -ne 2 ]; then
+    echo "error: auth.rs names UnitTable< $tables times (the slot rows and UnitHistory: 2)" >&2
+    grep -n 'UnitTable<' crates/core/src/auth.rs >&2
+    exit 1
+fi
+if grep -rnwE 'in_lanes|slot_tags|classify_lanes' --include='*.rs' crates; then
+    echo "error: a per-unit staging helper of the freshness layer is back" >&2
+    exit 1
+fi
+echo "single copy: ok (device side and recovery ladder in engine/ only; one per-slot freshness table)"

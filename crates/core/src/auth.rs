@@ -38,6 +38,10 @@
 //! [`LANES`] at a time. The one-unit calls (`bump_slot`, `record_slot`,
 //! `verdict_slot`, `classify_served_slot`) are the same code over one
 //! unit, and every tag, digest and root is the RFC 4493 output it always was.
+//! A persisted PosMap entry keeps the same row (counter, folded digest,
+//! record) in a map of its own, keyed by its address: a flush writes one
+//! entry at a time, and recovery reads them all back through the lanes
+//! ([`AuthTags::verdict_posmaps`]).
 //!
 //! The temporary PosMap seal is unchanged from PR-5: it models an on-chip
 //! rolling seal and is not replayable in this model.
@@ -247,8 +251,9 @@ impl FreshnessStats {
     }
 }
 
-/// What the freshness layer keeps per tree slot, side by side in one host
-/// row — on both sides of the modelled trust boundary (DESIGN.md §11):
+/// What the freshness layer keeps per unit — a tree slot or a persisted
+/// PosMap entry — side by side in one host row, on both sides of the
+/// modelled trust boundary (DESIGN.md §11):
 /// `ctr` and `folded` are the on-chip counter tree's, written by a bump
 /// alone; `rec` is the record stored off chip beside the data, which the
 /// adversary's hooks ([`AuthTags::set_slot_record`]) rewrite at will.
@@ -280,8 +285,11 @@ pub struct CounterTree {
     /// Per tree slot: the counter and its folded digest, with the
     /// off-chip record [`AuthTags`] keeps beside them.
     slots: UnitTable<SlotRow>,
-    /// Per PosMap address: same pair, folded into `posmap_agg`.
-    posmap: HashMap<u64, (u64, u128)>,
+    /// Per PosMap address: the same row, folded into `posmap_agg`. Hashed,
+    /// not paged: a run persists a sparse subset of its addresses, and a
+    /// page of rows for every sixteenth of them costs more than it saves
+    /// (EXPERIMENTS.md, "Recovery audits once").
+    posmap: HashMap<u64, SlotRow>,
     levels: Vec<u128>,
     posmap_agg: u128,
     epoch: u64,
@@ -411,13 +419,12 @@ impl CounterTree {
     /// Bumps the counter of PosMap address `addr` and returns the new
     /// value.
     pub fn bump_posmap(&mut self, addr: u64) -> u64 {
-        let unit = self.posmap.entry(addr).or_insert((0, 0));
-        let (prev, out) = *unit;
-        let next = prev + 1;
-        let digest = Self::posmap_digest(&self.cmac, addr, next);
-        self.posmap_agg ^= out ^ digest;
-        *unit = (next, digest);
-        next
+        let row = self.posmap.entry(addr).or_default();
+        row.ctr += 1;
+        let digest = Self::posmap_digest(&self.cmac, addr, row.ctr);
+        self.posmap_agg ^= row.folded ^ digest;
+        row.folded = digest;
+        row.ctr
     }
 
     /// The trusted counter of a tree slot, if the slot was ever written.
@@ -428,7 +435,8 @@ impl CounterTree {
 
     /// The trusted counter of a PosMap address, if it was ever persisted.
     pub fn posmap_ctr(&self, addr: u64) -> Option<u64> {
-        self.posmap.get(&addr).map(|&(ctr, _)| ctr)
+        let ctr = self.posmap.get(&addr)?.ctr;
+        (ctr != 0).then_some(ctr)
     }
 
     /// All tracked slots in deterministic (sorted) order.
@@ -436,9 +444,16 @@ impl CounterTree {
         self.slots.units_sorted(|row| row.ctr != 0)
     }
 
+    /// The rows of all tracked PosMap addresses, in the map's order: no
+    /// order at all.
+    fn tracked_posmap(&self) -> impl Iterator<Item = (u64, &SlotRow)> {
+        let tracked = self.posmap.iter().filter(|(_, row)| row.ctr != 0);
+        tracked.map(|(&addr, row)| (addr, row))
+    }
+
     /// All tracked PosMap addresses in deterministic (sorted) order.
     pub fn tracked_posmap_sorted(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.posmap.keys().copied().collect();
+        let mut v: Vec<u64> = self.tracked_posmap().map(|(addr, _)| addr).collect();
         v.sort_unstable();
         v
     }
@@ -531,8 +546,18 @@ impl UnitHistory {
 #[derive(Debug, Clone)]
 pub(crate) struct AuthTags {
     ctrs: CounterTree,
-    posmap: HashMap<u64, UnitMeta>,
     temp_seal: Option<[u8; 16]>,
+}
+
+/// The MAC input of a PosMap record:
+/// `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
+fn posmap_frame(src: (u64, u64), ctr: u64, leaf: u64) -> Frame<3> {
+    let mut f = frame(DOMAIN_POSMAP);
+    f.word(src.0);
+    f.word(src.1);
+    f.word(ctr);
+    f.word(leaf);
+    f
 }
 
 /// The verdict ladder, worst evidence first, for the unit of identity
@@ -566,20 +591,13 @@ impl AuthTags {
     pub fn new(key: &[u8; 16]) -> Self {
         AuthTags {
             ctrs: CounterTree::new(key),
-            posmap: HashMap::new(),
             temp_seal: None,
         }
     }
 
-    /// The tag of a PosMap record:
-    /// CMAC over `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
+    /// The tag of a PosMap record.
     fn posmap_tag(&self, src: (u64, u64), ctr: u64, leaf: u64) -> [u8; 16] {
-        let mut f: Frame<3> = frame(DOMAIN_POSMAP);
-        f.word(src.0);
-        f.word(src.1);
-        f.word(ctr);
-        f.word(leaf);
-        self.ctrs.cmac.tag(f.bytes())
+        self.ctrs.cmac.tag(posmap_frame(src, ctr, leaf).bytes())
     }
 
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
@@ -740,14 +758,56 @@ impl AuthTags {
         let ctr = self.ctrs.bump_posmap(addr);
         let src = (addr, 0);
         let tag = self.posmap_tag(src, ctr, leaf);
-        self.posmap.insert(addr, UnitMeta { ctr, src, tag });
+        self.ctrs.posmap.entry(addr).or_default().rec = Some(UnitMeta { ctr, src, tag });
     }
 
-    /// Classifies the persisted PosMap entry of `addr` against `leaf`.
+    /// Classifies the persisted PosMap entry of `addr` against `leaf`:
+    /// the entry-at-a-time form [`Self::verdict_posmaps`] is held to.
+    #[cfg(test)]
     pub fn verdict_posmap(&self, addr: u64, leaf: u64) -> FreshnessVerdict {
-        let rec = self.posmap.get(&addr);
+        let rec = self.posmap_record(addr);
         let tag = rec.map(|m| self.posmap_tag(m.src, m.ctr, leaf));
-        judge((addr, 0), rec, self.ctrs.posmap_ctr(addr), tag.as_ref())
+        let trusted = self.ctrs.posmap_ctr(addr);
+        judge((addr, 0), rec.as_ref(), trusted, tag.as_ref())
+    }
+
+    /// [`Self::verdict_posmap`] over every tracked entry against the label
+    /// `leaf_of` reads back for it — handing `each` the address, that
+    /// label and the verdict, **in no particular order**: an entry's
+    /// verdict depends on nothing but the entry, so a caller that needs an
+    /// order sorts what it keeps. The rows stream out of their map
+    /// [`LANES`] at a time — no list of them, no probe for them: frame as
+    /// they arrive, the records' claims MACed side by side, every entry
+    /// judged on its own.
+    pub fn verdict_posmaps(
+        &self,
+        leaf_of: impl Fn(u64) -> u64,
+        mut each: impl FnMut(u64, u64, FreshnessVerdict),
+    ) {
+        let mut rows = self.ctrs.tracked_posmap();
+        let mut lanes: [(u64, u64, Option<&UnitMeta>, u64); LANES] = [(0, 0, None, 0); LANES];
+        let mut heads = [Frame::<3>::new(); LANES];
+        loop {
+            let (mut n, mut claimed) = (0, 0);
+            for (addr, row) in rows.by_ref().take(LANES) {
+                let leaf = leaf_of(addr);
+                if let Some(m) = &row.rec {
+                    heads[claimed] = posmap_frame(m.src, m.ctr, leaf);
+                    claimed += 1;
+                }
+                lanes[n] = (addr, leaf, row.rec.as_ref(), row.ctr);
+                n += 1;
+            }
+            if n == 0 {
+                return;
+            }
+            let tags = tag_framed(&self.ctrs.cmac, (&heads, &[&[]; LANES]), claimed);
+            let mut tags = tags[..claimed].iter();
+            for &(addr, leaf, rec, ctr) in &lanes[..n] {
+                let tag = rec.and_then(|_| tags.next());
+                each(addr, leaf, judge((addr, 0), rec, Some(ctr), tag));
+            }
+        }
     }
 
     /// Boolean form of [`AuthTags::verdict_posmap`].
@@ -757,6 +817,7 @@ impl AuthTags {
     }
 
     /// All tracked PosMap addresses in deterministic (sorted) order.
+    #[cfg(test)]
     pub fn tagged_posmap_sorted(&self) -> Vec<u64> {
         self.ctrs.tracked_posmap_sorted()
     }
@@ -778,19 +839,15 @@ impl AuthTags {
 
     /// The off-chip record of a persisted PosMap entry (adversary hook).
     pub fn posmap_record(&self, addr: u64) -> Option<UnitMeta> {
-        self.posmap.get(&addr).copied()
+        self.ctrs.posmap.get(&addr)?.rec
     }
 
     /// Overwrites (or deletes) the off-chip record of a PosMap entry
-    /// *without* touching the trusted counter (adversary hook).
+    /// *without* touching the trusted counter (adversary hook): as for a
+    /// slot, a planted record tracks nothing.
     pub fn set_posmap_record(&mut self, addr: u64, rec: Option<UnitMeta>) {
-        match rec {
-            Some(m) => {
-                self.posmap.insert(addr, m);
-            }
-            None => {
-                self.posmap.remove(&addr);
-            }
+        if rec.is_some() || self.ctrs.posmap.contains_key(&addr) {
+            self.ctrs.posmap.entry(addr).or_default().rec = rec;
         }
     }
 
@@ -1011,6 +1068,59 @@ mod tests {
     }
 
     #[test]
+    fn lane_batched_posmap_verdicts_are_the_entry_at_a_time_ones() {
+        let mut kinds = std::collections::BTreeSet::new();
+        // One lane, a lane short of full, full, one over, several passes.
+        for entries in [1u64, 7, 8, 9, 29] {
+            let mut t = tags();
+            let addr = |i: u64| 3 * i + 1;
+            for i in 0..entries {
+                t.record_posmap(addr(i), 100 + i);
+            }
+            // One kind of damage per entry: a label the tag does not
+            // cover (Tampered), the previous entry's authentic record and
+            // label (Spliced), the record an overwrite replaced (Stale), a
+            // deleted record (Missing), or nothing; and a record planted
+            // beside an address never persisted, which is not visited.
+            let mut leaves: Vec<u64> = (0..entries).map(|i| 100 + i).collect();
+            t.set_posmap_record(2, t.posmap_record(addr(0)));
+            for i in 0..entries {
+                match (i * 7 + entries) % 5 {
+                    1 => leaves[i as usize] += 1,
+                    2 if i > 0 => {
+                        t.set_posmap_record(addr(i), t.posmap_record(addr(i - 1)));
+                        leaves[i as usize] = 100 + i - 1;
+                    }
+                    3 => {
+                        let old = t.posmap_record(addr(i));
+                        t.record_posmap(addr(i), 100 + i);
+                        t.set_posmap_record(addr(i), old);
+                    }
+                    4 => t.set_posmap_record(addr(i), None),
+                    _ => {}
+                }
+            }
+            let leaf_of = |a: u64| leaves[(a / 3) as usize];
+            let mut batched = Vec::new();
+            t.verdict_posmaps(leaf_of, |a, leaf, verdict| batched.push((a, leaf, verdict)));
+            batched.sort_unstable_by_key(|&(a, _, _)| a);
+            let one_by_one: Vec<_> = (t.tagged_posmap_sorted().into_iter())
+                .map(|a| (a, leaf_of(a), t.verdict_posmap(a, leaf_of(a))))
+                .collect();
+            assert_eq!(batched, one_by_one, "{entries} entries");
+            assert_eq!(
+                batched.len() as u64,
+                entries,
+                "the planted record is not tracked"
+            );
+            assert_eq!(t.verdict_posmap(2, 100), FreshnessVerdict::Spliced);
+            kinds.extend(batched.iter().map(|&(_, _, v)| v.label()));
+        }
+        let all = ["clean", "missing", "spliced", "stale", "tampered"];
+        assert!(kinds.into_iter().eq(all), "a verdict kind never came up");
+    }
+
+    #[test]
     fn root_tracks_every_bump_and_the_epoch() {
         let mut c = CounterTree::new(&[1u8; 16]);
         let r0 = c.root();
@@ -1134,7 +1244,12 @@ mod tests {
             let ctr = tree.posmap_ctr(addr).unwrap_or(0);
             let digest = CounterTree::posmap_digest(&fresh.cmac, addr, ctr);
             fresh.posmap_agg ^= digest;
-            fresh.posmap.insert(addr, (ctr, digest));
+            let row = SlotRow {
+                ctr,
+                folded: digest,
+                rec: None,
+            };
+            fresh.posmap.insert(addr, row);
         }
         fresh
     }

@@ -11,11 +11,11 @@ use psoram_nvm::{
 };
 use psoram_obsv::{Event, Phase, Tap};
 
-use crate::block::Block;
+use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
-    to_core, to_mem, AccessScratch, CommitLedger, DeviceSide, FrameCell, Ladder, PathFrame,
-    PersistEngine,
+    check_committed, to_core, to_mem, AccessScratch, CommitLedger, Copies, DeviceSide, FrameCell,
+    Ladder, PathFrame, PersistEngine,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::integrity::{bucket_digest, IntegrityTree};
@@ -25,7 +25,7 @@ use crate::recursive::RecursivePosMap;
 use crate::security::AccessRecorder;
 use crate::stash::Stash;
 use crate::stats::OramStats;
-use crate::tree::OramTree;
+use crate::tree::{heap_path, BucketIndex, OramTree};
 use crate::types::{BlockAddr, Leaf, OramConfig, OramError};
 
 pub use crate::engine::ProtocolVariant;
@@ -60,6 +60,33 @@ fn small_wpq_batches(
         Ok(None)
     } else {
         order_for_small_wpq(targets, live, capacity).map(Some)
+    }
+}
+
+/// Where recovery looks for Path's committed copies: on the tree path of
+/// the persisted leaf, encrypted under their own `iv2` when payloads are
+/// (`cipher`), and — FullNVM's durable stash — in `stash`.
+struct PathCopies<'a> {
+    levels: u32,
+    cipher: Option<&'a CtrCipher>,
+    stash: Option<&'a Stash>,
+}
+
+impl Copies for PathCopies<'_> {
+    const DESC: &'static str = "recoverable copy";
+
+    fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
+        heap_path(self.levels, leaf)
+    }
+
+    fn open(&self, header: &BlockHeader, payload: &mut [u8]) {
+        if let Some(cipher) = self.cipher {
+            cipher.apply_keystream(header.iv2 as u128, payload);
+        }
+    }
+
+    fn durable_copy(&self, addr: u64) -> Option<&[u8]> {
+        Some(&self.stash?.get(BlockAddr(addr))?.payload)
     }
 }
 
@@ -1409,8 +1436,9 @@ impl PathOram {
     /// damaged committed address is restored from its newest surviving
     /// authenticated copy, and addresses with no surviving copy are rolled
     /// back with a typed [`RecoveryError`](crate::RecoveryError) instead of
-    /// serving corrupt data. The rungs are [`crate::engine`]'s ladder; what
-    /// is Path's own is the audit and the decryption of a survivor.
+    /// serving corrupt data. The rungs and the audit are [`crate::engine`]'s
+    /// ladder; what is Path's own is where a copy may sit and its
+    /// decryption (`PathCopies`).
     ///
     /// Idempotent: calling `recover` on a controller that is not crashed
     /// repeats the last verdict without touching state or counters.
@@ -1419,64 +1447,26 @@ impl PathOram {
             Ok(ladder) => ladder,
             Err(last) => return *last,
         };
-        if let Some(mut auth) = self.device.auth.take() {
+        let check = if let Some(mut auth) = self.device.auth.take() {
             let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
             ladder.detect(
                 (engine, arena, &mut self.posmap, &mut self.ledger),
                 &mut auth,
             );
-            let failures = self.audit_failures();
+            let copies = PathCopies {
+                levels: self.config.levels,
+                cipher: self.encrypt_payloads.then_some(&self.cipher),
+                stash: self.variant.stash_durable().then_some(&self.stash),
+            };
             let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
             let media = (engine, arena, &mut self.posmap, &mut self.ledger);
-            // A survivor comes off media encrypted: open it.
-            let (cipher, encrypted) = (&self.cipher, self.encrypt_payloads);
-            ladder.repair(media, &mut auth, failures, |_, _, _, copy| {
-                if encrypted {
-                    cipher.apply_keystream(copy.header.iv2 as u128, &mut copy.payload);
-                }
-            });
+            let check = ladder.repair(media, &mut auth, &copies);
             self.device.auth = Some(auth);
-        }
-        let check = self.check_recoverability();
+            check
+        } else {
+            self.check_recoverability()
+        };
         ladder.finish(&mut self.engine, check, self.ledger.committed_len())
-    }
-
-    /// Where recovery would find committed address `a`: its persisted leaf
-    /// and, written into `found`, the plaintext payload of the newest copy
-    /// (highest freshness counter / IV) on that path whose header matches
-    /// the persisted leaf. Reports whether there is one.
-    fn recoverable_copy(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
-        let addr = BlockAddr(a);
-        let leaf = self.posmap.persisted_get(addr);
-        let arena = self.tree.arena();
-        let best = arena.newest_on_path(self.tree.path(leaf), addr, leaf);
-        if let Some(b) = best {
-            found.extend_from_slice(b.payload);
-            if self.encrypt_payloads {
-                self.cipher.apply_keystream(b.header.iv2 as u128, found);
-            }
-        }
-        (leaf, best.is_some())
-    }
-
-    /// Durable-stash designs (FullNVM): a stash copy holding the last
-    /// written value satisfies recoverability by itself.
-    fn durable_in_stash(&self, a: u64, expected: &Vec<u8>) -> bool {
-        self.variant.stash_durable()
-            && self
-                .stash
-                .get(BlockAddr(a))
-                .is_some_and(|b| &b.payload == self.ledger.written_value(a).unwrap_or(expected))
-    }
-
-    /// The committed addresses the recoverability audit can no longer
-    /// locate, with the audit's verbatim complaint (sorted by address).
-    fn audit_failures(&self) -> Vec<(u64, String)> {
-        self.ledger.audit_committed_collect(
-            "recoverable copy",
-            |a, found| self.recoverable_copy(a, found),
-            |a, expected| self.durable_in_stash(a, expected),
-        )
     }
 
     /// Verifies the crash-recovery invariant: every address with a durably
@@ -1488,11 +1478,12 @@ impl PathOram {
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn check_recoverability(&self) -> Result<(), String> {
-        self.ledger.audit_committed(
-            "recoverable copy",
-            |a, found| self.recoverable_copy(a, found),
-            |a, expected| self.durable_in_stash(a, expected),
-        )
+        let copies = PathCopies {
+            levels: self.config.levels,
+            cipher: self.encrypt_payloads.then_some(&self.cipher),
+            stash: self.variant.stash_durable().then_some(&self.stash),
+        };
+        check_committed(self.tree.arena(), &self.posmap, &self.ledger, &copies)
     }
 
     /// Reads back every touched address and compares against the

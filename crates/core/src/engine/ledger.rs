@@ -85,10 +85,11 @@ impl CommitLedger {
     }
 
     /// `(addr, committed_value)` pairs in ascending address order. The
-    /// audits walk this instead of the raw map so that, with several
+    /// audit walks this instead of the raw map so that, with several
     /// simultaneous inconsistencies (a device-fault situation), the
-    /// *reported* one is deterministic.
-    fn committed_sorted(&self) -> Vec<(u64, &Vec<u8>)> {
+    /// *reported* one is deterministic. Collected and sorted once a
+    /// recovery: the ladder lends it to whatever needs the addresses.
+    pub(super) fn committed_sorted(&self) -> Vec<(u64, &Vec<u8>)> {
         let mut v: Vec<(u64, &Vec<u8>)> = self.committed_iter().collect();
         v.sort_unstable_by_key(|(a, _)| *a);
         v
@@ -106,74 +107,47 @@ impl CommitLedger {
         v.cloned().unwrap_or_else(|| vec![0u8; payload_bytes])
     }
 
-    /// Every inconsistency of the shared recoverability audit, lazily and
-    /// in ascending address order: a committed address must have a
-    /// physical copy at its persisted PosMap position holding exactly the
-    /// committed value.
+    /// Every inconsistency of the shared recoverability audit among
+    /// `rows` — ascending `(addr, committed_value)` pairs, all of
+    /// [`CommitLedger::committed_sorted`] or a part of it — lazily and in
+    /// that order: a committed address must have a physical copy at its
+    /// persisted PosMap position holding exactly the committed value.
     ///
-    /// `copy_at` reports the persisted leaf of an address and whether a
-    /// matching copy was found there, writing the newest one's plaintext
-    /// payload into the (empty) buffer it is handed — one buffer serves
-    /// the whole audit. `durable_override` lets durable-stash designs
-    /// satisfy an address out of the stash instead; non-durable designs
-    /// pass `|_, _| false`. `desc` names the copy in violation messages
-    /// (e.g. `"recoverable copy"`).
-    fn violations<'a>(
+    /// `copy_at` is handed a row's number and address; it reports the
+    /// persisted leaf of the address and whether a matching copy was found
+    /// there, writing the newest one's plaintext payload into the (empty)
+    /// buffer it is handed — one buffer serves the whole audit.
+    /// `durable_copy` is what a durable-stash design holds of an address
+    /// outside the tree: if that is the last written value, the address
+    /// is satisfied by it alone. `desc` names the copy in violation
+    /// messages (e.g. `"recoverable copy"`).
+    pub(super) fn violations<'a>(
         &'a self,
+        rows: impl IntoIterator<Item = (u64, &'a Vec<u8>)> + 'a,
         desc: &'a str,
-        mut copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool) + 'a,
-        mut durable_override: impl FnMut(u64, &Vec<u8>) -> bool + 'a,
+        mut copy_at: impl FnMut(usize, u64, &mut Vec<u8>) -> (Leaf, bool) + 'a,
+        mut durable_copy: impl FnMut(u64) -> Option<&'a [u8]> + 'a,
     ) -> impl Iterator<Item = (u64, String)> + 'a {
         let mut found = Vec::new();
-        self.committed_sorted()
-            .into_iter()
-            .filter_map(move |(a, expected)| {
-                if durable_override(a, expected) {
-                    return None;
-                }
-                found.clear();
-                let (leaf, present) = copy_at(a, &mut found);
-                let addr = BlockAddr(a);
-                if !present {
-                    Some((a, format!("{addr}: no {desc} on persisted path {leaf}")))
-                } else if &found != expected {
-                    let complaint =
-                        format!("{addr}: {desc} at {leaf} holds {found:?}, expected {expected:?}");
-                    Some((a, complaint))
-                } else {
-                    None
-                }
-            })
-    }
-
-    /// The shared recoverability audit (see the parameters of
-    /// `violations` above — they are this function's).
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable description of the first inconsistency.
-    pub fn audit_committed(
-        &self,
-        desc: &str,
-        copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool),
-        durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
-    ) -> Result<(), String> {
-        match self.violations(desc, copy_at, durable_override).next() {
-            Some((_, complaint)) => Err(complaint),
-            None => Ok(()),
-        }
-    }
-
-    /// Like [`CommitLedger::audit_committed`], but collects *every*
-    /// failing address (ascending) instead of stopping at the first, so
-    /// hardened recovery can repair or roll back all of them in one pass.
-    pub fn audit_committed_collect(
-        &self,
-        desc: &str,
-        copy_at: impl FnMut(u64, &mut Vec<u8>) -> (Leaf, bool),
-        durable_override: impl FnMut(u64, &Vec<u8>) -> bool,
-    ) -> Vec<(u64, String)> {
-        self.violations(desc, copy_at, durable_override).collect()
+        let rows = rows.into_iter().enumerate();
+        rows.filter_map(move |(row, (a, expected))| {
+            if durable_copy(a).is_some_and(|held| held == self.written_value(a).unwrap_or(expected))
+            {
+                return None;
+            }
+            found.clear();
+            let (leaf, present) = copy_at(row, a, &mut found);
+            let addr = BlockAddr(a);
+            if !present {
+                Some((a, format!("{addr}: no {desc} on persisted path {leaf}")))
+            } else if &found != expected {
+                let complaint =
+                    format!("{addr}: {desc} at {leaf} holds {found:?}, expected {expected:?}");
+                Some((a, complaint))
+            } else {
+                None
+            }
+        })
     }
 
     /// Rolls the committed record of `addr` back to `survivor` — the
@@ -221,11 +195,17 @@ mod tests {
         l.commit_if_fresh(5, 0, &[5]);
         l.commit_if_fresh(2, 0, &[2]);
         l.commit_if_fresh(9, 0, &[9]);
-        let copy_at = |a: u64, found: &mut Vec<u8>| {
+        l.note_written(2, &[3]);
+        let rows = l.committed_sorted();
+        assert_eq!(rows, vec![(2, &vec![2]), (5, &vec![5]), (9, &vec![9])]);
+        let copy_at = |row: usize, a: u64, found: &mut Vec<u8>| {
+            assert_eq!(rows[row].0, a, "a row's number travels with its address");
             found.push(2);
             (Leaf(0), a != 5)
         };
-        let failures = l.audit_committed_collect("copy", copy_at, |_, _| false);
+        let failures: Vec<_> = l
+            .violations(rows.clone(), "copy", copy_at, |_| None)
+            .collect();
         assert_eq!(
             failures,
             vec![
@@ -233,12 +213,22 @@ mod tests {
                 (9, "a9: copy at l0 holds [2], expected [9]".to_string()),
             ]
         );
-        // The first-failure form reports the same first complaint.
+        // A durable copy satisfies its address when it holds the last
+        // written value (the committed one if nothing was written since).
+        let held = |a: u64| match a {
+            2 => Some(&[3u8][..]),
+            5 => Some(&[5][..]),
+            _ => Some(&[0][..]),
+        };
+        let failed: Vec<u64> =
+            (l.violations(rows.clone(), "copy", |_, _, _| (Leaf(0), false), held))
+                .map(|(a, _)| a)
+                .collect();
         assert_eq!(
-            l.audit_committed("copy", copy_at, |_, _| false),
-            Err(failures[0].1.clone())
+            failed,
+            vec![9],
+            "a2 by its written value, a5 by its committed one"
         );
-        assert_eq!(l.audit_committed("copy", copy_at, |a, _| a != 2), Ok(()));
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub use ledger::CommitLedger;
 pub(crate) use persist::fault_kind;
 pub use persist::{EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
 pub use policy::{CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
-pub(crate) use recover::{Ladder, Media};
+pub(crate) use recover::{check_committed, Copies, Ladder, Media};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame};
 
 use psoram_crypto::Hash128;

@@ -14,26 +14,31 @@
 //!    address, or re-tagged and rolled back under a typed error.
 //! 3. whatever the protocol itself restores after a power failure (Ring's
 //!    Case-2 compaction; Path has nothing to do).
-//! 4. [`Ladder::repair`] (hardened designs) — phase 3: every committed
-//!    address the protocol's audit can no longer find is re-pointed at
-//!    its newest surviving authenticated copy, or rolled back; then the
-//!    freshness epoch is closed.
-//! 5. [`Ladder::finish`] — the poison latch, the protocol's consistency
-//!    check and the assembled [`RecoveryReport`].
+//! 4. [`Ladder::repair`] (hardened designs) — the audit, then phase 3:
+//!    every committed address the audit can no longer find is re-pointed
+//!    at its newest surviving authenticated copy, or rolled back; then the
+//!    freshness epoch is closed and the verdict read off the addresses
+//!    phase 3 touched. An unhardened design's verdict is the audit itself
+//!    ([`check_committed`]).
+//! 5. [`Ladder::finish`] — the poison latch and the assembled
+//!    [`RecoveryReport`].
 //!
-//! What a protocol supplies is what differs between protocols: its audit
-//! (how a committed address is found on media, and the words it complains
-//! in), how a surviving copy is *admitted* back (Path decrypts it; Ring
-//! clears its backup mark and re-records the slot), and step 3.
+//! The audit is the ladder's: one header-only sweep of the arena locates
+//! every committed address at once ([`locate`]). What a protocol supplies
+//! is what differs between protocols ([`Copies`]): where a committed copy
+//! may sit and the words the audit complains in, how a copy is opened
+//! (Path decrypts it), how a surviving one is *admitted* back (Ring clears
+//! its backup mark and re-records the slot), and step 3.
 
 use psoram_nvm::FaultClass;
 
 use super::{CommitLedger, PersistEngine};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessVerdict};
-use crate::block::{Block, BlockRef};
+use crate::block::{Block, BlockHeader, BlockRef};
 use crate::crash::{RecoveryError, RecoveryIncident, RecoveryReport};
 use crate::posmap::PosMap;
+use crate::tree::BucketIndex;
 use crate::types::{BlockAddr, Leaf};
 
 /// The parts of a controller the ladder works on, borrowed together: its
@@ -48,6 +53,30 @@ pub(crate) type Media<'a, D, P> = (
 
 /// A `(bucket, slot)` unit of the arena.
 type Unit = (u64, usize);
+
+/// What a protocol tells the ladder about the copies of a committed
+/// address.
+pub(crate) trait Copies {
+    /// Names the copy in the audit's complaints.
+    const DESC: &'static str;
+
+    /// The buckets that may hold a copy labelled `leaf`, ascending (of
+    /// equally new copies the one in the lowest bucket is the one found).
+    fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex>;
+
+    /// Opens a payload as it is stored under `header` into the plaintext
+    /// the ledger holds.
+    fn open(&self, _header: &BlockHeader, _payload: &mut [u8]) {}
+
+    /// What a durable-stash design holds of `addr` outside the tree.
+    fn durable_copy(&self, _addr: u64) -> Option<&[u8]> {
+        None
+    }
+
+    /// Admits the survivor `copy`, sitting at `at`, as the committed copy
+    /// of its address: the protocol's chance to promote it.
+    fn admit(&self, _arena: &mut SlotArena, _auth: &mut AuthTags, _at: Unit, _copy: &mut Block) {}
+}
 
 /// One recovery in progress: what it detected, repaired and gave up on.
 #[derive(Debug, Default)]
@@ -125,14 +154,16 @@ impl Ladder {
         // of them are found in one pass: nothing the loop changes (PosMap
         // entries, their records, the ledger) is read by that pass.
         let mut damaged: Vec<(u64, Leaf)> = Vec::new();
-        for a in auth.tagged_posmap_sorted() {
-            let leaf = posmap.persisted_get(BlockAddr(a));
-            let verdict = auth.verdict_posmap(a, leaf.0);
+        let leaf_of = |a| posmap.persisted_get(BlockAddr(a)).0;
+        auth.verdict_posmaps(leaf_of, |a, leaf, verdict| {
             if verdict != FreshnessVerdict::Clean {
                 self.convict(verdict);
-                damaged.push((a, leaf));
+                damaged.push((a, Leaf(leaf)));
             }
-        }
+        });
+        // The entries were judged in no order; they are repaired, and
+        // reported, in address order.
+        damaged.sort_unstable_by_key(|&(a, _)| a);
         let addrs: Vec<u64> = damaged.iter().map(|&(a, _)| a).collect();
         let survivors = newest_valid_copies(arena, auth, &addrs);
         for ((a, leaf), survivor) in damaged.into_iter().zip(survivors) {
@@ -154,20 +185,23 @@ impl Ladder {
         }
     }
 
-    /// Phase 3 — repair-from-redundant-copy — and the epoch close.
+    /// The audit, phase 3 — repair-from-redundant-copy — the epoch close
+    /// and the verdict over the recovered state.
     ///
-    /// `failures` is the protocol's audit: the committed addresses it can
-    /// no longer locate, ascending, each with its verbatim complaint.
-    /// `admit` is handed every survivor (the arena, the records, where the
-    /// copy sits, the copy) before it is compared with the committed
-    /// value: the protocol's chance to open it and to promote it.
-    pub fn repair<D, P>(
+    /// Every survivor is admitted and opened before it is compared with
+    /// the committed value. The verdict re-audits only the addresses phase
+    /// 3 re-pointed or rolled back: an address's audit reads its PosMap
+    /// entry, its ledger row and the headers and payloads of its own
+    /// copies, and between the two audits nothing but phase 3 writes any
+    /// of those, for the addresses that failed the first (DESIGN.md §7).
+    pub fn repair<D, P, C: Copies>(
         &mut self,
         (engine, arena, posmap, ledger): Media<'_, D, P>,
         auth: &mut AuthTags,
-        failures: Vec<(u64, String)>,
-        mut admit: impl FnMut(&mut SlotArena, &mut AuthTags, Unit, &mut Block),
-    ) {
+        copies: &C,
+    ) -> Result<(), String> {
+        let failures: Vec<(u64, String)> = audit(arena, posmap, ledger, copies).collect();
+        debug_assert!(walked_all(arena, posmap, ledger, copies).eq(failures.iter().cloned()));
         let failed: Vec<u64> = failures.iter().map(|&(a, _)| a).collect();
         let survivors = newest_valid_copies(arena, auth, &failed);
         for ((a, detail), survivor) in failures.into_iter().zip(survivors) {
@@ -176,7 +210,8 @@ impl Ladder {
                 self.lose(a, detail);
                 continue;
             };
-            admit(arena, auth, at, &mut copy);
+            copies.admit(arena, auth, at, &mut copy);
+            copies.open(&copy.header, &mut copy.payload);
             let intact = ledger.committed_value(a) == Some(&copy.payload);
             posmap.persist(BlockAddr(a), copy.leaf());
             auth.record_posmap(a, copy.leaf().0);
@@ -194,6 +229,12 @@ impl Ladder {
         auth.clear_temp_seal();
         auth.advance_epoch();
         engine.persist_root(auth.root());
+        let touched = failed
+            .iter()
+            .filter_map(|&a| Some((a, ledger.committed_value(a)?)));
+        let verdict = first(walked(arena, posmap, ledger, copies, touched));
+        debug_assert_eq!(verdict, first(walked_all(arena, posmap, ledger, copies)));
+        verdict
     }
 
     /// The last rung: `check` is the protocol's consistency verdict over
@@ -221,6 +262,116 @@ impl Ladder {
             ..RecoveryReport::from_check(check, committed)
         })
     }
+}
+
+/// The recoverability audit, one-shot: the first committed address (in
+/// ascending order) with no copy at its persisted PosMap position holding
+/// exactly the committed value — the verdict of an unhardened design's
+/// recovery, and every controller's public `check_recoverability`.
+///
+/// # Errors
+///
+/// Returns a human-readable description of that inconsistency.
+pub(crate) fn check_committed<C: Copies>(
+    arena: &SlotArena,
+    posmap: &PosMap,
+    ledger: &CommitLedger,
+    copies: &C,
+) -> Result<(), String> {
+    let verdict = first(audit(arena, posmap, ledger, copies));
+    debug_assert_eq!(verdict, first(walked_all(arena, posmap, ledger, copies)));
+    verdict
+}
+
+fn first(mut violations: impl Iterator<Item = (u64, String)>) -> Result<(), String> {
+    violations
+        .next()
+        .map_or(Ok(()), |(_, complaint)| Err(complaint))
+}
+
+/// Every committed address the audit cannot find, ascending, each with
+/// its complaint — all of them located by one sweep of the arena.
+fn audit<'a, C: Copies>(
+    arena: &'a SlotArena,
+    posmap: &'a PosMap,
+    ledger: &'a CommitLedger,
+    copies: &'a C,
+) -> impl Iterator<Item = (u64, String)> + 'a {
+    let rows = ledger.committed_sorted();
+    let located = locate(arena, posmap, &rows, copies);
+    let copy_at = move |row: usize, a, found: &mut Vec<u8>| {
+        read_out(copies, located[row], found);
+        (posmap.persisted_get(BlockAddr(a)), located[row].is_some())
+    };
+    ledger.violations(rows, C::DESC, copy_at, |a| copies.durable_copy(a))
+}
+
+/// The audit of `rows` alone, an address at a time: a walk down its
+/// persisted path ([`SlotArena::newest_on_path`]). What [`locate`]'s one
+/// sweep answers for every address at once.
+fn walked<'a, C: Copies>(
+    arena: &'a SlotArena,
+    posmap: &'a PosMap,
+    ledger: &'a CommitLedger,
+    copies: &'a C,
+    rows: impl IntoIterator<Item = (u64, &'a Vec<u8>)> + 'a,
+) -> impl Iterator<Item = (u64, String)> + 'a {
+    let copy_at = move |_, a, found: &mut Vec<u8>| {
+        let leaf = posmap.persisted_get(BlockAddr(a));
+        let copy = arena.newest_on_path(copies.path(leaf), BlockAddr(a), leaf);
+        read_out(copies, copy, found);
+        (leaf, copy.is_some())
+    };
+    ledger.violations(rows, C::DESC, copy_at, |a| copies.durable_copy(a))
+}
+
+/// The whole ledger [`walked`] — what both audits were before the sweep,
+/// kept for debug builds to hold the sweep and the narrow verdict to.
+fn walked_all<'a, C: Copies>(
+    arena: &'a SlotArena,
+    posmap: &'a PosMap,
+    ledger: &'a CommitLedger,
+    copies: &'a C,
+) -> impl Iterator<Item = (u64, String)> + 'a {
+    walked(arena, posmap, ledger, copies, ledger.committed_sorted())
+}
+
+/// The plaintext payload of `copy` into `found`.
+fn read_out(copies: &impl Copies, copy: Option<BlockRef<'_>>, found: &mut Vec<u8>) {
+    if let Some(b) = copy {
+        found.extend_from_slice(b.payload);
+        copies.open(b.header, found);
+    }
+}
+
+/// For each of `rows` (ascending by address), where recovery finds the
+/// address: the newest copy whose header names the address's persisted
+/// leaf and that sits on that leaf's path — in one header-only pass over
+/// the arena. Buckets come in index order and a later copy must be
+/// strictly newer, which is [`SlotArena::newest_on_path`]'s tie rule on
+/// an ascending path.
+fn locate<'a, V>(
+    arena: &'a SlotArena,
+    posmap: &PosMap,
+    rows: &[(u64, V)],
+    copies: &impl Copies,
+) -> Vec<Option<BlockRef<'a>>> {
+    let mut best: Vec<Option<BlockRef<'a>>> = vec![None; rows.len()];
+    for (bucket, stored) in arena.iter() {
+        for (slot, h) in stored.headers() {
+            let on_path = || copies.path(h.leaf).any(|b| b == bucket);
+            if h.leaf != posmap.persisted_get(h.addr) || !on_path() {
+                continue;
+            }
+            let Ok(row) = rows.binary_search_by_key(&h.addr.0, |(a, _)| *a) else {
+                continue;
+            };
+            if best[row].is_none_or(|b| h.seq > b.header.seq) {
+                best[row] = stored.slot(slot);
+            }
+        }
+    }
+    best
 }
 
 /// Phase 1's verdicts: every tagged slot that does not classify Clean, in
@@ -299,6 +450,18 @@ pub(crate) mod tests {
         version: u64,
     }
 
+    /// Where the toy's copies sit: in the one bucket the label names, in
+    /// the clear, admitted as they are.
+    struct ToyCopies;
+
+    impl Copies for ToyCopies {
+        const DESC: &'static str = "toy copy";
+
+        fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
+            std::iter::once(leaf.0)
+        }
+    }
+
     impl Toy {
         pub fn new() -> Self {
             Toy {
@@ -352,41 +515,25 @@ pub(crate) mod tests {
                 .strike(&mut self.engine, &mut self.arena, &mut self.posmap);
         }
 
-        fn copy_at(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
-            let leaf = self.posmap.persisted_get(BlockAddr(a));
-            let row = std::iter::once(leaf.0);
-            let best = self.arena.newest_on_path(row, BlockAddr(a), leaf);
-            found.extend(best.iter().flat_map(|b| b.payload));
-            (leaf, best.is_some())
-        }
-
         pub fn recover(&mut self) -> RecoveryReport {
             let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
                 Ok(ladder) => ladder,
                 Err(last) => return *last,
             };
-            if let Some(mut auth) = self.device.auth.take() {
+            let check = if let Some(mut auth) = self.device.auth.take() {
                 let (engine, arena) = (&mut self.engine, &mut self.arena);
                 ladder.detect(
                     (engine, arena, &mut self.posmap, &mut self.ledger),
                     &mut auth,
                 );
-                let failures = self.ledger.audit_committed_collect(
-                    "toy copy",
-                    |a, found| self.copy_at(a, found),
-                    |_, _| false,
-                );
-                let media = (
-                    &mut self.engine,
-                    &mut self.arena,
-                    &mut self.posmap,
-                    &mut self.ledger,
-                );
-                ladder.repair(media, &mut auth, failures, |_, _, _, _| {});
+                let (engine, arena) = (&mut self.engine, &mut self.arena);
+                let media = (engine, arena, &mut self.posmap, &mut self.ledger);
+                let check = ladder.repair(media, &mut auth, &ToyCopies);
                 self.device.auth = Some(auth);
-            }
-            let check =
-                (self.ledger).audit_committed("toy copy", |a, f| self.copy_at(a, f), |_, _| false);
+                check
+            } else {
+                check_committed(&self.arena, &self.posmap, &self.ledger, &ToyCopies)
+            };
             ladder.finish(&mut self.engine, check, self.ledger.committed_len())
         }
 
@@ -591,5 +738,128 @@ pub(crate) mod tests {
         assert_eq!(auth.tagged_slots_sorted(), vec![(6, 0)]);
         assert_eq!(convicted_slots(&auth, &arena), vec![]);
         assert_eq!(convicted_one_by_one(&auth, &arena), vec![]);
+    }
+
+    /// A height-3 heap-ordered tree, as Path and Ring lay theirs out.
+    struct Heap;
+
+    impl Copies for Heap {
+        const DESC: &'static str = "copy";
+
+        fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
+            crate::tree::heap_path(Heap::LEVELS, leaf)
+        }
+    }
+
+    impl Heap {
+        const LEVELS: u32 = 3;
+        const LEAVES: u64 = 1 << Heap::LEVELS;
+        const BUCKETS: u64 = 2 * Heap::LEAVES - 1;
+    }
+
+    /// What the walk finds for every row, by the copy's own header and
+    /// payload (the tests below give every stored copy its own payload).
+    fn walked_copies<'a>(
+        arena: &'a SlotArena,
+        posmap: &PosMap,
+        rows: &[(u64, &Vec<u8>)],
+    ) -> Vec<Option<BlockRef<'a>>> {
+        let walk = |&(a, _): &(u64, _)| {
+            let leaf = posmap.persisted_get(BlockAddr(a));
+            arena.newest_on_path(Heap.path(leaf), BlockAddr(a), leaf)
+        };
+        rows.iter().map(walk).collect()
+    }
+
+    #[test]
+    fn the_sweep_skips_a_spliced_copy_and_breaks_a_tie_towards_the_root() {
+        let mut arena = SlotArena::new(4, 1);
+        let mut posmap = PosMap::new(Heap::LEAVES, 1);
+        let mut ledger = CommitLedger::new();
+        for a in 0..3 {
+            posmap.persist(BlockAddr(a), Leaf(5));
+            ledger.commit_if_fresh(a, 0, &[0]);
+        }
+        let mut id = 0u8;
+        let mut store = |bucket, slot, a, leaf, seq| {
+            id += 1;
+            let mut b = Block::new(BlockAddr(a), Leaf(leaf), vec![id]);
+            b.header.seq = seq;
+            arena.write(bucket, slot, Some(b.view()));
+        };
+        // Leaf 5's path is buckets 0, 2, 5, 12.
+        store(12, 0, 0, 5, 7); // a0: the tie's deeper end,
+        store(2, 3, 0, 5, 7); //      the end nearer the root (found),
+        store(5, 1, 0, 4, 9); //      a newer copy under another label,
+        store(6, 0, 0, 5, 9); //      and a newer one spliced off the path.
+        store(11, 2, 1, 5, 1); // a1: only a spliced copy — not found.
+        store(0, 0, 7, 5, 1); // a7 is not committed; a2 has no copy.
+        let rows = ledger.committed_sorted();
+        let found = locate(&arena, &posmap, &rows, &Heap);
+        assert_eq!(found, walked_copies(&arena, &posmap, &rows));
+        assert_eq!(found[0].map(|b| b.payload), Some(&[2u8][..]));
+        assert_eq!(&found[1..], [None, None]);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(192))]
+
+            /// One sweep of the arena finds, for every committed address,
+            /// the copy a walk down its persisted path finds — in Path's
+            /// geometry (Z = 4) and in Ring's (Z + S = 9, consumed slots):
+            /// copies whose counters tie, copies carrying the persisted
+            /// leaf off that leaf's path (a splice), copies under another
+            /// leaf, buckets nothing materialised, addresses without a
+            /// copy and copies of addresses nobody committed.
+            #[test]
+            fn located_copies_match_newest_on_path(
+                ring in any::<bool>(),
+                labels in vec(0..Heap::LEAVES, 6),
+                stored in vec((0u64..8, 0..2 * Heap::LEAVES, 0u64..3, 0..2 * Heap::LEVELS + 2, 0..Heap::BUCKETS, 0usize..9), 0..48),
+                consumed in vec((0..Heap::BUCKETS, 0usize..9), 0..8),
+                committed in vec(any::<bool>(), 8),
+            ) {
+                let slots = if ring { 9 } else { 4 };
+                let mut arena = SlotArena::new(slots, 1);
+                let mut posmap = PosMap::new(Heap::LEAVES, 1);
+                // Addresses 6 and 7 keep their initial labels.
+                for (a, &leaf) in labels.iter().enumerate() {
+                    posmap.persist(BlockAddr(a as u64), Leaf(leaf));
+                }
+                for (id, &(a, label, seq, depth, anywhere, slot)) in stored.iter().enumerate() {
+                    // Half the copies carry their address's persisted leaf;
+                    // a quarter sit wherever `anywhere` says, the rest at
+                    // `depth` on the path of the leaf they carry.
+                    let addr = BlockAddr(a);
+                    let leaf = if label < Heap::LEAVES { Leaf(label) } else { posmap.persisted_get(addr) };
+                    let bucket = Heap.path(leaf).nth(depth as usize).unwrap_or(anywhere);
+                    let mut b = Block::new(addr, leaf, vec![id as u8]);
+                    b.header.seq = seq;
+                    arena.write(bucket, slot % slots, Some(b.view()));
+                }
+                for &(bucket, slot) in consumed.iter().filter(|_| ring) {
+                    if let Some(mut b) = arena.bucket_mut_if_present(bucket) {
+                        b.consume(slot);
+                    }
+                }
+                let mut ledger = CommitLedger::new();
+                for (a, _) in committed.iter().enumerate().filter(|(_, &c)| c) {
+                    ledger.commit_if_fresh(a as u64, 0, &[a as u8]);
+                }
+                let rows = ledger.committed_sorted();
+                prop_assert_eq!(
+                    locate(&arena, &posmap, &rows, &Heap),
+                    walked_copies(&arena, &posmap, &rows)
+                );
+                let swept: Vec<_> = audit(&arena, &posmap, &ledger, &Heap).collect();
+                let walked: Vec<_> = walked_all(&arena, &posmap, &ledger, &Heap).collect();
+                prop_assert_eq!(swept, walked);
+            }
+        }
     }
 }

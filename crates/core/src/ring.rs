@@ -37,11 +37,12 @@ use crate::block::Block;
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
-    to_core, to_mem, AccessScratch, CommitLedger, DeviceSide, FrameCell, Ladder, Media,
-    PersistEngine,
+    check_committed, to_core, to_mem, AccessScratch, CommitLedger, Copies, DeviceSide, FrameCell,
+    Ladder, Media, PersistEngine,
 };
 use crate::paged::PagedTable;
 use crate::posmap::{PosMap, TempPosMap};
+use crate::tree::{heap_path, BucketIndex};
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// Geometry and policy of a Ring ORAM instance.
@@ -215,6 +216,38 @@ impl psoram_obsv::MetricsSource for RingStats {
     }
 }
 
+/// Where recovery looks for Ring's committed copies: on the tree path of
+/// the persisted leaf, in the clear.
+struct RingCopies {
+    levels: u32,
+}
+
+impl Copies for RingCopies {
+    const DESC: &'static str = "copy";
+
+    fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
+        heap_path(self.levels, leaf)
+    }
+
+    /// A surviving shadow is promoted to primary: a legitimate controller
+    /// write, so its slot is recorded afresh.
+    fn admit(
+        &self,
+        arena: &mut SlotArena,
+        auth: &mut AuthTags,
+        (bidx, s): (u64, usize),
+        copy: &mut Block,
+    ) {
+        if copy.is_backup {
+            copy.is_backup = false;
+            if let Some(mut bucket) = arena.bucket_mut_if_present(bidx) {
+                bucket.set_backup(s, false);
+            }
+            auth.record_slot(bidx, s, Some(copy.view()));
+        }
+    }
+}
+
 /// A Ring ORAM controller over simulated NVM, optionally crash-consistent.
 ///
 /// # Examples
@@ -368,8 +401,7 @@ impl RingOram {
 
     /// Bucket indices from the root to `leaf`, ascending.
     fn path(&self, leaf: Leaf) -> impl ExactSizeIterator<Item = u64> + Clone {
-        let levels = self.config.levels;
-        (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
+        heap_path(self.config.levels, leaf)
     }
 
     fn common_depth(&self, a: Leaf, b: Leaf) -> u32 {
@@ -1087,9 +1119,10 @@ impl RingOram {
     /// damaged committed address is restored from its newest surviving
     /// authenticated copy, and addresses with no surviving copy are
     /// rolled back with a typed [`RecoveryError`](crate::RecoveryError)
-    /// instead of serving corrupt data. The rungs are [`crate::engine`]'s
-    /// ladder; what is Ring's own is the audit, the Case-2 compaction
-    /// between phases 2 and 3, and the promotion of a surviving shadow.
+    /// instead of serving corrupt data. The rungs and the audit are
+    /// [`crate::engine`]'s ladder; what is Ring's own is where a copy may
+    /// sit, the Case-2 compaction between phases 2 and 3, and the
+    /// promotion of a surviving shadow (`RingCopies`).
     ///
     /// Idempotent: calling `recover` on a controller that is not crashed
     /// repeats the last verdict without touching state or counters.
@@ -1103,27 +1136,12 @@ impl RingOram {
             ladder.detect(self.media(), auth);
         }
         self.restore_consumed(auth.as_mut());
-        if let Some(auth) = auth.as_mut() {
-            let failures = self.audit_failures();
-            // A surviving shadow is promoted to primary: a legitimate
-            // controller write, so its slot is recorded afresh.
-            ladder.repair(
-                self.media(),
-                auth,
-                failures,
-                |arena, auth, (bidx, s), copy| {
-                    if copy.is_backup {
-                        copy.is_backup = false;
-                        if let Some(mut bucket) = arena.bucket_mut_if_present(bidx) {
-                            bucket.set_backup(s, false);
-                        }
-                        auth.record_slot(bidx, s, Some(copy.view()));
-                    }
-                },
-            );
-        }
+        let copies = self.copies();
+        let check = match auth.as_mut() {
+            Some(auth) => ladder.repair(self.media(), auth, &copies),
+            None => self.check_recoverability(),
+        };
         self.device.auth = auth;
-        let check = self.check_recoverability();
         ladder.finish(&mut self.engine, check, self.ledger.committed_len())
     }
 
@@ -1195,27 +1213,10 @@ impl RingOram {
         }
     }
 
-    /// Where recovery would find committed address `a`: its persisted leaf
-    /// and, written into `found`, the payload of the newest matching copy
-    /// on that path. Reports whether there is one.
-    fn recoverable_copy(&self, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
-        let addr = BlockAddr(a);
-        let leaf = self.posmap.persisted_get(addr);
-        let best = self.buckets.newest_on_path(self.path(leaf), addr, leaf);
-        if let Some(b) = best {
-            found.extend_from_slice(b.payload);
+    fn copies(&self) -> RingCopies {
+        RingCopies {
+            levels: self.config.levels,
         }
-        (leaf, best.is_some())
-    }
-
-    /// The committed addresses the recoverability audit can no longer
-    /// locate, with the audit's verbatim complaint (sorted by address).
-    fn audit_failures(&self) -> Vec<(u64, String)> {
-        self.ledger.audit_committed_collect(
-            "copy",
-            |a, found| self.recoverable_copy(a, found),
-            |_, _| false,
-        )
     }
 
     /// Verifies that every committed value has a physical copy at its
@@ -1225,11 +1226,7 @@ impl RingOram {
     ///
     /// Returns a description of the first inconsistency.
     pub fn check_recoverability(&self) -> Result<(), String> {
-        self.ledger.audit_committed(
-            "copy",
-            |a, found| self.recoverable_copy(a, found),
-            |_, _| false,
-        )
+        check_committed(&self.buckets, &self.posmap, &self.ledger, &self.copies())
     }
 
     /// Reads back every touched address and compares with the appropriate

@@ -8,6 +8,15 @@ use crate::types::{Leaf, OramConfig};
 /// position `i` is `2^d - 1 + i`.
 pub type BucketIndex = u64;
 
+/// Bucket indices from the root to `leaf` of a heap-ordered tree of height
+/// `levels`, ascending.
+pub(crate) fn heap_path(
+    levels: u32,
+    leaf: Leaf,
+) -> impl ExactSizeIterator<Item = BucketIndex> + Clone {
+    (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
+}
+
 /// The external (NVM) ORAM tree.
 ///
 /// The tree is stored **sparsely**: buckets that have never held a real
@@ -120,8 +129,7 @@ impl OramTree {
     /// Panics if `leaf` is out of range.
     pub fn path(&self, leaf: Leaf) -> impl ExactSizeIterator<Item = BucketIndex> + Clone {
         assert!(leaf.0 < self.num_leaves(), "leaf {leaf} out of range");
-        let levels = self.levels;
-        (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
+        heap_path(self.levels, leaf)
     }
 
     /// [`OramTree::path`], collected.

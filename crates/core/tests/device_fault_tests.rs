@@ -262,3 +262,54 @@ fn replay_and_splice_adversaries_still_land_and_are_always_detected() {
         assert_eq!(landed.read_replays > 0, replays, "{landed:?}");
     }
 }
+
+/// Crash → recover cycles of `oram` under the replay mix, each recovery's
+/// verdict — read off the addresses phase 3 touched — compared with the
+/// whole audit (`full`) run over the recovered state. Returns the repairs
+/// and rollbacks seen.
+fn narrow_verdicts_against_full<T: ProtocolPolicy>(
+    mut oram: T,
+    seed: u64,
+    full: fn(&T) -> Result<(), String>,
+) -> (u64, usize) {
+    let (mut repairs, mut rollbacks) = (0, 0);
+    assert!(drive(&mut oram, seed, 30), "clean warmup poisoned");
+    oram.enable_device_faults(seed.wrapping_mul(0x9E37), FaultConfig::replay_mix());
+    for round in 0..10u64 {
+        if !drive(&mut oram, seed + round * 101, 12) {
+            break;
+        }
+        oram.crash_now();
+        let report = oram.recover();
+        assert_eq!(
+            report.violation,
+            full(&oram).err(),
+            "seed {seed} round {round}"
+        );
+        repairs += report.repairs;
+        rollbacks += report.rolled_back.len();
+    }
+    (repairs, rollbacks)
+}
+
+/// The debug build asserts this inside every recovery; this is the form
+/// that also holds the release build to it.
+#[test]
+fn the_verdict_after_repair_is_the_full_audit() {
+    let mut seen = [(0, 0); 2];
+    for seed in [3u64, 17, 92, 311] {
+        let path = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, seed);
+        let ring = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, seed);
+        let runs = [
+            narrow_verdicts_against_full(path, seed, PathOram::check_recoverability),
+            narrow_verdicts_against_full(ring, seed, RingOram::check_recoverability),
+        ];
+        for (total, (repairs, rollbacks)) in seen.iter_mut().zip(runs) {
+            *total = (total.0 + repairs, total.1 + rollbacks);
+        }
+    }
+    for (design, (repairs, rollbacks)) in ["Path", "Ring"].iter().zip(seen) {
+        assert!(repairs > 0, "{design}: no recovery repaired anything");
+        assert!(rollbacks > 0, "{design}: no recovery rolled anything back");
+    }
+}

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# One device side, one recovery ladder, one per-slot freshness table —
-# held mechanically.
+# One device side, one recovery ladder with one audit, one per-slot
+# freshness table — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -24,6 +24,31 @@ if [ -n "$stray" ]; then
     exit 1
 fi
 
+# One audit, and the ladder runs it: the sweep that locates every committed
+# address (`locate`), the collecting audit over it and the per-address walk
+# debug builds hold it to are private to `engine/recover.rs`; what they
+# are made of (`CommitLedger::violations`, `committed_sorted`) is named
+# only under `engine/`. A controller reaches the audit one way — the
+# one-shot `check_committed`, once, in its public `check_recoverability`
+# (which is also an unhardened design's whole verdict). One that names it
+# again, or the pieces, has grown the second audit back into its `recover`.
+AUDIT='committed_sorted|walked_all|\.violations\('
+stray=$(grep -rlE "$AUDIT" --include='*.rs' crates/core/src \
+    | grep -v -e '^crates/core/src/engine/' || true)
+if [ -n "$stray" ]; then
+    echo "error: the recovery audit's internals named outside engine/:" >&2
+    grep -nE "$AUDIT" $stray >&2
+    exit 1
+fi
+for controller in controller ring; do
+    calls=$(grep -c 'check_committed(' "crates/core/src/$controller.rs" || true)
+    if [ "$calls" -ne 1 ]; then
+        echo "error: $controller.rs calls check_committed $calls times (its check_recoverability: 1)" >&2
+        grep -n 'check_committed(' "crates/core/src/$controller.rs" >&2
+        exit 1
+    fi
+done
+
 # One per-slot freshness table: the trusted counter and the off-chip
 # record of a slot share a row (`SlotRow`), so `auth.rs` names the table
 # type twice — those rows and the adversary's `UnitHistory` — and the
@@ -38,4 +63,4 @@ if grep -rnwE 'in_lanes|slot_tags|classify_lanes' --include='*.rs' crates; then
     echo "error: a per-unit staging helper of the freshness layer is back" >&2
     exit 1
 fi
-echo "single copy: ok (device side and recovery ladder in engine/ only; one per-slot freshness table)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table)"

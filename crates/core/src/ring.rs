@@ -358,6 +358,18 @@ impl RingOram {
         self.stash.len()
     }
 
+    /// Current temporary-PosMap occupancy (always zero on Ring-Baseline).
+    pub fn temp_posmap_len(&self) -> usize {
+        self.temp.len()
+    }
+
+    /// Backup (shadow) copies pinned in the tree: a scan of every
+    /// materialized bucket, for occupancy traces.
+    pub fn pinned_backups(&self) -> usize {
+        let backups = |(_, b): (u64, BucketRef<'_>)| b.blocks().filter(|b| b.is_backup).count();
+        self.buckets.iter().map(backups).sum()
+    }
+
     /// Installs a seeded device-level fault plan on the NVM backend.
     ///
     /// Mirrors [`crate::PathOram::enable_device_faults`]: the hardened

@@ -308,6 +308,110 @@ fn device_fault_recovery_cycles_match_golden() {
     );
 }
 
+/// Accesses of a pinned Ring run, and of the prefix a debug build stops
+/// at (thirty times slower, and `reshuffle_bucket`'s open `debug_assert` —
+/// ROADMAP item 1(b) — trips in the PS-Ring L = 14 seed-17 run past it).
+const RING_RUN: u64 = 30_000;
+const RING_RUN_PREFIX: u64 = 3_000;
+
+/// One Ring run folded into a digest, read after [`RING_RUN_PREFIX`] and
+/// (release builds) [`RING_RUN`] mixed accesses: each access contributes
+/// its outcome, the clock, the NVM read and write counts and the stash and
+/// temporary-PosMap occupancies it left behind, every 1,000th the whole
+/// `state_digest()`. With `faults`, the replay mix is armed and every
+/// 500th access is followed by a `crash_now` and a `recover` whose
+/// serialized `RecoveryReport` is folded too. Stuck reads are left out of
+/// the mix: one poisons an instance for good every ~330 accesses, and no
+/// tree under faults would ever grow older than that.
+fn ring_fold(variant: RingVariant, levels: u32, seed: u64, faults: bool) -> (u128, u128) {
+    let cfg = RingConfig {
+        levels,
+        ..RingConfig::small_test()
+    };
+    let mut oram = RingOram::new(cfg.clone(), variant, seed);
+    if faults {
+        let mix = FaultConfig {
+            stuck_read: 0.0,
+            ..FaultConfig::replay_mix()
+        };
+        oram.enable_device_faults(seed, mix);
+    }
+    let hash = psoram_crypto::Hash128::new();
+    let (mut acc, mut window) = ([0u8; 16], Vec::new());
+    let (mut prefix, mut x) = (0, seed);
+    let accesses = if cfg!(debug_assertions) {
+        RING_RUN_PREFIX
+    } else {
+        RING_RUN
+    };
+    for i in 1..=accesses {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let addr = BlockAddr((x >> 33) % cfg.capacity_blocks());
+        let outcome = if i % 3 == 0 {
+            oram.read(addr).map(|v| window.extend_from_slice(&v))
+        } else {
+            oram.write(addr, vec![(x >> 17) as u8; cfg.payload_bytes])
+        };
+        if let Err(e) = &outcome {
+            window.extend_from_slice(e.to_string().as_bytes());
+        }
+        let nvm = oram.nvm_stats();
+        for v in [
+            oram.clock(),
+            nvm.reads,
+            nvm.writes,
+            oram.stash_len() as u64,
+            oram.temp_posmap_len() as u64,
+        ] {
+            window.extend_from_slice(&v.to_le_bytes());
+        }
+        if faults && i % 500 == 0 {
+            oram.crash_now();
+            let report = serde_json::to_string(&oram.recover()).expect("reports serialize");
+            window.extend_from_slice(report.as_bytes());
+        }
+        if i % 1_000 == 0 {
+            window.extend_from_slice(&oram.state_digest().to_le_bytes());
+            acc = hash.digest_parts(&[&acc[..], &window[..]]);
+            window.clear();
+        }
+        if i == RING_RUN_PREFIX {
+            prefix = u128::from_le_bytes(acc);
+        }
+    }
+    (prefix, u128::from_le_bytes(acc))
+}
+
+/// What `ring.rs` does, access by access, pinned to the build before its
+/// hot bodies were rewritten over reused buffers (recorded at 644c9af plus
+/// the `temp_posmap_len` accessor this folds): PS-Ring and Ring-Baseline,
+/// L = 10 and L = 14, seeds 3 / 17 / 92, clean and under the replay mix
+/// with a crash and a recovery every 500 accesses. Each pin is the digest
+/// after the prefix and after the whole run.
+#[test]
+fn ring_runs_are_pinned_access_by_access() {
+    let mut got = Vec::new();
+    for faults in [false, true] {
+        for variant in [RingVariant::PsRing, RingVariant::Baseline] {
+            for levels in [10, 14] {
+                for seed in [3, 17, 92] {
+                    got.push(ring_fold(variant, levels, seed, faults));
+                }
+            }
+        }
+    }
+    let pins = RING_RUN_PINS.map(|(prefix, whole)| {
+        if cfg!(debug_assertions) {
+            (prefix, prefix)
+        } else {
+            (prefix, whole)
+        }
+    });
+    assert_eq!(got, pins, "{got:#034x?}");
+}
+
 const PATH_PINS: [(u128, usize); 4] = [
     (0x66b9cd1aebd4676a6c6b1dab93efb1c3, 1530),
     (0x80da399ac896f1c7799f6d7aec607b48, 1488),
@@ -323,4 +427,102 @@ const WPQ_CORNER_PINS: [(u64, u64, u64, u64, u128); 3] = [
     (896, 897, 896, 1792, 0xff3743145309b856f89e3dea88e42509),
     (2327, 897, 896, 3223, 0xff3743145309b856f89e3dea88e42509),
     (1219, 897, 896, 2115, 0xff3743145309b856f89e3dea88e42509),
+];
+const RING_RUN_PINS: [(u128, u128); 24] = [
+    (
+        0xe9027fa35e94ca614b7eddbebfe14d34,
+        0x92b37c25f8a8cc07f3ad447e4e75cb16,
+    ),
+    (
+        0x19a74fa149951c014b20a3b73b2d1a1a,
+        0x7470d729bbc4ef4fe9a2e2c76c338dab,
+    ),
+    (
+        0x31accb4cac4b05a432c06ab8588aad59,
+        0x0660166950596f8883323414a4bf3483,
+    ),
+    (
+        0x62baaa98dd96147de074fce257d178e7,
+        0x9e3f5ce8400e96441cd21c7d3cdbd1b6,
+    ),
+    (
+        0x9920a0cf1c7fbf8d197b86aab08186ec,
+        0xfb8495d5e01e8cda580027e24e55d28b,
+    ),
+    (
+        0xc4bb6ebc6988fd43c7ecd6f8abee5a9f,
+        0x0ef379f889ed97af5839c52e65b64a82,
+    ),
+    (
+        0x905ccffad9d3b9599840151e7da6a578,
+        0xa88779069361c7f0205b8e7423a057db,
+    ),
+    (
+        0x9bdaedec51ed5f522437dbee834975d7,
+        0x5e6fe3e0554749f2a149bf4b819bdfe9,
+    ),
+    (
+        0x61a335a756400384d9937acb53cd4181,
+        0x634a6a885c5f8fd96ad9cbb5c4d9c997,
+    ),
+    (
+        0x212f145de442cefd0b44e9dd392ff781,
+        0xc20e8e994f659fe05687256cd60bc45a,
+    ),
+    (
+        0x423bd86e66a48ce59a156764c68fbe15,
+        0xeae547c7fa8cae565500f8f54aef785e,
+    ),
+    (
+        0x3812199a099af95fff3cc9f9770ffc13,
+        0xfcd7129eafeba94a764b7a36dfb51a33,
+    ),
+    (
+        0xf1d70d59e79c8fd3a8518b5d387b2b00,
+        0xa0db2db05f12235a090047bd1e3698fe,
+    ),
+    (
+        0xd957ffbea2758bc2cc31a22e433cb0f0,
+        0x71c2a07220701c7a06b0a1af2c5fbf3b,
+    ),
+    (
+        0xe3da8fae5b77007940363a7204759165,
+        0xbfdf4bea5d99a26db7ed76186f87bd32,
+    ),
+    (
+        0xf667c67a6bec61267360b39210648aa4,
+        0x18d92a8b2045b83dead5d24246c51743,
+    ),
+    (
+        0x6c7e065a95230f7d7d9305d9a971be67,
+        0x2a99a678a6410d8d2200a13900db1327,
+    ),
+    (
+        0x9ae9f7ee62fcce20ac5bcacdc02db398,
+        0x2d35ecc80a02db1edf5d6d060c54efde,
+    ),
+    (
+        0x436091501fa70ab8448dd3abe3b8cad6,
+        0x9ff87ef625acdc5e1ae410f9cc63b9ce,
+    ),
+    (
+        0x60c22310e1fe6c8fe24f84eb8d415475,
+        0x11c8a7a1ce60241cdb4c1cd2faab0a7d,
+    ),
+    (
+        0x916cba6b60d16f6f775a7c7721c64468,
+        0x1421abebc8839209a74f02ae6ea01321,
+    ),
+    (
+        0x79568a10119b05169fc0bb3e19c10d4a,
+        0x1a2f2e60f98d74e8456bb643a0d38fcc,
+    ),
+    (
+        0x0d915f719a3900d49072653560307423,
+        0x2ea3772ac6a383b329fa38ffda056a99,
+    ),
+    (
+        0xda48fa695aa88abe697730ae5def3f4e,
+        0x3527f4b65799b1f028dc318d7a08816d,
+    ),
 ];

@@ -429,6 +429,15 @@ impl<'a> BucketRef<'a> {
         self.flag(slot) & CONSUMED == 0
     }
 
+    /// Ring ORAM: the slots a dummy read may take — dummies no read has
+    /// consumed — in slot order.
+    pub(crate) fn valid_dummies(self) -> impl Iterator<Item = usize> + 'a {
+        let unread_dummy = |&(_, &f): &(usize, &u8)| f & (OCCUPIED | CONSUMED) == 0;
+        (self.flags().iter().enumerate())
+            .filter(unread_dummy)
+            .map(|(slot, _)| slot)
+    }
+
     /// Ring ORAM: reads since the last rewrite — a read consumes exactly
     /// one valid slot, so this is the number of consumed slots.
     pub(crate) fn reads(&self) -> usize {

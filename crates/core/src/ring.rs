@@ -24,7 +24,6 @@
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -33,7 +32,7 @@ use psoram_obsv::{Event, Phase, Tap};
 
 use crate::arena::{BucketRef, SlotArena};
 use crate::auth::AuthTags;
-use crate::block::Block;
+use crate::block::{Block, BlockRef};
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
@@ -167,6 +166,23 @@ fn find_valid(bucket: BucketRef<'_>, addr: BlockAddr) -> Option<usize> {
         .headers()
         .filter(|&(s, h)| h.addr == addr && bucket.is_valid(s))
         .find_map(|(s, _)| bucket.slot(s).is_some_and(|b| !b.is_backup).then_some(s))
+}
+
+/// A uniformly chosen valid dummy slot of `bucket`: one draw over their
+/// count, none when it has none left.
+fn pick_valid_dummy(bucket: BucketRef<'_>, rng: &mut StdRng) -> Option<usize> {
+    let n = bucket.valid_dummies().count();
+    (n > 0).then(|| bucket.valid_dummies().nth(rng.gen_range(0..n)))?
+}
+
+/// What a bucket rewrite keeps of a block it finds in the bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kept {
+    /// The current copy of its address.
+    Primary,
+    /// A live shadow: the only recoverable copy of a stash-resident block,
+    /// kept (flagged) so the rewrite does not destroy it.
+    Shadow,
 }
 
 /// Statistics for a Ring ORAM controller.
@@ -585,32 +601,26 @@ impl RingOram {
         // The frame lists the slots this access reads: one per bucket.
         let mut frame = std::mem::take(&mut self.scratch.frame);
         frame.cells.clear();
-        let mut valid_dummies = std::mem::take(&mut self.scratch.dummies);
-        let mut fetched: Option<Block> = None;
+        // Where the target was found: its bytes stay in the slot (a read
+        // flips metadata only) until step ④ copies them.
         let mut fetched_from: Option<(u64, usize)> = None;
         for bidx in self.path(old_leaf) {
             let slot = self.buckets.bucket(bidx).and_then(|b| {
-                let hit = if in_stash || fetched.is_some() {
+                let hit = if in_stash || fetched_from.is_some() {
                     None
                 } else {
                     find_valid(b, addr)
                 };
-                hit.or_else(|| {
-                    valid_dummies.clear();
-                    valid_dummies
-                        .extend((0..b.num_slots()).filter(|&s| b.is_valid(s) && !b.is_real(s)));
-                    valid_dummies.choose(&mut self.rng).copied()
-                })
+                hit.or_else(|| pick_valid_dummy(b, &mut self.rng))
             });
             // Brand-new (all-dummy, all-valid) bucket: read slot 0.
             let slot = slot.unwrap_or_default();
             let mut b = self.buckets.bucket_mut(bidx);
             if b.is_valid(slot) {
-                if let Some(block) = b.slot(slot) {
-                    if block.addr() == addr && !block.is_backup {
-                        fetched = Some(block.to_block());
-                        fetched_from = Some((bidx, slot));
-                    }
+                if b.slot(slot)
+                    .is_some_and(|block| block.addr() == addr && !block.is_backup)
+                {
+                    fetched_from = Some((bidx, slot));
                 }
                 b.consume(slot);
             }
@@ -620,7 +630,6 @@ impl RingOram {
                 nvm_addr: self.slot_nvm_addr(bidx, slot),
             });
         }
-        self.scratch.dummies = valid_dummies;
         let done = self
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Read, to_mem(t));
@@ -640,13 +649,6 @@ impl RingOram {
             &mut serve_stale,
             t,
         )?;
-        // An undetected stale serve (Baseline) replaces the fetched bytes:
-        // the controller consumes what the wire delivered.
-        if let Some(((sb, ss), content, _)) = &serve_stale {
-            if fetched_from == Some((*sb, *ss)) {
-                fetched = content.clone().filter(|b| b.addr() == addr && !b.is_backup);
-            }
-        }
         self.scratch.frame = frame;
         // One combined metadata write per access (valid bits + counts).
         let meta = self
@@ -668,9 +670,18 @@ impl RingOram {
             self.stash[idx].header.leaf = new_leaf;
             self.stash[idx].header.seq = seq;
         } else {
-            let mut block = fetched.unwrap_or_else(|| {
-                Block::new(addr, new_leaf, vec![0u8; self.config.payload_bytes])
+            // An undetected stale serve (Baseline) replaces the fetched
+            // bytes: the controller consumes what the wire delivered.
+            let fetched = fetched_from.and_then(|at| match &serve_stale {
+                Some((stale_at, content, _)) if *stale_at == at => (content.as_ref())
+                    .map(Block::view)
+                    .filter(|b| b.addr() == addr && !b.is_backup),
+                _ => self.buckets.slot(at.0, at.1),
             });
+            let mut block = match fetched {
+                Some(view) => self.scratch.block_from(view),
+                None => (self.scratch).zeroed_block(addr, new_leaf, self.config.payload_bytes),
+            };
             block.header.leaf = new_leaf;
             block.header.seq = seq;
             block.is_backup = false;
@@ -706,18 +717,13 @@ impl RingOram {
         self.maybe_crash(CrashPoint::AfterUpdateStash)?;
 
         // Step ⑤: early reshuffles, then the periodic evict-path.
-        let exhausted: Vec<u64> = self
-            .path(old_leaf)
-            .filter(|&b| {
-                self.buckets
-                    .bucket(b)
-                    .is_some_and(|bk| bk.reads() >= self.config.dummy_slots)
-            })
-            .collect();
         let mut t_bg = value_ready;
-        for bidx in exhausted {
-            t_bg = self.reshuffle_bucket(bidx, t_bg)?;
-            self.stats.early_reshuffles += 1;
+        for bidx in self.path(old_leaf) {
+            let reads = self.buckets.bucket(bidx).map_or(0, |b| b.reads());
+            if reads >= self.config.dummy_slots {
+                t_bg = self.reshuffle_bucket(bidx, t_bg)?;
+                self.stats.early_reshuffles += 1;
+            }
         }
         if self.access_counter.is_multiple_of(self.config.evict_rate) {
             t_bg = self.evict_path(t_bg)?;
@@ -735,35 +741,22 @@ impl RingOram {
         Ok((read, value_ready))
     }
 
-    /// Classifies a physically present block during a bucket rewrite.
-    /// Returns the block to retain in the new bucket image, if any.
-    fn classify_for_rewrite(&self, block: Block) -> Option<Block> {
+    /// Classifies a physically present block during a bucket rewrite, where
+    /// it lies: what the new bucket image retains of it, if anything. Only
+    /// a kept block is copied on chip.
+    fn classify_for_rewrite(&self, block: BlockRef<'_>) -> Option<Kept> {
         let a = block.addr();
-        let in_stash = self.stash_primary(a).is_some();
-        let current = self.lookup(a);
-        let stale = in_stash || block.leaf() != current || block.is_backup;
+        let stale =
+            block.is_backup || block.leaf() != self.lookup(a) || self.stash_primary(a).is_some();
         if !stale {
-            let mut b = block;
-            b.is_backup = false;
-            return Some(b);
+            Some(Kept::Primary)
+        } else if self.variant == RingVariant::PsRing
+            && block.leaf() == self.posmap.persisted_get(a)
+        {
+            Some(Kept::Shadow)
+        } else {
+            None
         }
-        if self.variant == RingVariant::PsRing && block.leaf() == self.posmap.persisted_get(a) {
-            // Live shadow: the only recoverable copy of a stash-resident
-            // block. Keep it (flagged) so the rewrite does not destroy it.
-            let mut b = block;
-            b.is_backup = true;
-            return Some(b);
-        }
-        None
-    }
-
-    /// Owned copies of the real blocks physically in bucket `bidx` (none
-    /// when it was never materialized): what a rewrite reads off media.
-    fn present_blocks(&self, bidx: u64) -> Vec<Block> {
-        self.buckets
-            .bucket(bidx)
-            .map(|b| b.blocks().map(|b| b.to_block()).collect())
-            .unwrap_or_default()
     }
 
     /// Rewrites one bucket in place (early reshuffle).
@@ -776,11 +769,19 @@ impl RingOram {
         let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
-        let keep: Vec<Block> = self
-            .present_blocks(bidx)
+        let mut keep: Vec<Block> = Vec::new();
+        for view in self
+            .buckets
+            .bucket(bidx)
             .into_iter()
-            .filter_map(|b| self.classify_for_rewrite(b))
-            .collect();
+            .flat_map(|b| b.blocks())
+        {
+            if let Some(kept) = self.classify_for_rewrite(view) {
+                let mut b = self.scratch.block_from(view);
+                b.is_backup = kept == Kept::Shadow;
+                keep.push(b);
+            }
+        }
         debug_assert!(keep.len() <= self.config.real_slots);
         let fresh = Bucket::permuted(keep, physical, &mut self.rng);
         self.commit_rewrites(vec![(bidx, fresh)], Vec::new(), t)
@@ -814,18 +815,26 @@ impl RingOram {
         let mut per_level: Vec<Vec<Block>> = vec![Vec::new(); path.len()];
         let mut pulled_src: HashMap<u64, usize> = HashMap::new();
         for (pos, bidx) in path.clone().enumerate() {
-            for block in self.present_blocks(bidx) {
-                match self.classify_for_rewrite(block) {
-                    Some(b) if b.is_backup => per_level[pos].push(b),
-                    Some(b) => {
-                        if self.variant == RingVariant::PsRing
-                            && b.leaf() == self.posmap.persisted_get(b.addr())
-                        {
-                            pulled_src.insert(b.addr().0, pos);
-                        }
-                        self.stash.push(b);
+            for view in self
+                .buckets
+                .bucket(bidx)
+                .into_iter()
+                .flat_map(|b| b.blocks())
+            {
+                let Some(kept) = self.classify_for_rewrite(view) else {
+                    continue;
+                };
+                let mut b = self.scratch.block_from(view);
+                b.is_backup = kept == Kept::Shadow;
+                if b.is_backup {
+                    per_level[pos].push(b);
+                } else {
+                    if self.variant == RingVariant::PsRing
+                        && b.leaf() == self.posmap.persisted_get(b.addr())
+                    {
+                        pulled_src.insert(b.addr().0, pos);
                     }
-                    None => {}
+                    self.stash.push(b);
                 }
             }
         }
@@ -862,7 +871,7 @@ impl RingOram {
                     .rev()
                     .find(|&d| per_level[d].len() < physical);
                 if let Some(d) = spot {
-                    let mut shadow = b.clone();
+                    let mut shadow = self.scratch.block_from(b.view());
                     shadow.is_backup = true;
                     per_level[d].push(shadow);
                 }
@@ -1045,8 +1054,11 @@ impl RingOram {
     /// valid again, no reads counted.
     fn install(&mut self, bidx: u64, image: Bucket) {
         let mut bucket = self.buckets.bucket_mut(bidx);
-        for (s, slot) in image.into_slots().iter().enumerate() {
+        for (s, slot) in image.into_slots().into_iter().enumerate() {
             bucket.set(s, slot.as_ref().map(Block::view));
+            if let Some(block) = slot {
+                self.scratch.recycle(block);
+            }
         }
         bucket.revalidate();
     }

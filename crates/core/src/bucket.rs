@@ -105,8 +105,13 @@ impl Bucket {
 
     /// A freshly permuted `physical`-slot image of up to `physical` real
     /// blocks — what a Ring ORAM bucket rewrite puts on the bus.
-    pub(crate) fn permuted(blocks: Vec<Block>, physical: usize, rng: &mut StdRng) -> Self {
-        let mut slots: Vec<Option<Block>> = blocks.into_iter().map(Some).collect();
+    pub(crate) fn permuted(
+        blocks: impl IntoIterator<Item = Block>,
+        physical: usize,
+        rng: &mut StdRng,
+    ) -> Self {
+        let mut slots: Vec<Option<Block>> = Vec::with_capacity(physical);
+        slots.extend(blocks.into_iter().map(Some));
         slots.resize(physical, None);
         slots.shuffle(rng);
         Bucket { slots }

@@ -46,7 +46,7 @@ pub(crate) use persist::fault_kind;
 pub use persist::{EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
 pub use policy::{CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies, Ladder, Media};
-pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame};
+pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 
 use psoram_crypto::Hash128;
 use psoram_nvm::CORE_CYCLES_PER_MEM_CYCLE;

@@ -9,7 +9,10 @@
 //! tree slot), so the steady-state access allocates none of it. A buffer
 //! lost to an early crash return is simply allocated again.
 
+use std::cmp::Reverse;
+
 use crate::block::{Block, BlockRef};
+use crate::bucket::Bucket;
 use crate::eviction::Placement;
 use crate::tree::{BucketIndex, OramTree};
 use crate::types::{BlockAddr, Leaf};
@@ -81,6 +84,86 @@ impl PathFrame {
     }
 }
 
+/// The tables of a Ring ORAM bucket rewrite — an evict-path or an early
+/// reshuffle — over the buckets being rewritten, root first: level `d` is
+/// the `d`-th of them.
+#[derive(Debug, Default)]
+pub(crate) struct RewriteTables {
+    /// Slots of a bucket (`Z + S`): the stride of `cells`.
+    physical: usize,
+    /// The new content of every level, level-major: level `d` holds
+    /// `lens[d]` blocks from `cells[d * physical]` on.
+    cells: Vec<Option<Block>>,
+    lens: Vec<usize>,
+    /// `(address, level)` of every primary the rewrite pulled off its
+    /// persisted position.
+    pub pulled: Vec<(BlockAddr, usize)>,
+    /// The stash in placement order: deepest common level first, stash
+    /// order within one — `(level, stash position)`.
+    pub order: Vec<(Reverse<u32>, u32)>,
+    /// The blocks placement turned away, in that order: the next stash.
+    pub leftovers: Vec<Block>,
+    /// The dirty PosMap entries travelling with the round.
+    pub flushes: Vec<(BlockAddr, Leaf)>,
+    /// The images the round writes, in ascending bucket order.
+    pub images: Vec<(BucketIndex, Bucket)>,
+}
+
+impl RewriteTables {
+    /// Empties the tables for a rewrite of `levels` buckets of `physical`
+    /// slots.
+    pub fn begin(&mut self, levels: usize, physical: usize) {
+        self.physical = physical;
+        self.cells.clear();
+        self.cells.resize_with(levels * physical, || None);
+        self.lens.clear();
+        self.lens.resize(levels, 0);
+        self.pulled.clear();
+        self.leftovers.clear();
+        self.flushes.clear();
+        self.images.clear();
+    }
+
+    /// Blocks level `level` holds so far.
+    pub fn len(&self, level: usize) -> usize {
+        self.lens[level]
+    }
+
+    /// Adds `block` to the new content of level `level`.
+    pub fn push(&mut self, level: usize, block: Block) {
+        self.cells[level * self.physical + self.lens[level]] = Some(block);
+        self.lens[level] += 1;
+    }
+
+    /// The deepest level no deeper than `from` that holds fewer than
+    /// `limit` blocks.
+    pub fn deepest_with_room(&self, from: usize, limit: usize) -> Option<usize> {
+        (0..=from).rev().find(|&d| self.lens[d] < limit)
+    }
+
+    /// Lists in `flushes` the dirty PosMap entry (`dirty`) of every primary
+    /// of level `level`, in the order they were added.
+    pub fn flush_dirty(&mut self, level: usize, dirty: impl Fn(BlockAddr) -> Option<Leaf>) {
+        let first = level * self.physical;
+        let blocks = self.cells[first..first + self.lens[level]].iter().flatten();
+        for b in blocks.filter(|b| !b.is_backup) {
+            if let Some(leaf) = dirty(b.addr()) {
+                self.flushes.push((b.addr(), leaf));
+            }
+        }
+    }
+
+    /// Moves the new content of level `level` out, in the order it was
+    /// added.
+    pub fn take_level(&mut self, level: usize) -> impl Iterator<Item = Block> + '_ {
+        let first = level * self.physical;
+        let taken = std::mem::take(&mut self.lens[level]);
+        self.cells[first..first + taken]
+            .iter_mut()
+            .filter_map(Option::take)
+    }
+}
+
 /// Scratch state reused across accesses by [`crate::PathOram`] and
 /// [`crate::RingOram`].
 #[derive(Debug, Default)]
@@ -96,10 +179,11 @@ pub(crate) struct AccessScratch {
     /// Per frame position: the address the plan writes there (small-WPQ
     /// ordering only).
     pub targets: Vec<Option<BlockAddr>>,
-    /// Dummy slots under consideration: Path ORAM — the frame positions
-    /// the open round rewrites as dummies once it commits; Ring ORAM — the
-    /// valid dummy slots of the bucket being read.
+    /// The frame positions the open round rewrites as dummies once it
+    /// commits (Path ORAM).
     pub dummies: Vec<usize>,
+    /// The bucket rewrite in progress (Ring ORAM).
+    pub rewrite: RewriteTables,
     /// Payload buffers of blocks that left the chip (written to the tree,
     /// or dropped as dead copies), for the next blocks that enter it.
     free_payloads: Vec<Vec<u8>>,

@@ -21,7 +21,8 @@
 //!   commits); an early reshuffle only rewrites content back into the same
 //!   bucket and commits as its own small round.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,7 +38,7 @@ use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
     check_committed, to_core, to_mem, AccessScratch, CommitLedger, Copies, DeviceSide, FrameCell,
-    Ladder, Media, PersistEngine,
+    Ladder, Media, PersistEngine, RewriteTables,
 };
 use crate::paged::PagedTable;
 use crate::posmap::{PosMap, TempPosMap};
@@ -759,9 +760,49 @@ impl RingOram {
         }
     }
 
+    /// Sorts the blocks physically in the bucket at `level` of a rewrite
+    /// into its tables: shadows stay pinned to their level, dead copies
+    /// are left where they lie, and a primary either stays too (an early
+    /// reshuffle) or, with `pull`, joins the stash for re-placement — one
+    /// pulled off its *persisted* position is remembered: if placement
+    /// cannot fit it back on the path, the rewrite would destroy the only
+    /// recoverable copy.
+    fn pool_bucket(&mut self, rw: &mut RewriteTables, level: usize, bidx: u64, pull: bool) {
+        let Some(bucket) = self.buckets.bucket(bidx) else {
+            return;
+        };
+        for view in bucket.blocks() {
+            let Some(kept) = self.classify_for_rewrite(view) else {
+                continue;
+            };
+            let mut b = self.scratch.block_from(view);
+            b.is_backup = kept == Kept::Shadow;
+            if b.is_backup || !pull {
+                rw.push(level, b);
+                continue;
+            }
+            if self.variant == RingVariant::PsRing
+                && b.leaf() == self.posmap.persisted_get(b.addr())
+            {
+                rw.pulled.push((b.addr(), level));
+            }
+            self.stash.push(b);
+        }
+    }
+
+    /// Builds the image of every level from the tables, root first, with
+    /// the dirty PosMap entries of its primaries.
+    fn build_images(&mut self, rw: &mut RewriteTables, path: impl Iterator<Item = u64>) {
+        let physical = self.config.bucket_physical_slots();
+        for (level, bidx) in path.enumerate() {
+            rw.flush_dirty(level, |a| self.temp.get(a));
+            let image = Bucket::permuted(rw.take_level(level), physical, &mut self.rng);
+            rw.images.push((bidx, image));
+        }
+    }
+
     /// Rewrites one bucket in place (early reshuffle).
     fn reshuffle_bucket(&mut self, bidx: u64, t: u64) -> Result<u64, OramError> {
-        let physical = self.config.bucket_physical_slots();
         // Read the real blocks still present (the permutation metadata
         // tells the controller which slots those are), rebuild, write the
         // whole bucket back.
@@ -769,22 +810,14 @@ impl RingOram {
         let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
-        let mut keep: Vec<Block> = Vec::new();
-        for view in self
-            .buckets
-            .bucket(bidx)
-            .into_iter()
-            .flat_map(|b| b.blocks())
-        {
-            if let Some(kept) = self.classify_for_rewrite(view) {
-                let mut b = self.scratch.block_from(view);
-                b.is_backup = kept == Kept::Shadow;
-                keep.push(b);
-            }
-        }
-        debug_assert!(keep.len() <= self.config.real_slots);
-        let fresh = Bucket::permuted(keep, physical, &mut self.rng);
-        self.commit_rewrites(vec![(bidx, fresh)], Vec::new(), t)
+        let mut rw = std::mem::take(&mut self.scratch.rewrite);
+        rw.begin(1, self.config.bucket_physical_slots());
+        self.pool_bucket(&mut rw, 0, bidx, false);
+        debug_assert!(rw.len(0) <= self.config.real_slots);
+        self.build_images(&mut rw, std::iter::once(bidx));
+        let done = self.commit_rewrites(&mut rw, t);
+        self.scratch.rewrite = rw;
+        done
     }
 
     /// The periodic evict-path: deterministic reverse-lexicographic leaf,
@@ -808,48 +841,31 @@ impl RingOram {
         let t = to_core(done);
 
         // Pool: shadows stay pinned to their bucket; primaries join the
-        // stash for (re-)placement. Primaries pulled off their *persisted*
-        // position are remembered: if placement cannot fit them back on the
-        // path, the rewrite below would destroy the only recoverable copy.
-        // `per_level[d]` collects the new content of `path[d]`.
-        let mut per_level: Vec<Vec<Block>> = vec![Vec::new(); path.len()];
-        let mut pulled_src: HashMap<u64, usize> = HashMap::new();
-        for (pos, bidx) in path.clone().enumerate() {
-            for view in self
-                .buckets
-                .bucket(bidx)
-                .into_iter()
-                .flat_map(|b| b.blocks())
-            {
-                let Some(kept) = self.classify_for_rewrite(view) else {
-                    continue;
-                };
-                let mut b = self.scratch.block_from(view);
-                b.is_backup = kept == Kept::Shadow;
-                if b.is_backup {
-                    per_level[pos].push(b);
-                } else {
-                    if self.variant == RingVariant::PsRing
-                        && b.leaf() == self.posmap.persisted_get(b.addr())
-                    {
-                        pulled_src.insert(b.addr().0, pos);
-                    }
-                    self.stash.push(b);
-                }
-            }
+        // stash for (re-)placement. No address gains a second primary
+        // there: a copy of one the stash holds is stale by definition.
+        let mut rw = std::mem::take(&mut self.scratch.rewrite);
+        rw.begin(path.len(), physical);
+        for (level, bidx) in path.clone().enumerate() {
+            self.pool_bucket(&mut rw, level, bidx, true);
         }
-        // Dedup: fetching may have re-added primaries already in the stash.
-        self.dedup_stash();
 
-        // Greedy deepest-first placement of stash blocks into the path.
-        let mut remaining: Vec<Block> = std::mem::take(&mut self.stash);
-        remaining.sort_by_key(|b| std::cmp::Reverse(self.common_depth(b.leaf(), leaf)));
-        let mut leftovers = Vec::new();
-        for block in remaining {
-            let max_d = self.common_depth(block.leaf(), leaf) as usize;
-            match (0..=max_d).rev().find(|&d| per_level[d].len() < z) {
-                Some(d) => per_level[d].push(block),
-                None => leftovers.push(block),
+        // Greedy deepest-first placement of stash blocks into the path:
+        // by common depth with the eviction leaf, stash order within one.
+        let depth_of = |b: &Block| self.common_depth(b.leaf(), leaf);
+        rw.order.clear();
+        rw.order.extend(
+            (0u32..)
+                .zip(&self.stash)
+                .map(|(i, b)| (Reverse(depth_of(b)), i)),
+        );
+        rw.order.sort_unstable();
+        for k in 0..rw.order.len() {
+            let (Reverse(max_d), i) = rw.order[k];
+            let hole = Block::new(BlockAddr(0), Leaf(0), Vec::new());
+            let block = std::mem::replace(&mut self.stash[i as usize], hole);
+            match rw.deepest_with_room(max_d as usize, z) {
+                Some(d) => rw.push(d, block),
+                None => rw.leftovers.push(block),
             }
         }
         // Live-shadow preservation for unplaceable blocks: a leftover whose
@@ -859,73 +875,39 @@ impl RingOram {
         // it. Pin a backup copy on the persisted path (the source bucket or
         // any ancestor with a free physical slot) inside this atomic round.
         if self.variant == RingVariant::PsRing {
-            for b in &leftovers {
+            for i in 0..rw.leftovers.len() {
+                let b = &rw.leftovers[i];
                 let a = b.addr();
                 if b.leaf() != self.posmap.persisted_get(a) {
                     continue;
                 }
-                let Some(&src_depth) = pulled_src.get(&a.0) else {
+                let Some(&(_, src_depth)) = rw.pulled.iter().find(|(pulled, _)| *pulled == a)
+                else {
                     continue;
                 };
-                let spot = (0..=src_depth)
-                    .rev()
-                    .find(|&d| per_level[d].len() < physical);
-                if let Some(d) = spot {
+                if let Some(d) = rw.deepest_with_room(src_depth, physical) {
                     let mut shadow = self.scratch.block_from(b.view());
                     shadow.is_backup = true;
-                    per_level[d].push(shadow);
+                    rw.push(d, shadow);
                 }
             }
         }
-        self.stash = leftovers;
+        // The leftovers are the stash now; the vector of holes is kept for
+        // the next eviction's.
+        self.stash.clear();
+        std::mem::swap(&mut self.stash, &mut rw.leftovers);
         self.stats.stash_max = self.stats.stash_max.max(self.stash.len());
 
-        // Build fresh buckets and the dirty posmap entries travelling with
-        // this atomic round.
-        let mut rewrites = Vec::with_capacity(path.len());
-        let mut flushes = Vec::new();
-        for (bidx, blocks) in path.zip(per_level) {
-            for b in &blocks {
-                if !b.is_backup {
-                    if let Some(l) = self.temp.get(b.addr()) {
-                        flushes.push((b.addr(), l));
-                    }
-                }
-            }
-            rewrites.push((bidx, Bucket::permuted(blocks, physical, &mut self.rng)));
-        }
-        self.commit_rewrites(rewrites, flushes, t)
-    }
-
-    fn dedup_stash(&mut self) {
-        let mut best: HashMap<u64, (u64, usize)> = HashMap::new();
-        for (i, b) in self.stash.iter().enumerate() {
-            if b.is_backup {
-                continue;
-            }
-            let e = best.entry(b.addr().0).or_insert((b.header.seq, i));
-            if b.header.seq > e.0 {
-                *e = (b.header.seq, i);
-            }
-        }
-        let keep: Vec<usize> = best.values().map(|&(_, i)| i).collect();
-        let mut i = 0;
-        self.stash.retain(|b| {
-            let k = b.is_backup || keep.contains(&i);
-            i += 1;
-            k
-        });
+        self.build_images(&mut rw, path);
+        let done = self.commit_rewrites(&mut rw, t);
+        self.scratch.rewrite = rw;
+        done
     }
 
     /// Commits a set of bucket rewrites (and their posmap flushes) as one
     /// atomic round — through the WPQ for PS-Ring, directly for Baseline —
     /// then issues the NVM writes.
-    fn commit_rewrites(
-        &mut self,
-        rewrites: Vec<(u64, Bucket)>,
-        flushes: Vec<(BlockAddr, Leaf)>,
-        t: u64,
-    ) -> Result<u64, OramError> {
+    fn commit_rewrites(&mut self, rw: &mut RewriteTables, t: u64) -> Result<u64, OramError> {
         let physical = self.config.bucket_physical_slots();
         // Crash during the rewrite assembly?
         if let Some(k) = self.engine.armed_eviction_crash() {
@@ -934,8 +916,7 @@ impl RingOram {
                 if self.variant == RingVariant::PsRing {
                     // Round assembled but the end signal never arrives, so
                     // the crash discards it.
-                    let entries = rewrites
-                        .into_iter()
+                    let entries = (rw.images.drain(..))
                         .map(|(bidx, bucket)| WpqEntry {
                             addr: self.slot_nvm_addr(bidx, 0),
                             value: (bidx, bucket),
@@ -944,8 +925,8 @@ impl RingOram {
                     self.engine.stage_abandoned_round(entries);
                 } else {
                     // Direct writes: half the buckets land, half do not.
-                    let landed = rewrites.len() / 2;
-                    for (bidx, bucket) in rewrites.into_iter().take(landed) {
+                    let landed = rw.images.len() / 2;
+                    for (bidx, bucket) in rw.images.drain(..).take(landed) {
                         self.install(bidx, bucket);
                     }
                 }
@@ -958,10 +939,10 @@ impl RingOram {
 
         // The frame now lists what this round writes: every physical slot
         // of the rewritten buckets, which come in ascending order.
-        debug_assert!(rewrites.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(rw.images.windows(2).all(|w| w[0].0 < w[1].0));
         let mut frame = std::mem::take(&mut self.scratch.frame);
         frame.cells.clear();
-        for (bidx, _) in &rewrites {
+        for (bidx, _) in &rw.images {
             for slot in 0..physical {
                 frame.cells.push(FrameCell {
                     bucket: *bidx,
@@ -974,7 +955,7 @@ impl RingOram {
         match self.variant {
             RingVariant::Baseline => {
                 self.device.begin_slot_units();
-                for (bidx, bucket) in rewrites {
+                for (bidx, bucket) in rw.images.drain(..) {
                     self.apply_rewrite(bidx, bucket);
                 }
             }
@@ -983,7 +964,7 @@ impl RingOram {
                 // authenticated before anything it names is persisted.
                 self.device.check_temp(&mut self.engine, &self.temp)?;
                 self.engine.begin_round()?;
-                for (bidx, bucket) in rewrites {
+                for (bidx, bucket) in rw.images.drain(..) {
                     // Out of room mid-round: stall — commit and apply what is
                     // already pushed (still atomic), then reopen and retry.
                     if self.engine.data_is_full() {
@@ -996,7 +977,7 @@ impl RingOram {
                         value: (bidx, bucket),
                     })?;
                 }
-                for &(a, l) in &flushes {
+                for &(a, l) in &rw.flushes {
                     if self.engine.posmap_is_full() {
                         self.engine.note_stall();
                         self.commit_and_apply_round()?;
@@ -1008,7 +989,7 @@ impl RingOram {
                     })?;
                 }
                 self.commit_and_apply_round()?;
-                self.refresh_ledger_for(&flushes);
+                self.refresh_ledger_for(&rw.flushes);
             }
         }
 
@@ -1188,7 +1169,7 @@ impl RingOram {
         // replay adversary can restore byte-exact stale duplicates whose
         // seq numbers tie, and the winner of a tie must be the same on
         // every run.
-        let mut best: HashMap<u64, (u64, u64, usize)> = HashMap::new();
+        let mut best: BTreeMap<u64, (u64, u64, usize)> = BTreeMap::new();
         for (bidx, bucket) in self.buckets.iter() {
             for (s, slot) in bucket.slots().enumerate() {
                 if let Some(b) = slot {

@@ -98,20 +98,31 @@ impl Bucket {
         self.slots.iter().all(Option::is_none)
     }
 
-    /// The slots in order, dummies as `None`, taken out of the image.
-    pub(crate) fn into_slots(self) -> Vec<Option<Block>> {
-        self.slots
+    /// Refills an emptied image with `blocks` (no more than it has slots),
+    /// freshly permuted — what a Ring ORAM bucket rewrite puts on the bus.
+    /// The permutation is a Fisher–Yates over the slot indices in `perm`
+    /// (scratch), drawing what a shuffle of the slots themselves would;
+    /// then every block moves once, to the slot its index landed in.
+    pub(crate) fn fill_permuted(
+        &mut self,
+        blocks: &mut [Option<Block>],
+        perm: &mut Vec<usize>,
+        rng: &mut StdRng,
+    ) {
+        debug_assert!(self.is_empty() && blocks.len() <= self.slots.len());
+        perm.clear();
+        perm.extend(0..self.slots.len());
+        perm.shuffle(rng);
+        for (slot, &from) in self.slots.iter_mut().zip(perm.iter()) {
+            *slot = blocks.get_mut(from).and_then(Option::take);
+        }
     }
 
-    /// A freshly permuted `physical`-slot image of up to `physical` real
-    /// blocks — what a Ring ORAM bucket rewrite puts on the bus.
-    pub(crate) fn permuted(
-        blocks: impl IntoIterator<Item = Block>,
-        physical: usize,
-        rng: &mut StdRng,
-    ) -> Self {
-        let mut slots: Vec<Option<Block>> = Vec::with_capacity(physical);
-        slots.extend(blocks.into_iter().map(Some));
+    /// The reference [`Bucket::fill_permuted`] is held to: a fresh image
+    /// whose slots themselves are shuffled.
+    #[cfg(test)]
+    pub(crate) fn permuted(blocks: Vec<Block>, physical: usize, rng: &mut StdRng) -> Self {
+        let mut slots: Vec<Option<Block>> = blocks.into_iter().map(Some).collect();
         slots.resize(physical, None);
         slots.shuffle(rng);
         Bucket { slots }

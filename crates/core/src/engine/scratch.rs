@@ -11,6 +11,8 @@
 
 use std::cmp::Reverse;
 
+use rand::rngs::StdRng;
+
 use crate::block::{Block, BlockRef};
 use crate::bucket::Bucket;
 use crate::eviction::Placement;
@@ -107,6 +109,8 @@ pub(crate) struct RewriteTables {
     pub flushes: Vec<(BlockAddr, Leaf)>,
     /// The images the round writes, in ascending bucket order.
     pub images: Vec<(BucketIndex, Bucket)>,
+    /// The slot permutation of the image being filled.
+    perm: Vec<usize>,
 }
 
 impl RewriteTables {
@@ -153,14 +157,12 @@ impl RewriteTables {
         }
     }
 
-    /// Moves the new content of level `level` out, in the order it was
-    /// added.
-    pub fn take_level(&mut self, level: usize) -> impl Iterator<Item = Block> + '_ {
+    /// Moves the new content of level `level` into the emptied `image`,
+    /// freshly permuted.
+    pub fn fill_image(&mut self, level: usize, image: &mut Bucket, rng: &mut StdRng) {
         let first = level * self.physical;
         let taken = std::mem::take(&mut self.lens[level]);
-        self.cells[first..first + taken]
-            .iter_mut()
-            .filter_map(Option::take)
+        image.fill_permuted(&mut self.cells[first..first + taken], &mut self.perm, rng);
     }
 }
 

@@ -314,6 +314,8 @@ pub struct RingOram {
     scratch: AccessScratch,
     /// The buffers WPQ rounds drain into, kept for their capacity.
     drained: DrainedRound,
+    /// Bucket images a round applied and emptied, for the next rewrites.
+    spare_images: Vec<Bucket>,
     /// Observability tap (detached by default; see [`RingOram::set_obsv_tap`]).
     obsv: Tap,
 }
@@ -354,6 +356,7 @@ impl RingOram {
             device: DeviceSide::default(),
             scratch: AccessScratch::default(),
             drained: DrainedRound::default(),
+            spare_images: Vec::new(),
             obsv: Tap::detached(),
             config,
             variant,
@@ -796,7 +799,8 @@ impl RingOram {
         let physical = self.config.bucket_physical_slots();
         for (level, bidx) in path.enumerate() {
             rw.flush_dirty(level, |a| self.temp.get(a));
-            let image = Bucket::permuted(rw.take_level(level), physical, &mut self.rng);
+            let mut image = (self.spare_images.pop()).unwrap_or_else(|| Bucket::new(physical));
+            rw.fill_image(level, &mut image, &mut self.rng);
             rw.images.push((bidx, image));
         }
     }
@@ -927,7 +931,7 @@ impl RingOram {
                     // Direct writes: half the buckets land, half do not.
                     let landed = rw.images.len() / 2;
                     for (bidx, bucket) in rw.images.drain(..).take(landed) {
-                        self.install(bidx, bucket);
+                        self.install(bidx, &bucket);
                     }
                 }
                 self.execute_crash();
@@ -1033,21 +1037,21 @@ impl RingOram {
 
     /// Puts a bucket image on media: every slot overwritten, every slot
     /// valid again, no reads counted.
-    fn install(&mut self, bidx: u64, image: Bucket) {
+    fn install(&mut self, bidx: u64, image: &Bucket) {
         let mut bucket = self.buckets.bucket_mut(bidx);
-        for (s, slot) in image.into_slots().into_iter().enumerate() {
-            bucket.set(s, slot.as_ref().map(Block::view));
-            if let Some(block) = slot {
-                self.scratch.recycle(block);
-            }
+        for s in 0..image.num_slots() {
+            bucket.set(s, image.slot(s).map(Block::view));
         }
         bucket.revalidate();
     }
 
-    fn apply_rewrite(&mut self, bidx: u64, bucket: Bucket) {
+    /// Applies one bucket rewrite of a round to the media, the ledger and
+    /// the device side; the image, emptied, is kept for the next rewrites
+    /// and its blocks' buffers for the next blocks.
+    fn apply_rewrite(&mut self, bidx: u64, mut image: Bucket) {
         // Ledger: every block written at its persisted position is now the
         // recoverable copy (PS variant only cares, but the data is cheap).
-        for b in bucket.blocks() {
+        for b in image.blocks() {
             let a = b.addr();
             if b.leaf() == self.posmap.persisted_get(a) {
                 self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
@@ -1055,15 +1059,20 @@ impl RingOram {
         }
         // Every slot of the bucket is a unit of the round being applied,
         // snapshotted before the rewrite replaces it.
-        let slots = 0..bucket.num_slots();
+        let slots = 0..image.num_slots();
         self.device.note_slots(&self.buckets, bidx, slots.clone());
         for s in slots.clone() {
             self.device.push_slot(bidx, s);
         }
         if let Some(auth) = &mut self.device.auth {
-            auth.record_slots(slots.map(|s| (bidx, s, bucket.slot(s).map(Block::view))));
+            let units = slots.clone();
+            auth.record_slots(units.map(|s| (bidx, s, image.slot(s).map(Block::view))));
         }
-        self.install(bidx, bucket);
+        self.install(bidx, &image);
+        for block in slots.filter_map(|s| image.set_slot(s, None)) {
+            self.scratch.recycle(block);
+        }
+        self.spare_images.push(image);
     }
 
     /// After posmap flushes commit, re-evaluate the flushed addresses: the

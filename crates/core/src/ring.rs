@@ -286,7 +286,10 @@ pub struct RingOram {
     /// slots a bucket; the per-slot *consumed* flag is Ring's `valid`
     /// bit and, counted, its per-bucket read count.
     buckets: SlotArena,
+    /// Primaries only, one an address: a shadow never leaves the tree.
     stash: Vec<Block>,
+    /// `stash_addrs[i]` is the address of `stash[i]`: what lookups scan.
+    stash_addrs: Vec<BlockAddr>,
     posmap: PosMap,
     temp: TempPosMap,
     /// The shared persist-round engine: WPQ rounds, crash arming &
@@ -345,6 +348,7 @@ impl RingOram {
             nvm: NvmController::new(nvm),
             buckets: SlotArena::new(config.bucket_physical_slots(), config.payload_bytes),
             stash: Vec::new(),
+            stash_addrs: Vec::new(),
             clock: 0,
             access_counter: 0,
             evict_cursor: 0,
@@ -476,10 +480,10 @@ impl RingOram {
         self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
     }
 
+    /// Position of `addr`'s block in the stash: a scan of the packed
+    /// address column, not of the blocks.
     fn stash_primary(&self, addr: BlockAddr) -> Option<usize> {
-        self.stash
-            .iter()
-            .position(|b| !b.is_backup && b.addr() == addr)
+        self.stash_addrs.iter().position(|&a| a == addr)
     }
 
     // ── public access API ───────────────────────────────────────────────
@@ -689,6 +693,7 @@ impl RingOram {
             block.header.leaf = new_leaf;
             block.header.seq = seq;
             block.is_backup = false;
+            self.stash_addrs.push(addr);
             self.stash.push(block);
         }
         let idx = self.stash_primary(addr).ok_or(OramError::Invariant {
@@ -789,6 +794,7 @@ impl RingOram {
             {
                 rw.pulled.push((b.addr(), level));
             }
+            self.stash_addrs.push(b.addr());
             self.stash.push(b);
         }
     }
@@ -900,6 +906,8 @@ impl RingOram {
         // the next eviction's.
         self.stash.clear();
         std::mem::swap(&mut self.stash, &mut rw.leftovers);
+        self.stash_addrs.clear();
+        self.stash_addrs.extend(self.stash.iter().map(Block::addr));
         self.stats.stash_max = self.stats.stash_max.max(self.stash.len());
 
         self.build_images(&mut rw, path);
@@ -1111,6 +1119,7 @@ impl RingOram {
         }
         self.refresh_ledger_for(&flushes);
         self.stash.clear();
+        self.stash_addrs.clear();
         self.temp.wipe();
         self.posmap.crash();
         // Device faults: the power failure interrupts the media programming
@@ -1271,7 +1280,76 @@ fn bit_reverse(x: u64, bits: u32) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
+    use rand::RngCore;
+
     use super::*;
+
+    fn rng_pair(seed: u64) -> (StdRng, StdRng) {
+        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed))
+    }
+
+    proptest! {
+        /// The dummy slot a read takes, picked by one draw over a count, is
+        /// the one `choose` takes off the collected list of valid dummies,
+        /// and the generator is left where `choose` leaves it.
+        #[test]
+        fn the_dummy_pick_matches_choosing_from_the_collected_list(
+            geometry in 0usize..3,
+            pattern in prop::collection::vec((any::<bool>(), any::<bool>()), 9),
+            seed in any::<u64>(),
+        ) {
+            let physical = [3, 6, 9][geometry];
+            let block = Block::new(BlockAddr(1), Leaf(2), vec![3; 8]);
+            let mut arena = SlotArena::new(physical, 8);
+            let mut bucket = arena.bucket_mut(5);
+            for (s, &(real, consumed)) in pattern[..physical].iter().enumerate() {
+                bucket.set(s, real.then(|| block.view()));
+                if consumed {
+                    bucket.consume(s);
+                }
+            }
+            let b = arena.bucket(5).expect("just written");
+            let listed: Vec<usize> = (0..physical)
+                .filter(|&s| b.is_valid(s) && !b.is_real(s))
+                .collect();
+            let (mut listing, mut counting) = rng_pair(seed);
+            prop_assert_eq!(
+                pick_valid_dummy(b, &mut counting),
+                listed.choose(&mut listing).copied()
+            );
+            prop_assert_eq!(counting.next_u64(), listing.next_u64());
+        }
+
+        /// An image filled through a permutation of slot indices is, slot
+        /// for slot, the image whose slots were shuffled themselves, and
+        /// the generator is left where that shuffle leaves it.
+        #[test]
+        fn the_index_permutation_matches_shuffling_the_slots(
+            geometry in 0usize..3,
+            count in 0usize..10,
+            seed in any::<u64>(),
+        ) {
+            let physical = [3, 6, 9][geometry];
+            let blocks: Vec<Block> = (0..count.min(physical) as u64)
+                .map(|i| {
+                    let mut b = Block::new(BlockAddr(i), Leaf(i * 7), vec![i as u8; 8]);
+                    b.header.seq = 100 + i;
+                    b.is_backup = i % 3 == 1;
+                    b
+                })
+                .collect();
+            let (mut shuffling, mut indexing) = rng_pair(seed);
+            let reference = Bucket::permuted(blocks.clone(), physical, &mut shuffling);
+            let mut cells: Vec<Option<Block>> = blocks.into_iter().map(Some).collect();
+            let mut image = Bucket::new(physical);
+            image.fill_permuted(&mut cells, &mut Vec::new(), &mut indexing);
+            prop_assert_eq!(image, reference);
+            prop_assert!(cells.iter().all(Option::is_none), "every block moved");
+            prop_assert_eq!(indexing.next_u64(), shuffling.next_u64());
+        }
+    }
 
     #[test]
     fn bit_reverse_basics() {

@@ -98,6 +98,12 @@ impl Bucket {
         self.slots.iter().all(Option::is_none)
     }
 
+    /// The slots in order, dummies as `None`, for whoever moves the blocks
+    /// out of the image.
+    pub(crate) fn slots_mut(&mut self) -> &mut [Option<Block>] {
+        &mut self.slots
+    }
+
     /// Refills an emptied image with `blocks` (no more than it has slots),
     /// freshly permuted — what a Ring ORAM bucket rewrite puts on the bus.
     /// The permutation is a Fisher–Yates over the slot indices in `perm`

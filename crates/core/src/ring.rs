@@ -288,8 +288,6 @@ pub struct RingOram {
     buckets: SlotArena,
     /// Primaries only, one an address: a shadow never leaves the tree.
     stash: Vec<Block>,
-    /// `stash_addrs[i]` is the address of `stash[i]`: what lookups scan.
-    stash_addrs: Vec<BlockAddr>,
     posmap: PosMap,
     temp: TempPosMap,
     /// The shared persist-round engine: WPQ rounds, crash arming &
@@ -348,7 +346,6 @@ impl RingOram {
             nvm: NvmController::new(nvm),
             buckets: SlotArena::new(config.bucket_physical_slots(), config.payload_bytes),
             stash: Vec::new(),
-            stash_addrs: Vec::new(),
             clock: 0,
             access_counter: 0,
             evict_cursor: 0,
@@ -480,10 +477,9 @@ impl RingOram {
         self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
     }
 
-    /// Position of `addr`'s block in the stash: a scan of the packed
-    /// address column, not of the blocks.
+    /// Position of `addr`'s block in the stash.
     fn stash_primary(&self, addr: BlockAddr) -> Option<usize> {
-        self.stash_addrs.iter().position(|&a| a == addr)
+        self.stash.iter().position(|b| b.addr() == addr)
     }
 
     // ── public access API ───────────────────────────────────────────────
@@ -693,7 +689,6 @@ impl RingOram {
             block.header.leaf = new_leaf;
             block.header.seq = seq;
             block.is_backup = false;
-            self.stash_addrs.push(addr);
             self.stash.push(block);
         }
         let idx = self.stash_primary(addr).ok_or(OramError::Invariant {
@@ -794,7 +789,6 @@ impl RingOram {
             {
                 rw.pulled.push((b.addr(), level));
             }
-            self.stash_addrs.push(b.addr());
             self.stash.push(b);
         }
     }
@@ -906,8 +900,6 @@ impl RingOram {
         // the next eviction's.
         self.stash.clear();
         std::mem::swap(&mut self.stash, &mut rw.leftovers);
-        self.stash_addrs.clear();
-        self.stash_addrs.extend(self.stash.iter().map(Block::addr));
         self.stats.stash_max = self.stats.stash_max.max(self.stash.len());
 
         self.build_images(&mut rw, path);
@@ -938,8 +930,8 @@ impl RingOram {
                 } else {
                     // Direct writes: half the buckets land, half do not.
                     let landed = rw.images.len() / 2;
-                    for (bidx, bucket) in rw.images.drain(..).take(landed) {
-                        self.install(bidx, &bucket);
+                    for (bidx, mut bucket) in rw.images.drain(..).take(landed) {
+                        self.install(bidx, &mut bucket);
                     }
                 }
                 self.execute_crash();
@@ -1001,7 +993,6 @@ impl RingOram {
                     })?;
                 }
                 self.commit_and_apply_round()?;
-                self.refresh_ledger_for(&rw.flushes);
             }
         }
 
@@ -1043,25 +1034,33 @@ impl RingOram {
         Ok(())
     }
 
-    /// Puts a bucket image on media: every slot overwritten, every slot
-    /// valid again, no reads counted.
-    fn install(&mut self, bidx: u64, image: &Bucket) {
+    /// Puts a bucket image on media — every slot overwritten, every slot
+    /// valid again, no reads counted — and empties it: its blocks' buffers
+    /// are kept for the next blocks.
+    fn install(&mut self, bidx: u64, image: &mut Bucket) {
         let mut bucket = self.buckets.bucket_mut(bidx);
-        for s in 0..image.num_slots() {
-            bucket.set(s, image.slot(s).map(Block::view));
+        for (s, slot) in image.slots_mut().iter_mut().enumerate() {
+            bucket.set(s, slot.as_ref().map(Block::view));
+            if let Some(block) = slot.take() {
+                self.scratch.recycle(block);
+            }
         }
         bucket.revalidate();
     }
 
     /// Applies one bucket rewrite of a round to the media, the ledger and
-    /// the device side; the image, emptied, is kept for the next rewrites
-    /// and its blocks' buffers for the next blocks.
+    /// the device side; the image, emptied, is kept for the next rewrites.
     fn apply_rewrite(&mut self, bidx: u64, mut image: Bucket) {
         // Ledger: every block written at its persisted position is now the
-        // recoverable copy (PS variant only cares, but the data is cheap).
+        // recoverable copy (PS variant only cares, but the data is cheap) —
+        // its position as persisted already, or as the dirty entry the
+        // round flushes with a primary persists it. Such a primary is the
+        // newest copy of its address anywhere, bar a shadow cloned off it,
+        // so nothing need look for the newest once the entry has landed.
         for b in image.blocks() {
             let a = b.addr();
-            if b.leaf() == self.posmap.persisted_get(a) {
+            let flushed = !b.is_backup && self.temp.get(a) == Some(b.leaf());
+            if flushed || b.leaf() == self.posmap.persisted_get(a) {
                 self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
@@ -1073,25 +1072,10 @@ impl RingOram {
             self.device.push_slot(bidx, s);
         }
         if let Some(auth) = &mut self.device.auth {
-            let units = slots.clone();
-            auth.record_slots(units.map(|s| (bidx, s, image.slot(s).map(Block::view))));
+            auth.record_slots(slots.map(|s| (bidx, s, image.slot(s).map(Block::view))));
         }
-        self.install(bidx, &image);
-        for block in slots.filter_map(|s| image.set_slot(s, None)) {
-            self.scratch.recycle(block);
-        }
+        self.install(bidx, &mut image);
         self.spare_images.push(image);
-    }
-
-    /// After posmap flushes commit, re-evaluate the flushed addresses: the
-    /// copy matching the *new* persisted leaf becomes recoverable.
-    fn refresh_ledger_for(&mut self, flushes: &[(BlockAddr, Leaf)]) {
-        for &(a, _) in flushes {
-            let leaf = self.posmap.persisted_get(a);
-            if let Some(b) = self.buckets.newest_on_path(self.path(leaf), a, leaf) {
-                self.ledger.commit_if_fresh(a.0, b.header.seq, b.payload);
-            }
-        }
     }
 
     // ── crash & recovery ────────────────────────────────────────────────
@@ -1113,13 +1097,10 @@ impl RingOram {
             let (bidx, bucket) = e.value;
             self.apply_rewrite(bidx, bucket);
         }
-        let flushes: Vec<(BlockAddr, Leaf)> = posmap.iter().map(|e| e.value).collect();
-        for &(a, l) in &flushes {
+        for (a, l) in posmap.into_iter().map(|e| e.value) {
             self.device.persist_posmap(&mut self.posmap, a, l);
         }
-        self.refresh_ledger_for(&flushes);
         self.stash.clear();
-        self.stash_addrs.clear();
         self.temp.wipe();
         self.posmap.crash();
         // Device faults: the power failure interrupts the media programming

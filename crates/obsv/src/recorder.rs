@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::event::Event;
 
@@ -69,20 +69,27 @@ impl RingBufferRecorder {
         }
     }
 
+    /// The ring, whether or not a recording thread died holding it: every
+    /// update leaves it valid at each step (a pop, a count, a push), so a
+    /// poisoned lock still guards a usable ring — and an event sink must
+    /// not take down whoever reads it next.
+    fn ring(&self) -> MutexGuard<'_, RingInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        let inner = self.inner.lock().expect("recorder lock");
-        inner.events.iter().copied().collect()
+        self.ring().events.iter().copied().collect()
     }
 
     /// Number of events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().expect("recorder lock").dropped
+        self.ring().dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("recorder lock").events.len()
+        self.ring().events.len()
     }
 
     /// Whether the ring holds no events.
@@ -92,7 +99,7 @@ impl RingBufferRecorder {
 
     /// Discards all retained events and resets the drop counter.
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = self.ring();
         inner.events.clear();
         inner.dropped = 0;
     }
@@ -106,7 +113,7 @@ impl Default for RingBufferRecorder {
 
 impl Recorder for RingBufferRecorder {
     fn record(&self, event: Event) {
-        let mut inner = self.inner.lock().expect("recorder lock");
+        let mut inner = self.ring();
         if inner.events.len() == inner.capacity {
             inner.events.pop_front();
             inner.dropped += 1;
@@ -155,6 +162,25 @@ mod tests {
         rec.clear();
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 0);
+    }
+
+    #[test]
+    fn a_recording_thread_that_dies_holding_the_ring_takes_no_reader_down() {
+        let rec = std::sync::Arc::new(RingBufferRecorder::new(2));
+        rec.record(marker(1));
+        let held = std::sync::Arc::clone(&rec);
+        let died = std::thread::spawn(move || {
+            let _ring = held.inner.lock().expect("first holder");
+            panic!("a recorder thread dies mid-record");
+        })
+        .join();
+        assert!(died.is_err() && rec.inner.is_poisoned());
+        assert_eq!(rec.events(), vec![marker(1)]);
+        rec.record(marker(2));
+        rec.record(marker(3));
+        assert_eq!((rec.len(), rec.dropped()), (2, 1));
+        rec.clear();
+        assert!(rec.is_empty());
     }
 
     #[test]

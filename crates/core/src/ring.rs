@@ -855,13 +855,9 @@ impl RingOram {
 
         // Greedy deepest-first placement of stash blocks into the path:
         // by common depth with the eviction leaf, stash order within one.
-        let depth_of = |b: &Block| self.common_depth(b.leaf(), leaf);
+        let keyed = |(i, b): (u32, &Block)| (Reverse(self.common_depth(b.leaf(), leaf)), i);
         rw.order.clear();
-        rw.order.extend(
-            (0u32..)
-                .zip(&self.stash)
-                .map(|(i, b)| (Reverse(depth_of(b)), i)),
-        );
+        rw.order.extend((0u32..).zip(&self.stash).map(keyed));
         rw.order.sort_unstable();
         for k in 0..rw.order.len() {
             let (Reverse(max_d), i) = rw.order[k];
@@ -914,29 +910,27 @@ impl RingOram {
     fn commit_rewrites(&mut self, rw: &mut RewriteTables, t: u64) -> Result<u64, OramError> {
         let physical = self.config.bucket_physical_slots();
         // Crash during the rewrite assembly?
-        if let Some(k) = self.engine.armed_eviction_crash() {
-            if k == self.rewrites_this_access {
-                self.engine.disarm_crash();
-                if self.variant == RingVariant::PsRing {
-                    // Round assembled but the end signal never arrives, so
-                    // the crash discards it.
-                    let entries = (rw.images.drain(..))
-                        .map(|(bidx, bucket)| WpqEntry {
-                            addr: self.slot_nvm_addr(bidx, 0),
-                            value: (bidx, bucket),
-                        })
-                        .collect();
-                    self.engine.stage_abandoned_round(entries);
-                } else {
-                    // Direct writes: half the buckets land, half do not.
-                    let landed = rw.images.len() / 2;
-                    for (bidx, mut bucket) in rw.images.drain(..).take(landed) {
-                        self.install(bidx, &mut bucket);
-                    }
+        if self.engine.armed_eviction_crash() == Some(self.rewrites_this_access) {
+            self.engine.disarm_crash();
+            if self.variant == RingVariant::PsRing {
+                // Round assembled but the end signal never arrives, so the
+                // crash discards it.
+                let entries = (rw.images.drain(..))
+                    .map(|(bidx, bucket)| WpqEntry {
+                        addr: self.slot_nvm_addr(bidx, 0),
+                        value: (bidx, bucket),
+                    })
+                    .collect();
+                self.engine.stage_abandoned_round(entries);
+            } else {
+                // Direct writes: half the buckets land, half do not.
+                let landed = rw.images.len() / 2;
+                for (bidx, mut bucket) in rw.images.drain(..).take(landed) {
+                    self.install(bidx, &mut bucket);
                 }
-                self.execute_crash();
-                return Err(OramError::Crashed);
             }
+            self.execute_crash();
+            return Err(OramError::Crashed);
         }
         self.rewrites_this_access += 1;
         self.obsv.set_now(t);

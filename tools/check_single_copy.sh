@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One device side, one recovery ladder with one audit, one per-slot
-# freshness table — held mechanically.
+# freshness table, one way to move a path through a controller — held
+# mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -63,4 +64,15 @@ if grep -rnwE 'in_lanes|slot_tags|classify_lanes' --include='*.rs' crates; then
     echo "error: a per-unit staging helper of the freshness layer is back" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table)"
+# Ring rewrites a path through the kept buffers Path does (the rewrite
+# tables, the recycled images, the payload free list): outside its tests,
+# `ring.rs` brings no hash map, no vector of vectors and no freshly
+# allocated block copy back.
+plumbing=$(sed '/^#\[cfg(test)\]/,$d' crates/core/src/ring.rs \
+    | grep -nE 'HashMap|Vec<Vec<|\.to_block\(\)' || true)
+if [ -n "$plumbing" ]; then
+    echo "error: ring.rs names HashMap, Vec<Vec< or .to_block() outside #[cfg(test)]:" >&2
+    echo "$plumbing" >&2
+    exit 1
+fi
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs)"

@@ -1,6 +1,7 @@
 //! Reusable per-access state for the controllers' hot paths: the path
-//! frame, the planner's tables, and the free list on-chip blocks draw
-//! their payload buffers from.
+//! frame, the planner's tables (Path ORAM's placement, Ring ORAM's bucket
+//! rewrite), and the free list on-chip blocks draw their payload buffers
+//! from.
 //!
 //! Every ORAM access reads and rewrites a full path — dozens of slots,
 //! their NVM addresses and the blocks in them. Each controller owns one
@@ -236,6 +237,39 @@ mod tests {
         assert_eq!(frame.live[3], Some(BlockAddr(9)));
         frame.resolve(&tree, Leaf(0));
         assert!(!frame.holds_live(BlockAddr(9)));
+    }
+
+    #[test]
+    fn rewrite_tables_fill_levels_in_order_and_hand_each_to_an_image() {
+        use rand::SeedableRng;
+        let blk = |a: u64, backup: bool| {
+            let mut b = Block::new(BlockAddr(a), Leaf(a), vec![a as u8; 8]);
+            b.is_backup = backup;
+            b
+        };
+        let mut rw = RewriteTables::default();
+        rw.begin(3, 4);
+        rw.push(2, blk(1, false));
+        rw.push(2, blk(2, true));
+        rw.push(0, blk(3, false));
+        assert_eq!((rw.len(0), rw.len(1), rw.len(2)), (1, 0, 2));
+        // Deepest first, never deeper than asked, only where there is room.
+        assert_eq!(rw.deepest_with_room(2, 2), Some(1));
+        assert_eq!(rw.deepest_with_room(2, 3), Some(2));
+        assert_eq!(rw.deepest_with_room(0, 1), None);
+        // Primaries only, in the order they were added; shadows carry none.
+        rw.flush_dirty(2, |a| Some(Leaf(a.0 + 10)));
+        rw.flush_dirty(0, |a| (a.0 != 3).then_some(Leaf(0)));
+        assert_eq!(rw.flushes, vec![(BlockAddr(1), Leaf(11))]);
+        let mut image = Bucket::new(4);
+        rw.fill_image(2, &mut image, &mut StdRng::seed_from_u64(5));
+        let mut moved: Vec<u64> = image.blocks().map(|b| b.addr().0).collect();
+        moved.sort_unstable();
+        assert_eq!((moved, rw.len(2), rw.len(0)), (vec![1, 2], 0, 1));
+        // A new rewrite starts from nothing, whatever the last one left.
+        rw.begin(1, 4);
+        assert_eq!(rw.len(0), 0);
+        assert!(rw.flushes.is_empty());
     }
 
     #[test]

@@ -173,7 +173,10 @@ fn find_valid(bucket: BucketRef<'_>, addr: BlockAddr) -> Option<usize> {
 /// count, none when it has none left.
 fn pick_valid_dummy(bucket: BucketRef<'_>, rng: &mut StdRng) -> Option<usize> {
     let n = bucket.valid_dummies().count();
-    (n > 0).then(|| bucket.valid_dummies().nth(rng.gen_range(0..n)))?
+    if n == 0 {
+        return None;
+    }
+    bucket.valid_dummies().nth(rng.gen_range(0..n))
 }
 
 /// What a bucket rewrite keeps of a block it finds in the bucket.
@@ -861,8 +864,7 @@ impl RingOram {
         rw.order.sort_unstable();
         for k in 0..rw.order.len() {
             let (Reverse(max_d), i) = rw.order[k];
-            let hole = Block::new(BlockAddr(0), Leaf(0), Vec::new());
-            let block = std::mem::replace(&mut self.stash[i as usize], hole);
+            let block = std::mem::replace(&mut self.stash[i as usize], crate::stash::hole());
             match rw.deepest_with_room(max_d as usize, z) {
                 Some(d) => rw.push(d, block),
                 None => rw.leftovers.push(block),

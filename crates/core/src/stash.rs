@@ -55,7 +55,7 @@ fn key_of(block: &Block) -> u64 {
 
 /// What a moved-out block leaves behind until the vector is compacted;
 /// an empty payload allocates nothing.
-fn hole() -> Block {
+pub(crate) fn hole() -> Block {
     Block::new(BlockAddr(0), Leaf(0), Vec::new())
 }
 

@@ -89,7 +89,8 @@ impl PathFrame {
 
 /// The tables of a Ring ORAM bucket rewrite — an evict-path or an early
 /// reshuffle — over the buckets being rewritten, root first: level `d` is
-/// the `d`-th of them.
+/// the `d`-th of them. [`crate::RingOram`] holds one beside its scratch
+/// and, like the scratch's vectors, it keeps its capacity.
 #[derive(Debug, Default)]
 pub(crate) struct RewriteTables {
     /// Slots of a bucket (`Z + S`): the stride of `cells`.
@@ -185,8 +186,6 @@ pub(crate) struct AccessScratch {
     /// The frame positions the open round rewrites as dummies once it
     /// commits (Path ORAM).
     pub dummies: Vec<usize>,
-    /// The bucket rewrite in progress (Ring ORAM).
-    pub rewrite: RewriteTables,
     /// Payload buffers of blocks that left the chip (written to the tree,
     /// or dropped as dead copies), for the next blocks that enter it.
     free_payloads: Vec<Vec<u8>>,

@@ -173,10 +173,8 @@ fn find_valid(bucket: BucketRef<'_>, addr: BlockAddr) -> Option<usize> {
 /// count, none when it has none left.
 fn pick_valid_dummy(bucket: BucketRef<'_>, rng: &mut StdRng) -> Option<usize> {
     let n = bucket.valid_dummies().count();
-    if n == 0 {
-        return None;
-    }
-    bucket.valid_dummies().nth(rng.gen_range(0..n))
+    let k = (n > 0).then(|| rng.gen_range(0..n))?;
+    bucket.valid_dummies().nth(k)
 }
 
 /// What a bucket rewrite keeps of a block it finds in the bucket.
@@ -316,6 +314,8 @@ pub struct RingOram {
     /// Reused per-access state: the frame holds the one slot per bucket an
     /// access reads.
     scratch: AccessScratch,
+    /// The tables of the bucket rewrite in progress.
+    rewrite: RewriteTables,
     /// The buffers WPQ rounds drain into, kept for their capacity.
     drained: DrainedRound,
     /// Bucket images a round applied and emptied, for the next rewrites.
@@ -359,6 +359,7 @@ impl RingOram {
             touched: PagedTable::default(),
             device: DeviceSide::default(),
             scratch: AccessScratch::default(),
+            rewrite: RewriteTables::default(),
             drained: DrainedRound::default(),
             spare_images: Vec::new(),
             obsv: Tap::detached(),
@@ -817,13 +818,13 @@ impl RingOram {
         let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
-        let mut rw = std::mem::take(&mut self.scratch.rewrite);
+        let mut rw = std::mem::take(&mut self.rewrite);
         rw.begin(1, self.config.bucket_physical_slots());
         self.pool_bucket(&mut rw, 0, bidx, false);
         debug_assert!(rw.len(0) <= self.config.real_slots);
         self.build_images(&mut rw, std::iter::once(bidx));
         let done = self.commit_rewrites(&mut rw, t);
-        self.scratch.rewrite = rw;
+        self.rewrite = rw;
         done
     }
 
@@ -836,7 +837,6 @@ impl RingOram {
         self.evict_cursor += 1;
         let path = self.path(leaf);
         let physical = self.config.bucket_physical_slots();
-        let z = self.config.real_slots;
 
         // Fetch the real blocks present on the path (slot positions are
         // known from the per-bucket permutation metadata).
@@ -850,7 +850,7 @@ impl RingOram {
         // Pool: shadows stay pinned to their bucket; primaries join the
         // stash for (re-)placement. No address gains a second primary
         // there: a copy of one the stash holds is stale by definition.
-        let mut rw = std::mem::take(&mut self.scratch.rewrite);
+        let mut rw = std::mem::take(&mut self.rewrite);
         rw.begin(path.len(), physical);
         for (level, bidx) in path.clone().enumerate() {
             self.pool_bucket(&mut rw, level, bidx, true);
@@ -865,7 +865,7 @@ impl RingOram {
         for k in 0..rw.order.len() {
             let (Reverse(max_d), i) = rw.order[k];
             let block = std::mem::replace(&mut self.stash[i as usize], crate::stash::hole());
-            match rw.deepest_with_room(max_d as usize, z) {
+            match rw.deepest_with_room(max_d as usize, self.config.real_slots) {
                 Some(d) => rw.push(d, block),
                 None => rw.leftovers.push(block),
             }
@@ -902,7 +902,7 @@ impl RingOram {
 
         self.build_images(&mut rw, path);
         let done = self.commit_rewrites(&mut rw, t);
-        self.scratch.rewrite = rw;
+        self.rewrite = rw;
         done
     }
 

@@ -1590,6 +1590,56 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_round_committed_but_not_drained_survives_the_power_failure() {
+        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 33);
+        oram.enable_device_faults(33, FaultConfig::disabled());
+        for a in 0..40u64 {
+            oram.write(BlockAddr(a), vec![a as u8; 8]).unwrap();
+        }
+        // A never-written address, bound for a dummy slot on its new
+        // leaf's path: the end signal arrives, the drain does not.
+        let (addr, leaf, value) = (BlockAddr(50), Leaf(5), vec![0xC7; 8]);
+        let (bucket, slot) = (oram.tree.path(leaf))
+            .flat_map(|b| (0..4).map(move |s| (b, s)))
+            .find(|&(b, s)| oram.tree.slot_ref(b, s).is_none())
+            .expect("a dummy slot on the path");
+        oram.seq_counter += 1;
+        let mut block = Block::new(addr, leaf, value.clone());
+        block.header.seq = oram.seq_counter;
+        oram.engine.begin_round().unwrap();
+        let cell = FrameCell {
+            bucket,
+            slot,
+            nvm_addr: oram.tree.slot_nvm_addr(bucket, slot),
+        };
+        oram.engine
+            .push_data(PathOram::wpq_entry(&cell, block))
+            .unwrap();
+        let entry = WpqEntry {
+            addr: oram.posmap_entry_nvm_addr(addr),
+            value: (addr, leaf),
+        };
+        oram.engine.push_posmap(entry).unwrap();
+        oram.engine.commit_round().unwrap();
+
+        let flushed = oram.crash_now();
+        assert_eq!(
+            (flushed.wpq_data_flushed, flushed.wpq_posmap_flushed),
+            (1, 1)
+        );
+        // The root anchored in the persistence domain covers what the ADR
+        // flush just programmed.
+        let root = oram.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(oram.engine.persisted_root(), root);
+        let report = oram.recover();
+        assert!(report.consistent, "{:?}", report.violation);
+        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
+        assert_eq!((report.repairs, report.replays_detected), (0, 0));
+        assert_eq!(oram.committed_value(addr), Some(&value));
+        assert_eq!(oram.read(addr).unwrap(), value);
+    }
+
     /// What the test below does to one slot of the path about to be read.
     #[derive(Debug, Clone, Copy)]
     enum SlotDamage {

@@ -441,7 +441,9 @@ pub(crate) mod tests {
     /// redundant copies. A round writes its blocks and their PosMap
     /// entries directly.
     pub(crate) struct Toy {
-        pub engine: PersistEngine<(), ()>,
+        /// Its data queue carries `(address, value)` writes (only the
+        /// undrained-round test stages any).
+        pub engine: PersistEngine<(u64, u8), ()>,
         pub device: DeviceSide,
         pub arena: SlotArena,
         pub posmap: PosMap,
@@ -588,6 +590,28 @@ pub(crate) mod tests {
         assert_eq!(toy.digest(), before, "the repair restores the state");
         assert_eq!(toy.ledger.committed_value(1), Some(&vec![9; 8]));
         assert_eq!(toy.arena.materialized_buckets(), buckets);
+    }
+
+    #[test]
+    fn a_third_protocols_round_committed_but_not_drained_survives_the_power_failure() {
+        let mut toy = Toy::new();
+        toy.write(&[0, 1], 7);
+        toy.arm(3, FaultConfig::disabled());
+        // The end signal arrives, the drain does not.
+        toy.engine.begin_round().unwrap();
+        let write = psoram_nvm::WpqEntry {
+            addr: 0,
+            value: (2, 9),
+        };
+        toy.engine.push_data(write).unwrap();
+        toy.engine.commit_round().unwrap();
+        toy.crash();
+        let root = toy.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(toy.engine.persisted_root(), root);
+        let report = toy.recover();
+        assert!(report.consistent, "{:?}", report.violation);
+        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
+        assert_eq!(toy.ledger.committed_value(2), Some(&vec![9; 8]));
     }
 
     #[test]

@@ -1336,6 +1336,60 @@ mod tests {
     }
 
     #[test]
+    fn a_round_committed_but_not_drained_survives_the_power_failure() {
+        let mut oram = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, 33);
+        oram.enable_device_faults(33, FaultConfig::disabled());
+        for a in 0..40u64 {
+            oram.write(BlockAddr(a), vec![a as u8; 8]).unwrap();
+        }
+        // A never-written address joins the image of its new leaf's
+        // bucket, in a dummy slot: the end signal arrives, the drain does
+        // not.
+        let (addr, leaf, value) = (BlockAddr(50), Leaf(5), vec![0xC7; 8]);
+        let bidx = oram.path(leaf).last().expect("a leaf bucket");
+        let mut image = Bucket::new(oram.config.bucket_physical_slots());
+        if let Some(on_media) = oram.buckets.bucket(bidx) {
+            for (s, stored) in on_media.slots().enumerate() {
+                image.set_slot(s, stored.map(|b| b.to_block()));
+            }
+        }
+        oram.seq_counter += 1;
+        let mut block = Block::new(addr, leaf, value.clone());
+        block.header.seq = oram.seq_counter;
+        image
+            .insert(block)
+            .expect("a dummy slot in the leaf bucket");
+        // Its dirty entry sits in the temporary PosMap until a flush
+        // retires it.
+        oram.temp.insert(addr, leaf).unwrap();
+        oram.device.seal_temp(&oram.temp);
+        oram.engine.begin_round().unwrap();
+        let rewrite = WpqEntry {
+            addr: oram.slot_nvm_addr(bidx, 0),
+            value: (bidx, image),
+        };
+        oram.engine.push_data(rewrite).unwrap();
+        let entry = WpqEntry {
+            addr: addr.0 * 8,
+            value: (addr, leaf),
+        };
+        oram.engine.push_posmap(entry).unwrap();
+        oram.engine.commit_round().unwrap();
+
+        oram.crash_now();
+        // The root anchored in the persistence domain covers what the ADR
+        // flush just programmed.
+        let root = oram.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(oram.engine.persisted_root(), root);
+        let report = oram.recover();
+        assert!(report.consistent, "{:?}", report.violation);
+        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
+        assert_eq!((report.repairs, report.replays_detected), (0, 0));
+        assert_eq!(oram.ledger.committed_value(addr.0), Some(&value));
+        assert_eq!(oram.read(addr).unwrap(), value);
+    }
+
+    #[test]
     fn snapshot_store_exists_only_under_plans_that_replay() {
         let splice_only = FaultConfig {
             cross_splice: 1.0,

@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
 fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("oram_access");

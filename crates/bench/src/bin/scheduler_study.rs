@@ -3,7 +3,7 @@
 //! pulse stays off the read critical path). Shows its interaction with
 //! ORAM's read-path-then-write-path traffic.
 
-use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram_nvm::NvmConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

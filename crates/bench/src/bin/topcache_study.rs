@@ -2,7 +2,7 @@
 //! levels in a fast volatile buffer with write-through persistence, sweep
 //! the cached depth, and report latency/traffic savings.
 
-use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

@@ -2,7 +2,7 @@
 //! PS-ORAM as the persistence domain shrinks from a full path to the
 //! 4-entry configuration, plus crash-recovery validation at each size.
 
-use psoram_core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

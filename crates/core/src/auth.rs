@@ -339,20 +339,6 @@ impl CounterTree {
         self.write_slots([(bucket, slot, None)], false)
     }
 
-    /// Bumps the counter of every `(bucket, slot)` of `units`, in order,
-    /// writing the new values to `ctrs`: a [`Self::bump_slot`] per unit (a
-    /// unit listed twice is bumped twice).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `units` and `ctrs` differ in length.
-    pub fn bump_slots(&mut self, units: &[(u64, usize)], ctrs: &mut [u64]) {
-        assert_eq!(units.len(), ctrs.len(), "one counter per unit");
-        for (&(bucket, slot), ctr) in units.iter().zip(ctrs) {
-            *ctr = self.bump_slot(bucket, slot);
-        }
-    }
-
     /// The write pass, the only code that moves a slot's counter: every
     /// unit of `units`, in order, is bumped, its digest folded into its
     /// level aggregate and — when `record` is set — a fresh record over

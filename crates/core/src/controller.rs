@@ -6,21 +6,19 @@ use rand::{Rng, SeedableRng};
 
 use psoram_crypto::{Aes128, CryptoLatencyModel, CtrCipher};
 use psoram_nvm::{
-    AccessKind, FaultConfig, NvmConfig, NvmController, OnChipNvmModel, WpqEntry,
-    CORE_CYCLES_PER_MEM_CYCLE,
+    AccessKind, FaultConfig, NvmConfig, OnChipNvmModel, WpqEntry, CORE_CYCLES_PER_MEM_CYCLE,
 };
-use psoram_obsv::{Event, Phase, Tap};
+use psoram_obsv::{Event, Phase};
 
 use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
-    check_committed, to_core, to_mem, AccessScratch, CommitLedger, Copies, DeviceSide, FrameCell,
-    Ladder, PathFrame, PersistEngine,
+    arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
+    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Media, PathFrame,
+    PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Route, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::integrity::{bucket_digest, IntegrityTree};
-use crate::paged::PagedTable;
-use crate::posmap::{PosMap, TempPosMap};
 use crate::recursive::RecursivePosMap;
 use crate::security::AccessRecorder;
 use crate::stash::Stash;
@@ -31,21 +29,15 @@ use crate::types::{BlockAddr, Leaf, OramConfig, OramError};
 pub use crate::engine::ProtocolVariant;
 pub use crate::types::{AccessOutcome, Op};
 
-/// A posmap entry queued in the PosMap WPQ.
-type PosMapFlush = (BlockAddr, Leaf);
-
 /// A real block on its way through the data WPQ to the tree slot the
 /// eviction gave it. Dummy slots never enter the queue: they are rewritten
 /// from their frame coordinates once the round that precedes them commits.
 #[derive(Debug)]
-struct PlacedBlock {
+pub(crate) struct PlacedBlock {
     bucket: u64,
     slot: usize,
     block: Block,
 }
-
-/// One drained WPQ round: (data, PosMap) entries in commit order.
-type DrainedRound = (Vec<WpqEntry<PlacedBlock>>, Vec<WpqEntry<PosMapFlush>>);
 
 /// The write-back order of a round through a `capacity`-entry data WPQ:
 /// `None` when its real blocks fit one atomic batch, else
@@ -111,14 +103,13 @@ impl Copies for PathCopies<'_> {
 pub struct PathOram {
     config: OramConfig,
     variant: ProtocolVariant,
-    nvm: NvmController,
+    /// The state every controller holds: NVM, PosMaps, engine control,
+    /// ledger, device side, clock, scratch.
+    shell: Shell,
+    /// The WPQ persist rounds of placed blocks and their PosMap entries.
+    wpq: PersistEngine<PlacedBlock, PosMapFlush>,
     tree: OramTree,
     stash: Stash,
-    posmap: PosMap,
-    temp: TempPosMap,
-    /// The shared persist-round engine: WPQ rounds, crash arming &
-    /// scheduling, and the crash/recovery state machine.
-    engine: PersistEngine<PlacedBlock, PosMapFlush>,
     recursion: Option<RecursivePosMap>,
     cipher: CtrCipher,
     crypto_lat: CryptoLatencyModel,
@@ -147,29 +138,11 @@ pub struct PathOram {
     /// writes have (partially, on a crash) reached the NVM.
     pending_integrity_path: Option<Leaf>,
     rng: StdRng,
-    clock: u64,
     stats: OramStats,
-    /// Written-vs-committed value ledgers (the recoverability oracle).
-    ledger: CommitLedger,
-    /// Addresses accessed since construction ([`PathOram::verify_contents`]).
-    touched: PagedTable<()>,
+    /// The security recorder (distinct from the shell's observability tap).
     recorder: Option<AccessRecorder>,
-    /// Observability tap (distinct from the security `recorder` above):
-    /// phase/round/WPQ/NVM events, shared with the engine and the NVM.
-    obsv: Tap,
     encrypt_payloads: bool,
     iv: u64,
-    /// Monotonic per-block freshness source (see [`BlockHeader::seq`]).
-    seq_counter: u64,
-    /// The installed fault plan's hands on the media and the integrity
-    /// layer that answers them ([`PathOram::enable_device_faults`]).
-    device: DeviceSide,
-    /// Reused per-access state (the path frame, the planner's tables,
-    /// the payload free list): the steady-state access loop performs no
-    /// heap allocation for these.
-    scratch: AccessScratch,
-    /// The buffers WPQ rounds drain into, kept for their capacity.
-    drained: DrainedRound,
 }
 
 impl PathOram {
@@ -219,10 +192,14 @@ impl PathOram {
             k
         };
         PathOram {
+            shell: Shell::new(
+                nvm_config,
+                config.num_leaves(),
+                seed ^ 0xFACE,
+                config.temp_posmap_capacity,
+            ),
+            wpq: PersistEngine::new(config.data_wpq_capacity, config.posmap_wpq_capacity),
             stash: Stash::new(config.stash_capacity),
-            posmap: PosMap::new(config.num_leaves(), seed ^ 0xFACE),
-            temp: TempPosMap::new(config.temp_posmap_capacity),
-            engine: PersistEngine::new(config.data_wpq_capacity, config.posmap_wpq_capacity),
             recursion,
             cipher: CtrCipher::new(Aes128::new(&key)),
             crypto_lat: CryptoLatencyModel::paper_default(),
@@ -241,19 +218,10 @@ impl PathOram {
             integrity: None,
             pending_integrity_path: None,
             rng: StdRng::seed_from_u64(seed),
-            clock: 0,
             stats: OramStats::default(),
-            ledger: CommitLedger::new(),
-            touched: PagedTable::default(),
             recorder: None,
-            obsv: Tap::detached(),
             encrypt_payloads: true,
             iv: 0,
-            seq_counter: 0,
-            device: DeviceSide::default(),
-            scratch: AccessScratch::default(),
-            drained: DrainedRound::default(),
-            nvm: NvmController::new(nvm_config),
             tree,
             config,
             variant,
@@ -290,13 +258,6 @@ impl PathOram {
     /// fidelity for speed.
     pub fn set_payload_encryption(&mut self, on: bool) {
         self.encrypt_payloads = on;
-    }
-
-    /// Overrides the controller-frontend throughput (core cycles per 64 B
-    /// block); used by ablation studies. See the field documentation for
-    /// the calibrated default.
-    pub fn set_frontend_cycles_per_block(&mut self, cycles: u64) {
-        self.frontend_cycles_per_block = cycles;
     }
 
     /// Mirrors the top `levels` of the tree in a fast volatile buffer
@@ -393,46 +354,18 @@ impl PathOram {
         self.recorder.as_ref()
     }
 
-    /// Makes the WPQ/NVM backend adversarial: installs a seeded
-    /// [`FaultPlan`](psoram_nvm::FaultPlan) that injects torn flushes,
-    /// lost/duplicated drainer signals, bit rot, and transient read errors.
-    ///
-    /// Hardened (WPQ) designs additionally arm the integrity layer: CMAC
-    /// tags over every tree slot and persisted PosMap entry, sealed WPQ
-    /// batch frames, and a rolling seal over the temporary PosMap —
-    /// recovery then detects, classifies, and repairs the damage.
-    /// Non-WPQ baselines get the same faults with no defenses, so the
-    /// differential campaigns keep their detection power.
-    pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-        let media = (self.tree.arena(), &self.posmap, &self.temp);
-        let hardened = self.variant.uses_wpq();
-        self.device
-            .arm(&mut self.engine, seed, cfg, hardened, media);
+    /// Controller statistics. The crash/recovery/stall counters live in
+    /// the shared engine control and are merged into the snapshot here.
+    pub fn stats(&self) -> OramStats {
+        let e = self.shell.ctl.stats();
+        OramStats {
+            crashes: e.crashes,
+            recoveries: e.recoveries,
+            recovery_failures: e.recovery_failures,
+            wpq_stalls: e.wpq_stalls,
+            ..self.stats
+        }
     }
-
-    /// Arms the endurance adversary over the tree's NVM line region:
-    /// per-line write accounting (seeded cell budgets around
-    /// `cfg.mean_endurance`) plus the chosen wear-leveling scheme. Gap
-    /// moves and retirements stage against the durable mapping and only
-    /// become durable in the persist engine's commit round, so a crash
-    /// mid-gap-move or mid-retirement rolls back to one consistent
-    /// mapping. Wear-induced faults additionally require an installed
-    /// device fault plan with a wear arm ([`FaultConfig::wear_only`] or
-    /// [`FaultConfig::wear_mix`]); without one this is accounting only.
-    pub fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        let bytes = self.tree.base_addr() + self.tree.region_bytes();
-        self.arm_wear(seed, bytes, cfg);
-    }
-
-    /// A deterministic digest over the controller's recoverable state:
-    /// the materialized tree, the persisted PosMap, and the committed
-    /// ledger (see [`crate::engine`]'s `state_digest`).
-    pub fn state_digest(&self) -> u128 {
-        let wear = self.engine.wear_digest();
-        crate::engine::state_digest(self.tree.arena(), false, &self.posmap, &self.ledger, wear)
-    }
-
-    crate::engine::impl_crash_controls!(OramStats);
 
     /// Reads block `addr` at the controller's own clock.
     ///
@@ -440,10 +373,7 @@ impl PathOram {
     ///
     /// Propagates any [`OramError`] from [`PathOram::access_at`].
     pub fn read(&mut self, addr: BlockAddr) -> Result<Vec<u8>, OramError> {
-        let arrival = self.clock;
-        let out = self.access_at(Op::Read, addr, None, arrival)?;
-        self.clock = out.complete_cycle;
-        Ok(out.value)
+        ProtocolPolicy::read(self, addr.0)
     }
 
     /// Writes `data` to block `addr` at the controller's own clock.
@@ -452,20 +382,7 @@ impl PathOram {
     ///
     /// Propagates any [`OramError`] from [`PathOram::access_at`].
     pub fn write(&mut self, addr: BlockAddr, data: Vec<u8>) -> Result<(), OramError> {
-        self.write_from(addr, &data)
-    }
-
-    /// [`PathOram::write`] from borrowed bytes: the access copies them
-    /// once, into the stash, and allocates nothing for them.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`OramError`] from [`PathOram::access_at`].
-    pub fn write_from(&mut self, addr: BlockAddr, data: &[u8]) -> Result<(), OramError> {
-        let arrival = self.clock;
-        let (_, complete_cycle, _) = self.access(Op::Write, addr, Some(data), arrival)?;
-        self.clock = complete_cycle;
-        Ok(())
+        ProtocolPolicy::write_from(self, addr.0, &data)
     }
 
     fn onchip_batch_cycles(&self, ops: u64, per_op: u64) -> u64 {
@@ -478,12 +395,6 @@ impl PathOram {
         let done = t.max(self.frontend_free) + n_blocks * self.frontend_cycles_per_block;
         self.frontend_free = done;
         done
-    }
-
-    /// Current-view posmap lookup: temporary PosMap first (PS variants),
-    /// then the main map.
-    fn lookup(&self, addr: BlockAddr) -> Leaf {
-        self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
     }
 
     fn fresh_iv(&mut self) -> u64 {
@@ -545,35 +456,15 @@ impl PathOram {
         data: Option<&[u8]>,
         arrival: u64,
     ) -> Result<(Option<Vec<u8>>, u64, u64), OramError> {
-        self.engine.begin_attempt()?;
-        if addr.0 >= self.config.capacity_blocks() {
-            return Err(OramError::AddressOutOfRange {
-                addr,
-                capacity: self.config.capacity_blocks(),
-            });
-        }
-        if let Some(d) = data {
-            if d.len() != self.config.payload_bytes {
-                return Err(OramError::PayloadSize {
-                    expected: self.config.payload_bytes,
-                    got: d.len(),
-                });
-            }
-        }
-
+        let access_index = self.stats.accesses;
+        let geometry = (self.config.capacity_blocks(), self.config.payload_bytes);
+        self.shell
+            .begin_access(addr, data, geometry, access_index, arrival)?;
         self.stats.accesses += 1;
         match op {
             Op::Read => self.stats.reads += 1,
             Op::Write => self.stats.writes += 1,
         }
-        self.touched.insert(addr.0, ());
-
-        let access_index = self.stats.accesses - 1;
-        self.obsv.set_now(arrival);
-        self.obsv.emit(|| Event::AccessStart {
-            index: access_index,
-            cycle: arrival,
-        });
 
         let mut t = arrival;
 
@@ -584,45 +475,31 @@ impl PathOram {
         if stash_hit {
             self.stats.stash_hits += 1;
         }
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::CheckStash,
-            start: arrival,
-            end: t,
-        });
-        self.maybe_crash(CrashPoint::AfterCheckStash)?;
+        self.shell.phase(Phase::CheckStash, arrival, t);
+        crash_at(self, CrashPoint::AfterCheckStash)?;
 
         // ── Step ② Access PosMap (+ backup label) ──────────────────────
-        let old_leaf = self.lookup(addr);
+        let old_leaf = self.shell.lookup(addr);
         let new_leaf = Leaf(self.rng.gen_range(0..self.config.num_leaves()));
         let t_before_posmap = t;
         t = self.step2_update_posmap(addr, new_leaf, t)?;
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::PosMap,
-            start: t_before_posmap,
-            end: t,
-        });
-        self.maybe_crash(CrashPoint::AfterAccessPosMap)?;
+        self.shell.phase(Phase::PosMap, t_before_posmap, t);
+        crash_at(self, CrashPoint::AfterAccessPosMap)?;
 
         // ── Step ③ Load path ───────────────────────────────────────────
         let t_before_path = t;
         let t_after_read = self.step3_load_path(addr, old_leaf, t)?;
         t = t_after_read;
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::LoadPath,
-            start: t_before_path,
-            end: t,
-        });
-        self.maybe_crash(CrashPoint::AfterLoadPath)?;
+        self.shell.phase(Phase::LoadPath, t_before_path, t);
+        crash_at(self, CrashPoint::AfterLoadPath)?;
 
         // ── Step ④ Update stash + backup data ──────────────────────────
-        self.seq_counter += 1;
-        let seq = self.seq_counter;
+        self.shell.seq_counter += 1;
+        let seq = self.shell.seq_counter;
         if !self.stash.contains(addr) {
             // Fresh block, never written: materialize zeros.
             let fresh = self
+                .shell
                 .scratch
                 .zeroed_block(addr, new_leaf, self.config.payload_bytes);
             self.stash.insert(fresh)?;
@@ -636,26 +513,18 @@ impl PathOram {
             primary.payload.clear();
             primary.payload.extend_from_slice(d);
         }
-        self.ledger.note_written(addr.0, &primary.payload);
+        self.shell.ledger.note_written(addr.0, &primary.payload);
         let read = data.is_none().then(|| primary.payload.clone());
         t += 2; // header update + (possible) backup copy, pipelined SRAM ops
         let value_ready = t;
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::UpdateStash,
-            start: t_after_read,
-            end: t,
-        });
-        self.obsv.emit(|| Event::AccessEnd {
-            index: access_index,
-            cycle: value_ready,
-        });
-        self.maybe_crash(CrashPoint::AfterUpdateStash)?;
+        self.shell
+            .end_access(access_index, t_after_read, value_ready);
+        crash_at(self, CrashPoint::AfterUpdateStash)?;
 
         // ── Step ⑤ Eviction ────────────────────────────────────────────
         self.pending_integrity_path = Some(old_leaf);
         let eviction_complete = self.step5_evict(old_leaf, t)?;
-        self.obsv.emit(|| Event::Phase {
+        self.shell.obsv.emit(|| Event::Phase {
             phase: Phase::Eviction,
             start: value_ready,
             end: eviction_complete,
@@ -664,7 +533,7 @@ impl PathOram {
         // reached the NVM.
         self.refresh_integrity_path(old_leaf);
         self.pending_integrity_path = None;
-        self.maybe_crash(CrashPoint::AfterEviction)?;
+        crash_at(self, CrashPoint::AfterEviction)?;
 
         if let Some(rec) = &mut self.recorder {
             rec.record(old_leaf, self.config.path_slots());
@@ -674,7 +543,9 @@ impl PathOram {
             // access is durable (atomicity within an access is the gap the
             // crash tests expose).
             let value = data.or(read.as_deref()).unwrap_or_default();
-            self.ledger.commit_if_fresh(addr.0, self.seq_counter, value);
+            self.shell
+                .ledger
+                .commit_if_fresh(addr.0, self.shell.seq_counter, value);
         }
         self.stats.total_access_cycles += value_ready - arrival;
 
@@ -691,7 +562,7 @@ impl PathOram {
         match self.variant {
             ProtocolVariant::Baseline => {
                 t += 2; // SRAM read + write
-                self.posmap.set(addr, new_leaf);
+                self.shell.posmap.set(addr, new_leaf);
             }
             ProtocolVariant::FullNvm | ProtocolVariant::FullNvmStt => {
                 t += self.onchip.read_cycles + self.onchip.write_cycles;
@@ -699,28 +570,28 @@ impl PathOram {
                 self.stats.onchip_nvm_writes += 1;
                 // On-chip NVM PosMap: the update is durable immediately,
                 // but not atomic with the data movement (the paper's point).
-                self.posmap.persist(addr, new_leaf);
+                self.shell.posmap.persist(addr, new_leaf);
             }
             ProtocolVariant::NaivePsOram | ProtocolVariant::PsOram => {
                 t += 2; // SRAM read + temporary-PosMap insert
-                self.temp.insert(addr, new_leaf)?;
+                self.shell.temp.insert(addr, new_leaf)?;
             }
             ProtocolVariant::RcrBaseline => {
                 t = self.recursive_posmap_walk(addr, t)?;
                 // Written back to untrusted NVM on every access: durable
                 // now, and the media programming a crash interrupts.
-                self.device.begin_posmap_units();
-                self.device.persist_posmap(&mut self.posmap, addr, new_leaf);
+                self.shell
+                    .flush(std::iter::once((addr, new_leaf)), Route::Direct);
                 self.stats.posmap_entry_writes += 1;
             }
             ProtocolVariant::RcrPsOram => {
                 t = self.recursive_posmap_walk(addr, t)?;
                 // The new label is backed up in the temporary PosMap and
                 // reaches the posmap tree atomically at eviction commit.
-                self.temp.insert(addr, new_leaf)?;
+                self.shell.temp.insert(addr, new_leaf)?;
             }
         }
-        self.device.seal_temp(&self.temp);
+        self.shell.device.seal_temp(&self.shell.temp);
         Ok(t)
     }
 
@@ -741,15 +612,17 @@ impl PathOram {
         }
         for (reads, writes) in acc.reads.iter().zip(acc.writes.iter()) {
             let fe = self.frontend_process(reads.len() as u64, t);
-            let done = self
-                .nvm
-                .access_batch(reads.iter().copied(), AccessKind::Read, to_mem(t));
+            let done =
+                self.shell
+                    .nvm
+                    .access_batch(reads.iter().copied(), AccessKind::Read, to_mem(t));
             t = (to_core(done) + self.crypto_lat.decrypt_overlapped_cycles()).max(fe);
             self.stats.recursion_reads += reads.len() as u64;
             let fe = self.frontend_process(writes.len() as u64, t);
-            let done = self
-                .nvm
-                .access_batch(writes.iter().copied(), AccessKind::Write, to_mem(t));
+            let done =
+                self.shell
+                    .nvm
+                    .access_batch(writes.iter().copied(), AccessKind::Write, to_mem(t));
             t = to_core(done).max(fe);
             self.stats.recursion_writes += writes.len() as u64;
         }
@@ -763,9 +636,9 @@ impl PathOram {
     /// `live` column (slot → address whose recoverable copy occupies it)
     /// is what the eviction's ordering logic reads.
     fn step3_load_path(&mut self, target: BlockAddr, leaf: Leaf, t: u64) -> Result<u64, OramError> {
-        let mut frame = std::mem::take(&mut self.scratch.frame);
+        let mut frame = std::mem::take(&mut self.shell.scratch.frame);
         let outcome = self.load_path(&mut frame, target, leaf, t);
-        self.scratch.frame = frame;
+        self.shell.scratch.frame = frame;
         outcome
     }
 
@@ -778,15 +651,16 @@ impl PathOram {
     ) -> Result<u64, OramError> {
         // The device side's four guards bracket the fetch (all inert
         // without a fault plan). First: transient media read errors.
-        let t = DeviceSide::read_fault(&mut self.engine, t)?;
+        let t = DeviceSide::read_fault(&mut self.shell.ctl, t)?;
         frame.resolve(&self.tree, leaf);
         let z = self.config.bucket_slots;
         // Second: the freshness adversary may serve one path slot stale.
         // The draw always consumes plan entropy (schedule invariance).
-        let pick = self.engine.read_replay();
-        let mut serve_stale = self
-            .device
-            .serve_stale(&mut self.engine, pick, &frame.cells);
+        let pick = self.shell.ctl.read_replay();
+        let mut serve_stale =
+            self.shell
+                .device
+                .serve_stale(&mut self.shell.ctl, pick, &frame.cells);
         // Merkle verification of the fetched path (when enabled): the
         // digests of the bytes coming off the bus must chain to the
         // persisted root.
@@ -797,17 +671,18 @@ impl PathOram {
         // Buckets mirrored in the fast volatile buffer cost no NVM read.
         let cached = self.top_cache_levels as usize * z;
         let frontend_done = self.frontend_process(self.config.path_slots() as u64, t);
-        let done = self
-            .nvm
-            .access_batch(frame.nvm_addrs(cached), AccessKind::Read, to_mem(t));
+        let done =
+            self.shell
+                .nvm
+                .access_batch(frame.nvm_addrs(cached), AccessKind::Read, to_mem(t));
         let t = (to_core(done) + self.crypto_lat.decrypt_overlapped_cycles()).max(frontend_done);
 
         // Third: the endurance adversary on the hottest fetched line.
         // Fourth: hardened freshness verification of every loaded slot —
         // including whatever the wire served — before admission.
-        let t = DeviceSide::wear_read_fault(&mut self.engine, frame.nvm_addrs(cached), t)?;
-        let mut t = self.device.verify_fetched(
-            &mut self.engine,
+        let t = DeviceSide::wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(cached), t)?;
+        let mut t = self.shell.device.verify_fetched(
+            &mut self.shell.ctl,
             self.tree.arena(),
             &frame.cells,
             &mut serve_stale,
@@ -818,7 +693,7 @@ impl PathOram {
         // copies (their payload buffers come off the free list). An
         // undetected stale serve (baselines) replaces the slot's bytes
         // right here — the controller consumes what the wire delivered.
-        let mut fetched = std::mem::take(&mut self.scratch.fetched);
+        let mut fetched = std::mem::take(&mut self.shell.scratch.fetched);
         fetched.clear();
         for (depth, bucket) in self.tree.path(leaf).enumerate() {
             let on_media = self.tree.bucket_ref(bucket);
@@ -830,9 +705,9 @@ impl PathOram {
                     _ => on_media.and_then(|b| b.slot(slot)),
                 };
                 if let Some(stored) = stored {
-                    let mut block = self.scratch.block_from(stored);
+                    let mut block = self.shell.scratch.block_from(stored);
                     self.decrypt_from_tree(&mut block);
-                    if block.leaf() == self.posmap.persisted_get(block.addr()) {
+                    if block.leaf() == self.shell.posmap.persisted_get(block.addr()) {
                         frame.mark_live(depth * z + slot, block.addr());
                     }
                     fetched.push(block);
@@ -869,7 +744,7 @@ impl PathOram {
             if keep_shadows {
                 // The backup preserves the block as fetched, pinned to
                 // the leaf it was fetched from.
-                let mut backup = self.scratch.block_from(primary.view());
+                let mut backup = self.shell.scratch.block_from(primary.view());
                 backup.is_backup = true;
                 self.stats.backups_created += 1;
                 self.stash.insert(backup)?;
@@ -883,25 +758,25 @@ impl PathOram {
         for mut block in fetched.drain(..) {
             if is_target_copy(&block) {
                 // A superseded duplicate of the target: dropped.
-                self.scratch.recycle(block);
+                self.shell.scratch.recycle(block);
                 continue;
             }
             let a = block.addr();
-            let current = self.lookup(a);
+            let current = self.shell.lookup(a);
             let stale = self.stash.contains(a) || block.leaf() != current || block.is_backup;
             if !stale {
                 block.is_backup = false;
                 self.stash.insert(block)?;
-            } else if keep_shadows && block.leaf() == self.posmap.persisted_get(a) {
+            } else if keep_shadows && block.leaf() == self.shell.posmap.persisted_get(a) {
                 block.is_backup = true;
                 self.stats.shadows_rewritten += 1;
                 self.stash.insert(block)?;
             } else {
                 // A dead copy: dropped.
-                self.scratch.recycle(block);
+                self.shell.scratch.recycle(block);
             }
         }
-        self.scratch.fetched = fetched;
+        self.shell.scratch.fetched = fetched;
 
         // FullNVM: the fetched path is written into the on-chip NVM stash.
         if self.variant.onchip_tech().is_some() {
@@ -917,9 +792,9 @@ impl PathOram {
     /// Step ⑤: plan and persist the eviction. Returns the cycle at which
     /// the write-back fully reaches the NVM.
     fn step5_evict(&mut self, leaf: Leaf, t: u64) -> Result<u64, OramError> {
-        let mut frame = std::mem::take(&mut self.scratch.frame);
+        let mut frame = std::mem::take(&mut self.shell.scratch.frame);
         let outcome = self.evict_frame(&mut frame, leaf, t);
-        self.scratch.frame = frame;
+        self.shell.scratch.frame = frame;
         outcome
     }
 
@@ -943,7 +818,7 @@ impl PathOram {
         // primaries whose live copy the rewrite destroys) must be
         // re-placed; the rest are opportunistic.
         let persistent = self.variant.uses_wpq();
-        let (stash, posmap, live) = (&self.stash, &self.posmap, &*frame);
+        let (stash, posmap, live) = (&self.stash, &self.shell.posmap, &*frame);
         let candidates = stash.blocks().iter().map(|b| {
             // Must-place: backups/shadows (pinned to this path) and fetched
             // primaries still at their persisted position — their live NVM
@@ -961,7 +836,7 @@ impl PathOram {
         // `Placement::place_in_place`); full-sized WPQs commit the whole
         // round atomically and can place greedily.
         let small_wpq = persistent && self.config.data_wpq_capacity < self.config.path_slots();
-        let mut placement = std::mem::take(&mut self.scratch.placement);
+        let mut placement = std::mem::take(&mut self.shell.scratch.placement);
         placement.place_greedy(candidates.clone(), &self.tree, leaf);
         // `batches` is the write-back order of a round too large for one
         // atomic batch, worked out once, here, while choosing the plan.
@@ -971,7 +846,7 @@ impl PathOram {
             // identity placement only for plans with an oversize cycle.
             // The candidates stay put until that is settled.
             let capacity = self.config.data_wpq_capacity;
-            let mut targets = std::mem::take(&mut self.scratch.targets);
+            let mut targets = std::mem::take(&mut self.shell.scratch.targets);
             placement.targets_into(self.stash.blocks(), &mut targets);
             let batches = match small_wpq_batches(&targets, &frame.live, capacity) {
                 Ok(batches) => batches,
@@ -986,7 +861,7 @@ impl PathOram {
                     })?
                 }
             };
-            self.scratch.targets = targets;
+            self.shell.scratch.targets = targets;
             batches
         } else {
             None
@@ -996,7 +871,7 @@ impl PathOram {
         self.stats.eviction_leftovers += placement.leftovers().len() as u64;
         self.stash
             .evict(placement.slots(), placement.leftovers(), &mut frame.out);
-        self.scratch.placement = placement;
+        self.shell.scratch.placement = placement;
 
         // FullNVM: blocks are read back out of the on-chip NVM stash.
         if self.variant.onchip_tech().is_some() {
@@ -1018,7 +893,7 @@ impl PathOram {
             let region = self.stash_region_base;
             // Overlaps with the path write-back; the access pipeline only
             // observes the later of the two completions.
-            let done = self.nvm.access_batch(
+            let done = self.shell.nvm.access_batch(
                 (0..stash_snapshot).map(|i| region + i * block_bytes),
                 AccessKind::Write,
                 to_mem(t),
@@ -1035,33 +910,33 @@ impl PathOram {
     /// path (Figure 3). The armed crash index counts slot writes, i.e. it
     /// is a frame position.
     fn evict_direct(&mut self, frame: &mut PathFrame, t: u64) -> Result<u64, OramError> {
-        let crash_after = self.engine.armed_eviction_crash();
-        // The path rewrite is the round a power failure interrupts.
-        self.device.begin_slot_units();
-        for pos in 0..frame.cells.len() {
-            if crash_after == Some(pos) {
-                self.engine.disarm_crash();
-                self.execute_crash();
-                return Err(OramError::Crashed);
-            }
-            let FrameCell { bucket, slot, .. } = frame.cells[pos];
-            let mut stored = frame.out[pos].take();
-            if let Some(b) = &mut stored {
-                self.encrypt_for_tree(b);
-            }
-            if stored.is_some() {
-                self.device
-                    .note_slots(self.tree.arena(), bucket, slot..slot + 1);
-                self.device.push_slot(bucket, slot);
-            }
-            self.tree
-                .write_slot_from(bucket, slot, stored.as_ref().map(Block::view));
-            if let Some(b) = stored {
-                self.scratch.recycle(b);
-            }
+        let slots = frame.cells.len();
+        let crash_at = (self.shell.ctl.armed_eviction_crash()).filter(|&pos| pos < slots);
+        let written = crash_at.unwrap_or(slots);
+        for block in frame.out[..written].iter_mut().flatten() {
+            self.encrypt_for_tree(block);
+        }
+        // The path rewrite is a round of its own, the one a power failure
+        // interrupts, and its real blocks are its units; a dummy written
+        // straight to the media is none.
+        let cells = frame.cells[..written].iter().zip(&frame.out[..written]);
+        let reals = (cells.clone())
+            .filter_map(|(c, out)| Some((c.bucket, c.slot, Some(out.as_ref()?.view()))));
+        (self.shell.device).program(self.tree.arena_mut(), reals, Route::Direct);
+        for (c, _) in cells.filter(|(_, out)| out.is_none()) {
+            self.tree.write_slot_from(c.bucket, c.slot, None);
+        }
+        for block in frame.out[..written].iter_mut().filter_map(Option::take) {
+            self.shell.scratch.recycle(block);
+        }
+        if crash_at.is_some() {
+            self.shell.ctl.disarm_crash();
+            self.execute_crash();
+            return Err(OramError::Crashed);
         }
         let frontend_done = self.frontend_process(frame.cells.len() as u64, t);
         let done = self
+            .shell
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Write, to_mem(t));
         Ok(to_core(done).max(frontend_done))
@@ -1083,63 +958,49 @@ impl PathOram {
 
         // Hardened designs authenticate the temporary PosMap before
         // trusting it for dirty-entry selection.
-        self.device.check_temp(&mut self.engine, &self.temp)?;
+        self.shell
+            .device
+            .check_temp(&mut self.shell.ctl, &self.shell.temp)?;
 
         // 5-A: identify the dirty metadata entries (PS-ORAM) or all path
         // entries (Naïve).
         let naive = self.variant == ProtocolVariant::NaivePsOram;
-        let crash_after_batches = self.engine.armed_eviction_crash();
-        let every_position = 0..frame.cells.len();
+        let crash_after_batches = self.shell.ctl.armed_eviction_crash();
+        let slots = frame.cells.len();
 
-        let mut entry_addrs = std::mem::take(&mut self.scratch.entry_addrs);
-        entry_addrs.clear();
+        self.shell.scratch.entry_addrs.clear();
         // Dummy slots of the open batch, rewritten after its commit.
-        let mut dummies = std::mem::take(&mut self.scratch.dummies);
+        let mut dummies = std::mem::take(&mut self.shell.scratch.dummies);
         for committed_batches in 0..order.as_ref().map_or(1, Vec::len) {
+            // The frame positions of this batch: every one, in path order,
+            // when the round is a single batch.
             let batch = order.as_ref().map(|batches| &batches[committed_batches]);
+            let whole = batch.map_or(0..slots, |_| 0..0);
+            let positions = whole.chain(batch.into_iter().flatten().copied());
             if crash_after_batches == Some(committed_batches) {
                 // Power failure while the next round is being assembled:
                 // model entries mid-push by opening a round, pushing the
                 // batch, and crashing before the end signal.
-                let mut entries = Vec::new();
-                let mut stage = |pos: usize| {
-                    if let Some(block) = frame.out[pos].take() {
-                        entries.push(Self::wpq_entry(&frame.cells[pos], block));
-                    }
-                };
-                match batch {
-                    Some(batch) => batch.iter().copied().for_each(&mut stage),
-                    None => every_position.clone().for_each(&mut stage),
-                }
-                self.engine.stage_abandoned_round(entries);
-                self.engine.disarm_crash();
+                let entries = positions
+                    .filter_map(|pos| {
+                        Some(Self::wpq_entry(&frame.cells[pos], frame.out[pos].take()?))
+                    })
+                    .collect();
+                self.wpq.stage_abandoned_round(entries);
+                self.shell.ctl.disarm_crash();
                 self.execute_crash();
-                self.scratch.entry_addrs = entry_addrs;
-                self.scratch.dummies = dummies;
+                self.shell.scratch.dummies = dummies;
                 return Err(OramError::Crashed);
             }
 
             // 5-B: drainer start signal; push data and matching metadata.
-            self.engine.begin_round()?;
+            self.wpq.begin_round(&self.shell.ctl)?;
             let mut pushed = 0u64;
             dummies.clear();
-            let mut stage = |this: &mut Self, pos: usize| match frame.out[pos].take() {
-                Some(block) => this.push_real(&frame.cells[pos], block, naive, &mut entry_addrs),
-                None => {
-                    dummies.push(pos);
-                    Ok(0)
-                }
-            };
-            match batch {
-                Some(batch) => {
-                    for &pos in batch {
-                        pushed += stage(self, pos)?;
-                    }
-                }
-                None => {
-                    for pos in every_position.clone() {
-                        pushed += stage(self, pos)?;
-                    }
+            for pos in positions {
+                match frame.out[pos].take() {
+                    Some(block) => pushed += self.push_real(&frame.cells[pos], block, naive)?,
+                    None => dummies.push(pos),
                 }
             }
             // A batch's dummies follow its reals, and the room check runs
@@ -1147,7 +1008,7 @@ impl PathOram {
             // it either finds room (and dummies take none) or leaves both
             // queues empty.
             if !dummies.is_empty() {
-                self.stall_if_full(&mut entry_addrs)?;
+                self.stall_if_full()?;
             }
             if naive {
                 // Naïve also flushes a metadata entry per dummy slot, so the
@@ -1155,37 +1016,26 @@ impl PathOram {
                 for &pos in &dummies {
                     let FrameCell { bucket, slot, .. } = frame.cells[pos];
                     self.stats.posmap_entry_writes += 1;
-                    entry_addrs.push(self.naive_slot_entry_addr(bucket, slot));
+                    let entry = self.naive_slot_entry_addr(bucket, slot);
+                    self.shell.scratch.entry_addrs.push(entry);
                 }
             }
             t += pushed; // one cycle per WPQ push
-            self.obsv.set_now(t);
+            self.shell.obsv.set_now(t);
 
             // 5-C: end signal — the atomic commit point — then flush.
-            self.engine.commit_round()?;
-            self.apply_drained_round(&mut entry_addrs);
+            commit_and_apply(self)?;
             // Dummy slots of this batch are rewritten directly after the
             // commit: they carry no recoverable data and only overwrite
             // copies whose addresses committed in this or earlier batches.
-            let coords = |&pos: &usize| (frame.cells[pos].bucket, frame.cells[pos].slot);
-            for (bucket, slot) in dummies.iter().map(coords) {
-                self.device
-                    .note_slots(self.tree.arena(), bucket, slot..slot + 1);
-            }
-            if let Some(auth) = &mut self.device.auth {
-                auth.record_slots(
-                    dummies
-                        .iter()
-                        .map(coords)
-                        .map(|(bucket, slot)| (bucket, slot, None)),
-                );
-            }
-            for (bucket, slot) in dummies.iter().map(coords) {
-                self.tree.write_slot_from(bucket, slot, None);
-            }
+            let rewritten = (dummies.iter()).map(|&pos| {
+                let FrameCell { bucket, slot, .. } = frame.cells[pos];
+                (bucket, slot, None)
+            });
+            (self.shell.device).program(self.tree.arena_mut(), rewritten, Route::Trailing);
             self.stats.eviction_batches += 1;
         }
-        self.scratch.dummies = dummies;
+        self.shell.scratch.dummies = dummies;
 
         // Issue the full-path writes plus metadata writes to the NVM. The
         // WPQ drains in address order (an FR-FCFS-style controller avoids
@@ -1193,16 +1043,18 @@ impl PathOram {
         // atomicity was already established by the end signals above.
         // Every slot of the path was written exactly once, so the frame —
         // path order is address order — is that sorted address list.
-        entry_addrs.sort_unstable();
+        self.shell.scratch.entry_addrs.sort_unstable();
         let frontend_done = self.frontend_process(frame.cells.len() as u64, t);
         // PosMap entries are 7-8 B: they occupy the data bus for a single
         // beat, though the cell-programming pulse is unchanged.
         let done = self
+            .shell
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Write, to_mem(t));
         let mut t_end = to_core(done).max(frontend_done);
+        let entry_addrs = &self.shell.scratch.entry_addrs;
         if !entry_addrs.is_empty() {
-            let done = self.nvm.access_batch_sized(
+            let done = self.shell.nvm.access_batch_sized(
                 entry_addrs.iter().copied(),
                 AccessKind::Write,
                 to_mem(t),
@@ -1210,7 +1062,6 @@ impl PathOram {
             );
             t_end = t_end.max(to_core(done));
         }
-        self.scratch.entry_addrs = entry_addrs;
         Ok(t_end)
     }
 
@@ -1227,132 +1078,36 @@ impl PathOram {
     }
 
     /// A block's data and its PosMap entry must land in the same atomic
-    /// round. If either queue is out of room, stall: commit and drain what
-    /// is already pushed (each sub-round is still atomic, exactly like a
-    /// planned small-WPQ split), then reopen.
-    fn stall_if_full(&mut self, entry_addrs: &mut Vec<u64>) -> Result<(), OramError> {
-        if self.engine.data_is_full() || self.engine.posmap_is_full() {
-            self.engine.note_stall();
-            self.engine.commit_round()?;
-            self.apply_drained_round(entry_addrs);
-            self.engine.begin_round()?;
+    /// round: if either queue is out of room, stall.
+    fn stall_if_full(&mut self) -> Result<(), OramError> {
+        if self.wpq.data_is_full() || self.wpq.posmap_is_full() {
+            stall(self)?;
         }
         Ok(())
     }
 
     /// Pushes one real block of the open round and the metadata that must
     /// commit with it; returns the number of WPQ pushes.
-    fn push_real(
-        &mut self,
-        cell: &FrameCell,
-        block: Block,
-        naive: bool,
-        entry_addrs: &mut Vec<u64>,
-    ) -> Result<u64, OramError> {
-        self.stall_if_full(entry_addrs)?;
+    fn push_real(&mut self, cell: &FrameCell, block: Block, naive: bool) -> Result<u64, OramError> {
+        self.stall_if_full()?;
         // Metadata for this batch: dirty entries (PS-ORAM) of evicted
         // primaries; Naïve pushes an entry per slot.
         let flush = if block.is_backup {
             None
         } else {
             let a = block.addr();
-            let dirty = self.temp.get(a);
+            let dirty = self.shell.temp.get(a);
             dirty.or(naive.then(|| block.leaf())).map(|l| (a, l))
         };
-        self.engine.push_data(Self::wpq_entry(cell, block))?;
+        self.wpq.push_data(Self::wpq_entry(cell, block))?;
         let Some((a, l)) = flush else {
             return Ok(1);
         };
-        self.engine.push_posmap(WpqEntry {
+        self.wpq.push_posmap(WpqEntry {
             addr: self.posmap_entry_nvm_addr(a),
             value: (a, l),
         })?;
         Ok(2)
-    }
-
-    /// Drains the round that just committed and applies it to the NVM
-    /// state.
-    fn apply_drained_round(&mut self, entry_addrs: &mut Vec<u64>) {
-        let (mut data, mut posmap) = std::mem::take(&mut self.drained);
-        self.engine.drain_into(&mut data, &mut posmap);
-        self.apply_committed(&mut data, &mut posmap, entry_addrs);
-        self.drained = (data, posmap);
-    }
-
-    /// Applies one committed WPQ round to the NVM state: tree slots, main
-    /// PosMap, temp-entry retirement, and the committed-value ledger. The
-    /// entries are consumed; the vectors keep their capacity.
-    fn apply_committed(
-        &mut self,
-        data: &mut Vec<WpqEntry<PlacedBlock>>,
-        posmap: &mut Vec<WpqEntry<PosMapFlush>>,
-        entry_addrs: &mut Vec<u64>,
-    ) {
-        if !(data.is_empty() && posmap.is_empty()) {
-            // This round becomes the one whose media programming a crash
-            // would interrupt.
-            self.device.begin_slot_units();
-            self.device.begin_posmap_units();
-        }
-        // The PosMap entries go first: which committed copy of an address
-        // is the recoverable one is decided against the *new* persisted
-        // map, and deciding it while the block is still plaintext spares
-        // a copy of every payload. (Nothing below reads what this loop
-        // writes except that.)
-        let flushed = !posmap.is_empty();
-        for e in posmap.drain(..) {
-            let (a, l) = e.value;
-            self.device.persist_posmap(&mut self.posmap, a, l);
-            self.temp.remove(a);
-            self.stats.dirty_entries_flushed += 1;
-            self.stats.posmap_entry_writes += 1;
-            entry_addrs.push(e.addr);
-        }
-        if flushed {
-            self.device.seal_temp(&self.temp);
-        }
-        // The full-path rewrite covers dummy slots too: the data entries
-        // carry the real blocks, and the remaining slots of the same
-        // buckets are written as encrypted dummies by the same round. For
-        // traffic/timing, the whole path's slots are issued by the caller.
-        for e in data.iter_mut() {
-            let PlacedBlock {
-                bucket,
-                slot,
-                block: b,
-            } = &mut e.value;
-            // Ledger: the recoverable value of an address is the
-            // written copy that matches the persisted PosMap. Several
-            // can commit in one round (a primary that re-drew its old
-            // leaf plus its backup): offered in commit order, the
-            // newest — highest freshness counter, the later on a tie —
-            // is what the ledger keeps and what recovery restores.
-            if b.leaf() == self.posmap.persisted_get(b.addr()) {
-                self.ledger
-                    .commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
-            }
-            // Encrypted in place, the block's bytes move on into the tree.
-            self.encrypt_for_tree(b);
-            self.device
-                .note_slots(self.tree.arena(), *bucket, *slot..*slot + 1);
-            self.device.push_slot(*bucket, *slot);
-        }
-        // The round's slots are distinct units, so every snapshot above
-        // saw what a slot-by-slot pass would have shown it, and the
-        // records can be made side by side.
-        if let Some(auth) = &mut self.device.auth {
-            auth.record_slots(data.iter().map(|e| {
-                let w = &e.value;
-                (w.bucket, w.slot, Some(w.block.view()))
-            }));
-        }
-        for e in data.drain(..) {
-            let w = e.value;
-            self.tree
-                .write_slot_from(w.bucket, w.slot, Some(w.block.view()));
-            self.scratch.recycle(w.block);
-        }
-        self.device.anchor_root(&mut self.engine);
     }
 
     /// Metadata-entry address Naïve writes for a dummy slot. Dummy entries
@@ -1376,97 +1131,26 @@ impl PathOram {
         self.posmap_base + addr.0 * 8
     }
 
-    /// Immediately executes a power failure (also used by
-    /// [`PathOram::inject_crash`] plans).
+    /// Immediately executes a power failure (also what an armed
+    /// [`ProtocolPolicy::inject_crash`] plan runs).
     pub fn crash_now(&mut self) -> CrashReport {
         self.execute_crash()
     }
 
     fn execute_crash(&mut self) -> CrashReport {
         let stash_durable = self.variant.stash_durable();
-        // ADR flushes committed WPQ rounds; open rounds are lost. The
-        // engine latches the crashed state and counts the crash.
-        let (mut data, mut posmap) = self.engine.crash();
-        let report = CrashReport {
-            stash_blocks_lost: if stash_durable { 0 } else { self.stash.len() },
-            temp_entries_lost: if stash_durable { 0 } else { self.temp.len() },
-            wpq_data_flushed: data.len(),
-            wpq_posmap_flushed: posmap.len(),
+        let (stash_blocks_lost, temp_entries_lost) = match stash_durable {
+            true => (0, 0),
+            false => (self.stash.len(), self.shell.temp.len()),
+        };
+        let (wpq_data_flushed, wpq_posmap_flushed) = power_fail(self);
+        CrashReport {
+            stash_blocks_lost,
+            temp_entries_lost,
+            wpq_data_flushed,
+            wpq_posmap_flushed,
             stash_durable,
-        };
-        // No NVM traffic is timed for the flush: the entry addresses go
-        // nowhere.
-        self.apply_committed(&mut data, &mut posmap, &mut Vec::new());
-        if !stash_durable {
-            self.stash.wipe();
-            self.temp.wipe();
         }
-        self.posmap.crash();
-        if let Some(rec) = &mut self.recursion {
-            rec.wipe_plb();
-        }
-        // Recovery replay for the integrity tree: fold whatever the ADR
-        // flush actually persisted into the digest state so the root
-        // matches the NVM (no false alarms, no masked tampering).
-        if let Some(leaf) = self.pending_integrity_path.take() {
-            self.refresh_integrity_path(leaf);
-        }
-        // Device faults: the power failure interrupts the media programming
-        // of the last applied round (including anything the ADR flush just
-        // applied above) — torn flushes, lost signals, and bit rot land on
-        // those units now, behind the controller's back.
-        self.device
-            .strike(&mut self.engine, self.tree.arena_mut(), &mut self.posmap);
-        report
-    }
-
-    /// Recovers the controller after a crash, per the paper's §4.3
-    /// procedure: the persisted PosMap becomes the working map and normal
-    /// operation resumes.
-    ///
-    /// Returns a [`RecoveryReport`] carrying the consistency verdict and,
-    /// on failure, the violation text (PS-ORAM designs always pass; the
-    /// baselines generally do not). The report is also retained in
-    /// [`PathOram::last_recovery`] and failures are counted in
-    /// `OramStats::recovery_failures`.
-    ///
-    /// With device faults enabled on a hardened design, recovery runs the
-    /// full detect → classify → repair → fail-safe pipeline first: a CMAC
-    /// scan wipes slots and PosMap entries that fail authentication, each
-    /// damaged committed address is restored from its newest surviving
-    /// authenticated copy, and addresses with no surviving copy are rolled
-    /// back with a typed [`RecoveryError`](crate::RecoveryError) instead of
-    /// serving corrupt data. The rungs and the audit are [`crate::engine`]'s
-    /// ladder; what is Path's own is where a copy may sit and its
-    /// decryption (`PathCopies`).
-    ///
-    /// Idempotent: calling `recover` on a controller that is not crashed
-    /// repeats the last verdict without touching state or counters.
-    pub fn recover(&mut self) -> RecoveryReport {
-        let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
-            Ok(ladder) => ladder,
-            Err(last) => return *last,
-        };
-        let check = if let Some(mut auth) = self.device.auth.take() {
-            let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
-            ladder.detect(
-                (engine, arena, &mut self.posmap, &mut self.ledger),
-                &mut auth,
-            );
-            let copies = PathCopies {
-                levels: self.config.levels,
-                cipher: self.encrypt_payloads.then_some(&self.cipher),
-                stash: self.variant.stash_durable().then_some(&self.stash),
-            };
-            let (engine, arena) = (&mut self.engine, self.tree.arena_mut());
-            let media = (engine, arena, &mut self.posmap, &mut self.ledger);
-            let check = ladder.repair(media, &mut auth, &copies);
-            self.device.auth = Some(auth);
-            check
-        } else {
-            self.check_recoverability()
-        };
-        ladder.finish(&mut self.engine, check, self.ledger.committed_len())
     }
 
     /// Verifies the crash-recovery invariant: every address with a durably
@@ -1483,50 +1167,201 @@ impl PathOram {
             cipher: self.encrypt_payloads.then_some(&self.cipher),
             stash: self.variant.stash_durable().then_some(&self.stash),
         };
-        check_committed(self.tree.arena(), &self.posmap, &self.ledger, &copies)
+        check_committed(
+            self.tree.arena(),
+            &self.shell.posmap,
+            &self.shell.ledger,
+            &copies,
+        )
     }
 
     /// Reads back every touched address and compares against the
-    /// appropriate ledger: the last *written* value if the controller never
-    /// crashed, or the last *committed* value (falling back to zeros) after
-    /// a crash+recovery.
+    /// appropriate ledger ([`ProtocolPolicy::verify_contents`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first mismatch.
     pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        let touched = self.touched.iter().map(|(a, ())| a).collect();
-        let note = format!(" (after_crash={after_crash})");
-        let bytes = self.config.payload_bytes;
-        crate::engine::verify_contents(touched, &note, |a| {
-            let expected = self.ledger.expected_value(a, after_crash, bytes);
-            (expected, self.read(BlockAddr(a)))
-        })
+        ProtocolPolicy::verify_contents(self, after_crash)
     }
 
     /// The committed-value oracle (test observability).
     pub fn committed_value(&self, addr: BlockAddr) -> Option<&Vec<u8>> {
-        self.ledger.committed_value(addr.0)
+        self.shell.ledger.committed_value(addr.0)
     }
 
     /// The last program-written value (test observability).
     pub fn written_value(&self, addr: BlockAddr) -> Option<&Vec<u8>> {
-        self.ledger.written_value(addr.0)
-    }
-
-    /// Addresses touched since construction.
-    pub fn touched_addrs(&self) -> Vec<BlockAddr> {
-        self.touched.iter().map(|(a, ())| BlockAddr(a)).collect()
+        self.shell.ledger.written_value(addr.0)
     }
 
     /// Occupied temporary-PosMap entries.
     pub fn temp_posmap_len(&self) -> usize {
-        self.temp.len()
+        self.shell.temp.len()
     }
 
     /// The functional ORAM tree (inspection in tests and tools).
     pub fn tree(&self) -> &OramTree {
         &self.tree
+    }
+}
+
+impl Rounds for PathOram {
+    type Data = PlacedBlock;
+
+    fn media(&mut self) -> Media<'_, PlacedBlock> {
+        (&mut self.shell, &mut self.wpq, self.tree.arena_mut())
+    }
+
+    /// Applies one committed WPQ round to the NVM state: main PosMap and
+    /// temp-entry retirement, the committed-value ledger, tree slots. The
+    /// entries are consumed; the vectors keep their capacity.
+    fn apply_round(&mut self, (data, posmap): &mut DrainedRound<PlacedBlock, PosMapFlush>) {
+        // The PosMap entries go first: which committed copy of an address
+        // is the recoverable one is decided against the *new* persisted
+        // map, and deciding it while the block is still plaintext spares
+        // a copy of every payload. (Their NVM addresses are kept for the
+        // caller's timing; a power failure's flush times nothing.)
+        (self.shell.scratch.entry_addrs).extend(posmap.iter().map(|e| e.addr));
+        let entries = posmap.drain(..).map(|e| e.value);
+        let flushed = self.shell.flush(entries, Route::Drained);
+        self.stats.dirty_entries_flushed += flushed;
+        self.stats.posmap_entry_writes += flushed;
+        // The full-path rewrite covers dummy slots too: the data entries
+        // carry the real blocks, and the remaining slots of the same
+        // buckets are written as encrypted dummies by the same round. For
+        // traffic/timing, the whole path's slots are issued by the caller.
+        for e in data.iter_mut() {
+            let b = &mut e.value.block;
+            // Ledger: the recoverable value of an address is the
+            // written copy that matches the persisted PosMap. Several
+            // can commit in one round (a primary that re-drew its old
+            // leaf plus its backup): offered in commit order, the
+            // newest — highest freshness counter, the later on a tie —
+            // is what the ledger keeps and what recovery restores.
+            if b.leaf() == self.shell.posmap.persisted_get(b.addr()) {
+                (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
+            }
+            // Encrypted in place, the block's bytes move on into the tree.
+            self.encrypt_for_tree(b);
+        }
+        let units = data.iter().map(|e| {
+            let w = &e.value;
+            (w.bucket, w.slot, Some(w.block.view()))
+        });
+        (self.shell.device).program(self.tree.arena_mut(), units, Route::Drained);
+        for e in data.drain(..) {
+            self.shell.scratch.recycle(e.value.block);
+        }
+    }
+
+    fn wipe(&mut self) {
+        if !self.variant.stash_durable() {
+            self.stash.wipe();
+            self.shell.temp.wipe();
+        }
+        if let Some(rec) = &mut self.recursion {
+            rec.wipe_plb();
+        }
+        // Recovery replay for the integrity tree: fold whatever the ADR
+        // flush actually persisted into the digest state so the root
+        // matches the NVM (no false alarms, no masked tampering).
+        if let Some(leaf) = self.pending_integrity_path.take() {
+            self.refresh_integrity_path(leaf);
+        }
+    }
+}
+
+impl ProtocolPolicy for PathOram {
+    fn label(&self) -> String {
+        format!("path/{}", self.variant.label())
+    }
+    fn capacity_blocks(&self) -> u64 {
+        self.config.capacity_blocks()
+    }
+    fn payload_bytes(&self) -> usize {
+        self.config.payload_bytes
+    }
+    fn crash_consistent(&self) -> bool {
+        self.variant.is_crash_consistent()
+    }
+    fn commit_model(&self) -> CommitModel {
+        match self.variant {
+            // Stash and PosMap live in on-chip NVM: a completed access is
+            // durable before it returns.
+            ProtocolVariant::FullNvm | ProtocolVariant::FullNvmStt => CommitModel::OnCompletion,
+            // Persists the stash's dirty blocks to the reserved NVM
+            // region every access, so completed writes never depend on
+            // winning a slot in the eviction plan.
+            ProtocolVariant::RcrPsOram => CommitModel::OnCompletion,
+            // The WPQ makes each *eviction round* atomic, but a written
+            // block that loses the greedy placement race (root bucket
+            // full) stays in the volatile stash as an eviction leftover
+            // until a later access evicts it — a crash in that window
+            // rolls the address back to its previous completed write.
+            ProtocolVariant::NaivePsOram | ProtocolVariant::PsOram => CommitModel::Deferred,
+            // Baselines are judged by the strict model on purpose: they
+            // claim nothing, and the oracle's violations on them are the
+            // harness's differential teeth.
+            ProtocolVariant::Baseline | ProtocolVariant::RcrBaseline => CommitModel::OnCompletion,
+        }
+    }
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn access(&mut self, addr: u64, data: Option<&[u8]>, arrival: u64) -> Access {
+        let op = if data.is_some() { Op::Write } else { Op::Read };
+        let (read, ready, _) = PathOram::access(self, op, BlockAddr(addr), data, arrival)?;
+        Ok((read, ready))
+    }
+
+    fn crash_now(&mut self) {
+        self.execute_crash();
+    }
+
+    /// What is Path's own is where a committed copy may sit and its
+    /// decryption (`PathCopies`).
+    fn recover(&mut self) -> RecoveryReport {
+        let copies = PathCopies {
+            levels: self.config.levels,
+            cipher: self.encrypt_payloads.then_some(&self.cipher),
+            stash: self.variant.stash_durable().then_some(&self.stash),
+        };
+        (self.shell).recover(self.tree.arena_mut(), &copies, |_, _, _| {})
+    }
+
+    /// The digest covers the materialized tree, the persisted PosMap and
+    /// the committed ledger.
+    fn state_digest(&self) -> u128 {
+        self.shell.state_digest(self.tree.arena(), false)
+    }
+
+    /// The WPQ variants are the hardened ones.
+    fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
+        arm(self, seed, cfg, self.variant.uses_wpq());
+    }
+
+    /// The region is the tree's.
+    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
+        let bytes = self.tree.base_addr() + self.tree.region_bytes();
+        self.shell.arm_wear(seed, bytes, cfg);
+    }
+
+    fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
+        self.wpq.wpq_stats()
+    }
+
+    fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap) {
+        set_tap(self, tap);
+    }
+
+    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
+        let wpq = self.wpq.wpq_stats();
+        (self.shell).publish_metrics(prefix, reg, &self.stats(), wpq);
     }
 }
 
@@ -1565,8 +1400,8 @@ mod tests {
         let page_bytes = oram.tree.materialized_page_bytes();
         assert!(page_bytes <= 7_680_000, "{page_bytes} B of tree pages");
         // One page per touched address at worst, 64 B (labels) or 16 B.
-        assert!(oram.posmap.materialized_pages() <= 2_000);
-        assert!(oram.touched.pages() <= 2_000);
+        assert!(oram.shell.posmap.materialized_pages() <= 2_000);
+        assert!(oram.shell.touched.pages() <= 2_000);
     }
 
     #[test]
@@ -1584,8 +1419,12 @@ mod tests {
             for variant in ProtocolVariant::all() {
                 let mut oram = PathOram::new(OramConfig::small_test(), variant, 9);
                 oram.enable_device_faults(9, mix);
-                assert_eq!(oram.device.replays(), snapshots, "{variant:?} {mix:?}");
-                assert_eq!(oram.device.auth.is_some(), variant.uses_wpq());
+                assert_eq!(
+                    oram.shell.device.replays(),
+                    snapshots,
+                    "{variant:?} {mix:?}"
+                );
+                assert_eq!(oram.shell.device.auth.is_some(), variant.uses_wpq());
             }
         }
     }
@@ -1604,24 +1443,24 @@ mod tests {
             .flat_map(|b| (0..4).map(move |s| (b, s)))
             .find(|&(b, s)| oram.tree.slot_ref(b, s).is_none())
             .expect("a dummy slot on the path");
-        oram.seq_counter += 1;
+        oram.shell.seq_counter += 1;
         let mut block = Block::new(addr, leaf, value.clone());
-        block.header.seq = oram.seq_counter;
-        oram.engine.begin_round().unwrap();
+        block.header.seq = oram.shell.seq_counter;
+        oram.wpq.begin_round(&oram.shell.ctl).unwrap();
         let cell = FrameCell {
             bucket,
             slot,
             nvm_addr: oram.tree.slot_nvm_addr(bucket, slot),
         };
-        oram.engine
+        oram.wpq
             .push_data(PathOram::wpq_entry(&cell, block))
             .unwrap();
         let entry = WpqEntry {
             addr: oram.posmap_entry_nvm_addr(addr),
             value: (addr, leaf),
         };
-        oram.engine.push_posmap(entry).unwrap();
-        oram.engine.commit_round().unwrap();
+        oram.wpq.push_posmap(entry).unwrap();
+        oram.wpq.commit_round(&mut oram.shell.ctl).unwrap();
 
         let flushed = oram.crash_now();
         assert_eq!(
@@ -1630,8 +1469,8 @@ mod tests {
         );
         // The root anchored in the persistence domain covers what the ADR
         // flush just programmed.
-        let root = oram.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(oram.engine.persisted_root(), root);
+        let root = oram.shell.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(oram.shell.ctl.persisted_root(), root);
         let report = oram.recover();
         assert!(report.consistent, "{:?}", report.violation);
         assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
@@ -1668,7 +1507,7 @@ mod tests {
     #[test]
     fn every_slot_of_a_fetched_path_is_judged_before_admission() {
         let (probe, target) = armed_and_fully_tracked();
-        let leaf = probe.lookup(target);
+        let leaf = probe.shell.lookup(target);
         let z = probe.config.bucket_slots;
         let cells: Vec<(u64, usize)> = (probe.tree.path(leaf))
             .flat_map(|bucket| (0..z).map(move |slot| (bucket, slot)))
@@ -1678,9 +1517,13 @@ mod tests {
         for &(bucket, slot) in &cells {
             for damage in [SlotDamage::Content, SlotDamage::AgedRecord] {
                 let (mut oram, _) = armed_and_fully_tracked();
-                assert_eq!(oram.lookup(target), leaf, "the set-up is deterministic");
+                assert_eq!(
+                    oram.shell.lookup(target),
+                    leaf,
+                    "the set-up is deterministic"
+                );
                 let stored = oram.tree.arena().slot(bucket, slot).map(|b| b.to_block());
-                let auth = oram.device.auth.as_mut().expect("hardened");
+                let auth = oram.shell.device.auth.as_mut().expect("hardened");
                 assert!(auth.slot_record(bucket, slot).is_some(), "tracked");
                 let class = match damage {
                     SlotDamage::Content => {

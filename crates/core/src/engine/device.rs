@@ -9,23 +9,44 @@
 //! ([`DeviceSide::strike`]: bit flips, replays, splices) and the stale
 //! serve on the read wire. The *defence* half is [`AuthTags`] — the
 //! per-unit records and the trusted counter tree — with the guards a fetch
-//! runs before it admits what the device delivered. A controller holds one
-//! `DeviceSide`, tells it what it is about to overwrite and what each
-//! round wrote, and calls the guards; it carries no fault-handling code of
-//! its own.
+//! runs before it admits what the device delivered. A controller's shell
+//! holds one `DeviceSide`; every slot unit a round programs reaches the
+//! arena through [`DeviceSide::program`] and every PosMap entry through
+//! [`DeviceSide::flush`], which keep the snapshots, the unit lists and the
+//! records in step with the media, and a fetch calls the guards. A
+//! controller carries no fault-handling code of its own.
 
 use psoram_nvm::{FaultClass, FaultConfig, ReadFault};
 use psoram_obsv::{DeviceFaultKind, Event};
 
-use super::{fault_kind, FrameCell, PersistEngine, WearReadOutcome};
+use super::{fault_kind, EngineControl, FrameCell, WearReadOutcome};
 use crate::arena::SlotArena;
-use crate::auth::{AuthTags, FreshnessStats, StaleServe, UnitHistory};
+use crate::auth::{AuthTags, FreshnessStats, SlotUnit, StaleServe, UnitHistory};
 use crate::block::Block;
 use crate::posmap::{PosMap, TempPosMap};
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// Cycles one re-issued media read costs; retry `k` backs off `<< k`.
 const REISSUE_CYCLES: u64 = 400;
+
+/// How a set of slot units reaches the media — which decides whether a
+/// power failure can land on them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Units of the queue round just drained: they join its list (the
+    /// drain opened it).
+    Drained,
+    /// A write-back that bypasses the queues (the designs without a
+    /// persistence domain): a round of its own, whose list starts here.
+    Direct,
+    /// Dummy slots rewritten behind a committed round: snapshotted and
+    /// recorded like any overwrite, but no unit of the round — they carry
+    /// nothing a torn flush could lose.
+    Trailing,
+}
+
+/// A PosMap entry on its way to the persisted map: `addr → leaf`.
+pub(crate) type PosMapFlush = (BlockAddr, Leaf);
 
 /// The fault plan's hands on a controller's media, and the integrity
 /// layer that answers them.
@@ -61,20 +82,21 @@ impl DeviceSide {
     /// batch frames, a seal over the temporary PosMap, and the
     /// counter-tree root anchored in the persistence domain before the
     /// first adversarial round. Records cover slot *content* only: Ring's
-    /// valid bits and counts mutate outside persist rounds.
-    pub fn arm<D, P>(
+    /// valid bits and counts mutate outside persist rounds. Returns the
+    /// key a hardened design seals its WPQ frames with.
+    pub fn arm(
         &mut self,
-        engine: &mut PersistEngine<D, P>,
+        ctl: &mut EngineControl,
         seed: u64,
         cfg: FaultConfig,
         hardened: bool,
         (arena, posmap, temp): (&SlotArena, &PosMap, &TempPosMap),
-    ) {
-        engine.install_fault_plan(seed, cfg);
+    ) -> Option<[u8; 16]> {
+        ctl.install_fault_plan(seed, cfg);
         self.armed = true;
         self.history = cfg.replays_stale_units().then(UnitHistory::default);
         if !hardened {
-            return;
+            return None;
         }
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&seed.to_le_bytes());
@@ -88,9 +110,9 @@ impl DeviceSide {
             auth.record_posmap(a, l);
         }
         auth.seal_temp(temp.entries());
-        engine.seal_frames(&key);
-        engine.persist_root(auth.root());
+        ctl.persist_root(auth.root());
         self.auth = Some(auth);
+        Some(key)
     }
 
     /// Fetch-path freshness counters: stale units the adversary served on
@@ -106,59 +128,100 @@ impl DeviceSide {
         self.history.is_some()
     }
 
-    // ── what the controller tells it ────────────────────────────────────
+    // ── what a round tells it ───────────────────────────────────────────
 
-    /// Snapshots the `(content, record)` pairs a write to `slots` of
-    /// `bucket` is about to replace: the coherent stale units a replay
-    /// adversary re-serves (direct-write designs carry no records). A
-    /// no-op unless the installed plan can replay.
-    #[inline]
-    pub fn note_slots(&mut self, arena: &SlotArena, bucket: u64, slots: std::ops::Range<usize>) {
-        let Some(history) = self.history.as_mut() else {
-            return;
-        };
-        let old = arena.bucket(bucket);
-        for slot in slots {
-            let content = old.and_then(|old| old.slot(slot)).map(|b| b.to_block());
-            let record = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
-            history.note_slot(bucket, slot, (content, record));
+    /// Programs `units` — `(bucket, slot, content)`, a dummy where the
+    /// content is `None` — into the arena, in the order the adversary and
+    /// the defence depend on: every unit is snapshotted *before* it is
+    /// overwritten (the coherent stale `(content, record)` pair a replay
+    /// re-serves; only under a plan that can replay) and listed as `route`
+    /// says, then the records are made side by side (hardened designs; the
+    /// units of a call are distinct, so every snapshot saw what a
+    /// unit-by-unit pass would have shown it), then the arena is written.
+    pub fn program<'a>(
+        &mut self,
+        arena: &mut SlotArena,
+        units: impl Iterator<Item = SlotUnit<'a>> + Clone,
+        route: Route,
+    ) {
+        if route == Route::Direct {
+            self.round_slots.clear();
+        }
+        if self.armed {
+            for (bucket, slot, _) in units.clone() {
+                if let Some(history) = self.history.as_mut() {
+                    let content = arena.slot(bucket, slot).map(|b| b.to_block());
+                    let record = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
+                    history.note_slot(bucket, slot, (content, record));
+                }
+                if route != Route::Trailing {
+                    self.round_slots.push((bucket, slot));
+                }
+            }
+        }
+        if let Some(auth) = &mut self.auth {
+            auth.record_slots(units.clone());
+        }
+        for (bucket, slot, content) in units {
+            arena.write(bucket, slot, content);
         }
     }
 
-    /// Starts the slot list of the round about to be applied: a crash
-    /// lands on the units of the last one.
-    pub fn begin_slot_units(&mut self) {
-        self.round_slots.clear();
+    /// A drained round that carries anything becomes the one whose media
+    /// programming a crash would interrupt: both unit lists start over.
+    pub fn open_round(&mut self, units: usize) {
+        if units > 0 {
+            self.round_slots.clear();
+            self.round_posmap.clear();
+        }
     }
 
-    /// Starts the PosMap-entry list of the round about to be applied.
-    pub fn begin_posmap_units(&mut self) {
-        self.round_posmap.clear();
-    }
-
-    /// Records that the round being applied programs `(bucket, slot)`.
-    #[inline]
+    /// Lists `(bucket, slot)` as a unit of the round being applied.
+    #[cfg(test)]
     pub fn push_slot(&mut self, bucket: u64, slot: usize) {
         if self.armed {
             self.round_slots.push((bucket, slot));
         }
     }
 
-    /// Persists the PosMap entry `addr → leaf` as a unit of the round
-    /// being applied: the entry it replaces is snapshotted first, the new
-    /// one recorded (hardened designs) and listed for the next crash.
-    pub fn persist_posmap(&mut self, posmap: &mut PosMap, addr: BlockAddr, leaf: Leaf) {
-        if let Some(history) = self.history.as_mut() {
-            let record = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
-            history.note_posmap(addr.0, posmap.persisted_get(addr), record);
+    /// Flushes `entries` — `addr → leaf` — into the persisted PosMap, in
+    /// the order the adversary and the defence depend on: the entry each
+    /// replaces is snapshotted first, the new one persisted, recorded
+    /// (hardened designs) and listed as `route` says, and its temporary
+    /// entry retired; then, if anything was flushed, the temporary PosMap
+    /// is resealed, and the counter-tree root is anchored over the records
+    /// as they now stand. Returns the number of entries flushed.
+    pub fn flush(
+        &mut self,
+        ctl: &mut EngineControl,
+        (posmap, temp): (&mut PosMap, &mut TempPosMap),
+        entries: impl Iterator<Item = PosMapFlush>,
+        route: Route,
+    ) -> u64 {
+        if route == Route::Direct {
+            self.round_posmap.clear();
         }
-        posmap.persist(addr, leaf);
-        if let Some(auth) = &mut self.auth {
-            auth.record_posmap(addr.0, leaf.0);
+        let mut flushed = 0;
+        for (addr, leaf) in entries {
+            if let Some(history) = self.history.as_mut() {
+                let record = self.auth.as_ref().and_then(|a| a.posmap_record(addr.0));
+                history.note_posmap(addr.0, posmap.persisted_get(addr), record);
+            }
+            posmap.persist(addr, leaf);
+            if let Some(auth) = &mut self.auth {
+                auth.record_posmap(addr.0, leaf.0);
+            }
+            if self.armed && route != Route::Trailing {
+                self.round_posmap.push(addr);
+            }
+            temp.remove(addr);
+            flushed += 1;
         }
-        if self.armed {
-            self.round_posmap.push(addr);
+        if flushed > 0 {
+            self.seal_temp(temp);
         }
+        self.anchor_root(ctl);
+        flushed
     }
 
     /// Reseals the temporary PosMap (hardened designs) after it changed.
@@ -178,14 +241,10 @@ impl DeviceSide {
     ///
     /// [`OramError::Poisoned`], latched, on a mismatch.
     #[inline]
-    pub fn check_temp<D, P>(
-        &self,
-        engine: &mut PersistEngine<D, P>,
-        temp: &TempPosMap,
-    ) -> Result<(), OramError> {
+    pub fn check_temp(&self, ctl: &mut EngineControl, temp: &TempPosMap) -> Result<(), OramError> {
         match &self.auth {
             Some(auth) if !auth.verify_temp(temp.entries()) => {
-                Err(poison(engine, FaultClass::MediaCorruption))
+                Err(poison(ctl, FaultClass::MediaCorruption))
             }
             _ => Ok(()),
         }
@@ -195,9 +254,9 @@ impl DeviceSide {
     /// the same failure-atomic commit as the round's data, so replaying
     /// any unit of an earlier round leaves its counter behind the root.
     #[inline]
-    pub fn anchor_root<D, P>(&self, engine: &mut PersistEngine<D, P>) {
+    pub fn anchor_root(&self, ctl: &mut EngineControl) {
         if let Some(auth) = &self.auth {
-            engine.persist_root(auth.root());
+            ctl.persist_root(auth.root());
         }
     }
 
@@ -209,16 +268,11 @@ impl DeviceSide {
     /// then the freshness adversary's replays and splices. Records are
     /// deliberately *not* refreshed — this is the adversary writing
     /// behind the controller's back. Nothing here materialises a bucket.
-    pub fn strike<D, P>(
-        &mut self,
-        engine: &mut PersistEngine<D, P>,
-        arena: &mut SlotArena,
-        posmap: &mut PosMap,
-    ) {
+    pub fn strike(&mut self, ctl: &mut EngineControl, arena: &mut SlotArena, posmap: &mut PosMap) {
         if !self.armed {
             return;
         }
-        let damage = engine.draw_crash_damage(self.round_slots.len(), self.round_posmap.len());
+        let damage = ctl.draw_crash_damage(self.round_slots.len(), self.round_posmap.len());
         for &i in &damage.data_units {
             let (bucket, slot) = self.round_slots[i];
             // Torn programming of a dummy slot has no observable content
@@ -229,7 +283,7 @@ impl DeviceSide {
             let Some((header, payload)) = bucket.cell_mut(slot) else {
                 continue;
             };
-            let e = engine.device_entropy();
+            let e = ctl.device_entropy();
             if payload.is_empty() {
                 header.iv1 ^= 1 | e;
             } else {
@@ -237,7 +291,7 @@ impl DeviceSide {
             }
         }
         for &i in &damage.posmap_units {
-            let e = engine.device_entropy();
+            let e = ctl.device_entropy();
             posmap.corrupt_persisted(self.round_posmap[i], e);
         }
 
@@ -252,7 +306,7 @@ impl DeviceSide {
             if let Some(auth) = self.auth.as_mut() {
                 auth.set_slot_record(bucket, slot, record);
             }
-            engine.confirm_stale_replay();
+            ctl.confirm_stale_replay();
             Some((bucket, slot))
         });
         let restored_addr = damage.replayed_posmap.and_then(|i| {
@@ -262,7 +316,7 @@ impl DeviceSide {
             if let Some(auth) = self.auth.as_mut() {
                 auth.set_posmap_record(addr.0, record);
             }
-            engine.confirm_stale_replay();
+            ctl.confirm_stale_replay();
             Some(addr)
         });
 
@@ -288,7 +342,7 @@ impl DeviceSide {
                     auth.set_slot_record(u1.0, u1.1, r2);
                     auth.set_slot_record(u2.0, u2.1, r1);
                 }
-                engine.confirm_cross_splice();
+                ctl.confirm_cross_splice();
             }
         }
         if let Some((i, j)) = damage.spliced_posmap {
@@ -306,7 +360,7 @@ impl DeviceSide {
                     auth.set_posmap_record(a1.0, r2);
                     auth.set_posmap_record(a2.0, r1);
                 }
-                engine.confirm_cross_splice();
+                ctl.confirm_cross_splice();
             }
         }
     }
@@ -321,32 +375,32 @@ impl DeviceSide {
     ///
     /// [`OramError::Poisoned`] on a stuck line.
     #[inline]
-    pub fn read_fault<D, P>(engine: &mut PersistEngine<D, P>, t: u64) -> Result<u64, OramError> {
-        match engine.read_fault() {
+    pub fn read_fault(ctl: &mut EngineControl, t: u64) -> Result<u64, OramError> {
+        match ctl.read_fault() {
             ReadFault::None => Ok(t),
             ReadFault::Transient { attempts } => {
-                Ok(retried(engine, DeviceFaultKind::TransientRead, attempts, t))
+                Ok(retried(ctl, DeviceFaultKind::TransientRead, attempts, t))
             }
-            ReadFault::Stuck => Err(poison(engine, FaultClass::TransientRead)),
+            ReadFault::Stuck => Err(poison(ctl, FaultClass::TransientRead)),
         }
     }
 
     /// The freshness adversary on the read wire: the device may serve one
     /// of the slots being read (`cells`, in read order) from an
     /// authentic-but-stale snapshot it recorded before the last
-    /// overwrite. `pick` is the plan's draw ([`PersistEngine::
+    /// overwrite. `pick` is the plan's draw ([`EngineControl::
     /// read_replay`], consumed whether or not it lands); it only lands
     /// when a slot being read has recorded history.
     #[inline]
-    pub fn serve_stale<D, P>(
+    pub fn serve_stale(
         &mut self,
-        engine: &mut PersistEngine<D, P>,
+        ctl: &mut EngineControl,
         pick: Option<u64>,
         cells: &[FrameCell],
     ) -> Option<StaleServe> {
         let read = cells.iter().map(|c| (c.bucket, c.slot));
         let served = self.history.as_ref()?.stale_serve(read, pick?)?;
-        engine.confirm_read_replay();
+        ctl.confirm_read_replay();
         self.freshness.stale_serves += 1;
         Some(served)
     }
@@ -363,26 +417,26 @@ impl DeviceSide {
     ///
     /// [`OramError::Poisoned`] when no spare is left.
     #[inline]
-    pub fn wear_read_fault<D, P>(
-        engine: &mut PersistEngine<D, P>,
+    pub fn wear_read_fault(
+        ctl: &mut EngineControl,
         addrs: impl IntoIterator<Item = u64>,
         t: u64,
     ) -> Result<u64, OramError> {
-        match engine.wear_read_fault(addrs) {
+        match ctl.wear_read_fault(addrs) {
             WearReadOutcome::None => Ok(t),
             WearReadOutcome::Transient { attempts } => {
-                Ok(retried(engine, DeviceFaultKind::WearOut, attempts, t))
+                Ok(retried(ctl, DeviceFaultKind::WearOut, attempts, t))
             }
             WearReadOutcome::Retired { line, spare } => {
-                let t = detected(engine, DeviceFaultKind::WearOut, 1, t + 2 * REISSUE_CYCLES);
-                engine.tap().emit(|| Event::LineRetired {
+                let t = detected(ctl, DeviceFaultKind::WearOut, 1, t + 2 * REISSUE_CYCLES);
+                ctl.tap.emit(|| Event::LineRetired {
                     line,
                     spare,
                     cycle: t,
                 });
                 Ok(t)
             }
-            WearReadOutcome::Exhausted { .. } => Err(poison(engine, FaultClass::WearOut)),
+            WearReadOutcome::Exhausted { .. } => Err(poison(ctl, FaultClass::WearOut)),
         }
     }
 
@@ -401,9 +455,9 @@ impl DeviceSide {
     /// a recovery pass: nothing read can be trusted — fail safe rather
     /// than serve it.
     #[inline]
-    pub fn verify_fetched<D, P>(
+    pub fn verify_fetched(
         &mut self,
-        engine: &mut PersistEngine<D, P>,
+        ctl: &mut EngineControl,
         arena: &SlotArena,
         cells: &[FrameCell],
         served: &mut Option<StaleServe>,
@@ -422,14 +476,14 @@ impl DeviceSide {
         let (convicted, wire) = auth.verdict_fetched(stored, served.as_ref());
         if let Some(class) = convicted {
             self.freshness.fetch_poisons += 1;
-            return Err(poison(engine, class));
+            return Err(poison(ctl, class));
         }
         let Some(class) = wire.fault_class() else {
             return Ok(t);
         };
         self.freshness.stale_serves_detected += 1;
         *served = None;
-        Ok(detected(engine, fault_kind(class), 1, t + REISSUE_CYCLES))
+        Ok(detected(ctl, fault_kind(class), 1, t + REISSUE_CYCLES))
     }
 }
 
@@ -442,15 +496,15 @@ fn set_slot(arena: &mut SlotArena, (bucket, slot): (u64, usize), content: Option
 }
 
 /// Latches the fail-safe state and names it to the caller.
-fn poison<D, P>(engine: &mut PersistEngine<D, P>, class: FaultClass) -> OramError {
-    engine.poison(class);
+fn poison(ctl: &mut EngineControl, class: FaultClass) -> OramError {
+    ctl.poison(class);
     OramError::Poisoned { class }
 }
 
 /// Stamps a detection at cycle `t` and returns `t`.
-fn detected<D, P>(engine: &PersistEngine<D, P>, kind: DeviceFaultKind, units: u64, t: u64) -> u64 {
-    engine.tap().set_now(t);
-    engine.tap().emit(|| Event::FaultDetected {
+fn detected(ctl: &EngineControl, kind: DeviceFaultKind, units: u64, t: u64) -> u64 {
+    ctl.tap.set_now(t);
+    ctl.tap.emit(|| Event::FaultDetected {
         kind,
         units,
         cycle: t,
@@ -459,20 +513,16 @@ fn detected<D, P>(engine: &PersistEngine<D, P>, kind: DeviceFaultKind, units: u6
 }
 
 /// A load that went through after `attempts` backed-off re-issues.
-fn retried<D, P>(
-    engine: &PersistEngine<D, P>,
-    kind: DeviceFaultKind,
-    attempts: u32,
-    t: u64,
-) -> u64 {
+fn retried(ctl: &EngineControl, kind: DeviceFaultKind, attempts: u32, t: u64) -> u64 {
     let backoff: u64 = (0..attempts).map(|k| REISSUE_CYCLES << k).sum();
-    detected(engine, kind, u64::from(attempts), t + backoff)
+    detected(ctl, kind, u64::from(attempts), t + backoff)
 }
 
 #[cfg(test)]
 mod tests {
     use super::super::recover::tests::{seed_where, Toy};
     use super::*;
+    use crate::engine::ProtocolPolicy;
 
     /// Every round is lost; nothing is replayed or spliced.
     fn all_lost() -> FaultConfig {
@@ -483,37 +533,129 @@ mod tests {
     }
 
     #[test]
+    fn the_applier_snapshots_before_it_overwrites_lists_what_it_programs_and_anchors_last() {
+        let (mut device, mut ctl) = (DeviceSide::default(), EngineControl::default());
+        let mut arena = SlotArena::new(2, 8);
+        let (mut posmap, mut temp) = (PosMap::new(8, 1), TempPosMap::new(4));
+        let media = (&arena, &posmap, &temp);
+        device.arm(&mut ctl, 7, FaultConfig::replay_mix(), true, media);
+        let block = |a, leaf, seq, fill| {
+            let mut b = Block::new(BlockAddr(a), Leaf(leaf), vec![fill; 8]);
+            b.header.seq = seq;
+            b
+        };
+        let (a0, a1, a3) = (BlockAddr(0), BlockAddr(1), BlockAddr(3));
+
+        // Round 1 puts a first version of two addresses on media.
+        let (old0, old1) = (block(0, 2, 1, 0x11), block(1, 3, 2, 0x22));
+        device.open_round(4);
+        let units = [(2, 0, Some(old0.view())), (3, 1, Some(old1.view()))];
+        device.program(&mut arena, units.into_iter(), Route::Drained);
+        let entries = [(a0, Leaf(2)), (a1, Leaf(3))];
+        let maps = (&mut posmap, &mut temp);
+        assert_eq!(
+            device.flush(&mut ctl, maps, entries.into_iter(), Route::Drained),
+            2
+        );
+        let auth = device.auth.as_ref().expect("hardened");
+        let before = (
+            auth.slot_record(2, 0),
+            auth.slot_record(3, 1),
+            auth.posmap_record(0),
+        );
+        let root_before = auth.root();
+        assert_eq!(ctl.persisted_root(), Some(root_before));
+
+        // Round 2 overwrites one of those slots, re-points its address and
+        // rewrites the other slot as a dummy behind the commit; a third
+        // address stays dirty.
+        temp.insert(a0, Leaf(5)).unwrap();
+        temp.insert(a3, Leaf(1)).unwrap();
+        let new0 = block(0, 5, 3, 0x33);
+        device.open_round(2);
+        let units = [(2, 0, Some(new0.view()))];
+        device.program(&mut arena, units.into_iter(), Route::Drained);
+        device.program(&mut arena, [(3, 1, None)].into_iter(), Route::Trailing);
+        let maps = (&mut posmap, &mut temp);
+        device.flush(&mut ctl, maps, [(a0, Leaf(5))].into_iter(), Route::Drained);
+
+        // The snapshot store holds what each unit was *before* the write.
+        let history = device.history.as_ref().expect("a plan that replays");
+        assert_eq!(history.slot(2, 0), Some(&(Some(old0), before.0)));
+        assert_eq!(history.slot(3, 1), Some(&(Some(old1), before.1)));
+        assert_eq!(history.posmap(0), Some(&(Leaf(2), before.2)));
+        assert_eq!(
+            history.posmap(1).map(|h| h.1),
+            Some(None),
+            "never overwritten"
+        );
+        // The lists name exactly the round's units: not the trailing dummy.
+        assert_eq!(device.round_slots, [(2, 0)]);
+        assert_eq!(device.round_posmap, [a0]);
+        // The media, the records, the seal and the root are those of the
+        // state after the flush.
+        let auth = device.auth.as_ref().expect("hardened");
+        assert_eq!(arena.slot(2, 0).map(|b| b.to_block()), Some(new0.clone()));
+        assert!(arena.slot(3, 1).is_none());
+        assert!(auth.verify_slot(2, 0, Some(new0.view())) && auth.verify_slot(3, 1, None));
+        assert_eq!(posmap.persisted_get(a0), Leaf(5));
+        assert!(auth.verify_posmap(0, 5));
+        assert_eq!(
+            (temp.get(a0), temp.get(a3)),
+            (None, Some(Leaf(1))),
+            "retired"
+        );
+        assert!(
+            auth.verify_temp(temp.entries()),
+            "resealed after the retirement"
+        );
+        assert_ne!(auth.root(), root_before);
+        assert_eq!(ctl.persisted_root(), Some(auth.root()));
+
+        // A direct write-back is a round of its own: its list starts over.
+        device.program(
+            &mut arena,
+            [(4, 0, Some(new0.view()))].into_iter(),
+            Route::Direct,
+        );
+        assert_eq!(
+            (&device.round_slots[..], &device.round_posmap[..]),
+            (&[(4, 0)][..], &[a0][..])
+        );
+    }
+
+    #[test]
     fn a_torn_dummy_slot_draws_no_entropy_and_a_strike_materialises_nothing() {
         let mut toy = Toy::new();
         toy.write(&[1], 3);
-        toy.arm(5, all_lost());
+        toy.enable_device_faults(5, all_lost());
         let written = toy.write(&[0], 4);
         // The same round also programmed a dummy slot of that bucket and
         // (as a direct rewrite of an untouched path would) one of a bucket
         // nothing ever materialised.
         let (bucket, slot) = written[0];
         assert!(toy.arena.slot(bucket, 1 - slot).is_none());
-        toy.device.push_slot(bucket, 1 - slot);
-        toy.device.push_slot(77, 0);
+        toy.shell.device.push_slot(bucket, 1 - slot);
+        toy.shell.device.push_slot(77, 0);
         let before = toy.arena.materialized_buckets();
-        toy.crash();
+        toy.crash_now();
         assert_eq!(toy.arena.materialized_buckets(), before);
         assert!(toy.arena.bucket(77).is_none());
         // Entropy pins the call count: a twin plan that draws the same
         // round's damage and then exactly two flips — the one real slot,
         // the one PosMap entry — is in step with the struck one.
-        let mut twin: PersistEngine<(), ()> = PersistEngine::new(1, 1);
+        let mut twin = EngineControl::default();
         twin.install_fault_plan(5, all_lost());
         let damage = twin.draw_crash_damage(3, 1);
         assert_eq!((damage.data_units.len(), damage.posmap_units.len()), (3, 1));
         twin.device_entropy();
         twin.device_entropy();
-        assert_eq!(toy.engine.device_entropy(), twin.device_entropy());
+        assert_eq!(toy.shell.ctl.device_entropy(), twin.device_entropy());
     }
 
     #[test]
     fn a_splice_lands_only_between_two_distinct_units_with_authentic_records() {
-        let spliced = |toy: &Toy| toy.engine.fault_stats().expect("armed").cross_splices;
+        let spliced = |toy: &Toy| toy.shell.ctl.fault_stats().expect("armed").cross_splices;
         let splice_only = FaultConfig {
             cross_splice: 1.0,
             ..FaultConfig::disabled()
@@ -521,9 +663,9 @@ mod tests {
         // Two distinct intact units: the splice lands and the contents
         // swap (as do the two addresses' PosMap entries).
         let mut toy = Toy::new();
-        toy.arm(1, splice_only);
+        toy.enable_device_faults(1, splice_only);
         let w = toy.write(&[0, 1], 3);
-        toy.crash();
+        toy.crash_now();
         assert_eq!(spliced(&toy), 2, "the slot pair and the PosMap pair");
         let holder = |(b, s): (u64, usize)| toy.arena.slot(b, s).map(|b| b.addr().0);
         assert_eq!((holder(w[0]), holder(w[1])), (Some(1), Some(0)));
@@ -531,12 +673,12 @@ mod tests {
 
         // Both ends of the drawn pair are one media unit: a no-op.
         let mut toy = Toy::new();
-        toy.arm(1, splice_only);
+        toy.enable_device_faults(1, splice_only);
         let w = toy.write(&[0], 3);
-        toy.device.push_slot(w[0].0, w[0].1);
-        let before = toy.digest();
-        toy.crash();
-        assert_eq!((spliced(&toy), toy.digest()), (0, before));
+        toy.shell.device.push_slot(w[0].0, w[0].1);
+        let before = toy.state_digest();
+        toy.crash_now();
+        assert_eq!((spliced(&toy), toy.state_digest()), (0, before));
 
         // A bit-rotted end carries no authentic record any more: a no-op,
         // unless a replay restored that end wholesale first. (Two versions
@@ -555,9 +697,9 @@ mod tests {
             });
             let mut toy = Toy::new();
             toy.write(&[0, 0], 3);
-            toy.arm(seed, rot_replay_splice);
+            toy.enable_device_faults(seed, rot_replay_splice);
             toy.write(&[0, 0], 4);
-            toy.crash();
+            toy.crash_now();
             assert_eq!(spliced(&toy), u64::from(restored), "restored={restored}");
         }
     }

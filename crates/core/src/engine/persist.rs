@@ -116,26 +116,191 @@ impl psoram_obsv::MetricsSource for EngineStats {
     }
 }
 
-/// The shared persist-round engine: one audited implementation of the
-/// paper's crash-consistency protocol, generic over the persist-unit
-/// types (`D` data units, `P` PosMap units).
-///
-/// The engine owns:
-///
-/// * the paired data/PosMap WPQs ([`PersistenceDomain`]) and the
-///   begin/stage/commit round protocol with typed errors;
-/// * crash arming ([`PersistEngine::inject_crash`]) and scheduling
-///   ([`PersistEngine::schedule_crash`]) against the access-attempt
-///   counter;
-/// * the crashed-state latch and the recovery bookkeeping
-///   ([`PersistEngine::finish_recovery`], [`PersistEngine::last_recovery`]);
-/// * the crash/recovery/stall counters ([`EngineStats`]).
+/// The (data, PosMap) entries of one drained round, in commit order.
+pub(crate) type DrainedRound<D, P> = (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>);
+
+/// The WPQ persist-round protocol — *start signal → persist units → end
+/// signal* — over the paired data/PosMap queues, generic over the
+/// persist-unit types (`D` data units, `P` PosMap units). It holds what is
+/// typed by the queues and nothing else; the crash plan, the counters and
+/// the device adversaries a round also touches are [`EngineControl`]'s,
+/// lent to the calls that need them.
 ///
 /// Controllers keep only protocol policy: what units to stage, when to
 /// open a round, and how to apply a drained round to their stores.
 #[derive(Debug)]
 pub struct PersistEngine<D, P> {
     domain: PersistenceDomain<D, P>,
+    /// The buffers rounds drain into, kept for their capacity.
+    drained: DrainedRound<D, P>,
+}
+
+impl<D, P> PersistEngine<D, P> {
+    /// Creates fresh WPQs of the given capacities.
+    pub fn new(data_capacity: usize, posmap_capacity: usize) -> Self {
+        PersistEngine {
+            domain: PersistenceDomain::new(data_capacity, posmap_capacity),
+            drained: (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// Wires an observability tap into both WPQs: per-queue
+    /// push/reject/drain events are stamped with its published clock.
+    pub fn set_tap(&mut self, tap: Tap) {
+        self.domain.set_tap(tap);
+    }
+
+    /// Accumulated statistics of the (data, PosMap) WPQs. Like
+    /// [`EngineStats`], these survive crashes and recoveries.
+    pub fn wpq_stats(&self) -> (WpqStats, WpqStats) {
+        (
+            self.domain.data_wpq().stats(),
+            self.domain.posmap_wpq().stats(),
+        )
+    }
+
+    /// Seals both WPQ batch frames with per-queue CMAC keys derived from
+    /// `key`, so every committed round carries an authentication tag.
+    pub fn seal_frames(&mut self, key: &[u8; 16]) {
+        self.domain.seal_frames(key);
+    }
+
+    /// Drainer *start* signal: opens an atomic round on both WPQs.
+    ///
+    /// # Errors
+    ///
+    /// [`WpqError::BatchAlreadyOpen`] if a round is already open.
+    pub fn begin_round(&mut self, ctl: &EngineControl) -> Result<(), WpqError> {
+        self.domain.begin_round()?;
+        ctl.tap.emit(|| Event::RoundBegin {
+            cycle: ctl.tap.now(),
+        });
+        Ok(())
+    }
+
+    /// Stages one data persist unit into the open round.
+    ///
+    /// # Errors
+    ///
+    /// [`WpqError::NoBatchOpen`] / [`WpqError::Full`] from the data WPQ.
+    pub fn push_data(&mut self, entry: WpqEntry<D>) -> Result<(), WpqError> {
+        self.domain.push_data(entry)
+    }
+
+    /// Stages one PosMap persist unit into the open round.
+    ///
+    /// # Errors
+    ///
+    /// [`WpqError::NoBatchOpen`] / [`WpqError::Full`] from the PosMap WPQ.
+    pub fn push_posmap(&mut self, entry: WpqEntry<P>) -> Result<(), WpqError> {
+        self.domain.push_posmap(entry)
+    }
+
+    /// Drainer *end* signal: the atomic commit point of the open round.
+    ///
+    /// # Errors
+    ///
+    /// [`WpqError::NoBatchOpen`] if no round is open on either queue.
+    pub fn commit_round(&mut self, ctl: &mut EngineControl) -> Result<(), WpqError> {
+        let (data_units, posmap_units) = (
+            self.domain.data_wpq().open_len() as u64,
+            self.domain.posmap_wpq().open_len() as u64,
+        );
+        self.domain.commit_round()?;
+        // The wear-leveling mapping (staged gap moves / retirements)
+        // rides the same atomic commit point as the round itself: one
+        // failure-atomic register update in the persistence domain.
+        if let Some(w) = ctl.wear.as_mut() {
+            w.commit();
+        }
+        ctl.tap.emit(|| Event::RoundCommit {
+            cycle: ctl.tap.now(),
+            data_units,
+            posmap_units,
+        });
+        Ok(())
+    }
+
+    /// Drains every committed entry from both queues, in commit order,
+    /// into the buffers kept from round to round (hand them back with
+    /// [`PersistEngine::keep`]). With wear enabled, each drained data unit
+    /// programs its media line through the current (staged) leveling
+    /// mapping.
+    pub fn drain(&mut self, ctl: &mut EngineControl) -> DrainedRound<D, P> {
+        let (mut data, mut posmap) = std::mem::take(&mut self.drained);
+        debug_assert!(data.is_empty() && posmap.is_empty());
+        self.domain.drain_into(&mut data, &mut posmap);
+        if let Some(w) = ctl.wear.as_mut() {
+            for e in data.iter() {
+                w.record_write(e.addr);
+            }
+        }
+        (data, posmap)
+    }
+
+    /// Takes back the buffers of an applied round, for their capacity.
+    pub fn keep(&mut self, (mut data, mut posmap): DrainedRound<D, P>) {
+        data.clear();
+        posmap.clear();
+        self.drained = (data, posmap);
+    }
+
+    /// `true` when the data WPQ has no room for another unit.
+    pub fn data_is_full(&self) -> bool {
+        self.domain.data_wpq().remaining() == 0
+    }
+
+    /// `true` when the PosMap WPQ has no room for another unit.
+    pub fn posmap_is_full(&self) -> bool {
+        self.domain.posmap_wpq().remaining() == 0
+    }
+
+    /// Models a power failure while a round is being assembled: opens a
+    /// round and stages `entries`, deliberately without the end signal,
+    /// so the subsequent [`PersistEngine::crash`] discards them. Push
+    /// errors are irrelevant — whatever made it into the open batch is
+    /// lost to the crash anyway.
+    pub fn stage_abandoned_round(&mut self, entries: Vec<WpqEntry<D>>) {
+        let _ = self.domain.begin_round();
+        for e in entries {
+            let _ = self.domain.push_data(e);
+        }
+    }
+
+    /// Executes the power failure: latches the crashed state, counts it,
+    /// and returns what the ADR flush preserves — every *committed* round,
+    /// with any open round discarded.
+    pub fn crash(&mut self, ctl: &mut EngineControl) -> DrainedRound<D, P> {
+        ctl.stats.crashes += 1;
+        ctl.crashed = true;
+        ctl.tap.emit(|| Event::Crash {
+            cycle: ctl.tap.now(),
+        });
+        let (d, p) = self.domain.crash();
+        if let Some(w) = ctl.wear.as_mut() {
+            // A staged gap move or retirement that missed its commit
+            // round never happened: recovery sees one consistent mapping.
+            w.revert();
+            // The ADR flush still programs the committed rounds' cells —
+            // wear is device truth and is never rolled back.
+            for e in &d {
+                w.record_crash_write(e.addr);
+            }
+        }
+        (d, p)
+    }
+}
+
+/// The engine's control state, the part no queue types: crash arming
+/// ([`EngineControl::inject_crash`]) and scheduling
+/// ([`EngineControl::schedule_crash`]) against the access-attempt counter,
+/// the crashed-state latch and the recovery bookkeeping
+/// ([`EngineControl::finish_recovery`], [`EngineControl::last_recovery`]),
+/// the crash/recovery/stall counters ([`EngineStats`]), the installed
+/// device adversaries (fault plan, wear engine), the persisted counter-tree
+/// root and the fail-safe latch.
+#[derive(Debug, Default)]
+pub struct EngineControl {
     crash_plan: Option<CrashPoint>,
     /// Pending scheduled crashes as `(access_attempt_index, point)`,
     /// sorted ascending; consumed as access attempts reach each index.
@@ -145,7 +310,9 @@ pub struct PersistEngine<D, P> {
     crashed: bool,
     last_recovery: Option<RecoveryReport>,
     stats: EngineStats,
-    tap: Tap,
+    /// A clone of the controller's tap, so round markers, the device
+    /// guards and the recovery events share its clock.
+    pub(crate) tap: Tap,
     /// Seeded device-fault adversary, when the backend is made injectable.
     device: Option<FaultPlan>,
     /// Endurance bookkeeping under the persistence domain, when the
@@ -160,52 +327,10 @@ pub struct PersistEngine<D, P> {
     persisted_root: Option<[u8; 16]>,
 }
 
-impl<D, P> PersistEngine<D, P> {
-    /// Creates an engine over fresh WPQs of the given capacities.
-    pub fn new(data_capacity: usize, posmap_capacity: usize) -> Self {
-        PersistEngine {
-            domain: PersistenceDomain::new(data_capacity, posmap_capacity),
-            crash_plan: None,
-            crash_schedule: VecDeque::new(),
-            access_attempts: 0,
-            crashed: false,
-            last_recovery: None,
-            stats: EngineStats::default(),
-            tap: Tap::detached(),
-            device: None,
-            wear: None,
-            poisoned: None,
-            pending_incidents: Vec::new(),
-            persisted_root: None,
-        }
-    }
-
-    /// Wires an observability tap into the engine and both WPQs. Round
-    /// begin/commit markers and per-queue push/reject/drain events are
-    /// stamped with the tap's published clock.
-    pub fn set_tap(&mut self, tap: Tap) {
-        self.domain.set_tap(tap.clone());
-        self.tap = tap;
-    }
-
-    /// The tap the engine stamps its events on: a clone of the
-    /// controller's, so the device guards share its clock.
-    pub(crate) fn tap(&self) -> &Tap {
-        &self.tap
-    }
-
+impl EngineControl {
     /// Engine-accumulated counters.
     pub fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    /// Accumulated statistics of the (data, PosMap) WPQs. Like
-    /// [`EngineStats`], these survive crashes and recoveries.
-    pub fn wpq_stats(&self) -> (WpqStats, WpqStats) {
-        (
-            self.domain.data_wpq().stats(),
-            self.domain.posmap_wpq().stats(),
-        )
     }
 
     // ── access-attempt prologue & crash arming ──────────────────────────
@@ -248,7 +373,7 @@ impl<D, P> PersistEngine<D, P> {
     }
 
     /// The armed [`CrashPoint::DuringEviction`] persist-unit index, if any
-    /// (peeked, not consumed — pair with [`PersistEngine::disarm_crash`]).
+    /// (peeked, not consumed — pair with [`EngineControl::disarm_crash`]).
     pub fn armed_eviction_crash(&self) -> Option<usize> {
         match self.crash_plan {
             Some(CrashPoint::DuringEviction(k)) => Some(k),
@@ -267,7 +392,7 @@ impl<D, P> PersistEngine<D, P> {
     }
 
     /// Schedules a crash to arm when access attempt `access_index` begins
-    /// (0-based over every [`PersistEngine::begin_attempt`], including
+    /// (0-based over every [`EngineControl::begin_attempt`], including
     /// attempts that themselves crashed). Entries must be appended in
     /// non-decreasing index order; an index already in the past is
     /// silently never reached.
@@ -287,7 +412,7 @@ impl<D, P> PersistEngine<D, P> {
     }
 
     /// Total access attempts so far (the index the next attempt carries
-    /// for [`PersistEngine::schedule_crash`]).
+    /// for [`EngineControl::schedule_crash`]).
     pub fn access_attempts(&self) -> u64 {
         self.access_attempts
     }
@@ -295,88 +420,6 @@ impl<D, P> PersistEngine<D, P> {
     /// `true` between a crash and the matching recovery.
     pub fn is_crashed(&self) -> bool {
         self.crashed
-    }
-
-    // ── the persist-round protocol ──────────────────────────────────────
-
-    /// Drainer *start* signal: opens an atomic round on both WPQs.
-    ///
-    /// # Errors
-    ///
-    /// [`WpqError::BatchAlreadyOpen`] if a round is already open.
-    pub fn begin_round(&mut self) -> Result<(), WpqError> {
-        self.domain.begin_round()?;
-        self.tap.emit(|| Event::RoundBegin {
-            cycle: self.tap.now(),
-        });
-        Ok(())
-    }
-
-    /// Stages one data persist unit into the open round.
-    ///
-    /// # Errors
-    ///
-    /// [`WpqError::NoBatchOpen`] / [`WpqError::Full`] from the data WPQ.
-    pub fn push_data(&mut self, entry: WpqEntry<D>) -> Result<(), WpqError> {
-        self.domain.push_data(entry)
-    }
-
-    /// Stages one PosMap persist unit into the open round.
-    ///
-    /// # Errors
-    ///
-    /// [`WpqError::NoBatchOpen`] / [`WpqError::Full`] from the PosMap WPQ.
-    pub fn push_posmap(&mut self, entry: WpqEntry<P>) -> Result<(), WpqError> {
-        self.domain.push_posmap(entry)
-    }
-
-    /// Drainer *end* signal: the atomic commit point of the open round.
-    ///
-    /// # Errors
-    ///
-    /// [`WpqError::NoBatchOpen`] if no round is open on either queue.
-    pub fn commit_round(&mut self) -> Result<(), WpqError> {
-        let (data_units, posmap_units) = (
-            self.domain.data_wpq().open_len() as u64,
-            self.domain.posmap_wpq().open_len() as u64,
-        );
-        self.domain.commit_round()?;
-        // The wear-leveling mapping (staged gap moves / retirements)
-        // rides the same atomic commit point as the round itself: one
-        // failure-atomic register update in the persistence domain.
-        if let Some(w) = self.wear.as_mut() {
-            w.commit();
-        }
-        self.tap.emit(|| Event::RoundCommit {
-            cycle: self.tap.now(),
-            data_units,
-            posmap_units,
-        });
-        Ok(())
-    }
-
-    /// Drains every committed entry from both queues, in commit order,
-    /// into (empty) buffers the caller reuses from round to round. With
-    /// wear enabled, each drained data unit programs its media line
-    /// through the current (staged) leveling mapping.
-    pub fn drain_into(&mut self, data: &mut Vec<WpqEntry<D>>, posmap: &mut Vec<WpqEntry<P>>) {
-        debug_assert!(data.is_empty() && posmap.is_empty());
-        self.domain.drain_into(data, posmap);
-        if let Some(w) = self.wear.as_mut() {
-            for e in data.iter() {
-                w.record_write(e.addr);
-            }
-        }
-    }
-
-    /// `true` when the data WPQ has no room for another unit.
-    pub fn data_is_full(&self) -> bool {
-        self.domain.data_wpq().remaining() == 0
-    }
-
-    /// `true` when the PosMap WPQ has no room for another unit.
-    pub fn posmap_is_full(&self) -> bool {
-        self.domain.posmap_wpq().remaining() == 0
     }
 
     /// Counts one stall: a round split early because a WPQ ran out of
@@ -388,46 +431,11 @@ impl<D, P> PersistEngine<D, P> {
         });
     }
 
-    // ── crash & recovery ────────────────────────────────────────────────
-
-    /// Models a power failure while a round is being assembled: opens a
-    /// round and stages `entries`, deliberately without the end signal,
-    /// so the subsequent [`PersistEngine::crash`] discards them. Push
-    /// errors are irrelevant — whatever made it into the open batch is
-    /// lost to the crash anyway.
-    pub fn stage_abandoned_round(&mut self, entries: Vec<WpqEntry<D>>) {
-        let _ = self.domain.begin_round();
-        for e in entries {
-            let _ = self.domain.push_data(e);
-        }
-    }
-
-    /// Executes the power failure: latches the crashed state, counts it,
-    /// and returns what the ADR flush preserves — every *committed* round,
-    /// with any open round discarded.
-    pub fn crash(&mut self) -> (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>) {
-        self.stats.crashes += 1;
-        self.crashed = true;
-        self.tap.emit(|| Event::Crash {
-            cycle: self.tap.now(),
-        });
-        let (d, p) = self.domain.crash();
-        if let Some(w) = self.wear.as_mut() {
-            // A staged gap move or retirement that missed its commit
-            // round never happened: recovery sees one consistent mapping.
-            w.revert();
-            // The ADR flush still programs the committed rounds' cells —
-            // wear is device truth and is never rolled back.
-            for e in &d {
-                w.record_crash_write(e.addr);
-            }
-        }
-        (d, p)
-    }
+    // ── recovery ────────────────────────────────────────────────────────
 
     /// Completes a recovery: clears the crashed state, counts the
     /// recovery (and the failure, if the verdict is inconsistent), and
-    /// retains the report for [`PersistEngine::last_recovery`].
+    /// retains the report for [`EngineControl::last_recovery`].
     pub fn finish_recovery(&mut self, report: RecoveryReport) -> RecoveryReport {
         self.stats.recoveries += 1;
         self.crashed = false;
@@ -471,12 +479,6 @@ impl<D, P> PersistEngine<D, P> {
     /// bit-identical to an uninstrumented one.
     pub fn install_fault_plan(&mut self, seed: u64, cfg: FaultConfig) {
         self.device = Some(FaultPlan::new(seed, cfg));
-    }
-
-    /// Seals both WPQ batch frames with per-queue CMAC keys derived from
-    /// `key`, so every committed round carries an authentication tag.
-    pub fn seal_frames(&mut self, key: &[u8; 16]) {
-        self.domain.seal_frames(key);
     }
 
     /// `true` when a device fault plan is installed.
@@ -735,12 +737,12 @@ mod tests {
     #[test]
     fn round_trip_commit_and_drain() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        e.begin_round().unwrap();
+        let mut c = EngineControl::default();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(1)).unwrap();
         e.push_posmap(entry(2)).unwrap();
-        e.commit_round().unwrap();
-        let (mut d, mut p) = (Vec::new(), Vec::new());
-        e.drain_into(&mut d, &mut p);
+        e.commit_round(&mut c).unwrap();
+        let (d, p) = e.drain(&mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(p.len(), 1);
     }
@@ -748,18 +750,19 @@ mod tests {
     #[test]
     fn crash_discards_open_round_but_keeps_committed() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        e.begin_round().unwrap();
+        let mut c = EngineControl::default();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(1)).unwrap();
-        e.commit_round().unwrap();
+        e.commit_round(&mut c).unwrap();
         e.stage_abandoned_round(vec![entry(2), entry(3)]);
-        let (d, _) = e.crash();
+        let (d, _) = e.crash(&mut c);
         assert_eq!(d.len(), 1, "only the committed round survives");
-        assert!(e.is_crashed());
+        assert!(c.is_crashed());
     }
 
     #[test]
     fn scheduled_crash_arms_at_its_attempt_index() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         e.schedule_crash(1, CrashPoint::AfterLoadPath);
         e.begin_attempt().unwrap();
         assert!(!e.take_crash(CrashPoint::AfterLoadPath), "not yet armed");
@@ -774,23 +777,24 @@ mod tests {
         // are controller-model state, not simulated volatile state — a
         // crash plus recovery must not reset them.
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(1, 1);
-        e.begin_round().unwrap();
+        let mut c = EngineControl::default();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(1)).unwrap();
         assert!(e.data_is_full());
-        e.note_stall();
+        c.note_stall();
         assert!(e.push_data(entry(2)).is_err(), "full WPQ rejects the push");
-        e.commit_round().unwrap();
-        let before_engine = e.stats();
+        e.commit_round(&mut c).unwrap();
+        let before_engine = c.stats();
         let (before_data, before_posmap) = e.wpq_stats();
         assert_eq!(before_engine.wpq_stalls, 1);
         assert_eq!(before_data.full_rejections, 1);
 
-        let _ = e.crash();
-        let report = e.finish_recovery(RecoveryReport::from_check(Ok(()), 0));
+        let _ = e.crash(&mut c);
+        let report = c.finish_recovery(RecoveryReport::from_check(Ok(()), 0));
         assert!(report.consistent);
-        assert!(!e.is_crashed());
+        assert!(!c.is_crashed());
 
-        let after_engine = e.stats();
+        let after_engine = c.stats();
         let (after_data, after_posmap) = e.wpq_stats();
         assert_eq!(after_engine.wpq_stalls, before_engine.wpq_stalls);
         assert_eq!(after_data.full_rejections, before_data.full_rejections);
@@ -803,7 +807,7 @@ mod tests {
 
     #[test]
     fn no_plan_means_no_damage_and_no_read_faults() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         assert!(!e.device_mode());
         assert!(e.draw_crash_damage(8, 8).is_empty());
         assert_eq!(e.read_fault(), ReadFault::None);
@@ -814,7 +818,7 @@ mod tests {
     #[test]
     fn device_damage_is_deterministic_in_the_seed() {
         let mk = || {
-            let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+            let mut e = EngineControl::default();
             e.install_fault_plan(99, FaultConfig::aggressive());
             let mut all = Vec::new();
             for _ in 0..50 {
@@ -827,7 +831,7 @@ mod tests {
 
     #[test]
     fn aggressive_plan_damages_something_and_classifies_it() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         e.install_fault_plan(7, FaultConfig::aggressive());
         let mut damaged = 0usize;
         for _ in 0..100 {
@@ -846,7 +850,7 @@ mod tests {
 
     #[test]
     fn replay_mix_draws_replays_and_splices_in_range() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         e.install_fault_plan(11, FaultConfig::replay_mix());
         let (mut replays, mut splices) = (0u64, 0u64);
         for _ in 0..200 {
@@ -886,7 +890,7 @@ mod tests {
 
     #[test]
     fn wear_is_inert_until_enabled_and_without_a_plan() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         assert!(!e.wear_mode());
         assert_eq!(e.wear_digest(), None);
         assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
@@ -903,51 +907,56 @@ mod tests {
     #[test]
     fn drained_writes_wear_lines_and_commit_rounds_seal_the_mapping() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(8, 8);
+        let mut c = EngineControl::default();
         let mut cfg = psoram_nvm::WearConfig::paper_default(psoram_nvm::WearScheme::StartGap);
         cfg.gap_interval = 1; // every write stages a gap move
-        e.enable_wear(7, 16, cfg);
-        let d0 = e.wear_digest().unwrap();
+        c.enable_wear(7, 16, cfg);
+        let d0 = c.wear_digest().unwrap();
 
-        e.begin_round().unwrap();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(0)).unwrap();
         e.push_data(entry(64)).unwrap();
-        e.commit_round().unwrap();
-        e.drain_into(&mut Vec::new(), &mut Vec::new());
-        let stats = e.wear_stats().unwrap();
+        e.commit_round(&mut c).unwrap();
+        let round = e.drain(&mut c);
+        e.keep(round);
+        let stats = c.wear_stats().unwrap();
         assert_eq!(stats.gap_moves, 2);
         assert!(stats.writes_recorded >= 4, "2 drains + 2 gap copies");
         // The gap moves staged during the drain are not durable yet...
-        assert_eq!(e.wear_digest().unwrap(), d0);
+        assert_eq!(c.wear_digest().unwrap(), d0);
         // ...until the next round commits.
-        e.begin_round().unwrap();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(128)).unwrap();
-        e.commit_round().unwrap();
-        assert_ne!(e.wear_digest().unwrap(), d0, "commit seals the mapping");
-        e.drain_into(&mut Vec::new(), &mut Vec::new());
+        e.commit_round(&mut c).unwrap();
+        assert_ne!(c.wear_digest().unwrap(), d0, "commit seals the mapping");
+        let round = e.drain(&mut c);
+        e.keep(round);
     }
 
     #[test]
     fn crash_reverts_staged_mapping_but_keeps_wear_truth() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(8, 8);
+        let mut c = EngineControl::default();
         let mut cfg = psoram_nvm::WearConfig::paper_default(psoram_nvm::WearScheme::StartGap);
         cfg.gap_interval = 1;
-        e.enable_wear(7, 16, cfg);
-        let d0 = e.wear_digest().unwrap();
-        e.begin_round().unwrap();
+        c.enable_wear(7, 16, cfg);
+        let d0 = c.wear_digest().unwrap();
+        e.begin_round(&c).unwrap();
         e.push_data(entry(0)).unwrap();
-        e.commit_round().unwrap();
-        e.drain_into(&mut Vec::new(), &mut Vec::new()); // stages one gap move
-        let writes_before = e.wear_stats().unwrap().writes_recorded;
-        let _ = e.crash();
-        assert_eq!(e.wear_digest().unwrap(), d0, "crash rolls the mapping back");
-        let s = e.wear_stats().unwrap();
+        e.commit_round(&mut c).unwrap();
+        let round = e.drain(&mut c);
+        e.keep(round); // stages one gap move
+        let writes_before = c.wear_stats().unwrap().writes_recorded;
+        let _ = e.crash(&mut c);
+        assert_eq!(c.wear_digest().unwrap(), d0, "crash rolls the mapping back");
+        let s = c.wear_stats().unwrap();
         assert_eq!(s.map_reverts, 1);
         assert_eq!(s.writes_recorded, writes_before, "wear truth never reverts");
     }
 
     #[test]
     fn wear_read_fault_convicts_and_retires_under_remap() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         e.install_fault_plan(5, FaultConfig::wear_only());
         let mut cfg = psoram_nvm::WearConfig::stress(psoram_nvm::WearScheme::Remap);
         cfg.preage_writes = 2000; // every line far past its budget
@@ -972,18 +981,19 @@ mod tests {
     #[test]
     fn root_register_holds_the_last_persisted_root() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        assert_eq!(e.persisted_root(), None);
-        e.persist_root([1u8; 16]);
-        e.persist_root([2u8; 16]);
-        assert_eq!(e.persisted_root(), Some([2u8; 16]));
+        let mut c = EngineControl::default();
+        assert_eq!(c.persisted_root(), None);
+        c.persist_root([1u8; 16]);
+        c.persist_root([2u8; 16]);
+        assert_eq!(c.persisted_root(), Some([2u8; 16]));
         // The register is in the persistence domain: a crash keeps it.
-        let _ = e.crash();
-        assert_eq!(e.persisted_root(), Some([2u8; 16]));
+        let _ = e.crash(&mut c);
+        assert_eq!(c.persisted_root(), Some([2u8; 16]));
     }
 
     #[test]
     fn read_replay_is_inert_without_a_plan() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
+        let mut e = EngineControl::default();
         assert_eq!(e.read_replay(), None);
         e.confirm_read_replay(); // no plan: a no-op
         assert!(e.fault_stats().is_none());
@@ -992,27 +1002,29 @@ mod tests {
     #[test]
     fn poisoned_engine_rejects_every_attempt() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        e.begin_attempt().unwrap();
-        e.poison(FaultClass::TransientRead);
-        assert_eq!(e.poisoned(), Some(FaultClass::TransientRead));
+        let mut c = EngineControl::default();
+        c.begin_attempt().unwrap();
+        c.poison(FaultClass::TransientRead);
+        assert_eq!(c.poisoned(), Some(FaultClass::TransientRead));
         assert_eq!(
-            e.begin_attempt(),
+            c.begin_attempt(),
             Err(OramError::Poisoned {
                 class: FaultClass::TransientRead
             })
         );
         // Poison dominates even the crashed state.
-        let _ = e.crash();
-        assert!(matches!(e.begin_attempt(), Err(OramError::Poisoned { .. })));
+        let _ = e.crash(&mut c);
+        assert!(matches!(c.begin_attempt(), Err(OramError::Poisoned { .. })));
     }
 
     #[test]
     fn failed_recovery_is_counted() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(2, 2);
-        let _ = e.crash();
-        let report = e.finish_recovery(RecoveryReport::from_check(Err("lost a3".into()), 1));
+        let mut c = EngineControl::default();
+        let _ = e.crash(&mut c);
+        let report = c.finish_recovery(RecoveryReport::from_check(Err("lost a3".into()), 1));
         assert!(!report.consistent);
-        assert_eq!(e.stats().recovery_failures, 1);
-        assert_eq!(e.last_recovery(), Some(&report));
+        assert_eq!(c.stats().recovery_failures, 1);
+        assert_eq!(c.last_recovery(), Some(&report));
     }
 }

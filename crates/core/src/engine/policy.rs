@@ -6,16 +6,16 @@
 //! its completed writes become durable — plus the object-safe operation
 //! surface the fault harness, system model, and benches drive it
 //! through. The mechanics of persist rounds and crash scheduling live
-//! one layer down in [`PersistEngine`](crate::engine::PersistEngine).
+//! one layer down in [`PersistEngine`](crate::engine::PersistEngine) and
+//! [`EngineControl`](crate::engine::EngineControl).
 
 use serde::{Deserialize, Serialize};
 
 use psoram_nvm::MemTech;
 
-use crate::controller::PathOram;
+use super::Shell;
 use crate::crash::{CrashPoint, RecoveryReport};
-use crate::ring::RingOram;
-use crate::types::{BlockAddr, OramError};
+use crate::types::OramError;
 
 /// The persistent-ORAM protocol variants evaluated in the paper (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -143,13 +143,21 @@ pub enum CommitModel {
     Deferred,
 }
 
+/// What an access comes back with: the value read (`None` for a write)
+/// and the core cycle it is ready.
+pub type Access = Result<(Option<Vec<u8>>, u64), OramError>;
+
 /// The uniform surface of an ORAM protocol variant over the shared
 /// persist engine.
 ///
 /// Everything above the controllers — the fault-injection harness, the
 /// system model, the benches, and the parameterized crash tests — drives
 /// designs through this one object-safe trait, so a new protocol variant
-/// joins every sweep, campaign, and test by implementing it.
+/// joins every sweep, campaign, and test by implementing it. What a
+/// protocol writes is what names it, its [`Shell`] accessors and what
+/// only it can do (an access, a power failure, a recovery, whatever
+/// touches its arena or its typed queues); every control that reads or
+/// writes the shell alone is provided.
 pub trait ProtocolPolicy {
     /// Human-readable design name (used in reports).
     fn label(&self) -> String;
@@ -162,279 +170,223 @@ pub trait ProtocolPolicy {
     fn crash_consistent(&self) -> bool;
     /// When this design's completed writes become durable.
     fn commit_model(&self) -> CommitModel;
-    /// Writes `data` to logical block `addr`.
+    /// The state the design shares with every other.
+    fn shell(&self) -> &Shell;
+    /// [`ProtocolPolicy::shell`], mutably.
+    fn shell_mut(&mut self) -> &mut Shell;
+
+    /// One access to logical block `addr` arriving at core cycle
+    /// `arrival`: a write of `data` if given, else a read. Returns the
+    /// value read (`None` for a write) and the cycle it is ready.
     ///
     /// # Errors
     ///
-    /// Propagates the controller's [`OramError`] (notably
-    /// [`OramError::Crashed`] when an armed crash fires).
-    fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError>;
-    /// [`ProtocolPolicy::write`] from borrowed bytes, for callers that
-    /// keep their buffer: the access copies the bytes once, into the
-    /// stash.
-    ///
-    /// # Errors
-    ///
-    /// As [`ProtocolPolicy::write`].
-    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError>;
-    /// Reads logical block `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the controller's [`OramError`].
-    fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError>;
-    /// Arms a crash plan; it fires when the access reaches `point`.
-    fn inject_crash(&mut self, point: CrashPoint);
-    /// Drops any armed crash plan.
-    fn disarm_crash(&mut self);
-    /// Schedules a crash to arm when access attempt `access_index` begins.
-    fn schedule_crash(&mut self, access_index: u64, point: CrashPoint);
-    /// Drops all scheduled crashes that have not fired.
-    fn clear_crash_schedule(&mut self);
-    /// Access attempts made so far (including ones that crashed).
-    fn access_attempts(&self) -> u64;
-    /// `true` between a crash and the matching [`ProtocolPolicy::recover`].
-    fn is_crashed(&self) -> bool;
+    /// The controller's [`OramError`] (notably [`OramError::Crashed`] when
+    /// an armed crash fires).
+    fn access(&mut self, addr: u64, data: Option<&[u8]>, arrival: u64) -> Access;
     /// Immediately executes a power failure.
     fn crash_now(&mut self);
-    /// Runs the design's recovery procedure and consistency check.
+    /// Recovers after a crash and checks the result: the persisted PosMap
+    /// becomes the working map (the paper's §4.3) and normal operation
+    /// resumes. The [`RecoveryReport`] carries the consistency verdict and,
+    /// on failure, the violation text; it is retained in
+    /// [`ProtocolPolicy::last_recovery`] and failures are counted.
+    ///
+    /// With device faults enabled on a hardened design, recovery runs the
+    /// full detect → classify → repair → fail-safe pipeline first
+    /// ([`crate::engine`]'s ladder): a CMAC scan wipes slots and PosMap
+    /// entries that fail authentication, each damaged committed address is
+    /// restored from its newest surviving authenticated copy, and
+    /// addresses with no surviving copy are rolled back with a typed
+    /// [`RecoveryError`](crate::RecoveryError) instead of serving corrupt
+    /// data.
+    ///
+    /// Idempotent: calling `recover` on a design that is not crashed
+    /// repeats the last verdict without touching state or counters.
     fn recover(&mut self) -> RecoveryReport;
-    /// The report of the most recent recovery, if any.
-    fn last_recovery(&self) -> Option<&RecoveryReport>;
-    /// Reads back every touched address and compares it with the
-    /// appropriate ledger (committed after a crash, written otherwise).
+    /// A deterministic digest over the design's recoverable state, for
+    /// idempotency regression checks.
+    fn state_digest(&self) -> u128;
+    /// Makes the design's WPQ/NVM backend adversarial: installs a seeded
+    /// [`FaultPlan`](psoram_nvm::FaultPlan) that injects torn flushes,
+    /// lost/duplicated drainer signals, bit rot, and transient read errors.
+    ///
+    /// Hardened (WPQ) designs additionally arm the integrity layer: CMAC
+    /// tags over every slot on media and every persisted PosMap entry,
+    /// sealed WPQ batch frames, and a rolling seal over the temporary
+    /// PosMap — recovery then detects, classifies, and repairs the damage.
+    /// Baselines get the same faults with no defenses, so the differential
+    /// campaigns keep their detection power.
+    fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig);
+    /// Arms the endurance adversary over the design's NVM line region:
+    /// per-line write accounting (seeded cell budgets around
+    /// `cfg.mean_endurance`) plus the chosen wear-leveling scheme. Gap
+    /// moves and retirements stage against the durable mapping and only
+    /// become durable in the persist engine's commit round, so a crash
+    /// mid-gap-move or mid-retirement rolls back to one consistent
+    /// mapping. Wear-induced faults additionally require an installed
+    /// device fault plan with a wear arm (`FaultConfig::wear_only` or
+    /// `FaultConfig::wear_mix`); without one this is accounting only.
+    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig);
+    /// Accumulated statistics of the design's (data, PosMap) WPQs.
+    fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats);
+    /// Wires an observability tap through the whole stack: access/phase
+    /// events in the controller, round and WPQ events in the persist
+    /// engine, and bank-level events in the NVM controller. The tap only
+    /// observes — simulated timing and state are unchanged (enforced by
+    /// the paired-run identity tests).
+    fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap);
+    /// Publishes the design's counters into a metrics registry under
+    /// `prefix`.
+    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry);
+
+    /// Reads logical block `addr` at the design's own clock.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first mismatch.
-    fn verify_contents(&mut self, after_crash: bool) -> Result<(), String>;
-    /// The controller's core-cycle clock.
-    fn clock(&self) -> u64;
-    /// NVM traffic counters (reads/writes reaching the memory).
-    fn nvm_stats(&self) -> psoram_nvm::NvmStats;
-    /// Attaches an observability recorder behind a fresh shared tap.
+    /// As [`ProtocolPolicy::access`].
+    fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
+        let arrival = self.shell().clock;
+        let (value, done) = self.access(addr, None, arrival)?;
+        self.shell_mut().clock = done;
+        value.ok_or(OramError::Invariant {
+            context: "an access without data returns the value it read",
+        })
+    }
+    /// Writes `data` to logical block `addr` at the design's own clock,
+    /// from borrowed bytes: the access copies them once, into the stash.
     ///
-    /// The default implementation ignores the recorder, so policies that
-    /// do not model tracing stay valid.
-    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-        let _ = recorder;
+    /// # Errors
+    ///
+    /// As [`ProtocolPolicy::access`].
+    fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
+        let arrival = self.shell().clock;
+        let (_, done) = self.access(addr, Some(data), arrival)?;
+        self.shell_mut().clock = done;
+        Ok(())
     }
-    /// Publishes the design's counters into a metrics registry under
-    /// `prefix`. The default implementation publishes nothing.
-    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
-        let _ = (prefix, reg);
+    /// [`ProtocolPolicy::write_from`] for callers that hand their buffer
+    /// over.
+    ///
+    /// # Errors
+    ///
+    /// As [`ProtocolPolicy::access`].
+    fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
+        self.write_from(addr, &data)
     }
-    /// Makes the design's NVM backend adversarial with a seeded device
-    /// fault plan (and arms integrity hardening where the design supports
-    /// it). The default implementation ignores the plan, so policies
-    /// without a device model stay valid.
-    fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig) {
-        let _ = (seed, cfg);
+    /// Reads back every touched address, ascending, and compares it with
+    /// the appropriate ledger: the last *written* value if the design never
+    /// crashed, or the last *committed* value (falling back to zeros) after
+    /// a crash and recovery. The expectation is taken *before* the read,
+    /// which is a fresh access and updates the ledgers.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first failed read or mismatch.
+    fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
+        let touched: Vec<u64> = self.shell().touched.iter().map(|(a, ())| a).collect();
+        let bytes = self.payload_bytes();
+        for a in touched {
+            let expected = self.shell().ledger.expected_value(a, after_crash, bytes);
+            let got = self.read(a).map_err(|e| e.to_string())?;
+            if got != expected {
+                return Err(format!("a{a}: read {got:?}, expected {expected:?}"));
+            }
+        }
+        Ok(())
     }
-    /// Ground-truth injection counters of the installed fault plan, if
-    /// any. `None` when no plan is installed (or supported).
-    fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-        None
+
+    /// Arms a crash to fire at `point` during the next access.
+    fn inject_crash(&mut self, point: CrashPoint) {
+        self.shell_mut().ctl.inject_crash(point);
+    }
+    /// Disarms a pending crash plan that has not fired (e.g. a
+    /// `DuringEviction` index beyond the access's batch count).
+    fn disarm_crash(&mut self) {
+        self.shell_mut().ctl.disarm_crash();
+    }
+    /// Schedules a crash to fire at `point` during access attempt
+    /// `access_index` (0-based, counting every access entry — including
+    /// attempts that themselves crashed; see
+    /// [`ProtocolPolicy::access_attempts`]).
+    ///
+    /// Unlike `inject_crash`, which arms only the very next access, a
+    /// schedule can hold many future crashes at once; entries must be
+    /// added in ascending index order and are consumed as the attempt
+    /// counter reaches them. An index already in the past is silently
+    /// never reached — use `clear_crash_schedule` to drop stale entries.
+    fn schedule_crash(&mut self, access_index: u64, point: CrashPoint) {
+        self.shell_mut().ctl.schedule_crash(access_index, point);
+    }
+    /// Drops all scheduled crashes that have not fired.
+    fn clear_crash_schedule(&mut self) {
+        self.shell_mut().ctl.clear_crash_schedule();
+    }
+    /// Total access attempts so far (including attempts that crashed
+    /// mid-way); the index the next attempt will carry for
+    /// `schedule_crash`.
+    fn access_attempts(&self) -> u64 {
+        self.shell().ctl.access_attempts()
+    }
+    /// `true` between a crash and the matching [`ProtocolPolicy::recover`].
+    fn is_crashed(&self) -> bool {
+        self.shell().ctl.is_crashed()
+    }
+    /// The report of the most recent recovery, if any.
+    fn last_recovery(&self) -> Option<&RecoveryReport> {
+        self.shell().ctl.last_recovery()
     }
     /// The latched fail-safe class, if the design poisoned itself on
     /// unrepairable damage.
     fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
-        None
+        self.shell().ctl.poisoned()
     }
-    /// A deterministic digest over the design's recoverable state, for
-    /// idempotency regression checks. `0` when the design does not model
-    /// one.
-    fn state_digest(&self) -> u128 {
-        0
+    /// The design's core-cycle clock (advanced by `read`/`write`).
+    fn clock(&self) -> u64 {
+        self.shell().clock
     }
-    /// Freshness counters (stale serves observed vs detected, fetch-path
-    /// poisons). The default implementation reports zeroes, so policies
-    /// without a device model stay valid.
+    /// NVM traffic counters (reads/writes reaching the memory).
+    fn nvm_stats(&self) -> psoram_nvm::NvmStats {
+        *self.shell().nvm.stats()
+    }
+    /// The underlying NVM controller (timing state, wear map, ...).
+    fn nvm(&self) -> &psoram_nvm::NvmController {
+        &self.shell().nvm
+    }
+    /// Attaches an observability recorder behind a fresh shared tap.
+    fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
+        self.set_obsv_tap(psoram_obsv::Tap::attached(recorder));
+    }
+    /// Ground-truth injection counters of the installed fault plan, if
+    /// any.
+    fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
+        self.shell().ctl.fault_stats()
+    }
+    /// Fetch-path freshness counters: stale units the adversary served on
+    /// the read wire, how many the hardened verifier detected, and
+    /// fetch-path poisons.
     fn freshness_stats(&self) -> crate::auth::FreshnessStats {
-        crate::auth::FreshnessStats::default()
-    }
-    /// Arms the endurance adversary: per-line wear accounting plus the
-    /// chosen wear-leveling scheme, with mapping changes committed in the
-    /// persistence domain's commit round. The default implementation
-    /// ignores the request, so policies without a device model stay valid.
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        let _ = (seed, cfg);
+        self.shell().device.freshness_stats()
     }
     /// Wear/leveling counters of the armed endurance adversary, if any.
-    /// `None` when wear is not enabled (or supported).
     fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        None
+        self.shell().ctl.wear_stats()
+    }
+    /// The endurance adversary's engine (mapping, per-line writes), if
+    /// armed.
+    fn wear_engine(&self) -> Option<&psoram_nvm::WearEngine> {
+        self.shell().ctl.wear_engine()
     }
     /// Physical-line wear profile of the armed endurance adversary:
     /// `(max_line_writes, lines_touched)`. The lifetime campaigns divide
     /// the hottest line's write count by access count to project
-    /// years-to-failure per leveling scheme. `None` when wear is not
-    /// enabled (or supported).
+    /// years-to-failure per leveling scheme.
     fn wear_line_profile(&self) -> Option<(u64, u64)> {
-        None
+        self.wear_engine()
+            .map(|w| (w.max_line_writes(), w.lines_touched()))
     }
-    /// Spare lines the retirement layer still holds. `None` when wear is
-    /// not enabled (or supported).
+    /// Spare lines the retirement layer still holds, once wear is armed.
     fn wear_spares_left(&self) -> Option<u64> {
-        None
+        self.wear_engine().map(|w| w.spares_left())
     }
-}
-
-/// Expands, inside an `impl ProtocolPolicy for $ctl` block, to every
-/// method that only forwards to the controller's inherent method of the
-/// same name (most of them generated there by `impl_crash_controls!`).
-/// What a protocol writes by hand is what names and characterizes it:
-/// `label`, `capacity_blocks`, `payload_bytes`, `crash_consistent` and
-/// `commit_model`.
-macro_rules! forward_to_controller {
-    ($ctl:ty) => {
-        fn write(&mut self, addr: u64, data: Vec<u8>) -> Result<(), OramError> {
-            <$ctl>::write(self, BlockAddr(addr), data)
-        }
-        fn write_from(&mut self, addr: u64, data: &[u8]) -> Result<(), OramError> {
-            <$ctl>::write_from(self, BlockAddr(addr), data)
-        }
-        fn read(&mut self, addr: u64) -> Result<Vec<u8>, OramError> {
-            <$ctl>::read(self, BlockAddr(addr))
-        }
-        fn inject_crash(&mut self, point: CrashPoint) {
-            <$ctl>::inject_crash(self, point);
-        }
-        fn disarm_crash(&mut self) {
-            <$ctl>::disarm_crash(self);
-        }
-        fn schedule_crash(&mut self, access_index: u64, point: CrashPoint) {
-            <$ctl>::schedule_crash(self, access_index, point);
-        }
-        fn clear_crash_schedule(&mut self) {
-            <$ctl>::clear_crash_schedule(self);
-        }
-        fn access_attempts(&self) -> u64 {
-            <$ctl>::access_attempts(self)
-        }
-        fn is_crashed(&self) -> bool {
-            <$ctl>::is_crashed(self)
-        }
-        fn crash_now(&mut self) {
-            <$ctl>::crash_now(self);
-        }
-        fn recover(&mut self) -> RecoveryReport {
-            <$ctl>::recover(self)
-        }
-        fn last_recovery(&self) -> Option<&RecoveryReport> {
-            <$ctl>::last_recovery(self)
-        }
-        fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-            <$ctl>::verify_contents(self, after_crash)
-        }
-        fn clock(&self) -> u64 {
-            <$ctl>::clock(self)
-        }
-        fn nvm_stats(&self) -> psoram_nvm::NvmStats {
-            <$ctl>::nvm_stats(self)
-        }
-        fn attach_recorder(&mut self, recorder: std::sync::Arc<dyn psoram_obsv::Recorder>) {
-            <$ctl>::attach_obsv_recorder(self, recorder);
-        }
-        fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
-            use psoram_obsv::{MetricsRegistry as R, MetricsSource};
-            self.stats().publish(&R::key(prefix, "oram"), reg);
-            self.nvm_stats().publish(&R::key(prefix, "nvm"), reg);
-            let (data, posmap) = self.wpq_stats();
-            data.publish(&R::key(prefix, "wpq.data"), reg);
-            posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
-            if let Some(w) = self.wear_engine() {
-                w.publish(&R::key(prefix, "wear"), reg);
-                self.nvm()
-                    .wear_report(8)
-                    .publish(&R::key(prefix, "nvm.wear"), reg);
-            }
-        }
-        fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig) {
-            <$ctl>::enable_device_faults(self, seed, cfg);
-        }
-        fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-            <$ctl>::enable_wear(self, seed, cfg);
-        }
-        fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-            <$ctl>::wear_stats(self)
-        }
-        fn wear_line_profile(&self) -> Option<(u64, u64)> {
-            self.wear_engine()
-                .map(|w| (w.max_line_writes(), w.lines_touched()))
-        }
-        fn wear_spares_left(&self) -> Option<u64> {
-            self.wear_engine().map(|w| w.spares_left())
-        }
-        fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-            <$ctl>::device_fault_stats(self)
-        }
-        fn poisoned(&self) -> Option<psoram_nvm::FaultClass> {
-            <$ctl>::poisoned(self)
-        }
-        fn state_digest(&self) -> u128 {
-            <$ctl>::state_digest(self)
-        }
-        fn freshness_stats(&self) -> crate::auth::FreshnessStats {
-            <$ctl>::freshness_stats(self)
-        }
-    };
-}
-
-impl ProtocolPolicy for PathOram {
-    fn label(&self) -> String {
-        format!("path/{}", self.variant().label())
-    }
-    fn capacity_blocks(&self) -> u64 {
-        self.config().capacity_blocks()
-    }
-    fn payload_bytes(&self) -> usize {
-        self.config().payload_bytes
-    }
-    fn crash_consistent(&self) -> bool {
-        self.variant().is_crash_consistent()
-    }
-    fn commit_model(&self) -> CommitModel {
-        match self.variant() {
-            // Stash and PosMap live in on-chip NVM: a completed access is
-            // durable before it returns.
-            ProtocolVariant::FullNvm | ProtocolVariant::FullNvmStt => CommitModel::OnCompletion,
-            // Persists the stash's dirty blocks to the reserved NVM
-            // region every access, so completed writes never depend on
-            // winning a slot in the eviction plan.
-            ProtocolVariant::RcrPsOram => CommitModel::OnCompletion,
-            // The WPQ makes each *eviction round* atomic, but a written
-            // block that loses the greedy placement race (root bucket
-            // full) stays in the volatile stash as an eviction leftover
-            // until a later access evicts it — a crash in that window
-            // rolls the address back to its previous completed write.
-            ProtocolVariant::NaivePsOram | ProtocolVariant::PsOram => CommitModel::Deferred,
-            // Baselines are judged by the strict model on purpose: they
-            // claim nothing, and the oracle's violations on them are the
-            // harness's differential teeth.
-            ProtocolVariant::Baseline | ProtocolVariant::RcrBaseline => CommitModel::OnCompletion,
-        }
-    }
-    forward_to_controller!(PathOram);
-}
-
-impl ProtocolPolicy for RingOram {
-    fn label(&self) -> String {
-        format!("ring/{}", self.variant())
-    }
-    fn capacity_blocks(&self) -> u64 {
-        self.config().capacity_blocks()
-    }
-    fn payload_bytes(&self) -> usize {
-        self.config().payload_bytes
-    }
-    fn crash_consistent(&self) -> bool {
-        self.variant() == RingVariant::PsRing
-    }
-    fn commit_model(&self) -> CommitModel {
-        // Ring ORAM only writes buckets back every `A` accesses: a
-        // completed write may sit volatile until the next evict-path.
-        CommitModel::Deferred
-    }
-    forward_to_controller!(RingOram);
 }

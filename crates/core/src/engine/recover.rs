@@ -2,7 +2,8 @@
 //! safe — written once, over the shared [`SlotArena`], the persisted
 //! [`PosMap`] and the [`CommitLedger`].
 //!
-//! A controller's `recover` walks the rungs in order:
+//! A controller's `recover` is one call, [`Shell::recover`], which walks
+//! the rungs in order:
 //!
 //! 1. [`Ladder::enter`] — idempotent entry: a controller that is not
 //!    crashed repeats its last verdict; a crashed one collects the
@@ -12,8 +13,8 @@
 //!    every convicted one wiped; then phase 2: every damaged persisted
 //!    PosMap entry is repaired from the newest authenticated copy of its
 //!    address, or re-tagged and rolled back under a typed error.
-//! 3. whatever the protocol itself restores after a power failure (Ring's
-//!    Case-2 compaction; Path has nothing to do).
+//! 3. whatever the protocol itself restores after a power failure, the
+//!    step it hands in (Ring's Case-2 compaction; Path has nothing to do).
 //! 4. [`Ladder::repair`] (hardened designs) — the audit, then phase 3:
 //!    every committed address the audit can no longer find is re-pointed
 //!    at its newest surviving authenticated copy, or rolled back; then the
@@ -32,7 +33,7 @@
 
 use psoram_nvm::FaultClass;
 
-use super::{CommitLedger, PersistEngine};
+use super::{CommitLedger, EngineControl, Shell};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessVerdict};
 use crate::block::{Block, BlockHeader, BlockRef};
@@ -42,10 +43,9 @@ use crate::tree::BucketIndex;
 use crate::types::{BlockAddr, Leaf};
 
 /// The parts of a controller the ladder works on, borrowed together: its
-/// engine, slot arena, PosMap and ledger (its other fields stay free for
-/// the protocol's hooks).
-pub(crate) type Media<'a, D, P> = (
-    &'a mut PersistEngine<D, P>,
+/// engine control, slot arena, PosMap and ledger.
+type Media<'a> = (
+    &'a mut EngineControl,
     &'a mut SlotArena,
     &'a mut PosMap,
     &'a mut CommitLedger,
@@ -78,9 +78,57 @@ pub(crate) trait Copies {
     fn admit(&self, _arena: &mut SlotArena, _auth: &mut AuthTags, _at: Unit, _copy: &mut Block) {}
 }
 
+impl Shell {
+    /// Recovers after a power failure — the one entry to the ladder. The
+    /// protocol lends its `arena`, says where its committed `copies` sit
+    /// and hands in `between`, whatever it restores itself between phases
+    /// 2 and 3 (over the arena, the persisted PosMap and, on a hardened
+    /// design, the records its own slot writes refresh). An unhardened
+    /// design's verdict is the audit alone.
+    ///
+    /// Idempotent: on a controller that is not crashed, the last verdict
+    /// again, state and counters untouched.
+    pub(crate) fn recover<C: Copies>(
+        &mut self,
+        arena: &mut SlotArena,
+        copies: &C,
+        between: impl FnOnce(&mut SlotArena, &PosMap, Option<&mut AuthTags>),
+    ) -> RecoveryReport {
+        let mut ladder = match Ladder::enter(&mut self.ctl, &self.ledger) {
+            Ok(ladder) => ladder,
+            Err(last) => return *last,
+        };
+        let mut auth = self.device.auth.take();
+        if let Some(auth) = auth.as_mut() {
+            let media = (
+                &mut self.ctl,
+                &mut *arena,
+                &mut self.posmap,
+                &mut self.ledger,
+            );
+            ladder.detect(media, auth);
+        }
+        between(arena, &self.posmap, auth.as_mut());
+        let check = match auth.as_mut() {
+            Some(auth) => {
+                let media = (
+                    &mut self.ctl,
+                    &mut *arena,
+                    &mut self.posmap,
+                    &mut self.ledger,
+                );
+                ladder.repair(media, auth, copies)
+            }
+            None => check_committed(arena, &self.posmap, &self.ledger, copies),
+        };
+        self.device.auth = auth;
+        ladder.finish(&mut self.ctl, check, self.ledger.committed_len())
+    }
+}
+
 /// One recovery in progress: what it detected, repaired and gave up on.
 #[derive(Debug, Default)]
-pub(crate) struct Ladder {
+struct Ladder {
     incidents: Vec<RecoveryIncident>,
     errors: Vec<RecoveryError>,
     repairs: u64,
@@ -93,8 +141,8 @@ impl Ladder {
     /// Idempotent entry: on a controller that is not crashed, the last
     /// verdict again (state and counters untouched); on a crashed one, a
     /// ladder holding the incidents the crash filed.
-    pub fn enter<D, P>(
-        engine: &mut PersistEngine<D, P>,
+    fn enter(
+        engine: &mut EngineControl,
         ledger: &CommitLedger,
     ) -> Result<Ladder, Box<RecoveryReport>> {
         if !engine.is_crashed() {
@@ -126,11 +174,7 @@ impl Ladder {
     }
 
     /// Root sanity, phase 1 and phase 2.
-    pub fn detect<D, P>(
-        &mut self,
-        (engine, arena, posmap, ledger): Media<'_, D, P>,
-        auth: &mut AuthTags,
-    ) {
+    fn detect(&mut self, (engine, arena, posmap, ledger): Media<'_>, auth: &mut AuthTags) {
         // The on-chip counter tree must agree with the root anchored in
         // the persistence domain. A mismatch means the trusted anchor
         // itself cannot be believed — fail safe.
@@ -194,9 +238,9 @@ impl Ladder {
     /// entry, its ledger row and the headers and payloads of its own
     /// copies, and between the two audits nothing but phase 3 writes any
     /// of those, for the addresses that failed the first (DESIGN.md §7).
-    pub fn repair<D, P, C: Copies>(
+    fn repair<C: Copies>(
         &mut self,
-        (engine, arena, posmap, ledger): Media<'_, D, P>,
+        (engine, arena, posmap, ledger): Media<'_>,
         auth: &mut AuthTags,
         copies: &C,
     ) -> Result<(), String> {
@@ -240,9 +284,9 @@ impl Ladder {
     /// The last rung: `check` is the protocol's consistency verdict over
     /// the recovered state. The report is retained by the engine, which
     /// leaves the crashed state and counts the recovery.
-    pub fn finish<D, P>(
+    fn finish(
         mut self,
-        engine: &mut PersistEngine<D, P>,
+        engine: &mut EngineControl,
         check: Result<(), String>,
         committed: usize,
     ) -> RecoveryReport {
@@ -425,31 +469,28 @@ fn newest_valid_copies(
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use psoram_nvm::FaultConfig;
+    use psoram_nvm::{FaultConfig, NvmConfig, WpqEntry};
 
     use super::*;
-    use crate::engine::{state_digest, DeviceSide, RoundDamage};
-    use crate::posmap::TempPosMap;
+    use crate::engine::{
+        arm, commit_and_apply, power_fail, set_tap, Access, CommitModel, DrainedRound, Media,
+        PersistEngine, PosMapFlush, ProtocolPolicy, RoundDamage, Rounds, Route,
+    };
+    use crate::types::OramError;
 
     const ADDRS: u64 = 4;
 
-    /// A third protocol, as ARCHITECTURE.md's recipe has it, with no
-    /// device or recovery code of its own: one row of two-slot buckets,
-    /// address `a` owning buckets `2a` and `2a + 1`, its leaf label the
-    /// bucket its newest version sits in. Successive versions rotate
-    /// through the address's four slots, so older ones survive as the
-    /// redundant copies. A round writes its blocks and their PosMap
-    /// entries directly.
+    /// A third protocol, whole, with no device, recovery or control code
+    /// of its own: one row of two-slot buckets, address `a` owning buckets
+    /// `2a` and `2a + 1`, its leaf label the bucket its newest version sits
+    /// in. Successive versions rotate through the address's four slots, so
+    /// older ones survive as the redundant copies. A write is one persist
+    /// round of its blocks and their PosMap entries; a read takes the
+    /// newest copy the label names. It models no time.
     pub(crate) struct Toy {
-        /// Its data queue carries `(address, value)` writes (only the
-        /// undrained-round test stages any).
-        pub engine: PersistEngine<(u64, u8), ()>,
-        pub device: DeviceSide,
+        pub shell: Shell,
+        pub wpq: PersistEngine<(Unit, Block), PosMapFlush>,
         pub arena: SlotArena,
-        pub posmap: PosMap,
-        temp: TempPosMap,
-        pub ledger: CommitLedger,
-        version: u64,
     }
 
     /// Where the toy's copies sit: in the one bucket the label names, in
@@ -467,80 +508,123 @@ pub(crate) mod tests {
     impl Toy {
         pub fn new() -> Self {
             Toy {
-                engine: PersistEngine::new(1, 1),
-                device: DeviceSide::default(),
+                shell: Shell::new(NvmConfig::paper_pcm(1), 2 * ADDRS, 1, 1),
+                wpq: PersistEngine::new(8, 8),
                 arena: SlotArena::new(2, 8),
-                posmap: PosMap::new(2 * ADDRS, 1),
-                temp: TempPosMap::new(1),
-                ledger: CommitLedger::new(),
-                version: 0,
             }
         }
 
-        pub fn arm(&mut self, seed: u64, cfg: FaultConfig) {
-            let media = (&self.arena, &self.posmap, &self.temp);
-            self.device.arm(&mut self.engine, seed, cfg, true, media);
-        }
-
-        /// One persist round writing `value` to each of `addrs`; returns
-        /// the slots it programmed.
-        pub fn write(&mut self, addrs: &[u64], value: u8) -> Vec<Unit> {
-            self.device.begin_slot_units();
-            self.device.begin_posmap_units();
-            let mut written = Vec::new();
+        /// Opens a persist round writing `payload` to each of `addrs` and
+        /// leaves it open; returns the slots it will program.
+        pub fn stage(&mut self, addrs: &[u64], payload: &[u8]) -> Vec<Unit> {
+            self.wpq.begin_round(&self.shell.ctl).unwrap();
+            let mut units = Vec::new();
             for &a in addrs {
-                self.version += 1;
-                let v = self.version;
-                let (bucket, slot) = (2 * a + (v & 1), (v >> 1) as usize & 1);
-                let mut block = Block::new(BlockAddr(a), Leaf(bucket), vec![value; 8]);
+                self.shell.seq_counter += 1;
+                let v = self.shell.seq_counter;
+                let unit = (2 * a + (v & 1), (v >> 1) as usize & 1);
+                let mut block = Block::new(BlockAddr(a), Leaf(unit.0), payload.to_vec());
                 block.header.seq = v;
-                self.device.note_slots(&self.arena, bucket, slot..slot + 1);
-                self.device.push_slot(bucket, slot);
-                if let Some(auth) = &mut self.device.auth {
-                    auth.record_slot(bucket, slot, Some(block.view()));
-                }
-                self.arena.write(bucket, slot, Some(block.view()));
-                let leaf = Leaf(bucket);
-                self.device
-                    .persist_posmap(&mut self.posmap, BlockAddr(a), leaf);
-                self.ledger.commit_if_fresh(a, v, &block.payload);
-                written.push((bucket, slot));
+                self.shell.ledger.note_written(a, payload);
+                let (value, addr) = ((BlockAddr(a), Leaf(unit.0)), 0);
+                self.wpq.push_posmap(WpqEntry { addr, value }).unwrap();
+                let value = (unit, block);
+                self.wpq.push_data(WpqEntry { addr, value }).unwrap();
+                units.push(unit);
             }
-            self.device.anchor_root(&mut self.engine);
-            written
+            units
         }
 
-        pub fn crash(&mut self) {
-            let _ = self.engine.crash();
-            self.posmap.crash();
-            self.device
-                .strike(&mut self.engine, &mut self.arena, &mut self.posmap);
+        /// One persist round writing `[value; 8]` to each of `addrs`.
+        pub fn write(&mut self, addrs: &[u64], value: u8) -> Vec<Unit> {
+            let units = self.stage(addrs, &[value; 8]);
+            commit_and_apply(self).unwrap();
+            units
+        }
+    }
+
+    impl Rounds for Toy {
+        type Data = (Unit, Block);
+
+        fn media(&mut self) -> Media<'_, (Unit, Block)> {
+            (&mut self.shell, &mut self.wpq, &mut self.arena)
         }
 
-        pub fn recover(&mut self) -> RecoveryReport {
-            let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
-                Ok(ladder) => ladder,
-                Err(last) => return *last,
-            };
-            let check = if let Some(mut auth) = self.device.auth.take() {
-                let (engine, arena) = (&mut self.engine, &mut self.arena);
-                ladder.detect(
-                    (engine, arena, &mut self.posmap, &mut self.ledger),
-                    &mut auth,
-                );
-                let (engine, arena) = (&mut self.engine, &mut self.arena);
-                let media = (engine, arena, &mut self.posmap, &mut self.ledger);
-                let check = ladder.repair(media, &mut auth, &ToyCopies);
-                self.device.auth = Some(auth);
-                check
-            } else {
-                check_committed(&self.arena, &self.posmap, &self.ledger, &ToyCopies)
-            };
-            ladder.finish(&mut self.engine, check, self.ledger.committed_len())
+        /// Its blocks, then their entries; every block is its address's
+        /// newest version and commits.
+        fn apply_round(&mut self, (data, posmap): &mut DrainedRound<(Unit, Block), PosMapFlush>) {
+            let units = data.iter().map(|e| {
+                let ((bucket, slot), block) = &e.value;
+                (*bucket, *slot, Some(block.view()))
+            });
+            (self.shell.device).program(&mut self.arena, units, Route::Drained);
+            (self.shell).flush(posmap.drain(..).map(|e| e.value), Route::Drained);
+            for (_, b) in data.drain(..).map(|e| e.value) {
+                (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
+            }
         }
 
-        pub fn digest(&self) -> u128 {
-            state_digest(&self.arena, false, &self.posmap, &self.ledger, None)
+        fn wipe(&mut self) {}
+    }
+
+    impl ProtocolPolicy for Toy {
+        fn label(&self) -> String {
+            "toy".into()
+        }
+        fn capacity_blocks(&self) -> u64 {
+            ADDRS
+        }
+        fn payload_bytes(&self) -> usize {
+            8
+        }
+        fn crash_consistent(&self) -> bool {
+            true
+        }
+        fn commit_model(&self) -> CommitModel {
+            CommitModel::OnCompletion
+        }
+        fn shell(&self) -> &Shell {
+            &self.shell
+        }
+        fn shell_mut(&mut self) -> &mut Shell {
+            &mut self.shell
+        }
+        fn access(&mut self, addr: u64, data: Option<&[u8]>, arrival: u64) -> Access {
+            let (a, index) = (BlockAddr(addr), self.shell.ctl.access_attempts());
+            (self.shell).begin_access(a, data, (ADDRS, 8), index, arrival)?;
+            if let Some(data) = data {
+                self.stage(&[addr], data);
+                commit_and_apply(self)?;
+            }
+            let leaf = self.shell.posmap.persisted_get(a);
+            let copy = (self.arena).newest_on_path(ToyCopies.path(leaf), a, leaf);
+            let value = copy.map_or(vec![0; 8], |b| b.payload.to_vec());
+            Ok((data.is_none().then_some(value), arrival))
+        }
+        fn crash_now(&mut self) {
+            power_fail(self);
+        }
+        fn recover(&mut self) -> RecoveryReport {
+            (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _| {})
+        }
+        fn state_digest(&self) -> u128 {
+            self.shell.state_digest(&self.arena, false)
+        }
+        fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
+            arm(self, seed, cfg, true);
+        }
+        fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
+            self.shell.arm_wear(seed, 2 * ADDRS * 2 * 64, cfg);
+        }
+        fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
+            self.wpq.wpq_stats()
+        }
+        fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap) {
+            set_tap(self, tap);
+        }
+        fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
+            let (oram, wpq) = (self.shell.ctl.stats(), self.wpq.wpq_stats());
+            (self.shell).publish_metrics(prefix, reg, &oram, wpq);
         }
     }
 
@@ -554,7 +638,7 @@ pub(crate) mod tests {
         wanted: impl Fn(&RoundDamage) -> bool,
     ) -> u64 {
         let draws = |seed| {
-            let mut twin: PersistEngine<(), ()> = PersistEngine::new(1, 1);
+            let mut twin = EngineControl::default();
             twin.install_fault_plan(seed, cfg);
             twin.draw_crash_damage(units.0, units.1)
         };
@@ -578,40 +662,62 @@ pub(crate) mod tests {
         });
         let mut toy = Toy::new();
         toy.write(&[0, 1, 2], 7);
-        toy.arm(seed, half_torn());
+        toy.enable_device_faults(seed, half_torn());
         toy.write(&[1], 9);
-        let (buckets, before) = (toy.arena.materialized_buckets(), toy.digest());
-        toy.crash();
-        assert_ne!(toy.digest(), before, "the entry was not damaged");
+        let (buckets, before) = (toy.arena.materialized_buckets(), toy.state_digest());
+        toy.crash_now();
+        assert_ne!(toy.state_digest(), before, "the entry was not damaged");
         let report = toy.recover();
         assert!(report.consistent, "{:?}", report.violation);
         assert_eq!((report.repairs, report.rolled_back.len()), (1, 0));
         assert!(report.errors.is_empty() && !report.poisoned);
-        assert_eq!(toy.digest(), before, "the repair restores the state");
-        assert_eq!(toy.ledger.committed_value(1), Some(&vec![9; 8]));
+        assert_eq!(toy.state_digest(), before, "the repair restores the state");
+        assert_eq!(toy.shell.ledger.committed_value(1), Some(&vec![9; 8]));
         assert_eq!(toy.arena.materialized_buckets(), buckets);
+    }
+
+    #[test]
+    fn a_third_protocol_is_driven_through_the_policy_surface_alone() {
+        let torn = |d: &RoundDamage| d.data_units == [0];
+        let rotted = |d: &RoundDamage| d.data_units.is_empty() && d.posmap_units == [0];
+        let found = [torn as fn(&_) -> _, rotted].map(|d| seed_where(half_torn(), (1, 1), d));
+        for seed in [1, 5].into_iter().chain(found) {
+            let mut toy: Box<dyn ProtocolPolicy> = Box::new(Toy::new());
+            toy.enable_device_faults(seed, FaultConfig::replay_mix());
+            for i in 0..24u64 {
+                toy.write(i * 7 % ADDRS, vec![i as u8; 8]).unwrap();
+            }
+            assert_eq!(toy.read(3).unwrap(), vec![21; 8]);
+            toy.crash_now();
+            assert!(toy.is_crashed());
+            assert_eq!(toy.read(3), Err(OramError::Crashed));
+            let report = toy.recover();
+            assert!(report.consistent, "seed {seed}: {:?}", report.violation);
+            assert!(!report.poisoned && toy.poisoned().is_none(), "seed {seed}");
+            toy.verify_contents(true)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            // And it goes on serving.
+            toy.write(1, vec![0xEE; 8]).unwrap();
+            assert_eq!(toy.read(1).unwrap(), vec![0xEE; 8]);
+            assert_eq!((toy.access_attempts(), toy.label().as_str()), (31, "toy"));
+        }
     }
 
     #[test]
     fn a_third_protocols_round_committed_but_not_drained_survives_the_power_failure() {
         let mut toy = Toy::new();
         toy.write(&[0, 1], 7);
-        toy.arm(3, FaultConfig::disabled());
+        toy.enable_device_faults(3, FaultConfig::disabled());
         // The end signal arrives, the drain does not.
-        toy.engine.begin_round().unwrap();
-        let write = psoram_nvm::WpqEntry {
-            addr: 0,
-            value: (2, 9),
-        };
-        toy.engine.push_data(write).unwrap();
-        toy.engine.commit_round().unwrap();
-        toy.crash();
-        let root = toy.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(toy.engine.persisted_root(), root);
+        toy.stage(&[2], &[9; 8]);
+        toy.wpq.commit_round(&mut toy.shell.ctl).unwrap();
+        toy.crash_now();
+        let root = toy.shell.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(toy.shell.ctl.persisted_root(), root);
         let report = toy.recover();
         assert!(report.consistent, "{:?}", report.violation);
         assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
-        assert_eq!(toy.ledger.committed_value(2), Some(&vec![9; 8]));
+        assert_eq!(toy.shell.ledger.committed_value(2), Some(&vec![9; 8]));
     }
 
     #[test]
@@ -619,10 +725,10 @@ pub(crate) mod tests {
         let seed = seed_where(half_torn(), (1, 1), |d| d.data_units == [0]);
         let mut toy = Toy::new();
         toy.write(&[0, 1, 2], 7);
-        toy.arm(seed, half_torn());
+        toy.enable_device_faults(seed, half_torn());
         toy.write(&[2], 9);
         let buckets = toy.arena.materialized_buckets();
-        toy.crash();
+        toy.crash_now();
         let report = toy.recover();
         // The torn copy is convicted and wiped; the previous version is the
         // newest authenticated survivor, so the address regresses to it —
@@ -633,23 +739,23 @@ pub(crate) mod tests {
             &report.errors[..],
             [RecoveryError::UnrecoverableAddress { addr: 2, detail }] if detail.contains("toy copy")
         ));
-        assert_eq!(toy.ledger.committed_value(2), Some(&vec![7; 8]));
+        assert_eq!(toy.shell.ledger.committed_value(2), Some(&vec![7; 8]));
         assert_eq!(
             toy.arena.materialized_buckets(),
             buckets,
             "a wipe materialises nothing"
         );
         // Idempotent: the verdict again, nothing moved, nothing recounted.
-        let digest = toy.digest();
+        let digest = toy.state_digest();
         assert_eq!(toy.recover(), report);
-        assert_eq!(toy.digest(), digest);
-        assert_eq!(toy.engine.stats().recoveries, 1);
+        assert_eq!(toy.state_digest(), digest);
+        assert_eq!(toy.shell.ctl.stats().recoveries, 1);
         // And a crash with nothing in flight recovers to the same state.
-        toy.arm(seed, FaultConfig::disabled());
-        toy.crash();
+        toy.enable_device_faults(seed, FaultConfig::disabled());
+        toy.crash_now();
         let again = toy.recover();
         assert!(again.consistent && again.rolled_back.is_empty() && again.repairs == 0);
-        assert_eq!(toy.digest(), digest);
+        assert_eq!(toy.state_digest(), digest);
     }
 
     /// Phase 1's verdicts the way both controllers computed them before

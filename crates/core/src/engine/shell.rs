@@ -1,0 +1,340 @@
+//! The controller shell: the state every tree-ORAM controller in this
+//! crate holds whatever its protocol, and the steps of an access, a round
+//! and a power failure that touch nothing else.
+//!
+//! A protocol owns its arena (Path's lives in its public `OramTree`), its
+//! stash, its typed round queues ([`PersistEngine`]) and its statistics,
+//! and lends the arena in where a step reaches the media. Everything a
+//! driver does to a design that reads or writes only this state is a
+//! provided method of [`ProtocolPolicy`](super::ProtocolPolicy) over it.
+
+use psoram_nvm::{FaultConfig, NvmConfig, NvmController, WearConfig, WpqStats, WEAR_LINE_BYTES};
+use psoram_obsv::{Event, MetricsRegistry, MetricsSource, Phase, Tap};
+
+use psoram_crypto::Hash128;
+
+use super::{
+    AccessScratch, CommitLedger, DeviceSide, DrainedRound, EngineControl, PersistEngine,
+    PosMapFlush, Route,
+};
+use crate::arena::SlotArena;
+use crate::crash::CrashPoint;
+use crate::paged::PagedTable;
+use crate::posmap::{PosMap, TempPosMap};
+use crate::types::{BlockAddr, Leaf, OramError};
+
+/// What a controller holds beside its protocol's own state.
+#[derive(Debug)]
+pub struct Shell {
+    pub(crate) nvm: NvmController,
+    pub(crate) posmap: PosMap,
+    pub(crate) temp: TempPosMap,
+    /// Crash arming & scheduling, the crashed-state latch, the recovery
+    /// bookkeeping and the installed device adversaries.
+    pub(crate) ctl: EngineControl,
+    /// Written-vs-committed value ledgers (the recoverability oracle).
+    pub(crate) ledger: CommitLedger,
+    /// The installed fault plan's hands on the media and the integrity
+    /// layer that answers them.
+    pub(crate) device: DeviceSide,
+    /// Addresses accessed since construction (`verify_contents`).
+    pub(crate) touched: PagedTable<()>,
+    /// The controller's core-cycle clock (advanced by `read`/`write`).
+    pub(crate) clock: u64,
+    /// Monotonic per-block freshness source (`BlockHeader::seq`).
+    pub(crate) seq_counter: u64,
+    /// Observability tap: phase/round/WPQ/NVM events, shared with the
+    /// engine and the NVM.
+    pub(crate) obsv: Tap,
+    /// Reused per-access state (the path frame, the planner's tables, the
+    /// payload free list): the steady-state access loop performs no heap
+    /// allocation for these.
+    pub(crate) scratch: AccessScratch,
+}
+
+impl Shell {
+    /// A shell over a fresh NVM, a PosMap of `num_leaves` labels seeded
+    /// with `posmap_seed` and an empty temporary PosMap.
+    pub(crate) fn new(
+        nvm: NvmConfig,
+        num_leaves: u64,
+        posmap_seed: u64,
+        temp_capacity: usize,
+    ) -> Self {
+        Shell {
+            nvm: NvmController::new(nvm),
+            posmap: PosMap::new(num_leaves, posmap_seed),
+            temp: TempPosMap::new(temp_capacity),
+            ctl: EngineControl::default(),
+            ledger: CommitLedger::new(),
+            device: DeviceSide::default(),
+            touched: PagedTable::default(),
+            clock: 0,
+            seq_counter: 0,
+            obsv: Tap::detached(),
+            scratch: AccessScratch::default(),
+        }
+    }
+
+    /// The prologue of an access, the `index`-th the design admits:
+    /// counts the attempt (arming a crash scheduled for it), validates the
+    /// request against the geometry, notes the address touched and marks
+    /// the start at `arrival`.
+    ///
+    /// # Errors
+    ///
+    /// [`OramError::Crashed`] / [`OramError::Poisoned`] while the design is
+    /// down; [`OramError::AddressOutOfRange`] / [`OramError::PayloadSize`]
+    /// on an invalid request.
+    pub(crate) fn begin_access(
+        &mut self,
+        addr: BlockAddr,
+        data: Option<&[u8]>,
+        (capacity, payload_bytes): (u64, usize),
+        index: u64,
+        arrival: u64,
+    ) -> Result<(), OramError> {
+        self.ctl.begin_attempt()?;
+        if addr.0 >= capacity {
+            return Err(OramError::AddressOutOfRange { addr, capacity });
+        }
+        if let Some(got) = data.map(<[u8]>::len).filter(|&n| n != payload_bytes) {
+            return Err(OramError::PayloadSize {
+                expected: payload_bytes,
+                got,
+            });
+        }
+        self.touched.insert(addr.0, ());
+        self.obsv.set_now(arrival);
+        self.obsv.emit(|| Event::AccessStart {
+            index,
+            cycle: arrival,
+        });
+        Ok(())
+    }
+
+    /// Closes a phase of an access: publishes `end` as the tap's clock and
+    /// records the span.
+    pub(crate) fn phase(&self, phase: Phase, start: u64, end: u64) {
+        self.obsv.set_now(end);
+        self.obsv.emit(|| Event::Phase { phase, start, end });
+    }
+
+    /// The value of access `index` is ready at `ready`: closes the
+    /// stash-update phase begun at `start`, and the access.
+    pub(crate) fn end_access(&self, index: u64, start: u64, ready: u64) {
+        self.phase(Phase::UpdateStash, start, ready);
+        self.obsv.emit(|| Event::AccessEnd {
+            index,
+            cycle: ready,
+        });
+    }
+
+    /// Current-view PosMap lookup: the temporary PosMap first (PS
+    /// variants), then the main map.
+    pub(crate) fn lookup(&self, addr: BlockAddr) -> Leaf {
+        self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
+    }
+
+    /// [`DeviceSide::flush`] over the shell's own maps.
+    pub(crate) fn flush(
+        &mut self,
+        entries: impl Iterator<Item = PosMapFlush>,
+        route: Route,
+    ) -> u64 {
+        let maps = (&mut self.posmap, &mut self.temp);
+        self.device.flush(&mut self.ctl, maps, entries, route)
+    }
+
+    /// Arms the wear engine over an NVM region of `bytes` bytes and, with
+    /// it, the NVM controller's per-line write counts — the table only the
+    /// armed adversary's report ([`Shell::publish_metrics`]) reads.
+    pub(crate) fn arm_wear(&mut self, seed: u64, bytes: u64, cfg: WearConfig) {
+        let lines = bytes.div_ceil(WEAR_LINE_BYTES).max(1);
+        self.ctl.enable_wear(seed, lines, cfg);
+        self.nvm.count_lines();
+    }
+
+    // ── observation ─────────────────────────────────────────────────────
+
+    /// A deterministic digest over a controller's recoverable state: the
+    /// materialised buckets of `arena` in index order (content; with
+    /// `read_marks`, Ring's valid bits and read counts too), the persisted
+    /// PosMap, the committed ledger and — in wear mode only, so wear-free
+    /// digests are byte-for-byte what pre-endurance builds computed — the
+    /// durable line mapping. Two controllers in byte-identical recoverable
+    /// state hash equal; the double-recover idempotency regression tests
+    /// rely on it.
+    pub(crate) fn state_digest(&self, arena: &SlotArena, read_marks: bool) -> u128 {
+        let mut bytes = Vec::new();
+        for (idx, bucket) in arena.iter() {
+            bytes.extend_from_slice(&idx.to_le_bytes());
+            for slot in bucket.slots() {
+                match slot {
+                    None => bytes.push(0),
+                    Some(b) => {
+                        bytes.push(1);
+                        bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
+                        bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
+                        bytes.extend_from_slice(&b.header.seq.to_le_bytes());
+                        bytes.push(b.is_backup as u8);
+                        bytes.extend_from_slice(b.payload);
+                    }
+                }
+            }
+            if read_marks {
+                bytes.extend((0..bucket.num_slots()).map(|s| bucket.is_valid(s) as u8));
+                bytes.extend_from_slice(&(bucket.reads() as u64).to_le_bytes());
+            }
+        }
+        for (a, l) in self.posmap.persisted_sorted() {
+            bytes.extend_from_slice(&a.to_le_bytes());
+            bytes.extend_from_slice(&l.to_le_bytes());
+        }
+        let mut committed: Vec<(u64, &Vec<u8>)> = self.ledger.committed_iter().collect();
+        committed.sort_unstable_by_key(|&(a, _)| a);
+        for (a, v) in committed {
+            bytes.extend_from_slice(&a.to_le_bytes());
+            bytes.extend_from_slice(v);
+        }
+        if let Some(d) = self.ctl.wear_digest() {
+            bytes.extend_from_slice(&d.to_le_bytes());
+        }
+        u128::from_le_bytes(Hash128::new().digest(&bytes))
+    }
+
+    /// Publishes a design's counters under `prefix`: the protocol's own
+    /// (`oram`), the NVM's, the two WPQs' and, once armed, the wear
+    /// engine's with the NVM's per-line report.
+    pub(crate) fn publish_metrics(
+        &self,
+        prefix: &str,
+        reg: &mut MetricsRegistry,
+        oram: &dyn MetricsSource,
+        (data, posmap): (WpqStats, WpqStats),
+    ) {
+        use MetricsRegistry as R;
+        oram.publish(&R::key(prefix, "oram"), reg);
+        self.nvm.stats().publish(&R::key(prefix, "nvm"), reg);
+        data.publish(&R::key(prefix, "wpq.data"), reg);
+        posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
+        if let Some(w) = self.ctl.wear_engine() {
+            w.publish(&R::key(prefix, "wear"), reg);
+            let report = self.nvm.wear_report(8);
+            report.publish(&R::key(prefix, "nvm.wear"), reg);
+        }
+    }
+}
+
+/// What the shell's frames ask of the protocol that holds it.
+pub(crate) trait Rounds {
+    /// The protocol's data persist unit.
+    type Data;
+    /// The shell, the round queues and the arena, lent together.
+    fn media(&mut self) -> Media<'_, Self::Data>;
+    /// Applies one round's entries to the NVM state, in the protocol's
+    /// own data/PosMap order and under its own ledger rule.
+    fn apply_round(&mut self, round: &mut DrainedRound<Self::Data, PosMapFlush>);
+    /// Loses the protocol's volatile state to a power failure.
+    fn wipe(&mut self);
+}
+
+/// A protocol's shell, round queues and arena.
+pub(crate) type Media<'a, D> = (
+    &'a mut Shell,
+    &'a mut PersistEngine<D, PosMapFlush>,
+    &'a mut SlotArena,
+);
+
+/// Drains the round that just committed and applies it. One that carries
+/// anything becomes the round a power failure would interrupt.
+fn apply_drained<C: Rounds>(c: &mut C) {
+    let (shell, wpq, _) = c.media();
+    let mut round = wpq.drain(&mut shell.ctl);
+    shell.device.open_round(round.0.len() + round.1.len());
+    c.apply_round(&mut round);
+    c.media().1.keep(round);
+}
+
+/// Sends the drainer *end* signal — the atomic commit point of the open
+/// round — then drains the round and applies it.
+///
+/// # Errors
+///
+/// [`OramError::Wpq`]-wrapped queue errors if no round is open.
+pub(crate) fn commit_and_apply<C: Rounds>(c: &mut C) -> Result<(), OramError> {
+    let (shell, wpq, _) = c.media();
+    wpq.commit_round(&mut shell.ctl)?;
+    apply_drained(c);
+    Ok(())
+}
+
+/// A queue is out of room mid-round: commits and applies what is already
+/// pushed (each sub-round is still atomic, exactly like a planned
+/// small-WPQ split), then reopens.
+///
+/// # Errors
+///
+/// As [`commit_and_apply`].
+pub(crate) fn stall<C: Rounds>(c: &mut C) -> Result<(), OramError> {
+    c.media().0.ctl.note_stall();
+    commit_and_apply(c)?;
+    let (shell, wpq, _) = c.media();
+    Ok(wpq.begin_round(&shell.ctl)?)
+}
+
+/// Fires the armed crash plan if it matches `point`: the power fails and
+/// the access reports [`OramError::Crashed`].
+pub(crate) fn crash_at<C: Rounds>(c: &mut C, point: CrashPoint) -> Result<(), OramError> {
+    if c.media().0.ctl.take_crash(point) {
+        power_fail(c);
+        return Err(OramError::Crashed);
+    }
+    Ok(())
+}
+
+/// The power failure. The engine latches the crashed state and hands over
+/// what the ADR flush preserves — every committed round, open ones lost —
+/// which the protocol applies the way it applies a drained round before
+/// it loses its volatile state. Whatever order it applied the flush in,
+/// the root anchored then covers all of it; the working PosMap falls back
+/// to the persisted one; and the failure interrupts the media programming
+/// of the last applied round (including anything the flush just applied):
+/// torn flushes, lost signals, bit rot, replays and splices land on those
+/// units now, behind the controller's back. Returns how many (data,
+/// PosMap) entries the flush carried.
+pub(crate) fn power_fail<C: Rounds>(c: &mut C) -> (usize, usize) {
+    let (shell, wpq, _) = c.media();
+    let mut round = wpq.crash(&mut shell.ctl);
+    let flushed = (round.0.len(), round.1.len());
+    shell.device.open_round(flushed.0 + flushed.1);
+    c.apply_round(&mut round);
+    c.wipe();
+    let (shell, _, arena) = c.media();
+    shell.device.anchor_root(&mut shell.ctl);
+    shell.posmap.crash();
+    shell
+        .device
+        .strike(&mut shell.ctl, arena, &mut shell.posmap);
+    flushed
+}
+
+/// Makes the backend adversarial ([`DeviceSide::arm`]); a `hardened`
+/// design's WPQ frames are sealed with the integrity layer's key.
+pub(crate) fn arm<C: Rounds>(c: &mut C, seed: u64, cfg: FaultConfig, hardened: bool) {
+    let (shell, wpq, arena) = c.media();
+    let media = (&*arena, &shell.posmap, &shell.temp);
+    if let Some(key) = (shell.device).arm(&mut shell.ctl, seed, cfg, hardened, media) {
+        wpq.seal_frames(&key);
+    }
+}
+
+/// Wires `tap` through the whole stack: the controller's own events, the
+/// engine's round and recovery markers, both WPQs and the NVM's banks.
+pub(crate) fn set_tap<C: Rounds>(c: &mut C, tap: Tap) {
+    let (shell, wpq, _) = c.media();
+    wpq.set_tap(tap.clone());
+    shell.ctl.tap = tap.clone();
+    shell.nvm.set_tap(tap.clone());
+    shell.obsv = tap;
+}

@@ -25,7 +25,9 @@
 //! data:
 //!
 //! ```
-//! use psoram_core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolVariant};
+//! use psoram_core::{
+//!     BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant,
+//! };
 //!
 //! let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 1);
 //! for i in 0..20 {
@@ -71,7 +73,9 @@ pub use block::{Block, BlockHeader, BlockRef};
 pub use bucket::Bucket;
 pub use controller::{AccessOutcome, Op, PathOram, ProtocolVariant};
 pub use crash::{CrashPoint, CrashReport, RecoveryError, RecoveryIncident, RecoveryReport};
-pub use engine::{CommitLedger, CommitModel, EngineStats, PersistEngine, ProtocolPolicy};
+pub use engine::{
+    CommitLedger, CommitModel, EngineControl, EngineStats, PersistEngine, ProtocolPolicy, Shell,
+};
 pub use eviction::{plan_eviction, EvictionPlan, SlotWrite};
 pub use integrity::{IntegrityTree, IntegrityViolation};
 pub use posmap::{PosMap, TempPosMap};

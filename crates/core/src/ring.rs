@@ -28,20 +28,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use psoram_nvm::{AccessKind, FaultConfig, NvmConfig, NvmController, WpqEntry};
-use psoram_obsv::{Event, Phase, Tap};
+use psoram_nvm::{AccessKind, FaultConfig, NvmConfig, WpqEntry};
+use psoram_obsv::Phase;
 
 use crate::arena::{BucketRef, SlotArena};
-use crate::auth::AuthTags;
+use crate::auth::{AuthTags, SlotUnit};
 use crate::block::{Block, BlockRef};
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
-    check_committed, to_core, to_mem, AccessScratch, CommitLedger, Copies, DeviceSide, FrameCell,
-    Ladder, Media, PersistEngine, RewriteTables,
+    arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
+    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Media, PersistEngine,
+    PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Route, Shell,
 };
-use crate::paged::PagedTable;
-use crate::posmap::{PosMap, TempPosMap};
+use crate::posmap::PosMap;
 use crate::tree::{heap_path, BucketIndex};
 use crate::types::{BlockAddr, Leaf, OramError};
 
@@ -153,12 +153,6 @@ impl Default for RingConfig {
 }
 
 pub use crate::engine::RingVariant;
-
-/// One drained WPQ round: whole-bucket rewrites and PosMap entries.
-type DrainedRound = (
-    Vec<WpqEntry<(u64, Bucket)>>,
-    Vec<WpqEntry<(BlockAddr, Leaf)>>,
-);
 
 /// The slot of `bucket` a read for `addr` takes it from: valid, real, a
 /// primary copy.
@@ -282,46 +276,30 @@ impl Copies for RingCopies {
 pub struct RingOram {
     config: RingConfig,
     variant: RingVariant,
-    nvm: NvmController,
+    /// The state every controller holds: NVM, PosMaps, engine control,
+    /// ledger, device side, clock, scratch (its frame holds the one slot
+    /// per bucket an access reads).
+    shell: Shell,
+    /// The WPQ persist rounds of whole-bucket rewrites and PosMap entries.
+    wpq: PersistEngine<(u64, Bucket), PosMapFlush>,
     /// The same slot arena the Path tree sits on, with `Z + S` physical
     /// slots a bucket; the per-slot *consumed* flag is Ring's `valid`
     /// bit and, counted, its per-bucket read count.
     buckets: SlotArena,
     /// Primaries only, one an address: a shadow never leaves the tree.
     stash: Vec<Block>,
-    posmap: PosMap,
-    temp: TempPosMap,
-    /// The shared persist-round engine: WPQ rounds, crash arming &
-    /// scheduling, and the crash/recovery state machine.
-    engine: PersistEngine<(u64, Bucket), (BlockAddr, Leaf)>,
     rng: StdRng,
-    clock: u64,
     access_counter: u64,
     /// Reverse-lexicographic eviction cursor.
     evict_cursor: u64,
     stats: RingStats,
-    /// Written-vs-committed value ledgers (the recoverability oracle).
-    ledger: CommitLedger,
-    seq_counter: u64,
     /// Bucket rewrites begun in the current access ([`CrashPoint::
     /// DuringEviction`] indexes into this cursor).
     rewrites_this_access: usize,
-    /// Addresses accessed since construction ([`RingOram::verify_contents`]).
-    touched: PagedTable<()>,
-    /// The installed fault plan's hands on the media and the integrity
-    /// layer that answers them ([`RingOram::enable_device_faults`]).
-    device: DeviceSide,
-    /// Reused per-access state: the frame holds the one slot per bucket an
-    /// access reads.
-    scratch: AccessScratch,
     /// The tables of the bucket rewrite in progress.
     rewrite: RewriteTables,
-    /// The buffers WPQ rounds drain into, kept for their capacity.
-    drained: DrainedRound,
     /// Bucket images a round applied and emptied, for the next rewrites.
     spare_images: Vec<Bucket>,
-    /// Observability tap (detached by default; see [`RingOram::set_obsv_tap`]).
-    obsv: Tap,
 }
 
 impl RingOram {
@@ -341,41 +319,27 @@ impl RingOram {
     /// Panics if `config` fails validation.
     pub fn with_nvm(config: RingConfig, variant: RingVariant, nvm: NvmConfig, seed: u64) -> Self {
         config.validate();
+        let posmap_seed = seed ^ 0x52_49_4E_47;
         RingOram {
-            posmap: PosMap::new(config.num_leaves(), seed ^ 0x52_49_4E_47),
-            temp: TempPosMap::new(config.temp_posmap_capacity),
-            engine: PersistEngine::new(config.wpq_capacity, config.wpq_capacity),
+            shell: Shell::new(
+                nvm,
+                config.num_leaves(),
+                posmap_seed,
+                config.temp_posmap_capacity,
+            ),
+            wpq: PersistEngine::new(config.wpq_capacity, config.wpq_capacity),
             rng: StdRng::seed_from_u64(seed),
-            nvm: NvmController::new(nvm),
             buckets: SlotArena::new(config.bucket_physical_slots(), config.payload_bytes),
             stash: Vec::new(),
-            clock: 0,
             access_counter: 0,
             evict_cursor: 0,
             stats: RingStats::default(),
-            ledger: CommitLedger::new(),
-            seq_counter: 0,
             rewrites_this_access: 0,
-            touched: PagedTable::default(),
-            device: DeviceSide::default(),
-            scratch: AccessScratch::default(),
             rewrite: RewriteTables::default(),
-            drained: DrainedRound::default(),
             spare_images: Vec::new(),
-            obsv: Tap::detached(),
             config,
             variant,
         }
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> &RingConfig {
-        &self.config
-    }
-
-    /// The persistence variant.
-    pub fn variant(&self) -> RingVariant {
-        self.variant
     }
 
     /// Current stash occupancy.
@@ -385,7 +349,7 @@ impl RingOram {
 
     /// Current temporary-PosMap occupancy (always zero on Ring-Baseline).
     pub fn temp_posmap_len(&self) -> usize {
-        self.temp.len()
+        self.shell.temp.len()
     }
 
     /// Backup (shadow) copies pinned in the tree: a scan of every
@@ -395,44 +359,18 @@ impl RingOram {
         self.buckets.iter().map(backups).sum()
     }
 
-    /// Installs a seeded device-level fault plan on the NVM backend.
-    ///
-    /// Mirrors [`crate::PathOram::enable_device_faults`]: the hardened
-    /// (WPQ) PS-Ring variant additionally arms the integrity layer — CMAC
-    /// tags over every physical bucket slot and persisted PosMap entry,
-    /// sealed WPQ batch frames, and a rolling seal over the temporary
-    /// PosMap. The Baseline variant gets the same faults with no
-    /// defenses, preserving the differential campaigns' detection power.
-    pub fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-        let media = (&self.buckets, &self.posmap, &self.temp);
-        let hardened = self.variant == RingVariant::PsRing;
-        self.device
-            .arm(&mut self.engine, seed, cfg, hardened, media);
+    /// Controller statistics. The crash/recovery/stall counters live in
+    /// the shared engine control and are merged into the snapshot here.
+    pub fn stats(&self) -> RingStats {
+        let e = self.shell.ctl.stats();
+        RingStats {
+            crashes: e.crashes,
+            recoveries: e.recoveries,
+            recovery_failures: e.recovery_failures,
+            wpq_stalls: e.wpq_stalls,
+            ..self.stats
+        }
     }
-
-    /// Arms the endurance adversary over the ring's NVM line region.
-    ///
-    /// Mirrors [`crate::PathOram::enable_wear`]: per-line write
-    /// accounting with seeded cell budgets plus the chosen wear-leveling
-    /// scheme, whose mapping changes stage against the durable state and
-    /// commit only in the persist engine's commit round.
-    pub fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        let bytes = self.config.num_buckets()
-            * self.config.bucket_physical_slots() as u64
-            * self.config.block_bytes as u64;
-        self.arm_wear(seed, bytes, cfg);
-    }
-
-    /// A deterministic digest over the controller's recoverable state:
-    /// the materialized buckets (content, valid bits, counts), the
-    /// persisted PosMap, and the committed ledger (see [`crate::engine`]'s
-    /// `state_digest`).
-    pub fn state_digest(&self) -> u128 {
-        let wear = self.engine.wear_digest();
-        crate::engine::state_digest(&self.buckets, true, &self.posmap, &self.ledger, wear)
-    }
-
-    crate::engine::impl_crash_controls!(RingStats);
 
     // ── geometry helpers ────────────────────────────────────────────────
 
@@ -477,10 +415,6 @@ impl RingOram {
         })
     }
 
-    fn lookup(&self, addr: BlockAddr) -> Leaf {
-        self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
-    }
-
     /// Position of `addr`'s block in the stash.
     fn stash_primary(&self, addr: BlockAddr) -> Option<usize> {
         self.stash.iter().position(|b| b.addr() == addr)
@@ -494,10 +428,7 @@ impl RingOram {
     ///
     /// Propagates any [`OramError`] from the access.
     pub fn read(&mut self, addr: BlockAddr) -> Result<Vec<u8>, OramError> {
-        let arrival = self.clock;
-        let (value, done) = self.access_at(addr, None, arrival)?;
-        self.clock = done;
-        Ok(value)
+        ProtocolPolicy::read(self, addr.0)
     }
 
     /// Writes `data` to block `addr`.
@@ -506,41 +437,7 @@ impl RingOram {
     ///
     /// Propagates any [`OramError`] from the access.
     pub fn write(&mut self, addr: BlockAddr, data: Vec<u8>) -> Result<(), OramError> {
-        self.write_from(addr, &data)
-    }
-
-    /// [`RingOram::write`] from borrowed bytes: the access copies them
-    /// once, into the stash.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`OramError`] from the access.
-    pub fn write_from(&mut self, addr: BlockAddr, data: &[u8]) -> Result<(), OramError> {
-        let arrival = self.clock;
-        let (_, done) = self.access(addr, Some(data), arrival)?;
-        self.clock = done;
-        Ok(())
-    }
-
-    /// Performs one access; returns the value and the completion cycle.
-    ///
-    /// # Errors
-    ///
-    /// * [`OramError::Crashed`] — an injected crash fired.
-    /// * [`OramError::AddressOutOfRange`] / [`OramError::PayloadSize`] on
-    ///   invalid requests.
-    pub fn access_at(
-        &mut self,
-        addr: BlockAddr,
-        data: Option<Vec<u8>>,
-        arrival: u64,
-    ) -> Result<(Vec<u8>, u64), OramError> {
-        let (read, done) = self.access(addr, data.as_deref(), arrival)?;
-        // A write's value is the buffer it came in.
-        let value = data.or(read).ok_or(OramError::Invariant {
-            context: "an access without data returns the value it read",
-        })?;
-        Ok((value, done))
+        ProtocolPolicy::write_from(self, addr.0, &data)
     }
 
     /// The access itself, over borrowed write data; the value comes back
@@ -551,63 +448,40 @@ impl RingOram {
         data: Option<&[u8]>,
         arrival: u64,
     ) -> Result<(Option<Vec<u8>>, u64), OramError> {
-        self.engine.begin_attempt()?;
-        if addr.0 >= self.config.capacity_blocks() {
-            return Err(OramError::AddressOutOfRange {
-                addr,
-                capacity: self.config.capacity_blocks(),
-            });
-        }
-        if let Some(d) = data {
-            if d.len() != self.config.payload_bytes {
-                return Err(OramError::PayloadSize {
-                    expected: self.config.payload_bytes,
-                    got: d.len(),
-                });
-            }
-        }
+        let access_index = self.stats.accesses;
+        let geometry = (self.config.capacity_blocks(), self.config.payload_bytes);
+        self.shell
+            .begin_access(addr, data, geometry, access_index, arrival)?;
         self.stats.accesses += 1;
         self.access_counter += 1;
         self.rewrites_this_access = 0;
-        self.touched.insert(addr.0, ());
-        let access_index = self.stats.accesses - 1;
-        self.obsv.set_now(arrival);
-        self.obsv.emit(|| Event::AccessStart {
-            index: access_index,
-            cycle: arrival,
-        });
 
         let mut t = arrival + 1; // stash lookup
 
         // Step ②: PosMap + remap.
-        let old_leaf = self.lookup(addr);
+        let old_leaf = self.shell.lookup(addr);
         let new_leaf = Leaf(self.rng.gen_range(0..self.config.num_leaves()));
         match self.variant {
-            RingVariant::Baseline => self.posmap.set(addr, new_leaf),
-            RingVariant::PsRing => self.temp.insert(addr, new_leaf)?,
+            RingVariant::Baseline => self.shell.posmap.set(addr, new_leaf),
+            RingVariant::PsRing => self.shell.temp.insert(addr, new_leaf)?,
         }
-        self.device.seal_temp(&self.temp);
+        self.shell.device.seal_temp(&self.shell.temp);
         t += 2;
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::PosMap,
-            start: arrival,
-            end: t,
-        });
-        self.maybe_crash(CrashPoint::AfterAccessPosMap)?;
+        self.shell.phase(Phase::PosMap, arrival, t);
+        crash_at(self, CrashPoint::AfterAccessPosMap)?;
 
         // Step ③: read exactly one slot per bucket along the path.
         // The device side's four guards bracket the read (all inert
         // without a fault plan). First: transient media read errors.
-        t = DeviceSide::read_fault(&mut self.engine, t)?;
+        t = DeviceSide::read_fault(&mut self.shell.ctl, t)?;
         let t_before_path = t;
         // Second: the freshness adversary may serve one of this access's
         // read slots stale. The draw always consumes plan entropy
         // (schedule invariance) and is resolved once the slots are known.
-        let replay_pick = self.engine.read_replay();
+        let replay_pick = self.shell.ctl.read_replay();
         let in_stash = self.stash_primary(addr).is_some();
         // The frame lists the slots this access reads: one per bucket.
-        let mut frame = std::mem::take(&mut self.scratch.frame);
+        let mut frame = std::mem::take(&mut self.shell.scratch.frame);
         frame.cells.clear();
         // Where the target was found: its bytes stay in the slot (a read
         // flips metadata only) until step ④ copies them.
@@ -639,6 +513,7 @@ impl RingOram {
             });
         }
         let done = self
+            .shell
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Read, to_mem(t));
         t = to_core(done) + 1;
@@ -646,34 +521,31 @@ impl RingOram {
         // the wire draw lands on what was actually read, and fourth:
         // hardened verification of every read slot — including whatever
         // the wire served — against the on-chip counters.
-        t = DeviceSide::wear_read_fault(&mut self.engine, frame.nvm_addrs(0), t)?;
-        let mut serve_stale = self
-            .device
-            .serve_stale(&mut self.engine, replay_pick, &frame.cells);
-        t = self.device.verify_fetched(
-            &mut self.engine,
+        t = DeviceSide::wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(0), t)?;
+        let mut serve_stale =
+            self.shell
+                .device
+                .serve_stale(&mut self.shell.ctl, replay_pick, &frame.cells);
+        t = self.shell.device.verify_fetched(
+            &mut self.shell.ctl,
             &self.buckets,
             &frame.cells,
             &mut serve_stale,
             t,
         )?;
-        self.scratch.frame = frame;
+        self.shell.scratch.frame = frame;
         // One combined metadata write per access (valid bits + counts).
-        let meta = self
-            .nvm
-            .access_sized(self.slot_nvm_addr(0, 0), AccessKind::Write, to_mem(t), 8);
+        let meta =
+            self.shell
+                .nvm
+                .access_sized(self.slot_nvm_addr(0, 0), AccessKind::Write, to_mem(t), 8);
         let _ = meta; // metadata write retires in the background
-        self.obsv.set_now(t);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::LoadPath,
-            start: t_before_path,
-            end: t,
-        });
-        self.maybe_crash(CrashPoint::AfterLoadPath)?;
+        self.shell.phase(Phase::LoadPath, t_before_path, t);
+        crash_at(self, CrashPoint::AfterLoadPath)?;
 
         // Step ④: stash update.
-        self.seq_counter += 1;
-        let seq = self.seq_counter;
+        self.shell.seq_counter += 1;
+        let seq = self.shell.seq_counter;
         if let Some(idx) = self.stash_primary(addr) {
             self.stash[idx].header.leaf = new_leaf;
             self.stash[idx].header.seq = seq;
@@ -687,8 +559,10 @@ impl RingOram {
                 _ => self.buckets.slot(at.0, at.1),
             });
             let mut block = match fetched {
-                Some(view) => self.scratch.block_from(view),
-                None => (self.scratch).zeroed_block(addr, new_leaf, self.config.payload_bytes),
+                Some(view) => self.shell.scratch.block_from(view),
+                None => {
+                    (self.shell.scratch).zeroed_block(addr, new_leaf, self.config.payload_bytes)
+                }
             };
             block.header.leaf = new_leaf;
             block.header.seq = seq;
@@ -703,7 +577,7 @@ impl RingOram {
             primary.payload.clear();
             primary.payload.extend_from_slice(d);
         }
-        self.ledger.note_written(addr.0, &primary.payload);
+        self.shell.ledger.note_written(addr.0, &primary.payload);
         let read = data.is_none().then(|| primary.payload.clone());
         if self.stash.len() > self.config.stash_capacity {
             return Err(OramError::StashOverflow {
@@ -712,17 +586,8 @@ impl RingOram {
         }
         self.stats.stash_max = self.stats.stash_max.max(self.stash.len());
         let value_ready = t + 2;
-        self.obsv.set_now(value_ready);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::UpdateStash,
-            start: t,
-            end: value_ready,
-        });
-        self.obsv.emit(|| Event::AccessEnd {
-            index: access_index,
-            cycle: value_ready,
-        });
-        self.maybe_crash(CrashPoint::AfterUpdateStash)?;
+        self.shell.end_access(access_index, t, value_ready);
+        crash_at(self, CrashPoint::AfterUpdateStash)?;
 
         // Step ⑤: early reshuffles, then the periodic evict-path.
         let mut t_bg = value_ready;
@@ -737,13 +602,8 @@ impl RingOram {
             t_bg = self.evict_path(t_bg)?;
         }
         let _background_done = t_bg;
-        self.obsv.set_now(t_bg);
-        self.obsv.emit(|| Event::Phase {
-            phase: Phase::Eviction,
-            start: value_ready,
-            end: t_bg,
-        });
-        self.maybe_crash(CrashPoint::AfterEviction)?;
+        self.shell.phase(Phase::Eviction, value_ready, t_bg);
+        crash_at(self, CrashPoint::AfterEviction)?;
 
         self.stats.total_access_cycles += value_ready - arrival;
         Ok((read, value_ready))
@@ -754,12 +614,13 @@ impl RingOram {
     /// a kept block is copied on chip.
     fn classify_for_rewrite(&self, block: BlockRef<'_>) -> Option<Kept> {
         let a = block.addr();
-        let stale =
-            block.is_backup || block.leaf() != self.lookup(a) || self.stash_primary(a).is_some();
+        let stale = block.is_backup
+            || block.leaf() != self.shell.lookup(a)
+            || self.stash_primary(a).is_some();
         if !stale {
             Some(Kept::Primary)
         } else if self.variant == RingVariant::PsRing
-            && block.leaf() == self.posmap.persisted_get(a)
+            && block.leaf() == self.shell.posmap.persisted_get(a)
         {
             Some(Kept::Shadow)
         } else {
@@ -782,14 +643,14 @@ impl RingOram {
             let Some(kept) = self.classify_for_rewrite(view) else {
                 continue;
             };
-            let mut b = self.scratch.block_from(view);
+            let mut b = self.shell.scratch.block_from(view);
             b.is_backup = kept == Kept::Shadow;
             if b.is_backup || !pull {
                 rw.push(level, b);
                 continue;
             }
             if self.variant == RingVariant::PsRing
-                && b.leaf() == self.posmap.persisted_get(b.addr())
+                && b.leaf() == self.shell.posmap.persisted_get(b.addr())
             {
                 rw.pulled.push((b.addr(), level));
             }
@@ -802,7 +663,7 @@ impl RingOram {
     fn build_images(&mut self, rw: &mut RewriteTables, path: impl Iterator<Item = u64>) {
         let physical = self.config.bucket_physical_slots();
         for (level, bidx) in path.enumerate() {
-            rw.flush_dirty(level, |a| self.temp.get(a));
+            rw.flush_dirty(level, |a| self.shell.temp.get(a));
             let mut image = (self.spare_images.pop()).unwrap_or_else(|| Bucket::new(physical));
             rw.fill_image(level, &mut image, &mut self.rng);
             rw.images.push((bidx, image));
@@ -815,7 +676,10 @@ impl RingOram {
         // tells the controller which slots those are), rebuild, write the
         // whole bucket back.
         let reads = Self::occupied_addrs(&self.buckets, self.slot_addresser(), bidx);
-        let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
+        let done = self
+            .shell
+            .nvm
+            .access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
         let mut rw = std::mem::take(&mut self.rewrite);
@@ -844,7 +708,10 @@ impl RingOram {
         let reads = path
             .clone()
             .flat_map(|bidx| Self::occupied_addrs(buckets, addr_of, bidx));
-        let done = self.nvm.access_batch(reads, AccessKind::Read, to_mem(t));
+        let done = self
+            .shell
+            .nvm
+            .access_batch(reads, AccessKind::Read, to_mem(t));
         let t = to_core(done);
 
         // Pool: shadows stay pinned to their bucket; primaries join the
@@ -880,7 +747,7 @@ impl RingOram {
             for i in 0..rw.leftovers.len() {
                 let b = &rw.leftovers[i];
                 let a = b.addr();
-                if b.leaf() != self.posmap.persisted_get(a) {
+                if b.leaf() != self.shell.posmap.persisted_get(a) {
                     continue;
                 }
                 let Some(&(_, src_depth)) = rw.pulled.iter().find(|(pulled, _)| *pulled == a)
@@ -888,7 +755,7 @@ impl RingOram {
                     continue;
                 };
                 if let Some(d) = rw.deepest_with_room(src_depth, physical) {
-                    let mut shadow = self.scratch.block_from(b.view());
+                    let mut shadow = self.shell.scratch.block_from(b.view());
                     shadow.is_backup = true;
                     rw.push(d, shadow);
                 }
@@ -912,8 +779,8 @@ impl RingOram {
     fn commit_rewrites(&mut self, rw: &mut RewriteTables, t: u64) -> Result<u64, OramError> {
         let physical = self.config.bucket_physical_slots();
         // Crash during the rewrite assembly?
-        if self.engine.armed_eviction_crash() == Some(self.rewrites_this_access) {
-            self.engine.disarm_crash();
+        if self.shell.ctl.armed_eviction_crash() == Some(self.rewrites_this_access) {
+            self.shell.ctl.disarm_crash();
             if self.variant == RingVariant::PsRing {
                 // Round assembled but the end signal never arrives, so the
                 // crash discards it.
@@ -923,24 +790,29 @@ impl RingOram {
                         value: (bidx, bucket),
                     })
                     .collect();
-                self.engine.stage_abandoned_round(entries);
+                self.wpq.stage_abandoned_round(entries);
             } else {
-                // Direct writes: half the buckets land, half do not.
+                // Direct writes: half the buckets land, half do not — torn
+                // off mid-rewrite, they are no round's units and commit
+                // nothing.
                 let landed = rw.images.len() / 2;
-                for (bidx, mut bucket) in rw.images.drain(..).take(landed) {
-                    self.install(bidx, &mut bucket);
+                for (bidx, image) in rw.images.drain(..).take(landed) {
+                    for (_, s, content) in image_units(bidx, &image) {
+                        self.buckets.write(bidx, s, content);
+                    }
+                    self.settle(bidx, image);
                 }
             }
-            self.execute_crash();
+            power_fail(self);
             return Err(OramError::Crashed);
         }
         self.rewrites_this_access += 1;
-        self.obsv.set_now(t);
+        self.shell.obsv.set_now(t);
 
         // The frame now lists what this round writes: every physical slot
         // of the rewritten buckets, which come in ascending order.
         debug_assert!(rw.images.windows(2).all(|w| w[0].0 < w[1].0));
-        let mut frame = std::mem::take(&mut self.scratch.frame);
+        let mut frame = std::mem::take(&mut self.shell.scratch.frame);
         frame.cells.clear();
         for (bidx, _) in &rw.images {
             for slot in 0..physical {
@@ -954,202 +826,89 @@ impl RingOram {
 
         match self.variant {
             RingVariant::Baseline => {
-                self.device.begin_slot_units();
-                for (bidx, bucket) in rw.images.drain(..) {
-                    self.apply_rewrite(bidx, bucket);
+                self.apply_rewrites(
+                    rw.images.iter().map(|(b, image)| (*b, image)),
+                    Route::Direct,
+                );
+                for (bidx, image) in rw.images.drain(..) {
+                    self.settle(bidx, image);
                 }
             }
             RingVariant::PsRing => {
                 // The temporary PosMap feeds this round's flushes: it is
                 // authenticated before anything it names is persisted.
-                self.device.check_temp(&mut self.engine, &self.temp)?;
-                self.engine.begin_round()?;
+                self.shell
+                    .device
+                    .check_temp(&mut self.shell.ctl, &self.shell.temp)?;
+                self.wpq.begin_round(&self.shell.ctl)?;
                 for (bidx, bucket) in rw.images.drain(..) {
                     // Out of room mid-round: stall — commit and apply what is
                     // already pushed (still atomic), then reopen and retry.
-                    if self.engine.data_is_full() {
-                        self.engine.note_stall();
-                        self.commit_and_apply_round()?;
-                        self.engine.begin_round()?;
+                    if self.wpq.data_is_full() {
+                        stall(self)?;
                     }
-                    self.engine.push_data(WpqEntry {
+                    self.wpq.push_data(WpqEntry {
                         addr: self.slot_nvm_addr(bidx, 0),
                         value: (bidx, bucket),
                     })?;
                 }
                 for &(a, l) in &rw.flushes {
-                    if self.engine.posmap_is_full() {
-                        self.engine.note_stall();
-                        self.commit_and_apply_round()?;
-                        self.engine.begin_round()?;
+                    if self.wpq.posmap_is_full() {
+                        stall(self)?;
                     }
-                    self.engine.push_posmap(WpqEntry {
+                    self.wpq.push_posmap(WpqEntry {
                         addr: a.0 * 8,
                         value: (a, l),
                     })?;
                 }
-                self.commit_and_apply_round()?;
+                commit_and_apply(self)?;
             }
         }
 
         let done = self
+            .shell
             .nvm
             .access_batch(frame.nvm_addrs(0), AccessKind::Write, to_mem(t));
-        self.scratch.frame = frame;
+        self.shell.scratch.frame = frame;
         Ok(to_core(done))
     }
 
-    /// Sends the drainer `end` signal and applies the drained round to the
-    /// bucket store and PosMap.
-    fn commit_and_apply_round(&mut self) -> Result<(), OramError> {
-        self.engine.commit_round()?;
-        let (mut data, mut posmap) = std::mem::take(&mut self.drained);
-        self.engine.drain_into(&mut data, &mut posmap);
-        if !(data.is_empty() && posmap.is_empty()) {
-            // This round becomes the one whose media programming a crash
-            // would interrupt.
-            self.device.begin_slot_units();
-            self.device.begin_posmap_units();
-        }
-        for e in data.drain(..) {
-            let (bidx, bucket) = e.value;
-            self.apply_rewrite(bidx, bucket);
-        }
-        let flushed = !posmap.is_empty();
-        for e in posmap.drain(..) {
-            let (a, l) = e.value;
-            self.device.persist_posmap(&mut self.posmap, a, l);
-            self.temp.remove(a);
-            self.stats.dirty_entries_flushed += 1;
-        }
-        self.drained = (data, posmap);
-        if flushed {
-            self.device.seal_temp(&self.temp);
-        }
-        self.device.anchor_root(&mut self.engine);
-        Ok(())
-    }
-
-    /// Puts a bucket image on media — every slot overwritten, every slot
-    /// valid again, no reads counted — and empties it: its blocks' buffers
-    /// are kept for the next blocks.
-    fn install(&mut self, bidx: u64, image: &mut Bucket) {
-        let mut bucket = self.buckets.bucket_mut(bidx);
-        for (s, slot) in image.slots_mut().iter_mut().enumerate() {
-            bucket.set(s, slot.as_ref().map(Block::view));
-            if let Some(block) = slot.take() {
-                self.scratch.recycle(block);
-            }
-        }
-        bucket.revalidate();
-    }
-
-    /// Applies one bucket rewrite of a round to the media, the ledger and
-    /// the device side; the image, emptied, is kept for the next rewrites.
-    fn apply_rewrite(&mut self, bidx: u64, mut image: Bucket) {
+    /// Applies the bucket rewrites of a round to the ledger and, every
+    /// physical slot of every image a unit, to the media.
+    fn apply_rewrites<'a>(
+        &mut self,
+        images: impl Iterator<Item = (u64, &'a Bucket)> + Clone,
+        route: Route,
+    ) {
         // Ledger: every block written at its persisted position is now the
         // recoverable copy (PS variant only cares, but the data is cheap) —
         // its position as persisted already, or as the dirty entry the
         // round flushes with a primary persists it. Such a primary is the
         // newest copy of its address anywhere, bar a shadow cloned off it,
         // so nothing need look for the newest once the entry has landed.
-        for b in image.blocks() {
+        for b in images.clone().flat_map(|(_, image)| image.blocks()) {
             let a = b.addr();
-            let flushed = !b.is_backup && self.temp.get(a) == Some(b.leaf());
-            if flushed || b.leaf() == self.posmap.persisted_get(a) {
-                self.ledger.commit_if_fresh(a.0, b.header.seq, &b.payload);
+            let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
+            if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
+                (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
-        // Every slot of the bucket is a unit of the round being applied,
-        // snapshotted before the rewrite replaces it.
-        let slots = 0..image.num_slots();
-        self.device.note_slots(&self.buckets, bidx, slots.clone());
-        for s in slots.clone() {
-            self.device.push_slot(bidx, s);
+        let units = images.flat_map(|(bidx, image)| image_units(bidx, image));
+        self.shell.device.program(&mut self.buckets, units, route);
+    }
+
+    /// A bucket whose image is on media is valid in every slot again, no
+    /// reads counted; the image is emptied — its blocks' buffers and itself
+    /// are kept for the next rewrites.
+    fn settle(&mut self, bidx: u64, mut image: Bucket) {
+        for block in image.slots_mut().iter_mut().filter_map(Option::take) {
+            self.shell.scratch.recycle(block);
         }
-        if let Some(auth) = &mut self.device.auth {
-            auth.record_slots(slots.map(|s| (bidx, s, image.slot(s).map(Block::view))));
-        }
-        self.install(bidx, &mut image);
+        self.buckets.bucket_mut(bidx).revalidate();
         self.spare_images.push(image);
     }
 
-    // ── crash & recovery ────────────────────────────────────────────────
-
-    /// Immediately executes a power failure.
-    pub fn crash_now(&mut self) {
-        self.execute_crash();
-    }
-
-    fn execute_crash(&mut self) {
-        // ADR flushes committed WPQ rounds; open rounds are lost. The
-        // engine latches the crashed state and counts the crash.
-        let (data, posmap) = self.engine.crash();
-        if !(data.is_empty() && posmap.is_empty()) {
-            self.device.begin_slot_units();
-            self.device.begin_posmap_units();
-        }
-        for e in data {
-            let (bidx, bucket) = e.value;
-            self.apply_rewrite(bidx, bucket);
-        }
-        for (a, l) in posmap.into_iter().map(|e| e.value) {
-            self.device.persist_posmap(&mut self.posmap, a, l);
-        }
-        self.stash.clear();
-        self.temp.wipe();
-        self.posmap.crash();
-        // Device faults: the power failure interrupts the media programming
-        // of the last applied round (including anything the ADR flush just
-        // applied above).
-        self.device
-            .strike(&mut self.engine, &mut self.buckets, &mut self.posmap);
-    }
-
-    /// Recovers after a crash: revalidates consumed slots (the paper's
-    /// Case-2 procedure — the bytes never left the bucket), promotes the
-    /// newest PosMap-consistent copy of each address back to primary
-    /// status, and compacts superseded duplicates. Returns a
-    /// [`RecoveryReport`] with the consistency verdict and, on failure,
-    /// the violation text (also retained in [`RingOram::last_recovery`]).
-    ///
-    /// With device faults enabled on PS-Ring, recovery runs the full
-    /// detect → classify → repair → fail-safe pipeline first: a CMAC scan
-    /// wipes slots and PosMap entries that fail authentication, each
-    /// damaged committed address is restored from its newest surviving
-    /// authenticated copy, and addresses with no surviving copy are
-    /// rolled back with a typed [`RecoveryError`](crate::RecoveryError)
-    /// instead of serving corrupt data. The rungs and the audit are
-    /// [`crate::engine`]'s ladder; what is Ring's own is where a copy may
-    /// sit, the Case-2 compaction between phases 2 and 3, and the
-    /// promotion of a surviving shadow (`RingCopies`).
-    ///
-    /// Idempotent: calling `recover` on a controller that is not crashed
-    /// repeats the last verdict without touching state or counters.
-    pub fn recover(&mut self) -> RecoveryReport {
-        let mut ladder = match Ladder::enter(&mut self.engine, &self.ledger) {
-            Ok(ladder) => ladder,
-            Err(last) => return *last,
-        };
-        let mut auth = self.device.auth.take();
-        if let Some(auth) = auth.as_mut() {
-            ladder.detect(self.media(), auth);
-        }
-        self.restore_consumed(auth.as_mut());
-        let copies = self.copies();
-        let check = match auth.as_mut() {
-            Some(auth) => ladder.repair(self.media(), auth, &copies),
-            None => self.check_recoverability(),
-        };
-        self.device.auth = auth;
-        ladder.finish(&mut self.engine, check, self.ledger.committed_len())
-    }
-
-    /// The parts of the controller the recovery ladder works on.
-    fn media(&mut self) -> Media<'_, (u64, Bucket), (BlockAddr, Leaf)> {
-        let (engine, arena) = (&mut self.engine, &mut self.buckets);
-        (engine, arena, &mut self.posmap, &mut self.ledger)
-    }
+    // ── recovery ────────────────────────────────────────────────────────
 
     /// Ring's own share of recovery, the paper's Case-2 procedure (the
     /// bytes never left the bucket): promotes the newest
@@ -1157,7 +916,7 @@ impl RingOram {
     /// compacts superseded duplicates and revalidates every consumed
     /// slot. Controller-initiated slot mutations are legitimate writes, so
     /// on a hardened design their records are refreshed.
-    fn restore_consumed(&mut self, mut auth: Option<&mut AuthTags>) {
+    fn restore_consumed(buckets: &mut SlotArena, posmap: &PosMap, mut auth: Option<&mut AuthTags>) {
         // Pass 1: find, per address, the newest copy matching the persisted
         // PosMap — that is the copy recovery designates as live. Buckets
         // are scanned in index order (the store's iteration order): the
@@ -1165,10 +924,10 @@ impl RingOram {
         // seq numbers tie, and the winner of a tie must be the same on
         // every run.
         let mut best: BTreeMap<u64, (u64, u64, usize)> = BTreeMap::new();
-        for (bidx, bucket) in self.buckets.iter() {
+        for (bidx, bucket) in buckets.iter() {
             for (s, slot) in bucket.slots().enumerate() {
                 if let Some(b) = slot {
-                    if b.leaf() == self.posmap.persisted_get(b.addr()) {
+                    if b.leaf() == posmap.persisted_get(b.addr()) {
                         let e = best.entry(b.addr().0).or_insert((b.header.seq, bidx, s));
                         if b.header.seq > e.0 {
                             *e = (b.header.seq, bidx, s);
@@ -1181,15 +940,15 @@ impl RingOram {
         // revalidate everything. (Per-slot outcomes depend only on `best`,
         // but the scan stays sorted so any future side effects inherit
         // determinism.)
-        let materialised: Vec<u64> = self.buckets.indices().collect();
+        let materialised: Vec<u64> = buckets.indices().collect();
         for bidx in materialised {
-            let mut bucket = self.buckets.bucket_mut(bidx);
+            let mut bucket = buckets.bucket_mut(bidx);
             for s in 0..bucket.num_slots() {
                 let Some(b) = bucket.slot(s) else {
                     continue;
                 };
                 let (addr, is_backup) = (b.addr(), b.is_backup);
-                if b.leaf() != self.posmap.persisted_get(addr) {
+                if b.leaf() != posmap.persisted_get(addr) {
                     continue;
                 }
                 match best.get(&addr.0) {
@@ -1226,22 +985,115 @@ impl RingOram {
     ///
     /// Returns a description of the first inconsistency.
     pub fn check_recoverability(&self) -> Result<(), String> {
-        check_committed(&self.buckets, &self.posmap, &self.ledger, &self.copies())
+        check_committed(
+            &self.buckets,
+            &self.shell.posmap,
+            &self.shell.ledger,
+            &self.copies(),
+        )
+    }
+}
+
+/// Every physical slot of `image` as a unit of bucket `bidx`.
+fn image_units(bidx: u64, image: &Bucket) -> impl Iterator<Item = SlotUnit<'_>> + Clone {
+    (0..image.num_slots()).map(move |s| (bidx, s, image.slot(s).map(Block::view)))
+}
+
+impl Rounds for RingOram {
+    type Data = (u64, Bucket);
+
+    fn media(&mut self) -> Media<'_, (u64, Bucket)> {
+        (&mut self.shell, &mut self.wpq, &mut self.buckets)
     }
 
-    /// Reads back every touched address and compares with the appropriate
-    /// ledger (committed after a crash, written otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first mismatch.
-    pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
-        let touched = self.touched.iter().map(|(a, ())| a).collect();
-        let bytes = self.config.payload_bytes;
-        crate::engine::verify_contents(touched, "", |a| {
-            let expected = self.ledger.expected_value(a, after_crash, bytes);
-            (expected, self.read(BlockAddr(a)))
-        })
+    /// Its bucket rewrites, then its PosMap entries.
+    fn apply_round(&mut self, (data, posmap): &mut DrainedRound<(u64, Bucket), PosMapFlush>) {
+        self.apply_rewrites(data.iter().map(|e| (e.value.0, &e.value.1)), Route::Drained);
+        for (bidx, image) in data.drain(..).map(|e| e.value) {
+            self.settle(bidx, image);
+        }
+        let entries = posmap.drain(..).map(|e| e.value);
+        self.stats.dirty_entries_flushed += self.shell.flush(entries, Route::Drained);
+    }
+
+    fn wipe(&mut self) {
+        self.stash.clear();
+        self.shell.temp.wipe();
+    }
+}
+
+impl ProtocolPolicy for RingOram {
+    fn label(&self) -> String {
+        format!("ring/{}", self.variant)
+    }
+    fn capacity_blocks(&self) -> u64 {
+        self.config.capacity_blocks()
+    }
+    fn payload_bytes(&self) -> usize {
+        self.config.payload_bytes
+    }
+    fn crash_consistent(&self) -> bool {
+        self.variant == RingVariant::PsRing
+    }
+    fn commit_model(&self) -> CommitModel {
+        // Ring ORAM only writes buckets back every `A` accesses: a
+        // completed write may sit volatile until the next evict-path.
+        CommitModel::Deferred
+    }
+    fn shell(&self) -> &Shell {
+        &self.shell
+    }
+    fn shell_mut(&mut self) -> &mut Shell {
+        &mut self.shell
+    }
+
+    fn access(&mut self, addr: u64, data: Option<&[u8]>, arrival: u64) -> Access {
+        RingOram::access(self, BlockAddr(addr), data, arrival)
+    }
+
+    fn crash_now(&mut self) {
+        power_fail(self);
+    }
+
+    /// What is Ring's own is where a committed copy may sit, the Case-2
+    /// compaction between phases 2 and 3 (consumed slots revalidated — the
+    /// bytes never left the bucket — the newest PosMap-consistent copy of
+    /// each address promoted back to primary, superseded duplicates
+    /// dropped) and the promotion of a surviving shadow (`RingCopies`).
+    fn recover(&mut self) -> RecoveryReport {
+        let copies = self.copies();
+        (self.shell).recover(&mut self.buckets, &copies, Self::restore_consumed)
+    }
+
+    /// The digest covers the materialized buckets (content, valid bits,
+    /// counts), the persisted PosMap and the committed ledger.
+    fn state_digest(&self) -> u128 {
+        self.shell.state_digest(&self.buckets, true)
+    }
+
+    /// PS-Ring is the hardened variant; records cover every physical slot.
+    fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
+        arm(self, seed, cfg, self.variant == RingVariant::PsRing);
+    }
+
+    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
+        let bytes = self.config.num_buckets()
+            * self.config.bucket_physical_slots() as u64
+            * self.config.block_bytes as u64;
+        self.shell.arm_wear(seed, bytes, cfg);
+    }
+
+    fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
+        self.wpq.wpq_stats()
+    }
+
+    fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap) {
+        set_tap(self, tap);
+    }
+
+    fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
+        let wpq = self.wpq.wpq_stats();
+        (self.shell).publish_metrics(prefix, reg, &self.stats(), wpq);
     }
 }
 
@@ -1353,39 +1205,39 @@ mod tests {
                 image.set_slot(s, stored.map(|b| b.to_block()));
             }
         }
-        oram.seq_counter += 1;
+        oram.shell.seq_counter += 1;
         let mut block = Block::new(addr, leaf, value.clone());
-        block.header.seq = oram.seq_counter;
+        block.header.seq = oram.shell.seq_counter;
         image
             .insert(block)
             .expect("a dummy slot in the leaf bucket");
         // Its dirty entry sits in the temporary PosMap until a flush
         // retires it.
-        oram.temp.insert(addr, leaf).unwrap();
-        oram.device.seal_temp(&oram.temp);
-        oram.engine.begin_round().unwrap();
+        oram.shell.temp.insert(addr, leaf).unwrap();
+        oram.shell.device.seal_temp(&oram.shell.temp);
+        oram.wpq.begin_round(&oram.shell.ctl).unwrap();
         let rewrite = WpqEntry {
             addr: oram.slot_nvm_addr(bidx, 0),
             value: (bidx, image),
         };
-        oram.engine.push_data(rewrite).unwrap();
+        oram.wpq.push_data(rewrite).unwrap();
         let entry = WpqEntry {
             addr: addr.0 * 8,
             value: (addr, leaf),
         };
-        oram.engine.push_posmap(entry).unwrap();
-        oram.engine.commit_round().unwrap();
+        oram.wpq.push_posmap(entry).unwrap();
+        oram.wpq.commit_round(&mut oram.shell.ctl).unwrap();
 
         oram.crash_now();
         // The root anchored in the persistence domain covers what the ADR
         // flush just programmed.
-        let root = oram.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(oram.engine.persisted_root(), root);
+        let root = oram.shell.device.auth.as_ref().map(|auth| auth.root());
+        assert_eq!(oram.shell.ctl.persisted_root(), root);
         let report = oram.recover();
         assert!(report.consistent, "{:?}", report.violation);
         assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
         assert_eq!((report.repairs, report.replays_detected), (0, 0));
-        assert_eq!(oram.ledger.committed_value(addr.0), Some(&value));
+        assert_eq!(oram.shell.ledger.committed_value(addr.0), Some(&value));
         assert_eq!(oram.read(addr).unwrap(), value);
     }
 
@@ -1404,8 +1256,15 @@ mod tests {
             for variant in [RingVariant::Baseline, RingVariant::PsRing] {
                 let mut oram = RingOram::new(RingConfig::small_test(), variant, 9);
                 oram.enable_device_faults(9, mix);
-                assert_eq!(oram.device.replays(), snapshots, "{variant:?} {mix:?}");
-                assert_eq!(oram.device.auth.is_some(), variant == RingVariant::PsRing);
+                assert_eq!(
+                    oram.shell.device.replays(),
+                    snapshots,
+                    "{variant:?} {mix:?}"
+                );
+                assert_eq!(
+                    oram.shell.device.auth.is_some(),
+                    variant == RingVariant::PsRing
+                );
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Integration tests for the ORAM controller across all protocol variants.
 
-use psoram_core::{BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolVariant};
+use psoram_core::{
+    BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
+};
 use psoram_nvm::NvmConfig;
 
 fn payload(tag: u64) -> Vec<u8> {

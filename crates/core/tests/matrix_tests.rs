@@ -2,7 +2,7 @@
 //! integrity × top-of-tree cache must stay functionally correct, bounded,
 //! and (where claimed) crash-consistent.
 
-use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram_nvm::NvmConfig;
 
 fn payload(i: u64) -> Vec<u8> {

@@ -117,7 +117,7 @@ fn chrome_trace_matches_golden() {
     let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
     oram.set_payload_encryption(false);
     let rec = Arc::new(RingBufferRecorder::new(DEFAULT_RING_CAPACITY));
-    oram.attach_obsv_recorder(rec.clone());
+    oram.attach_recorder(rec.clone());
     for i in 0..6u64 {
         oram.write(BlockAddr(i), payload(i)).unwrap();
     }

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use psoram_core::{
     plan_eviction, Block, BlockAddr, CrashPoint, Leaf, OramConfig, OramTree, PathOram,
-    ProtocolVariant,
+    ProtocolPolicy, ProtocolVariant,
 };
 
 fn payload(tag: u8) -> Vec<u8> {

@@ -14,6 +14,7 @@
 
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
 use psoram_core::BlockAddr;
+use psoram_core::ProtocolPolicy;
 
 const WINDOW: u64 = 10_000;
 

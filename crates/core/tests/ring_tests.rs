@@ -5,7 +5,7 @@
 //! statistics claims.
 
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
 fn payload(i: u64) -> Vec<u8> {
     vec![(i % 251) as u8; 8]

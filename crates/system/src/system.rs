@@ -1,7 +1,7 @@
 //! The trace-driven full-system simulator.
 
 use psoram_cache::{Hierarchy, MemOp};
-use psoram_core::{BlockAddr, CrashPoint, Op, OramError, PathOram};
+use psoram_core::{BlockAddr, CrashPoint, Op, OramError, PathOram, ProtocolPolicy};
 use psoram_nvm::{AccessKind, NvmController, CORE_CYCLES_PER_MEM_CYCLE};
 use psoram_obsv::Tap;
 use psoram_trace::{SpecWorkload, TraceGenerator, TraceRecord, WorkloadSpec};

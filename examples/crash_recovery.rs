@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example crash_recovery`
 
-use psoram::core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolVariant};
+use psoram::core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
 fn payload(i: u64) -> Vec<u8> {
     vec![(i * 37 % 251) as u8; 8]

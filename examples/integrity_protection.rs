@@ -8,7 +8,9 @@
 //!
 //! Run with: `cargo run --example integrity_protection`
 
-use psoram::core::{BlockAddr, Leaf, OramConfig, OramError, PathOram, ProtocolVariant};
+use psoram::core::{
+    BlockAddr, Leaf, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 2026);

@@ -2,7 +2,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use psoram::core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolVariant};
+use psoram::core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A PS-ORAM controller over a simulated PCM main memory. The config

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example ring_oram`
 
 use psoram::core::ring::{RingConfig, RingOram, RingVariant};
-use psoram::core::{BlockAddr, CrashPoint};
+use psoram::core::{BlockAddr, CrashPoint, ProtocolPolicy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = RingConfig::small_test();

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example secure_kv`
 
-use psoram::core::{BlockAddr, OramConfig, OramError, PathOram, ProtocolVariant};
+use psoram::core::{BlockAddr, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant};
 
 /// A fixed-size record store: `u32` keys to `u64` values, oblivious and
 /// crash-consistent.

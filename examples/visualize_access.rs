@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example visualize_access`
 
-use psoram::core::{BlockAddr, Leaf, OramConfig, PathOram, ProtocolVariant};
+use psoram::core::{BlockAddr, Leaf, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
 /// Renders the small ORAM tree as ASCII, marking the buckets of `path`.
 fn render_tree(oram: &PathOram, path_leaf: Option<Leaf>) {

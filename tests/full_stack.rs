@@ -1,6 +1,7 @@
 //! Cross-crate integration: the full system stack reproduces the paper's
 //! qualitative results (figure shapes) at test scale.
 
+use psoram::core::ProtocolPolicy;
 use psoram::core::ProtocolVariant;
 use psoram::system::{System, SystemConfig};
 use psoram::trace::SpecWorkload;

@@ -1,7 +1,7 @@
 //! End-to-end checks of the paper's headline numeric claims that our
 //! models reproduce exactly (Table 2) or structurally (security §4.6).
 
-use psoram::core::{BlockAddr, OramConfig, PathOram, ProtocolVariant};
+use psoram::core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram::energy::DrainCostModel;
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One device side, one recovery ladder with one audit, one per-slot
-# freshness table, one way to move a path through a controller — held
-# mechanically.
+# freshness table, one way to move a path through a controller, one
+# controller shell — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -75,4 +75,36 @@ if [ -n "$plumbing" ]; then
     echo "$plumbing" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs)"
+# One controller shell. The surface both controllers expose over the state
+# they share is `ProtocolPolicy`'s provided methods over `engine::Shell`:
+# the two macros that stamped it into each controller and forwarded it into
+# the trait stay gone.
+if grep -rnE 'impl_crash_controls|forward_to_controller' --include='*.rs' crates; then
+    echo "error: a surface-stamping macro is back" >&2
+    exit 1
+fi
+# A round reaches the media one way — `DeviceSide::program` for its slot
+# units, `DeviceSide::flush` for its PosMap entries (snapshot → list →
+# record → write; snapshot → persist → record → list → retire → reseal →
+# anchor) — and a power failure one way, `engine::power_fail`. A
+# controller that names a step of either sequence outside its tests has
+# grown its own copy of the order.
+STEPS='persist_posmap\(|anchor_root\(|begin_slot_units\(|begin_posmap_units\(|open_round\(|record_slots\(|\.strike\('
+# Recovery is one call, `Shell::recover`: a controller names no rung.
+RUNGS='Ladder::enter|\.detect\(|\.repair\(|\.finish\('
+for controller in controller ring; do
+    stray=$(sed '/^#\[cfg(test)\]/,$d' "crates/core/src/$controller.rs" \
+        | grep -nE "$STEPS|$RUNGS" || true)
+    if [ -n "$stray" ]; then
+        echo "error: $controller.rs hand-sequences a round, a power failure or the ladder:" >&2
+        echo "$stray" >&2
+        exit 1
+    fi
+done
+# What is not typed by a protocol's queues is not generic: the device side
+# and the ladder work on `EngineControl`, whatever the persist units are.
+if grep -nE '<D, P>' crates/core/src/engine/device.rs crates/core/src/engine/recover.rs; then
+    echo "error: the device side or the ladder is generic over the persist units again" >&2
+    exit 1
+fi
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry)"

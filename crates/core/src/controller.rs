@@ -14,8 +14,8 @@ use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
-    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Media, PathFrame,
-    PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Route, Shell,
+    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media, PathFrame,
+    PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::integrity::{bucket_digest, IntegrityTree};
@@ -581,7 +581,7 @@ impl PathOram {
                 // Written back to untrusted NVM on every access: durable
                 // now, and the media programming a crash interrupts.
                 self.shell
-                    .flush(std::iter::once((addr, new_leaf)), Route::Direct);
+                    .flush(std::iter::once((addr, new_leaf)), Listing::Start);
                 self.stats.posmap_entry_writes += 1;
             }
             ProtocolVariant::RcrPsOram => {
@@ -922,7 +922,7 @@ impl PathOram {
         let cells = frame.cells[..written].iter().zip(&frame.out[..written]);
         let reals = (cells.clone())
             .filter_map(|(c, out)| Some((c.bucket, c.slot, Some(out.as_ref()?.view()))));
-        (self.shell.device).program(self.tree.arena_mut(), reals, Route::Direct);
+        (self.shell.device).program(self.tree.arena_mut(), reals, Listing::Start);
         for (c, _) in cells.filter(|(_, out)| out.is_none()) {
             self.tree.write_slot_from(c.bucket, c.slot, None);
         }
@@ -1032,7 +1032,7 @@ impl PathOram {
                 let FrameCell { bucket, slot, .. } = frame.cells[pos];
                 (bucket, slot, None)
             });
-            (self.shell.device).program(self.tree.arena_mut(), rewritten, Route::Trailing);
+            (self.shell.device).program(self.tree.arena_mut(), rewritten, Listing::Apart);
             self.stats.eviction_batches += 1;
         }
         self.shell.scratch.dummies = dummies;
@@ -1224,7 +1224,7 @@ impl Rounds for PathOram {
         // caller's timing; a power failure's flush times nothing.)
         (self.shell.scratch.entry_addrs).extend(posmap.iter().map(|e| e.addr));
         let entries = posmap.drain(..).map(|e| e.value);
-        let flushed = self.shell.flush(entries, Route::Drained);
+        let flushed = self.shell.flush(entries, Listing::Join);
         self.stats.dirty_entries_flushed += flushed;
         self.stats.posmap_entry_writes += flushed;
         // The full-path rewrite covers dummy slots too: the data entries
@@ -1249,7 +1249,7 @@ impl Rounds for PathOram {
             let w = &e.value;
             (w.bucket, w.slot, Some(w.block.view()))
         });
-        (self.shell.device).program(self.tree.arena_mut(), units, Route::Drained);
+        (self.shell.device).program(self.tree.arena_mut(), units, Listing::Join);
         for e in data.drain(..) {
             self.shell.scratch.recycle(e.value.block);
         }

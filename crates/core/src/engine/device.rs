@@ -29,20 +29,20 @@ use crate::types::{BlockAddr, Leaf, OramError};
 /// Cycles one re-issued media read costs; retry `k` backs off `<< k`.
 const REISSUE_CYCLES: u64 = 400;
 
-/// How a set of slot units reaches the media — which decides whether a
-/// power failure can land on them.
+/// Whether the units of a call join the list of the round a power
+/// failure can land on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Route {
-    /// Units of the queue round just drained: they join its list (the
-    /// drain opened it).
-    Drained,
+pub(crate) enum Listing {
+    /// They join the open list: that of the round the last drain opened,
+    /// or of the direct write-back a [`Listing::Start`] began.
+    Join,
     /// A write-back that bypasses the queues (the designs without a
-    /// persistence domain): a round of its own, whose list starts here.
-    Direct,
+    /// persistence domain) is a round of its own: they start its list.
+    Start,
     /// Dummy slots rewritten behind a committed round: snapshotted and
     /// recorded like any overwrite, but no unit of the round — they carry
     /// nothing a torn flush could lose.
-    Trailing,
+    Apart,
 }
 
 /// A PosMap entry on its way to the persisted map: `addr → leaf`.
@@ -134,7 +134,7 @@ impl DeviceSide {
     /// content is `None` — into the arena, in the order the adversary and
     /// the defence depend on: every unit is snapshotted *before* it is
     /// overwritten (the coherent stale `(content, record)` pair a replay
-    /// re-serves; only under a plan that can replay) and listed as `route`
+    /// re-serves; only under a plan that can replay) and listed as `listing`
     /// says, then the records are made side by side (hardened designs; the
     /// units of a call are distinct, so every snapshot saw what a
     /// unit-by-unit pass would have shown it), then the arena is written.
@@ -142,9 +142,9 @@ impl DeviceSide {
         &mut self,
         arena: &mut SlotArena,
         units: impl Iterator<Item = SlotUnit<'a>> + Clone,
-        route: Route,
+        listing: Listing,
     ) {
-        if route == Route::Direct {
+        if listing == Listing::Start {
             self.round_slots.clear();
         }
         if self.armed {
@@ -154,7 +154,7 @@ impl DeviceSide {
                     let record = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
                     history.note_slot(bucket, slot, (content, record));
                 }
-                if route != Route::Trailing {
+                if listing != Listing::Apart {
                     self.round_slots.push((bucket, slot));
                 }
             }
@@ -162,14 +162,8 @@ impl DeviceSide {
         if let Some(auth) = &mut self.auth {
             auth.record_slots(units.clone());
         }
-        // Units come in runs of a bucket: its page is found once a run.
-        let mut units = units.peekable();
-        while let Some((bucket, slot, content)) = units.next() {
-            let mut open = arena.bucket_mut(bucket);
-            open.set(slot, content);
-            while let Some((_, slot, content)) = units.next_if(|unit| unit.0 == bucket) {
-                open.set(slot, content);
-            }
+        for (bucket, slot, content) in units {
+            arena.write(bucket, slot, content);
         }
     }
 
@@ -193,7 +187,7 @@ impl DeviceSide {
     /// Flushes `entries` — `addr → leaf` — into the persisted PosMap, in
     /// the order the adversary and the defence depend on: the entry each
     /// replaces is snapshotted first, the new one persisted, recorded
-    /// (hardened designs) and listed as `route` says, and its temporary
+    /// (hardened designs) and listed as `listing` says, and its temporary
     /// entry retired; then, if anything was flushed, the temporary PosMap
     /// is resealed, and the counter-tree root is anchored over the records
     /// as they now stand. Returns the number of entries flushed.
@@ -202,9 +196,9 @@ impl DeviceSide {
         ctl: &mut EngineControl,
         (posmap, temp): (&mut PosMap, &mut TempPosMap),
         entries: impl Iterator<Item = PosMapFlush>,
-        route: Route,
+        listing: Listing,
     ) -> u64 {
-        if route == Route::Direct {
+        if listing == Listing::Start {
             self.round_posmap.clear();
         }
         let mut flushed = 0;
@@ -217,7 +211,7 @@ impl DeviceSide {
             if let Some(auth) = &mut self.auth {
                 auth.record_posmap(addr.0, leaf.0);
             }
-            if self.armed && route != Route::Trailing {
+            if self.armed && listing != Listing::Apart {
                 self.round_posmap.push(addr);
             }
             temp.remove(addr);
@@ -556,11 +550,11 @@ mod tests {
         let (old0, old1) = (block(0, 2, 1, 0x11), block(1, 3, 2, 0x22));
         device.open_round(4);
         let units = [(2, 0, Some(old0.view())), (3, 1, Some(old1.view()))];
-        device.program(&mut arena, units.into_iter(), Route::Drained);
+        device.program(&mut arena, units.into_iter(), Listing::Join);
         let entries = [(a0, Leaf(2)), (a1, Leaf(3))];
         let maps = (&mut posmap, &mut temp);
         assert_eq!(
-            device.flush(&mut ctl, maps, entries.into_iter(), Route::Drained),
+            device.flush(&mut ctl, maps, entries.into_iter(), Listing::Join),
             2
         );
         let auth = device.auth.as_ref().expect("hardened");
@@ -580,10 +574,10 @@ mod tests {
         let new0 = block(0, 5, 3, 0x33);
         device.open_round(2);
         let units = [(2, 0, Some(new0.view()))];
-        device.program(&mut arena, units.into_iter(), Route::Drained);
-        device.program(&mut arena, [(3, 1, None)].into_iter(), Route::Trailing);
+        device.program(&mut arena, units.into_iter(), Listing::Join);
+        device.program(&mut arena, [(3, 1, None)].into_iter(), Listing::Apart);
         let maps = (&mut posmap, &mut temp);
-        device.flush(&mut ctl, maps, [(a0, Leaf(5))].into_iter(), Route::Drained);
+        device.flush(&mut ctl, maps, [(a0, Leaf(5))].into_iter(), Listing::Join);
 
         // The snapshot store holds what each unit was *before* the write.
         let history = device.history.as_ref().expect("a plan that replays");
@@ -622,7 +616,7 @@ mod tests {
         device.program(
             &mut arena,
             [(4, 0, Some(new0.view()))].into_iter(),
-            Route::Direct,
+            Listing::Start,
         );
         assert_eq!(
             (&device.round_slots[..], &device.round_posmap[..]),

@@ -14,8 +14,8 @@ use psoram_obsv::{Event, MetricsRegistry, MetricsSource, Phase, Tap};
 use psoram_crypto::Hash128;
 
 use super::{
-    AccessScratch, CommitLedger, DeviceSide, DrainedRound, EngineControl, PersistEngine,
-    PosMapFlush, Route,
+    AccessScratch, CommitLedger, DeviceSide, DrainedRound, EngineControl, Listing, PersistEngine,
+    PosMapFlush,
 };
 use crate::arena::SlotArena;
 use crate::crash::CrashPoint;
@@ -140,10 +140,10 @@ impl Shell {
     pub(crate) fn flush(
         &mut self,
         entries: impl Iterator<Item = PosMapFlush>,
-        route: Route,
+        listing: Listing,
     ) -> u64 {
         let maps = (&mut self.posmap, &mut self.temp);
-        self.device.flush(&mut self.ctl, maps, entries, route)
+        self.device.flush(&mut self.ctl, maps, entries, listing)
     }
 
     /// Arms the wear engine over an NVM region of `bytes` bytes and, with

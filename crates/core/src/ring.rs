@@ -38,8 +38,8 @@ use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
-    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Media, PersistEngine,
-    PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Route, Shell,
+    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media,
+    PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
 };
 use crate::posmap::PosMap;
 use crate::tree::{heap_path, BucketIndex};
@@ -828,7 +828,7 @@ impl RingOram {
             RingVariant::Baseline => {
                 self.apply_rewrites(
                     rw.images.iter().map(|(b, image)| (*b, image)),
-                    Route::Direct,
+                    Listing::Start,
                 );
                 for (bidx, image) in rw.images.drain(..) {
                     self.settle(bidx, image);
@@ -877,24 +877,32 @@ impl RingOram {
     /// physical slot of every image a unit, to the media.
     fn apply_rewrites<'a>(
         &mut self,
-        images: impl Iterator<Item = (u64, &'a Bucket)> + Clone,
-        route: Route,
+        images: impl Iterator<Item = (u64, &'a Bucket)>,
+        mut listing: Listing,
     ) {
-        // Ledger: every block written at its persisted position is now the
-        // recoverable copy (PS variant only cares, but the data is cheap) —
-        // its position as persisted already, or as the dirty entry the
-        // round flushes with a primary persists it. Such a primary is the
-        // newest copy of its address anywhere, bar a shadow cloned off it,
-        // so nothing need look for the newest once the entry has landed.
-        for b in images.clone().flat_map(|(_, image)| image.blocks()) {
-            let a = b.addr();
-            let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
-            if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
-                (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
+        for (bidx, image) in images {
+            // Ledger: every block written at its persisted position is now
+            // the recoverable copy (PS variant only cares, but the data is
+            // cheap) — its position as persisted already, or as the dirty
+            // entry the round flushes with a primary persists it. Such a
+            // primary is the newest copy of its address anywhere, bar a
+            // shadow cloned off it, so nothing need look for the newest
+            // once the entry has landed.
+            for b in image.blocks() {
+                let a = b.addr();
+                let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
+                if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
+                    (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
+                }
+            }
+            let units = image_units(bidx, image);
+            self.shell.device.program(&mut self.buckets, units, listing);
+            // A direct write-back's later buckets join the list its first
+            // one started.
+            if listing == Listing::Start {
+                listing = Listing::Join;
             }
         }
-        let units = images.flat_map(|(bidx, image)| image_units(bidx, image));
-        self.shell.device.program(&mut self.buckets, units, route);
     }
 
     /// A bucket whose image is on media is valid in every slot again, no
@@ -1008,12 +1016,12 @@ impl Rounds for RingOram {
 
     /// Its bucket rewrites, then its PosMap entries.
     fn apply_round(&mut self, (data, posmap): &mut DrainedRound<(u64, Bucket), PosMapFlush>) {
-        self.apply_rewrites(data.iter().map(|e| (e.value.0, &e.value.1)), Route::Drained);
+        self.apply_rewrites(data.iter().map(|e| (e.value.0, &e.value.1)), Listing::Join);
         for (bidx, image) in data.drain(..).map(|e| e.value) {
             self.settle(bidx, image);
         }
         let entries = posmap.drain(..).map(|e| e.value);
-        self.stats.dirty_entries_flushed += self.shell.flush(entries, Route::Drained);
+        self.stats.dirty_entries_flushed += self.shell.flush(entries, Listing::Join);
     }
 
     fn wipe(&mut self) {

@@ -162,8 +162,14 @@ impl DeviceSide {
         if let Some(auth) = &mut self.auth {
             auth.record_slots(units.clone());
         }
-        for (bucket, slot, content) in units {
-            arena.write(bucket, slot, content);
+        // Units come in runs of a bucket: its page is found once a run.
+        let mut units = units.peekable();
+        while let Some((bucket, slot, content)) = units.next() {
+            let mut open = arena.bucket_mut(bucket);
+            open.set(slot, content);
+            while let Some((_, slot, content)) = units.next_if(|unit| unit.0 == bucket) {
+                open.set(slot, content);
+            }
         }
     }
 

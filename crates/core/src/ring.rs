@@ -826,12 +826,12 @@ impl RingOram {
 
         match self.variant {
             RingVariant::Baseline => {
-                self.apply_rewrites(
-                    rw.images.iter().map(|(b, image)| (*b, image)),
-                    Listing::Start,
-                );
+                // A direct write-back is a round of its own: its first
+                // bucket starts the list the later ones join.
+                let mut listing = Listing::Start;
                 for (bidx, image) in rw.images.drain(..) {
-                    self.settle(bidx, image);
+                    self.apply_rewrite(bidx, image, listing);
+                    listing = Listing::Join;
                 }
             }
             RingVariant::PsRing => {
@@ -873,36 +873,26 @@ impl RingOram {
         Ok(to_core(done))
     }
 
-    /// Applies the bucket rewrites of a round to the ledger and, every
-    /// physical slot of every image a unit, to the media.
-    fn apply_rewrites<'a>(
-        &mut self,
-        images: impl Iterator<Item = (u64, &'a Bucket)>,
-        mut listing: Listing,
-    ) {
-        for (bidx, image) in images {
-            // Ledger: every block written at its persisted position is now
-            // the recoverable copy (PS variant only cares, but the data is
-            // cheap) — its position as persisted already, or as the dirty
-            // entry the round flushes with a primary persists it. Such a
-            // primary is the newest copy of its address anywhere, bar a
-            // shadow cloned off it, so nothing need look for the newest
-            // once the entry has landed.
-            for b in image.blocks() {
-                let a = b.addr();
-                let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
-                if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
-                    (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
-                }
-            }
-            let units = image_units(bidx, image);
-            self.shell.device.program(&mut self.buckets, units, listing);
-            // A direct write-back's later buckets join the list its first
-            // one started.
-            if listing == Listing::Start {
-                listing = Listing::Join;
+    /// Applies one bucket rewrite of a round to the ledger and, every
+    /// physical slot of the image a unit, to the media; the image,
+    /// emptied, is kept for the next rewrites.
+    fn apply_rewrite(&mut self, bidx: u64, image: Bucket, listing: Listing) {
+        // Ledger: every block written at its persisted position is now the
+        // recoverable copy (PS variant only cares, but the data is cheap) —
+        // its position as persisted already, or as the dirty entry the
+        // round flushes with a primary persists it. Such a primary is the
+        // newest copy of its address anywhere, bar a shadow cloned off it,
+        // so nothing need look for the newest once the entry has landed.
+        for b in image.blocks() {
+            let a = b.addr();
+            let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
+            if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
+                (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
+        let units = image_units(bidx, &image);
+        self.shell.device.program(&mut self.buckets, units, listing);
+        self.settle(bidx, image);
     }
 
     /// A bucket whose image is on media is valid in every slot again, no
@@ -1016,9 +1006,8 @@ impl Rounds for RingOram {
 
     /// Its bucket rewrites, then its PosMap entries.
     fn apply_round(&mut self, (data, posmap): &mut DrainedRound<(u64, Bucket), PosMapFlush>) {
-        self.apply_rewrites(data.iter().map(|e| (e.value.0, &e.value.1)), Listing::Join);
         for (bidx, image) in data.drain(..).map(|e| e.value) {
-            self.settle(bidx, image);
+            self.apply_rewrite(bidx, image, Listing::Join);
         }
         let entries = posmap.drain(..).map(|e| e.value);
         self.stats.dirty_entries_flushed += self.shell.flush(entries, Listing::Join);

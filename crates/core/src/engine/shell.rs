@@ -302,7 +302,10 @@ pub(crate) fn crash_at<C: Rounds>(c: &mut C, point: CrashPoint) -> Result<(), Or
 /// of the last applied round (including anything the flush just applied):
 /// torn flushes, lost signals, bit rot, replays and splices land on those
 /// units now, behind the controller's back. Returns how many (data,
-/// PosMap) entries the flush carried.
+/// PosMap) entries the flush carried. (Kept out of line: every crash point
+/// of an access reaches it, and none of them is the access's hot path.)
+#[cold]
+#[inline(never)]
 pub(crate) fn power_fail<C: Rounds>(c: &mut C) -> (usize, usize) {
     let (shell, wpq, _) = c.media();
     let mut round = wpq.crash(&mut shell.ctl);

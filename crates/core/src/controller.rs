@@ -524,7 +524,7 @@ impl PathOram {
         // ── Step ⑤ Eviction ────────────────────────────────────────────
         self.pending_integrity_path = Some(old_leaf);
         let eviction_complete = self.step5_evict(old_leaf, t)?;
-        self.shell.obsv.emit(|| Event::Phase {
+        self.shell.ctl.tap.emit(|| Event::Phase {
             phase: Phase::Eviction,
             start: value_ready,
             end: eviction_complete,
@@ -931,7 +931,7 @@ impl PathOram {
         }
         if crash_at.is_some() {
             self.shell.ctl.disarm_crash();
-            self.execute_crash();
+            self.crash_now();
             return Err(OramError::Crashed);
         }
         let frontend_done = self.frontend_process(frame.cells.len() as u64, t);
@@ -988,7 +988,7 @@ impl PathOram {
                     .collect();
                 self.wpq.stage_abandoned_round(entries);
                 self.shell.ctl.disarm_crash();
-                self.execute_crash();
+                self.crash_now();
                 self.shell.scratch.dummies = dummies;
                 return Err(OramError::Crashed);
             }
@@ -1021,7 +1021,7 @@ impl PathOram {
                 }
             }
             t += pushed; // one cycle per WPQ push
-            self.shell.obsv.set_now(t);
+            self.shell.ctl.tap.set_now(t);
 
             // 5-C: end signal — the atomic commit point — then flush.
             commit_and_apply(self)?;
@@ -1134,14 +1134,11 @@ impl PathOram {
     /// Immediately executes a power failure (also what an armed
     /// [`ProtocolPolicy::inject_crash`] plan runs).
     pub fn crash_now(&mut self) -> CrashReport {
-        self.execute_crash()
-    }
-
-    fn execute_crash(&mut self) -> CrashReport {
         let stash_durable = self.variant.stash_durable();
-        let (stash_blocks_lost, temp_entries_lost) = match stash_durable {
-            true => (0, 0),
-            false => (self.stash.len(), self.shell.temp.len()),
+        let (stash_blocks_lost, temp_entries_lost) = if stash_durable {
+            (0, 0)
+        } else {
+            (self.stash.len(), self.shell.temp.len())
         };
         let (wpq_data_flushed, wpq_posmap_flushed) = power_fail(self);
         CrashReport {
@@ -1320,7 +1317,7 @@ impl ProtocolPolicy for PathOram {
     }
 
     fn crash_now(&mut self) {
-        self.execute_crash();
+        PathOram::crash_now(self);
     }
 
     /// What is Path's own is where a committed copy may sit and its

@@ -193,8 +193,8 @@ impl DeviceSide {
     /// Flushes `entries` — `addr → leaf` — into the persisted PosMap, in
     /// the order the adversary and the defence depend on: the entry each
     /// replaces is snapshotted first, the new one persisted, recorded
-    /// (hardened designs) and listed as `listing` says, and its temporary
-    /// entry retired; then, if anything was flushed, the temporary PosMap
+    /// (hardened designs) and listed (a [`Listing::Start`] begins the list
+    /// of a direct write-back with them), and its temporary entry retired; then, if anything was flushed, the temporary PosMap
     /// is resealed, and the counter-tree root is anchored over the records
     /// as they now stand. Returns the number of entries flushed.
     pub fn flush(
@@ -217,7 +217,7 @@ impl DeviceSide {
             if let Some(auth) = &mut self.auth {
                 auth.record_posmap(addr.0, leaf.0);
             }
-            if self.armed && listing != Listing::Apart {
+            if self.armed {
                 self.round_posmap.push(addr);
             }
             temp.remove(addr);

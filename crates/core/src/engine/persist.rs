@@ -310,8 +310,8 @@ pub struct EngineControl {
     crashed: bool,
     last_recovery: Option<RecoveryReport>,
     stats: EngineStats,
-    /// A clone of the controller's tap, so round markers, the device
-    /// guards and the recovery events share its clock.
+    /// The controller's tap: its access and phase events, the round
+    /// markers, the device guards and the recovery events share its clock.
     pub(crate) tap: Tap,
     /// Seeded device-fault adversary, when the backend is made injectable.
     device: Option<FaultPlan>,

@@ -43,9 +43,6 @@ pub struct Shell {
     pub(crate) clock: u64,
     /// Monotonic per-block freshness source (`BlockHeader::seq`).
     pub(crate) seq_counter: u64,
-    /// Observability tap: phase/round/WPQ/NVM events, shared with the
-    /// engine and the NVM.
-    pub(crate) obsv: Tap,
     /// Reused per-access state (the path frame, the planner's tables, the
     /// payload free list): the steady-state access loop performs no heap
     /// allocation for these.
@@ -71,7 +68,6 @@ impl Shell {
             touched: PagedTable::default(),
             clock: 0,
             seq_counter: 0,
-            obsv: Tap::detached(),
             scratch: AccessScratch::default(),
         }
     }
@@ -105,8 +101,8 @@ impl Shell {
             });
         }
         self.touched.insert(addr.0, ());
-        self.obsv.set_now(arrival);
-        self.obsv.emit(|| Event::AccessStart {
+        self.ctl.tap.set_now(arrival);
+        self.ctl.tap.emit(|| Event::AccessStart {
             index,
             cycle: arrival,
         });
@@ -116,15 +112,15 @@ impl Shell {
     /// Closes a phase of an access: publishes `end` as the tap's clock and
     /// records the span.
     pub(crate) fn phase(&self, phase: Phase, start: u64, end: u64) {
-        self.obsv.set_now(end);
-        self.obsv.emit(|| Event::Phase { phase, start, end });
+        self.ctl.tap.set_now(end);
+        self.ctl.tap.emit(|| Event::Phase { phase, start, end });
     }
 
     /// The value of access `index` is ready at `ready`: closes the
     /// stash-update phase begun at `start`, and the access.
     pub(crate) fn end_access(&self, index: u64, start: u64, ready: u64) {
         self.phase(Phase::UpdateStash, start, ready);
-        self.obsv.emit(|| Event::AccessEnd {
+        self.ctl.tap.emit(|| Event::AccessEnd {
             index,
             cycle: ready,
         });
@@ -246,18 +242,9 @@ pub(crate) type Media<'a, D> = (
     &'a mut SlotArena,
 );
 
-/// Drains the round that just committed and applies it. One that carries
-/// anything becomes the round a power failure would interrupt.
-fn apply_drained<C: Rounds>(c: &mut C) {
-    let (shell, wpq, _) = c.media();
-    let mut round = wpq.drain(&mut shell.ctl);
-    shell.device.open_round(round.0.len() + round.1.len());
-    c.apply_round(&mut round);
-    c.media().1.keep(round);
-}
-
 /// Sends the drainer *end* signal — the atomic commit point of the open
-/// round — then drains the round and applies it.
+/// round — then drains the round and applies it. One that carries anything
+/// becomes the round a power failure would interrupt.
 ///
 /// # Errors
 ///
@@ -265,7 +252,10 @@ fn apply_drained<C: Rounds>(c: &mut C) {
 pub(crate) fn commit_and_apply<C: Rounds>(c: &mut C) -> Result<(), OramError> {
     let (shell, wpq, _) = c.media();
     wpq.commit_round(&mut shell.ctl)?;
-    apply_drained(c);
+    let mut round = wpq.drain(&mut shell.ctl);
+    shell.device.open_round(round.0.len() + round.1.len());
+    c.apply_round(&mut round);
+    c.media().1.keep(round);
     Ok(())
 }
 
@@ -337,7 +327,6 @@ pub(crate) fn arm<C: Rounds>(c: &mut C, seed: u64, cfg: FaultConfig, hardened: b
 pub(crate) fn set_tap<C: Rounds>(c: &mut C, tap: Tap) {
     let (shell, wpq, _) = c.media();
     wpq.set_tap(tap.clone());
-    shell.ctl.tap = tap.clone();
     shell.nvm.set_tap(tap.clone());
-    shell.obsv = tap;
+    shell.ctl.tap = tap;
 }

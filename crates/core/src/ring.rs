@@ -807,7 +807,7 @@ impl RingOram {
             return Err(OramError::Crashed);
         }
         self.rewrites_this_access += 1;
-        self.shell.obsv.set_now(t);
+        self.shell.ctl.tap.set_now(t);
 
         // The frame now lists what this round writes: every physical slot
         // of the rewritten buckets, which come in ascending order.

@@ -13,9 +13,9 @@ use psoram_obsv::{Event, Phase};
 use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
-    arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
-    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media, PathFrame,
-    PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
+    arm, check_committed, commit_and_apply, crash_at, lone, power_fail, set_tap, stall, to_core,
+    to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media,
+    PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::integrity::{bucket_digest, IntegrityTree};
@@ -922,7 +922,7 @@ impl PathOram {
         let cells = frame.cells[..written].iter().zip(&frame.out[..written]);
         let reals = (cells.clone())
             .filter_map(|(c, out)| Some((c.bucket, c.slot, Some(out.as_ref()?.view()))));
-        (self.shell.device).program(self.tree.arena_mut(), reals, Listing::Start);
+        (self.shell.device).program(self.tree.arena_mut(), reals.map(lone), Listing::Start);
         for (c, _) in cells.filter(|(_, out)| out.is_none()) {
             self.tree.write_slot_from(c.bucket, c.slot, None);
         }
@@ -1032,7 +1032,7 @@ impl PathOram {
                 let FrameCell { bucket, slot, .. } = frame.cells[pos];
                 (bucket, slot, None)
             });
-            (self.shell.device).program(self.tree.arena_mut(), rewritten, Listing::Apart);
+            (self.shell.device).program(self.tree.arena_mut(), rewritten.map(lone), Listing::Apart);
             self.stats.eviction_batches += 1;
         }
         self.shell.scratch.dummies = dummies;
@@ -1246,7 +1246,7 @@ impl Rounds for PathOram {
             let w = &e.value;
             (w.bucket, w.slot, Some(w.block.view()))
         });
-        (self.shell.device).program(self.tree.arena_mut(), units, Listing::Join);
+        (self.shell.device).program(self.tree.arena_mut(), units.map(lone), Listing::Join);
         for e in data.drain(..) {
             self.shell.scratch.recycle(e.value.block);
         }

@@ -22,7 +22,7 @@ use psoram_obsv::{DeviceFaultKind, Event};
 use super::{fault_kind, EngineControl, FrameCell, WearReadOutcome};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessStats, SlotUnit, StaleServe, UnitHistory};
-use crate::block::Block;
+use crate::block::{Block, BlockRef};
 use crate::posmap::{PosMap, TempPosMap};
 use crate::types::{BlockAddr, Leaf, OramError};
 
@@ -130,25 +130,29 @@ impl DeviceSide {
 
     // ── what a round tells it ───────────────────────────────────────────
 
-    /// Programs `units` — `(bucket, slot, content)`, a dummy where the
-    /// content is `None` — into the arena, in the order the adversary and
-    /// the defence depend on: every unit is snapshotted *before* it is
-    /// overwritten (the coherent stale `(content, record)` pair a replay
-    /// re-serves; only under a plan that can replay) and listed as `listing`
-    /// says, then the records are made side by side (hardened designs; the
-    /// units of a call are distinct, so every snapshot saw what a
-    /// unit-by-unit pass would have shown it), then the arena is written.
-    pub fn program<'a>(
+    /// Programs slot units into the arena — `buckets` names each bucket
+    /// the call writes with its `(slot, content)` pairs, a dummy where the
+    /// content is `None` — in the order the adversary and the defence
+    /// depend on: every unit is snapshotted *before* it is overwritten (the
+    /// coherent stale `(content, record)` pair a replay re-serves; only
+    /// under a plan that can replay) and listed as `listing` says, then the
+    /// records are made side by side (hardened designs; the units of a call
+    /// are distinct, so every snapshot saw what a unit-by-unit pass would
+    /// have shown it), then the arena is written, a bucket's page found
+    /// once for its slots.
+    pub fn program<'a, S>(
         &mut self,
         arena: &mut SlotArena,
-        units: impl Iterator<Item = SlotUnit<'a>> + Clone,
+        buckets: impl Iterator<Item = (u64, S)> + Clone,
         listing: Listing,
-    ) {
+    ) where
+        S: Iterator<Item = (usize, Option<BlockRef<'a>>)> + Clone,
+    {
         if listing == Listing::Start {
             self.round_slots.clear();
         }
         if self.armed {
-            for (bucket, slot, _) in units.clone() {
+            for (bucket, slot, _) in units(buckets.clone()) {
                 if let Some(history) = self.history.as_mut() {
                     let content = arena.slot(bucket, slot).map(|b| b.to_block());
                     let record = self.auth.as_ref().and_then(|a| a.slot_record(bucket, slot));
@@ -160,14 +164,11 @@ impl DeviceSide {
             }
         }
         if let Some(auth) = &mut self.auth {
-            auth.record_slots(units.clone());
+            auth.record_slots(units(buckets.clone()));
         }
-        // Units come in runs of a bucket: its page is found once a run.
-        let mut units = units.peekable();
-        while let Some((bucket, slot, content)) = units.next() {
+        for (bucket, slots) in buckets {
             let mut open = arena.bucket_mut(bucket);
-            open.set(slot, content);
-            while let Some((_, slot, content)) = units.next_if(|unit| unit.0 == bucket) {
+            for (slot, content) in slots {
                 open.set(slot, content);
             }
         }
@@ -501,6 +502,21 @@ fn set_slot(arena: &mut SlotArena, (bucket, slot): (u64, usize), content: Option
     }
 }
 
+/// A bucket of which a [`DeviceSide::program`] call writes the one slot.
+pub(crate) fn lone<'a>(
+    (bucket, slot, content): SlotUnit<'a>,
+) -> (u64, std::iter::Once<(usize, Option<BlockRef<'a>>)>) {
+    (bucket, std::iter::once((slot, content)))
+}
+
+/// The units of a [`DeviceSide::program`] call, bucket by bucket.
+fn units<'a, S>(buckets: impl Iterator<Item = (u64, S)>) -> impl Iterator<Item = SlotUnit<'a>>
+where
+    S: Iterator<Item = (usize, Option<BlockRef<'a>>)>,
+{
+    buckets.flat_map(|(bucket, slots)| slots.map(move |(slot, content)| (bucket, slot, content)))
+}
+
 /// Latches the fail-safe state and names it to the caller.
 fn poison(ctl: &mut EngineControl, class: FaultClass) -> OramError {
     ctl.poison(class);
@@ -556,7 +572,7 @@ mod tests {
         let (old0, old1) = (block(0, 2, 1, 0x11), block(1, 3, 2, 0x22));
         device.open_round(4);
         let units = [(2, 0, Some(old0.view())), (3, 1, Some(old1.view()))];
-        device.program(&mut arena, units.into_iter(), Listing::Join);
+        device.program(&mut arena, units.into_iter().map(lone), Listing::Join);
         let entries = [(a0, Leaf(2)), (a1, Leaf(3))];
         let maps = (&mut posmap, &mut temp);
         assert_eq!(
@@ -580,8 +596,8 @@ mod tests {
         let new0 = block(0, 5, 3, 0x33);
         device.open_round(2);
         let units = [(2, 0, Some(new0.view()))];
-        device.program(&mut arena, units.into_iter(), Listing::Join);
-        device.program(&mut arena, [(3, 1, None)].into_iter(), Listing::Apart);
+        device.program(&mut arena, units.into_iter().map(lone), Listing::Join);
+        device.program(&mut arena, [lone((3, 1, None))].into_iter(), Listing::Apart);
         let maps = (&mut posmap, &mut temp);
         device.flush(&mut ctl, maps, [(a0, Leaf(5))].into_iter(), Listing::Join);
 
@@ -621,7 +637,7 @@ mod tests {
         // A direct write-back is a round of its own: its list starts over.
         device.program(
             &mut arena,
-            [(4, 0, Some(new0.view()))].into_iter(),
+            [lone((4, 0, Some(new0.view())))].into_iter(),
             Listing::Start,
         );
         assert_eq!(

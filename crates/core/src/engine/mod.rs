@@ -47,7 +47,7 @@ mod recover;
 mod scratch;
 mod shell;
 
-pub(crate) use device::{DeviceSide, Listing, PosMapFlush};
+pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
 pub(crate) use persist::{fault_kind, DrainedRound};
 pub use persist::{EngineControl, EngineStats, PersistEngine, RoundDamage, WearReadOutcome};

@@ -473,8 +473,8 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::engine::{
-        arm, commit_and_apply, power_fail, set_tap, Access, CommitModel, DrainedRound, Listing,
-        Media, PersistEngine, PosMapFlush, ProtocolPolicy, RoundDamage, Rounds,
+        arm, commit_and_apply, lone, power_fail, set_tap, Access, CommitModel, DrainedRound,
+        Listing, Media, PersistEngine, PosMapFlush, ProtocolPolicy, RoundDamage, Rounds,
     };
     use crate::types::OramError;
 
@@ -557,7 +557,7 @@ pub(crate) mod tests {
                 let ((bucket, slot), block) = &e.value;
                 (*bucket, *slot, Some(block.view()))
             });
-            (self.shell.device).program(&mut self.arena, units, Listing::Join);
+            (self.shell.device).program(&mut self.arena, units.map(lone), Listing::Join);
             (self.shell).flush(posmap.drain(..).map(|e| e.value), Listing::Join);
             for (_, b) in data.drain(..).map(|e| e.value) {
                 (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);

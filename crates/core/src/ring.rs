@@ -32,7 +32,7 @@ use psoram_nvm::{AccessKind, FaultConfig, NvmConfig, WpqEntry};
 use psoram_obsv::Phase;
 
 use crate::arena::{BucketRef, SlotArena};
-use crate::auth::{AuthTags, SlotUnit};
+use crate::auth::AuthTags;
 use crate::block::{Block, BlockRef};
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
@@ -797,7 +797,7 @@ impl RingOram {
                 // nothing.
                 let landed = rw.images.len() / 2;
                 for (bidx, image) in rw.images.drain(..).take(landed) {
-                    for (_, s, content) in image_units(bidx, &image) {
+                    for (s, content) in image_slots(&image) {
                         self.buckets.write(bidx, s, content);
                     }
                     self.settle(bidx, image);
@@ -890,8 +890,10 @@ impl RingOram {
                 (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
             }
         }
-        let units = image_units(bidx, &image);
-        self.shell.device.program(&mut self.buckets, units, listing);
+        let rewrite = std::iter::once((bidx, image_slots(&image)));
+        self.shell
+            .device
+            .program(&mut self.buckets, rewrite, listing);
         self.settle(bidx, image);
     }
 
@@ -992,9 +994,9 @@ impl RingOram {
     }
 }
 
-/// Every physical slot of `image` as a unit of bucket `bidx`.
-fn image_units(bidx: u64, image: &Bucket) -> impl Iterator<Item = SlotUnit<'_>> + Clone {
-    (0..image.num_slots()).map(move |s| (bidx, s, image.slot(s).map(Block::view)))
+/// Every physical slot of `image` with what it holds.
+fn image_slots(image: &Bucket) -> impl Iterator<Item = (usize, Option<BlockRef<'_>>)> + Clone {
+    (0..image.num_slots()).map(move |s| (s, image.slot(s).map(Block::view)))
 }
 
 impl Rounds for RingOram {

@@ -37,11 +37,6 @@ impl CacheConfig {
         }
     }
 
-    /// Table 3 L1 instruction cache: 32 KB, 2-way LRU, 2-cycle access.
-    pub fn paper_l1i() -> Self {
-        Self::paper_l1d()
-    }
-
     /// Table 3 shared L2: 1 MB, 8-way LRU, 20-cycle access.
     pub fn paper_l2() -> Self {
         CacheConfig {

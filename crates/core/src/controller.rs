@@ -18,7 +18,6 @@ use crate::engine::{
     PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
-use crate::integrity::{bucket_digest, IntegrityTree};
 use crate::recursive::RecursivePosMap;
 use crate::security::AccessRecorder;
 use crate::stash::Stash;
@@ -130,13 +129,6 @@ pub struct PathOram {
     /// direction: path reads skip the NVM for those buckets, while writes
     /// stay write-through so crash consistency is untouched.
     top_cache_levels: u32,
-    /// Optional Merkle protection over the data tree (Triad-NVM-style
-    /// substrate the paper assumes); root updates ride the eviction
-    /// commits, so they stay crash consistent.
-    integrity: Option<IntegrityTree>,
-    /// Path whose digests must be refreshed once the in-flight eviction's
-    /// writes have (partially, on a crash) reached the NVM.
-    pending_integrity_path: Option<Leaf>,
     rng: StdRng,
     stats: OramStats,
     /// The security recorder (distinct from the shell's observability tap).
@@ -215,8 +207,6 @@ impl PathOram {
             frontend_cycles_per_block: 8 * CORE_CYCLES_PER_MEM_CYCLE,
             frontend_free: 0,
             top_cache_levels: 0,
-            integrity: None,
-            pending_integrity_path: None,
             rng: StdRng::seed_from_u64(seed),
             stats: OramStats::default(),
             recorder: None,
@@ -275,66 +265,6 @@ impl PathOram {
             "cache cannot exceed the tree"
         );
         self.top_cache_levels = levels;
-    }
-
-    /// Enables Merkle integrity protection over the data tree (the
-    /// Triad-NVM/SuperMem-style substrate the paper assumes): every path
-    /// read is verified against a root held in the persistence domain, and
-    /// root updates commit together with the eviction writes.
-    pub fn enable_integrity(&mut self) {
-        let mut tree = IntegrityTree::new(self.config.levels, self.all_dummy_digest());
-        // Fold in whatever already exists (enabling mid-run is allowed).
-        let updates: Vec<(u64, psoram_crypto::Digest)> = self
-            .tree
-            .materialized()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(idx, bucket)| (idx, bucket_digest(bucket.slots())))
-            .collect();
-        tree.update_buckets(&updates);
-        self.integrity = Some(tree);
-    }
-
-    /// `true` when integrity protection is active.
-    pub fn integrity_enabled(&self) -> bool {
-        self.integrity.is_some()
-    }
-
-    /// Recomputes and installs the digests of every bucket on `leaf`'s
-    /// path from the current NVM state (post-commit refresh).
-    fn refresh_integrity_path(&mut self, leaf: Leaf) {
-        if self.integrity.is_none() {
-            return;
-        }
-        let updates = self.media_digests(leaf);
-        if let Some(integrity) = self.integrity.as_mut() {
-            integrity.update_buckets(&updates);
-        }
-    }
-
-    /// The digest of a bucket nothing was ever written to.
-    fn all_dummy_digest(&self) -> psoram_crypto::Digest {
-        bucket_digest((0..self.config.bucket_slots).map(|_| None))
-    }
-
-    /// Digests of the buckets on `leaf`'s path as they sit on media.
-    fn media_digests(&self, leaf: Leaf) -> Vec<(u64, psoram_crypto::Digest)> {
-        self.tree
-            .path(leaf)
-            .map(|idx| {
-                let digest = match self.tree.bucket_ref(idx) {
-                    Some(bucket) => bucket_digest(bucket.slots()),
-                    None => self.all_dummy_digest(),
-                };
-                (idx, digest)
-            })
-            .collect()
-    }
-
-    /// Test/attack hook: corrupts one byte of the first real block found on
-    /// `leaf`'s path in the NVM image, bypassing the controller. Returns
-    /// `true` if something was corrupted.
-    pub fn corrupt_path_for_testing(&mut self, leaf: Leaf) -> bool {
-        self.tree.corrupt_first_real_block(leaf)
     }
 
     /// Buffer bytes required by the configured top-of-tree cache.
@@ -522,17 +452,12 @@ impl PathOram {
         crash_at(self, CrashPoint::AfterUpdateStash)?;
 
         // ── Step ⑤ Eviction ────────────────────────────────────────────
-        self.pending_integrity_path = Some(old_leaf);
         let eviction_complete = self.step5_evict(old_leaf, t)?;
         self.shell.ctl.tap.emit(|| Event::Phase {
             phase: Phase::Eviction,
             start: value_ready,
             end: eviction_complete,
         });
-        // Root update rides the commit: refresh digests over what actually
-        // reached the NVM.
-        self.refresh_integrity_path(old_leaf);
-        self.pending_integrity_path = None;
         crash_at(self, CrashPoint::AfterEviction)?;
 
         if let Some(rec) = &mut self.recorder {
@@ -661,13 +586,6 @@ impl PathOram {
             self.shell
                 .device
                 .serve_stale(&mut self.shell.ctl, pick, &frame.cells);
-        // Merkle verification of the fetched path (when enabled): the
-        // digests of the bytes coming off the bus must chain to the
-        // persisted root.
-        if let Some(int) = &self.integrity {
-            int.verify_path(leaf, &self.media_digests(leaf))
-                .map_err(|v| OramError::IntegrityViolation { leaf: v.leaf })?;
-        }
         // Buckets mirrored in the fast volatile buffer cost no NVM read.
         let cached = self.top_cache_levels as usize * z;
         let frontend_done = self.frontend_process(self.config.path_slots() as u64, t);
@@ -1259,12 +1177,6 @@ impl Rounds for PathOram {
         }
         if let Some(rec) = &mut self.recursion {
             rec.wipe_plb();
-        }
-        // Recovery replay for the integrity tree: fold whatever the ADR
-        // flush actually persisted into the digest state so the root
-        // matches the NVM (no false alarms, no masked tampering).
-        if let Some(leaf) = self.pending_integrity_path.take() {
-            self.refresh_integrity_path(leaf);
         }
     }
 }

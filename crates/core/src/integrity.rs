@@ -1,48 +1,17 @@
-//! A Merkle integrity tree over the ORAM tree, with crash-consistent root
-//! updates.
+//! A sparse Merkle tree congruent with the ORAM tree: a node's digest
+//! covers its bucket's digest and its children's, untouched subtrees use
+//! per-depth defaults, the root is held on chip.
 //!
-//! PS-ORAM assumes an encryption + integrity substrate (its related work:
-//! Triad-NVM, SuperMem, PLP). This module provides the integrity half: a
-//! hash tree congruent with the ORAM tree — each node's digest covers its
-//! bucket content and its children's digests — whose root lives inside the
-//! persistence domain. Path reads verify the fetched buckets against the
-//! root; path writes refresh the digests; a crash replays the committed
-//! WPQ rounds into the digest state, so recovery never sees a false alarm
-//! and tampering is always caught.
-//!
-//! Like the data tree, the digest store is **sparse**: untouched subtrees
-//! use per-depth default digests, so the paper-scale geometry costs memory
-//! only for visited paths.
+//! No controller maintains one (EXPERIMENTS.md "One integrity mechanism"):
+//! this is what the frozen `integrity.verify_update_path_ns` benchmark
+//! kernel calls, and it goes when that kernel does.
 
 use std::collections::HashMap;
 
 use psoram_crypto::{Digest, Hash128};
 
-use crate::block::BlockRef;
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
-
-/// Canonical digest of a bucket's contents: per slot, a presence tag
-/// followed by the header fields and payload for real blocks. Every
-/// controller that maintains an [`IntegrityTree`] digests buckets through
-/// this one encoding.
-pub(crate) fn bucket_digest<'a>(slots: impl Iterator<Item = Option<BlockRef<'a>>>) -> Digest {
-    let mut bytes = Vec::with_capacity(slots.size_hint().0 * 40);
-    for slot in slots {
-        match slot {
-            Some(b) => {
-                bytes.push(1);
-                bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
-                bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-                bytes.extend_from_slice(&b.header.seq.to_le_bytes());
-                bytes.extend_from_slice(&b.header.iv2.to_le_bytes());
-                bytes.extend_from_slice(b.payload);
-            }
-            None => bytes.push(0),
-        }
-    }
-    Hash128::new().digest(&bytes)
-}
 
 /// Error raised when a fetched path fails verification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,16 +83,6 @@ impl IntegrityTree {
             defaults,
             root,
         }
-    }
-
-    /// Tree height.
-    pub fn levels(&self) -> u32 {
-        self.levels
-    }
-
-    /// The current (persisted) root digest.
-    pub fn root(&self) -> Digest {
-        self.root
     }
 
     fn depth_of(idx: BucketIndex) -> u32 {
@@ -227,11 +186,6 @@ impl IntegrityTree {
             })
             .collect()
     }
-
-    /// Number of materialized digest nodes (memory probe).
-    pub fn materialized(&self) -> usize {
-        self.subtrees.len()
-    }
 }
 
 #[cfg(test)]
@@ -309,11 +263,11 @@ mod tests {
     #[test]
     fn root_changes_with_every_update() {
         let mut t = tree();
-        let r0 = t.root();
+        let r0 = t.root;
         t.update_buckets(&[(7, hasher().digest(b"a"))]);
-        let r1 = t.root();
+        let r1 = t.root;
         t.update_buckets(&[(7, hasher().digest(b"b"))]);
-        let r2 = t.root();
+        let r2 = t.root;
         assert_ne!(r0, r1);
         assert_ne!(r1, r2);
     }
@@ -337,7 +291,7 @@ mod tests {
         let mut t = IntegrityTree::new(20, empty());
         t.update_buckets(&[(12345, hasher().digest(b"y"))]);
         // Only the path to that bucket materializes.
-        assert!(t.materialized() <= 21, "materialized {}", t.materialized());
+        assert!(t.subtrees.len() <= 21, "materialized {}", t.subtrees.len());
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub use engine::{
     CommitLedger, CommitModel, EngineControl, EngineStats, PersistEngine, ProtocolPolicy, Shell,
 };
 pub use eviction::{plan_eviction, EvictionPlan, SlotWrite};
-pub use integrity::{IntegrityTree, IntegrityViolation};
 pub use posmap::{PosMap, TempPosMap};
 pub use recursive::{RecLevel, RecursivePosMap, ENTRIES_PER_BLOCK};
 pub use security::{AccessRecorder, ObservedAccess};

@@ -256,11 +256,6 @@ impl RecursivePosMap {
         addrs
     }
 
-    /// Worst-case blocks touched by one posmap access (full recursion).
-    pub fn max_path_slots(&self) -> usize {
-        self.levels.iter().map(|l| l.path_slots(self.z)).sum()
-    }
-
     /// Clears the PLBs (volatile loss at a crash).
     pub fn wipe_plb(&mut self) {
         for plb in &mut self.plbs {

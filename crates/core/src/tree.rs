@@ -250,23 +250,6 @@ impl OramTree {
         self.slots.write(bucket, slot, block);
     }
 
-    /// Test/attack hook: corrupts one byte of the first real block found on
-    /// `leaf`'s path, bypassing the controller. Returns `true` if something
-    /// was corrupted.
-    pub(crate) fn corrupt_first_real_block(&mut self, leaf: Leaf) -> bool {
-        for idx in self.path(leaf) {
-            let Some(mut bucket) = self.slots.bucket_mut_if_present(idx) else {
-                continue;
-            };
-            let occupied = (0..self.bucket_slots).find(|&s| bucket.slot(s).is_some());
-            if let Some((_, payload)) = occupied.and_then(|slot| bucket.cell_mut(slot)) {
-                payload[0] ^= 0xFF;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Number of materialized (touched) buckets — a memory-footprint probe.
     pub fn materialized_buckets(&self) -> usize {
         self.slots.materialized_buckets()

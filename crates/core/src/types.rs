@@ -218,12 +218,6 @@ pub enum OramError {
     },
     /// The controller is in a crashed state; call `recover` first.
     Crashed,
-    /// A fetched path failed Merkle verification — the NVM content was
-    /// tampered with (only with integrity protection enabled).
-    IntegrityViolation {
-        /// The path whose verification failed.
-        leaf: Leaf,
-    },
     /// The WPQ persistence domain rejected a drainer signal or push and
     /// the controller could not recover by stalling.
     Wpq(psoram_nvm::WpqError),
@@ -265,9 +259,6 @@ impl std::fmt::Display for OramError {
                 )
             }
             OramError::Crashed => write!(f, "controller crashed; recovery required"),
-            OramError::IntegrityViolation { leaf } => {
-                write!(f, "integrity violation on path {leaf}")
-            }
             OramError::Wpq(e) => write!(f, "WPQ persistence domain: {e}"),
             OramError::Poisoned { class } => {
                 write!(f, "controller poisoned by unrepairable {class} fault")

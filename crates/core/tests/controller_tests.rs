@@ -357,106 +357,6 @@ fn top_cache_rejects_oversize() {
     oram.set_top_cache_levels(20);
 }
 
-// ───────────────────────── integrity protection ─────────────────────────
-
-#[test]
-fn integrity_clean_operation_never_alarms() {
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
-    oram.enable_integrity();
-    for i in 0..60u64 {
-        oram.write(BlockAddr(i % 20), payload(i)).unwrap();
-    }
-    for i in 0..20u64 {
-        assert_eq!(
-            oram.read(BlockAddr(i)).unwrap(),
-            payload((0..60).rev().find(|j| j % 20 == i).unwrap())
-        );
-    }
-}
-
-#[test]
-fn integrity_detects_tampering() {
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
-    oram.enable_integrity();
-    for i in 0..30u64 {
-        oram.write(BlockAddr(i), payload(i)).unwrap();
-    }
-    // Corrupt the NVM image on some populated path, then access it until
-    // the verification trips.
-    let mut tripped = false;
-    for leaf in 0..64u64 {
-        if !oram.corrupt_path_for_testing(psoram_core::Leaf(leaf)) {
-            continue;
-        }
-        for i in 0..30u64 {
-            if let Err(psoram_core::OramError::IntegrityViolation { .. }) = oram.read(BlockAddr(i))
-            {
-                tripped = true;
-                break;
-            }
-        }
-        break;
-    }
-    assert!(tripped, "tampering must be detected on access");
-}
-
-#[test]
-fn integrity_enabled_mid_run_covers_existing_state() {
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 9);
-    for i in 0..20u64 {
-        oram.write(BlockAddr(i), payload(i)).unwrap();
-    }
-    oram.enable_integrity();
-    assert!(oram.integrity_enabled());
-    for i in 0..20u64 {
-        assert_eq!(oram.read(BlockAddr(i)).unwrap(), payload(i));
-    }
-}
-
-#[test]
-fn integrity_survives_crash_and_recovery_without_false_alarms() {
-    for point in CrashPoint::step_boundaries() {
-        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 11);
-        oram.enable_integrity();
-        for i in 0..25u64 {
-            oram.write(BlockAddr(i), payload(i)).unwrap();
-        }
-        oram.inject_crash(point);
-        let _ = oram.read(BlockAddr(5));
-        assert!(oram.recover().consistent, "{point}");
-        oram.verify_contents(true)
-            .unwrap_or_else(|e| panic!("false integrity alarm after {point}: {e}"));
-    }
-}
-
-#[test]
-fn integrity_survives_mid_eviction_crash() {
-    for k in [0usize, 1] {
-        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 13);
-        oram.enable_integrity();
-        for i in 0..25u64 {
-            oram.write(BlockAddr(i), payload(i)).unwrap();
-        }
-        oram.inject_crash(CrashPoint::DuringEviction(k));
-        let _ = oram.read(BlockAddr(3));
-        if !oram.is_crashed() {
-            continue;
-        }
-        assert!(oram.recover().consistent);
-        oram.verify_contents(true).unwrap();
-    }
-}
-
-#[test]
-fn integrity_works_for_baseline_variant_too() {
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::Baseline, 15);
-    oram.enable_integrity();
-    for i in 0..30u64 {
-        oram.write(BlockAddr(i), payload(i)).unwrap();
-        assert_eq!(oram.read(BlockAddr(i)).unwrap(), payload(i));
-    }
-}
-
 // ───────────────────────── security ─────────────────────────
 
 #[test]

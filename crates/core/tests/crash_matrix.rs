@@ -11,7 +11,7 @@ use psoram_core::ring::{RingConfig, RingOram, RingVariant};
 use psoram_core::{
     BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
 };
-use psoram_nvm::NvmConfig;
+use psoram_nvm::{FaultConfig, NvmConfig};
 
 fn payload(i: u64) -> Vec<u8> {
     vec![(i % 251) as u8; 8]
@@ -310,24 +310,28 @@ fn last_recovery_report_is_retained() {
 }
 
 // ──────────────── Path-specific feature interactions ────────────────
-// Integrity and the top-of-tree cache are Path ORAM features configured
-// past the `ProtocolPolicy` surface, so this corner of the matrix drives
-// the concrete controller.
+// The top-of-tree cache is a Path ORAM feature configured past the
+// `ProtocolPolicy` surface, so this corner of the matrix drives the
+// concrete controller — with the freshness layer armed and nothing
+// damaged as the other axis: a fetch that skips the cached levels is still
+// judged slot by slot, and no crash point raises a false alarm.
 
 #[test]
 fn path_feature_matrix_stays_crash_consistent() {
+    let mut points = CrashPoint::step_boundaries().to_vec();
+    points.push(CrashPoint::DuringEviction(0));
     for variant in ProtocolVariant::all()
         .into_iter()
         .filter(|v| v.is_crash_consistent())
     {
-        for integrity in [false, true] {
+        for hardened in [false, true] {
             for top_cache in [0u32, 3] {
-                for point in [CrashPoint::AfterAccessPosMap, CrashPoint::AfterLoadPath] {
-                    let tag = format!("{variant}/int={integrity}/cache={top_cache}/{point}");
+                for &point in &points {
+                    let tag = format!("{variant}/hard={hardened}/cache={top_cache}/{point}");
                     let cfg = OramConfig::small_test();
                     let mut oram = PathOram::with_nvm(cfg, variant, NvmConfig::paper_pcm(1), 97);
-                    if integrity {
-                        oram.enable_integrity();
+                    if hardened {
+                        oram.enable_device_faults(97, FaultConfig::disabled());
                     }
                     oram.set_top_cache_levels(top_cache);
                     for i in 0..20u64 {

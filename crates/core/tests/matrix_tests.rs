@@ -1,19 +1,22 @@
 //! Cross-feature matrix: every protocol variant × channel count ×
-//! integrity × top-of-tree cache must stay functionally correct, bounded,
-//! and (where claimed) crash-consistent.
+//! freshness layer armed × top-of-tree cache must stay functionally
+//! correct, bounded, and (where claimed) crash-consistent.
 
 use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
-use psoram_nvm::NvmConfig;
+use psoram_nvm::{FaultConfig, NvmConfig};
 
 fn payload(i: u64) -> Vec<u8> {
     vec![(i % 251) as u8; 8]
 }
 
-fn build(variant: ProtocolVariant, channels: usize, integrity: bool, top_cache: u32) -> PathOram {
+/// `hardened` arms tags, counters, seal and root under a plan that never
+/// damages anything (a WPQ design verifies every fetch; the others only
+/// carry the plan).
+fn build(variant: ProtocolVariant, channels: usize, hardened: bool, top_cache: u32) -> PathOram {
     let cfg = OramConfig::small_test();
     let mut oram = PathOram::with_nvm(cfg, variant, NvmConfig::paper_pcm(channels), 97);
-    if integrity {
-        oram.enable_integrity();
+    if hardened {
+        oram.enable_device_faults(97, FaultConfig::disabled());
     }
     oram.set_top_cache_levels(top_cache);
     oram
@@ -23,10 +26,10 @@ fn build(variant: ProtocolVariant, channels: usize, integrity: bool, top_cache: 
 fn full_matrix_read_your_writes() {
     for variant in ProtocolVariant::all() {
         for channels in [1usize, 2] {
-            for integrity in [false, true] {
+            for hardened in [false, true] {
                 for top_cache in [0u32, 3] {
-                    let tag = format!("{variant}/{channels}ch/int={integrity}/cache={top_cache}");
-                    let mut oram = build(variant, channels, integrity, top_cache);
+                    let tag = format!("{variant}/{channels}ch/hard={hardened}/cache={top_cache}");
+                    let mut oram = build(variant, channels, hardened, top_cache);
                     for i in 0..25u64 {
                         oram.write(BlockAddr(i), payload(i))
                             .unwrap_or_else(|e| panic!("{tag}: write failed: {e}"));

@@ -7,6 +7,7 @@ use psoram_core::{
     plan_eviction, Block, BlockAddr, CrashPoint, Leaf, OramConfig, OramTree, PathOram,
     ProtocolPolicy, ProtocolVariant,
 };
+use psoram_nvm::FaultConfig;
 
 fn payload(tag: u8) -> Vec<u8> {
     vec![tag; 8]
@@ -205,12 +206,13 @@ proptest! {
         }
     }
 
-    /// Integrity-protected PS-ORAM: random programs + crash never raise a
-    /// false alarm, and verification stays green throughout.
+    /// PS-ORAM with the freshness layer armed and nothing damaged: random
+    /// programs + crash never raise a false alarm, and verification stays
+    /// green throughout.
     #[test]
-    fn integrity_no_false_alarms(ops in ops_strategy(25), seed in 0u64..500) {
+    fn hardened_no_false_alarms(ops in ops_strategy(25), seed in 0u64..500) {
         let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, seed);
-        oram.enable_integrity();
+        oram.enable_device_faults(seed, FaultConfig::disabled());
         for (addr, is_write, val) in &ops {
             let a = BlockAddr(*addr);
             let r = if *is_write {

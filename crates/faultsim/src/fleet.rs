@@ -86,23 +86,41 @@ fn instance_seed(seed: u64, instance: u32) -> u64 {
     seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(instance as u64 + 1))
 }
 
-/// Runs one instance's load (and optional mid-load power fault) to a
-/// report. Deterministic in `(cfg, instance)`.
-fn run_instance(cfg: &FleetConfig, instance: u32) -> FleetLaneReport {
-    let mut target = cfg.design.build(instance_seed(cfg.seed, instance));
-    let mut rng = StdRng::seed_from_u64(instance_seed(cfg.seed, instance) ^ 0x7EA7);
+/// Runs one instance's load to a report, deterministic in `(cfg,
+/// instance, wear)`. A healthy instance (`wear` is `None`) takes the
+/// optional mid-load power fault and must serve every access. The worn
+/// one runs the same traffic on pre-aged silicon with the wear fault arm
+/// live, samples each access's service cycles, and may end early in the
+/// fail-safe poison latch (a detected fail-safe, not a failure of the
+/// harness); it returns its degradation evidence too.
+fn run_instance(
+    cfg: &FleetConfig,
+    instance: u32,
+    wear: Option<psoram_nvm::WearConfig>,
+) -> (FleetLaneReport, Option<WearShardEvidence>) {
+    let seed = instance_seed(cfg.seed, instance);
+    let mut target = cfg.design.build(seed);
+    let worn = wear.is_some();
+    if let Some(wcfg) = wear {
+        target.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());
+        target.enable_wear(seed ^ 0x0EA5, wcfg);
+    }
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x7EA7);
     let cap = target.capacity_blocks();
     let payload = target.payload_bytes();
-    let crash_here = cfg.crash_instance == Some(instance);
+    let crash_here = !worn && cfg.crash_instance == Some(instance);
 
     let mut written: Vec<u64> = Vec::new();
+    let mut latencies: Vec<u64> = Vec::new();
     let mut crashes = 0u64;
     let mut recoveries_consistent = 0u64;
     let mut completed = 0u64;
+    let mut poisoned = false;
     while completed < cfg.accesses_per_instance {
         // 70/30 write/read mix; reads only touch written addresses.
         let addr = rng.gen_range(0..cap);
         let write = written.is_empty() || rng.gen_range(0..10u32) < 7;
+        let before = target.clock();
         let res = if write {
             let tag = (completed & 0xFF) as u8;
             target.write(addr, vec![tag; payload]).map(|_| ())
@@ -112,10 +130,17 @@ fn run_instance(cfg: &FleetConfig, instance: u32) -> FleetLaneReport {
         };
         match res {
             Ok(()) => {
+                if worn {
+                    latencies.push(target.clock().saturating_sub(before));
+                }
                 if write {
                     written.push(addr);
                 }
                 completed += 1;
+            }
+            Err(psoram_core::OramError::Poisoned { .. }) if worn => {
+                poisoned = true;
+                break;
             }
             Err(e) => panic!("fleet instance {instance}: access failed: {e}"),
         }
@@ -130,8 +155,24 @@ fn run_instance(cfg: &FleetConfig, instance: u32) -> FleetLaneReport {
             }
         }
     }
-    let verify_ok = target.verify_contents(crashes > 0).is_ok();
-    FleetLaneReport {
+    let verify_ok = poisoned || target.verify_contents(crashes > 0).is_ok();
+    let evidence = worn.then(|| {
+        latencies.sort_unstable();
+        let wear = target.wear_stats().unwrap_or_default();
+        WearShardEvidence {
+            instance,
+            wear_faults_injected: target.device_fault_stats().unwrap_or_default().wear_faults,
+            retirements: wear.retirements,
+            repairs: wear.repairs,
+            gap_moves: wear.gap_moves,
+            spares_left: target.wear_spares_left().unwrap_or(0),
+            poisoned,
+            completed_accesses: completed,
+            p50_cycles: pct(&latencies, 50),
+            p99_cycles: pct(&latencies, 99),
+        }
+    });
+    let lane = FleetLaneReport {
         instance,
         design: target.label(),
         accesses: completed,
@@ -140,7 +181,8 @@ fn run_instance(cfg: &FleetConfig, instance: u32) -> FleetLaneReport {
         clock: target.clock(),
         verify_ok,
         state_digest: format!("{:032x}", target.state_digest()),
-    }
+    };
+    (lane, evidence)
 }
 
 /// Runs the fleet: every instance is an independent persistence domain
@@ -148,7 +190,7 @@ fn run_instance(cfg: &FleetConfig, instance: u32) -> FleetLaneReport {
 /// and the report vector is byte-identical at any `jobs` count.
 pub fn fleet_campaign(cfg: &FleetConfig) -> Vec<FleetLaneReport> {
     let instances: Vec<u32> = (0..cfg.instances).collect();
-    par_map(cfg.jobs, instances, |i| run_instance(cfg, i))
+    par_map(cfg.jobs, instances, |i| run_instance(cfg, i, None).0)
 }
 
 // ── wear-aware fleet: one near-EOL shard among healthy siblings ────────
@@ -227,85 +269,10 @@ fn pct(sorted: &[u64], p: u64) -> u64 {
     sorted[rank.min(sorted.len()) - 1]
 }
 
-/// Runs the worn instance: same traffic derivation as [`run_instance`],
-/// but on pre-aged silicon with the wear fault arm live. Poisoning ends
-/// the run early (a detected fail-safe, not a failure of the harness).
-fn run_wear_instance(cfg: &WearFleetConfig, instance: u32) -> (FleetLaneReport, WearShardEvidence) {
-    let fleet = &cfg.fleet;
-    let seed = instance_seed(fleet.seed, instance);
-    let mut target = fleet.design.build(seed);
-    let mut wcfg = psoram_nvm::WearConfig::stress(cfg.scheme);
-    wcfg.preage_writes = cfg.preage_writes;
-    target.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());
-    target.enable_wear(seed ^ 0x0EA5, wcfg);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7EA7);
-    let cap = target.capacity_blocks();
-    let payload = target.payload_bytes();
-
-    let mut written: Vec<u64> = Vec::new();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut completed = 0u64;
-    let mut poisoned = false;
-    while completed < fleet.accesses_per_instance {
-        let addr = rng.gen_range(0..cap);
-        let write = written.is_empty() || rng.gen_range(0..10u32) < 7;
-        let before = target.clock();
-        let res = if write {
-            let tag = (completed & 0xFF) as u8;
-            target.write(addr, vec![tag; payload]).map(|_| ())
-        } else {
-            let idx = rng.gen_range(0..written.len());
-            target.read(written[idx]).map(|_| ())
-        };
-        match res {
-            Ok(()) => {
-                latencies.push(target.clock().saturating_sub(before));
-                if write {
-                    written.push(addr);
-                }
-                completed += 1;
-            }
-            Err(psoram_core::OramError::Poisoned { .. }) => {
-                poisoned = true;
-                break;
-            }
-            Err(e) => panic!("wear instance {instance}: access failed: {e}"),
-        }
-    }
-    latencies.sort_unstable();
-    let verify_ok = poisoned || target.verify_contents(false).is_ok();
-    let wear = target.wear_stats().unwrap_or_default();
-    let injected = target.device_fault_stats().unwrap_or_default();
-    let spares_left = target.wear_spares_left().unwrap_or(0);
-    let lane = FleetLaneReport {
-        instance,
-        design: target.label(),
-        accesses: completed,
-        crashes: 0,
-        recoveries_consistent: 0,
-        clock: target.clock(),
-        verify_ok,
-        state_digest: format!("{:032x}", target.state_digest()),
-    };
-    let evidence = WearShardEvidence {
-        instance,
-        wear_faults_injected: injected.wear_faults,
-        retirements: wear.retirements,
-        repairs: wear.repairs,
-        gap_moves: wear.gap_moves,
-        spares_left,
-        poisoned,
-        completed_accesses: completed,
-        p50_cycles: pct(&latencies, 50),
-        p99_cycles: pct(&latencies, 99),
-    };
-    (lane, evidence)
-}
-
 /// Runs the wear-aware fleet: the `wear_instance` runs on pre-aged
-/// silicon with wear faults live, every sibling runs the ordinary
-/// `run_instance` path — so sibling lane reports are byte-identical
-/// to a wear-free [`fleet_campaign`] of the same [`FleetConfig`].
+/// silicon with wear faults live, every sibling runs as it does in
+/// [`fleet_campaign`] — so sibling lane reports are byte-identical to a
+/// wear-free run of the same [`FleetConfig`].
 ///
 /// # Panics
 ///
@@ -315,26 +282,16 @@ pub fn wear_fleet_campaign(cfg: &WearFleetConfig) -> WearFleetReport {
         cfg.wear_instance < cfg.fleet.instances,
         "wear instance outside the fleet"
     );
+    let mut wcfg = psoram_nvm::WearConfig::stress(cfg.scheme);
+    wcfg.preage_writes = cfg.preage_writes;
     let instances: Vec<u32> = (0..cfg.fleet.instances).collect();
     let outcomes = par_map(cfg.fleet.jobs, instances, |i| {
-        if i == cfg.wear_instance {
-            let (lane, ev) = run_wear_instance(cfg, i);
-            (lane, Some(ev))
-        } else {
-            (run_instance(&cfg.fleet, i), None)
-        }
+        run_instance(&cfg.fleet, i, (i == cfg.wear_instance).then_some(wcfg))
     });
-    let mut lanes = Vec::with_capacity(outcomes.len());
-    let mut wear = None;
-    for (lane, ev) in outcomes {
-        lanes.push(lane);
-        if let Some(e) = ev {
-            wear = Some(e);
-        }
-    }
+    let (lanes, evidence): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
     WearFleetReport {
         lanes,
-        wear: wear.expect("the wear instance always reports"),
+        wear: (evidence.into_iter().flatten().next()).expect("the wear instance always reports"),
     }
 }
 

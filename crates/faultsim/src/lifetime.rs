@@ -355,15 +355,6 @@ pub struct LifetimeCampaignReport {
 }
 
 impl LifetimeCampaignReport {
-    /// The best (longest-lived) scheme label for a (workload, design)
-    /// pair, for report summaries.
-    pub fn best_scheme(&self, workload: &str, design: &str) -> Option<&LifetimeRow> {
-        self.rows
-            .iter()
-            .filter(|r| r.workload == workload && r.design == design)
-            .max_by(|a, b| a.years_to_failure.total_cmp(&b.years_to_failure))
-    }
-
     /// Mean years-to-failure across all cells for one scheme.
     pub fn mean_years(&self, scheme: &str) -> f64 {
         let rows: Vec<&LifetimeRow> = self.rows.iter().filter(|r| r.scheme == scheme).collect();

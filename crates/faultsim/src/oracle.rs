@@ -121,11 +121,6 @@ impl ShadowOracle {
         self.pending.is_some()
     }
 
-    /// Address of the pending write, if any.
-    pub fn pending_addr(&self) -> Option<u64> {
-        self.pending.as_ref().map(|p| p.addr)
-    }
-
     /// Adjudicates a crashed write from its post-recovery read-back.
     ///
     /// # Errors

@@ -89,14 +89,6 @@ impl NvmConfig {
         }
     }
 
-    /// DRAM-timed reference memory for the non-ORAM comparison of §5.1.
-    pub fn dram_reference(channels: usize) -> Self {
-        NvmConfig {
-            tech: MemTech::Dram,
-            ..Self::paper_pcm(channels)
-        }
-    }
-
     /// Memory cycles occupied by one block transfer on the data bus.
     pub fn burst_cycles(&self) -> u64 {
         (self.block_bytes as u64).div_ceil(self.bus_bytes_per_cycle as u64)

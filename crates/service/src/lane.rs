@@ -69,6 +69,9 @@ impl std::fmt::Debug for ShardServer {
 /// Payload sizes up to this are served a write pattern off the stack.
 const FILL_PATTERN_BYTES: usize = 64;
 
+/// [`ShardServer::build`] sets `use_oram` on every full-system lane.
+const NO_ORAM: &str = "full-system lane always carries an ORAM backend";
+
 impl ShardServer {
     /// Builds the server for one shard: its own controller (or full
     /// system) seeded independently of every sibling.
@@ -155,29 +158,32 @@ impl ShardServer {
         }
     }
 
+    /// The controller behind either arm.
+    fn policy(&self) -> &dyn ProtocolPolicy {
+        match self {
+            ShardServer::Controller(shard) => shard.policy(),
+            ShardServer::System { sys, .. } => sys.oram().expect(NO_ORAM),
+        }
+    }
+
+    fn policy_mut(&mut self) -> &mut dyn ProtocolPolicy {
+        match self {
+            ShardServer::Controller(shard) => shard.policy_mut(),
+            ShardServer::System { sys, .. } => sys.oram_mut().expect(NO_ORAM),
+        }
+    }
+
     /// Injects a power failure on this shard only and immediately runs
     /// the hardened recovery path. Returns whether recovery reported a
     /// consistent state and the controller-clock cycles it consumed
     /// (often zero — the scheduler layers its modeled reboot penalty on
     /// top).
     pub fn crash_and_recover(&mut self) -> (bool, u64) {
-        match self {
-            ShardServer::Controller(shard) => {
-                shard.crash_now();
-                let (report, cycles) = shard.recover();
-                (report.consistent, cycles)
-            }
-            ShardServer::System { sys, .. } => {
-                let oram = sys
-                    .oram_mut()
-                    .expect("full-system lane always carries an ORAM backend");
-                oram.crash_now();
-                let before = oram.clock();
-                let report = oram.recover();
-                let cycles = oram.clock().saturating_sub(before);
-                (report.consistent, cycles)
-            }
-        }
+        let oram = self.policy_mut();
+        oram.crash_now();
+        let before = oram.clock();
+        let report = oram.recover();
+        (report.consistent, oram.clock().saturating_sub(before))
     }
 
     /// Arms the endurance adversary on this shard only: a wear-only
@@ -186,45 +192,25 @@ impl ShardServer {
     /// `seed` with the same sub-stream discipline as the faultsim wear
     /// fleet. Sibling shards stay byte-identical to a wear-free run.
     pub fn arm_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        match self {
-            ShardServer::Controller(shard) => {
-                let p = shard.policy_mut();
-                p.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());
-                p.enable_wear(seed ^ 0x0EA5, cfg);
-            }
-            ShardServer::System { sys, .. } => {
-                let oram = sys
-                    .oram_mut()
-                    .expect("full-system lane always carries an ORAM backend");
-                oram.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());
-                oram.enable_wear(seed ^ 0x0EA5, cfg);
-            }
-        }
+        let oram = self.policy_mut();
+        oram.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());
+        oram.enable_wear(seed ^ 0x0EA5, cfg);
     }
 
     /// Wear/leveling counters of the armed endurance adversary, `None`
     /// when [`ShardServer::arm_wear`] was never called on this shard.
     pub fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        match self {
-            ShardServer::Controller(shard) => shard.policy().wear_stats(),
-            ShardServer::System { sys, .. } => sys.oram().and_then(|o| o.wear_stats()),
-        }
+        self.policy().wear_stats()
     }
 
     /// Ground-truth injection counters of the device fault plan, if any.
     pub fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-        match self {
-            ShardServer::Controller(shard) => shard.policy().device_fault_stats(),
-            ShardServer::System { sys, .. } => sys.oram().and_then(|o| o.device_fault_stats()),
-        }
+        self.policy().device_fault_stats()
     }
 
     /// Spare lines the retirement layer still holds.
     pub fn wear_spares_left(&self) -> Option<u64> {
-        match self {
-            ShardServer::Controller(shard) => shard.policy().wear_spares_left(),
-            ShardServer::System { sys, .. } => sys.oram().and_then(|o| o.wear_spares_left()),
-        }
+        self.policy().wear_spares_left()
     }
 
     /// Attaches an event recorder to the underlying controller/system so
@@ -239,15 +225,7 @@ impl ShardServer {
 
     /// End-of-run contents check against the controller's mirror.
     pub fn verify(&mut self, after_crash: bool) -> bool {
-        match self {
-            ShardServer::Controller(shard) => {
-                shard.policy_mut().verify_contents(after_crash).is_ok()
-            }
-            ShardServer::System { sys, .. } => match sys.oram_mut() {
-                Some(oram) => oram.verify_contents(after_crash).is_ok(),
-                None => true,
-            },
-        }
+        self.policy_mut().verify_contents(after_crash).is_ok()
     }
 
     /// The underlying controller/system clock.
@@ -260,10 +238,7 @@ impl ShardServer {
 
     /// The shard's final state digest, for cross-run identity checks.
     pub fn state_digest(&self) -> u128 {
-        match self {
-            ShardServer::Controller(shard) => shard.policy().state_digest(),
-            ShardServer::System { sys, .. } => sys.oram().map(|o| o.state_digest()).unwrap_or(0),
-        }
+        self.policy().state_digest()
     }
 }
 

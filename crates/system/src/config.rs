@@ -41,8 +41,6 @@ pub struct SystemConfig {
     /// Tree levels mirrored in a fast volatile buffer (hybrid-memory
     /// top-of-tree cache; 0 disables it).
     pub top_cache_levels: u32,
-    /// Enable Merkle integrity protection over the data tree.
-    pub integrity: bool,
 }
 
 impl SystemConfig {
@@ -62,7 +60,6 @@ impl SystemConfig {
             seed: 0x905_2022,
             encrypt_payloads: true,
             top_cache_levels: 0,
-            integrity: false,
         }
     }
 

@@ -75,9 +75,6 @@ impl System {
             );
             oram.set_payload_encryption(config.encrypt_payloads);
             oram.set_top_cache_levels(config.top_cache_levels);
-            if config.integrity {
-                oram.enable_integrity();
-            }
             Backend::Oram(Box::new(oram))
         } else {
             Backend::Plain(Box::new(NvmController::new(config.nvm.clone())))
@@ -456,15 +453,13 @@ mod tests {
     }
 
     #[test]
-    fn top_cache_and_integrity_through_system_config() {
+    fn top_cache_through_system_config() {
         let mut cfg = SystemConfig::quick_test(ProtocolVariant::PsOram, 1);
         cfg.top_cache_levels = 4;
-        cfg.integrity = true;
         let mut sys = System::new(cfg);
         let r = sys.run_workload(SpecWorkload::Gcc, 3_000);
         assert!(r.exec_cycles > 0);
         let oram = sys.oram().unwrap();
-        assert!(oram.integrity_enabled());
         assert_eq!(oram.top_cache_bytes(), ((1 << 4) - 1) * 4 * 64);
         // Fewer NVM reads than an uncached run.
         let mut plain = System::new(SystemConfig::quick_test(ProtocolVariant::PsOram, 1));

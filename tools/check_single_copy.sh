@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One device side, one recovery ladder with one audit, one per-slot
 # freshness table, one way to move a path through a controller, one
-# controller shell — held mechanically.
+# controller shell, one integrity mechanism, one micro-benchmark harness —
+# held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -107,4 +108,21 @@ if grep -nE '<D, P>' crates/core/src/engine/device.rs crates/core/src/engine/rec
     echo "error: the device side or the ladder is generic over the persist units again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry)"
+# One integrity mechanism: the freshness layer (`auth.rs`, armed through
+# `engine::DeviceSide`). The Merkle tree that `PathOram` once also carried
+# is named only in its own file, which stays for the frozen benchmark
+# kernel that times it; no controller, config, test or example turns one
+# on, and the tamper hook it needed is gone with it (the fault plan is the
+# one door an attacker has).
+MERKLE='IntegrityTree|enable_integrity|integrity_enabled|pending_integrity_path|corrupt_path_for_testing|corrupt_first_real_block|IntegrityViolation \{'
+if grep -rnE "$MERKLE" --include='*.rs' crates src tests examples \
+    | grep -v '^crates/core/src/integrity\.rs:'; then
+    echo "error: the Merkle tree or its tamper hook is named outside crates/core/src/integrity.rs" >&2
+    exit 1
+fi
+# One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
+if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
+    echo "error: a manifest names criterion again" >&2
+    exit 1
+fi
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one micro-benchmark harness)"

@@ -412,6 +412,52 @@ fn ring_runs_are_pinned_access_by_access() {
     assert_eq!(got, pins, "{got:#034x?}");
 }
 
+/// One `state_digest()` per shape of image it walks: a plain Path tree
+/// (buckets, PosMap, ledger), the same with integrity armed and nothing
+/// damaged, the same with the wear engine armed (the durable line mapping
+/// joins the image) and a PS-Ring (valid bits and read counts join it),
+/// each after 300 mixed accesses. Recorded at 6836432, before `Hash128`
+/// moved onto the AES unit and the image stopped being copied whole.
+#[test]
+fn state_digests_of_the_four_image_shapes_are_pinned() {
+    let path = || PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, SEED);
+    let mut plain = path();
+    let mut armed = path();
+    armed.enable_device_faults(SEED, FaultConfig::disabled());
+    let mut worn = path();
+    worn.enable_wear(
+        SEED,
+        psoram_nvm::WearConfig::stress(psoram_nvm::WearScheme::StartGap),
+    );
+    let mut ring = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, SEED);
+    let designs: [&mut dyn ProtocolPolicy; 4] = [&mut plain, &mut armed, &mut worn, &mut ring];
+    let got = designs.map(|design| {
+        let (capacity, payload_bytes) = (design.capacity_blocks(), design.payload_bytes());
+        let mut x = SEED;
+        for i in 0..300u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = (x >> 33) % capacity;
+            let outcome = if i % 3 == 0 {
+                design.read(addr).map(drop)
+            } else {
+                design.write(addr, vec![(x >> 17) as u8; payload_bytes])
+            };
+            outcome.expect("no fault is armed");
+        }
+        design.state_digest()
+    });
+    assert_eq!(got, IMAGE_SHAPE_PINS, "{got:#034x?}");
+}
+
+// Plain and armed agree: tags and counters are not recoverable state.
+const IMAGE_SHAPE_PINS: [u128; 4] = [
+    0x2013f78d5d32ade74c1e401cad2f95e2,
+    0x2013f78d5d32ade74c1e401cad2f95e2,
+    0x06fb4080c00827e0ee7cd95e1312b6d8,
+    0xdbb1952a68629619142b2c18bb25c98e,
+];
 const PATH_PINS: [(u128, usize); 4] = [
     (0x66b9cd1aebd4676a6c6b1dab93efb1c3, 1530),
     (0x80da399ac896f1c7799f6d7aec607b48, 1488),

@@ -122,6 +122,33 @@ mod tests {
         }
     }
 
+    /// The message the known answers below were taken over: `len` bytes
+    /// of a fixed non-repeating pattern.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 131 + i / 256 + 7) as u8).collect()
+    }
+
+    /// Digests recorded from the build whose `digest` expanded every
+    /// block's key in software and encrypted with `Aes128::new` (6836432):
+    /// the empty message, both sides of one and of sixteen blocks, and a
+    /// page. Every golden that folds a `state_digest` rests on these.
+    #[test]
+    fn known_answers() {
+        const PINS: [(usize, u128); 8] = [
+            (0, 0x39fd1819b49198ace037459131663cf1),
+            (1, 0x1e4ba819aa0f87637ccc631990f1bcc3),
+            (15, 0x51031e3671d4865cc92cb55a4daee448),
+            (16, 0xa71d3cc6f5d3b08f5764ea1a70e109d8),
+            (17, 0xb1b6ec47bcd2d6ff76d695adec266723),
+            (255, 0x9806891ec4ada83db1f7e8d8b33a7c40),
+            (256, 0x98e561dc0fc3dda4ff2be1d7f7bd965f),
+            (4096, 0x18444fcc0cdab2634523fd4d2728b29a),
+        ];
+        let h = Hash128::new();
+        let got = PINS.map(|(len, _)| (len, u128::from_be_bytes(h.digest(&pattern(len)))));
+        assert_eq!(got, PINS, "{got:#034x?}");
+    }
+
     #[test]
     fn empirical_collision_sanity() {
         let h = Hash128::new();

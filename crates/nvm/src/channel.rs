@@ -1,21 +1,50 @@
 //! Per-channel scheduling: bank selection plus data-bus serialization.
 
-use crate::bank::{Bank, BankSchedule};
-use crate::request::AccessKind;
-use crate::timing::TimingParams;
+use crate::bank::{Bank, BankSchedule, Step};
+
+/// A channel's data bus: where its last burst ended and how long it has
+/// been occupied. `Copy`, so a burst steps a local copy and writes it back
+/// when it leaves the channel.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Bus {
+    /// One past the last cycle of the most recent data burst on the bus —
+    /// which is the channel's last activity: a burst never starts before
+    /// the one ahead of it has ended, so the ends only grow.
+    free_at: u64,
+    busy_cycles: u64,
+}
+
+impl Bus {
+    /// Schedules one request of `step`'s burst, arriving at cycle
+    /// `arrival`, on `bank` behind this bus, and takes the bus for its
+    /// data burst.
+    ///
+    /// Returns the completion cycle (data delivered for reads, data accepted
+    /// for writes) with the rest of the bank's schedule.
+    #[inline]
+    pub fn access(&mut self, bank: &mut Bank, step: &Step, arrival: u64) -> BankSchedule {
+        // The data burst begins `burst_offset` after the command issues,
+        // which turns the bus-free constraint into an issue-time one.
+        let earliest = arrival.max(self.free_at.saturating_sub(step.burst_offset));
+        let sched = bank.schedule(step, earliest);
+        debug_assert!(sched.burst_start >= self.free_at);
+        self.free_at = sched.burst_end;
+        self.busy_cycles += step.bus_cycles;
+        sched
+    }
+}
 
 /// One memory channel: a set of banks sharing a data bus.
 ///
 /// Requests are serviced in arrival order (FCFS). Bank-level constraints
 /// (`tRCD`, `tWP`, `tWTR`, `tCCD`, `tRP`) are enforced by [`Bank`]; the
-/// channel additionally serializes data bursts on the shared bus.
+/// channel's [`Bus`] additionally serializes data bursts.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    banks: Vec<Bank>,
-    /// One past the last cycle of the most recent data burst on the bus.
-    bus_free_at: u64,
-    busy_cycles: u64,
-    last_activity: u64,
+    /// The banks behind the bus, and the bus: lent apart to the burst
+    /// loop, which holds the bus by value while it steps the banks.
+    pub banks: Vec<Bank>,
+    pub bus: Bus,
 }
 
 impl Channel {
@@ -24,64 +53,18 @@ impl Channel {
         assert!(num_banks > 0, "a channel needs at least one bank");
         Channel {
             banks: vec![Bank::new(); num_banks],
-            bus_free_at: 0,
-            busy_cycles: 0,
-            last_activity: 0,
+            bus: Bus::default(),
         }
-    }
-
-    /// Number of banks on this channel.
-    #[allow(dead_code)] // introspection accessor
-    pub fn num_banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Schedules one access on bank `bank_idx` arriving at cycle `arrival`.
-    ///
-    /// Returns the completion cycle (data delivered for reads, data accepted
-    /// for writes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bank_idx` is out of range.
-    #[inline]
-    pub fn access(
-        &mut self,
-        bank_idx: usize,
-        kind: AccessKind,
-        arrival: u64,
-        timing: &TimingParams,
-        burst_cycles: u64,
-    ) -> BankSchedule {
-        // Command-issue offset after which the data burst begins; used to
-        // translate the bus-free constraint into an issue-time constraint.
-        let burst_offset = match kind {
-            AccessKind::Read => timing.t_rcd,
-            AccessKind::Write => timing.t_cwd,
-        };
-        let earliest = arrival.max(self.bus_free_at.saturating_sub(burst_offset));
-        let sched = self.banks[bank_idx].schedule(kind, earliest, timing, burst_cycles);
-        debug_assert!(sched.burst_start >= self.bus_free_at || self.bus_free_at == 0);
-        self.bus_free_at = sched.burst_end;
-        self.busy_cycles += sched.burst_end - sched.burst_start;
-        self.last_activity = self.last_activity.max(sched.burst_end);
-        sched
-    }
-
-    /// One past the last cycle the data bus is occupied.
-    #[allow(dead_code)] // introspection accessor
-    pub fn bus_free_at(&self) -> u64 {
-        self.bus_free_at
     }
 
     /// Total cycles the data bus has been occupied (utilization numerator).
     pub fn busy_cycles(&self) -> u64 {
-        self.busy_cycles
+        self.bus.busy_cycles
     }
 
     /// Last cycle at which this channel had any activity.
     pub fn last_activity(&self) -> u64 {
-        self.last_activity
+        self.bus.free_at
     }
 
     /// Per-bank lifetime write counts (wear proxy).
@@ -93,6 +76,7 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::AccessKind;
     use crate::timing::{MemTech, TimingParams};
 
     const BURST: u64 = 8;
@@ -101,13 +85,18 @@ mod tests {
         TimingParams::for_tech(MemTech::Pcm)
     }
 
+    /// One request arriving at cycle 0, as the burst loop steps it.
+    fn access(ch: &mut Channel, bank: usize, kind: AccessKind) -> BankSchedule {
+        let step = Step::new(kind, &pcm(), BURST);
+        ch.bus.access(&mut ch.banks[bank], &step, 0)
+    }
+
     #[test]
     fn bursts_never_overlap_on_the_bus() {
         let mut ch = Channel::new(8);
-        let t = pcm();
         let mut prev_end = 0;
         for i in 0..32 {
-            let s = ch.access(i % 8, AccessKind::Read, 0, &t, BURST);
+            let s = access(&mut ch, i % 8, AccessKind::Read);
             assert!(s.burst_start >= prev_end, "burst {i} overlaps previous");
             prev_end = s.burst_end;
         }
@@ -117,8 +106,8 @@ mod tests {
     fn different_banks_overlap_latency_but_not_bus() {
         let mut ch = Channel::new(2);
         let t = pcm();
-        let a = ch.access(0, AccessKind::Read, 0, &t, BURST);
-        let b = ch.access(1, AccessKind::Read, 0, &t, BURST);
+        let a = access(&mut ch, 0, AccessKind::Read);
+        let b = access(&mut ch, 1, AccessKind::Read);
         // Second read hides most of its tRCD under the first one's.
         assert!(b.complete - a.complete < t.read_latency(BURST));
         assert!(b.burst_start >= a.burst_end);
@@ -128,17 +117,16 @@ mod tests {
     fn same_bank_serializes_fully() {
         let mut ch = Channel::new(2);
         let t = pcm();
-        let a = ch.access(0, AccessKind::Read, 0, &t, BURST);
-        let b = ch.access(0, AccessKind::Read, 0, &t, BURST);
+        let a = access(&mut ch, 0, AccessKind::Read);
+        let b = access(&mut ch, 0, AccessKind::Read);
         assert!(b.issue >= a.issue + t.read_bank_occupancy(BURST));
     }
 
     #[test]
     fn busy_cycles_accumulate_per_burst() {
         let mut ch = Channel::new(4);
-        let t = pcm();
         for i in 0..4 {
-            ch.access(i, AccessKind::Write, 0, &t, BURST);
+            access(&mut ch, i, AccessKind::Write);
         }
         assert_eq!(ch.busy_cycles(), 4 * BURST);
     }

@@ -2,14 +2,21 @@
 //!
 //! **The burst is the unit.** An ORAM path arrives as `Z·(L+1)` requests
 //! of one kind, one size and one arrival cycle, so
-//! [`NvmController::access_batch_sized`] is the controller's one entry:
-//! what is a property of the burst (bus cycles per request, whether its
-//! writes park in the write buffer, the traffic totals) is worked out
-//! once, and what is a property of a request (its channel and bank, the
-//! channel's FCFS order and bus, the bank's `tWTR`/`tCCD` windows, its
-//! `NvmAccess` event) is stepped per request, in request order. The
-//! scalar entries are the one-request burst, which is what makes them the
-//! burst's oracle (`tests/nvm_properties.rs`).
+//! [`NvmController::access_batch_sized`] is the controller's one entry and
+//! the burst's own loop. What is a property of the burst is read once,
+//! before the first request: the form of the address map, the [`Step`]
+//! the timing makes of the kind and the bus cycles, whether a tap listens,
+//! whether lines are counted, whether writes park in the write buffer,
+//! the traffic totals. What is a property of a request is stepped per
+//! request, in request order: its channel and bank, the channel's FCFS
+//! order and bus, the bank's `tWTR`/`tCCD` windows, its `NvmAccess` event.
+//! The loop holds the bus of the channel it is on by value and writes it
+//! back when a request leaves for another channel — once a burst on one
+//! channel, once a request on two interleaved by the block, no more
+//! often than the per-request controller stored it. The scalar entries are
+//! the one-request burst, which is what makes them the burst's oracle
+//! (`tests/nvm_properties.rs`, beside a frozen copy of the per-request
+//! formulas).
 //!
 //! **Per-line write counts exist when their reader does.** The only
 //! readers of the per-line table are the wear reports an armed endurance
@@ -21,7 +28,8 @@
 use psoram_obsv::{Event, Tap};
 use serde::{Deserialize, Serialize};
 
-use crate::address::AddressMap;
+use crate::address::{AddressMap, Decompose};
+use crate::bank::Step;
 use crate::channel::Channel;
 use crate::lines::LineCounters;
 use crate::request::AccessKind;
@@ -177,7 +185,7 @@ impl Default for NvmConfig {
 pub struct NvmController {
     config: NvmConfig,
     timing: TimingParams,
-    /// `config`'s geometry as shifts and masks where it can be.
+    /// `config`'s geometry, classified: shifts and masks where it can be.
     map: AddressMap,
     channels: Vec<Channel>,
     stats: NvmStats,
@@ -243,7 +251,8 @@ impl NvmController {
     /// a channel always interleave at block granularity (so single-channel
     /// behaviour is independent of the channel-interleave setting).
     pub fn map_address(&self, addr: u64) -> (usize, usize) {
-        self.map.locate(addr)
+        let (_, channel, bank) = self.map.decompose(addr);
+        (channel, bank)
     }
 
     /// Performs one block access arriving at memory cycle `arrival` and
@@ -259,32 +268,24 @@ impl NvmController {
         self.access_batch_sized(std::iter::once(addr), kind, arrival, bytes)
     }
 
-    /// Schedules one request on its bank, `bus_cycles` long on the data
-    /// bus, and reports it to the tap. Returns its completion cycle.
-    #[inline]
-    fn schedule(&mut self, addr: u64, kind: AccessKind, arrival: u64, bus_cycles: u64) -> u64 {
-        let (ch, bank) = self.map.locate(addr);
-        let sched = self.channels[ch].access(bank, kind, arrival, &self.timing, bus_cycles);
-        self.tap.emit(|| Event::NvmAccess {
-            kind: obsv_kind(kind),
-            channel: ch as u32,
-            bank: bank as u32,
-            arrival,
-            complete: sched.complete,
-        });
-        sched.complete
-    }
-
     /// Drains the write buffer down to `low_watermark` entries, scheduling
-    /// the drained writes on the banks starting at `now`.
+    /// the drained writes on the banks starting at `now`: one burst per
+    /// run of equally sized writes.
     pub fn drain_write_buffer(&mut self, now: u64, low_watermark: usize) -> u64 {
         let mut done = now;
         while self.write_buffer.len() > low_watermark {
-            let Some((addr, bus_cycles)) = self.write_buffer.pop_front() else {
-                break;
-            };
-            done = done.max(self.schedule(addr, AccessKind::Write, now, bus_cycles));
-            self.drained_writes += 1;
+            let excess = self.write_buffer.len() - low_watermark;
+            let bus_cycles = self.write_buffer[0].1;
+            let run = (self.write_buffer.iter().take(excess))
+                .take_while(|&&(_, cycles)| cycles == bus_cycles)
+                .count();
+            let step = Step::new(AccessKind::Write, &self.timing, bus_cycles);
+            let addrs = self.write_buffer.drain(..run).map(|(addr, _)| addr);
+            // Counted against their lines when they parked.
+            let (channels, tap) = (&mut self.channels[..], &self.tap);
+            let (last, _) = schedule_burst(&self.map, channels, tap, None, addrs, step, now);
+            done = done.max(last);
+            self.drained_writes += run as u64;
         }
         done
     }
@@ -333,28 +334,32 @@ impl NvmController {
             AccessKind::Write => self.config.write_buffer_entries,
             AccessKind::Read => 0,
         };
-        let mut done = arrival;
-        let mut requests = 0u64;
-        for addr in addrs {
-            requests += 1;
-            if kind.is_write() {
+        let (done, requests) = if buffer_entries > 0 {
+            let mut requests = 0u64;
+            for addr in addrs {
+                requests += 1;
                 // Line-granularity wear accounting: one cell-programming
                 // pulse per accepted write, whether it drains now or via
                 // the buffer.
                 if let Some(lines) = &mut self.line_writes {
-                    lines.record(self.map.line(addr));
+                    lines.record(self.map.decompose(addr).0);
                 }
-            }
-            if buffer_entries > 0 {
                 self.write_buffer.push_back((addr, bus_cycles));
                 if self.write_buffer.len() >= buffer_entries {
                     self.drain_write_buffer(arrival, buffer_entries / 2);
                 }
-                done = arrival + 1; // accepted immediately
-            } else {
-                done = done.max(self.schedule(addr, kind, arrival, bus_cycles));
             }
-        }
+            // Accepted immediately.
+            (arrival + u64::from(requests > 0), requests)
+        } else {
+            let step = Step::new(kind, &self.timing, bus_cycles);
+            let lines = match kind {
+                AccessKind::Write => self.line_writes.as_mut(),
+                AccessKind::Read => None,
+            };
+            let (channels, tap, addrs) = (&mut self.channels[..], &self.tap, addrs.into_iter());
+            schedule_burst(&self.map, channels, tap, lines, addrs, step, arrival)
+        };
         self.stats.record_burst(kind, requests, bytes as u64);
         done
     }
@@ -476,6 +481,74 @@ impl psoram_obsv::MetricsSource for NvmWearReport {
             self.max_line_writes as f64,
         );
     }
+}
+
+/// One burst on the banks: matches on the address map once and runs
+/// [`step_burst`] over the form it finds. Returns the last completion
+/// cycle (`arrival` for an empty burst) and the number of requests.
+#[inline]
+fn schedule_burst(
+    map: &AddressMap,
+    channels: &mut [Channel],
+    tap: &Tap,
+    lines: Option<&mut LineCounters>,
+    addrs: impl Iterator<Item = u64>,
+    step: Step,
+    arrival: u64,
+) -> (u64, u64) {
+    match map {
+        AddressMap::Shifts(map) => step_burst(map, channels, tap, lines, addrs, step, arrival),
+        AddressMap::Divisors(map) => step_burst(map, channels, tap, lines, addrs, step, arrival),
+    }
+}
+
+/// The burst's loop over one form of the address map: every request is
+/// decomposed, counted against its line (when `lines` are), stepped
+/// through its channel's bus and its bank, and reported to the tap (when
+/// one listens). The bus of the channel the loop is on is a local; it goes
+/// back to its channel when a request leaves for another, and at the end.
+#[inline]
+fn step_burst(
+    map: &impl Decompose,
+    channels: &mut [Channel],
+    tap: &Tap,
+    mut lines: Option<&mut LineCounters>,
+    addrs: impl Iterator<Item = u64>,
+    step: Step,
+    arrival: u64,
+) -> (u64, u64) {
+    let traced = tap.is_attached();
+    let kind = obsv_kind(step.kind);
+    let (mut done, mut requests) = (arrival, 0u64);
+    // A validated geometry has a channel 0; a burst that never visits it
+    // writes its bus back as it found it.
+    let (mut on, mut bus) = (0, channels[0].bus);
+    for addr in addrs {
+        requests += 1;
+        let (line, channel, bank) = map.decompose(addr);
+        if let Some(lines) = lines.as_deref_mut() {
+            lines.record(line);
+        }
+        if channel != on {
+            channels[on].bus = bus;
+            (on, bus) = (channel, channels[channel].bus);
+        }
+        let complete = bus
+            .access(&mut channels[on].banks[bank], &step, arrival)
+            .complete;
+        if traced {
+            tap.emit(|| Event::NvmAccess {
+                kind,
+                channel: channel as u32,
+                bank: bank as u32,
+                arrival,
+                complete,
+            });
+        }
+        done = done.max(complete);
+    }
+    channels[on].bus = bus;
+    (done, requests)
 }
 
 /// Maps the controller's request kind onto the observability vocabulary.

@@ -162,41 +162,44 @@ impl Shell {
     /// state hash equal; the double-recover idempotency regression tests
     /// rely on it.
     pub(crate) fn state_digest(&self, arena: &SlotArena, read_marks: bool) -> u128 {
-        let mut bytes = Vec::new();
+        // Streamed: the image is hashed as it is walked, never assembled.
+        let mut image = Hash128::new().stream();
         for (idx, bucket) in arena.iter() {
-            bytes.extend_from_slice(&idx.to_le_bytes());
+            image.update(&idx.to_le_bytes());
             for slot in bucket.slots() {
                 match slot {
-                    None => bytes.push(0),
+                    None => image.update(&[0]),
                     Some(b) => {
-                        bytes.push(1);
-                        bytes.extend_from_slice(&b.header.addr.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.leaf.0.to_le_bytes());
-                        bytes.extend_from_slice(&b.header.seq.to_le_bytes());
-                        bytes.push(b.is_backup as u8);
-                        bytes.extend_from_slice(b.payload);
+                        image.update(&[1]);
+                        image.update(&b.header.addr.0.to_le_bytes());
+                        image.update(&b.header.leaf.0.to_le_bytes());
+                        image.update(&b.header.seq.to_le_bytes());
+                        image.update(&[b.is_backup as u8]);
+                        image.update(b.payload);
                     }
                 }
             }
             if read_marks {
-                bytes.extend((0..bucket.num_slots()).map(|s| bucket.is_valid(s) as u8));
-                bytes.extend_from_slice(&(bucket.reads() as u64).to_le_bytes());
+                for s in 0..bucket.num_slots() {
+                    image.update(&[bucket.is_valid(s) as u8]);
+                }
+                image.update(&(bucket.reads() as u64).to_le_bytes());
             }
         }
         for (a, l) in self.posmap.persisted_sorted() {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(&l.to_le_bytes());
+            image.update(&a.to_le_bytes());
+            image.update(&l.to_le_bytes());
         }
         let mut committed: Vec<(u64, &Vec<u8>)> = self.ledger.committed_iter().collect();
         committed.sort_unstable_by_key(|&(a, _)| a);
         for (a, v) in committed {
-            bytes.extend_from_slice(&a.to_le_bytes());
-            bytes.extend_from_slice(v);
+            image.update(&a.to_le_bytes());
+            image.update(v);
         }
         if let Some(d) = self.ctl.wear_digest() {
-            bytes.extend_from_slice(&d.to_le_bytes());
+            image.update(&d.to_le_bytes());
         }
-        u128::from_le_bytes(Hash128::new().digest(&bytes))
+        u128::from_le_bytes(image.finalize())
     }
 
     /// Publishes a design's counters under `prefix`: the protocol's own

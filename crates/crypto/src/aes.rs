@@ -230,6 +230,29 @@ impl Aes128 {
     }
 }
 
+/// The Davies–Meyer chain of [`crate::Hash128`] over `blocks`:
+/// `state ← E_m(state) ^ state` for each block `m` in order, the message
+/// block being the cipher *key*. On the host's AES instructions where it
+/// has them, key schedule included; [`davies_meyer_portable`] elsewhere.
+pub(crate) fn davies_meyer(state: &mut [u8; 16], blocks: &[[u8; 16]]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(hw) = AesNi::detect() {
+        return hw.davies_meyer(state, blocks);
+    }
+    davies_meyer_portable(state, blocks);
+}
+
+/// [`davies_meyer`] over [`expand_key`] and the T-table rounds: what a
+/// host without AES instructions runs.
+pub(crate) fn davies_meyer_portable(state: &mut [u8; 16], blocks: &[[u8; 16]]) {
+    for block in blocks {
+        let out = Aes128::portable(block).encrypt_block(state);
+        for (s, o) in state.iter_mut().zip(out) {
+            *s ^= o;
+        }
+    }
+}
+
 /// One block through the T-table rounds under the word schedule `ek`.
 fn ttable_encrypt(ek: &[u32; 44], block: &[u8; 16]) -> [u8; 16] {
     let mut s0 = u32::from_be_bytes([block[0], block[1], block[2], block[3]]) ^ ek[0];
@@ -412,6 +435,23 @@ mod tests {
                 let apart: Vec<[u8; 16]> = plain.iter().map(|b| aes.encrypt_block(b)).collect();
                 assert_eq!(together, apart, "{n} blocks, {aes:?}");
             }
+        }
+    }
+
+    /// The chain the host selects (on its AES unit, the schedule by
+    /// `aeskeygenassist`) is the chain over `expand_key` and the T-table,
+    /// link by link: nothing, one block, and runs of them.
+    #[test]
+    fn davies_meyer_is_the_portable_chain_at_every_length() {
+        for n in 0..=9usize {
+            let blocks: Vec<[u8; 16]> = (0..n)
+                .map(|i| core::array::from_fn(|j| (i * 37 + j * 11 + n) as u8))
+                .collect();
+            let (mut selected, mut portable) = ([0xA5u8; 16], [0xA5u8; 16]);
+            davies_meyer(&mut selected, &blocks);
+            davies_meyer_portable(&mut portable, &blocks);
+            assert_eq!(selected, portable, "{n} blocks");
+            assert_eq!(n == 0, selected == [0xA5; 16]);
         }
     }
 

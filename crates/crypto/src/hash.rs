@@ -6,13 +6,24 @@
 //! with Merkle–Damgård length-strengthening — collision-resistant under
 //! the ideal-cipher model and exactly what the integrity tree needs.
 
-use crate::Aes128;
+use crate::aes::davies_meyer;
 
 /// Output size of [`Hash128`] in bytes.
 pub const DIGEST_BYTES: usize = 16;
 
 /// A 128-bit digest.
 pub type Digest = [u8; DIGEST_BYTES];
+
+/// The chain's initial value: an arbitrary fixed constant (fractional bits
+/// of sqrt(2)).
+const IV: Digest = [
+    0x6a, 0x09, 0xe6, 0x67, 0xbb, 0x67, 0xae, 0x85, 0x3c, 0x6e, 0xf3, 0x72, 0xa5, 0x4f, 0xf5, 0x3a,
+];
+
+/// Bytes a [`Hash128Stream`] gathers before it compresses them: sixteen
+/// blocks, so that a message fed a word at a time still reaches the chain
+/// in runs long enough to expand key schedules ahead of the encryptions.
+const GATHER: usize = 256;
 
 /// AES-based 128-bit hash function.
 ///
@@ -26,6 +37,12 @@ pub type Digest = [u8; DIGEST_BYTES];
 /// let d2 = h.digest(b"bucket contents!");
 /// assert_ne!(d1, d2);
 /// assert_eq!(d1, h.digest(b"bucket contents"));
+///
+/// // A message that exists only in pieces is hashed as it comes.
+/// let mut s = h.stream();
+/// s.update(b"bucket ");
+/// s.update(b"contents");
+/// assert_eq!(s.finalize(), d1);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Hash128;
@@ -36,44 +53,82 @@ impl Hash128 {
         Hash128
     }
 
+    /// Begins hashing a message that arrives in pieces.
+    pub fn stream(&self) -> Hash128Stream {
+        Hash128Stream {
+            state: IV,
+            buf: [0; GATHER],
+            filled: 0,
+            len: 0,
+        }
+    }
+
     /// Hashes `msg` to a 128-bit digest.
     pub fn digest(&self, msg: &[u8]) -> Digest {
-        // IV: an arbitrary fixed constant (fractional bits of sqrt(2)).
-        let mut state: Digest = [
-            0x6a, 0x09, 0xe6, 0x67, 0xbb, 0x67, 0xae, 0x85, 0x3c, 0x6e, 0xf3, 0x72, 0xa5, 0x4f,
-            0xf5, 0x3a,
-        ];
-        let compress = |state: &mut Digest, block: &[u8; 16]| {
-            // Davies–Meyer: the message block is the cipher *key*.
-            let aes = Aes128::new(block);
-            let out = aes.encrypt_block(state);
-            for (s, o) in state.iter_mut().zip(out) {
-                *s ^= o;
-            }
-        };
-        let mut chunks = msg.chunks_exact(16);
-        for chunk in &mut chunks {
-            let mut block = [0u8; 16];
-            block.copy_from_slice(chunk);
-            compress(&mut state, &block);
-        }
-        // Final padded block: remainder || 0x80 || zeros.
-        let rem = chunks.remainder();
-        let mut block = [0u8; 16];
-        block[..rem.len()].copy_from_slice(rem);
-        block[rem.len()] = 0x80;
-        compress(&mut state, &block);
-        // Length-strengthening block.
-        let mut len_block = [0u8; 16];
-        len_block[8..].copy_from_slice(&(msg.len() as u64).to_be_bytes());
-        compress(&mut state, &len_block);
-        state
+        self.digest_parts(&[msg])
     }
 
     /// Hashes the concatenation of several parts without materializing it.
     pub fn digest_parts(&self, parts: &[&[u8]]) -> Digest {
-        let total: Vec<u8> = parts.concat();
-        self.digest(&total)
+        let mut s = self.stream();
+        for part in parts {
+            s.update(part);
+        }
+        s.finalize()
+    }
+}
+
+/// The hash of a message still arriving: [`Hash128::stream`], any number
+/// of [`update`](Self::update)s, one [`finalize`](Self::finalize). The
+/// digest is that of the pieces' concatenation, however it was cut.
+#[derive(Debug, Clone)]
+pub struct Hash128Stream {
+    /// Chaining value over every compressed block.
+    state: Digest,
+    /// `buf[..filled]`: message bytes gathered and not yet compressed.
+    buf: [u8; GATHER],
+    filled: usize,
+    /// Message bytes so far, for the length-strengthening block.
+    len: u64,
+}
+
+impl Hash128Stream {
+    /// Appends `data` to the message.
+    pub fn update(&mut self, mut data: &[u8]) {
+        self.len += data.len() as u64;
+        if self.filled > 0 {
+            let n = (GATHER - self.filled).min(data.len());
+            self.buf[self.filled..self.filled + n].copy_from_slice(&data[..n]);
+            self.filled += n;
+            data = &data[n..];
+            if self.filled < GATHER {
+                return;
+            }
+            davies_meyer(&mut self.state, self.buf.as_chunks().0);
+            self.filled = 0;
+        }
+        // Nothing gathered: whole blocks go to the chain from where they
+        // lie, and only what is left over is copied.
+        let (blocks, rest) = data.as_chunks();
+        if !blocks.is_empty() {
+            davies_meyer(&mut self.state, blocks);
+        }
+        self.buf[..rest.len()].copy_from_slice(rest);
+        self.filled = rest.len();
+    }
+
+    /// Finishes the message and returns its digest.
+    pub fn finalize(mut self) -> Digest {
+        let (blocks, rem) = self.buf[..self.filled].as_chunks();
+        // The padded block (remainder || 0x80 || zeros), then Merkle–Damgård
+        // length strengthening.
+        let mut tail = [[0u8; 16]; 2];
+        tail[0][..rem.len()].copy_from_slice(rem);
+        tail[0][rem.len()] = 0x80;
+        tail[1][8..].copy_from_slice(&self.len.to_be_bytes());
+        davies_meyer(&mut self.state, blocks);
+        davies_meyer(&mut self.state, &tail);
+        self.state
     }
 }
 

@@ -30,6 +30,10 @@
 //!   ([`CmacStream`]), and up to [`Cmac::LANES`] independent messages in
 //!   lockstep ([`Cmac::tag_lanes`] over stack-built [`Frame`]s and
 //!   borrowed payloads), all bit-identical.
+//! * [`Hash128`] — a 128-bit Davies–Meyer hash over the same cipher, for
+//!   state digests: every 16 message bytes key one encryption, so on the
+//!   hardware path the key schedule runs on the AES unit as well. One-shot,
+//!   in parts, or streaming ([`Hash128Stream`]), all bit-identical.
 //! * [`CryptoLatencyModel`] — the cycle-cost model the timing simulator
 //!   charges for header/content (de|en)cryption. Functional throughput and
 //!   modeled latency are deliberately decoupled: the timing side charges 32
@@ -75,6 +79,6 @@ mod reference;
 pub use aes::Aes128;
 pub use cmac::{Cmac, CmacStream, Frame};
 pub use ctr::CtrCipher;
-pub use hash::{Digest, Hash128, DIGEST_BYTES};
+pub use hash::{Digest, Hash128, Hash128Stream, DIGEST_BYTES};
 pub use latency::CryptoLatencyModel;
 pub use reference::ReferenceAes128;

@@ -48,12 +48,27 @@ proptest! {
 
     /// The digest the host's rounds produce is the by-hand chain over the
     /// T-table: a host with AES instructions and one without agree on
-    /// every message, short of a block, across many, and empty.
+    /// every message, short of a block, across many, and empty — and a
+    /// message streamed in pieces hashes as the whole, wherever it is cut
+    /// (inside a block, on one, across the stream's gather buffer).
     #[test]
     fn hash_is_the_portable_davies_meyer_chain(
         msg in prop::collection::vec(any::<u8>(), 0..700),
+        cuts in prop::collection::vec(0usize..700, 0..6),
     ) {
-        prop_assert_eq!(Hash128::new().digest(&msg), portable_davies_meyer(&msg));
+        let expected = portable_davies_meyer(&msg);
+        prop_assert_eq!(Hash128::new().digest(&msg), expected);
+
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(msg.len())).collect();
+        cuts.sort_unstable();
+        let mut stream = Hash128::new().stream();
+        let mut from = 0;
+        for cut in cuts {
+            stream.update(&msg[from..cut]);
+            from = cut;
+        }
+        stream.update(&msg[from..]);
+        prop_assert_eq!(stream.finalize(), expected);
     }
 
     /// The T-table and the reference cipher agree on every (key, block).

@@ -740,7 +740,8 @@ mod tests {
             }
             prop_assert_eq!(tree.real_blocks(), model.values().flatten().count());
             let listed: Vec<((u64, usize), Option<Block>)> = tree
-                .materialized()
+                .arena()
+                .iter()
                 .flat_map(|(bucket, b)| {
                     (0..z).map(move |s| ((bucket, s), b.slot(s).map(|v| v.to_block())))
                 })

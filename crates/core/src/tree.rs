@@ -260,12 +260,6 @@ impl OramTree {
         self.slots.iter().map(|(_, b)| b.occupancy()).sum()
     }
 
-    /// Every materialized bucket with its index, in ascending index order
-    /// — for deterministic whole-tree scans (tag audits, state digests).
-    pub fn materialized(&self) -> impl Iterator<Item = (BucketIndex, BucketRef<'_>)> {
-        self.slots.iter()
-    }
-
     /// Number of store pages backing the materialized buckets — with
     /// [`OramTree::materialized_buckets`], the footprint of a sparse tree.
     pub fn materialized_pages(&self) -> usize {
@@ -350,7 +344,7 @@ mod tests {
         }
         assert_eq!(t.materialized_buckets(), 4);
         assert!(t.bucket_ref(42).is_none());
-        let listed: Vec<BucketIndex> = t.materialized().map(|(i, _)| i).collect();
+        let listed: Vec<BucketIndex> = t.arena().iter().map(|(i, _)| i).collect();
         assert_eq!(listed, vec![3, 40, 41, 126]);
         // Emptying a path keeps its buckets materialized (all-dummy).
         t.take_path(Leaf(63));

@@ -110,9 +110,7 @@ impl Hash128Stream {
         // Nothing gathered: whole blocks go to the chain from where they
         // lie, and only what is left over is copied.
         let (blocks, rest) = data.as_chunks();
-        if !blocks.is_empty() {
-            davies_meyer(&mut self.state, blocks);
-        }
+        davies_meyer(&mut self.state, blocks);
         self.buf[..rest.len()].copy_from_slice(rest);
         self.filled = rest.len();
     }

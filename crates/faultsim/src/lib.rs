@@ -18,12 +18,12 @@
 //!   and fails reads underneath every design. Hardened designs must
 //!   repair, roll back with typed errors, or fail safe; never diverge
 //!   silently.
-//! * **Fleet campaigns** ([`fleet_campaign`]): N independent instances
-//!   of a design run side by side from per-instance seeds; a power
-//!   fault can strike exactly one instance mid-load, and the
-//!   per-instance reports prove recovery stays local — the sharded
-//!   service's failure model (per-shard recovery, no global
-//!   stop-the-world).
+//! * **Endurance campaigns** ([`wear_campaign`], [`lifetime_campaign`]):
+//!   wear-torture runs on pre-aged silicon, and years-to-failure
+//!   projected from each design's hot-line profile at the access rate
+//!   the full-system simulator measures. Shards side by side — one
+//!   crashed or worn while its siblings serve — are `psoram-service`'s
+//!   lanes, not a campaign here.
 //! * **Differential oracle** ([`ShadowOracle`]): an independent shadow
 //!   map of logical address → last durably committed value. After every
 //!   recovery it asserts that no committed write is lost and no
@@ -60,7 +60,6 @@
 mod campaign;
 mod device;
 mod driver;
-mod fleet;
 mod lifetime;
 mod oracle;
 mod report;
@@ -74,10 +73,6 @@ pub use campaign::{
 pub use device::{
     device_campaign, device_campaign_variant, device_sweep_set, DeviceCampaignConfig,
     DeviceCampaignReport, DeviceFaultSummary, DeviceVariantReport,
-};
-pub use fleet::{
-    fleet_campaign, wear_fleet_campaign, FleetConfig, FleetLaneReport, WearFleetConfig,
-    WearFleetReport, WearShardEvidence,
 };
 pub use lifetime::{
     lifetime_campaign, wear_campaign, wear_sweep_set, LifetimeCampaignConfig,

@@ -13,17 +13,20 @@
 //!   retired, rolled back under a typed error, or refused by the
 //!   fail-safe latch.
 //! * [`lifetime_campaign`] is the projection side: the 14 calibrated
-//!   SPEC workload models drive per-line write rates through each
-//!   design's measured hot-line profile under every wear-leveling
-//!   scheme (none / Start-Gap / remap-on-retire), yielding
-//!   years-to-failure per (workload, design, scheme) cell.
+//!   SPEC workload models, run through the full-system simulator, set
+//!   the ORAM access rate; each design's measured hot-line profile under
+//!   every wear-leveling scheme (none / Start-Gap / remap-on-retire)
+//!   turns it into per-line write rates, yielding years-to-failure per
+//!   (workload, design, scheme) cell.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use psoram_core::ProtocolVariant;
 use psoram_nvm::{FaultConfig, WearConfig, WearScheme, CORE_HZ};
-use psoram_trace::{SpecWorkload, TraceGenerator};
+use psoram_system::{System, SystemConfig};
+use psoram_trace::SpecWorkload;
 
 use crate::driver::Driver;
 use crate::par::par_map;
@@ -170,7 +173,7 @@ impl WearCampaignReport {
 }
 
 /// Derives one run's seed from the campaign seed and its cell
-/// coordinates (golden-ratio mixing, same discipline as the fleet).
+/// coordinates (golden-ratio mixing, as the service's shard seeds).
 fn run_seed(seed: u64, cell: u64, run: u64) -> u64 {
     seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(cell * 1013 + run + 1))
 }
@@ -280,9 +283,11 @@ pub fn wear_campaign(cfg: &WearCampaignConfig) -> WearCampaignReport {
 /// Parameters of a lifetime-projection campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeCampaignConfig {
-    /// Master seed (drives trace generation and the probe controllers).
+    /// Master seed (drives the full-system runs and the probe
+    /// controllers).
     pub seed: u64,
-    /// Trace records sampled per workload for the access-rate model.
+    /// Trace records each workload runs through the full-system
+    /// simulator to measure its ORAM access rate.
     pub trace_records: usize,
     /// Accesses driven through each (design, scheme) probe to measure
     /// the hot-line write profile.
@@ -328,7 +333,8 @@ pub struct LifetimeRow {
     pub design: String,
     /// Wear-leveling scheme label.
     pub scheme: String,
-    /// ORAM accesses per second the workload sustains (trace model).
+    /// ORAM accesses per second the workload sustains (measured on the
+    /// full-system simulator under PS-ORAM; see `workload_access_rate`).
     pub accesses_per_sec: f64,
     /// Hottest physical line's writes per ORAM access (probe measure).
     pub hot_line_writes_per_access: f64,
@@ -417,25 +423,19 @@ fn probe_design(
     }
 }
 
-/// The trace-model access rate for one workload: ORAM accesses per
-/// second on the modeled [`CORE_HZ`] in-order core.
+/// The measured access rate for one workload: ORAM accesses per second
+/// of a PS-ORAM [`System`] running `trace_records` records of it. The
+/// geometry is [`SystemConfig::quick_test`] (L=12, one PCM channel,
+/// 64 KB L2); its in-order [`CORE_HZ`] core stalls on every LLC miss,
+/// so the rate is what the controller's own service time allows. The
+/// system is Path-only: the PS-Ring rows use the same rate.
 fn workload_access_rate(cfg: &LifetimeCampaignConfig, w: SpecWorkload) -> f64 {
-    let spec = w.spec();
-    let tweak = w
-        .name()
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let gen = TraceGenerator::new(&spec, cfg.seed ^ tweak);
-    let mut instrs = 0u64;
-    let mut accesses = 0u64;
-    for rec in gen.take(cfg.trace_records) {
-        instrs += rec.instrs_before + 1;
-        accesses += 1;
-    }
-    if instrs == 0 {
-        return 0.0;
-    }
-    accesses as f64 * CORE_HZ as f64 / instrs as f64
+    let mut sc = SystemConfig::quick_test(ProtocolVariant::PsOram, 1);
+    sc.seed = cfg.seed;
+    // Timing is identical either way; skipping the cipher is faster.
+    sc.encrypt_payloads = false;
+    let r = System::new(sc).run_workload(w, cfg.trace_records);
+    r.oram.accesses as f64 * CORE_HZ as f64 / r.exec_cycles.max(1) as f64
 }
 
 /// Years-to-failure for one cell: the hottest line's budget divided by
@@ -460,9 +460,9 @@ fn project_years(
 }
 
 /// Runs the lifetime projection: 14 SPEC workloads × the sweep-set
-/// designs × every leveling scheme. The probes fan out over the worker
-/// pool; trace rates are computed once per workload. Byte-identical at
-/// any job count.
+/// designs × every leveling scheme. The probes and the per-workload
+/// access-rate runs fan out over the worker pool. Byte-identical at any
+/// job count.
 pub fn lifetime_campaign(cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport {
     // Hardened designs only: the baselines bypass the persistence
     // domain's drain, so they record no media wear to project from.
@@ -475,10 +475,9 @@ pub fn lifetime_campaign(cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport
     let probes = par_map(cfg.jobs, probes_in.clone(), |(d, s)| {
         probe_design(cfg, d, s)
     });
-    let rates: Vec<(SpecWorkload, f64)> = SpecWorkload::all()
-        .into_iter()
-        .map(|w| (w, workload_access_rate(cfg, w)))
-        .collect();
+    let rates = par_map(cfg.jobs, SpecWorkload::all().to_vec(), |w| {
+        (w, workload_access_rate(cfg, w))
+    });
 
     let mut rows = Vec::with_capacity(rates.len() * probes.len());
     for &(w, rate) in &rates {

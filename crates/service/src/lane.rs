@@ -188,9 +188,9 @@ impl ShardServer {
 
     /// Arms the endurance adversary on this shard only: a wear-only
     /// device fault plan (wear-correlated media faults, every crash-fate
-    /// probability zero) plus the wear engine itself, both seeded from
-    /// `seed` with the same sub-stream discipline as the faultsim wear
-    /// fleet. Sibling shards stay byte-identical to a wear-free run.
+    /// probability zero) plus the wear engine itself, each on its own
+    /// sub-stream of `seed`. Sibling shards stay byte-identical to a
+    /// wear-free run (BENCH_07's wear fleet holds this).
     pub fn arm_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
         let oram = self.policy_mut();
         oram.enable_device_faults(seed ^ 0x0EA4, psoram_nvm::FaultConfig::wear_only());

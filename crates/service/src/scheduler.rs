@@ -189,7 +189,7 @@ impl ServiceConfig {
 
     /// Shard `shard`'s independent seed (golden-ratio mix of the run
     /// seed — same discipline as `SystemConfig::for_shard` and the
-    /// fleet campaign).
+    /// faultsim campaigns' run seeds).
     pub fn shard_seed(&self, shard: u32) -> u64 {
         self.seed
             .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(shard as u64 + 1))

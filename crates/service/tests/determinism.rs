@@ -2,7 +2,9 @@
 //! of the configuration — worker count, tracing, and scheduling order
 //! never leak into it.
 
-use psoram_service::{run_service, LaneKind, ServiceConfig, ShardCrashPlan};
+use std::collections::HashSet;
+
+use psoram_service::{run_service, LaneKind, ServiceConfig, ShardCrashPlan, WearShardPlan};
 
 fn cfg() -> ServiceConfig {
     let mut cfg = ServiceConfig::smoke();
@@ -48,6 +50,13 @@ fn crash_runs_are_deterministic_across_worker_counts() {
 }
 
 #[test]
+fn wear_runs_are_deterministic_across_worker_counts() {
+    let mut cfg = cfg();
+    cfg.wear = Some(WearShardPlan::near_eol(1));
+    assert_eq!(report_json(&cfg, 1), report_json(&cfg, 4));
+}
+
+#[test]
 fn full_system_lanes_are_deterministic_too() {
     let mut cfg = cfg();
     cfg.requests = 150;
@@ -62,4 +71,7 @@ fn distinct_seeds_diverge() {
     let mut b = cfg();
     b.seed = a.seed + 1;
     assert_ne!(report_json(&a, 1), report_json(&b, 1));
+    // Shards draw from streams of their own: no two of 64 share a seed.
+    let seeds: HashSet<u64> = (0..64).map(|s| a.shard_seed(s)).collect();
+    assert_eq!(seeds.len(), 64);
 }

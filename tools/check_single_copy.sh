@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # One device side, one recovery ladder with one audit, one per-slot
 # freshness table, one way to move a path through a controller, one
-# controller shell, one integrity mechanism, one micro-benchmark harness —
-# held mechanically.
+# controller shell, one integrity mechanism, one fleet simulator, one
+# micro-benchmark harness — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit and the snapshot store are named
@@ -120,9 +120,16 @@ if grep -rnE "$MERKLE" --include='*.rs' crates src tests examples \
     echo "error: the Merkle tree or its tamper hook is named outside crates/core/src/integrity.rs" >&2
     exit 1
 fi
+# One fleet simulator: shards side by side, one crashed or worn, are
+# `psoram-service`'s lanes (`run_service`). The faultsim copy that drove
+# its own instances beside them stays gone.
+if grep -rnE 'fleet_campaign|WearFleetConfig|WearShardEvidence|FleetLaneReport' crates; then
+    echo "error: a second fleet simulator is named under crates/" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; one micro-benchmark harness)"

@@ -14,10 +14,13 @@
 //! | `oram_overhead` | §5.1 ORAM vs non-ORAM overhead |
 //!
 //! Shared utilities here: run orchestration, normalized tables, geometric
-//! means, and JSON result dumps (written to `results/`).
+//! means, and JSON result dumps (written to `results/`). [`fleet`] runs
+//! BENCH_07's wear fleet for `lifetime_campaign`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod fleet;
 
 use std::collections::BTreeMap;
 use std::io::Write as _;

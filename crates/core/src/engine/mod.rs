@@ -51,7 +51,7 @@ pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
 pub(crate) use persist::{fault_kind, DrainedRound};
 pub use persist::{EngineControl, EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
-pub use policy::{Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
+pub use policy::{read_back, Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 pub use shell::Shell;

@@ -657,6 +657,17 @@ impl PathOram {
                 newest = Some(i);
             }
         }
+        // This pick runs over what the wire served; over the media, with
+        // nothing served stale, it is the observer's (`peek`).
+        debug_assert!(
+            target_in_stash
+                || serve_stale.is_some()
+                || (self.tree.arena())
+                    .newest_on_path(self.tree.path(leaf), target, leaf)
+                    .map(|b| *b.header)
+                    == newest.map(|i| fetched[i].header),
+            "step ③'s pick of {target} is newest_on_path's"
+        );
         if let Some(i) = newest {
             let mut primary = fetched.remove(i);
             if keep_shadows {
@@ -1090,13 +1101,14 @@ impl PathOram {
         )
     }
 
-    /// Reads back every touched address and compares against the
-    /// appropriate ledger ([`ProtocolPolicy::verify_contents`]).
+    /// Checks every touched address against the appropriate ledger by
+    /// what a read would return, without reading
+    /// ([`ProtocolPolicy::verify_contents`]).
     ///
     /// # Errors
     ///
     /// Returns a description of the first mismatch.
-    pub fn verify_contents(&mut self, after_crash: bool) -> Result<(), String> {
+    pub fn verify_contents(&self, after_crash: bool) -> Result<(), String> {
         ProtocolPolicy::verify_contents(self, after_crash)
     }
 
@@ -1226,6 +1238,28 @@ impl ProtocolPolicy for PathOram {
         let op = if data.is_some() { Op::Write } else { Op::Read };
         let (read, ready, _) = PathOram::access(self, op, BlockAddr(addr), data, arrival)?;
         Ok((read, ready))
+    }
+
+    /// A stash primary; else the newest copy on the path the current
+    /// lookup names that carries that label (step ③'s pick), decrypted
+    /// under its own `iv2`; else zeros (step ④'s fresh block).
+    fn peek(&self, addr: u64, out: &mut Vec<u8>) {
+        let addr = BlockAddr(addr);
+        out.clear();
+        if let Some(primary) = self.stash.get(addr) {
+            out.extend_from_slice(&primary.payload);
+            return;
+        }
+        let leaf = self.shell.lookup(addr);
+        match (self.tree.arena()).newest_on_path(self.tree.path(leaf), addr, leaf) {
+            Some(copy) => {
+                out.extend_from_slice(copy.payload);
+                if self.encrypt_payloads {
+                    self.cipher.apply_keystream(copy.header.iv2 as u128, out);
+                }
+            }
+            None => out.resize(self.config.payload_bytes, 0),
+        }
     }
 
     fn crash_now(&mut self) {

@@ -335,20 +335,31 @@ impl EngineControl {
 
     // ── access-attempt prologue & crash arming ──────────────────────────
 
-    /// Starts one access attempt: rejects while crashed, arms the next
-    /// scheduled crash plan if its index has arrived, and counts the
-    /// attempt.
+    /// Whether an access would be admitted now.
     ///
     /// # Errors
     ///
+    /// [`OramError::Poisoned`] once the fail-safe latched, else
     /// [`OramError::Crashed`] while the controller is crashed.
-    pub fn begin_attempt(&mut self) -> Result<(), OramError> {
+    pub fn in_service(&self) -> Result<(), OramError> {
         if let Some(class) = self.poisoned {
             return Err(OramError::Poisoned { class });
         }
         if self.crashed {
             return Err(OramError::Crashed);
         }
+        Ok(())
+    }
+
+    /// Starts one access attempt: rejects while out of service
+    /// ([`EngineControl::in_service`]), arms the next scheduled crash plan
+    /// if its index has arrived, and counts the attempt.
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineControl::in_service`].
+    pub fn begin_attempt(&mut self) -> Result<(), OramError> {
+        self.in_service()?;
         // Scheduled crash plans arm when their access attempt begins.
         if let Some(&(idx, point)) = self.crash_schedule.front() {
             if idx == self.access_attempts {

@@ -1050,6 +1050,26 @@ impl ProtocolPolicy for RingOram {
         RingOram::access(self, BlockAddr(addr), data, arrival)
     }
 
+    /// A stash primary; else the slot step ③ would read the target from —
+    /// the first `find_valid` hit on the current label's path, root
+    /// first; else zeros.
+    fn peek(&self, addr: u64, out: &mut Vec<u8>) {
+        let addr = BlockAddr(addr);
+        out.clear();
+        if let Some(i) = self.stash_primary(addr) {
+            out.extend_from_slice(&self.stash[i].payload);
+            return;
+        }
+        let hit = self.path(self.shell.lookup(addr)).find_map(|bidx| {
+            let bucket = self.buckets.bucket(bidx)?;
+            bucket.slot(find_valid(bucket, addr)?)
+        });
+        match hit {
+            Some(copy) => out.extend_from_slice(copy.payload),
+            None => out.resize(self.config.payload_bytes, 0),
+        }
+    }
+
     fn crash_now(&mut self) {
         power_fail(self);
     }

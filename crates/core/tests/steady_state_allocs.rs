@@ -173,6 +173,53 @@ fn a_ring_access_that_rewrites_nothing_allocates_only_the_value_it_returns() {
     }
 }
 
+/// `verify_contents` compares what each address would read with the
+/// ledger's own bytes in one buffer of its own: a whole check allocates a
+/// constant, however many addresses were touched.
+#[test]
+fn a_whole_contents_check_allocates_a_constant() {
+    // Measured: 1 on each design (the buffer); the bound is that + 1.
+    const BOUND: u64 = 2;
+    const TOUCHED: u64 = 2_400;
+    let mut cfg = OramConfig::paper_default().with_levels(12);
+    cfg.data_wpq_capacity = cfg.path_slots();
+    cfg.posmap_wpq_capacity = cfg.path_slots();
+    let ring = RingConfig {
+        levels: 12,
+        ..RingConfig::small_test()
+    };
+    let designs: [Box<dyn ProtocolPolicy>; 2] = [
+        Box::new(PathOram::new(cfg, ProtocolVariant::PsOram, 11)),
+        Box::new(RingOram::new(ring, RingVariant::PsRing, 11)),
+    ];
+    for mut oram in designs {
+        let bytes = oram.payload_bytes();
+        for a in 0..TOUCHED {
+            match a % 3 {
+                0 => drop(oram.read(a).unwrap()),
+                _ => oram.write(a, vec![a as u8 | 1; bytes]).unwrap(),
+            }
+        }
+        // Against the written ledger, then, after a power failure and
+        // recovery, against the committed one.
+        for after_crash in [false, true] {
+            if after_crash {
+                oram.crash_now();
+                assert!(oram.recover().consistent);
+            }
+            let mut verdict = Ok(());
+            let info = allocation_counter::measure(|| verdict = oram.verify_contents(after_crash));
+            let label = oram.label();
+            println!(
+                "{label}, after_crash={after_crash}: {} allocations",
+                info.count_total
+            );
+            verdict.unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert!(info.count_total <= BOUND, "{label}: {}", info.count_total);
+        }
+    }
+}
+
 const RING_BUDGETS: [(RingVariant, u32, f64); 4] = [
     (RingVariant::PsRing, 12, 3.45),
     (RingVariant::Baseline, 12, 2.71),

@@ -127,9 +127,27 @@ if grep -rnE 'fleet_campaign|WearFleetConfig|WearShardEvidence|FleetLaneReport' 
     echo "error: a second fleet simulator is named under crates/" >&2
     exit 1
 fi
+# The contents check observes. `verify_contents` compares what each touched
+# address would read (`ProtocolPolicy::peek`) with the ledger and issues
+# nothing: its body names no read, write or access (`read_back` is the
+# check through reads, for the tests). Ring's `peek` takes the slot its
+# read takes, by `find_valid`: one pick, whatever it serves.
+check=$(sed -n '/fn verify_contents(&self/,/^    }$/p' crates/core/src/engine/policy.rs)
+if [ -z "$check" ]; then
+    echo "error: ProtocolPolicy::verify_contents(&self, ..) not found in engine/policy.rs" >&2
+    exit 1
+fi
+if echo "$check" | grep -nE '\.read\(|\.write|\.access\('; then
+    echo "error: verify_contents reads, writes or accesses instead of observing" >&2
+    exit 1
+fi
+if ! sed -n '/fn peek(&self/,/^    }$/p' crates/core/src/ring.rs | grep -q 'find_valid('; then
+    echo "error: Ring's peek no longer picks its slot by find_valid, the read's own pick" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one micro-benchmark harness)"

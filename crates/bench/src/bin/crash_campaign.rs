@@ -31,7 +31,7 @@
 //! the unhardened baselines must blindly serve stale data at least once
 //! (detection power).
 
-use psoram_bench::SimHarness;
+use psoram_bench::{crash_campaigns, device_campaigns};
 use psoram_faultsim::{CampaignReport, DeviceCampaignReport};
 
 struct Args {
@@ -319,15 +319,8 @@ fn main() {
         }
     }
 
-    let harness = SimHarness::new(1);
-    let (reports, tracks) = if args.trace_out.is_some() {
-        harness.crash_campaigns_traced(&args.mode, args.smoke, args.seed)
-    } else {
-        (
-            harness.crash_campaigns(&args.mode, args.smoke, args.seed),
-            Vec::new(),
-        )
-    };
+    let (reports, tracks) =
+        crash_campaigns(&args.mode, args.smoke, args.seed, args.trace_out.is_some());
 
     if let Some(path) = &args.trace_out {
         psoram_bench::write_obsv_file(path, &psoram_obsv::chrome_trace_json(&tracks));
@@ -347,7 +340,7 @@ fn main() {
     }
 
     let device_report = args.device_faults.then(|| {
-        harness.device_campaigns(
+        device_campaigns(
             args.smoke,
             args.seed,
             args.aggressive_faults,

@@ -44,24 +44,22 @@ struct Args {
 }
 
 fn parse_args() -> Args {
+    // The shared pass (psoram_bench::CommonCli) consumes --jobs; the
+    // observability outputs are not this binary's.
+    let common = psoram_bench::CommonCli::parse();
+    if common.trace_out.is_some() || common.metrics_out.is_some() {
+        usage("perf_baseline takes no --trace-out / --metrics-out");
+    }
     let mut args = Args {
         smoke: false,
         out: "BENCH_05.json".into(),
-        jobs: psoram_faultsim::default_jobs(),
+        jobs: common.jobs,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = common.rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
             "--out" => args.out = it.next().unwrap_or_else(|| usage("--out needs a value")),
-            "--jobs" => {
-                let v = it.next().unwrap_or_else(|| usage("--jobs needs a value"));
-                args.jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage("--jobs must be a positive integer"));
-            }
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument `{other}`")),
         }

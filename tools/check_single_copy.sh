@@ -145,9 +145,22 @@ if ! sed -n '/fn peek(&self/,/^    }$/p' crates/core/src/ring.rs | grep -q 'find
     echo "error: Ring's peek no longer picks its slot by find_valid, the read's own pick" >&2
     exit 1
 fi
+# One experiment registry: every tracked figure, table and study result is
+# an entry of `psoram_bench::experiments::REGISTRY`, written by the
+# `experiments` binary at the scale constants its entry names. The
+# environment knobs that once rescaled them (seven readers, seven
+# defaults) stay gone, and no binary writes a tracked result of its own.
+if grep -rnE 'PSORAM_(RECORDS|LEVELS|WARMUP)' crates; then
+    echo "error: a scale knob (PSORAM_RECORDS, PSORAM_LEVELS, PSORAM_WARMUP) is named under crates/" >&2
+    exit 1
+fi
+if grep -rn 'write_results_json' crates/bench/src/bin; then
+    echo "error: a binary calls write_results_json; make it an entry of experiments::REGISTRY" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one micro-benchmark harness)"

@@ -367,6 +367,7 @@ impl<'a> BucketRef<'a> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
+    #[inline]
     pub fn slot(&self, slot: usize) -> Option<BlockRef<'a>> {
         let flags = self.flag(slot);
         if flags & OCCUPIED == 0 {

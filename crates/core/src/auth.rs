@@ -33,15 +33,18 @@
 //! and the layer reads a path as a path: [`AuthTags::record_slots`] and
 //! [`AuthTags::verdict_slots`] stream the units they are handed — a
 //! bucket's row of counters and records resolved once per run of its
-//! slots, each unit framed on the stack where [`Cmac::tag_lanes`] reads
-//! it, its payload borrowed where it lies — and MAC, judge and store them
-//! [`LANES`] at a time. The one-unit calls (`bump_slot`, `record_slot`,
-//! `verdict_slot`, `classify_served_slot`) are the same code over one
-//! unit, and every tag, digest and root is the RFC 4493 output it always was.
-//! A persisted PosMap entry keeps the same row (counter, folded digest,
-//! record) in a map of its own, keyed by its address: a flush writes one
-//! entry at a time, and recovery reads them all back through the lanes
-//! ([`AuthTags::verdict_posmaps`]).
+//! slots, each unit framed in place where [`Cmac::tag_lanes`] reads it
+//! (a payload that fits — the paper's 8 bytes — framed with the rest, a
+//! longer one borrowed where it lies) — and MAC, judge and store them
+//! [`LANES`] at a time. Recovery's phase 1 walks every tracked unit
+//! bucket by bucket down the counter rows
+//! ([`AuthTags::verdict_tracked_slots`]). The one-unit calls
+//! (`bump_slot`, `record_slot`, `verdict_slot`, `classify_served_slot`)
+//! are the same code over one unit, and every tag, digest and root is the
+//! RFC 4493 output it always was. A persisted PosMap entry keeps the same
+//! row (counter, folded digest, record) in a map of its own, keyed by its
+//! address: a flush writes one entry at a time, and recovery reads them
+//! all back through the lanes ([`AuthTags::verdict_posmaps`]).
 //!
 //! The temporary PosMap seal is unchanged from PR-5: it models an on-chip
 //! rolling seal and is not replayable in this model.
@@ -52,6 +55,7 @@ use std::collections::HashMap;
 
 use psoram_crypto::{Aes128, Cmac, CmacStream, Frame};
 
+use crate::arena::SlotArena;
 use crate::block::{Block, BlockRef};
 use crate::tree::BucketIndex;
 use crate::types::Leaf;
@@ -78,20 +82,22 @@ const KIND_SLOT: u8 = 0x01;
 /// Counter-digest unit kind: a persisted PosMap entry.
 const KIND_POSMAP: u8 = 0x02;
 
-/// Starts a fixed-width MAC input: little-endian fields appended back to
-/// back, no length words. Every message built this way starts with its
-/// domain byte and has a layout fully determined by the bytes before each
-/// field, which is what makes the encodings injective (DESIGN.md §10 and
-/// §11 walk each layout).
-fn frame<const BLOCKS: usize>(domain: u8) -> Frame<BLOCKS> {
-    let mut f = Frame::new();
+/// Starts a fixed-width MAC input over `f`, in place (a frame built where
+/// the lanes read it is not copied there): little-endian fields appended
+/// back to back, no length words. Every message built this way starts
+/// with its domain byte and has a layout fully determined by the bytes
+/// before each field, which is what makes the encodings injective
+/// (DESIGN.md §10 and §11 walk each layout).
+fn frame<const BLOCKS: usize>(f: &mut Frame<BLOCKS>, domain: u8) {
+    f.clear();
     f.byte(domain);
-    f
 }
 
-/// A slot-tag frame: room for everything of a real slot but the payload
-/// (75 B) in whole AES blocks.
-type SlotFrame = Frame<5>;
+/// A slot-tag frame: room for everything of a real slot (75 B) and a
+/// payload of up to 21 bytes after it, in whole AES blocks — the paper's
+/// 8-byte payloads are framed with the rest, so every record goes through
+/// the lanes from its frame as it lies.
+type SlotFrame = Frame<6>;
 /// A counter-digest frame (26 B for a slot, 18 B for a PosMap entry).
 type DigestFrame = Frame<2>;
 
@@ -103,8 +109,9 @@ type SlotClaim<'a> = ((u64, u64), u64, Option<BlockRef<'a>>);
 /// to, it.
 pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<BlockRef<'a>>);
 
-/// The fixed part of the MAC input of a tree-slot record; a real block's
-/// payload (see [`payload_of`]) follows it:
+/// The MAC input of a tree-slot record, framed: the fixed part, then a
+/// real block's payload — in the frame too if it fits there, else
+/// borrowed where it lies and returned beside the frame:
 ///
 /// ```text
 /// dummy: 0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xD5                        (26 B)
@@ -114,8 +121,9 @@ pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<BlockRef<'a>>);
 ///
 /// The dummy marker keeps "slot emptied" distinct from any real block,
 /// and the length word keeps a payload from sliding into a longer one.
-fn slot_frame((src, ctr, content): SlotClaim<'_>) -> SlotFrame {
-    let mut f = frame(DOMAIN_SLOT);
+#[inline]
+fn slot_frame<'a>(f: &mut SlotFrame, (src, ctr, content): SlotClaim<'a>) -> &'a [u8] {
+    frame(f, DOMAIN_SLOT);
     f.word(src.0);
     f.word(src.1);
     f.word(ctr);
@@ -130,14 +138,13 @@ fn slot_frame((src, ctr, content): SlotClaim<'_>) -> SlotFrame {
             f.word(b.header.seq);
             f.byte(b.is_backup as u8);
             f.word(b.payload.len() as u64);
+            if b.payload.len() > f.room() {
+                return b.payload;
+            }
+            f.push(b.payload);
         }
     }
-    f
-}
-
-/// The borrowed tail of a slot record's MAC input: nothing for a dummy.
-fn payload_of(content: Option<BlockRef<'_>>) -> &[u8] {
-    content.map_or(&[], |b| b.payload)
+    &[]
 }
 
 /// The tags of the first `n` messages — `heads[i]` followed by `tails[i]`
@@ -315,18 +322,18 @@ impl CounterTree {
 
     /// `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr` (26 B): the MAC input of a
     /// slot's digest.
-    fn slot_digest_frame(bucket: u64, slot: usize, ctr: u64) -> DigestFrame {
-        let mut f = frame(DOMAIN_CTR);
+    fn slot_digest_frame(f: &mut DigestFrame, bucket: u64, slot: usize, ctr: u64) {
+        frame(f, DOMAIN_CTR);
         f.byte(KIND_SLOT);
         f.word(bucket);
         f.word(slot as u64);
         f.word(ctr);
-        f
     }
 
     /// `0xC7 ‖ 0x02 ‖ addr ‖ ctr` (18 B).
     fn posmap_digest(cmac: &Cmac, addr: u64, ctr: u64) -> u128 {
-        let mut f: DigestFrame = frame(DOMAIN_CTR);
+        let mut f = DigestFrame::new();
+        frame(&mut f, DOMAIN_CTR);
         f.byte(KIND_POSMAP);
         f.word(addr);
         f.word(ctr);
@@ -368,10 +375,9 @@ impl CounterTree {
                 row[slot].ctr += 1;
                 last = row[slot].ctr;
                 lanes[n] = (bucket, slot, last);
-                digests[n] = Self::slot_digest_frame(bucket, slot, last);
+                Self::slot_digest_frame(&mut digests[n], bucket, slot, last);
                 if record {
-                    heads[n] = slot_frame(((bucket, slot as u64), last, content));
-                    tails[n] = payload_of(content);
+                    tails[n] = slot_frame(&mut heads[n], ((bucket, slot as u64), last, content));
                 }
                 n += 1;
             }
@@ -537,13 +543,12 @@ pub(crate) struct AuthTags {
 
 /// The MAC input of a PosMap record:
 /// `0x9A ‖ src.0 ‖ src.1 ‖ ctr ‖ leaf` (33 B).
-fn posmap_frame(src: (u64, u64), ctr: u64, leaf: u64) -> Frame<3> {
-    let mut f = frame(DOMAIN_POSMAP);
+fn posmap_frame(f: &mut Frame<3>, src: (u64, u64), ctr: u64, leaf: u64) {
+    frame(f, DOMAIN_POSMAP);
     f.word(src.0);
     f.word(src.1);
     f.word(ctr);
     f.word(leaf);
-    f
 }
 
 /// The verdict ladder, worst evidence first, for the unit of identity
@@ -572,6 +577,69 @@ fn judge(
     }
 }
 
+/// Units on their way to a verdict, [`LANES`] at a time: each unit's
+/// row of the table (if it has one) and, for a unit with a record, that
+/// record's claim framed in place, where the lanes read it.
+struct Verdicts<'r, 'a> {
+    auth: &'r AuthTags,
+    lanes: [(BucketIndex, usize, Option<&'r SlotRow>); LANES],
+    heads: [SlotFrame; LANES],
+    tails: [&'a [u8]; LANES],
+    /// Units held, and how many of them have a record (and a frame).
+    n: usize,
+    claimed: usize,
+}
+
+impl<'r, 'a> Verdicts<'r, 'a> {
+    fn new(auth: &'r AuthTags) -> Self {
+        Verdicts {
+            auth,
+            lanes: [(0, 0, None); LANES],
+            heads: [SlotFrame::new(); LANES],
+            tails: [&[]; LANES],
+            n: 0,
+            claimed: 0,
+        }
+    }
+
+    /// Takes the unit `(bucket, slot, row)` read back with `content`;
+    /// judges the lanes once they are full.
+    #[inline]
+    fn push(
+        &mut self,
+        (bucket, slot, stored): (BucketIndex, usize, Option<&'r SlotRow>),
+        content: Option<BlockRef<'a>>,
+        each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict),
+    ) {
+        if let Some(m) = stored.and_then(|r| r.rec.as_ref()) {
+            let claim = (m.src, m.ctr, content);
+            self.tails[self.claimed] = slot_frame(&mut self.heads[self.claimed], claim);
+            self.claimed += 1;
+        }
+        self.lanes[self.n] = (bucket, slot, stored);
+        self.n += 1;
+        if self.n == LANES {
+            self.flush(each);
+        }
+    }
+
+    /// Judges the units held, in order: the records' claims MACed side by
+    /// side, every unit judged on its own.
+    fn flush(&mut self, each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict)) {
+        let claimed = self.claimed;
+        let tags = tag_framed(&self.auth.ctrs.cmac, (&self.heads, &self.tails), claimed);
+        let mut tags = tags[..claimed].iter();
+        for &(bucket, slot, stored) in &self.lanes[..self.n] {
+            let rec = stored.and_then(|r| r.rec.as_ref());
+            let tag = rec.and_then(|_| tags.next());
+            let trusted = stored.map(|r| r.ctr).filter(|&ctr| ctr != 0);
+            let verdict = judge((bucket, slot as u64), rec, trusted, tag);
+            each(bucket, slot, verdict);
+        }
+        (self.n, self.claimed) = (0, 0);
+    }
+}
+
 impl AuthTags {
     /// Creates an empty store keyed with `key`.
     pub fn new(key: &[u8; 16]) -> Self {
@@ -583,7 +651,9 @@ impl AuthTags {
 
     /// The tag of a PosMap record.
     fn posmap_tag(&self, src: (u64, u64), ctr: u64, leaf: u64) -> [u8; 16] {
-        self.ctrs.cmac.tag(posmap_frame(src, ctr, leaf).bytes())
+        let mut f = Frame::new();
+        posmap_frame(&mut f, src, ctr, leaf);
+        self.ctrs.cmac.tag(f.bytes())
     }
 
     /// Records (or refreshes) `(bucket, slot)` over `content`: bumps the
@@ -630,48 +700,54 @@ impl AuthTags {
 
     /// [`Self::verdict_slot`] over every unit of `units` — a bucket's
     /// slots, a path's, whatever was read together — handing `each` the
-    /// verdicts in order. Units stream through [`LANES`] at a time: row
-    /// look-up (once per run of a bucket's slots) and frame as they arrive,
-    /// the records' claims MACed side by side, every unit judged on its own.
+    /// verdicts in order. A bucket's row is looked up once per run of its
+    /// slots; the units are judged [`LANES`] at a time ([`Verdicts`]).
     pub fn verdict_slots<'a>(
         &self,
         units: impl IntoIterator<Item = SlotUnit<'a>>,
         mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
     ) {
-        let mut units = units.into_iter();
-        let mut lanes: [(BucketIndex, usize, Option<&SlotRow>); LANES] = [(0, 0, None); LANES];
-        let mut heads = [SlotFrame::new(); LANES];
-        let mut tails: [&[u8]; LANES] = [&[]; LANES];
+        let mut verdicts = Verdicts::new(self);
         let (mut of, mut row): (_, &[SlotRow]) = (None, &[]);
-        loop {
-            // One frame per record found, in unit order.
-            let (mut n, mut claimed) = (0, 0);
-            for (bucket, slot, content) in units.by_ref().take(LANES) {
-                if of != Some(bucket) {
-                    (of, row) = (Some(bucket), self.ctrs.slots.row(bucket));
-                }
-                let stored = row.get(slot);
-                if let Some(m) = stored.and_then(|r| r.rec.as_ref()) {
-                    heads[claimed] = slot_frame((m.src, m.ctr, content));
-                    tails[claimed] = payload_of(content);
-                    claimed += 1;
-                }
-                lanes[n] = (bucket, slot, stored);
-                n += 1;
+        for (bucket, slot, content) in units {
+            if of != Some(bucket) {
+                (of, row) = (Some(bucket), self.ctrs.slots.row(bucket));
             }
-            if n == 0 {
-                return;
-            }
-            let tags = tag_framed(&self.ctrs.cmac, (&heads, &tails), claimed);
-            let mut tags = tags[..claimed].iter();
-            for &(bucket, slot, stored) in &lanes[..n] {
-                let rec = stored.and_then(|r| r.rec.as_ref());
-                let tag = rec.and_then(|_| tags.next());
-                let trusted = stored.map(|r| r.ctr).filter(|&ctr| ctr != 0);
-                let verdict = judge((bucket, slot as u64), rec, trusted, tag);
-                each(bucket, slot, verdict);
+            verdicts.push((bucket, slot, row.get(slot)), content, &mut each);
+        }
+        verdicts.flush(&mut each);
+    }
+
+    /// Phase 1 of recovery: every tracked slot — every unit the trusted
+    /// counters say was written, whatever records the adversary planted or
+    /// deleted — judged against what `arena` holds there, handing `each`
+    /// every verdict once, **in no particular order**. The walk goes
+    /// bucket by bucket down the counter rows, which the table keeps in
+    /// index order: a bucket's row and its arena bucket are resolved once
+    /// for all its slots, and nothing is listed or sorted first. Units
+    /// holding a real block and dummies are MACed in lanes of their own,
+    /// so a lane of a 2-block dummy record never idles beside a 6-block
+    /// real one.
+    pub(crate) fn verdict_tracked_slots(
+        &self,
+        arena: &SlotArena,
+        mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
+    ) {
+        let (mut reals, mut dummies) = (Verdicts::new(self), Verdicts::new(self));
+        for (bucket, row) in self.ctrs.slots.rows() {
+            let stored = arena.bucket(bucket);
+            for (slot, unit) in row.iter().enumerate().filter(|(_, unit)| unit.ctr != 0) {
+                let content = stored.and_then(|b| b.slot(slot));
+                let lanes = if content.is_some() {
+                    &mut reals
+                } else {
+                    &mut dummies
+                };
+                lanes.push((bucket, slot, Some(unit)), content, &mut each);
             }
         }
+        reals.flush(&mut each);
+        dummies.flush(&mut each);
     }
 
     /// The fetch-path check over the units read together, `served` being
@@ -714,7 +790,9 @@ impl AuthTags {
     ) -> FreshnessVerdict {
         let tag = rec.map(|m| {
             let mut tag = [[0u8; 16]];
-            let msg = [(&slot_frame((m.src, m.ctr, content)), payload_of(content))];
+            let mut head = SlotFrame::new();
+            let rest = slot_frame(&mut head, (m.src, m.ctr, content));
+            let msg = [(&head, rest)];
             self.ctrs.cmac.tag_lanes(&msg, &mut tag);
             tag[0]
         });
@@ -732,9 +810,11 @@ impl AuthTags {
         self.verdict_slot(bucket, slot, content) == FreshnessVerdict::Clean
     }
 
-    /// All tracked slots in deterministic (sorted) order. Driven by the
-    /// trusted counter tree, so a unit whose record was deleted by the
+    /// All tracked slots in deterministic (sorted) order, listed: the
+    /// oracle [`Self::verdict_tracked_slots`]' walk is held to. Driven by
+    /// the trusted counter tree, so a unit whose record was deleted by the
     /// adversary is still visited at recovery.
+    #[cfg(test)]
     pub fn tagged_slots_sorted(&self) -> Vec<(BucketIndex, usize)> {
         self.ctrs.tracked_slots_sorted()
     }
@@ -778,7 +858,7 @@ impl AuthTags {
             for (addr, row) in rows.by_ref().take(LANES) {
                 let leaf = leaf_of(addr);
                 if let Some(m) = &row.rec {
-                    heads[claimed] = posmap_frame(m.src, m.ctr, leaf);
+                    posmap_frame(&mut heads[claimed], m.src, m.ctr, leaf);
                     claimed += 1;
                 }
                 lanes[n] = (addr, leaf, row.rec.as_ref(), row.ctr);
@@ -1165,8 +1245,10 @@ mod tests {
 
     /// The MAC input bytes of a slot record, collected instead of MACed.
     fn encoded(src: (u64, u64), ctr: u64, content: Option<BlockRef<'_>>) -> Vec<u8> {
-        let mut out = slot_frame((src, ctr, content)).bytes().to_vec();
-        out.extend_from_slice(payload_of(content));
+        let mut head = SlotFrame::new();
+        let rest = slot_frame(&mut head, (src, ctr, content));
+        let mut out = head.bytes().to_vec();
+        out.extend_from_slice(rest);
         out
     }
 
@@ -1217,7 +1299,8 @@ mod tests {
         };
         for (bucket, slot) in tree.tracked_slots_sorted() {
             let ctr = tree.slot_ctr(bucket, slot).unwrap_or(0);
-            let frame = CounterTree::slot_digest_frame(bucket, slot, ctr);
+            let mut frame = DigestFrame::new();
+            CounterTree::slot_digest_frame(&mut frame, bucket, slot, ctr);
             let digest = u128::from_le_bytes(fresh.cmac.tag(frame.bytes()));
             fresh.levels[CounterTree::level_of(bucket)] ^= digest;
             *fresh.slots.cell_mut(bucket, slot) = SlotRow {
@@ -1664,7 +1747,8 @@ mod tests {
                     if levels.len() <= level {
                         levels.resize(level + 1, 0);
                     }
-                    let frame = CounterTree::slot_digest_frame(bucket, slot, ctr);
+                    let mut frame = DigestFrame::new();
+                    CounterTree::slot_digest_frame(&mut frame, bucket, slot, ctr);
                     levels[level] ^= u128::from_le_bytes(self.cmac.tag(frame.bytes()));
                 }
                 let mut msg = vec![DOMAIN_ROOT];

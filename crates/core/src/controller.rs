@@ -22,7 +22,7 @@ use crate::recursive::RecursivePosMap;
 use crate::security::AccessRecorder;
 use crate::stash::Stash;
 use crate::stats::OramStats;
-use crate::tree::{heap_path, BucketIndex, OramTree};
+use crate::tree::{heap_on_path, heap_path, BucketIndex, OramTree};
 use crate::types::{BlockAddr, Leaf, OramConfig, OramError};
 
 pub use crate::engine::ProtocolVariant;
@@ -70,9 +70,19 @@ impl Copies for PathCopies<'_> {
         heap_path(self.levels, leaf)
     }
 
+    fn on_path(&self, leaf: Leaf, bucket: BucketIndex) -> bool {
+        heap_on_path(self.levels, leaf, bucket)
+    }
+
     fn open(&self, header: &BlockHeader, payload: &mut [u8]) {
         if let Some(cipher) = self.cipher {
             cipher.apply_keystream(header.iv2 as u128, payload);
+        }
+    }
+
+    fn open_lanes<'b>(&self, payloads: impl Iterator<Item = (&'b BlockHeader, &'b mut [u8])>) {
+        if let Some(cipher) = self.cipher {
+            cipher.apply_keystreams(payloads.map(|(h, payload)| (h.iv2 as u128, payload)));
         }
     }
 

@@ -22,7 +22,6 @@
 //!   bucket and commits as its own small round.
 
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,7 +32,7 @@ use psoram_obsv::Phase;
 
 use crate::arena::{BucketRef, SlotArena};
 use crate::auth::AuthTags;
-use crate::block::{Block, BlockRef};
+use crate::block::{Block, BlockHeader, BlockRef};
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
@@ -42,7 +41,7 @@ use crate::engine::{
     PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
 };
 use crate::posmap::PosMap;
-use crate::tree::{heap_path, BucketIndex};
+use crate::tree::{heap_on_path, heap_path, BucketIndex};
 use crate::types::{BlockAddr, Leaf, OramError};
 
 /// Geometry and policy of a Ring ORAM instance.
@@ -239,6 +238,10 @@ impl Copies for RingCopies {
 
     fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
         heap_path(self.levels, leaf)
+    }
+
+    fn on_path(&self, leaf: Leaf, bucket: BucketIndex) -> bool {
+        heap_on_path(self.levels, leaf, bucket)
     }
 
     /// A surviving shadow is promoted to primary: a legitimate controller
@@ -921,26 +924,28 @@ impl RingOram {
         // PosMap — that is the copy recovery designates as live. Buckets
         // are scanned in index order (the store's iteration order): the
         // replay adversary can restore byte-exact stale duplicates whose
-        // seq numbers tie, and the winner of a tie must be the same on
-        // every run.
-        let mut best: BTreeMap<u64, (u64, u64, usize)> = BTreeMap::new();
+        // seq numbers tie, and the winner of a tie — the first copy in that
+        // order — must be the same on every run. The candidates are listed
+        // once, in a list sized by a counting pass, and sorted so that
+        // each address's winner leads its run.
+        let matching = |h: &&BlockHeader| h.leaf == posmap.persisted_get(h.addr);
+        let count = (buckets.iter())
+            .map(|(_, bucket)| bucket.headers().map(|(_, h)| h).filter(matching).count())
+            .sum();
+        let mut best = Vec::with_capacity(count);
         for (bidx, bucket) in buckets.iter() {
-            for (s, slot) in bucket.slots().enumerate() {
-                if let Some(b) = slot {
-                    if b.leaf() == posmap.persisted_get(b.addr()) {
-                        let e = best.entry(b.addr().0).or_insert((b.header.seq, bidx, s));
-                        if b.header.seq > e.0 {
-                            *e = (b.header.seq, bidx, s);
-                        }
-                    }
-                }
+            for (s, h) in bucket.headers().filter(|(_, h)| matching(h)) {
+                best.push((h.addr.0, Reverse(h.seq), bidx, s));
             }
         }
+        best.sort_unstable();
+        best.dedup_by_key(|&mut (addr, ..)| addr);
         // Pass 2: promote winners, drop superseded matching duplicates,
         // revalidate everything. (Per-slot outcomes depend only on `best`,
         // but the scan stays sorted so any future side effects inherit
         // determinism.)
-        let materialised: Vec<u64> = buckets.indices().collect();
+        let mut materialised = Vec::with_capacity(buckets.materialized_buckets());
+        materialised.extend(buckets.indices());
         for bidx in materialised {
             let mut bucket = buckets.bucket_mut(bidx);
             for s in 0..bucket.num_slots() {
@@ -951,8 +956,9 @@ impl RingOram {
                 if b.leaf() != posmap.persisted_get(addr) {
                     continue;
                 }
-                match best.get(&addr.0) {
-                    Some(&(_, wb, ws)) if (wb, ws) == (bidx, s) => {
+                let winner = best.binary_search_by_key(&addr.0, |&(addr, ..)| addr);
+                match winner.map(|i| best[i]) {
+                    Ok((_, _, wb, ws)) if (wb, ws) == (bidx, s) => {
                         if is_backup {
                             bucket.set_backup(s, false);
                             if let Some(auth) = auth.as_mut() {

@@ -17,6 +17,14 @@ pub(crate) fn heap_path(
     (0..levels + 1).map(move |d| (1u64 << d) - 1 + (leaf.0 >> (levels - d)))
 }
 
+/// Whether `bucket` lies on the path of `leaf` in a heap-ordered tree of
+/// `levels + 1` levels — [`heap_path`]'s membership test, by arithmetic on
+/// the bucket's own level rather than a walk down the path.
+pub(crate) fn heap_on_path(levels: u32, leaf: Leaf, bucket: BucketIndex) -> bool {
+    let depth = (bucket + 1).ilog2();
+    depth <= levels && bucket == (1u64 << depth) - 1 + (leaf.0 >> (levels - depth))
+}
+
 /// The external (NVM) ORAM tree.
 ///
 /// The tree is stored **sparsely**: buckets that have never held a real
@@ -277,6 +285,24 @@ impl OramTree {
 mod tests {
     use super::*;
     use crate::types::BlockAddr;
+
+    #[test]
+    fn heap_on_path_is_membership_of_heap_path() {
+        for levels in 0..5 {
+            let buckets = (2u64 << levels) + 3;
+            for leaf in 0..1u64 << levels {
+                let path: Vec<_> = heap_path(levels, Leaf(leaf)).collect();
+                for bucket in 0..buckets {
+                    let on = heap_on_path(levels, Leaf(leaf), bucket);
+                    assert_eq!(
+                        on,
+                        path.contains(&bucket),
+                        "L={levels} leaf {leaf} bucket {bucket}"
+                    );
+                }
+            }
+        }
+    }
 
     fn tree() -> OramTree {
         OramTree::new(&OramConfig::small_test()) // L = 6

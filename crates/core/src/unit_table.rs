@@ -54,6 +54,14 @@ impl<T: Default> UnitTable<T> {
         &mut self.row_mut(bucket, slot + 1)[slot]
     }
 
+    /// Every bucket that has a row, with the row, in ascending bucket
+    /// order.
+    pub fn rows(&self) -> impl Iterator<Item = (BucketIndex, &[T])> {
+        self.rows
+            .iter()
+            .map(|(bucket, row)| (bucket, row.as_slice()))
+    }
+
     /// Every `(bucket, slot)` whose cell satisfies `stored`, in sorted
     /// order.
     pub fn units_sorted(&self, stored: impl Fn(&T) -> bool) -> Vec<(BucketIndex, usize)> {

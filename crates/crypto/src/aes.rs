@@ -230,6 +230,54 @@ impl Aes128 {
     }
 }
 
+/// One chain of [`Aes128::cbc_chains`]: its blocks, in order (at least
+/// one), and what is XORed into the last of them.
+pub(crate) type Chain<'a> = (&'a [[u8; 16]], [u8; 16]);
+
+impl Aes128 {
+    /// Independent CBC chains side by side — the engine of CMAC's lanes.
+    /// Chain `i`, `chains[i] = (blocks, last)`, absorbs its blocks in
+    /// order from a zero chaining value (`x ← E(x ^ block)`), `last` XORed
+    /// into the final one, and `out[i]` becomes its last `x`.
+    ///
+    /// On the hardware rounds up to eight chains run in lockstep with
+    /// their chaining values held in registers, so the AES unit sees eight
+    /// independent states per pass as it does in
+    /// [`Aes128::encrypt_blocks`], and nothing goes back to memory between
+    /// a chain's blocks. The T-table runs the chains one after another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `chains`.
+    pub(crate) fn cbc_chains(&self, chains: &[Chain<'_>], out: &mut [[u8; 16]]) {
+        assert!(out.len() >= chains.len(), "one output per chain");
+        debug_assert!(
+            chains.iter().all(|(blocks, _)| !blocks.is_empty()),
+            "a chain has a block"
+        );
+        match &self.rounds {
+            #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(hw) => hw.cbc_chains(&self.round_keys, chains, out),
+            Rounds::Portable(ek) => cbc_chains_portable(ek, chains, out),
+        }
+    }
+}
+
+/// [`Aes128::cbc_chains`] on the T-table, a chain at a time.
+fn cbc_chains_portable(ek: &[u32; 44], chains: &[Chain<'_>], out: &mut [[u8; 16]]) {
+    for (out, (blocks, last)) in out.iter_mut().zip(chains) {
+        let mut x = 0u128;
+        for (i, block) in blocks.iter().enumerate() {
+            let mut block = u128::from_le_bytes(*block);
+            if i + 1 == blocks.len() {
+                block ^= u128::from_le_bytes(*last);
+            }
+            x = u128::from_le_bytes(ttable_encrypt(ek, &(x ^ block).to_le_bytes()));
+        }
+        *out = x.to_le_bytes();
+    }
+}
+
 /// The Davies–Meyer chain of [`crate::Hash128`] over `blocks`:
 /// `state ← E_m(state) ^ state` for each block `m` in order, the message
 /// block being the cipher *key*. On the host's AES instructions where it

@@ -17,9 +17,12 @@
 //! through the chain it produces (`aes.rs` and `tests/equivalence.rs`).
 
 use std::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_loadu_si128,
-    _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_xor_si128,
+    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_and_si128,
+    _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi64x, _mm_setzero_si128, _mm_shuffle_epi32,
+    _mm_slli_si128, _mm_storeu_si128, _mm_unpacklo_epi64, _mm_xor_si128,
 };
+
+use crate::aes::Chain;
 
 /// Most blocks sent through the rounds together. AES-NI retires one
 /// `aesenc` per cycle or two against a latency of three or four, so eight
@@ -49,6 +52,18 @@ impl AesNi {
         unsafe { encrypt_blocks(round_keys, blocks) }
     }
 
+    /// The CBC chains of [`crate::Aes128::cbc_chains`] under `round_keys`,
+    /// up to [`WIDE`] of them abreast, every chaining value in a register.
+    pub fn cbc_chains(
+        self,
+        round_keys: &[[u8; 16]; 11],
+        chains: &[Chain<'_>],
+        out: &mut [[u8; 16]],
+    ) {
+        // SAFETY: `self` exists only if `detect` saw `aes` and `sse2`.
+        unsafe { cbc_chains(round_keys, chains, out) }
+    }
+
     /// The Davies–Meyer chain over `blocks`: `state ← E_m(state) ^ state`
     /// for each block `m` in order, the block being the cipher *key*, its
     /// schedule expanded by the AES unit as well.
@@ -64,6 +79,24 @@ fn load(bytes: &[u8; 16]) -> __m128i {
     // SAFETY: `bytes` is a live reference to 16 readable bytes and the
     // unaligned load accepts any address; `sse2` is enabled on this fn.
     unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }
+}
+
+/// [`load`] as two 8-byte halves. A block a caller has just composed —
+/// a MAC frame's fields, a mask computed in general registers — was
+/// written 8 bytes or less at a time, and a 16-byte load over such stores
+/// waits for them to retire; an 8-byte load is forwarded from the store
+/// that wrote it.
+#[inline]
+#[target_feature(enable = "aes,sse2")]
+fn load_halves(bytes: &[u8; 16]) -> __m128i {
+    let (lo, hi) = bytes.split_at(8);
+    // SAFETY: each half is a live reference to 8 readable bytes, which is
+    // all `loadl` reads, at any alignment; `sse2` is enabled on this fn.
+    unsafe {
+        let lo = _mm_loadl_epi64(lo.as_ptr().cast());
+        let hi = _mm_loadl_epi64(hi.as_ptr().cast());
+        _mm_unpacklo_epi64(lo, hi)
+    }
 }
 
 #[inline]
@@ -124,6 +157,77 @@ fn encrypt_blocks(round_keys: &[[u8; 16]; 11], blocks: &mut [[u8; 16]]) {
         5 => rounds::<5>(round_keys, tail),
         6 => rounds::<6>(round_keys, tail),
         _ => rounds::<7>(round_keys, tail),
+    }
+}
+
+#[target_feature(enable = "aes,sse2")]
+fn cbc_chains(round_keys: &[[u8; 16]; 11], chains: &[Chain<'_>], out: &mut [[u8; 16]]) {
+    for (chains, out) in chains.chunks(WIDE).zip(out.chunks_mut(WIDE)) {
+        match chains.len() {
+            1 => lanes::<1>(round_keys, chains, out),
+            2 => lanes::<2>(round_keys, chains, out),
+            3 => lanes::<3>(round_keys, chains, out),
+            4 => lanes::<4>(round_keys, chains, out),
+            5 => lanes::<5>(round_keys, chains, out),
+            6 => lanes::<6>(round_keys, chains, out),
+            7 => lanes::<7>(round_keys, chains, out),
+            _ => lanes::<WIDE>(round_keys, chains, out),
+        }
+    }
+}
+
+/// `N` CBC chains in lockstep, one block of each per pass through the ten
+/// rounds; the chaining values stay in registers from the first block to
+/// the last and are stored once. The chains are aligned on their *last*
+/// block, so they all end in the same pass, which is where the last-block
+/// masks go in. When their lengths differ, a chain of `len` blocks runs in
+/// the last `len` passes: before its first block its register idles
+/// through the rounds on whatever it holds and is then cleared by a mask,
+/// so no pass branches on a lane.
+#[inline]
+#[target_feature(enable = "aes,sse2")]
+fn lanes<const N: usize>(round_keys: &[[u8; 16]; 11], chains: &[Chain<'_>], out: &mut [[u8; 16]]) {
+    let chains: &[Chain<'_>; N] = chains.try_into().expect("caller matched the width");
+    let mut passes = 0;
+    for (blocks, _) in chains {
+        passes = passes.max(blocks.len());
+    }
+    let mut start = [0; N];
+    let mut ragged = false;
+    for (start, (blocks, _)) in start.iter_mut().zip(chains) {
+        *start = passes - blocks.len();
+        ragged |= *start != 0;
+    }
+    let whitening = load(&round_keys[0]);
+    let mut x = [_mm_setzero_si128(); N];
+    for r in 0..passes {
+        for ((v, (blocks, last)), &start) in x.iter_mut().zip(chains).zip(&start) {
+            let mut block = if ragged {
+                // All ones once the chain has absorbed a block, zeros
+                // until then.
+                *v = _mm_and_si128(*v, _mm_set1_epi64x(-i64::from(r > start)));
+                load_halves(&blocks[r.saturating_sub(start)])
+            } else {
+                load_halves(&blocks[r])
+            };
+            if r + 1 == passes {
+                block = _mm_xor_si128(block, load_halves(last));
+            }
+            *v = _mm_xor_si128(*v, _mm_xor_si128(block, whitening));
+        }
+        for round_key in &round_keys[1..10] {
+            let key = load(round_key);
+            for v in &mut x {
+                *v = _mm_aesenc_si128(*v, key);
+            }
+        }
+        let last = load(&round_keys[10]);
+        for v in &mut x {
+            *v = _mm_aesenclast_si128(*v, last);
+        }
+    }
+    for (out, v) in out.iter_mut().zip(x) {
+        store(out, v);
     }
 }
 

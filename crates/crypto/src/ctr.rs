@@ -51,6 +51,51 @@ impl CtrCipher {
         });
     }
 
+    /// [`CtrCipher::apply_keystream`] over several buffers, each under its
+    /// own IV: the counter blocks of all of them go through the cipher
+    /// eight at a time, wherever one buffer ends and the next begins —
+    /// so buffers of a block or two (an ORAM block's payload) are opened
+    /// side by side rather than each alone.
+    ///
+    /// ```
+    /// use psoram_crypto::{Aes128, CtrCipher};
+    ///
+    /// let cipher = CtrCipher::new(Aes128::new(&[0x42; 16]));
+    /// let (mut a, mut b) = ([1u8; 8], [2u8; 40]);
+    /// cipher.apply_keystreams([(7, &mut a[..]), (9, &mut b[..])]);
+    /// let (mut a2, mut b2) = ([1u8; 8], [2u8; 40]);
+    /// cipher.apply_keystream(7, &mut a2);
+    /// cipher.apply_keystream(9, &mut b2);
+    /// assert_eq!((a, b), (a2, b2));
+    /// ```
+    pub fn apply_keystreams<'a>(&self, bufs: impl IntoIterator<Item = (u128, &'a mut [u8])>) {
+        let mut pads = [[0u8; 16]; GROUP];
+        let mut outs: [&mut [u8]; GROUP] = Default::default();
+        let mut n = 0;
+        for (iv, buf) in bufs {
+            for (i, chunk) in buf.chunks_mut(16).enumerate() {
+                pads[n] = iv.wrapping_add(i as u128).to_be_bytes();
+                outs[n] = chunk;
+                n += 1;
+                if n == GROUP {
+                    self.xor_pads(&mut pads, &mut outs);
+                    n = 0;
+                }
+            }
+        }
+        self.xor_pads(&mut pads[..n], &mut outs[..n]);
+    }
+
+    /// Encrypts the counter blocks `pads` and XORs each into its `outs`.
+    fn xor_pads(&self, pads: &mut [[u8; 16]], outs: &mut [&mut [u8]]) {
+        self.aes.encrypt_blocks(pads);
+        for (out, pad) in outs.iter_mut().zip(pads.iter()) {
+            for (b, p) in out.iter_mut().zip(pad) {
+                *b ^= p;
+            }
+        }
+    }
+
     /// Walks `buf` in runs of up to [`GROUP`] keystream blocks, handing
     /// `apply` each run with its pad. The counter blocks of one buffer are
     /// independent, so a run goes through the cipher together.
@@ -136,6 +181,23 @@ mod tests {
             let mut buf = vec![0xEEu8; len];
             c.keystream_into(0x1234_5678, &mut buf);
             assert_eq!(ks, buf, "len {len}");
+        }
+    }
+
+    #[test]
+    fn apply_keystreams_is_apply_keystream_per_buffer() {
+        let c = cipher();
+        // Lengths that straddle a group of counter blocks, end on one,
+        // leave a partial block, and are nothing at all.
+        for lens in [&[8usize; 11][..], &[0, 16, 17, 128, 3], &[200], &[]] {
+            let mut together: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0x3C; n]).collect();
+            let mut apart = together.clone();
+            let ivs = (0..lens.len() as u128).map(|i| 0xABCD_0000 + 1000 * i);
+            c.apply_keystreams(ivs.clone().zip(together.iter_mut().map(Vec::as_mut_slice)));
+            for (iv, buf) in ivs.zip(&mut apart) {
+                c.apply_keystream(iv, buf);
+            }
+            assert_eq!(together, apart, "{lens:?}");
         }
     }
 

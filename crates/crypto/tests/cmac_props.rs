@@ -61,6 +61,51 @@ fn oracle_cmac(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
     x
 }
 
+/// The lanes on exactly the messages the freshness layer sends: a dummy
+/// slot's record or a counter digest (26 bytes), a PosMap record (33) and
+/// a real slot's record (83) — framed whole, as the layer frames it, and
+/// as a 75-byte frame with its 8-byte payload borrowed — 1 to 8 to a
+/// group, each shape alone and all of them mixed from every starting
+/// shape, give each message the tag [`Cmac::tag`] gives it alone, on the
+/// backend the host selects and on the T-table.
+#[test]
+fn tag_lanes_on_the_freshness_layer_shapes() {
+    /// (bytes framed, bytes borrowed after the frame)
+    const SHAPES: [(usize, usize); 4] = [(26, 0), (33, 0), (83, 0), (75, 8)];
+    let key = [0x5A; 16];
+    for aes in [Aes128::new(&key), Aes128::portable(&key)] {
+        let mac = Cmac::new(aes);
+        for n in 1..=Cmac::LANES {
+            let alone = (0..SHAPES.len()).map(|shape| vec![shape; n]);
+            let mixed = (0..SHAPES.len())
+                .map(|first| (first..first + n).map(|i| i % SHAPES.len()).collect());
+            for pattern in alone.chain(mixed).collect::<Vec<Vec<usize>>>() {
+                let msgs: Vec<(Vec<u8>, usize)> = (pattern.iter().enumerate())
+                    .map(|(i, &shape)| {
+                        let (framed, borrowed) = SHAPES[shape];
+                        let bytes = (0..framed + borrowed).map(|j| (i * 31 + j * 7 + shape) as u8);
+                        (bytes.collect(), framed)
+                    })
+                    .collect();
+                let frames: Vec<Frame<6>> = (msgs.iter())
+                    .map(|(m, framed)| {
+                        let mut frame = Frame::new();
+                        frame.push(&m[..*framed]);
+                        frame
+                    })
+                    .collect();
+                let lanes: Vec<(&Frame<6>, &[u8])> = (msgs.iter().zip(&frames))
+                    .map(|((m, framed), frame)| (frame, &m[*framed..]))
+                    .collect();
+                let mut tags = vec![[0u8; 16]; n];
+                mac.tag_lanes(&lanes, &mut tags);
+                let expected: Vec<[u8; 16]> = msgs.iter().map(|(m, _)| mac.tag(m)).collect();
+                assert_eq!(tags, expected, "shapes {pattern:?}, {mac:?}");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

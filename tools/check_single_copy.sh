@@ -5,8 +5,9 @@
 # micro-benchmark harness — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
-# recovery scans over every tagged unit and the snapshot store are named
-# only where they are implemented: `engine/` (the persist engine, the
+# recovery scans over every tagged unit (phase 1's walk down the counter
+# rows, `verdict_tracked_slots`) and the snapshot store are named only
+# where they are implemented: `engine/` (the persist engine, the
 # device side, the ladder) and `auth.rs` (the records they are made of).
 # A controller that names one of them has grown its own copy of the device
 # side or of the ladder. That has happened once already: PR 2 extracted the
@@ -16,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-NAMES='draw_crash_damage|confirm_stale_replay|confirm_cross_splice|tagged_slots_sorted|tagged_posmap_sorted|UnitHistory'
+NAMES='draw_crash_damage|confirm_stale_replay|confirm_cross_splice|verdict_tracked_slots|tagged_posmap_sorted|UnitHistory'
 
 stray=$(grep -rlE "$NAMES" --include='*.rs' crates/core/src \
     | grep -v -e '^crates/core/src/engine/' -e '^crates/core/src/auth\.rs$' || true)

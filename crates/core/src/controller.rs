@@ -248,11 +248,6 @@ impl PathOram {
         self.stash.len()
     }
 
-    /// High-water mark of stash occupancy.
-    pub fn stash_max_occupancy(&self) -> usize {
-        self.stash.max_occupancy()
-    }
-
     /// Enables/disables functional payload encryption (timing is charged
     /// either way). On by default; large sweeps may disable it to trade
     /// fidelity for speed.
@@ -1292,6 +1287,9 @@ impl ProtocolPolicy for PathOram {
     fn state_digest(&self) -> u128 {
         self.shell.state_digest(self.tree.arena(), false)
     }
+    fn stash_max_occupancy(&self) -> usize {
+        self.stash.max_occupancy()
+    }
 
     /// The WPQ variants are the hardened ones.
     fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
@@ -1359,27 +1357,8 @@ mod tests {
 
     #[test]
     fn snapshot_store_exists_only_under_plans_that_replay() {
-        let splice_only = FaultConfig {
-            cross_splice: 1.0,
-            ..FaultConfig::disabled()
-        };
-        for (mix, snapshots) in [
-            (FaultConfig::disabled(), false),
-            (FaultConfig::campaign_default(), false),
-            (splice_only, false),
-            (FaultConfig::replay_mix(), true),
-        ] {
-            for variant in ProtocolVariant::all() {
-                let mut oram = PathOram::new(OramConfig::small_test(), variant, 9);
-                oram.enable_device_faults(9, mix);
-                assert_eq!(
-                    oram.shell.device.replays(),
-                    snapshots,
-                    "{variant:?} {mix:?}"
-                );
-                assert_eq!(oram.shell.device.auth.is_some(), variant.uses_wpq());
-            }
-        }
+        use crate::testkit::{snapshot_store_exists_only_under_plans_that_replay as held, Design};
+        held(|d| matches!(d, Design::Path(_)));
     }
 
     #[test]
@@ -1420,16 +1399,7 @@ mod tests {
             (flushed.wpq_data_flushed, flushed.wpq_posmap_flushed),
             (1, 1)
         );
-        // The root anchored in the persistence domain covers what the ADR
-        // flush just programmed.
-        let root = oram.shell.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(oram.shell.ctl.persisted_root(), root);
-        let report = oram.recover();
-        assert!(report.consistent, "{:?}", report.violation);
-        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
-        assert_eq!((report.repairs, report.replays_detected), (0, 0));
-        assert_eq!(oram.committed_value(addr), Some(&value));
-        assert_eq!(oram.read(addr).unwrap(), value);
+        crate::testkit::the_committed_round_survived(&mut oram, addr.0, &value);
     }
 
     /// What the test below does to one slot of the path about to be read.

@@ -542,9 +542,10 @@ fn retried(ctl: &EngineControl, kind: DeviceFaultKind, attempts: u32, t: u64) ->
 
 #[cfg(test)]
 mod tests {
-    use super::super::recover::tests::{seed_where, Toy};
+    use super::super::recover::tests::seed_where;
     use super::*;
     use crate::engine::ProtocolPolicy;
+    use crate::testkit::Toy;
 
     /// Every round is lost; nothing is replayed or spliced.
     fn all_lost() -> FaultConfig {
@@ -648,7 +649,7 @@ mod tests {
 
     #[test]
     fn a_torn_dummy_slot_draws_no_entropy_and_a_strike_materialises_nothing() {
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.write(&[1], 3);
         toy.enable_device_faults(5, all_lost());
         let written = toy.write(&[0], 4);
@@ -684,7 +685,7 @@ mod tests {
         };
         // Two distinct intact units: the splice lands and the contents
         // swap (as do the two addresses' PosMap entries).
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.enable_device_faults(1, splice_only);
         let w = toy.write(&[0, 1], 3);
         toy.crash_now();
@@ -694,7 +695,7 @@ mod tests {
         assert_eq!(toy.recover().splices_detected, 4, "every end is convicted");
 
         // Both ends of the drawn pair are one media unit: a no-op.
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.enable_device_faults(1, splice_only);
         let w = toy.write(&[0], 3);
         toy.shell.device.push_slot(w[0].0, w[0].1);
@@ -717,7 +718,7 @@ mod tests {
                     && d.replayed_data
                         .is_some_and(|i| (i == d.data_units[0]) == restored)
             });
-            let mut toy = Toy::new();
+            let mut toy = Toy::default();
             toy.write(&[0, 0], 3);
             toy.enable_device_faults(seed, rot_replay_splice);
             toy.write(&[0, 0], 4);

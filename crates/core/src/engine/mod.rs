@@ -36,8 +36,9 @@
 //! A new ORAM protocol variant holds a `Shell`, its arena and its queues
 //! and implements `ProtocolPolicy`: what names it, its access, how it
 //! applies a drained round and what it loses to a power failure — the toy
-//! protocol in `recover.rs`'s tests is a whole one in a hundred lines —
-//! instead of forking a 1,400-line controller.
+//! protocol in the test-support module (`crate::testkit::Toy`) is a whole
+//! one in a hundred lines, and one row of the conformance suite's design
+//! table — instead of forking a 1,400-line controller.
 
 mod device;
 mod ledger;
@@ -51,7 +52,7 @@ pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
 pub(crate) use persist::{fault_kind, DrainedRound};
 pub use persist::{EngineControl, EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
-pub use policy::{read_back, Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
+pub use policy::{Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 pub use shell::Shell;

@@ -120,6 +120,26 @@ pub enum RingVariant {
     PsRing,
 }
 
+impl RingVariant {
+    /// Both flavours.
+    pub fn all() -> [RingVariant; 2] {
+        [RingVariant::Baseline, RingVariant::PsRing]
+    }
+
+    /// `true` for the flavour that rewrites buckets through atomic WPQ
+    /// rounds (and therefore carries the temporary PosMap and, under
+    /// device faults, the integrity layer).
+    pub fn uses_wpq(self) -> bool {
+        self == RingVariant::PsRing
+    }
+
+    /// Whether the flavour is expected to recover consistently from a
+    /// crash at *any* point.
+    pub fn is_crash_consistent(self) -> bool {
+        self.uses_wpq()
+    }
+}
+
 impl std::fmt::Display for RingVariant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -214,6 +234,8 @@ pub trait ProtocolPolicy {
     /// A deterministic digest over the design's recoverable state, for
     /// idempotency regression checks.
     fn state_digest(&self) -> u128;
+    /// The most blocks the design's stash has held at once.
+    fn stash_max_occupancy(&self) -> usize;
     /// Makes the design's WPQ/NVM backend adversarial: installs a seeded
     /// [`FaultPlan`](psoram_nvm::FaultPlan) that injects torn flushes,
     /// lost/duplicated drainer signals, bit rot, and transient read errors.
@@ -408,37 +430,4 @@ pub trait ProtocolPolicy {
     fn wear_spares_left(&self) -> Option<u64> {
         self.wear_engine().map(|w| w.spares_left())
     }
-}
-
-/// Test support, not a second contents check: reads back every touched
-/// address of `oram`, ascending, each through a full
-/// [`ProtocolPolicy::read`], and compares it with the expectation
-/// [`ProtocolPolicy::verify_contents`] uses. The expectation is taken
-/// *before* the read, which is a fresh access — it remaps, evicts,
-/// advances the clock, draws from an installed fault plan and updates the
-/// ledgers.
-///
-/// The tests' reference for [`ProtocolPolicy::verify_contents`], and what
-/// a test calls when its later steps should run on the state such a
-/// read-back leaves behind.
-///
-/// # Errors
-///
-/// Returns a description of the first failed read or mismatch.
-#[doc(hidden)]
-pub fn read_back<P: ProtocolPolicy + ?Sized>(
-    oram: &mut P,
-    after_crash: bool,
-) -> Result<(), String> {
-    let touched: Vec<u64> = oram.shell().touched.iter().map(|(a, ())| a).collect();
-    let zeros = vec![0; oram.payload_bytes()];
-    for a in touched {
-        let expected = oram.shell().ledger.expected(a, after_crash);
-        let expected = expected.unwrap_or(&zeros).to_vec();
-        let got = oram.read(a).map_err(|e| e.to_string())?;
-        if got != expected {
-            return Err(format!("a{a}: read {got:?}, expected {expected:?}"));
-        }
-    }
-    Ok(())
 }

@@ -553,177 +553,12 @@ fn newest_valid_copies(
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use psoram_nvm::{FaultConfig, NvmConfig, WpqEntry};
+    use psoram_nvm::FaultConfig;
 
     use super::*;
-    use crate::engine::{
-        arm, commit_and_apply, lone, power_fail, read_back, set_tap, Access, CommitModel,
-        DrainedRound, Listing, Media, PersistEngine, PosMapFlush, ProtocolPolicy, RoundDamage,
-        Rounds,
-    };
+    use crate::engine::{ProtocolPolicy, RoundDamage};
+    use crate::testkit::{read_back, Toy, TOY_ADDRS as ADDRS};
     use crate::types::OramError;
-
-    const ADDRS: u64 = 4;
-
-    /// A third protocol, whole, with no device, recovery or control code
-    /// of its own: one row of two-slot buckets, address `a` owning buckets
-    /// `2a` and `2a + 1`, its leaf label the bucket its newest version sits
-    /// in. Successive versions rotate through the address's four slots, so
-    /// older ones survive as the redundant copies. A write is one persist
-    /// round of its blocks and their PosMap entries; a read takes the
-    /// newest copy the label names. It models no time.
-    pub(crate) struct Toy {
-        pub shell: Shell,
-        pub wpq: PersistEngine<(Unit, Block), PosMapFlush>,
-        pub arena: SlotArena,
-    }
-
-    /// Where the toy's copies sit: in the one bucket the label names, in
-    /// the clear, admitted as they are.
-    struct ToyCopies;
-
-    impl Copies for ToyCopies {
-        const DESC: &'static str = "toy copy";
-
-        fn path(&self, leaf: Leaf) -> impl Iterator<Item = BucketIndex> {
-            std::iter::once(leaf.0)
-        }
-    }
-
-    impl Toy {
-        pub fn new() -> Self {
-            Toy {
-                shell: Shell::new(NvmConfig::paper_pcm(1), 2 * ADDRS, 1, 1),
-                wpq: PersistEngine::new(8, 8),
-                arena: SlotArena::new(2, 8),
-            }
-        }
-
-        /// Opens a persist round writing `payload` to each of `addrs` and
-        /// leaves it open; returns the slots it will program.
-        pub fn stage(&mut self, addrs: &[u64], payload: &[u8]) -> Vec<Unit> {
-            self.wpq.begin_round(&self.shell.ctl).unwrap();
-            let mut units = Vec::new();
-            for &a in addrs {
-                self.shell.seq_counter += 1;
-                let v = self.shell.seq_counter;
-                let unit = (2 * a + (v & 1), (v >> 1) as usize & 1);
-                let mut block = Block::new(BlockAddr(a), Leaf(unit.0), payload.to_vec());
-                block.header.seq = v;
-                self.shell.ledger.note_written(a, payload);
-                let (value, addr) = ((BlockAddr(a), Leaf(unit.0)), 0);
-                self.wpq.push_posmap(WpqEntry { addr, value }).unwrap();
-                let value = (unit, block);
-                self.wpq.push_data(WpqEntry { addr, value }).unwrap();
-                units.push(unit);
-            }
-            units
-        }
-
-        /// One persist round writing `[value; 8]` to each of `addrs`.
-        pub fn write(&mut self, addrs: &[u64], value: u8) -> Vec<Unit> {
-            let units = self.stage(addrs, &[value; 8]);
-            commit_and_apply(self).unwrap();
-            units
-        }
-    }
-
-    impl Rounds for Toy {
-        type Data = (Unit, Block);
-
-        fn media(&mut self) -> Media<'_, (Unit, Block)> {
-            (&mut self.shell, &mut self.wpq, &mut self.arena)
-        }
-
-        /// Its blocks, then their entries; every block is its address's
-        /// newest version and commits.
-        fn apply_round(&mut self, (data, posmap): &mut DrainedRound<(Unit, Block), PosMapFlush>) {
-            let units = data.iter().map(|e| {
-                let ((bucket, slot), block) = &e.value;
-                (*bucket, *slot, Some(block.view()))
-            });
-            (self.shell.device).program(&mut self.arena, units.map(lone), Listing::Join);
-            (self.shell).flush(posmap.drain(..).map(|e| e.value), Listing::Join);
-            for (_, b) in data.drain(..).map(|e| e.value) {
-                (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
-            }
-        }
-
-        fn wipe(&mut self) {}
-    }
-
-    impl ProtocolPolicy for Toy {
-        fn label(&self) -> String {
-            "toy".into()
-        }
-        fn capacity_blocks(&self) -> u64 {
-            ADDRS
-        }
-        fn payload_bytes(&self) -> usize {
-            8
-        }
-        fn crash_consistent(&self) -> bool {
-            true
-        }
-        fn commit_model(&self) -> CommitModel {
-            CommitModel::OnCompletion
-        }
-        fn shell(&self) -> &Shell {
-            &self.shell
-        }
-        fn shell_mut(&mut self) -> &mut Shell {
-            &mut self.shell
-        }
-        fn access(&mut self, addr: u64, data: Option<&[u8]>, arrival: u64) -> Access {
-            let (a, index) = (BlockAddr(addr), self.shell.ctl.access_attempts());
-            (self.shell).begin_access(a, data, (ADDRS, 8), index, arrival)?;
-            if let Some(data) = data {
-                self.stage(&[addr], data);
-                commit_and_apply(self)?;
-            }
-            let value = data.is_none().then(|| {
-                let mut value = Vec::new();
-                self.peek(addr, &mut value);
-                value
-            });
-            Ok((value, arrival))
-        }
-        /// The newest copy the label names, else zeros: a read is this.
-        fn peek(&self, addr: u64, out: &mut Vec<u8>) {
-            let a = BlockAddr(addr);
-            let leaf = self.shell.posmap.persisted_get(a);
-            out.clear();
-            match (self.arena).newest_on_path(ToyCopies.path(leaf), a, leaf) {
-                Some(copy) => out.extend_from_slice(copy.payload),
-                None => out.resize(8, 0),
-            }
-        }
-        fn crash_now(&mut self) {
-            power_fail(self);
-        }
-        fn recover(&mut self) -> RecoveryReport {
-            (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _| {})
-        }
-        fn state_digest(&self) -> u128 {
-            self.shell.state_digest(&self.arena, false)
-        }
-        fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-            arm(self, seed, cfg, true);
-        }
-        fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-            self.shell.arm_wear(seed, 2 * ADDRS * 2 * 64, cfg);
-        }
-        fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
-            self.wpq.wpq_stats()
-        }
-        fn set_obsv_tap(&mut self, tap: psoram_obsv::Tap) {
-            set_tap(self, tap);
-        }
-        fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry) {
-            let (oram, wpq) = (self.shell.ctl.stats(), self.wpq.wpq_stats());
-            (self.shell).publish_metrics(prefix, reg, &oram, wpq);
-        }
-    }
 
     /// The first seed whose plan draws, as its first crash damage over a
     /// round of `units` (slots, PosMap entries), damage that `wanted`
@@ -757,7 +592,7 @@ pub(crate) mod tests {
         let seed = seed_where(half_torn(), (1, 1), |d| {
             d.data_units.is_empty() && d.posmap_units == [0]
         });
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.write(&[0, 1, 2], 7);
         toy.enable_device_faults(seed, half_torn());
         toy.write(&[1], 9);
@@ -779,7 +614,7 @@ pub(crate) mod tests {
         let rotted = |d: &RoundDamage| d.data_units.is_empty() && d.posmap_units == [0];
         let found = [torn as fn(&_) -> _, rotted].map(|d| seed_where(half_torn(), (1, 1), d));
         for seed in [1, 5].into_iter().chain(found) {
-            let mut toy: Box<dyn ProtocolPolicy> = Box::new(Toy::new());
+            let mut toy: Box<dyn ProtocolPolicy> = Box::new(Toy::default());
             toy.enable_device_faults(seed, FaultConfig::replay_mix());
             for i in 0..24u64 {
                 toy.write(i * 7 % ADDRS, vec![i as u8; 8]).unwrap();
@@ -805,25 +640,20 @@ pub(crate) mod tests {
 
     #[test]
     fn a_third_protocols_round_committed_but_not_drained_survives_the_power_failure() {
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.write(&[0, 1], 7);
         toy.enable_device_faults(3, FaultConfig::disabled());
         // The end signal arrives, the drain does not.
         toy.stage(&[2], &[9; 8]);
         toy.wpq.commit_round(&mut toy.shell.ctl).unwrap();
         toy.crash_now();
-        let root = toy.shell.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(toy.shell.ctl.persisted_root(), root);
-        let report = toy.recover();
-        assert!(report.consistent, "{:?}", report.violation);
-        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
-        assert_eq!(toy.shell.ledger.committed_value(2), Some(&vec![9; 8]));
+        crate::testkit::the_committed_round_survived(&mut toy, 2, &[9; 8]);
     }
 
     #[test]
     fn a_third_protocol_rolls_a_torn_block_back_under_a_typed_error_and_recovers_once() {
         let seed = seed_where(half_torn(), (1, 1), |d| d.data_units == [0]);
-        let mut toy = Toy::new();
+        let mut toy = Toy::default();
         toy.write(&[0, 1, 2], 7);
         toy.enable_device_faults(seed, half_torn());
         toy.write(&[2], 9);

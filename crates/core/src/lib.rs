@@ -63,6 +63,8 @@ pub mod security;
 mod shard;
 mod stash;
 mod stats;
+#[doc(hidden)]
+pub mod testkit;
 mod tree;
 mod types;
 mod unit_table;

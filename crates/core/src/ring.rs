@@ -1038,7 +1038,7 @@ impl ProtocolPolicy for RingOram {
         self.config.payload_bytes
     }
     fn crash_consistent(&self) -> bool {
-        self.variant == RingVariant::PsRing
+        self.variant.is_crash_consistent()
     }
     fn commit_model(&self) -> CommitModel {
         // Ring ORAM only writes buckets back every `A` accesses: a
@@ -1095,10 +1095,13 @@ impl ProtocolPolicy for RingOram {
     fn state_digest(&self) -> u128 {
         self.shell.state_digest(&self.buckets, true)
     }
+    fn stash_max_occupancy(&self) -> usize {
+        self.stats.stash_max
+    }
 
     /// PS-Ring is the hardened variant; records cover every physical slot.
     fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
-        arm(self, seed, cfg, self.variant == RingVariant::PsRing);
+        arm(self, seed, cfg, self.variant.uses_wpq());
     }
 
     fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
@@ -1254,43 +1257,12 @@ mod tests {
         oram.wpq.commit_round(&mut oram.shell.ctl).unwrap();
 
         oram.crash_now();
-        // The root anchored in the persistence domain covers what the ADR
-        // flush just programmed.
-        let root = oram.shell.device.auth.as_ref().map(|auth| auth.root());
-        assert_eq!(oram.shell.ctl.persisted_root(), root);
-        let report = oram.recover();
-        assert!(report.consistent, "{:?}", report.violation);
-        assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");
-        assert_eq!((report.repairs, report.replays_detected), (0, 0));
-        assert_eq!(oram.shell.ledger.committed_value(addr.0), Some(&value));
-        assert_eq!(oram.read(addr).unwrap(), value);
+        crate::testkit::the_committed_round_survived(&mut oram, addr.0, &value);
     }
 
     #[test]
     fn snapshot_store_exists_only_under_plans_that_replay() {
-        let splice_only = FaultConfig {
-            cross_splice: 1.0,
-            ..FaultConfig::disabled()
-        };
-        for (mix, snapshots) in [
-            (FaultConfig::disabled(), false),
-            (FaultConfig::campaign_default(), false),
-            (splice_only, false),
-            (FaultConfig::replay_mix(), true),
-        ] {
-            for variant in [RingVariant::Baseline, RingVariant::PsRing] {
-                let mut oram = RingOram::new(RingConfig::small_test(), variant, 9);
-                oram.enable_device_faults(9, mix);
-                assert_eq!(
-                    oram.shell.device.replays(),
-                    snapshots,
-                    "{variant:?} {mix:?}"
-                );
-                assert_eq!(
-                    oram.shell.device.auth.is_some(),
-                    variant == RingVariant::PsRing
-                );
-            }
-        }
+        use crate::testkit::{snapshot_store_exists_only_under_plans_that_replay as held, Design};
+        held(|d| matches!(d, Design::Ring(_)));
     }
 }

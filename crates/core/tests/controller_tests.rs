@@ -1,5 +1,8 @@
 //! Integration tests for the ORAM controller across all protocol variants.
 
+use psoram_core::testkit::{
+    conform, conform_clause, recovered, runs_repeat, Arm, Contract, Design,
+};
 use psoram_core::{
     BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
 };
@@ -11,24 +14,14 @@ fn payload(tag: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The Path rows of the design table, on their plain arm.
+fn path_rows(d: Design, arm: Arm) -> bool {
+    matches!(d, Design::Path(_)) && arm == Arm::Plain
+}
+
 #[test]
 fn read_your_writes_all_variants() {
-    for variant in ProtocolVariant::all() {
-        let mut oram = PathOram::new(OramConfig::small_test(), variant, 42);
-        for i in 0..30u64 {
-            oram.write(BlockAddr(i), payload(i)).unwrap();
-        }
-        for i in (0..30u64).rev() {
-            assert_eq!(
-                oram.read(BlockAddr(i)).unwrap(),
-                payload(i),
-                "{variant}: block {i}"
-            );
-        }
-        // Overwrite and re-read.
-        oram.write(BlockAddr(7), payload(99)).unwrap();
-        assert_eq!(oram.read(BlockAddr(7)).unwrap(), payload(99), "{variant}");
-    }
+    conform(Contract::ReadYourWrites, path_rows);
 }
 
 #[test]
@@ -73,14 +66,7 @@ fn wrong_payload_size_rejected() {
 
 #[test]
 fn deterministic_across_seeds() {
-    let run = || {
-        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 77);
-        for i in 0..20u64 {
-            oram.write(BlockAddr(i % 7), payload(i)).unwrap();
-        }
-        (oram.clock(), oram.nvm_stats())
-    };
-    assert_eq!(run(), run());
+    conform_clause(Contract::Deterministic, runs_repeat, path_rows);
 }
 
 // ───────────────────────── crash consistency ─────────────────────────
@@ -221,19 +207,7 @@ fn backups_created_only_by_wpq_variants() {
 
 #[test]
 fn stash_and_temp_posmap_stay_bounded() {
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 23);
-    for i in 0..500u64 {
-        oram.write(BlockAddr(i % 60), payload(i)).unwrap();
-    }
-    assert!(
-        oram.stash_max_occupancy() < 100,
-        "stash ran to {} entries",
-        oram.stash_max_occupancy()
-    );
-    assert!(
-        oram.temp_posmap_len() < 40,
-        "temp PosMap should drain via evictions"
-    );
+    conform(Contract::Bounded, path_rows);
 }
 
 // ───────────────────────── timing ─────────────────────────
@@ -334,11 +308,9 @@ fn top_cache_preserves_crash_consistency() {
         }
         oram.inject_crash(point);
         let _ = oram.read(BlockAddr(5));
-        assert!(
-            oram.recover().consistent,
-            "write-through cache must not break recovery at {point}"
-        );
-        oram.verify_contents(true).unwrap();
+        let report = oram.recover();
+        recovered(Arm::Plain, &mut oram, &report)
+            .unwrap_or_else(|e| panic!("write-through cache broke recovery at {point}: {e}"));
     }
 }
 

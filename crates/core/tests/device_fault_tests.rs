@@ -4,42 +4,29 @@
 //! seeded device fault plan installed — torn flushes, signal loss, media
 //! bit rot, transient reads — and assert the tentpole contract: every
 //! fault is either *repaired* (post-recovery contents match the committed
-//! ledger) or *fail-safed* with a typed [`RecoveryError`]; corruption is
+//! ledger) or *fail-safed* with a typed `RecoveryError`; corruption is
 //! never silent. The double-recover suites pin the idempotency guarantee
 //! both controllers document.
 
-use psoram_core::engine::read_back;
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
+use psoram_core::testkit::{conform, payload, recovered, Arm, Contract, Design};
 use psoram_core::{
-    BlockAddr, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant, RecoveryError,
+    BlockAddr, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant, RecoveryReport,
 };
 use psoram_nvm::FaultConfig;
 
-fn payload(i: u64) -> Vec<u8> {
-    vec![(i % 251) as u8; 8]
-}
-
-/// Every design that claims crash consistency *and* runs its persists
-/// through the WPQ — the designs the integrity layer hardens.
-fn hardened_designs(seed: u64) -> Vec<Box<dyn ProtocolPolicy>> {
-    let mut v: Vec<Box<dyn ProtocolPolicy>> = ProtocolVariant::all()
-        .into_iter()
-        .filter(|p| p.uses_wpq())
-        .map(|p| Box::new(PathOram::new(OramConfig::small_test(), p, seed)) as _)
-        .collect();
-    v.push(Box::new(RingOram::new(
-        RingConfig::small_test(),
-        RingVariant::PsRing,
-        seed,
-    )));
-    v
+/// Every row the integrity layer hardens: the WPQ designs and the toy.
+fn hardened_designs(seed: u64) -> impl Iterator<Item = Box<dyn ProtocolPolicy>> {
+    let hardened = Design::all().filter(|d| d.is_hardened());
+    hardened.map(move |d| d.build(seed))
 }
 
 /// Workload helper tolerant of fail-safe poisoning: returns `false` once
 /// the controller refuses service.
-fn drive(oram: &mut dyn ProtocolPolicy, base: u64, n: u64) -> bool {
+fn drive<P: ProtocolPolicy + ?Sized>(oram: &mut P, base: u64, n: u64) -> bool {
+    let span = oram.capacity_blocks().min(40);
     for i in 0..n {
-        let addr = (base + i * 7) % 40;
+        let addr = (base + i * 7) % span;
         let r = if i % 3 == 0 {
             oram.read(addr).map(|_| ())
         } else {
@@ -54,57 +41,49 @@ fn drive(oram: &mut dyn ProtocolPolicy, base: u64, n: u64) -> bool {
     true
 }
 
+/// Warms `oram` up, arms `mix`, then runs `rounds` crash → recover cycles
+/// a dozen accesses apart, handing each report over, until the fail-safe
+/// latch refuses service (a typed refusal, not corruption).
+fn crash_cycles<P: ProtocolPolicy + ?Sized>(
+    oram: &mut P,
+    seed: u64,
+    (mix, rounds): (FaultConfig, u64),
+    mut each: impl FnMut(&mut P, RecoveryReport),
+) {
+    assert!(drive(oram, seed, 30), "clean warmup poisoned");
+    oram.enable_device_faults(seed.wrapping_mul(0x9E37), mix);
+    for round in 0..rounds {
+        if !drive(oram, seed + round * 101, 12) {
+            break;
+        }
+        oram.crash_now();
+        let report = oram.recover();
+        each(oram, report);
+    }
+}
+
 #[test]
 fn hardened_designs_self_heal_or_fail_safe_under_device_faults() {
     for seed in [3u64, 17, 92] {
         for mut oram in hardened_designs(seed) {
-            assert!(drive(oram.as_mut(), seed, 30), "clean warmup poisoned");
-            oram.enable_device_faults(seed.wrapping_mul(0x9E37), FaultConfig::campaign_default());
-            for round in 0..8u64 {
-                if !drive(oram.as_mut(), seed + round * 101, 12) {
-                    break; // fail-safe latched: typed refusal, not corruption
-                }
-                oram.crash_now();
-                let report = oram.recover();
-                if report.violation.is_some() {
-                    // A consistency violation must never be silent: it has
-                    // to arrive classified, as typed errors or poisoning.
-                    assert!(
-                        !report.errors.is_empty() || report.poisoned,
-                        "silent violation: {:?}",
-                        report.violation
-                    );
-                } else if !report.poisoned {
-                    // Clean verdict: contents must actually match the
-                    // committed ledger (rollbacks already folded in). The
-                    // reads back that follow run under the fault plan, so
-                    // a read-path fail-safe among them is an acceptable
-                    // (typed) outcome — divergence is not.
-                    oram.verify_contents(true)
-                        .unwrap_or_else(|e| panic!("consistent verdict but contents diverge: {e}"));
-                    if let Err(e) = read_back(oram.as_mut(), true) {
-                        assert!(
-                            oram.poisoned().is_some(),
-                            "consistent verdict but contents diverge: {e}"
-                        );
-                        break;
-                    }
-                }
-            }
+            // A violation is never silent: it arrives classified, as typed
+            // errors or poisoning. A clean verdict reads back the committed
+            // ledger (rollbacks folded in); the reads run under the fault
+            // plan, so a fail-safe among them is an acceptable (typed)
+            // outcome — divergence is not.
+            let mix = (FaultConfig::campaign_default(), 8);
+            crash_cycles(oram.as_mut(), seed, mix, |oram, report| {
+                recovered(Arm::Hardened, oram, &report).unwrap_or_else(|e| panic!("{e}"))
+            });
         }
     }
 }
 
 #[test]
 fn recover_without_crash_is_a_no_op() {
-    for mut oram in hardened_designs(5) {
-        oram.enable_device_faults(11, FaultConfig::campaign_default());
-        assert!(drive(oram.as_mut(), 5, 20));
-        let digest = oram.state_digest();
-        let report = oram.recover(); // never crashed
-        assert!(report.violation.is_none());
-        assert_eq!(oram.state_digest(), digest, "no-op recover mutated state");
-    }
+    conform(Contract::Idempotent, |d, arm| {
+        d.is_hardened() && arm == Arm::Hardened
+    });
 }
 
 /// The double-recover regression: recover, crash "during recovery" (a
@@ -112,70 +91,58 @@ fn recover_without_crash_is_a_no_op() {
 /// state and verdict must be byte-identical and counters must not double.
 #[test]
 fn double_recover_is_idempotent_and_byte_identical() {
+    // A disabled plan keeps the whole integrity pipeline armed (tags,
+    // sealed frames, device draws) while injecting nothing, so the
+    // byte-identity comparison is exact.
     for mut oram in hardened_designs(29) {
-        // A disabled plan keeps the whole integrity pipeline armed (tags,
-        // sealed frames, device draws) while injecting nothing, so the
-        // byte-identity comparison is exact.
-        oram.enable_device_faults(23, FaultConfig::disabled());
-        assert!(drive(oram.as_mut(), 29, 36));
-        oram.crash_now();
-
-        let first = oram.recover();
-        assert!(first.violation.is_none(), "{:?}", first.violation);
-        let digest = oram.state_digest();
-
-        // Second recover with no intervening crash: cached verdict.
-        let again = oram.recover();
-        assert_eq!(again, first);
-        assert_eq!(oram.state_digest(), digest);
-
-        // Crash during recovery's aftermath, then recover again.
-        oram.crash_now();
-        let second = oram.recover();
-        assert!(second.violation.is_none(), "{:?}", second.violation);
-        assert_eq!(
-            oram.state_digest(),
-            digest,
-            "re-crash + re-recover diverged from the recovered state"
+        crash_cycles(
+            oram.as_mut(),
+            29,
+            (FaultConfig::disabled(), 1),
+            |oram, first| {
+                assert!(first.violation.is_none(), "{:?}", first.violation);
+                let digest = oram.state_digest();
+                // Second recover with no intervening crash: cached verdict.
+                assert_eq!((oram.recover(), oram.state_digest()), (first, digest));
+                // Crash during recovery's aftermath, then recover again.
+                oram.crash_now();
+                let second = oram.recover();
+                assert!(
+                    second.violation.is_none() && second.repairs == 0,
+                    "{second:?}"
+                );
+                assert!(second.rolled_back.is_empty(), "{second:?}");
+                assert_eq!(
+                    oram.state_digest(),
+                    digest,
+                    "re-crash + re-recover diverged"
+                );
+                oram.verify_contents(true).expect("contents diverge");
+            },
         );
-        assert_eq!(second.repairs, 0, "idle re-recovery invented repairs");
-        assert!(second.rolled_back.is_empty());
-        oram.verify_contents(true).expect("contents diverge");
     }
 }
 
 #[test]
 fn rolled_back_addresses_carry_typed_errors() {
     // Aggressive plans tear nearly every round; over enough crashes at
-    // least one run must classify damage. The contract under test:
-    // whenever an address is rolled back, a typed UnrecoverableAddress
-    // (or Poisoned) error names the loss.
+    // least one run must classify damage, and whenever an address is
+    // rolled back a typed UnrecoverableAddress (or Poisoned) error names
+    // the loss.
     let mut classified = 0u64;
     for seed in 0..12u64 {
         let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, seed);
-        assert!(drive(&mut oram, seed, 24));
-        oram.enable_device_faults(seed, FaultConfig::aggressive());
-        for round in 0..6u64 {
-            if !drive(&mut oram, seed + round * 13, 9) {
-                classified += 1;
-                break;
-            }
-            oram.crash_now();
-            let report = oram.recover();
-            classified += report.errors.len() as u64 + report.repairs;
-            for a in &report.rolled_back {
-                assert!(
-                    report.errors.iter().any(|e| matches!(
-                        e,
-                        RecoveryError::UnrecoverableAddress { addr, .. } if addr == a
-                    )),
-                    "rollback of {a} not named by a typed error"
-                );
-            }
-            if report.poisoned {
-                break;
-            }
-        }
+        crash_cycles(
+            &mut oram,
+            seed,
+            (FaultConfig::aggressive(), 6),
+            |oram, report| {
+                classified +=
+                    report.errors.len() as u64 + report.repairs + u64::from(report.poisoned);
+                recovered(Arm::Hardened, oram, &report)
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            },
+        );
     }
     assert!(
         classified > 0,
@@ -186,17 +153,16 @@ fn rolled_back_addresses_carry_typed_errors() {
 #[test]
 fn baselines_take_faults_without_defenses() {
     // The differential campaigns need the unhardened designs to keep
-    // failing detectably: enabling device faults on a baseline must
-    // install the plan (stats exist) but arm no integrity layer.
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::Baseline, 7);
-    oram.enable_device_faults(7, FaultConfig::campaign_default());
-    assert!(oram.device_fault_stats().is_some());
-    let mut ring = RingOram::new(RingConfig::small_test(), RingVariant::Baseline, 7);
-    ring.enable_device_faults(7, FaultConfig::campaign_default());
-    assert!(ring.device_fault_stats().is_some());
-    assert!(drive(&mut ring, 7, 20));
-    ring.crash_now();
-    let _ = ring.recover(); // may or may not be consistent; must not panic
+    // failing detectably: enabling device faults on one installs the plan
+    // (stats exist) but arms no integrity layer.
+    for d in Design::all().filter(|d| !d.is_hardened()) {
+        let mut oram = d.build(7);
+        oram.enable_device_faults(7, FaultConfig::campaign_default());
+        assert!(oram.device_fault_stats().is_some(), "{d:?}");
+        assert!(drive(oram.as_mut(), 7, 20), "{d:?}");
+        oram.crash_now();
+        let _ = oram.recover(); // may or may not be consistent; must not panic
+    }
 }
 
 #[test]
@@ -236,17 +202,10 @@ fn replay_and_splice_adversaries_still_land_and_are_always_detected() {
         let mut landed = psoram_nvm::FaultStats::default();
         for seed in [3u64, 17, 92, 311] {
             for mut oram in hardened_designs(seed) {
-                assert!(drive(oram.as_mut(), seed, 30), "clean warmup poisoned");
-                oram.enable_device_faults(seed.wrapping_mul(0x9E37), mix);
                 let mut convicted = 0;
-                for round in 0..10u64 {
-                    if !drive(oram.as_mut(), seed + round * 101, 12) {
-                        break;
-                    }
-                    oram.crash_now();
-                    let report = oram.recover();
-                    convicted += report.replays_detected + report.splices_detected;
-                }
+                crash_cycles(oram.as_mut(), seed, (mix, 10), |_, report| {
+                    convicted += report.replays_detected + report.splices_detected
+                });
                 let injected = oram.device_fault_stats().expect("plan installed");
                 assert!(
                     convicted >= injected.stale_replays + injected.cross_splices,
@@ -276,22 +235,16 @@ fn narrow_verdicts_against_full<T: ProtocolPolicy>(
     full: fn(&T) -> Result<(), String>,
 ) -> (u64, usize) {
     let (mut repairs, mut rollbacks) = (0, 0);
-    assert!(drive(&mut oram, seed, 30), "clean warmup poisoned");
-    oram.enable_device_faults(seed.wrapping_mul(0x9E37), FaultConfig::replay_mix());
-    for round in 0..10u64 {
-        if !drive(&mut oram, seed + round * 101, 12) {
-            break;
-        }
-        oram.crash_now();
-        let report = oram.recover();
-        assert_eq!(
-            report.violation,
-            full(&oram).err(),
-            "seed {seed} round {round}"
-        );
-        repairs += report.repairs;
-        rollbacks += report.rolled_back.len();
-    }
+    crash_cycles(
+        &mut oram,
+        seed,
+        (FaultConfig::replay_mix(), 10),
+        |oram, report| {
+            assert_eq!(report.violation, full(oram).err(), "seed {seed}");
+            repairs += report.repairs;
+            rollbacks += report.rolled_back.len();
+        },
+    );
     (repairs, rollbacks)
 }
 

@@ -3,114 +3,59 @@
 //! `device_fault_tests.rs` asserts the ladder's contract on samples at
 //! `L = 6`; this suite asserts the same contract on *every* case of a
 //! scope small enough to enumerate: trees of height `L ≤ 3` with `Z = 2`,
-//! the hardened Path (`PsOram`) and Ring (`PsRing`) controllers × every
-//! step-boundary crash point × every fault arm on its own × eight plan
-//! seeds, several crash → recover rounds each. In a tree this small nearly
-//! every path overlaps every other, so redundant copies, shadows and
-//! damaged units collide constantly — the corners the sampled runs reach
-//! rarely. The contract: corruption is never silent, every rolled-back
+//! every hardened row of the design table with that scope (the three WPQ
+//! Path variants and PS-Ring) × every step-boundary crash point × every
+//! fault arm on its own × plan seeds (eight for PS-ORAM and PS-Ring, two
+//! for Naïve and Rcr PS-ORAM), several crash → recover rounds each (2,700
+//! cases). In a tree this small nearly every path overlaps every other, so
+//! redundant copies, shadows and damaged units collide constantly — the
+//! corners the sampled runs reach rarely. The contract: corruption is never silent, every rolled-back
 //! address carries a typed error, and `recover` twice is `recover` once.
 
-use psoram_core::engine::read_back;
-use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-use psoram_core::{
-    CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant, RecoveryError,
-};
+use psoram_core::ring::RingVariant;
+use psoram_core::testkit::{read_back, recovered, Arm, Design, Geometry};
+use psoram_core::{CrashPoint, OramError, ProtocolPolicy, ProtocolVariant};
 use psoram_nvm::FaultConfig;
 
-const SEEDS: u64 = 8;
 const ROUNDS: u64 = 4;
+
+/// The plan seeds of a row: eight for PS-ORAM and PS-Ring, two for the
+/// rest, which keeps the suite's debug run time near what the two rows
+/// alone took.
+fn seeds(d: Design) -> u64 {
+    match d {
+        Design::Path(ProtocolVariant::PsOram) | Design::Ring(RingVariant::PsRing) => 8,
+        _ => 2,
+    }
+}
 
 /// Every fault arm by itself, likely enough to fire within a few rounds.
 fn single_kind_mixes() -> Vec<(&'static str, FaultConfig)> {
-    let off = FaultConfig::disabled();
+    let only = |kind, set: fn(&mut FaultConfig)| {
+        let mut cfg = FaultConfig::disabled();
+        set(&mut cfg);
+        (kind, cfg)
+    };
     vec![
-        (
-            "torn_flush",
-            FaultConfig {
-                torn_flush: 0.7,
-                ..off
-            },
-        ),
-        (
-            "signal_loss",
-            FaultConfig {
-                signal_loss: 0.7,
-                ..off
-            },
-        ),
-        (
-            "duplicate_signal",
-            FaultConfig {
-                duplicate_signal: 0.7,
-                ..off
-            },
-        ),
-        (
-            "bit_flip",
-            FaultConfig {
-                bit_flip_per_unit: 0.3,
-                ..off
-            },
-        ),
-        (
-            "transient_read",
-            FaultConfig {
-                transient_read: 0.2,
-                ..off
-            },
-        ),
-        (
-            "stuck_read",
-            FaultConfig {
-                transient_read: 0.1,
-                stuck_read: 0.5,
-                ..off
-            },
-        ),
-        (
-            "stale_replay",
-            FaultConfig {
-                stale_replay: 0.9,
-                ..off
-            },
-        ),
-        (
-            "cross_splice",
-            FaultConfig {
-                cross_splice: 0.9,
-                ..off
-            },
-        ),
-        (
-            "read_replay",
-            FaultConfig {
-                read_replay: 0.5,
-                ..off
-            },
-        ),
+        only("torn_flush", |c| c.torn_flush = 0.7),
+        only("signal_loss", |c| c.signal_loss = 0.7),
+        only("duplicate_signal", |c| c.duplicate_signal = 0.7),
+        only("bit_flip", |c| c.bit_flip_per_unit = 0.3),
+        only("transient_read", |c| c.transient_read = 0.2),
+        only("stuck_read", |c| {
+            (c.transient_read, c.stuck_read) = (0.1, 0.5)
+        }),
+        only("stale_replay", |c| c.stale_replay = 0.9),
+        only("cross_splice", |c| c.cross_splice = 0.9),
+        only("read_replay", |c| c.read_replay = 0.5),
     ]
 }
 
-fn designs(levels: u32, seed: u64) -> [Box<dyn ProtocolPolicy>; 2] {
-    let path = OramConfig {
-        levels,
-        bucket_slots: 2,
-        data_wpq_capacity: 2 * (levels as usize + 1),
-        posmap_wpq_capacity: 2 * (levels as usize + 1),
-        ..OramConfig::small_test()
-    };
-    let ring = RingConfig {
-        levels,
-        real_slots: 2,
-        dummy_slots: 3,
-        evict_rate: 2,
-        ..RingConfig::small_test()
-    };
-    [
-        Box::new(PathOram::new(path, ProtocolVariant::PsOram, seed)),
-        Box::new(RingOram::new(ring, RingVariant::PsRing, seed)),
-    ]
+/// Every hardened row at the small scope, at each of its seeds.
+fn designs(levels: u32) -> impl Iterator<Item = (u64, Box<dyn ProtocolPolicy>)> {
+    let hardened = Design::all().filter(|d| d.is_hardened());
+    let seeded = hardened.flat_map(|d| (0..seeds(d)).map(move |seed| (d, seed)));
+    seeded.filter_map(move |(d, seed)| Some((seed, d.build_at(Geometry::Scope(levels), seed)?)))
 }
 
 /// A third of the capacity. Fuller trees at `Z = 2` leave the ladder's
@@ -172,73 +117,43 @@ fn every_small_scope_crash_recovers_loudly_and_once() {
     for levels in 1..=3u32 {
         for (kind, mix) in single_kind_mixes() {
             for point in CrashPoint::step_boundaries() {
-                for seed in 0..SEEDS {
-                    for mut oram in designs(levels, seed) {
-                        let case =
-                            format!("{} L={levels} {kind} {point} seed={seed}", oram.label());
-                        let mut x = seed ^ 0xA076_1D64_78BD_642F;
-                        let ws = working_set(oram.as_ref());
-                        assert!(drive(oram.as_mut(), ws, &mut x, 12), "{case}: clean warmup");
-                        oram.enable_device_faults(seed.wrapping_mul(0x9E37) ^ 7, mix);
-                        cases += 1;
-                        for _ in 0..ROUNDS {
-                            if !drive(oram.as_mut(), ws, &mut x, 5)
-                                || !crash_at(oram.as_mut(), ws, point, &mut x)
-                            {
-                                break;
-                            }
-                            let report = oram.recover();
-                            classified += report.errors.len() as u64 + report.repairs;
-                            convicted += report.freshness_violations();
-                            // Never silent: a violation arrives classified.
-                            assert!(
-                                report.violation.is_none()
-                                    || !report.errors.is_empty()
-                                    || report.poisoned,
-                                "{case}: silent violation {:?}",
-                                report.violation
-                            );
-                            for a in &report.rolled_back {
-                                assert!(
-                                    report.errors.iter().any(|e| matches!(
-                                        e,
-                                        RecoveryError::UnrecoverableAddress { addr, .. } if addr == a
-                                    )),
-                                    "{case}: rollback of {a} not named by a typed error"
-                                );
-                            }
-                            // Once: the verdict again, nothing moved.
-                            let digest = oram.state_digest();
-                            assert_eq!(oram.recover(), report, "{case}");
-                            assert_eq!(oram.state_digest(), digest, "{case}");
-                            if report.poisoned {
-                                break;
-                            }
-                            // A clean verdict means the contents match the
-                            // (rolled-back) ledger. The read-back that
-                            // follows runs under the plan too: a fail-safe
-                            // mid-read is typed.
-                            if report.violation.is_none() {
-                                oram.verify_contents(true)
-                                    .unwrap_or_else(|e| panic!("{case}: diverged: {e}"));
-                                if let Err(e) = read_back(oram.as_mut(), true) {
-                                    assert!(oram.poisoned().is_some(), "{case}: diverged: {e}");
-                                    break;
-                                }
-                            }
+                for (seed, mut oram) in designs(levels) {
+                    let case = format!("{} L={levels} {kind} {point} seed={seed}", oram.label());
+                    let mut x = seed ^ 0xA076_1D64_78BD_642F;
+                    let ws = working_set(oram.as_ref());
+                    assert!(drive(oram.as_mut(), ws, &mut x, 12), "{case}: clean warmup");
+                    oram.enable_device_faults(seed.wrapping_mul(0x9E37) ^ 7, mix);
+                    cases += 1;
+                    for _ in 0..ROUNDS {
+                        if !drive(oram.as_mut(), ws, &mut x, 5)
+                            || !crash_at(oram.as_mut(), ws, point, &mut x)
+                        {
+                            break;
                         }
-                        // Every stale serve on the wire was caught before admission.
-                        let injected = oram.device_fault_stats().expect("armed");
-                        let wire = oram.freshness_stats();
-                        assert_eq!(wire.stale_serves, injected.read_replays, "{case}");
-                        assert!(wire.all_detected(), "{case}: {wire:?}");
+                        let report = oram.recover();
+                        classified += report.errors.len() as u64 + report.repairs;
+                        convicted += report.freshness_violations();
+                        // Once: the verdict again, nothing moved.
+                        let digest = oram.state_digest();
+                        assert_eq!(oram.recover(), report, "{case}");
+                        assert_eq!(oram.state_digest(), digest, "{case}");
+                        // Never silent: a violation arrives classified,
+                        // and a clean verdict reads back (under the
+                        // plan: a fail-safe mid-read is typed).
+                        recovered(Arm::Hardened, oram.as_mut(), &report)
+                            .unwrap_or_else(|e| panic!("{case}: {e}"));
                     }
+                    // Every stale serve on the wire was caught before admission.
+                    let injected = oram.device_fault_stats().expect("armed");
+                    let wire = oram.freshness_stats();
+                    assert_eq!(wire.stale_serves, injected.read_replays, "{case}");
+                    assert!(wire.all_detected(), "{case}: {wire:?}");
                 }
             }
         }
     }
     println!("{cases} cases, {classified} classified, {convicted} convicted");
-    assert_eq!(cases, 3 * 9 * 5 * SEEDS * 2);
+    assert_eq!(cases, 3 * 9 * 5 * designs(1).map(|_| 1).sum::<u64>());
     assert!(classified > 0, "no case ever classified a fault");
     assert!(convicted > 0, "no case ever convicted a replay or splice");
 }
@@ -258,10 +173,8 @@ fn every_small_scope_crash_recovers_loudly_and_once() {
 #[ignore = "known divergence, see ROADMAP: PS-Ring reads a dead copy after a phase-3 re-point"]
 fn ps_ring_reads_the_repointed_copy_after_a_replay_destroyed_the_newest() {
     let seed = 4u64;
-    let mut oram = designs(3, seed)
-        .into_iter()
-        .nth(1)
-        .expect("the Ring design");
+    let ps_ring = Design::Ring(RingVariant::PsRing);
+    let mut oram = ps_ring.build_at(Geometry::Scope(3), seed).expect("a scope");
     let quarter = oram.capacity_blocks() / 4;
     let mut x = seed ^ 0xA076_1D64_78BD_642F;
     assert!(drive(oram.as_mut(), quarter, &mut x, 12));

@@ -4,9 +4,10 @@
 //! Three properties pin the observability layer down:
 //!
 //! 1. **Observer transparency** — running the identical workload with no
-//!    recorder, a [`NoopRecorder`], and a [`RingBufferRecorder`] must
-//!    produce byte-identical metrics snapshots. The taps observe; they
-//!    never perturb.
+//!    recorder, a `NoopRecorder`, and a [`RingBufferRecorder`] must
+//!    produce byte-identical metrics snapshots (a clause of the
+//!    determinism contract of `psoram_core::testkit`, on every row). The
+//!    taps observe; they never perturb.
 //! 2. **Golden trace** — a fixed-seed run exports a chrome://tracing
 //!    JSON that matches a checked-in golden byte-for-byte, so any
 //!    accidental change to event emission or the exporter shows up as a
@@ -16,37 +17,27 @@
 //!    rules the exporters and `ingest_events` rely on: WPQ occupancy
 //!    never exceeds capacity, persist rounds bracket correctly, phase
 //!    and NVM intervals are well-formed, access indices are strictly
-//!    increasing, and recoveries never outnumber crashes.
+//!    increasing, the recorder drops nothing, the run's one crash and one
+//!    recovery appear, and a design that models time shows every event
+//!    class (another clause of the determinism contract, on every row).
 
 use std::sync::Arc;
 
-use psoram_core::ring::{RingConfig, RingOram, RingVariant};
+use psoram_core::testkit::{
+    conform_clause, payload, plain, recorders_do_not_perturb, traces_are_well_formed, Contract,
+    Design,
+};
 use psoram_core::{BlockAddr, CrashPoint, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram_obsv::{
-    chrome_trace_json, Event, MetricsRegistry, NoopRecorder, RingBufferRecorder,
-    DEFAULT_RING_CAPACITY,
+    chrome_trace_json, Event, MetricsRegistry, RingBufferRecorder, DEFAULT_RING_CAPACITY,
 };
 
-fn payload(i: u64) -> Vec<u8> {
-    vec![(i % 251) as u8; 8]
-}
-
-/// The two persistent designs, built fresh at a fixed seed, boxed behind
-/// the shared policy surface so one loop covers both controllers.
-fn designs() -> Vec<(&'static str, Box<dyn ProtocolPolicy>)> {
-    let mut path = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
-    path.set_payload_encryption(false);
-    vec![
-        ("path/ps-oram", Box::new(path)),
-        (
-            "ring/ps-ring",
-            Box::new(RingOram::new(
-                RingConfig::small_test(),
-                RingVariant::PsRing,
-                7,
-            )),
-        ),
-    ]
+/// The rows that model the NVM and claim crash consistency, built fresh
+/// at a fixed seed (the toy models no time: it emits no phase, WPQ or
+/// NVM event).
+fn designs() -> impl Iterator<Item = Box<dyn ProtocolPolicy>> {
+    let timed = Design::all().filter(|&d| d.is_crash_consistent() && d != Design::Toy);
+    timed.map(|d| d.build(7))
 }
 
 /// A deterministic workload with writes, reads, and one crash/recover
@@ -63,46 +54,9 @@ fn drive(oram: &mut dyn ProtocolPolicy) {
     }
 }
 
-/// The run's observable outcome, serialized for byte comparison: the
-/// full metrics registry plus the controller clock.
-fn report_of(oram: &dyn ProtocolPolicy, label: &str) -> String {
-    let mut reg = MetricsRegistry::new();
-    oram.publish_metrics(label, &mut reg);
-    format!("clock={}\n{}", oram.clock(), reg.to_json_string())
-}
-
 #[test]
 fn recorders_do_not_perturb_the_simulation() {
-    for ((label, mut bare), (_, mut noop), (_, mut ring)) in designs()
-        .into_iter()
-        .zip(designs())
-        .zip(designs())
-        .map(|((a, b), c)| (a, b, c))
-    {
-        noop.attach_recorder(Arc::new(NoopRecorder));
-        let rec = Arc::new(RingBufferRecorder::new(DEFAULT_RING_CAPACITY));
-        ring.attach_recorder(rec.clone());
-
-        drive(&mut *bare);
-        drive(&mut *noop);
-        drive(&mut *ring);
-
-        let baseline = report_of(&*bare, label);
-        assert_eq!(
-            baseline,
-            report_of(&*noop, label),
-            "{label}: NoopRecorder changed the simulation outcome"
-        );
-        assert_eq!(
-            baseline,
-            report_of(&*ring, label),
-            "{label}: RingBufferRecorder changed the simulation outcome"
-        );
-        assert!(
-            !rec.events().is_empty(),
-            "{label}: the ring recorder must actually have captured events"
-        );
-    }
+    conform_clause(Contract::Deterministic, recorders_do_not_perturb, plain);
 }
 
 const GOLDEN_PATH: &str = concat!(
@@ -144,130 +98,16 @@ fn chrome_trace_matches_golden() {
 
 #[test]
 fn event_stream_obeys_structural_invariants() {
-    for (label, mut oram) in designs() {
-        let rec = Arc::new(RingBufferRecorder::new(DEFAULT_RING_CAPACITY));
-        oram.attach_recorder(rec.clone());
-        drive(&mut *oram);
-        let events = rec.events();
-        assert!(!events.is_empty(), "{label}: no events captured");
-        assert_eq!(rec.dropped(), 0, "{label}: ring buffer overflowed");
-
-        let mut open_access: Option<u64> = None;
-        let mut last_access_index: Option<u64> = None;
-        let mut last_access_cycle = 0u64;
-        let mut round_open = false;
-        let mut round_begin_cycle = 0u64;
-        let mut crashes = 0u64;
-        let mut recoveries = 0u64;
-        let mut saw = (false, false, false, false); // phase, push, nvm, round
-
-        for (i, ev) in events.iter().enumerate() {
-            match *ev {
-                Event::AccessStart { index, cycle } => {
-                    assert!(
-                        open_access.is_none(),
-                        "{label}@{i}: AccessStart while access {open_access:?} still open"
-                    );
-                    if let Some(prev) = last_access_index {
-                        assert!(
-                            index > prev,
-                            "{label}@{i}: access indices must be strictly increasing"
-                        );
-                    }
-                    assert!(
-                        cycle >= last_access_cycle,
-                        "{label}@{i}: access arrival cycles must be monotone"
-                    );
-                    open_access = Some(index);
-                    last_access_index = Some(index);
-                    last_access_cycle = cycle;
-                }
-                Event::AccessEnd { index, cycle } => {
-                    assert_eq!(
-                        open_access,
-                        Some(index),
-                        "{label}@{i}: AccessEnd without matching AccessStart"
-                    );
-                    assert!(
-                        cycle >= last_access_cycle,
-                        "{label}@{i}: AccessEnd before start"
-                    );
-                    open_access = None;
-                }
-                Event::Phase { start, end, .. } => {
-                    assert!(end >= start, "{label}@{i}: phase interval inverted");
-                    saw.0 = true;
-                }
-                Event::RoundBegin { cycle } => {
-                    assert!(!round_open, "{label}@{i}: nested RoundBegin");
-                    round_open = true;
-                    round_begin_cycle = cycle;
-                    saw.3 = true;
-                }
-                Event::RoundCommit { cycle, .. } => {
-                    assert!(round_open, "{label}@{i}: RoundCommit without RoundBegin");
-                    assert!(
-                        cycle >= round_begin_cycle,
-                        "{label}@{i}: round committed before it began"
-                    );
-                    round_open = false;
-                }
-                Event::WpqPush {
-                    occupancy,
-                    capacity,
-                    ..
-                } => {
-                    assert!(
-                        occupancy <= capacity,
-                        "{label}@{i}: WPQ occupancy {occupancy} exceeds capacity {capacity}"
-                    );
-                    saw.1 = true;
-                }
-                Event::NvmAccess {
-                    arrival, complete, ..
-                } => {
-                    assert!(
-                        complete >= arrival,
-                        "{label}@{i}: NVM access completed before it arrived"
-                    );
-                    saw.2 = true;
-                }
-                Event::Crash { .. } => {
-                    crashes += 1;
-                    // A crash abandons any round in flight.
-                    round_open = false;
-                    // ... and tears down the in-flight access.
-                    open_access = None;
-                }
-                Event::Recovery { consistent, .. } => {
-                    recoveries += 1;
-                    assert!(
-                        recoveries <= crashes,
-                        "{label}@{i}: recovery without a preceding crash"
-                    );
-                    assert!(
-                        consistent,
-                        "{label}@{i}: recovery reported inconsistent state"
-                    );
-                }
-                _ => {}
-            }
-        }
-        assert_eq!(crashes, 1, "{label}: expected exactly one injected crash");
-        assert_eq!(recoveries, 1, "{label}: expected exactly one recovery");
-        assert!(saw.0, "{label}: no Phase events captured");
-        assert!(saw.1, "{label}: no WpqPush events captured");
-        assert!(saw.2, "{label}: no NvmAccess events captured");
-        assert!(saw.3, "{label}: no RoundBegin events captured");
-    }
+    conform_clause(Contract::Deterministic, traces_are_well_formed, plain);
 }
 
 #[test]
 fn ingested_metrics_agree_with_event_stream() {
-    let (label, mut oram) = designs().remove(0);
+    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 7);
+    let label = "path/ps-oram";
     let rec = Arc::new(RingBufferRecorder::new(DEFAULT_RING_CAPACITY));
     oram.attach_recorder(rec.clone());
-    drive(&mut *oram);
+    drive(&mut oram);
     let events = rec.events();
 
     let mut reg = MetricsRegistry::new();
@@ -294,7 +134,8 @@ fn ingested_metrics_agree_with_event_stream() {
 
 #[test]
 fn wear_map_publishes_per_bank_and_hot_line_gauges() {
-    for (label, mut oram) in designs() {
+    for (mut oram, mut worn) in designs().zip(designs()) {
+        let label = &oram.label();
         // Without wear armed: no wear keys at all, so pre-endurance
         // metrics snapshots are byte-identical to what they always were.
         drive(&mut *oram);
@@ -312,35 +153,31 @@ fn wear_map_publishes_per_bank_and_hot_line_gauges() {
             "{label}: per-line gauges published from a controller that counts no lines"
         );
 
-        let (wlabel, mut worn) = designs()
-            .into_iter()
-            .find(|(l, _)| *l == label)
-            .expect("same design set");
         worn.enable_wear(
             7,
             psoram_nvm::WearConfig::paper_default(psoram_nvm::WearScheme::Remap),
         );
         drive(&mut *worn);
         let mut reg = MetricsRegistry::new();
-        worn.publish_metrics(wlabel, &mut reg);
-        let key = |s: &str| MetricsRegistry::key(wlabel, s);
+        worn.publish_metrics(label, &mut reg);
+        let key = |s: &str| MetricsRegistry::key(label, s);
         assert!(
             reg.counter(&key("wear.writes_recorded")).unwrap_or(0) > 0,
-            "{wlabel}: the wear engine recorded no media writes"
+            "{label}: the wear engine recorded no media writes"
         );
         // The NVM wear map: per-bank lifetime writes plus the hot-N
         // per-line gauges, hottest first.
         assert!(
             reg.gauge(&key("nvm.wear.lines_touched")).unwrap_or(0.0) > 0.0,
-            "{wlabel}: no per-line wear was tracked"
+            "{label}: no per-line wear was tracked"
         );
         assert!(
             reg.gauge(&key("nvm.wear.hot.0.writes")).unwrap_or(0.0) > 0.0,
-            "{wlabel}: the hottest-line gauge is missing"
+            "{label}: the hottest-line gauge is missing"
         );
         assert!(
             reg.gauge(&key("nvm.wear.bank.c0.b0")).is_some(),
-            "{wlabel}: the per-bank wear map is missing"
+            "{label}: the per-bank wear map is missing"
         );
     }
 }

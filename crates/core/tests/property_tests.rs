@@ -3,94 +3,87 @@
 
 use proptest::prelude::*;
 
+use psoram_core::testkit::{crash_at, reads_its_writes, Arm, Case, Design, Geometry, Op};
 use psoram_core::{
     plan_eviction, Block, BlockAddr, CrashPoint, Leaf, OramConfig, OramTree, PathOram,
-    ProtocolPolicy, ProtocolVariant,
+    ProtocolVariant,
 };
 use psoram_nvm::FaultConfig;
+
+fn is_ring(design: Design) -> bool {
+    matches!(design, Design::Ring(_))
+}
+
+/// `ops`, then a crash at the design's `step`-th step boundary (wrapped)
+/// fires and recovers, where the design claims crash consistency.
+fn crash_at_step(design: Design, ops: &[Op], step: usize, seed: u64) -> Result<(), TestCaseError> {
+    if design.is_crash_consistent() {
+        let points = design.step_points();
+        let point = points[step % points.len()];
+        let case = Case {
+            design,
+            arm: Arm::Plain,
+            seed,
+        };
+        let outcome = crash_at(&case, Geometry::Small, point, ops);
+        prop_assert_eq!(outcome, Ok(true), "{:?} {}", design, point);
+    }
+    Ok(())
+}
+
+/// Read-your-writes on every row `pick` selects, under the program `ops`.
+fn reads_back(pick: fn(Design) -> bool, ops: &[Op], seed: u64) -> Result<(), TestCaseError> {
+    for design in Design::all().filter(|&d| pick(d)) {
+        let outcome = reads_its_writes(design.build(seed).as_mut(), ops, false);
+        prop_assert!(outcome.is_ok(), "{:?}: {}", design, outcome.unwrap_err());
+    }
+    Ok(())
+}
 
 fn payload(tag: u8) -> Vec<u8> {
     vec![tag; 8]
 }
 
 /// A program: a sequence of (addr, write?, value) operations.
-fn ops_strategy(max_addr: u64) -> impl Strategy<Value = Vec<(u64, bool, u8)>> {
+fn ops_strategy(max_addr: u64) -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec((0..max_addr, any::<bool>(), any::<u8>()), 1..60)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Read-your-writes must hold for every variant under random programs.
+    /// Read-your-writes holds for every Path variant under random programs.
     #[test]
     fn read_your_writes(ops in ops_strategy(40), seed in 0u64..1000) {
-        for variant in [ProtocolVariant::Baseline, ProtocolVariant::PsOram, ProtocolVariant::FullNvm] {
-            let mut oram = PathOram::new(OramConfig::small_test(), variant, seed);
-            let mut model = std::collections::HashMap::new();
-            for (addr, is_write, val) in &ops {
-                let a = BlockAddr(*addr);
-                if *is_write {
-                    oram.write(a, payload(*val)).unwrap();
-                    model.insert(*addr, payload(*val));
-                } else {
-                    let got = oram.read(a).unwrap();
-                    let expected = model.get(addr).cloned().unwrap_or_else(|| vec![0u8; 8]);
-                    prop_assert_eq!(&got, &expected, "variant {}", variant);
-                }
-            }
-        }
+        reads_back(|d| matches!(d, Design::Path(_)), &ops, seed)?;
     }
 
-    /// PS-ORAM: a crash at any step boundary of any access, after any
-    /// program prefix, recovers to a state where every committed value is
-    /// readable.
+    /// A crash at any step boundary of any access, after any program
+    /// prefix, recovers every consistent Path row and the toy to a state
+    /// where every committed value is readable.
     #[test]
     fn ps_oram_crash_anywhere_recovers(
         ops in ops_strategy(30),
         step in 0usize..5,
         seed in 0u64..1000,
     ) {
-        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, seed);
-        for (addr, is_write, val) in &ops {
-            let a = BlockAddr(*addr);
-            if *is_write {
-                oram.write(a, payload(*val)).unwrap();
-            } else {
-                oram.read(a).unwrap();
-            }
+        for design in Design::all().filter(|d| !is_ring(*d)) {
+            crash_at_step(design, &ops, step, seed)?;
         }
-        oram.inject_crash(CrashPoint::step_boundaries()[step]);
-        let _ = oram.read(BlockAddr(ops[0].0));
-        prop_assert!(oram.is_crashed());
-        prop_assert!(oram.recover().consistent, "recoverability check failed");
-        prop_assert!(oram.verify_contents(true).is_ok());
     }
 
-    /// Same with mid-eviction crashes and a 4-entry persistence domain
-    /// (the paper's limited-WPQ configuration).
+    /// Mid-eviction crashes in the smallest legal persistence domains
+    /// (the paper's limited-WPQ configuration), every consistent row.
     #[test]
     fn ps_oram_small_wpq_crash_mid_eviction_recovers(
         ops in ops_strategy(30),
         k in 0usize..12,
         seed in 0u64..1000,
     ) {
-        let cfg = OramConfig::small_test().with_wpq_capacity(4, 4);
-        let mut oram = PathOram::new(cfg, ProtocolVariant::PsOram, seed);
-        for (addr, is_write, val) in &ops {
-            let a = BlockAddr(*addr);
-            if *is_write {
-                oram.write(a, payload(*val)).unwrap();
-            } else {
-                oram.read(a).unwrap();
-            }
-        }
-        oram.inject_crash(CrashPoint::DuringEviction(k));
-        let _ = oram.read(BlockAddr(ops[0].0));
-        if oram.is_crashed() {
-            prop_assert!(oram.recover().consistent, "ordered small-WPQ eviction must stay recoverable");
-            prop_assert!(oram.verify_contents(true).is_ok());
-        } else {
-            oram.disarm_crash();
+        for design in Design::all().filter(|d| d.is_crash_consistent()) {
+            let case = Case { design, arm: Arm::Plain, seed };
+            let outcome = crash_at(&case, Geometry::SmallWpq, CrashPoint::DuringEviction(k), &ops);
+            prop_assert!(outcome.is_ok(), "{:?} k={}: {}", design, k, outcome.unwrap_err());
         }
     }
 
@@ -153,28 +146,13 @@ proptest! {
         }
     }
 
-    /// Ring ORAM: read-your-writes under random programs, both variants.
+    /// Ring ORAM: read-your-writes under random programs, both rows.
     #[test]
     fn ring_read_your_writes(ops in ops_strategy(40), seed in 0u64..500) {
-        use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-        for variant in [RingVariant::Baseline, RingVariant::PsRing] {
-            let mut oram = RingOram::new(RingConfig::small_test(), variant, seed);
-            let mut model = std::collections::HashMap::new();
-            for (addr, is_write, val) in &ops {
-                let a = BlockAddr(*addr);
-                if *is_write {
-                    oram.write(a, payload(*val)).unwrap();
-                    model.insert(*addr, payload(*val));
-                } else {
-                    let got = oram.read(a).unwrap();
-                    let expected = model.get(addr).cloned().unwrap_or_else(|| vec![0u8; 8]);
-                    prop_assert_eq!(&got, &expected, "{} addr {}", variant, addr);
-                }
-            }
-        }
+        reads_back(is_ring, &ops, seed)?;
     }
 
-    /// PS-Ring-ORAM: crash at any step boundary after a random program
+    /// PS-Ring-ORAM: a crash at any step boundary after a random program
     /// recovers to committed values.
     #[test]
     fn ps_ring_crash_anywhere_recovers(
@@ -182,49 +160,33 @@ proptest! {
         step in 0usize..4,
         seed in 0u64..500,
     ) {
-        use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-        let points = [
-            CrashPoint::AfterAccessPosMap,
-            CrashPoint::AfterLoadPath,
-            CrashPoint::AfterUpdateStash,
-            CrashPoint::AfterEviction,
-        ];
-        let mut oram = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, seed);
-        for (addr, is_write, val) in &ops {
-            let a = BlockAddr(*addr);
-            if *is_write {
-                oram.write(a, payload(*val)).unwrap();
-            } else {
-                oram.read(a).unwrap();
-            }
-        }
-        oram.inject_crash(points[step]);
-        let _ = oram.read(BlockAddr(ops[0].0));
-        if oram.is_crashed() {
-            prop_assert!(oram.recover().consistent, "PS-Ring recoverability failed");
-            prop_assert!(oram.verify_contents(true).is_ok());
+        for design in Design::all().filter(|d| is_ring(*d)) {
+            crash_at_step(design, &ops, step, seed)?;
         }
     }
 
-    /// PS-ORAM with the freshness layer armed and nothing damaged: random
-    /// programs + crash never raise a false alarm, and verification stays
-    /// green throughout.
+    /// Every hardened row with the freshness layer armed and nothing
+    /// damaged: random programs + crash never raise a false alarm, and
+    /// verification stays green throughout.
     #[test]
     fn hardened_no_false_alarms(ops in ops_strategy(25), seed in 0u64..500) {
-        let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, seed);
-        oram.enable_device_faults(seed, FaultConfig::disabled());
-        for (addr, is_write, val) in &ops {
-            let a = BlockAddr(*addr);
-            let r = if *is_write {
-                oram.write(a, payload(*val))
-            } else {
-                oram.read(a).map(|_| ())
-            };
-            prop_assert!(r.is_ok(), "false alarm: {:?}", r);
+        for design in Design::all().filter(|d| d.is_hardened()) {
+            let mut oram = design.build(seed);
+            oram.enable_device_faults(seed, FaultConfig::disabled());
+            let span = oram.capacity_blocks();
+            for (addr, is_write, val) in &ops {
+                let a = addr % span;
+                let r = if *is_write {
+                    oram.write(a, payload(*val))
+                } else {
+                    oram.read(a).map(|_| ())
+                };
+                prop_assert!(r.is_ok(), "{:?}: false alarm: {:?}", design, r);
+            }
+            oram.crash_now();
+            prop_assert!(oram.recover().consistent, "{:?}", design);
+            prop_assert!(oram.verify_contents(true).is_ok(), "{:?}", design);
         }
-        oram.crash_now();
-        prop_assert!(oram.recover().consistent);
-        prop_assert!(oram.verify_contents(true).is_ok());
     }
 
     /// Must-class blocks fetched from the eviction path are always placed.

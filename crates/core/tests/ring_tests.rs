@@ -5,27 +5,19 @@
 //! statistics claims.
 
 use psoram_core::ring::{RingConfig, RingOram, RingVariant};
+use psoram_core::testkit::{
+    conform, conform_clause, loses_a_completed_write, payload, runs_repeat, Arm, Contract, Design,
+};
 use psoram_core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 
-fn payload(i: u64) -> Vec<u8> {
-    vec![(i % 251) as u8; 8]
+/// The Ring rows of the design table, on their plain arm.
+fn ring_rows(d: Design, arm: Arm) -> bool {
+    matches!(d, Design::Ring(_)) && arm == Arm::Plain
 }
 
 #[test]
 fn read_your_writes_both_variants() {
-    for variant in [RingVariant::Baseline, RingVariant::PsRing] {
-        let mut oram = RingOram::new(RingConfig::small_test(), variant, 42);
-        for i in 0..40u64 {
-            oram.write(BlockAddr(i), payload(i)).unwrap();
-        }
-        for i in (0..40u64).rev() {
-            assert_eq!(
-                oram.read(BlockAddr(i)).unwrap(),
-                payload(i),
-                "{variant} block {i}"
-            );
-        }
-    }
+    conform(Contract::ReadYourWrites, ring_rows);
 }
 
 #[test]
@@ -95,15 +87,7 @@ fn early_reshuffles_trigger_on_budget_exhaustion() {
 
 #[test]
 fn stash_stays_bounded() {
-    let mut oram = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, 11);
-    for i in 0..600u64 {
-        oram.write(BlockAddr(i % 50), payload(i)).unwrap();
-    }
-    assert!(
-        oram.stats().stash_max < 120,
-        "stash grew to {}",
-        oram.stats().stash_max
-    );
+    conform(Contract::Bounded, ring_rows);
 }
 
 #[test]
@@ -122,47 +106,20 @@ fn invalid_marks_do_not_destroy_data() {
     oram.verify_contents(true).unwrap();
 }
 
+/// The recoverability check measures *internal* self-consistency
+/// (committed ledger vs physical copies), so the baseline — whose PosMap
+/// updates are volatile and whose ledger is therefore sparse — can pass
+/// it even while losing completed writes; convicting the baseline is the
+/// crash contract's model check and, across the workspace,
+/// `psoram-faultsim`'s differential oracle. The failure counter and the
+/// retained report track the verdict exactly (the idempotency contract,
+/// `crash_matrix::last_recovery_report_is_retained`); this test holds
+/// the data loss itself observable.
 #[test]
 fn baseline_recovery_verdict_is_tracked_in_stats() {
-    // The recoverability check measures *internal* self-consistency
-    // (committed ledger vs physical copies), so the baseline — whose
-    // PosMap updates are volatile and whose ledger is therefore sparse
-    // — can pass it even while losing completed writes; convicting the
-    // baseline is the job of the external differential oracle in
-    // `psoram-faultsim`. What this test pins down is the accounting:
-    // the failure counter and the retained report must track the
-    // verdict exactly, and the data loss itself must be observable.
-    use psoram_core::CrashPoint;
-    let mut lost_somewhere = false;
-    for seed in 0..10u64 {
-        let mut oram = RingOram::new(RingConfig::small_test(), RingVariant::Baseline, seed);
-        for i in 0..30u64 {
-            oram.write(BlockAddr(i), payload(i)).unwrap();
-        }
-        oram.inject_crash(CrashPoint::DuringEviction(0));
-        for i in 0..6u64 {
-            if oram.read(BlockAddr(i)).is_err() {
-                break;
-            }
-        }
-        if !oram.is_crashed() {
-            continue;
-        }
-        let report = oram.recover();
-        assert_eq!(oram.stats().recoveries, 1);
-        assert_eq!(
-            oram.stats().recovery_failures,
-            u64::from(!report.consistent)
-        );
-        assert_eq!(oram.last_recovery(), Some(&report));
-        for i in 0..30u64 {
-            if oram.read(BlockAddr(i)).unwrap() != payload(i) {
-                lost_somewhere = true;
-            }
-        }
-    }
+    let baseline = Design::Ring(RingVariant::Baseline);
     assert!(
-        lost_somewhere,
+        (0..10).any(|seed| loses_a_completed_write(baseline, seed, 0)),
         "partial direct bucket rewrites should lose data"
     );
 }
@@ -177,12 +134,5 @@ fn config_validation_rejects_small_wpq() {
 
 #[test]
 fn deterministic_for_same_seed() {
-    let run = || {
-        let mut oram = RingOram::new(RingConfig::small_test(), RingVariant::PsRing, 21);
-        for i in 0..50u64 {
-            oram.write(BlockAddr(i % 20), payload(i)).unwrap();
-        }
-        (oram.clock(), oram.nvm_stats())
-    };
-    assert_eq!(run(), run());
+    conform_clause(Contract::Deterministic, runs_repeat, ring_rows);
 }

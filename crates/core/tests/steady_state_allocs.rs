@@ -8,8 +8,9 @@
 //! young tree had not written yet. This test holds that budget with a
 //! counting allocator (per thread, so parallel tests do not disturb it).
 
-use psoram_core::ring::{RingConfig, RingOram, RingVariant};
-use psoram_core::{OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
+use psoram_core::ring::{RingConfig, RingOram};
+use psoram_core::testkit::{Arm, Design, Geometry};
+use psoram_core::ProtocolPolicy;
 use psoram_nvm::FaultConfig;
 
 const WARMUP: u64 = 4_000;
@@ -38,17 +39,34 @@ fn allocs_per_access(design: &mut dyn ProtocolPolicy) -> f64 {
     info.count_total as f64 / MEASURED as f64
 }
 
-fn path(variant: ProtocolVariant, levels: u32, armed: bool) -> f64 {
-    let mut cfg = OramConfig::paper_default().with_levels(levels);
-    cfg.data_wpq_capacity = cfg.path_slots();
-    cfg.posmap_wpq_capacity = cfg.path_slots();
-    let mut oram = PathOram::new(cfg, variant, 11);
-    if armed {
-        oram.enable_device_faults(12, FaultConfig::disabled());
+/// Holds every budget the design table gives under `arm` (hardened: the
+/// integrity layer armed with nothing to damage) to the rows `pick`
+/// selects, at heights 12 and 16, each over `slack` more.
+fn hold_budgets(arm: Arm, pick: impl Fn(Design) -> bool, slack: f64) {
+    for d in Design::all().filter(|&d| pick(d)) {
+        for levels in [12, 16] {
+            let Some(budget) = d.alloc_budget(arm, levels) else {
+                continue;
+            };
+            let mut oram = d.build_at(Geometry::Tall(levels), 11).expect("a tall row");
+            if arm == Arm::Hardened {
+                oram.enable_device_faults(12, FaultConfig::disabled());
+            }
+            let got = allocs_per_access(oram.as_mut());
+            assert_counts_no_lines(oram.nvm());
+            println!("{d:?} {arm:?} L={levels}: {got:.2} allocations per access");
+            assert!(got <= budget + slack, "{d:?} {arm:?} L={levels}: {got:.2}");
+        }
     }
-    let allocs = allocs_per_access(&mut oram);
-    assert_counts_no_lines(oram.nvm());
-    allocs
+}
+
+/// The rows whose budget the contents-check and recovery bounds are
+/// held on: the crash-consistent rows with a budget of their own.
+fn budgeted_consistent() -> impl Iterator<Item = Design> {
+    let budgeted = |d: &Design| d.alloc_budget(Arm::Plain, 12).is_some();
+    Design::all()
+        .filter(|d| d.is_crash_consistent())
+        .filter(budgeted)
 }
 
 /// Nobody armed the endurance adversary, so the NVM controller kept no
@@ -60,17 +78,6 @@ fn assert_counts_no_lines(nvm: &psoram_nvm::NvmController) {
     assert!(nvm.hottest_lines(8).is_empty());
 }
 
-fn ring(variant: RingVariant, levels: u32) -> f64 {
-    let cfg = RingConfig {
-        levels,
-        ..RingConfig::small_test()
-    };
-    let mut oram = RingOram::new(cfg, variant, 11);
-    let allocs = allocs_per_access(&mut oram);
-    assert_counts_no_lines(oram.nvm());
-    allocs
-}
-
 #[test]
 fn a_plain_access_stays_inside_its_allocation_budget() {
     // Measured: 2.3 at L = 12, 7.0 at L = 16 (the commit before the slot
@@ -80,11 +87,11 @@ fn a_plain_access_stays_inside_its_allocation_budget() {
     // one at L = 16, about four allocations), and a bucket the young tree
     // had not written yet (3.5 an access at L = 16, most of them four
     // flag bytes that only now and then grow a page's column).
-    for (levels, budget) in [(12, 8.0), (16, 8.0)] {
-        let got = path(ProtocolVariant::PsOram, levels, false);
-        println!("PsOram L={levels}: {got:.2} allocations per access");
-        assert!(got <= budget, "L={levels}: {got:.2} allocations per access");
-    }
+    hold_budgets(
+        Arm::Plain,
+        |d| matches!(d, Design::Path(_)) && d.is_crash_consistent(),
+        0.0,
+    );
 }
 
 #[test]
@@ -101,20 +108,18 @@ fn an_armed_access_allocates_what_a_plain_one_does_plus_its_first_sights() {
     // assertion checks (8.0 and 8.1 more): the budget is the release
     // build's, which CI runs as its own step.
     let debug_list = if cfg!(debug_assertions) { 9.0 } else { 0.0 };
-    for (levels, budget) in [(12, 3.72), (16, 11.87)] {
-        let got = path(ProtocolVariant::PsOram, levels, true);
-        println!("PsOram L={levels}, FaultConfig::disabled() armed: {got:.2}");
-        assert!(got <= budget + debug_list, "armed L={levels}: {got:.2}");
-    }
+    hold_budgets(Arm::Hardened, |_| true, debug_list);
 }
 
 #[test]
 fn the_other_designs_allocate_no_more_than_before() {
     // The bound is what the commit before the slot arena measured under
     // this same loop; measured now: 1.6.
-    let baseline = path(ProtocolVariant::Baseline, 12, false);
-    println!("Baseline L=12: {baseline:.2}");
-    assert!(baseline <= 31.2, "Baseline: {baseline:.2}");
+    hold_budgets(
+        Arm::Plain,
+        |d| matches!(d, Design::Path(_)) && !d.is_crash_consistent(),
+        0.0,
+    );
 }
 
 #[test]
@@ -128,11 +133,7 @@ fn a_ring_access_stays_inside_its_allocation_budget() {
     // (Ring-Baseline) at L = 12, 7.28 and 6.30 at L = 16 — PS-Ring's 27.5 at
     // L = 12 was a rewrite cloning every block it found; each bound is the
     // measurement + 1.
-    for (variant, levels, budget) in RING_BUDGETS {
-        let got = ring(variant, levels);
-        println!("{variant} L={levels}: {got:.2} allocations per access");
-        assert!(got <= budget, "{variant} L={levels}: {got:.2}");
-    }
+    hold_budgets(Arm::Plain, |d| matches!(d, Design::Ring(_)), 0.0);
 }
 
 /// An access that rewrites nothing — no evict-path falls due, no bucket on
@@ -140,7 +141,8 @@ fn a_ring_access_stays_inside_its_allocation_budget() {
 /// nothing else, on a tree warm enough to have no first sights left.
 #[test]
 fn a_ring_access_that_rewrites_nothing_allocates_only_the_value_it_returns() {
-    for variant in [RingVariant::PsRing, RingVariant::Baseline] {
+    for d in Design::all() {
+        let Design::Ring(variant) = d else { continue };
         // Every bucket of the small tree is written early in the warm-up,
         // over a quarter of its addresses.
         let cfg = RingConfig::small_test();
@@ -181,18 +183,8 @@ fn a_whole_contents_check_allocates_a_constant() {
     // Measured: 1 on each design (the buffer); the bound is that + 1.
     const BOUND: u64 = 2;
     const TOUCHED: u64 = 2_400;
-    let mut cfg = OramConfig::paper_default().with_levels(12);
-    cfg.data_wpq_capacity = cfg.path_slots();
-    cfg.posmap_wpq_capacity = cfg.path_slots();
-    let ring = RingConfig {
-        levels: 12,
-        ..RingConfig::small_test()
-    };
-    let designs: [Box<dyn ProtocolPolicy>; 2] = [
-        Box::new(PathOram::new(cfg, ProtocolVariant::PsOram, 11)),
-        Box::new(RingOram::new(ring, RingVariant::PsRing, 11)),
-    ];
-    for mut oram in designs {
+    let designs = budgeted_consistent().map(|d| d.build_at(Geometry::Tall(12), 11));
+    for mut oram in designs.map(|d| d.expect("a tall row")) {
         let bytes = oram.payload_bytes();
         for a in 0..TOUCHED {
             match a % 3 {
@@ -267,18 +259,8 @@ fn a_hardened_recovery_allocates_no_more_in_a_bigger_tree() {
     // debug build's walk of the whole ledger beside the audit adds four).
     let mut at_9 = Vec::new();
     for levels in [9, 12] {
-        let mut cfg = OramConfig::paper_default().with_levels(levels);
-        cfg.data_wpq_capacity = cfg.path_slots();
-        cfg.posmap_wpq_capacity = cfg.path_slots();
-        let ring = RingConfig {
-            levels,
-            ..RingConfig::small_test()
-        };
-        let designs: [Box<dyn ProtocolPolicy>; 2] = [
-            Box::new(PathOram::new(cfg, ProtocolVariant::PsOram, 11)),
-            Box::new(RingOram::new(ring, RingVariant::PsRing, 11)),
-        ];
-        for (i, mut oram) in designs.into_iter().enumerate() {
+        let designs = budgeted_consistent().map(|d| d.build_at(Geometry::Tall(levels), 11));
+        for (i, mut oram) in designs.map(|d| d.expect("a tall row")).enumerate() {
             oram.enable_device_faults(12, FaultConfig::disabled());
             let got = allocs_per_recovery(oram.as_mut(), 2_000);
             let label = oram.label();
@@ -293,10 +275,3 @@ fn a_hardened_recovery_allocates_no_more_in_a_bigger_tree() {
         }
     }
 }
-
-const RING_BUDGETS: [(RingVariant, u32, f64); 4] = [
-    (RingVariant::PsRing, 12, 3.45),
-    (RingVariant::Baseline, 12, 2.71),
-    (RingVariant::PsRing, 16, 8.28),
-    (RingVariant::Baseline, 16, 7.30),
-];

@@ -113,7 +113,7 @@ pub fn device_sweep_set() -> Vec<DesignVariant> {
 fn is_hardened(variant: DesignVariant) -> bool {
     match variant {
         DesignVariant::Path(v) => v.uses_wpq(),
-        DesignVariant::Ring(v) => v == RingVariant::PsRing,
+        DesignVariant::Ring(v) => v.uses_wpq(),
     }
 }
 

@@ -60,7 +60,7 @@ impl DesignVariant {
     pub fn expected_consistent(self) -> bool {
         match self {
             DesignVariant::Path(v) => v.is_crash_consistent(),
-            DesignVariant::Ring(v) => v == RingVariant::PsRing,
+            DesignVariant::Ring(v) => v.is_crash_consistent(),
         }
     }
 }

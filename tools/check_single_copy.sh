@@ -130,8 +130,8 @@ if grep -rnE 'fleet_campaign|WearFleetConfig|WearShardEvidence|FleetLaneReport' 
 fi
 # The contents check observes. `verify_contents` compares what each touched
 # address would read (`ProtocolPolicy::peek`) with the ledger and issues
-# nothing: its body names no read, write or access (`read_back` is the
-# check through reads, for the tests). Ring's `peek` takes the slot its
+# nothing: its body names no read, write or access (`testkit::read_back` is
+# the check through reads, for the tests). Ring's `peek` takes the slot its
 # read takes, by `find_valid`: one pick, whatever it serves.
 check=$(sed -n '/fn verify_contents(&self/,/^    }$/p' crates/core/src/engine/policy.rs)
 if [ -z "$check" ]; then
@@ -159,9 +159,24 @@ if grep -rn 'write_results_json' crates/bench/src/bin; then
     echo "error: a binary calls write_results_json; make it an entry of experiments::REGISTRY" >&2
     exit 1
 fi
+# One design table: the suites in `crates/core/tests` loop over
+# `psoram_core::testkit::Design::all()`, whose rows carry each design's
+# factories, crash points, arms and claims. A test file that lists the
+# designs itself — `ProtocolVariant::all()`, an `enum Design` of its own, or
+# an array of two or more `RingVariant::` values — has grown a grid the
+# table does not see (ten files once kept ten such lists, each a different
+# subset). `store_regression.rs` is exempt: its lists index positional pins.
+for f in crates/core/tests/*.rs; do
+    [ "$f" = crates/core/tests/store_regression.rs ] && continue
+    if grep -nE 'ProtocolVariant::all\(\)|enum Design\b' "$f" >&2 \
+        || tr '\n' ' ' <"$f" | grep -qE '\[[^][]*RingVariant::[A-Za-z]+[^][]*,[^][]*RingVariant::'; then
+        echo "error: $f lists the designs by hand; loop over psoram_core::testkit::Design::all()" >&2
+        exit 1
+    fi
+done
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one micro-benchmark harness)"

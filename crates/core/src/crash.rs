@@ -91,11 +91,6 @@ pub enum RecoveryError {
         /// What the audit saw, verbatim.
         detail: String,
     },
-    /// A WPQ batch frame failed CMAC verification.
-    FrameVerification {
-        /// The classified fault.
-        class: psoram_nvm::FaultClass,
-    },
     /// Bounded retry with backoff was exhausted (stuck read).
     RetryExhausted {
         /// The classified fault.
@@ -113,9 +108,6 @@ impl std::fmt::Display for RecoveryError {
         match self {
             RecoveryError::UnrecoverableAddress { addr, detail } => {
                 write!(f, "a{addr} unrecoverable: {detail}")
-            }
-            RecoveryError::FrameVerification { class } => {
-                write!(f, "WPQ batch frame failed authentication ({class})")
             }
             RecoveryError::RetryExhausted { class } => {
                 write!(f, "bounded retry exhausted ({class})")
@@ -344,11 +336,6 @@ mod tests {
     #[test]
     fn recovery_error_display() {
         use psoram_nvm::FaultClass;
-        assert!(RecoveryError::FrameVerification {
-            class: FaultClass::TornFlush
-        }
-        .to_string()
-        .contains("torn_flush"));
         assert!(RecoveryError::RetryExhausted {
             class: FaultClass::TransientRead
         }

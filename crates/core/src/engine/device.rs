@@ -78,12 +78,14 @@ impl DeviceSide {
     /// if the plan can replay, the snapshot store. A `hardened` design
     /// additionally gets the integrity layer — CMAC records over every
     /// slot already on media and every persisted PosMap entry (written
-    /// before hardening, trusted as-is, covered from here on), sealed WPQ
-    /// batch frames, a seal over the temporary PosMap, and the
-    /// counter-tree root anchored in the persistence domain before the
-    /// first adversarial round. Records cover slot *content* only: Ring's
-    /// valid bits and counts mutate outside persist rounds. Returns the
-    /// key a hardened design seals its WPQ frames with.
+    /// before hardening, trusted as-is, covered from here on), a seal over
+    /// the temporary PosMap, and the counter-tree root anchored in the
+    /// persistence domain before the first adversarial round. Records
+    /// cover slot *content* only: Ring's valid bits and counts mutate
+    /// outside persist rounds. Arming touches no queue: the WPQs hold
+    /// entries only, and the units a crash can damage are listed by
+    /// [`DeviceSide::program`] and [`DeviceSide::flush`] and struck by one
+    /// model, [`DeviceSide::strike`].
     pub fn arm(
         &mut self,
         ctl: &mut EngineControl,
@@ -91,12 +93,12 @@ impl DeviceSide {
         cfg: FaultConfig,
         hardened: bool,
         (arena, posmap, temp): (&SlotArena, &PosMap, &TempPosMap),
-    ) -> Option<[u8; 16]> {
+    ) {
         ctl.install_fault_plan(seed, cfg);
         self.armed = true;
         self.history = cfg.replays_stale_units().then(UnitHistory::default);
         if !hardened {
-            return None;
+            return;
         }
         let mut key = [0u8; 16];
         key[..8].copy_from_slice(&seed.to_le_bytes());
@@ -112,7 +114,6 @@ impl DeviceSide {
         auth.seal_temp(temp.entries());
         ctl.persist_root(auth.root());
         self.auth = Some(auth);
-        Some(key)
     }
 
     /// Fetch-path freshness counters: stale units the adversary served on
@@ -645,6 +646,30 @@ mod tests {
             (&device.round_slots[..], &device.round_posmap[..]),
             (&[(4, 0)][..], &[a0][..])
         );
+    }
+
+    #[test]
+    fn a_crash_damages_only_the_round_it_interrupts() {
+        let mut toy = Toy::default();
+        toy.enable_device_faults(3, all_lost());
+        let view = |toy: &Toy, (bucket, slot): (u64, usize), addr: u64| {
+            let auth = toy.shell.device.auth.as_ref().expect("hardened");
+            (
+                toy.arena.slot(bucket, slot).map(|b| b.to_block()),
+                auth.slot_record(bucket, slot),
+                toy.shell.posmap.persisted_get(BlockAddr(addr)),
+                auth.posmap_record(addr),
+            )
+        };
+        let first = toy.write(&[0], 3)[0];
+        let second = toy.write(&[1], 4)[0];
+        assert_ne!(first.0, second.0, "the two rounds share no bucket");
+        let (first_before, second_before) = (view(&toy, first, 0), view(&toy, second, 1));
+        toy.crash_now();
+        assert_eq!(view(&toy, first, 0), first_before, "round 1 is untouched");
+        let second_after = view(&toy, second, 1);
+        assert_ne!(second_after.0, second_before.0, "round 2's slot is lost");
+        assert_ne!(second_after.2, second_before.2, "and its PosMap entry");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`Shell`] — the state every controller holds whatever its protocol
 //!   (NVM, PosMaps, ledger, device side, clock, scratch) and the steps of
 //!   an access, a round and a power failure that touch nothing else.
-//! * [`PersistEngine`] — the WPQ persist-round protocol over a
-//!   [`psoram_nvm::PersistenceDomain`], typed by a protocol's persist
-//!   units; [`EngineControl`] — crash arming & scheduling
+//! * `PersistEngine` (`persist.rs`) — the WPQ persist-round protocol over
+//!   a [`psoram_nvm::PersistenceDomain`], typed by a protocol's persist
+//!   units; `EngineControl` — crash arming & scheduling
 //!   (`inject_crash`/`schedule_crash`/`access_attempts`), the
 //!   crashed-state latch, and the engine-owned crash/recovery/stall
 //!   counters ([`EngineStats`]).
@@ -50,8 +50,8 @@ mod shell;
 
 pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
-pub(crate) use persist::{fault_kind, DrainedRound};
-pub use persist::{EngineControl, EngineStats, PersistEngine, RoundDamage, WearReadOutcome};
+pub use persist::EngineStats;
+pub(crate) use persist::{fault_kind, DrainedRound, EngineControl, PersistEngine, WearReadOutcome};
 pub use policy::{Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};

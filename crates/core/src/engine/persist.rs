@@ -30,7 +30,7 @@ pub(crate) fn fault_kind(class: FaultClass) -> DeviceFaultKind {
 /// Outcome of the wear-coupled draw over one media path load, after the
 /// retirement layer has had its say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WearReadOutcome {
+pub(crate) enum WearReadOutcome {
     /// No wear fault on this load.
     None,
     /// Transient drift failure: the load succeeds after `attempts`
@@ -61,7 +61,7 @@ pub enum WearReadOutcome {
 /// programming the power failure interrupted. Indexes refer to the
 /// controller's record of the last applied round's persist units.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RoundDamage {
+pub(crate) struct RoundDamage {
     /// Damaged data units (tree-slot writes), by last-round index.
     pub data_units: Vec<usize>,
     /// Damaged PosMap units (persisted map entries), by last-round index.
@@ -78,6 +78,7 @@ pub struct RoundDamage {
 
 impl RoundDamage {
     /// `true` when no unit was damaged, replayed, or spliced.
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.data_units.is_empty()
             && self.posmap_units.is_empty()
@@ -92,8 +93,8 @@ impl RoundDamage {
 ///
 /// These survive crashes and recoveries by construction: the engine is
 /// part of the controller model, not of the simulated volatile state, so
-/// a [`PersistEngine::crash`] discards the open WPQ round but never the
-/// accounting.
+/// a crash (`PersistEngine::crash`) discards the open WPQ round but never
+/// the accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineStats {
     /// Crashes executed.
@@ -129,7 +130,7 @@ pub(crate) type DrainedRound<D, P> = (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>);
 /// Controllers keep only protocol policy: what units to stage, when to
 /// open a round, and how to apply a drained round to their stores.
 #[derive(Debug)]
-pub struct PersistEngine<D, P> {
+pub(crate) struct PersistEngine<D, P> {
     domain: PersistenceDomain<D, P>,
     /// The buffers rounds drain into, kept for their capacity.
     drained: DrainedRound<D, P>,
@@ -157,12 +158,6 @@ impl<D, P> PersistEngine<D, P> {
             self.domain.data_wpq().stats(),
             self.domain.posmap_wpq().stats(),
         )
-    }
-
-    /// Seals both WPQ batch frames with per-queue CMAC keys derived from
-    /// `key`, so every committed round carries an authentication tag.
-    pub fn seal_frames(&mut self, key: &[u8; 16]) {
-        self.domain.seal_frames(key);
     }
 
     /// Drainer *start* signal: opens an atomic round on both WPQs.
@@ -300,7 +295,7 @@ impl<D, P> PersistEngine<D, P> {
 /// device adversaries (fault plan, wear engine), the persisted counter-tree
 /// root and the fail-safe latch.
 #[derive(Debug, Default)]
-pub struct EngineControl {
+pub(crate) struct EngineControl {
     crash_plan: Option<CrashPoint>,
     /// Pending scheduled crashes as `(access_attempt_index, point)`,
     /// sorted ascending; consumed as access attempts reach each index.
@@ -493,6 +488,7 @@ impl EngineControl {
     }
 
     /// `true` when a device fault plan is installed.
+    #[cfg(test)]
     pub fn device_mode(&self) -> bool {
         self.device.is_some()
     }
@@ -648,6 +644,7 @@ impl EngineControl {
     }
 
     /// `true` when the wear engine is enabled.
+    #[cfg(test)]
     pub fn wear_mode(&self) -> bool {
         self.wear.is_some()
     }

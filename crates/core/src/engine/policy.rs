@@ -241,9 +241,9 @@ pub trait ProtocolPolicy {
     /// lost/duplicated drainer signals, bit rot, and transient read errors.
     ///
     /// Hardened (WPQ) designs additionally arm the integrity layer: CMAC
-    /// tags over every slot on media and every persisted PosMap entry,
-    /// sealed WPQ batch frames, and a rolling seal over the temporary
-    /// PosMap — recovery then detects, classifies, and repairs the damage.
+    /// tags over every slot on media and every persisted PosMap entry
+    /// and a rolling seal over the temporary PosMap — recovery then
+    /// detects, classifies, and repairs the damage.
     /// Baselines get the same faults with no defenses, so the differential
     /// campaigns keep their detection power.
     fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig);

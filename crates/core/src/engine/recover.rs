@@ -556,7 +556,7 @@ pub(crate) mod tests {
     use psoram_nvm::FaultConfig;
 
     use super::*;
-    use crate::engine::{ProtocolPolicy, RoundDamage};
+    use crate::engine::{persist::RoundDamage, ProtocolPolicy};
     use crate::testkit::{read_back, Toy, TOY_ADDRS as ADDRS};
     use crate::types::OramError;
 

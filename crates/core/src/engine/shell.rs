@@ -315,14 +315,12 @@ pub(crate) fn power_fail<C: Rounds>(c: &mut C) -> (usize, usize) {
     flushed
 }
 
-/// Makes the backend adversarial ([`DeviceSide::arm`]); a `hardened`
-/// design's WPQ frames are sealed with the integrity layer's key.
+/// Makes the backend adversarial ([`DeviceSide::arm`]) over the media as
+/// they stand.
 pub(crate) fn arm<C: Rounds>(c: &mut C, seed: u64, cfg: FaultConfig, hardened: bool) {
-    let (shell, wpq, arena) = c.media();
+    let (shell, _, arena) = c.media();
     let media = (&*arena, &shell.posmap, &shell.temp);
-    if let Some(key) = (shell.device).arm(&mut shell.ctl, seed, cfg, hardened, media) {
-        wpq.seal_frames(&key);
-    }
+    (shell.device).arm(&mut shell.ctl, seed, cfg, hardened, media);
 }
 
 /// Wires `tap` through the whole stack: the controller's own events, the

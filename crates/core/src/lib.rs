@@ -75,9 +75,7 @@ pub use block::{Block, BlockHeader, BlockRef};
 pub use bucket::Bucket;
 pub use controller::{AccessOutcome, Op, PathOram, ProtocolVariant};
 pub use crash::{CrashPoint, CrashReport, RecoveryError, RecoveryIncident, RecoveryReport};
-pub use engine::{
-    CommitLedger, CommitModel, EngineControl, EngineStats, PersistEngine, ProtocolPolicy, Shell,
-};
+pub use engine::{CommitLedger, CommitModel, EngineStats, ProtocolPolicy, Shell};
 pub use eviction::{plan_eviction, EvictionPlan, SlotWrite};
 pub use posmap::{PosMap, TempPosMap};
 pub use recursive::{RecLevel, RecursivePosMap, ENTRIES_PER_BLOCK};

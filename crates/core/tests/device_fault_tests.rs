@@ -92,8 +92,8 @@ fn recover_without_crash_is_a_no_op() {
 #[test]
 fn double_recover_is_idempotent_and_byte_identical() {
     // A disabled plan keeps the whole integrity pipeline armed (tags,
-    // sealed frames, device draws) while injecting nothing, so the
-    // byte-identity comparison is exact.
+    // the temporary-PosMap seal, device draws) while injecting nothing,
+    // so the byte-identity comparison is exact.
     for mut oram in hardened_designs(29) {
         crash_cycles(
             oram.as_mut(),

@@ -56,6 +56,4 @@ pub use wear::{
     Conviction, EnduranceModel, GapMove, RemapTable, StartGap, WearConfig, WearEngine, WearScheme,
     WearStats, SPARE_LINE_BASE, WEAR_LINE_BYTES,
 };
-pub use wpq::{
-    BatchFrame, DamageRecord, PersistenceDomain, Wpq, WpqCrashOutcome, WpqEntry, WpqError, WpqStats,
-};
+pub use wpq::{PersistenceDomain, Wpq, WpqEntry, WpqError, WpqStats};

@@ -9,12 +9,15 @@
 //! *atomically* when the `end` signal is observed; a crash before `end`
 //! discards the whole round from both queues, so data and metadata can never
 //! persist half-updated.
+//!
+//! The queues hold entries and nothing else. What a crash's device faults
+//! do to the round whose media programming it interrupts (a torn flush, a
+//! lost or doubled end signal, bit rot; [`crate::FaultPlan::round_fate`])
+//! is drawn and applied once, by the persist engine in `psoram-core`, over
+//! the units that round listed.
 
-use psoram_crypto::{Cmac, CmacStream};
 use psoram_obsv::{Event, QueueKind, Tap};
 use serde::{Deserialize, Serialize};
-
-use crate::fault::{FaultClass, FaultPlan, RoundFate};
 
 /// An entry queued for persistence in a WPQ.
 ///
@@ -62,68 +65,6 @@ impl std::fmt::Display for WpqError {
 
 impl std::error::Error for WpqError {}
 
-/// Anubis-style metadata record of one committed batch.
-///
-/// Frames live with the queue inside the ADR domain, so recovery can see
-/// the *intended* shape of each committed round — how many entries it
-/// had and which NVM addresses they targeted — even when the drain to
-/// media was torn or lost. With a sealer installed ([`Wpq::seal_frames`])
-/// each frame additionally carries an AES-CMAC tag over its length and
-/// address list, so frame metadata tampering is itself detectable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchFrame {
-    /// Entries committed in this batch.
-    pub len: usize,
-    /// NVM destination addresses, in push order.
-    pub addrs: Vec<u64>,
-    /// AES-CMAC over `len ‖ addrs` when a sealer is installed.
-    pub tag: Option<[u8; 16]>,
-}
-
-impl BatchFrame {
-    /// Streams the sealed image `len ‖ addrs` (little-endian words) into
-    /// `sealer`'s MAC.
-    fn mac<'a>(sealer: &'a Cmac, len: usize, addrs: &[u64]) -> CmacStream<'a> {
-        let mut s = sealer.stream();
-        s.update(&(len as u64).to_le_bytes());
-        for a in addrs {
-            s.update(&a.to_le_bytes());
-        }
-        s
-    }
-
-    /// Recomputes and checks this frame's tag. Untagged frames verify
-    /// clean (no sealer was installed when they were committed).
-    pub fn verify(&self, sealer: &Cmac) -> bool {
-        match &self.tag {
-            Some(tag) => Self::mac(sealer, self.len, &self.addrs).verify(tag),
-            None => true,
-        }
-    }
-}
-
-/// Structural damage applied to a queue's committed backlog by a
-/// [`FaultPlan`] during a crash.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DamageRecord {
-    /// What kind of fault struck.
-    pub class: FaultClass,
-    /// NVM addresses of the affected entries.
-    pub addrs: Vec<u64>,
-}
-
-/// Everything a fault-aware crash returns: the surviving entries, the
-/// ADR-protected frame metadata, and the damage (if any) the plan chose.
-#[derive(Debug, Clone)]
-pub struct WpqCrashOutcome<T> {
-    /// Entries that actually reached media.
-    pub entries: Vec<WpqEntry<T>>,
-    /// Frame records of every committed batch (pre-damage ground shape).
-    pub frames: Vec<BatchFrame>,
-    /// The structural fault applied to the in-flight batch, if any.
-    pub damage: Option<DamageRecord>,
-}
-
 /// A bounded write pending queue with start/end-signalled atomic batches.
 ///
 /// Entries pushed between [`Wpq::begin_batch`] and [`Wpq::end_batch`] become
@@ -156,14 +97,6 @@ pub struct Wpq<T> {
     stats: WpqStats,
     tap: Tap,
     kind: QueueKind,
-    /// One frame per committed batch still in the queue (cleared when the
-    /// batches drain or crash out).
-    frames: Vec<BatchFrame>,
-    /// Address buffers of drained frames, kept for the next batches: a
-    /// round commits and drains every access, so its frame's list is
-    /// refilled rather than reallocated.
-    spare_addrs: Vec<Vec<u64>>,
-    sealer: Option<Cmac>,
 }
 
 /// Occupancy and throughput statistics for a WPQ.
@@ -213,39 +146,7 @@ impl<T> Wpq<T> {
             stats: WpqStats::default(),
             tap: Tap::detached(),
             kind: QueueKind::Data,
-            frames: Vec::new(),
-            spare_addrs: Vec::new(),
-            sealer: None,
         }
-    }
-
-    /// Installs an AES-CMAC sealer: every batch committed from now on
-    /// carries an authentication tag in its [`BatchFrame`]. Sealing is
-    /// metadata-only — entry flow, stats, and events are unchanged.
-    pub fn seal_frames(&mut self, sealer: Cmac) {
-        self.sealer = Some(sealer);
-    }
-
-    /// Frame records of the committed batches still in the queue.
-    pub fn frames(&self) -> &[BatchFrame] {
-        &self.frames
-    }
-
-    /// Verifies every committed batch's frame tag.
-    ///
-    /// # Errors
-    ///
-    /// Returns the index of the first frame whose tag does not match.
-    /// Without a sealer (or for untagged frames) everything verifies.
-    pub fn verify_frames(&self) -> Result<(), usize> {
-        if let Some(sealer) = &self.sealer {
-            for (i, f) in self.frames.iter().enumerate() {
-                if !f.verify(sealer) {
-                    return Err(i);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Wires an observability tap into this queue, tagging its events
@@ -318,17 +219,6 @@ impl<T> Wpq<T> {
             return Err(WpqError::NoBatchOpen);
         }
         self.in_batch = false;
-        let mut addrs = self.spare_addrs.pop().unwrap_or_default();
-        addrs.extend(self.open.iter().map(|e| e.addr));
-        let tag = self
-            .sealer
-            .as_ref()
-            .map(|s| BatchFrame::mac(s, addrs.len(), &addrs).finalize());
-        self.frames.push(BatchFrame {
-            len: addrs.len(),
-            addrs,
-            tag,
-        });
         self.committed.append(&mut self.open);
         self.stats.batches_committed += 1;
         Ok(())
@@ -360,11 +250,6 @@ impl<T> Wpq<T> {
             drained: self.committed.len() as u64,
             cycle: self.tap.now(),
         });
-        for frame in self.frames.drain(..) {
-            let mut addrs = frame.addrs;
-            addrs.clear();
-            self.spare_addrs.push(addrs);
-        }
         out.append(&mut self.committed);
     }
 
@@ -373,57 +258,7 @@ impl<T> Wpq<T> {
     pub fn crash(&mut self) -> Vec<WpqEntry<T>> {
         self.open.clear();
         self.in_batch = false;
-        self.frames.clear();
         std::mem::take(&mut self.committed)
-    }
-
-    /// Models a power failure under a device [`FaultPlan`]: the ADR flush
-    /// of the most recently committed (in-flight) batch may be torn at
-    /// cacheline granularity, lost to a dropped end signal, or replayed
-    /// by a duplicated one. Earlier batches' programming is presumed
-    /// complete and always survives intact; the open batch is lost as
-    /// usual. Frame metadata always reports the *intended* shape, so the
-    /// caller can detect and classify the damage independently.
-    pub fn crash_with_plan(&mut self, plan: &mut FaultPlan) -> WpqCrashOutcome<T>
-    where
-        T: Clone,
-    {
-        self.open.clear();
-        self.in_batch = false;
-        let mut entries = std::mem::take(&mut self.committed);
-        let frames = std::mem::take(&mut self.frames);
-        let last_len = frames.last().map_or(0, |f| f.len.min(entries.len()));
-        let damage = match plan.round_fate(last_len) {
-            RoundFate::Intact => None,
-            RoundFate::Lost => {
-                let dropped = entries.split_off(entries.len() - last_len);
-                Some(DamageRecord {
-                    class: FaultClass::SignalLoss,
-                    addrs: dropped.iter().map(|e| e.addr).collect(),
-                })
-            }
-            RoundFate::Torn { kept } => {
-                let dropped = entries.split_off(entries.len() - last_len + kept);
-                Some(DamageRecord {
-                    class: FaultClass::TornFlush,
-                    addrs: dropped.iter().map(|e| e.addr).collect(),
-                })
-            }
-            RoundFate::Duplicated => {
-                let replay: Vec<WpqEntry<T>> = entries[entries.len() - last_len..].to_vec();
-                let addrs = replay.iter().map(|e| e.addr).collect();
-                entries.extend(replay);
-                Some(DamageRecord {
-                    class: FaultClass::DuplicatedSignal,
-                    addrs,
-                })
-            }
-        };
-        WpqCrashOutcome {
-            entries,
-            frames,
-            damage,
-        }
     }
 
     /// Entries currently queued (committed + open).
@@ -576,35 +411,6 @@ impl<D, P> PersistenceDomain<D, P> {
     /// Models a crash: both queues keep exactly their committed rounds.
     pub fn crash(&mut self) -> (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>) {
         (self.data_wpq.crash(), self.posmap_wpq.crash())
-    }
-
-    /// Models a crash under a device [`FaultPlan`], applying independent
-    /// fates to the data and PosMap queues' in-flight batches (data queue
-    /// drawn first, deterministically).
-    pub fn crash_with_plan(
-        &mut self,
-        plan: &mut FaultPlan,
-    ) -> (WpqCrashOutcome<D>, WpqCrashOutcome<P>)
-    where
-        D: Clone,
-        P: Clone,
-    {
-        let data = self.data_wpq.crash_with_plan(plan);
-        let posmap = self.posmap_wpq.crash_with_plan(plan);
-        (data, posmap)
-    }
-
-    /// Installs AES-CMAC frame sealing on both queues, deriving one
-    /// sealer per queue from `key` (domain-separated on the final byte).
-    pub fn seal_frames(&mut self, key: &[u8; 16]) {
-        let mut dk = *key;
-        dk[15] ^= 0xD0;
-        let mut pk = *key;
-        pk[15] ^= 0x90;
-        self.data_wpq
-            .seal_frames(Cmac::new(psoram_crypto::Aes128::new(&dk)));
-        self.posmap_wpq
-            .seal_frames(Cmac::new(psoram_crypto::Aes128::new(&pk)));
     }
 
     /// Wires an observability tap into both queues (data and PosMap
@@ -775,151 +581,6 @@ mod tests {
         q.push(WpqEntry { addr: 1, value: 1 }).unwrap();
         assert_eq!(q.remaining(), 3);
         assert_eq!(q.capacity(), 4);
-    }
-
-    use crate::fault::FaultConfig;
-    use psoram_crypto::Aes128;
-
-    fn sealed_queue() -> Wpq<u8> {
-        let mut q: Wpq<u8> = Wpq::new(16);
-        q.seal_frames(Cmac::new(Aes128::new(&[0x42; 16])));
-        q
-    }
-
-    #[test]
-    fn frames_record_committed_batch_shapes() {
-        let mut q: Wpq<u8> = Wpq::new(8);
-        q.begin_batch().unwrap();
-        q.push(WpqEntry { addr: 7, value: 1 }).unwrap();
-        q.push(WpqEntry { addr: 9, value: 2 }).unwrap();
-        q.end_batch().unwrap();
-        q.begin_batch().unwrap();
-        q.push(WpqEntry { addr: 3, value: 3 }).unwrap();
-        q.end_batch().unwrap();
-        assert_eq!(q.frames().len(), 2);
-        assert_eq!(q.frames()[0].len, 2);
-        assert_eq!(q.frames()[0].addrs, vec![7, 9]);
-        assert_eq!(q.frames()[1].addrs, vec![3]);
-        // No sealer installed → no tags, but everything verifies clean.
-        assert!(q.frames().iter().all(|f| f.tag.is_none()));
-        assert_eq!(q.verify_frames(), Ok(()));
-        q.drain_committed();
-        assert!(q.frames().is_empty(), "drain must clear frame records");
-    }
-
-    #[test]
-    fn sealed_frames_carry_verifiable_tags() {
-        let mut q = sealed_queue();
-        q.begin_batch().unwrap();
-        q.push(WpqEntry { addr: 40, value: 4 }).unwrap();
-        q.end_batch().unwrap();
-        assert!(q.frames()[0].tag.is_some());
-        assert_eq!(q.verify_frames(), Ok(()));
-        // A frame tag from the wrong key must not verify.
-        let other = Cmac::new(Aes128::new(&[0x43; 16]));
-        assert!(!q.frames()[0].verify(&other));
-    }
-
-    #[test]
-    fn fault_free_plan_crash_matches_plain_crash() {
-        let mut plan = FaultPlan::new(1, FaultConfig::disabled());
-        let mut q: Wpq<u8> = Wpq::new(8);
-        q.begin_batch().unwrap();
-        q.push(WpqEntry { addr: 1, value: 1 }).unwrap();
-        q.end_batch().unwrap();
-        q.begin_batch().unwrap();
-        q.push(WpqEntry { addr: 2, value: 2 }).unwrap();
-        let out = q.crash_with_plan(&mut plan);
-        assert!(out.damage.is_none());
-        assert_eq!(out.entries.len(), 1);
-        assert_eq!(out.entries[0].addr, 1);
-        assert_eq!(out.frames.len(), 1, "frames report the committed round");
-        assert!(q.is_empty() && !q.in_batch());
-    }
-
-    /// Drives `crash_with_plan` under an aggressive mix until each
-    /// structural fate has been observed, checking its invariant.
-    #[test]
-    fn structural_fates_damage_only_the_inflight_batch() {
-        let mut plan = FaultPlan::new(0xFA7E, FaultConfig::aggressive());
-        let (mut saw_torn, mut saw_lost, mut saw_dup) = (false, false, false);
-        for _ in 0..400 {
-            let mut q: Wpq<u8> = Wpq::new(32);
-            // An older, fully programmed round (always survives)...
-            q.begin_batch().unwrap();
-            for a in 0..3u64 {
-                q.push(WpqEntry { addr: a, value: 0 }).unwrap();
-            }
-            q.end_batch().unwrap();
-            // ...and the in-flight round the ADR flush may mangle.
-            q.begin_batch().unwrap();
-            for a in 10..14u64 {
-                q.push(WpqEntry { addr: a, value: 1 }).unwrap();
-            }
-            q.end_batch().unwrap();
-            let out = q.crash_with_plan(&mut plan);
-            let old: Vec<u64> = out.entries.iter().map(|e| e.addr).take(3).collect();
-            assert_eq!(old, vec![0, 1, 2], "older rounds must survive intact");
-            match out.damage {
-                None => assert_eq!(out.entries.len(), 7),
-                Some(DamageRecord {
-                    class: FaultClass::SignalLoss,
-                    ref addrs,
-                }) => {
-                    saw_lost = true;
-                    assert_eq!(out.entries.len(), 3);
-                    assert_eq!(addrs.len(), 4);
-                }
-                Some(DamageRecord {
-                    class: FaultClass::TornFlush,
-                    ref addrs,
-                }) => {
-                    saw_torn = true;
-                    assert!(out.entries.len() < 7 && out.entries.len() >= 3);
-                    assert_eq!(addrs.len(), 7 - out.entries.len());
-                    // Torn flush keeps a strict prefix of the round.
-                    let kept: Vec<u64> = out.entries.iter().skip(3).map(|e| e.addr).collect();
-                    assert_eq!(kept, (10..10 + kept.len() as u64).collect::<Vec<_>>());
-                }
-                Some(DamageRecord {
-                    class: FaultClass::DuplicatedSignal,
-                    ref addrs,
-                }) => {
-                    saw_dup = true;
-                    assert_eq!(out.entries.len(), 11, "round replayed once");
-                    assert_eq!(addrs.len(), 4);
-                }
-                Some(ref d) => panic!("unexpected structural class {:?}", d.class),
-            }
-        }
-        assert!(saw_torn && saw_lost && saw_dup);
-    }
-
-    #[test]
-    fn domain_sealing_and_plan_crash_are_deterministic() {
-        let run = |seed: u64| {
-            let mut plan = FaultPlan::new(seed, FaultConfig::aggressive());
-            let mut pd: PersistenceDomain<u8, u8> = PersistenceDomain::new(16, 16);
-            pd.seal_frames(&[7; 16]);
-            pd.begin_round().unwrap();
-            pd.push_data(WpqEntry { addr: 1, value: 1 }).unwrap();
-            pd.push_posmap(WpqEntry { addr: 9, value: 9 }).unwrap();
-            pd.commit_round().unwrap();
-            let (d, p) = pd.crash_with_plan(&mut plan);
-            assert_eq!(pd.data_wpq().verify_frames(), Ok(()));
-            assert!(d.frames[0].tag.is_some() && p.frames[0].tag.is_some());
-            assert_ne!(
-                d.frames[0].tag, p.frames[0].tag,
-                "per-queue sealers must be domain-separated"
-            );
-            (
-                d.entries.len(),
-                p.entries.len(),
-                d.damage.map(|x| x.class),
-                p.damage.map(|x| x.class),
-            )
-        };
-        assert_eq!(run(0xD00D), run(0xD00D));
     }
 
     #[test]

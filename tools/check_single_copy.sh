@@ -2,7 +2,8 @@
 # One device side, one recovery ladder with one audit, one per-slot
 # freshness table, one way to move a path through a controller, one
 # controller shell, one integrity mechanism, one fleet simulator, one
-# micro-benchmark harness — held mechanically.
+# crash-fate model over a queue that seals nothing, one micro-benchmark
+# harness — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit (phase 1's walk down the counter
@@ -174,9 +175,31 @@ for f in crates/core/tests/*.rs; do
         exit 1
     fi
 done
+# One crash-fate model. A crash's damage to the round it interrupts is
+# drawn once (`EngineControl::draw_crash_damage`, from
+# `FaultPlan::round_fate`) and applied once (`DeviceSide::strike`) over
+# the units that round listed. The WPQ is a queue: a second fate model
+# beside it (`Wpq::crash_with_plan` once was one, which no controller
+# called) names the fates outside `fault.rs` and `engine/`.
+FATES='round_fate\(|RoundFate::'
+stray=$(grep -rlE "$FATES" --include='*.rs' crates src examples \
+    | grep -v -e '/tests/' -e '^crates/nvm/src/fault\.rs$' -e '^crates/core/src/engine/' || true)
+for f in $stray; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -qE "$FATES"; then
+        echo "error: the round fates are named outside crates/nvm/src/fault.rs and crates/core/src/engine/:" >&2
+        grep -nE "$FATES" "$f" >&2
+        exit 1
+    fi
+done
+# The queue seals nothing, so `psoram-nvm` and `psoram-crypto` stay
+# independent siblings: the frame seal was the only edge between them.
+if grep -n 'psoram-crypto' crates/nvm/Cargo.toml >&2; then
+    echo "error: crates/nvm/Cargo.toml depends on psoram-crypto again" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"

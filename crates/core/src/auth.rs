@@ -40,8 +40,12 @@
 //! bucket by bucket down the counter rows
 //! ([`AuthTags::verdict_tracked_slots`]). The one-unit calls
 //! (`bump_slot`, `record_slot`, `verdict_slot`, `classify_served_slot`)
-//! are the same code over one unit, and every tag, digest and root is the
-//! RFC 4493 output it always was. A persisted PosMap entry keeps the same
+//! are the same code over one unit, and every tag, digest and root is an
+//! RFC 4493 output. A dummy's record is its counter digest: writing one
+//! costs the one MAC its counter needs, and an intact one — naming its own
+//! unit and current counter — is judged by comparing its tag with the
+//! digest kept on chip; any other dummy claim, which only damage makes, is
+//! MACed like a real block's. A persisted PosMap entry keeps the same
 //! row (counter, folded digest, record) in a map of its own, keyed by its
 //! address: a flush writes one entry at a time, and recovery reads them
 //! all back through the lanes ([`AuthTags::verdict_posmaps`]).
@@ -63,6 +67,10 @@ use crate::unit_table::UnitTable;
 
 /// Units framed and MACed side by side per pass.
 const LANES: usize = Cmac::LANES;
+/// Units a write or a check holds at most at a time: enough that the
+/// dummies among them, whose records cost no MAC of their own, leave the
+/// real blocks' records to fill the [`LANES`].
+const HELD: usize = 4 * LANES;
 
 /// CMAC domain byte for tree-slot records.
 const DOMAIN_SLOT: u8 = 0x51;
@@ -73,8 +81,6 @@ const DOMAIN_CTR: u8 = 0xC7;
 /// CMAC domain byte for the counter-tree root.
 const DOMAIN_ROOT: u8 = 0x52;
 
-/// Slot-tag content marker: a dummy slot (nothing follows).
-const MARK_DUMMY: u8 = 0xD5;
 /// Slot-tag content marker: a real block (header, length, payload follow).
 const MARK_REAL: u8 = 0xB1;
 /// Counter-digest unit kind: a tree slot.
@@ -109,53 +115,77 @@ type SlotClaim<'a> = ((u64, u64), u64, Option<BlockRef<'a>>);
 /// to, it.
 pub(crate) type SlotUnit<'a> = (BucketIndex, usize, Option<BlockRef<'a>>);
 
-/// The MAC input of a tree-slot record, framed: the fixed part, then a
-/// real block's payload — in the frame too if it fits there, else
-/// borrowed where it lies and returned beside the frame:
+/// The MAC input of a real slot's record, framed: the fixed part, then
+/// the block's payload — in the frame too if it fits there, else borrowed
+/// where it lies and returned beside the frame:
 ///
 /// ```text
-/// dummy: 0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xD5                        (26 B)
-/// real:  0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xB1 ‖ addr ‖ leaf ‖ iv1 ‖ iv2
-///             ‖ seq ‖ is_backup ‖ payload_len ‖ payload           (75 B + payload)
+/// 0x51 ‖ src.0 ‖ src.1 ‖ ctr ‖ 0xB1 ‖ addr ‖ leaf ‖ iv1 ‖ iv2
+///      ‖ seq ‖ is_backup ‖ payload_len ‖ payload             (75 B + payload)
 /// ```
 ///
-/// The dummy marker keeps "slot emptied" distinct from any real block,
-/// and the length word keeps a payload from sliding into a longer one.
+/// The length word keeps a payload from sliding into a longer one. An
+/// empty slot's record has no frame of its own: its claim is framed as
+/// the counter digest of the identity and counter it names
+/// ([`claim_frame`]), whose domain byte keeps it apart from every real
+/// block's.
 #[inline]
-fn slot_frame<'a>(f: &mut SlotFrame, (src, ctr, content): SlotClaim<'a>) -> &'a [u8] {
+fn slot_frame<'a>(f: &mut SlotFrame, src: (u64, u64), ctr: u64, b: BlockRef<'a>) -> &'a [u8] {
     frame(f, DOMAIN_SLOT);
     f.word(src.0);
     f.word(src.1);
     f.word(ctr);
-    match content {
-        None => f.byte(MARK_DUMMY),
-        Some(b) => {
-            f.byte(MARK_REAL);
-            f.word(b.header.addr.0);
-            f.word(b.header.leaf.0);
-            f.word(b.header.iv1);
-            f.word(b.header.iv2);
-            f.word(b.header.seq);
-            f.byte(b.is_backup as u8);
-            f.word(b.payload.len() as u64);
-            if b.payload.len() > f.room() {
-                return b.payload;
-            }
-            f.push(b.payload);
-        }
+    f.byte(MARK_REAL);
+    f.word(b.header.addr.0);
+    f.word(b.header.leaf.0);
+    f.word(b.header.iv1);
+    f.word(b.header.iv2);
+    f.word(b.header.seq);
+    f.byte(b.is_backup as u8);
+    f.word(b.payload.len() as u64);
+    if b.payload.len() > f.room() {
+        return b.payload;
     }
+    f.push(b.payload);
     &[]
 }
 
+/// `0xC7 ‖ 0x01 ‖ src.0 ‖ src.1 ‖ ctr` (26 B): the MAC input of the
+/// counter digest of tree slot `src` at version `ctr` — and so of the
+/// record of a dummy written there under `ctr`.
+#[inline]
+fn slot_digest_frame<const B: usize>(f: &mut Frame<B>, src: (u64, u64), ctr: u64) {
+    frame(f, DOMAIN_CTR);
+    f.byte(KIND_SLOT);
+    f.word(src.0);
+    f.word(src.1);
+    f.word(ctr);
+}
+
+/// The MAC input of what a slot record claims to cover: a real block's
+/// [`slot_frame`], or, for an empty slot, the counter digest of the
+/// identity and counter the record names. A dummy's record *is* its
+/// counter digest (DESIGN.md §10).
+#[inline]
+fn claim_frame<'a>(f: &mut SlotFrame, (src, ctr, content): SlotClaim<'a>) -> &'a [u8] {
+    match content {
+        Some(b) => slot_frame(f, src, ctr, b),
+        None => {
+            slot_digest_frame(f, src, ctr);
+            &[]
+        }
+    }
+}
+
 /// The tags of the first `n` messages — `heads[i]` followed by `tails[i]`
-/// — MACed side by side.
-fn tag_framed<const B: usize>(
+/// — MACed side by side, [`LANES`] at a time.
+fn tag_framed<const B: usize, const N: usize>(
     cmac: &Cmac,
-    (heads, tails): (&[Frame<B>; LANES], &[&[u8]; LANES]),
+    (heads, tails): (&[Frame<B>; N], &[&[u8]; N]),
     n: usize,
-) -> [[u8; 16]; LANES] {
-    let msgs: [(&Frame<B>, &[u8]); LANES] = std::array::from_fn(|i| (&heads[i], tails[i]));
-    let mut tags = [[0u8; 16]; LANES];
+) -> [[u8; 16]; N] {
+    let msgs: [(&Frame<B>, &[u8]); N] = std::array::from_fn(|i| (&heads[i], tails[i]));
+    let mut tags = [[0u8; 16]; N];
     cmac.tag_lanes(&msgs[..n], &mut tags[..n]);
     tags
 }
@@ -180,7 +210,8 @@ pub struct UnitMeta {
     /// The identity the record was written for: `(bucket, slot)` for
     /// tree slots, `(addr, 0)` for persisted PosMap entries.
     pub src: (u64, u64),
-    /// CMAC over `(src, ctr, content)` under the unit's domain.
+    /// CMAC over `(src, ctr, content)` under the unit's domain — for a
+    /// dummy slot, the unit's counter digest of `(src, ctr)`.
     pub tag: [u8; 16],
 }
 
@@ -320,16 +351,6 @@ impl CounterTree {
         (bucket + 1).ilog2() as usize
     }
 
-    /// `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr` (26 B): the MAC input of a
-    /// slot's digest.
-    fn slot_digest_frame(f: &mut DigestFrame, bucket: u64, slot: usize, ctr: u64) {
-        frame(f, DOMAIN_CTR);
-        f.byte(KIND_SLOT);
-        f.word(bucket);
-        f.word(slot as u64);
-        f.word(ctr);
-    }
-
     /// `0xC7 ‖ 0x02 ‖ addr ‖ ctr` (18 B).
     fn posmap_digest(cmac: &Cmac, addr: u64, ctr: u64) -> u128 {
         let mut f = DigestFrame::new();
@@ -349,10 +370,13 @@ impl CounterTree {
     /// The write pass, the only code that moves a slot's counter: every
     /// unit of `units`, in order, is bumped, its digest folded into its
     /// level aggregate and — when `record` is set — a fresh record over
-    /// its `content` stored beside the counter. Units stream through
-    /// [`LANES`] at a time (counter and frames as they arrive, digests
-    /// and tags MACed side by side, fold and store), a bucket's row
-    /// resolved once per run of its slots. Returns the last new counter.
+    /// its `content` stored beside the counter: for a real block, a tag
+    /// over the block; for a dummy, the digest itself, which is what a
+    /// dummy's claim frames to ([`claim_frame`]). Units stream through up
+    /// to [`HELD`] at a time, and no more than [`LANES`] real ones (counter
+    /// and frames as they arrive, digests and tags MACed side by side,
+    /// fold and store), a bucket's row resolved once per run of its slots.
+    /// Returns the last new counter.
     fn write_slots<'a>(
         &mut self,
         units: impl IntoIterator<Item = SlotUnit<'a>>,
@@ -360,36 +384,42 @@ impl CounterTree {
     ) -> u64 {
         let mut units = units.into_iter();
         let mut last = 0;
-        let mut lanes = [(0, 0, 0); LANES];
-        let mut digests = [DigestFrame::new(); LANES];
+        let mut lanes = [(0, 0, 0, false); HELD];
+        let mut digests = [DigestFrame::new(); HELD];
         let mut heads = [SlotFrame::new(); LANES];
         let mut tails: [&[u8]; LANES] = [&[]; LANES];
         loop {
             // Counters first, so a repeated unit sees its earlier bump.
-            let mut n = 0;
+            let (mut n, mut reals) = (0, 0);
             let (mut of, mut row): (_, &mut [SlotRow]) = (None, &mut []);
-            for (bucket, slot, content) in units.by_ref().take(LANES) {
+            while n < HELD && reals < LANES {
+                let Some((bucket, slot, content)) = units.next() else {
+                    break;
+                };
                 if of != Some(bucket) || row.len() <= slot {
                     (of, row) = (Some(bucket), self.slots.row_mut(bucket, slot + 1));
                 }
                 row[slot].ctr += 1;
                 last = row[slot].ctr;
-                lanes[n] = (bucket, slot, last);
-                Self::slot_digest_frame(&mut digests[n], bucket, slot, last);
-                if record {
-                    tails[n] = slot_frame(&mut heads[n], ((bucket, slot as u64), last, content));
+                let src = (bucket, slot as u64);
+                slot_digest_frame(&mut digests[n], src, last);
+                if let Some(b) = content.filter(|_| record) {
+                    tails[reals] = slot_frame(&mut heads[reals], src, last, b);
+                    reals += 1;
                 }
+                lanes[n] = (bucket, slot, last, content.is_some());
                 n += 1;
             }
             if n == 0 {
                 return last;
             }
-            let folds = tag_framed(&self.cmac, (&digests, &[&[]; LANES]), n);
-            let tags = tag_framed(&self.cmac, (&heads, &tails), if record { n } else { 0 });
+            let folds = tag_framed(&self.cmac, (&digests, &[&[]; HELD]), n);
+            let tags = tag_framed(&self.cmac, (&heads, &tails), reals);
+            let mut tags = tags[..reals].iter().copied();
             // Fold: each unit's previously folded digest out, its new one
             // in; the record beside it.
             let (mut of, mut row): (_, &mut [SlotRow]) = (None, &mut []);
-            for ((&(bucket, slot, ctr), fold), tag) in lanes[..n].iter().zip(folds).zip(tags) {
+            for (&(bucket, slot, ctr, real), fold) in lanes[..n].iter().zip(folds) {
                 if of != Some(bucket) || row.len() <= slot {
                     (of, row) = (Some(bucket), self.slots.row_mut(bucket, slot + 1));
                 }
@@ -401,8 +431,14 @@ impl CounterTree {
                 self.levels[level] ^= row[slot].folded ^ digest;
                 row[slot].folded = digest;
                 if record {
+                    // A dummy's record is its counter digest.
+                    let tag = if real { tags.next() } else { None };
                     let src = (bucket, slot as u64);
-                    row[slot].rec = Some(UnitMeta { ctr, src, tag });
+                    row[slot].rec = Some(UnitMeta {
+                        ctr,
+                        src,
+                        tag: tag.unwrap_or(fold),
+                    });
                 }
             }
         }
@@ -577,15 +613,31 @@ fn judge(
     }
 }
 
-/// Units on their way to a verdict, [`LANES`] at a time: each unit's
-/// row of the table (if it has one) and, for a unit with a record, that
-/// record's claim framed in place, where the lanes read it.
+/// Whether `rec`, found with `content` at unit `at` beside `row`, is a
+/// dummy's record naming its own unit and that unit's current counter.
+/// Such a claim frames to the digest `row` keeps on chip, so comparing
+/// the two is the whole check; any other claim (which only damage makes)
+/// is MACed.
+#[inline]
+fn claims_own_digest(
+    at: (u64, u64),
+    row: &SlotRow,
+    rec: &UnitMeta,
+    content: Option<BlockRef<'_>>,
+) -> bool {
+    content.is_none() && rec.src == at && rec.ctr == row.ctr && row.ctr != 0
+}
+
+/// Units on their way to a verdict, up to [`HELD`] at a time: each unit's
+/// row of the table (if it has one) and whether its record's claim is
+/// framed — in place, where the lanes read it, [`LANES`] claims at most.
+/// A dummy's claim on its own digest is not: it is compared.
 struct Verdicts<'r, 'a> {
     auth: &'r AuthTags,
-    lanes: [(BucketIndex, usize, Option<&'r SlotRow>); LANES],
+    units: [(BucketIndex, usize, Option<&'r SlotRow>, bool); HELD],
     heads: [SlotFrame; LANES],
     tails: [&'a [u8]; LANES],
-    /// Units held, and how many of them have a record (and a frame).
+    /// Units held, and how many of them have a framed claim.
     n: usize,
     claimed: usize,
 }
@@ -594,7 +646,7 @@ impl<'r, 'a> Verdicts<'r, 'a> {
     fn new(auth: &'r AuthTags) -> Self {
         Verdicts {
             auth,
-            lanes: [(0, 0, None); LANES],
+            units: [(0, 0, None, false); HELD],
             heads: [SlotFrame::new(); LANES],
             tails: [&[]; LANES],
             n: 0,
@@ -603,7 +655,7 @@ impl<'r, 'a> Verdicts<'r, 'a> {
     }
 
     /// Takes the unit `(bucket, slot, row)` read back with `content`;
-    /// judges the lanes once they are full.
+    /// judges what it holds once the units or the lanes are full.
     #[inline]
     fn push(
         &mut self,
@@ -611,27 +663,33 @@ impl<'r, 'a> Verdicts<'r, 'a> {
         content: Option<BlockRef<'a>>,
         each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict),
     ) {
-        if let Some(m) = stored.and_then(|r| r.rec.as_ref()) {
-            let claim = (m.src, m.ctr, content);
-            self.tails[self.claimed] = slot_frame(&mut self.heads[self.claimed], claim);
-            self.claimed += 1;
-        }
-        self.lanes[self.n] = (bucket, slot, stored);
+        let framed = match stored.and_then(|r| Some((r, r.rec.as_ref()?))) {
+            Some((row, m)) if !claims_own_digest((bucket, slot as u64), row, m, content) => {
+                let claim = (m.src, m.ctr, content);
+                self.tails[self.claimed] = claim_frame(&mut self.heads[self.claimed], claim);
+                self.claimed += 1;
+                true
+            }
+            _ => false,
+        };
+        self.units[self.n] = (bucket, slot, stored, framed);
         self.n += 1;
-        if self.n == LANES {
+        if self.n == HELD || self.claimed == LANES {
             self.flush(each);
         }
     }
 
-    /// Judges the units held, in order: the records' claims MACed side by
-    /// side, every unit judged on its own.
+    /// Judges the units held, in order: the framed claims MACed side by
+    /// side, a dummy's claim on its own digest compared with the row's,
+    /// every unit judged on its own.
     fn flush(&mut self, each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict)) {
         let claimed = self.claimed;
         let tags = tag_framed(&self.auth.ctrs.cmac, (&self.heads, &self.tails), claimed);
         let mut tags = tags[..claimed].iter();
-        for &(bucket, slot, stored) in &self.lanes[..self.n] {
+        for &(bucket, slot, stored, framed) in &self.units[..self.n] {
             let rec = stored.and_then(|r| r.rec.as_ref());
-            let tag = rec.and_then(|_| tags.next());
+            let own = stored.map(|r| r.folded.to_le_bytes());
+            let tag = if framed { tags.next() } else { own.as_ref() };
             let trusted = stored.map(|r| r.ctr).filter(|&ctr| ctr != 0);
             let verdict = judge((bucket, slot as u64), rec, trusted, tag);
             each(bucket, slot, verdict);
@@ -724,30 +782,23 @@ impl AuthTags {
     /// every verdict once, **in no particular order**. The walk goes
     /// bucket by bucket down the counter rows, which the table keeps in
     /// index order: a bucket's row and its arena bucket are resolved once
-    /// for all its slots, and nothing is listed or sorted first. Units
-    /// holding a real block and dummies are MACed in lanes of their own,
-    /// so a lane of a 2-block dummy record never idles beside a 6-block
-    /// real one.
+    /// for all its slots, and nothing is listed or sorted first. One lane
+    /// group takes the real blocks' records; an intact dummy's is
+    /// compared with its row's digest and takes no lane.
     pub(crate) fn verdict_tracked_slots(
         &self,
         arena: &SlotArena,
         mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
     ) {
-        let (mut reals, mut dummies) = (Verdicts::new(self), Verdicts::new(self));
+        let mut verdicts = Verdicts::new(self);
         for (bucket, row) in self.ctrs.slots.rows() {
             let stored = arena.bucket(bucket);
             for (slot, unit) in row.iter().enumerate().filter(|(_, unit)| unit.ctr != 0) {
                 let content = stored.and_then(|b| b.slot(slot));
-                let lanes = if content.is_some() {
-                    &mut reals
-                } else {
-                    &mut dummies
-                };
-                lanes.push((bucket, slot, Some(unit)), content, &mut each);
+                verdicts.push((bucket, slot, Some(unit)), content, &mut each);
             }
         }
-        reals.flush(&mut each);
-        dummies.flush(&mut each);
+        verdicts.flush(&mut each);
     }
 
     /// The fetch-path check over the units read together, `served` being
@@ -788,16 +839,20 @@ impl AuthTags {
         content: Option<BlockRef<'_>>,
         rec: Option<&UnitMeta>,
     ) -> FreshnessVerdict {
-        let tag = rec.map(|m| {
-            let mut tag = [[0u8; 16]];
-            let mut head = SlotFrame::new();
-            let rest = slot_frame(&mut head, (m.src, m.ctr, content));
-            let msg = [(&head, rest)];
-            self.ctrs.cmac.tag_lanes(&msg, &mut tag);
-            tag[0]
+        let at = (bucket, slot as u64);
+        let row = self.ctrs.slots.get(bucket, slot);
+        let tag = rec.map(|m| match row {
+            Some(row) if claims_own_digest(at, row, m, content) => row.folded.to_le_bytes(),
+            _ => {
+                let mut tag = [[0u8; 16]];
+                let mut head = SlotFrame::new();
+                let rest = claim_frame(&mut head, (m.src, m.ctr, content));
+                self.ctrs.cmac.tag_lanes(&[(&head, rest)], &mut tag);
+                tag[0]
+            }
         });
-        let trusted = self.ctrs.slot_ctr(bucket, slot);
-        judge((bucket, slot as u64), rec, trusted, tag.as_ref())
+        let trusted = row.map(|r| r.ctr).filter(|&ctr| ctr != 0);
+        judge(at, rec, trusted, tag.as_ref())
     }
 
     /// Boolean form of [`AuthTags::verdict_slot`].
@@ -1022,6 +1077,46 @@ mod tests {
     }
 
     #[test]
+    fn a_dummy_record_tag_is_its_counter_digest() {
+        let mut t = tags();
+        let real = blk(3, 1);
+        t.record_slots([(5, 1, None), (5, 2, Some(real.view())), (5, 3, None)]);
+        t.record_slot(5, 1, None);
+        let cmac = Cmac::new(Aes128::new(&[7u8; 16]));
+        // `0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖ ctr`, spelled out by hand.
+        let digest = |slot: u64, ctr: u64| {
+            let mut msg = vec![0xC7, 0x01];
+            for word in [5, slot, ctr] {
+                msg.extend_from_slice(&u64::to_le_bytes(word));
+            }
+            cmac.tag(&msg)
+        };
+        let folded = |slot: usize| {
+            t.ctrs
+                .slots
+                .get(5, slot)
+                .map(|row| row.folded.to_le_bytes())
+        };
+        for (slot, ctr) in [(1, 2), (3, 1)] {
+            let rec = t.slot_record(5, slot).expect("recorded");
+            assert_eq!((rec.src, rec.ctr), ((5, slot as u64), ctr));
+            assert_eq!(rec.tag, digest(slot as u64, ctr), "slot {slot}");
+            assert_eq!(
+                Some(rec.tag),
+                folded(slot),
+                "slot {slot}: the digest on chip"
+            );
+        }
+        let rec = t.slot_record(5, 2).expect("recorded");
+        assert_ne!(
+            rec.tag,
+            digest(2, 1),
+            "a real block's record covers the block"
+        );
+        assert_eq!(folded(2), Some(digest(2, 1)));
+    }
+
+    #[test]
     fn posmap_tags_detect_leaf_swaps() {
         let mut t = tags();
         t.record_posmap(4, 11);
@@ -1243,10 +1338,11 @@ mod tests {
         assert_eq!(h.posmap(4).map(|(l, _)| *l), Some(Leaf(6)));
     }
 
-    /// The MAC input bytes of a slot record, collected instead of MACed.
+    /// The MAC input bytes of a slot record's claim, collected instead
+    /// of MACed.
     fn encoded(src: (u64, u64), ctr: u64, content: Option<BlockRef<'_>>) -> Vec<u8> {
         let mut head = SlotFrame::new();
-        let rest = slot_frame(&mut head, (src, ctr, content));
+        let rest = claim_frame(&mut head, (src, ctr, content));
         let mut out = head.bytes().to_vec();
         out.extend_from_slice(rest);
         out
@@ -1261,14 +1357,20 @@ mod tests {
             83,
             "real: six AES blocks"
         );
-        assert_eq!(encoded((9, 2), 1, None)[0], DOMAIN_SLOT);
+        assert_eq!(encoded((9, 2), 1, None)[..2], [DOMAIN_CTR, KIND_SLOT]);
+        assert_eq!(encoded((9, 2), 1, Some(real.view()))[0], DOMAIN_SLOT);
 
         let with_payload = |p: &[u8]| Block::new(BlockAddr(5), Leaf(3), p.to_vec());
         let messages = [
-            // Dummy vs. empty payload vs. a payload spelling the marker.
+            // Dummy vs. empty payload vs. a payload spelling the digest's
+            // domain and kind.
             encoded((9, 2), 1, None),
             encoded((9, 2), 1, Some(with_payload(&[]).view())),
-            encoded((9, 2), 1, Some(with_payload(&[MARK_DUMMY]).view())),
+            encoded(
+                (9, 2),
+                1,
+                Some(with_payload(&[DOMAIN_CTR, KIND_SLOT]).view()),
+            ),
             // A payload byte sliding across the length boundary.
             encoded((9, 2), 1, Some(with_payload(&[1, 0]).view())),
             encoded((9, 2), 1, Some(with_payload(&[1]).view())),
@@ -1300,7 +1402,7 @@ mod tests {
         for (bucket, slot) in tree.tracked_slots_sorted() {
             let ctr = tree.slot_ctr(bucket, slot).unwrap_or(0);
             let mut frame = DigestFrame::new();
-            CounterTree::slot_digest_frame(&mut frame, bucket, slot, ctr);
+            slot_digest_frame(&mut frame, (bucket, slot as u64), ctr);
             let digest = u128::from_le_bytes(fresh.cmac.tag(frame.bytes()));
             fresh.levels[CounterTree::level_of(bucket)] ^= digest;
             *fresh.slots.cell_mut(bucket, slot) = SlotRow {
@@ -1430,7 +1532,7 @@ mod tests {
         type Triple = ((u64, u64), u64, Option<Block>);
 
         fn spiky_word() -> impl Strategy<Value = u64> {
-            prop::sample::select(vec![0, 1, 0xB1, 0xD5, 1 << 8, 1 << 56, u64::MAX])
+            prop::sample::select(vec![0, 1, 0x51, 0xB1, 0xC7, 1 << 8, 1 << 56, u64::MAX])
         }
 
         fn triple() -> impl Strategy<Value = Triple> {
@@ -1439,7 +1541,10 @@ mod tests {
                 (spiky_word(), spiky_word(), spiky_word()),
                 (spiky_word(), spiky_word()),
                 (any::<bool>(), any::<bool>()),
-                proptest::collection::vec(prop::sample::select(vec![0u8, 1, 0xB1, 0xD5]), 0..3),
+                proptest::collection::vec(
+                    prop::sample::select(vec![0u8, 1, 0x51, 0xB1, 0xC7]),
+                    0..3,
+                ),
             )
                 .prop_map(|(id, h1, h2, (real, backup), payload)| {
                     let content = real.then_some(Block {
@@ -1688,6 +1793,28 @@ mod tests {
             assert_eq!(verdicts, [Clean, Tampered, Spliced, Stale, Missing]);
         }
 
+        /// The verdict ladder with every claim's MAC recomputed through
+        /// [`Cmac::tag`] — a dummy's included, whose tag the layer compares
+        /// with the digest on chip instead.
+        fn recomputed_verdict(
+            cmac: &Cmac,
+            unit: (u64, usize),
+            trusted: Option<u64>,
+            rec: Option<&UnitMeta>,
+            content: Option<BlockRef<'_>>,
+        ) -> FreshnessVerdict {
+            match rec {
+                None if trusted.is_some() => FreshnessVerdict::Missing,
+                None => FreshnessVerdict::Clean,
+                Some(m) if cmac.tag(&encoded(m.src, m.ctr, content)) != m.tag => {
+                    FreshnessVerdict::Tampered
+                }
+                Some(m) if m.src != (unit.0, unit.1 as u64) => FreshnessVerdict::Spliced,
+                Some(m) if Some(m.ctr) != trusted => FreshnessVerdict::Stale,
+                Some(_) => FreshnessVerdict::Clean,
+            }
+        }
+
         /// The freshness layer as it was before counter and record shared
         /// a row: one map of trusted counters, one of off-chip records,
         /// every unit on its own, every tag through [`Cmac::tag`].
@@ -1727,16 +1854,7 @@ mod tests {
                 rec: Option<&UnitMeta>,
             ) -> FreshnessVerdict {
                 let trusted = self.ctrs.get(&unit).copied();
-                match rec {
-                    None if trusted.is_some() => FreshnessVerdict::Missing,
-                    None => FreshnessVerdict::Clean,
-                    Some(m) if self.cmac.tag(&encoded(m.src, m.ctr, content)) != m.tag => {
-                        FreshnessVerdict::Tampered
-                    }
-                    Some(m) if m.src != (unit.0, unit.1 as u64) => FreshnessVerdict::Spliced,
-                    Some(m) if Some(m.ctr) != trusted => FreshnessVerdict::Stale,
-                    Some(_) => FreshnessVerdict::Clean,
-                }
+                recomputed_verdict(&self.cmac, unit, trusted, rec, content)
             }
 
             /// The root over the counter map alone, nothing carried over.
@@ -1748,7 +1866,7 @@ mod tests {
                         levels.resize(level + 1, 0);
                     }
                     let mut frame = DigestFrame::new();
-                    CounterTree::slot_digest_frame(&mut frame, bucket, slot, ctr);
+                    slot_digest_frame(&mut frame, (bucket, slot as u64), ctr);
                     levels[level] ^= u128::from_le_bytes(self.cmac.tag(frame.bytes()));
                 }
                 let mut msg = vec![DOMAIN_ROOT];
@@ -1921,6 +2039,171 @@ mod tests {
                             prop_assert_eq!(tags.slot_record(bucket, slot), model.recs.get(&unit).copied());
                             prop_assert_eq!(tags.ctrs.slot_ctr(bucket, slot), model.ctrs.get(&unit).copied());
                         }
+                    }
+                }
+            }
+        }
+
+        /// What the adversary does to a content-free unit — its off-chip
+        /// record, or what is read back beside it — before the check.
+        #[derive(Debug, Clone, Copy)]
+        enum OnDummy {
+            Intact,
+            /// The record an earlier write of the unit left: `Stale`.
+            Replay,
+            /// The record of another unit's dummy planted here: `Spliced`.
+            Splice,
+            /// One bit of the tag flipped: `Tampered`.
+            FlipTag(u8),
+            /// The claimed counter moved by a non-zero step: `Tampered`.
+            ShiftCtr(u64),
+            /// One half of the claimed identity moved: `Tampered`.
+            ShiftSrc(bool),
+            /// The record deleted: `Missing`.
+            Delete,
+            /// A real block read back under the dummy's record: `Tampered`.
+            RealUnder,
+            /// Last written with a real block, read back empty under that
+            /// block's record: `Tampered`.
+            EmptyUnderReal,
+        }
+
+        impl OnDummy {
+            fn verdict(self) -> FreshnessVerdict {
+                use FreshnessVerdict::*;
+                match self {
+                    OnDummy::Intact => Clean,
+                    OnDummy::Replay => Stale,
+                    OnDummy::Splice => Spliced,
+                    OnDummy::Delete => Missing,
+                    _ => Tampered,
+                }
+            }
+        }
+
+        fn on_dummy() -> impl Strategy<Value = (OnDummy, usize)> {
+            let attack = (0u8..9, any::<u8>(), 1u64..4).prop_map(|(kind, bit, step)| match kind {
+                0 => OnDummy::Intact,
+                1 => OnDummy::Replay,
+                2 => OnDummy::Splice,
+                3 => OnDummy::FlipTag(bit),
+                4 => OnDummy::ShiftCtr(step),
+                5 => OnDummy::ShiftSrc(bit & 1 == 1),
+                6 => OnDummy::Delete,
+                7 => OnDummy::RealUnder,
+                _ => OnDummy::EmptyUnderReal,
+            });
+            (attack, 1usize..4)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// Content-free units under every adversary action: a stale
+            /// record replayed, a record spliced in from another unit, its
+            /// tag, counter or identity bytes tampered, the record deleted,
+            /// a record planted on an untracked unit, a real block under a
+            /// dummy's record and an empty slot under a real block's. The
+            /// layer — a batch of them ([`AuthTags::verdict_slots`], more
+            /// units than it holds at once), one at a time, served on the
+            /// wire and walked by phase 1 — judges each as a reference
+            /// that recomputes every claim's MAC does, and both give the
+            /// rung of the ladder the action calls for.
+            #[test]
+            fn dummy_records_under_every_attack_match_the_recomputing_reference(
+                plans in proptest::collection::vec(on_dummy(), 1..40),
+                first_bucket in 0u64..1000,
+            ) {
+                let key = [10u8; 16];
+                let mut t = AuthTags::new(&key);
+                let cmac = Cmac::new(Aes128::new(&key));
+                let unit = |i: usize| (first_bucket + 1 + (i / 4) as u64, i % 4);
+                // Another bucket's dummy donates the spliced and planted
+                // records; a unit of a bucket nobody writes gets one.
+                let (donor, planted) = ((first_bucket, 0), (first_bucket, 1));
+                t.record_slot(donor.0, donor.1, None);
+                let block = Block::new(BlockAddr(4), Leaf(2), vec![6; 8]);
+                let writes = |i: usize| match plans[i] {
+                    (OnDummy::Replay, w) => w.max(2),
+                    (_, w) => w,
+                };
+                // Round by round, as batches; an `EmptyUnderReal` unit's
+                // last write is real.
+                let mut history: Vec<Vec<UnitMeta>> = vec![Vec::new(); plans.len()];
+                for round in 0..3 {
+                    let written: Vec<usize> = (0..plans.len()).filter(|&i| writes(i) > round).collect();
+                    t.record_slots(written.iter().map(|&i| {
+                        let last = round + 1 == writes(i);
+                        let real = last && matches!(plans[i].0, OnDummy::EmptyUnderReal);
+                        let (bucket, slot) = unit(i);
+                        (bucket, slot, real.then(|| block.view()))
+                    }));
+                    for &i in &written {
+                        let (bucket, slot) = unit(i);
+                        history[i].extend(t.slot_record(bucket, slot));
+                    }
+                }
+                let donated = t.slot_record(donor.0, donor.1);
+                t.set_slot_record(planted.0, planted.1, donated);
+
+                let mut served: Vec<Option<&Block>> = vec![None; plans.len()];
+                for (i, &(attack, _)) in plans.iter().enumerate() {
+                    let (bucket, slot) = unit(i);
+                    let Some(mut rec) = t.slot_record(bucket, slot) else {
+                        continue;
+                    };
+                    match attack {
+                        OnDummy::Intact | OnDummy::EmptyUnderReal => {}
+                        OnDummy::Replay => rec = history[i][0],
+                        OnDummy::Splice => rec = donated.unwrap_or(rec),
+                        OnDummy::FlipTag(bit) => rec.tag[(bit / 8 % 16) as usize] ^= 1 << (bit % 8),
+                        OnDummy::ShiftCtr(step) => rec.ctr += step,
+                        OnDummy::ShiftSrc(false) => rec.src.0 ^= 1 << (i % 64),
+                        OnDummy::ShiftSrc(true) => rec.src.1 += 1,
+                        OnDummy::Delete => {
+                            t.set_slot_record(bucket, slot, None);
+                            continue;
+                        }
+                        OnDummy::RealUnder => served[i] = Some(&block),
+                    }
+                    t.set_slot_record(bucket, slot, Some(rec));
+                }
+
+                // Every unit, the planted one and the donor last.
+                let mut checked: Vec<((u64, usize), Option<&Block>, FreshnessVerdict)> = (0..plans.len())
+                    .map(|i| (unit(i), served[i], plans[i].0.verdict()))
+                    .collect();
+                checked.push((planted, None, FreshnessVerdict::Spliced));
+                checked.push((donor, None, FreshnessVerdict::Clean));
+                let mut batched = Vec::new();
+                t.verdict_slots(
+                    checked.iter().map(|&((b, s), content, _)| (b, s, content.map(Block::view))),
+                    |_, _, verdict| batched.push(verdict),
+                );
+                let mut arena = SlotArena::new(4, 8);
+                for &((bucket, slot), content, _) in &checked {
+                    arena.write(bucket, slot, content.map(Block::view));
+                }
+                let mut walked = HashMap::new();
+                t.verdict_tracked_slots(&arena, |b, s, verdict| {
+                    walked.insert((b, s), verdict);
+                });
+                prop_assert_eq!(walked.len(), checked.len() - 1, "the planted unit is untracked");
+                for (k, &((bucket, slot), content, expected)) in checked.iter().enumerate() {
+                    let content = content.map(Block::view);
+                    let rec = t.slot_record(bucket, slot);
+                    let trusted = t.ctrs.slot_ctr(bucket, slot);
+                    let reference = recomputed_verdict(&cmac, (bucket, slot), trusted, rec.as_ref(), content);
+                    prop_assert_eq!(reference, expected, "unit {}: reference", k);
+                    prop_assert_eq!(batched[k], expected, "unit {}: batched", k);
+                    prop_assert_eq!(t.verdict_slot(bucket, slot, content), expected, "unit {}", k);
+                    prop_assert_eq!(
+                        t.classify_served_slot(bucket, slot, content, rec.as_ref()),
+                        expected,
+                        "unit {}: served", k
+                    );
+                    if (bucket, slot) != planted {
+                        prop_assert_eq!(walked.get(&(bucket, slot)), Some(&expected), "unit {}: walked", k);
                     }
                 }
             }

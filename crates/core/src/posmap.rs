@@ -58,6 +58,18 @@ pub struct PosMap {
 #[derive(Debug, Clone, Copy)]
 struct Label(NonZeroU32);
 
+/// The most leaves a 4 B label addresses: `u32::MAX - 1`, since a
+/// [`Label`] stores `leaf + 1` and is never zero.
+const MAX_LEAVES: u64 = u32::MAX as u64 - 1;
+
+/// The tallest tree whose leaves all have a label: `2^MAX_LEVELS` leaves
+/// fit [`MAX_LEAVES`]. `OramConfig::validate` and `RingConfig::validate`
+/// refuse a taller one with [`LABEL_BOUND`], as [`PosMap::new`] would.
+pub(crate) const MAX_LEVELS: u32 = MAX_LEAVES.ilog2();
+
+/// What a tree or a leaf count over the label range is refused with.
+pub(crate) const LABEL_BOUND: &str = "PosMap labels are 4 bytes: at most 2^32 - 2 leaves";
+
 impl Label {
     fn new(leaf: Leaf) -> Self {
         let stored = leaf
@@ -82,10 +94,7 @@ impl PosMap {
     /// Panics if `num_leaves` is zero or does not fit a 4 B label.
     pub fn new(num_leaves: u64, seed: u64) -> Self {
         assert!(num_leaves > 0, "PosMap needs at least one leaf");
-        assert!(
-            num_leaves < u64::from(u32::MAX),
-            "PosMap labels are 4 bytes: at most 2^32 - 2 leaves"
-        );
+        assert!(num_leaves <= MAX_LEAVES, "{LABEL_BOUND}");
         PosMap {
             num_leaves,
             seed,

@@ -40,7 +40,7 @@ use crate::engine::{
     Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media,
     PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
 };
-use crate::posmap::PosMap;
+use crate::posmap::{PosMap, LABEL_BOUND, MAX_LEVELS};
 use crate::tree::{heap_on_path, heap_path, BucketIndex};
 use crate::types::{BlockAddr, Leaf, OramError};
 
@@ -131,7 +131,8 @@ impl RingConfig {
     /// Panics on degenerate values (`S = 0` would forbid dummy reads, a
     /// WPQ smaller than one path breaks eviction atomicity).
     pub fn validate(&self) {
-        assert!(self.levels >= 1 && self.levels < 40, "levels out of range");
+        assert!(self.levels >= 1, "levels out of range");
+        assert!(self.levels <= MAX_LEVELS, "{LABEL_BOUND}");
         assert!(
             self.real_slots >= 1 && self.dummy_slots >= 1,
             "need real and dummy slots"

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::posmap::{LABEL_BOUND, MAX_LEVELS};
+
 /// Logical address of a data block (a block index, not a byte address).
 ///
 /// This is the address space the program sees; the ORAM controller
@@ -170,9 +172,11 @@ impl OramConfig {
     /// # Panics
     ///
     /// Panics if any parameter is degenerate (zero sizes, utilization
-    /// outside `(0, 1]`, or `L` large enough to overflow leaf arithmetic).
+    /// outside `(0, 1]`, or `L` above what the PosMap's 4 B labels
+    /// address).
     pub fn validate(&self) {
-        assert!(self.levels >= 1 && self.levels < 48, "levels out of range");
+        assert!(self.levels >= 1, "levels out of range");
+        assert!(self.levels <= MAX_LEVELS, "{LABEL_BOUND}");
         assert!(self.bucket_slots >= 1, "need at least one slot per bucket");
         assert!(self.payload_bytes > 0 && self.payload_bytes <= self.block_bytes);
         assert!(self.stash_capacity > 0, "stash must be non-empty");
@@ -325,6 +329,46 @@ mod tests {
             ..OramConfig::small_test()
         }
         .validate();
+    }
+
+    /// One tree-height bound, the labels': L=31 validates on both
+    /// protocols and L=32 is refused by `validate` with the label message,
+    /// as `PosMap::new` would refuse its leaves.
+    #[test]
+    fn tree_height_bound_is_the_posmap_label_range() {
+        use crate::ring::RingConfig;
+        use crate::PosMap;
+        let label_message = |refused: std::thread::Result<()>| {
+            let message = refused.expect_err("refused");
+            message.downcast_ref::<String>().cloned()
+        };
+        let path = |levels| OramConfig {
+            levels,
+            ..OramConfig::small_test()
+        };
+        // A WPQ for one whole L=32 path, (Z + S) · (L + 1) = 9 · 33 slots,
+        // so the height is what L=32 is refused for.
+        let ring = |levels| RingConfig {
+            levels,
+            wpq_capacity: 9 * 33,
+            ..RingConfig::small_test()
+        };
+        assert_eq!(MAX_LEVELS, 31);
+        path(31).validate();
+        ring(31).validate();
+        PosMap::new(path(31).num_leaves(), 1);
+        let bound = Some(LABEL_BOUND.to_string());
+        assert_eq!(
+            label_message(std::panic::catch_unwind(|| path(32).validate())),
+            bound
+        );
+        assert_eq!(
+            label_message(std::panic::catch_unwind(|| ring(32).validate())),
+            bound
+        );
+        let leaves = path(32).num_leaves();
+        let refused = std::panic::catch_unwind(|| drop(PosMap::new(leaves, 1)));
+        assert_eq!(label_message(refused), bound);
     }
 
     #[test]

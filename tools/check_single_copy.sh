@@ -67,6 +67,24 @@ if grep -rnwE 'in_lanes|slot_tags|classify_lanes' --include='*.rs' crates; then
     echo "error: a per-unit staging helper of the freshness layer is back" >&2
     exit 1
 fi
+# A dummy's record is its counter digest (`0xC7 ‖ 0x01 ‖ bucket ‖ slot ‖
+# ctr`): a dummy write costs the one MAC its counter needs, and an intact
+# dummy is judged by comparison. `slot_frame` frames real blocks only (an
+# empty slot's claim goes through `claim_frame`), and the dummy frame of
+# its own, with its `0xD5` marker, stays gone.
+if grep -rnE 'MARK_DUMMY|0xD5' --include='*.rs' crates/core/src; then
+    echo "error: a dummy record frame of its own is back (MARK_DUMMY / 0xD5)" >&2
+    exit 1
+fi
+signature=$(awk '/fn slot_frame/ { on = 1 } on { print } on && /\{$/ { exit }' crates/core/src/auth.rs)
+if [ -z "$signature" ]; then
+    echo "error: no fn slot_frame in crates/core/src/auth.rs" >&2
+    exit 1
+fi
+if echo "$signature" | grep -n 'Option'; then
+    echo "error: slot_frame takes an Option: it frames real blocks only" >&2
+    exit 1
+fi
 # Ring rewrites a path through the kept buffers Path does (the rewrite
 # tables, the recycled images, the payload free list): outside its tests,
 # `ring.rs` brings no hash map, no vector of vectors and no freshly
@@ -202,4 +220,4 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"

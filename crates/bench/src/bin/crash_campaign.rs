@@ -149,39 +149,6 @@ fn summarize(report: &CampaignReport) {
     }
 }
 
-/// A campaign is sound only if it both clears the consistent designs and
-/// convicts the non-persistent baseline: a sweep in which the baseline
-/// passes has lost its teeth.
-fn verdict(report: &CampaignReport) -> Result<(), String> {
-    for v in &report.variants {
-        if v.expected_consistent && v.violations_total > 0 {
-            return Err(format!(
-                "{}: {} violation(s) in a design that claims crash consistency (first: {:?})",
-                v.label,
-                v.violations_total,
-                v.violations.first()
-            ));
-        }
-        if v.crashes_injected == 0 {
-            return Err(format!(
-                "{}: no crash ever fired — the schedule is broken",
-                v.label
-            ));
-        }
-    }
-    // Detection power: at least one non-consistent design must violate.
-    let baseline_convicted = report
-        .variants
-        .iter()
-        .any(|v| !v.expected_consistent && v.violations_total > 0);
-    if !baseline_convicted {
-        return Err("no violation detected on any non-persistent baseline: \
-                    the oracle has no detection power"
-            .into());
-    }
-    Ok(())
-}
-
 fn summarize_device(report: &DeviceCampaignReport) {
     eprintln!(
         "== device-fault campaign (seed {}, {} mix{}) ==",
@@ -233,75 +200,6 @@ fn summarize_device(report: &DeviceCampaignReport) {
             );
         }
     }
-}
-
-/// The device campaign is sound only if the injector actually fired, no
-/// hardened design diverged silently, and the unhardened baselines kept
-/// failing (detection power). With the replay adversary armed, every
-/// hardened design must additionally account for every injected stale
-/// replay / cross splice and catch every stale read serve, and at least
-/// one unhardened baseline must blindly serve stale data.
-fn device_verdict(report: &DeviceCampaignReport) -> Result<(), String> {
-    for v in &report.variants {
-        if v.device.hardened && !v.report.matches_expectation {
-            return Err(format!(
-                "{}: {} silent violation(s) under device faults (first: {:?})",
-                v.report.label,
-                v.report.violations_total,
-                v.report.violations.first()
-            ));
-        }
-        if v.report.crashes_injected == 0 {
-            return Err(format!(
-                "{}: no crash ever fired — the schedule is broken",
-                v.report.label
-            ));
-        }
-    }
-    if report.total_injected() == 0 {
-        return Err("the device fault plan injected nothing — the injector is broken".into());
-    }
-    let baseline_convicted = report
-        .variants
-        .iter()
-        .any(|v| !v.device.hardened && v.report.violations_total > 0);
-    if !baseline_convicted {
-        return Err("no violation detected on any unhardened design under \
-                    device faults: the oracle has no detection power"
-            .into());
-    }
-    if report.replay {
-        if report.total_replays_injected() == 0 {
-            return Err("the replay adversary injected nothing — the injector is broken".into());
-        }
-        if !report.all_replays_detected() {
-            let v = report
-                .variants
-                .iter()
-                .filter(|v| v.device.hardened)
-                .find(|v| {
-                    let d = &v.device;
-                    d.replays_detected + d.splices_detected
-                        < d.injected.stale_replays + d.injected.cross_splices
-                        || d.stale_serves_detected != d.stale_serves
-                })
-                .map(|v| v.report.label.as_str())
-                .unwrap_or("?");
-            return Err(format!(
-                "{v}: a hardened design let an injected replay/splice or a \
-                 stale read serve go undetected"
-            ));
-        }
-        let baseline_blind = report.variants.iter().any(|v| {
-            !v.device.hardened && v.device.stale_serves > 0 && v.device.stale_serves_detected == 0
-        });
-        if !baseline_blind {
-            return Err("no unhardened design blindly served stale data: the \
-                        replay oracle has no detection power"
-                .into());
-        }
-    }
-    Ok(())
 }
 
 fn main() {
@@ -375,7 +273,7 @@ fn main() {
         if !args.quiet {
             summarize(report);
         }
-        if let Err(e) = verdict(report) {
+        if let Err(e) = report.verdict() {
             eprintln!("FAIL ({}): {e}", report.mode);
             failed = true;
         } else if !args.quiet {
@@ -389,7 +287,7 @@ fn main() {
         if !args.quiet {
             summarize_device(dev);
         }
-        if let Err(e) = device_verdict(dev) {
+        if let Err(e) = dev.verdict() {
             eprintln!("FAIL (device): {e}");
             failed = true;
         } else if !args.quiet {

@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use psoram_nvm::{FaultConfig, WearConfig, WearScheme, WearStats};
 use psoram_obsv::{chrome_trace_json, Event, MetricsRegistry, NoopRecorder, RingBufferRecorder};
+use serde::{Deserialize, Serialize};
 
 use crate::crash::{CrashPoint, RecoveryError, RecoveryReport};
 use crate::engine::{CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
@@ -25,8 +26,9 @@ use crate::PathOram;
 
 pub use toy::{Toy, ADDRS as TOY_ADDRS};
 
-/// One row of the design table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One row of the design table. Its wire form (`{"Path": "PsOram"}`,
+/// `{"Ring": "PsRing"}`) names the design in every campaign report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Design {
     /// A Path ORAM protocol variant.
     Path(ProtocolVariant),
@@ -602,37 +604,65 @@ pub fn reads_its_writes(oram: &mut dyn ProtocolPolicy, ops: &[Op], latch: bool) 
     Ok(())
 }
 
-/// A recovery's verdict and what the design reads after it. Under an arm
-/// that damages the media a violation is admitted when it arrives
-/// classified (typed errors or the fail-safe latch, every rollback named)
-/// and a read-back may end in the latch; otherwise the verdict must be
-/// consistent.
+/// How a recovery's report reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Judged {
+    /// The recovery calls itself consistent.
+    Consistent,
+    /// Under damage, it lost data and said so: typed errors or the
+    /// fail-safe latch, every rollback named.
+    Declared,
+    /// It lost data without a typed error or the latch: undamaged, any
+    /// inconsistent recovery.
+    Silent,
+    /// Under damage, it rolled this address back without a typed error
+    /// that names it.
+    Unnamed(u64),
+}
+
+/// The recovery judge: reads `report`, of a design whose media were
+/// `damaged`. Only damage admits a loss, and only a classified one.
+pub fn judge_recovery(report: &RecoveryReport, damaged: bool) -> Judged {
+    let declared = damaged && (!report.errors.is_empty() || report.poisoned);
+    if !report.consistent && !declared {
+        return Judged::Silent;
+    }
+    let named = |&a: &u64| {
+        let names =
+            |e: &_| matches!(e, RecoveryError::UnrecoverableAddress { addr, .. } if *addr == a);
+        report.errors.iter().any(names)
+    };
+    match report.rolled_back.iter().find(|a| damaged && !named(a)) {
+        Some(&a) => Judged::Unnamed(a),
+        None if report.consistent => Judged::Consistent,
+        None => Judged::Declared,
+    }
+}
+
+/// A recovery's verdict ([`judge_recovery`]) and what the design reads
+/// after it. Under an arm that damages the media a declared loss or the
+/// fail-safe latch ends the check, and a read-back may end in the latch.
 ///
 /// # Errors
 ///
 /// What the recovery got wrong.
 pub fn recovered(arm: Arm, oram: &mut dyn ProtocolPolicy, report: &RecoveryReport) -> Outcome {
-    let named = |a| {
-        let names =
-            |e: &_| matches!(e, RecoveryError::UnrecoverableAddress { addr, .. } if *addr == a);
-        report.errors.iter().any(names)
-    };
-    if arm.damages() {
-        if report.violation.is_some() && report.errors.is_empty() && !report.poisoned {
+    let violation = &report.violation;
+    match judge_recovery(report, arm.damages()) {
+        Judged::Silent if arm.damages() => {
+            return Err(Broke::Model(format!("silent violation {violation:?}")))
+        }
+        Judged::Silent => {
             return Err(Broke::Model(format!(
-                "silent violation {:?}",
-                report.violation
-            )));
+                "inconsistent recovery: {violation:?}"
+            )))
         }
-        if let Some(a) = report.rolled_back.iter().find(|&&a| !named(a)) {
-            return Err(format!("rollback of a{a} not named by a typed error").into());
+        Judged::Unnamed(a) => {
+            return Err(format!("rollback of a{a} not named by a typed error").into())
         }
-        if report.violation.is_some() || report.poisoned {
-            return Ok(());
-        }
-    } else if !report.consistent {
-        let inconsistent = format!("inconsistent recovery: {:?}", report.violation);
-        return Err(Broke::Model(inconsistent));
+        Judged::Declared => return Ok(()),
+        Judged::Consistent if arm.damages() && report.poisoned => return Ok(()),
+        Judged::Consistent => {}
     }
     let moved = |w: WearStats| w.gap_moves > 0 && w.map_commits + w.map_reverts > 0;
     if arm == Arm::StartGap && !oram.wear_stats().is_some_and(moved) {
@@ -1172,6 +1202,39 @@ mod tests {
         assert!(
             cells >= PARENT_CELLS,
             "{cells} cells; the grids before ran {PARENT_CELLS}"
+        );
+    }
+
+    #[test]
+    fn factory_builds_matching_labels() {
+        for d in Design::all() {
+            let t = d.build(1);
+            let label = match d {
+                Design::Path(v) => format!("path/{}", v.label()),
+                Design::Ring(v) => format!("ring/{v}"),
+                Design::Toy => "toy".into(),
+            };
+            assert_eq!(t.label(), label);
+            assert_eq!(t.crash_consistent(), d.is_crash_consistent(), "{d:?}");
+            let small = if d == Design::Toy { TOY_ADDRS - 1 } else { 16 };
+            assert!(t.capacity_blocks() > small, "{d:?}");
+        }
+    }
+
+    #[test]
+    fn variant_serde_round_trips() {
+        for d in Design::all() {
+            let json = serde_json::to_string(&d).unwrap();
+            assert_eq!(serde_json::from_str::<Design>(&json).unwrap(), d);
+        }
+        let wire = |d| serde_json::to_string(&d).unwrap();
+        assert_eq!(
+            wire(Design::Path(ProtocolVariant::Baseline)),
+            r#"{"Path":"Baseline"}"#
+        );
+        assert_eq!(
+            wire(Design::Ring(RingVariant::PsRing)),
+            r#"{"Ring":"PsRing"}"#
         );
     }
 }

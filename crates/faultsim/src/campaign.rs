@@ -4,11 +4,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use psoram_core::testkit::Design;
 use psoram_core::CrashPoint;
 
-use crate::driver::Driver;
+use crate::driver::{stream_tweak, Driver, SWEEP_SET};
 use crate::report::{CampaignReport, VariantReport};
-use crate::target::DesignVariant;
 
 /// Parameters of a randomized campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,17 +52,8 @@ impl CampaignConfig {
     }
 }
 
-/// Crash points guaranteed to fire on the next access for every design
-/// (Ring ORAM never reaches `AfterCheckStash`), used for nested faults so
-/// an armed plan cannot leak past the recovery it targets.
-const ALWAYS_FIRING: [CrashPoint; 3] = [
-    CrashPoint::AfterAccessPosMap,
-    CrashPoint::AfterLoadPath,
-    CrashPoint::AfterUpdateStash,
-];
-
 /// Runs a randomized campaign against one design.
-pub fn campaign_variant(variant: DesignVariant, cfg: &CampaignConfig) -> VariantReport {
+pub fn campaign_variant(variant: Design, cfg: &CampaignConfig) -> VariantReport {
     campaign_variant_traced(variant, cfg, None)
 }
 
@@ -70,18 +61,12 @@ pub fn campaign_variant(variant: DesignVariant, cfg: &CampaignConfig) -> Variant
 /// to the design's controller stack. The recorder only observes: a traced
 /// run produces a byte-identical report to an untraced one.
 pub fn campaign_variant_traced(
-    variant: DesignVariant,
+    variant: Design,
     cfg: &CampaignConfig,
     recorder: Option<std::sync::Arc<dyn psoram_obsv::Recorder>>,
 ) -> VariantReport {
-    // Per-variant RNG stream, deterministic in (seed, variant).
-    let tweak = variant
-        .label()
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ tweak);
-
     let mut d = Driver::new(variant, cfg.seed, cfg.full_check_every);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ stream_tweak(&d.report.label));
     if let Some(rec) = recorder {
         d.target.attach_recorder(rec);
     }
@@ -93,21 +78,10 @@ pub fn campaign_variant_traced(
         if d.aborted {
             break;
         }
-        // Quiet phase: normal traffic between faults.
+        // Quiet phase: normal traffic between faults. No plan is armed:
+        // a crash here means a plan leaked, handled as unattributed.
         for _ in 0..rng.gen_range(0..cfg.max_quiet_accesses + 1) {
-            let attempt = d.target.access_attempts();
-            let addr = rng.gen_range(0..working_set);
-            let crashed = if rng.gen_bool(0.6) {
-                let value = d.next_payload();
-                d.do_write(addr, value)
-            } else {
-                d.do_read(addr)
-            };
-            if crashed {
-                // No plan was armed; only possible if a plan leaked, which
-                // the driver treats as an unattributed crash.
-                d.handle_crash(attempt, None, addr, None);
-            }
+            d.step(&mut rng, working_set, None, None);
         }
 
         // Fault phase: arm a random crash point and drive accesses until
@@ -119,27 +93,8 @@ pub fn campaign_variant_traced(
             steps[rng.gen_range(0..steps.len())]
         };
         d.target.inject_crash(point);
-        let mut fired = false;
-        for _ in 0..12 {
-            let attempt = d.target.access_attempts();
-            let addr = rng.gen_range(0..working_set);
-            let crashed = if rng.gen_bool(0.6) {
-                let value = d.next_payload();
-                d.do_write(addr, value)
-            } else {
-                d.do_read(addr)
-            };
-            if crashed {
-                let nested = if rng.gen_bool(cfg.nested_crash_prob) {
-                    Some(ALWAYS_FIRING[rng.gen_range(0..ALWAYS_FIRING.len())])
-                } else {
-                    None
-                };
-                d.handle_crash(attempt, Some(point), addr, nested);
-                fired = true;
-                break;
-            }
-        }
+        let nested = Some(cfg.nested_crash_prob);
+        let fired = (0..12).any(|_| d.step(&mut rng, working_set, Some(point), nested));
         if !fired {
             d.target.disarm_crash();
         }
@@ -147,14 +102,14 @@ pub fn campaign_variant_traced(
     d.finish()
 }
 
-/// Runs the campaign against every design in [`DesignVariant::sweep_set`].
+/// Runs the campaign against every design in [`SWEEP_SET`].
 ///
 /// Designs run in parallel (see [`crate::par_map`]); each variant's RNG
 /// stream is derived from `(cfg.seed, variant)` alone and results are
 /// collected in sweep-set order, so the report — including the seed-42
 /// golden — is byte-identical at any job count.
 pub fn random_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let variants = crate::par_map(0, DesignVariant::sweep_set(), |v| campaign_variant(v, cfg));
+    let variants = crate::par_map(0, SWEEP_SET.to_vec(), |v| campaign_variant(v, cfg));
     CampaignReport {
         mode: "random".into(),
         seed: cfg.seed,
@@ -171,12 +126,13 @@ pub fn random_campaign(cfg: &CampaignConfig) -> CampaignReport {
 pub fn random_campaign_traced(
     cfg: &CampaignConfig,
 ) -> (CampaignReport, Vec<(String, Vec<psoram_obsv::Event>)>) {
-    let results = crate::par_map(0, DesignVariant::sweep_set(), |v| {
+    let results = crate::par_map(0, SWEEP_SET.to_vec(), |v| {
         let rec = std::sync::Arc::new(psoram_obsv::RingBufferRecorder::new(
             psoram_obsv::DEFAULT_RING_CAPACITY,
         ));
         let report = campaign_variant_traced(v, cfg, Some(rec.clone()));
-        (report, (v.label(), rec.events()))
+        let label = report.label.clone();
+        (report, (label, rec.events()))
     });
     let mut variants = Vec::with_capacity(results.len());
     let mut tracks = Vec::with_capacity(results.len());

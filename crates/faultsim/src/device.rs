@@ -22,13 +22,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use psoram_core::ring::RingVariant;
-use psoram_core::{CrashPoint, ProtocolVariant};
+use psoram_core::testkit::Design;
+use psoram_core::{CrashPoint, ProtocolPolicy};
 use psoram_nvm::{FaultConfig, FaultStats};
 
-use crate::driver::Driver;
+use crate::driver::{stream_tweak, Driver};
 use crate::report::VariantReport;
-use crate::target::DesignVariant;
 
 /// Parameters of a device-fault campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,27 +93,11 @@ impl DeviceCampaignConfig {
     }
 }
 
-/// The designs a device campaign tortures: every Path protocol variant
-/// plus both Ring flavours — hardened and unhardened side by side, so
-/// the report stays differential.
-pub fn device_sweep_set() -> Vec<DesignVariant> {
-    ProtocolVariant::all()
-        .into_iter()
-        .map(DesignVariant::Path)
-        .chain([
-            DesignVariant::Ring(RingVariant::Baseline),
-            DesignVariant::Ring(RingVariant::PsRing),
-        ])
-        .collect()
-}
-
-/// Whether the design carries the integrity layer (authentication tags,
-/// redundant-copy repair, fail-safe poisoning) under device faults.
-fn is_hardened(variant: DesignVariant) -> bool {
-    match variant {
-        DesignVariant::Path(v) => v.uses_wpq(),
-        DesignVariant::Ring(v) => v.uses_wpq(),
-    }
+/// The designs a device campaign tortures: every row of the design table
+/// but the toy — hardened and unhardened side by side, so the report
+/// stays differential.
+fn designs() -> impl Iterator<Item = Design> {
+    Design::all().filter(|&d| d != Design::Toy)
 }
 
 /// Detection/repair evidence from one design's device campaign, set
@@ -163,8 +146,8 @@ pub struct DeviceVariantReport {
     pub device: DeviceFaultSummary,
 }
 
-/// A whole device campaign: one report per design, in
-/// [`device_sweep_set`] order.
+/// A whole device campaign: one report per design, in design-table
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DeviceCampaignReport {
     /// Always `"device"`.
@@ -180,14 +163,6 @@ pub struct DeviceCampaignReport {
 }
 
 impl DeviceCampaignReport {
-    /// `true` when every design behaved as claimed: hardened designs saw
-    /// no *silent* violation (repairs, typed rollbacks, and fail-safes
-    /// are all admissible outcomes); unhardened designs are allowed
-    /// anything.
-    pub fn all_match_expectation(&self) -> bool {
-        self.variants.iter().all(|v| v.report.matches_expectation)
-    }
-
     /// Crashes fired across all designs.
     pub fn total_crashes(&self) -> u64 {
         self.variants
@@ -213,40 +188,97 @@ impl DeviceCampaignReport {
             .sum()
     }
 
-    /// The freshness contract: every hardened design detected **all** of
-    /// the adversary's work. Crash-time damage is counted per convicted
-    /// unit (a splice pair yields two convictions, and overlapping
-    /// replay+splice damage on one unit reclassifies rather than
-    /// double-counts), so the crash-side criterion is
-    /// `detected >= injected events`; on the wire every served stale
-    /// snapshot must be caught before consumption, exactly.
-    pub fn all_replays_detected(&self) -> bool {
-        self.variants.iter().filter(|v| v.device.hardened).all(|v| {
-            let d = &v.device;
-            d.replays_detected + d.splices_detected
-                >= d.injected.stale_replays + d.injected.cross_splices
-                && d.stale_serves_detected == d.stale_serves
-        })
+    /// The campaign's verdict: every design's ([`DeviceVariantReport::verdict`]),
+    /// then the injector's. It is sound only if the plan injected
+    /// something and an unhardened design kept failing (detection power);
+    /// with the replay adversary armed, only if the adversary injected
+    /// something and an unhardened design served stale data blind.
+    ///
+    /// # Errors
+    ///
+    /// The first way the campaign fell short.
+    pub fn verdict(&self) -> Result<(), String> {
+        for v in &self.variants {
+            v.verdict(self.replay)?;
+        }
+        if self.total_injected() == 0 {
+            return Err("the device fault plan injected nothing — the injector is broken".into());
+        }
+        let baseline_convicted = self
+            .variants
+            .iter()
+            .any(|v| !v.device.hardened && v.report.violations_total > 0);
+        if !baseline_convicted {
+            return Err("no violation detected on any unhardened design under \
+                        device faults: the oracle has no detection power"
+                .into());
+        }
+        if !self.replay {
+            return Ok(());
+        }
+        if self.total_replays_injected() == 0 {
+            return Err("the replay adversary injected nothing — the injector is broken".into());
+        }
+        let baseline_blind = self.variants.iter().any(|v| {
+            !v.device.hardened && v.device.stale_serves > 0 && v.device.stale_serves_detected == 0
+        });
+        if !baseline_blind {
+            return Err("no unhardened design blindly served stale data: the \
+                        replay oracle has no detection power"
+                .into());
+        }
+        Ok(())
     }
 }
 
-fn accumulate(into: &mut FaultStats, s: FaultStats) {
-    into.torn_flushes += s.torn_flushes;
-    into.signal_losses += s.signal_losses;
-    into.duplicated_signals += s.duplicated_signals;
-    into.bit_flips += s.bit_flips;
-    into.read_faults += s.read_faults;
-    into.stuck_reads += s.stuck_reads;
-    into.stale_replays += s.stale_replays;
-    into.cross_splices += s.cross_splices;
-    into.read_replays += s.read_replays;
-    into.fates_drawn += s.fates_drawn;
+impl DeviceVariantReport {
+    /// One design's share of the campaign verdict: a crash fired; and a
+    /// hardened design never diverged silently (repairs, typed rollbacks
+    /// and fail-safes are all admissible) and, with the `replay`
+    /// adversary armed, detected all of its work. Crash-time damage is
+    /// counted per convicted unit (a splice pair yields two convictions,
+    /// and overlapping replay+splice damage on one unit reclassifies
+    /// rather than double-counts), so the crash-side criterion is
+    /// `detected >= injected events`; on the wire every served stale
+    /// snapshot must be caught before consumption, exactly.
+    ///
+    /// # Errors
+    ///
+    /// The first way the design fell short.
+    pub fn verdict(&self, replay: bool) -> Result<(), String> {
+        let (r, d) = (&self.report, &self.device);
+        if d.hardened && !r.matches_expectation {
+            return Err(format!(
+                "{}: {} silent violation(s) under device faults (first: {:?})",
+                r.label,
+                r.violations_total,
+                r.violations.first()
+            ));
+        }
+        if r.crashes_injected == 0 {
+            return Err(format!(
+                "{}: no crash ever fired — the schedule is broken",
+                r.label
+            ));
+        }
+        let missed = d.replays_detected + d.splices_detected
+            < d.injected.stale_replays + d.injected.cross_splices
+            || d.stale_serves_detected != d.stale_serves;
+        if replay && d.hardened && missed {
+            return Err(format!(
+                "{}: a hardened design let an injected replay/splice or a \
+                 stale read serve go undetected",
+                r.label
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Folds a torn-down controller's freshness counters into the summary
 /// (the counters live on the controller, so they must be harvested
 /// before a rebuild discards it).
-fn harvest_freshness(summary: &mut DeviceFaultSummary, target: &dyn crate::target::FaultTarget) {
+fn harvest_freshness(summary: &mut DeviceFaultSummary, target: &dyn ProtocolPolicy) {
     let fs = target.freshness_stats();
     summary.stale_serves += fs.stale_serves;
     summary.stale_serves_detected += fs.stale_serves_detected;
@@ -256,9 +288,9 @@ fn harvest_freshness(summary: &mut DeviceFaultSummary, target: &dyn crate::targe
 /// Tears down a poisoned controller and rebuilds it from the oracle's
 /// expected contents, then re-arms a fresh fault plan (derived from the
 /// same master seed, so the run stays deterministic).
-fn rebuild(d: &mut Driver, variant: DesignVariant, cfg: &DeviceCampaignConfig, tweak: u64) {
+fn rebuild(d: &mut Driver, variant: Design, cfg: &DeviceCampaignConfig, tweak: u64) {
     if let Some(stats) = d.target.device_fault_stats() {
-        accumulate(&mut d.device_summary.injected, stats);
+        d.device_summary.injected += stats;
     }
     harvest_freshness(&mut d.device_summary, d.target.as_ref());
     d.device_summary.failsafe_rebuilds += 1;
@@ -280,21 +312,13 @@ fn rebuild(d: &mut Driver, variant: DesignVariant, cfg: &DeviceCampaignConfig, t
 }
 
 /// Runs a device-fault campaign against one design.
-pub fn device_campaign_variant(
-    variant: DesignVariant,
-    cfg: &DeviceCampaignConfig,
-) -> DeviceVariantReport {
-    // Per-variant RNG stream, deterministic in (seed, variant) and
-    // decoupled from the clean campaign's stream by a domain constant.
-    let tweak = variant
-        .label()
-        .bytes()
-        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ tweak ^ 0xD0_0D);
-
+pub fn device_campaign_variant(variant: Design, cfg: &DeviceCampaignConfig) -> DeviceVariantReport {
     let mut d = Driver::new(variant, cfg.seed, cfg.full_check_every);
+    // Decoupled from the clean campaign's stream by a domain constant.
+    let tweak = stream_tweak(&d.report.label);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ tweak ^ 0xD0_0D);
     d.device = true;
-    d.device_summary.hardened = is_hardened(variant);
+    d.device_summary.hardened = variant.is_hardened();
     let working_set = cfg.working_set.min(d.target.capacity_blocks());
     d.prefill(working_set);
     // The plan arms *after* prefill: the committed shadow starts honest.
@@ -316,17 +340,7 @@ pub fn device_campaign_variant(
             if d.poisoned {
                 break;
             }
-            let attempt = d.target.access_attempts();
-            let addr = rng.gen_range(0..working_set);
-            let crashed = if rng.gen_bool(0.6) {
-                let value = d.next_payload();
-                d.do_write(addr, value)
-            } else {
-                d.do_read(addr)
-            };
-            if crashed {
-                d.handle_crash(attempt, None, addr, None);
-            }
+            d.step(&mut rng, working_set, None, None);
         }
         if d.poisoned {
             continue; // rebuilt at the top of the next cycle
@@ -341,25 +355,9 @@ pub fn device_campaign_variant(
         } else {
             let point = steps[rng.gen_range(0..steps.len())];
             d.target.inject_crash(point);
-            let mut fired = false;
-            for _ in 0..12 {
-                if d.poisoned {
-                    break;
-                }
-                let attempt = d.target.access_attempts();
-                let addr = rng.gen_range(0..working_set);
-                let crashed = if rng.gen_bool(0.6) {
-                    let value = d.next_payload();
-                    d.do_write(addr, value)
-                } else {
-                    d.do_read(addr)
-                };
-                if crashed {
-                    d.handle_crash(attempt, Some(point), addr, None);
-                    fired = true;
-                    break;
-                }
-            }
+            // A poisoned design takes no more traffic this cycle.
+            let fired =
+                (0..12).any(|_| !d.poisoned && d.step(&mut rng, working_set, Some(point), None));
             if !fired {
                 d.target.disarm_crash();
                 if !d.poisoned {
@@ -370,7 +368,7 @@ pub fn device_campaign_variant(
     }
 
     if let Some(stats) = d.target.device_fault_stats() {
-        accumulate(&mut d.device_summary.injected, stats);
+        d.device_summary.injected += stats;
     }
     harvest_freshness(&mut d.device_summary, d.target.as_ref());
     let device = d.device_summary.clone();
@@ -378,14 +376,14 @@ pub fn device_campaign_variant(
     DeviceVariantReport { report, device }
 }
 
-/// Runs the device campaign against every design in [`device_sweep_set`].
+/// Runs the device campaign against every row of the design table but
+/// the toy.
 ///
 /// Designs run in parallel (see [`crate::par_map`]); each variant's RNG
 /// stream is derived from `(cfg.seed, variant)` alone and results come
-/// back in sweep-set order, so the report is byte-identical at any job
-/// count.
+/// back in table order, so the report is byte-identical at any job count.
 pub fn device_campaign(cfg: &DeviceCampaignConfig) -> DeviceCampaignReport {
-    let variants = crate::par_map(0, device_sweep_set(), |v| device_campaign_variant(v, cfg));
+    let variants = crate::par_map(0, designs().collect(), |v| device_campaign_variant(v, cfg));
     DeviceCampaignReport {
         mode: "device".into(),
         seed: cfg.seed,
@@ -398,12 +396,13 @@ pub fn device_campaign(cfg: &DeviceCampaignConfig) -> DeviceCampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psoram_core::ProtocolVariant;
 
     #[test]
     fn sweep_set_is_differential() {
-        let set = device_sweep_set();
-        assert!(set.iter().copied().any(is_hardened));
-        assert!(set.iter().copied().any(|v| !is_hardened(v)));
+        let set: Vec<Design> = designs().collect();
+        assert!(set.iter().any(|d| d.is_hardened()));
+        assert!(set.iter().any(|d| !d.is_hardened()));
         assert_eq!(set.len(), ProtocolVariant::all().len() + 2);
     }
 
@@ -414,7 +413,7 @@ mod tests {
             working_set: 8,
             ..DeviceCampaignConfig::smoke()
         };
-        let r = device_campaign_variant(DesignVariant::Path(ProtocolVariant::PsOram), &cfg);
+        let r = device_campaign_variant(Design::Path(ProtocolVariant::PsOram), &cfg);
         let json = serde_json::to_string(&r).unwrap();
         let back: DeviceVariantReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);

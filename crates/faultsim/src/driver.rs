@@ -1,11 +1,40 @@
 //! The crash→recover→verify engine shared by sweeps and campaigns.
 
-use psoram_core::{CrashPoint, OramError};
+use rand::Rng;
+
+use psoram_core::ring::RingVariant;
+use psoram_core::testkit::{judge_recovery, Design, Judged};
+use psoram_core::{CrashPoint, OramError, ProtocolPolicy, ProtocolVariant};
 
 use crate::device::DeviceFaultSummary;
 use crate::oracle::ShadowOracle;
 use crate::report::{VariantReport, ViolationKind};
-use crate::target::{DesignVariant, FaultTarget};
+
+/// The designs the sweeps and the random campaigns run: the
+/// non-persistent baseline (expected to fail), the paper's PS-ORAM and
+/// PS-Ring (expected to pass).
+pub const SWEEP_SET: [Design; 3] = [
+    Design::Path(ProtocolVariant::Baseline),
+    Design::Path(ProtocolVariant::PsOram),
+    Design::Ring(RingVariant::PsRing),
+];
+
+/// Crash points guaranteed to fire on the next access for every design
+/// (Ring ORAM never reaches `AfterCheckStash`), used for nested faults so
+/// an armed plan cannot leak past the recovery it targets.
+const ALWAYS_FIRING: [CrashPoint; 3] = [
+    CrashPoint::AfterAccessPosMap,
+    CrashPoint::AfterLoadPath,
+    CrashPoint::AfterUpdateStash,
+];
+
+/// A design's RNG stream tweak: a hash of its label, so each design's
+/// traffic is deterministic in (seed, design) alone.
+pub(crate) fn stream_tweak(label: &str) -> u64 {
+    label
+        .bytes()
+        .fold(0u64, |h, b| h.wrapping_mul(31).wrapping_add(b as u64))
+}
 
 /// How many consecutive unexpected (non-injected) controller errors the
 /// driver tolerates before abandoning a variant's run.
@@ -29,7 +58,7 @@ fn crash_point_key(point: Option<CrashPoint>) -> &'static str {
 /// Drives one design through a fault workload, keeping the shadow oracle
 /// and the report in lockstep with every access.
 pub(crate) struct Driver {
-    pub target: Box<dyn FaultTarget>,
+    pub target: Box<dyn ProtocolPolicy>,
     pub oracle: ShadowOracle,
     pub report: VariantReport,
     /// Set when the run hit too many unexpected errors to continue.
@@ -53,14 +82,14 @@ pub(crate) struct Driver {
 }
 
 impl Driver {
-    pub fn new(variant: DesignVariant, seed: u64, full_check_every: u64) -> Self {
-        let target = variant.build(seed);
+    pub fn new(design: Design, seed: u64, full_check_every: u64) -> Self {
+        let target = design.build(seed);
         let payload_bytes = target.payload_bytes();
         let model = target.commit_model();
         Driver {
-            target,
             oracle: ShadowOracle::new(payload_bytes, model),
-            report: VariantReport::new(variant),
+            report: VariantReport::new(design, target.label()),
+            target,
             aborted: false,
             device: false,
             poisoned: false,
@@ -94,6 +123,39 @@ impl Driver {
                 unreachable!("crash fired during prefill");
             }
         }
+    }
+
+    /// One workload access: an address drawn below `working_set`, a fresh
+    /// payload written to it with probability 0.6 and otherwise a read.
+    /// If it crashes (the armed `point`, `None` for a crash the harness
+    /// did not arm), the crash is handled here: with `nested_crash_prob`,
+    /// a draw decides whether the recovery is itself interrupted (`None`
+    /// draws nothing). Returns whether it crashed.
+    pub fn step(
+        &mut self,
+        rng: &mut impl Rng,
+        working_set: u64,
+        point: Option<CrashPoint>,
+        nested_crash_prob: Option<f64>,
+    ) -> bool {
+        let attempt = self.target.access_attempts();
+        let addr = rng.gen_range(0..working_set);
+        let crashed = if rng.gen_bool(0.6) {
+            let value = self.next_payload();
+            self.do_write(addr, value)
+        } else {
+            self.do_read(addr)
+        };
+        if crashed {
+            let nested = match nested_crash_prob {
+                Some(p) if rng.gen_bool(p) => {
+                    Some(ALWAYS_FIRING[rng.gen_range(0..ALWAYS_FIRING.len())])
+                }
+                _ => None,
+            };
+            self.handle_crash(attempt, point, addr, nested);
+        }
+        crashed
     }
 
     /// Issues one workload write. Returns `true` when the access crashed
@@ -309,33 +371,40 @@ impl Driver {
                 self.poisoned = true;
             }
         }
-        if rec.consistent {
-            self.report.recoveries_consistent += 1;
-        } else if self.device && (!rec.errors.is_empty() || rec.poisoned) {
-            // A detected fail-safe: the design lost data but *said so*,
-            // with typed errors or by refusing service. That is the
-            // contract under device faults — only silent divergence
-            // counts against a hardened design.
-            self.device_summary.detected_failsafes += 1;
-            if !rec.poisoned {
-                // The design declared data loss; realign the whole shadow
-                // to its post-recovery truth so only *new*, undeclared
-                // divergence is reported from here on.
-                for addr in self.oracle.addrs() {
-                    if self.poisoned {
-                        break;
+        match judge_recovery(&rec, self.device) {
+            Judged::Consistent => self.report.recoveries_consistent += 1,
+            Judged::Declared => {
+                // A detected fail-safe: the design lost data but *said
+                // so*, with typed errors or by refusing service. That is
+                // the contract under device faults — only silent
+                // divergence counts against a hardened design.
+                self.device_summary.detected_failsafes += 1;
+                if !rec.poisoned {
+                    // The design declared data loss; realign the whole
+                    // shadow to its post-recovery truth so only *new*,
+                    // undeclared divergence is reported from here on.
+                    for addr in self.oracle.addrs() {
+                        if self.poisoned {
+                            break;
+                        }
+                        self.resync_declared(addr);
                     }
-                    self.resync_declared(addr);
                 }
             }
-        } else {
-            self.report.record_violation(
+            Judged::Silent => self.report.record_violation(
                 Some(attempt_index),
                 point,
                 ViolationKind::RecoveryCheck,
                 rec.violation
+                    .clone()
                     .unwrap_or_else(|| "recoverability check failed".into()),
-            );
+            ),
+            Judged::Unnamed(a) => self.report.record_violation(
+                Some(attempt_index),
+                point,
+                ViolationKind::RecoveryCheck,
+                format!("rollback of a{a} not named by a typed error"),
+            ),
         }
         // Typed rollbacks moved the durable truth backwards on purpose;
         // fold them into the shadow so later read-backs check the design

@@ -42,14 +42,25 @@
 //! oracle — a sweep in which the baseline passes means the harness has
 //! lost its teeth.
 //!
+//! The harness is layered on `psoram_core::testkit`, the conformance
+//! suite: its design table
+//! ([`testkit::Design`](psoram_core::testkit::Design)) names, builds and
+//! makes the claims of every design a campaign runs, and its recovery
+//! judge
+//! ([`testkit::judge_recovery`](psoram_core::testkit::judge_recovery))
+//! reads every recovery report. The harness adds scale, the shadow
+//! oracle and the campaign verdicts ([`CampaignReport::verdict`],
+//! [`DeviceCampaignReport::verdict`]).
+//!
 //! # Examples
 //!
 //! ```
-//! use psoram_faultsim::{sweep_variant, DesignVariant, SweepConfig};
+//! use psoram_faultsim::{sweep_variant, SweepConfig};
+//! use psoram_core::testkit::Design;
 //! use psoram_core::ProtocolVariant;
 //!
 //! let cfg = SweepConfig { accesses: 40, ..SweepConfig::smoke() };
-//! let report = sweep_variant(DesignVariant::Path(ProtocolVariant::PsOram), &cfg);
+//! let report = sweep_variant(Design::Path(ProtocolVariant::PsOram), &cfg);
 //! assert!(report.crashes_injected > 0);
 //! assert_eq!(report.violations_total, 0, "PS-ORAM must survive every crash");
 //! ```
@@ -64,16 +75,16 @@ mod lifetime;
 mod oracle;
 mod report;
 mod sweep;
-mod target;
 
 pub use campaign::{
     campaign_variant, campaign_variant_traced, random_campaign, random_campaign_traced,
     CampaignConfig,
 };
 pub use device::{
-    device_campaign, device_campaign_variant, device_sweep_set, DeviceCampaignConfig,
-    DeviceCampaignReport, DeviceFaultSummary, DeviceVariantReport,
+    device_campaign, device_campaign_variant, DeviceCampaignConfig, DeviceCampaignReport,
+    DeviceFaultSummary, DeviceVariantReport,
 };
+pub use driver::SWEEP_SET;
 pub use lifetime::{
     lifetime_campaign, wear_campaign, wear_sweep_set, LifetimeCampaignConfig,
     LifetimeCampaignReport, LifetimeRow, WearCampaignConfig, WearCampaignReport, WearRunReport,
@@ -85,4 +96,3 @@ pub use report::{
     MAX_RECORDED_VIOLATIONS,
 };
 pub use sweep::{exhaustive_sweep, sweep_variant, SweepConfig};
-pub use target::{DesignVariant, FaultTarget};

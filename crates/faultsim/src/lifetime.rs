@@ -23,25 +23,22 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use psoram_core::testkit::Design;
 use psoram_core::ProtocolVariant;
 use psoram_nvm::{FaultConfig, WearConfig, WearScheme, CORE_HZ};
 use psoram_system::{System, SystemConfig};
 use psoram_trace::SpecWorkload;
 
-use crate::driver::Driver;
+use crate::driver::{Driver, SWEEP_SET};
 use crate::par::par_map;
-use crate::target::DesignVariant;
 
 const SECONDS_PER_YEAR: f64 = 365.25 * 24.0 * 3600.0;
 
-/// The hardened designs whose zero-silent-corruption contract the wear
-/// campaign enforces (baselines have nothing to promise a wearing
-/// device).
-pub fn wear_sweep_set() -> Vec<DesignVariant> {
-    vec![
-        DesignVariant::Path(psoram_core::ProtocolVariant::PsOram),
-        DesignVariant::Ring(psoram_core::ring::RingVariant::PsRing),
-    ]
+/// The hardened designs of [`SWEEP_SET`], whose zero-silent-corruption
+/// contract the wear campaign enforces (baselines have nothing to promise
+/// a wearing device).
+pub fn wear_sweep_set() -> Vec<Design> {
+    SWEEP_SET.into_iter().filter(|d| d.is_hardened()).collect()
 }
 
 /// Parameters of a wear-torture campaign.
@@ -181,7 +178,7 @@ fn run_seed(seed: u64, cell: u64, run: u64) -> u64 {
 /// Executes one wear-torture run.
 fn wear_run(
     cfg: &WearCampaignConfig,
-    variant: DesignVariant,
+    variant: Design,
     scheme: WearScheme,
     cell: u64,
     run: u64,
@@ -213,17 +210,7 @@ fn wear_run(
         if d.aborted || d.poisoned {
             break;
         }
-        let attempt = d.target.access_attempts();
-        let addr = rng.gen_range(0..working_set);
-        let crashed = if rng.gen_bool(0.6) {
-            let value = d.next_payload();
-            d.do_write(addr, value)
-        } else {
-            d.do_read(addr)
-        };
-        if crashed {
-            d.handle_crash(attempt, None, addr, None);
-        }
+        d.step(&mut rng, working_set, None, None);
         if access % crash_every == crash_every - 1 && !d.poisoned && !d.aborted {
             // Power fault at rest: staged gap moves and retirements from
             // the drained rounds face the crash/revert path.
@@ -258,7 +245,7 @@ fn wear_run(
 /// (hardened design, wear-leveling scheme) cell, fanned out over the
 /// deterministic worker pool. Byte-identical at any job count.
 pub fn wear_campaign(cfg: &WearCampaignConfig) -> WearCampaignReport {
-    let mut cells: Vec<(DesignVariant, WearScheme, u64, u64)> = Vec::new();
+    let mut cells: Vec<(Design, WearScheme, u64, u64)> = Vec::new();
     let mut cell_ix = 0u64;
     for variant in wear_sweep_set() {
         for scheme in WearScheme::all() {
@@ -371,10 +358,12 @@ impl LifetimeCampaignReport {
     }
 }
 
-/// Hot-line write profile of one (design, scheme) probe: writes on the
-/// hottest physical line per access, lines touched, and gap moves.
-#[derive(Debug, Clone, Copy)]
+/// Hot-line write profile of one (design, scheme) probe: the design's
+/// label, writes on the hottest physical line per access, lines touched,
+/// and gap moves.
+#[derive(Debug, Clone)]
 struct WearProbe {
+    label: String,
     hot_writes_per_access: f64,
     lines_touched: u64,
     gap_moves: u64,
@@ -382,11 +371,7 @@ struct WearProbe {
 
 /// Measures a design's physical write concentration under a leveling
 /// scheme: a clean (fault-free) run with wear accounting armed.
-fn probe_design(
-    cfg: &LifetimeCampaignConfig,
-    variant: DesignVariant,
-    scheme: WearScheme,
-) -> WearProbe {
+fn probe_design(cfg: &LifetimeCampaignConfig, variant: Design, scheme: WearScheme) -> WearProbe {
     let s = cfg
         .seed
         .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(scheme as u64 + 1));
@@ -417,6 +402,7 @@ fn probe_design(
         .expect("wear accounting was armed");
     let stats = target.wear_stats().expect("wear accounting was armed");
     WearProbe {
+        label: target.label(),
         hot_writes_per_access: max_line_writes as f64 / cfg.probe_accesses as f64,
         lines_touched,
         gap_moves: stats.gap_moves,
@@ -445,7 +431,7 @@ fn workload_access_rate(cfg: &LifetimeCampaignConfig, w: SpecWorkload) -> f64 {
 fn project_years(
     cfg: &LifetimeCampaignConfig,
     scheme: WearScheme,
-    probe: WearProbe,
+    probe: &WearProbe,
     rate: f64,
 ) -> f64 {
     let line_writes_per_sec = probe.hot_writes_per_access * rate;
@@ -468,7 +454,7 @@ pub fn lifetime_campaign(cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport
     // domain's drain, so they record no media wear to project from.
     let designs = wear_sweep_set();
     let schemes = WearScheme::all();
-    let probes_in: Vec<(DesignVariant, WearScheme)> = designs
+    let probes_in: Vec<(Design, WearScheme)> = designs
         .iter()
         .flat_map(|&d| schemes.iter().map(move |&s| (d, s)))
         .collect();
@@ -481,11 +467,10 @@ pub fn lifetime_campaign(cfg: &LifetimeCampaignConfig) -> LifetimeCampaignReport
 
     let mut rows = Vec::with_capacity(rates.len() * probes.len());
     for &(w, rate) in &rates {
-        for (ix, &(d, s)) in probes_in.iter().enumerate() {
-            let probe = probes[ix];
+        for (probe, &(_, s)) in probes.iter().zip(&probes_in) {
             rows.push(LifetimeRow {
                 workload: w.name().to_string(),
-                design: d.label(),
+                design: probe.label.clone(),
                 scheme: s.label().to_string(),
                 accesses_per_sec: rate,
                 hot_line_writes_per_access: probe.hot_writes_per_access,

@@ -1,9 +1,8 @@
 //! Structured campaign reports (JSON via serde).
 
+use psoram_core::testkit::Design;
 use psoram_core::CrashPoint;
 use serde::{Deserialize, Serialize};
-
-use crate::target::DesignVariant;
 
 /// One oracle violation, pinned to the exact crash that caused it so the
 /// run can be replayed (`variant` + `seed` + `access_index` + `point`
@@ -52,7 +51,7 @@ pub struct CrashPointCost {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VariantReport {
     /// The design that was tortured.
-    pub variant: DesignVariant,
+    pub variant: Design,
     /// Display label of the design.
     pub label: String,
     /// Whether the design claims crash consistency.
@@ -96,12 +95,12 @@ pub struct VariantReport {
 pub const MAX_RECORDED_VIOLATIONS: usize = 256;
 
 impl VariantReport {
-    /// Creates an empty report for `variant`.
-    pub fn new(variant: DesignVariant) -> Self {
+    /// Creates an empty report for `variant`, labelled `label`.
+    pub fn new(variant: Design, label: String) -> Self {
         VariantReport {
             variant,
-            label: variant.label(),
-            expected_consistent: variant.expected_consistent(),
+            label,
+            expected_consistent: variant.is_crash_consistent(),
             accesses: 0,
             crashes_injected: 0,
             step_boundary_crashes: 0,
@@ -201,26 +200,52 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// `true` when every design behaved as claimed.
-    pub fn all_match_expectation(&self) -> bool {
-        self.variants.iter().all(|v| v.matches_expectation)
-    }
-
-    /// Total violations across all designs.
-    pub fn total_violations(&self) -> usize {
-        self.variants.iter().map(|v| v.violations.len()).sum()
+    /// The campaign's verdict. It is sound only if every design crashed,
+    /// the consistent designs came out clean and a non-persistent
+    /// baseline was convicted: a sweep in which the baseline passes has
+    /// lost its teeth.
+    ///
+    /// # Errors
+    ///
+    /// The first way the campaign fell short.
+    pub fn verdict(&self) -> Result<(), String> {
+        for v in &self.variants {
+            if v.expected_consistent && v.violations_total > 0 {
+                return Err(format!(
+                    "{}: {} violation(s) in a design that claims crash consistency (first: {:?})",
+                    v.label,
+                    v.violations_total,
+                    v.violations.first()
+                ));
+            }
+            if v.crashes_injected == 0 {
+                return Err(format!(
+                    "{}: no crash ever fired — the schedule is broken",
+                    v.label
+                ));
+            }
+        }
+        let baseline_convicted = self
+            .variants
+            .iter()
+            .any(|v| !v.expected_consistent && v.violations_total > 0);
+        if !baseline_convicted {
+            return Err("no violation detected on any non-persistent baseline: \
+                        the oracle has no detection power"
+                .into());
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psoram_core::ProtocolVariant;
 
     #[test]
     fn expectation_requires_clean_run_only_for_consistent_designs() {
-        let mut r = VariantReport::new(crate::target::DesignVariant::Path(
-            psoram_core::ProtocolVariant::Baseline,
-        ));
+        let mut r = VariantReport::new(Design::Path(ProtocolVariant::Baseline), "b".into());
         r.record_violation(
             Some(3),
             None,
@@ -230,9 +255,7 @@ mod tests {
         r.finalize();
         assert!(r.matches_expectation, "baseline may lose data");
 
-        let mut r = VariantReport::new(crate::target::DesignVariant::Path(
-            psoram_core::ProtocolVariant::PsOram,
-        ));
+        let mut r = VariantReport::new(Design::Path(ProtocolVariant::PsOram), "ps".into());
         r.record_violation(
             Some(3),
             None,

@@ -9,11 +9,11 @@
 //! workload every reachable persist-unit index is hit many times; the
 //! largest index that fired is reported as coverage evidence.
 
+use psoram_core::testkit::Design;
 use psoram_core::CrashPoint;
 
-use crate::driver::Driver;
+use crate::driver::{Driver, SWEEP_SET};
 use crate::report::{CampaignReport, VariantReport};
-use crate::target::DesignVariant;
 
 /// Parameters of an exhaustive sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,7 +51,7 @@ impl SweepConfig {
 }
 
 /// Sweeps one design; see the module docs for the schedule.
-pub fn sweep_variant(variant: DesignVariant, cfg: &SweepConfig) -> VariantReport {
+pub fn sweep_variant(variant: Design, cfg: &SweepConfig) -> VariantReport {
     let mut d = Driver::new(variant, cfg.seed, cfg.full_check_every);
     let working_set = cfg.working_set.min(d.target.capacity_blocks());
     d.prefill(working_set);
@@ -102,13 +102,13 @@ pub fn sweep_variant(variant: DesignVariant, cfg: &SweepConfig) -> VariantReport
     d.finish()
 }
 
-/// Sweeps every design in [`DesignVariant::sweep_set`].
+/// Sweeps every design in [`SWEEP_SET`].
 ///
 /// Designs run in parallel (see [`crate::par_map`]); each sweep is
 /// deterministic in `(variant, cfg)` alone and results are collected in
 /// sweep-set order, so the report is identical at any job count.
 pub fn exhaustive_sweep(cfg: &SweepConfig) -> CampaignReport {
-    let variants = crate::par_map(0, DesignVariant::sweep_set(), |v| sweep_variant(v, cfg));
+    let variants = crate::par_map(0, SWEEP_SET.to_vec(), |v| sweep_variant(v, cfg));
     CampaignReport {
         mode: "exhaustive".into(),
         seed: cfg.seed,

@@ -8,6 +8,7 @@
 //! repair, a typed rollback, or a fail-safe poison), and the unhardened
 //! baselines keep failing, proving the injector kept its teeth.
 
+use psoram_core::testkit::Design;
 use psoram_faultsim::{device_campaign, device_campaign_variant, DeviceCampaignConfig};
 
 #[test]
@@ -34,25 +35,11 @@ fn full_device_campaign_has_no_silent_corruption() {
         "fault mix incomplete: torn {torn}, signal {signal}, flips {flips}"
     );
 
-    for v in &report.variants {
-        assert!(
-            v.report.crashes_injected > 0,
-            "{}: no crash",
-            v.report.label
-        );
-        if v.device.hardened {
-            // The tentpole contract: zero undetected corruptions. Data
-            // loss is admissible only as a repair, a typed rollback, or
-            // a fail-safe — never as a silent oracle violation.
-            assert!(
-                v.report.matches_expectation,
-                "{}: {} silent violation(s) under device faults (first: {:?})",
-                v.report.label,
-                v.report.violations_total,
-                v.report.violations.first()
-            );
-        }
-    }
+    // The tentpole contract: every design crashed, hardened controllers
+    // saw zero undetected corruptions — data loss is admissible only as a
+    // repair, a typed rollback, or a fail-safe, never as a silent oracle
+    // violation — and an unhardened design violated (detection power).
+    report.verdict().unwrap();
 
     // The integrity layer must have actually worked for a living.
     let evidence: u64 = report
@@ -62,17 +49,6 @@ fn full_device_campaign_has_no_silent_corruption() {
         .map(|v| v.device.incidents + v.device.repairs + v.device.rollbacks)
         .sum();
     assert!(evidence > 0, "hardened designs never detected a fault");
-
-    // Detection power: at least one unhardened design must have violated.
-    assert!(
-        report
-            .variants
-            .iter()
-            .any(|v| !v.device.hardened && v.report.violations_total > 0),
-        "no unhardened design violated — the injector is toothless"
-    );
-
-    assert!(report.all_match_expectation());
 }
 
 #[test]
@@ -81,10 +57,10 @@ fn device_campaign_is_deterministic_under_fixed_seed() {
         cycles: 8,
         ..DeviceCampaignConfig::smoke()
     };
-    for v in psoram_faultsim::device_sweep_set() {
+    for v in Design::all().filter(|&d| d != Design::Toy) {
         let a = device_campaign_variant(v, &cfg);
         let b = device_campaign_variant(v, &cfg);
-        assert_eq!(a, b, "{v}: non-deterministic device campaign");
+        assert_eq!(a, b, "{v:?}: non-deterministic device campaign");
     }
 }
 
@@ -99,16 +75,7 @@ fn aggressive_mix_forces_failsafe_rebuilds_somewhere() {
     // Under the aggressive mix the hardened designs must still never
     // diverge silently, even while being torn apart hard enough that
     // typed rollbacks or poison-rebuilds become routine.
-    for v in &report.variants {
-        if v.device.hardened {
-            assert!(
-                v.report.matches_expectation,
-                "{}: silent violation under the aggressive mix (first: {:?})",
-                v.report.label,
-                v.report.violations.first()
-            );
-        }
-    }
+    report.verdict().unwrap();
     let declared: u64 = report
         .variants
         .iter()

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use psoram_faultsim::{
     campaign_variant, campaign_variant_traced, random_campaign, random_campaign_traced,
-    CampaignConfig, DesignVariant,
+    CampaignConfig, SWEEP_SET,
 };
 use psoram_obsv::{NoopRecorder, RingBufferRecorder, DEFAULT_RING_CAPACITY};
 
@@ -40,7 +40,7 @@ fn campaign_report_identical_with_and_without_tracing() {
 #[test]
 fn noop_and_ring_recorders_yield_identical_variant_reports() {
     let cfg = seed_42();
-    for variant in DesignVariant::sweep_set() {
+    for variant in SWEEP_SET {
         let bare = campaign_variant(variant, &cfg);
         let noop = campaign_variant_traced(variant, &cfg, Some(Arc::new(NoopRecorder)));
         let ring = campaign_variant_traced(
@@ -52,14 +52,12 @@ fn noop_and_ring_recorders_yield_identical_variant_reports() {
         assert_eq!(
             bare,
             serde_json::to_string(&noop).unwrap(),
-            "{}: NoopRecorder perturbed the campaign",
-            variant.label()
+            "{variant:?}: NoopRecorder perturbed the campaign"
         );
         assert_eq!(
             bare,
             serde_json::to_string(&ring).unwrap(),
-            "{}: RingBufferRecorder perturbed the campaign",
-            variant.label()
+            "{variant:?}: RingBufferRecorder perturbed the campaign"
         );
     }
 }

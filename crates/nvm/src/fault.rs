@@ -292,6 +292,25 @@ impl FaultStats {
     }
 }
 
+impl std::ops::AddAssign for FaultStats {
+    /// Sums every counter: a campaign that rebuilds a controller folds the
+    /// torn-down plan's ground truth into the run's.
+    fn add_assign(&mut self, s: FaultStats) {
+        self.torn_flushes += s.torn_flushes;
+        self.signal_losses += s.signal_losses;
+        self.duplicated_signals += s.duplicated_signals;
+        self.bit_flips += s.bit_flips;
+        self.read_faults += s.read_faults;
+        self.stuck_reads += s.stuck_reads;
+        self.fates_drawn += s.fates_drawn;
+        self.stale_replays += s.stale_replays;
+        self.cross_splices += s.cross_splices;
+        self.read_replays += s.read_replays;
+        self.wear_faults += s.wear_faults;
+        self.wear_stuck_faults += s.wear_stuck_faults;
+    }
+}
+
 impl Serialize for FaultStats {
     fn to_value(&self) -> serde::Value {
         let mut fields = vec![
@@ -691,6 +710,30 @@ impl FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stats_sum_field_by_field() {
+        let stats = |k: u64| FaultStats {
+            torn_flushes: k,
+            signal_losses: 2 * k,
+            duplicated_signals: 3 * k,
+            bit_flips: 4 * k,
+            read_faults: 5 * k,
+            stuck_reads: 6 * k,
+            fates_drawn: 7 * k,
+            stale_replays: 8 * k,
+            cross_splices: 9 * k,
+            read_replays: 10 * k,
+            wear_faults: 11 * k,
+            wear_stuck_faults: 12 * k,
+        };
+        let mut sum = stats(1);
+        sum += stats(100);
+        assert_eq!(sum, stats(101));
+        // Every summand of the total: 1+2+3+4+5 (torn … read faults),
+        // 8+9+10 (replays), 11 (wear), times 101.
+        assert_eq!(sum.total_injected(), 53 * 101);
+    }
 
     #[test]
     fn identical_seeds_produce_identical_schedules() {

@@ -2,8 +2,8 @@
 # One device side, one recovery ladder with one audit, one per-slot
 # freshness table, one way to move a path through a controller, one
 # controller shell, one integrity mechanism, one fleet simulator, one
-# crash-fate model over a queue that seals nothing, one micro-benchmark
-# harness — held mechanically.
+# crash-fate model over a queue that seals nothing, one crash harness,
+# one micro-benchmark harness — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit (phase 1's walk down the counter
@@ -193,6 +193,28 @@ for f in crates/core/tests/*.rs; do
         exit 1
     fi
 done
+# One crash harness: `psoram-faultsim` runs on `psoram_core::testkit`. Its
+# campaigns iterate `testkit::Design` rows, whose claims
+# (`is_crash_consistent`, `is_hardened`) are made once, in the table, and
+# each campaign report passes its own verdict (`CampaignReport::verdict`,
+# `DeviceCampaignReport::verdict`). A second design enum, a second claim,
+# or a binary's own verdict has grown the second harness back (faultsim
+# kept one, `DesignVariant`, beside the table until both were one).
+if grep -rnE 'enum DesignVariant\b' --include='*.rs' crates src tests examples; then
+    echo "error: a second design enum (DesignVariant); iterate psoram_core::testkit::Design" >&2
+    exit 1
+fi
+claims=$(grep -rnE 'fn (expected_consistent|is_hardened)\b' --include='*.rs' crates src tests examples \
+    | grep -v '^crates/core/src/testkit/' || true)
+if [ -n "$claims" ]; then
+    echo "error: a design's claim made outside crates/core/src/testkit:" >&2
+    echo "$claims" >&2
+    exit 1
+fi
+if grep -rnE 'fn (verdict|device_verdict)\b' crates/bench/src/bin; then
+    echo "error: a binary judges a campaign itself; call the report's verdict()" >&2
+    exit 1
+fi
 # One crash-fate model. A crash's damage to the round it interrupts is
 # drawn once (`EngineControl::draw_crash_damage`, from
 # `FaultPlan::round_fate`) and applied once (`DeviceSide::strike`) over
@@ -220,4 +242,4 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"

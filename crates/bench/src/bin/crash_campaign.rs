@@ -8,7 +8,7 @@
 //! harness lost its detection power.
 //!
 //! Usage:
-//!   crash_campaign [--smoke] [--mode exhaustive|random|both]
+//!   crash_campaign [--mode exhaustive|random|both]
 //!                  [--seed N] [--out FILE] [--quiet] [--jobs N]
 //!                  [--device-faults] [--aggressive-faults] [--replay-faults]
 //!                  [--trace-out FILE] [--metrics-out FILE]
@@ -35,7 +35,6 @@ use psoram_bench::{crash_campaigns, device_campaigns};
 use psoram_faultsim::{CampaignReport, DeviceCampaignReport};
 
 struct Args {
-    smoke: bool,
     mode: String,
     seed: Option<u64>,
     out: Option<String>,
@@ -53,7 +52,6 @@ fn parse_args() -> Args {
     // campaign-specific flags left in `rest`.
     let common = psoram_bench::CommonCli::parse();
     let mut args = Args {
-        smoke: false,
         mode: "both".into(),
         seed: None,
         out: None,
@@ -67,7 +65,6 @@ fn parse_args() -> Args {
     let mut it = common.rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => args.smoke = true,
             "--quiet" => args.quiet = true,
             "--device-faults" => args.device_faults = true,
             "--aggressive-faults" => args.aggressive_faults = true,
@@ -104,7 +101,6 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "crash_campaign: systematic fault injection & recovery verification\n\n\
          options:\n\
-         \x20 --smoke            reduced workload (CI gate)\n\
          \x20 --mode MODE        exhaustive | random | both (default both)\n\
          \x20 --seed N           override the campaign seed\n\
          \x20 --out FILE         write the JSON report to FILE (default stdout)\n\
@@ -217,8 +213,7 @@ fn main() {
         }
     }
 
-    let (reports, tracks) =
-        crash_campaigns(&args.mode, args.smoke, args.seed, args.trace_out.is_some());
+    let (reports, tracks) = crash_campaigns(&args.mode, args.seed, args.trace_out.is_some());
 
     if let Some(path) = &args.trace_out {
         psoram_bench::write_obsv_file(path, &psoram_obsv::chrome_trace_json(&tracks));
@@ -237,14 +232,9 @@ fn main() {
         psoram_bench::write_obsv_file(path, &reg.to_json_string());
     }
 
-    let device_report = args.device_faults.then(|| {
-        device_campaigns(
-            args.smoke,
-            args.seed,
-            args.aggressive_faults,
-            args.replay_faults,
-        )
-    });
+    let device_report = args
+        .device_faults
+        .then(|| device_campaigns(args.seed, args.aggressive_faults, args.replay_faults));
 
     // With --device-faults the output array gains the device report as its
     // final element; without the flag the output is byte-identical to the

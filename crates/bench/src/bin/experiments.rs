@@ -1,5 +1,5 @@
-//! Regenerates the tracked `results/` files from
-//! [`psoram_bench::experiments::REGISTRY`].
+//! Regenerates the tracked `results/` files, `BENCH_06.json` and
+//! `BENCH_07.json` from [`psoram_bench::experiments::REGISTRY`].
 //!
 //! Usage:
 //!   experiments [--jobs N] [NAME...]
@@ -8,6 +8,7 @@
 //! With no name every entry runs, in registry order. `--help`, an unknown
 //! flag or name, or an observability output without exactly one entry
 //! that takes it prints the usage and exits 2 before anything is written.
+//! An entry whose verdict breaks panics before writing its artifact.
 
 use psoram_bench::experiments;
 

@@ -21,11 +21,11 @@
 //!   cross splices that the counter tree must detect during recovery).
 //!
 //! Usage:
-//!   perf_baseline [--smoke] [--out FILE] [--jobs N]
+//!   perf_baseline [--out FILE] [--jobs N]
 //!
-//! `--smoke` shrinks every measurement for CI; the JSON shape is
-//! unchanged. Default output file is `BENCH_05.json` in the working
-//! directory.
+//! The JSON report goes to stdout, or to FILE with `--out`. Its numbers
+//! are this machine's host clock, so the tracked `BENCH_05.json` is
+//! rewritten only on purpose (`--out BENCH_05.json`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -38,8 +38,7 @@ use psoram_faultsim::{random_campaign, CampaignConfig};
 use psoram_nvm::FaultConfig;
 
 struct Args {
-    smoke: bool,
-    out: String,
+    out: Option<String>,
     jobs: usize,
 }
 
@@ -51,15 +50,13 @@ fn parse_args() -> Args {
         usage("perf_baseline takes no --trace-out / --metrics-out");
     }
     let mut args = Args {
-        smoke: false,
-        out: "BENCH_05.json".into(),
+        out: None,
         jobs: common.jobs,
     };
     let mut it = common.rest.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = it.next().unwrap_or_else(|| usage("--out needs a value")),
+            "--out" => args.out = Some(it.next().unwrap_or_else(|| usage("--out needs a value"))),
             "--help" | "-h" => usage(""),
             other => usage(&format!("unknown argument `{other}`")),
         }
@@ -74,8 +71,7 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "perf_baseline: functional-speed baseline for the simulator\n\n\
          options:\n\
-         \x20 --smoke     reduced iteration counts (CI gate)\n\
-         \x20 --out FILE  output JSON path (default BENCH_05.json)\n\
+         \x20 --out FILE  write the JSON report to FILE (default stdout)\n\
          \x20 --jobs N    parallel job count for the campaign comparison\n\
          \x20             (default: all cores)"
     );
@@ -198,11 +194,7 @@ fn time_recovery(mix: Option<FaultConfig>, crashes: usize, accesses: usize) -> R
 
 fn main() {
     let args = parse_args();
-    let (aes_blocks, ctr_bytes, oram_accesses) = if args.smoke {
-        (50_000u64, 1usize << 20, 400usize)
-    } else {
-        (2_000_000u64, 64usize << 20, 8_000usize)
-    };
+    let (aes_blocks, ctr_bytes, oram_accesses) = (2_000_000u64, 64usize << 20, 8_000usize);
 
     eprintln!("[aes: {aes_blocks} blocks, reference vs T-table]");
     let reference = ReferenceAes128::new(&[0x11; 16]);
@@ -258,7 +250,7 @@ fn main() {
     drive_uniform_writes("Ring", &mut *ring, oram_accesses, 3);
     let ring_aps = oram_accesses as f64 / t.elapsed().as_secs_f64().max(1e-9);
 
-    let (rec_crashes, rec_accesses) = if args.smoke { (8, 60) } else { (40, 200) };
+    let (rec_crashes, rec_accesses) = (40, 200);
     eprintln!(
         "[recovery: {rec_crashes} crash->recover cycles, clean vs device faults vs replay mix]"
     );
@@ -306,7 +298,6 @@ fn main() {
 
     let report = serde_json::json!({
         "bench": "perf_baseline",
-        "smoke": args.smoke,
         "cores": psoram_faultsim::default_jobs(),
         "aes": {
             "blocks": aes_blocks,
@@ -368,12 +359,16 @@ fn main() {
         },
     });
     let json = serde_json::to_string_pretty(&report).expect("serialize");
-    std::fs::write(&args.out, &json).unwrap_or_else(|e| {
-        eprintln!("error: cannot write {}: {e}", args.out);
-        std::process::exit(2);
-    });
-    println!("{json}");
-    eprintln!("[saved {}]", args.out);
+    match &args.out {
+        Some(path) => {
+            std::fs::write(path, &json).unwrap_or_else(|e| {
+                eprintln!("error: cannot write {path}: {e}");
+                std::process::exit(2);
+            });
+            eprintln!("[saved {path}]");
+        }
+        None => println!("{json}"),
+    }
     eprintln!(
         "AES T-table speedup: {:.2}x | CTR: {:.1} MiB/s | Path: {:.0} acc/s | \
          Ring: {:.0} acc/s | campaign {:.2}s -> {:.2}s at {} job(s)",

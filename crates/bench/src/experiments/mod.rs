@@ -1,18 +1,21 @@
 //! One table of every tracked experiment.
 //!
-//! Each [`Experiment`] names the `results/` file it writes, the paper
-//! artefact or EXPERIMENTS.md section that file backs, and the one
+//! Each [`Experiment`] names the tracked file it writes (under `results/`,
+//! or `BENCH_06.json` / `BENCH_07.json` at the repository root), the
+//! paper artefact or EXPERIMENTS.md section that file backs, and the one
 //! function that produces it. The `experiments [NAME...]` binary runs the
 //! named entries (all of them without a name); CI runs it and then
-//! `git diff --exit-code results/`, so a tracked file is exactly what its
-//! entry writes today.
+//! `git diff --exit-code`, so a tracked file is exactly what its entry
+//! writes today.
 //!
-//! An entry's scale is a constant in its function — the full-system
-//! sweeps share [`crate::SWEEP_LEVELS`], [`crate::SWEEP_RECORDS`] and
-//! [`crate::SWEEP_WARMUP`] — so rerunning one at another scale is a
-//! change to one constant and one regenerated file.
+//! An entry runs at one scale, its tracked one: a constant in its
+//! function — the full-system sweeps share [`crate::SWEEP_LEVELS`],
+//! [`crate::SWEEP_RECORDS`] and [`crate::SWEEP_WARMUP`] — so rerunning
+//! one at another scale is a change to one constant and one regenerated
+//! file.
 
 mod paper;
+mod reports;
 mod studies;
 
 use serde_json::Value;
@@ -149,6 +152,20 @@ pub const REGISTRY: &[Experiment] = &[
         observable: true,
         run: studies::ring_vs_path,
     },
+    Experiment {
+        name: "lifetime",
+        artifact: "BENCH_07.json",
+        backs: "BENCH_07 — endurance: lifetime projection, wear torture, wear fleet",
+        observable: false,
+        run: reports::lifetime,
+    },
+    Experiment {
+        name: "service",
+        artifact: "BENCH_06.json",
+        backs: "BENCH_06 — sharded service front-end, throughput and tail latency",
+        observable: true,
+        run: reports::service,
+    },
 ];
 
 /// The entries `cli` asks for: the named ones in argv order, or every
@@ -189,7 +206,7 @@ pub fn select(cli: &CommonCli) -> Result<Vec<&'static Experiment>, String> {
 /// The `experiments` usage text, listing every entry.
 pub fn usage() -> String {
     let mut out = String::from(
-        "experiments: regenerate the tracked results/ files\n\n\
+        "experiments: regenerate the tracked results/ files, BENCH_06 and BENCH_07\n\n\
          usage: experiments [--jobs N] [NAME...]\n\
          \x20      experiments [--jobs N] [--trace-out FILE] [--metrics-out FILE] NAME\n\n\
          \x20 --jobs N           worker threads (default: all cores); every file is\n\
@@ -237,13 +254,15 @@ mod tests {
         assert_eq!(names.len(), REGISTRY.len(), "duplicate entry name");
         assert_eq!(artifacts.len(), REGISTRY.len(), "duplicate artifact");
         for e in REGISTRY {
-            assert!(e.artifact.starts_with("results/") && e.artifact.ends_with(".json"));
+            assert!(e.artifact.ends_with(".json"));
         }
     }
 
     /// A tracked result nothing regenerates would go stale unseen: the
-    /// tracked `results/*.json` are exactly the registry's artifacts and
-    /// the three campaign reports CI regenerates beside it.
+    /// tracked `results/*.json` are exactly the registry's `results/`
+    /// artifacts and the crash campaign report CI regenerates beside it,
+    /// and the registry's other artifacts are the two tracked root reports
+    /// BENCH_06 and BENCH_07.
     #[test]
     fn every_tracked_result_has_a_generator() {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -264,18 +283,20 @@ mod tests {
                 .filter(|p| p.ends_with(".json"))
                 .collect(),
         };
-        let campaigns = [
-            "results/crash_campaign.json",
-            "results/crash_campaign_smoke.json",
-            "results/service_bench_smoke.json",
-        ];
-        let expected: BTreeSet<String> = REGISTRY
+        let (in_results, at_root): (Vec<&str>, Vec<&str>) = REGISTRY
             .iter()
             .map(|e| e.artifact)
-            .chain(campaigns)
+            .partition(|a| a.starts_with("results/"));
+        let expected: BTreeSet<String> = in_results
+            .into_iter()
+            .chain(["results/crash_campaign.json"])
             .map(str::to_string)
             .collect();
         assert_eq!(tracked, expected);
+        assert_eq!(at_root, ["BENCH_07.json", "BENCH_06.json"]);
+        for report in at_root {
+            assert!(root.join(report).is_file(), "{report} is not in the tree");
+        }
     }
 
     #[test]
@@ -295,7 +316,7 @@ mod tests {
         // --help, an unknown flag, an unknown name: usage, nothing runs.
         assert_eq!(picked(&["--help"]), Err(String::new()));
         assert_eq!(picked(&["ring_vs_path", "-h"]), Err(String::new()));
-        assert!(picked(&["--smoke"]).unwrap_err().contains("unknown flag"));
+        assert!(picked(&["--seed"]).unwrap_err().contains("unknown flag"));
         assert!(picked(&["fig5", "fig8"])
             .unwrap_err()
             .contains("unknown experiment `fig8`"));

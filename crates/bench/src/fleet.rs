@@ -4,9 +4,9 @@
 //!
 //! PS-ORAM recovers a fault inside the persistence domain it struck, so
 //! wear on one shard must show only on that shard's lane. The verdict
-//! [`WearFleet::failures`] spells out, and `lifetime_campaign` exits 1
-//! on: every sibling lane is byte-identical to the twin's, and the worn
-//! lane verifies and retired at least one line.
+//! [`WearFleet::failures`] spells out, and the `lifetime` experiment
+//! fails on: every lane verifies, every sibling lane is byte-identical to
+//! the twin's, and the worn lane retired at least one line.
 
 use psoram_service::{run_service, ServiceConfig, ServiceReport, ShardLaneReport, WearShardPlan};
 
@@ -63,8 +63,8 @@ impl WearFleet {
                 ));
             }
         }
-        if !self.worn().verify_ok {
-            failed.push("the worn shard failed verify".into());
+        for lane in self.fleet.lanes.iter().filter(|l| !l.verify_ok) {
+            failed.push(format!("shard {} failed verify", lane.shard));
         }
         if self.worn().wear.map_or(0, |w| w.retirements) == 0 {
             failed.push("the worn shard retired no line".into());

@@ -12,12 +12,13 @@
 //! | `oram_overhead` | §5.1's ORAM vs non-ORAM overhead |
 //! | `stash_study`, `stash_tail_study`, `wpq_study`, `tech_study` | the sizing of Table 3's stash and WPQ, Table 3(c)'s PCM vs STT-RAM |
 //! | `topcache_study`, `scheduler_study`, `ring_vs_path` | extensions: §4.5's hybrid memory, write buffering, Ring ORAM |
+//! | `lifetime`, `service` | `BENCH_07.json` (endurance) and `BENCH_06.json` (the sharded service) |
 //!
 //! Each entry's scale is a constant: the full-system sweeps run at
 //! [`SWEEP_LEVELS`], [`SWEEP_RECORDS`] and [`SWEEP_WARMUP`], each study
 //! at its own access count. Shared utilities here: run orchestration,
 //! the campaign front-ends, normalized tables and geometric means.
-//! [`fleet`] runs BENCH_07's wear fleet for `lifetime_campaign`.
+//! [`fleet`] runs BENCH_07's wear fleet for the `lifetime` entry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -204,7 +205,7 @@ pub fn sweep_vs_baseline(
 }
 
 /// Runs the fault-injection campaigns for `mode` (`"exhaustive"`,
-/// `"random"`, or `"both"`), at smoke or full scale, optionally
+/// `"random"`, or `"both"`) at their default scale, optionally
 /// overriding the campaign seed.
 ///
 /// With `traced`, the random campaign runs with a per-design ring-buffer
@@ -214,29 +215,20 @@ pub fn sweep_vs_baseline(
 /// reports are byte-identical either way.
 pub fn crash_campaigns(
     mode: &str,
-    smoke: bool,
     seed: Option<u64>,
     traced: bool,
 ) -> (Vec<CampaignReport>, Vec<(String, Vec<Event>)>) {
     let mut reports = Vec::new();
     let mut tracks = Vec::new();
     if mode == "exhaustive" || mode == "both" {
-        let mut cfg = if smoke {
-            SweepConfig::smoke()
-        } else {
-            SweepConfig::default()
-        };
+        let mut cfg = SweepConfig::default();
         if let Some(s) = seed {
             cfg.seed = s;
         }
         reports.push(exhaustive_sweep(&cfg));
     }
     if mode == "random" || mode == "both" {
-        let mut cfg = if smoke {
-            CampaignConfig::smoke()
-        } else {
-            CampaignConfig::default()
-        };
+        let mut cfg = CampaignConfig::default();
         if let Some(s) = seed {
             cfg.seed = s;
         }
@@ -256,19 +248,10 @@ pub fn crash_campaigns(
 /// persisted bit flips, read failures) armed underneath every Path and
 /// Ring design. With `replay` the plan also arms the freshness adversary
 /// (stale replays, cross splices, stale read serves), which the
-/// authenticated counter tree must detect. Deterministic in `seed` at any
-/// job count.
-pub fn device_campaigns(
-    smoke: bool,
-    seed: Option<u64>,
-    aggressive: bool,
-    replay: bool,
-) -> DeviceCampaignReport {
-    let mut cfg = if smoke {
-        DeviceCampaignConfig::smoke()
-    } else {
-        DeviceCampaignConfig::default()
-    };
+/// authenticated counter tree must detect. Runs at the default scale,
+/// deterministic in `seed` at any job count.
+pub fn device_campaigns(seed: Option<u64>, aggressive: bool, replay: bool) -> DeviceCampaignReport {
+    let mut cfg = DeviceCampaignConfig::default();
     if let Some(s) = seed {
         cfg.seed = s;
     }
@@ -446,7 +429,7 @@ mod tests {
     fn common_cli_splits_shared_flags_from_rest() {
         let cli = CommonCli::from_args(
             [
-                "--smoke",
+                "--quiet",
                 "--trace-out",
                 "t.json",
                 "--metrics-out=m.json",
@@ -459,7 +442,7 @@ mod tests {
         );
         assert_eq!(cli.trace_out.as_deref(), Some("t.json"));
         assert_eq!(cli.metrics_out.as_deref(), Some("m.json"));
-        assert_eq!(cli.rest, vec!["--smoke", "--out", "r.json"]);
+        assert_eq!(cli.rest, vec!["--quiet", "--out", "r.json"]);
         assert!(cli.jobs >= 1);
     }
 

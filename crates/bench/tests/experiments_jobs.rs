@@ -1,5 +1,8 @@
 //! The fast registry entries write the same values on one worker and on
-//! two. Its own test binary, since it sets the process-wide jobs variable.
+//! two: the tables and studies that take seconds, and the two tracked
+//! root reports (`lifetime`, BENCH_07; `service`, BENCH_06) at their
+//! tracked scale.
+//! Its own test binary, since it sets the process-wide jobs variable.
 
 use psoram_bench::experiments::REGISTRY;
 use psoram_bench::CommonCli;
@@ -13,6 +16,8 @@ fn fast_entries_are_identical_at_one_and_two_jobs() {
         "table4",
         "ring_vs_path",
         "scheduler_study",
+        "lifetime",
+        "service",
     ] {
         let entry = REGISTRY
             .iter()

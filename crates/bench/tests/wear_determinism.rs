@@ -5,8 +5,10 @@
 //! `BENCH_07.json` — the wear-torture report, the lifetime projection
 //! matrix, and the wear fleet (the service's lanes beside their
 //! wear-free twin) — must serialize byte-identically at `jobs = 1` and
-//! any `jobs > 1`, because the CI smoke job diffs the two and the bench
-//! commits the result.
+//! any `jobs > 1`, because the `lifetime` experiment writes the tracked
+//! file on however many workers it is given. These run each artifact at
+//! its small test scale (`*::smoke()`), one campaign at a time;
+//! `experiments_jobs.rs` holds the whole entry at its tracked scale.
 
 use psoram_bench::fleet::WearFleet;
 use psoram_faultsim::{

@@ -42,7 +42,9 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// A reduced configuration for quick smoke runs.
+    /// The small test scale: goldens and debug-profile tests pin these
+    /// sizes, and `perf_baseline` times its `--jobs` comparison on it;
+    /// `crash_campaign` runs `default()`.
     pub fn smoke() -> Self {
         CampaignConfig {
             cycles: 25,

@@ -70,7 +70,8 @@ impl Default for DeviceCampaignConfig {
 }
 
 impl DeviceCampaignConfig {
-    /// A reduced configuration for quick smoke runs.
+    /// The small test scale: goldens and debug-profile tests pin these
+    /// sizes; `crash_campaign --device-faults` runs `default()`.
     pub fn smoke() -> Self {
         DeviceCampaignConfig {
             cycles: 12,

@@ -80,7 +80,8 @@ impl Default for WearCampaignConfig {
 }
 
 impl WearCampaignConfig {
-    /// A reduced configuration for quick smoke runs.
+    /// The small test scale: goldens and debug-profile tests pin these
+    /// sizes; the `lifetime` experiment runs `default()`.
     pub fn smoke() -> Self {
         WearCampaignConfig {
             runs_per_cell: 6,
@@ -301,7 +302,8 @@ impl Default for LifetimeCampaignConfig {
 }
 
 impl LifetimeCampaignConfig {
-    /// A reduced configuration for quick smoke runs.
+    /// The small test scale: goldens and debug-profile tests pin these
+    /// sizes; the `lifetime` experiment runs `default()`.
     pub fn smoke() -> Self {
         LifetimeCampaignConfig {
             trace_records: 4_000,

@@ -40,7 +40,8 @@ impl Default for SweepConfig {
 }
 
 impl SweepConfig {
-    /// A reduced configuration for quick smoke runs.
+    /// The small test scale: goldens and debug-profile tests pin these
+    /// sizes; `crash_campaign` runs `default()`.
     pub fn smoke() -> Self {
         SweepConfig {
             accesses: 120,

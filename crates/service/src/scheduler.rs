@@ -129,9 +129,9 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The CI smoke configuration: small, fast, still 4 shards. The
-    /// arrival rate deliberately exceeds one controller's service
-    /// capacity so the single-shard baseline saturates.
+    /// The small configuration, still 4 shards: tests pin it and BENCH_07's
+    /// wear fleet runs it. The arrival rate deliberately exceeds one
+    /// controller's service capacity so a single-shard baseline saturates.
     pub fn smoke() -> Self {
         ServiceConfig {
             shards: 4,

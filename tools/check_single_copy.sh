@@ -3,7 +3,7 @@
 # freshness table, one way to move a path through a controller, one
 # controller shell, one integrity mechanism, one fleet simulator, one
 # crash-fate model over a queue that seals nothing, one crash harness,
-# one micro-benchmark harness — held mechanically.
+# one micro-benchmark harness, one scale — held mechanically.
 #
 # The crash-damage draw, the adversary's ground-truth confirms, the
 # recovery scans over every tagged unit (phase 1's walk down the counter
@@ -178,6 +178,25 @@ if grep -rn 'write_results_json' crates/bench/src/bin; then
     echo "error: a binary calls write_results_json; make it an entry of experiments::REGISTRY" >&2
     exit 1
 fi
+# One scale: every campaign and tracked artifact runs at its tracked
+# scale. A smoke mode beside it was a second code path that saved
+# milliseconds and passed a PS-ORAM the full run fails; the binaries that
+# wrote the tracked BENCH_06 / BENCH_07 are the registry's `service` and
+# `lifetime` entries, and no reduced-scale copy of a result is tracked.
+if grep -rn '"--smoke"' crates/bench/src; then
+    echo "error: a --smoke flag under crates/bench/src; run the tracked scale" >&2
+    exit 1
+fi
+for bin in lifetime_campaign service_bench; do
+    if [ -e "crates/bench/src/bin/$bin.rs" ]; then
+        echo "error: crates/bench/src/bin/$bin.rs is back; its report is an entry of experiments::REGISTRY" >&2
+        exit 1
+    fi
+done
+if git ls-files 'results/*_smoke.json' | grep .; then
+    echo "error: a reduced-scale result is tracked" >&2
+    exit 1
+fi
 # One design table: the suites in `crates/core/tests` loop over
 # `psoram_core::testkit::Design::all()`, whose rows carry each design's
 # factories, crash points, arms and claims. A test file that lists the
@@ -242,4 +261,4 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode)"

@@ -30,7 +30,7 @@ pub struct Experiment {
     /// The tracked file it writes, relative to the repository root.
     pub artifact: &'static str,
     /// The paper artefact or EXPERIMENTS.md section the artifact backs;
-    /// also the banner printed before the run.
+    /// also the title printed before the run.
     pub backs: &'static str,
     /// Whether it honours `--trace-out` / `--metrics-out`.
     pub observable: bool,
@@ -39,14 +39,14 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Prints the configuration banner, runs the entry and writes its
+    /// Prints the entry's title (`backs`), runs the entry and writes its
     /// artifact (relative to the working directory).
     ///
     /// # Panics
     ///
     /// Panics on I/O errors — experiments want loud failures.
     pub fn regenerate(&self, cli: &CommonCli) {
-        crate::print_config_banner(self.backs);
+        println!("PS-ORAM reproduction — {}", self.backs);
         let value = (self.run)(cli);
         crate::write_results_json(self.artifact, &value);
     }

@@ -12,8 +12,8 @@ use psoram_trace::SpecWorkload;
 use serde_json::{json, Value};
 
 use crate::{
-    experiment_config, geomean, run_one, run_reference, sweep_vs_baseline, write_obsv_file,
-    CommonCli, FigureTable,
+    experiment_config, geomean, print_sweep_config, run_one, run_reference, sweep_vs_baseline,
+    write_obsv_file, CommonCli, FigureTable,
 };
 
 /// **Table 1**: energy cost constants for crash-time draining.
@@ -113,6 +113,7 @@ pub(super) fn table2(_: &CommonCli) -> Value {
 /// **Table 4**: the 14 workloads and their measured MPKIs through the
 /// real cache hierarchy, against the paper's targets.
 pub(super) fn table4(_: &CommonCli) -> Value {
+    print_sweep_config();
     println!(
         "\n{:<16}{:>12}{:>12}{:>10}",
         "workload", "paper MPKI", "measured", "delta%"
@@ -147,6 +148,7 @@ fn observed_sweep(
     variants: &[ProtocolVariant],
     mut row: impl FnMut(SpecWorkload, &SimResult, &[SimResult]),
 ) {
+    print_sweep_config();
     let mut reg = MetricsRegistry::new();
     sweep_vs_baseline(variants, |w, base, runs| {
         base.publish(&format!("{}.Baseline", w.name()), &mut reg);
@@ -312,6 +314,7 @@ pub(super) fn fig6(cli: &CommonCli) -> Value {
 /// **Figure 7**: performance in 1/2/4-channel memory systems for
 /// Baseline, PS-ORAM, Rcr-Baseline, Rcr-PS-ORAM.
 pub(super) fn fig7(_: &CommonCli) -> Value {
+    print_sweep_config();
     let variants = [
         ProtocolVariant::Baseline,
         ProtocolVariant::PsOram,
@@ -378,6 +381,7 @@ pub(super) fn fig7(_: &CommonCli) -> Value {
 /// system (paper: 2–24x, avg ~11x at 1 channel; 1.8–21x, avg ~6.5x at 4
 /// channels).
 pub(super) fn oram_overhead(_: &CommonCli) -> Value {
+    print_sweep_config();
     let mut table = FigureTable::new(&["1-channel", "4-channel"]);
     let mut per_channel = [Vec::new(), Vec::new()];
 

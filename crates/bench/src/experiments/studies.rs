@@ -16,8 +16,8 @@ use rand::{Rng, SeedableRng};
 use serde_json::{json, Value};
 
 use crate::{
-    drive_uniform_writes, experiment_config, geomean, run_config, write_obsv_file, CommonCli,
-    TrafficRow,
+    drive_uniform_writes, experiment_config, geomean, print_sweep_config, run_config,
+    write_obsv_file, CommonCli, TrafficRow,
 };
 
 /// `levels` of the paper's geometry with both WPQs a full path deep, as
@@ -262,6 +262,7 @@ pub(super) fn wpq(_: &CommonCli) -> Value {
 /// workloads with STT-RAM as the main memory and shows how the
 /// persistence overheads shift when the write pulse is 4x cheaper.
 pub(super) fn tech(_: &CommonCli) -> Value {
+    print_sweep_config();
     let run = |variant, nvm: NvmConfig, w| {
         let mut cfg = experiment_config(variant, 1);
         cfg.nvm = nvm;

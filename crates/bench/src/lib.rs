@@ -381,9 +381,11 @@ fn write_results_json(path: &str, value: &serde_json::Value) {
     );
 }
 
-/// The paper's Table 3 header, printed before each experiment for context.
-pub fn print_config_banner(what: &str) {
-    println!("PS-ORAM reproduction — {what}");
+/// The paper's Table 3 header at the sweep scale, printed by each entry
+/// that runs the full-system sweep (Table 4, Figs. 5–7, `oram_overhead`,
+/// `tech_study`) before its table; the other entries run geometries of
+/// their own and print none of it.
+pub fn print_sweep_config() {
     println!(
         "config: in-order core 3.2GHz | L1 32KB/2-way | L2 1MB/8-way | \
          Z=4, L={SWEEP_LEVELS} (paper: 23), stash 200, C_tPos 96 | PCM 400MHz \

@@ -215,23 +215,41 @@ impl SlotArena {
 
     /// The newest copy (highest freshness counter, the first on a tie —
     /// a later copy must be strictly newer) of `addr` in the buckets of
-    /// `path` whose header names `leaf`: where recovery finds a committed
-    /// address.
+    /// `path` whose header names `leaf`: where a read finds its copy on the
+    /// path of the label the controller holds, and recovery a committed
+    /// address on the persisted one.
     pub fn newest_on_path(
         &self,
         path: impl Iterator<Item = BucketIndex>,
         addr: BlockAddr,
         leaf: Leaf,
     ) -> Option<BlockRef<'_>> {
-        let mut best: Option<(BucketRef<'_>, usize, u64)> = None;
-        for bucket in path.filter_map(|idx| self.bucket(idx)) {
-            for (slot, h) in bucket.headers() {
-                if h.addr == addr && h.leaf == leaf && best.is_none_or(|(_, _, seq)| h.seq > seq) {
-                    best = Some((bucket, slot, h.seq));
+        let (bucket, slot) = self.newest_where(path, addr, leaf, |_, _| true)?;
+        self.slot(bucket, slot)
+    }
+
+    /// Where [`SlotArena::newest_on_path`]'s copy sits when only the slots
+    /// `counts` admits are candidates (a Ring read's: valid, not a
+    /// backup).
+    pub(crate) fn newest_where(
+        &self,
+        path: impl Iterator<Item = BucketIndex>,
+        addr: BlockAddr,
+        leaf: Leaf,
+        counts: impl Fn(BucketRef<'_>, usize) -> bool,
+    ) -> Option<(BucketIndex, usize)> {
+        let mut best: Option<(BucketIndex, usize, u64)> = None;
+        for (idx, bucket) in path.filter_map(|idx| Some((idx, self.bucket(idx)?))) {
+            for (slot, h) in bucket
+                .headers()
+                .filter(|(_, h)| h.addr == addr && h.leaf == leaf)
+            {
+                if best.is_none_or(|(_, _, seq)| h.seq > seq) && counts(bucket, slot) {
+                    best = Some((idx, slot, h.seq));
                 }
             }
         }
-        best.and_then(|(bucket, slot, _)| bucket.slot(slot))
+        best.map(|(idx, slot, _)| (idx, slot))
     }
 
     /// Allocates the page of `bucket` (and the directory up to it) if
@@ -466,11 +484,6 @@ impl BucketMut<'_> {
         assert!(slot < self.slots, "slot {slot} out of range");
         let at = self.flags() + slot;
         &mut self.page.flags[at]
-    }
-
-    /// Number of slots.
-    pub fn num_slots(&self) -> usize {
-        self.slots
     }
 
     /// The real block in slot `slot` as it stands, `None` for a dummy.

@@ -13,9 +13,9 @@ use psoram_obsv::{Event, Phase};
 use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
-    arm, check_committed, commit_and_apply, crash_at, lone, power_fail, set_tap, stall, to_core,
-    to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media,
-    PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
+    arm, check_committed, commit_and_apply, crash_at, lone, power_fail, recoverable, set_tap,
+    stall, to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
+    Listing, Media, PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::recursive::RecursivePosMap;
@@ -630,7 +630,7 @@ impl PathOram {
                 if let Some(stored) = stored {
                     let mut block = self.shell.scratch.block_from(stored);
                     self.decrypt_from_tree(&mut block);
-                    if block.leaf() == self.shell.posmap.persisted_get(block.addr()) {
+                    if recoverable(&self.shell.posmap, &block.header) {
                         frame.mark_live(depth * z + slot, block.addr());
                     }
                     fetched.push(block);
@@ -638,24 +638,13 @@ impl PathOram {
             }
         }
 
-        // Classify each fetched copy (see DESIGN.md):
-        //  * the target's on-path copy becomes the primary (and, for PS
-        //    variants, also spawns the pinned backup copy);
-        //  * other copies whose leaf matches the current lookup are live
-        //    primaries;
-        //  * stale copies that still match the *persisted* map are live
-        //    shadows — PS variants must rewrite them to keep recovery
-        //    possible; non-persistent variants drop them;
-        //  * anything else is dead and dropped.
+        // Of the target's copies under the label the access held before
+        // step ② (a committed primary and an older backup can both name
+        // it), the newest becomes the primary and, for PS variants, spawns
+        // the pinned backup; every other copy goes by `Shell::keep`.
         let keep_shadows = self.variant.uses_wpq();
-        // Separate the target's on-path copies: multiple can coexist (e.g.
-        // a committed primary and an older backup that drew the same leaf);
-        // the newest (highest freshness counter) is the real value, exactly
-        // as a recovering controller would decide from the IV counters.
         let target_in_stash = self.stash.contains(target);
         let is_target_copy = |b: &Block| !target_in_stash && b.addr() == target && b.leaf() == leaf;
-        // The newest on-path copy of the target (highest freshness counter,
-        // earliest on ties — the stable sort's pick) becomes the primary.
         let mut newest: Option<usize> = None;
         for (i, b) in fetched.iter().enumerate() {
             if is_target_copy(b) && newest.is_none_or(|j| fetched[j].header.seq < b.header.seq) {
@@ -690,25 +679,18 @@ impl PathOram {
             // and dropped below.
         }
         for mut block in fetched.drain(..) {
-            if is_target_copy(&block) {
-                // A superseded duplicate of the target: dropped.
+            // A superseded duplicate of the target, or a dead copy: dropped.
+            let stashed = |a| self.stash.contains(a);
+            let kept = (!is_target_copy(&block))
+                .then(|| (self.shell).keep(block.view(), keep_shadows, stashed))
+                .flatten();
+            let Some(kept) = kept else {
                 self.shell.scratch.recycle(block);
                 continue;
-            }
-            let a = block.addr();
-            let current = self.shell.lookup(a);
-            let stale = self.stash.contains(a) || block.leaf() != current || block.is_backup;
-            if !stale {
-                block.is_backup = false;
-                self.stash.insert(block)?;
-            } else if keep_shadows && block.leaf() == self.shell.posmap.persisted_get(a) {
-                block.is_backup = true;
-                self.stats.shadows_rewritten += 1;
-                self.stash.insert(block)?;
-            } else {
-                // A dead copy: dropped.
-                self.shell.scratch.recycle(block);
-            }
+            };
+            block.is_backup = kept == Kept::Shadow;
+            self.stats.shadows_rewritten += u64::from(block.is_backup);
+            self.stash.insert(block)?;
         }
         self.shell.scratch.fetched = fetched;
 
@@ -761,8 +743,7 @@ impl PathOram {
             // its backup, and its new leaf may not fit this path.
             // Non-persistent designs: plain Path ORAM greedy eviction.
             let must = persistent
-                && (b.is_backup
-                    || (live.holds_live(b.addr()) && b.leaf() == posmap.persisted_get(b.addr())));
+                && (b.is_backup || (live.holds_live(b.addr()) && recoverable(posmap, &b.header)));
             Candidate::of(b, must)
         });
         // Small persistence domains use identity placement so the
@@ -1171,7 +1152,7 @@ impl Rounds for PathOram {
             // leaf plus its backup): offered in commit order, the
             // newest — highest freshness counter, the later on a tie —
             // is what the ledger keeps and what recovery restores.
-            if b.leaf() == self.shell.posmap.persisted_get(b.addr()) {
+            if recoverable(&self.shell.posmap, &b.header) {
                 (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
             }
             // Encrypted in place, the block's bytes move on into the tree.
@@ -1279,7 +1260,7 @@ impl ProtocolPolicy for PathOram {
             cipher: self.encrypt_payloads.then_some(&self.cipher),
             stash: self.variant.stash_durable().then_some(&self.stash),
         };
-        (self.shell).recover(self.tree.arena_mut(), &copies, |_, _, _| {})
+        (self.shell).recover(self.tree.arena_mut(), &copies, |_, _, _, _| {})
     }
 
     /// The digest covers the materialized tree, the persisted PosMap and

@@ -57,7 +57,7 @@ pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 pub use shell::Shell;
 pub(crate) use shell::{
-    arm, commit_and_apply, crash_at, power_fail, set_tap, stall, Media, Rounds,
+    arm, commit_and_apply, crash_at, power_fail, recoverable, set_tap, stall, Kept, Media, Rounds,
 };
 
 use psoram_nvm::CORE_CYCLES_PER_MEM_CYCLE;

@@ -33,7 +33,7 @@
 
 use psoram_nvm::FaultClass;
 
-use super::{CommitLedger, EngineControl, Shell};
+use super::{recoverable, CommitLedger, EngineControl, Shell};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessVerdict};
 use crate::block::{Block, BlockHeader, BlockRef};
@@ -70,6 +70,12 @@ pub(crate) trait Copies {
         self.path(leaf).any(|b| b == bucket)
     }
 
+    /// Whether the copy `h`, stored in `bucket`, is one recovery counts:
+    /// [`recoverable`] under `posmap`, on the persisted label's path.
+    fn recoverable_at(&self, posmap: &PosMap, bucket: BucketIndex, h: &BlockHeader) -> bool {
+        recoverable(posmap, h) && self.on_path(h.leaf, bucket)
+    }
+
     /// Opens a payload as it is stored under `header` into the plaintext
     /// the ledger holds.
     fn open(&self, _header: &BlockHeader, _payload: &mut [u8]) {}
@@ -96,9 +102,9 @@ impl Shell {
     /// Recovers after a power failure — the one entry to the ladder. The
     /// protocol lends its `arena`, says where its committed `copies` sit
     /// and hands in `between`, whatever it restores itself between phases
-    /// 2 and 3 (over the arena, the persisted PosMap and, on a hardened
-    /// design, the records its own slot writes refresh). An unhardened
-    /// design's verdict is the audit alone. The ledger then notes the
+    /// 2 and 3 (over the arena, the persisted PosMap, its copies and, on a
+    /// hardened design, the records its own slot writes refresh). An
+    /// unhardened design's verdict is the audit alone. The ledger then notes the
     /// recovery: what it restored is what each address must read until it
     /// is written again.
     ///
@@ -108,7 +114,7 @@ impl Shell {
         &mut self,
         arena: &mut SlotArena,
         copies: &C,
-        between: impl FnOnce(&mut SlotArena, &PosMap, Option<&mut AuthTags>),
+        between: impl FnOnce(&mut SlotArena, &PosMap, &C, Option<&mut AuthTags>),
     ) -> RecoveryReport {
         let mut ladder = match Ladder::enter(&mut self.ctl, &self.ledger) {
             Ok(ladder) => ladder,
@@ -124,7 +130,7 @@ impl Shell {
             );
             ladder.detect(media, auth);
         }
-        between(arena, &self.posmap, auth.as_mut());
+        between(arena, &self.posmap, copies, auth.as_mut());
         let check = match auth.as_mut() {
             Some(auth) => {
                 let media = (
@@ -485,7 +491,7 @@ fn locate<'a>(
     let mut best: Vec<Option<BlockRef<'a>>> = vec![None; ledger.committed_len()];
     for (bucket, stored) in arena.iter() {
         for (slot, h) in stored.headers() {
-            if h.leaf != posmap.persisted_get(h.addr) || !copies.on_path(h.leaf, bucket) {
+            if !copies.recoverable_at(posmap, bucket, h) {
                 continue;
             }
             let row = match rows.get(h.addr.0 as usize) {

@@ -18,6 +18,7 @@ use super::{
     PosMapFlush,
 };
 use crate::arena::SlotArena;
+use crate::block::{BlockHeader, BlockRef};
 use crate::crash::CrashPoint;
 use crate::paged::PagedTable;
 use crate::posmap::{PosMap, TempPosMap};
@@ -132,6 +133,30 @@ impl Shell {
         self.temp.get(addr).unwrap_or_else(|| self.posmap.get(addr))
     }
 
+    /// Whether a stored copy is *held*: its header names the label this
+    /// controller holds for its address. Like [`recoverable`], it counts
+    /// only on that label's path ([`Copies::on_path`](super::Copies::on_path)).
+    pub(crate) fn held(&self, copy: &BlockHeader) -> bool {
+        copy.leaf == self.lookup(copy.addr)
+    }
+
+    /// What a rewrite keeps of a copy it finds where it writes (Path's
+    /// fetched path, Ring's rewritten bucket): a held copy, not a backup,
+    /// of an address the stash does not hold (`stashed`, asked last) is
+    /// its primary; else, where the design keeps `shadows`, a recoverable
+    /// copy is a shadow; anything else is dead.
+    pub(crate) fn keep(
+        &self,
+        copy: BlockRef<'_>,
+        shadows: bool,
+        stashed: impl FnOnce(BlockAddr) -> bool,
+    ) -> Option<Kept> {
+        if !copy.is_backup && self.held(copy.header) && !stashed(copy.addr()) {
+            return Some(Kept::Primary);
+        }
+        (shadows && recoverable(&self.posmap, copy.header)).then_some(Kept::Shadow)
+    }
+
     /// [`DeviceSide::flush`] over the shell's own maps.
     pub(crate) fn flush(
         &mut self,
@@ -223,6 +248,23 @@ impl Shell {
             report.publish(&R::key(prefix, "nvm.wear"), reg);
         }
     }
+}
+
+/// Whether a stored copy is *recoverable*: its header names the label
+/// `posmap` has persisted for its address — the copy a recovery finds, on
+/// that label's path. The other half of the copy rule is [`Shell::held`].
+pub(crate) fn recoverable(posmap: &PosMap, copy: &BlockHeader) -> bool {
+    copy.leaf == posmap.persisted_get(copy.addr)
+}
+
+/// What a rewrite keeps of a copy ([`Shell::keep`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kept {
+    /// The current copy of its address.
+    Primary,
+    /// The only recoverable copy of a stash-resident block, kept (flagged
+    /// a backup) so the rewrite does not destroy it.
+    Shadow,
 }
 
 /// What the shell's frames ask of the protocol that holds it.

@@ -36,9 +36,9 @@ use crate::block::{Block, BlockHeader, BlockRef};
 use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
-    arm, check_committed, commit_and_apply, crash_at, power_fail, set_tap, stall, to_core, to_mem,
-    Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Listing, Media,
-    PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
+    arm, check_committed, commit_and_apply, crash_at, power_fail, recoverable, set_tap, stall,
+    to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
+    Listing, Media, PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
 };
 use crate::posmap::{PosMap, LABEL_BOUND, MAX_LEVELS};
 use crate::tree::{heap_on_path, heap_path, BucketIndex};
@@ -154,31 +154,12 @@ impl Default for RingConfig {
 
 pub use crate::engine::RingVariant;
 
-/// The slot of `bucket` a read for `addr` takes it from: valid, real, a
-/// primary copy.
-fn find_valid(bucket: BucketRef<'_>, addr: BlockAddr) -> Option<usize> {
-    bucket
-        .headers()
-        .filter(|&(s, h)| h.addr == addr && bucket.is_valid(s))
-        .find_map(|(s, _)| bucket.slot(s).is_some_and(|b| !b.is_backup).then_some(s))
-}
-
 /// A uniformly chosen valid dummy slot of `bucket`: one draw over their
 /// count, none when it has none left.
 fn pick_valid_dummy(bucket: BucketRef<'_>, rng: &mut StdRng) -> Option<usize> {
     let n = bucket.valid_dummies().count();
     let k = (n > 0).then(|| rng.gen_range(0..n))?;
     bucket.valid_dummies().nth(k)
-}
-
-/// What a bucket rewrite keeps of a block it finds in the bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kept {
-    /// The current copy of its address.
-    Primary,
-    /// A live shadow: the only recoverable copy of a stash-resident block,
-    /// kept (flagged) so the rewrite does not destroy it.
-    Shadow,
 }
 
 /// Statistics for a Ring ORAM controller.
@@ -483,31 +464,24 @@ impl RingOram {
         // read slots stale. The draw always consumes plan entropy
         // (schedule invariance) and is resolved once the slots are known.
         let replay_pick = self.shell.ctl.read_replay();
+        // Where the target is read from: its bytes stay in the slot (a read
+        // flips metadata only) until step ④ copies them.
         let in_stash = self.stash_primary(addr).is_some();
+        let fetched_from = (!in_stash)
+            .then(|| self.held_slot(addr, old_leaf))
+            .flatten();
         // The frame lists the slots this access reads: one per bucket.
         let mut frame = std::mem::take(&mut self.shell.scratch.frame);
         frame.cells.clear();
-        // Where the target was found: its bytes stay in the slot (a read
-        // flips metadata only) until step ④ copies them.
-        let mut fetched_from: Option<(u64, usize)> = None;
         for bidx in self.path(old_leaf) {
-            let slot = self.buckets.bucket(bidx).and_then(|b| {
-                let hit = if in_stash || fetched_from.is_some() {
-                    None
-                } else {
-                    find_valid(b, addr)
-                };
-                hit.or_else(|| pick_valid_dummy(b, &mut self.rng))
-            });
+            let slot = match fetched_from {
+                Some((at, slot)) if at == bidx => Some(slot),
+                _ => (self.buckets.bucket(bidx)).and_then(|b| pick_valid_dummy(b, &mut self.rng)),
+            };
             // Brand-new (all-dummy, all-valid) bucket: read slot 0.
             let slot = slot.unwrap_or_default();
             let mut b = self.buckets.bucket_mut(bidx);
             if b.is_valid(slot) {
-                if b.slot(slot)
-                    .is_some_and(|block| block.addr() == addr && !block.is_backup)
-                {
-                    fetched_from = Some((bidx, slot));
-                }
                 b.consume(slot);
             }
             frame.cells.push(FrameCell {
@@ -613,23 +587,13 @@ impl RingOram {
         Ok((read, value_ready))
     }
 
-    /// Classifies a physically present block during a bucket rewrite, where
-    /// it lies: what the new bucket image retains of it, if anything. Only
-    /// a kept block is copied on chip.
-    fn classify_for_rewrite(&self, block: BlockRef<'_>) -> Option<Kept> {
-        let a = block.addr();
-        let stale = block.is_backup
-            || block.leaf() != self.shell.lookup(a)
-            || self.stash_primary(a).is_some();
-        if !stale {
-            Some(Kept::Primary)
-        } else if self.variant == RingVariant::PsRing
-            && block.leaf() == self.shell.posmap.persisted_get(a)
-        {
-            Some(Kept::Shadow)
-        } else {
-            None
-        }
+    /// Where a read of `addr` under `leaf`, the label the controller holds
+    /// for it, takes its copy: [`SlotArena::newest_on_path`]'s pick among
+    /// the slots a read may take (valid, not a backup).
+    fn held_slot(&self, addr: BlockAddr, leaf: Leaf) -> Option<(u64, usize)> {
+        let readable =
+            |b: BucketRef<'_>, s| b.is_valid(s) && b.slot(s).is_some_and(|c| !c.is_backup);
+        (self.buckets).newest_where(self.path(leaf), addr, leaf, readable)
     }
 
     /// Sorts the blocks physically in the bucket at `level` of a rewrite
@@ -643,8 +607,10 @@ impl RingOram {
         let Some(bucket) = self.buckets.bucket(bidx) else {
             return;
         };
+        let shadows = self.variant == RingVariant::PsRing;
         for view in bucket.blocks() {
-            let Some(kept) = self.classify_for_rewrite(view) else {
+            let stashed = |a| self.stash_primary(a).is_some();
+            let Some(kept) = self.shell.keep(view, shadows, stashed) else {
                 continue;
             };
             let mut b = self.shell.scratch.block_from(view);
@@ -653,9 +619,7 @@ impl RingOram {
                 rw.push(level, b);
                 continue;
             }
-            if self.variant == RingVariant::PsRing
-                && b.leaf() == self.shell.posmap.persisted_get(b.addr())
-            {
+            if shadows && recoverable(&self.shell.posmap, &b.header) {
                 rw.pulled.push((b.addr(), level));
             }
             self.stash.push(b);
@@ -747,23 +711,16 @@ impl RingOram {
         // the volatile stash — a crash before its next placement would lose
         // it. Pin a backup copy on the persisted path (the source bucket or
         // any ancestor with a free physical slot) inside this atomic round.
-        if self.variant == RingVariant::PsRing {
-            for i in 0..rw.leftovers.len() {
-                let b = &rw.leftovers[i];
-                let a = b.addr();
-                if b.leaf() != self.shell.posmap.persisted_get(a) {
-                    continue;
-                }
-                let Some(&(_, src_depth)) = rw.pulled.iter().find(|(pulled, _)| *pulled == a)
-                else {
-                    continue;
-                };
-                if let Some(d) = rw.deepest_with_room(src_depth, physical) {
-                    let mut shadow = self.shell.scratch.block_from(b.view());
-                    shadow.is_backup = true;
-                    rw.push(d, shadow);
-                }
-            }
+        // It is one `pool_bucket` pulled (PS-Ring only), so recoverable.
+        for i in 0..rw.leftovers.len() {
+            let b = &rw.leftovers[i];
+            let pulled = rw.pulled.iter().find(|&&(a, _)| a == b.addr());
+            let Some(d) = pulled.and_then(|&(_, src)| rw.deepest_with_room(src, physical)) else {
+                continue;
+            };
+            let mut shadow = self.shell.scratch.block_from(b.view());
+            shadow.is_backup = true;
+            rw.push(d, shadow);
         }
         // The leftovers are the stash now; the vector of holes is kept for
         // the next eviction's.
@@ -881,17 +838,13 @@ impl RingOram {
     /// physical slot of the image a unit, to the media; the image,
     /// emptied, is kept for the next rewrites.
     fn apply_rewrite(&mut self, bidx: u64, image: Bucket, listing: Listing) {
-        // Ledger: every block written at its persisted position is now the
-        // recoverable copy (PS variant only cares, but the data is cheap) —
-        // its position as persisted already, or as the dirty entry the
-        // round flushes with a primary persists it. Such a primary is the
-        // newest copy of its address anywhere, bar a shadow cloned off it,
-        // so nothing need look for the newest once the entry has landed.
+        // Ledger: a copy the rewrite lands held (a primary) or recoverable
+        // is committed — on PS-Ring, a held primary is the newest copy of
+        // its address once its dirty entry lands (DESIGN.md §9).
         for b in image.blocks() {
-            let a = b.addr();
-            let flushed = !b.is_backup && self.shell.temp.get(a) == Some(b.leaf());
-            if flushed || b.leaf() == self.shell.posmap.persisted_get(a) {
-                (self.shell.ledger).commit_if_fresh(a.0, b.header.seq, &b.payload);
+            let held = !b.is_backup && self.shell.held(&b.header);
+            if held || recoverable(&self.shell.posmap, &b.header) {
+                (self.shell.ledger).commit_if_fresh(b.addr().0, b.header.seq, &b.payload);
             }
         }
         let rewrite = std::iter::once((bidx, image_slots(&image)));
@@ -915,67 +868,59 @@ impl RingOram {
     // ── recovery ────────────────────────────────────────────────────────
 
     /// Ring's own share of recovery, the paper's Case-2 procedure (the
-    /// bytes never left the bucket): promotes the newest
-    /// PosMap-consistent copy of each address back to primary status,
-    /// compacts superseded duplicates and revalidates every consumed
-    /// slot. Controller-initiated slot mutations are legitimate writes, so
-    /// on a hardened design their records are refreshed.
-    fn restore_consumed(buckets: &mut SlotArena, posmap: &PosMap, mut auth: Option<&mut AuthTags>) {
-        // Pass 1: find, per address, the newest copy matching the persisted
-        // PosMap — that is the copy recovery designates as live. Buckets
-        // are scanned in index order (the store's iteration order): the
-        // replay adversary can restore byte-exact stale duplicates whose
-        // seq numbers tie, and the winner of a tie — the first copy in that
-        // order — must be the same on every run. The candidates are listed
-        // once, in a list sized by a counting pass, and sorted so that
-        // each address's winner leads its run.
-        let matching = |h: &&BlockHeader| h.leaf == posmap.persisted_get(h.addr);
+    /// bytes never left the bucket): promotes the newest recoverable copy
+    /// of each address — the one `locate` finds — back to primary status,
+    /// compacts superseded recoverable duplicates and revalidates every
+    /// consumed slot. Controller-initiated slot mutations are legitimate
+    /// writes, so on a hardened design their records are refreshed.
+    fn restore_consumed(
+        buckets: &mut SlotArena,
+        posmap: &PosMap,
+        copies: &RingCopies,
+        mut auth: Option<&mut AuthTags>,
+    ) {
+        // Every copy recovery counts (`Copies::recoverable_at`), listed
+        // once in a list sized by a counting pass and sorted newest first
+        // per address: the first of each address is the copy recovery
+        // designates as live. Buckets are scanned in index order (the
+        // store's iteration order): the replay adversary can restore
+        // byte-exact stale duplicates whose seq numbers tie, and the winner
+        // of a tie — the first copy in that order — must be the same on
+        // every run.
+        let counted =
+            |bidx| move |&(_, h): &(usize, &BlockHeader)| copies.recoverable_at(posmap, bidx, h);
         let count = (buckets.iter())
-            .map(|(_, bucket)| bucket.headers().map(|(_, h)| h).filter(matching).count())
+            .map(|(bidx, bucket)| bucket.headers().filter(counted(bidx)).count())
             .sum();
-        let mut best = Vec::with_capacity(count);
+        let mut found = Vec::with_capacity(count);
         for (bidx, bucket) in buckets.iter() {
-            for (s, h) in bucket.headers().filter(|(_, h)| matching(h)) {
-                best.push((h.addr.0, Reverse(h.seq), bidx, s));
+            for (s, h) in bucket.headers().filter(counted(bidx)) {
+                found.push((h.addr.0, Reverse(h.seq), bidx, s));
             }
         }
-        best.sort_unstable();
-        best.dedup_by_key(|&mut (addr, ..)| addr);
-        // Pass 2: promote winners, drop superseded matching duplicates,
-        // revalidate everything. (Per-slot outcomes depend only on `best`,
-        // but the scan stays sorted so any future side effects inherit
-        // determinism.)
+        found.sort_unstable();
+        // Each winner is promoted, each superseded duplicate dropped; a
+        // slot's record is refreshed once, and the counter tree folds its
+        // records order-free.
+        for (i, &(addr, _, bidx, s)) in found.iter().enumerate() {
+            let mut bucket = buckets.bucket_mut(bidx);
+            let content = if i > 0 && found[i - 1].0 == addr {
+                bucket.set(s, None);
+                None
+            } else if bucket.slot(s).is_some_and(|b| b.is_backup) {
+                bucket.set_backup(s, false);
+                bucket.slot(s)
+            } else {
+                continue;
+            };
+            if let Some(auth) = auth.as_mut() {
+                auth.record_slot(bidx, s, content);
+            }
+        }
         let mut materialised = Vec::with_capacity(buckets.materialized_buckets());
         materialised.extend(buckets.indices());
         for bidx in materialised {
-            let mut bucket = buckets.bucket_mut(bidx);
-            for s in 0..bucket.num_slots() {
-                let Some(b) = bucket.slot(s) else {
-                    continue;
-                };
-                let (addr, is_backup) = (b.addr(), b.is_backup);
-                if b.leaf() != posmap.persisted_get(addr) {
-                    continue;
-                }
-                let winner = best.binary_search_by_key(&addr.0, |&(addr, ..)| addr);
-                match winner.map(|i| best[i]) {
-                    Ok((_, _, wb, ws)) if (wb, ws) == (bidx, s) => {
-                        if is_backup {
-                            bucket.set_backup(s, false);
-                            if let Some(auth) = auth.as_mut() {
-                                auth.record_slot(bidx, s, bucket.slot(s));
-                            }
-                        }
-                    }
-                    _ => {
-                        bucket.set(s, None);
-                        if let Some(auth) = auth.as_mut() {
-                            auth.record_slot(bidx, s, None);
-                        }
-                    }
-                }
-            }
-            bucket.revalidate();
+            buckets.bucket_mut(bidx).revalidate();
         }
     }
 
@@ -1057,9 +1002,8 @@ impl ProtocolPolicy for RingOram {
         RingOram::access(self, BlockAddr(addr), data, arrival)
     }
 
-    /// A stash primary; else the slot step ③ would read the target from —
-    /// the first `find_valid` hit on the current label's path, root
-    /// first; else zeros.
+    /// A stash primary; else the slot step ③ would read the target from
+    /// (`held_slot` on the current label); else zeros.
     fn peek(&self, addr: u64, out: &mut Vec<u8>) {
         let addr = BlockAddr(addr);
         out.clear();
@@ -1067,11 +1011,8 @@ impl ProtocolPolicy for RingOram {
             out.extend_from_slice(&self.stash[i].payload);
             return;
         }
-        let hit = self.path(self.shell.lookup(addr)).find_map(|bidx| {
-            let bucket = self.buckets.bucket(bidx)?;
-            bucket.slot(find_valid(bucket, addr)?)
-        });
-        match hit {
+        let hit = self.held_slot(addr, self.shell.lookup(addr));
+        match hit.and_then(|(bidx, s)| self.buckets.slot(bidx, s)) {
             Some(copy) => out.extend_from_slice(copy.payload),
             None => out.resize(self.config.payload_bytes, 0),
         }
@@ -1259,6 +1200,32 @@ mod tests {
 
         oram.crash_now();
         crate::testkit::the_committed_round_survived(&mut oram, addr.0, &value);
+    }
+
+    /// Ring-Baseline persists no label, so a power failure loses what its
+    /// evictions landed under the labels it held: its ledger committed
+    /// those, and its recovery names one it cannot find. PS-Ring, on the
+    /// same operations, finds every one it committed.
+    #[test]
+    fn ring_baselines_crash_loss_is_judged_where_ps_ring_recovers() {
+        let recovered = |variant| {
+            let mut oram = RingOram::new(RingConfig::small_test(), variant, 7);
+            for a in 0..40u64 {
+                oram.write(BlockAddr(a), vec![a as u8 + 1; 8]).unwrap();
+            }
+            oram.crash_now();
+            oram.recover()
+        };
+        let lost = recovered(RingVariant::Baseline);
+        assert!(!lost.consistent && lost.addresses_checked > 0, "{lost:?}");
+        let named = lost.violation.as_deref().unwrap_or_default();
+        let addr = named.strip_prefix('a').and_then(|r| r.split_once(':'));
+        assert!(
+            addr.is_some_and(|(a, _)| a.parse::<u64>().is_ok_and(|a| a < 40)),
+            "{named}"
+        );
+        let kept = recovered(RingVariant::PsRing);
+        assert!(kept.consistent && kept.addresses_checked > 0, "{kept:?}");
     }
 
     #[test]

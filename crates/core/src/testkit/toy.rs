@@ -151,10 +151,10 @@ impl ProtocolPolicy for Toy {
         self.shell.end_access(index, arrival, arrival);
         Ok((value, arrival))
     }
-    /// The newest copy the label names, else zeros: a read is this.
+    /// The newest held copy, else zeros: a read is this.
     fn peek(&self, addr: u64, out: &mut Vec<u8>) {
         let a = BlockAddr(addr);
-        let leaf = self.shell.posmap.persisted_get(a);
+        let leaf = self.shell.lookup(a);
         out.clear();
         match (self.arena).newest_on_path(ToyCopies.path(leaf), a, leaf) {
             Some(copy) => out.extend_from_slice(copy.payload),
@@ -165,7 +165,7 @@ impl ProtocolPolicy for Toy {
         power_fail(self);
     }
     fn recover(&mut self) -> RecoveryReport {
-        (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _| {})
+        (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _, _| {})
     }
     fn state_digest(&self) -> u128 {
         self.shell.state_digest(&self.arena, false)

@@ -6,14 +6,15 @@
 //! every hardened row of the design table with that scope (the three WPQ
 //! Path variants and PS-Ring) × every step-boundary crash point × every
 //! fault arm on its own × plan seeds (eight for PS-ORAM and PS-Ring, two
-//! for Naïve and Rcr PS-ORAM), several crash → recover rounds each (2,700
-//! cases). In a tree this small nearly every path overlaps every other, so
-//! redundant copies, shadows and damaged units collide constantly — the
-//! corners the sampled runs reach rarely. The contract: corruption is never silent, every rolled-back
-//! address carries a typed error, and `recover` twice is `recover` once.
+//! for Naïve and Rcr PS-ORAM) × two working sets, several crash → recover
+//! rounds each (5,400 cases). In a tree this small nearly every path
+//! overlaps every other, so redundant copies, shadows and damaged units
+//! collide constantly — the corners the sampled runs reach rarely. The
+//! contract: corruption is never silent, every rolled-back address carries
+//! a typed error, and `recover` twice is `recover` once.
 
 use psoram_core::ring::RingVariant;
-use psoram_core::testkit::{read_back, recovered, Arm, Design, Geometry};
+use psoram_core::testkit::{recovered, Arm, Design, Geometry};
 use psoram_core::{CrashPoint, OramError, ProtocolPolicy, ProtocolVariant};
 use psoram_nvm::FaultConfig;
 
@@ -58,13 +59,19 @@ fn designs(levels: u32) -> impl Iterator<Item = (u64, Box<dyn ProtocolPolicy>)> 
     seeded.filter_map(move |(d, seed)| Some((seed, d.build_at(Geometry::Scope(levels), seed)?)))
 }
 
-/// A third of the capacity. Fuller trees at `Z = 2` leave the ladder's
-/// business for the eviction planners': Path pins more blocks to a path
-/// than it has slots and Ring reshuffles a bucket holding more than `Z`
-/// reals (both `debug_assert`s, both on fault-free runs), and at a quarter
-/// PS-Ring serves a dead copy — see the ignored reproducer below.
-fn working_set(oram: &dyn ProtocolPolicy) -> u64 {
-    (oram.capacity_blocks() / 3).max(2)
+/// A quarter and a third of the capacity. Fuller trees at `Z = 2` leave
+/// the ladder's business for the eviction planners': Path pins more blocks
+/// to a path than it has slots and Ring reshuffles a bucket holding more
+/// than `Z` reals (both `debug_assert`s, both on fault-free runs). At a
+/// quarter, PS-Ring at `L = 3` under stale replays alone (seed 4, a crash
+/// after step ②) once served a dead copy: a replay destroyed the newest
+/// committed copy of `a0`, Ring's Case-2 compaction promoted an older
+/// shadow under the still-current label, phase 3 re-pointed `a0` at a
+/// newer survivor on another path, the verdict was consistent — and the
+/// next read took the promoted shadow, because a Ring read took the first
+/// valid primary of the address whatever leaf its header named.
+fn working_set(oram: &dyn ProtocolPolicy, part: u64) -> u64 {
+    (oram.capacity_blocks() / part).max(2)
 }
 
 /// A few mixed accesses; `false` once the fail-safe latch refuses service
@@ -114,13 +121,15 @@ fn crash_at(
 #[test]
 fn every_small_scope_crash_recovers_loudly_and_once() {
     let (mut cases, mut classified, mut convicted) = (0u64, 0u64, 0u64);
-    for levels in 1..=3u32 {
+    for (levels, part) in (1..=3u32).flat_map(|l| [4, 3].map(|part| (l, part))) {
         for (kind, mix) in single_kind_mixes() {
             for point in CrashPoint::step_boundaries() {
                 for (seed, mut oram) in designs(levels) {
-                    let case = format!("{} L={levels} {kind} {point} seed={seed}", oram.label());
+                    let label = oram.label();
+                    let case =
+                        format!("{label} L={levels} {kind} {point} seed={seed} capacity/{part}");
                     let mut x = seed ^ 0xA076_1D64_78BD_642F;
-                    let ws = working_set(oram.as_ref());
+                    let ws = working_set(oram.as_ref(), part);
                     assert!(drive(oram.as_mut(), ws, &mut x, 12), "{case}: clean warmup");
                     oram.enable_device_faults(seed.wrapping_mul(0x9E37) ^ 7, mix);
                     cases += 1;
@@ -153,48 +162,7 @@ fn every_small_scope_crash_recovers_loudly_and_once() {
         }
     }
     println!("{cases} cases, {classified} classified, {convicted} convicted");
-    assert_eq!(cases, 3 * 9 * 5 * designs(1).map(|_| 1).sum::<u64>());
+    assert_eq!(cases, 3 * 2 * 9 * 5 * designs(1).map(|_| 1).sum::<u64>());
     assert!(classified > 0, "no case ever classified a fault");
     assert!(convicted > 0, "no case ever convicted a replay or splice");
-}
-
-/// Found by this suite at a working set of a quarter of the capacity, and
-/// present at b9b0e49 (before the ladder was written once): PS-Ring at
-/// `L = 3`, `Z = 2`, `S = 3`, `A = 2` under stale replays alone. A replay
-/// destroys the newest committed copy of `a0`; Ring's Case-2 compaction,
-/// which runs between phases 2 and 3, promotes an older shadow under the
-/// still-current label; phase 3 then re-points `a0` at a newer survivor on
-/// *another* path, the verdict is consistent — and the next read meets the
-/// promoted shadow first, because a Ring read takes the first valid
-/// primary of the address whatever leaf its header names. Making the read
-/// check the leaf fixes it and moves `store_regression`'s Ring pins, so it
-/// is ROADMAP's to schedule, not this refactor's.
-#[test]
-#[ignore = "known divergence, see ROADMAP: PS-Ring reads a dead copy after a phase-3 re-point"]
-fn ps_ring_reads_the_repointed_copy_after_a_replay_destroyed_the_newest() {
-    let seed = 4u64;
-    let ps_ring = Design::Ring(RingVariant::PsRing);
-    let mut oram = ps_ring.build_at(Geometry::Scope(3), seed).expect("a scope");
-    let quarter = oram.capacity_blocks() / 4;
-    let mut x = seed ^ 0xA076_1D64_78BD_642F;
-    assert!(drive(oram.as_mut(), quarter, &mut x, 12));
-    let stale_replay = FaultConfig {
-        stale_replay: 0.9,
-        ..FaultConfig::disabled()
-    };
-    oram.enable_device_faults(seed.wrapping_mul(0x9E37) ^ 7, stale_replay);
-    for _ in 0..2 {
-        assert!(drive(oram.as_mut(), quarter, &mut x, 5));
-        assert!(crash_at(
-            oram.as_mut(),
-            quarter,
-            CrashPoint::AfterAccessPosMap,
-            &mut x
-        ));
-        let report = oram.recover();
-        assert!(report.violation.is_none() && !report.poisoned);
-        oram.verify_contents(true)
-            .expect("consistent verdict, diverging contents");
-        read_back(oram.as_mut(), true).expect("consistent verdict, diverging contents");
-    }
 }

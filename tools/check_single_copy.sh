@@ -151,7 +151,7 @@ fi
 # address would read (`ProtocolPolicy::peek`) with the ledger and issues
 # nothing: its body names no read, write or access (`testkit::read_back` is
 # the check through reads, for the tests). Ring's `peek` takes the slot its
-# read takes, by `find_valid`: one pick, whatever it serves.
+# read takes, by `held_slot`: one pick, whatever it serves.
 check=$(sed -n '/fn verify_contents(&self/,/^    }$/p' crates/core/src/engine/policy.rs)
 if [ -z "$check" ]; then
     echo "error: ProtocolPolicy::verify_contents(&self, ..) not found in engine/policy.rs" >&2
@@ -161,10 +161,32 @@ if echo "$check" | grep -nE '\.read\(|\.write|\.access\('; then
     echo "error: verify_contents reads, writes or accesses instead of observing" >&2
     exit 1
 fi
-if ! sed -n '/fn peek(&self/,/^    }$/p' crates/core/src/ring.rs | grep -q 'find_valid('; then
-    echo "error: Ring's peek no longer picks its slot by find_valid, the read's own pick" >&2
+if ! sed -n '/fn peek(&self/,/^    }$/p' crates/core/src/ring.rs | grep -q 'held_slot('; then
+    echo "error: Ring's peek no longer picks its slot by held_slot, the read's own pick" >&2
     exit 1
 fi
+# One copy rule. A stored copy is *held* when its header names the label
+# the controller holds for its address (`Shell::held`) and *recoverable*
+# when it names the persisted one (`engine::recoverable`), each on that
+# label's path; both are written once, in `engine/shell.rs`. Reads take the
+# newest held copy on the path (`SlotArena::newest_on_path`, Ring's
+# `held_slot`), so Ring's first-valid-primary pick, which never checked
+# the label and served dead copies after a recovery, stays gone; and no
+# controller compares a copy's leaf with the persisted label by hand (the
+# hand-written copies once gave three different answers).
+if grep -rn 'fn find_valid' --include='*.rs' crates/core/src; then
+    echo "error: fn find_valid is back; a Ring read takes the newest held copy (held_slot)" >&2
+    exit 1
+fi
+for controller in controller ring; do
+    compared=$(sed 's://.*$::' "crates/core/src/$controller.rs" | tr '\n;{}' ' \n\n\n' \
+        | grep -E 'persisted_get\(' | grep -E '[=!]=' || true)
+    if [ -n "$compared" ]; then
+        echo "error: $controller.rs compares a label with persisted_get( by hand; ask engine::recoverable:" >&2
+        echo "$compared" | sed 's/  */ /g' >&2
+        exit 1
+    fi
+done
 # One experiment registry: every tracked figure, table and study result is
 # an entry of `psoram_bench::experiments::REGISTRY`, written by the
 # `experiments` binary at the scale constants its entry names. The
@@ -261,4 +283,4 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode)"

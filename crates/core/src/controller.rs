@@ -15,11 +15,11 @@ use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, lone, power_fail, recoverable, set_tap,
     stall, to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
-    Listing, Media, PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
+    Listing, Media, NvmLayout, PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds,
+    Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::recursive::RecursivePosMap;
-use crate::security::AccessRecorder;
 use crate::stash::Stash;
 use crate::stats::OramStats;
 use crate::tree::{heap_on_path, heap_path, BucketIndex, OramTree};
@@ -124,9 +124,9 @@ pub struct PathOram {
     crypto_lat: CryptoLatencyModel,
     onchip: OnChipNvmModel,
     onchip_parallelism: u64,
-    posmap_base: u64,
-    /// Base of the reserved NVM stash-snapshot region (Rcr-PS-ORAM).
-    stash_region_base: u64,
+    /// The tree, the PosMap entries, the recursion's trees and the stash
+    /// snapshot (Rcr-PS-ORAM).
+    layout: NvmLayout,
     /// Core cycles the controller frontend (decrypt/verify/stash port)
     /// needs per 64 B block. Provisioned for single-channel bandwidth
     /// (8 memory cycles/block), it becomes the bottleneck as channels are
@@ -141,8 +141,6 @@ pub struct PathOram {
     top_cache_levels: u32,
     rng: StdRng,
     stats: OramStats,
-    /// The security recorder (distinct from the shell's observability tap).
-    recorder: Option<AccessRecorder>,
     encrypt_payloads: bool,
     iv: u64,
 }
@@ -167,22 +165,20 @@ impl PathOram {
     ) -> Self {
         config.validate();
         let tree = OramTree::new(&config);
-        let posmap_base = tree.region_bytes().next_multiple_of(1 << 20);
-        let entry_region = config.capacity_blocks() * 8;
-        let recursion_base = (posmap_base + entry_region).next_multiple_of(1 << 20);
-        let recursion = if variant.is_recursive() {
-            Some(RecursivePosMap::new(
-                &config,
-                recursion_base,
-                128,
-                seed ^ 0x5EC0,
-            ))
-        } else {
-            None
+        // Each region past the tree starts on a 1 MiB boundary.
+        let mib = |bytes: u64| bytes.next_multiple_of(1 << 20);
+        let tree_bytes = tree.region_bytes();
+        let posmap = mib(tree_bytes);
+        let recursion_base = mib(posmap + config.capacity_blocks() * 8);
+        let recursion = (variant.is_recursive())
+            .then(|| RecursivePosMap::new(&config, recursion_base, 128, seed ^ 0x5EC0));
+        let recursion_bytes = recursion.as_ref().map_or(0, RecursivePosMap::region_bytes);
+        let layout = NvmLayout {
+            bucket_bytes: (config.bucket_slots * config.block_bytes) as u64,
+            tree_bytes,
+            posmap,
+            stash: mib(recursion_base + recursion_bytes),
         };
-        let recursion_end =
-            recursion_base + recursion.as_ref().map_or(0, RecursivePosMap::region_bytes);
-        let stash_region_base = recursion_end.next_multiple_of(1 << 20);
         let onchip = variant
             .onchip_tech()
             .map(OnChipNvmModel::for_tech)
@@ -209,8 +205,7 @@ impl PathOram {
             // Effective parallelism of the on-chip NVM buffer array
             // (FullNVM designs); calibrated against Figure 5(a).
             onchip_parallelism: 5,
-            posmap_base,
-            stash_region_base,
+            layout,
             // One block per 8 memory cycles — the frontend is provisioned
             // for a single channel's burst bandwidth, which is what makes
             // 2->4 channel scaling saturate (Figure 7, §5.2.3).
@@ -219,7 +214,6 @@ impl PathOram {
             top_cache_levels: 0,
             rng: StdRng::seed_from_u64(seed),
             stats: OramStats::default(),
-            recorder: None,
             encrypt_payloads: true,
             iv: 0,
             tree,
@@ -277,16 +271,6 @@ impl PathOram {
         ((1u64 << self.top_cache_levels) - 1)
             * self.config.bucket_slots as u64
             * self.config.block_bytes as u64
-    }
-
-    /// Starts recording the observable access pattern for security analysis.
-    pub fn enable_recording(&mut self) {
-        self.recorder = Some(AccessRecorder::new());
-    }
-
-    /// Returns the recorded access pattern, if recording was enabled.
-    pub fn recorder(&self) -> Option<&AccessRecorder> {
-        self.recorder.as_ref()
     }
 
     /// Controller statistics. The crash/recovery/stall counters live in
@@ -465,9 +449,6 @@ impl PathOram {
         });
         crash_at(self, CrashPoint::AfterEviction)?;
 
-        if let Some(rec) = &mut self.recorder {
-            rec.record(old_leaf, self.config.path_slots());
-        }
         if self.variant.stash_durable() {
             // FullNVM: stash and PosMap are non-volatile, so a completed
             // access is durable (atomicity within an access is the gap the
@@ -805,7 +786,7 @@ impl PathOram {
 
         if stash_snapshot > 0 {
             let block_bytes = self.config.block_bytes as u64;
-            let region = self.stash_region_base;
+            let region = self.layout.stash;
             // Overlaps with the path write-back; the access pipeline only
             // observes the later of the two completions.
             let done = self.shell.nvm.access_batch(
@@ -1032,7 +1013,7 @@ impl PathOram {
     fn naive_slot_entry_addr(&self, bucket: u64, slot: usize) -> u64 {
         let slot_index = bucket * self.config.bucket_slots as u64 + slot as u64;
         let spread = slot_index.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
-        self.posmap_base + (spread * 8) % (self.config.capacity_blocks() * 8)
+        self.layout.posmap + (spread * 8) % (self.config.capacity_blocks() * 8)
     }
 
     fn posmap_entry_nvm_addr(&self, addr: BlockAddr) -> u64 {
@@ -1043,7 +1024,7 @@ impl PathOram {
                     + rec.block_index(addr, 0) * self.config.block_bytes as u64;
             }
         }
-        self.posmap_base + addr.0 * 8
+        self.layout.posmap + addr.0 * 8
     }
 
     /// Immediately executes a power failure (also what an armed
@@ -1277,10 +1258,8 @@ impl ProtocolPolicy for PathOram {
         arm(self, seed, cfg, self.variant.uses_wpq());
     }
 
-    /// The region is the tree's.
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        let bytes = self.tree.base_addr() + self.tree.region_bytes();
-        self.shell.arm_wear(seed, bytes, cfg);
+    fn nvm_layout(&self) -> NvmLayout {
+        self.layout
     }
 
     fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {

@@ -52,7 +52,7 @@ pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
 pub use persist::EngineStats;
 pub(crate) use persist::{fault_kind, DrainedRound, EngineControl, PersistEngine, WearReadOutcome};
-pub use policy::{Access, CommitModel, ProtocolPolicy, ProtocolVariant, RingVariant};
+pub use policy::{Access, CommitModel, NvmLayout, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 pub use shell::Shell;

@@ -167,6 +167,34 @@ pub enum CommitModel {
 /// and the core cycle it is ready.
 pub type Access = Result<(Option<Vec<u8>>, u64), OramError>;
 
+/// Where a design's NVM regions lie, as public as its geometry: the
+/// tree's buckets in heap order from address 0, then the metadata.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NvmLayout {
+    /// Bytes of one bucket.
+    pub bucket_bytes: u64,
+    /// Bytes of the tree: the region the endurance adversary wears.
+    pub tree_bytes: u64,
+    /// Base of the PosMap entries, 8 B each, indexed by logical address.
+    pub posmap: u64,
+    /// Base of the stash snapshot, past the recursion's trees.
+    pub stash: u64,
+}
+
+impl NvmLayout {
+    /// A tree of `buckets` buckets of `bucket_bytes` and no metadata.
+    pub fn tree_only(buckets: u64, bucket_bytes: u64) -> NvmLayout {
+        let tree_bytes = buckets * bucket_bytes;
+        let (posmap, stash) = (tree_bytes, tree_bytes);
+        NvmLayout {
+            bucket_bytes,
+            tree_bytes,
+            posmap,
+            stash,
+        }
+    }
+}
+
 /// The uniform surface of an ORAM protocol variant over the shared
 /// persist engine.
 ///
@@ -247,16 +275,8 @@ pub trait ProtocolPolicy {
     /// Baselines get the same faults with no defenses, so the differential
     /// campaigns keep their detection power.
     fn enable_device_faults(&mut self, seed: u64, cfg: psoram_nvm::FaultConfig);
-    /// Arms the endurance adversary over the design's NVM line region:
-    /// per-line write accounting (seeded cell budgets around
-    /// `cfg.mean_endurance`) plus the chosen wear-leveling scheme. Gap
-    /// moves and retirements stage against the durable mapping and only
-    /// become durable in the persist engine's commit round, so a crash
-    /// mid-gap-move or mid-retirement rolls back to one consistent
-    /// mapping. Wear-induced faults additionally require an installed
-    /// device fault plan with a wear arm (`FaultConfig::wear_only` or
-    /// `FaultConfig::wear_mix`); without one this is accounting only.
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig);
+    /// Where the design's NVM regions lie.
+    fn nvm_layout(&self) -> NvmLayout;
     /// Accumulated statistics of the design's (data, PosMap) WPQs.
     fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats);
     /// Wires an observability tap through the whole stack: access/phase
@@ -268,6 +288,20 @@ pub trait ProtocolPolicy {
     /// Publishes the design's counters into a metrics registry under
     /// `prefix`.
     fn publish_metrics(&self, prefix: &str, reg: &mut psoram_obsv::MetricsRegistry);
+
+    /// Arms the endurance adversary over the design's tree region:
+    /// per-line write accounting (seeded cell budgets around
+    /// `cfg.mean_endurance`) plus the chosen wear-leveling scheme. Gap
+    /// moves and retirements stage against the durable mapping and only
+    /// become durable in the persist engine's commit round, so a crash
+    /// mid-gap-move or mid-retirement rolls back to one consistent
+    /// mapping. Wear-induced faults additionally require an installed
+    /// device fault plan with a wear arm (`FaultConfig::wear_only` or
+    /// `FaultConfig::wear_mix`); without one this is accounting only.
+    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
+        let bytes = self.nvm_layout().tree_bytes;
+        self.shell_mut().arm_wear(seed, bytes, cfg);
+    }
 
     /// Reads logical block `addr` at the design's own clock.
     ///

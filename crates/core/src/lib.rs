@@ -15,9 +15,7 @@
 //! * the recursive PosMap with a Freecursive-style PLB
 //!   ([`RecursivePosMap`]);
 //! * crash injection at every protocol step ([`CrashPoint`]), recovery, and
-//!   a machine-checkable recoverability invariant;
-//! * access-pattern recording and statistical obliviousness checks
-//!   ([`AccessRecorder`]).
+//!   a machine-checkable recoverability invariant.
 //!
 //! # Examples
 //!
@@ -59,7 +57,6 @@ pub mod par;
 mod posmap;
 mod recursive;
 pub mod ring;
-pub mod security;
 mod shard;
 mod stash;
 mod stats;
@@ -79,7 +76,6 @@ pub use engine::{CommitLedger, CommitModel, EngineStats, ProtocolPolicy, Shell};
 pub use eviction::{plan_eviction, EvictionPlan, SlotWrite};
 pub use posmap::{PosMap, TempPosMap};
 pub use recursive::{RecLevel, RecursivePosMap, ENTRIES_PER_BLOCK};
-pub use security::{AccessRecorder, ObservedAccess};
 pub use shard::{ShardController, ShardRange, ShardStep};
 pub use stash::Stash;
 pub use stats::OramStats;

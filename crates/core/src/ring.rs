@@ -38,7 +38,8 @@ use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, power_fail, recoverable, set_tap, stall,
     to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
-    Listing, Media, PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
+    Listing, Media, NvmLayout, PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds,
+    Shell,
 };
 use crate::posmap::{PosMap, LABEL_BOUND, MAX_LEVELS};
 use crate::tree::{heap_on_path, heap_path, BucketIndex};
@@ -1046,11 +1047,10 @@ impl ProtocolPolicy for RingOram {
         arm(self, seed, cfg, self.variant.uses_wpq());
     }
 
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        let bytes = self.config.num_buckets()
-            * self.config.bucket_physical_slots() as u64
-            * self.config.block_bytes as u64;
-        self.shell.arm_wear(seed, bytes, cfg);
+    /// The tree alone: the PosMap entries never reach the bus.
+    fn nvm_layout(&self) -> NvmLayout {
+        let bucket_bytes = self.config.bucket_physical_slots() * self.config.block_bytes;
+        NvmLayout::tree_only(self.config.num_buckets(), bucket_bytes as u64)
     }
 
     fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {

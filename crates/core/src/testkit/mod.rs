@@ -10,6 +10,7 @@
 //! four; [`conform`] runs one over every cell the table enables, so a
 //! design joins every suite as one row.
 
+mod bus;
 mod toy;
 
 use std::sync::Arc;
@@ -24,6 +25,9 @@ use crate::ring::{RingConfig, RingOram};
 use crate::types::{OramConfig, OramError};
 use crate::PathOram;
 
+pub use bus::{
+    bus_runs, chi_square, distinct, fold, serial_correlation, watch, BusAccess, ACCESSES, CHI_BOUND,
+};
 pub use toy::{Toy, ADDRS as TOY_ADDRS};
 
 /// One row of the design table. Its wire form (`{"Path": "PsOram"}`,
@@ -151,10 +155,24 @@ impl Design {
 
     /// What the design claims for `contract` under `arm`: a design the
     /// arm's faults meet undefended claims no recovery, and one without
-    /// crash consistency must fail a plain crash somewhere.
+    /// crash consistency must fail a plain crash somewhere. A reason for
+    /// failing [`Contract::Oblivious`] names its check first; the toy issues
+    /// no NVM request.
     pub fn claim(self, contract: Contract, arm: Arm) -> Claim {
+        use ProtocolVariant as P;
         let undefended = arm.damages() && !self.is_hardened();
         match contract {
+            Contract::Oblivious => match self {
+                Design::Toy => Claim::NotClaimed,
+                Design::Path(P::PsOram | P::NaivePsOram | P::RcrPsOram) => Claim::MustFail(
+                    "metadata: a round writes each PosMap entry it flushes at its logical \
+                     address's slot (and Rcr-PS-ORAM snapshots as many blocks as it stashes)",
+                ),
+                Design::Ring(_) => Claim::MustFail(
+                    "shapes: evict-path and early reshuffles read only a bucket's occupied slots",
+                ),
+                Design::Path(_) => Claim::MustPass,
+            },
             Contract::Allocations if self.alloc_budget(arm, 12).is_none() => Claim::NotClaimed,
             Contract::CrashAnywhere | Contract::Idempotent if undefended => Claim::NotClaimed,
             Contract::CrashAnywhere if !self.is_crash_consistent() => match arm {
@@ -280,11 +298,14 @@ pub enum Contract {
     /// Runs and traces are deterministic per seed, wear stays unarmed
     /// until armed, and a recorder does not perturb a run.
     Deterministic,
+    /// The NVM requests on the bus do not tell two programs apart (see
+    /// `bus::oblivious`).
+    Oblivious,
 }
 
 impl Contract {
     /// Every contract.
-    pub const ALL: [Contract; 8] = [
+    pub const ALL: [Contract; 9] = [
         Contract::ReadYourWrites,
         Contract::CrashAnywhere,
         Contract::Observer,
@@ -293,6 +314,7 @@ impl Contract {
         Contract::Refusal,
         Contract::Allocations,
         Contract::Deterministic,
+        Contract::Oblivious,
     ];
 
     /// The contract's check, whole.
@@ -310,13 +332,14 @@ impl Contract {
                     .and_then(|()| traces_are_well_formed(c))
                     .and_then(|()| runs_repeat(c))
             },
+            Contract::Oblivious => bus::oblivious,
         }
     }
 
     /// The seeds each cell runs.
     fn seeds(self) -> std::ops::Range<u64> {
         match self {
-            Contract::Bounded | Contract::Deterministic => 0..1,
+            Contract::Bounded | Contract::Deterministic | Contract::Oblivious => 0..1,
             _ => 0..2,
         }
     }

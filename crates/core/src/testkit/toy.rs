@@ -7,7 +7,8 @@ use crate::block::Block;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
     arm, commit_and_apply, crash_at, lone, power_fail, set_tap, Access, CommitModel, Copies,
-    DrainedRound, Listing, Media, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
+    DrainedRound, Listing, Media, NvmLayout, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds,
+    Shell,
 };
 use crate::tree::BucketIndex;
 use crate::types::{BlockAddr, Leaf};
@@ -177,8 +178,9 @@ impl ProtocolPolicy for Toy {
     fn enable_device_faults(&mut self, seed: u64, cfg: FaultConfig) {
         arm(self, seed, cfg, true);
     }
-    fn enable_wear(&mut self, seed: u64, cfg: psoram_nvm::WearConfig) {
-        self.shell.arm_wear(seed, 2 * ADDRS * 2 * 64, cfg);
+    /// A row of two-slot buckets.
+    fn nvm_layout(&self) -> NvmLayout {
+        NvmLayout::tree_only(2 * ADDRS, 2 * 64)
     }
     fn wpq_stats(&self) -> (psoram_nvm::WpqStats, psoram_nvm::WpqStats) {
         self.wpq.wpq_stats()

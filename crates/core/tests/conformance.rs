@@ -3,7 +3,8 @@
 //! under, less the cells a test elsewhere owns, so each cell runs once
 //! per `cargo test`. Those are each contract's plain arm — the Path rows'
 //! in `controller_tests`, the Ring rows' in `ring_tests`, every row's in
-//! `crash_matrix`, `verify_observer` and `obsv_tests` — the Start-Gap
+//! `crash_matrix`, `verify_observer` and `obsv_tests`, and the
+//! obliviousness contract's in the facade's `paper_claims` — the Start-Gap
 //! crash cells (`crash_matrix`) and the hardened idempotency cells
 //! (`device_fault_tests`). A broken cell reads `conformance <contract>
 //! <design> <arm> seed N: ...`. The allocation contract needs a counting
@@ -61,4 +62,9 @@ fn deterministic() {
     conform_clause(Contract::Deterministic, runs_repeat, |d, arm| {
         d == Design::Toy && arm == Arm::Plain
     });
+}
+
+#[test]
+fn oblivious() {
+    conform(Contract::Oblivious, armed);
 }

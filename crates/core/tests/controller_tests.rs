@@ -1,7 +1,8 @@
 //! Integration tests for the ORAM controller across all protocol variants.
 
 use psoram_core::testkit::{
-    conform, conform_clause, recovered, runs_repeat, Arm, Contract, Design,
+    chi_square, conform, conform_clause, recovered, runs_repeat, serial_correlation, watch, Arm,
+    BusAccess, Contract, Design, CHI_BOUND,
 };
 use psoram_core::{
     BlockAddr, CrashPoint, OramConfig, OramError, PathOram, ProtocolPolicy, ProtocolVariant,
@@ -334,41 +335,43 @@ fn top_cache_rejects_oversize() {
 #[test]
 fn observed_pattern_has_constant_shape_and_uniform_leaves() {
     let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 99);
-    oram.enable_recording();
     // A maximally revealing logical pattern: hammer one address.
-    for _ in 0..2000 {
-        oram.read(BlockAddr(1)).unwrap();
-    }
-    let rec = oram.recorder().unwrap();
+    let ((), bus) = watch(&mut oram, |oram| {
+        for _ in 0..2000 {
+            oram.read(BlockAddr(1)).unwrap();
+        }
+    });
+    assert_eq!(bus.len(), 2000);
     assert!(
-        rec.constant_shape(),
-        "every access must look identical in length"
+        bus.iter().all(|a| a.tree == (28, 28)),
+        "every access reads and writes one whole path on the bus"
     );
-    let chi = rec.leaf_chi_square(64, 16);
-    // 15 degrees of freedom: p=0.001 critical value is ~37.7.
-    assert!(chi < 37.7, "observed leaves not uniform: chi-square {chi}");
-    let corr = rec.leaf_serial_correlation();
+    let leaves: Vec<u64> = bus.iter().filter_map(BusAccess::leaf).collect();
+    assert_eq!(leaves.len(), 2000, "every access reads a path");
+    let chi = chi_square(&leaves, 64, 16);
+    assert!(
+        chi < CHI_BOUND,
+        "observed leaves not uniform: chi-square {chi}"
+    );
+    let corr = serial_correlation(&leaves);
     assert!(corr.abs() < 0.1, "leaf sequence auto-correlated: {corr}");
 }
 
 #[test]
 fn variant_choice_does_not_change_observed_path_count_shape() {
-    // PS-ORAM's extra persistence work must not change the *number of path
-    // accesses* the bus observes per logical access.
+    // PS-ORAM's extra persistence work must not change the tree traffic
+    // the bus shows per logical access.
     let observe = |variant| {
         let mut oram = PathOram::new(OramConfig::small_test(), variant, 12);
-        oram.enable_recording();
-        for i in 0..100u64 {
-            oram.write(BlockAddr(i % 10), payload(i)).unwrap();
-        }
-        oram.recorder().unwrap().len()
+        let ((), bus) = watch(&mut oram, |oram| {
+            for i in 0..100u64 {
+                oram.write(BlockAddr(i % 10), payload(i)).unwrap();
+            }
+        });
+        bus.into_iter().map(|a| a.tree).collect::<Vec<_>>()
     };
-    assert_eq!(
-        observe(ProtocolVariant::Baseline),
-        observe(ProtocolVariant::PsOram)
-    );
-    assert_eq!(
-        observe(ProtocolVariant::PsOram),
-        observe(ProtocolVariant::NaivePsOram)
-    );
+    let baseline = observe(ProtocolVariant::Baseline);
+    assert_eq!(baseline.len(), 100);
+    assert_eq!(baseline, observe(ProtocolVariant::PsOram));
+    assert_eq!(baseline, observe(ProtocolVariant::NaivePsOram));
 }

@@ -539,6 +539,7 @@ fn step_burst(
         if traced {
             tap.emit(|| Event::NvmAccess {
                 kind,
+                addr,
                 channel: channel as u32,
                 bank: bank as u32,
                 arrival,

@@ -93,6 +93,7 @@ impl Reference {
         };
         self.events.push(Event::NvmAccess {
             kind,
+            addr,
             channel: ch as u32,
             bank: bank as u32,
             arrival,

@@ -148,6 +148,7 @@ fn write_event(out: &mut String, pid: u32, e: &Event) {
             bank,
             arrival,
             complete: done,
+            ..
         } => {
             let name = format!("nvm_{}", kind.label());
             complete(
@@ -369,6 +370,7 @@ mod tests {
             "t".to_string(),
             vec![Event::NvmAccess {
                 kind: AccessKind::Write,
+                addr: 0x80,
                 channel: 2,
                 bank: 5,
                 arrival: 10,

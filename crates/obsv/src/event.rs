@@ -235,10 +235,13 @@ pub enum Event {
         /// Core cycle when the stall was charged.
         cycle: u64,
     },
-    /// One scheduled access on an NVM bank, in **memory** cycles.
+    /// One scheduled access on an NVM bank, in **memory** cycles: what
+    /// an observer of the memory bus sees of a request.
     NvmAccess {
         /// Read or write.
         kind: AccessKind,
+        /// The request's NVM byte address.
+        addr: u64,
         /// Channel index.
         channel: u32,
         /// Bank index within the channel.
@@ -405,6 +408,7 @@ mod tests {
         assert_eq!(e.cycle(), 7);
         let n = Event::NvmAccess {
             kind: AccessKind::Read,
+            addr: 0x40,
             channel: 0,
             bank: 3,
             arrival: 40,

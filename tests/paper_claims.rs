@@ -1,6 +1,11 @@
 //! End-to-end checks of the paper's headline numeric claims that our
-//! models reproduce exactly (Table 2) or structurally (security §4.6).
+//! models reproduce exactly (Table 2) or structurally (security §4.6, on
+//! the NVM request stream).
 
+use psoram::core::testkit::{
+    bus_runs, chi_square, conform, distinct, plain, serial_correlation, watch, Arm, BusAccess,
+    Case, Contract, Design, ACCESSES,
+};
 use psoram::core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram::energy::DrainCostModel;
 
@@ -18,59 +23,110 @@ fn table2_energy_numbers() {
 
 #[test]
 fn security_claims_hold_across_variants() {
-    // Claims 1-3: the persistence add-ons change nothing observable.
-    let observe = |variant| {
-        let cfg = OramConfig::small_test();
-        let mut oram = PathOram::new(cfg.clone(), variant, 31337);
-        oram.enable_recording();
-        for i in 0..1500u64 {
-            // Adversarially chosen logical pattern: heavy skew.
-            let addr = if i % 3 == 0 { 1 } else { i % 50 };
-            oram.read(BlockAddr(addr)).unwrap();
-        }
-        let rec = oram.recorder().unwrap().clone();
-        (
-            rec.leaf_chi_square(cfg.num_leaves(), 16),
-            rec.constant_shape(),
-        )
-    };
-    for variant in [
-        ProtocolVariant::Baseline,
-        ProtocolVariant::PsOram,
-        ProtocolVariant::NaivePsOram,
-    ] {
-        let (chi, constant) = observe(variant);
-        assert!(constant, "{variant}: transfer counts must be constant");
-        assert!(
-            chi < 45.0,
-            "{variant}: leaf distribution skewed, chi={chi:.1}"
+    // §4.6 on the bus: every row's NVM requests under a hammered address
+    // and a stride of equal length, folded per access. Path ids are
+    // uniform and Path tree traffic is the same whatever the program; a
+    // row the bus tells apart must fail, for the reason the design table
+    // states (Ring's rewrites; the PosMap entries of PS-ORAM, Naive and
+    // Rcr-PS-ORAM) — the persistence add-ons change no tree traffic.
+    conform(Contract::Oblivious, plain);
+    println!("small_test, seed 5, {ACCESSES} writes per program (hammer h / stride s)");
+    println!(
+        "design          chi h/s    lag-1  access 0  tree shapes h/s  shapes h/s  \
+         PosMap entries h/s  snapshot h/s"
+    );
+    let mut streams = Vec::new();
+    for design in Design::all().filter(|&d| d != Design::Toy) {
+        let case = Case {
+            design,
+            arm: Arm::Plain,
+            seed: 5,
+        };
+        let bus = bus_runs(&case).unwrap();
+        let layout = Design::build(design, 5).nvm_layout();
+        let leaves = |i: usize| {
+            bus[i]
+                .iter()
+                .filter_map(BusAccess::leaf)
+                .collect::<Vec<_>>()
+        };
+        // The PosMap entries a program writes, as logical addresses, and
+        // its stash-snapshot writes.
+        let entries = |i: usize| -> Vec<u64> {
+            let writes = bus[i].iter().flat_map(BusAccess::metadata_writes);
+            let entries = writes.filter(|&addr| addr < layout.stash);
+            entries.map(|addr| (addr - layout.posmap) / 8).collect()
+        };
+        let snapshot = |i: usize| {
+            let writes = bus[i].iter().flat_map(BusAccess::metadata_writes);
+            writes.filter(|&addr| addr >= layout.stash).count()
+        };
+        let shapes = |shape: fn(&BusAccess) -> ((u64, u64), usize)| {
+            format!("{}/{}", distinct(&bus[0], shape), distinct(&bus[1], shape))
+        };
+        let name = match design {
+            Design::Path(v) => v.label().to_string(),
+            _ => format!("{design:?}"),
+        };
+        let (reads, writes) = bus[0][0].tree;
+        println!(
+            "{name:<16}{:>4.1}/{:<5.1}{:>7.3}{:>6}/{:<3}{:>13}{:>14}{:>14}/{:<6}{:>7}/{}",
+            chi_square(&leaves(0), 64, 16),
+            chi_square(&leaves(1), 64, 16),
+            serial_correlation(&leaves(0)),
+            reads,
+            writes,
+            shapes(|a| (a.tree, 0)),
+            shapes(|a| (a.tree, a.metadata.len())),
+            entries(0).len(),
+            entries(1).len(),
+            snapshot(0),
+            snapshot(1),
         );
+        if !entries(0).is_empty() {
+            let first = |i| entries(i).into_iter().take(8).collect::<Vec<_>>();
+            streams.push(format!("{name:<16}h {:?}  s {:?}", first(0), first(1)));
+        }
     }
+    println!("first PosMap entries written (logical addresses):");
+    println!("{}", streams.join("\n"));
+}
+
+/// What the bus shows of `program` on a small PS-ORAM.
+fn ps_oram_bus(
+    config: OramConfig,
+    program: impl FnOnce(&mut PathOram),
+) -> (PathOram, Vec<BusAccess>) {
+    let mut oram = PathOram::new(config, ProtocolVariant::PsOram, 5);
+    let ((), bus) = watch(&mut oram, program);
+    (oram, bus)
 }
 
 #[test]
 fn claim4_backup_blocks_invisible_after_crash() {
     // The backup block is only interpretable by re-reading its whole path:
     // on the bus it is one more encrypted block among Z*(L+1).
-    let mut oram = PathOram::new(OramConfig::small_test(), ProtocolVariant::PsOram, 5);
-    oram.enable_recording();
-    for i in 0..200u64 {
-        oram.write(BlockAddr(i % 20), vec![i as u8; 8]).unwrap();
-    }
+    let (oram, bus) = ps_oram_bus(OramConfig::small_test(), |oram| {
+        for i in 0..200u64 {
+            oram.write(BlockAddr(i % 20), vec![i as u8; 8]).unwrap();
+        }
+    });
     assert!(oram.stats().backups_created > 0);
-    assert!(oram.recorder().unwrap().constant_shape());
+    assert_eq!(bus.len(), 200);
+    assert!(bus.iter().all(|a| a.tree == (28, 28)));
 }
 
 #[test]
 fn claim5_small_wpq_reordering_keeps_shape() {
     let cfg = OramConfig::small_test().with_wpq_capacity(4, 4);
-    let mut oram = PathOram::new(cfg, ProtocolVariant::PsOram, 5);
-    oram.enable_recording();
-    for i in 0..300u64 {
-        oram.write(BlockAddr(i % 20), vec![i as u8; 8]).unwrap();
-    }
+    let (oram, bus) = ps_oram_bus(cfg, |oram| {
+        for i in 0..300u64 {
+            oram.write(BlockAddr(i % 20), vec![i as u8; 8]).unwrap();
+        }
+    });
     // Sub-batched evictions still write full paths: shape unchanged.
-    assert!(oram.recorder().unwrap().constant_shape());
+    assert_eq!(bus.len(), 300);
+    assert!(bus.iter().all(|a| a.tree == (28, 28)));
     assert!(oram.stats().eviction_batches > oram.stats().eviction_rounds);
 }
 

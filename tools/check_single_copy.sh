@@ -278,9 +278,18 @@ if grep -n 'psoram-crypto' crates/nvm/Cargo.toml >&2; then
     echo "error: crates/nvm/Cargo.toml depends on psoram-crypto again" >&2
     exit 1
 fi
+# One bus record: the obliviousness checks read the NVM requests the tap
+# carries (`psoram_core::testkit::fold`). The controller's own report of
+# what it touched (a second recorder, which only Path had and which
+# recorded a constant transfer count) made every shape check true by
+# construction.
+if git ls-files -z '*.rs' | xargs -0 grep -nwE 'AccessRecorder|ObservedAccess|enable_recording' >&2; then
+    echo "error: a self-reporting access recorder again; fold the tap's NvmAccess events (testkit::fold)" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode; one bus record)"

@@ -299,6 +299,29 @@ mod tests {
         }
     }
 
+    /// EXPERIMENTS.md tells each experiment once, as it stands: every
+    /// entry is named by exactly one `##` heading, as `experiments NAME`,
+    /// and no heading is a change's diary (`... (PR N)`).
+    #[test]
+    fn every_entry_has_one_doc_section() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+        let headings: Vec<&str> = doc.lines().filter(|l| l.starts_with("##")).collect();
+        for e in REGISTRY {
+            let tag = format!("`experiments {}`", e.name);
+            let n = headings.iter().filter(|h| h.contains(&tag)).count();
+            assert_eq!(n, 1, "{n} EXPERIMENTS.md headings name {tag}");
+        }
+        for h in &headings {
+            let tail = h
+                .trim_end()
+                .strip_suffix(')')
+                .and_then(|h| h.rsplit_once("(PR "));
+            let diary = tail.is_some_and(|(_, n)| n.chars().all(|c| c.is_ascii_digit()));
+            assert!(!diary, "a change's diary in EXPERIMENTS.md: {h}");
+        }
+    }
+
     #[test]
     fn argv_selects_entries_or_refuses_before_running_any() {
         let all: Vec<&str> = REGISTRY.iter().map(|e| e.name).collect();

@@ -33,7 +33,7 @@ use crate::types::{BlockAddr, Leaf};
 
 /// Buckets per page.
 ///
-/// Sixteen by measurement (EXPERIMENTS.md, "The path is the unit"). At 8
+/// Sixteen by measurement (commit 6713e48, DESIGN.md §9). At 8
 /// `path_plain` runs 4 % slower, `fullstack_spec` peaks 4 % higher and a
 /// paper-scale instance spreads over 11 % more pages; at 32 nothing
 /// measurable is gained on speed, `fullstack_spec` peaks 3 % lower and the

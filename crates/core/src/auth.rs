@@ -326,7 +326,7 @@ pub struct CounterTree {
     /// Per PosMap address: the same row, folded into `posmap_agg`. Hashed,
     /// not paged: a run persists a sparse subset of its addresses, and a
     /// page of rows for every sixteenth of them costs more than it saves
-    /// (EXPERIMENTS.md, "Recovery audits once").
+    /// (measured in commit 048845f, DESIGN.md §11).
     posmap: HashMap<u64, SlotRow>,
     levels: Vec<u128>,
     posmap_agg: u128,

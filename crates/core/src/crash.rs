@@ -269,11 +269,6 @@ impl RecoveryReport {
         }
     }
 
-    /// `true` when recovery detected any device-level damage.
-    pub fn saw_device_faults(&self) -> bool {
-        !self.incidents.is_empty() || !self.rolled_back.is_empty() || self.poisoned
-    }
-
     /// Total freshness violations (replays + splices) recovery detected.
     pub fn freshness_violations(&self) -> u64 {
         self.replays_detected + self.splices_detected
@@ -325,7 +320,6 @@ mod tests {
         }];
         r.replays_detected = 4;
         r.splices_detected = 2;
-        assert!(r.saw_device_faults());
         assert_eq!(r.freshness_violations(), 6);
         let json = serde_json::to_string(&r).unwrap();
         let back: RecoveryReport = serde_json::from_str(&json).unwrap();

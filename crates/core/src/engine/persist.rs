@@ -487,12 +487,6 @@ impl EngineControl {
         self.device = Some(FaultPlan::new(seed, cfg));
     }
 
-    /// `true` when a device fault plan is installed.
-    #[cfg(test)]
-    pub fn device_mode(&self) -> bool {
-        self.device.is_some()
-    }
-
     /// Ground-truth injection counters of the installed plan, if any.
     pub fn fault_stats(&self) -> Option<FaultStats> {
         self.device.as_ref().map(FaultPlan::stats)
@@ -641,12 +635,6 @@ impl EngineControl {
     /// (lifetime campaigns); with one, hot lines progressively fault.
     pub fn enable_wear(&mut self, seed: u64, lines: u64, cfg: WearConfig) {
         self.wear = Some(WearEngine::new(seed, lines, cfg));
-    }
-
-    /// `true` when the wear engine is enabled.
-    #[cfg(test)]
-    pub fn wear_mode(&self) -> bool {
-        self.wear.is_some()
     }
 
     /// The wear engine's accumulated counters, if enabled.
@@ -816,7 +804,6 @@ mod tests {
     #[test]
     fn no_plan_means_no_damage_and_no_read_faults() {
         let mut e = EngineControl::default();
-        assert!(!e.device_mode());
         assert!(e.draw_crash_damage(8, 8).is_empty());
         assert_eq!(e.read_fault(), ReadFault::None);
         assert!(e.take_incidents().is_empty());
@@ -899,7 +886,6 @@ mod tests {
     #[test]
     fn wear_is_inert_until_enabled_and_without_a_plan() {
         let mut e = EngineControl::default();
-        assert!(!e.wear_mode());
         assert_eq!(e.wear_digest(), None);
         assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
         e.enable_wear(

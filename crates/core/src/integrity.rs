@@ -2,7 +2,7 @@
 //! covers its bucket's digest and its children's, untouched subtrees use
 //! per-depth defaults, the root is held on chip.
 //!
-//! No controller maintains one (EXPERIMENTS.md "One integrity mechanism"):
+//! No controller maintains one (DESIGN.md §10; priced in commit 35528be):
 //! this is what the frozen `integrity.verify_update_path_ns` benchmark
 //! kernel calls, and it goes when that kernel does.
 

@@ -51,11 +51,6 @@ impl ShardRange {
         assert!(self.contains(addr), "address {addr} outside {self:?}");
         addr - self.lo
     }
-
-    /// Translates a shard-local address back into the global space.
-    pub fn to_global(&self, local: u64) -> u64 {
-        self.lo + local
-    }
 }
 
 impl std::fmt::Display for ShardRange {
@@ -246,7 +241,6 @@ mod tests {
         assert_eq!(r.len(), 32);
         assert!(r.contains(64) && r.contains(95) && !r.contains(96));
         assert_eq!(r.to_local(70), 6);
-        assert_eq!(r.to_global(6), 70);
     }
 
     #[test]

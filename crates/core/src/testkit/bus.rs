@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use psoram_obsv::{AccessKind, Event, RingBufferRecorder};
 
-use super::{Broke, Case, Claim, Contract, Op, Outcome};
+use super::{Broke, Case, Claim, Contract, Geometry, Op, Outcome};
 use crate::engine::{NvmLayout, ProtocolPolicy};
 
 /// One access as the bus shows it: the NVM requests from its
@@ -102,6 +102,11 @@ pub const CHI_BOUND: f64 = 37.7;
 /// Writes in each program of [`bus_runs`].
 pub const ACCESSES: u64 = 1_500;
 
+/// The height the recursion contract runs at: its PosMap (16,384
+/// entries) outgrows the on-chip root map (4,096), so a recursive row
+/// walks a recursion tree; at the small geometry it never does.
+pub const RECURSION_LEVELS: u32 = 13;
+
 /// Runs `program` on `oram` with a recorder attached: what it returned
 /// and what the bus showed, folded. Panics if the recorder dropped events.
 pub fn watch<P, R>(oram: &mut P, program: impl FnOnce(&mut P) -> R) -> (R, Vec<BusAccess>)
@@ -115,13 +120,15 @@ where
     (out, fold(&recorder.events(), &oram.nvm_layout()))
 }
 
-/// What the bus shows of the case's design under two programs of
-/// [`ACCESSES`] writes, one hammering address 1, one striding by 7 over
-/// addresses 0..40; or an access that failed, or a latch that ended one.
-pub fn bus_runs(c: &Case) -> Result<[Vec<BusAccess>; 2], Broke> {
+/// What the bus shows of the case's design at `geometry` under two
+/// programs of [`ACCESSES`] writes, one hammering address 1, one striding
+/// by 7 over addresses 0..40; or an access that failed, or a latch that
+/// ended one.
+pub fn bus_runs(c: &Case, geometry: Geometry) -> Result<[Vec<BusAccess>; 2], Broke> {
+    let build = || c.build_at(geometry).ok_or(Broke::from("no such geometry"));
     let run = |at: fn(u64) -> u64| {
         let ops: Vec<Op> = (0..ACCESSES).map(|i| (at(i), true, i as u8)).collect();
-        match watch(c.build().as_mut(), |oram| c.serves(oram, &ops)) {
+        match watch(build()?.as_mut(), |oram| c.serves(oram, &ops)) {
             (Ok(true), bus) => Ok(bus),
             (Ok(false), _) => Err(Broke::from("the fail-safe latch ended a program")),
             (Err(e), _) => Err(e),
@@ -136,7 +143,7 @@ pub fn bus_runs(c: &Case) -> Result<[Vec<BusAccess>; 2], Broke> {
 /// by access. A failed check breaks the model if the row's must-fail
 /// reason names it, and the cell otherwise.
 pub(super) fn oblivious(c: &Case) -> Outcome {
-    let [hammer, stride] = bus_runs(c)?;
+    let [hammer, stride] = bus_runs(c, Geometry::Small)?;
     let layout = c.build().nvm_layout();
     let ids: Vec<u64> = hammer.iter().filter_map(BusAccess::leaf).collect();
     let leaves = (layout.tree_bytes / layout.bucket_bytes).div_ceil(2);
@@ -165,6 +172,29 @@ pub(super) fn oblivious(c: &Case) -> Outcome {
         (Some((_, e)), _) => Err(Broke::Other(e)),
         (None, Some((_, e))) => Err(Broke::Model(e)),
         (None, None) => Ok(()),
+    }
+}
+
+/// The recursion contract: at [`RECURSION_LEVELS`], [`bus_runs`]' two
+/// programs make as many PosMap-region requests (the entries and the
+/// recursion trees, below the stash snapshot) as each other, access by
+/// access.
+pub(super) fn recursion(c: &Case) -> Outcome {
+    let geometry = Geometry::Tall(RECURSION_LEVELS);
+    let [hammer, stride] = bus_runs(c, geometry)?;
+    let layout = c.build_at(geometry).ok_or("no such geometry")?.nvm_layout();
+    let count = |a: &BusAccess| a.metadata.iter().filter(|m| m.1 < layout.stash).count();
+    let total = |bus: &[BusAccess]| bus.iter().map(count).sum::<usize>();
+    let mut pairs = hammer.iter().zip(&stride).enumerate();
+    match pairs.find(|(_, (h, s))| count(h) != count(s)) {
+        Some((i, (h, s))) => Err(Broke::Model(format!(
+            "recursion: access {i} makes {} vs {} requests; {} vs {} in all",
+            count(h),
+            count(s),
+            total(&hammer),
+            total(&stride),
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -26,7 +26,8 @@ use crate::types::{OramConfig, OramError};
 use crate::PathOram;
 
 pub use bus::{
-    bus_runs, chi_square, distinct, fold, serial_correlation, watch, BusAccess, ACCESSES, CHI_BOUND,
+    bus_runs, chi_square, distinct, fold, serial_correlation, watch, BusAccess, ACCESSES,
+    CHI_BOUND, RECURSION_LEVELS,
 };
 pub use toy::{Toy, ADDRS as TOY_ADDRS};
 
@@ -173,6 +174,12 @@ impl Design {
                 ),
                 Design::Path(_) => Claim::MustPass,
             },
+            Contract::Recursion => match (self, arm) {
+                (Design::Path(v), Arm::Plain) if v.is_recursive() => Claim::MustFail(
+                    "recursion: PLB misses count the program's distinct PosMap blocks",
+                ),
+                _ => Claim::NotClaimed,
+            },
             Contract::Allocations if self.alloc_budget(arm, 12).is_none() => Claim::NotClaimed,
             Contract::CrashAnywhere | Contract::Idempotent if undefended => Claim::NotClaimed,
             Contract::CrashAnywhere if !self.is_crash_consistent() => match arm {
@@ -301,11 +308,14 @@ pub enum Contract {
     /// The NVM requests on the bus do not tell two programs apart (see
     /// `bus::oblivious`).
     Oblivious,
+    /// Where the PosMap outgrows the on-chip root map, the bus does not
+    /// count two programs' PosMap blocks (see `bus::recursion`).
+    Recursion,
 }
 
 impl Contract {
     /// Every contract.
-    pub const ALL: [Contract; 9] = [
+    pub const ALL: [Contract; 10] = [
         Contract::ReadYourWrites,
         Contract::CrashAnywhere,
         Contract::Observer,
@@ -315,6 +325,7 @@ impl Contract {
         Contract::Allocations,
         Contract::Deterministic,
         Contract::Oblivious,
+        Contract::Recursion,
     ];
 
     /// The contract's check, whole.
@@ -333,13 +344,17 @@ impl Contract {
                     .and_then(|()| runs_repeat(c))
             },
             Contract::Oblivious => bus::oblivious,
+            Contract::Recursion => bus::recursion,
         }
     }
 
     /// The seeds each cell runs.
     fn seeds(self) -> std::ops::Range<u64> {
         match self {
-            Contract::Bounded | Contract::Deterministic | Contract::Oblivious => 0..1,
+            Contract::Bounded
+            | Contract::Deterministic
+            | Contract::Oblivious
+            | Contract::Recursion => 0..1,
             _ => 0..2,
         }
     }

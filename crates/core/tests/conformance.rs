@@ -4,7 +4,8 @@
 //! per `cargo test`. Those are each contract's plain arm — the Path rows'
 //! in `controller_tests`, the Ring rows' in `ring_tests`, every row's in
 //! `crash_matrix`, `verify_observer` and `obsv_tests`, and the
-//! obliviousness contract's in the facade's `paper_claims` — the Start-Gap
+//! obliviousness and recursion contracts' in the facade's `paper_claims`
+//! (the recursion contract claims nothing else) — the Start-Gap
 //! crash cells (`crash_matrix`) and the hardened idempotency cells
 //! (`device_fault_tests`). A broken cell reads `conformance <contract>
 //! <design> <arm> seed N: ...`. The allocation contract needs a counting

@@ -73,9 +73,8 @@ static TE: [[u32; 256]; 4] = {
 
 /// Expands `key` into the 11 round keys of the FIPS-197 key schedule.
 ///
-/// Shared by both round functions of [`Aes128`], the byte-wise reference
-/// cipher, and the inverse cipher so all of them provably run the same
-/// schedule.
+/// Shared by both round functions of [`Aes128`] and the byte-wise
+/// reference cipher so all of them provably run the same schedule.
 pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
     let mut w = [[0u8; 4]; 44];
     for (i, chunk) in key.chunks_exact(4).enumerate() {
@@ -132,8 +131,8 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each: what the hardware rounds, the
-    /// inverse cipher and CMAC subkey derivation consume.
+    /// 11 round keys of 16 bytes each: what the hardware rounds consume.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
     round_keys: [[u8; 16]; 11],
     rounds: Rounds,
 }
@@ -193,11 +192,6 @@ impl Aes128 {
             round_keys,
             rounds: Rounds::Portable(ek),
         }
-    }
-
-    /// Internal view of the expanded key schedule (for the inverse cipher).
-    pub(crate) fn round_keys_ref(&self) -> &[[u8; 16]; 11] {
-        &self.round_keys
     }
 
     /// Encrypts one 16-byte block and returns the ciphertext block: the

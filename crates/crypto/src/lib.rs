@@ -72,7 +72,6 @@ mod aesni;
 mod cmac;
 mod ctr;
 mod hash;
-mod inverse;
 mod latency;
 mod reference;
 

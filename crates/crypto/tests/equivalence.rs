@@ -117,19 +117,6 @@ proptest! {
         }
     }
 
-    /// The inverse cipher undoes the forward cipher on either backend (all
-    /// consume the same expanded schedule).
-    #[test]
-    fn decrypt_inverts_ttable_encrypt(
-        k in (any::<u64>(), any::<u64>()),
-        b in (any::<u64>(), any::<u64>()),
-    ) {
-        let pt = bytes16(b);
-        for aes in [Aes128::new(&bytes16(k)), Aes128::portable(&bytes16(k))] {
-            prop_assert_eq!(aes.decrypt_block(&aes.encrypt_block(&pt)), pt);
-        }
-    }
-
     /// CTR keystream over the fast path equals block-at-a-time CTR over the
     /// reference cipher, including tail blocks and counter wrap-around.
     #[test]

@@ -214,19 +214,6 @@ impl FaultConfig {
         Self::campaign_default().with_wear()
     }
 
-    /// `true` when every probability is zero.
-    pub fn is_disabled(&self) -> bool {
-        self.torn_flush == 0.0
-            && self.signal_loss == 0.0
-            && self.duplicate_signal == 0.0
-            && self.bit_flip_per_unit == 0.0
-            && self.transient_read == 0.0
-            && self.stale_replay == 0.0
-            && self.cross_splice == 0.0
-            && self.read_replay == 0.0
-            && self.wear_media_fault == 0.0
-    }
-
     /// `true` when the plan can ever re-serve a *previous* version of a
     /// unit (at a crash or on the read wire). Only then does the
     /// adversary need a snapshot of what each write overwrites; splices
@@ -764,9 +751,6 @@ mod tests {
             assert_eq!(p.wear_fault(1.0), ReadFault::None);
         }
         assert_eq!(p.stats().total_injected(), 0);
-        assert!(FaultConfig::disabled().is_disabled());
-        assert!(!FaultConfig::campaign_default().is_disabled());
-        assert!(!FaultConfig::replay_mix().is_disabled());
     }
 
     #[test]
@@ -920,7 +904,6 @@ mod tests {
         for _ in 0..500 {
             assert_ne!(q.wear_fault(0.99), ReadFault::Stuck);
         }
-        assert!(!FaultConfig::wear_only().is_disabled());
     }
 
     #[test]

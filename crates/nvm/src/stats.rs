@@ -41,11 +41,6 @@ impl NvmStats {
         }
     }
 
-    /// Total accesses of either kind.
-    pub fn total_accesses(&self) -> u64 {
-        self.reads + self.writes
-    }
-
     /// Component-wise difference (`self - earlier`), for interval stats.
     ///
     /// # Panics
@@ -108,7 +103,6 @@ mod tests {
         s.record(AccessKind::Write, 64);
         assert_eq!(s.reads, 1);
         assert_eq!(s.writes, 2);
-        assert_eq!(s.total_accesses(), 3);
         assert_eq!(s.write_bytes, 128);
     }
 

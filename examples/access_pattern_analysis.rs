@@ -10,7 +10,7 @@
 //! Run with: `cargo run --example access_pattern_analysis`
 
 use psoram::core::testkit::{
-    bus_runs, chi_square, distinct, serial_correlation, Arm, BusAccess, Case, Design,
+    bus_runs, chi_square, distinct, serial_correlation, Arm, BusAccess, Case, Design, Geometry,
 };
 use psoram::core::ProtocolVariant;
 use psoram::obsv::AccessKind;
@@ -30,7 +30,7 @@ fn main() {
             arm: Arm::Plain,
             seed: 5,
         };
-        let [hammer, stride] = bus_runs(&case).expect("the programs run");
+        let [hammer, stride] = bus_runs(&case, Geometry::Small).expect("the programs run");
         for (program, bus) in [("hammer", hammer), ("stride", stride)] {
             let leaves: Vec<u64> = bus.iter().filter_map(BusAccess::leaf).collect();
             let entries: Vec<u64> = (bus.iter().flat_map(|a| &a.metadata))

@@ -4,7 +4,7 @@
 
 use psoram::core::testkit::{
     bus_runs, chi_square, conform, distinct, plain, serial_correlation, watch, Arm, BusAccess,
-    Case, Contract, Design, ACCESSES,
+    Case, Contract, Design, Geometry, ACCESSES, RECURSION_LEVELS,
 };
 use psoram::core::{BlockAddr, OramConfig, PathOram, ProtocolPolicy, ProtocolVariant};
 use psoram::energy::DrainCostModel;
@@ -42,7 +42,7 @@ fn security_claims_hold_across_variants() {
             arm: Arm::Plain,
             seed: 5,
         };
-        let bus = bus_runs(&case).unwrap();
+        let bus = bus_runs(&case, Geometry::Small).unwrap();
         let layout = Design::build(design, 5).nvm_layout();
         let leaves = |i: usize| {
             bus[i]
@@ -90,6 +90,36 @@ fn security_claims_hold_across_variants() {
     }
     println!("first PosMap entries written (logical addresses):");
     println!("{}", streams.join("\n"));
+}
+
+#[test]
+fn recursion_traffic_counts_the_programs_posmap_blocks() {
+    // At a height whose PosMap outgrows the on-chip root map, a PLB miss
+    // walks a recursion tree, so Rcr-Baseline and Rcr-PS-ORAM make as
+    // many recursion paths as the program has distinct PosMap blocks: the
+    // design table holds both cells as must-fail.
+    let cells = conform(Contract::Recursion, plain);
+    assert_eq!(
+        cells, 2,
+        "one cell per recursive row at L={RECURSION_LEVELS}"
+    );
+    println!("L={RECURSION_LEVELS}, seed 0: PosMap-region requests (hammer/stride)");
+    let tall = Geometry::Tall(RECURSION_LEVELS);
+    for variant in [ProtocolVariant::RcrBaseline, ProtocolVariant::RcrPsOram] {
+        let design = Design::Path(variant);
+        let case = Case {
+            design,
+            arm: Arm::Plain,
+            seed: 0,
+        };
+        let bus = bus_runs(&case, tall).unwrap();
+        let stash = design.build_at(tall, 0).unwrap().nvm_layout().stash;
+        let requests = |i: usize| {
+            let metadata = bus[i].iter().flat_map(|a| &a.metadata);
+            metadata.filter(|m| m.1 < stash).count()
+        };
+        println!("{:<14}{:>6}/{}", variant.label(), requests(0), requests(1));
+    }
 }
 
 /// What the bus shows of `program` on a small PS-ORAM.

@@ -287,9 +287,23 @@ if git ls-files -z '*.rs' | xargs -0 grep -nwE 'AccessRecorder|ObservedAccess|en
     echo "error: a self-reporting access recorder again; fold the tap's NvmAccess events (testkit::fold)" >&2
     exit 1
 fi
+# One history: CHANGES.md is the per-change log, git keeps the rest. A
+# second log (CHANGELOG.md once told every change again, read by nothing)
+# grows beside it unseen.
+if git ls-files --error-unmatch CHANGELOG.md >/dev/null 2>&1; then
+    echo "error: CHANGELOG.md is tracked again; CHANGES.md is the one per-change log" >&2
+    exit 1
+fi
+# Counter-mode ORAM never decrypts a block: the keystream XOR is its own
+# inverse. A block decryption (the FIPS-197 inverse cipher) is code no
+# controller calls.
+if git ls-files -z '*.rs' | xargs -0 grep -nwE 'decrypt_block|INV_SBOX' >&2; then
+    echo "error: an AES inverse cipher again; CTR mode decrypts by encrypting the counter" >&2
+    exit 1
+fi
 # One micro-benchmark harness: `benchmark/` and its `per_layer` rows.
 if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode; one bus record)"
+echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode; one bus record; one history, no inverse cipher)"

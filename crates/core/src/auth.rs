@@ -575,6 +575,10 @@ impl UnitHistory {
 pub(crate) struct AuthTags {
     ctrs: CounterTree,
     temp_seal: Option<[u8; 16]>,
+    /// The counter-tree root as last anchored in the persistence domain
+    /// ([`AuthTags::anchor`]): the trusted reference recovery holds the
+    /// counters to.
+    anchored: [u8; 16],
 }
 
 /// The MAC input of a PosMap record:
@@ -701,9 +705,12 @@ impl<'r, 'a> Verdicts<'r, 'a> {
 impl AuthTags {
     /// Creates an empty store keyed with `key`.
     pub fn new(key: &[u8; 16]) -> Self {
+        let ctrs = CounterTree::new(key);
+        let anchored = ctrs.root();
         AuthTags {
-            ctrs: CounterTree::new(key),
+            ctrs,
             temp_seal: None,
+            anchored,
         }
     }
 
@@ -975,6 +982,18 @@ impl AuthTags {
     /// The trusted counter-tree root digest.
     pub fn root(&self) -> [u8; 16] {
         self.ctrs.root()
+    }
+
+    /// Anchors the counter-tree root in the persistence domain. In the
+    /// model this is one 16-byte failure-atomic register write, made inside
+    /// a round's commit ceremony; a crash keeps it.
+    pub fn anchor(&mut self) {
+        self.anchored = self.root();
+    }
+
+    /// The root as last anchored.
+    pub fn anchored(&self) -> [u8; 16] {
+        self.anchored
     }
 
     /// Advances the counter-tree epoch (once per recovery).

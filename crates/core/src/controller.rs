@@ -14,9 +14,8 @@ use crate::block::{Block, BlockHeader};
 use crate::crash::{CrashPoint, CrashReport, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, lone, power_fail, recoverable, set_tap,
-    stall, to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
-    Listing, Media, NvmLayout, PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds,
-    Shell,
+    stall, to_core, to_mem, Access, CommitModel, Copies, DrainedRound, FrameCell, Kept, Listing,
+    Media, NvmLayout, PathFrame, PersistEngine, PosMapFlush, ProtocolPolicy, Rounds, Shell,
 };
 use crate::eviction::{order_for_small_wpq, Candidate};
 use crate::recursive::RecursivePosMap;
@@ -562,16 +561,13 @@ impl PathOram {
     ) -> Result<u64, OramError> {
         // The device side's four guards bracket the fetch (all inert
         // without a fault plan). First: transient media read errors.
-        let t = DeviceSide::read_fault(&mut self.shell.ctl, t)?;
+        let t = self.shell.device.read_fault(&mut self.shell.ctl, t)?;
         frame.resolve(&self.tree, leaf);
         let z = self.config.bucket_slots;
         // Second: the freshness adversary may serve one path slot stale.
         // The draw always consumes plan entropy (schedule invariance).
-        let pick = self.shell.ctl.read_replay();
-        let mut serve_stale =
-            self.shell
-                .device
-                .serve_stale(&mut self.shell.ctl, pick, &frame.cells);
+        let pick = self.shell.device.read_replay();
+        let mut serve_stale = self.shell.device.serve_stale(pick, &frame.cells);
         // Buckets mirrored in the fast volatile buffer cost no NVM read.
         let cached = self.top_cache_levels as usize * z;
         let frontend_done = self.frontend_process(self.config.path_slots() as u64, t);
@@ -584,7 +580,8 @@ impl PathOram {
         // Third: the endurance adversary on the hottest fetched line.
         // Fourth: hardened freshness verification of every loaded slot —
         // including whatever the wire served — before admission.
-        let t = DeviceSide::wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(cached), t)?;
+        let t =
+            (self.shell.device).wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(cached), t)?;
         let mut t = self.shell.device.verify_fetched(
             &mut self.shell.ctl,
             self.tree.arena(),
@@ -1079,16 +1076,6 @@ impl PathOram {
         ProtocolPolicy::verify_contents(self, after_crash)
     }
 
-    /// The committed-value oracle (test observability).
-    pub fn committed_value(&self, addr: BlockAddr) -> Option<&Vec<u8>> {
-        self.shell.ledger.committed_value(addr.0)
-    }
-
-    /// The last program-written value (test observability).
-    pub fn written_value(&self, addr: BlockAddr) -> Option<&Vec<u8>> {
-        self.shell.ledger.written_value(addr.0)
-    }
-
     /// Occupied temporary-PosMap entries.
     pub fn temp_posmap_len(&self) -> usize {
         self.shell.temp.len()
@@ -1352,7 +1339,7 @@ mod tests {
             value: (addr, leaf),
         };
         oram.wpq.push_posmap(entry).unwrap();
-        oram.wpq.commit_round(&mut oram.shell.ctl).unwrap();
+        oram.wpq.commit_round(&oram.shell.ctl).unwrap();
 
         let flushed = oram.crash_now();
         assert_eq!(

@@ -3,26 +3,33 @@
 //! live here, once, over the [`SlotArena`] and [`PosMap`] every tree ORAM
 //! in this crate sits on.
 //!
-//! The *adversary* half is the installed fault plan's hands: the snapshot
-//! store of previous unit versions ([`UnitHistory`]), the record of which
-//! units the last applied round programmed, the crash-time damage
-//! ([`DeviceSide::strike`]: bit flips, replays, splices) and the stale
-//! serve on the read wire. The *defence* half is [`AuthTags`] — the
-//! per-unit records and the trusted counter tree — with the guards a fetch
-//! runs before it admits what the device delivered. A controller's shell
-//! holds one `DeviceSide`; every slot unit a round programs reaches the
-//! arena through [`DeviceSide::program`] and every PosMap entry through
+//! The *adversary* is the installed [`FaultPlan`], which every device draw
+//! comes from, the [`WearEngine`] beneath the persistence domain, and their
+//! hands: the snapshot store of previous unit versions ([`UnitHistory`]),
+//! the record of which units the last applied round programmed, the
+//! crash-time damage ([`DeviceSide::strike`]: bit flips, replays, splices,
+//! each filed as an incident for the next recovery) and the stale serve on
+//! the read wire. The *defence* is [`AuthTags`] — the per-unit records, the
+//! trusted counter tree and the root anchored over it — with the guards a
+//! fetch runs before it admits what the device delivered. A controller's
+//! shell holds one `DeviceSide`; every slot unit a round programs reaches
+//! the arena through [`DeviceSide::program`] and every PosMap entry through
 //! [`DeviceSide::flush`], which keep the snapshots, the unit lists and the
-//! records in step with the media, and a fetch calls the guards. A
-//! controller carries no fault-handling code of its own.
+//! records in step with the media, and a fetch calls the guards. Of the
+//! controller's [`EngineControl`] the device side borrows only the tap and
+//! the fail-safe latch. A controller carries no fault-handling code of its
+//! own.
 
-use psoram_nvm::{FaultClass, FaultConfig, ReadFault};
+use psoram_nvm::{
+    Conviction, FaultClass, FaultConfig, FaultPlan, FaultStats, ReadFault, RoundFate, WearEngine,
+};
 use psoram_obsv::{DeviceFaultKind, Event};
 
-use super::{fault_kind, EngineControl, FrameCell, WearReadOutcome};
+use super::{fault_kind, EngineControl, FrameCell};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessStats, SlotUnit, StaleServe, UnitHistory};
 use crate::block::{Block, BlockRef};
+use crate::crash::RecoveryIncident;
 use crate::posmap::{PosMap, TempPosMap};
 use crate::types::{BlockAddr, Leaf, OramError};
 
@@ -48,14 +55,25 @@ pub(crate) enum Listing {
 /// A PosMap entry on its way to the persisted map: `addr → leaf`.
 pub(crate) type PosMapFlush = (BlockAddr, Leaf);
 
-/// The fault plan's hands on a controller's media, and the integrity
-/// layer that answers them.
+/// The adversary — its fault plan, its wear engine and their hands on a
+/// controller's media — and the integrity layer that answers it.
 #[derive(Debug, Default)]
 pub(crate) struct DeviceSide {
-    /// On-chip CMAC records and trusted counters over the NVM-resident
-    /// state: the defence. Present only once [`DeviceSide::arm`] hardened
+    /// On-chip CMAC records, trusted counters and the root anchored over
+    /// them: the defence. Present only once [`DeviceSide::arm`] hardened
     /// the design.
     pub auth: Option<AuthTags>,
+    /// The seeded fault plan every device draw comes from, once
+    /// [`DeviceSide::arm`] made the backend adversarial: rounds are then
+    /// recorded.
+    plan: Option<FaultPlan>,
+    /// Endurance bookkeeping beneath the persistence domain, once the
+    /// device is made to wear. The shell's round frames program, commit and
+    /// revert its mapping (`engine::commit_and_apply`, `engine::power_fail`).
+    pub wear: Option<WearEngine>,
+    /// Incidents the adversary filed since the last recovery: the ground
+    /// truth of what it damaged, for the recovery report.
+    incidents: Vec<RecoveryIncident>,
     /// The adversary's snapshot store: the previous version of every
     /// persist unit, recorded on overwrite. Present on *every* armed
     /// design whose plan can replay (baselines are replayed too, they
@@ -64,8 +82,6 @@ pub(crate) struct DeviceSide {
     /// Fetch-path freshness counters: stale serves injected on the read
     /// wire and how many the hardened verifier caught.
     freshness: FreshnessStats,
-    /// `true` once a fault plan is installed: rounds are then recorded.
-    armed: bool,
     /// Tree slots of the most recently applied round — the units whose
     /// media programming an untimely power failure interrupts.
     round_slots: Vec<(u64, usize)>,
@@ -88,14 +104,12 @@ impl DeviceSide {
     /// model, [`DeviceSide::strike`].
     pub fn arm(
         &mut self,
-        ctl: &mut EngineControl,
         seed: u64,
         cfg: FaultConfig,
         hardened: bool,
         (arena, posmap, temp): (&SlotArena, &PosMap, &TempPosMap),
     ) {
-        ctl.install_fault_plan(seed, cfg);
-        self.armed = true;
+        self.plan = Some(FaultPlan::new(seed, cfg));
         self.history = cfg.replays_stale_units().then(UnitHistory::default);
         if !hardened {
             return;
@@ -112,8 +126,13 @@ impl DeviceSide {
             auth.record_posmap(a, l);
         }
         auth.seal_temp(temp.entries());
-        ctl.persist_root(auth.root());
+        auth.anchor();
         self.auth = Some(auth);
+    }
+
+    /// Ground-truth injection counters of the installed plan, if any.
+    pub fn fault_stats(&self) -> Option<FaultStats> {
+        self.plan.as_ref().map(FaultPlan::stats)
     }
 
     /// Fetch-path freshness counters: stale units the adversary served on
@@ -127,6 +146,11 @@ impl DeviceSide {
     #[cfg(test)]
     pub fn replays(&self) -> bool {
         self.history.is_some()
+    }
+
+    /// Takes the incidents filed since the last recovery.
+    pub fn take_incidents(&mut self) -> Vec<RecoveryIncident> {
+        std::mem::take(&mut self.incidents)
     }
 
     // ── what a round tells it ───────────────────────────────────────────
@@ -152,7 +176,7 @@ impl DeviceSide {
         if listing == Listing::Start {
             self.round_slots.clear();
         }
-        if self.armed {
+        if self.plan.is_some() {
             for (bucket, slot, _) in units(buckets.clone()) {
                 if let Some(history) = self.history.as_mut() {
                     let content = arena.slot(bucket, slot).map(|b| b.to_block());
@@ -187,7 +211,7 @@ impl DeviceSide {
     /// Lists `(bucket, slot)` as a unit of the round being applied.
     #[cfg(test)]
     pub fn push_slot(&mut self, bucket: u64, slot: usize) {
-        if self.armed {
+        if self.plan.is_some() {
             self.round_slots.push((bucket, slot));
         }
     }
@@ -196,12 +220,12 @@ impl DeviceSide {
     /// the order the adversary and the defence depend on: the entry each
     /// replaces is snapshotted first, the new one persisted, recorded
     /// (hardened designs) and listed (a [`Listing::Start`] begins the list
-    /// of a direct write-back with them), and its temporary entry retired; then, if anything was flushed, the temporary PosMap
-    /// is resealed, and the counter-tree root is anchored over the records
-    /// as they now stand. Returns the number of entries flushed.
+    /// of a direct write-back with them), and its temporary entry retired;
+    /// then, if anything was flushed, the temporary PosMap is resealed, and
+    /// the counter-tree root is anchored over the records as they now
+    /// stand. Returns the number of entries flushed.
     pub fn flush(
         &mut self,
-        ctl: &mut EngineControl,
         (posmap, temp): (&mut PosMap, &mut TempPosMap),
         entries: impl Iterator<Item = PosMapFlush>,
         listing: Listing,
@@ -219,7 +243,7 @@ impl DeviceSide {
             if let Some(auth) = &mut self.auth {
                 auth.record_posmap(addr.0, leaf.0);
             }
-            if self.armed {
+            if self.plan.is_some() {
                 self.round_posmap.push(addr);
             }
             temp.remove(addr);
@@ -228,7 +252,7 @@ impl DeviceSide {
         if flushed > 0 {
             self.seal_temp(temp);
         }
-        self.anchor_root(ctl);
+        self.anchor_root();
         flushed
     }
 
@@ -262,25 +286,28 @@ impl DeviceSide {
     /// the same failure-atomic commit as the round's data, so replaying
     /// any unit of an earlier round leaves its counter behind the root.
     #[inline]
-    pub fn anchor_root(&self, ctl: &mut EngineControl) {
-        if let Some(auth) = &self.auth {
-            ctl.persist_root(auth.root());
+    pub fn anchor_root(&mut self) {
+        if let Some(auth) = &mut self.auth {
+            auth.anchor();
         }
     }
 
     // ── the crash ───────────────────────────────────────────────────────
 
     /// The power failure interrupts the media programming of the last
-    /// applied round (including anything the ADR flush just applied):
-    /// torn flushes, lost signals and bit rot land on those units now,
-    /// then the freshness adversary's replays and splices. Records are
-    /// deliberately *not* refreshed — this is the adversary writing
-    /// behind the controller's back. Nothing here materialises a bucket.
-    pub fn strike(&mut self, ctl: &mut EngineControl, arena: &mut SlotArena, posmap: &mut PosMap) {
-        if !self.armed {
+    /// applied round (including anything the ADR flush just applied): the
+    /// plan draws the round's damage ([`draw_crash_damage`]), then torn
+    /// flushes, lost signals and bit rot land on those units, then the
+    /// freshness adversary's replays and splices, each filed as it lands.
+    /// Records are deliberately *not* refreshed — this is the adversary
+    /// writing behind the controller's back. Nothing here materialises a
+    /// bucket.
+    pub fn strike(&mut self, arena: &mut SlotArena, posmap: &mut PosMap) {
+        let Some(plan) = self.plan.as_mut() else {
             return;
-        }
-        let damage = ctl.draw_crash_damage(self.round_slots.len(), self.round_posmap.len());
+        };
+        let units = (self.round_slots.len(), self.round_posmap.len());
+        let damage = draw_crash_damage(plan, units, &mut self.incidents);
         for &i in &damage.data_units {
             let (bucket, slot) = self.round_slots[i];
             // Torn programming of a dummy slot has no observable content
@@ -291,7 +318,7 @@ impl DeviceSide {
             let Some((header, payload)) = bucket.cell_mut(slot) else {
                 continue;
             };
-            let e = ctl.device_entropy();
+            let e = plan.entropy();
             if payload.is_empty() {
                 header.iv1 ^= 1 | e;
             } else {
@@ -299,8 +326,7 @@ impl DeviceSide {
             }
         }
         for &i in &damage.posmap_units {
-            let e = ctl.device_entropy();
-            posmap.corrupt_persisted(self.round_posmap[i], e);
+            posmap.corrupt_persisted(self.round_posmap[i], plan.entropy());
         }
 
         // Replays restore a unit's recorded previous `(content, record)`
@@ -314,7 +340,8 @@ impl DeviceSide {
             if let Some(auth) = self.auth.as_mut() {
                 auth.set_slot_record(bucket, slot, record);
             }
-            ctl.confirm_stale_replay();
+            plan.confirm_stale_replay();
+            self.incidents.push(REPLAYED);
             Some((bucket, slot))
         });
         let restored_addr = damage.replayed_posmap.and_then(|i| {
@@ -324,7 +351,8 @@ impl DeviceSide {
             if let Some(auth) = self.auth.as_mut() {
                 auth.set_posmap_record(addr.0, record);
             }
-            ctl.confirm_stale_replay();
+            plan.confirm_stale_replay();
+            self.incidents.push(REPLAYED);
             Some(addr)
         });
 
@@ -332,8 +360,8 @@ impl DeviceSide {
         // only coherent when both ends are distinct units that still
         // carry authentic records: a drawn pair that collapses onto one
         // media unit, or an end that was bit-rotted (unless the replay
-        // above just overwrote the rot wholesale), is a no-op the engine
-        // never counts — the confirm calls are the ground truth.
+        // above just overwrote the rot wholesale), is a no-op the plan
+        // never counts — what lands is the ground truth.
         if let Some((i, j)) = damage.spliced_data {
             let (u1, u2) = (self.round_slots[i], self.round_slots[j]);
             let rotted = |u: (u64, usize)| {
@@ -350,7 +378,8 @@ impl DeviceSide {
                     auth.set_slot_record(u1.0, u1.1, r2);
                     auth.set_slot_record(u2.0, u2.1, r1);
                 }
-                ctl.confirm_cross_splice();
+                plan.confirm_cross_splice();
+                self.incidents.push(SPLICED);
             }
         }
         if let Some((i, j)) = damage.spliced_posmap {
@@ -368,7 +397,8 @@ impl DeviceSide {
                     auth.set_posmap_record(a1.0, r2);
                     auth.set_posmap_record(a2.0, r1);
                 }
-                ctl.confirm_cross_splice();
+                plan.confirm_cross_splice();
+                self.incidents.push(SPLICED);
             }
         }
     }
@@ -383,8 +413,12 @@ impl DeviceSide {
     ///
     /// [`OramError::Poisoned`] on a stuck line.
     #[inline]
-    pub fn read_fault(ctl: &mut EngineControl, t: u64) -> Result<u64, OramError> {
-        match ctl.read_fault() {
+    pub fn read_fault(&mut self, ctl: &mut EngineControl, t: u64) -> Result<u64, OramError> {
+        let fault = self
+            .plan
+            .as_mut()
+            .map_or(ReadFault::None, FaultPlan::read_fault);
+        match fault {
             ReadFault::None => Ok(t),
             ReadFault::Transient { attempts } => {
                 Ok(retried(ctl, DeviceFaultKind::TransientRead, attempts, t))
@@ -393,30 +427,38 @@ impl DeviceSide {
         }
     }
 
+    /// The freshness adversary's draw for one fetch: its pick of a slot
+    /// to serve stale, if any, which [`DeviceSide::serve_stale`] lands once
+    /// the slots being read are known. `None` without a plan; with one,
+    /// the draw is consumed whether or not it lands (schedule invariance).
+    #[inline]
+    pub fn read_replay(&mut self) -> Option<u64> {
+        self.plan.as_mut().and_then(FaultPlan::read_replay)
+    }
+
     /// The freshness adversary on the read wire: the device may serve one
     /// of the slots being read (`cells`, in read order) from an
     /// authentic-but-stale snapshot it recorded before the last
-    /// overwrite. `pick` is the plan's draw ([`EngineControl::
-    /// read_replay`], consumed whether or not it lands); it only lands
-    /// when a slot being read has recorded history.
+    /// overwrite. `pick` is [`DeviceSide::read_replay`]'s draw; it only
+    /// lands, and is counted, when a slot being read has recorded history.
     #[inline]
-    pub fn serve_stale(
-        &mut self,
-        ctl: &mut EngineControl,
-        pick: Option<u64>,
-        cells: &[FrameCell],
-    ) -> Option<StaleServe> {
+    pub fn serve_stale(&mut self, pick: Option<u64>, cells: &[FrameCell]) -> Option<StaleServe> {
         let read = cells.iter().map(|c| (c.bucket, c.slot));
         let served = self.history.as_ref()?.stale_serve(read, pick?)?;
-        ctl.confirm_read_replay();
+        if let Some(plan) = self.plan.as_mut() {
+            plan.confirm_read_replay();
+        }
         self.freshness.stale_serves += 1;
         Some(served)
     }
 
     /// The endurance adversary: the hottest line among `addrs` may fail
-    /// with probability scaling in its consumed write budget. Drift
+    /// with probability scaling in its consumed write budget — inert (no
+    /// entropy) unless both the wear engine and a plan are installed, and
+    /// the plan's own gate keeps a wear-free mix schedule-identical. Drift
     /// failures retry like transient glitches; a stuck conviction retires
-    /// the line onto a spare and repairs it from the redundant copy (one
+    /// the line onto a spare (staged; durable at the next commit round),
+    /// files the incident and repairs the line from the redundant copy (one
     /// read and one write round trip on top of the detection), or — spare
     /// pool dry — latches the fail-safe poisoned state rather than serve
     /// stuck bits. Returns the advanced clock.
@@ -426,25 +468,36 @@ impl DeviceSide {
     /// [`OramError::Poisoned`] when no spare is left.
     #[inline]
     pub fn wear_read_fault(
+        &mut self,
         ctl: &mut EngineControl,
         addrs: impl IntoIterator<Item = u64>,
         t: u64,
     ) -> Result<u64, OramError> {
-        match ctl.wear_read_fault(addrs) {
-            WearReadOutcome::None => Ok(t),
-            WearReadOutcome::Transient { attempts } => {
+        let (Some(wear), Some(plan)) = (self.wear.as_mut(), self.plan.as_mut()) else {
+            return Ok(t);
+        };
+        let (line, frac) = wear.hottest(addrs);
+        match plan.wear_fault(frac) {
+            ReadFault::None => Ok(t),
+            ReadFault::Transient { attempts } => {
                 Ok(retried(ctl, DeviceFaultKind::WearOut, attempts, t))
             }
-            WearReadOutcome::Retired { line, spare } => {
-                let t = detected(ctl, DeviceFaultKind::WearOut, 1, t + 2 * REISSUE_CYCLES);
-                ctl.tap.emit(|| Event::LineRetired {
-                    line,
-                    spare,
-                    cycle: t,
-                });
-                Ok(t)
-            }
-            WearReadOutcome::Exhausted { .. } => Err(poison(ctl, FaultClass::WearOut)),
+            ReadFault::Stuck => match wear.convict(line) {
+                Conviction::Retired { spare } => {
+                    self.incidents.push(RecoveryIncident {
+                        class: FaultClass::WearOut,
+                        units: 1,
+                    });
+                    let t = detected(ctl, DeviceFaultKind::WearOut, 1, t + 2 * REISSUE_CYCLES);
+                    ctl.tap.emit(|| Event::LineRetired {
+                        line,
+                        spare,
+                        cycle: t,
+                    });
+                    Ok(t)
+                }
+                Conviction::Exhausted => Err(poison(ctl, FaultClass::WearOut)),
+            },
         }
     }
 
@@ -495,6 +548,111 @@ impl DeviceSide {
     }
 }
 
+/// What a crash's device faults destroyed in the round whose media
+/// programming the power failure interrupted. Indexes refer to the device
+/// side's lists of the last applied round's persist units.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct RoundDamage {
+    /// Damaged data units (tree-slot writes), by last-round index.
+    pub data_units: Vec<usize>,
+    /// Damaged PosMap units (persisted map entries), by last-round index.
+    pub posmap_units: Vec<usize>,
+    /// Data unit rolled back to its authentic prior version (replay).
+    pub replayed_data: Option<usize>,
+    /// PosMap unit rolled back to its authentic prior version (replay).
+    pub replayed_posmap: Option<usize>,
+    /// Pair of data units whose records and contents were swapped.
+    pub spliced_data: Option<(usize, usize)>,
+    /// Pair of PosMap units whose records and contents were swapped.
+    pub spliced_posmap: Option<(usize, usize)>,
+}
+
+/// A replay that landed on one unit, as the next recovery is told of it.
+const REPLAYED: RecoveryIncident = RecoveryIncident {
+    class: FaultClass::StaleReplay,
+    units: 1,
+};
+
+/// A splice that landed on a pair of units.
+const SPLICED: RecoveryIncident = RecoveryIncident {
+    class: FaultClass::CrossSplice,
+    units: 2,
+};
+
+/// Draws from `plan` what a crash destroys in the round whose media
+/// programming it interrupted — `data_len` slots and `posmap_len` PosMap
+/// entries — and files the classified round fates and bit rot in
+/// `incidents`. The whole damage is drawn before [`DeviceSide::strike`]
+/// applies any of it, in a fixed order (data fate, PosMap fate, per-unit
+/// flips, then the replay and splice attempts), so it is deterministic in
+/// the plan's seed alone. A replay or splice drawn here is an attempt: it
+/// is counted and filed only where the strike lands it.
+pub(crate) fn draw_crash_damage(
+    plan: &mut FaultPlan,
+    (data_len, posmap_len): (usize, usize),
+    incidents: &mut Vec<RecoveryIncident>,
+) -> RoundDamage {
+    let mut damage = RoundDamage::default();
+    let data_fate = plan.round_fate(data_len);
+    let posmap_fate = plan.round_fate(posmap_len);
+    for (fate, len, units) in [
+        (data_fate, data_len, &mut damage.data_units),
+        (posmap_fate, posmap_len, &mut damage.posmap_units),
+    ] {
+        match fate {
+            RoundFate::Intact => {}
+            RoundFate::Lost => units.extend(0..len),
+            RoundFate::Torn { kept } => units.extend(kept..len),
+            // A duplicated end signal replays idempotent slot writes: no
+            // media damage, but the incident is accounted.
+            RoundFate::Duplicated => {}
+        }
+    }
+    // Bit rot strikes units that survived the fate draw.
+    let mut flips = 0u64;
+    for (len, units) in [
+        (data_len, &mut damage.data_units),
+        (posmap_len, &mut damage.posmap_units),
+    ] {
+        for i in 0..len {
+            if plan.unit_corrupted() && !units.contains(&i) {
+                units.push(i);
+                flips += 1;
+            }
+        }
+        units.sort_unstable();
+    }
+    for (fate, len) in [(data_fate, data_len), (posmap_fate, posmap_len)] {
+        let class = match fate {
+            RoundFate::Intact => None,
+            RoundFate::Lost => Some(FaultClass::SignalLoss),
+            RoundFate::Torn { .. } => Some(FaultClass::TornFlush),
+            RoundFate::Duplicated => Some(FaultClass::DuplicatedSignal),
+        };
+        if let Some(class) = class {
+            incidents.push(RecoveryIncident {
+                class,
+                units: len as u64,
+            });
+        }
+    }
+    if flips > 0 {
+        incidents.push(RecoveryIncident {
+            class: FaultClass::MediaCorruption,
+            units: flips,
+        });
+    }
+    // The freshness adversary: replay a stale version of one last-round
+    // unit, and/or splice two units' records across addresses. The draws
+    // always consume entropy (schedule invariance), in a fixed order: data
+    // replay, PosMap replay, data splice, PosMap splice.
+    damage.replayed_data = plan.replay_fate(data_len);
+    damage.replayed_posmap = plan.replay_fate(posmap_len);
+    damage.spliced_data = plan.splice_fate(data_len);
+    damage.spliced_posmap = plan.splice_fate(posmap_len);
+    damage
+}
+
 /// Overwrites a slot of a materialised bucket behind the controller's
 /// back; an absent bucket stays absent.
 fn set_slot(arena: &mut SlotArena, (bucket, slot): (u64, usize), content: Option<&Block>) {
@@ -543,6 +701,8 @@ fn retried(ctl: &EngineControl, kind: DeviceFaultKind, attempts: u32, t: u64) ->
 
 #[cfg(test)]
 mod tests {
+    use psoram_nvm::{WearConfig, WearScheme};
+
     use super::super::recover::tests::seed_where;
     use super::*;
     use crate::engine::ProtocolPolicy;
@@ -556,13 +716,45 @@ mod tests {
         }
     }
 
+    /// A device side armed with the plan `(seed, cfg)`, over no media.
+    fn armed(seed: u64, cfg: FaultConfig) -> DeviceSide {
+        DeviceSide {
+            plan: Some(FaultPlan::new(seed, cfg)),
+            ..DeviceSide::default()
+        }
+    }
+
+    /// The damage `device`'s plan draws for a crash over a round of
+    /// `units` (slots, PosMap entries), filed as a strike files it.
+    fn draw(device: &mut DeviceSide, units: (usize, usize)) -> RoundDamage {
+        let plan = device.plan.as_mut().expect("armed");
+        draw_crash_damage(plan, units, &mut device.incidents)
+    }
+
+    /// The durable leveling mapping of a toy that wears.
+    fn mapping(toy: &Toy) -> u64 {
+        toy.shell
+            .device
+            .wear
+            .as_ref()
+            .expect("wears")
+            .mapping_digest()
+    }
+
+    /// A Start-Gap engine that stages a gap move on every write.
+    fn gap_every_write() -> WearConfig {
+        let mut cfg = WearConfig::paper_default(WearScheme::StartGap);
+        cfg.gap_interval = 1;
+        cfg
+    }
+
     #[test]
     fn the_applier_snapshots_before_it_overwrites_lists_what_it_programs_and_anchors_last() {
-        let (mut device, mut ctl) = (DeviceSide::default(), EngineControl::default());
+        let mut device = DeviceSide::default();
         let mut arena = SlotArena::new(2, 8);
         let (mut posmap, mut temp) = (PosMap::new(8, 1), TempPosMap::new(4));
         let media = (&arena, &posmap, &temp);
-        device.arm(&mut ctl, 7, FaultConfig::replay_mix(), true, media);
+        device.arm(7, FaultConfig::replay_mix(), true, media);
         let block = |a, leaf, seq, fill| {
             let mut b = Block::new(BlockAddr(a), Leaf(leaf), vec![fill; 8]);
             b.header.seq = seq;
@@ -577,10 +769,7 @@ mod tests {
         device.program(&mut arena, units.into_iter().map(lone), Listing::Join);
         let entries = [(a0, Leaf(2)), (a1, Leaf(3))];
         let maps = (&mut posmap, &mut temp);
-        assert_eq!(
-            device.flush(&mut ctl, maps, entries.into_iter(), Listing::Join),
-            2
-        );
+        assert_eq!(device.flush(maps, entries.into_iter(), Listing::Join), 2);
         let auth = device.auth.as_ref().expect("hardened");
         let before = (
             auth.slot_record(2, 0),
@@ -588,7 +777,7 @@ mod tests {
             auth.posmap_record(0),
         );
         let root_before = auth.root();
-        assert_eq!(ctl.persisted_root(), Some(root_before));
+        assert_eq!(auth.anchored(), root_before);
 
         // Round 2 overwrites one of those slots, re-points its address and
         // rewrites the other slot as a dummy behind the commit; a third
@@ -601,7 +790,7 @@ mod tests {
         device.program(&mut arena, units.into_iter().map(lone), Listing::Join);
         device.program(&mut arena, [lone((3, 1, None))].into_iter(), Listing::Apart);
         let maps = (&mut posmap, &mut temp);
-        device.flush(&mut ctl, maps, [(a0, Leaf(5))].into_iter(), Listing::Join);
+        device.flush(maps, [(a0, Leaf(5))].into_iter(), Listing::Join);
 
         // The snapshot store holds what each unit was *before* the write.
         let history = device.history.as_ref().expect("a plan that replays");
@@ -634,7 +823,7 @@ mod tests {
             "resealed after the retirement"
         );
         assert_ne!(auth.root(), root_before);
-        assert_eq!(ctl.persisted_root(), Some(auth.root()));
+        assert_eq!(auth.anchored(), auth.root());
 
         // A direct write-back is a round of its own: its list starts over.
         device.program(
@@ -692,18 +881,18 @@ mod tests {
         // Entropy pins the call count: a twin plan that draws the same
         // round's damage and then exactly two flips — the one real slot,
         // the one PosMap entry — is in step with the struck one.
-        let mut twin = EngineControl::default();
-        twin.install_fault_plan(5, all_lost());
-        let damage = twin.draw_crash_damage(3, 1);
+        let mut twin = FaultPlan::new(5, all_lost());
+        let damage = draw_crash_damage(&mut twin, (3, 1), &mut Vec::new());
         assert_eq!((damage.data_units.len(), damage.posmap_units.len()), (3, 1));
-        twin.device_entropy();
-        twin.device_entropy();
-        assert_eq!(toy.shell.ctl.device_entropy(), twin.device_entropy());
+        twin.entropy();
+        twin.entropy();
+        let struck = toy.shell.device.plan.as_mut().expect("armed");
+        assert_eq!(struck.entropy(), twin.entropy());
     }
 
     #[test]
     fn a_splice_lands_only_between_two_distinct_units_with_authentic_records() {
-        let spliced = |toy: &Toy| toy.shell.ctl.fault_stats().expect("armed").cross_splices;
+        let spliced = |toy: &Toy| toy.shell.device.fault_stats().expect("armed").cross_splices;
         let splice_only = FaultConfig {
             cross_splice: 1.0,
             ..FaultConfig::disabled()
@@ -750,5 +939,205 @@ mod tests {
             toy.crash_now();
             assert_eq!(spliced(&toy), u64::from(restored), "restored={restored}");
         }
+    }
+
+    #[test]
+    fn no_plan_means_no_damage_and_no_read_faults() {
+        let mut toy = Toy::default();
+        toy.write(&[0, 1], 3);
+        let before = toy.state_digest();
+        toy.crash_now();
+        assert_eq!(
+            toy.state_digest(),
+            before,
+            "a crash without a plan damages nothing"
+        );
+        let (device, ctl) = (&mut toy.shell.device, &mut toy.shell.ctl);
+        assert_eq!(device.read_fault(ctl, 5), Ok(5));
+        assert!(device.take_incidents().is_empty());
+        assert!(device.fault_stats().is_none());
+    }
+
+    #[test]
+    fn device_damage_is_deterministic_in_the_seed() {
+        let mk = || {
+            let mut device = armed(99, FaultConfig::aggressive());
+            let all: Vec<RoundDamage> = (0..50).map(|_| draw(&mut device, (6, 3))).collect();
+            (all, device.take_incidents(), device.fault_stats())
+        };
+        assert_eq!(mk(), mk());
+    }
+
+    #[test]
+    fn aggressive_plan_damages_something_and_classifies_it() {
+        let mut device = armed(7, FaultConfig::aggressive());
+        let mut damaged = 0usize;
+        for _ in 0..100 {
+            let d = draw(&mut device, (6, 3));
+            for u in d.data_units.iter().chain(&d.posmap_units) {
+                assert!(*u < 6);
+                damaged += 1;
+            }
+        }
+        assert!(damaged > 0, "aggressive mix never damaged a unit");
+        let incidents = device.take_incidents();
+        assert!(!incidents.is_empty());
+        assert!(device.take_incidents().is_empty(), "incidents are consumed");
+        assert!(device.fault_stats().unwrap().total_injected() > 0);
+    }
+
+    #[test]
+    fn replay_mix_draws_replays_and_splices_in_range() {
+        let mut device = armed(11, FaultConfig::replay_mix());
+        let (mut replays, mut splices) = (0u64, 0u64);
+        for _ in 0..200 {
+            let d = draw(&mut device, (6, 3));
+            if let Some(i) = d.replayed_data {
+                assert!(i < 6);
+                replays += 1;
+            }
+            if let Some(i) = d.replayed_posmap {
+                assert!(i < 3);
+                replays += 1;
+            }
+            if let Some((i, j)) = d.spliced_data {
+                assert!(i < 6 && j < 6 && i != j);
+                splices += 1;
+            }
+            if let Some((i, j)) = d.spliced_posmap {
+                assert!(i < 3 && j < 3 && i != j);
+                splices += 1;
+            }
+        }
+        assert!(replays > 0, "replay mix never replayed a unit");
+        assert!(splices > 0, "replay mix never spliced a pair");
+        // Draws are attempts: a strike counts and files the ones that land.
+        let mut toy = Toy::default();
+        toy.enable_device_faults(11, FaultConfig::replay_mix());
+        let mut incidents = Vec::new();
+        for value in 0..200u8 {
+            toy.write(&[0, 1, 2], value);
+            toy.crash_now();
+            incidents.extend(toy.shell.device.take_incidents());
+        }
+        let filed = |class| incidents.iter().filter(|i| i.class == class).count() as u64;
+        let stats = toy.shell.device.fault_stats().unwrap();
+        assert!(
+            stats.stale_replays > 0 && stats.cross_splices > 0,
+            "{stats:?}"
+        );
+        assert_eq!(filed(FaultClass::StaleReplay), stats.stale_replays);
+        assert_eq!(filed(FaultClass::CrossSplice), stats.cross_splices);
+    }
+
+    #[test]
+    fn wear_is_inert_until_enabled_and_without_a_plan() {
+        let mut toy = Toy::default();
+        toy.write(&[0], 3);
+        let wear_free = toy.state_digest();
+        let (device, ctl) = (&mut toy.shell.device, &mut toy.shell.ctl);
+        assert!(device.wear.is_none());
+        assert_eq!(device.wear_read_fault(ctl, [0, 64], 5), Ok(5));
+        toy.enable_wear(3, WearConfig::stress(WearScheme::Remap));
+        // Wear engine alone (no fault plan): accounting only, no faults.
+        let (device, ctl) = (&mut toy.shell.device, &mut toy.shell.ctl);
+        assert_eq!(device.wear_read_fault(ctl, [0, 64], 5), Ok(5));
+        assert!(device.take_incidents().is_empty() && ctl.poisoned().is_none());
+        assert_ne!(
+            toy.state_digest(),
+            wear_free,
+            "the mapping joins the digest"
+        );
+    }
+
+    #[test]
+    fn drained_writes_wear_lines_and_commit_rounds_seal_the_mapping() {
+        let mut toy = Toy::default();
+        toy.enable_wear(7, gap_every_write());
+        let d0 = mapping(&toy);
+        toy.write(&[0, 1], 3);
+        let stats = toy.wear_stats().unwrap();
+        assert_eq!(stats.gap_moves, 2);
+        assert!(stats.writes_recorded >= 4, "2 drains + 2 gap copies");
+        // The gap moves staged during the drain are not durable yet...
+        assert_eq!(mapping(&toy), d0);
+        // ...until the next round commits.
+        toy.write(&[2], 3);
+        assert_ne!(mapping(&toy), d0, "commit seals the mapping");
+    }
+
+    #[test]
+    fn crash_reverts_staged_mapping_but_keeps_wear_truth() {
+        let mut toy = Toy::default();
+        toy.enable_wear(7, gap_every_write());
+        let d0 = mapping(&toy);
+        toy.write(&[0], 3); // stages one gap move
+        let writes_before = toy.wear_stats().unwrap().writes_recorded;
+        toy.crash_now();
+        assert_eq!(mapping(&toy), d0, "crash rolls the mapping back");
+        let s = toy.wear_stats().unwrap();
+        assert_eq!(s.map_reverts, 1);
+        assert_eq!(s.writes_recorded, writes_before, "wear truth never reverts");
+    }
+
+    #[test]
+    fn wear_read_fault_convicts_and_retires_under_remap() {
+        let mut device = armed(5, FaultConfig::wear_only());
+        let mut cfg = WearConfig::stress(WearScheme::Remap);
+        cfg.preage_writes = 2000; // every line far past its budget
+        device.wear = Some(WearEngine::new(5, 16, cfg));
+        let mut ctl = EngineControl::default();
+        let (mut retired, mut transients) = (0, 0);
+        for _ in 0..400 {
+            // A retirement costs two re-issues; a drift retry backs off
+            // `REISSUE_CYCLES << k` per attempt, never summing to two.
+            match device.wear_read_fault(&mut ctl, [0], 0) {
+                Ok(0) => {}
+                Ok(t) if t == 2 * REISSUE_CYCLES => retired += 1,
+                Ok(_) => transients += 1,
+                Err(_) => break,
+            }
+        }
+        assert!(retired > 0, "past-budget line must retire");
+        assert!(transients > 0, "drift failures must also fire");
+        let wear = device.wear.as_ref().unwrap();
+        assert_eq!(wear.stats().retirements, retired);
+        let incidents = device.take_incidents();
+        assert!(incidents.iter().any(|i| i.class == FaultClass::WearOut));
+    }
+
+    #[test]
+    fn root_register_holds_the_last_persisted_root() {
+        let mut toy = Toy::default();
+        toy.enable_device_faults(3, all_lost());
+        let auth = |toy: &Toy| -> (_, _) {
+            let auth = toy.shell.device.auth.as_ref().expect("hardened");
+            (auth.anchored(), auth.root())
+        };
+        let (at_arming, _) = auth(&toy);
+        toy.write(&[0], 1);
+        let (first, _) = auth(&toy);
+        toy.write(&[1], 2);
+        let (second, root) = auth(&toy);
+        assert!(at_arming != first && first != second);
+        assert_eq!(second, root);
+        // The register is in the persistence domain: a crash keeps it.
+        toy.crash_now();
+        assert_eq!(auth(&toy).0, second);
+    }
+
+    #[test]
+    fn read_replay_is_inert_without_a_plan() {
+        let mut device = DeviceSide::default();
+        assert_eq!(device.read_replay(), None);
+        // No plan: nothing is served and nothing counted.
+        let cells = [FrameCell {
+            bucket: 0,
+            slot: 0,
+            nvm_addr: 0,
+        }];
+        assert!(device.serve_stale(Some(0), &cells).is_none());
+        assert!(device.fault_stats().is_none());
+        assert_eq!(device.freshness_stats().stale_serves, 0);
     }
 }

@@ -15,8 +15,8 @@
 //!   a [`psoram_nvm::PersistenceDomain`], typed by a protocol's persist
 //!   units; `EngineControl` — crash arming & scheduling
 //!   (`inject_crash`/`schedule_crash`/`access_attempts`), the
-//!   crashed-state latch, and the engine-owned crash/recovery/stall
-//!   counters ([`EngineStats`]).
+//!   crashed-state and fail-safe latches, the tap and the engine-owned
+//!   crash/recovery/stall counters ([`EngineStats`]).
 //! * [`CommitLedger`] — the written-vs-durably-committed value ledgers
 //!   with the freshness-counter staleness guard, shared by every
 //!   controller's recoverability oracle.
@@ -25,10 +25,11 @@
 //!   benches) drives designs through this one surface — its controls over
 //!   the shell are provided methods — and [`CommitModel`] tells the
 //!   differential oracle when a design's completed writes become durable.
-//! * `DeviceSide` (`device.rs`) — the fault plan's hands on a
-//!   controller's media (snapshots, crash damage, stale serves) and the
-//!   integrity layer that answers them, with the guards a fetch runs and
-//!   the one way a round's units reach the media (`program`, `flush`).
+//! * `DeviceSide` (`device.rs`) — the adversary: the fault plan, the wear
+//!   engine and their hands on a controller's media (snapshots, crash
+//!   damage, stale serves), with the incidents it files; and the integrity
+//!   layer that answers it, with the guards a fetch runs and the one way a
+//!   round's units reach the media (`program`, `flush`).
 //! * `Ladder` (`recover.rs`) — recovery's detect → classify → repair →
 //!   rollback rungs over the shared arena, PosMap and ledger, entered
 //!   through `Shell::recover`.
@@ -51,7 +52,7 @@ mod shell;
 pub(crate) use device::{lone, DeviceSide, Listing, PosMapFlush};
 pub use ledger::CommitLedger;
 pub use persist::EngineStats;
-pub(crate) use persist::{fault_kind, DrainedRound, EngineControl, PersistEngine, WearReadOutcome};
+pub(crate) use persist::{fault_kind, DrainedRound, EngineControl, PersistEngine};
 pub use policy::{Access, CommitModel, NvmLayout, ProtocolPolicy, ProtocolVariant, RingVariant};
 pub(crate) use recover::{check_committed, Copies};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};

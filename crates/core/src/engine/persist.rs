@@ -2,14 +2,11 @@
 
 use std::collections::VecDeque;
 
-use psoram_nvm::{
-    Conviction, FaultClass, FaultConfig, FaultPlan, FaultStats, PersistenceDomain, ReadFault,
-    RoundFate, WearConfig, WearEngine, WearStats, WpqEntry, WpqError, WpqStats,
-};
+use psoram_nvm::{FaultClass, PersistenceDomain, WpqEntry, WpqError, WpqStats};
 use psoram_obsv::{DeviceFaultKind, Event, Tap};
 use serde::{Deserialize, Serialize};
 
-use crate::crash::{CrashPoint, RecoveryIncident, RecoveryReport};
+use crate::crash::{CrashPoint, RecoveryReport};
 use crate::types::OramError;
 
 /// Maps the NVM-layer fault class onto the dependency-free observability
@@ -24,68 +21,6 @@ pub(crate) fn fault_kind(class: FaultClass) -> DeviceFaultKind {
         FaultClass::StaleReplay => DeviceFaultKind::StaleReplay,
         FaultClass::CrossSplice => DeviceFaultKind::CrossSplice,
         FaultClass::WearOut => DeviceFaultKind::WearOut,
-    }
-}
-
-/// Outcome of the wear-coupled draw over one media path load, after the
-/// retirement layer has had its say.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WearReadOutcome {
-    /// No wear fault on this load.
-    None,
-    /// Transient drift failure: the load succeeds after `attempts`
-    /// retries with backoff.
-    Transient {
-        /// Failed attempts before the read goes through.
-        attempts: u32,
-    },
-    /// The hottest line was convicted and retired onto a spare; its
-    /// content was repaired from the redundant copy. The remap is staged
-    /// and becomes durable at the next commit round.
-    Retired {
-        /// The convicted physical line.
-        line: u64,
-        /// The spare now serving its address.
-        spare: u64,
-    },
-    /// The hottest line is stuck past its budget and no spare capacity
-    /// is left (or the scheme has no retirement layer): the controller
-    /// must fail safe.
-    Exhausted {
-        /// The dead physical line.
-        line: u64,
-    },
-}
-
-/// What a crash's device faults destroyed in the round whose media
-/// programming the power failure interrupted. Indexes refer to the
-/// controller's record of the last applied round's persist units.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub(crate) struct RoundDamage {
-    /// Damaged data units (tree-slot writes), by last-round index.
-    pub data_units: Vec<usize>,
-    /// Damaged PosMap units (persisted map entries), by last-round index.
-    pub posmap_units: Vec<usize>,
-    /// Data unit rolled back to its authentic prior version (replay).
-    pub replayed_data: Option<usize>,
-    /// PosMap unit rolled back to its authentic prior version (replay).
-    pub replayed_posmap: Option<usize>,
-    /// Pair of data units whose records and contents were swapped.
-    pub spliced_data: Option<(usize, usize)>,
-    /// Pair of PosMap units whose records and contents were swapped.
-    pub spliced_posmap: Option<(usize, usize)>,
-}
-
-impl RoundDamage {
-    /// `true` when no unit was damaged, replayed, or spliced.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.data_units.is_empty()
-            && self.posmap_units.is_empty()
-            && self.replayed_data.is_none()
-            && self.replayed_posmap.is_none()
-            && self.spliced_data.is_none()
-            && self.spliced_posmap.is_none()
     }
 }
 
@@ -123,9 +58,10 @@ pub(crate) type DrainedRound<D, P> = (Vec<WpqEntry<D>>, Vec<WpqEntry<P>>);
 /// The WPQ persist-round protocol — *start signal → persist units → end
 /// signal* — over the paired data/PosMap queues, generic over the
 /// persist-unit types (`D` data units, `P` PosMap units). It holds what is
-/// typed by the queues and nothing else; the crash plan, the counters and
-/// the device adversaries a round also touches are [`EngineControl`]'s,
-/// lent to the calls that need them.
+/// typed by the queues and nothing else: the crash latch, the counters and
+/// the tap a round also touches are [`EngineControl`]'s, lent to the calls
+/// that need them, and the wear engine a round programs is the device
+/// side's (`engine::commit_and_apply`, `engine::power_fail`).
 ///
 /// Controllers keep only protocol policy: what units to stage, when to
 /// open a round, and how to apply a drained round to their stores.
@@ -196,18 +132,12 @@ impl<D, P> PersistEngine<D, P> {
     /// # Errors
     ///
     /// [`WpqError::NoBatchOpen`] if no round is open on either queue.
-    pub fn commit_round(&mut self, ctl: &mut EngineControl) -> Result<(), WpqError> {
+    pub fn commit_round(&mut self, ctl: &EngineControl) -> Result<(), WpqError> {
         let (data_units, posmap_units) = (
             self.domain.data_wpq().open_len() as u64,
             self.domain.posmap_wpq().open_len() as u64,
         );
         self.domain.commit_round()?;
-        // The wear-leveling mapping (staged gap moves / retirements)
-        // rides the same atomic commit point as the round itself: one
-        // failure-atomic register update in the persistence domain.
-        if let Some(w) = ctl.wear.as_mut() {
-            w.commit();
-        }
         ctl.tap.emit(|| Event::RoundCommit {
             cycle: ctl.tap.now(),
             data_units,
@@ -218,18 +148,11 @@ impl<D, P> PersistEngine<D, P> {
 
     /// Drains every committed entry from both queues, in commit order,
     /// into the buffers kept from round to round (hand them back with
-    /// [`PersistEngine::keep`]). With wear enabled, each drained data unit
-    /// programs its media line through the current (staged) leveling
-    /// mapping.
-    pub fn drain(&mut self, ctl: &mut EngineControl) -> DrainedRound<D, P> {
+    /// [`PersistEngine::keep`]).
+    pub fn drain(&mut self) -> DrainedRound<D, P> {
         let (mut data, mut posmap) = std::mem::take(&mut self.drained);
         debug_assert!(data.is_empty() && posmap.is_empty());
         self.domain.drain_into(&mut data, &mut posmap);
-        if let Some(w) = ctl.wear.as_mut() {
-            for e in data.iter() {
-                w.record_write(e.addr);
-            }
-        }
         (data, posmap)
     }
 
@@ -271,18 +194,7 @@ impl<D, P> PersistEngine<D, P> {
         ctl.tap.emit(|| Event::Crash {
             cycle: ctl.tap.now(),
         });
-        let (d, p) = self.domain.crash();
-        if let Some(w) = ctl.wear.as_mut() {
-            // A staged gap move or retirement that missed its commit
-            // round never happened: recovery sees one consistent mapping.
-            w.revert();
-            // The ADR flush still programs the committed rounds' cells —
-            // wear is device truth and is never rolled back.
-            for e in &d {
-                w.record_crash_write(e.addr);
-            }
-        }
-        (d, p)
+        self.domain.crash()
     }
 }
 
@@ -291,9 +203,10 @@ impl<D, P> PersistEngine<D, P> {
 /// ([`EngineControl::schedule_crash`]) against the access-attempt counter,
 /// the crashed-state latch and the recovery bookkeeping
 /// ([`EngineControl::finish_recovery`], [`EngineControl::last_recovery`]),
-/// the crash/recovery/stall counters ([`EngineStats`]), the installed
-/// device adversaries (fault plan, wear engine), the persisted counter-tree
-/// root and the fail-safe latch.
+/// the crash/recovery/stall counters ([`EngineStats`]), the fail-safe latch
+/// and the tap. The device's own state — its fault plan, wear engine and
+/// the incidents a crash files — is `DeviceSide`'s, and the anchored root
+/// sits beside the counter tree it anchors (`AuthTags`).
 #[derive(Debug, Default)]
 pub(crate) struct EngineControl {
     crash_plan: Option<CrashPoint>,
@@ -308,18 +221,9 @@ pub(crate) struct EngineControl {
     /// The controller's tap: its access and phase events, the round
     /// markers, the device guards and the recovery events share its clock.
     pub(crate) tap: Tap,
-    /// Seeded device-fault adversary, when the backend is made injectable.
-    device: Option<FaultPlan>,
-    /// Endurance bookkeeping under the persistence domain, when the
-    /// device is made to wear.
-    wear: Option<WearEngine>,
     /// Fail-safe latch: damage that could neither be repaired nor retried
     /// past. Latched until the instance is rebuilt.
     poisoned: Option<FaultClass>,
-    /// Incidents drawn at the last crash, consumed by the next recovery.
-    pending_incidents: Vec<RecoveryIncident>,
-    /// The counter-tree root persisted by the last committed round.
-    persisted_root: Option<[u8; 16]>,
 }
 
 impl EngineControl {
@@ -477,231 +381,6 @@ impl EngineControl {
         self.last_recovery.as_ref()
     }
 
-    // ── device-fault injection (tentpole) ───────────────────────────────
-
-    /// Installs a seeded [`FaultPlan`] over the WPQ/NVM backend, making
-    /// the persistence domain adversarial. The plan owns its own RNG
-    /// stream: installing a fully disabled plan leaves the controller
-    /// bit-identical to an uninstrumented one.
-    pub fn install_fault_plan(&mut self, seed: u64, cfg: FaultConfig) {
-        self.device = Some(FaultPlan::new(seed, cfg));
-    }
-
-    /// Ground-truth injection counters of the installed plan, if any.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.device.as_ref().map(FaultPlan::stats)
-    }
-
-    /// Entropy from the plan's stream, for choosing which byte of a
-    /// damaged unit to flip. Returns 0 with no plan installed.
-    pub fn device_entropy(&mut self) -> u64 {
-        self.device.as_mut().map_or(0, FaultPlan::entropy)
-    }
-
-    /// Draws the outcome of one media path load. Always
-    /// [`ReadFault::None`] with no plan installed.
-    pub fn read_fault(&mut self) -> ReadFault {
-        self.device
-            .as_mut()
-            .map_or(ReadFault::None, |p| p.read_fault())
-    }
-
-    /// Draws what the crash's device faults destroy in the round whose
-    /// media programming was interrupted (`data_len`/`posmap_len` persist
-    /// units), records the classified incidents for the next recovery,
-    /// and returns the damaged unit indexes for the controller to apply.
-    ///
-    /// Draw order is fixed (data fate, posmap fate, then per-unit flips)
-    /// so the schedule is deterministic in the plan's seed alone.
-    pub fn draw_crash_damage(&mut self, data_len: usize, posmap_len: usize) -> RoundDamage {
-        let Some(plan) = self.device.as_mut() else {
-            return RoundDamage::default();
-        };
-        let mut damage = RoundDamage::default();
-        let data_fate = plan.round_fate(data_len);
-        let posmap_fate = plan.round_fate(posmap_len);
-        for (fate, len, units) in [
-            (data_fate, data_len, &mut damage.data_units),
-            (posmap_fate, posmap_len, &mut damage.posmap_units),
-        ] {
-            match fate {
-                RoundFate::Intact => {}
-                RoundFate::Lost => units.extend(0..len),
-                RoundFate::Torn { kept } => units.extend(kept..len),
-                // A duplicated end signal replays idempotent slot writes:
-                // no media damage, but the incident is accounted.
-                RoundFate::Duplicated => {}
-            }
-        }
-        // Bit rot strikes units that survived the fate draw.
-        let mut flips = 0u64;
-        for (len, units) in [
-            (data_len, &mut damage.data_units),
-            (posmap_len, &mut damage.posmap_units),
-        ] {
-            for i in 0..len {
-                if plan.unit_corrupted() && !units.contains(&i) {
-                    units.push(i);
-                    flips += 1;
-                }
-            }
-            units.sort_unstable();
-        }
-        for (fate, len) in [(data_fate, data_len), (posmap_fate, posmap_len)] {
-            let class = match fate {
-                RoundFate::Intact => None,
-                RoundFate::Lost => Some(FaultClass::SignalLoss),
-                RoundFate::Torn { .. } => Some(FaultClass::TornFlush),
-                RoundFate::Duplicated => Some(FaultClass::DuplicatedSignal),
-            };
-            if let Some(class) = class {
-                self.pending_incidents.push(RecoveryIncident {
-                    class,
-                    units: len as u64,
-                });
-            }
-        }
-        if flips > 0 {
-            self.pending_incidents.push(RecoveryIncident {
-                class: FaultClass::MediaCorruption,
-                units: flips,
-            });
-        }
-        // Freshness adversary: replay a stale version of one last-round
-        // unit, and/or splice two units' records across addresses. The
-        // draws always consume entropy (schedule invariance); each domain
-        // draws in a fixed order: data replay, posmap replay, data
-        // splice, posmap splice.
-        damage.replayed_data = plan.replay_fate(data_len);
-        damage.replayed_posmap = plan.replay_fate(posmap_len);
-        damage.spliced_data = plan.splice_fate(data_len);
-        damage.spliced_posmap = plan.splice_fate(posmap_len);
-        // Replay/splice draws are *attempts*: the controller confirms the
-        // ones that actually land on media (via `confirm_stale_replay` /
-        // `confirm_cross_splice`), which is when the ground-truth counter
-        // and the incident record are written.
-        damage
-    }
-
-    /// Records that the controller applied a drawn crash-time replay:
-    /// one persist unit now carries an authentic-but-stale snapshot.
-    /// Counts the ground truth and files the incident for recovery.
-    pub fn confirm_stale_replay(&mut self) {
-        if let Some(p) = self.device.as_mut() {
-            p.confirm_stale_replay();
-        }
-        self.pending_incidents.push(RecoveryIncident {
-            class: FaultClass::StaleReplay,
-            units: 1,
-        });
-    }
-
-    /// Records that the controller applied a drawn cross-address splice:
-    /// two persist units swapped their authentic records. Counts the
-    /// ground truth and files the two-unit incident for recovery.
-    pub fn confirm_cross_splice(&mut self) {
-        if let Some(p) = self.device.as_mut() {
-            p.confirm_cross_splice();
-        }
-        self.pending_incidents.push(RecoveryIncident {
-            class: FaultClass::CrossSplice,
-            units: 2,
-        });
-    }
-
-    /// Draws a fetch-path replay attempt from the installed plan: the
-    /// adversary's pick of which loaded unit to serve stale, if any.
-    /// Always `None` with no plan installed, and the draw is consumed
-    /// unconditionally when a plan exists (schedule invariance).
-    pub fn read_replay(&mut self) -> Option<u64> {
-        self.device.as_mut().and_then(FaultPlan::read_replay)
-    }
-
-    /// Confirms a drawn fetch-path replay actually served a stale unit
-    /// (the pick landed on a unit with recorded history), keeping the
-    /// plan's counters exact ground truth.
-    pub fn confirm_read_replay(&mut self) {
-        if let Some(p) = self.device.as_mut() {
-            p.confirm_read_replay();
-        }
-    }
-
-    // ── endurance adversary (wear) ──────────────────────────────────────
-
-    /// Enables the endurance model over a device of `lines` media lines:
-    /// per-line write counts, seeded cell budgets, and the configured
-    /// leveling/retirement scheme, all under the persistence domain.
-    /// Without an installed fault plan the wear engine only *accounts*
-    /// (lifetime campaigns); with one, hot lines progressively fault.
-    pub fn enable_wear(&mut self, seed: u64, lines: u64, cfg: WearConfig) {
-        self.wear = Some(WearEngine::new(seed, lines, cfg));
-    }
-
-    /// The wear engine's accumulated counters, if enabled.
-    pub fn wear_stats(&self) -> Option<WearStats> {
-        self.wear.as_ref().map(WearEngine::stats)
-    }
-
-    /// The wear engine itself (metrics publication, campaign queries).
-    pub fn wear_engine(&self) -> Option<&WearEngine> {
-        self.wear.as_ref()
-    }
-
-    /// Digest of the durable leveling/retirement mapping, if wear is
-    /// enabled — `None` otherwise, so wear-free state digests are
-    /// byte-identical to pre-endurance builds.
-    pub fn wear_digest(&self) -> Option<u64> {
-        self.wear.as_ref().map(WearEngine::mapping_digest)
-    }
-
-    /// Draws the wear-coupled outcome of one media path load over the
-    /// `addrs` the load touches. Inert (no entropy) unless both the wear
-    /// engine and a fault plan are installed; the plan's own gate then
-    /// keeps a wear-free fault mix schedule-identical to before.
-    ///
-    /// A stuck draw convicts the hottest line: under the Remap scheme
-    /// with spares left it is retired (staged; durable at the next
-    /// commit round) and the content repaired from the redundant copy;
-    /// otherwise the device is exhausted and the caller must fail safe.
-    pub fn wear_read_fault(&mut self, addrs: impl IntoIterator<Item = u64>) -> WearReadOutcome {
-        let (Some(wear), Some(plan)) = (self.wear.as_mut(), self.device.as_mut()) else {
-            return WearReadOutcome::None;
-        };
-        let (line, frac) = wear.hottest(addrs);
-        match plan.wear_fault(frac) {
-            ReadFault::None => WearReadOutcome::None,
-            ReadFault::Transient { attempts } => WearReadOutcome::Transient { attempts },
-            ReadFault::Stuck => match wear.convict(line) {
-                Conviction::Retired { spare } => {
-                    self.pending_incidents.push(RecoveryIncident {
-                        class: FaultClass::WearOut,
-                        units: 1,
-                    });
-                    WearReadOutcome::Retired { line, spare }
-                }
-                Conviction::Exhausted => WearReadOutcome::Exhausted { line },
-            },
-        }
-    }
-
-    /// Atomically persists the counter-tree root digest inside the
-    /// current round's commit ceremony. In the model this is a single
-    /// 16-byte failure-atomic register write in the persistence domain.
-    pub fn persist_root(&mut self, root: [u8; 16]) {
-        self.persisted_root = Some(root);
-    }
-
-    /// The most recently persisted counter-tree root, if any.
-    pub fn persisted_root(&self) -> Option<[u8; 16]> {
-        self.persisted_root
-    }
-
-    /// Takes the incidents drawn since the last recovery (ground truth of
-    /// what the crash damaged, for the recovery report).
-    pub fn take_incidents(&mut self) -> Vec<RecoveryIncident> {
-        std::mem::take(&mut self.pending_incidents)
-    }
-
     /// Latches the fail-safe poisoned state: every subsequent access
     /// fails with [`OramError::Poisoned`] until the instance is rebuilt.
     pub fn poison(&mut self, class: FaultClass) {
@@ -733,12 +412,12 @@ mod tests {
     #[test]
     fn round_trip_commit_and_drain() {
         let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        let mut c = EngineControl::default();
+        let c = EngineControl::default();
         e.begin_round(&c).unwrap();
         e.push_data(entry(1)).unwrap();
         e.push_posmap(entry(2)).unwrap();
-        e.commit_round(&mut c).unwrap();
-        let (d, p) = e.drain(&mut c);
+        e.commit_round(&c).unwrap();
+        let (d, p) = e.drain();
         assert_eq!(d.len(), 1);
         assert_eq!(p.len(), 1);
     }
@@ -749,7 +428,7 @@ mod tests {
         let mut c = EngineControl::default();
         e.begin_round(&c).unwrap();
         e.push_data(entry(1)).unwrap();
-        e.commit_round(&mut c).unwrap();
+        e.commit_round(&c).unwrap();
         e.stage_abandoned_round(vec![entry(2), entry(3)]);
         let (d, _) = e.crash(&mut c);
         assert_eq!(d.len(), 1, "only the committed round survives");
@@ -779,7 +458,7 @@ mod tests {
         assert!(e.data_is_full());
         c.note_stall();
         assert!(e.push_data(entry(2)).is_err(), "full WPQ rejects the push");
-        e.commit_round(&mut c).unwrap();
+        e.commit_round(&c).unwrap();
         let before_engine = c.stats();
         let (before_data, before_posmap) = e.wpq_stats();
         assert_eq!(before_engine.wpq_stalls, 1);
@@ -799,198 +478,6 @@ mod tests {
         assert_eq!(after_engine.crashes, 1);
         assert_eq!(after_engine.recoveries, 1);
         assert_eq!(after_engine.recovery_failures, 0);
-    }
-
-    #[test]
-    fn no_plan_means_no_damage_and_no_read_faults() {
-        let mut e = EngineControl::default();
-        assert!(e.draw_crash_damage(8, 8).is_empty());
-        assert_eq!(e.read_fault(), ReadFault::None);
-        assert!(e.take_incidents().is_empty());
-        assert!(e.fault_stats().is_none());
-    }
-
-    #[test]
-    fn device_damage_is_deterministic_in_the_seed() {
-        let mk = || {
-            let mut e = EngineControl::default();
-            e.install_fault_plan(99, FaultConfig::aggressive());
-            let mut all = Vec::new();
-            for _ in 0..50 {
-                all.push(e.draw_crash_damage(6, 3));
-            }
-            (all, e.take_incidents(), e.fault_stats())
-        };
-        assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn aggressive_plan_damages_something_and_classifies_it() {
-        let mut e = EngineControl::default();
-        e.install_fault_plan(7, FaultConfig::aggressive());
-        let mut damaged = 0usize;
-        for _ in 0..100 {
-            let d = e.draw_crash_damage(6, 3);
-            for u in d.data_units.iter().chain(&d.posmap_units) {
-                assert!(*u < 6);
-                damaged += 1;
-            }
-        }
-        assert!(damaged > 0, "aggressive mix never damaged a unit");
-        let incidents = e.take_incidents();
-        assert!(!incidents.is_empty());
-        assert!(e.take_incidents().is_empty(), "incidents are consumed");
-        assert!(e.fault_stats().unwrap().total_injected() > 0);
-    }
-
-    #[test]
-    fn replay_mix_draws_replays_and_splices_in_range() {
-        let mut e = EngineControl::default();
-        e.install_fault_plan(11, FaultConfig::replay_mix());
-        let (mut replays, mut splices) = (0u64, 0u64);
-        for _ in 0..200 {
-            let d = e.draw_crash_damage(6, 3);
-            // Draws are attempts; the controller confirms the applied
-            // ones — modeled here by confirming every draw.
-            if let Some(i) = d.replayed_data {
-                assert!(i < 6);
-                replays += 1;
-                e.confirm_stale_replay();
-            }
-            if let Some(i) = d.replayed_posmap {
-                assert!(i < 3);
-                replays += 1;
-                e.confirm_stale_replay();
-            }
-            if let Some((i, j)) = d.spliced_data {
-                assert!(i < 6 && j < 6 && i != j);
-                splices += 1;
-                e.confirm_cross_splice();
-            }
-            if let Some((i, j)) = d.spliced_posmap {
-                assert!(i < 3 && j < 3 && i != j);
-                splices += 1;
-                e.confirm_cross_splice();
-            }
-        }
-        assert!(replays > 0, "replay mix never replayed a unit");
-        assert!(splices > 0, "replay mix never spliced a pair");
-        let incidents = e.take_incidents();
-        assert!(incidents.iter().any(|i| i.class == FaultClass::StaleReplay));
-        assert!(incidents.iter().any(|i| i.class == FaultClass::CrossSplice));
-        let stats = e.fault_stats().unwrap();
-        assert_eq!(stats.stale_replays, replays);
-        assert_eq!(stats.cross_splices, splices);
-    }
-
-    #[test]
-    fn wear_is_inert_until_enabled_and_without_a_plan() {
-        let mut e = EngineControl::default();
-        assert_eq!(e.wear_digest(), None);
-        assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
-        e.enable_wear(
-            3,
-            64,
-            psoram_nvm::WearConfig::stress(psoram_nvm::WearScheme::Remap),
-        );
-        // Wear engine alone (no fault plan): accounting only, no faults.
-        assert_eq!(e.wear_read_fault([0, 64]), WearReadOutcome::None);
-        assert!(e.wear_digest().is_some());
-    }
-
-    #[test]
-    fn drained_writes_wear_lines_and_commit_rounds_seal_the_mapping() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(8, 8);
-        let mut c = EngineControl::default();
-        let mut cfg = psoram_nvm::WearConfig::paper_default(psoram_nvm::WearScheme::StartGap);
-        cfg.gap_interval = 1; // every write stages a gap move
-        c.enable_wear(7, 16, cfg);
-        let d0 = c.wear_digest().unwrap();
-
-        e.begin_round(&c).unwrap();
-        e.push_data(entry(0)).unwrap();
-        e.push_data(entry(64)).unwrap();
-        e.commit_round(&mut c).unwrap();
-        let round = e.drain(&mut c);
-        e.keep(round);
-        let stats = c.wear_stats().unwrap();
-        assert_eq!(stats.gap_moves, 2);
-        assert!(stats.writes_recorded >= 4, "2 drains + 2 gap copies");
-        // The gap moves staged during the drain are not durable yet...
-        assert_eq!(c.wear_digest().unwrap(), d0);
-        // ...until the next round commits.
-        e.begin_round(&c).unwrap();
-        e.push_data(entry(128)).unwrap();
-        e.commit_round(&mut c).unwrap();
-        assert_ne!(c.wear_digest().unwrap(), d0, "commit seals the mapping");
-        let round = e.drain(&mut c);
-        e.keep(round);
-    }
-
-    #[test]
-    fn crash_reverts_staged_mapping_but_keeps_wear_truth() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(8, 8);
-        let mut c = EngineControl::default();
-        let mut cfg = psoram_nvm::WearConfig::paper_default(psoram_nvm::WearScheme::StartGap);
-        cfg.gap_interval = 1;
-        c.enable_wear(7, 16, cfg);
-        let d0 = c.wear_digest().unwrap();
-        e.begin_round(&c).unwrap();
-        e.push_data(entry(0)).unwrap();
-        e.commit_round(&mut c).unwrap();
-        let round = e.drain(&mut c);
-        e.keep(round); // stages one gap move
-        let writes_before = c.wear_stats().unwrap().writes_recorded;
-        let _ = e.crash(&mut c);
-        assert_eq!(c.wear_digest().unwrap(), d0, "crash rolls the mapping back");
-        let s = c.wear_stats().unwrap();
-        assert_eq!(s.map_reverts, 1);
-        assert_eq!(s.writes_recorded, writes_before, "wear truth never reverts");
-    }
-
-    #[test]
-    fn wear_read_fault_convicts_and_retires_under_remap() {
-        let mut e = EngineControl::default();
-        e.install_fault_plan(5, FaultConfig::wear_only());
-        let mut cfg = psoram_nvm::WearConfig::stress(psoram_nvm::WearScheme::Remap);
-        cfg.preage_writes = 2000; // every line far past its budget
-        e.enable_wear(5, 16, cfg);
-        let mut retired = 0;
-        let mut transients = 0;
-        for _ in 0..400 {
-            match e.wear_read_fault([0]) {
-                WearReadOutcome::Retired { .. } => retired += 1,
-                WearReadOutcome::Transient { .. } => transients += 1,
-                WearReadOutcome::Exhausted { .. } => break,
-                WearReadOutcome::None => {}
-            }
-        }
-        assert!(retired > 0, "past-budget line must retire");
-        assert!(transients > 0, "drift failures must also fire");
-        assert_eq!(e.wear_stats().unwrap().retirements, retired);
-        let incidents = e.take_incidents();
-        assert!(incidents.iter().any(|i| i.class == FaultClass::WearOut));
-    }
-
-    #[test]
-    fn root_register_holds_the_last_persisted_root() {
-        let mut e: PersistEngine<u32, u32> = PersistEngine::new(4, 4);
-        let mut c = EngineControl::default();
-        assert_eq!(c.persisted_root(), None);
-        c.persist_root([1u8; 16]);
-        c.persist_root([2u8; 16]);
-        assert_eq!(c.persisted_root(), Some([2u8; 16]));
-        // The register is in the persistence domain: a crash keeps it.
-        let _ = e.crash(&mut c);
-        assert_eq!(c.persisted_root(), Some([2u8; 16]));
-    }
-
-    #[test]
-    fn read_replay_is_inert_without_a_plan() {
-        let mut e = EngineControl::default();
-        assert_eq!(e.read_replay(), None);
-        e.confirm_read_replay(); // no plan: a no-op
-        assert!(e.fault_stats().is_none());
     }
 
     #[test]

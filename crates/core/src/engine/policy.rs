@@ -435,7 +435,7 @@ pub trait ProtocolPolicy {
     /// Ground-truth injection counters of the installed fault plan, if
     /// any.
     fn device_fault_stats(&self) -> Option<psoram_nvm::FaultStats> {
-        self.shell().ctl.fault_stats()
+        self.shell().device.fault_stats()
     }
     /// Fetch-path freshness counters: stale units the adversary served on
     /// the read wire, how many the hardened verifier detected, and
@@ -445,12 +445,12 @@ pub trait ProtocolPolicy {
     }
     /// Wear/leveling counters of the armed endurance adversary, if any.
     fn wear_stats(&self) -> Option<psoram_nvm::WearStats> {
-        self.shell().ctl.wear_stats()
+        self.wear_engine().map(psoram_nvm::WearEngine::stats)
     }
     /// The endurance adversary's engine (mapping, per-line writes), if
     /// armed.
     fn wear_engine(&self) -> Option<&psoram_nvm::WearEngine> {
-        self.shell().ctl.wear_engine()
+        self.shell().device.wear.as_ref()
     }
     /// Physical-line wear profile of the armed endurance adversary:
     /// `(max_line_writes, lines_touched)`. The lifetime campaigns divide

@@ -33,7 +33,7 @@
 
 use psoram_nvm::FaultClass;
 
-use super::{recoverable, CommitLedger, EngineControl, Shell};
+use super::{recoverable, CommitLedger, DeviceSide, EngineControl, Shell};
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessVerdict};
 use crate::block::{Block, BlockHeader, BlockRef};
@@ -42,14 +42,9 @@ use crate::posmap::PosMap;
 use crate::tree::BucketIndex;
 use crate::types::{BlockAddr, Leaf};
 
-/// The parts of a controller the ladder works on, borrowed together: its
-/// engine control, slot arena, PosMap and ledger.
-type Media<'a> = (
-    &'a mut EngineControl,
-    &'a mut SlotArena,
-    &'a mut PosMap,
-    &'a mut CommitLedger,
-);
+/// The parts of a controller the ladder repairs, borrowed together: its
+/// slot arena, PosMap and ledger.
+type Media<'a> = (&'a mut SlotArena, &'a mut PosMap, &'a mut CommitLedger);
 
 /// A `(bucket, slot)` unit of the arena.
 type Unit = (u64, usize);
@@ -116,29 +111,19 @@ impl Shell {
         copies: &C,
         between: impl FnOnce(&mut SlotArena, &PosMap, &C, Option<&mut AuthTags>),
     ) -> RecoveryReport {
-        let mut ladder = match Ladder::enter(&mut self.ctl, &self.ledger) {
+        let mut ladder = match Ladder::enter(&self.ctl, &mut self.device, &self.ledger) {
             Ok(ladder) => ladder,
             Err(last) => return *last,
         };
         let mut auth = self.device.auth.take();
         if let Some(auth) = auth.as_mut() {
-            let media = (
-                &mut self.ctl,
-                &mut *arena,
-                &mut self.posmap,
-                &mut self.ledger,
-            );
-            ladder.detect(media, auth);
+            let media = (&mut *arena, &mut self.posmap, &mut self.ledger);
+            ladder.detect(&mut self.ctl, media, auth);
         }
         between(arena, &self.posmap, copies, auth.as_mut());
         let check = match auth.as_mut() {
             Some(auth) => {
-                let media = (
-                    &mut self.ctl,
-                    &mut *arena,
-                    &mut self.posmap,
-                    &mut self.ledger,
-                );
+                let media = (&mut *arena, &mut self.posmap, &mut self.ledger);
                 ladder.repair(media, auth, copies)
             }
             None => check_committed(arena, &self.posmap, &self.ledger, copies),
@@ -163,9 +148,10 @@ struct Ladder {
 impl Ladder {
     /// Idempotent entry: on a controller that is not crashed, the last
     /// verdict again (state and counters untouched); on a crashed one, a
-    /// ladder holding the incidents the crash filed.
+    /// ladder holding the incidents the device side filed.
     fn enter(
-        engine: &mut EngineControl,
+        engine: &EngineControl,
+        device: &mut DeviceSide,
         ledger: &CommitLedger,
     ) -> Result<Ladder, Box<RecoveryReport>> {
         if !engine.is_crashed() {
@@ -174,7 +160,7 @@ impl Ladder {
             return Err(Box::new(last.unwrap_or_else(clean)));
         }
         Ok(Ladder {
-            incidents: engine.take_incidents(),
+            incidents: device.take_incidents(),
             ..Ladder::default()
         })
     }
@@ -197,11 +183,16 @@ impl Ladder {
     }
 
     /// Root sanity, phase 1 and phase 2.
-    fn detect(&mut self, (engine, arena, posmap, ledger): Media<'_>, auth: &mut AuthTags) {
+    fn detect(
+        &mut self,
+        engine: &mut EngineControl,
+        (arena, posmap, ledger): Media<'_>,
+        auth: &mut AuthTags,
+    ) {
         // The on-chip counter tree must agree with the root anchored in
         // the persistence domain. A mismatch means the trusted anchor
         // itself cannot be believed — fail safe.
-        if engine.persisted_root().is_some_and(|r| r != auth.root()) {
+        if auth.anchored() != auth.root() {
             engine.poison(FaultClass::StaleReplay);
         }
         // Phase 1 — detect & classify: every convicted slot is wiped; any
@@ -263,7 +254,7 @@ impl Ladder {
     /// of those, for the addresses that failed the first (DESIGN.md §7).
     fn repair<C: Copies>(
         &mut self,
-        (engine, arena, posmap, ledger): Media<'_>,
+        (arena, posmap, ledger): Media<'_>,
         auth: &mut AuthTags,
         copies: &C,
     ) -> Result<(), String> {
@@ -295,7 +286,7 @@ impl Ladder {
         // persisted root for the rounds that follow.
         auth.clear_temp_seal();
         auth.advance_epoch();
-        engine.persist_root(auth.root());
+        auth.anchor();
         let touched = failed
             .iter()
             .filter_map(|&a| Some((a, ledger.committed_value(a)?)));
@@ -559,10 +550,11 @@ fn newest_valid_copies(
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use psoram_nvm::FaultConfig;
+    use psoram_nvm::{FaultConfig, FaultPlan};
 
     use super::*;
-    use crate::engine::{persist::RoundDamage, ProtocolPolicy};
+    use crate::engine::device::{draw_crash_damage, RoundDamage};
+    use crate::engine::ProtocolPolicy;
     use crate::testkit::{read_back, Toy, TOY_ADDRS as ADDRS};
     use crate::types::OramError;
 
@@ -575,11 +567,8 @@ pub(crate) mod tests {
         units: (usize, usize),
         wanted: impl Fn(&RoundDamage) -> bool,
     ) -> u64 {
-        let draws = |seed| {
-            let mut twin = EngineControl::default();
-            twin.install_fault_plan(seed, cfg);
-            twin.draw_crash_damage(units.0, units.1)
-        };
+        let draws =
+            |seed| draw_crash_damage(&mut FaultPlan::new(seed, cfg), units, &mut Vec::new());
         (0..10_000)
             .find(|&seed| wanted(&draws(seed)))
             .expect("no seed in 10,000 draws the wanted damage")
@@ -651,7 +640,7 @@ pub(crate) mod tests {
         toy.enable_device_faults(3, FaultConfig::disabled());
         // The end signal arrives, the drain does not.
         toy.stage(&[2], &[9; 8]);
-        toy.wpq.commit_round(&mut toy.shell.ctl).unwrap();
+        toy.wpq.commit_round(&toy.shell.ctl).unwrap();
         toy.crash_now();
         crate::testkit::the_committed_round_survived(&mut toy, 2, &[9; 8]);
     }

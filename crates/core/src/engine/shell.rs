@@ -8,7 +8,9 @@
 //! driver does to a design that reads or writes only this state is a
 //! provided method of [`ProtocolPolicy`](super::ProtocolPolicy) over it.
 
-use psoram_nvm::{FaultConfig, NvmConfig, NvmController, WearConfig, WpqStats, WEAR_LINE_BYTES};
+use psoram_nvm::{
+    FaultConfig, NvmConfig, NvmController, WearConfig, WearEngine, WpqStats, WEAR_LINE_BYTES,
+};
 use psoram_obsv::{Event, MetricsRegistry, MetricsSource, Phase, Tap};
 
 use psoram_crypto::Hash128;
@@ -31,12 +33,12 @@ pub struct Shell {
     pub(crate) posmap: PosMap,
     pub(crate) temp: TempPosMap,
     /// Crash arming & scheduling, the crashed-state latch, the recovery
-    /// bookkeeping and the installed device adversaries.
+    /// bookkeeping, the fail-safe latch and the tap.
     pub(crate) ctl: EngineControl,
     /// Written-vs-committed value ledgers (the recoverability oracle).
     pub(crate) ledger: CommitLedger,
-    /// The installed fault plan's hands on the media and the integrity
-    /// layer that answers them.
+    /// The adversary — fault plan, wear engine and their hands on the
+    /// media — and the integrity layer that answers it.
     pub(crate) device: DeviceSide,
     /// Addresses accessed since construction (`verify_contents`).
     pub(crate) touched: PagedTable<()>,
@@ -164,15 +166,16 @@ impl Shell {
         listing: Listing,
     ) -> u64 {
         let maps = (&mut self.posmap, &mut self.temp);
-        self.device.flush(&mut self.ctl, maps, entries, listing)
+        self.device.flush(maps, entries, listing)
     }
 
-    /// Arms the wear engine over an NVM region of `bytes` bytes and, with
-    /// it, the NVM controller's per-line write counts — the table only the
-    /// armed adversary's report ([`Shell::publish_metrics`]) reads.
+    /// Arms the device side's wear engine over an NVM region of `bytes`
+    /// bytes and, with it, the NVM controller's per-line write counts — the
+    /// table only the armed adversary's report ([`Shell::publish_metrics`])
+    /// reads.
     pub(crate) fn arm_wear(&mut self, seed: u64, bytes: u64, cfg: WearConfig) {
         let lines = bytes.div_ceil(WEAR_LINE_BYTES).max(1);
-        self.ctl.enable_wear(seed, lines, cfg);
+        self.device.wear = Some(WearEngine::new(seed, lines, cfg));
         self.nvm.count_lines();
     }
 
@@ -221,8 +224,8 @@ impl Shell {
             image.update(&a.to_le_bytes());
             image.update(v);
         }
-        if let Some(d) = self.ctl.wear_digest() {
-            image.update(&d.to_le_bytes());
+        if let Some(wear) = &self.device.wear {
+            image.update(&wear.mapping_digest().to_le_bytes());
         }
         u128::from_le_bytes(image.finalize())
     }
@@ -242,7 +245,7 @@ impl Shell {
         self.nvm.stats().publish(&R::key(prefix, "nvm"), reg);
         data.publish(&R::key(prefix, "wpq.data"), reg);
         posmap.publish(&R::key(prefix, "wpq.posmap"), reg);
-        if let Some(w) = self.ctl.wear_engine() {
+        if let Some(w) = &self.device.wear {
             w.publish(&R::key(prefix, "wear"), reg);
             let report = self.nvm.wear_report(8);
             report.publish(&R::key(prefix, "nvm.wear"), reg);
@@ -296,8 +299,18 @@ pub(crate) type Media<'a, D> = (
 /// [`OramError::Wpq`]-wrapped queue errors if no round is open.
 pub(crate) fn commit_and_apply<C: Rounds>(c: &mut C) -> Result<(), OramError> {
     let (shell, wpq, _) = c.media();
-    wpq.commit_round(&mut shell.ctl)?;
-    let mut round = wpq.drain(&mut shell.ctl);
+    wpq.commit_round(&shell.ctl)?;
+    let mut round = wpq.drain();
+    if let Some(wear) = shell.device.wear.as_mut() {
+        // The leveling mapping staged since the last round (gap moves,
+        // retirements) rides the round's commit point: one failure-atomic
+        // register update in the persistence domain. Each drained data
+        // unit then programs its line through the mapping as it stands.
+        wear.commit();
+        for e in &round.0 {
+            wear.record_write(e.addr);
+        }
+    }
     shell.device.open_round(round.0.len() + round.1.len());
     c.apply_round(&mut round);
     c.media().1.keep(round);
@@ -344,16 +357,24 @@ pub(crate) fn crash_at<C: Rounds>(c: &mut C, point: CrashPoint) -> Result<(), Or
 pub(crate) fn power_fail<C: Rounds>(c: &mut C) -> (usize, usize) {
     let (shell, wpq, _) = c.media();
     let mut round = wpq.crash(&mut shell.ctl);
+    if let Some(wear) = shell.device.wear.as_mut() {
+        // A staged gap move or retirement that missed its commit round
+        // never happened: recovery sees one consistent mapping. The ADR
+        // flush still programs the committed rounds' cells — wear is device
+        // truth and is never rolled back.
+        wear.revert();
+        for e in &round.0 {
+            wear.record_crash_write(e.addr);
+        }
+    }
     let flushed = (round.0.len(), round.1.len());
     shell.device.open_round(flushed.0 + flushed.1);
     c.apply_round(&mut round);
     c.wipe();
     let (shell, _, arena) = c.media();
-    shell.device.anchor_root(&mut shell.ctl);
+    shell.device.anchor_root();
     shell.posmap.crash();
-    shell
-        .device
-        .strike(&mut shell.ctl, arena, &mut shell.posmap);
+    shell.device.strike(arena, &mut shell.posmap);
     flushed
 }
 
@@ -362,7 +383,7 @@ pub(crate) fn power_fail<C: Rounds>(c: &mut C) -> (usize, usize) {
 pub(crate) fn arm<C: Rounds>(c: &mut C, seed: u64, cfg: FaultConfig, hardened: bool) {
     let (shell, _, arena) = c.media();
     let media = (&*arena, &shell.posmap, &shell.temp);
-    (shell.device).arm(&mut shell.ctl, seed, cfg, hardened, media);
+    (shell.device).arm(seed, cfg, hardened, media);
 }
 
 /// Wires `tap` through the whole stack: the controller's own events, the

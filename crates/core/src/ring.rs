@@ -37,9 +37,8 @@ use crate::bucket::Bucket;
 use crate::crash::{CrashPoint, RecoveryReport};
 use crate::engine::{
     arm, check_committed, commit_and_apply, crash_at, power_fail, recoverable, set_tap, stall,
-    to_core, to_mem, Access, CommitModel, Copies, DeviceSide, DrainedRound, FrameCell, Kept,
-    Listing, Media, NvmLayout, PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds,
-    Shell,
+    to_core, to_mem, Access, CommitModel, Copies, DrainedRound, FrameCell, Kept, Listing, Media,
+    NvmLayout, PersistEngine, PosMapFlush, ProtocolPolicy, RewriteTables, Rounds, Shell,
 };
 use crate::posmap::{PosMap, LABEL_BOUND, MAX_LEVELS};
 use crate::tree::{heap_on_path, heap_path, BucketIndex};
@@ -459,12 +458,12 @@ impl RingOram {
         // Step ③: read exactly one slot per bucket along the path.
         // The device side's four guards bracket the read (all inert
         // without a fault plan). First: transient media read errors.
-        t = DeviceSide::read_fault(&mut self.shell.ctl, t)?;
+        t = self.shell.device.read_fault(&mut self.shell.ctl, t)?;
         let t_before_path = t;
         // Second: the freshness adversary may serve one of this access's
         // read slots stale. The draw always consumes plan entropy
         // (schedule invariance) and is resolved once the slots are known.
-        let replay_pick = self.shell.ctl.read_replay();
+        let replay_pick = self.shell.device.read_replay();
         // Where the target is read from: its bytes stay in the slot (a read
         // flips metadata only) until step ④ copies them.
         let in_stash = self.stash_primary(addr).is_some();
@@ -500,11 +499,8 @@ impl RingOram {
         // the wire draw lands on what was actually read, and fourth:
         // hardened verification of every read slot — including whatever
         // the wire served — against the on-chip counters.
-        t = DeviceSide::wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(0), t)?;
-        let mut serve_stale =
-            self.shell
-                .device
-                .serve_stale(&mut self.shell.ctl, replay_pick, &frame.cells);
+        t = (self.shell.device).wear_read_fault(&mut self.shell.ctl, frame.nvm_addrs(0), t)?;
+        let mut serve_stale = self.shell.device.serve_stale(replay_pick, &frame.cells);
         t = self.shell.device.verify_fetched(
             &mut self.shell.ctl,
             &self.buckets,
@@ -1196,7 +1192,7 @@ mod tests {
             value: (addr, leaf),
         };
         oram.wpq.push_posmap(entry).unwrap();
-        oram.wpq.commit_round(&mut oram.shell.ctl).unwrap();
+        oram.wpq.commit_round(&oram.shell.ctl).unwrap();
 
         oram.crash_now();
         crate::testkit::the_committed_round_survived(&mut oram, addr.0, &value);

@@ -1215,8 +1215,9 @@ pub(crate) fn snapshot_store_exists_only_under_plans_that_replay(pick: fn(Design
 /// nothing, and `addr` commits, and reads, `value`.
 #[cfg(test)]
 pub(crate) fn the_committed_round_survived(oram: &mut dyn ProtocolPolicy, addr: u64, value: &[u8]) {
-    let root = oram.shell().device.auth.as_ref().map(|auth| auth.root());
-    assert_eq!(oram.shell().ctl.persisted_root(), root);
+    if let Some(auth) = &oram.shell().device.auth {
+        assert_eq!(auth.anchored(), auth.root());
+    }
     let report = oram.recover();
     assert!(report.consistent, "{:?}", report.violation);
     assert!(!report.poisoned && report.errors.is_empty(), "{report:?}");

@@ -131,18 +131,17 @@ pub(crate) fn expand_key(key: &[u8; 16]) -> [[u8; 16]; 11] {
 /// ```
 #[derive(Clone)]
 pub struct Aes128 {
-    /// 11 round keys of 16 bytes each: what the hardware rounds consume.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    round_keys: [[u8; 16]; 11],
     rounds: Rounds,
 }
 
-/// The round function an [`Aes128`] was built with.
+/// The round function an [`Aes128`] was built with, over the schedule in
+/// the form it consumes.
 #[derive(Clone)]
 enum Rounds {
-    /// The host's AES instructions, over `round_keys` as they are.
+    /// The host's AES instructions, over the 11 round keys of 16 bytes
+    /// each as [`expand_key`] lays them out.
     #[cfg(target_arch = "x86_64")]
-    Hardware(AesNi),
+    Hardware(AesNi, [[u8; 16]; 11]),
     /// The T-table rounds, over the schedule as 44 big-endian words.
     Portable([u32; 44]),
 }
@@ -152,7 +151,7 @@ impl std::fmt::Debug for Aes128 {
         // Never print key material; do say which rounds ran.
         let backend = match self.rounds {
             #[cfg(target_arch = "x86_64")]
-            Rounds::Hardware(_) => "aes-ni",
+            Rounds::Hardware(..) => "aes-ni",
             Rounds::Portable(_) => "t-table",
         };
         f.debug_struct("Aes128")
@@ -169,8 +168,7 @@ impl Aes128 {
         #[cfg(target_arch = "x86_64")]
         if let Some(hw) = AesNi::detect() {
             return Aes128 {
-                round_keys: expand_key(key),
-                rounds: Rounds::Hardware(hw),
+                rounds: Rounds::Hardware(hw, expand_key(key)),
             };
         }
         Self::portable(key)
@@ -189,7 +187,6 @@ impl Aes128 {
             *word = u32::from_be_bytes([rk[c], rk[c + 1], rk[c + 2], rk[c + 3]]);
         }
         Aes128 {
-            round_keys,
             rounds: Rounds::Portable(ek),
         }
     }
@@ -199,7 +196,7 @@ impl Aes128 {
     pub fn encrypt_block(&self, block: &[u8; 16]) -> [u8; 16] {
         match &self.rounds {
             #[cfg(target_arch = "x86_64")]
-            Rounds::Hardware(hw) => hw.encrypt_block(&self.round_keys, block),
+            Rounds::Hardware(hw, round_keys) => hw.encrypt_block(round_keys, block),
             Rounds::Portable(ek) => ttable_encrypt(ek, block),
         }
     }
@@ -214,7 +211,7 @@ impl Aes128 {
     pub fn encrypt_blocks(&self, blocks: &mut [[u8; 16]]) {
         match &self.rounds {
             #[cfg(target_arch = "x86_64")]
-            Rounds::Hardware(hw) => hw.encrypt_blocks(&self.round_keys, blocks),
+            Rounds::Hardware(hw, round_keys) => hw.encrypt_blocks(round_keys, blocks),
             Rounds::Portable(ek) => {
                 for block in blocks {
                     *block = ttable_encrypt(ek, block);
@@ -251,7 +248,7 @@ impl Aes128 {
         );
         match &self.rounds {
             #[cfg(target_arch = "x86_64")]
-            Rounds::Hardware(hw) => hw.cbc_chains(&self.round_keys, chains, out),
+            Rounds::Hardware(hw, round_keys) => hw.cbc_chains(round_keys, chains, out),
             Rounds::Portable(ek) => cbc_chains_portable(ek, chains, out),
         }
     }
@@ -430,22 +427,23 @@ mod tests {
             0xd0, 0x14, 0xf9, 0xa8, 0xc9, 0xee, 0x25, 0x89, 0xe1, 0x3f, 0x0c, 0xc8, 0xb6, 0x63,
             0x0c, 0xa6,
         ];
-        for aes in both(&SP800_38A_KEY) {
-            assert_eq!(aes.round_keys[0], SP800_38A_KEY);
-            assert_eq!(aes.round_keys[10], last);
-        }
+        let round_keys = expand_key(&SP800_38A_KEY);
+        assert_eq!(round_keys[0], SP800_38A_KEY);
+        assert_eq!(round_keys[10], last);
     }
 
     #[test]
     fn word_schedule_mirrors_byte_schedule() {
-        let aes = Aes128::portable(&[0x3Cu8; 16]);
+        let key = [0x3Cu8; 16];
+        let aes = Aes128::portable(&key);
         let ek = match &aes.rounds {
             Rounds::Portable(ek) => ek,
             #[cfg(target_arch = "x86_64")]
-            Rounds::Hardware(_) => panic!("`portable` must build the T-table rounds"),
+            Rounds::Hardware(..) => panic!("`portable` must build the T-table rounds"),
         };
+        let round_keys = expand_key(&key);
         for (i, &word) in ek.iter().enumerate() {
-            let rk = &aes.round_keys[i / 4];
+            let rk = &round_keys[i / 4];
             let c = (i % 4) * 4;
             assert_eq!(word.to_be_bytes(), [rk[c], rk[c + 1], rk[c + 2], rk[c + 3]]);
         }

@@ -3,7 +3,7 @@
 //! `golden_campaign.rs` pins a fault-free campaign; the device and replay
 //! campaigns were only checked against themselves
 //! (`device_campaign_is_deterministic_under_fixed_seed`), so a change that
-//! reordered one `device_entropy()` draw *deterministically* passed every
+//! reordered one entropy draw of the fault plan *deterministically* passed every
 //! test. This one runs the seed-42 smoke device campaign twice — once with
 //! the replay/splice adversary armed, once under the aggressive mix — and
 //! asserts the two serialized `DeviceCampaignReport`s are byte-identical to

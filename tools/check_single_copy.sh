@@ -123,7 +123,8 @@ for controller in controller ring; do
     fi
 done
 # What is not typed by a protocol's queues is not generic: the device side
-# and the ladder work on `EngineControl`, whatever the persist units are.
+# and the ladder work on the shell's own state (the `DeviceSide`, the
+# `EngineControl` latch and tap), whatever the persist units are.
 if grep -nE '<D, P>' crates/core/src/engine/device.rs crates/core/src/engine/recover.rs; then
     echo "error: the device side or the ladder is generic over the persist units again" >&2
     exit 1
@@ -257,7 +258,7 @@ if grep -rnE 'fn (verdict|device_verdict)\b' crates/bench/src/bin; then
     exit 1
 fi
 # One crash-fate model. A crash's damage to the round it interrupts is
-# drawn once (`EngineControl::draw_crash_damage`, from
+# drawn once (`draw_crash_damage` in `engine/device.rs`, from
 # `FaultPlan::round_fate`) and applied once (`DeviceSide::strike`) over
 # the units that round listed. The WPQ is a queue: a second fate model
 # beside it (`Wpq::crash_with_plan` once was one, which no controller
@@ -272,6 +273,33 @@ for f in $stray; do
         exit 1
     fi
 done
+# One adversary, gathered: the device's state — the fault plan, the wear
+# engine and the incidents a crash files — is `DeviceSide`'s, in
+# `engine/device.rs`, beside the hands that apply it. `EngineControl` is
+# the crash plan and its latches; when it also held the plan and the wear
+# engine, every guard was two calls across that line and a second type
+# (`WearReadOutcome`) carried one call's answer back over it.
+held=$(grep -rnE '^\s*(pub(\([a-z]+\))?\s+)?[a-z_][a-z0-9_]*:\s*(Option<\s*)?(psoram_nvm::)?(FaultPlan|WearEngine)\b' \
+    --include='*.rs' crates/core/src | grep -v '^crates/core/src/engine/device\.rs:' || true)
+if [ -n "$held" ]; then
+    echo "error: a FaultPlan or WearEngine field outside crates/core/src/engine/device.rs:" >&2
+    echo "$held" >&2
+    exit 1
+fi
+if git ls-files -z '*.rs' | xargs -0 grep -nw 'WearReadOutcome' >&2; then
+    echo "error: WearReadOutcome is back; DeviceSide::wear_read_fault answers in one call" >&2
+    exit 1
+fi
+DEVICE_METHODS='read_fault|read_replay|wear_read_fault|draw_crash_damage|device_entropy|install_fault_plan|persist_root|take_incidents'
+methods=$(grep -rlE 'impl EngineControl\b' --include='*.rs' crates/core/src | xargs -r awk -v names="$DEVICE_METHODS" '
+    /^impl EngineControl[ {]/ { on = 1; next }
+    on && /^}/ { on = 0 }
+    on && $0 ~ "fn (" names ")[(<]" { print FILENAME ":" FNR ":" $0 }')
+if [ -n "$methods" ]; then
+    echo "error: EngineControl draws from or keeps the device's state again; it is DeviceSide's:" >&2
+    echo "$methods" >&2
+    exit 1
+fi
 # The queue seals nothing, so `psoram-nvm` and `psoram-crypto` stay
 # independent siblings: the frame seal was the only edge between them.
 if grep -n 'psoram-crypto' crates/nvm/Cargo.toml >&2; then
@@ -306,4 +334,4 @@ if grep -rn --include='Cargo.toml' --exclude-dir=target 'criterion' .; then
     echo "error: a manifest names criterion again" >&2
     exit 1
 fi
-echo "single copy: ok (device side, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode; one bus record; one history, no inverse cipher)"
+echo "single copy: ok (device side and its state, recovery ladder and its audit in engine/ only; one per-slot freshness table, a dummy's record its counter digest; no per-rewrite plumbing in ring.rs; one controller shell, one applier, one power-fail frame, one ladder entry; one integrity mechanism; one fleet simulator; a contents check that observes; one copy rule; one experiment registry; one design table; one crash harness; one crash-fate model, no psoram-crypto under psoram-nvm; one micro-benchmark harness; one scale, no smoke mode; one bus record; one history, no inverse cipher)"

@@ -185,6 +185,11 @@ impl SlotArena {
         }
     }
 
+    /// Slots per bucket.
+    pub fn slots(&self) -> usize {
+        self.slots
+    }
+
     /// Payload bytes per slot.
     pub fn payload_bytes(&self) -> usize {
         self.payload_bytes
@@ -315,6 +320,12 @@ impl SlotArena {
         self.buckets
     }
 
+    /// Slots the allocated pages hold room for: a bound on the real copies
+    /// the arena stores that grows only with its pages.
+    pub fn slot_room(&self) -> usize {
+        self.pages() * PAGE_BUCKETS * self.slots
+    }
+
     /// Number of allocated pages.
     pub fn pages(&self) -> usize {
         self.pages.iter().flatten().count()
@@ -385,7 +396,7 @@ impl<'a> BucketRef<'a> {
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn slot(&self, slot: usize) -> Option<BlockRef<'a>> {
         let flags = self.flag(slot);
         if flags & OCCUPIED == 0 {

@@ -455,12 +455,14 @@ impl CounterTree {
         row.ctr
     }
 
+    #[cfg(test)]
     /// The trusted counter of a tree slot, if the slot was ever written.
     pub fn slot_ctr(&self, bucket: u64, slot: usize) -> Option<u64> {
         let ctr = self.slots.get(bucket, slot)?.ctr;
         (ctr != 0).then_some(ctr)
     }
 
+    #[cfg(test)]
     /// The trusted counter of a PosMap address, if it was ever persisted.
     pub fn posmap_ctr(&self, addr: u64) -> Option<u64> {
         let ctr = self.posmap.get(&addr)?.ctr;
@@ -501,10 +503,37 @@ impl CounterTree {
     /// PosMap aggregate (16 B)`. Depends only on the final counter map
     /// and the epoch.
     pub fn root(&self) -> [u8; 16] {
-        let mut s = self.cmac.stream();
+        self.aggregates().root(&self.cmac)
+    }
+
+    /// What the root is a MAC of: the epoch and the aggregates, borrowed.
+    fn aggregates(&self) -> Aggregates<&[u128]> {
+        Aggregates {
+            epoch: self.epoch,
+            levels: &self.levels,
+            posmap_agg: self.posmap_agg,
+        }
+    }
+}
+
+/// What [`CounterTree::root`] MACs — the epoch, the level aggregates and
+/// the PosMap aggregate — borrowed from the live tree or held as the
+/// snapshot [`AuthTags::anchor`] takes.
+#[derive(Debug, Clone, Default)]
+struct Aggregates<L> {
+    epoch: u64,
+    levels: L,
+    posmap_agg: u128,
+}
+
+impl<L: AsRef<[u128]>> Aggregates<L> {
+    /// `0x52 ‖ epoch ‖ level aggregates (16 B each, root level first) ‖
+    /// PosMap aggregate (16 B)`, MACed.
+    fn root(&self, cmac: &Cmac) -> [u8; 16] {
+        let mut s = cmac.stream();
         s.update(&[DOMAIN_ROOT]);
         s.update(&self.epoch.to_le_bytes());
-        for level in &self.levels {
+        for level in self.levels.as_ref() {
             s.update(&level.to_le_bytes());
         }
         s.update(&self.posmap_agg.to_le_bytes());
@@ -575,10 +604,12 @@ impl UnitHistory {
 pub(crate) struct AuthTags {
     ctrs: CounterTree,
     temp_seal: Option<[u8; 16]>,
-    /// The counter-tree root as last anchored in the persistence domain
-    /// ([`AuthTags::anchor`]): the trusted reference recovery holds the
-    /// counters to.
-    anchored: [u8; 16],
+    /// What the counter-tree root was a MAC of when last anchored in the
+    /// persistence domain ([`AuthTags::anchor`]): the trusted reference
+    /// recovery holds the counters to, MACed when it is read
+    /// ([`AuthTags::anchored`]). The level vector keeps its capacity, so
+    /// an anchor allocates nothing once the tree has all its levels.
+    anchored: Aggregates<Vec<u128>>,
 }
 
 /// The MAC input of a PosMap record:
@@ -595,6 +626,7 @@ fn posmap_frame(f: &mut Frame<3>, src: (u64, u64), ctr: u64, leaf: u64) {
 /// `at` (a slot's `(bucket, slot)`, a PosMap entry's `(addr, 0)`): `rec`
 /// is the record found with it, `tag` the MAC recomputed over what that
 /// record claims to cover, `trusted` the on-chip counter.
+#[inline]
 fn judge(
     at: (u64, u64),
     rec: Option<&UnitMeta>,
@@ -702,16 +734,78 @@ impl<'r, 'a> Verdicts<'r, 'a> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Claims recovery has MACed on this thread: phase 1's slot claims,
+    /// phase 2's PosMap claims.
+    pub(crate) static MACED: std::cell::Cell<(usize, usize)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// Phase 1's claims that need a MAC, framed where the lanes read them:
+/// up to [`LANES`] of them, each with the unit it was found at, its record
+/// and its trusted counter.
+struct Claims<'r, 'a> {
+    cmac: &'r Cmac,
+    units: [((u64, u64), Option<&'r UnitMeta>, u64); LANES],
+    heads: [SlotFrame; LANES],
+    tails: [&'a [u8]; LANES],
+    n: usize,
+}
+
+impl<'r, 'a> Claims<'r, 'a> {
+    fn new(cmac: &'r Cmac) -> Self {
+        Claims {
+            cmac,
+            units: [((0, 0), None, 0); LANES],
+            heads: [SlotFrame::new(); LANES],
+            tails: [&[]; LANES],
+            n: 0,
+        }
+    }
+
+    /// Frames the claim of `rec`, found at unit `at` with `content` and
+    /// trusted counter `ctr`, into the next lane; MACs and judges the
+    /// group once the lanes are full.
+    #[inline]
+    fn push(
+        &mut self,
+        at: (u64, u64),
+        rec: &'r UnitMeta,
+        ctr: u64,
+        content: Option<BlockRef<'a>>,
+        each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict),
+    ) {
+        let n = self.n;
+        self.tails[n] = claim_frame(&mut self.heads[n], (rec.src, rec.ctr, content));
+        self.units[n] = (at, Some(rec), ctr);
+        self.n += 1;
+        if self.n == LANES {
+            self.flush(each);
+        }
+    }
+
+    /// The claims framed so far MACed side by side and judged.
+    fn flush(&mut self, each: &mut impl FnMut(BucketIndex, usize, FreshnessVerdict)) {
+        #[cfg(test)]
+        MACED.with(|m| m.set((m.get().0 + self.n, m.get().1)));
+        let tags = tag_framed(self.cmac, (&self.heads, &self.tails), self.n);
+        for (&(at, rec, ctr), tag) in self.units[..self.n].iter().zip(&tags) {
+            each(at.0, at.1 as usize, judge(at, rec, Some(ctr), Some(tag)));
+        }
+        self.n = 0;
+    }
+}
+
 impl AuthTags {
     /// Creates an empty store keyed with `key`.
     pub fn new(key: &[u8; 16]) -> Self {
-        let ctrs = CounterTree::new(key);
-        let anchored = ctrs.root();
-        AuthTags {
-            ctrs,
+        let mut tags = AuthTags {
+            ctrs: CounterTree::new(key),
             temp_seal: None,
-            anchored,
-        }
+            anchored: Aggregates::default(),
+        };
+        tags.anchor();
+        tags
     }
 
     /// The tag of a PosMap record.
@@ -789,23 +883,38 @@ impl AuthTags {
     /// every verdict once, **in no particular order**. The walk goes
     /// bucket by bucket down the counter rows, which the table keeps in
     /// index order: a bucket's row and its arena bucket are resolved once
-    /// for all its slots, and nothing is listed or sorted first. One lane
-    /// group takes the real blocks' records; an intact dummy's is
-    /// compared with its row's digest and takes no lane.
+    /// for all its slots, and nothing is listed or sorted first. A unit
+    /// whose verdict needs no MAC — a missing record, or an intact dummy's,
+    /// compared with its row's digest — is judged where it stands; every
+    /// other claim is framed straight into the next free lane
+    /// ([`Claims`]), and only those wait for the group's MACs.
     pub(crate) fn verdict_tracked_slots(
         &self,
         arena: &SlotArena,
         mut each: impl FnMut(BucketIndex, usize, FreshnessVerdict),
     ) {
-        let mut verdicts = Verdicts::new(self);
+        let mut lanes = Claims::new(&self.ctrs.cmac);
         for (bucket, row) in self.ctrs.slots.rows() {
             let stored = arena.bucket(bucket);
             for (slot, unit) in row.iter().enumerate().filter(|(_, unit)| unit.ctr != 0) {
+                let at = (bucket, slot as u64);
                 let content = stored.and_then(|b| b.slot(slot));
-                verdicts.push((bucket, slot, Some(unit)), content, &mut each);
+                match &unit.rec {
+                    Some(m) if !claims_own_digest(at, unit, m, content) => {
+                        lanes.push(at, m, unit.ctr, content, &mut each);
+                    }
+                    rec => {
+                        let own = unit.folded.to_le_bytes();
+                        each(
+                            bucket,
+                            slot,
+                            judge(at, rec.as_ref(), Some(unit.ctr), Some(&own)),
+                        );
+                    }
+                }
             }
         }
-        verdicts.flush(&mut each);
+        lanes.flush(&mut each);
     }
 
     /// The fetch-path check over the units read together, `served` being
@@ -929,6 +1038,8 @@ impl AuthTags {
             if n == 0 {
                 return;
             }
+            #[cfg(test)]
+            MACED.with(|m| m.set((m.get().0, m.get().1 + claimed)));
             let tags = tag_framed(&self.ctrs.cmac, (&heads, &[&[]; LANES]), claimed);
             let mut tags = tags[..claimed].iter();
             for &(addr, leaf, rec, ctr) in &lanes[..n] {
@@ -986,14 +1097,21 @@ impl AuthTags {
 
     /// Anchors the counter-tree root in the persistence domain. In the
     /// model this is one 16-byte failure-atomic register write, made inside
-    /// a round's commit ceremony; a crash keeps it.
+    /// a round's commit ceremony; a crash keeps it. The host keeps what the
+    /// root is a MAC of and MACs it only when the anchor is read: every
+    /// round anchors, only a recovery reads.
     pub fn anchor(&mut self) {
-        self.anchored = self.root();
+        let live = self.ctrs.aggregates();
+        let held = &mut self.anchored;
+        (held.epoch, held.posmap_agg) = (live.epoch, live.posmap_agg);
+        held.levels.clear();
+        held.levels.extend_from_slice(live.levels);
     }
 
-    /// The root as last anchored.
+    /// The root as last anchored: exactly the [`AuthTags::root`] of that
+    /// moment.
     pub fn anchored(&self) -> [u8; 16] {
-        self.anchored
+        self.anchored.root(&self.ctrs.cmac)
     }
 
     /// Advances the counter-tree epoch (once per recovery).
@@ -1298,6 +1416,29 @@ mod tests {
         }
         let all = ["clean", "missing", "spliced", "stale", "tampered"];
         assert!(kinds.into_iter().eq(all), "a verdict kind never came up");
+    }
+
+    #[test]
+    fn the_anchor_is_the_root_of_its_moment() {
+        let mut t = tags();
+        let genesis = t.root();
+        assert_eq!(t.anchored(), genesis);
+        t.record_slot(3, 1, None);
+        t.record_posmap(9, 2);
+        let now = t.root();
+        assert_ne!(now, genesis);
+        assert_eq!(
+            t.anchored(),
+            genesis,
+            "a bump moves the root, not the anchor"
+        );
+        t.anchor();
+        assert_eq!(t.anchored(), now);
+        t.advance_epoch();
+        assert_eq!(t.anchored(), now);
+        t.anchor();
+        assert_eq!(t.anchored(), t.root());
+        assert_ne!(t.root(), now, "the epoch is in the root");
     }
 
     #[test]

@@ -1228,7 +1228,7 @@ impl ProtocolPolicy for PathOram {
             cipher: self.encrypt_payloads.then_some(&self.cipher),
             stash: self.variant.stash_durable().then_some(&self.stash),
         };
-        (self.shell).recover(self.tree.arena_mut(), &copies, |_, _, _, _| {})
+        (self.shell).recover(self.tree.arena_mut(), &copies, |_, _, _, _| false)
     }
 
     /// The digest covers the materialized tree, the persisted PosMap and

@@ -54,7 +54,7 @@ pub use ledger::CommitLedger;
 pub use persist::EngineStats;
 pub(crate) use persist::{fault_kind, DrainedRound, EngineControl, PersistEngine};
 pub use policy::{Access, CommitModel, NvmLayout, ProtocolPolicy, ProtocolVariant, RingVariant};
-pub(crate) use recover::{check_committed, Copies};
+pub(crate) use recover::{check_committed, Copies, CopyIndex};
 pub(crate) use scratch::{AccessScratch, FrameCell, PathFrame, RewriteTables};
 pub use shell::Shell;
 pub(crate) use shell::{

@@ -34,6 +34,8 @@
 use psoram_nvm::FaultClass;
 
 use super::{recoverable, CommitLedger, DeviceSide, EngineControl, Shell};
+use std::mem::take;
+
 use crate::arena::SlotArena;
 use crate::auth::{AuthTags, FreshnessVerdict};
 use crate::block::{Block, BlockHeader, BlockRef};
@@ -98,10 +100,15 @@ impl Shell {
     /// protocol lends its `arena`, says where its committed `copies` sit
     /// and hands in `between`, whatever it restores itself between phases
     /// 2 and 3 (over the arena, the persisted PosMap, its copies and, on a
-    /// hardened design, the records its own slot writes refresh). An
-    /// unhardened design's verdict is the audit alone. The ledger then notes the
+    /// hardened design, the records its own slot writes refresh), which
+    /// returns whether it moved or dropped a stored copy. An unhardened
+    /// design's verdict is the audit alone. The ledger then notes the
     /// recovery: what it restored is what each address must read until it
     /// is written again.
+    ///
+    /// The survivor searches and the audit find copies through one
+    /// [`CopyIndex`], built by one header sweep after phase 1's wipes and
+    /// again only if `between` moved a copy.
     ///
     /// Idempotent: on a controller that is not crashed, the last verdict
     /// again, state and counters untouched.
@@ -109,24 +116,28 @@ impl Shell {
         &mut self,
         arena: &mut SlotArena,
         copies: &C,
-        between: impl FnOnce(&mut SlotArena, &PosMap, &C, Option<&mut AuthTags>),
+        between: impl FnOnce(&mut SlotArena, &PosMap, &C, Option<&mut AuthTags>) -> bool,
     ) -> RecoveryReport {
         let mut ladder = match Ladder::enter(&self.ctl, &mut self.device, &self.ledger) {
             Ok(ladder) => ladder,
             Err(last) => return *last,
         };
+        let index = &mut self.copy_index;
         let mut auth = self.device.auth.take();
         if let Some(auth) = auth.as_mut() {
             let media = (&mut *arena, &mut self.posmap, &mut self.ledger);
-            ladder.detect(&mut self.ctl, media, auth);
+            ladder.detect(&mut self.ctl, media, auth, index);
         }
-        between(arena, &self.posmap, copies, auth.as_mut());
+        let moved = between(arena, &self.posmap, copies, auth.as_mut());
+        if moved || auth.is_none() {
+            index.build(arena);
+        }
         let check = match auth.as_mut() {
             Some(auth) => {
                 let media = (&mut *arena, &mut self.posmap, &mut self.ledger);
-                ladder.repair(media, auth, copies)
+                ladder.repair(media, auth, copies, index)
             }
-            None => check_committed(arena, &self.posmap, &self.ledger, copies),
+            None => check_indexed(index, arena, &self.posmap, &self.ledger, copies),
         };
         self.device.auth = auth;
         self.ledger.recovered();
@@ -182,12 +193,14 @@ impl Ladder {
             .push(RecoveryError::UnrecoverableAddress { addr, detail });
     }
 
-    /// Root sanity, phase 1 and phase 2.
+    /// Root sanity, phase 1 and phase 2; `index` is built over the arena
+    /// phase 1 leaves.
     fn detect(
         &mut self,
         engine: &mut EngineControl,
         (arena, posmap, ledger): Media<'_>,
         auth: &mut AuthTags,
+        index: &mut CopyIndex,
     ) {
         // The on-chip counter tree must agree with the root anchored in
         // the persistence domain. A mismatch means the trusted anchor
@@ -205,12 +218,13 @@ impl Ladder {
             }
             auth.record_slot(bucket, slot, None);
         }
+        index.build(arena);
         // Phase 2 — persisted PosMap entries: a corrupt, replayed or
         // spliced leaf label is repaired from the newest authenticated
         // block copy of the address (the redundant copy names the true
         // leaf, and its counter proves it fresher). The survivors of all
-        // of them are found in one pass: nothing the loop changes (PosMap
-        // entries, their records, the ledger) is read by that pass.
+        // of them are found first: nothing the loop changes (PosMap
+        // entries, their records, the ledger) is read by that search.
         let mut damaged: Vec<(u64, Leaf)> = Vec::new();
         let leaf_of = |a| posmap.persisted_get(BlockAddr(a)).0;
         auth.verdict_posmaps(leaf_of, |a, leaf, verdict| {
@@ -223,7 +237,7 @@ impl Ladder {
         // reported, in address order.
         damaged.sort_unstable_by_key(|&(a, _)| a);
         let addrs: Vec<u64> = damaged.iter().map(|&(a, _)| a).collect();
-        let survivors = newest_valid_copies(arena, auth, &addrs);
+        let survivors = newest_valid_copies(index, arena, auth, &addrs);
         for ((a, leaf), survivor) in damaged.into_iter().zip(survivors) {
             match survivor {
                 Some((_, copy)) => {
@@ -257,11 +271,12 @@ impl Ladder {
         (arena, posmap, ledger): Media<'_>,
         auth: &mut AuthTags,
         copies: &C,
+        index: &mut CopyIndex,
     ) -> Result<(), String> {
-        let failures = audit(arena, posmap, ledger, copies);
+        let failures = audit(index, arena, posmap, ledger, copies);
         debug_assert!(walked_all(arena, posmap, ledger, copies).eq(failures.iter().cloned()));
         let failed: Vec<u64> = failures.iter().map(|&(a, _)| a).collect();
-        let survivors = newest_valid_copies(arena, auth, &failed);
+        let survivors = newest_valid_copies(index, arena, auth, &failed);
         for ((a, detail), survivor) in failures.into_iter().zip(survivors) {
             let Some((at, mut copy)) = survivor else {
                 ledger.rollback(a, None);
@@ -324,8 +339,8 @@ impl Ladder {
 
 /// The recoverability audit, one-shot: the first committed address (in
 /// ascending order) with no copy at its persisted PosMap position holding
-/// exactly the committed value — the verdict of an unhardened design's
-/// recovery, and every controller's public `check_recoverability`.
+/// exactly the committed value — every controller's public
+/// `check_recoverability`, over an index built for the call.
 ///
 /// # Errors
 ///
@@ -336,7 +351,21 @@ pub(crate) fn check_committed<C: Copies>(
     ledger: &CommitLedger,
     copies: &C,
 ) -> Result<(), String> {
-    let located = Located::sweep(arena, posmap, ledger, copies);
+    let mut index = CopyIndex::default();
+    index.build(arena);
+    check_indexed(&mut index, arena, posmap, ledger, copies)
+}
+
+/// [`check_committed`] over an `index` of `arena` already built — the
+/// verdict of an unhardened design's recovery.
+fn check_indexed<C: Copies>(
+    index: &mut CopyIndex,
+    arena: &SlotArena,
+    posmap: &PosMap,
+    ledger: &CommitLedger,
+    copies: &C,
+) -> Result<(), String> {
+    let located = Located::open(index, arena, posmap, ledger, copies);
     let copy_at = |row, a, found: &mut Vec<u8>| located.copy_at(row, a, found);
     let durable = |a| copies.durable_copy(a);
     let lowest = ledger.lowest_violation(ledger.committed_iter(), C::DESC, copy_at, durable);
@@ -353,14 +382,15 @@ fn first(mut violations: impl Iterator<Item = (u64, String)>) -> Result<(), Stri
 
 /// Every committed address the audit cannot find, ascending, each with
 /// its complaint: the ledger read row by row in its own order against
-/// what [`Located::sweep`] found, and only the violations sorted.
+/// what [`Located::open`] found, and only the violations sorted.
 fn audit<C: Copies>(
+    index: &mut CopyIndex,
     arena: &SlotArena,
     posmap: &PosMap,
     ledger: &CommitLedger,
     copies: &C,
 ) -> Vec<(u64, String)> {
-    let located = Located::sweep(arena, posmap, ledger, copies);
+    let located = Located::open(index, arena, posmap, ledger, copies);
     let copy_at = |row, a, found: &mut Vec<u8>| located.copy_at(row, a, found);
     let durable = |a| copies.durable_copy(a);
     let rows = ledger.committed_iter();
@@ -370,40 +400,45 @@ fn audit<C: Copies>(
 }
 
 /// What the audit finds of every committed row, rows numbered in
-/// [`CommitLedger::committed_iter`]'s order: where the copy lies, and its
-/// payload opened.
+/// [`CommitLedger::committed_iter`]'s order: whether a copy was located,
+/// and its payload opened.
 struct Located<'a> {
     posmap: &'a PosMap,
-    copies: Vec<Option<BlockRef<'a>>>,
+    located: &'a [u32],
     /// Row `i`'s opened payload at `i * width`.
-    plain: Vec<u8>,
+    plain: &'a [u8],
     width: usize,
 }
 
 impl<'a> Located<'a> {
-    /// One sweep of the arena locates every committed row at once
-    /// ([`locate`]), and the located copies are opened a lane-full at a
-    /// time.
-    fn sweep(
-        arena: &'a SlotArena,
+    /// Every committed row located at once through `index` ([`locate`]),
+    /// and the located copies opened a lane-full at a time, into the
+    /// index's own storage.
+    fn open(
+        index: &'a mut CopyIndex,
+        arena: &SlotArena,
         posmap: &'a PosMap,
         ledger: &CommitLedger,
         copies: &impl Copies,
     ) -> Self {
-        let located = locate(arena, posmap, ledger, copies);
+        let (mut located, mut plain) = (take(&mut index.located), take(&mut index.plain));
+        locate(index, arena, posmap, ledger, copies, &mut located);
         let width = arena.payload_bytes();
-        let mut plain = vec![0u8; located.len() * width];
-        for (copy, out) in located.iter().zip(plain.chunks_exact_mut(width.max(1))) {
-            if let Some(copy) = copy {
-                out.copy_from_slice(copy.payload);
-            }
-        }
+        plain.clear();
+        reserve_total(&mut plain, located.capacity() * width);
+        plain.resize(located.len() * width, 0);
+        // Each located payload is copied out as the lanes reach it.
         let stored = located.iter().zip(plain.chunks_exact_mut(width.max(1)));
-        copies.open_lanes(stored.filter_map(|(copy, out)| Some((copy.as_ref()?.header, out))));
+        copies.open_lanes(stored.filter_map(|(&unit, out)| {
+            let (_, copy) = (unit != NONE).then(|| index.slot(arena, unit))??;
+            out.copy_from_slice(copy.payload);
+            Some((copy.header, out))
+        }));
+        (index.located, index.plain) = (located, plain);
         Located {
             posmap,
-            copies: located,
-            plain,
+            located: &index.located,
+            plain: &index.plain,
             width,
         }
     }
@@ -411,7 +446,7 @@ impl<'a> Located<'a> {
     /// [`CommitLedger::violations`]' `copy_at`: row `row`'s opened copy,
     /// if it has one.
     fn copy_at(&self, row: usize, a: u64, found: &mut Vec<u8>) -> (Leaf, bool) {
-        let present = self.copies[row].is_some();
+        let present = self.located[row] != NONE;
         if present {
             found.extend_from_slice(&self.plain[row * self.width..][..self.width]);
         }
@@ -457,18 +492,174 @@ fn read_out(copies: &impl Copies, copy: Option<BlockRef<'_>>, found: &mut Vec<u8
     }
 }
 
-/// For each committed row of `ledger` (in [`CommitLedger::committed_iter`]'s
-/// order), where recovery finds its address: the newest copy whose header
-/// names the address's persisted leaf and that sits on that leaf's path —
-/// in one header-only pass over the arena, a copy's row found by an
-/// address index built for the pass. Buckets come in index order and a
-/// later copy must be strictly newer, which is
-/// [`SlotArena::newest_on_path`]'s tie rule on an ascending path.
+/// Where recovery finds the arena's copies, by address: every stored real
+/// copy's unit, grouped by the address its header names and, within an
+/// address, in the arena's order (bucket index, then slot) — the order in
+/// which a sweep of the arena would meet them.
 ///
-/// The index is a table by address, as long as the largest committed
-/// address: a controller commits only addresses it admitted, below its
-/// capacity, so the table is a few KiB at L=9 and lives for the pass.
-fn locate<'a>(
+/// One header sweep builds it ([`CopyIndex::build`]): the `(address,
+/// unit)` pairs in sweep order, then a counting sort by address, which is
+/// stable and so keeps each address's copies in sweep order. A unit is a
+/// `u32`: slot `u & mask` of the `u >> shift`-th bucket that stored a real
+/// copy. The vectors keep their capacity from one recovery to the next,
+/// so a recovery allocates no more for its index in a taller tree
+/// (`steady_state_allocs`). The index answers "which slots hold a copy of
+/// `a`" and nothing else: every verdict, MAC and comparison a search
+/// makes is made on the copy where it lies, on every recovery (DESIGN.md
+/// §7).
+#[derive(Debug, Default)]
+pub(crate) struct CopyIndex {
+    /// Bits of a unit that name its slot.
+    shift: u32,
+    /// The buckets that stored a real copy when the index was built,
+    /// ascending.
+    buckets: Vec<BucketIndex>,
+    /// The copies of address `a` are `units[starts[a]..starts[a + 1]]`.
+    starts: Vec<u32>,
+    units: Vec<u32>,
+    /// Every stored copy's `(address, unit)`, in sweep order: the sort's
+    /// input.
+    pairs: Vec<(u32, u32)>,
+    /// The audit's: per committed row, the unit of the copy it located
+    /// ([`NONE`] if none), and that copy's payload opened.
+    located: Vec<u32>,
+    plain: Vec<u8>,
+}
+
+/// A committed row the audit located no copy of.
+const NONE: u32 = u32::MAX;
+
+impl CopyIndex {
+    /// Indexes every real copy `arena` stores, in one header sweep and
+    /// one counting sort.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a stored address or unit does not fit in a `u32`: no
+    /// tree this crate can recover holds one (its ledger would not fit in
+    /// memory first).
+    pub(crate) fn build(&mut self, arena: &SlotArena) {
+        let shift = usize::BITS - (arena.slots() - 1).leading_zeros();
+        let (buckets, pairs) = (&mut self.buckets, &mut self.pairs);
+        buckets.clear();
+        pairs.clear();
+        // Room for every slot of the arena's pages: once the tree has its
+        // pages, a recovery allocates nothing here however many copies it
+        // holds.
+        reserve_total(buckets, arena.slot_room() >> shift);
+        reserve_total(pairs, arena.slot_room());
+        let mut span = 0;
+        for (bucket, stored) in arena.iter() {
+            let base = buckets.len() << shift;
+            let before = pairs.len();
+            for (slot, h) in stored.headers() {
+                let a = u32::try_from(h.addr.0).expect("an indexed address fits in a u32");
+                let unit = u32::try_from(base | slot).expect("an indexed unit fits in a u32");
+                span = span.max(a as usize + 1);
+                pairs.push((a, unit));
+            }
+            if pairs.len() > before {
+                buckets.push(bucket);
+            }
+        }
+        // Count each address's copies into `starts[a + 2]`; the running
+        // sum then makes `starts[a + 1]` the first of `a`'s places, and
+        // placing a copy advances it, so that afterwards `starts[a]` is
+        // the first of `a`'s places and `starts[a + 1]` one past its last.
+        let starts = &mut self.starts;
+        starts.clear();
+        reserve_total(starts, (span + 2).next_power_of_two());
+        starts.resize(span + 2, 0);
+        for &(a, _) in pairs.iter() {
+            starts[a as usize + 2] += 1;
+        }
+        for i in 2..starts.len() {
+            starts[i] += starts[i - 1];
+        }
+        reserve_total(&mut self.units, pairs.capacity());
+        self.units.resize(pairs.len(), 0);
+        for &(a, unit) in pairs.iter() {
+            let place = &mut starts[a as usize + 1];
+            self.units[*place as usize] = unit;
+            *place += 1;
+        }
+        self.shift = shift;
+    }
+
+    /// The slot unit `unit` names and the copy `arena` holds there, if
+    /// any.
+    #[inline]
+    fn slot<'a>(&self, arena: &'a SlotArena, unit: u32) -> Option<(Unit, BlockRef<'a>)> {
+        let bucket = self.buckets[(unit >> self.shift) as usize];
+        let slot = (unit & ((1 << self.shift) - 1)) as usize;
+        Some(((bucket, slot), arena.slot(bucket, slot)?))
+    }
+
+    /// The copies of `addr` in `arena`, with where each sits and its unit,
+    /// in the arena's order.
+    fn copies<'s, 'a: 's>(
+        &'s self,
+        arena: &'a SlotArena,
+        addr: u64,
+    ) -> impl Iterator<Item = (Unit, BlockRef<'a>, u32)> + 's {
+        let units = match usize::try_from(addr) {
+            Ok(a) if a + 1 < self.starts.len() => {
+                &self.units[self.starts[a] as usize..self.starts[a + 1] as usize]
+            }
+            _ => &[],
+        };
+        units.iter().filter_map(move |&unit| {
+            let (at, copy) = self.slot(arena, unit)?;
+            debug_assert_eq!(copy.header.addr.0, addr, "the index is of this arena");
+            Some((at, copy, unit))
+        })
+    }
+}
+
+/// For each committed row of `ledger` (in [`CommitLedger::committed_iter`]'s
+/// order), where recovery finds its address, into `located`: the unit of
+/// the newest copy whose header names the address's persisted leaf and
+/// that sits on that leaf's path ([`Copies::recoverable_at`], the row's
+/// leaf read once), among the address's copies in `index`; [`NONE`] if it
+/// has none. They come in the arena's order and a later copy must be
+/// strictly newer, which is [`SlotArena::newest_on_path`]'s tie rule on an
+/// ascending path.
+fn locate(
+    index: &CopyIndex,
+    arena: &SlotArena,
+    posmap: &PosMap,
+    ledger: &CommitLedger,
+    copies: &impl Copies,
+    located: &mut Vec<u32>,
+) {
+    let row = |(a, _): (u64, _)| {
+        let leaf = posmap.persisted_get(BlockAddr(a));
+        let mut best: Option<(u64, u32)> = None;
+        for ((bucket, _), copy, unit) in index.copies(arena, a) {
+            if copy.header.leaf == leaf
+                && copies.on_path(leaf, bucket)
+                && best.is_none_or(|(seq, _)| copy.header.seq > seq)
+            {
+                best = Some((copy.header.seq, unit));
+            }
+        }
+        best.map_or(NONE, |(_, unit)| unit)
+    };
+    located.clear();
+    reserve_total(located, ledger.committed_len().next_power_of_two());
+    located.extend(ledger.committed_iter().map(row));
+}
+
+/// Grows `v`'s capacity to at least `total` elements.
+fn reserve_total<T>(v: &mut Vec<T>, total: usize) {
+    v.reserve(total.saturating_sub(v.len()));
+}
+
+/// [`locate`] by a sweep of the whole arena, a copy's row found by an
+/// address table built for the sweep: what the audit was before the
+/// index, kept as the oracle the index is held to.
+#[cfg(test)]
+fn locate_swept<'a>(
     arena: &'a SlotArena,
     posmap: &PosMap,
     ledger: &CommitLedger,
@@ -514,13 +705,37 @@ fn convicted_slots(auth: &AuthTags, arena: &SlotArena) -> Vec<(u64, usize, Fresh
     convicted
 }
 
-/// For each of `addrs` (ascending), the newest (highest freshness
-/// counter) block copy anywhere on media that passes slot authentication,
-/// with where it sits — found in one pass over the arena. Deterministic:
-/// buckets are scanned in index order and the first of equally new copies
-/// wins (the replay adversary can restore byte-exact stale duplicates
-/// whose counters tie).
+/// For each of `addrs`, the newest (highest freshness counter) block copy
+/// anywhere on media that passes slot authentication, with where it sits
+/// — its copies found through `index`. Deterministic: the copies come in
+/// the arena's order and the first of equally new copies wins (the replay
+/// adversary can restore byte-exact stale duplicates whose counters tie);
+/// a copy is authenticated only if it would beat the best so far.
 fn newest_valid_copies(
+    index: &CopyIndex,
+    arena: &SlotArena,
+    auth: &AuthTags,
+    addrs: &[u64],
+) -> Vec<Option<(Unit, Block)>> {
+    let newest = |&a: &u64| {
+        let mut best: Option<(Unit, BlockRef<'_>)> = None;
+        for (at, copy, _) in index.copies(arena, a) {
+            if best.is_none_or(|(_, b)| copy.header.seq > b.header.seq)
+                && auth.verify_slot(at.0, at.1, Some(copy))
+            {
+                best = Some((at, copy));
+            }
+        }
+        best.map(|(at, b)| (at, b.to_block()))
+    };
+    addrs.iter().map(newest).collect()
+}
+
+/// [`newest_valid_copies`] by a sweep of the whole arena, `addrs`
+/// ascending and searched per header: what the survivor search was before
+/// the index, kept as the oracle the index is held to.
+#[cfg(test)]
+fn newest_valid_copies_swept(
     arena: &SlotArena,
     auth: &AuthTags,
     addrs: &[u64],
@@ -529,7 +744,6 @@ fn newest_valid_copies(
     let mut best: Vec<Option<(Unit, BlockRef<'_>)>> = vec![None; addrs.len()];
     if !addrs.is_empty() {
         for (idx, bucket) in arena.iter() {
-            // Headers first: only a copy of a wanted address is read whole.
             for (s, h) in bucket.headers() {
                 let Ok(i) = addrs.binary_search(&h.addr.0) else {
                     continue;
@@ -681,6 +895,35 @@ pub(crate) mod tests {
         let again = toy.recover();
         assert!(again.consistent && again.rolled_back.is_empty() && again.repairs == 0);
         assert_eq!(toy.state_digest(), digest);
+    }
+
+    #[test]
+    fn a_ladder_recovery_visits_every_tracked_unit_once_and_macs_every_real_claim() {
+        let mut toy = Toy::default();
+        toy.enable_device_faults(3, FaultConfig::disabled());
+        for (i, a) in [0, 1, 2, 3, 1, 2, 1].into_iter().enumerate() {
+            toy.write(&[a], i as u8);
+        }
+        let auth = toy.shell.device.auth.as_ref().unwrap();
+        let tracked = auth.tagged_slots_sorted();
+        let mut walked = Vec::new();
+        auth.verdict_tracked_slots(&toy.arena, |b, s, _| walked.push((b, s)));
+        walked.sort_unstable();
+        assert_eq!(walked, tracked, "each tracked unit once");
+        // The toy stores only real blocks: every tracked unit's claim is a
+        // real block's, and every persisted entry's is MACed too.
+        let entries = auth.tagged_posmap_sorted().len();
+        let real = tracked
+            .iter()
+            .filter(|&&(b, s)| toy.arena.slot(b, s).is_some());
+        assert_eq!(real.count(), tracked.len());
+        for _ in 0..2 {
+            toy.crash_now();
+            crate::auth::MACED.with(|m| m.set((0, 0)));
+            assert!(toy.recover().consistent);
+            let maced = crate::auth::MACED.with(|m| m.get());
+            assert_eq!(maced, (tracked.len(), entries), "on every recovery");
+        }
     }
 
     /// Phase 1's verdicts the way both controllers computed them before
@@ -857,8 +1100,9 @@ pub(crate) mod tests {
         store(11, 2, 1, 5, 1); // a1: only a spliced copy — not found.
         store(0, 0, 7, 5, 1); // a7 is not committed; a2 has no copy.
         let rows: Vec<_> = ledger.committed_iter().collect();
-        let found = locate(&arena, &posmap, &ledger, &Heap);
+        let found = located(&indexed(&arena), &arena, &posmap, &ledger);
         assert_eq!(found, walked_copies(&arena, &posmap, &rows));
+        assert_eq!(found, locate_swept(&arena, &posmap, &ledger, &Heap));
         for (&(a, _), b) in rows.iter().zip(&found) {
             assert_eq!(b.map(|b| b.payload), (a == 0).then_some(&[2u8][..]), "a{a}");
         }
@@ -915,14 +1159,111 @@ pub(crate) mod tests {
                     ledger.commit_if_fresh(a as u64, 0, &[a as u8]);
                 }
                 let rows: Vec<_> = ledger.committed_iter().collect();
+                let mut index = indexed(&arena);
                 prop_assert_eq!(
-                    locate(&arena, &posmap, &ledger, &Heap),
+                    located(&index, &arena, &posmap, &ledger),
                     walked_copies(&arena, &posmap, &rows)
                 );
-                let swept = audit(&arena, &posmap, &ledger, &Heap);
+                let swept = audit(&mut index, &arena, &posmap, &ledger, &Heap);
                 let walked: Vec<_> = walked_all(&arena, &posmap, &ledger, &Heap).collect();
                 prop_assert_eq!(swept, walked);
             }
+
+            /// The ladder's index answers what the sweeps it replaced
+            /// answered — the audit's locate and the survivor search —
+            /// in Path's geometry (Z = 4) and Ring's (Z + S = 9): slots
+            /// holding content no record covers, copies whose counters
+            /// tie, consumed Ring slots, and, after a between-step that
+            /// drops copies and stores new ones, the index built again.
+            #[test]
+            fn ladder_index_answers_what_the_sweeps_do(
+                ring in any::<bool>(),
+                labels in vec(0..Heap::LEAVES, 8),
+                stored in vec(((0u64..10, 0..2 * Heap::LEAVES, 0u64..3), (0..2 * Heap::LEVELS + 2, 0..Heap::BUCKETS, 0usize..9, any::<bool>())), 0..48),
+                consumed in vec((0..Heap::BUCKETS, 0usize..9), 0..8),
+                moved in vec((0..Heap::BUCKETS, 0usize..9, any::<bool>(), 0u64..10, 0u64..3), 0..12),
+                committed in vec(any::<bool>(), 10),
+            ) {
+                let slots = if ring { 9 } else { 4 };
+                let mut arena = SlotArena::new(slots, 1);
+                let mut auth = AuthTags::new(&[5; 16]);
+                let mut posmap = PosMap::new(Heap::LEAVES, 1);
+                for (a, &leaf) in labels.iter().enumerate() {
+                    posmap.persist(BlockAddr(a as u64), Leaf(leaf));
+                }
+                let mut id = 0u8;
+                // Half the copies carry their address's persisted leaf; a
+                // quarter sit wherever `anywhere` says, the rest at `depth`
+                // on the path of the leaf they carry.
+                let mut store = |arena: &mut SlotArena, auth: &mut AuthTags, ((a, label, seq), (depth, anywhere, slot, tracked))| {
+                    id = id.wrapping_add(1);
+                    let leaf = if label < Heap::LEAVES { Leaf(label) } else { posmap.persisted_get(BlockAddr(a)) };
+                    let bucket = Heap.path(leaf).nth(depth as usize).unwrap_or(anywhere);
+                    let mut b = Block::new(BlockAddr(a), leaf, vec![id]);
+                    b.header.seq = seq;
+                    arena.write(bucket, slot % slots, Some(b.view()));
+                    // An untracked slot holds content no record covers.
+                    if tracked {
+                        auth.record_slot(bucket, slot % slots, Some(b.view()));
+                    }
+                };
+                for &copy in &stored {
+                    store(&mut arena, &mut auth, copy);
+                }
+                for &(bucket, slot) in consumed.iter().filter(|_| ring) {
+                    if let Some(mut b) = arena.bucket_mut_if_present(bucket) {
+                        b.consume(slot % slots);
+                    }
+                }
+                let mut ledger = CommitLedger::new();
+                for (a, _) in committed.iter().enumerate().filter(|(_, &c)| c) {
+                    ledger.commit_if_fresh(a as u64, 0, &[a as u8]);
+                }
+                let every: Vec<u64> = (0..12).collect();
+                let mut index = CopyIndex::default();
+                for step in 0..2 {
+                    index.build(&arena);
+                    prop_assert_eq!(
+                        located(&index, &arena, &posmap, &ledger),
+                        locate_swept(&arena, &posmap, &ledger, &Heap),
+                        "step {}", step
+                    );
+                    prop_assert_eq!(
+                        newest_valid_copies(&index, &arena, &auth, &every),
+                        newest_valid_copies_swept(&arena, &auth, &every),
+                        "step {}", step
+                    );
+                    // The between-step: a slot emptied, or a copy stored
+                    // where it was not.
+                    for &(bucket, slot, emptied, a, seq) in &moved {
+                        if emptied {
+                            arena.write(bucket, slot % slots, None);
+                        } else {
+                            store(&mut arena, &mut auth, ((a, Heap::LEAVES, seq), (2 * Heap::LEVELS, bucket, slot, true)));
+                        }
+                    }
+                }
+            }
         }
+    }
+
+    /// The index built on an arena.
+    fn indexed(arena: &SlotArena) -> CopyIndex {
+        let mut index = CopyIndex::default();
+        index.build(arena);
+        index
+    }
+
+    /// [`locate`]'s units, as the copies they name.
+    fn located<'a>(
+        index: &CopyIndex,
+        arena: &'a SlotArena,
+        posmap: &PosMap,
+        ledger: &CommitLedger,
+    ) -> Vec<Option<BlockRef<'a>>> {
+        let mut units = Vec::new();
+        locate(index, arena, posmap, ledger, &Heap, &mut units);
+        let copy = |&unit: &u32| (unit != NONE).then(|| index.slot(arena, unit).unwrap().1);
+        units.iter().map(copy).collect()
     }
 }

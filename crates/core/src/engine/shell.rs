@@ -16,8 +16,8 @@ use psoram_obsv::{Event, MetricsRegistry, MetricsSource, Phase, Tap};
 use psoram_crypto::Hash128;
 
 use super::{
-    AccessScratch, CommitLedger, DeviceSide, DrainedRound, EngineControl, Listing, PersistEngine,
-    PosMapFlush,
+    AccessScratch, CommitLedger, CopyIndex, DeviceSide, DrainedRound, EngineControl, Listing,
+    PersistEngine, PosMapFlush,
 };
 use crate::arena::SlotArena;
 use crate::block::{BlockHeader, BlockRef};
@@ -50,6 +50,9 @@ pub struct Shell {
     /// payload free list): the steady-state access loop performs no heap
     /// allocation for these.
     pub(crate) scratch: AccessScratch,
+    /// Where recovery finds the arena's copies by address, its storage
+    /// kept from one recovery to the next ([`CopyIndex`]).
+    pub(crate) copy_index: CopyIndex,
 }
 
 impl Shell {
@@ -72,6 +75,7 @@ impl Shell {
             clock: 0,
             seq_counter: 0,
             scratch: AccessScratch::default(),
+            copy_index: CopyIndex::default(),
         }
     }
 

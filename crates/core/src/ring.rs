@@ -870,12 +870,13 @@ impl RingOram {
     /// compacts superseded recoverable duplicates and revalidates every
     /// consumed slot. Controller-initiated slot mutations are legitimate
     /// writes, so on a hardened design their records are refreshed.
+    /// Returns whether a duplicate was dropped (a stored copy moved).
     fn restore_consumed(
         buckets: &mut SlotArena,
         posmap: &PosMap,
         copies: &RingCopies,
         mut auth: Option<&mut AuthTags>,
-    ) {
+    ) -> bool {
         // Every copy recovery counts (`Copies::recoverable_at`), listed
         // once in a list sized by a counting pass and sorted newest first
         // per address: the first of each address is the copy recovery
@@ -899,10 +900,12 @@ impl RingOram {
         // Each winner is promoted, each superseded duplicate dropped; a
         // slot's record is refreshed once, and the counter tree folds its
         // records order-free.
+        let mut dropped = false;
         for (i, &(addr, _, bidx, s)) in found.iter().enumerate() {
             let mut bucket = buckets.bucket_mut(bidx);
             let content = if i > 0 && found[i - 1].0 == addr {
                 bucket.set(s, None);
+                dropped = true;
                 None
             } else if bucket.slot(s).is_some_and(|b| b.is_backup) {
                 bucket.set_backup(s, false);
@@ -919,6 +922,7 @@ impl RingOram {
         for bidx in materialised {
             buckets.bucket_mut(bidx).revalidate();
         }
+        dropped
     }
 
     fn copies(&self) -> RingCopies {

@@ -61,6 +61,7 @@ impl Toy {
     /// leaves it open; returns the slots it will program.
     pub(crate) fn stage(&mut self, addrs: &[u64], payload: &[u8]) -> Vec<Unit> {
         self.wpq.begin_round(&self.shell.ctl).unwrap();
+        let layout = self.nvm_layout();
         let mut units = Vec::new();
         for &a in addrs {
             self.shell.seq_counter += 1;
@@ -69,8 +70,12 @@ impl Toy {
             let mut block = Block::new(BlockAddr(a), Leaf(unit.0), payload.to_vec());
             block.header.seq = v;
             self.shell.ledger.note_written(a, payload);
-            let (value, addr) = ((BlockAddr(a), Leaf(unit.0)), 0);
+            // An entry at its address in the PosMap region; a block at its
+            // slot's line of its bucket, where the wear adversary sees it.
+            let (value, addr) = ((BlockAddr(a), Leaf(unit.0)), layout.posmap + 8 * a);
             self.wpq.push_posmap(WpqEntry { addr, value }).unwrap();
+            let slot_bytes = layout.bucket_bytes / 2;
+            let addr = unit.0 * layout.bucket_bytes + unit.1 as u64 * slot_bytes;
             let value = (unit, block);
             self.wpq.push_data(WpqEntry { addr, value }).unwrap();
             units.push(unit);
@@ -166,7 +171,7 @@ impl ProtocolPolicy for Toy {
         power_fail(self);
     }
     fn recover(&mut self) -> RecoveryReport {
-        (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _, _| {})
+        (self.shell).recover(&mut self.arena, &ToyCopies, |_, _, _, _| false)
     }
     fn state_digest(&self) -> u128 {
         self.shell.state_digest(&self.arena, false)

@@ -2,12 +2,14 @@
 //!
 //! [`Aes128::new`] picks its round function once, from what the host
 //! reports: on `x86_64` with the `aes` and `sse2` CPU features detected at
-//! run time, the AES-NI rounds (`crate::aesni`); everywhere else the
-//! portable T-table rounds in this file. Both consume the same
-//! [`expand_key`] schedule, and nothing but the platform enters the choice.
-//! [`Aes128::portable`] pins the T-table on any host, which is how the test
-//! suite holds the two against each other and against the byte-wise
-//! [`crate::ReferenceAes128`].
+//! run time, the AES-NI rounds (`crate::aesni`) — their CBC chains on the
+//! wide VAES kernel where the host also reports `vaes` and `avx512f`;
+//! everywhere else the portable T-table rounds in this file. All consume
+//! the same [`expand_key`] schedule, and nothing but the platform enters
+//! the choice. [`Aes128::portable`] pins the T-table on any host, and the
+//! test-only `Aes128::narrow` the AES-NI rounds without the wide kernel,
+//! which is how the test suite holds them against each other and against
+//! the byte-wise [`crate::ReferenceAes128`].
 //!
 //! The T-table round is the classic four precomputed 32-bit lookup tables
 //! (`Te0..Te3`), each entry combining SubBytes, ShiftRows, and MixColumns
@@ -151,6 +153,8 @@ impl std::fmt::Debug for Aes128 {
         // Never print key material; do say which rounds ran.
         let backend = match self.rounds {
             #[cfg(target_arch = "x86_64")]
+            Rounds::Hardware(hw, _) if hw.is_wide() => "aes-ni+vaes",
+            #[cfg(target_arch = "x86_64")]
             Rounds::Hardware(..) => "aes-ni",
             Rounds::Portable(_) => "t-table",
         };
@@ -189,6 +193,20 @@ impl Aes128 {
         Aes128 {
             rounds: Rounds::Portable(ek),
         }
+    }
+
+    /// Same cipher, on the AES-NI rounds with the CBC chains on the narrow
+    /// kernel even where the host has VAES: what a host with AES-NI and no
+    /// VAES runs. The T-table where the host has no AES-NI.
+    #[cfg(test)]
+    pub(crate) fn narrow(key: &[u8; 16]) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hw) = AesNi::detect() {
+            return Aes128 {
+                rounds: Rounds::Hardware(hw.narrow(), expand_key(key)),
+            };
+        }
+        Self::portable(key)
     }
 
     /// Encrypts one 16-byte block and returns the ciphertext block: the
@@ -231,8 +249,9 @@ impl Aes128 {
     /// order from a zero chaining value (`x ← E(x ^ block)`), `last` XORed
     /// into the final one, and `out[i]` becomes its last `x`.
     ///
-    /// On the hardware rounds up to eight chains run in lockstep with
-    /// their chaining values held in registers, so the AES unit sees eight
+    /// On the hardware rounds up to eight chains — sixteen on the wide
+    /// kernel, four to a 512-bit register — run in lockstep with their
+    /// chaining values held in registers, so the AES unit sees as many
     /// independent states per pass as it does in
     /// [`Aes128::encrypt_blocks`], and nothing goes back to memory between
     /// a chain's blocks. The T-table runs the chains one after another.

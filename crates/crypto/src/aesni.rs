@@ -3,10 +3,16 @@
 //!
 //! Everything here is reached through [`AesNi`], a token that can only be
 //! obtained from [`AesNi::detect`], so holding one *is* the proof that the
-//! running CPU reported `aes` and `sse2`. That detected feature is the only
+//! running CPU reported `aes` and `sse2` — and, when its `wide` flag is set,
+//! `vaes` and `avx512f` too. Those detected features are the only
 //! precondition of every `unsafe` block below; the loads and stores go
 //! through references to `[u8; 16]`, whose validity the type system
 //! already guarantees, and `loadu`/`storeu` have no alignment requirement.
+//!
+//! The CBC chains of CMAC's lanes have two kernels: the *narrow* one, up to
+//! eight chains in 128-bit registers, one `aesenc` per chain per round; and,
+//! where the CPU has VAES, the *wide* one, up to sixteen chains four to a
+//! 512-bit register, one `vaesenc` per four chains per round (DESIGN.md §9).
 //!
 //! The rounds consume the byte-form schedule produced by
 //! [`crate::aes::expand_key`] — the same one the T-table and the reference
@@ -17,9 +23,12 @@
 //! through the chain it produces (`aes.rs` and `tests/equivalence.rs`).
 
 use std::arch::x86_64::{
-    __m128i, _mm_aesenc_si128, _mm_aesenclast_si128, _mm_aeskeygenassist_si128, _mm_and_si128,
-    _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi64x, _mm_setzero_si128, _mm_shuffle_epi32,
-    _mm_slli_si128, _mm_storeu_si128, _mm_unpacklo_epi64, _mm_xor_si128,
+    __m128i, _mm512_aesenc_epi128, _mm512_aesenclast_epi128, _mm512_broadcast_i32x4,
+    _mm512_castsi128_si512, _mm512_extracti32x4_epi32, _mm512_inserti32x4, _mm512_maskz_mov_epi64,
+    _mm512_setzero_si512, _mm512_ternarylogic_epi64, _mm_aesenc_si128, _mm_aesenclast_si128,
+    _mm_aeskeygenassist_si128, _mm_and_si128, _mm_loadl_epi64, _mm_loadu_si128, _mm_set1_epi64x,
+    _mm_setzero_si128, _mm_shuffle_epi32, _mm_slli_si128, _mm_storeu_si128, _mm_unpacklo_epi64,
+    _mm_xor_si128,
 };
 
 use crate::aes::Chain;
@@ -29,14 +38,38 @@ use crate::aes::Chain;
 /// independent states keep the unit busy on every core that has it.
 const WIDE: usize = 8;
 
-/// Proof that the host CPU has the AES and SSE2 instructions.
+/// Most chains the wide kernel runs abreast: four 512-bit registers of
+/// four. A `vaesenc` takes four chains' rounds for the issue slot and
+/// latency of one `aesenc`, so four registers keep as many rounds in
+/// flight per cycle as [`WIDE`] 128-bit ones, over twice the chains.
+pub(crate) const WIDE_LANES: usize = 16;
+
+/// Proof that the host CPU has the AES and SSE2 instructions — and, when
+/// `wide` is set, VAES and AVX-512F as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct AesNi(());
+pub(crate) struct AesNi {
+    wide: bool,
+}
 
 impl AesNi {
-    /// `Some` exactly when the running CPU reports `aes` and `sse2`.
+    /// `Some` exactly when the running CPU reports `aes` and `sse2`; wide
+    /// when it also reports `vaes` and `avx512f`.
     pub fn detect() -> Option<Self> {
-        (is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2")).then_some(AesNi(()))
+        let narrow = is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2");
+        let wide = is_x86_feature_detected!("vaes") && is_x86_feature_detected!("avx512f");
+        narrow.then_some(AesNi { wide })
+    }
+
+    /// Whether the chains run on the wide kernel.
+    pub fn is_wide(self) -> bool {
+        self.wide
+    }
+
+    /// The same token with the wide kernel switched off: the rounds a host
+    /// with AES-NI but no VAES runs, for tests on a host that has both.
+    #[cfg(test)]
+    pub fn narrow(self) -> Self {
+        AesNi { wide: false }
     }
 
     /// Encrypts one block under `round_keys`.
@@ -53,15 +86,22 @@ impl AesNi {
     }
 
     /// The CBC chains of [`crate::Aes128::cbc_chains`] under `round_keys`,
-    /// up to [`WIDE`] of them abreast, every chaining value in a register.
+    /// up to [`WIDE`] of them abreast — [`WIDE_LANES`] on the wide kernel —
+    /// every chaining value in a register.
     pub fn cbc_chains(
         self,
         round_keys: &[[u8; 16]; 11],
         chains: &[Chain<'_>],
         out: &mut [[u8; 16]],
     ) {
-        // SAFETY: `self` exists only if `detect` saw `aes` and `sse2`.
-        unsafe { cbc_chains(round_keys, chains, out) }
+        if self.wide {
+            // SAFETY: `wide` is set only by `detect`, and only when it saw
+            // `vaes` and `avx512f` beside `aes` and `sse2`.
+            unsafe { cbc_chains_wide(round_keys, chains, out) }
+        } else {
+            // SAFETY: `self` exists only if `detect` saw `aes` and `sse2`.
+            unsafe { cbc_chains(round_keys, chains, out) }
+        }
     }
 
     /// The Davies–Meyer chain over `blocks`: `state ← E_m(state) ^ state`
@@ -228,6 +268,108 @@ fn lanes<const N: usize>(round_keys: &[[u8; 16]; 11], chains: &[Chain<'_>], out:
     }
     for (out, v) in out.iter_mut().zip(x) {
         store(out, v);
+    }
+}
+
+#[target_feature(enable = "aes,sse2,vaes,avx512f")]
+fn cbc_chains_wide(round_keys: &[[u8; 16]; 11], chains: &[Chain<'_>], out: &mut [[u8; 16]]) {
+    for (chains, out) in chains.chunks(WIDE_LANES).zip(out.chunks_mut(WIDE_LANES)) {
+        match chains.len().div_ceil(4) {
+            1 => wide_lanes::<1>(round_keys, chains, out),
+            2 => wide_lanes::<2>(round_keys, chains, out),
+            3 => wide_lanes::<3>(round_keys, chains, out),
+            _ => wide_lanes::<4>(round_keys, chains, out),
+        }
+    }
+}
+
+/// Block `p` of the lockstep of chain `(blocks, last)`, which starts at
+/// pass `start`, as one 128-bit lane: its first block until then, and the
+/// last mask XORed in on the final pass.
+#[inline]
+#[target_feature(enable = "aes,sse2")]
+fn lane_block((blocks, last): &Chain<'_>, p: usize, start: usize, is_last: bool) -> __m128i {
+    let block = load(&blocks[p.saturating_sub(start)]);
+    if is_last {
+        _mm_xor_si128(block, load(last))
+    } else {
+        block
+    }
+}
+
+/// [`lanes`] on the wide kernel: `R` 512-bit registers of four chains each,
+/// `chains.len()` of them in `4R - 3..=4R` (a short register's idle lanes
+/// run the group's last chain again and are not stored). The chains are
+/// aligned on their last block as in [`lanes`]; when every chain has as
+/// many blocks as the longest — a group of the freshness layer's slot
+/// claims, six blocks each, or of its PosMap claims, three — no pass masks
+/// a lane.
+#[inline]
+#[target_feature(enable = "aes,sse2,vaes,avx512f")]
+fn wide_lanes<const R: usize>(
+    round_keys: &[[u8; 16]; 11],
+    chains: &[Chain<'_>],
+    out: &mut [[u8; 16]],
+) {
+    let n = chains.len();
+    // Lane `i` runs chain `lane[i]`.
+    let mut lane = [0usize; WIDE_LANES];
+    let mut passes = 0;
+    for (i, lane) in lane.iter_mut().enumerate() {
+        *lane = i.min(n - 1);
+        passes = passes.max(chains[*lane].0.len());
+    }
+    // The pass at which each lane's chain absorbs its first block.
+    let mut start = [0usize; WIDE_LANES];
+    let mut ragged = false;
+    for (start, &i) in start.iter_mut().zip(&lane) {
+        *start = passes - chains[i].0.len();
+        ragged |= *start != 0;
+    }
+    let mut keys = [_mm512_setzero_si512(); 11];
+    for (key, round_key) in keys.iter_mut().zip(round_keys) {
+        *key = _mm512_broadcast_i32x4(load(round_key));
+    }
+    let mut x = [_mm512_setzero_si512(); R];
+    for p in 0..passes {
+        let is_last = p + 1 == passes;
+        for (r, v) in x.iter_mut().enumerate() {
+            let (c, s) = (&lane[4 * r..4 * r + 4], &start[4 * r..4 * r + 4]);
+            let mut block = _mm512_castsi128_si512(lane_block(&chains[c[0]], p, s[0], is_last));
+            block = _mm512_inserti32x4::<1>(block, lane_block(&chains[c[1]], p, s[1], is_last));
+            block = _mm512_inserti32x4::<2>(block, lane_block(&chains[c[2]], p, s[2], is_last));
+            block = _mm512_inserti32x4::<3>(block, lane_block(&chains[c[3]], p, s[3], is_last));
+            if ragged {
+                // Two mask bits (one 128-bit lane) per chain: set once the
+                // chain has absorbed a block, clear until then.
+                let mut absorbed = 0u8;
+                for (j, &s) in s.iter().enumerate() {
+                    absorbed |= u8::from(p > s) * (0b11 << (2 * j));
+                }
+                *v = _mm512_maskz_mov_epi64(absorbed, *v);
+            }
+            // x ^ block ^ whitening, in one instruction.
+            *v = _mm512_ternarylogic_epi64::<0x96>(*v, block, keys[0]);
+        }
+        for key in &keys[1..10] {
+            for v in &mut x {
+                *v = _mm512_aesenc_epi128(*v, *key);
+            }
+        }
+        for v in &mut x {
+            *v = _mm512_aesenclast_epi128(*v, keys[10]);
+        }
+    }
+    for (four, v) in out[..n].chunks_mut(4).zip(x) {
+        let lanes = [
+            _mm512_extracti32x4_epi32::<0>(v),
+            _mm512_extracti32x4_epi32::<1>(v),
+            _mm512_extracti32x4_epi32::<2>(v),
+            _mm512_extracti32x4_epi32::<3>(v),
+        ];
+        for (out, lane) in four.iter_mut().zip(lanes) {
+            store(out, lane);
+        }
     }
 }
 

@@ -125,17 +125,17 @@ impl Cmac {
 
     /// Compares a computed tag with a stored one in constant shape: every
     /// byte is looked at whatever the first difference.
+    #[inline]
     pub fn tags_match(computed: &[u8; 16], stored: &[u8; 16]) -> bool {
-        let mut diff = 0u8;
-        for (a, b) in computed.iter().zip(stored) {
-            diff |= a ^ b;
-        }
-        diff == 0
+        // One XOR of the whole words: no byte decides early.
+        u128::from_le_bytes(*computed) ^ u128::from_le_bytes(*stored) == 0
     }
 
     /// Messages [`Cmac::tag_lanes`] MACs side by side in one pass;
     /// callers that frame messages on the stack size their arrays with it.
-    pub const LANES: usize = 8;
+    /// Sixteen: the wide AES kernel's four registers of four chains (the
+    /// narrow kernel takes a group as two passes of eight).
+    pub const LANES: usize = 16;
 
     /// MACs independent messages in lockstep: `tags[i]` becomes exactly
     /// [`Cmac::tag`] of `msgs[i]`'s frame followed by its payload.
@@ -250,12 +250,11 @@ impl<const BLOCKS: usize> Frame<BLOCKS> {
         }
     }
 
-    /// Empties the frame for reuse, zeroing only the blocks it had
-    /// written.
+    /// Empties the frame for reuse: its storage is zeros again, in stores
+    /// of a fixed size (a length-dependent fill is a call into `memset`).
     #[inline]
     pub fn clear(&mut self) {
-        let used = self.len.div_ceil(16);
-        self.blocks[..used].fill([0; 16]);
+        self.blocks = [[0; 16]; BLOCKS];
         self.len = 0;
     }
 
@@ -264,7 +263,7 @@ impl<const BLOCKS: usize> Frame<BLOCKS> {
     /// # Panics
     ///
     /// Panics if the frame would exceed `16 * BLOCKS` bytes.
-    #[inline]
+    #[inline(always)]
     pub fn push(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(16);
         for chunk in &mut chunks {
@@ -278,13 +277,13 @@ impl<const BLOCKS: usize> Frame<BLOCKS> {
     }
 
     /// Appends one byte (a domain, a marker, a flag).
-    #[inline]
+    #[inline(always)]
     pub fn byte(&mut self, b: u8) {
         self.put(u128::from(b), 1);
     }
 
     /// Appends a 64-bit field, little-endian.
-    #[inline]
+    #[inline(always)]
     pub fn word(&mut self, w: u64) {
         self.put(u128::from(w), 8);
     }
@@ -295,7 +294,7 @@ impl<const BLOCKS: usize> Frame<BLOCKS> {
     /// lanes read each block back in the same wide pieces, which the
     /// stores forward to the loads. (A load over several narrower stores
     /// waits for all of them to retire.)
-    #[inline]
+    #[inline(always)]
     fn put(&mut self, v: u128, n: usize) {
         let (at, off) = (self.len / 16, self.len % 16);
         let open = &mut self.blocks[at];
@@ -371,6 +370,7 @@ fn compose<const B: usize>(frame: &Frame<B>, mut payload: &[u8], dst: &mut [[u8;
 /// fixed-width loads, overlapping where the length is no power of two,
 /// where a variable-length copy would be a call into `memcpy` and a
 /// stalled load after it.
+#[inline(always)]
 fn load_short(bytes: &[u8]) -> u128 {
     /// `bytes` as its first and last `W` bytes, if it has `W..=2W`.
     fn ends<const W: usize>(bytes: &[u8]) -> Option<([u8; W], [u8; W], usize)> {
@@ -547,6 +547,64 @@ mod tests {
             mac.tag_lanes(&lanes, &mut tags);
             assert_eq!(tags, examples.map(|(_, tag)| tag.to_be_bytes()), "{mac:?}");
         }
+    }
+
+    /// `tag_lanes` against `tag` at every group size from one to
+    /// [`Cmac::LANES`] and one over, with equal lengths — the freshness
+    /// layer's slot claims (83 bytes, six blocks) and PosMap claims (33,
+    /// three) — and ragged ones, on the rounds `aes` runs.
+    fn lanes_match_tag(aes: Aes128) {
+        let mac = Cmac::new(aes);
+        let msg = |i: usize, len: usize| -> Vec<u8> {
+            (0..len).map(|j| (i * 37 + j * 11 + len) as u8).collect()
+        };
+        for n in 1..=Cmac::LANES + 1 {
+            let equal = [83usize, 33].map(|len| vec![len; n]);
+            let ragged = (0..n).map(|i| [0, 1, 16, 26, 33, 48, 75, 83, 96][i % 9]);
+            for lens in equal.into_iter().chain([ragged.collect()]) {
+                let msgs: Vec<Vec<u8>> = lens.iter().enumerate().map(|(i, &l)| msg(i, l)).collect();
+                let frames: Vec<Frame<6>> = (msgs.iter())
+                    .map(|m| {
+                        let mut frame = Frame::new();
+                        frame.push(m);
+                        frame
+                    })
+                    .collect();
+                let lanes: Vec<(&Frame<6>, &[u8])> = frames.iter().map(|f| (f, &[][..])).collect();
+                let mut tags = vec![[0u8; 16]; n];
+                mac.tag_lanes(&lanes, &mut tags);
+                let expected: Vec<[u8; 16]> = msgs.iter().map(|m| mac.tag(m)).collect();
+                assert_eq!(tags, expected, "{n} lanes of {lens:?} bytes, {mac:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_on_the_wide_rounds_match_tag() {
+        let aes = Aes128::new(&[0x3C; 16]);
+        lanes_match_tag(aes.clone());
+        // A T-table host has no wide rounds to hold: the lanes ran above
+        // on what it has.
+        let dbg = format!("{aes:?}");
+        let wide = is_x86_feature_detected_wide();
+        assert_eq!(dbg.contains("vaes"), wide, "{dbg}");
+    }
+
+    #[test]
+    fn lanes_on_the_narrow_rounds_match_tag() {
+        let aes = Aes128::narrow(&[0x3C; 16]);
+        assert!(!format!("{aes:?}").contains("vaes"));
+        lanes_match_tag(aes);
+    }
+
+    /// Whether the host has the wide kernel's instructions.
+    fn is_x86_feature_detected_wide() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return is_x86_feature_detected!("aes")
+            && is_x86_feature_detected!("vaes")
+            && is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     #[test]

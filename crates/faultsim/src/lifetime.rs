@@ -90,6 +90,7 @@ impl WearCampaignConfig {
         }
     }
 
+    #[cfg(test)]
     /// Total runs this configuration executes.
     pub fn total_runs(&self) -> u64 {
         wear_sweep_set().len() as u64 * WearScheme::all().len() as u64 * self.runs_per_cell

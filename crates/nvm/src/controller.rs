@@ -369,6 +369,7 @@ impl NvmController {
         &self.stats
     }
 
+    #[cfg(test)]
     /// Resets traffic statistics (not the timing state).
     pub fn reset_stats(&mut self) {
         self.stats = NvmStats::default();

@@ -566,6 +566,7 @@ impl WearEngine {
         }
     }
 
+    #[cfg(test)]
     /// `true` while the staged mapping has mutations the next commit
     /// round will make durable.
     pub fn has_staged_changes(&self) -> bool {
@@ -602,6 +603,7 @@ impl WearEngine {
         self.staged.resolve(Self::line_of(addr))
     }
 
+    #[cfg(test)]
     /// Resolves `addr` through the durable mapping (what a crash
     /// recovery would use).
     pub fn durable_resolve(&self, addr: u64) -> u64 {

@@ -152,6 +152,7 @@ impl System {
         }
     }
 
+    #[cfg(test)]
     /// Dissolves the system and hands the ORAM controller back (takeable
     /// ownership, mirroring `ShardController::into_policy`): the service
     /// layer can rebuild a shard's hierarchy while keeping its
